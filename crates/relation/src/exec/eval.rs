@@ -1,10 +1,16 @@
-//! Scalar and aggregate expression evaluation.
+//! Bound expressions: a statement's [`Expr`] trees are compiled once against
+//! the FROM clause, so that evaluating them on a row is index arithmetic and
+//! comparisons on borrowed values — no name resolution, no allocation.
+
+use std::borrow::Cow;
 
 use crate::error::{RelationError, Result};
 use crate::expr::{AggFunc, CompareOp, Expr};
-use crate::value::Value;
+use crate::table::Row;
+use crate::value::{DataType, Date, Value};
 
-/// Schema of an intermediate (joined) row: a list of qualified column names.
+/// The columns a statement can name, by qualifier: one entry per column of
+/// each FROM table.  Consulted while binding, never per row.
 #[derive(Debug, Clone, Default)]
 pub struct RowSchema {
     cols: Vec<(String, String)>,
@@ -63,11 +69,6 @@ impl RowSchema {
         }
     }
 
-    /// True if the reference can be resolved.
-    pub fn can_resolve(&self, table: Option<&str>, column: &str) -> bool {
-        self.resolve(table, column).is_ok()
-    }
-
     /// Indexes of all columns belonging to `qualifier`.
     pub fn columns_of(&self, qualifier: &str) -> Vec<usize> {
         let q = qualifier.to_ascii_lowercase();
@@ -79,188 +80,315 @@ impl RowSchema {
     }
 }
 
-/// Case-insensitive SQL `LIKE` with `%` wildcards.
-pub fn like_match(text: &str, pattern: &str) -> bool {
-    let text = text.to_ascii_lowercase();
-    let pattern = pattern.to_ascii_lowercase();
-    let parts: Vec<&str> = pattern.split('%').collect();
-    if parts.len() == 1 {
-        return text == pattern;
-    }
-    let mut pos = 0usize;
-    for (i, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            continue;
+/// A `LIKE` pattern split at its `%` wildcards once; matching a row compares
+/// bytes ignoring ASCII case and allocates nothing.
+pub(super) struct LikePattern {
+    parts: Vec<String>,
+}
+
+impl LikePattern {
+    pub(super) fn new(pattern: &str) -> Self {
+        Self {
+            parts: pattern.split('%').map(str::to_owned).collect(),
         }
-        if i == 0 {
-            if !text.starts_with(part) {
-                return false;
-            }
-            pos = part.len();
-        } else if i == parts.len() - 1 {
-            return text.len() >= pos && text[pos..].ends_with(part);
-        } else {
-            match text[pos..].find(part) {
-                Some(found) => pos += found + part.len(),
+    }
+
+    /// Case-insensitive match: the first part anchors at the start, the last
+    /// at the end, the ones between are found left to right.
+    pub(super) fn matches(&self, text: &str) -> bool {
+        let text = text.as_bytes();
+        let (first, rest) = self.parts.split_first().expect("split yields a part");
+        let Some((last, middle)) = rest.split_last() else {
+            return text.eq_ignore_ascii_case(first.as_bytes());
+        };
+        if !text
+            .get(..first.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(first.as_bytes()))
+        {
+            return false;
+        }
+        let mut pos = first.len();
+        for part in middle.iter().filter(|p| !p.is_empty()) {
+            let found = text[pos..]
+                .windows(part.len())
+                .position(|w| w.eq_ignore_ascii_case(part.as_bytes()));
+            match found {
+                Some(at) => pos += at + part.len(),
                 None => return false,
             }
         }
+        text.len() >= pos + last.len()
+            && text[text.len() - last.len()..].eq_ignore_ascii_case(last.as_bytes())
     }
-    true
 }
 
-/// Evaluates a scalar expression against one row.  Aggregates are rejected —
-/// they are handled by [`eval_over_group`].
-pub fn eval_scalar(expr: &Expr, schema: &RowSchema, row: &[Value]) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { table, column } => {
-            let idx = schema.resolve(table.as_deref(), column)?;
-            Ok(row[idx].clone())
-        }
-        Expr::Compare { op, left, right } => {
-            let l = eval_scalar(left, schema, row)?;
-            let r = eval_scalar(right, schema, row)?;
-            match l.sql_cmp(&r) {
-                None => Ok(Value::Null),
-                Some(ord) => {
-                    let b = match op {
-                        CompareOp::Eq => ord.is_eq(),
-                        CompareOp::NotEq => !ord.is_eq(),
-                        CompareOp::Lt => ord.is_lt(),
-                        CompareOp::LtEq => ord.is_le(),
-                        CompareOp::Gt => ord.is_gt(),
-                        CompareOp::GtEq => ord.is_ge(),
-                    };
-                    Ok(Value::Bool(b))
+/// Case-insensitive SQL `LIKE` with `%` wildcards.
+pub fn like_match(text: &str, pattern: &str) -> bool {
+    LikePattern::new(pattern).matches(text)
+}
+
+/// Resolves a column reference to `(tuple slot, column index, declared type)`.
+pub(super) type Resolve<'r> =
+    &'r dyn Fn(Option<&str>, &str) -> Result<(usize, usize, Option<DataType>)>;
+
+/// A scalar expression compiled against the FROM clause: columns are
+/// `(slot, index)` pairs into a tuple of borrowed rows, `LIKE` patterns are
+/// pre-split, and a text literal compared with a `DATE` column is already a
+/// date.  Aggregates are rejected here — they bind through [`GroupExpr`].
+pub(super) enum BoundExpr {
+    Column {
+        slot: usize,
+        col: usize,
+    },
+    Literal(Value),
+    Compare {
+        op: CompareOp,
+        left: Box<BoundExpr>,
+        right: Box<BoundExpr>,
+    },
+    Like {
+        expr: Box<BoundExpr>,
+        pattern: LikePattern,
+    },
+    And(Box<BoundExpr>, Box<BoundExpr>),
+    Or(Box<BoundExpr>, Box<BoundExpr>),
+    Not(Box<BoundExpr>),
+    IsNull(Box<BoundExpr>),
+}
+
+impl BoundExpr {
+    pub(super) fn bind(expr: &Expr, resolve: Resolve<'_>) -> Result<Self> {
+        let boxed = |e: &Expr| Self::bind(e, resolve).map(Box::new);
+        Ok(match expr {
+            Expr::Literal(v) => Self::Literal(v.clone()),
+            Expr::Column { table, column } => {
+                let (slot, col, _) = resolve(table.as_deref(), column)?;
+                Self::Column { slot, col }
+            }
+            Expr::Compare { op, left, right } => {
+                let mut sides = [boxed(left)?, boxed(right)?];
+                for (i, side) in [left, right].into_iter().enumerate() {
+                    if let Expr::Column { table, column } = &**side {
+                        if resolve(table.as_deref(), column)?.2 == Some(DataType::Date) {
+                            sides[1 - i].parse_date_literal();
+                        }
+                    }
                 }
-            }
-        }
-        Expr::Like { expr, pattern } => {
-            let v = eval_scalar(expr, schema, row)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Text(s) => Ok(Value::Bool(like_match(&s, pattern))),
-                other => Ok(Value::Bool(like_match(&other.to_string(), pattern))),
-            }
-        }
-        Expr::And(a, b) => {
-            let l = eval_scalar(a, schema, row)?;
-            let r = eval_scalar(b, schema, row)?;
-            Ok(match (truthy(&l), truthy(&r)) {
-                (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                (Some(true), Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            })
-        }
-        Expr::Or(a, b) => {
-            let l = eval_scalar(a, schema, row)?;
-            let r = eval_scalar(b, schema, row)?;
-            Ok(match (truthy(&l), truthy(&r)) {
-                (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            })
-        }
-        Expr::Not(e) => {
-            let v = eval_scalar(e, schema, row)?;
-            Ok(match truthy(&v) {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            })
-        }
-        Expr::IsNull(e) => {
-            let v = eval_scalar(e, schema, row)?;
-            Ok(Value::Bool(v.is_null()))
-        }
-        Expr::Aggregate { .. } => Err(RelationError::Unsupported(
-            "aggregate used outside GROUP BY context".into(),
-        )),
-        Expr::Star => Err(RelationError::Unsupported(
-            "* cannot be evaluated as a scalar".into(),
-        )),
-    }
-}
-
-/// Boolean interpretation of a value (`None` means SQL unknown).
-pub fn truthy(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        Value::Null => None,
-        Value::Int(i) => Some(*i != 0),
-        _ => None,
-    }
-}
-
-/// Evaluates an expression that may contain aggregates over a group of rows.
-/// Non-aggregate sub-expressions are evaluated against the first row of the
-/// group (which is correct for group-by keys).
-pub fn eval_over_group(expr: &Expr, schema: &RowSchema, group: &[Vec<Value>]) -> Result<Value> {
-    match expr {
-        Expr::Aggregate { func, arg } => {
-            let mut values: Vec<Value> = Vec::with_capacity(group.len());
-            for row in group {
-                match arg {
-                    None => values.push(Value::Int(1)),
-                    Some(a) => values.push(eval_scalar(a, schema, row)?),
-                }
-            }
-            Ok(compute_aggregate(*func, &values))
-        }
-        Expr::Compare { op, left, right } => {
-            let l = eval_over_group(left, schema, group)?;
-            let r = eval_over_group(right, schema, group)?;
-            eval_scalar(
-                &Expr::Compare {
+                let [left, right] = sides;
+                Self::Compare {
                     op: *op,
-                    left: Box::new(Expr::Literal(l)),
-                    right: Box::new(Expr::Literal(r)),
-                },
-                schema,
-                &[],
-            )
+                    left,
+                    right,
+                }
+            }
+            Expr::Like { expr, pattern } => Self::Like {
+                expr: boxed(expr)?,
+                pattern: LikePattern::new(pattern),
+            },
+            Expr::And(a, b) => Self::And(boxed(a)?, boxed(b)?),
+            Expr::Or(a, b) => Self::Or(boxed(a)?, boxed(b)?),
+            Expr::Not(e) => Self::Not(boxed(e)?),
+            Expr::IsNull(e) => Self::IsNull(boxed(e)?),
+            Expr::Aggregate { .. } => {
+                return Err(RelationError::Unsupported(
+                    "aggregate used outside GROUP BY context".into(),
+                ))
+            }
+            Expr::Star => {
+                return Err(RelationError::Unsupported(
+                    "* cannot be evaluated as a scalar".into(),
+                ))
+            }
+        })
+    }
+
+    /// `Value::sql_cmp` parses a text operand of a date comparison on every
+    /// call; a literal can be parsed once (an unparsable one stays text and
+    /// keeps comparing as unknown).
+    fn parse_date_literal(&mut self) {
+        if let Self::Literal(v) = self {
+            if let Some(date) = v.as_str().and_then(Date::parse) {
+                *v = Value::Date(date);
+            }
         }
-        _ if !expr.contains_aggregate() => match group.first() {
-            Some(row) => eval_scalar(expr, schema, row),
-            None => Ok(Value::Null),
-        },
-        other => Err(RelationError::Unsupported(format!(
-            "unsupported aggregate expression: {other}"
-        ))),
+    }
+
+    /// The expression's value over one tuple (one borrowed row per slot).
+    /// Columns and literals are borrowed; predicates yield `Bool` or `Null`.
+    pub(super) fn value<'v>(&'v self, tuple: &[&'v Row]) -> Cow<'v, Value> {
+        match self {
+            Self::Column { slot, col } => Cow::Borrowed(&tuple[*slot][*col]),
+            Self::Literal(v) => Cow::Borrowed(v),
+            _ => Cow::Owned(self.test(tuple).map_or(Value::Null, Value::Bool)),
+        }
+    }
+
+    /// The expression as a predicate (`None` means SQL unknown).
+    pub(super) fn test(&self, tuple: &[&Row]) -> Option<bool> {
+        match self {
+            Self::Column { .. } | Self::Literal(_) => match *self.value(tuple) {
+                Value::Bool(b) => Some(b),
+                Value::Int(i) => Some(i != 0),
+                _ => None,
+            },
+            Self::Compare { op, left, right } => {
+                compare(*op, &left.value(tuple), &right.value(tuple))
+            }
+            Self::Like { expr, pattern } => match &*expr.value(tuple) {
+                Value::Null => None,
+                Value::Text(s) => Some(pattern.matches(s)),
+                other => Some(pattern.matches(&other.to_string())),
+            },
+            Self::And(a, b) => match (a.test(tuple), b.test(tuple)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Self::Or(a, b) => match (a.test(tuple), b.test(tuple)) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+            Self::Not(e) => e.test(tuple).map(|b| !b),
+            Self::IsNull(e) => Some(e.value(tuple).is_null()),
+        }
     }
 }
 
-fn compute_aggregate(func: AggFunc, values: &[Value]) -> Value {
-    let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-    match func {
-        AggFunc::Count => Value::Int(non_null.len() as i64),
-        AggFunc::Sum => {
-            if non_null.is_empty() {
-                return Value::Null;
+fn compare(op: CompareOp, left: &Value, right: &Value) -> Option<bool> {
+    left.sql_cmp(right).map(|ord| match op {
+        CompareOp::Eq => ord.is_eq(),
+        CompareOp::NotEq => !ord.is_eq(),
+        CompareOp::Lt => ord.is_lt(),
+        CompareOp::LtEq => ord.is_le(),
+        CompareOp::Gt => ord.is_gt(),
+        CompareOp::GtEq => ord.is_ge(),
+    })
+}
+
+/// One aggregate call of a statement: the function and its bound argument
+/// (`None` for `count(*)`).
+pub(super) struct AggCall {
+    func: AggFunc,
+    arg: Option<BoundExpr>,
+}
+
+/// Running state of one [`AggCall`] over one group.  NULL inputs are skipped.
+#[derive(Clone, Default)]
+pub(super) struct Accumulator<'v> {
+    count: i64,
+    int_sum: i64,
+    float_sum: f64,
+    /// Some input was not an `Int`: `sum` reports the float sum.
+    non_int: bool,
+    extreme: Option<Cow<'v, Value>>,
+}
+
+impl AggCall {
+    pub(super) fn update<'v>(&'v self, acc: &mut Accumulator<'v>, tuple: &[&'v Row]) {
+        let value = match &self.arg {
+            Some(arg) => arg.value(tuple),
+            None => Cow::Owned(Value::Int(1)),
+        };
+        if value.is_null() {
+            return;
+        }
+        acc.count += 1;
+        match self.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                match *value {
+                    Value::Int(i) => acc.int_sum += i,
+                    _ => acc.non_int = true,
+                }
+                if let Some(f) = value.as_f64() {
+                    acc.float_sum += f;
+                }
             }
-            if non_null.iter().all(|v| matches!(v, Value::Int(_))) {
-                Value::Int(non_null.iter().filter_map(|v| v.as_i64()).sum())
-            } else {
-                Value::Float(non_null.iter().filter_map(|v| v.as_f64()).sum())
+            // Of equal values `min` keeps the first and `max` the last.
+            AggFunc::Min | AggFunc::Max => {
+                let replace = acc.extreme.as_ref().is_none_or(|current| {
+                    let ord = value.total_cmp(current);
+                    if self.func == AggFunc::Min {
+                        ord.is_lt()
+                    } else {
+                        ord.is_ge()
+                    }
+                });
+                if replace {
+                    acc.extreme = Some(value);
+                }
             }
         }
-        AggFunc::Avg => {
-            if non_null.is_empty() {
-                return Value::Null;
-            }
-            let sum: f64 = non_null.iter().filter_map(|v| v.as_f64()).sum();
-            Value::Float(sum / non_null.len() as f64)
+    }
+
+    pub(super) fn finish(&self, acc: Accumulator<'_>) -> Value {
+        match self.func {
+            AggFunc::Count => Value::Int(acc.count),
+            _ if acc.count == 0 => Value::Null,
+            AggFunc::Sum if !acc.non_int => Value::Int(acc.int_sum),
+            AggFunc::Sum => Value::Float(acc.float_sum),
+            AggFunc::Avg => Value::Float(acc.float_sum / acc.count as f64),
+            AggFunc::Min | AggFunc::Max => acc.extreme.map_or(Value::Null, Cow::into_owned),
         }
-        AggFunc::Min => non_null
-            .iter()
-            .min_by(|a, b| a.total_cmp(b))
-            .map(|v| (*v).clone())
-            .unwrap_or(Value::Null),
-        AggFunc::Max => non_null
-            .iter()
-            .max_by(|a, b| a.total_cmp(b))
-            .map(|v| (*v).clone())
-            .unwrap_or(Value::Null),
+    }
+}
+
+/// A projection item or sort key of an aggregating statement: an aggregate,
+/// a comparison of such expressions, or a scalar read from the group's first
+/// row (which is correct for group-by keys).
+pub(super) enum GroupExpr {
+    /// Index into the statement's [`AggCall`]s.
+    Aggregate(usize),
+    Compare {
+        op: CompareOp,
+        left: Box<GroupExpr>,
+        right: Box<GroupExpr>,
+    },
+    FirstRow(BoundExpr),
+}
+
+impl GroupExpr {
+    /// Binds `expr`, appending the aggregate calls it contains to `calls`.
+    pub(super) fn bind(
+        expr: &Expr,
+        resolve: Resolve<'_>,
+        calls: &mut Vec<AggCall>,
+    ) -> Result<Self> {
+        Ok(match expr {
+            Expr::Aggregate { func, arg } => {
+                let arg = arg.as_deref().map(|a| BoundExpr::bind(a, resolve));
+                let arg = arg.transpose()?;
+                calls.push(AggCall { func: *func, arg });
+                Self::Aggregate(calls.len() - 1)
+            }
+            Expr::Compare { op, left, right } => Self::Compare {
+                op: *op,
+                left: Box::new(Self::bind(left, resolve, calls)?),
+                right: Box::new(Self::bind(right, resolve, calls)?),
+            },
+            _ if !expr.contains_aggregate() => Self::FirstRow(BoundExpr::bind(expr, resolve)?),
+            other => {
+                return Err(RelationError::Unsupported(format!(
+                    "unsupported aggregate expression: {other}"
+                )))
+            }
+        })
+    }
+
+    /// The value for one group, given its first row (`None` for the single
+    /// empty group of an aggregate over no rows) and its finished aggregates.
+    pub(super) fn eval(&self, first: Option<&[&Row]>, aggregates: &[Value]) -> Value {
+        match self {
+            Self::Aggregate(i) => aggregates[*i].clone(),
+            Self::Compare { op, left, right } => compare(
+                *op,
+                &left.eval(first, aggregates),
+                &right.eval(first, aggregates),
+            )
+            .map_or(Value::Null, Value::Bool),
+            Self::FirstRow(e) => first.map_or(Value::Null, |t| e.value(t).into_owned()),
+        }
     }
 }
 
@@ -284,6 +412,34 @@ mod tests {
             Value::Float(120_000.0),
             Value::Int(1),
         ]
+    }
+
+    /// Every column of `schema` lives in the one row of a one-slot tuple.
+    fn resolver(
+        schema: &RowSchema,
+    ) -> impl Fn(Option<&str>, &str) -> Result<(usize, usize, Option<DataType>)> + '_ {
+        |table, column| Ok((0, schema.resolve(table, column)?, None))
+    }
+
+    /// Binds and evaluates in one go (the executor binds once per statement).
+    fn eval_scalar(expr: &Expr, schema: &RowSchema, row: &[Value]) -> Result<Value> {
+        let bound = BoundExpr::bind(expr, &resolver(schema))?;
+        Ok(bound.value(&[&row.to_vec()]).into_owned())
+    }
+
+    /// Binds, folds `group` into one accumulator per aggregate and evaluates.
+    fn eval_over_group(expr: &Expr, schema: &RowSchema, group: &[Vec<Value>]) -> Result<Value> {
+        let mut calls = Vec::new();
+        let bound = GroupExpr::bind(expr, &resolver(schema), &mut calls)?;
+        let mut accs = vec![Accumulator::default(); calls.len()];
+        for row in group {
+            for (call, acc) in calls.iter().zip(&mut accs) {
+                call.update(acc, &[row]);
+            }
+        }
+        let finished: Vec<Value> = calls.iter().zip(accs).map(|(c, a)| c.finish(a)).collect();
+        let first = group.first().map(|row| [row]);
+        Ok(bound.eval(first.as_ref().map(|t| t.as_slice()), &finished))
     }
 
     #[test]

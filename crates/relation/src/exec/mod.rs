@@ -1,21 +1,39 @@
-//! Query execution: predicate push-down, hash joins, grouping, ordering.
+//! Query execution: bind → scan → join → fold → materialise.
 //!
-//! The executor is deliberately simple — it exists so that the SQL produced by
-//! SODA (and the gold-standard SQL) can be *run* and compared tuple-by-tuple —
-//! but it avoids the obvious performance traps: single-table predicates are
-//! pushed below the joins, and equi-joins are executed as hash joins in the
-//! order in which join predicates connect the tables, so the 5-way joins of
-//! the workload never materialise a cross product.
+//! The executor exists so that the SQL produced by SODA (and the
+//! gold-standard SQL) can be *run* — compared tuple by tuple, and shown as a
+//! snippet under every statement.  It borrows the tables it reads:
+//!
+//! 1. **Bind.**  Every conjunct, projection item, group key, aggregate
+//!    argument and sort key is compiled once into a `BoundExpr` (columns
+//!    become `(slot, index)` pairs), so unknown or ambiguous names and
+//!    misplaced aggregates are reported before a row is read.
+//! 2. **Scan.**  Each FROM table is read through its [`Rows`](crate::Rows)
+//!    view; single-table predicates are applied here, below the joins.
+//! 3. **Join.**  Tables attach in the order join predicates connect them
+//!    (cross product only when none does).  A tuple is one `&Row` per table
+//!    joined so far; equi-joins hash the key [`Value`]s of the smaller input.
+//! 4. **Fold.**  Aggregating statements assign each tuple to its group and
+//!    update one accumulator per (group, aggregate) in the same pass.
+//! 5. **Materialise.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers;
+//!    only the projected values of rows in the [`ResultSet`] are cloned.
 
 pub mod eval;
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Deref;
 
-use self::eval::{eval_over_group, eval_scalar, truthy, RowSchema};
+use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema};
 use crate::catalog::Database;
 use crate::error::{RelationError, Result};
 use crate::expr::{CompareOp, Expr};
-use crate::sql::ast::{SelectStatement, TableRef};
+use crate::sql::ast::SelectStatement;
+use crate::table::Row;
 use crate::value::Value;
 
 /// The result of executing a `SELECT` statement.
@@ -52,11 +70,10 @@ impl ResultSet {
     pub fn tuple_strings(&self) -> Vec<String> {
         self.rows
             .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\t")
+            .map(|row| {
+                let mut out = String::new();
+                write_cells(&mut out, row, "\t");
+                out
             })
             .collect()
     }
@@ -67,24 +84,57 @@ impl ResultSet {
         let mut out = self.columns.join(" | ");
         out.push('\n');
         for row in self.rows.iter().take(n) {
-            out.push_str(
-                &row.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" | "),
-            );
+            write_cells(&mut out, row, " | ");
             out.push('\n');
         }
         out
     }
 }
 
-/// A bound table in the FROM clause.
-struct Bound<'a> {
-    qualifier: String,
-    rows: Vec<Vec<Value>>,
-    #[allow(dead_code)]
-    table: &'a str,
+fn write_cells(out: &mut String, row: &[Value], separator: &str) {
+    for (i, value) in row.iter().enumerate() {
+        if i > 0 {
+            out.push_str(separator);
+        }
+        write!(out, "{value}").expect("writing to a String cannot fail");
+    }
+}
+
+/// Intermediate join result: `stride` borrowed rows per tuple, one per table
+/// joined so far, stored back to back.
+struct Tuples<'a> {
+    refs: Vec<&'a Row>,
+    stride: usize,
+}
+
+impl<'a> Tuples<'a> {
+    fn len(&self) -> usize {
+        self.refs.len() / self.stride
+    }
+
+    fn get(&self, i: usize) -> &[&'a Row] {
+        &self.refs[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// Key hash → the row numbers inserted under it, in insertion order.  Callers
+/// confirm a candidate by comparing the key values themselves, so the join,
+/// GROUP BY and DISTINCT tables hold no keys.
+type HashIndex = HashMap<u64, Vec<usize>>;
+
+fn candidates(index: &HashIndex, hash: u64) -> impl Iterator<Item = usize> + '_ {
+    index.get(&hash).into_iter().flatten().copied()
+}
+
+fn hash_values(
+    state: &RandomState,
+    values: impl Iterator<Item = impl Deref<Target = Value>>,
+) -> u64 {
+    let mut hasher = state.build_hasher();
+    for value in values {
+        value.hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 /// Executes a statement against a database.
@@ -92,416 +142,382 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
     if stmt.from.is_empty() {
         return Err(RelationError::Unsupported("FROM clause is required".into()));
     }
+    let n = stmt.from.len();
 
-    // Bind tables and build the full schema.
-    let mut bounds: Vec<Bound<'_>> = Vec::with_capacity(stmt.from.len());
-    let mut full_schema = RowSchema::new();
+    // Bind the FROM tables; `schema` lists their columns in FROM order.
+    let mut tables = Vec::with_capacity(n);
+    let mut offsets = Vec::with_capacity(n);
+    let mut schema = RowSchema::new();
     for tref in &stmt.from {
         let table = db.table(&tref.name)?;
-        let qualifier = tref.effective_name().to_string();
+        offsets.push(schema.len());
         for col in &table.schema().columns {
-            full_schema.push(&qualifier, &col.name);
+            schema.push(tref.effective_name(), &col.name);
         }
-        bounds.push(Bound {
-            qualifier,
-            rows: table.rows().to_vec(),
-            table: &table.schema().name,
-        });
+        tables.push(table);
     }
-
-    // Classify conjuncts of the WHERE clause.
-    let conjuncts: Vec<Expr> = stmt
-        .selection
-        .as_ref()
-        .map(|s| s.conjuncts().into_iter().cloned().collect())
-        .unwrap_or_default();
-
-    let mut pushdowns: Vec<Vec<Expr>> = vec![Vec::new(); bounds.len()];
-    let mut equi_joins: Vec<(usize, usize, Expr, Expr)> = Vec::new();
-    let mut residual: Vec<Expr> = Vec::new();
-
-    for conj in conjuncts {
-        match classify(&conj, &bounds, &full_schema)? {
-            Classified::SingleTable(i) => pushdowns[i].push(conj),
-            Classified::EquiJoin(a, b, left, right) => equi_joins.push((a, b, left, right)),
-            Classified::Residual => residual.push(conj),
-        }
-    }
-
-    // Scan each table applying its push-down predicates.
-    let mut filtered: Vec<Vec<Vec<Value>>> = Vec::with_capacity(bounds.len());
-    for (i, bound) in bounds.iter().enumerate() {
-        let schema = single_schema(&stmt.from[i], db)?;
-        let mut rows = Vec::new();
-        'rows: for row in &bound.rows {
-            for pred in &pushdowns[i] {
-                let v = eval_scalar(pred, &schema, row)?;
-                if truthy(&v) != Some(true) {
-                    continue 'rows;
-                }
-            }
-            rows.push(row.clone());
-        }
-        filtered.push(rows);
-    }
-
-    // Join tables. Start with table 0, repeatedly attach a table connected by
-    // an equi-join (hash join); fall back to a cross product when no join
-    // predicate connects the remaining tables.
-    let mut joined_schema = RowSchema::new();
-    let mut joined_tables: Vec<usize> = Vec::new();
-    let mut joined_rows: Vec<Vec<Value>> = Vec::new();
-
-    attach_first(
-        &mut joined_schema,
-        &mut joined_tables,
-        &mut joined_rows,
-        0,
-        &bounds,
-        &filtered,
-        db,
-        stmt,
-    )?;
-
-    while joined_tables.len() < bounds.len() {
-        // Find a not-yet-joined table connected by at least one equi-join.
-        let candidate = (0..bounds.len()).find(|i| {
-            !joined_tables.contains(i)
-                && equi_joins.iter().any(|(a, b, ..)| {
-                    (joined_tables.contains(a) && b == i) || (joined_tables.contains(b) && a == i)
-                })
-        });
-        let next = candidate.unwrap_or_else(|| {
-            (0..bounds.len())
-                .find(|i| !joined_tables.contains(i))
-                .expect("at least one table remains")
-        });
-
-        // Gather join conditions between the joined set and `next`.
-        let mut conditions: Vec<(Expr, Expr)> = Vec::new(); // (joined side, next side)
-        for (a, b, left, right) in &equi_joins {
-            if joined_tables.contains(a) && *b == next {
-                conditions.push((left.clone(), right.clone()));
-            } else if joined_tables.contains(b) && *a == next {
-                conditions.push((right.clone(), left.clone()));
-            }
-        }
-
-        let next_schema = single_schema(&stmt.from[next], db)?;
-        joined_rows = hash_join(
-            &joined_rows,
-            &joined_schema,
-            &filtered[next],
-            &next_schema,
-            &conditions,
-        )?;
-        for (q, c) in next_schema.columns() {
-            joined_schema.push(q, c);
-        }
-        joined_tables.push(next);
-    }
-
-    // Residual predicates.
-    if !residual.is_empty() {
-        let mut kept = Vec::with_capacity(joined_rows.len());
-        'outer: for row in joined_rows {
-            for pred in &residual {
-                let v = eval_scalar(pred, &joined_schema, &row)?;
-                if truthy(&v) != Some(true) {
-                    continue 'outer;
-                }
-            }
-            kept.push(row);
-        }
-        joined_rows = kept;
-    }
-
-    // Projection / aggregation.
-    let (columns, mut output): Projected = if stmt.is_aggregate() {
-        aggregate_project(stmt, &joined_schema, &joined_rows)?
-    } else {
-        plain_project(stmt, &joined_schema, &joined_rows)?
+    // Column reference → (FROM index, column index).
+    let locate = |table: Option<&str>, column: &str| -> Result<(usize, usize)> {
+        let flat = schema.resolve(table, column)?;
+        let t = offsets.partition_point(|&start| start <= flat) - 1;
+        Ok((t, flat - offsets[t]))
     };
-
-    // DISTINCT.
-    if stmt.distinct {
-        let mut seen = std::collections::HashSet::new();
-        output.retain(|(vals, _)| {
-            seen.insert(vals.iter().map(|v| v.to_string()).collect::<Vec<_>>())
-        });
-    }
-
-    // ORDER BY (sort keys were computed during projection).
-    if !stmt.order_by.is_empty() {
-        output.sort_by(|(_, ka), (_, kb)| {
-            for (i, ob) in stmt.order_by.iter().enumerate() {
-                let ord = ka[i].total_cmp(&kb[i]);
-                let ord = if ob.descending { ord.reverse() } else { ord };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    // LIMIT.
-    if let Some(limit) = stmt.limit {
-        output.truncate(limit);
-    }
-
-    Ok(ResultSet {
-        columns,
-        rows: output.into_iter().map(|(vals, _)| vals).collect(),
-    })
-}
-
-enum Classified {
-    SingleTable(usize),
-    EquiJoin(usize, usize, Expr, Expr),
-    Residual,
-}
-
-fn classify(conj: &Expr, bounds: &[Bound<'_>], full: &RowSchema) -> Result<Classified> {
-    // Which tables does the conjunct touch?
-    let cols = conj.columns();
-    let mut tables: Vec<usize> = Vec::new();
-    for (qual, name) in &cols {
-        let idx = full.resolve(qual.as_deref(), name)?;
-        let (q, _) = &full.columns()[idx];
-        let t = bounds
-            .iter()
-            .position(|b| b.qualifier.eq_ignore_ascii_case(q))
-            .ok_or_else(|| RelationError::UnknownColumn(format!("{q}.{name}")))?;
-        if !tables.contains(&t) {
-            tables.push(t);
-        }
-    }
-    if tables.len() <= 1 {
-        return Ok(match tables.first() {
-            Some(&t) => Classified::SingleTable(t),
-            None => Classified::Residual,
-        });
-    }
-    // Equi-join between exactly two tables: col = col.
-    if tables.len() == 2 {
-        if let Expr::Compare {
-            op: CompareOp::Eq,
-            left,
-            right,
-        } = conj
-        {
-            if matches!(**left, Expr::Column { .. }) && matches!(**right, Expr::Column { .. }) {
-                let lt = table_of(left, bounds, full)?;
-                let rt = table_of(right, bounds, full)?;
-                if lt != rt {
-                    return Ok(Classified::EquiJoin(
-                        lt,
-                        rt,
-                        (**left).clone(),
-                        (**right).clone(),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(Classified::Residual)
-}
-
-fn table_of(e: &Expr, bounds: &[Bound<'_>], full: &RowSchema) -> Result<usize> {
-    if let Expr::Column { table, column } = e {
-        let idx = full.resolve(table.as_deref(), column)?;
-        let (q, _) = &full.columns()[idx];
-        return bounds
-            .iter()
-            .position(|b| b.qualifier.eq_ignore_ascii_case(q))
-            .ok_or_else(|| RelationError::UnknownColumn(column.clone()));
-    }
-    Err(RelationError::Other("not a column".into()))
-}
-
-fn single_schema(tref: &TableRef, db: &Database) -> Result<RowSchema> {
-    let table = db.table(&tref.name)?;
-    let mut s = RowSchema::new();
-    for col in &table.schema().columns {
-        s.push(tref.effective_name(), &col.name);
-    }
-    Ok(s)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn attach_first(
-    joined_schema: &mut RowSchema,
-    joined_tables: &mut Vec<usize>,
-    joined_rows: &mut Vec<Vec<Value>>,
-    first: usize,
-    _bounds: &[Bound<'_>],
-    filtered: &[Vec<Vec<Value>>],
-    db: &Database,
-    stmt: &SelectStatement,
-) -> Result<()> {
-    let schema = single_schema(&stmt.from[first], db)?;
-    for (q, c) in schema.columns() {
-        joined_schema.push(q, c);
-    }
-    joined_tables.push(first);
-    *joined_rows = filtered[first].clone();
-    Ok(())
-}
-
-/// Hash join between the current intermediate result and a new table.
-/// `conditions` pairs an expression over the intermediate with an expression
-/// over the new table; when empty the join degenerates to a cross product.
-fn hash_join(
-    left_rows: &[Vec<Value>],
-    left_schema: &RowSchema,
-    right_rows: &[Vec<Value>],
-    right_schema: &RowSchema,
-    conditions: &[(Expr, Expr)],
-) -> Result<Vec<Vec<Value>>> {
-    let mut out = Vec::new();
-    if conditions.is_empty() {
-        for l in left_rows {
-            for r in right_rows {
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                out.push(row);
-            }
-        }
-        return Ok(out);
-    }
-
-    // Build hash table on the right side.
-    let mut table: HashMap<Vec<String>, Vec<usize>> = HashMap::new();
-    for (i, r) in right_rows.iter().enumerate() {
-        let mut key = Vec::with_capacity(conditions.len());
-        let mut null_key = false;
-        for (_, right_expr) in conditions {
-            let v = eval_scalar(right_expr, right_schema, r)?;
-            if v.is_null() {
-                null_key = true;
-                break;
-            }
-            key.push(canonical_key(&v));
-        }
-        if !null_key {
-            table.entry(key).or_default().push(i);
+    // Classify the conjuncts of the WHERE clause by the tables they touch.
+    let mut pushdowns: Vec<Vec<&Expr>> = vec![Vec::new(); n];
+    let mut equi_joins: Vec<[(usize, usize); 2]> = Vec::new();
+    let mut residual: Vec<&Expr> = Vec::new();
+    for conj in stmt.selection.iter().flat_map(Expr::conjuncts) {
+        let located = conj
+            .columns()
+            .into_iter()
+            .map(|(qualifier, name)| locate(qualifier.as_deref(), name))
+            .collect::<Result<Vec<_>>>()?;
+        let mut touched: Vec<usize> = located.iter().map(|&(t, _)| t).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let column_pair = matches!(conj, Expr::Compare { op: CompareOp::Eq, left, right }
+            if matches!((&**left, &**right), (Expr::Column { .. }, Expr::Column { .. })));
+        match touched[..] {
+            // A constant filters the same wherever it is applied.
+            [] => pushdowns[0].push(conj),
+            [t] => pushdowns[t].push(conj),
+            [_, _] if column_pair => equi_joins.push([located[0], located[1]]),
+            _ => residual.push(conj),
         }
     }
 
-    for l in left_rows {
-        let mut key = Vec::with_capacity(conditions.len());
-        let mut null_key = false;
-        for (left_expr, _) in conditions {
-            let v = eval_scalar(left_expr, left_schema, l)?;
-            if v.is_null() {
-                null_key = true;
-                break;
-            }
-            key.push(canonical_key(&v));
-        }
-        if null_key {
-            continue;
-        }
-        if let Some(matches) = table.get(&key) {
-            for &i in matches {
-                let mut row = l.clone();
-                row.extend(right_rows[i].iter().cloned());
-                out.push(row);
-            }
-        }
+    // Join order: start with table 0, repeatedly attach a table connected to
+    // the joined set by an equi-join, else the first remaining one (cross
+    // product).  A table's position in this order is its tuple slot.
+    let mut order = vec![0usize];
+    while order.len() < n {
+        let connected = |i: &usize| {
+            equi_joins.iter().any(|[l, r]| {
+                (order.contains(&l.0) && r.0 == *i) || (order.contains(&r.0) && l.0 == *i)
+            })
+        };
+        let mut remaining = (0..n).filter(|i| !order.contains(i));
+        let next = remaining
+            .clone()
+            .find(connected)
+            .or_else(|| remaining.next());
+        order.push(next.expect("a table remains"));
     }
-    Ok(out)
-}
-
-/// Join-key canonicalisation so that `Int(5)` and `Float(5.0)` hash equally.
-fn canonical_key(v: &Value) -> String {
-    match v {
-        Value::Int(i) => format!("n:{}", *i as f64),
-        Value::Float(f) => format!("n:{f}"),
-        other => other.to_string(),
+    let mut slot_of = vec![0usize; n];
+    for (slot, &t) in order.iter().enumerate() {
+        slot_of[t] = slot;
     }
-}
-
-type Projected = (Vec<String>, Vec<(Vec<Value>, Vec<Value>)>);
-
-fn plain_project(
-    stmt: &SelectStatement,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-) -> Result<Projected> {
-    let mut columns: Vec<String> = Vec::new();
-    for item in &stmt.projection {
-        match &item.expr {
-            Expr::Star => {
-                for (q, c) in schema.columns() {
-                    columns.push(format!("{q}.{c}"));
-                }
-            }
-            _ => columns.push(item.output_name()),
-        }
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut vals: Vec<Value> = Vec::with_capacity(columns.len());
-        for item in &stmt.projection {
-            match &item.expr {
-                Expr::Star => vals.extend(row.iter().cloned()),
-                e => vals.push(eval_scalar(e, schema, row)?),
-            }
-        }
-        let mut keys = Vec::with_capacity(stmt.order_by.len());
-        for ob in &stmt.order_by {
-            keys.push(eval_scalar(&ob.expr, schema, row)?);
-        }
-        out.push((vals, keys));
-    }
-    Ok((columns, out))
-}
-
-fn aggregate_project(
-    stmt: &SelectStatement,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-) -> Result<Projected> {
-    // Group rows by the group-by key values.
-    let mut groups: Vec<(Vec<String>, Vec<Vec<Value>>)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
-    if stmt.group_by.is_empty() {
-        groups.push((Vec::new(), rows.to_vec()));
-    } else {
-        for row in rows {
-            let mut key = Vec::with_capacity(stmt.group_by.len());
-            for g in &stmt.group_by {
-                key.push(eval_scalar(g, schema, row)?.to_string());
-            }
-            let idx = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key.clone(), Vec::new()));
-                groups.len() - 1
-            });
-            groups[idx].1.push(row.clone());
-        }
-    }
-
-    let columns: Vec<String> = stmt.projection.iter().map(|i| i.output_name()).collect();
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, group) in &groups {
-        let mut vals = Vec::with_capacity(columns.len());
+    let resolve = |table: Option<&str>, column: &str| {
+        let (t, col) = locate(table, column)?;
+        let data_type = tables[t].schema().columns[col].data_type;
+        Ok((slot_of[t], col, Some(data_type)))
+    };
+    // Bind predicates and outputs before touching a row.
+    let pushdowns = pushdowns
+        .iter()
+        .map(|preds| bind_all(preds.iter().copied(), &resolve))
+        .collect::<Result<Vec<_>>>()?;
+    let residual = bind_all(residual, &resolve)?;
+    let sort_keys = stmt.order_by.iter().map(|ob| &ob.expr);
+    let mut columns = Vec::new();
+    let output = if stmt.is_aggregate() {
+        let keys = bind_all(&stmt.group_by, &resolve)?;
+        let mut calls = Vec::new();
+        let mut items = Vec::new();
         for item in &stmt.projection {
             if matches!(item.expr, Expr::Star) {
                 return Err(RelationError::Unsupported(
                     "SELECT * cannot be combined with GROUP BY".into(),
                 ));
             }
-            vals.push(eval_over_group(&item.expr, schema, group)?);
+            columns.push(item.output_name());
+            items.push(GroupExpr::bind(&item.expr, &resolve, &mut calls)?);
         }
-        let mut keys = Vec::with_capacity(stmt.order_by.len());
-        for ob in &stmt.order_by {
-            keys.push(eval_over_group(&ob.expr, schema, group)?);
+        for key in sort_keys {
+            items.push(GroupExpr::bind(key, &resolve, &mut calls)?);
         }
-        out.push((vals, keys));
+        Output::Grouped { keys, calls, items }
+    } else {
+        let mut projection = Vec::new();
+        for item in &stmt.projection {
+            match &item.expr {
+                // Every column of every table, in join order.
+                Expr::Star => {
+                    for &t in &order {
+                        let names = &schema.columns()[offsets[t]..][..tables[t].schema().arity()];
+                        for (col, (qualifier, name)) in names.iter().enumerate() {
+                            columns.push(format!("{qualifier}.{name}"));
+                            let slot = slot_of[t];
+                            projection.push(BoundExpr::Column { slot, col });
+                        }
+                    }
+                }
+                expr => {
+                    columns.push(item.output_name());
+                    projection.push(BoundExpr::bind(expr, &resolve)?);
+                }
+            }
+        }
+        let sort = bind_all(sort_keys, &resolve)?;
+        Output::Plain { projection, sort }
+    };
+
+    // Scan: each table's rows that pass its own predicates.  A bare LIMIT
+    // over one table stops the scan as soon as it is satisfied.
+    let bare = n == 1 && !stmt.is_aggregate() && !stmt.distinct && stmt.order_by.is_empty();
+    let scan_limit = stmt.limit.filter(|_| bare);
+    // Predicates are bound to tuple slots, so a scanned row is tested in its
+    // table's slot of an otherwise empty tuple.
+    static NO_ROW: Row = Vec::new();
+    let mut probe: Vec<&Row> = vec![&NO_ROW; n];
+    let mut scanned: Vec<Vec<&Row>> = tables
+        .iter()
+        .zip(&pushdowns)
+        .enumerate()
+        .map(|(t, (table, preds))| {
+            table
+                .rows()
+                .iter()
+                .filter(|row| {
+                    probe[slot_of[t]] = row;
+                    preds.iter().all(|p| p.test(&probe) == Some(true))
+                })
+                .take(scan_limit.unwrap_or(usize::MAX))
+                .collect()
+        })
+        .collect();
+
+    // Join in slot order.
+    let mut tuples = Tuples {
+        refs: std::mem::take(&mut scanned[0]),
+        stride: 1,
+    };
+    for (slot, &t) in order.iter().enumerate().skip(1) {
+        // (tuple slot, column) on the joined side = column of table `t`.
+        let keys: Vec<((usize, usize), usize)> = equi_joins
+            .iter()
+            .filter_map(|&[l, r]| {
+                if slot_of[l.0] < slot && r.0 == t {
+                    Some(((slot_of[l.0], l.1), r.1))
+                } else if slot_of[r.0] < slot && l.0 == t {
+                    Some(((slot_of[r.0], r.1), l.1))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        tuples = join(&tuples, &scanned[t], &keys);
     }
-    Ok((columns, out))
+    if !residual.is_empty() {
+        tuples.refs = (0..tuples.len())
+            .map(|i| tuples.get(i))
+            .filter(|tuple| residual.iter().all(|p| p.test(tuple) == Some(true)))
+            .flatten()
+            .copied()
+            .collect();
+    }
+
+    let rows = match output {
+        Output::Plain { projection, sort } => materialise(&tuples, &projection, &sort, stmt),
+        Output::Grouped { keys, calls, items } => {
+            let groups = fold(&tuples, &keys, &calls, &items);
+            // The groups form a one-slot table of [projection…, sort keys…].
+            let column = |col| BoundExpr::Column { slot: 0, col };
+            let projection: Vec<_> = (0..columns.len()).map(column).collect();
+            let sort: Vec<_> = (columns.len()..items.len()).map(column).collect();
+            let tuples = Tuples {
+                refs: groups.iter().collect(),
+                stride: 1,
+            };
+            materialise(&tuples, &projection, &sort, stmt)
+        }
+    };
+    Ok(ResultSet { columns, rows })
+}
+
+/// What a statement computes from the joined tuples, bound.
+enum Output {
+    Plain {
+        projection: Vec<BoundExpr>,
+        sort: Vec<BoundExpr>,
+    },
+    Grouped {
+        keys: Vec<BoundExpr>,
+        calls: Vec<AggCall>,
+        /// The projection items followed by the sort keys.
+        items: Vec<GroupExpr>,
+    },
+}
+
+fn bind_all<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    resolve: eval::Resolve<'_>,
+) -> Result<Vec<BoundExpr>> {
+    exprs
+        .into_iter()
+        .map(|e| BoundExpr::bind(e, resolve))
+        .collect()
+}
+
+/// Attaches `right` to every tuple of `left`.  Each of `keys` pairs a
+/// `(slot, column)` of the tuples with a column of `right`; with no keys the
+/// join is a cross product.  Output is tuple-major, then `right` order.
+fn join<'a>(left: &Tuples<'a>, right: &[&'a Row], keys: &[((usize, usize), usize)]) -> Tuples<'a> {
+    let mut refs = Vec::new();
+    let mut emit = |l: usize, r: usize| {
+        refs.extend_from_slice(left.get(l));
+        refs.push(right[r]);
+    };
+    if keys.is_empty() {
+        for l in 0..left.len() {
+            for r in 0..right.len() {
+                emit(l, r);
+            }
+        }
+    } else {
+        let left_key = |l: usize, k: usize| {
+            let ((slot, col), _) = keys[k];
+            &left.get(l)[slot][col]
+        };
+        let right_key = |r: usize, k: usize| &right[r][keys[k].1];
+        // Hash the smaller side; both branches emit in the same order.
+        if left.len() < right.len() {
+            let mut pairs = matches(keys.len(), left.len(), left_key, right.len(), right_key);
+            pairs.sort_by_key(|&(_, l)| l);
+            for (r, l) in pairs {
+                emit(l, r);
+            }
+        } else {
+            for (l, r) in matches(keys.len(), right.len(), right_key, left.len(), left_key) {
+                emit(l, r);
+            }
+        }
+    }
+    Tuples {
+        refs,
+        stride: left.stride + 1,
+    }
+}
+
+/// Equi-join matches as `(probe row, build row)` pairs: probe rows in order,
+/// the build rows of each in order.  A NULL key matches nothing.
+fn matches<'v>(
+    keys: usize,
+    build_len: usize,
+    build_key: impl Fn(usize, usize) -> &'v Value,
+    probe_len: usize,
+    probe_key: impl Fn(usize, usize) -> &'v Value,
+) -> Vec<(usize, usize)> {
+    let state = RandomState::new();
+    let hash = |key: &dyn Fn(usize, usize) -> &'v Value, row: usize| {
+        let null = (0..keys).any(|k| key(row, k).is_null());
+        (!null).then(|| hash_values(&state, (0..keys).map(|k| key(row, k))))
+    };
+    let mut table = HashIndex::new();
+    for b in 0..build_len {
+        if let Some(hash) = hash(&build_key, b) {
+            table.entry(hash).or_default().push(b);
+        }
+    }
+    let mut pairs = Vec::new();
+    for p in 0..probe_len {
+        let Some(hash) = hash(&probe_key, p) else {
+            continue;
+        };
+        let equal = |b: &usize| (0..keys).all(|k| probe_key(p, k) == build_key(*b, k));
+        pairs.extend(candidates(&table, hash).filter(equal).map(|b| (p, b)));
+    }
+    pairs
+}
+
+/// Assigns every tuple to its group — groups in order of first appearance,
+/// one group for the whole input when there are no `keys` — updating the
+/// group's accumulators as it goes.  Returns the `items` of each group.
+fn fold(
+    tuples: &Tuples<'_>,
+    keys: &[BoundExpr],
+    calls: &[AggCall],
+    items: &[GroupExpr],
+) -> Vec<Row> {
+    let state = RandomState::new();
+    let mut index = HashIndex::new();
+    // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut accs: Vec<Accumulator<'_>> = Vec::new();
+    for i in 0..tuples.len() {
+        let tuple = tuples.get(i);
+        let hash = hash_values(&state, keys.iter().map(|k| k.value(tuple)));
+        let same_key = |g: &usize| {
+            let first = tuples.get(firsts[*g]);
+            keys.iter().all(|k| k.value(tuple) == k.value(first))
+        };
+        let found = candidates(&index, hash).find(same_key);
+        let group = found.unwrap_or_else(|| {
+            index.entry(hash).or_default().push(firsts.len());
+            firsts.push(i);
+            accs.resize(accs.len() + calls.len(), Accumulator::default());
+            firsts.len() - 1
+        });
+        for (call, acc) in calls.iter().zip(&mut accs[group * calls.len()..]) {
+            call.update(acc, tuple);
+        }
+    }
+    // An aggregate over no rows still reports one (empty) group.
+    let groups = if keys.is_empty() { 1 } else { firsts.len() };
+    let mut accs = accs.into_iter();
+    (0..groups)
+        .map(|g| {
+            let finished: Vec<Value> = calls
+                .iter()
+                .map(|call| call.finish(accs.next().unwrap_or_default()))
+                .collect();
+            let first = firsts.get(g).map(|&i| tuples.get(i));
+            items.iter().map(|e| e.eval(first, &finished)).collect()
+        })
+        .collect()
+}
+
+/// DISTINCT, ORDER BY and LIMIT over tuple indexes, then the one clone: the
+/// projected values of the rows that are left.
+fn materialise(
+    tuples: &Tuples<'_>,
+    projection: &[BoundExpr],
+    sort: &[BoundExpr],
+    stmt: &SelectStatement,
+) -> Vec<Row> {
+    let cells = |i: usize| projection.iter().map(move |e| e.value(tuples.get(i)));
+    let mut picked: Vec<usize> = (0..tuples.len()).collect();
+    if stmt.distinct {
+        let state = RandomState::new();
+        let mut seen = HashIndex::new();
+        picked.retain(|&i| {
+            let hash = hash_values(&state, cells(i));
+            let duplicate = candidates(&seen, hash).any(|j| cells(i).eq(cells(j)));
+            if !duplicate {
+                seen.entry(hash).or_default().push(i);
+            }
+            !duplicate
+        });
+    }
+    if !sort.is_empty() {
+        picked.sort_by(|&a, &b| {
+            let (a, b) = (tuples.get(a), tuples.get(b));
+            let mut by_key = sort.iter().zip(&stmt.order_by).map(|(key, ob)| {
+                let ord = key.value(a).total_cmp(&key.value(b));
+                if ob.descending {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+            by_key.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
+        });
+    }
+    picked.truncate(stmt.limit.unwrap_or(usize::MAX));
+    picked
+        .into_iter()
+        .map(|i| cells(i).map(Cow::into_owned).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -740,6 +756,111 @@ mod tests {
         let rs = db.run_sql("SELECT count(*) FROM fi_transactions").unwrap();
         assert_eq!(rs.row_count(), 1);
         assert_eq!(rs.rows()[0][0], Value::Int(4));
+    }
+
+    /// Two one-column-keyed tables `l(k, tag)` and `r(k, tag)` for the key
+    /// semantics tests below; `k` is a nullable FLOAT so that it can hold
+    /// `Int`, `Float` and NULL cells side by side.
+    fn keyed(left: &[Value], right: &[Value]) -> Database {
+        let mut db = Database::new();
+        for (name, keys) in [("l", left), ("r", right)] {
+            db.create_table(
+                TableSchema::builder(name)
+                    .nullable_column("k", DataType::Float)
+                    .column("tag", DataType::Int)
+                    .build(),
+            )
+            .unwrap();
+            for (i, key) in keys.iter().enumerate() {
+                db.insert(name, vec![key.clone(), Value::Int(i as i64)])
+                    .unwrap();
+            }
+        }
+        db
+    }
+
+    const JOIN_TAGS: &str = "SELECT l.tag, r.tag FROM l, r WHERE l.k = r.k";
+
+    #[test]
+    fn join_keys_compare_integers_exactly() {
+        // 2^53 and 2^53 + 1 are the same f64; they are not the same id.
+        let big = 1i64 << 53;
+        let db = keyed(
+            &[Value::Int(big), Value::Int(big + 1)],
+            &[Value::Int(big + 1)],
+        );
+        let rs = db.run_sql(JOIN_TAGS).unwrap();
+        assert_eq!(rs.rows(), [vec![Value::Int(1), Value::Int(0)]]);
+    }
+
+    #[test]
+    fn join_keys_match_int_with_equal_float() {
+        let db = keyed(&[Value::Int(5), Value::Float(5.5)], &[Value::Float(5.0)]);
+        let rs = db.run_sql(JOIN_TAGS).unwrap();
+        assert_eq!(rs.rows(), [vec![Value::Int(0), Value::Int(0)]]);
+    }
+
+    #[test]
+    fn null_join_keys_never_match() {
+        let db = keyed(&[Value::Null, Value::Int(1)], &[Value::Null, Value::Int(1)]);
+        let rs = db.run_sql(JOIN_TAGS).unwrap();
+        assert_eq!(rs.rows(), [vec![Value::Int(1), Value::Int(1)]]);
+    }
+
+    #[test]
+    fn null_group_keys_form_one_group_apart_from_the_text_null() {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::builder("t")
+                .nullable_column("k", DataType::Text)
+                .build(),
+        )
+        .unwrap();
+        for key in [Value::Null, Value::from("NULL"), Value::Null] {
+            db.insert("t", vec![key]).unwrap();
+        }
+        let grouped = db.run_sql("SELECT k, count(*) FROM t GROUP BY k").unwrap();
+        assert_eq!(
+            grouped.rows(),
+            [
+                vec![Value::Null, Value::Int(2)],
+                vec![Value::from("NULL"), Value::Int(1)]
+            ]
+        );
+        let distinct = db.run_sql("SELECT DISTINCT k FROM t").unwrap();
+        assert_eq!(distinct.row_count(), 2);
+        // Int and Float keys that are equal still share a group.
+        let db = keyed(&[Value::Int(5), Value::Float(5.0)], &[]);
+        let rs = db.run_sql("SELECT count(*) FROM l GROUP BY k").unwrap();
+        assert_eq!(rs.rows(), [vec![Value::Int(2)]]);
+    }
+
+    #[test]
+    fn bare_limit_stops_early_and_keeps_table_order() {
+        let db = minidb();
+        let rs = db
+            .run_sql("SELECT id FROM fi_transactions LIMIT 2")
+            .unwrap();
+        assert_eq!(rs.tuple_strings(), vec!["10", "11"]);
+    }
+
+    #[test]
+    fn binding_errors_surface_even_when_no_row_qualifies() {
+        let db = minidb();
+        let unknown = db.run_sql("SELECT nosuchcol FROM parties WHERE id = 99");
+        assert!(matches!(unknown, Err(RelationError::UnknownColumn(_))));
+        let ambiguous = db.run_sql("SELECT id FROM parties, individuals WHERE parties.id = 99");
+        assert!(matches!(ambiguous, Err(RelationError::AmbiguousColumn(_))));
+        for sql in [
+            "SELECT id FROM parties WHERE id = 99 AND sum(id) > 1",
+            "SELECT * FROM parties WHERE id = 99 GROUP BY party_type",
+        ] {
+            let misplaced = db.run_sql(sql);
+            assert!(
+                matches!(misplaced, Err(RelationError::Unsupported(_))),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

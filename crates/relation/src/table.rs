@@ -234,8 +234,9 @@ impl<'a> Rows<'a> {
         iter
     }
 
-    /// Deep-copies the view into an owned row vector (the adapter for call
-    /// sites that genuinely need contiguous owned rows, e.g. SQL binding).
+    /// Deep-copies the view into an owned row vector, for call sites that
+    /// genuinely need contiguous owned rows — outside tests only the
+    /// service's checkpoint writer; the SQL executor borrows the view.
     pub fn to_vec(&self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.len);
         rows.extend(self.iter().cloned());

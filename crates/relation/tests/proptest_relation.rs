@@ -1,10 +1,16 @@
 //! Property-based tests of the relational substrate: value ordering, LIKE
-//! matching, SQL printer/parser round trips and executor invariants.
+//! matching, SQL printer/parser round trips, executor invariants, and the
+//! executor against a nested-loop reference.
+
+use std::cmp::Ordering;
 
 use proptest::prelude::*;
 
 use soda_relation::exec::eval::like_match;
-use soda_relation::{parse_select, print_select, DataType, Database, Date, TableSchema, Value};
+use soda_relation::{
+    execute, parse_select, print_select, AggFunc, CompareOp, DataType, Database, Date, Expr,
+    OrderByItem, Row, SelectItem, SelectStatement, TableRef, TableSchema, Value,
+};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -165,5 +171,366 @@ proptest! {
             .map(|r| r[1].as_i64().unwrap())
             .sum();
         prop_assert_eq!(total as usize, salaries.len());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the executor against a nested-loop reference, on random
+// small tables and random statements of the shapes SODA generates.
+// ---------------------------------------------------------------------------
+
+/// Column `c` (`k`, `f`, `s`, `d`) of table `t<t>`.
+type ColRef = (usize, usize);
+const COLUMNS: [(&str, DataType); 4] = [
+    ("k", DataType::Int),
+    ("f", DataType::Float),
+    ("s", DataType::Text),
+    ("d", DataType::Date),
+];
+
+#[derive(Debug, Clone)]
+enum Filter {
+    Compare(CompareOp, Value),
+    /// `LIKE` with a wildcard before and/or after the needle.
+    Like(bool, &'static str, bool),
+}
+
+#[derive(Debug, Clone)]
+enum Shape {
+    Plain(Vec<ColRef>, bool),
+    Grouped(Option<ColRef>, AggFunc, Option<ColRef>),
+}
+
+#[derive(Debug, Clone)]
+struct Case {
+    tables: Vec<Vec<Row>>,
+    joins: Vec<(ColRef, ColRef)>,
+    filters: Vec<(ColRef, Filter)>,
+    shape: Shape,
+    /// Output column to sort by, and whether descending.
+    order: Option<(usize, bool)>,
+    limit: Option<usize>,
+}
+
+fn pick<T: Clone + 'static>(options: &[T]) -> BoxedStrategy<T> {
+    let options = options.to_vec();
+    (0..options.len())
+        .prop_map(move |i| options[i].clone())
+        .boxed()
+}
+
+/// A cell of column `c`: few distinct values, so keys repeat; NULLs; `Int`
+/// cells in the FLOAT column; the text `NULL` beside the real one.
+fn cell(c: usize) -> BoxedStrategy<Value> {
+    let date = |day| Value::Date(Date::new(2011, 9, day));
+    match c {
+        0 => pick(&[Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)]),
+        1 => pick(&[
+            Value::Null,
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(1.0),
+            Value::Float(2.5),
+            Value::Float(-3.25),
+        ]),
+        2 => pick(&[
+            Value::Null,
+            Value::from("NULL"),
+            Value::from("ab"),
+            Value::from("Abc"),
+            Value::from("b"),
+        ]),
+        _ => pick(&[Value::Null, date(1), date(2), date(3)]),
+    }
+}
+
+fn filter(c: usize) -> BoxedStrategy<Filter> {
+    let op = pick(&[
+        CompareOp::Eq,
+        CompareOp::NotEq,
+        CompareOp::Lt,
+        CompareOp::LtEq,
+        CompareOp::Gt,
+        CompareOp::GtEq,
+    ]);
+    let literal = match c {
+        // Dates are compared with text literals, as in the gold SQL.
+        3 => pick(&[Value::from("2011-09-02"), Value::from("not a date")]),
+        c => cell(c),
+    };
+    let compare = (op, literal).prop_map(|(op, v)| Filter::Compare(op, v));
+    if c != 2 {
+        return compare.boxed();
+    }
+    let like = (any::<bool>(), pick(&["a", "AB", "b", ""]), any::<bool>())
+        .prop_map(|(before, needle, after)| Filter::Like(before, needle, after));
+    prop_oneof![compare, like].boxed()
+}
+
+fn table() -> impl Strategy<Value = Vec<Row>> {
+    let row = (cell(0), cell(1), cell(2), cell(3)).prop_map(|(k, f, s, d)| vec![k, f, s, d]);
+    proptest::collection::vec(row, 0..6)
+}
+
+fn case() -> impl Strategy<Value = Case> {
+    let col = |n: usize| (0..n, 0usize..4);
+    (2usize..4).prop_flat_map(move |n| {
+        // The first `joined` tables after t0 join an earlier table (so the
+        // join order is the FROM order); the rest are cross products.
+        let joins = (
+            0..n,
+            proptest::collection::vec((0usize..2, 0usize..2, any::<bool>()), n),
+        )
+            .prop_map(|(joined, picks)| {
+                let mut joins = Vec::new();
+                for (t, &(partner, c, second)) in picks.iter().enumerate().skip(1).take(joined) {
+                    joins.push(((partner % t, c), (t, c)));
+                    if second {
+                        joins.push(((t, 1 - c), ((partner + 1) % t, 1 - c)));
+                    }
+                }
+                joins
+            });
+        let filters = proptest::collection::vec(
+            col(n).prop_flat_map(|(t, c)| filter(c).prop_map(move |f| ((t, c), f))),
+            0..3,
+        );
+        let func = pick(&[
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ]);
+        let plain = (proptest::collection::vec(col(n), 1..4), any::<bool>())
+            .prop_map(|(cols, distinct)| Shape::Plain(cols, distinct));
+        let grouped = (
+            proptest::option::of(col(n)),
+            func,
+            proptest::option::of(col(n)),
+        )
+            .prop_map(|(key, func, arg)| match (func, arg) {
+                // Only count(*) takes no argument; sums are over numbers.
+                (AggFunc::Count, arg) => Shape::Grouped(key, func, arg),
+                (AggFunc::Sum | AggFunc::Avg, arg) => {
+                    let (t, c) = arg.unwrap_or((0, 1));
+                    Shape::Grouped(key, func, Some((t, c % 2)))
+                }
+                (_, arg) => Shape::Grouped(key, func, Some(arg.unwrap_or((0, 2)))),
+            });
+        (
+            proptest::collection::vec(table(), n),
+            joins,
+            filters,
+            prop_oneof![plain, grouped],
+            proptest::option::of((0usize..3, any::<bool>())),
+            proptest::option::of(0usize..6),
+        )
+            .prop_map(|(tables, joins, filters, shape, order, limit)| Case {
+                tables,
+                joins,
+                filters,
+                shape,
+                order,
+                limit,
+            })
+    })
+}
+
+fn column((t, c): ColRef) -> Expr {
+    Expr::qualified(format!("t{t}"), COLUMNS[c].0)
+}
+
+impl Case {
+    fn database(&self) -> Database {
+        let mut db = Database::new();
+        for (t, rows) in self.tables.iter().enumerate() {
+            let mut schema = TableSchema::builder(format!("t{t}"));
+            for (name, data_type) in COLUMNS {
+                schema = schema.nullable_column(name, data_type);
+            }
+            db.create_table(schema.build()).unwrap();
+            db.insert_all(&format!("t{t}"), rows.iter().cloned())
+                .unwrap();
+        }
+        db
+    }
+
+    /// The output expressions, in order.
+    fn outputs(&self) -> Vec<Expr> {
+        match &self.shape {
+            Shape::Plain(cols, _) => cols.iter().map(|&c| column(c)).collect(),
+            Shape::Grouped(key, func, arg) => {
+                let aggregate = Expr::Aggregate {
+                    func: *func,
+                    arg: arg.map(|c| Box::new(column(c))),
+                };
+                key.map(column).into_iter().chain([aggregate]).collect()
+            }
+        }
+    }
+
+    fn statement(&self) -> SelectStatement {
+        let joins = self
+            .joins
+            .iter()
+            .map(|&(a, b)| Expr::compare(CompareOp::Eq, column(a), column(b)));
+        let filters = self.filters.iter().map(|(col, f)| match f {
+            Filter::Compare(op, v) => Expr::compare(*op, column(*col), Expr::Literal(v.clone())),
+            Filter::Like(before, needle, after) => Expr::Like {
+                expr: Box::new(column(*col)),
+                pattern: [
+                    if *before { "%" } else { "" },
+                    needle,
+                    if *after { "%" } else { "" },
+                ]
+                .concat(),
+            },
+        });
+        let outputs = self.outputs();
+        let mut stmt = SelectStatement::star_over(
+            (0..self.tables.len())
+                .map(|t| TableRef::new(format!("t{t}")))
+                .collect(),
+        );
+        stmt.selection = Expr::and_all(joins.chain(filters));
+        stmt.distinct = matches!(self.shape, Shape::Plain(_, true));
+        if let Shape::Grouped(key, ..) = &self.shape {
+            stmt.group_by = key.map(column).into_iter().collect();
+        }
+        stmt.order_by = self
+            .order
+            .iter()
+            .map(|&(i, descending)| OrderByItem {
+                expr: outputs[i % outputs.len()].clone(),
+                descending,
+            })
+            .collect();
+        stmt.projection = outputs.into_iter().map(SelectItem::expr).collect();
+        stmt.limit = self.limit;
+        stmt
+    }
+
+    /// The answer by definition: cross product in FROM order, filter with
+    /// `Value::sql_cmp`, then group, de-duplicate, sort and cut naively.
+    fn reference(&self) -> Vec<Row> {
+        let mut tuples: Vec<Vec<&Row>> = vec![Vec::new()];
+        for table in &self.tables {
+            let mut extended = Vec::new();
+            for tuple in &tuples {
+                for row in table {
+                    extended.push(tuple.iter().copied().chain([row]).collect());
+                }
+            }
+            tuples = extended;
+        }
+        let cell = |tuple: &[&Row], (t, c): ColRef| tuple[t][c].clone();
+        tuples.retain(|tuple| {
+            let joined = |&(a, b): &(ColRef, ColRef)| {
+                cell(tuple, a).sql_cmp(&cell(tuple, b)) == Some(Ordering::Equal)
+            };
+            let passes = |(col, filter): &(ColRef, Filter)| match (cell(tuple, *col), filter) {
+                (value, Filter::Compare(op, literal)) => {
+                    value.sql_cmp(literal).is_some_and(|ord| match op {
+                        CompareOp::Eq => ord.is_eq(),
+                        CompareOp::NotEq => ord.is_ne(),
+                        CompareOp::Lt => ord.is_lt(),
+                        CompareOp::LtEq => ord.is_le(),
+                        CompareOp::Gt => ord.is_gt(),
+                        CompareOp::GtEq => ord.is_ge(),
+                    })
+                }
+                (Value::Text(text), Filter::Like(before, needle, after)) => {
+                    let (text, needle) = (text.to_lowercase(), needle.to_lowercase());
+                    match (before, after) {
+                        (true, true) => text.contains(&needle),
+                        (true, false) => text.ends_with(&needle),
+                        (false, true) => text.starts_with(&needle),
+                        (false, false) => text == needle,
+                    }
+                }
+                _ => false,
+            };
+            self.joins.iter().all(joined) && self.filters.iter().all(passes)
+        });
+        let mut rows: Vec<Row> = match &self.shape {
+            Shape::Plain(cols, _) => tuples
+                .iter()
+                .map(|tuple| cols.iter().map(|&c| cell(tuple, c)).collect())
+                .collect(),
+            Shape::Grouped(key, func, arg) => {
+                let mut groups: Vec<(Option<Value>, Vec<Value>)> = Vec::new();
+                if key.is_none() {
+                    groups.push((None, Vec::new()));
+                }
+                for tuple in &tuples {
+                    let k = key.map(|c| cell(tuple, c));
+                    let input = arg.map_or(Value::Int(1), |c| cell(tuple, c));
+                    match groups.iter_mut().find(|(group, _)| *group == k) {
+                        Some((_, inputs)) => inputs.push(input),
+                        None => groups.push((k, vec![input])),
+                    }
+                }
+                let finish = |(k, inputs): (Option<Value>, Vec<Value>)| {
+                    k.into_iter().chain([aggregate(*func, inputs)]).collect()
+                };
+                groups.into_iter().map(finish).collect()
+            }
+        };
+        if matches!(self.shape, Shape::Plain(_, true)) {
+            let mut kept: Vec<Row> = Vec::new();
+            for row in rows {
+                if !kept.contains(&row) {
+                    kept.push(row);
+                }
+            }
+            rows = kept;
+        }
+        if let Some((i, descending)) = self.order {
+            let i = i % self.outputs().len();
+            rows.sort_by(|a, b| {
+                let ord = a[i].total_cmp(&b[i]);
+                if descending {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+        }
+        rows.truncate(self.limit.unwrap_or(usize::MAX));
+        rows
+    }
+}
+
+/// An aggregate by its definition over the group's inputs, NULLs dropped.
+fn aggregate(func: AggFunc, mut inputs: Vec<Value>) -> Value {
+    inputs.retain(|v| !v.is_null());
+    let floats = || inputs.iter().filter_map(Value::as_f64);
+    match func {
+        AggFunc::Count => Value::Int(inputs.len() as i64),
+        _ if inputs.is_empty() => Value::Null,
+        AggFunc::Sum if inputs.iter().all(|v| v.as_i64().is_some()) => {
+            Value::Int(inputs.iter().filter_map(Value::as_i64).sum())
+        }
+        AggFunc::Sum => Value::Float(floats().sum()),
+        AggFunc::Avg => Value::Float(floats().sum::<f64>() / inputs.len() as f64),
+        AggFunc::Min => inputs.iter().min_by(|a, b| a.total_cmp(b)).unwrap().clone(),
+        AggFunc::Max => inputs.iter().max_by(|a, b| a.total_cmp(b)).unwrap().clone(),
+    }
+}
+
+proptest! {
+    /// Same rows, same order, same `Int`/`Float`/NULL cells as the reference.
+    #[test]
+    fn executor_agrees_with_the_nested_loop_reference(case in case()) {
+        let stmt = case.statement();
+        let got = execute(&case.database(), &stmt).unwrap();
+        // `Value`'s equality lets Int(1) equal Float(1.0); Debug does not.
+        prop_assert_eq!(
+            format!("{:?}", got.rows()),
+            format!("{:?}", case.reference()),
+            "{}",
+            print_select(&stmt)
+        );
     }
 }
