@@ -418,12 +418,17 @@ impl EngineCore {
         sink: &dyn TraceSink,
     ) -> Result<(ResultPage, StepTimings)> {
         let page_size = page_size.max(1);
-        let needed = (page + 1).saturating_mul(page_size).saturating_add(1);
+        // `page` comes straight off a client request: every step saturates,
+        // so a hostile page number yields an empty page, not an overflow.
+        let needed = page
+            .saturating_add(1)
+            .saturating_mul(page_size)
+            .saturating_add(1);
         let (results, trace) =
             self.search_limited_observed(db, graph, input, None, needed, recorder, sink)?;
         let total_results = results.len();
-        let start = (page * page_size).min(total_results);
-        let end = (start + page_size).min(total_results);
+        let start = page.saturating_mul(page_size).min(total_results);
+        let end = start.saturating_add(page_size).min(total_results);
         Ok((
             ResultPage {
                 results: results[start..end].to_vec(),

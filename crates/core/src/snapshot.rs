@@ -646,6 +646,27 @@ mod tests {
     }
 
     #[test]
+    fn a_page_number_past_the_end_yields_an_empty_page_not_an_overflow() {
+        let w = soda_warehouse::minibank::build(42);
+        let snapshot = EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+        );
+        let total = snapshot
+            .search_paged("customers", 0, usize::MAX)
+            .unwrap()
+            .total_results;
+        assert!(total > 0);
+        for page in [usize::MAX, usize::MAX / 2] {
+            let got = snapshot.search_paged("customers", page, 10).unwrap();
+            assert!(got.results.is_empty());
+            assert_eq!(got.total_results, total);
+            assert!(!got.has_next);
+        }
+    }
+
+    #[test]
     fn sharded_snapshot_is_byte_identical_and_reports_stats() {
         let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
         let baseline = EngineSnapshot::build(

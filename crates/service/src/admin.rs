@@ -1,0 +1,723 @@
+//! Tenant-scoped administration: the [`TenantAdmin`] facade — the **one**
+//! spelling of every mutation (`reload`, `rebuild_shards`, `refresh_graph`,
+//! `ingest`, `compact`, `clear_cache`) — the post-swap cache passes
+//! (retention for data-only swaps, purge for everything else) and the
+//! background compaction worker.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use soda_core::{ChangeFeed, Database, EngineSnapshot, MetaGraph, RetentionGate, TenantId};
+
+use crate::cache::CacheKey;
+use crate::config::CompactionConfig;
+use crate::durability::write_checkpoint_under_swap_lock;
+use crate::request::ServiceError;
+use crate::service::Shared;
+use crate::tenants::TenantState;
+
+/// The per-tenant administration facade, returned by
+/// [`QueryService::admin`](crate::QueryService::admin).
+///
+/// Every mutation of what a tenant serves goes through here, scoped to the
+/// one tenant named at construction — there is no way to reload tenant A
+/// while holding tenant B's facade.  The facade borrows the service, so it
+/// cannot outlive the worker pool it administers.
+///
+/// ```
+/// use std::sync::Arc;
+/// use soda_core::{EngineSnapshot, SodaConfig};
+/// use soda_service::{QueryService, ServiceConfig};
+///
+/// let w = soda_warehouse::minibank::build(42);
+/// let snapshot = Arc::new(EngineSnapshot::build(
+///     Arc::new(w.database),
+///     Arc::new(w.graph),
+///     SodaConfig::default(),
+/// ));
+/// let service = QueryService::start(snapshot, ServiceConfig::default());
+/// let admin = service.admin("default").unwrap();
+/// assert_eq!(admin.generation(), 0);
+/// assert!(service.admin("no-such-tenant").is_err());
+/// ```
+pub struct TenantAdmin<'a> {
+    pub(crate) shared: &'a Shared,
+    pub(crate) tenant: Arc<TenantState>,
+}
+
+impl TenantAdmin<'_> {
+    /// The tenant this facade administers.
+    pub fn id(&self) -> &TenantId {
+        &self.tenant.id
+    }
+
+    /// Generation of the snapshot this tenant currently serves.
+    pub fn generation(&self) -> u64 {
+        self.tenant.handle.generation()
+    }
+
+    /// The engine snapshot this tenant currently serves.  A subsequent
+    /// [`reload`](Self::reload) does not invalidate the returned `Arc`; it
+    /// just stops being what new submissions see.
+    pub fn engine(&self) -> Arc<EngineSnapshot> {
+        self.tenant.handle.load()
+    }
+
+    /// Counts one snapshot swap and logs it as a `kind` event.
+    fn swapped(&self, kind: &'static str, detail: String) {
+        self.tenant.reloads.fetch_add(1, Ordering::Relaxed);
+        self.shared.tenant_event(kind, &self.tenant, detail);
+    }
+
+    /// Swaps in a full replacement snapshot for this tenant **without
+    /// draining the worker pool**: the tenant's in-flight queries finish on
+    /// the generation they pinned at submission, new submissions see the new
+    /// one.  The tenant's cached pages of superseded generations are purged
+    /// (they would be unaddressable anyway — the fingerprint in their key no
+    /// longer matches); other tenants' pages are untouched.  Returns the
+    /// new generation.
+    pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
+        let tenant = &self.tenant;
+        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let prev = tenant.folded_live();
+        let generation = tenant.handle.publish(snapshot);
+        self.swapped("reload", format!("generation {generation}"));
+        purge_superseded(self.shared, tenant, prev);
+        // The reload replaced data the journal knows nothing about: record
+        // the *entire* live database (plus the new stamps), so the next
+        // recovery lands on the reloaded content whatever base it is given.
+        write_checkpoint_under_swap_lock(self.shared, tenant, true);
+        generation
+    }
+
+    /// Per-shard hot swap for this tenant: given a database in which only
+    /// `tables` changed, rebuilds and atomically replaces the inverted-index
+    /// partitions owning those tables while every other shard keeps serving —
+    /// see
+    /// [`SnapshotHandle::rebuild_shards`](soda_core::SnapshotHandle::rebuild_shards).
+    /// Cached pages whose queries provably never consulted a rebuilt partition
+    /// are carried across the swap
+    /// ([`CacheStats::retained`](crate::CacheStats)); the rest of the tenant's
+    /// superseded pages are purged.  Returns the new generation.
+    pub fn rebuild_shards(&self, db: Arc<Database>, tables: &[String]) -> u64 {
+        let tenant = &self.tenant;
+        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let prev = tenant.folded_live();
+        let dirty = tenant.handle.load().shards_for_tables(tables);
+        let generation = tenant.handle.rebuild_shards(db, tables);
+        self.swapped(
+            "rebuild_shards",
+            format!(
+                "generation {generation}, {} tables, shards {dirty:?}",
+                tables.len()
+            ),
+        );
+        retain_unaffected(self.shared, tenant, prev, &dirty);
+        // The caller handed a whole replacement database; checkpoint all of
+        // it (see `reload`).
+        write_checkpoint_under_swap_lock(self.shared, tenant, true);
+        generation
+    }
+
+    /// Metadata hot swap for this tenant: rebuilds the classification index
+    /// and join catalog against a refreshed graph, sharing every
+    /// classification partition the refresh did not touch — see
+    /// [`SnapshotHandle::refresh_graph`](soda_core::SnapshotHandle::refresh_graph).
+    /// Returns the new generation.
+    pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
+        let tenant = &self.tenant;
+        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let prev = tenant.folded_live();
+        let generation = tenant.handle.refresh_graph(graph);
+        self.swapped("refresh_graph", format!("generation {generation}"));
+        purge_superseded(self.shared, tenant, prev);
+        // The graph itself is not journaled (recovery receives it as an
+        // argument), but the stamps moved: checkpoint so a recovery under
+        // the refreshed graph restores the post-refresh fingerprints.
+        write_checkpoint_under_swap_lock(self.shared, tenant, true);
+        generation
+    }
+
+    /// Streaming ingestion into this tenant's snapshot: absorbs a row-level
+    /// change feed into per-shard side logs without rebuilding any index
+    /// partition.  On a durable service the feed is journaled write-ahead
+    /// to **this tenant's** journal.  Returns the new generation.
+    pub fn ingest(&self, feed: &ChangeFeed) -> Result<u64, ServiceError> {
+        self.ingest_owned(feed.clone())
+    }
+
+    /// [`ingest`](Self::ingest) for an **owned** feed — the zero-copy path:
+    /// the write-ahead journal append, the absorb, the counter updates and
+    /// the retention pass, all under the tenant's swap lock.
+    pub fn ingest_owned(&self, feed: ChangeFeed) -> Result<u64, ServiceError> {
+        let (shared, tenant) = (self.shared, &self.tenant);
+        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let before = tenant.handle.load();
+        let prev = tenant.id.fold(before.cache_fingerprint());
+        let dirty = before.shards_for_tables(&feed.tables());
+        let described = feed.describe();
+        // Write-ahead: the feed reaches the (fsynced) journal before the
+        // engine absorbs it, so every acknowledged ingest is replayable
+        // after a crash.  If the append fails the feed is not absorbed at
+        // all; if the engine then rejects it, the journaled record is
+        // deterministically re-rejected on replay — harmless either way.
+        if let Some(durability) = &tenant.durability {
+            let appended = {
+                let mut d = durability.lock().expect("durability state poisoned");
+                let appended = d
+                    .journal
+                    .append_feed(&feed)
+                    .map_err(|e| ServiceError::Durability(e.to_string()))?;
+                d.journal_appends += 1;
+                d.dirty_tables.extend(feed.tables());
+                appended
+            };
+            shared.tenant_event("journal_append", tenant, format!("{appended} bytes"));
+        }
+        let outcome = tenant
+            .handle
+            .absorb_owned(feed)
+            .map_err(ServiceError::Engine)?;
+        let generation = outcome.generation;
+        shared.tenant_event(
+            "ingest",
+            tenant,
+            format!("generation {generation}, {described}"),
+        );
+        tenant.ingest_feeds.fetch_add(1, Ordering::Relaxed);
+        let report = &outcome.report;
+        for (counter, amount) in [
+            (&shared.ingest_events, report.events),
+            (&shared.ingest_rows, report.rows),
+            (&shared.ingest_rows_appended, report.rows_appended),
+            (&shared.ingest_tables_copied, report.tables_copied),
+            (&shared.ingest_tables_shared, report.tables_shared),
+        ] {
+            counter.fetch_add(amount as u64, Ordering::Relaxed);
+        }
+        retain_unaffected(shared, tenant, prev, &dirty);
+        drop(_swap);
+        shared.compactor_wake.notify_all();
+        Ok(generation)
+    }
+
+    /// Folds this tenant's ingestion side logs of `shards` into rebuilt
+    /// partitions (answers unchanged by construction; see
+    /// [`SnapshotHandle::compact`](soda_core::SnapshotHandle::compact)).
+    /// Returns the new generation, or `None` when none of the named shards had
+    /// a log to fold.
+    pub fn compact(&self, shards: &[usize]) -> Option<u64> {
+        let _swap = self.tenant.swaps.lock().expect("tenant swap lock poisoned");
+        compact_under_swap_lock(self.shared, &self.tenant, shards)
+    }
+
+    /// Drops this tenant's cached result pages — every entry keyed by the
+    /// tenant's live fingerprint.  (Entries of superseded generations were
+    /// already purged by the swap that superseded them.)  Other tenants'
+    /// pages and the lifetime hit/miss counters survive.
+    pub fn clear_cache(&self) {
+        let live = self.tenant.folded_live();
+        self.shared
+            .store
+            .lock()
+            .expect("store poisoned")
+            .cache
+            .retain(|key| key.snapshot_fingerprint != live);
+    }
+}
+
+/// Purges every cached page keyed by this tenant's superseded fingerprint
+/// `prev` — the conservative post-swap path for full reloads and graph
+/// refreshes, where nothing about a page is provably unchanged.  Scoped to
+/// `prev`, so other tenants' pages (and the tenant's already-live pages)
+/// are untouched.
+fn purge_superseded(shared: &Shared, tenant: &TenantState, prev: u64) {
+    let live = tenant.folded_live();
+    shared
+        .store
+        .lock()
+        .expect("store poisoned")
+        .cache
+        .retain(|key| key.snapshot_fingerprint == live || key.snapshot_fingerprint != prev);
+}
+
+/// Post-swap cache pass for *data-only* swaps (shard rebuilds, ingests,
+/// compactions) of one tenant: pages keyed by the tenant's immediately
+/// superseded fingerprint `prev` whose recorded probes provably never
+/// consulted a `dirty` shard are re-keyed to the tenant's live fingerprint
+/// (staying addressable — a retention, not a recomputation); everything
+/// else keyed by `prev` is purged.  Pages under any other fingerprint —
+/// other tenants' pages and this tenant's older strays — are left exactly
+/// where they are; a stray under an older fingerprint was never
+/// retention-checked against the intervening swaps, so it must age out of
+/// the LRU, never come back.
+fn retain_unaffected(shared: &Shared, tenant: &TenantState, prev: u64, dirty: &[usize]) {
+    let snapshot = tenant.handle.load();
+    let live = tenant.id.fold(snapshot.cache_fingerprint());
+    // The gate memoizes each distinct (phrase, token) probe check, so the
+    // pass — which runs under the store lock — costs one index probe per
+    // distinct dependency, not per cache entry.
+    let mut gate = RetentionGate::new(&snapshot, dirty);
+    let mut store = shared.store.lock().expect("store poisoned");
+    store.cache.rekey(|key, entry| {
+        if key.snapshot_fingerprint != prev || prev == live {
+            Some(key.clone())
+        } else if gate.retains(entry.touched_mask, entry.touched_overflow, &entry.deps) {
+            Some(CacheKey {
+                snapshot_fingerprint: live,
+                ..key.clone()
+            })
+        } else {
+            None
+        }
+    });
+}
+
+/// The compaction step shared by [`TenantAdmin::compact`] and the
+/// background worker; the caller must hold the tenant's swap lock.
+fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usize]) -> Option<u64> {
+    let before = tenant.handle.load();
+    let prev = tenant.id.fold(before.cache_fingerprint());
+    let logged = before.shards_with_side_logs();
+    let foldable: Vec<usize> = shards
+        .iter()
+        .copied()
+        .filter(|s| logged.contains(s))
+        .collect();
+    let generation = tenant.handle.compact(&foldable)?;
+    shared.tenant_event(
+        "compaction",
+        tenant,
+        format!("generation {generation}, shards {foldable:?}"),
+    );
+    tenant.compactions.fetch_add(1, Ordering::Relaxed);
+    shared
+        .compacted_shards
+        .fetch_add(foldable.len() as u64, Ordering::Relaxed);
+    // A fold changes no answers, but the fingerprint moved: carry every
+    // provably unaffected page over; pages whose probes scanned a folded
+    // shard are recomputed (conservative — their hits merely moved from the
+    // log into the frozen partition).
+    retain_unaffected(shared, tenant, prev, &foldable);
+    // The fold changed no rows, so the dirty set is already right — but the
+    // stamps moved and the side logs are gone: a checkpoint here both keeps
+    // recovery fingerprints current and truncates the journal (the feeds it
+    // replaces are exactly the ones the fold absorbed into the partitions).
+    write_checkpoint_under_swap_lock(shared, tenant, false);
+    Some(generation)
+}
+
+/// The background compaction worker: wakes on every ingest nudge (and at
+/// least every `poll_interval`), sweeps **every** tenant for shards the
+/// policy says are due, and exits when the service drops.  Each tenant is
+/// folded under its own swap lock, so a long fold for one tenant never
+/// blocks another tenant's reload or ingest.
+pub(crate) fn compactor_loop(shared: &Shared, config: &CompactionConfig) {
+    let mut shutdown = shared
+        .compactor_shutdown
+        .lock()
+        .expect("compactor lock poisoned");
+    loop {
+        if *shutdown {
+            return;
+        }
+        let (state, _timeout) = shared
+            .compactor_wake
+            .wait_timeout(shutdown, config.poll_interval)
+            .expect("compactor lock poisoned");
+        shutdown = state;
+        if *shutdown {
+            return;
+        }
+        drop(shutdown);
+        for tenant in shared.tenants.all() {
+            let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+            let stats = tenant.handle.load().shard_stats();
+            let due = config
+                .policy
+                .due(&stats.log_postings, &stats.log_rows, &stats.log_masks);
+            if !due.is_empty() {
+                compact_under_swap_lock(shared, &tenant, &due);
+            }
+        }
+        shutdown = shared
+            .compactor_shutdown
+            .lock()
+            .expect("compactor lock poisoned");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use soda_core::{CompactionPolicy, SodaConfig};
+
+    use super::*;
+    use crate::service::tests::{address_feed, admin, minibank_service};
+    use crate::{QueryRequest, QueryService, ServiceConfig};
+
+    #[test]
+    fn clear_cache_forces_recomputation() {
+        let service = minibank_service(ServiceConfig::default());
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        admin(&service).clear_cache();
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        let stats = service.metrics().cache;
+        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.misses, 2);
+    }
+
+    #[test]
+    fn reload_bumps_the_generation_and_purges_stale_pages() {
+        let service = minibank_service(ServiceConfig::default());
+        let before = service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(service.metrics().cache.len, 1);
+        assert_eq!(service.generation(), 0);
+
+        let w = soda_warehouse::minibank::build(42);
+        let generation = admin(&service).reload(EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+        ));
+        assert_eq!(generation, 1);
+        let m = service.metrics();
+        assert_eq!(m.generation, 1);
+        assert_eq!(m.reloads, 1);
+        assert_eq!(m.cache.len, 0, "superseded pages must be purged");
+        assert_eq!(m.cache.purged, 1);
+
+        // Identical warehouse, new generation: same answer, recomputed.
+        let after = service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(before, after);
+        let m = service.metrics();
+        assert_eq!(m.pipeline_executions, 2);
+        assert_eq!(m.cache.hits, 0);
+    }
+
+    #[test]
+    fn rebuild_shards_through_the_service_serves_the_new_rows() {
+        let w = soda_warehouse::minibank::build(42);
+        let service = QueryService::start(
+            Arc::new(EngineSnapshot::build(
+                Arc::new(w.database.clone()),
+                Arc::new(w.graph),
+                SodaConfig {
+                    shards: 4,
+                    ..SodaConfig::default()
+                },
+            )),
+            ServiceConfig::default(),
+        );
+        assert!(service
+            .query(QueryRequest::new("Zebulon"))
+            .wait()
+            .unwrap()
+            .page
+            .results
+            .is_empty());
+
+        let mut db = w.database;
+        let individuals = db.table("individuals").unwrap();
+        let mut row = individuals.rows()[0].clone();
+        let name_col = individuals
+            .schema()
+            .columns
+            .iter()
+            .position(|c| c.name == "firstname")
+            .unwrap();
+        row[0] = soda_core::Value::Int(9_999);
+        row[name_col] = soda_core::Value::from("Zebulon");
+        db.insert("individuals", row).unwrap();
+        let generation = admin(&service).rebuild_shards(Arc::new(db), &["individuals".to_string()]);
+        assert_eq!(generation, 1);
+        let page = service
+            .query(QueryRequest::new("Zebulon"))
+            .wait()
+            .unwrap()
+            .page;
+        assert!(!page.results.is_empty());
+    }
+
+    #[test]
+    fn ingest_serves_new_rows_and_counts() {
+        let service = minibank_service(ServiceConfig::default());
+        assert!(service
+            .query(QueryRequest::new("Streamville"))
+            .wait()
+            .unwrap()
+            .page
+            .results
+            .is_empty());
+        let generation = admin(&service)
+            .ingest(&address_feed(900, "Streamville"))
+            .unwrap();
+        assert_eq!(generation, 1);
+        let page = service
+            .query(QueryRequest::new("Streamville"))
+            .wait()
+            .unwrap()
+            .page;
+        assert!(!page.results.is_empty());
+        let m = service.metrics();
+        assert_eq!(m.generation, 1);
+        assert_eq!(m.reloads, 0, "an ingest is not a reload");
+        assert_eq!(m.ingest.ingests, 1);
+        assert_eq!(m.ingest.events, 1);
+        assert_eq!(m.ingest.rows, 1);
+        assert_eq!(m.ingest.compactions, 0);
+        assert!(m.shards.log_postings.iter().sum::<usize>() > 0);
+
+        // A rejected feed publishes nothing and counts nothing.
+        let bad = ChangeFeed::new().append_row("no_such_table", vec![]);
+        assert!(admin(&service).ingest(&bad).is_err());
+        let m = service.metrics();
+        assert_eq!(m.generation, 1);
+        assert_eq!(m.ingest.ingests, 1);
+    }
+
+    #[test]
+    fn manual_compaction_folds_logs_and_keeps_answers() {
+        let service = minibank_service(ServiceConfig::default());
+        admin(&service)
+            .ingest(&address_feed(900, "Streamville"))
+            .unwrap();
+        let before = service
+            .query(QueryRequest::new("Streamville"))
+            .wait()
+            .unwrap();
+        let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
+        let generation = admin(&service).compact(&shards).expect("a log to fold");
+        assert_eq!(generation, 2);
+        assert!(
+            admin(&service).compact(&shards).is_none(),
+            "nothing left to fold"
+        );
+        let m = service.metrics();
+        assert_eq!(m.ingest.compactions, 1);
+        assert_eq!(m.ingest.compacted_shards, 1);
+        assert_eq!(m.shards.log_postings.iter().sum::<usize>(), 0);
+        let after = service
+            .query(QueryRequest::new("Streamville"))
+            .wait()
+            .unwrap();
+        assert_eq!(before, after, "compaction must not change answers");
+    }
+
+    #[test]
+    fn data_swaps_retain_provably_unaffected_pages() {
+        // 8 shards: `individuals` (Sara) and `addresses` (the feed target)
+        // live in different partitions, so the Sara page survives the swap.
+        let w = soda_warehouse::minibank::build(42);
+        let service = QueryService::start(
+            Arc::new(EngineSnapshot::build(
+                Arc::new(w.database),
+                Arc::new(w.graph),
+                SodaConfig {
+                    shards: 8,
+                    ..SodaConfig::default()
+                },
+            )),
+            ServiceConfig::default(),
+        );
+        let sara = service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(service.metrics().cache.len, 1);
+
+        admin(&service)
+            .ingest(&address_feed(900, "Retainville"))
+            .unwrap();
+        let m = service.metrics();
+        assert_eq!(m.cache.retained, 1, "the Sara page must be carried over");
+        assert_eq!(m.cache.len, 1);
+
+        // The next identical submission is a cache hit on the new
+        // generation — no recomputation — and the answer is right.
+        let again = service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(sara, again);
+        let m = service.metrics();
+        assert_eq!(m.cache.hits, 1);
+        assert_eq!(m.pipeline_executions, 1);
+
+        // A page whose probes scanned the ingested shard is NOT retained.
+        service
+            .query(QueryRequest::new("Retainville"))
+            .wait()
+            .unwrap();
+        admin(&service)
+            .ingest(&address_feed(901, "Retainville"))
+            .unwrap();
+        let m = service.metrics();
+        // The address-touching page died; the Sara page survived again.
+        assert_eq!(m.cache.retained, 2);
+        let recomputed = service
+            .query(QueryRequest::new("Retainville"))
+            .wait()
+            .unwrap()
+            .page;
+        // Two matching rows now — the recomputation saw the second ingest.
+        assert_eq!(m.cache.len, 1, "the stale Retainville page was purged");
+        assert!(!recomputed.results.is_empty());
+        assert_eq!(service.metrics().pipeline_executions, 3);
+    }
+
+    #[test]
+    fn full_reloads_still_purge_everything() {
+        let service = minibank_service(ServiceConfig::default());
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        let w = soda_warehouse::minibank::build(42);
+        admin(&service).reload(EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+        ));
+        let m = service.metrics();
+        assert_eq!(m.cache.len, 0);
+        assert_eq!(m.cache.retained, 0, "full reloads retain nothing");
+    }
+
+    #[test]
+    fn background_compactor_fires_past_the_threshold() {
+        let service = minibank_service(ServiceConfig {
+            compaction: Some(CompactionConfig {
+                policy: CompactionPolicy::eager(),
+                poll_interval: Duration::from_millis(10),
+            }),
+            ..ServiceConfig::default()
+        });
+        admin(&service)
+            .ingest(&address_feed(900, "Streamville"))
+            .unwrap();
+        // The worker is nudged by the ingest; give it a moment.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let m = service.metrics();
+            if m.ingest.compactions >= 1 && m.shards.log_postings.iter().sum::<usize>() == 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "compaction did not fire: {m:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Queries keep answering correctly throughout.
+        let page = service
+            .query(QueryRequest::new("Streamville"))
+            .wait()
+            .unwrap()
+            .page;
+        assert!(!page.results.is_empty());
+    }
+
+    #[test]
+    fn background_compactor_folds_mask_only_logs() {
+        // A Truncate leaves a log with zero postings and zero rows but a
+        // mask that taxes every probe of its shard — the worker must fold
+        // it even though the size gauges never cross a threshold.
+        let service = minibank_service(ServiceConfig {
+            compaction: Some(CompactionConfig {
+                policy: CompactionPolicy::default(),
+                poll_interval: Duration::from_millis(10),
+            }),
+            ..ServiceConfig::default()
+        });
+        admin(&service)
+            .ingest(&ChangeFeed::new().truncate("securities"))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let m = service.metrics();
+            if m.ingest.compactions >= 1 && m.shards.log_masks.iter().sum::<usize>() == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "mask-only compaction did not fire: {m:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(service.engine().shards_with_side_logs().is_empty());
+    }
+
+    #[test]
+    fn events_record_the_operational_history_in_order() {
+        let service = minibank_service(ServiceConfig::default());
+        admin(&service)
+            .ingest(&address_feed(900, "Streamville"))
+            .unwrap();
+        let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
+        admin(&service).compact(&shards).expect("a log to fold");
+        let w = soda_warehouse::minibank::build(42);
+        admin(&service).reload(EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+        ));
+        let events = service.events();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec!["ingest", "compaction", "reload"]);
+        // Sequence numbers are monotone and the offsets non-decreasing.
+        for pair in events.windows(2) {
+            assert!(pair[0].seq < pair[1].seq);
+            assert!(pair[0].at <= pair[1].at);
+        }
+        assert!(
+            events[0].detail.contains("1 event, 1 row over addresses"),
+            "{}",
+            events[0].detail
+        );
+    }
+
+    #[test]
+    fn tenant_scoped_cache_clears_leave_other_tenants_warm() {
+        let service = minibank_service(ServiceConfig::default());
+        let other = soda_warehouse::minibank::build(7);
+        service
+            .add_tenant(
+                "acme",
+                Arc::new(EngineSnapshot::build(
+                    Arc::new(other.database),
+                    Arc::new(other.graph),
+                    SodaConfig::default(),
+                )),
+            )
+            .unwrap();
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        service
+            .query(QueryRequest::new("Sara Guttinger").tenant("acme"))
+            .wait()
+            .unwrap();
+        assert_eq!(service.metrics().cache.len, 2);
+        service.admin("acme").unwrap().clear_cache();
+        let m = service.metrics();
+        assert_eq!(m.cache.len, 1, "only acme's page may be dropped");
+        // The default tenant still answers warm.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(service.metrics().cache.hits, 1);
+    }
+}

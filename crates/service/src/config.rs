@@ -1,0 +1,299 @@
+//! The configuration types of the service: [`ServiceConfig`] and the
+//! opt-in sub-configurations it carries ([`SamplingConfig`],
+//! [`CompactionConfig`], [`SloConfig`]), plus the [`DurabilityConfig`]
+//! handed to [`QueryService::recover`](crate::QueryService::recover).
+
+use std::path::PathBuf;
+use std::time::Duration;
+
+use soda_core::CompactionPolicy;
+use soda_journal::FsyncPolicy;
+
+use crate::slo::SloConfig;
+
+/// Tuning knobs of the service.
+///
+/// Construct fluently from the defaults — the builder methods are consuming
+/// setters over the same public fields, so struct-literal construction
+/// keeps working and `Default` semantics are unchanged:
+///
+/// ```
+/// use soda_service::ServiceConfig;
+/// let config = ServiceConfig::default().workers(2).queue_capacity(64);
+/// assert_eq!(config.workers, 2);
+/// assert_eq!(config.cache_capacity, ServiceConfig::default().cache_capacity);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceConfig {
+    /// Worker threads executing the pipeline.
+    pub workers: usize,
+    /// Maximum queued (not yet running) jobs before submissions block.
+    pub queue_capacity: usize,
+    /// Maximum result pages held by the interpretation cache.
+    pub cache_capacity: usize,
+    /// When set, a background compaction worker folds ingestion side logs
+    /// into rebuilt index partitions once they cross the policy's budget
+    /// (`None` — the default — leaves compaction to explicit
+    /// [`TenantAdmin::compact`](crate::TenantAdmin::compact) calls).
+    pub compaction: Option<CompactionConfig>,
+    /// When set, every executed query is traced through a
+    /// [`CollectingSink`](soda_trace::CollectingSink) and a query whose
+    /// **end-to-end** latency (queue wait included) reaches the threshold
+    /// lands its full span tree in the slow-query log
+    /// ([`QueryService::slow_queries`](crate::QueryService::slow_queries)).
+    /// `None` — the default — keeps the zero-cost
+    /// [`NoopSink`](soda_trace::NoopSink) on the worker path.
+    pub slow_query_threshold: Option<Duration>,
+    /// Capacity of the slow-query log (oldest captures are evicted).
+    pub slow_query_log: usize,
+    /// Capacity of the operational-event log
+    /// ([`QueryService::events`](crate::QueryService::events): swaps, ingests,
+    /// compactions, checkpoints, recoveries, slow queries).
+    pub event_log: usize,
+    /// When set, always-on adaptive trace sampling: every tenant draws
+    /// deterministic head-sampling decisions at the configured rate, tail
+    /// rules retain slow and anomalous queries regardless of the draw, and
+    /// retained span trees land in per-tenant bounded rings
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces))
+    /// with their trace ids attached to the latency histograms as OpenMetrics
+    /// exemplars.  `None` — the default — keeps sampling entirely off the hot
+    /// path.
+    pub sampling: Option<SamplingConfig>,
+    /// When set, per-tenant SLO burn-rate tracking: every completed query
+    /// lands in a rolling multi-window ring, and
+    /// [`QueryService::alerts`](crate::QueryService::alerts) / the
+    /// `soda_slo_*` families surface the fast- and slow-window burn rates
+    /// against the declared objectives.
+    pub slo: Option<SloConfig>,
+}
+
+impl Default for ServiceConfig {
+    fn default() -> Self {
+        Self {
+            workers: 4,
+            queue_capacity: 256,
+            cache_capacity: 1024,
+            compaction: None,
+            slow_query_threshold: None,
+            slow_query_log: 32,
+            event_log: 256,
+            sampling: None,
+            slo: None,
+        }
+    }
+}
+
+impl ServiceConfig {
+    /// Sets the worker-pool size.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// Sets the queue capacity.
+    pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
+        self.queue_capacity = queue_capacity;
+        self
+    }
+
+    /// Sets the interpretation-cache capacity.
+    pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
+        self.cache_capacity = cache_capacity;
+        self
+    }
+
+    /// Enables the background compaction worker.
+    pub fn compaction(mut self, compaction: CompactionConfig) -> Self {
+        self.compaction = Some(compaction);
+        self
+    }
+
+    /// Enables slow-query capture past `threshold`.
+    pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
+        self.slow_query_threshold = Some(threshold);
+        self
+    }
+
+    /// Sets the slow-query log capacity.
+    pub fn slow_query_log(mut self, slow_query_log: usize) -> Self {
+        self.slow_query_log = slow_query_log;
+        self
+    }
+
+    /// Sets the operational-event log capacity.
+    pub fn event_log(mut self, event_log: usize) -> Self {
+        self.event_log = event_log;
+        self
+    }
+
+    /// Enables always-on adaptive trace sampling.
+    pub fn sampling(mut self, sampling: SamplingConfig) -> Self {
+        self.sampling = Some(sampling);
+        self
+    }
+
+    /// Enables per-tenant SLO burn-rate tracking.
+    pub fn slo(mut self, slo: SloConfig) -> Self {
+        self.slo = Some(slo);
+        self
+    }
+}
+
+/// Configuration of always-on adaptive trace sampling
+/// ([`ServiceConfig::sampling`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SamplingConfig {
+    /// Head-sampling probability in `[0, 1]`: the fraction of queries whose
+    /// full span tree is captured regardless of latency.
+    pub rate: f64,
+    /// Seed of the deterministic decision sequence.  Each tenant's sampler
+    /// is seeded with `seed ^ tenant_fingerprint`, so co-hosted tenants draw
+    /// independent — but individually reproducible — sequences.
+    pub seed: u64,
+    /// Capacity of each tenant's sampled-trace ring
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
+    pub trace_log: usize,
+    /// Tail rule: retain a query whose end-to-end latency exceeds this
+    /// multiple of the tenant's running mean (`None` disables the anomaly
+    /// rule; the slow rule always follows
+    /// [`ServiceConfig::slow_query_threshold`]).
+    pub anomaly_factor: Option<f64>,
+    /// Completed queries the anomaly rule waits for before trusting the
+    /// running mean.
+    pub anomaly_min_samples: u64,
+    /// Per-tenant head-rate overrides (tenant name → rate); tenants without
+    /// an override use [`rate`](Self::rate).
+    pub tenant_rates: Vec<(String, f64)>,
+}
+
+impl Default for SamplingConfig {
+    fn default() -> Self {
+        Self {
+            rate: 0.01,
+            seed: 0x50DA,
+            trace_log: 32,
+            anomaly_factor: None,
+            anomaly_min_samples: 32,
+            tenant_rates: Vec::new(),
+        }
+    }
+}
+
+impl SamplingConfig {
+    /// Sets the head-sampling rate.
+    pub fn rate(mut self, rate: f64) -> Self {
+        self.rate = rate;
+        self
+    }
+
+    /// Sets the decision-sequence seed.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets the per-tenant sampled-trace ring capacity.
+    pub fn trace_log(mut self, trace_log: usize) -> Self {
+        self.trace_log = trace_log;
+        self
+    }
+
+    /// Enables the tail anomaly rule at `factor` times the running mean.
+    pub fn anomaly_factor(mut self, factor: f64) -> Self {
+        self.anomaly_factor = Some(factor);
+        self
+    }
+
+    /// Sets the anomaly rule's warm-up sample count.
+    pub fn anomaly_min_samples(mut self, samples: u64) -> Self {
+        self.anomaly_min_samples = samples;
+        self
+    }
+
+    /// Overrides the head-sampling rate for one tenant.
+    pub fn tenant_rate(mut self, tenant: impl Into<String>, rate: f64) -> Self {
+        self.tenant_rates.push((tenant.into(), rate));
+        self
+    }
+}
+
+/// Configuration of the background compaction worker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompactionConfig {
+    /// The side-log budget past which a shard is folded.
+    pub policy: CompactionPolicy,
+    /// How often the worker re-checks the budget on its own.  Every
+    /// ingest additionally nudges it awake, so a threshold crossing is
+    /// acted on promptly even with a long interval.
+    pub poll_interval: Duration,
+}
+
+impl Default for CompactionConfig {
+    fn default() -> Self {
+        Self {
+            policy: CompactionPolicy::default(),
+            poll_interval: Duration::from_millis(250),
+        }
+    }
+}
+
+/// Where and how the service persists its crash-safety state.
+///
+/// The directory holds the default tenant's two files: `feed.journal` (the
+/// write-ahead feed journal, [`soda_journal::journal_path`]) and `pages.cache`
+/// (the warm result pages serialized on a graceful drain), plus one
+/// `tenants/<name>-<fingerprint>/` journal directory per tenant registered
+/// through [`QueryService::add_tenant`](crate::QueryService::add_tenant).
+/// Pass the same directory to
+/// [`QueryService::recover`](crate::QueryService::recover) on every boot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DurabilityConfig {
+    /// Directory holding the journal and the page-cache file (created if
+    /// missing).
+    pub dir: PathBuf,
+    /// Whether every journal append forces the bytes to disk before the
+    /// engine absorbs the feed.  [`FsyncPolicy::Always`] (the default) makes
+    /// acknowledged ingests survive power loss; [`FsyncPolicy::Never`]
+    /// trades that for append latency.
+    pub fsync: FsyncPolicy,
+    /// Whether a graceful drain serializes the warm cache pages to disk
+    /// (and recovery reloads them).  Default true.
+    pub persist_cache: bool,
+}
+
+impl DurabilityConfig {
+    /// Durability under `dir` with the safe defaults: fsync on every append,
+    /// cache persistence on.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self {
+            dir: dir.into(),
+            fsync: FsyncPolicy::Always,
+            persist_cache: true,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fluent_config_builder_matches_struct_literals() {
+        let built = ServiceConfig::default()
+            .workers(3)
+            .queue_capacity(17)
+            .cache_capacity(9)
+            .slow_query_threshold(Duration::from_millis(5));
+        let literal = ServiceConfig {
+            workers: 3,
+            queue_capacity: 17,
+            cache_capacity: 9,
+            slow_query_threshold: Some(Duration::from_millis(5)),
+            ..ServiceConfig::default()
+        };
+        assert_eq!(built.workers, literal.workers);
+        assert_eq!(built.queue_capacity, literal.queue_capacity);
+        assert_eq!(built.cache_capacity, literal.cache_capacity);
+        assert_eq!(built.slow_query_threshold, literal.slow_query_threshold);
+    }
+}

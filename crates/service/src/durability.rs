@@ -1,0 +1,385 @@
+//! Crash safety: the per-tenant journal state, the **one** recovery
+//! function both boot paths call, checkpoints, and the page-cache file a
+//! graceful drain leaves for the next boot.
+
+use std::collections::BTreeSet;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+
+use soda_core::codec::{decode_page, decode_probe_dep, encode_page, encode_probe_dep};
+use soda_core::{Database, EngineSnapshot, MetaGraph, SnapshotHandle, SodaConfig, TenantId};
+use soda_journal::frame::{read_frame_file, write_frame_file};
+use soda_journal::{journal_path, Checkpoint, FeedJournal, FsyncPolicy};
+use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
+
+use crate::cache::CacheKey;
+use crate::config::DurabilityConfig;
+use crate::metrics::DurabilityMetrics;
+use crate::request::ServiceError;
+use crate::service::{CachedPage, Shared};
+use crate::tenants::TenantState;
+
+/// Magic of the persistent page-cache file (the journal has its own,
+/// [`soda_journal::JOURNAL_MAGIC`]).  `2` is the format version — bumped
+/// with the frame-file header when it grew the tenant-fingerprint field;
+/// version-`1` cache files written before tenancy still load (the frame
+/// reader accepts both layouts).
+const CACHE_MAGIC: [u8; 8] = *b"SODACSH2";
+
+/// File name of the persistent page cache under the durability directory.
+const CACHE_FILE: &str = "pages.cache";
+
+/// What [`QueryService::recover`](crate::QueryService::recover) found and
+/// rebuilt, for operator logging. The same figures stay observable afterwards
+/// via [`ServiceMetrics::durability`](crate::ServiceMetrics).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// True when no journal existed and a fresh one was created (first boot).
+    pub journal_created: bool,
+    /// True when the journal began with a checkpoint whose table contents
+    /// and generation stamps were applied over the base database.
+    pub checkpoint_applied: bool,
+    /// Rows the applied checkpoint carried.
+    pub checkpoint_rows: usize,
+    /// Journaled feeds re-absorbed, in append order.
+    pub replayed_feeds: u64,
+    /// Journaled feeds the engine rejected again (deterministically — they
+    /// were rejected when first ingested, too).
+    pub rejected_feeds: u64,
+    /// Bytes of torn or corrupt journal tail truncated before replay.
+    pub truncated_bytes: u64,
+    /// Persisted pages restored into the warm cache.
+    pub cache_pages_restored: u64,
+    /// Persisted pages discarded as stale (fingerprint mismatch or
+    /// undecodable entry).
+    pub cache_pages_stale: u64,
+}
+
+/// The journal, the dirty-table ledger and the recovery counters of one
+/// tenant, held under one mutex on its
+/// [`TenantState`](crate::tenants::TenantState) (lock order: tenant swap
+/// lock → durability → store; `metrics()` takes it alone).
+pub(crate) struct DurabilityState {
+    pub(crate) journal: FeedJournal,
+    /// Stamped into both file headers; recovery refuses a journal carrying
+    /// a different one.
+    pub(crate) config_fingerprint: u64,
+    /// Every table a journaled feed (or an applied checkpoint) has touched
+    /// since the base database.  A checkpoint must re-record **all** of them
+    /// — recovery applies it over the unchanged base database, so a table
+    /// omitted from one checkpoint would silently revert to its base
+    /// content.  The set therefore only ever grows.
+    pub(crate) dirty_tables: BTreeSet<String>,
+    pub(crate) journal_appends: u64,
+    pub(crate) checkpoints: u64,
+    pub(crate) checkpoint_failures: u64,
+    /// What the recovery that opened this journal found.
+    pub(crate) recovery: RecoveryReport,
+}
+
+/// Snapshots one tenant's [`DurabilityState`] into the counters surfaced by
+/// [`ServiceMetrics::durability`](crate::ServiceMetrics::durability) and
+/// [`TenantMetrics::durability`](crate::TenantMetrics::durability) — all
+/// zero (`enabled` false) for a tenant with no journal.
+pub(crate) fn durability_metrics(state: &Option<Mutex<DurabilityState>>) -> DurabilityMetrics {
+    let Some(durability) = state else {
+        return DurabilityMetrics::default();
+    };
+    let d = durability.lock().expect("durability state poisoned");
+    DurabilityMetrics {
+        enabled: true,
+        journal_bytes: d.journal.len_bytes(),
+        journal_appends: d.journal_appends,
+        checkpoints: d.checkpoints,
+        checkpoint_failures: d.checkpoint_failures,
+        replayed_feeds: d.recovery.replayed_feeds,
+        rejected_replays: d.recovery.rejected_feeds,
+        truncated_bytes: d.recovery.truncated_bytes,
+        cache_pages_restored: d.recovery.cache_pages_restored,
+        cache_pages_stale: d.recovery.cache_pages_stale,
+    }
+}
+
+/// What a journal is replayed over.
+pub(crate) enum RecoveryBase {
+    /// A warehouse no engine was built over yet (the default tenant's boot).
+    Warehouse(Arc<Database>, Arc<MetaGraph>, SodaConfig),
+    /// A prebuilt engine (`add_tenant`), served as is when the journal
+    /// holds no checkpoint.
+    Engine(Arc<EngineSnapshot>),
+}
+
+/// The one recovery path: opens (or creates) `tenant`'s feed journal under
+/// `dir` and replays it over `base` — the latest checkpoint's tables land
+/// over the base database and its generation stamps are restored, then
+/// every feed appended after it is re-absorbed in order.  The journal
+/// header is stamped with the engine-configuration and tenant fingerprints
+/// (0 for the default tenant, which is also what pre-tenancy journals
+/// carry), so a foreign journal is refused and one tenant's history can
+/// never replay into another's snapshot.  `base` must be what the journaled
+/// history started from.
+pub(crate) fn recover_journal(
+    dir: &Path,
+    tenant: &TenantId,
+    fsync: FsyncPolicy,
+    base: RecoveryBase,
+) -> Result<(SnapshotHandle, DurabilityState), ServiceError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| ServiceError::Durability(format!("creating {}: {e}", dir.display())))?;
+    let (db, graph, config, prebuilt) = match base {
+        RecoveryBase::Warehouse(db, graph, config) => (db, graph, config, None),
+        RecoveryBase::Engine(engine) => (
+            engine.database_arc(),
+            engine.graph_arc(),
+            engine.config().clone(),
+            Some(engine),
+        ),
+    };
+    let config_fingerprint = config.fingerprint();
+    let (journal, replay) = FeedJournal::recover(
+        &journal_path(dir),
+        config_fingerprint,
+        tenant.fingerprint(),
+        fsync,
+    )
+    .map_err(|e| ServiceError::Durability(e.to_string()))?;
+    let mut report = RecoveryReport {
+        journal_created: replay.created,
+        truncated_bytes: replay.truncated_bytes,
+        ..RecoveryReport::default()
+    };
+    let (checkpoint, feeds) = replay.into_plan();
+
+    // The checkpoint's tables land over the base database; everything it
+    // did not record keeps its base content (which is why checkpoints
+    // re-record every table ever touched).
+    let mut dirty_tables = BTreeSet::new();
+    let engine = match (&checkpoint, prebuilt) {
+        (None, Some(engine)) => engine,
+        (None, None) => Arc::new(EngineSnapshot::build(db, graph, config)),
+        (Some(cp), _) => {
+            let mut db = (*db).clone();
+            for (name, rows) in &cp.tables {
+                let failed = |e: soda_relation::RelationError| {
+                    ServiceError::Durability(format!("applying checkpoint to `{name}`: {e}"))
+                };
+                let table = db.table_mut(name).map_err(failed)?;
+                table.truncate();
+                table.insert_all(rows.iter().cloned()).map_err(failed)?;
+                report.checkpoint_rows += rows.len();
+                dirty_tables.insert(name.clone());
+            }
+            report.checkpoint_applied = true;
+            Arc::new(EngineSnapshot::build(Arc::new(db), graph, config))
+        }
+    };
+    let handle = SnapshotHandle::new(engine);
+    if let Some(cp) = &checkpoint {
+        handle
+            .restore_generations(cp.generation, &cp.shard_generations)
+            .map_err(ServiceError::Engine)?;
+    }
+    for feed in feeds {
+        // A replay rejection is deterministic — the feed was rejected when
+        // first ingested too (it reached the journal write-ahead) — so it
+        // is counted, not fatal.  Feeds are consumed: replay moves rows
+        // through the same copy-on-write path as live ingestion.
+        let tables = feed.tables();
+        match handle.absorb_owned(feed) {
+            Ok(_) => {
+                report.replayed_feeds += 1;
+                dirty_tables.extend(tables);
+            }
+            Err(_) => report.rejected_feeds += 1,
+        }
+    }
+    let state = DurabilityState {
+        journal,
+        config_fingerprint,
+        dirty_tables,
+        journal_appends: 0,
+        checkpoints: 0,
+        checkpoint_failures: 0,
+        recovery: report,
+    };
+    Ok((handle, state))
+}
+
+/// Serializes one warm cache entry for the page-cache file: the full key
+/// (the fingerprint included — recovery filters on it) plus the page and the
+/// retention evidence, so a restored entry behaves exactly like the original
+/// across later data-only swaps.
+fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_str(&key.normalized);
+    enc.put_u64(key.snapshot_fingerprint);
+    enc.put_usize(key.page);
+    enc.put_usize(key.page_size);
+    encode_page(&mut enc, &entry.page);
+    enc.put_u64(entry.touched_mask);
+    enc.put_bool(entry.touched_overflow);
+    enc.put_usize(entry.deps.len());
+    for dep in entry.deps.iter() {
+        encode_probe_dep(&mut enc, dep);
+    }
+    enc.into_bytes()
+}
+
+/// Inverse of [`encode_cache_entry`]; trailing bytes are an error so a
+/// miscounted frame cannot half-decode.
+fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
+    let mut dec = Decoder::new(bytes);
+    let key = CacheKey {
+        normalized: dec.get_str()?,
+        snapshot_fingerprint: dec.get_u64()?,
+        page: dec.get_usize()?,
+        page_size: dec.get_usize()?,
+    };
+    let page = decode_page(&mut dec)?;
+    let touched_mask = dec.get_u64()?;
+    let touched_overflow = dec.get_bool()?;
+    let n = dec.get_usize()?;
+    if n > dec.remaining() {
+        return Err(CodecError::BadLength);
+    }
+    let mut deps = Vec::with_capacity(n);
+    for _ in 0..n {
+        deps.push(decode_probe_dep(&mut dec)?);
+    }
+    if !dec.is_empty() {
+        return Err(CodecError::BadLength);
+    }
+    Ok((
+        key,
+        CachedPage {
+            page,
+            touched_mask,
+            touched_overflow,
+            deps: Arc::new(deps),
+        },
+    ))
+}
+
+/// Reads the warm pages a graceful drain left under `config.dir`, keeping
+/// those whose fingerprint matches the *recovered* snapshot (`live`) —
+/// queries will actually look them up under that key — and counting kept
+/// and discarded pages into `state.recovery`.  Strictly best-effort: a
+/// missing, foreign, torn or stale file restores nothing and fails nothing.
+pub(crate) fn load_cache_pages(
+    config: &DurabilityConfig,
+    state: &mut DurabilityState,
+    live: u64,
+) -> Vec<(CacheKey, CachedPage)> {
+    let report = &mut state.recovery;
+    let mut restored = Vec::new();
+    if !config.persist_cache {
+        return restored;
+    }
+    if let Ok(Some(scan)) = read_frame_file(&config.dir.join(CACHE_FILE), CACHE_MAGIC) {
+        if scan.fingerprint == state.config_fingerprint {
+            for payload in &scan.frames {
+                match decode_cache_entry(payload) {
+                    Ok((key, entry)) if key.snapshot_fingerprint == live => {
+                        restored.push((key, entry));
+                    }
+                    _ => report.cache_pages_stale += 1,
+                }
+            }
+        } else {
+            report.cache_pages_stale += scan.frames.len() as u64;
+        }
+    }
+    report.cache_pages_restored = restored.len() as u64;
+    restored
+}
+
+/// The graceful drain's last step, run with the workers joined (the cache
+/// is final): persists the warm pages, oldest first so re-insertion
+/// reproduces the recency order, for the next
+/// [`QueryService::recover`](crate::QueryService::recover) to reload.
+/// Best-effort by design — a failed write costs warm starts, never
+/// correctness.  The file is the default tenant's (other tenants recompute
+/// their first pages), stamped with the fold-identity tenant fingerprint so
+/// pre-tenancy readers and writers agree.
+pub(crate) fn persist_cache_pages(shared: &Shared) {
+    let (Some(config), Some(durability)) = (
+        &shared.durability_config,
+        &shared.tenants.default_tenant().durability,
+    ) else {
+        return;
+    };
+    if !config.persist_cache {
+        return;
+    }
+    let d = durability.lock().expect("durability state poisoned");
+    let store = shared.store.lock().expect("store poisoned");
+    let payloads: Vec<Vec<u8>> = store
+        .cache
+        .iter_oldest_first()
+        .map(|(key, entry)| encode_cache_entry(key, entry))
+        .collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let _ = write_frame_file(
+        &config.dir.join(CACHE_FILE),
+        CACHE_MAGIC,
+        d.config_fingerprint,
+        TenantId::default().fingerprint(),
+        &refs,
+    );
+}
+
+/// Writes a checkpoint of one tenant — the live content of every dirty
+/// table plus the live generation stamps — atomically *replacing* that
+/// tenant's journal, which is what keeps replay bounded.  With
+/// `mark_all_tables` the whole live database is recorded first (reloads and
+/// shard rebuilds swap in data the journal never saw).  The caller must
+/// hold the tenant's swap lock; a no-op for a non-durable tenant.  A failed
+/// write is counted and leaves the old journal in place — still fully
+/// replayable, just not yet truncated.
+pub(crate) fn write_checkpoint_under_swap_lock(
+    shared: &Shared,
+    tenant: &TenantState,
+    mark_all_tables: bool,
+) {
+    let Some(durability) = &tenant.durability else {
+        return;
+    };
+    let snapshot = tenant.handle.load();
+    let db = snapshot.database();
+    let mut d = durability.lock().expect("durability state poisoned");
+    if mark_all_tables {
+        d.dirty_tables
+            .extend(db.table_names().into_iter().map(String::from));
+    }
+    let mut tables = Vec::with_capacity(d.dirty_tables.len());
+    for name in &d.dirty_tables {
+        // A name the live database no longer knows (possible after a reload
+        // that dropped a table) simply has nothing to record.
+        if let Ok(table) = db.table(name) {
+            tables.push((name.clone(), table.rows().to_vec()));
+        }
+    }
+    let checkpoint = Checkpoint {
+        generation: snapshot.generation(),
+        shard_generations: snapshot.shard_generations().to_vec(),
+        tables,
+    };
+    let outcome = d.journal.write_checkpoint(&checkpoint);
+    match &outcome {
+        Ok(_) => d.checkpoints += 1,
+        Err(_) => d.checkpoint_failures += 1,
+    }
+    drop(d);
+    match outcome {
+        Ok(bytes) => shared.tenant_event(
+            "checkpoint",
+            tenant,
+            format!(
+                "generation {}, {} tables, journal now {bytes} bytes",
+                checkpoint.generation,
+                checkpoint.tables.len(),
+            ),
+        ),
+        Err(e) => shared.event("checkpoint_failure", &tenant.id, e.to_string()),
+    }
+}

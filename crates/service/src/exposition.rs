@@ -1,0 +1,974 @@
+//! The read side of the service: the [`ServiceMetrics`] snapshot, the
+//! Prometheus exposition and the operational logs.
+//!
+//! The exposition is **one declaration**: `FAMILIES` lists every metric
+//! family — name, help text, kind and source (the extractor, which also
+//! fixes the labels and the presence rule) — and one renderer walks it.
+//! The golden tests and the family table in `docs/OBSERVABILITY.md` are
+//! checked against that table.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use soda_core::{ShardStats, TenantId};
+use soda_trace::hist::LogHistogram;
+use soda_trace::names;
+use soda_trace::prom::{MetricKind, PromWriter};
+use soda_trace::OpEvent;
+
+use crate::durability::durability_metrics;
+use crate::metrics::{
+    DurabilityMetrics, IngestMetrics, LatencyRecorder, LatencySummary, ServiceMetrics,
+    TenantMetrics,
+};
+use crate::request::{SampledTrace, ServiceError, SlowQuery};
+use crate::service::QueryService;
+use crate::slo::{
+    alert_state, availability_burn_rate, latency_burn_rate, AlertState, BurnAlert, SloConfig,
+};
+
+/// One sample value: integers (counters, exact gauges) render without a
+/// decimal point, floats through the exposition's float formatting.
+pub(crate) enum Sample {
+    Int(u64),
+    Float(f64),
+}
+
+impl Sample {
+    fn write(self, w: &mut PromWriter, name: &str, labels: &[(&str, String)]) {
+        match self {
+            Sample::Int(value) => w.int_value(name, labels, value),
+            Sample::Float(value) => w.value(name, labels, value),
+        }
+    }
+}
+
+/// Where a family's samples come from, which also fixes its label set.
+pub(crate) enum Source {
+    /// One unlabelled sample off the service snapshot.
+    Scalar(fn(&ServiceMetrics) -> Sample),
+    /// One sample per shard of the live snapshot, labelled `shard`.
+    PerShard(fn(&ShardStats) -> Vec<u64>),
+    /// One unlabelled sample off the default tenant's journal counters —
+    /// present only on a durable service ([`QueryService::recover`]).
+    Journal(fn(&DurabilityMetrics) -> Sample),
+    /// One sample per hosted tenant, labelled `tenant`.
+    PerTenant(fn(&TenantMetrics) -> Sample),
+    /// [`PerTenant`](Self::PerTenant) over each tenant's journal counters —
+    /// present only on a durable service.
+    TenantJournal(fn(&DurabilityMetrics) -> Sample),
+    /// One sample per evaluated burn alert, labelled `tenant`, `objective`
+    /// — present only when [`ServiceConfig::slo`](crate::ServiceConfig::slo)
+    /// declares objectives.
+    PerAlert(fn(&SloConfig, &BurnAlert) -> Sample),
+    /// One unlabelled service-wide latency histogram.
+    Latency(fn(&LatencyRecorder) -> &LogHistogram),
+    /// One histogram per pipeline stage, labelled `stage`.
+    StageLatency,
+    /// One end-to-end histogram per hosted tenant, labelled `tenant`.
+    TenantLatency,
+}
+
+/// One metric family of the exposition.
+pub(crate) struct Family {
+    pub(crate) name: &'static str,
+    pub(crate) help: &'static str,
+    pub(crate) kind: MetricKind,
+    pub(crate) source: Source,
+}
+
+/// A family under declaration: kind and name given, help text next.
+struct Metric(MetricKind, &'static str);
+
+/// A family under declaration: only its source is missing.
+struct Described(MetricKind, &'static str, &'static str);
+
+impl Metric {
+    const fn help(self, help: &'static str) -> Described {
+        Described(self.0, self.1, help)
+    }
+}
+
+impl Described {
+    const fn from(self, source: Source) -> Family {
+        Family {
+            name: self.1,
+            help: self.2,
+            kind: self.0,
+            source,
+        }
+    }
+}
+
+use MetricKind::{Counter, Gauge, Histogram};
+use Sample::{Float, Int};
+use Source::{
+    Journal, Latency, PerAlert, PerShard, PerTenant, Scalar, StageLatency, TenantJournal,
+    TenantLatency,
+};
+
+/// Every family of [`QueryService::metrics_text`], in document order.  The
+/// names, kinds and label sets are a stable scrape interface (pinned by
+/// `tests/golden/metrics_types.txt` and `metrics_help.txt`).
+pub(crate) static FAMILIES: &[Family] = &[
+    Metric(Gauge, "soda_uptime_seconds")
+        .help("Time since the service started.")
+        .from(Scalar(|m| Float(m.uptime.as_secs_f64()))),
+    Metric(Counter, "soda_queries_completed_total")
+        .help("Queries answered (cache hits included).")
+        .from(Scalar(|m| Int(m.completed))),
+    Metric(Counter, "soda_pipeline_executions_total")
+        .help("Full pipeline executions (cache misses actually computed).")
+        .from(Scalar(|m| Int(m.pipeline_executions))),
+    Metric(Counter, "soda_coalesced_total")
+        .help("Submissions that joined an identical in-flight computation.")
+        .from(Scalar(|m| Int(m.coalesced))),
+    Metric(Counter, "soda_slow_queries_total")
+        .help("Queries whose end-to-end latency reached the slow-query threshold.")
+        .from(Scalar(|m| Int(m.slow_queries))),
+    Metric(Gauge, "soda_queue_depth")
+        .help("Jobs currently waiting in the queue.")
+        .from(Scalar(|m| Int(m.queue_depth as u64))),
+    Metric(Gauge, "soda_workers")
+        .help("Size of the worker pool.")
+        .from(Scalar(|m| Int(m.workers as u64))),
+    Metric(Gauge, "soda_generation")
+        .help("Generation of the snapshot currently being served.")
+        .from(Scalar(|m| Int(m.generation))),
+    Metric(Counter, "soda_reloads_total")
+        .help("Snapshot swaps performed (full reloads and per-shard rebuilds).")
+        .from(Scalar(|m| Int(m.reloads))),
+    Metric(Counter, "soda_cache_hits_total")
+        .help("Interpretation-cache hits.")
+        .from(Scalar(|m| Int(m.cache.hits))),
+    Metric(Counter, "soda_cache_misses_total")
+        .help("Interpretation-cache misses.")
+        .from(Scalar(|m| Int(m.cache.misses))),
+    Metric(Counter, "soda_cache_evicted_total")
+        .help("Pages evicted by LRU capacity pressure.")
+        .from(Scalar(|m| Int(m.cache.evictions))),
+    Metric(Counter, "soda_cache_purged_total")
+        .help("Pages purged by snapshot swaps.")
+        .from(Scalar(|m| Int(m.cache.purged))),
+    Metric(Counter, "soda_cache_retained_total")
+        .help("Pages carried across data-only swaps by retention proofs.")
+        .from(Scalar(|m| Int(m.cache.retained))),
+    Metric(Gauge, "soda_cache_pages")
+        .help("Result pages currently cached.")
+        .from(Scalar(|m| Int(m.cache.len as u64))),
+    Metric(Counter, "soda_ingest_feeds_total")
+        .help("Change feeds absorbed by streaming ingestion.")
+        .from(Scalar(|m| Int(m.ingest.ingests))),
+    Metric(Counter, "soda_ingest_events_total")
+        .help("Row events those feeds carried.")
+        .from(Scalar(|m| Int(m.ingest.events))),
+    Metric(Counter, "soda_ingest_rows_total")
+        .help("Rows those events carried.")
+        .from(Scalar(|m| Int(m.ingest.rows))),
+    Metric(Counter, "soda_ingest_rows_appended_total")
+        .help("Rows appended to copy-on-write table tails by ingestion.")
+        .from(Scalar(|m| Int(m.ingest.rows_appended))),
+    Metric(Counter, "soda_ingest_tables_copied_total")
+        .help("Tables the copy-on-write snapshot derives actually copied.")
+        .from(Scalar(|m| Int(m.ingest.tables_copied))),
+    Metric(Counter, "soda_ingest_tables_shared_total")
+        .help("Tables structurally shared (untouched) across those derives.")
+        .from(Scalar(|m| Int(m.ingest.tables_shared))),
+    Metric(Counter, "soda_compactions_total")
+        .help("Side-log compactions performed.")
+        .from(Scalar(|m| Int(m.ingest.compactions))),
+    Metric(Counter, "soda_compacted_shards_total")
+        .help("Side logs folded into rebuilt partitions.")
+        .from(Scalar(|m| Int(m.ingest.compacted_shards))),
+    Metric(Counter, "soda_shard_probes_total")
+        .help("Inverted-index probes served, per shard of the live snapshot.")
+        .from(PerShard(|s| s.probes.clone())),
+    Metric(Gauge, "soda_shard_postings")
+        .help("Frozen index postings, per shard of the live snapshot.")
+        .from(PerShard(|s| as_u64(&s.index_postings))),
+    Metric(Gauge, "soda_shard_log_postings")
+        .help("Ingestion side-log postings awaiting compaction, per shard.")
+        .from(PerShard(|s| as_u64(&s.log_postings))),
+    Metric(Gauge, "soda_journal_bytes")
+        .help("Current size of the feed journal.")
+        .from(Journal(|d| Int(d.journal_bytes))),
+    Metric(Counter, "soda_journal_appends_total")
+        .help("Change feeds appended to the journal since this instance started.")
+        .from(Journal(|d| Int(d.journal_appends))),
+    Metric(Counter, "soda_checkpoints_total")
+        .help("Checkpoints written (each truncates the journal).")
+        .from(Journal(|d| Int(d.checkpoints))),
+    Metric(Counter, "soda_checkpoint_failures_total")
+        .help("Checkpoint attempts that failed (journal left replayable).")
+        .from(Journal(|d| Int(d.checkpoint_failures))),
+    // The per-tenant fairness split: how an operator sees which tenant is
+    // flooding, which is starving and whether admission control is biting.
+    Metric(Counter, "soda_tenant_queries_completed_total")
+        .help("Queries answered, per tenant.")
+        .from(PerTenant(|t| Int(t.completed))),
+    Metric(Gauge, "soda_tenant_qps")
+        .help("Answered queries per second of uptime, per tenant.")
+        .from(PerTenant(|t| Float(t.qps))),
+    Metric(Counter, "soda_tenant_warm_hits_total")
+        .help("Submissions answered from the cache at submission time, per tenant.")
+        .from(PerTenant(|t| Int(t.warm_hits))),
+    Metric(Counter, "soda_tenant_pipeline_executions_total")
+        .help("Full pipeline executions, per tenant.")
+        .from(PerTenant(|t| Int(t.executions))),
+    Metric(Counter, "soda_tenant_admission_waits_total")
+        .help("Submissions that blocked in admission control, per tenant.")
+        .from(PerTenant(|t| Int(t.admission_waits))),
+    Metric(Counter, "soda_tenant_slow_queries_total")
+        .help("Queries whose end-to-end latency reached the slow-query threshold, per tenant.")
+        .from(PerTenant(|t| Int(t.slow_queries))),
+    Metric(Counter, "soda_tenant_sampled_traces_total")
+        .help("Span trees retained by the adaptive trace sampler, per tenant.")
+        .from(PerTenant(|t| Int(t.sampled_traces))),
+    Metric(Gauge, "soda_tenant_queue_depth")
+        .help("Jobs currently waiting in the tenant's queue lane.")
+        .from(PerTenant(|t| Int(t.queue_depth as u64))),
+    Metric(Gauge, "soda_tenant_generation")
+        .help("Generation of the snapshot the tenant currently serves.")
+        .from(PerTenant(|t| Int(t.generation))),
+    Metric(Counter, "soda_tenant_reloads_total")
+        .help("Snapshot swaps performed, per tenant.")
+        .from(PerTenant(|t| Int(t.reloads))),
+    Metric(Counter, "soda_tenant_ingest_feeds_total")
+        .help("Change feeds absorbed, per tenant.")
+        .from(PerTenant(|t| Int(t.ingest_feeds))),
+    Metric(Counter, "soda_tenant_compactions_total")
+        .help("Side-log compactions performed, per tenant.")
+        .from(PerTenant(|t| Int(t.compactions))),
+    // Per-tenant journaling is only live on a durable service.  (Shadow
+    // tenants host no journal and report zeros.)
+    Metric(Gauge, "soda_tenant_journal_bytes")
+        .help("Current size of the tenant's feed journal in bytes.")
+        .from(TenantJournal(|d| Int(d.journal_bytes))),
+    Metric(Counter, "soda_tenant_journal_appends_total")
+        .help("Change feeds appended to the tenant's journal.")
+        .from(TenantJournal(|d| Int(d.journal_appends))),
+    Metric(Counter, "soda_tenant_checkpoints_total")
+        .help("Checkpoints written to the tenant's journal.")
+        .from(TenantJournal(|d| Int(d.checkpoints))),
+    Metric(Counter, "soda_tenant_replayed_feeds_total")
+        .help("Journaled feeds re-absorbed when the tenant was recovered.")
+        .from(TenantJournal(|d| Int(d.replayed_feeds))),
+    Metric(Gauge, "soda_slo_target")
+        .help("Declared objective target fraction, per tenant and objective.")
+        .from(PerAlert(|slo, alert| match alert.objective {
+            "latency" => Float(slo.latency_target),
+            _ => Float(slo.availability_target),
+        })),
+    Metric(Gauge, "soda_slo_fast_burn_rate")
+        .help("Error-budget burn rate over the fast window, per tenant and objective.")
+        .from(PerAlert(|_, alert| Float(alert.fast_burn))),
+    Metric(Gauge, "soda_slo_slow_burn_rate")
+        .help("Error-budget burn rate over the slow window, per tenant and objective.")
+        .from(PerAlert(|_, alert| Float(alert.slow_burn))),
+    Metric(Gauge, "soda_slo_alert_state")
+        .help("Multi-window burn-alert state (0 = ok, 1 = pending, 2 = firing).")
+        .from(PerAlert(|_, alert| Int(alert.state.code()))),
+    Metric(Histogram, "soda_query_duration_seconds")
+        .help("End-to-end query latency, submission to completion (cache hits included).")
+        .from(Latency(|r| &r.e2e)),
+    Metric(Histogram, "soda_queue_wait_seconds")
+        .help("Time executed jobs waited in the queue before a worker picked them up.")
+        .from(Latency(|r| &r.queue_wait)),
+    Metric(Histogram, "soda_execution_duration_seconds")
+        .help("Pipeline execution time of executed jobs (dequeue to completion).")
+        .from(Latency(|r| &r.execution)),
+    Metric(Histogram, "soda_stage_duration_seconds")
+        .help("Per-stage pipeline latency of executed jobs.")
+        .from(StageLatency),
+    Metric(Histogram, "soda_tenant_query_duration_seconds")
+        .help("End-to-end query latency, per tenant.")
+        .from(TenantLatency),
+];
+
+fn as_u64(sizes: &[usize]) -> Vec<u64> {
+    sizes.iter().map(|&size| size as u64).collect()
+}
+
+/// Everything one scrape reads, gathered up front — each lock taken alone
+/// and released — so rendering is a pure walk over `FAMILIES`.
+pub(crate) struct Scrape {
+    pub(crate) metrics: ServiceMetrics,
+    /// The declared objectives and the evaluated burn alerts, if any.
+    pub(crate) slo: Option<(SloConfig, Vec<BurnAlert>)>,
+    pub(crate) latency: LatencyRecorder,
+    /// `(tenant name, end-to-end distribution)` per hosted tenant.
+    pub(crate) tenant_latency: Vec<(String, LogHistogram)>,
+}
+
+impl Scrape {
+    /// A family is exposed exactly when the data its source reads exists.
+    pub(crate) fn exposes(&self, family: &Family) -> bool {
+        match family.source {
+            Journal(_) | TenantJournal(_) => self.metrics.durability.enabled,
+            PerAlert(_) => self.slo.is_some(),
+            _ => true,
+        }
+    }
+
+    /// Writes one family: its header, then one sample (or histogram) per
+    /// label value its source yields.
+    pub(crate) fn write(&self, w: &mut PromWriter, family: &Family) {
+        let name = family.name;
+        w.header(name, family.help, family.kind);
+        match &family.source {
+            Scalar(get) => get(&self.metrics).write(w, name, &[]),
+            PerShard(get) => {
+                for (shard, value) in get(&self.metrics.shards).into_iter().enumerate() {
+                    w.int_value(name, &[("shard", shard.to_string())], value);
+                }
+            }
+            Journal(get) => get(&self.metrics.durability).write(w, name, &[]),
+            PerTenant(get) => {
+                for t in &self.metrics.tenants {
+                    get(t).write(w, name, &[("tenant", t.tenant.clone())]);
+                }
+            }
+            TenantJournal(get) => {
+                for t in &self.metrics.tenants {
+                    get(&t.durability).write(w, name, &[("tenant", t.tenant.clone())]);
+                }
+            }
+            PerAlert(get) => {
+                let Some((slo, alerts)) = &self.slo else {
+                    return;
+                };
+                for alert in alerts {
+                    let labels = [
+                        ("tenant", alert.tenant.clone()),
+                        ("objective", alert.objective.to_string()),
+                    ];
+                    get(slo, alert).write(w, name, &labels);
+                }
+            }
+            Latency(get) => w.histogram(name, &[], get(&self.latency)),
+            StageLatency => {
+                for (hist, stage) in self.latency.stages.iter().zip(names::STAGES) {
+                    w.histogram(name, &[("stage", stage.to_string())], hist);
+                }
+            }
+            TenantLatency => {
+                for (tenant, hist) in &self.tenant_latency {
+                    w.histogram(name, &[("tenant", tenant.clone())], hist);
+                }
+            }
+        }
+    }
+
+    /// The whole document: every exposed family, in table order.
+    pub(crate) fn render(&self) -> String {
+        let mut w = PromWriter::new();
+        for family in FAMILIES.iter().filter(|f| self.exposes(f)) {
+            self.write(&mut w, family);
+        }
+        w.finish()
+    }
+}
+
+impl QueryService {
+    /// A point-in-time snapshot of the service's health, the per-tenant
+    /// fairness split ([`ServiceMetrics::tenants`]) included.
+    pub fn metrics(&self) -> ServiceMetrics {
+        // One lock at a time, never nested: query() takes store then
+        // latency, so holding latency while locking store here would invert
+        // the order and risk a deadlock.
+        let (completed, latency, queue_wait, execution, stages) = {
+            let recorder = self.shared.latency.lock().expect("latency poisoned");
+            (
+                recorder.count(),
+                recorder.summary(),
+                recorder.queue_wait_summary(),
+                recorder.execution_summary(),
+                recorder.stage_summaries(),
+            )
+        };
+        let uptime = self.shared.started.elapsed();
+        let uptime_secs = uptime.as_secs_f64();
+        let per_second = |count: u64| {
+            if uptime_secs > 0.0 {
+                count as f64 / uptime_secs
+            } else {
+                0.0
+            }
+        };
+        let (cache, coalesced) = {
+            let store = self.shared.store.lock().expect("store poisoned");
+            (store.cache.stats(), store.coalesced)
+        };
+        let hosted = self.shared.tenants.all();
+        let (queue_depth, lane_depths) = {
+            let state = self.shared.queue.lock().expect("queue poisoned");
+            let lanes = hosted.iter().map(|t| state.depth_of(t.id.fingerprint()));
+            (state.total, lanes.collect::<Vec<usize>>())
+        };
+        let tenants: Vec<TenantMetrics> = hosted
+            .iter()
+            .zip(lane_depths)
+            .map(|(t, queue_depth)| {
+                let (completed, latency) = {
+                    let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
+                    (hist.count(), LatencySummary::of(&hist))
+                };
+                TenantMetrics {
+                    tenant: t.id.as_str().to_string(),
+                    completed,
+                    qps: per_second(completed),
+                    latency,
+                    warm_hits: t.warm_hits.load(Ordering::Relaxed),
+                    executions: t.executions.load(Ordering::Relaxed),
+                    admission_waits: t.admission_waits.load(Ordering::Relaxed),
+                    slow_queries: t.slow_queries.load(Ordering::Relaxed),
+                    sampled_traces: t.sampled_total.load(Ordering::Relaxed),
+                    queue_depth,
+                    generation: t.handle.generation(),
+                    reloads: t.reloads.load(Ordering::Relaxed),
+                    ingest_feeds: t.ingest_feeds.load(Ordering::Relaxed),
+                    compactions: t.compactions.load(Ordering::Relaxed),
+                    durability: durability_metrics(&t.durability),
+                }
+            })
+            .collect();
+        // Facts counted per tenant are kept once, on the tenant; the
+        // service-wide figure is their sum (tenants are never removed).
+        let total = |field: fn(&TenantMetrics) -> u64| tenants.iter().map(field).sum::<u64>();
+        // Re-sampled from the live handle on every call (not captured at
+        // construction), so the per-shard gauges and the generation always
+        // describe the snapshot that is serving *now*, including after a
+        // swap.  The top-level figures describe the default tenant; the
+        // per-tenant split is in `tenants`.
+        let default = self.shared.tenants.default_tenant();
+        let snapshot = default.handle.load();
+        let counter = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        ServiceMetrics {
+            uptime,
+            completed,
+            qps: per_second(completed),
+            latency,
+            queue_wait,
+            execution,
+            stages,
+            cache,
+            pipeline_executions: total(|t| t.executions),
+            coalesced,
+            slow_queries: total(|t| t.slow_queries),
+            queue_depth,
+            workers: self.workers.len(),
+            generation: snapshot.generation(),
+            reloads: total(|t| t.reloads),
+            ingest: IngestMetrics {
+                ingests: total(|t| t.ingest_feeds),
+                events: counter(&self.shared.ingest_events),
+                rows: counter(&self.shared.ingest_rows),
+                rows_appended: counter(&self.shared.ingest_rows_appended),
+                tables_copied: counter(&self.shared.ingest_tables_copied),
+                tables_shared: counter(&self.shared.ingest_tables_shared),
+                compactions: total(|t| t.compactions),
+                compacted_shards: counter(&self.shared.compacted_shards),
+            },
+            shards: snapshot.shard_stats(),
+            durability: durability_metrics(&default.durability),
+            tenants,
+        }
+    }
+
+    /// Gathers what one scrape renders — each lock taken alone, like
+    /// `metrics`; the burn alerts read-only (the transition ledger is only
+    /// advanced by [`alerts`](Self::alerts)).
+    pub(crate) fn scrape(&self) -> Scrape {
+        let metrics = self.metrics();
+        let slo = self.shared.config.slo.clone();
+        let slo = slo.map(|slo| (slo, self.evaluate_slo()));
+        let latency = self
+            .shared
+            .latency
+            .lock()
+            .expect("latency poisoned")
+            .clone();
+        let tenant_latency = self
+            .shared
+            .tenants
+            .all()
+            .iter()
+            .map(|t| {
+                let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
+                (t.id.as_str().to_string(), hist.clone())
+            })
+            .collect();
+        Scrape {
+            metrics,
+            slo,
+            latency,
+            tenant_latency,
+        }
+    }
+
+    /// Renders the service's health as a Prometheus text-exposition
+    /// document (format 0.0.4): the lifetime counters and point-in-time
+    /// gauges of [`metrics`](Self::metrics), the per-tenant fairness
+    /// families (`soda_tenant_*`, one sample per hosted tenant, labelled
+    /// `tenant="<name>"`), the `soda_slo_*` burn-rate families when an SLO
+    /// is declared, and the latency **histograms** (end-to-end, queue wait,
+    /// execution, per-stage and per-tenant, all in seconds) — the
+    /// full-fidelity surface a scrape-based monitoring stack ingests.
+    ///
+    /// The document always validates against
+    /// [`soda_trace::prom::validate`]; the metric names and label sets are a
+    /// stable interface, pinned by a golden test.
+    pub fn metrics_text(&self) -> String {
+        self.scrape().render()
+    }
+
+    /// A snapshot of the operational-event log, oldest retained entry
+    /// first: snapshot swaps, ingests, compactions, checkpoints, recoveries,
+    /// tenant registrations and slow-query captures, each with a sequence
+    /// number and an offset from service start.  Bounded by
+    /// [`ServiceConfig::event_log`](crate::ServiceConfig::event_log).
+    pub fn events(&self) -> Vec<OpEvent> {
+        self.shared
+            .events
+            .lock()
+            .expect("event log poisoned")
+            .to_vec()
+    }
+
+    /// A snapshot of the slow-query log, oldest retained capture first.
+    /// Populated only when
+    /// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold)
+    /// is set; bounded by
+    /// [`ServiceConfig::slow_query_log`](crate::ServiceConfig::slow_query_log).
+    pub fn slow_queries(&self) -> Vec<SlowQuery> {
+        self.shared
+            .slow_log
+            .lock()
+            .expect("slow-query log poisoned")
+            .to_vec()
+    }
+
+    /// One tenant's operational events, oldest retained entry first — the
+    /// tenant-filtered view of [`events`](Self::events).
+    pub fn events_for(&self, tenant: impl Into<TenantId>) -> Result<Vec<OpEvent>, ServiceError> {
+        let id = tenant.into();
+        self.shared.tenants.resolve(&id)?;
+        Ok(self
+            .events()
+            .into_iter()
+            .filter(|e| e.tenant == id.as_str())
+            .collect())
+    }
+
+    /// One tenant's slow-query captures, oldest retained capture first —
+    /// the tenant-filtered view of [`slow_queries`](Self::slow_queries).
+    pub fn slow_queries_for(
+        &self,
+        tenant: impl Into<TenantId>,
+    ) -> Result<Vec<SlowQuery>, ServiceError> {
+        let id = tenant.into();
+        self.shared.tenants.resolve(&id)?;
+        Ok(self
+            .slow_queries()
+            .into_iter()
+            .filter(|s| s.tenant == id.as_str())
+            .collect())
+    }
+
+    /// One tenant's sampled traces, oldest retained first — the span trees the
+    /// adaptive sampler kept
+    /// ([`ServiceConfig::sampling`](crate::ServiceConfig::sampling)), each
+    /// with its trace id, retention reason and end-to-end latency.  Bounded by
+    /// [`SamplingConfig::trace_log`](crate::SamplingConfig::trace_log); empty
+    /// when sampling is off.
+    pub fn sampled_traces(
+        &self,
+        tenant: impl Into<TenantId>,
+    ) -> Result<Vec<SampledTrace>, ServiceError> {
+        let tenant = self.shared.tenants.resolve(&tenant.into())?;
+        let sampled = tenant.sampled.lock().expect("sampled-trace ring poisoned");
+        Ok(sampled.to_vec())
+    }
+
+    /// Evaluates every tenant's burn rates against the declared objectives
+    /// ([`ServiceConfig::slo`](crate::ServiceConfig::slo)), emits one
+    /// `slo_burn` [`OpEvent`] per alert-state *transition*, and returns the
+    /// alerts that are currently pending or firing (an all-healthy fleet
+    /// returns an empty vector).
+    ///
+    /// The multi-window rule: an alert **fires** only when both the fast
+    /// and the slow window burn faster than [`SloConfig::burn_threshold`];
+    /// one window alone marks it **pending**.  Returns an empty vector when
+    /// no SLO is configured.
+    pub fn alerts(&self) -> Vec<BurnAlert> {
+        let evaluated = self.evaluate_slo();
+        let transitions: Vec<(&BurnAlert, AlertState)> = {
+            let mut states = self
+                .shared
+                .alert_states
+                .lock()
+                .expect("alert states poisoned");
+            evaluated
+                .iter()
+                .filter_map(|alert| {
+                    let prev = states
+                        .insert((alert.tenant.clone(), alert.objective), alert.state)
+                        .unwrap_or(AlertState::Ok);
+                    (prev != alert.state).then_some((alert, prev))
+                })
+                .collect()
+        };
+        for (alert, prev) in transitions {
+            self.shared.event(
+                "slo_burn",
+                &TenantId::new(&alert.tenant),
+                format!(
+                    "{} alert {} (was {}): fast burn {:.2}, slow burn {:.2}",
+                    alert.objective,
+                    alert.state.as_str(),
+                    prev.as_str(),
+                    alert.fast_burn,
+                    alert.slow_burn,
+                ),
+            );
+        }
+        evaluated
+            .into_iter()
+            .filter(|a| a.state != AlertState::Ok)
+            .collect()
+    }
+
+    /// Burn-rate evaluation shared by [`alerts`](Self::alerts) and the
+    /// `soda_slo_*` metric families: folds each tenant's fast and slow
+    /// windows and scores both objectives.  Read-only — the transition
+    /// ledger is only touched by `alerts`.
+    fn evaluate_slo(&self) -> Vec<BurnAlert> {
+        let Some(slo) = &self.shared.config.slo else {
+            return Vec::new();
+        };
+        let now = self.shared.started.elapsed();
+        let mut out = Vec::new();
+        for tenant in self.shared.tenants.all() {
+            let Some(window) = &tenant.slo else { continue };
+            let (fast, slow) = {
+                let w = window.lock().expect("slo window poisoned");
+                (
+                    w.merged(now, slo.fast_window),
+                    w.merged(now, slo.slow_window),
+                )
+            };
+            let objective = slo.objective_for(tenant.id.as_str());
+            for (objective, fast_burn, slow_burn) in [
+                (
+                    "latency",
+                    latency_burn_rate(&fast, objective, slo.latency_target),
+                    latency_burn_rate(&slow, objective, slo.latency_target),
+                ),
+                (
+                    "availability",
+                    availability_burn_rate(&fast, slo.availability_target),
+                    availability_burn_rate(&slow, slo.availability_target),
+                ),
+            ] {
+                out.push(BurnAlert {
+                    tenant: tenant.id.as_str().to_string(),
+                    objective,
+                    fast_burn,
+                    slow_burn,
+                    state: alert_state(fast_burn, slow_burn, slo.burn_threshold),
+                });
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use soda_core::{EngineSnapshot, SodaConfig};
+
+    use super::*;
+    use crate::service::tests::{address_feed, admin, minibank_service};
+    use crate::{QueryRequest, ServiceConfig};
+
+    #[test]
+    fn metrics_cover_latency_cache_and_queue() {
+        let service = minibank_service(ServiceConfig::default());
+        for _ in 0..3 {
+            service
+                .query(QueryRequest::new("Sara Guttinger"))
+                .wait()
+                .unwrap();
+        }
+        let m = service.metrics();
+        assert_eq!(m.completed, 3);
+        assert_eq!(m.cache.hits, 2);
+        assert!(m.qps > 0.0);
+        assert!(m.latency.max >= m.latency.min);
+        assert!(m.latency.mean > Duration::ZERO);
+        assert_eq!(m.queue_depth, 0);
+        assert_eq!(m.workers, 4);
+    }
+
+    #[test]
+    fn metrics_report_shard_sizes_and_probes() {
+        let w = soda_warehouse::minibank::build(42);
+        let snapshot = EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig {
+                shards: 4,
+                ..SodaConfig::default()
+            },
+        );
+        let service = QueryService::start(Arc::new(snapshot), ServiceConfig::default());
+        let m = service.metrics();
+        assert_eq!(m.shards.shards, 4);
+        assert_eq!(m.shards.classification_phrases.len(), 4);
+        assert_eq!(m.shards.index_postings.len(), 4);
+        assert_eq!(m.shards.total_probes(), 0);
+        // A base-data query scans the shards holding its candidate postings.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        let m = service.metrics();
+        assert_eq!(m.shards.probes.len(), 4);
+        assert!(m.shards.total_probes() > 0);
+    }
+
+    #[test]
+    fn metrics_resample_the_live_snapshot_per_call() {
+        // Regression test for the shard gauge being captured once: after a
+        // reload with a different shard count, metrics() must describe the
+        // swapped-in snapshot, not the boot-time one.
+        let w = soda_warehouse::minibank::build(42);
+        let service = QueryService::start(
+            Arc::new(EngineSnapshot::build(
+                Arc::new(w.database.clone()),
+                Arc::new(w.graph.clone()),
+                SodaConfig {
+                    shards: 2,
+                    ..SodaConfig::default()
+                },
+            )),
+            ServiceConfig::default(),
+        );
+        assert_eq!(service.metrics().shards.shards, 2);
+        admin(&service).reload(EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig {
+                shards: 4,
+                ..SodaConfig::default()
+            },
+        ));
+        let m = service.metrics();
+        assert_eq!(m.shards.shards, 4);
+        assert_eq!(m.shards.generations, vec![1, 1, 1, 1]);
+        // Probes land on the live snapshot's counters.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert!(service.metrics().shards.total_probes() > 0);
+    }
+
+    #[test]
+    fn metrics_polling_does_not_deadlock_cache_hits() {
+        // Regression test: `submit` locks cache then latency on a hit, while
+        // `metrics` reads latency and cache — with nested guards in either
+        // path this interleaving deadlocks within a few iterations.
+        let service = minibank_service(ServiceConfig::default());
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..500 {
+                        service
+                            .query(QueryRequest::new("Sara Guttinger"))
+                            .wait()
+                            .unwrap();
+                    }
+                });
+                scope.spawn(|| {
+                    for _ in 0..500 {
+                        let m = service.metrics();
+                        assert!(m.completed >= 1);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn latency_accounting_splits_queue_wait_from_execution() {
+        let service = minibank_service(ServiceConfig::default());
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        // And one cache hit, which must not touch the executed
+        // distributions.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        let m = service.metrics();
+        assert_eq!(m.completed, 2);
+        assert!(m.execution.max > Duration::ZERO, "{m:?}");
+        // The split is exhaustive: neither component exceeds the end-to-end
+        // figure of the executed query.
+        assert!(m.queue_wait.max <= m.latency.max);
+        assert!(m.execution.max <= m.latency.max);
+        // Histogram-backed percentiles are monotone by construction.
+        assert!(m.latency.min <= m.latency.p50);
+        assert!(m.latency.p50 <= m.latency.p95);
+        assert!(m.latency.p95 <= m.latency.max);
+        // Stage latencies cover the executed pipeline (lookup ran).
+        assert!(m.stages.lookup.max > Duration::ZERO);
+        assert_eq!(m.stages.lookup.min, m.stages.lookup.max, "one execution");
+    }
+
+    #[test]
+    fn metrics_text_validates_and_names_every_family() {
+        let service = minibank_service(ServiceConfig {
+            slow_query_threshold: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        });
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        admin(&service)
+            .ingest(&address_feed(900, "Streamville"))
+            .unwrap();
+        let text = service.metrics_text();
+        soda_trace::prom::validate(&text).expect("exposition must validate");
+        // Every family the table declares for this service — not durable,
+        // no SLO — is in the document, and no other.
+        let scrape = service.scrape();
+        for family in FAMILIES {
+            assert_eq!(
+                text.contains(&format!("# TYPE {} ", family.name)),
+                scrape.exposes(family),
+                "{}",
+                family.name
+            );
+        }
+        // The stage histograms carry one series per pipeline stage.
+        for stage in soda_trace::names::STAGES {
+            assert!(text.contains(&format!("stage=\"{stage}\"")), "{stage}");
+        }
+        // Every tenant family is labelled with the tenant name.
+        assert!(text.contains("soda_tenant_queries_completed_total{tenant=\"default\"} 2"));
+        // A non-durable service exposes no journal families.
+        assert!(!text.contains("soda_journal_bytes"));
+    }
+
+    fn kind_name(kind: MetricKind) -> &'static str {
+        match kind {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
+
+    /// The table is the interface: its (name, kind) pairs, in order, are
+    /// the golden `# TYPE` surface, and no family is declared twice.
+    #[test]
+    fn the_table_is_the_golden_type_surface() {
+        let declared: Vec<String> = FAMILIES
+            .iter()
+            .map(|f| format!("# TYPE {} {}", f.name, kind_name(f.kind)))
+            .collect();
+        let golden = include_str!("../../../tests/golden/metrics_types.txt");
+        assert_eq!(declared, golden.lines().collect::<Vec<_>>());
+        let mut names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FAMILIES.len(), "a family is declared twice");
+    }
+
+    /// One markdown row per family — `docs/OBSERVABILITY.md` carries exactly
+    /// these rows, so the documented surface cannot drift from the table.
+    fn markdown_row(family: &Family) -> String {
+        let labels = match family.source {
+            Scalar(_) | Journal(_) | Latency(_) => "—",
+            PerShard(_) => "`shard`",
+            PerTenant(_) | TenantJournal(_) | TenantLatency => "`tenant`",
+            PerAlert(_) => "`tenant`, `objective`",
+            StageLatency => "`stage`",
+        };
+        let when = match family.source {
+            Journal(_) | TenantJournal(_) => " *(durable service only)*",
+            PerAlert(_) => " *(SLO declared only)*",
+            _ => "",
+        };
+        format!(
+            "| `{}` | {} | {labels} | {}{when} |",
+            family.name,
+            kind_name(family.kind),
+            family.help
+        )
+    }
+
+    #[test]
+    fn every_family_is_documented() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        for family in FAMILIES {
+            let row = markdown_row(family);
+            assert!(
+                doc.lines().any(|line| line == row),
+                "docs/OBSERVABILITY.md lacks the row\n{row}"
+            );
+        }
+    }
+
+    /// Prints the family table for `docs/OBSERVABILITY.md`: `cargo test -p
+    /// soda-service -- --ignored print_family_table --nocapture`.
+    #[test]
+    #[ignore = "prints the docs table"]
+    fn print_family_table() {
+        println!("| Family | Kind | Labels | Help |\n|---|---|---|---|");
+        for family in FAMILIES {
+            println!("{}", markdown_row(family));
+        }
+    }
+
+    #[test]
+    fn prometheus_rendering_validates() {
+        let mut r = LatencyRecorder::new();
+        r.record_hit(Duration::from_millis(1));
+        r.record_executed(
+            Duration::from_millis(3),
+            Duration::from_millis(1),
+            Duration::from_millis(2),
+            Some(&soda_core::StepTimings::default()),
+        );
+        let scrape = Scrape {
+            latency: r,
+            ..minibank_service(ServiceConfig::default()).scrape()
+        };
+        let mut w = PromWriter::new();
+        for family in FAMILIES {
+            if matches!(family.source, Latency(_) | StageLatency) {
+                scrape.write(&mut w, family);
+            }
+        }
+        let text = w.finish();
+        soda_trace::prom::validate(&text).expect("latency families must validate");
+        assert!(text.contains("soda_stage_duration_seconds_count{stage=\"lookup\"} 1"));
+        assert!(text.contains("soda_query_duration_seconds_count 2"));
+        assert!(text.contains("soda_queue_wait_seconds_count 1"));
+    }
+}

@@ -24,8 +24,6 @@ use std::time::Duration;
 
 use soda_core::{ShardStats, StepTimings};
 use soda_trace::hist::LogHistogram;
-use soda_trace::names;
-use soda_trace::prom::{MetricKind, PromWriter};
 
 use crate::cache::CacheStats;
 
@@ -87,7 +85,7 @@ pub struct StageLatencies {
 /// are the lifetime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestMetrics {
-    /// Change feeds absorbed ([`QueryService::ingest`](crate::QueryService::ingest)).
+    /// Change feeds absorbed ([`TenantAdmin::ingest`](crate::TenantAdmin::ingest)).
     pub ingests: u64,
     /// Row events those feeds carried.
     pub events: u64,
@@ -185,9 +183,9 @@ pub struct ServiceMetrics {
     /// Size of the worker pool.
     pub workers: usize,
     /// Generation of the snapshot currently being served (bumped by every
-    /// [`reload`](crate::QueryService::reload) /
-    /// [`rebuild_shards`](crate::QueryService::rebuild_shards) /
-    /// [`refresh_graph`](crate::QueryService::refresh_graph)).
+    /// [`reload`](crate::TenantAdmin::reload) /
+    /// [`rebuild_shards`](crate::TenantAdmin::rebuild_shards) /
+    /// [`refresh_graph`](crate::TenantAdmin::refresh_graph)).
     pub generation: u64,
     /// Snapshot swaps performed since the service started (full reloads and
     /// per-shard rebuilds alike; streaming ingests and compactions count
@@ -259,16 +257,16 @@ pub struct TenantMetrics {
 /// Latency accounting shared by the workers: one log-bucketed histogram per
 /// distribution (~15 KiB each, fixed).  Not internally synchronised; the
 /// service wraps it in a `Mutex`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
     /// Submission → completion, every answered query (hits included).
-    e2e: LogHistogram,
+    pub(crate) e2e: LogHistogram,
     /// Submission → dequeue, executed jobs only.
-    queue_wait: LogHistogram,
+    pub(crate) queue_wait: LogHistogram,
     /// Dequeue → completion, executed jobs only.
-    execution: LogHistogram,
-    /// Pipeline stages of executed jobs, in [`names::STAGES`] order.
-    stages: [LogHistogram; 5],
+    pub(crate) execution: LogHistogram,
+    /// Pipeline stages of executed jobs, in [`soda_trace::names::STAGES`] order.
+    pub(crate) stages: [LogHistogram; 5],
 }
 
 impl LatencyRecorder {
@@ -307,13 +305,6 @@ impl LatencyRecorder {
         }
     }
 
-    /// Attaches a sampled trace id to the end-to-end bucket `e2e` falls
-    /// into — rendered as an OpenMetrics exemplar on
-    /// `soda_query_duration_seconds`.
-    pub(crate) fn annotate_exemplar(&mut self, e2e: Duration, trace_id: &str) {
-        self.e2e.annotate_exemplar(e2e, trace_id);
-    }
-
     /// Queries answered over the service lifetime.
     pub(crate) fn count(&self) -> u64 {
         self.e2e.count()
@@ -344,44 +335,9 @@ impl LatencyRecorder {
             sqlgen: LatencySummary::of(&self.stages[4]),
         }
     }
-
-    /// Writes the latency histogram families into a Prometheus exposition
-    /// document (all values in seconds).
-    pub(crate) fn write_prometheus(&self, w: &mut PromWriter) {
-        w.header(
-            "soda_query_duration_seconds",
-            "End-to-end query latency, submission to completion (cache hits included).",
-            MetricKind::Histogram,
-        );
-        w.histogram("soda_query_duration_seconds", &[], &self.e2e);
-        w.header(
-            "soda_queue_wait_seconds",
-            "Time executed jobs waited in the queue before a worker picked them up.",
-            MetricKind::Histogram,
-        );
-        w.histogram("soda_queue_wait_seconds", &[], &self.queue_wait);
-        w.header(
-            "soda_execution_duration_seconds",
-            "Pipeline execution time of executed jobs (dequeue to completion).",
-            MetricKind::Histogram,
-        );
-        w.histogram("soda_execution_duration_seconds", &[], &self.execution);
-        w.header(
-            "soda_stage_duration_seconds",
-            "Per-stage pipeline latency of executed jobs.",
-            MetricKind::Histogram,
-        );
-        for (hist, stage) in self.stages.iter().zip(names::STAGES) {
-            w.histogram(
-                "soda_stage_duration_seconds",
-                &[("stage", stage.to_string())],
-                hist,
-            );
-        }
-    }
 }
 
-/// The five stage durations of one execution, in [`names::STAGES`] order.
+/// The five stage durations of one execution, in [`soda_trace::names::STAGES`] order.
 fn stage_durations(t: &StepTimings) -> [Duration; 5] {
     [t.lookup, t.rank, t.tables, t.filters, t.sql]
 }
@@ -458,24 +414,5 @@ mod tests {
         let stages = r.stage_summaries();
         assert_eq!(stages.lookup.max, Duration::from_millis(4));
         assert_eq!(stages.sqlgen.max, Duration::from_millis(2));
-    }
-
-    #[test]
-    fn prometheus_rendering_validates() {
-        let mut r = LatencyRecorder::new();
-        r.record_hit(Duration::from_millis(1));
-        r.record_executed(
-            Duration::from_millis(3),
-            Duration::from_millis(1),
-            Duration::from_millis(2),
-            Some(&StepTimings::default()),
-        );
-        let mut w = PromWriter::new();
-        r.write_prometheus(&mut w);
-        let text = w.finish();
-        soda_trace::prom::validate(&text).expect("latency families must validate");
-        assert!(text.contains("soda_stage_duration_seconds_count{stage=\"lookup\"} 1"));
-        assert!(text.contains("soda_query_duration_seconds_count 2"));
-        assert!(text.contains("soda_queue_wait_seconds_count 1"));
     }
 }

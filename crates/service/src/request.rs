@@ -1,0 +1,265 @@
+//! What goes in and what comes out: [`QueryRequest`], [`QueryResponse`],
+//! the [`JobHandle`] claim on a pending answer, [`ServiceError`], and the
+//! captured-query records ([`SlowQuery`], [`SampledTrace`]).
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use soda_core::{ResultPage, SodaError, TenantId};
+use soda_trace::QueryTrace;
+
+/// One query as submitted by a client — the single request surface of the
+/// service.  Build fluently:
+///
+/// ```no_run
+/// use soda_service::QueryRequest;
+/// let request = QueryRequest::new("wealthy customers")
+///     .page(1)
+///     .tenant("acme")
+///     .traced();
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryRequest {
+    /// The business user's input text.
+    pub input: String,
+    /// Zero-based page of the ranked result list.
+    pub page: usize,
+    /// Page size (clamped to at least 1 by the engine).
+    pub page_size: usize,
+    /// The tenant whose snapshot answers the query (the default tenant
+    /// unless [`tenant`](Self::tenant) selected another).
+    pub tenant: TenantId,
+    /// When true the query is answered **traced** on the caller's thread:
+    /// it probes the cache like any submission but never queues or
+    /// coalesces, and the response carries the span tree
+    /// ([`QueryResponse::trace`]) — the folded pipeline tree on a miss, a
+    /// synthesized `cache_hit` root on a hit.
+    pub traced: bool,
+}
+
+impl QueryRequest {
+    /// A request for the first page (size 10, the paper's result page),
+    /// against the default tenant, untraced.
+    pub fn new(input: impl Into<String>) -> Self {
+        Self {
+            input: input.into(),
+            page: 0,
+            page_size: 10,
+            tenant: TenantId::default(),
+            traced: false,
+        }
+    }
+
+    /// Selects a page.
+    pub fn page(mut self, page: usize) -> Self {
+        self.page = page;
+        self
+    }
+
+    /// Selects a page size.
+    pub fn page_size(mut self, page_size: usize) -> Self {
+        self.page_size = page_size;
+        self
+    }
+
+    /// Routes the query to a hosted tenant's snapshot.
+    pub fn tenant(mut self, tenant: impl Into<TenantId>) -> Self {
+        self.tenant = tenant.into();
+        self
+    }
+
+    /// Requests a traced answer: the query is served on the caller's thread
+    /// — a warm page comes back as a cache hit with a synthesized
+    /// `cache_hit` trace, a miss runs the pipeline right there (never
+    /// queued, never coalesced, not cached) — and the response carries the
+    /// span tree.  The served page is byte-identical to the untraced answer.
+    pub fn traced(mut self) -> Self {
+        self.traced = true;
+        self
+    }
+}
+
+/// One answered query, yielded by [`JobHandle::wait`]: the served page
+/// plus, for [`traced`](QueryRequest::traced) requests, the folded span
+/// tree (the `query` root with the five stage spans and per-shard probe
+/// sub-spans underneath).
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryResponse {
+    /// The served result page.
+    pub page: ResultPage,
+    /// The span tree — `Some` exactly when the request was traced.
+    pub trace: Option<QueryTrace>,
+}
+
+impl QueryResponse {
+    pub(crate) fn untraced(page: ResultPage) -> Self {
+        Self { page, trace: None }
+    }
+}
+
+/// One retained trace: a query the adaptive sampler decided to keep, with the
+/// full span tree of what served it (a pipeline execution, or a synthesized
+/// `cache_hit` root for warm hits).  Retained per tenant in a bounded ring
+/// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
+#[derive(Debug, Clone)]
+pub struct SampledTrace {
+    /// The tenant the query belonged to.
+    pub tenant: TenantId,
+    /// The sampler-assigned trace id (16 lowercase hex digits) — the same
+    /// id the latency histograms carry as an OpenMetrics exemplar.
+    pub trace_id: String,
+    /// The business user's input text, verbatim.
+    pub input: String,
+    /// Why the trace was kept: `"head"`, `"tail_slow"` or `"tail_anomaly"`.
+    pub reason: &'static str,
+    /// End-to-end latency (submission to completion).
+    pub total: Duration,
+    /// The span tree.
+    pub trace: QueryTrace,
+}
+
+/// One slow-query capture: a query whose end-to-end latency reached
+/// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold),
+/// with the full span tree of its execution.  Retained in a bounded log
+/// ([`QueryService::slow_queries`](crate::QueryService::slow_queries)).
+#[derive(Debug, Clone)]
+pub struct SlowQuery {
+    /// The business user's input text, verbatim.
+    pub input: String,
+    /// Name of the tenant the query was routed to.
+    pub tenant: String,
+    /// End-to-end latency (submission to completion).
+    pub total: Duration,
+    /// Time spent waiting in the queue before a worker picked the job up.
+    pub queue_wait: Duration,
+    /// Pipeline execution time (dequeue to completion).
+    pub execution: Duration,
+    /// The span tree of the execution.
+    pub trace: QueryTrace,
+}
+
+/// Errors surfaced by the service.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServiceError {
+    /// The engine rejected or failed the query.
+    Engine(SodaError),
+    /// The service is shutting down and no longer accepts work.
+    ShuttingDown,
+    /// The worker completing this job disappeared (only possible if a worker
+    /// panicked mid-query).
+    Disconnected,
+    /// The feed journal or page cache could not be written or recovered
+    /// (rendered to text because `std::io::Error` is not `Clone`).  Surfaced
+    /// by [`QueryService::recover`](crate::QueryService::recover) and by an
+    /// [`TenantAdmin::ingest`](crate::TenantAdmin::ingest) whose write-ahead
+    /// append failed — such a feed is **not** absorbed, so the engine never
+    /// serves rows the journal would lose in a crash.
+    Durability(String),
+    /// The request (or admin call) named a tenant the service does not
+    /// host.
+    UnknownTenant(String),
+    /// [`QueryService::add_tenant`](crate::QueryService::add_tenant) was given
+    /// an id that is already hosted.
+    TenantExists(String),
+    /// [`QueryService::add_tenant`](crate::QueryService::add_tenant) was given
+    /// an id whose 64-bit fingerprint collides with an already-hosted tenant's
+    /// (the default tenant's reserved `0` included).  Tenant isolation — cache
+    /// keying, queue lanes, journal directories — rests on distinct
+    /// fingerprints, so a colliding tenant is rejected up front instead of
+    /// silently sharing another tenant's state.
+    TenantFingerprintCollision {
+        /// The rejected tenant id.
+        tenant: String,
+        /// The already-hosted tenant it collides with.
+        existing: String,
+    },
+}
+
+impl std::fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServiceError::Engine(e) => write!(f, "engine error: {e}"),
+            ServiceError::ShuttingDown => write!(f, "the query service is shutting down"),
+            ServiceError::Disconnected => write!(f, "the worker serving this job disappeared"),
+            ServiceError::Durability(msg) => write!(f, "durability error: {msg}"),
+            ServiceError::UnknownTenant(tenant) => write!(f, "unknown tenant `{tenant}`"),
+            ServiceError::TenantExists(tenant) => {
+                write!(f, "tenant `{tenant}` is already hosted")
+            }
+            ServiceError::TenantFingerprintCollision { tenant, existing } => write!(
+                f,
+                "tenant `{tenant}` has the same fingerprint as hosted tenant \
+                 `{existing}`; rename it to keep tenant state disjoint"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServiceError::Engine(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<SodaError> for ServiceError {
+    fn from(e: SodaError) -> Self {
+        ServiceError::Engine(e)
+    }
+}
+
+/// Outcome of one served query.
+pub type JobResult = Result<QueryResponse, ServiceError>;
+
+/// What the worker channels carry: the raw page.  [`JobHandle::wait`]
+/// wraps it into the public [`QueryResponse`] shape, so the hot path never
+/// allocates a trace option per waiter.
+pub(crate) type WireResult = Result<ResultPage, ServiceError>;
+
+/// A claim on the result of a submitted query.
+///
+/// Cache hits, traced executions and errors are resolved at submission
+/// time; misses resolve when a worker finishes the job.
+/// [`wait`](Self::wait) blocks until then.
+#[derive(Debug)]
+pub struct JobHandle {
+    inner: HandleInner,
+}
+
+#[derive(Debug)]
+enum HandleInner {
+    Ready(Box<JobResult>),
+    Pending(mpsc::Receiver<WireResult>),
+}
+
+impl JobHandle {
+    pub(crate) fn ready(result: JobResult) -> Self {
+        Self {
+            inner: HandleInner::Ready(Box::new(result)),
+        }
+    }
+
+    pub(crate) fn pending(rx: mpsc::Receiver<WireResult>) -> Self {
+        Self {
+            inner: HandleInner::Pending(rx),
+        }
+    }
+
+    /// True when the result is already available (`wait` will not block).
+    pub fn is_ready(&self) -> bool {
+        matches!(self.inner, HandleInner::Ready(_))
+    }
+
+    /// Blocks until the query completes and returns its result.
+    pub fn wait(self) -> JobResult {
+        match self.inner {
+            HandleInner::Ready(result) => *result,
+            HandleInner::Pending(rx) => rx
+                .recv()
+                .unwrap_or(Err(ServiceError::Disconnected))
+                .map(QueryResponse::untraced),
+        }
+    }
+}

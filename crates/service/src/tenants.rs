@@ -1,5 +1,5 @@
-//! Multi-tenant hosting: the tenant registry, per-tenant serving state and
-//! the per-tenant administration facade.
+//! Multi-tenant hosting: the tenant registry and the per-tenant serving
+//! state.
 //!
 //! A hosted deployment of the SODA service runs **one** worker pool, **one**
 //! bounded queue and **one** interpretation cache for many tenants, each of
@@ -18,11 +18,10 @@
 //!   fairness counters surfaced by
 //!   [`ServiceMetrics::tenants`](crate::ServiceMetrics) and, on a durable
 //!   service, the tenant's own journal.
-//! * [`TenantAdmin`] — the mutation facade returned by
+//! * [`TenantAdmin`](crate::TenantAdmin) (in [`crate::admin`]) — the
+//!   mutation facade returned by
 //!   [`QueryService::admin`](crate::QueryService::admin): every operation
-//!   that changes what a tenant serves (`reload`, `rebuild_shards`,
-//!   `refresh_graph`, `ingest`, `ingest_owned`, `compact`, `clear_cache`)
-//!   lives here, scoped to exactly one tenant.
+//!   that changes what a tenant serves, scoped to exactly one tenant.
 //!
 //! Isolation invariants: cache keys fold the tenant fingerprint into the
 //! snapshot fingerprint ([`TenantId::fold`]), so all tenants share one LRU
@@ -34,20 +33,22 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use soda_core::{ChangeFeed, Database, EngineSnapshot, MetaGraph, SnapshotHandle, TenantId};
+use soda_core::{SnapshotHandle, TenantId};
 use soda_trace::hist::LogHistogram;
 use soda_trace::{BoundedLog, Sampler, TailRules};
 
-use crate::service::{DurabilityState, QueryService, SampledTrace, ServiceConfig, ServiceError};
+use crate::config::ServiceConfig;
+use crate::durability::DurabilityState;
+use crate::request::{SampledTrace, ServiceError};
 use crate::slo::SloWindow;
 
 /// One tenant's serving state: identity, snapshot, swap lock, fairness
 /// counters and (optionally) its write-ahead journal.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
-    /// The tenant's swappable current snapshot.  Submissions load it once
-    /// and pin what they got; the [`TenantAdmin`] paths publish
-    /// replacements.
+    /// The tenant's swappable current snapshot.  Submissions load it once and
+    /// pin what they got; the [`TenantAdmin`](crate::TenantAdmin) paths
+    /// publish replacements.
     pub(crate) handle: SnapshotHandle,
     /// Serializes this tenant's swap paths (reload, shard rebuild, graph
     /// refresh, ingest, compaction) so each one's pre-swap fingerprint
@@ -81,7 +82,7 @@ pub(crate) struct TenantState {
     /// individually reproducible — decision sequences.
     pub(crate) sampler: Option<Sampler>,
     /// Bounded ring of sampled traces, newest retained
-    /// ([`QueryService::sampled_traces`]).
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
     pub(crate) sampled: Mutex<BoundedLog<SampledTrace>>,
     /// Lifetime count of traces the sampler retained for this tenant.
     pub(crate) sampled_total: AtomicU64,
@@ -114,11 +115,7 @@ impl TenantState {
                 anomaly_min_samples: sampling.anomaly_min_samples,
             })
         });
-        let trace_log = config
-            .sampling
-            .as_ref()
-            .map(|sampling| sampling.trace_log)
-            .unwrap_or(1);
+        let trace_log = config.sampling.as_ref().map_or(1, |s| s.trace_log);
         Self {
             id,
             handle,
@@ -158,8 +155,8 @@ impl TenantState {
     }
 }
 
-/// The tenant table of a [`QueryService`]: the default tenant plus every
-/// tenant registered through
+/// The tenant table of a [`QueryService`](crate::QueryService): the default
+/// tenant plus every tenant registered through
 /// [`QueryService::add_tenant`](crate::QueryService::add_tenant).
 ///
 /// Lookups for the default tenant bypass the lock entirely — the warm-hit
@@ -185,10 +182,11 @@ impl TenantRegistry {
         &self.default
     }
 
-    /// Resolves a tenant id to its state, `None` for an unknown tenant.
-    pub(crate) fn resolve(&self, id: &TenantId) -> Option<Arc<TenantState>> {
+    /// Resolves a tenant id to its state; an id the service does not host
+    /// is [`ServiceError::UnknownTenant`].
+    pub(crate) fn resolve(&self, id: &TenantId) -> Result<Arc<TenantState>, ServiceError> {
         if id.is_default() {
-            return Some(Arc::clone(&self.default));
+            return Ok(Arc::clone(&self.default));
         }
         self.tenants
             .read()
@@ -196,6 +194,7 @@ impl TenantRegistry {
             .iter()
             .find(|t| t.id == *id)
             .cloned()
+            .ok_or_else(|| ServiceError::UnknownTenant(id.as_str().to_string()))
     }
 
     /// Checks that `id` can be hosted alongside the currently registered
@@ -271,105 +270,6 @@ fn fingerprint_collision<'a>(
         .into_iter()
         .find(|(_, fp)| *fp == fingerprint)
         .map(|(name, _)| name.to_string())
-}
-
-/// The per-tenant administration facade, returned by
-/// [`QueryService::admin`](crate::QueryService::admin).
-///
-/// Every mutation of what a tenant serves goes through here, scoped to the
-/// one tenant named at construction — there is no way to reload tenant A
-/// while holding tenant B's facade.  The facade borrows the service, so it
-/// cannot outlive the worker pool it administers.
-///
-/// ```
-/// use std::sync::Arc;
-/// use soda_core::{EngineSnapshot, SodaConfig};
-/// use soda_service::{QueryService, ServiceConfig};
-///
-/// let w = soda_warehouse::minibank::build(42);
-/// let snapshot = Arc::new(EngineSnapshot::build(
-///     Arc::new(w.database),
-///     Arc::new(w.graph),
-///     SodaConfig::default(),
-/// ));
-/// let service = QueryService::start(snapshot, ServiceConfig::default());
-/// let admin = service.admin("default").unwrap();
-/// assert_eq!(admin.generation(), 0);
-/// assert!(service.admin("no-such-tenant").is_err());
-/// ```
-pub struct TenantAdmin<'a> {
-    pub(crate) service: &'a QueryService,
-    pub(crate) tenant: Arc<TenantState>,
-}
-
-impl TenantAdmin<'_> {
-    /// The tenant this facade administers.
-    pub fn id(&self) -> &TenantId {
-        &self.tenant.id
-    }
-
-    /// Generation of the snapshot this tenant currently serves.
-    pub fn generation(&self) -> u64 {
-        self.tenant.handle.generation()
-    }
-
-    /// The engine snapshot this tenant currently serves.  A subsequent
-    /// [`reload`](Self::reload) does not invalidate the returned `Arc`; it
-    /// just stops being what new submissions see.
-    pub fn engine(&self) -> Arc<EngineSnapshot> {
-        self.tenant.handle.load()
-    }
-
-    /// Swaps in a full replacement snapshot for this tenant **without
-    /// draining the worker pool**: the tenant's in-flight queries finish on
-    /// the generation they pinned at submission, new submissions see the
-    /// new one.  Other tenants' cached pages are untouched.  Returns the
-    /// new generation.
-    pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
-        self.service.reload_for(&self.tenant, snapshot)
-    }
-
-    /// Per-shard hot swap for this tenant: rebuilds and atomically replaces
-    /// the inverted-index partitions owning `tables` while every other
-    /// shard keeps serving.  Cached pages whose queries provably never
-    /// consulted a rebuilt partition are carried across the swap.  Returns
-    /// the new generation.
-    pub fn rebuild_shards(&self, db: Arc<Database>, tables: &[String]) -> u64 {
-        self.service.rebuild_shards_for(&self.tenant, db, tables)
-    }
-
-    /// Metadata hot swap for this tenant: rebuilds the classification index
-    /// and join catalog against a refreshed graph.  Returns the new
-    /// generation.
-    pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
-        self.service.refresh_graph_for(&self.tenant, graph)
-    }
-
-    /// Streaming ingestion into this tenant's snapshot: absorbs a row-level
-    /// change feed into per-shard side logs without rebuilding any index
-    /// partition.  On a durable service the feed is journaled write-ahead
-    /// to **this tenant's** journal.  Returns the new generation.
-    pub fn ingest(&self, feed: &ChangeFeed) -> Result<u64, ServiceError> {
-        self.service.ingest_owned_for(&self.tenant, feed.clone())
-    }
-
-    /// [`ingest`](Self::ingest) for an **owned** feed — the zero-copy path.
-    pub fn ingest_owned(&self, feed: ChangeFeed) -> Result<u64, ServiceError> {
-        self.service.ingest_owned_for(&self.tenant, feed)
-    }
-
-    /// Folds this tenant's ingestion side logs of `shards` into rebuilt
-    /// partitions.  Returns the new generation, or `None` when none of the
-    /// named shards had a log to fold.
-    pub fn compact(&self, shards: &[usize]) -> Option<u64> {
-        self.service.compact_for(&self.tenant, shards)
-    }
-
-    /// Drops this tenant's cached result pages (other tenants' pages and
-    /// the lifetime hit/miss counters survive).
-    pub fn clear_cache(&self) {
-        self.service.clear_cache_for(&self.tenant);
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,221 @@
+//! The worker loop: pop a job, run the five-step pipeline against the
+//! snapshot the job pinned, publish the page and resolve every waiter.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use soda_core::ProbeRecorder;
+use soda_trace::{CollectingSink, NoopSink, Sampler, TraceSink};
+
+use crate::cache::CacheKey;
+use crate::request::{ServiceError, SlowQuery};
+use crate::service::{CachedPage, Shared};
+
+pub(crate) fn worker_loop(shared: &Shared) {
+    loop {
+        let job = {
+            let mut state = shared.queue.lock().expect("queue poisoned");
+            loop {
+                if let Some(job) = state.pop_round_robin() {
+                    break job;
+                }
+                if state.shutdown {
+                    return;
+                }
+                state = shared.not_empty.wait(state).expect("queue poisoned");
+            }
+        };
+        // notify_all, not notify_one: admission control blocks submitters on
+        // two different predicates (global capacity and per-tenant quota),
+        // and a single wake-up could land on a submitter whose own lane is
+        // still full while one that could proceed keeps sleeping.
+        shared.not_full.notify_all();
+
+        // If the pipeline panics, the pending entry must not leak: this
+        // guard removes it and drops the coalesced waiters' senders, so
+        // their `wait()` resolves with `Disconnected` (exactly what a worker
+        // panic produced before coalescing existed) and future submissions
+        // of the key recompute instead of attaching to a dead job.
+        struct PendingGuard<'a> {
+            shared: &'a Shared,
+            key: Option<CacheKey>,
+        }
+        impl Drop for PendingGuard<'_> {
+            fn drop(&mut self) {
+                if let Some(key) = self.key.take() {
+                    if let Ok(mut store) = self.shared.store.lock() {
+                        store.pending.remove(&key);
+                    }
+                }
+            }
+        }
+        let mut guard = PendingGuard {
+            shared,
+            key: Some(job.key.clone()),
+        };
+        // Queue wait ends here: everything from `dequeued` on is execution.
+        let dequeued = Instant::now();
+        let queue_wait = dequeued.duration_since(job.submitted);
+        // The recorder captures which shards the probes scan and which probe
+        // tokens the phrases select — the evidence that lets a data-only
+        // snapshot swap retain this page instead of purging it.
+        let recorder = ProbeRecorder::new();
+        // A collecting sink runs when anything downstream might keep the
+        // span tree: a slow-query threshold (the capture decision needs the
+        // final latency, which only exists afterwards), a head-sampled
+        // draw, or tail sampling rules (which also decide on the final
+        // latency).  Otherwise the noop sink keeps the pipeline's
+        // instrumentation at a single `enabled()` check per site.
+        let tail_capture = job
+            .tenant
+            .sampler
+            .as_ref()
+            .is_some_and(Sampler::tail_enabled);
+        let head_sampled = job.head.is_some_and(|h| h.sampled);
+        let collecting =
+            (shared.config.slow_query_threshold.is_some() || head_sampled || tail_capture)
+                .then(CollectingSink::new);
+        let sink: &dyn TraceSink = match &collecting {
+            Some(c) => c,
+            None => &NoopSink,
+        };
+        let (page, page_size) = (job.key.page, job.key.page_size);
+        let observed = job
+            .engine
+            .search_paged_observed(&job.input, page, page_size, Some(&recorder), sink)
+            .map_err(ServiceError::Engine);
+        let execution = dequeued.elapsed();
+        let (outcome, timings) = match observed {
+            Ok((page, timings)) => (Ok(page), Some(timings)),
+            Err(e) => (Err(e), None),
+        };
+        // Normal path: the completion hand-off below owns the cleanup.
+        guard.key = None;
+        // A swap may have landed while this job ran: a page keyed by a
+        // superseded fingerprint can never be hit again (submissions compute
+        // keys from the live snapshot), so inserting it would only evict a
+        // live entry from a full cache.  The check races benignly with a
+        // concurrent swap — worst case one soon-unaddressable page slips in
+        // and ages out of the LRU.
+        let still_live = job.key.snapshot_fingerprint == job.tenant.folded_live();
+        // Counted before the page becomes visible, so no reader can see the
+        // page of an execution the counters do not know yet.
+        job.tenant.executions.fetch_add(1, Ordering::Relaxed);
+        // Publish the page and claim the coalesced waiters in one critical
+        // section, so no submission can slip between the cache insert and
+        // the pending-entry removal and end up waiting forever.
+        let waiters = {
+            let mut store = shared.store.lock().expect("store poisoned");
+            if let (Ok(page), true) = (&outcome, still_live) {
+                store.cache.insert(
+                    job.key.clone(),
+                    CachedPage {
+                        page: page.clone(),
+                        touched_mask: recorder.touched_mask(),
+                        touched_overflow: recorder.overflowed(),
+                        deps: Arc::new(recorder.deps()),
+                    },
+                );
+            }
+            store.pending.remove(&job.key).unwrap_or_default()
+        };
+        let e2e = job.submitted.elapsed();
+        shared.record_executed(e2e, queue_wait, execution, timings.as_ref());
+        job.tenant.record_response(e2e);
+        shared.record_slo(&job.tenant, e2e, outcome.is_ok());
+        let trace = collecting.map(CollectingSink::finish);
+        // A query over the threshold lands its full span tree in the
+        // slow-query log (the end-to-end figure decides, so a fast pipeline
+        // behind a deep queue is still captured — that *is* the slowness the
+        // caller experienced).
+        if let (Some(threshold), Some(trace)) = (shared.config.slow_query_threshold, &trace) {
+            if e2e >= threshold {
+                job.tenant.slow_queries.fetch_add(1, Ordering::Relaxed);
+                shared.event(
+                    "slow_query",
+                    &job.tenant.id,
+                    format!("{:?} end-to-end: {}", e2e, job.input),
+                );
+                shared
+                    .slow_log
+                    .lock()
+                    .expect("slow-query log poisoned")
+                    .push(SlowQuery {
+                        input: job.input.clone(),
+                        tenant: job.tenant.id.as_str().to_string(),
+                        total: e2e,
+                        queue_wait,
+                        execution,
+                        trace: trace.clone(),
+                    });
+            }
+        }
+        // The sampler's verdict; a kept query always has a collected trace
+        // (head-sampled and tail-enabled executions collect, see above).
+        shared.sample(&job.tenant, job.head, &job.input, e2e, || trace);
+        for waiter in waiters {
+            shared.account_unexecuted(&job.tenant, waiter.submitted, outcome.is_ok());
+            // A waiter may have dropped its handle; that is not an error.
+            let _ = waiter.tx.send(outcome.clone());
+        }
+        let _ = job.tx.send(outcome);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use crate::service::tests::minibank_service;
+    use crate::{QueryRequest, ServiceConfig};
+
+    #[test]
+    fn slow_query_threshold_captures_full_traces() {
+        // A zero threshold marks every executed query as slow —
+        // deterministic without timing games.
+        let service = minibank_service(ServiceConfig {
+            slow_query_threshold: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        });
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        // The cache hit is answered on the caller's thread — never captured.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        let m = service.metrics();
+        assert_eq!(m.slow_queries, 1);
+        let slow = service.slow_queries();
+        assert_eq!(slow.len(), 1);
+        let capture = &slow[0];
+        assert_eq!(capture.input, "Sara Guttinger");
+        assert!(capture.total >= capture.execution);
+        let root = capture.trace.find("query").expect("query root span");
+        for stage in soda_trace::names::STAGES {
+            assert!(
+                root.children.iter().any(|c| c.name == stage),
+                "missing stage {stage} in {}",
+                capture.trace.render()
+            );
+        }
+        assert!(service
+            .events()
+            .iter()
+            .any(|e| e.kind == "slow_query" && e.detail.contains("Sara Guttinger")));
+    }
+
+    #[test]
+    fn without_a_threshold_no_traces_are_captured() {
+        let service = minibank_service(ServiceConfig::default());
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(service.metrics().slow_queries, 0);
+        assert!(service.slow_queries().is_empty());
+    }
+}

@@ -85,7 +85,7 @@ pub mod prelude {
         AlertState, BurnAlert, CompactionConfig, DurabilityConfig, FsyncPolicy, JobHandle,
         JobResult, QueryRequest, QueryResponse, QueryService, RecoveryReport, SampledTrace,
         SamplingConfig, ServiceConfig, ServiceMetrics, SloConfig, SlowQuery, TenantAdmin, TenantId,
-        TenantMetrics, TracedQuery,
+        TenantMetrics,
     };
     pub use soda_trace::{CollectingSink, NoopSink, OpEvent, QueryTrace, TraceSink};
     pub use soda_warehouse::Warehouse;

@@ -213,11 +213,10 @@ fn slow_queries_land_full_traces_in_the_log() {
         .any(|s| s.name == names::PROBE_SHARD));
 }
 
-/// The Prometheus exposition parses as valid text format 0.0.4 and its
-/// family surface (`# TYPE` lines: names and kinds) matches the checked-in
-/// golden file — the scrape interface is stable.
-#[test]
-fn metrics_text_matches_the_golden_type_surface() {
+/// The exposition of a durable + sampling + SLO service that served one
+/// query and one ingest — every family present, the state the golden files
+/// were captured from.
+fn golden_metrics_text() -> String {
     let (db, graph) = {
         let w = soda::warehouse::minibank::build(42);
         (Arc::new(w.database), Arc::new(w.graph))
@@ -258,7 +257,21 @@ fn metrics_text_matches_the_golden_type_surface() {
         ))
         .unwrap();
 
-    let text = service.metrics_text();
+    service.metrics_text()
+}
+
+/// The `# HELP` and `# TYPE` lines of a document, in order.
+fn header_lines(text: &str) -> Vec<&str> {
+    text.lines().filter(|l| l.starts_with("# ")).collect()
+}
+
+/// The Prometheus exposition parses as valid text format 0.0.4 and its
+/// family surface (`# TYPE` lines: names and kinds) matches the checked-in
+/// golden file — the scrape interface is stable.  The `# HELP` texts are
+/// pinned beside it.
+#[test]
+fn metrics_text_matches_the_golden_type_surface() {
+    let text = golden_metrics_text();
     soda::trace::prom::validate(&text).expect("exposition must validate");
 
     let got: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
@@ -269,6 +282,26 @@ fn metrics_text_matches_the_golden_type_surface() {
         "the metric-family surface changed; update tests/golden/metrics_types.txt \
          only on a deliberate interface change"
     );
+    let golden = include_str!("golden/metrics_help.txt");
+    assert_eq!(
+        header_lines(&text),
+        golden.lines().collect::<Vec<_>>(),
+        "the HELP/TYPE headers changed; regenerate tests/golden/metrics_help.txt \
+         only on a deliberate interface change"
+    );
+}
+
+/// Rewrites `tests/golden/metrics_help.txt` from the current exposition.
+/// Run by hand only:
+/// `cargo test --test observability -- --ignored regenerate`.
+#[test]
+#[ignore = "rewrites tests/golden/metrics_help.txt"]
+fn regenerate() {
+    let text = golden_metrics_text();
+    let mut out = header_lines(&text).join("\n");
+    out.push('\n');
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics_help.txt");
+    fs::write(path, out).expect("writing the golden file");
 }
 
 /// Tracing is invisible to callers: a `.traced()` request answers
