@@ -55,7 +55,7 @@ impl BaselineSystem for Banks {
                 None => residual.push(token.clone()),
             }
         }
-        let (terms, unmatched) = base_data_terms(db, index, &residual.join(" "), 3);
+        let (terms, unmatched) = base_data_terms(index, &residual.join(" "), 3);
         if schema_tables.is_empty() && (terms.is_empty() || terms.iter().any(|t| t.is_empty())) {
             return None;
         }

@@ -34,7 +34,7 @@ impl BaselineSystem for DbExplorer {
             return None;
         }
         let graph = SchemaJoinGraph::build(db);
-        let (terms, _unmatched) = base_data_terms(db, index, query, 3);
+        let (terms, _unmatched) = base_data_terms(index, query, 3);
         if terms.is_empty() || terms.iter().any(|t| t.is_empty()) {
             return None;
         }

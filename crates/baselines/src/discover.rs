@@ -37,7 +37,7 @@ impl BaselineSystem for Discover {
             return None;
         }
         let graph = SchemaJoinGraph::build(db);
-        let (terms, unmatched) = base_data_terms(db, index, query, 3);
+        let (terms, unmatched) = base_data_terms(index, query, 3);
         if terms.is_empty() || terms.iter().any(|t| t.is_empty()) {
             return None;
         }

@@ -161,7 +161,6 @@ pub struct DataHit {
 /// the inverted-index-based systems.  Returns per matched span the list of
 /// candidate hits, plus the words that matched nothing.
 pub fn base_data_terms(
-    db: &Database,
     index: &InvertedIndex,
     query: &str,
     max_span: usize,
@@ -175,7 +174,7 @@ pub fn base_data_terms(
         let mut matched = false;
         for span in (1..=top).rev() {
             let phrase = tokens[i..i + span].join(" ");
-            let hits = index.lookup_phrase(db, &phrase);
+            let hits = index.lookup_phrase(&phrase);
             if !hits.is_empty() {
                 let mut per_column: Vec<DataHit> = Vec::new();
                 for hit in hits {
@@ -318,7 +317,7 @@ mod tests {
     fn base_data_terms_find_hits_and_unmatched_words() {
         let db = db();
         let index = InvertedIndex::build(&db);
-        let (terms, unmatched) = base_data_terms(&db, &index, "Sara Zurich nonsense", 3);
+        let (terms, unmatched) = base_data_terms(&index, "Sara Zurich nonsense", 3);
         assert_eq!(terms.len(), 2);
         assert_eq!(unmatched, vec!["nonsense"]);
         assert_eq!(terms[0][0].table, "individuals");
@@ -330,7 +329,7 @@ mod tests {
         let db = db();
         let index = InvertedIndex::build(&db);
         let graph = SchemaJoinGraph::build(&db);
-        let (terms, _) = base_data_terms(&db, &index, "Sara Zurich", 3);
+        let (terms, _) = base_data_terms(&index, "Sara Zurich", 3);
         let hits: Vec<DataHit> = terms.iter().map(|t| t[0].clone()).collect();
         let sql = candidate_network_sql(&graph, &hits).unwrap();
         assert!(sql.contains("individuals"));

@@ -1,25 +1,19 @@
 //! Lookup-layer sharding benchmark on the enterprise-scale warehouse.
 //!
-//! Two views of the same workload at 1/2/4/8 shards:
+//! The same workload at 1/2/4/8 shards: `lookup_step` is the wall-clock time
+//! of Step 1 alone, `full_search` of the whole pipeline.  Shards are probed
+//! inline, in order, and a probe walks a handful of value entries per shard,
+//! so partitioning buys no latency here — it is the unit of rebuild, side
+//! logs and cache retention (`snapshot_swap`, `delta_ingest`).  What this
+//! bench guards is that it does not *cost* any either: the curves should be
+//! flat across shard counts.
 //!
-//! * `lookup_step` / `full_search` — wall-clock time of Step 1 alone and of
-//!   the whole pipeline.  The fan-out only spawns helper threads when the
-//!   host has spare cores (`available_parallelism`), so on a single-core
-//!   runner these stay flat (multi-shard never pessimizes) while on a
-//!   multicore host they follow the critical path.
-//! * `probe_critical_path` — the per-probe critical path: scanning only the
-//!   *largest* busy shard of each query's probe, which is what bounds a
-//!   parallel probe's latency once every shard has its own core.  This is
-//!   the structural speedup sharding unlocks, independent of the bench
-//!   host's core count.
-//!
-//! The workload leans on probe-heavy tokens whose postings spread over
-//! several tables — "Switzerland" spans `individual`, `organization` and
-//! `address`; family names span `individual` and `individual_name_hist`;
-//! currency codes span `trade_order_td`, `money_transaction_td` and
-//! `account_td` — which is the shape table-partitioned fan-out accelerates.
-//! SQL output is byte-identical at every shard count, so the comparison is
-//! pure latency.
+//! The workload leans on tokens whose postings spread over several tables —
+//! "Switzerland" spans `individual`, `organization` and `address`; family
+//! names span `individual` and `individual_name_hist`; currency codes span
+//! `trade_order_td`, `money_transaction_td` and `account_td` — so every
+//! probe touches several shards once there are several.  SQL output is
+//! byte-identical at every shard count, so the comparison is pure latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -28,7 +22,7 @@ use soda_core::{SodaConfig, SodaEngine};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::Warehouse;
 
-/// Probe-heavy lookup workload (see the module docs for why these tokens).
+/// Multi-table lookup workload (see the module docs for why these tokens).
 const QUERIES: &[&str] = &[
     "customers Switzerland",
     "Meier",
@@ -50,7 +44,7 @@ fn engine(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
 
 fn bench_lookup_sharding(c: &mut Criterion) {
     // Scale both the transactional tables and the party-rooted dimensions so
-    // the probe-token postings lists are long, and long across many tables.
+    // the probe tokens occur in many rows, across many tables.
     let warehouse = enterprise::build_with_dimensions(
         EnterpriseConfig {
             seed: 42,
@@ -87,40 +81,6 @@ fn bench_lookup_sharding(c: &mut Criterion) {
                         results += engine.search(query).expect("search runs").len();
                     }
                     black_box(results)
-                })
-            },
-        );
-        // Critical path: for every word of every query that probes the base
-        // data, scan only the largest busy shard — a lower bound on the
-        // probe's parallel latency, and exactly the 1-shard scan when
-        // shards = 1.
-        group.bench_with_input(
-            BenchmarkId::new("probe_critical_path", shards),
-            &engine,
-            |b, engine| {
-                let index = engine.inverted_index().expect("index enabled");
-                // The largest busy shard per probe is iteration-invariant:
-                // resolve it outside the timed loop so the metric measures
-                // only the scan itself.
-                let targets: Vec<_> = QUERIES
-                    .iter()
-                    .flat_map(|q| q.split_whitespace())
-                    .filter_map(|word| index.probe(word))
-                    .map(|probe| {
-                        let largest = index
-                            .shards()
-                            .iter()
-                            .max_by_key(|s| s.probe_candidates(&probe).len())
-                            .expect("at least one shard");
-                        (largest, probe)
-                    })
-                    .collect();
-                b.iter(|| {
-                    let mut hits = 0usize;
-                    for (shard, probe) in &targets {
-                        hits += shard.probe_phrase(&warehouse.database, probe).len();
-                    }
-                    black_box(hits)
                 })
             },
         );

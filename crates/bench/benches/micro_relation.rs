@@ -48,9 +48,9 @@ fn bench_relation(c: &mut Criterion) {
     group.bench_function("inverted_index_phrase_lookup", |b| {
         let index = InvertedIndex::build(db);
         b.iter(|| {
-            black_box(index.lookup_phrase(db, "Credit Suisse").len())
-                + black_box(index.lookup_phrase(db, "Zurich").len())
-                + black_box(index.lookup_phrase(db, "YEN").len())
+            black_box(index.lookup_phrase("Credit Suisse").len())
+                + black_box(index.lookup_phrase("Zurich").len())
+                + black_box(index.lookup_phrase("YEN").len())
         })
     });
 

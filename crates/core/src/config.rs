@@ -106,11 +106,11 @@ pub struct SodaConfig {
     /// Number of partitions ("shards") the lookup-layer indexes are split
     /// into.  `1` (the default) keeps the classic monolithic classification
     /// and inverted indexes; larger values partition both by stable hash
-    /// (inverted index by owning table, classification index by phrase) and
-    /// make the lookup step fan each term's base-data probe out across the
-    /// shards on scoped threads.  The merge is canonical, so generated SQL is
-    /// byte-identical for every shard count; the knob only trades lookup
-    /// latency against thread fan-out overhead.  Folded into
+    /// (inverted index by owning table, classification index by phrase).
+    /// A partition is the unit of per-shard rebuilds, streaming side logs
+    /// and cache retention, not of parallelism: the lookup step probes the
+    /// shards inline, in order.  The merge is canonical, so generated SQL is
+    /// byte-identical for every shard count.  Folded into
     /// [`fingerprint`](Self::fingerprint) like every other field.
     pub shards: usize,
     /// Ranking weights.
@@ -162,8 +162,9 @@ impl Default for SodaConfig {
 ///
 /// The override exists for CI: because SQL output is shard-invariant by
 /// construction, the entire workspace test suite can be re-run with e.g.
-/// `SODA_TEST_SHARDS=4` to exercise the multi-shard fan-out paths everywhere
-/// a test builds a default-configured engine, without touching any test.
+/// `SODA_TEST_SHARDS=4` to exercise the multi-shard probe and merge paths
+/// everywhere a test builds a default-configured engine, without touching
+/// any test.
 fn default_shards() -> usize {
     std::env::var("SODA_TEST_SHARDS")
         .ok()

@@ -377,8 +377,8 @@ impl EngineCore {
         }
     }
 
-    /// Runs only Step 1 (lookup) for an input — the shard fan-out hot path,
-    /// exposed for benchmarks and diagnostics.
+    /// Runs only Step 1 (lookup) for an input — exposed for benchmarks and
+    /// diagnostics.
     pub(crate) fn lookup(
         &self,
         db: &Database,
@@ -726,8 +726,7 @@ impl<'a> SodaEngine<'a> {
 
     /// Runs only Step 1 (lookup) for an input: keyword segmentation plus the
     /// per-shard classification/base-data probes, without ranking or SQL
-    /// generation.  This is the fan-out hot path the `lookup_sharding`
-    /// benchmark measures.
+    /// generation.  This is what the `lookup_sharding` benchmark measures.
     pub fn lookup(&self, input: &str) -> Result<LookupResult> {
         self.core.lookup(self.db, self.graph, input)
     }

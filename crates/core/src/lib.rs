@@ -31,7 +31,6 @@
 //! assert!(results[0].sql.starts_with("SELECT"));
 //! ```
 
-pub mod budget;
 pub mod classification;
 pub mod codec;
 pub mod config;
@@ -51,7 +50,6 @@ pub mod snapshot;
 pub mod suggest;
 pub mod tenant;
 
-pub use budget::ProbeBudget;
 pub use classification::ClassificationIndex;
 pub use config::{RankingWeights, SodaConfig};
 pub use engine::SodaEngine;

@@ -8,18 +8,24 @@
 //! combinatorial product of those sets is the query complexity reported in
 //! Table 4.
 //!
-//! ## Shard fan-out
+//! ## Base-data probes
 //!
-//! The inverted index is partitioned by table; each term's base-data probe
-//! fans out across the shards (`base_data_hits`) — on scoped threads when
-//! the probe token's postings are plentiful enough to amortise the spawns,
-//! inline otherwise — and the per-shard results merge in canonical
-//! `(table, column, value)` order.  Every shard scans the postings of the
-//! *same*, globally chosen probe token, so the merged candidate set (and
-//! therefore the generated SQL) is byte-identical for any shard count.
+//! A keyword group is tokenised once and the live frequency of each of its
+//! tokens resolved once; every span the longest-first loop tries derives
+//! its probe — the rarest token, or none when some token occurs nowhere —
+//! from that table.  The inverted index is partitioned by table; a probe
+//! walks, inline and in shard order, the shards holding entries of the
+//! probe token (`base_data_hits`) — a handful of distinct column values
+//! each, so there is nothing to parallelise — and the per-shard results
+//! merge in canonical `(table, column, value)` order.  Every shard walks
+//! the entries of the *same*, globally chosen probe token, so the merged
+//! candidate set (and therefore the generated SQL) is byte-identical for
+//! any shard count.
 
 use soda_relation::index::tokenizer::tokenize;
-use soda_relation::{merge_hits, AggFunc, CompareOp, PhraseHit, Value};
+use soda_relation::{
+    merge_hits, AggFunc, CompareOp, PhraseHit, PhraseProbe, ShardedInvertedIndex, Value,
+};
 use soda_trace::{names, SpanId};
 
 use soda_metagraph::NodeId;
@@ -152,7 +158,7 @@ impl LookupResult {
 
 /// Runs the lookup step.  `span` is the enclosing `lookup` trace span (or
 /// [`SpanId::NONE`]): each phrase's base-data probe reports a `probe` span
-/// under it, with one `probe_shard` sub-span per scanned shard.
+/// under it, with one `probe_shard` sub-span per probed shard.
 pub fn run(ctx: &PipelineContext<'_>, query: &SodaQuery, span: SpanId) -> LookupResult {
     let mut result = LookupResult::default();
     let mut last_phrase: Option<String> = None;
@@ -244,6 +250,12 @@ fn segment(
     trace_span: SpanId,
 ) -> (Vec<TermMatch>, Vec<String>) {
     let tokens = tokenize(group);
+    // Each token's live frequency in the base data, resolved once for all
+    // the spans it takes part in.
+    let frequencies: Vec<usize> = match ctx.index {
+        Some(index) => tokens.iter().map(|t| index.token_frequency(t)).collect(),
+        None => Vec::new(),
+    };
     let mut matches = Vec::new();
     let mut unmatched = Vec::new();
     let mut i = 0;
@@ -251,8 +263,14 @@ fn segment(
         let max_span = ctx.config.max_phrase_tokens.min(tokens.len() - i);
         let mut matched = false;
         for span in (1..=max_span).rev() {
-            let phrase = tokens[i..i + span].join(" ");
-            let candidates = candidates_for(ctx, &phrase, trace_span);
+            let window = i..i + span;
+            let phrase = tokens[window.clone()].join(" ");
+            let mut candidates = label_candidates(ctx, &phrase);
+            if let Some(index) = ctx.index {
+                let probe = PhraseProbe::select(&tokens[window.clone()], &frequencies[window]);
+                let hits = base_data_hits(ctx, index, &phrase, probe, trace_span);
+                base_data_candidates(ctx, &phrase, hits, &mut candidates);
+            }
             if !candidates.is_empty() {
                 matches.push(TermMatch {
                     phrase,
@@ -272,69 +290,17 @@ fn segment(
     (matches, unmatched)
 }
 
-/// Minimum number of candidate postings (of the probe token, across all
-/// shards) before the per-shard probes fan out on scoped threads.  Below
-/// this, thread-spawn overhead dwarfs the scan and the shards are probed
-/// inline on the caller's thread; either way the merged result is identical.
-const PARALLEL_PROBE_MIN_POSTINGS: usize = 512;
-
-/// Minimum candidate postings a single shard must hold to earn its own
-/// helper thread during fan-out; shards below this ride along on the
-/// caller's thread, whose scan of the largest shard bounds the critical path
-/// anyway.
-const PARALLEL_PROBE_MIN_SHARD_POSTINGS: usize = 256;
-
-/// Cached `available_parallelism`: on a single-core host helper threads can
-/// only serialize behind the caller plus spawn overhead, so fan-out is
-/// skipped entirely; on an N-core host at most N-1 helpers are spawned.
-fn probe_parallelism() -> usize {
-    static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *PARALLELISM.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Permits taken from the process-global [`crate::budget::ProbeBudget`] for
-/// one fan-out, returned on drop so a panicking probe can't leak them.
-struct ProbePermits {
-    granted: usize,
-}
-
-impl ProbePermits {
-    fn acquire(wanted: usize) -> Self {
-        ProbePermits {
-            granted: crate::budget::ProbeBudget::global().try_acquire(wanted),
-        }
-    }
-
-    fn none() -> Self {
-        ProbePermits { granted: 0 }
-    }
-}
-
-impl Drop for ProbePermits {
-    fn drop(&mut self) {
-        crate::budget::ProbeBudget::global().release(self.granted);
-    }
-}
-
-/// Probes the base data for a phrase: one probe per inverted-index shard
-/// holding candidates, fanned out on scoped threads for heavy probes and
-/// merged canonically.
-///
-/// Fan-out spawns threads only for the shards where the probe token actually
-/// has postings, and the calling thread scans the *largest* such shard
-/// itself while the helpers run — the largest shard bounds the critical path
-/// anyway, so its scan absorbs the spawn latency of the others.  Shard
-/// partitioning is by table, so result merging is a plain canonical sort
-/// ([`merge_hits`]) regardless of which thread produced what.
-fn base_data_hits(ctx: &PipelineContext<'_>, phrase: &str, trace_span: SpanId) -> Vec<PhraseHit> {
-    let Some(index) = ctx.index else {
-        return Vec::new();
-    };
-    let probe = index.probe(phrase);
+/// Probes the base data for a phrase: the shards holding entries of the
+/// probe token are probed inline, in shard order, and their hits merged
+/// canonically ([`merge_hits`] — partitioning is by table, so that is a
+/// plain sort, and not even that when one shard answered).
+fn base_data_hits(
+    ctx: &PipelineContext<'_>,
+    index: &ShardedInvertedIndex,
+    phrase: &str,
+    probe: Option<PhraseProbe>,
+    trace_span: SpanId,
+) -> Vec<PhraseHit> {
     if let Some(recorder) = ctx.recorder {
         // Probing is a dependency even when it misses: ingested rows could
         // give a postings-free phrase candidates later, so a cached page is
@@ -353,104 +319,47 @@ fn base_data_hits(ctx: &PipelineContext<'_>, phrase: &str, trace_span: SpanId) -
     } else {
         SpanId::NONE
     };
-    // Shards with candidate postings (frozen + side log) for the probe
-    // token, largest first; the probe counters track which shards carried
-    // real scan work.
-    let mut busy: Vec<(usize, usize)> = (0..index.shard_count())
-        .filter_map(|i| {
-            let candidates = index.shard_candidates(i, &probe);
-            (candidates > 0).then_some((i, candidates))
-        })
-        .collect();
-    busy.sort_by_key(|&(i, candidates)| (std::cmp::Reverse(candidates), i));
-    for &(i, _) in &busy {
+    let mut total_candidates = 0;
+    let mut per_shard: Vec<Vec<PhraseHit>> = Vec::new();
+    for i in 0..index.shard_count() {
+        // Candidates are the distinct column values holding the probe
+        // token, split into the frozen partition's and the side log's (the
+        // not-yet-compacted streaming ingests).
+        let (frozen, log) = index.shard_candidate_split(i, &probe);
+        if frozen + log == 0 {
+            continue;
+        }
+        total_candidates += frozen + log;
         ctx.probes.record(i);
         if let Some(recorder) = ctx.recorder {
             recorder.touch(i);
         }
-    }
-    let total_candidates: usize = busy.iter().map(|&(_, n)| n).sum();
-    if enabled {
-        ctx.sink
-            .annotate(probe_span, "candidates", total_candidates.into());
-    }
-    // One shard's scan, wrapped in a `probe_shard` span when tracing: the
-    // span carries the shard id and splits its candidates into frozen-index
-    // vs. side-log postings, so a trace shows whether scan work came from
-    // the built partition or from not-yet-compacted streaming ingests.
-    // Captures only shared references, so it is `Copy` and can be handed to
-    // every helper thread of the fan-out below.
-    let probe_ref = &probe;
-    let probe_one = move |i: usize| -> Vec<PhraseHit> {
         if !enabled {
-            return index.probe_shard(i, ctx.db, probe_ref);
+            per_shard.push(index.probe_shard(i, &probe));
+            continue;
         }
         let span = ctx.sink.begin_span(names::PROBE_SHARD, probe_span);
         ctx.sink.annotate(span, "shard", i.into());
-        let (frozen, log) = index.shard_candidate_split(i, probe_ref);
         ctx.sink.annotate(span, "frozen_candidates", frozen.into());
         ctx.sink.annotate(span, "log_candidates", log.into());
-        let hits = index.probe_shard(i, ctx.db, probe_ref);
+        let hits = index.probe_shard(i, &probe);
         ctx.sink.annotate(span, "hits", hits.len().into());
         ctx.sink.end_span(span);
-        hits
-    };
-    // Helper threads are only worth their spawn cost for shards with a
-    // substantial scan, and only up to the host's spare cores; the caller
-    // keeps the largest shard (which bounds the critical path regardless)
-    // plus every below-threshold or over-core straggler.  Each helper also
-    // needs a permit from the process-global probe budget, so concurrent
-    // probes — from many service workers or many tenants — never
-    // oversubscribe the cores between them; a depleted budget degrades the
-    // probe to an inline scan with an identical merged result.
-    let mut helpers: Vec<usize> = busy
-        .iter()
-        .skip(1)
-        .filter(|&&(_, n)| n >= PARALLEL_PROBE_MIN_SHARD_POSTINGS)
-        .map(|&(i, _)| i)
-        .take(probe_parallelism().saturating_sub(1))
-        .collect();
-    let heavy = total_candidates >= PARALLEL_PROBE_MIN_POSTINGS;
-    let permits = if heavy && !helpers.is_empty() {
-        ProbePermits::acquire(helpers.len())
-    } else {
-        ProbePermits::none()
-    };
-    helpers.truncate(permits.granted);
-    let per_shard: Vec<Vec<PhraseHit>> = if !helpers.is_empty() {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = helpers
-                .iter()
-                .map(|&i| scope.spawn(move || probe_one(i)))
-                .collect();
-            let mut results: Vec<Vec<PhraseHit>> = busy
-                .iter()
-                .filter(|&&(i, _)| !helpers.contains(&i))
-                .map(|&(i, _)| probe_one(i))
-                .collect();
-            results.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard probe thread panicked")),
-            );
-            results
-        })
-    } else {
-        busy.iter().map(|&(i, _)| probe_one(i)).collect()
-    };
-    drop(permits);
+        per_shard.push(hits);
+    }
     let merged = merge_hits(per_shard);
     if enabled {
+        ctx.sink
+            .annotate(probe_span, "candidates", total_candidates.into());
         ctx.sink.annotate(probe_span, "hits", merged.len().into());
         ctx.sink.end_span(probe_span);
     }
     merged
 }
 
-/// All candidate entry points for a phrase: metadata labels plus base data.
-fn candidates_for(ctx: &PipelineContext<'_>, phrase: &str, trace_span: SpanId) -> Vec<EntryPoint> {
-    let mut out: Vec<EntryPoint> = ctx
-        .classification
+/// The metadata labels matching a phrase, as candidate entry points.
+fn label_candidates(ctx: &PipelineContext<'_>, phrase: &str) -> Vec<EntryPoint> {
+    ctx.classification
         .lookup(phrase)
         .iter()
         .map(|e| EntryPoint {
@@ -459,43 +368,48 @@ fn candidates_for(ctx: &PipelineContext<'_>, phrase: &str, trace_span: SpanId) -
             provenance: e.provenance,
             base_filter: None,
         })
-        .collect();
+        .collect()
+}
 
-    if ctx.index.is_some() {
-        let hits = base_data_hits(ctx, phrase, trace_span);
-        // Group hits per column; a column with a single distinct value gets an
-        // equality filter on that value, otherwise a LIKE on the phrase.
-        let mut per_column: Vec<(String, String, Vec<String>)> = Vec::new();
-        for hit in hits {
-            match per_column
-                .iter_mut()
-                .find(|(t, c, _)| *t == hit.table && *c == hit.column)
-            {
-                Some((_, _, values)) => values.push(hit.value),
-                None => per_column.push((hit.table, hit.column, vec![hit.value])),
-            }
-        }
-        for (table, column, values) in per_column {
-            let Some(node) = ctx.graph.node(&format!("phys/{table}/{column}")) else {
-                continue;
-            };
-            let exact = values.len() == 1;
-            out.push(EntryPoint {
-                phrase: phrase.to_string(),
-                node,
-                provenance: Provenance::BaseData,
-                base_filter: Some(BaseDataFilter {
-                    table,
-                    column,
-                    value: if exact {
-                        values.into_iter().next().expect("one value")
-                    } else {
-                        phrase.to_string()
-                    },
-                    exact,
-                }),
-            });
+/// Appends the base-data entry points of a phrase to `out`: one per column
+/// among its `hits`.
+fn base_data_candidates(
+    ctx: &PipelineContext<'_>,
+    phrase: &str,
+    hits: Vec<PhraseHit>,
+    out: &mut Vec<EntryPoint>,
+) {
+    // Group hits per column; a column with a single distinct value gets an
+    // equality filter on that value, otherwise a LIKE on the phrase.
+    let mut per_column: Vec<(String, String, Vec<String>)> = Vec::new();
+    for hit in hits {
+        match per_column
+            .iter_mut()
+            .find(|(t, c, _)| *t == hit.table && *c == hit.column)
+        {
+            Some((_, _, values)) => values.push(hit.value),
+            None => per_column.push((hit.table, hit.column, vec![hit.value])),
         }
     }
-    out
+    for (table, column, values) in per_column {
+        let Some(node) = ctx.graph.node(&format!("phys/{table}/{column}")) else {
+            continue;
+        };
+        let exact = values.len() == 1;
+        out.push(EntryPoint {
+            phrase: phrase.to_string(),
+            node,
+            provenance: Provenance::BaseData,
+            base_filter: Some(BaseDataFilter {
+                table,
+                column,
+                value: if exact {
+                    values.into_iter().next().expect("one value")
+                } else {
+                    phrase.to_string()
+                },
+                exact,
+            }),
+        });
+    }
 }

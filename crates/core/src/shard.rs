@@ -12,9 +12,9 @@ use std::sync::Mutex;
 
 /// Per-shard probe counters, shared by every pipeline run of one engine.
 ///
-/// Lock-free: the lookup step runs on worker threads (and fans out over
-/// scoped threads), so the counters are relaxed atomics — totals are exact,
-/// momentary cross-shard skew is acceptable for a metrics gauge.
+/// Lock-free: the lookup step runs on every worker thread of a service, so
+/// the counters are relaxed atomics — totals are exact, momentary
+/// cross-shard skew is acceptable for a metrics gauge.
 #[derive(Debug)]
 pub struct ShardProbes {
     counters: Vec<AtomicU64>,
@@ -79,9 +79,9 @@ pub struct ProbeDep {
 /// Records what one query's lookup actually consulted in the base data: the
 /// shards its probes scanned and the (phrase, token) pair of every probe.
 ///
-/// Thread-safe because the lookup step fans probes out over scoped threads;
-/// shards are a relaxed bitmask (counts don't matter, membership does) and
-/// the dependency list sits behind a mutex taken once per probed phrase.
+/// Shared by reference with the pipeline run it records: shards are a
+/// relaxed bitmask (counts don't matter, membership does) and the dependency
+/// list sits behind a mutex taken once per probed phrase.
 /// Shard indexes ≥ 64 set the overflow flag instead — consumers must then
 /// treat the query as having touched everything.
 #[derive(Debug, Default)]

@@ -208,14 +208,15 @@ impl ChangeFeed {
         self.events.iter().map(RowEvent::row_count).sum()
     }
 
-    /// The distinct tables the feed touches, lower-cased and sorted — the
-    /// set whose owning shards an absorb dirties (and what a cache-retention
-    /// check needs to know).
+    /// The distinct tables the feed touches, folded the way the catalog
+    /// folds table names (ASCII case) and sorted — the set whose owning
+    /// shards an absorb dirties (and what a cache-retention check needs to
+    /// know).
     pub fn tables(&self) -> Vec<String> {
         let mut tables: Vec<String> = self
             .events
             .iter()
-            .map(|e| e.table().to_lowercase())
+            .map(|e| e.table().to_ascii_lowercase())
             .collect();
         tables.sort_unstable();
         tables.dedup();

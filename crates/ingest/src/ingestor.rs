@@ -249,8 +249,8 @@ mod tests {
             let rebuilt = InvertedIndex::build_sharded(&next, shards);
             for phrase in ["Basel", "Basler Bank", "Zurich", "Credit Suisse"] {
                 assert_eq!(
-                    merged.lookup_phrase(&next, phrase),
-                    rebuilt.lookup_phrase(&next, phrase),
+                    merged.lookup_phrase(phrase),
+                    rebuilt.lookup_phrase(phrase),
                     "'{phrase}' diverged at {shards} shards"
                 );
             }

@@ -1,50 +1,58 @@
 //! Sharded inverted index over the text columns of the base data.
 //!
 //! The paper builds an inverted index over all 472 base tables (text columns
-//! only; 9.5 GB, 24 hours to build on their hardware).  Here the index maps
-//! each token to postings `(table, column, row)` and offers the phrase lookup
-//! the SODA lookup step needs: given a keyword such as "Zurich" or
-//! "Credit Suisse", return the columns whose cells contain it, together with
-//! the matched cell value — that value becomes the filter literal in the
-//! generated SQL.
+//! only; 9.5 GB, 24 hours to build on their hardware).  Here the index offers
+//! the phrase lookup the SODA lookup step needs: given a keyword such as
+//! "Zurich" or "Credit Suisse", return the columns whose cells contain it,
+//! together with the matched cell value — that value becomes the filter
+//! literal in the generated SQL.
+//!
+//! ## Value-level postings
+//!
+//! A [`PhraseHit`] — table, column, value, row count — is a fact about a
+//! distinct value of a column, so that is what a shard stores: one entry per
+//! distinct `(column, cell text)` with the text, its normalised form and its
+//! row count, and `token → entry ids` (see `postings.rs`).  A probe walks
+//! the entries of one token — 5 for "AUD" in a warehouse where 3 515 rows
+//! hold it — and never reads the tables again.
+//!
+//! Two rules are unchanged from the row-level index this replaced, because
+//! they decide the answers:
+//!
+//! * The probe token is the phrase's globally rarest token by **live row
+//!   count** ([`token_frequency`](ShardedInvertedIndex::token_frequency)),
+//!   first minimum winning — so a side-log-merged index, a rebuilt one and
+//!   any shard count choose the same token.
+//! * A candidate matches when its normalised text *contains* the normalised
+//!   phrase as a substring.  Intersecting the posting lists of all the
+//!   phrase's tokens would be a different test: "dit suisse" finds "Credit
+//!   Suisse" here, because only the probe token has to be a whole token of
+//!   the cell.
 //!
 //! ## Sharding
 //!
 //! The postings are partitioned into [`IndexShard`]s by a *stable* hash of
 //! the owning table ([`shard_for_table`]), so every table's postings live in
-//! exactly one shard and a phrase probe decomposes into independent per-shard
-//! probes whose results merge deterministically ([`merge_hits`] — shards own
-//! disjoint table sets, so a sort by `(table, column, value)` reproduces the
-//! exact output of the monolithic index regardless of the shard count).
-//! [`ShardedInvertedIndex::build`] is the classic 1-shard case; callers that
-//! want partition-parallel probes build with
-//! [`ShardedInvertedIndex::build_sharded`] and drive the shards themselves
-//! (see `soda-core`'s lookup step), or call
-//! [`lookup_phrase`](ShardedInvertedIndex::lookup_phrase) for the sequential
-//! all-shard probe.
+//! exactly one shard.  The partition is the unit of rebuild
+//! ([`with_rebuilt_shards`](ShardedInvertedIndex::with_rebuilt_shards)), of
+//! the streaming side logs and of cache retention; it is not a unit of
+//! parallelism — a probe is a handful of entries per shard, and callers walk
+//! the shards in order.  Per-shard results merge deterministically
+//! ([`merge_hits`]): shards own disjoint table sets, so a sort by
+//! `(table, column, value)` reproduces the output of the monolithic index
+//! regardless of the shard count.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use super::postings::{fold_table_name, ValuePostings};
 use super::sidelog::SideLog;
 use super::tokenizer::tokenize;
 use crate::catalog::Database;
-use crate::value::Value;
 
 /// The classic (monolithic) inverted index is the 1-shard case of the
 /// sharded structure.
 pub type InvertedIndex = ShardedInvertedIndex;
-
-/// A single posting: one row of one text column containing the token.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
-pub struct Posting {
-    /// Table name.
-    pub table: String,
-    /// Column name.
-    pub column: String,
-    /// Row index within the table.
-    pub row: usize,
-}
 
 /// Result of a phrase lookup: a column that contains the phrase, the matched
 /// cell value and how many rows matched.
@@ -61,21 +69,36 @@ pub struct PhraseHit {
 }
 
 /// A prepared phrase probe, shared by every shard of one lookup so that all
-/// shards scan the postings of the *same* token.
+/// shards walk the entries of the *same* token.
 ///
 /// The probe token is chosen by global frequency across all shards
 /// ([`ShardedInvertedIndex::probe`]); choosing it per shard would let the
-/// shard count change which candidate cells are scanned and thereby the
+/// shard count change which candidate cells are considered and thereby the
 /// result set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhraseProbe {
     /// The normalized phrase: its tokens joined by single spaces.  A cell
     /// matches when its normalized text contains this needle.
     pub needle: String,
-    /// The globally rarest token of the phrase — every shard scans this
-    /// token's postings list.  Always normalized (lower-case tokenizer
-    /// output), so probes can access the postings maps directly.
+    /// The globally rarest token of the phrase — every shard walks this
+    /// token's entries.  Always normalized (lower-case tokenizer output).
     pub token: String,
+}
+
+impl PhraseProbe {
+    /// The probe of a phrase given as its normalized `tokens` and the live
+    /// frequency of each ([`ShardedInvertedIndex::token_frequency`]): the
+    /// rarest token is probed, the first one among equals.  `None` when the
+    /// phrase is empty or some token has no live posting — every token of
+    /// the phrase must occur in a matching cell, so the probe cannot hit.
+    pub fn select(tokens: &[String], frequencies: &[usize]) -> Option<PhraseProbe> {
+        debug_assert_eq!(tokens.len(), frequencies.len());
+        let (rarest, &frequency) = frequencies.iter().enumerate().min_by_key(|&(_, f)| f)?;
+        (frequency > 0).then(|| PhraseProbe {
+            needle: tokens.join(" "),
+            token: tokens[rarest].clone(),
+        })
+    }
 }
 
 /// FNV-1a over the bytes of a key: a stable hash (same value in every process
@@ -100,27 +123,26 @@ pub fn stable_shard(key: &str, shard_count: usize) -> usize {
     (fnv1a(key.as_bytes()) % shard_count as u64) as usize
 }
 
-/// The shard that owns `table`'s postings (case-insensitive, matching the
-/// catalog's case-insensitive table names).
+/// The shard that owns `table`'s postings.  Names are folded the way the
+/// catalog folds them (ASCII case), so two spellings route together exactly
+/// when they name the same table.
 pub fn shard_for_table(table: &str, shard_count: usize) -> usize {
-    stable_shard(&table.to_lowercase(), shard_count)
+    stable_shard(&fold_table_name(table), shard_count)
 }
 
-/// One partition of the inverted index: the postings of the tables whose
-/// stable hash routes here, plus per-shard size accounting.
+/// One partition of the inverted index: the value-level postings of the
+/// tables whose stable hash routes here, plus per-shard size accounting.
 #[derive(Debug, Default, Clone)]
 pub struct IndexShard {
-    postings: HashMap<String, Vec<Posting>>,
+    values: ValuePostings,
     /// Number of indexed cells (non-unique records, in the paper's terms).
     indexed_cells: usize,
-    /// Number of indexed (table, column) pairs.
-    indexed_columns: usize,
 }
 
 impl IndexShard {
     /// Number of distinct tokens in this shard.
     pub fn token_count(&self) -> usize {
-        self.postings.len()
+        self.values.token_count()
     }
 
     /// Number of indexed text cells in this shard.
@@ -130,28 +152,13 @@ impl IndexShard {
 
     /// Number of indexed text columns in this shard.
     pub fn indexed_columns(&self) -> usize {
-        self.indexed_columns
+        self.values.column_count()
     }
 
-    /// Number of postings in this shard.
+    /// Number of row-level postings in this shard: one per row and distinct
+    /// token of its cell, however few value entries hold them.
     pub fn posting_count(&self) -> usize {
-        self.postings.values().map(|v| v.len()).sum()
-    }
-
-    /// Postings for a single token (lower-cased internally) within this shard.
-    pub fn lookup_token(&self, token: &str) -> &[Posting] {
-        let key = token.to_lowercase();
-        self.postings.get(&key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Candidate postings of a prepared probe's token in this shard.  The
-    /// probe token is already normalized, so this is a direct map access
-    /// with no allocation — the hot path of the per-shard fan-out.
-    pub fn probe_candidates(&self, probe: &PhraseProbe) -> &[Posting] {
-        self.postings
-            .get(&probe.token)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.values.posting_count()
     }
 
     /// Builds the single partition `shard_idx` of a `shard_count`-way sharded
@@ -172,96 +179,55 @@ impl IndexShard {
 
     /// Indexes every text cell of one table into this shard.
     fn index_table(&mut self, table: &crate::table::Table) {
-        let schema = table.schema();
-        for (col_idx, col) in schema.columns.iter().enumerate() {
-            if col.data_type != crate::value::DataType::Text {
-                continue;
-            }
-            self.indexed_columns += 1;
-            for (row_idx, row) in table.rows().iter().enumerate() {
-                if let Value::Text(text) = &row[col_idx] {
-                    self.indexed_cells += 1;
-                    let mut seen: HashSet<String> = HashSet::new();
-                    for token in tokenize(text) {
-                        if seen.insert(token.clone()) {
-                            self.postings.entry(token).or_default().push(Posting {
-                                table: schema.name.clone(),
-                                column: col.name.clone(),
-                                row: row_idx,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        self.indexed_cells += self.values.index_rows(table, 0);
     }
 
-    /// Probes this shard for a prepared phrase: scans the probe token's local
-    /// postings and verifies the full needle against each candidate cell.
-    /// Returns one hit per distinct `(table, column, cell value)`, sorted by
-    /// that triple.
-    pub fn probe_phrase(&self, db: &Database, probe: &PhraseProbe) -> Vec<PhraseHit> {
-        self.probe_phrase_with_log(db, probe, &SideLog::default())
-    }
-
-    /// Probes this shard *overlaid with its side log*: frozen candidates of
-    /// masked tables are skipped (their rows were replaced or truncated
-    /// since the partition was built), the log's candidates join the scan,
-    /// and per-triple row counts accumulate across both sources.  Frozen
-    /// and log postings are row-disjoint by construction (appends index
-    /// only the new tail rows; replacements mask the frozen side), so the
-    /// result is byte-identical to probing a partition freshly rebuilt over
-    /// `db`.
-    pub fn probe_phrase_with_log(
-        &self,
-        db: &Database,
-        probe: &PhraseProbe,
-        log: &SideLog,
-    ) -> Vec<PhraseHit> {
-        let mut hits: BTreeMap<(String, String, String), usize> = BTreeMap::new();
-        {
-            let mut scan = |posting: &Posting| {
-                let Ok(table) = db.table(&posting.table) else {
-                    return;
-                };
-                let Some(value) = table.value(posting.row, &posting.column) else {
-                    return;
-                };
-                let Value::Text(text) = value else { return };
-                let normalized = tokenize(text).join(" ");
-                if normalized.contains(&probe.needle) {
-                    *hits
-                        .entry((posting.table.clone(), posting.column.clone(), text.clone()))
-                        .or_default() += 1;
+    /// Probes this shard *overlaid with its side log* for a prepared phrase:
+    /// frozen entries of masked tables are skipped (their rows were replaced
+    /// or truncated since the partition was built), the log's entries join
+    /// in, and row counts add up per `(table, column, value)` across both
+    /// sources.  Returns one hit per distinct triple, sorted by it.
+    /// Frozen and log entries count disjoint rows by construction (appends
+    /// index only the new tail rows; replacements mask the frozen side), so
+    /// the result is byte-identical to probing a partition freshly rebuilt
+    /// over the updated database.
+    pub fn probe_phrase_with_log(&self, probe: &PhraseProbe, log: &SideLog) -> Vec<PhraseHit> {
+        let mut found = Vec::new();
+        self.values
+            .collect_hits(probe, log.masked_tables(), &mut found);
+        log.values.collect_hits(probe, &[], &mut found);
+        found.sort_unstable_by_key(|&(table, column, value, _)| (table, column, value));
+        let mut hits: Vec<PhraseHit> = Vec::with_capacity(found.len());
+        for (table, column, value, row_count) in found {
+            match hits.last_mut() {
+                Some(last)
+                    if last.table == table && last.column == column && last.value == value =>
+                {
+                    last.row_count += row_count
                 }
-            };
-            let masked = log.has_masks();
-            for posting in self.probe_candidates(probe) {
-                if masked && log.masks(&posting.table) {
-                    continue;
-                }
-                scan(posting);
-            }
-            for posting in log.candidates(probe) {
-                scan(posting);
+                _ => hits.push(PhraseHit {
+                    table: table.to_string(),
+                    column: column.to_string(),
+                    value: value.to_string(),
+                    row_count,
+                }),
             }
         }
-        hits.into_iter()
-            .map(|((table, column, value), row_count)| PhraseHit {
-                table,
-                column,
-                value,
-                row_count,
-            })
-            .collect()
+        hits
     }
 }
 
 /// Merges per-shard probe results into the canonical order: ascending by
 /// `(table, column, value)`.  Because shards own disjoint table sets, this is
 /// byte-identical to what the 1-shard index produces for the same probe —
-/// the invariant the shard-invariance property tests pin down.
-pub fn merge_hits(per_shard: Vec<Vec<PhraseHit>>) -> Vec<PhraseHit> {
+/// the invariant the shard-invariance property tests pin down.  Each shard's
+/// hits arrive sorted, so when at most one shard answered its list is the
+/// result as it stands.
+pub fn merge_hits(mut per_shard: Vec<Vec<PhraseHit>>) -> Vec<PhraseHit> {
+    per_shard.retain(|hits| !hits.is_empty());
+    if per_shard.len() <= 1 {
+        return per_shard.pop().unwrap_or_default();
+    }
     let mut all: Vec<PhraseHit> = per_shard.into_iter().flatten().collect();
     all.sort_by(|a, b| (&a.table, &a.column, &a.value).cmp(&(&b.table, &b.column, &b.value)));
     all
@@ -319,7 +285,7 @@ impl ShardedInvertedIndex {
     /// Assembles an index from already-built partitions, recounting the
     /// distinct tokens.  The recount hashes every shard's vocabulary —
     /// O(distinct tokens), which a per-shard rebuild pays once per swap; the
-    /// rebuilt partition's posting scan dominates it in practice, and the
+    /// rebuilt partition's table scan dominates it in practice, and the
     /// count must span all shards anyway (tokens overlap across partitions).
     fn from_shards(shards: Vec<Arc<IndexShard>>) -> Self {
         let logs = shards
@@ -334,7 +300,7 @@ impl ShardedInvertedIndex {
         let distinct_tokens = {
             let mut tokens: HashSet<&str> = HashSet::new();
             for shard in &shards {
-                tokens.extend(shard.postings.keys().map(String::as_str));
+                tokens.extend(shard.values.tokens());
             }
             tokens.len()
         };
@@ -354,7 +320,7 @@ impl ShardedInvertedIndex {
     ///
     /// Sound only when the tables owned by the *unaffected* partitions are
     /// unchanged between the database this index was built from and `db` —
-    /// their postings (and side-log postings) carry row indexes into those
+    /// their entries (and side-log entries) describe the values of those
     /// tables.  Out-of-range entries in `affected` are ignored.
     pub fn with_rebuilt_shards(&self, db: &Database, affected: &[usize]) -> Self {
         let shard_count = self.shards.len();
@@ -424,8 +390,7 @@ impl ShardedInvertedIndex {
         self.shards.len()
     }
 
-    /// The shards, in partition order.  The SODA lookup step fans a probe out
-    /// across these on scoped threads; the hot-swap layer clones individual
+    /// The shards, in partition order.  The hot-swap layer clones individual
     /// [`Arc`]s to share unchanged partitions across snapshot generations.
     pub fn shards(&self) -> &[Arc<IndexShard>] {
         &self.shards
@@ -454,14 +419,14 @@ impl ShardedInvertedIndex {
 
     /// Masked tables per shard's side log, in partition order.  A mask taxes
     /// every probe of its shard even when the log holds no postings (frozen
-    /// candidates are filtered per posting), so compaction policies treat
-    /// any mask as worth folding.
+    /// candidates are filtered per entry), so compaction policies treat any
+    /// mask as worth folding.
     pub fn side_log_masks(&self) -> Vec<usize> {
         self.logs.iter().map(|l| l.masked_tables().len()).collect()
     }
 
     /// Number of distinct tokens across all shards *and* their side logs
-    /// (tokens of masked frozen postings still count — this is a size gauge,
+    /// (tokens of masked frozen entries still count — this is a size gauge,
     /// not a semantic invariant).
     pub fn token_count(&self) -> usize {
         if !self.has_side_logs() {
@@ -470,7 +435,7 @@ impl ShardedInvertedIndex {
         let mut extra: HashSet<&str> = HashSet::new();
         for log in &self.logs {
             for token in log.tokens() {
-                if !self.shards.iter().any(|s| s.postings.contains_key(token)) {
+                if !self.shards.iter().any(|s| s.values.has_token(token)) {
                     extra.insert(token);
                 }
             }
@@ -488,106 +453,64 @@ impl ShardedInvertedIndex {
         self.shards.iter().map(|s| s.indexed_columns()).sum()
     }
 
-    /// Total number of postings.
+    /// Total number of row-level postings in the frozen partitions.
     pub fn posting_count(&self) -> usize {
         self.shards.iter().map(|s| s.posting_count()).sum()
     }
 
-    /// Total *live* postings for a single token across all shards: frozen
-    /// postings of masked tables are excluded and side-log postings are
-    /// included, so the count equals what a full rebuild over the ingested
-    /// database would report.  Probe-token selection rides on this, which is
-    /// what keeps the chosen token — and therefore the candidate scan and
-    /// the generated SQL — identical between a side-log-merged index and a
-    /// fully rebuilt one.
+    /// Total *live* rows holding `token` — which must be normalized
+    /// (tokenizer output) — across all shards: rows of masked tables are
+    /// excluded and side-log rows are included, so the count equals what a
+    /// full rebuild over the ingested database would report.  Probe-token
+    /// selection rides on this, which is what keeps the chosen token — and
+    /// therefore the candidate set and the generated SQL — identical between
+    /// a side-log-merged index and a fully rebuilt one.
     pub fn token_frequency(&self, token: &str) -> usize {
-        let key = token.to_lowercase();
-        (0..self.shards.len())
-            .map(|i| self.shard_token_frequency(i, &key))
+        self.shards
+            .iter()
+            .zip(&self.logs)
+            .map(|(shard, log)| {
+                shard.values.live_rows(token, log.masked_tables())
+                    + log.values.live_rows(token, &[])
+            })
             .sum()
     }
 
-    /// Live postings of an already-normalized token in one shard (frozen
-    /// minus masked, plus log).
-    fn shard_token_frequency(&self, shard: usize, key: &str) -> usize {
-        let log = &self.logs[shard];
-        let frozen = match self.shards[shard].postings.get(key) {
-            Some(list) if log.has_masks() => list.iter().filter(|p| !log.masks(&p.table)).count(),
-            Some(list) => list.len(),
-            None => 0,
-        };
-        frozen + log.postings_of(key).len()
+    /// Probes one shard, merged with its side log.
+    pub fn probe_shard(&self, shard: usize, probe: &PhraseProbe) -> Vec<PhraseHit> {
+        self.shards[shard].probe_phrase_with_log(probe, &self.logs[shard])
     }
 
-    /// Postings for a single token (lower-cased internally), merged across
-    /// shards and side logs into the canonical order `(table, column, row)`.
-    pub fn lookup_token(&self, token: &str) -> Vec<Posting> {
-        let key = token.to_lowercase();
-        let mut out: Vec<Posting> = Vec::new();
-        for (shard, log) in self.shards.iter().zip(&self.logs) {
-            let masked = log.has_masks();
-            out.extend(
-                shard
-                    .lookup_token(&key)
-                    .iter()
-                    .filter(|p| !(masked && log.masks(&p.table)))
-                    .cloned(),
-            );
-            out.extend(log.postings_of(&key).iter().cloned());
-        }
-        out.sort_by(|a, b| (&a.table, &a.column, a.row).cmp(&(&b.table, &b.column, b.row)));
-        out
-    }
-
-    /// Probes one shard, merged with its side log — the unit of work of the
-    /// lookup step's per-shard fan-out.
-    pub fn probe_shard(&self, shard: usize, db: &Database, probe: &PhraseProbe) -> Vec<PhraseHit> {
-        self.shards[shard].probe_phrase_with_log(db, probe, &self.logs[shard])
-    }
-
-    /// Number of candidate postings (frozen + side log) a probe would scan
-    /// in one shard.  Frozen candidates of masked tables are included — this
-    /// gauges scan work for the fan-out heuristics, not the hit count.
+    /// Number of candidate entries (frozen + side log) a probe would walk in
+    /// one shard: the distinct column values holding the probe token.
+    /// Frozen candidates of masked tables are included — this gauges the
+    /// walk, not the hit count; it is zero exactly when the shard holds no
+    /// posting of the token.
     pub fn shard_candidates(&self, shard: usize, probe: &PhraseProbe) -> usize {
-        self.shards[shard].probe_candidates(probe).len() + self.logs[shard].candidates(probe).len()
+        let (frozen, log) = self.shard_candidate_split(shard, probe);
+        frozen + log
     }
 
     /// [`shard_candidates`](Self::shard_candidates) split into its two
-    /// sources: `(frozen partition postings, side-log postings)`.  Query
+    /// sources: `(frozen partition entries, side-log entries)`.  Query
     /// tracing reports both per probed shard, so a trace shows whether a
-    /// probe's scan work came from the frozen index or from not-yet-compacted
+    /// probe's candidates came from the frozen index or from not-yet-compacted
     /// streaming ingests.
     pub fn shard_candidate_split(&self, shard: usize, probe: &PhraseProbe) -> (usize, usize) {
         (
-            self.shards[shard].probe_candidates(probe).len(),
-            self.logs[shard].candidates(probe).len(),
+            self.shards[shard].values.candidates(&probe.token),
+            self.logs[shard].values.candidates(&probe.token),
         )
     }
 
     /// Prepares a phrase probe: normalizes the phrase and selects the
-    /// globally rarest token.  Returns `None` when the phrase has no tokens
-    /// or the rarest token has no postings anywhere (the probe cannot hit).
+    /// globally rarest token ([`PhraseProbe::select`]).  Returns `None` when
+    /// the phrase has no tokens or the rarest token has no postings anywhere
+    /// (the probe cannot hit).
     pub fn probe(&self, phrase: &str) -> Option<PhraseProbe> {
         let words = tokenize(phrase);
-        if words.is_empty() {
-            return None;
-        }
-        let mut rarest = &words[0];
-        let mut rarest_len = self.token_frequency(rarest);
-        for w in &words[1..] {
-            let len = self.token_frequency(w);
-            if len < rarest_len {
-                rarest = w;
-                rarest_len = len;
-            }
-        }
-        if rarest_len == 0 {
-            return None;
-        }
-        Some(PhraseProbe {
-            needle: words.join(" "),
-            token: rarest.clone(),
-        })
+        let frequencies: Vec<usize> = words.iter().map(|w| self.token_frequency(w)).collect();
+        PhraseProbe::select(&words, &frequencies)
     }
 
     /// Phrase lookup: finds columns whose cells contain *all* words of the
@@ -595,21 +518,21 @@ impl ShardedInvertedIndex {
     /// paper's "Credit Suisse" example which must match the full organisation
     /// name).  Returns one hit per distinct `(table, column, cell value)` in
     /// canonical order; the result is independent of the shard count.
-    pub fn lookup_phrase(&self, db: &Database, phrase: &str) -> Vec<PhraseHit> {
+    pub fn lookup_phrase(&self, phrase: &str) -> Vec<PhraseHit> {
         let Some(probe) = self.probe(phrase) else {
             return Vec::new();
         };
         merge_hits(
             (0..self.shards.len())
-                .map(|shard| self.probe_shard(shard, db, &probe))
+                .map(|shard| self.probe_shard(shard, &probe))
                 .collect(),
         )
     }
 
     /// Distinct `(table, column)` pairs containing the phrase.
-    pub fn columns_containing(&self, db: &Database, phrase: &str) -> Vec<(String, String)> {
+    pub fn columns_containing(&self, phrase: &str) -> Vec<(String, String)> {
         let mut cols: Vec<(String, String)> = self
-            .lookup_phrase(db, phrase)
+            .lookup_phrase(phrase)
             .into_iter()
             .map(|h| (h.table, h.column))
             .collect();
@@ -623,7 +546,7 @@ impl ShardedInvertedIndex {
 mod tests {
     use super::*;
     use crate::schema::TableSchema;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -688,30 +611,32 @@ mod tests {
         assert_eq!(idx.indexed_columns(), 3); // org_name, country, city
         assert_eq!(idx.indexed_cells(), 4 + 3); // 2 orgs x 2 cols + 3 addresses x 1 col
         assert!(idx.token_count() > 0);
-        assert!(idx.lookup_token("8001").is_empty()); // numeric column not indexed
+        assert_eq!(idx.token_frequency("8001"), 0); // numeric column not indexed
     }
 
     #[test]
-    fn token_lookup_is_case_insensitive() {
+    fn token_frequency_counts_rows_of_normalized_tokens() {
         let db = db();
         let idx = InvertedIndex::build(&db);
-        assert_eq!(idx.lookup_token("ZURICH").len(), 2);
-        assert_eq!(idx.lookup_token("zurich").len(), 2);
-        assert!(idx.lookup_token("basel").is_empty());
+        assert_eq!(idx.token_frequency("zurich"), 2);
+        assert_eq!(idx.token_frequency("basel"), 0);
+        // Tokens are stored normalized; so must the argument be.
+        assert_eq!(idx.token_frequency("ZURICH"), 0);
+        assert_eq!(idx.lookup_phrase("ZURICH"), idx.lookup_phrase("zurich"));
     }
 
     #[test]
     fn phrase_lookup_finds_multi_word_values() {
         let db = db();
         let idx = InvertedIndex::build(&db);
-        let hits = idx.lookup_phrase(&db, "Credit Suisse");
+        let hits = idx.lookup_phrase("Credit Suisse");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].table, "organization");
         assert_eq!(hits[0].column, "org_name");
         assert_eq!(hits[0].value, "Credit Suisse");
         // Single word appearing in two different rows of the same column is
         // one hit with row_count 2.
-        let hits = idx.lookup_phrase(&db, "Zurich");
+        let hits = idx.lookup_phrase("Zurich");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].row_count, 2);
     }
@@ -720,15 +645,15 @@ mod tests {
     fn phrase_lookup_requires_all_words() {
         let db = db();
         let idx = InvertedIndex::build(&db);
-        assert!(idx.lookup_phrase(&db, "Credit Helvetia").is_empty());
-        assert!(idx.lookup_phrase(&db, "").is_empty());
+        assert!(idx.lookup_phrase("Credit Helvetia").is_empty());
+        assert!(idx.lookup_phrase("").is_empty());
     }
 
     #[test]
     fn columns_containing_deduplicates() {
         let db = db();
         let idx = InvertedIndex::build(&db);
-        let cols = idx.columns_containing(&db, "Switzerland");
+        let cols = idx.columns_containing("Switzerland");
         assert_eq!(
             cols,
             vec![("organization".to_string(), "country".to_string())]
@@ -748,6 +673,37 @@ mod tests {
         let idx = InvertedIndex::build(&db);
         // The same token in one cell is recorded once.
         assert_eq!(idx.posting_count(), 1);
+    }
+
+    #[test]
+    fn a_value_is_one_entry_however_many_rows_hold_it() {
+        let db = db();
+        let idx = InvertedIndex::build(&db);
+        // Two of the three addresses are in Zurich: one candidate entry
+        // carrying both rows, two row-level postings.
+        let probe = idx.probe("Zurich").unwrap();
+        assert_eq!(idx.shard_candidates(0, &probe), 1);
+        assert_eq!(idx.lookup_phrase("Zurich")[0].row_count, 2);
+        // credit, suisse, helvetia, insurance, 2 × switzerland, 2 × zurich,
+        // geneva.
+        assert_eq!(idx.posting_count(), 9);
+    }
+
+    #[test]
+    fn the_needle_is_a_substring_test_not_a_token_intersection() {
+        let db = db();
+        let idx = InvertedIndex::build(&db);
+        // Only the probe token ("suisse") has to be a whole token of the
+        // cell; "dit" is a fragment of "credit".
+        assert_eq!(idx.token_frequency("dit"), 0);
+        assert!(idx.lookup_phrase("dit suisse").is_empty());
+        let probe = PhraseProbe {
+            needle: "dit suisse".into(),
+            token: "suisse".into(),
+        };
+        let hits = idx.probe_shard(0, &probe);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].value, "Credit Suisse");
     }
 
     #[test]
@@ -779,11 +735,12 @@ mod tests {
             assert_eq!(idx.indexed_columns(), mono.indexed_columns());
             assert_eq!(idx.posting_count(), mono.posting_count());
             assert_eq!(idx.token_count(), mono.token_count());
-            // Each table's postings live in exactly the shard its hash names.
-            for (i, shard) in idx.shards().iter().enumerate() {
-                for postings in shard.postings.values() {
-                    for p in postings {
-                        assert_eq!(shard_for_table(&p.table, shards), i);
+            // Each table's hits come from exactly the shard its hash names.
+            for phrase in ["Zurich", "Credit Suisse", "Switzerland", "Geneva"] {
+                let probe = idx.probe(phrase).unwrap();
+                for i in 0..shards {
+                    for hit in idx.probe_shard(i, &probe) {
+                        assert_eq!(shard_for_table(&hit.table, shards), i);
                     }
                 }
             }
@@ -798,19 +755,19 @@ mod tests {
             let idx = InvertedIndex::build_sharded(&db, shards);
             for phrase in ["Zurich", "Credit Suisse", "Switzerland", "Geneva", ""] {
                 assert_eq!(
-                    mono.lookup_phrase(&db, phrase),
-                    idx.lookup_phrase(&db, phrase),
+                    mono.lookup_phrase(phrase),
+                    idx.lookup_phrase(phrase),
                     "phrase '{phrase}' diverged at {shards} shards"
                 );
                 assert_eq!(
-                    mono.lookup_token(phrase),
-                    idx.lookup_token(phrase),
+                    mono.token_frequency(&phrase.to_lowercase()),
+                    idx.token_frequency(&phrase.to_lowercase()),
                     "token '{phrase}' diverged at {shards} shards"
                 );
             }
             assert_eq!(
-                mono.columns_containing(&db, "Switzerland"),
-                idx.columns_containing(&db, "Switzerland")
+                mono.columns_containing("Switzerland"),
+                idx.columns_containing("Switzerland")
             );
         }
     }
@@ -822,7 +779,7 @@ mod tests {
             let idx = InvertedIndex::build_sharded(&db, shards);
             for (i, shard) in idx.shards().iter().enumerate() {
                 let rebuilt = IndexShard::build_partition(&db, i, shards);
-                assert_eq!(rebuilt.postings, shard.postings, "shard {i}/{shards}");
+                assert_eq!(rebuilt.values, shard.values, "shard {i}/{shards}");
                 assert_eq!(rebuilt.indexed_cells(), shard.indexed_cells());
                 assert_eq!(rebuilt.indexed_columns(), shard.indexed_columns());
             }
@@ -846,8 +803,8 @@ mod tests {
         let fresh = InvertedIndex::build_sharded(&db, shards);
         for phrase in ["Basel", "Zurich", "Credit Suisse", "Switzerland"] {
             assert_eq!(
-                after.lookup_phrase(&db, phrase),
-                fresh.lookup_phrase(&db, phrase),
+                after.lookup_phrase(phrase),
+                fresh.lookup_phrase(phrase),
                 "phrase '{phrase}'"
             );
         }
@@ -922,20 +879,17 @@ mod tests {
                 "",
             ] {
                 assert_eq!(
-                    logged.lookup_phrase(&new_db, phrase),
-                    rebuilt.lookup_phrase(&new_db, phrase),
+                    logged.lookup_phrase(phrase),
+                    rebuilt.lookup_phrase(phrase),
                     "phrase '{phrase}' diverged at {shards} shards"
                 );
-                assert_eq!(
-                    logged.lookup_token(phrase),
-                    rebuilt.lookup_token(phrase),
-                    "token '{phrase}' diverged at {shards} shards"
-                );
-                assert_eq!(
-                    logged.token_frequency(phrase),
-                    rebuilt.token_frequency(phrase),
-                    "frequency of '{phrase}' diverged at {shards} shards"
-                );
+                for token in tokenize(phrase) {
+                    assert_eq!(
+                        logged.token_frequency(&token),
+                        rebuilt.token_frequency(&token),
+                        "frequency of '{token}' diverged at {shards} shards"
+                    );
+                }
             }
             // Probe selection is identical, so the same token is scanned.
             assert_eq!(
@@ -944,10 +898,73 @@ mod tests {
                 "probe choice diverged at {shards} shards"
             );
             // Credit Suisse was replaced away: both views agree it is gone.
-            assert!(logged.lookup_phrase(&new_db, "Credit Suisse").is_empty());
+            assert!(logged.lookup_phrase("Credit Suisse").is_empty());
             assert!(logged.has_side_logs());
             assert!(!rebuilt.has_side_logs());
         }
+    }
+
+    /// The catalog folds table names by ASCII case only, so `ÄRZTE` is not
+    /// `ärzte`; masks, row accounting and routing must fold the same way or
+    /// a replaced table's frozen values keep answering.
+    #[test]
+    fn a_replaced_table_with_a_non_ascii_upper_case_name_is_masked() {
+        let mut base = Database::new();
+        base.create_table(
+            TableSchema::builder("ÄRZTE")
+                .column("id", DataType::Int)
+                .column("ort", DataType::Text)
+                .build(),
+        )
+        .unwrap();
+        base.insert("ÄRZTE", vec![Value::Int(1), Value::from("Zurich")])
+            .unwrap();
+        for shards in [1usize, 4] {
+            let owner = shard_for_table("ÄRZTE", shards);
+            let (replaced_db, replaced) = logged_index_after(&base, shards, |db, logs| {
+                for id in [2, 3] {
+                    db.table_mut("ÄRZTE").unwrap().truncate();
+                    db.insert("ÄRZTE", vec![Value::Int(id), Value::from("Basel")])
+                        .unwrap();
+                    logs[owner].replace_table(db.table("ÄRZTE").unwrap());
+                }
+            });
+            assert!(replaced.side_logs()[owner].masks("ÄRZTE"));
+            assert_eq!(replaced.side_log_masks()[owner], 1, "masked once");
+            let (truncated_db, truncated) = logged_index_after(&base, shards, |db, logs| {
+                db.table_mut("ÄRZTE").unwrap().truncate();
+                logs[owner].truncate_table("ÄRZTE");
+            });
+            for (db, logged) in [(replaced_db, replaced), (truncated_db, truncated)] {
+                let rebuilt = InvertedIndex::build_sharded(&db, shards);
+                for phrase in ["Zurich", "Basel"] {
+                    assert_eq!(
+                        logged.lookup_phrase(phrase),
+                        rebuilt.lookup_phrase(phrase),
+                        "phrase '{phrase}' diverged at {shards} shards"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_hits_returns_a_lone_answer_as_is_and_sorts_several() {
+        let hit = |table: &str| PhraseHit {
+            table: table.into(),
+            column: "c".into(),
+            value: "v".into(),
+            row_count: 1,
+        };
+        assert!(merge_hits(vec![Vec::new(), Vec::new()]).is_empty());
+        assert_eq!(
+            merge_hits(vec![Vec::new(), vec![hit("a"), hit("b")], Vec::new()]),
+            vec![hit("a"), hit("b")]
+        );
+        assert_eq!(
+            merge_hits(vec![vec![hit("b"), hit("d")], vec![hit("a"), hit("c")]]),
+            vec![hit("a"), hit("b"), hit("c"), hit("d")]
+        );
     }
 
     #[test]
@@ -970,8 +987,8 @@ mod tests {
         assert!(folded.side_logs()[owner].is_empty(), "log must be folded");
         assert!(!folded.has_side_logs());
         assert_eq!(
-            folded.lookup_phrase(&new_db, "Basel"),
-            logged.lookup_phrase(&new_db, "Basel"),
+            folded.lookup_phrase("Basel"),
+            logged.lookup_phrase("Basel"),
             "folding must not change answers"
         );
         assert_eq!(folded.side_log_postings(), vec![0; shards]);

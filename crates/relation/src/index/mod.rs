@@ -2,5 +2,6 @@
 //! per-shard side logs streaming ingestion overlays on top of it.
 
 pub mod inverted;
+mod postings;
 pub mod sidelog;
 pub mod tokenizer;

@@ -1,42 +1,45 @@
-//! Per-shard side logs: append-only posting overlays for streaming ingestion.
+//! Per-shard side logs: value-level posting overlays for streaming ingestion.
 //!
 //! A frozen [`IndexShard`](super::inverted::IndexShard) is immutable by
 //! design — freshness normally comes from rebuilding the partition.  A
 //! [`SideLog`] is the cheap alternative for row-level change feeds: it
 //! indexes *only* the rows an ingestion event touched, in the same
-//! `(table, column, row)` posting shape as the frozen shard, and the probe
-//! path merges both deterministically
+//! value-level shape as the frozen shard (one entry per distinct
+//! `(column, cell text)` with a row count), and the probe path merges both
+//! deterministically
 //! ([`IndexShard::probe_phrase_with_log`](super::inverted::IndexShard::probe_phrase_with_log)).
 //!
 //! Three event shapes map onto the log:
 //!
-//! * **Append** — the new rows get postings with their absolute row indexes
-//!   (which continue after the frozen rows, so frozen and log postings are
-//!   row-disjoint by construction).
-//! * **Replace** — the table is *masked*: its frozen postings are dead (the
-//!   rows they point at were replaced), any earlier log postings for it are
+//! * **Append** — the new rows are counted into the log's entries (the
+//!   frozen partition counts the rows before them, so the two sides count
+//!   disjoint rows by construction).
+//! * **Replace** — the table is *masked*: its frozen entries are dead (the
+//!   rows they counted were replaced), any earlier log entries for it are
 //!   dropped, and the replacement rows are indexed from row 0.
-//! * **Truncate** — masked, postings dropped, nothing indexed.
+//! * **Truncate** — masked, entries dropped, nothing indexed.
 //!
-//! Because appended rows extend the table the frozen postings point into,
-//! and masked tables hide the frozen postings entirely, the merged view is
-//! *posting-for-posting identical* to a shard freshly rebuilt over the
-//! updated database — which is what keeps generated SQL byte-identical to a
-//! full rebuild (the invariant the shard-invariance tests pin down).
+//! Because a table's live rows are always exactly the unmasked frozen rows
+//! plus the logged ones, the merged view reports, value for value, the row
+//! counts of a shard freshly rebuilt over the updated database — which is
+//! what keeps generated SQL byte-identical to a full rebuild (the invariant
+//! the shard-invariance tests pin down).
+//!
+//! Table names are folded the way the catalog folds them (ASCII case) —
+//! in the masks, in the row accounting and in the shard routing — so a name
+//! the catalog resolves is a name the log recognises.
 //!
 //! Logs are meant to stay small: a compaction layer folds a grown log into
 //! a rebuilt partition (see `soda-ingest`'s `CompactionPolicy` and
 //! `soda_core::SnapshotHandle::compact`), after which the log is empty
 //! again.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use super::inverted::{PhraseProbe, Posting};
-use super::tokenizer::tokenize;
+use super::postings::{fold_table_name, ValuePostings};
 use crate::table::Table;
-use crate::value::Value;
 
-/// An append-only posting overlay over one frozen index partition.
+/// A value-level posting overlay over one frozen index partition.
 ///
 /// Not internally synchronised: the ingestion layer builds the next
 /// generation's logs on the writer thread and publishes them immutably
@@ -44,12 +47,12 @@ use crate::value::Value;
 /// [`ShardedInvertedIndex::with_side_logs`](super::inverted::ShardedInvertedIndex::with_side_logs)).
 #[derive(Debug, Default, Clone)]
 pub struct SideLog {
-    /// Postings of the ingested rows, keyed by normalized token.
-    postings: HashMap<String, Vec<Posting>>,
-    /// Lower-cased names of tables whose *frozen* postings are superseded
-    /// (replaced or truncated since the partition was built).
+    /// Entries of the ingested rows.
+    pub(super) values: ValuePostings,
+    /// Folded names of tables whose *frozen* entries are superseded
+    /// (replaced or truncated since the partition was built), sorted.
     masked: Vec<String>,
-    /// Live rows indexed into this log, per (lower-cased) table.
+    /// Live rows indexed into this log, per folded table name.
     rows: BTreeMap<String, usize>,
 }
 
@@ -62,12 +65,13 @@ impl SideLog {
     /// True when the log carries neither postings nor masks — merging it is
     /// a no-op and compaction has nothing to fold.
     pub fn is_empty(&self) -> bool {
-        self.postings.is_empty() && self.masked.is_empty()
+        self.values.is_empty() && self.masked.is_empty()
     }
 
-    /// Number of postings in the log.
+    /// Number of row-level postings in the log: one per logged row and
+    /// distinct token of its cell (the unit compaction budgets are in).
     pub fn posting_count(&self) -> usize {
-        self.postings.values().map(Vec::len).sum()
+        self.values.posting_count()
     }
 
     /// Number of live rows indexed into the log across all tables.
@@ -75,38 +79,24 @@ impl SideLog {
         self.rows.values().sum()
     }
 
-    /// Lower-cased names of the tables whose frozen postings this log
-    /// supersedes.
+    /// Folded names of the tables whose frozen entries this log supersedes.
     pub fn masked_tables(&self) -> &[String] {
         &self.masked
     }
 
-    /// True when any table is masked (the probe path can skip per-posting
-    /// mask checks otherwise).
+    /// True when any table is masked.
     pub fn has_masks(&self) -> bool {
         !self.masked.is_empty()
     }
 
-    /// True when `table`'s frozen postings are superseded by this log.
+    /// True when `table`'s frozen entries are superseded by this log.
     pub fn masks(&self, table: &str) -> bool {
         self.masked.iter().any(|m| m.eq_ignore_ascii_case(table))
     }
 
     /// The distinct tokens present in the log.
     pub fn tokens(&self) -> impl Iterator<Item = &str> {
-        self.postings.keys().map(String::as_str)
-    }
-
-    /// Log postings of an (already normalized) token.
-    pub fn postings_of(&self, token: &str) -> &[Posting] {
-        self.postings.get(token).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Candidate log postings of a prepared probe's token — the overlay
-    /// counterpart of
-    /// [`IndexShard::probe_candidates`](super::inverted::IndexShard::probe_candidates).
-    pub fn candidates(&self, probe: &PhraseProbe) -> &[Posting] {
-        self.postings_of(&probe.token)
+        self.values.tokens()
     }
 
     /// Indexes the rows of `table` from `start_row` to the end (an append
@@ -114,68 +104,34 @@ impl SideLog {
     /// frozen partition or by earlier log entries).
     pub fn append_rows(&mut self, table: &Table, start_row: usize) {
         let indexed = self.index_range(table, start_row);
-        *self.rows.entry(table.name().to_lowercase()).or_default() += indexed;
+        *self.rows.entry(fold_table_name(table.name())).or_default() += indexed;
     }
 
     /// Records a wholesale replacement of `table`: masks its frozen
-    /// postings, drops any earlier log postings for it and indexes the
+    /// entries, drops any earlier log entries for it and indexes the
     /// replacement rows from row 0.
     pub fn replace_table(&mut self, table: &Table) {
-        self.drop_table(table.name());
-        self.mask(table.name());
+        self.truncate_table(table.name());
         let indexed = self.index_range(table, 0);
-        self.rows.insert(table.name().to_lowercase(), indexed);
+        self.rows.insert(fold_table_name(table.name()), indexed);
     }
 
     /// Records a truncation of the table named `name`: masks its frozen
-    /// postings and drops any earlier log postings for it.
+    /// entries and drops any earlier log entries for it.
     pub fn truncate_table(&mut self, name: &str) {
-        self.drop_table(name);
-        self.mask(name);
-        self.rows.insert(name.to_lowercase(), 0);
-    }
-
-    fn mask(&mut self, name: &str) {
+        self.values.remove_table(name);
         if !self.masks(name) {
-            self.masked.push(name.to_lowercase());
+            self.masked.push(fold_table_name(name));
             self.masked.sort_unstable();
         }
+        self.rows.insert(fold_table_name(name), 0);
     }
 
-    fn drop_table(&mut self, name: &str) {
-        self.postings.retain(|_, list| {
-            list.retain(|p| !p.table.eq_ignore_ascii_case(name));
-            !list.is_empty()
-        });
-        self.rows.remove(&name.to_lowercase());
-    }
-
-    /// Indexes every text cell of `table`'s rows `start_row..` into the log,
-    /// mirroring the frozen build's per-cell token dedup.  Returns the
-    /// number of rows indexed.
+    /// Indexes every text cell of `table`'s rows `start_row..` into the log.
+    /// Returns the number of rows indexed.
     fn index_range(&mut self, table: &Table, start_row: usize) -> usize {
-        let schema = table.schema();
-        let rows = table.rows();
-        for (col_idx, col) in schema.columns.iter().enumerate() {
-            if col.data_type != crate::value::DataType::Text {
-                continue;
-            }
-            for (row_idx, row) in rows.iter().enumerate().skip(start_row) {
-                if let Value::Text(text) = &row[col_idx] {
-                    let mut seen: HashSet<String> = HashSet::new();
-                    for token in tokenize(text) {
-                        if seen.insert(token.clone()) {
-                            self.postings.entry(token).or_default().push(Posting {
-                                table: schema.name.clone(),
-                                column: col.name.clone(),
-                                row: row_idx,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        rows.len().saturating_sub(start_row)
+        self.values.index_rows(table, start_row);
+        table.row_count().saturating_sub(start_row)
     }
 }
 
@@ -184,7 +140,7 @@ mod tests {
     use super::*;
     use crate::catalog::Database;
     use crate::schema::TableSchema;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -203,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn append_indexes_only_the_new_rows_with_absolute_indexes() {
+    fn append_indexes_only_the_new_rows() {
         let mut db = db();
         let mut log = SideLog::new();
         db.insert("city", vec![Value::Int(3), Value::from("Basel Stadt")])
@@ -212,9 +168,25 @@ mod tests {
         assert!(!log.is_empty());
         assert_eq!(log.row_count(), 1);
         assert_eq!(log.posting_count(), 2); // "basel", "stadt"
-        assert_eq!(log.postings_of("basel")[0].row, 2);
-        assert!(log.postings_of("zurich").is_empty());
+        assert_eq!(log.values.live_rows("basel", &[]), 1);
+        assert_eq!(log.values.live_rows("zurich", &[]), 0);
         assert!(!log.has_masks());
+    }
+
+    #[test]
+    fn a_later_append_of_a_logged_value_joins_its_entry() {
+        let mut db = db();
+        let mut log = SideLog::new();
+        for id in 3..6 {
+            let start = db.table("city").unwrap().row_count();
+            db.insert("city", vec![Value::Int(id), Value::from("Basel Stadt")])
+                .unwrap();
+            log.append_rows(db.table("city").unwrap(), start);
+        }
+        assert_eq!(log.row_count(), 3);
+        assert_eq!(log.posting_count(), 6);
+        assert_eq!(log.values.candidates("basel"), 1, "one entry, three rows");
+        assert_eq!(log.values.live_rows("stadt", &[]), 3);
     }
 
     #[test]
@@ -232,8 +204,9 @@ mod tests {
         log.replace_table(db.table("city").unwrap());
         assert!(log.masks("city"));
         assert!(log.masks("CITY"));
-        assert!(log.postings_of("basel").is_empty());
-        assert_eq!(log.postings_of("chur")[0].row, 0);
+        assert_eq!(log.values.candidates("basel"), 0);
+        assert_eq!(log.values.live_rows("chur", &[]), 1);
+        assert_eq!(log.posting_count(), 1);
         assert_eq!(log.row_count(), 1);
     }
 
@@ -245,6 +218,29 @@ mod tests {
         assert_eq!(log.posting_count(), 0);
         assert_eq!(log.row_count(), 0);
         assert!(!log.is_empty(), "a mask alone still changes probe results");
+    }
+
+    #[test]
+    fn dropping_a_table_without_text_columns_leaves_its_neighbour_alone() {
+        let mut db = db();
+        db.create_table(
+            TableSchema::builder("facts")
+                .column("id", DataType::Int)
+                .build(),
+        )
+        .unwrap();
+        db.insert("facts", vec![Value::Int(1)]).unwrap();
+        let mut log = SideLog::new();
+        // `facts` registers no column; `city`, logged next, must not be
+        // mistaken for it.
+        log.append_rows(db.table("facts").unwrap(), 0);
+        log.append_rows(db.table("city").unwrap(), 0);
+        log.truncate_table("facts");
+        assert_eq!(log.values.live_rows("zurich", &[]), 1);
+        log.replace_table(db.table("facts").unwrap());
+        assert_eq!(log.values.live_rows("zurich", &[]), 1);
+        assert_eq!(log.posting_count(), 2);
+        assert_eq!(log.row_count(), 3);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use exec::{execute, ResultSet};
 pub use expr::{AggFunc, CompareOp, Expr};
 pub use index::inverted::{
     merge_hits, shard_for_table, stable_shard, IndexShard, InvertedIndex, PhraseHit, PhraseProbe,
-    Posting, ShardedInvertedIndex,
+    ShardedInvertedIndex,
 };
 pub use index::sidelog::SideLog;
 pub use index::tokenizer::tokenize;

@@ -1,6 +1,7 @@
 //! Property-based tests of the relational substrate: value ordering, LIKE
-//! matching, SQL printer/parser round trips, executor invariants, and the
-//! executor against a nested-loop reference.
+//! matching, SQL printer/parser round trips, executor invariants, the
+//! executor against a nested-loop reference, and the inverted index against
+//! a scan of every cell.
 
 use std::cmp::Ordering;
 
@@ -8,8 +9,9 @@ use proptest::prelude::*;
 
 use soda_relation::exec::eval::like_match;
 use soda_relation::{
-    execute, parse_select, print_select, AggFunc, CompareOp, DataType, Database, Date, Expr,
-    OrderByItem, Row, SelectItem, SelectStatement, TableRef, TableSchema, Value,
+    execute, parse_select, print_select, shard_for_table, tokenize, AggFunc, CompareOp, DataType,
+    Database, Date, Expr, InvertedIndex, OrderByItem, PhraseHit, Row, SelectItem, SelectStatement,
+    SideLog, TableRef, TableSchema, Value,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -532,5 +534,242 @@ proptest! {
             "{}",
             print_select(&stmt)
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The inverted index against a scan of every cell
+// ---------------------------------------------------------------------------
+
+/// Table names that spread over 2 and 8 shards; one has a non-ASCII
+/// upper-case letter, which the catalog does not fold.
+const INDEX_TABLES: [&str; 4] = ["party", "Address", "org_name_hist", "ÄRZTE"];
+
+/// A text cell: up to three of a few words — so values, and tokens across
+/// values, repeat — in mixed case, joined by blanks or punctuation.
+fn text_cell() -> BoxedStrategy<Value> {
+    let word = (
+        pick(&["credit", "suisse", "zurich", "gold", "bank", "ab", "b"]),
+        0usize..3,
+    )
+        .prop_map(|(word, case)| match case {
+            0 => word.to_string(),
+            1 => word.to_uppercase(),
+            _ => word[..1].to_uppercase() + &word[1..],
+        });
+    (
+        proptest::collection::vec(word, 0..4),
+        pick(&[" ", "  ", "-", ". "]),
+    )
+        .prop_map(|(words, separator)| Value::Text(words.join(separator)))
+        .boxed()
+}
+
+fn text_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let row =
+        (0i64..100, text_cell(), text_cell()).prop_map(|(id, a, b)| vec![Value::Int(id), a, b]);
+    proptest::collection::vec(row, 0..max)
+}
+
+#[derive(Debug, Clone)]
+enum FeedEvent {
+    Append(usize, Vec<Row>),
+    Replace(usize, Vec<Row>),
+    Truncate(usize),
+}
+
+fn feed_event(tables: usize) -> impl Strategy<Value = FeedEvent> {
+    (0..tables, 0usize..4, text_rows(4)).prop_map(|(table, kind, rows)| match kind {
+        0 => FeedEvent::Truncate(table),
+        1 => FeedEvent::Replace(table, rows),
+        _ => FeedEvent::Append(table, rows),
+    })
+}
+
+/// A phrase of one to three tokens, some of them *fragments* of cell tokens
+/// ("dit suisse" is a substring of "credit suisse") and some in no cell.
+fn phrase() -> impl Strategy<Value = String> {
+    let part = pick(&[
+        "credit", "dit", "suisse", "sui", "Zurich", "rich", "GOLD", "bank", "ab", "b", "nosuch",
+    ]);
+    proptest::collection::vec(part, 1..4).prop_map(|parts| parts.join(" "))
+}
+
+#[derive(Debug, Clone)]
+struct IndexCase {
+    /// Text columns per table, 0 to 2: the schema is `id` plus the first that
+    /// many of `a`, `b`, and every generated row is cut to fit.
+    text_columns: Vec<usize>,
+    tables: Vec<Vec<Row>>,
+    feed: Vec<FeedEvent>,
+    phrases: Vec<String>,
+}
+
+fn index_case() -> impl Strategy<Value = IndexCase> {
+    (1usize..=INDEX_TABLES.len()).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(0usize..=2, n),
+            proptest::collection::vec(text_rows(7), n),
+            proptest::collection::vec(feed_event(n), 0..6),
+            proptest::collection::vec(phrase(), 1..6),
+        )
+            .prop_map(|(text_columns, tables, feed, phrases)| IndexCase {
+                text_columns,
+                tables,
+                feed,
+                phrases,
+            })
+    })
+}
+
+impl IndexCase {
+    /// `rows` cut to the width of table `t`.
+    fn fit(&self, t: usize, rows: &[Row]) -> Vec<Row> {
+        let width = 1 + self.text_columns[t];
+        rows.iter().map(|row| row[..width].to_vec()).collect()
+    }
+
+    fn base(&self) -> Database {
+        let mut db = Database::new();
+        for (t, (name, rows)) in INDEX_TABLES.iter().zip(&self.tables).enumerate() {
+            let schema = ["a", "b"][..self.text_columns[t]].iter().fold(
+                TableSchema::builder(*name).column("id", DataType::Int),
+                |schema, column| schema.column(*column, DataType::Text),
+            );
+            db.create_table(schema.build()).unwrap();
+            db.table_mut(name)
+                .unwrap()
+                .insert_all(self.fit(t, rows))
+                .unwrap();
+        }
+        db
+    }
+
+    /// Applies the feed to `db` and mirrors it into `logs`, each event into
+    /// the log of the shard owning its table — what `soda-ingest` does.
+    fn ingest(&self, db: &mut Database, logs: &mut [SideLog]) {
+        for event in &self.feed {
+            match event {
+                FeedEvent::Append(t, rows) => {
+                    let name = INDEX_TABLES[*t];
+                    let start = db.table(name).unwrap().row_count();
+                    db.table_mut(name)
+                        .unwrap()
+                        .insert_all(self.fit(*t, rows))
+                        .unwrap();
+                    logs[shard_for_table(name, logs.len())]
+                        .append_rows(db.table(name).unwrap(), start);
+                }
+                FeedEvent::Replace(t, rows) => {
+                    let name = INDEX_TABLES[*t];
+                    let table = db.table_mut(name).unwrap();
+                    table.truncate();
+                    table.insert_all(self.fit(*t, rows)).unwrap();
+                    logs[shard_for_table(name, logs.len())].replace_table(db.table(name).unwrap());
+                }
+                FeedEvent::Truncate(t) => {
+                    let name = INDEX_TABLES[*t];
+                    db.table_mut(name).unwrap().truncate();
+                    logs[shard_for_table(name, logs.len())].truncate_table(name);
+                }
+            }
+        }
+    }
+}
+
+/// Every text cell of `db` as `(table, column, text)`, one per row.
+fn text_cells(db: &Database) -> Vec<(String, String, String)> {
+    let mut cells = Vec::new();
+    for table in db.tables() {
+        for (c, column) in table.schema().columns.iter().enumerate() {
+            for row in table.rows() {
+                if let Value::Text(text) = &row[c] {
+                    cells.push((table.name().to_string(), column.name.clone(), text.clone()));
+                }
+            }
+        }
+    }
+    cells
+}
+
+/// Rows whose cell holds `token` as a whole token.
+fn reference_frequency(cells: &[(String, String, String)], token: &str) -> usize {
+    cells
+        .iter()
+        .filter(|(_, _, text)| tokenize(text).iter().any(|t| t == token))
+        .count()
+}
+
+/// The phrase lookup by brute force: among the cells holding the phrase's
+/// rarest token (by rows, the first among equals), those whose normalised
+/// text contains the normalised phrase, grouped by `(table, column, value)`.
+fn reference_lookup(cells: &[(String, String, String)], phrase: &str) -> Vec<PhraseHit> {
+    let words = tokenize(phrase);
+    let frequencies: Vec<usize> = words
+        .iter()
+        .map(|w| reference_frequency(cells, w))
+        .collect();
+    let Some(rarest) = (0..words.len()).min_by_key(|&i| frequencies[i]) else {
+        return Vec::new();
+    };
+    let needle = words.join(" ");
+    let mut hits: std::collections::BTreeMap<(String, String, String), usize> = Default::default();
+    for cell in cells {
+        let tokens = tokenize(&cell.2);
+        if tokens.contains(&words[rarest]) && tokens.join(" ").contains(&needle) {
+            *hits.entry(cell.clone()).or_default() += 1;
+        }
+    }
+    hits.into_iter()
+        .map(|((table, column, value), row_count)| PhraseHit {
+            table,
+            column,
+            value,
+            row_count,
+        })
+        .collect()
+}
+
+proptest! {
+    /// At 1, 2 and 8 shards, merged with its side logs and after some or all
+    /// partitions were rebuilt, the index answers like a scan of the live
+    /// database.
+    #[test]
+    fn index_agrees_with_a_scan_of_every_cell(case in index_case()) {
+        let base = case.base();
+        for shards in [1usize, 2, 8] {
+            let mut live = base.clone();
+            let mut logs = vec![SideLog::default(); shards];
+            case.ingest(&mut live, &mut logs);
+            let cells = text_cells(&live);
+            let logged = InvertedIndex::build_sharded(&base, shards).with_side_logs(logs);
+            // Every other partition folded, the rest still logged; at one
+            // shard that is the index built from scratch.
+            let folded: Vec<usize> = (0..shards).step_by(2).collect();
+            let rebuilt = logged.with_rebuilt_shards(&live, &folded);
+            for phrase in &case.phrases {
+                let want = reference_lookup(&cells, phrase);
+                prop_assert_eq!(&logged.lookup_phrase(phrase), &want, "logged, {} shards, {:?}", shards, phrase);
+                prop_assert_eq!(&rebuilt.lookup_phrase(phrase), &want, "rebuilt, {} shards, {:?}", shards, phrase);
+                for token in tokenize(phrase) {
+                    let want = reference_frequency(&cells, &token);
+                    prop_assert_eq!(logged.token_frequency(&token), want, "logged, {} shards, {:?}", shards, &token);
+                    prop_assert_eq!(rebuilt.token_frequency(&token), want, "rebuilt, {} shards, {:?}", shards, &token);
+                }
+            }
+            // Sizes stay row-level: a posting per row and distinct token.
+            let postings: usize = cells
+                .iter()
+                .map(|(_, _, text)| {
+                    let mut tokens = tokenize(text);
+                    tokens.sort_unstable();
+                    tokens.dedup();
+                    tokens.len()
+                })
+                .sum();
+            let fresh = InvertedIndex::build_sharded(&live, shards);
+            prop_assert_eq!(fresh.posting_count(), postings);
+            prop_assert_eq!(fresh.indexed_cells(), cells.len());
+        }
     }
 }

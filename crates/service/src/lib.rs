@@ -79,6 +79,7 @@ pub mod cache;
 pub mod config;
 pub mod durability;
 pub mod exposition;
+mod heap;
 pub mod metrics;
 mod queue;
 pub mod request;

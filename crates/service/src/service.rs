@@ -32,9 +32,8 @@
 //! tenant, and [`QueryService::add_tenant`] registers further warehouses at
 //! runtime (each wrapped in its own [`SnapshotHandle`], tracked by the
 //! [`TenantRegistry`]).  All tenants share
-//! the worker pool, the queue, the cache and the global probe-thread budget
-//! ([`soda_core::ProbeBudget`]) — isolation comes from keys and quotas, not
-//! duplication:
+//! the worker pool, the queue and the cache — isolation comes from keys and
+//! quotas, not duplication:
 //!
 //! * Cache keys fold the tenant fingerprint into the snapshot fingerprint
 //!   ([`soda_core::TenantId::fold`]); the fold is the identity for the
@@ -428,6 +427,10 @@ impl QueryService {
     /// internally, so it can be reloaded later without restarting the
     /// pool).  Further tenants join through
     /// [`add_tenant`](Self::add_tenant).
+    ///
+    /// Process-wide side effect, here and in [`recover`](Self::recover): on
+    /// glibc the first service started raises the allocator's trim threshold
+    /// (see `heap.rs`), so freed memory stays with the process.
     pub fn start(engine: Arc<EngineSnapshot>, config: ServiceConfig) -> Self {
         Self::start_with(SnapshotHandle::new(engine), config, None)
     }
@@ -441,6 +444,7 @@ impl QueryService {
         config: ServiceConfig,
         durability: Option<(DurabilityState, DurabilityConfig)>,
     ) -> Self {
+        crate::heap::retain_freed_heap();
         let (state, durability_config) = durability.unzip();
         let default = Arc::new(TenantState::new(
             TenantId::default(),

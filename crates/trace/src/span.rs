@@ -98,8 +98,8 @@ impl From<bool> for TraceValue {
 ///
 /// Every method has an empty default body, so [`NoopSink`] is `impl TraceSink
 /// for NoopSink {}` and the compiler sees trivially inlinable no-ops.
-/// Implementations must be [`Sync`]: the lookup step's shard fan-out reports
-/// probe sub-spans from scoped helper threads.
+/// Implementations must be [`Sync`]: one sink is shared by every worker
+/// thread of a service.
 pub trait TraceSink: Sync {
     /// Whether spans are actually recorded.  Instrumentation sites must
     /// guard all allocation (field values, cloned tokens) behind this.

@@ -76,9 +76,8 @@ pub fn build_with_historization(config: EnterpriseConfig) -> Warehouse {
 /// scaling.  Schema and metadata graph are unchanged.
 ///
 /// This exists for lookup-layer benchmarks: shared text values such as
-/// "Switzerland" or the currency codes then accumulate long postings lists
-/// spread over *many* tables, which is the shape the sharded inverted
-/// index's partition-parallel fan-out accelerates.
+/// "Switzerland" or the currency codes then occur in many rows spread over
+/// *many* tables — and, in a sharded inverted index, over many shards.
 pub fn build_with_dimensions(config: EnterpriseConfig, dimension_scale: f64) -> Warehouse {
     build_internal(config, false, dimension_scale)
 }
