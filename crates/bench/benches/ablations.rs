@@ -13,10 +13,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use soda_core::{RankingWeights, SodaConfig, SodaEngine};
-use soda_eval::experiments::run_workload_with_engine;
+use std::sync::Arc;
+
+use soda_core::{EngineSnapshot, RankingWeights, SodaConfig};
+use soda_eval::experiments::run_workload;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
-use soda_warehouse::Warehouse;
 
 fn variants() -> Vec<(&'static str, SodaConfig)> {
     let base = SodaConfig::default();
@@ -67,32 +68,34 @@ fn variants() -> Vec<(&'static str, SodaConfig)> {
     ]
 }
 
-fn mean_best_f1(warehouse: &Warehouse, engine: &SodaEngine<'_>) -> f64 {
-    let evals = run_workload_with_engine(warehouse, engine);
+fn mean_best_f1(engine: &EngineSnapshot) -> f64 {
+    let evals = run_workload(engine);
     evals.iter().map(|e| e.best.f1()).sum::<f64>() / evals.len() as f64
 }
 
 fn bench_ablations(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    // Every variant shares the one warehouse.
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.15,
-    });
+    })
+    .shared_parts();
+    let engine = |config| EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), config);
 
     let mut group = c.benchmark_group("ablations_workload");
     group.sample_size(10);
     for (name, config) in variants() {
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
+        let engine = engine(config);
         group.bench_with_input(BenchmarkId::from_parameter(name), &engine, |b, engine| {
-            b.iter(|| black_box(run_workload_with_engine(&warehouse, engine).len()))
+            b.iter(|| black_box(run_workload(engine).len()))
         });
     }
     group.finish();
 
     println!("\nAblation quality summary (mean best-F1 over the 13 workload queries):");
     for (name, config) in variants() {
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
-        println!("  {:<24} {:.3}", name, mean_best_f1(&warehouse, &engine));
+        println!("  {:<24} {:.3}", name, mean_best_f1(&engine(config)));
     }
 }
 

@@ -77,7 +77,7 @@ fn bench_delta_ingest(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("ingest_feed", FEED_ROWS), &(), |b, ()| {
         b.iter(|| {
             let handle = SnapshotHandle::new(Arc::clone(&base));
-            black_box(handle.absorb(&feed).expect("feed absorbs"))
+            black_box(handle.absorb(feed.clone()).expect("feed absorbs"))
         })
     });
 
@@ -107,7 +107,7 @@ fn bench_delta_ingest(c: &mut Criterion) {
 
     // …and against one whose side logs carry the onboarded rows.
     let logged_handle = SnapshotHandle::new(Arc::clone(&base));
-    logged_handle.absorb(&feed).expect("feed absorbs");
+    logged_handle.absorb(feed.clone()).expect("feed absorbs");
     let logged = logged_handle.load();
     assert!(
         !logged.shards_with_side_logs().is_empty(),
@@ -128,7 +128,7 @@ fn bench_delta_ingest(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("compact_logs", SHARDS), &(), |b, ()| {
         b.iter(|| {
             let handle = SnapshotHandle::new(Arc::clone(&base));
-            handle.absorb(&feed).expect("feed absorbs");
+            handle.absorb(feed.clone()).expect("feed absorbs");
             black_box(handle.compact(&all_shards).expect("a log to fold"))
         })
     });
@@ -160,7 +160,7 @@ fn bench_delta_ingest(c: &mut Criterion) {
         |b, ()| {
             b.iter(|| {
                 let handle = SnapshotHandle::new(Arc::clone(&base4));
-                black_box(handle.absorb(&feed4).expect("feed absorbs"))
+                black_box(handle.absorb(feed4.clone()).expect("feed absorbs"))
             })
         },
     );

@@ -10,9 +10,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use soda_core::{FeedbackStore, SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda_core::{EngineSnapshot, FeedbackStore, SearchOptions, SodaConfig};
 use soda_eval::experiments::historization::historization_comparison;
-use soda_eval::experiments::run_workload_with_engine;
+use soda_eval::experiments::run_workload;
 use soda_eval::report::print_historization;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::Warehouse;
@@ -23,9 +25,15 @@ const CONFIG: EnterpriseConfig = EnterpriseConfig {
     data_scale: 0.15,
 };
 
-fn mean_best_f1(warehouse: &Warehouse, engine: &SodaEngine<'_>) -> f64 {
-    let evals = run_workload_with_engine(warehouse, engine);
+fn mean_best_f1(engine: &EngineSnapshot) -> f64 {
+    let evals = run_workload(engine);
     evals.iter().map(|e| e.best.f1()).sum::<f64>() / evals.len() as f64
+}
+
+/// One engine per configuration, all over the one warehouse.
+fn engines_over(warehouse: Warehouse) -> impl Fn(SodaConfig) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    move |config| EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), config)
 }
 
 /// Historization annotations: query latency on the plain vs the annotated
@@ -36,8 +44,8 @@ fn bench_historization(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("extension_historization");
     group.sample_size(10);
-    for (name, warehouse) in [("plain", &plain), ("annotated", &annotated)] {
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    for (name, warehouse) in [("plain", plain), ("annotated", annotated)] {
+        let engine = engines_over(warehouse)(SodaConfig::default());
         group.bench_with_input(BenchmarkId::from_parameter(name), &engine, |b, engine| {
             b.iter(|| black_box(engine.search("Sara").unwrap().len()))
         });
@@ -52,7 +60,7 @@ fn bench_historization(c: &mut Criterion) {
 
 /// Far-fetching: workload quality and latency as the join-path bound grows.
 fn bench_far_fetching(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(CONFIG);
+    let engine = engines_over(enterprise::build_with(CONFIG));
 
     let mut group = c.benchmark_group("extension_far_fetching");
     group.sample_size(10);
@@ -61,9 +69,9 @@ fn bench_far_fetching(c: &mut Criterion) {
             max_join_path_length: bound,
             ..SodaConfig::default()
         };
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
+        let engine = engine(config);
         group.bench_with_input(BenchmarkId::from_parameter(bound), &engine, |b, engine| {
-            b.iter(|| black_box(run_workload_with_engine(&warehouse, engine).len()))
+            b.iter(|| black_box(run_workload(engine).len()))
         });
     }
     group.finish();
@@ -74,10 +82,9 @@ fn bench_far_fetching(c: &mut Criterion) {
             max_join_path_length: bound,
             ..SodaConfig::default()
         };
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
         println!(
             "  max_join_path_length = {bound:<2}  mean best-F1 = {:.3}",
-            mean_best_f1(&warehouse, &engine)
+            mean_best_f1(&engine(config))
         );
     }
 }
@@ -85,17 +92,12 @@ fn bench_far_fetching(c: &mut Criterion) {
 /// Compactness re-ranking and relevance feedback: latency of the re-ranked
 /// search plus a summary of how the top interpretation changes.
 fn bench_reranking(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(CONFIG);
-    let default_engine =
-        SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
-    let compact_engine = SodaEngine::new(
-        &warehouse.database,
-        &warehouse.graph,
-        SodaConfig {
-            compactness_rerank: true,
-            ..SodaConfig::default()
-        },
-    );
+    let engine = engines_over(enterprise::build_with(CONFIG));
+    let default_engine = engine(SodaConfig::default());
+    let compact_engine = engine(SodaConfig {
+        compactness_rerank: true,
+        ..SodaConfig::default()
+    });
 
     let mut group = c.benchmark_group("extension_reranking");
     group.sample_size(10);
@@ -111,22 +113,24 @@ fn bench_reranking(c: &mut Criterion) {
     for _ in 0..3 {
         feedback.dislike(&baseline[0]);
     }
+    let with_feedback = || {
+        let options = SearchOptions {
+            feedback: Some(&feedback),
+            ..SearchOptions::default()
+        };
+        default_engine
+            .search_with("Credit Suisse", &options)
+            .unwrap()
+            .page
+            .results
+    };
     group.bench_function("with_feedback", |b| {
-        b.iter(|| {
-            black_box(
-                default_engine
-                    .search_with_feedback("Credit Suisse", &feedback)
-                    .unwrap()
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(with_feedback().len()))
     });
     group.finish();
 
     let compact = compact_engine.search("Credit Suisse").unwrap();
-    let reranked = default_engine
-        .search_with_feedback("Credit Suisse", &feedback)
-        .unwrap();
+    let reranked = with_feedback();
     println!("\n'Credit Suisse' top interpretation per ranking variant:");
     println!("  provenance only     : {:?}", baseline[0].tables);
     println!("  compactness rerank  : {:?}", compact[0].tables);

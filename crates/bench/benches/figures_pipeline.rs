@@ -5,19 +5,25 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, SearchOptions, SodaConfig};
 use soda_eval::experiments::figures;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
-use soda_warehouse::minibank;
+use soda_warehouse::{minibank, Warehouse};
+
+fn engine(warehouse: Warehouse) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    EngineSnapshot::build(db, graph, SodaConfig::default())
+}
 
 fn bench_figures(c: &mut Criterion) {
+    // The schema figures read the model, the pipeline figures an engine.
     let bank = minibank::build(42);
-    let enterprise = enterprise::build_with(EnterpriseConfig {
+    let enterprise = engine(enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.1,
-    });
-    let engine = SodaEngine::new(&bank.database, &bank.graph, SodaConfig::default());
+    }));
+    let engine = engine(minibank::build(42));
 
     let mut group = c.benchmark_group("figures_pipeline");
     group.sample_size(20);
@@ -25,13 +31,16 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 engine
-                    .search_traced("customers Zurich financial instruments")
+                    .search_with(
+                        "customers Zurich financial instruments",
+                        &SearchOptions::default(),
+                    )
                     .unwrap(),
             )
         })
     });
     group.bench_function("figure6_tables_step", |b| {
-        b.iter(|| black_box(figures::figure6_tables(&bank)))
+        b.iter(|| black_box(figures::figure6_tables(&engine)))
     });
     group.bench_function("figure9_direct_path_joins", |b| {
         b.iter(|| black_box(figures::figure9_direct_path(&enterprise)))
@@ -52,15 +61,15 @@ fn bench_figures(c: &mut Criterion) {
     );
     println!(
         "Figure 4 (pipeline step shares): {:?}",
-        figures::figure4_trace(&bank, "customers Zurich financial instruments")
+        figures::figure4_trace(&engine, "customers Zurich financial instruments")
     );
     println!(
         "Figure 5 (classification): {:?}",
-        figures::figure5_classification(&bank)
+        figures::figure5_classification(&engine)
     );
     println!(
         "Figure 6 (tables step): {:?}",
-        figures::figure6_tables(&bank)
+        figures::figure6_tables(&engine)
     );
     println!("Figure 7 (table pattern): {}", figures::figure7_pattern());
     println!(

@@ -18,9 +18,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use soda_core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
-use soda_warehouse::Warehouse;
 
 /// Multi-table lookup workload (see the module docs for why these tokens).
 const QUERIES: &[&str] = &[
@@ -30,17 +31,6 @@ const QUERIES: &[&str] = &[
     "CHF",
     "Schmid",
 ];
-
-fn engine(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
-    SodaEngine::new(
-        &warehouse.database,
-        &warehouse.graph,
-        SodaConfig {
-            shards,
-            ..SodaConfig::default()
-        },
-    )
-}
 
 fn bench_lookup_sharding(c: &mut Criterion) {
     // Scale both the transactional tables and the party-rooted dimensions so
@@ -53,11 +43,19 @@ fn bench_lookup_sharding(c: &mut Criterion) {
         },
         8.0,
     );
+    let (db, graph) = warehouse.shared_parts();
 
     let mut group = c.benchmark_group("lookup_sharding");
     group.sample_size(10);
     for shards in [1usize, 2, 4, 8] {
-        let engine = engine(&warehouse, shards);
+        let engine = EngineSnapshot::build(
+            Arc::clone(&db),
+            Arc::clone(&graph),
+            SodaConfig {
+                shards,
+                ..SodaConfig::default()
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("lookup_step", shards),
             &engine,

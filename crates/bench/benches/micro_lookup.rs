@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use soda_core::{ClassificationIndex, SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda_core::{ClassificationIndex, EngineSnapshot, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::minibank;
 use soda_warehouse::Warehouse;
@@ -29,25 +31,21 @@ fn bench_lookup(c: &mut Criterion) {
     group.sample_size(10);
 
     for (name, warehouse) in warehouses() {
+        let parts = warehouse.shared_parts();
+        let build = |(db, graph): &(Arc<_>, Arc<_>)| {
+            EngineSnapshot::build(Arc::clone(db), Arc::clone(graph), SodaConfig::default())
+        };
         group.bench_with_input(
             BenchmarkId::new("engine_construction", name),
-            &warehouse,
-            |b, w| {
-                b.iter(|| {
-                    black_box(SodaEngine::new(
-                        &w.database,
-                        &w.graph,
-                        SodaConfig::default(),
-                    ))
-                })
-            },
+            &parts,
+            |b, parts| b.iter(|| black_box(build(parts))),
         );
         group.bench_with_input(
             BenchmarkId::new("classification_index_build", name),
-            &warehouse,
-            |b, w| b.iter(|| black_box(ClassificationIndex::build(&w.graph, true).len())),
+            &parts.1,
+            |b, graph| b.iter(|| black_box(ClassificationIndex::build(graph, true).len())),
         );
-        let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+        let engine = build(&parts);
         group.bench_with_input(
             BenchmarkId::new("keyword_query", name),
             &engine,

@@ -8,28 +8,29 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use soda_core::{SodaConfig, SodaEngine};
-use soda_eval::experiments::run_workload_with_engine;
+use soda_core::{EngineSnapshot, SodaConfig};
+use soda_eval::experiments::run_workload;
 use soda_eval::report::{print_table2, print_table3};
 use soda_eval::workload::workload;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 
 fn bench_table3(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.2,
-    });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    })
+    .shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     let mut group = c.benchmark_group("table3_precision_recall");
     group.sample_size(10);
     group.bench_function("full_workload_evaluation", |b| {
-        b.iter(|| black_box(run_workload_with_engine(&warehouse, &engine)))
+        b.iter(|| black_box(run_workload(&engine)))
     });
     group.finish();
 
-    let evals = run_workload_with_engine(&warehouse, &engine);
+    let evals = run_workload(&engine);
     println!("\n{}", print_table2(&workload()));
     println!("{}", print_table3(&evals));
 }

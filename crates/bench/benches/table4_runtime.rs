@@ -7,19 +7,20 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use soda_core::{SodaConfig, SodaEngine};
-use soda_eval::experiments::run_workload_with_engine;
+use soda_core::{EngineSnapshot, SodaConfig};
+use soda_eval::experiments::run_workload;
 use soda_eval::report::print_table4;
 use soda_eval::workload::workload;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 
 fn bench_table4(c: &mut Criterion) {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.2,
-    });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    })
+    .shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // SODA processing time per query (Table 4, "SODA runtime").
     let mut group = c.benchmark_group("table4_soda_runtime");
@@ -55,7 +56,7 @@ fn bench_table4(c: &mut Criterion) {
     }
     group.finish();
 
-    let evals = run_workload_with_engine(&warehouse, &engine);
+    let evals = run_workload(&engine);
     println!("\n{}", print_table4(&evals));
 }
 

@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use soda_baselines::all_baselines;
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_eval::experiments::table5::table5;
 use soda_eval::report::print_table5;
 use soda_eval::workload::workload;
@@ -46,7 +47,9 @@ fn bench_table5(c: &mut Criterion) {
     }
     group.finish();
 
-    println!("\n{}", print_table5(&table5(&warehouse)));
+    let (db, graph) = warehouse.shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
+    println!("\n{}", print_table5(&table5(&engine)));
 }
 
 criterion_group!(benches, bench_table5);

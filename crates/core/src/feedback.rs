@@ -7,7 +7,7 @@
 //! *interpretation* of a result — which metadata-graph node each phrase was
 //! resolved against — and the engine folds the accumulated votes into the
 //! Step 2 ranking of later queries
-//! ([`crate::engine::SodaEngine::search_with_feedback`]).
+//! ([`SearchOptions::feedback`](crate::SearchOptions::feedback)).
 //!
 //! Votes are keyed by `(phrase, entry-point URI)` rather than by SQL text so
 //! that feedback generalises: disliking the agreement interpretation of

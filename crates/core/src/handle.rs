@@ -41,7 +41,7 @@ use soda_relation::Database;
 use crate::error::Result;
 use crate::snapshot::EngineSnapshot;
 
-/// What one [`SnapshotHandle::absorb_owned`] published: the stamped
+/// What one [`SnapshotHandle::absorb`] published: the stamped
 /// generation plus the ingest report describing how much the copy-on-write
 /// derive actually moved (and how much it structurally shared).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,8 +146,8 @@ impl SnapshotHandle {
     /// existing postings with zero rebuild cost.  Interpretation caches
     /// keyed by [`EngineSnapshot::cache_fingerprint`] see every page of the
     /// superseded generation stop being addressable; the serving layer's
-    /// retention pass ([`EngineSnapshot::retains_page`]) re-keys the pages
-    /// that provably never consulted a rebuilt partition instead of
+    /// retention pass ([`RetentionGate`](crate::RetentionGate)) re-keys the
+    /// pages that provably never consulted a rebuilt partition instead of
     /// recomputing them.  Returns the new generation.
     pub fn rebuild_shards(&self, db: Arc<Database>, tables: &[String]) -> u64 {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
@@ -162,23 +162,20 @@ impl SnapshotHandle {
     /// events are applied to a copy of the base data and their indexed
     /// consequences accumulate in per-shard side logs that every probe
     /// merges on the fly.  Only the shards whose logs changed get their
-    /// generation slot bumped.  Returns the new generation; on any feed
-    /// error (unknown table, arity violation) nothing is published and the
-    /// current generation keeps serving.
+    /// generation slot bumped.  On any feed error (unknown table, arity
+    /// violation) nothing is published and the current generation keeps
+    /// serving.
+    ///
+    /// The feed is taken by value: appended rows move through the
+    /// copy-on-write database derive instead of being cloned out of a
+    /// borrowed feed.  Returns the stamped generation together with the
+    /// [`IngestReport`](soda_ingest::IngestReport) so serving layers can
+    /// surface structural-sharing metrics.
     ///
     /// Side logs tax probes on their shard; fold them back into rebuilt
     /// partitions with [`compact`](Self::compact) once they outgrow a
     /// budget (`soda_ingest::CompactionPolicy` decides when).
-    pub fn absorb(&self, feed: &ChangeFeed) -> Result<u64> {
-        Ok(self.absorb_owned(feed.clone())?.generation)
-    }
-
-    /// [`absorb`](Self::absorb) for an **owned** feed — the zero-copy path:
-    /// appended rows move by value through the copy-on-write database derive
-    /// instead of being cloned out of a borrowed feed.  Returns the stamped
-    /// generation together with the [`IngestReport`](soda_ingest::IngestReport)
-    /// so serving layers can surface structural-sharing metrics.
-    pub fn absorb_owned(&self, feed: ChangeFeed) -> Result<AbsorbOutcome> {
+    pub fn absorb(&self, feed: ChangeFeed) -> Result<AbsorbOutcome> {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         // Reserve the number only after the derive succeeds, so a rejected
         // feed leaves no gap in the generation sequence.
@@ -434,8 +431,8 @@ mod tests {
         let before = handle.load();
         assert!(before.search("Streamville").unwrap().is_empty());
 
-        let generation = handle.absorb(&address_feed(900, "Streamville")).unwrap();
-        assert_eq!(generation, 1);
+        let outcome = handle.absorb(address_feed(900, "Streamville")).unwrap();
+        assert_eq!(outcome.generation, 1);
         let after = handle.load();
         assert!(!after.search("Streamville").unwrap().is_empty());
         // The pinned old generation still serves its old view.
@@ -477,9 +474,7 @@ mod tests {
     fn absorb_shares_every_untouched_table_with_the_previous_database() {
         let handle = minibank_handle(4);
         let before = handle.load();
-        let outcome = handle
-            .absorb_owned(address_feed(900, "Streamville"))
-            .unwrap();
+        let outcome = handle.absorb(address_feed(900, "Streamville")).unwrap();
         assert_eq!(outcome.generation, 1);
         let after = handle.load();
 
@@ -523,7 +518,7 @@ mod tests {
     #[test]
     fn compact_folds_side_logs_without_changing_answers() {
         let handle = minibank_handle(4);
-        handle.absorb(&address_feed(900, "Streamville")).unwrap();
+        handle.absorb(address_feed(900, "Streamville")).unwrap();
         let logged = handle.load();
         let owner = soda_relation::shard_for_table("addresses", 4);
         let expected = logged.search("Streamville").unwrap();
@@ -558,18 +553,18 @@ mod tests {
     fn rejected_feeds_publish_nothing_and_leave_no_generation_gap() {
         let handle = minibank_handle(2);
         let bad = ChangeFeed::new().append_row("no_such_table", vec![]);
-        assert!(handle.absorb(&bad).is_err());
+        assert!(handle.absorb(bad).is_err());
         assert_eq!(handle.generation(), 0);
         // The next successful publication continues the sequence densely.
-        let generation = handle.absorb(&address_feed(901, "Gapless")).unwrap();
-        assert_eq!(generation, 1);
+        let outcome = handle.absorb(address_feed(901, "Gapless")).unwrap();
+        assert_eq!(outcome.generation, 1);
         assert!(!handle.load().search("Gapless").unwrap().is_empty());
     }
 
     #[test]
     fn restore_generations_relands_the_recorded_stamps() {
         let handle = minibank_handle(4);
-        handle.absorb(&address_feed(900, "Streamville")).unwrap();
+        handle.absorb(address_feed(900, "Streamville")).unwrap();
         let live = handle.load();
         let expected_fp = live.cache_fingerprint();
         let generation = live.generation();
@@ -594,8 +589,8 @@ mod tests {
         assert_eq!(restored.cache_fingerprint(), expected_fp);
         assert_eq!(restored.search("Streamville").unwrap(), answer);
         // The sequence continues densely after restoration.
-        let next = rebooted.absorb(&address_feed(901, "Afterville")).unwrap();
-        assert_eq!(next, generation + 1);
+        let next = rebooted.absorb(address_feed(901, "Afterville")).unwrap();
+        assert_eq!(next.generation, generation + 1);
     }
 
     #[test]

@@ -21,11 +21,17 @@
 //!    hits and metadata-defined business terms ("wealthy customers").
 //! 5. **SQL** — combine everything into executable SQL.
 //!
-//! ```
-//! use soda_core::{SodaConfig, SodaEngine};
+//! One type is the engine — [`EngineSnapshot`], built once per warehouse —
+//! and one method is the search — [`EngineSnapshot::search_with`], whose
+//! [`SearchOptions`] carry the page, the relevance feedback, the probe
+//! recorder and the trace sink; [`search`](EngineSnapshot::search) and
+//! [`search_paged`](EngineSnapshot::search_paged) are its two shorthands.
 //!
-//! let warehouse = soda_warehouse::minibank::build(42);
-//! let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+//! ```
+//! use soda_core::{EngineSnapshot, SodaConfig};
+//!
+//! let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
+//! let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 //! let results = engine.search("Sara Guttinger").unwrap();
 //! assert!(!results.is_empty());
 //! assert!(results[0].sql.starts_with("SELECT"));
@@ -52,7 +58,7 @@ pub mod tenant;
 
 pub use classification::ClassificationIndex;
 pub use config::{RankingWeights, SodaConfig};
-pub use engine::SodaEngine;
+pub use engine::{SearchLimit, SearchOptions, SearchOutcome};
 pub use error::{Result, SodaError};
 pub use feedback::FeedbackStore;
 pub use handle::{AbsorbOutcome, SnapshotHandle};
@@ -73,7 +79,7 @@ pub use tenant::TenantId;
 pub use soda_ingest::{ChangeFeed, CompactionPolicy, IngestReport, RowEvent};
 pub use soda_metagraph::MetaGraph;
 pub use soda_relation::{Database, Value};
-// Re-exported so callers of the observed search paths can name sinks and
+// Re-exported so callers of a traced search can name sinks and
 // span trees without a direct `soda-trace` dependency.  (`QueryTrace` above
 // is this crate's per-query pipeline report; the span tree a collecting
 // sink folds into is `soda_trace::QueryTrace` — reach it via `trace::`.)

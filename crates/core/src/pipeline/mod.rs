@@ -41,8 +41,8 @@ pub struct PipelineContext<'a> {
     /// lookups route directly to the owning shard).
     pub classification: &'a ClassificationIndex,
     /// Sharded inverted index over the base data (absent when disabled).
-    /// The lookup step fans each term's probe out across
-    /// [`shards`](ShardedInvertedIndex::shards).
+    /// The lookup step probes, inline and in shard order, the
+    /// [`shards`](ShardedInvertedIndex::shards) holding a term's probe token.
     pub index: Option<&'a ShardedInvertedIndex>,
     /// Per-shard probe counters, bumped by the lookup step.
     pub probes: &'a ShardProbes,

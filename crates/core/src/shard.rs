@@ -66,7 +66,7 @@ impl ShardProbes {
 /// a data-only snapshot swap, a page provably still answers correctly when
 /// every recorded probe still selects the same token and none of the swap's
 /// dirty shards holds candidates for it (see
-/// [`EngineSnapshot::retains_page`](crate::EngineSnapshot::retains_page)).
+/// [`RetentionGate::retains`](crate::RetentionGate::retains)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct ProbeDep {
     /// The probed phrase, as handed to the inverted index.
@@ -137,7 +137,6 @@ impl ProbeRecorder {
 }
 
 /// Per-shard sizes and probe counts of one engine's lookup layer, exposed by
-/// [`SodaEngine::shard_stats`](crate::SodaEngine::shard_stats) /
 /// [`EngineSnapshot::shard_stats`](crate::EngineSnapshot::shard_stats) and
 /// embedded in the serving layer's `ServiceMetrics`.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]

@@ -1,26 +1,22 @@
-//! Owned, shareable engine state for long-lived query serving.
+//! The SODA engine as a value: owned, immutable, shareable engine state.
 //!
-//! [`SodaEngine`](crate::SodaEngine) borrows its warehouse, which is the
-//! right shape for one-shot experiments but not for a service: a serving
+//! An [`EngineSnapshot`] is constructed once per warehouse — it builds the
+//! inverted index over the base data, the classification index over the
+//! metadata labels and the join catalog — and then answers any number of
+//! keyword queries (see [`crate::engine`] for the search itself).  It holds
+//! the base data and the metadata graph behind [`Arc`]s next to the built
+//! indexes, is `Send + Sync`, and can outlive whatever built it: a serving
 //! process builds the warehouse once, then answers queries from many threads
-//! for hours.  [`EngineSnapshot`] is the owned counterpart — it holds the
-//! base data and the metadata graph behind [`Arc`]s together with the built
-//! indexes (classification index, inverted index, join catalog), is
-//! `Send + Sync`, and can outlive whatever built it.
+//! for hours.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use soda_core::{EngineSnapshot, SodaConfig};
 //!
 //! let snapshot = {
-//!     // The warehouse is dropped at the end of this scope; the snapshot
+//!     // The warehouse is consumed at the end of this scope; the snapshot
 //!     // keeps serving.
-//!     let warehouse = soda_warehouse::minibank::build(42);
-//!     EngineSnapshot::build(
-//!         Arc::new(warehouse.database),
-//!         Arc::new(warehouse.graph),
-//!         SodaConfig::default(),
-//!     )
+//!     let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
+//!     EngineSnapshot::build(db, graph, SodaConfig::default())
 //! };
 //! let results = snapshot.search("Sara Guttinger").unwrap();
 //! assert!(!results.is_empty());
@@ -29,32 +25,36 @@
 use std::sync::Arc;
 
 use soda_metagraph::MetaGraph;
-use soda_relation::{Database, ResultSet, ShardedInvertedIndex};
+use soda_relation::{Database, ShardedInvertedIndex};
+use soda_trace::TraceSink;
 
 use crate::classification::ClassificationIndex;
 use crate::config::SodaConfig;
-use crate::engine::EngineCore;
 use crate::error::Result;
-use crate::feedback::FeedbackStore;
 use crate::joins::JoinCatalog;
 use crate::patterns::SodaPatterns;
-use crate::pipeline::lookup::LookupResult;
-use crate::result::{QueryTrace, ResultPage, SodaResult, StepTimings};
-use crate::shard::{ProbeDep, ProbeRecorder, ShardStats};
-use crate::suggest::TermSuggestion;
+use crate::pipeline::PipelineContext;
+use crate::shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
 
-/// An owned, immutable, thread-safe SODA engine.
+/// The SODA engine: an owned, immutable, thread-safe snapshot of a warehouse
+/// and every index the five-step pipeline consults.
 ///
-/// Construction cost is identical to [`SodaEngine`](crate::SodaEngine) (the
-/// same indexes are built); afterwards every method takes `&self` and the
-/// whole snapshot can be wrapped in an [`Arc`] and shared across threads —
-/// the `soda-service` crate builds its worker pool on exactly that.
+/// Every method takes `&self` and the whole snapshot can be wrapped in an
+/// [`Arc`] and shared across threads — the `soda-service` crate builds its
+/// worker pool on exactly that.
 ///
-/// The snapshot is built around the *sharded* lookup layer: both indexes are
-/// partitioned into `config.shards` partitions at construction and every
-/// query's lookup step fans its base-data probes out across them;
+/// Both indexes are partitioned into `config.shards` shards by stable hashes
+/// (classification by phrase, inverted index by owning table) at
+/// construction; the lookup step probes the inverted-index shards inline and
+/// bumps the per-shard [`ShardProbes`] counters, and
 /// [`shard_stats`](Self::shard_stats) reports the per-shard sizes and probe
 /// counts the serving layer folds into its metrics.
+///
+/// Everything expensive sits behind [`Arc`]s (the base data, the graph, the
+/// join catalog and the probe counters here, the index shards internally),
+/// so the hot-swap derive paths of [`SnapshotHandle`](crate::SnapshotHandle)
+/// build a next-generation snapshot that shares every untouched structure
+/// with its parent instead of copying it.
 ///
 /// ## Generations
 ///
@@ -69,12 +69,21 @@ use crate::suggest::TermSuggestion;
 /// folds the configuration fingerprint together with the publication
 /// generation and the vector, so a superseded generation's cached pages
 /// stop being addressable; for data-only swaps the serving layer re-keys
-/// pages that provably never consulted a dirty shard
-/// ([`retains_page`](Self::retains_page)) instead of recomputing them.
+/// pages that provably never consulted a dirty shard ([`RetentionGate`])
+/// instead of recomputing them.
 pub struct EngineSnapshot {
     db: Arc<Database>,
     graph: Arc<MetaGraph>,
-    core: EngineCore,
+    config: SodaConfig,
+    patterns: SodaPatterns,
+    classification: ClassificationIndex,
+    index: Option<ShardedInvertedIndex>,
+    joins: Arc<JoinCatalog>,
+    probes: Arc<ShardProbes>,
+    /// Per-shard index sizes, computed once per generation: the indexes are
+    /// immutable afterwards, and recounting postings on every metrics poll
+    /// would be O(distinct tokens).
+    sizes: ShardSizes,
     /// Generation stamped at publication (0 = never published via a handle).
     generation: u64,
     /// Generation that last rebuilt each lookup-layer partition.
@@ -87,37 +96,116 @@ pub struct EngineSnapshot {
     fingerprint: u64,
 }
 
+/// Immutable per-shard size vectors of the built indexes (side-log gauges
+/// included — the logs are immutable within one snapshot generation too).
+#[derive(Clone)]
+struct ShardSizes {
+    classification_phrases: Vec<usize>,
+    index_tokens: Vec<usize>,
+    index_postings: Vec<usize>,
+    log_postings: Vec<usize>,
+    log_rows: Vec<usize>,
+    log_masks: Vec<usize>,
+}
+
+impl ShardSizes {
+    fn of(classification: &ClassificationIndex, index: Option<&ShardedInvertedIndex>) -> Self {
+        let (index_tokens, index_postings, log_postings, log_rows, log_masks) = match index {
+            Some(index) => (
+                index.shards().iter().map(|s| s.token_count()).collect(),
+                index.shards().iter().map(|s| s.posting_count()).collect(),
+                index.side_log_postings(),
+                index.side_log_rows(),
+                index.side_log_masks(),
+            ),
+            None => (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+        };
+        Self {
+            classification_phrases: classification.shard_sizes(),
+            index_tokens,
+            index_postings,
+            log_postings,
+            log_rows,
+            log_masks,
+        }
+    }
+}
+
 impl EngineSnapshot {
-    /// Builds a snapshot over an owned warehouse with the default patterns.
+    /// Builds an engine over a warehouse with the default patterns.
     pub fn build(db: Arc<Database>, graph: Arc<MetaGraph>, config: SodaConfig) -> Self {
         Self::with_patterns(db, graph, config, SodaPatterns::default())
     }
 
-    /// Builds a snapshot with custom metadata-graph patterns.
+    /// Builds an engine with custom metadata-graph patterns (how SODA is
+    /// ported to a warehouse with different modelling conventions): the
+    /// sharded classification index, the sharded inverted index (when
+    /// enabled) and the join catalog.
     pub fn with_patterns(
         db: Arc<Database>,
         graph: Arc<MetaGraph>,
         config: SodaConfig,
         patterns: SodaPatterns,
     ) -> Self {
-        let core = EngineCore::build(&db, &graph, config, patterns);
-        Self::from_parts(db, graph, core)
-    }
-
-    /// Assembles a snapshot from already-built engine state (used by
-    /// [`SodaEngine::into_shared`](crate::SodaEngine::into_shared) to avoid
-    /// rebuilding the indexes).
-    pub(crate) fn from_parts(db: Arc<Database>, graph: Arc<MetaGraph>, core: EngineCore) -> Self {
-        let shards = core.config().shards.max(1);
+        let shards = config.shards.max(1);
+        let classification = ClassificationIndex::build_sharded(&graph, config.use_dbpedia, shards);
+        let index = if config.use_inverted_index {
+            Some(ShardedInvertedIndex::build_sharded(&db, shards))
+        } else {
+            None
+        };
+        let joins = Arc::new(JoinCatalog::build(&graph, &patterns, &db));
+        let sizes = ShardSizes::of(&classification, index.as_ref());
         Self {
             db,
             graph,
-            core,
+            config,
+            patterns,
+            classification,
+            index,
+            joins,
+            probes: Arc::new(ShardProbes::new(shards)),
+            sizes,
             generation: 0,
             shard_generations: vec![0; shards],
             fingerprint: 0,
         }
         .sealed()
+    }
+
+    /// A structurally identical snapshot sharing every built structure with
+    /// `self` — the indexes clone by `Arc` internally, so this is cheap.
+    /// What every derive below starts from.
+    fn share(&self) -> Self {
+        Self {
+            db: Arc::clone(&self.db),
+            graph: Arc::clone(&self.graph),
+            config: self.config.clone(),
+            patterns: self.patterns.clone(),
+            classification: self.classification.clone(),
+            index: self.index.clone(),
+            joins: Arc::clone(&self.joins),
+            probes: Arc::clone(&self.probes),
+            sizes: self.sizes.clone(),
+            generation: self.generation,
+            shard_generations: self.shard_generations.clone(),
+            fingerprint: self.fingerprint,
+        }
+    }
+
+    /// Finishes a derived snapshot: stamps `generation` into the snapshot
+    /// and into the slots of the `touched` shards (they answer differently
+    /// now, or were rebuilt), recounts the index sizes and seals the
+    /// fingerprint.
+    fn derived(mut self, generation: u64, touched: impl IntoIterator<Item = usize>) -> Self {
+        self.generation = generation;
+        for shard in touched {
+            if let Some(slot) = self.shard_generations.get_mut(shard) {
+                *slot = generation;
+            }
+        }
+        self.sizes = ShardSizes::of(&self.classification, self.index.as_ref());
+        self.sealed()
     }
 
     /// Stamps this snapshot as published at `generation` (every shard slot
@@ -136,12 +224,9 @@ impl EngineSnapshot {
     /// recorded.  Every built structure is shared with `self`.
     pub(crate) fn restored(&self, generation: u64, shard_generations: Vec<u64>) -> Self {
         Self {
-            db: Arc::clone(&self.db),
-            graph: Arc::clone(&self.graph),
-            core: self.core.share(),
             generation,
             shard_generations,
-            fingerprint: 0,
+            ..self.share()
         }
         .sealed()
     }
@@ -151,64 +236,90 @@ impl EngineSnapshot {
     /// and stamped with `generation`; every other structure — classification
     /// index, join catalog, probe counters, untouched index partitions — is
     /// shared with `self`.
+    ///
+    /// The join catalog reads the database only to resolve schema-level
+    /// names, so a data-only delta cannot change it — which is what makes
+    /// sharing it here sound.
     pub(crate) fn derive_rebuilt_tables(
         &self,
         db: Arc<Database>,
         tables: &[String],
         generation: u64,
     ) -> Self {
-        let (core, affected) = self.core.derive_with_rebuilt_tables(&db, tables);
-        let mut shard_generations = self.shard_generations.clone();
-        for shard in affected {
-            if let Some(slot) = shard_generations.get_mut(shard) {
-                *slot = generation;
-            }
-        }
+        let affected = self.shards_for_tables(tables);
+        let index = self
+            .index
+            .as_ref()
+            .map(|index| index.with_rebuilt_shards(&db, &affected));
         Self {
             db,
-            graph: Arc::clone(&self.graph),
-            core,
-            generation,
-            shard_generations,
-            fingerprint: 0,
+            index,
+            ..self.share()
         }
-        .sealed()
+        .derived(generation, affected)
     }
 
     /// Derives a snapshot that has absorbed a row-level change feed: the
-    /// events are applied to a copy of the base data and routed into
-    /// per-shard side logs — **no frozen index partition is touched**.  The
-    /// shards whose logs changed get `generation` stamped into their slot
-    /// (they answer differently now), everything else is shared with `self`.
+    /// events are applied to a copy of the base data and their indexed
+    /// consequences routed into per-shard side logs — **no frozen index
+    /// partition is touched**, queries merge log and partition on the fly.
+    /// The shards whose logs changed get `generation` stamped into their
+    /// slot (they answer differently now), everything else is shared with
+    /// `self`.  With the inverted index disabled only the base data moves.
     ///
-    /// The feed is consumed (rows move by value) and the derived database
-    /// structurally shares every untouched table with `self`'s — the whole
-    /// chain is O(delta).  Returns the snapshot plus the ingest report so
+    /// The feed is consumed (appended rows move by value into the
+    /// copy-on-write database derive) and the derived database structurally
+    /// shares every table (and side log) the feed does not touch with
+    /// `self`'s — the whole chain is O(delta), not O(warehouse).  Returns
+    /// the snapshot plus the ingest report (sizes plus touched shards) so
     /// callers can surface sharing metrics.
     pub(crate) fn derive_absorbed(
         &self,
         feed: soda_ingest::ChangeFeed,
         generation: u64,
     ) -> Result<(Self, soda_ingest::IngestReport)> {
-        let (db, core, report) = self.core.derive_with_ingested(&self.db, feed)?;
-        let mut shard_generations = self.shard_generations.clone();
-        for &shard in &report.touched_shards {
-            if let Some(slot) = shard_generations.get_mut(shard) {
-                *slot = generation;
+        let ingestor = soda_ingest::Ingestor::new(self.shard_count());
+        let mut next = (*self.db).clone();
+        let (index, report) = match &self.index {
+            Some(index) => {
+                // Clone only the logs the feed will touch (the others get
+                // cheap empty placeholders and are `Arc`-shared afterwards),
+                // so an ingest never copies the accumulated overlays of
+                // unrelated shards.
+                let will_touch: Vec<usize> = self.shards_for_tables(&feed.tables());
+                let mut logs: Vec<soda_relation::SideLog> = index
+                    .side_logs()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, log)| {
+                        if will_touch.contains(&i) {
+                            (**log).clone()
+                        } else {
+                            soda_relation::SideLog::default()
+                        }
+                    })
+                    .collect();
+                let report = ingestor.absorb_feed(&mut next, &mut logs, feed)?;
+                debug_assert_eq!(
+                    report.touched_shards, will_touch,
+                    "ingestor routing must agree with shards_for_tables"
+                );
+                let patches: Vec<(usize, soda_relation::SideLog)> = report
+                    .touched_shards
+                    .iter()
+                    .map(|&shard| (shard, std::mem::take(&mut logs[shard])))
+                    .collect();
+                (Some(index.with_patched_side_logs(patches)), report)
             }
+            None => (None, ingestor.apply_feed(&mut next, feed)?),
+        };
+        let snapshot = Self {
+            db: Arc::new(next),
+            index,
+            ..self.share()
         }
-        Ok((
-            Self {
-                db: Arc::new(db),
-                graph: Arc::clone(&self.graph),
-                core,
-                generation,
-                shard_generations,
-                fingerprint: 0,
-            }
-            .sealed(),
-            report,
-        ))
+        .derived(generation, report.touched_shards.iter().copied());
+        Ok((snapshot, report))
     }
 
     /// Derives a snapshot in which the partitions named by `shards` are
@@ -217,46 +328,37 @@ impl EngineSnapshot {
     /// database already contains every logged row); the folded shards' slots
     /// get `generation` so fingerprint-scoped caches notice.
     pub(crate) fn derive_compacted(&self, shards: &[usize], generation: u64) -> Self {
-        let core = self.core.derive_with_rebuilt_partitions(&self.db, shards);
-        let mut shard_generations = self.shard_generations.clone();
-        for &shard in shards {
-            if let Some(slot) = shard_generations.get_mut(shard) {
-                *slot = generation;
-            }
-        }
+        let index = self
+            .index
+            .as_ref()
+            .map(|index| index.with_rebuilt_shards(&self.db, shards));
         Self {
-            db: Arc::clone(&self.db),
-            graph: Arc::clone(&self.graph),
-            core,
-            generation,
-            shard_generations,
-            fingerprint: 0,
+            index,
+            ..self.share()
         }
-        .sealed()
+        .derived(generation, shards.iter().copied())
     }
 
     /// Derives a snapshot over a refreshed metadata graph (unchanged base
-    /// data): the classification index is rebuilt sharing every unchanged
-    /// partition, the join catalog is rebuilt, and only the classification
-    /// partitions the refresh touched get `generation` stamped into their
-    /// slot.
+    /// data): the classification index is rebuilt sharing every partition
+    /// whose content survived the refresh
+    /// ([`ClassificationIndex::rebuild_shared`]), the join catalog is
+    /// rebuilt (it is graph-derived), the inverted index and probe counters
+    /// are shared, and only the classification partitions the refresh
+    /// touched get `generation` stamped into their slot.
     pub(crate) fn derive_refreshed_graph(&self, graph: Arc<MetaGraph>, generation: u64) -> Self {
-        let (core, changed) = self.core.derive_with_refreshed_graph(&self.db, &graph);
-        let mut shard_generations = self.shard_generations.clone();
-        for (slot, changed) in shard_generations.iter_mut().zip(&changed) {
-            if *changed {
-                *slot = generation;
-            }
-        }
+        let (classification, changed) = self
+            .classification
+            .rebuild_shared(&graph, self.config.use_dbpedia);
+        let joins = Arc::new(JoinCatalog::build(&graph, &self.patterns, &self.db));
+        let touched = (0..changed.len()).filter(|&shard| changed[shard]);
         Self {
-            db: Arc::clone(&self.db),
             graph,
-            core,
-            generation,
-            shard_generations,
-            fingerprint: 0,
+            classification,
+            joins,
+            ..self.share()
         }
-        .sealed()
+        .derived(generation, touched)
     }
 
     /// Generation stamped at publication (0 when the snapshot never went
@@ -289,7 +391,7 @@ impl EngineSnapshot {
     fn sealed(mut self) -> Self {
         // FNV-1a over the generation vector, seeded by the config
         // fingerprint: cheap, stable, and sensitive to slot order.
-        let mut hash = self.config().fingerprint() ^ 0xcbf2_9ce4_8422_2325;
+        let mut hash = self.config.fingerprint() ^ 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
             for byte in v.to_le_bytes() {
                 hash ^= u64::from(byte);
@@ -326,83 +428,104 @@ impl EngineSnapshot {
 
     /// The engine configuration.
     pub fn config(&self) -> &SodaConfig {
-        self.core.config()
+        &self.config
     }
 
     /// The join catalog (exposed for experiments and figures).
     pub fn join_catalog(&self) -> &JoinCatalog {
-        self.core.join_catalog()
+        &self.joins
     }
 
     /// The classification index (exposed for experiments and figures).
     pub fn classification_index(&self) -> &ClassificationIndex {
-        self.core.classification_index()
+        &self.classification
     }
 
     /// The inverted index over the base data, if enabled.
     pub fn inverted_index(&self) -> Option<&ShardedInvertedIndex> {
-        self.core.inverted_index()
+        self.index.as_ref()
+    }
+
+    /// The read-only context one pipeline run is handed: this snapshot's
+    /// warehouse and indexes plus the caller's recorder and sink.
+    pub(crate) fn context<'a>(
+        &'a self,
+        recorder: Option<&'a ProbeRecorder>,
+        sink: &'a dyn TraceSink,
+    ) -> PipelineContext<'a> {
+        PipelineContext {
+            db: &self.db,
+            graph: &self.graph,
+            config: &self.config,
+            classification: &self.classification,
+            index: self.index.as_ref(),
+            probes: &self.probes,
+            recorder,
+            sink,
+            patterns: &self.patterns,
+            joins: &self.joins,
+        }
     }
 
     /// Number of lookup-layer shards this snapshot was built with.
     pub fn shard_count(&self) -> usize {
-        self.config().shards.max(1)
+        self.config.shards.max(1)
     }
 
-    /// Per-shard sizes and probe counts of the lookup layer, with this
-    /// snapshot's per-shard generation vector overlaid.
+    /// Per-shard sizes of both indexes (precomputed per generation), the
+    /// live probe counters and this snapshot's per-shard generation vector
+    /// — cheap enough for every metrics poll.
     pub fn shard_stats(&self) -> ShardStats {
-        let mut stats = self.core.shard_stats();
-        stats.generations = self.shard_generations.clone();
-        stats
+        ShardStats {
+            shards: self.shard_count(),
+            classification_phrases: self.sizes.classification_phrases.clone(),
+            index_tokens: self.sizes.index_tokens.clone(),
+            index_postings: self.sizes.index_postings.clone(),
+            log_postings: self.sizes.log_postings.clone(),
+            log_rows: self.sizes.log_rows.clone(),
+            log_masks: self.sizes.log_masks.clone(),
+            probes: self.probes.counts(),
+            generations: self.shard_generations.clone(),
+        }
     }
 
     /// The partitions owning `tables`, sorted and deduplicated — the dirty
     /// set of a data-only swap over those tables.
     pub fn shards_for_tables(&self, tables: &[String]) -> Vec<usize> {
-        self.core.shards_for_tables(tables)
+        let shard_count = self.shard_count();
+        let mut affected: Vec<usize> = tables
+            .iter()
+            .map(|t| soda_relation::shard_for_table(t, shard_count))
+            .collect();
+        affected.sort_unstable();
+        affected.dedup();
+        affected
     }
 
     /// The shards currently carrying a non-empty ingestion side log —
     /// compaction candidates.
     pub fn shards_with_side_logs(&self) -> Vec<usize> {
-        self.core.shards_with_side_logs()
-    }
-
-    /// Decides whether a result page computed against an *earlier* snapshot
-    /// generation provably still answers correctly against `self`, given
-    /// that the swap between them was **data-only** (base rows of the tables
-    /// owned by `dirty` changed; schemas, metadata graph and configuration
-    /// identical) and given what the page's query actually consulted:
-    ///
-    /// * `touched_mask` / `touched_overflow` — the shards its probes scanned
-    ///   (from a [`ProbeRecorder`]),
-    /// * `deps` — the phrases it probed and the probe tokens they selected.
-    ///
-    /// The page survives when none of its probes scanned a dirty shard, and
-    /// for every probed phrase the *new* index still selects the same probe
-    /// token with zero candidates in every dirty shard — then the hit set is
-    /// computed from the same postings over unchanged rows (non-lookup
-    /// pipeline steps only read schema-level catalog data, which a data
-    /// delta cannot change).  Everything else is conservatively rejected.
-    pub fn retains_page(
-        &self,
-        touched_mask: u64,
-        touched_overflow: bool,
-        deps: &[ProbeDep],
-        dirty: &[usize],
-    ) -> bool {
-        RetentionGate::new(self, dirty).retains(touched_mask, touched_overflow, deps)
+        self.index
+            .as_ref()
+            .map(|index| {
+                index
+                    .side_logs()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, log)| !log.is_empty())
+                    .map(|(i, _)| i)
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Whether one probe dependency is provably unchanged by a data-only
     /// swap dirtying `dirty`: the index still selects the same probe token
     /// for the phrase, and no dirty shard holds candidates for it.  The
-    /// building block of [`retains_page`](Self::retains_page); swap-time
-    /// cache passes memoize it per distinct dependency through a
-    /// [`RetentionGate`].
+    /// building block of page retention; swap-time cache passes memoize it
+    /// per distinct dependency through a [`RetentionGate`].
     pub fn probe_dep_unchanged(&self, dep: &ProbeDep, dirty: &[usize]) -> bool {
-        let Some(index) = self.core.inverted_index() else {
+        let Some(index) = self.inverted_index() else {
             // Without an inverted index no query consults base rows during
             // interpretation, so data deltas cannot change any page.
             return true;
@@ -415,122 +538,6 @@ impl EngineSnapshot {
                 .all(|&shard| index.shard_candidates(shard, probe) == 0),
             _ => false,
         }
-    }
-
-    /// Like [`search_paged`](Self::search_paged), additionally reporting
-    /// into `recorder` which shards the query's base-data probes scanned and
-    /// which probe token each phrase selected — the dependency set
-    /// [`retains_page`](Self::retains_page) consumes.
-    pub fn search_paged_recorded(
-        &self,
-        input: &str,
-        page: usize,
-        page_size: usize,
-        recorder: &ProbeRecorder,
-    ) -> Result<ResultPage> {
-        self.core.search_paged(
-            &self.db,
-            &self.graph,
-            input,
-            page,
-            page_size,
-            Some(recorder),
-        )
-    }
-
-    /// The full observability surface of one paged search: probe
-    /// dependencies into `recorder` (when given), pipeline spans into `sink`
-    /// — the root `query` span with one child per stage, and per-shard
-    /// `probe_shard` sub-spans under `lookup` — and the per-stage
-    /// [`StepTimings`] returned alongside the page.
-    ///
-    /// With [`soda_trace::NoopSink`] this is exactly
-    /// [`search_paged_recorded`](Self::search_paged_recorded): span
-    /// reporting is guarded by [`soda_trace::TraceSink::enabled`] at every
-    /// site, so tracing can never perturb the generated SQL (the
-    /// `shard_invariance` suite pins this).
-    pub fn search_paged_observed(
-        &self,
-        input: &str,
-        page: usize,
-        page_size: usize,
-        recorder: Option<&ProbeRecorder>,
-        sink: &dyn soda_trace::TraceSink,
-    ) -> Result<(ResultPage, StepTimings)> {
-        self.core.search_paged_observed(
-            &self.db,
-            &self.graph,
-            input,
-            page,
-            page_size,
-            recorder,
-            sink,
-        )
-    }
-
-    /// Runs only Step 1 (lookup) for an input (see
-    /// [`SodaEngine::lookup`](crate::SodaEngine::lookup)).
-    pub fn lookup(&self, input: &str) -> Result<LookupResult> {
-        self.core.lookup(&self.db, &self.graph, input)
-    }
-
-    /// Translates a keyword query into a ranked list of SQL statements.
-    pub fn search(&self, input: &str) -> Result<Vec<SodaResult>> {
-        self.search_traced(input).map(|(results, _)| results)
-    }
-
-    /// Like [`search`](Self::search) but also returns the pipeline trace.
-    pub fn search_traced(&self, input: &str) -> Result<(Vec<SodaResult>, QueryTrace)> {
-        self.core.search_limited(
-            &self.db,
-            &self.graph,
-            input,
-            None,
-            self.config().max_results,
-            None,
-        )
-    }
-
-    /// Like [`search`](Self::search) but folding accumulated relevance
-    /// feedback into the ranking.
-    pub fn search_with_feedback(
-        &self,
-        input: &str,
-        feedback: &FeedbackStore,
-    ) -> Result<Vec<SodaResult>> {
-        self.core
-            .search_limited(
-                &self.db,
-                &self.graph,
-                input,
-                Some(feedback),
-                self.config().max_results,
-                None,
-            )
-            .map(|(results, _)| results)
-    }
-
-    /// One page of the ranked result list (see
-    /// [`SodaEngine::search_paged`](crate::SodaEngine::search_paged)).
-    pub fn search_paged(&self, input: &str, page: usize, page_size: usize) -> Result<ResultPage> {
-        self.core
-            .search_paged(&self.db, &self.graph, input, page, page_size, None)
-    }
-
-    /// Reformulation suggestions for unmatched input words.
-    pub fn suggestions(&self, input: &str) -> Result<Vec<TermSuggestion>> {
-        self.core.suggestions(&self.db, &self.graph, input)
-    }
-
-    /// Executes one generated statement against the base data.
-    pub fn execute(&self, result: &SodaResult) -> Result<ResultSet> {
-        self.core.execute(&self.db, result)
-    }
-
-    /// Executes a statement and renders the snippet of up to
-    /// `config.snippet_rows` rows shown on the result page.
-    pub fn snippet(&self, result: &SodaResult) -> Result<String> {
-        self.core.snippet(&self.db, result)
     }
 }
 
@@ -556,8 +563,24 @@ impl<'a> RetentionGate<'a> {
         }
     }
 
-    /// [`EngineSnapshot::retains_page`] with the per-dependency probe checks
-    /// memoized across calls.
+    /// Decides whether a result page computed against an *earlier* snapshot
+    /// generation provably still answers correctly against the gate's
+    /// snapshot, given that the swap between them was **data-only** (base
+    /// rows of the tables owned by the dirty shards changed; schemas,
+    /// metadata graph and configuration identical) and given what the page's
+    /// query actually consulted:
+    ///
+    /// * `touched_mask` / `touched_overflow` — the shards its probes scanned
+    ///   (from a [`ProbeRecorder`]),
+    /// * `deps` — the phrases it probed and the probe tokens they selected.
+    ///
+    /// The page survives when none of its probes scanned a dirty shard, and
+    /// for every probed phrase the *new* index still selects the same probe
+    /// token with zero candidates in every dirty shard — then the hit set is
+    /// computed from the same postings over unchanged rows (non-lookup
+    /// pipeline steps only read schema-level catalog data, which a data
+    /// delta cannot change).  Everything else is conservatively rejected.
+    /// The per-dependency probe checks are memoized across calls.
     pub fn retains(
         &mut self,
         touched_mask: u64,
@@ -589,7 +612,7 @@ impl<'a> RetentionGate<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SodaEngine;
+    use crate::engine::SearchOptions;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -612,37 +635,6 @@ mod tests {
         let results = snapshot.search("Sara Guttinger").unwrap();
         assert!(!results.is_empty());
         assert!(results[0].sql.starts_with("SELECT"));
-    }
-
-    #[test]
-    fn snapshot_matches_borrowed_engine() {
-        let w = soda_warehouse::minibank::build(42);
-        let engine = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
-        let snapshot = EngineSnapshot::build(
-            Arc::new(w.database.clone()),
-            Arc::new(w.graph.clone()),
-            SodaConfig::default(),
-        );
-        for query in [
-            "Sara Guttinger",
-            "wealthy customers",
-            "sum (amount) group by (transaction date)",
-        ] {
-            let borrowed = engine.search(query).unwrap();
-            let owned = snapshot.search(query).unwrap();
-            assert_eq!(borrowed, owned, "divergence on '{query}'");
-        }
-    }
-
-    #[test]
-    fn into_shared_preserves_behaviour() {
-        let w = soda_warehouse::minibank::build(42);
-        let engine = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
-        let before = engine.search("wealthy customers").unwrap();
-        let snapshot = engine.into_shared();
-        drop(w);
-        let after = snapshot.search("wealthy customers").unwrap();
-        assert_eq!(before, after);
     }
 
     #[test]
@@ -712,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn retains_page_attests_only_provably_unaffected_queries() {
+    fn the_retention_gate_attests_only_provably_unaffected_queries() {
         // At 8 shards `individuals` (shard 7) and `addresses` (shard 3) land
         // in different partitions — the split this test relies on.
         let shards = 8;
@@ -729,11 +721,19 @@ mod tests {
                 ..SodaConfig::default()
             },
         )));
-        let recorder = crate::shard::ProbeRecorder::new();
-        handle
-            .load()
-            .search_paged_recorded("Sara Guttinger", 0, 10, &recorder)
-            .unwrap();
+        let probe = |input: &str| {
+            let recorder = ProbeRecorder::new();
+            let options = SearchOptions {
+                recorder: Some(&recorder),
+                ..SearchOptions::page(0, 10)
+            };
+            handle.load().search_with(input, &options).unwrap();
+            recorder
+        };
+        let retains = |snapshot: &EngineSnapshot, mask, overflow, deps: &[ProbeDep], dirty| {
+            RetentionGate::new(snapshot, dirty).retains(mask, overflow, deps)
+        };
+        let recorder = probe("Sara Guttinger");
         let deps = recorder.deps();
         assert!(!deps.is_empty(), "the query probes the base data");
         let mask = recorder.touched_mask();
@@ -750,10 +750,10 @@ mod tests {
                 soda_relation::Value::from("Switzerland"),
             ],
         );
-        handle.absorb(&feed).unwrap();
+        handle.absorb(feed).unwrap();
         let after = handle.load();
         let dirty = after.shards_for_tables(&["addresses".to_string()]);
-        assert!(after.retains_page(mask, false, &deps, &dirty));
+        assert!(retains(&after, mask, false, &deps, &dirty));
         // …and the retained answer really is unchanged.
         assert_eq!(
             after.search("Sara Guttinger").unwrap(),
@@ -762,34 +762,27 @@ mod tests {
 
         // A swap dirtying a shard the page's probes scanned is rejected.
         let sara_shard = after.shards_for_tables(&["individuals".to_string()]);
-        assert!(!after.retains_page(mask, false, &deps, &sara_shard));
+        assert!(!retains(&after, mask, false, &deps, &sara_shard));
         // Overflowed recorders and empty dirty sets take the trivial paths.
-        assert!(!after.retains_page(mask, true, &deps, &dirty));
-        assert!(after.retains_page(mask, true, &deps, &[]));
+        assert!(!retains(&after, mask, true, &deps, &dirty));
+        assert!(retains(&after, mask, true, &deps, &[]));
 
         // A feed that gives a previously postings-free phrase candidates in
         // a dirty shard kills pages that probed it: "Retainville" was
         // nowhere before this absorb, so a page that probed it carried a
         // `None` token — and now the probe resolves.
-        let nowhere = crate::shard::ProbeRecorder::new();
-        handle
-            .load()
-            .search_paged_recorded("Nowhereville", 0, 10, &nowhere)
-            .unwrap();
+        let nowhere = probe("Nowhereville");
         let nowhere_deps = nowhere.deps();
         assert!(nowhere_deps.iter().any(|d| d.token.is_none()));
-        let retain_probe = crate::shard::ProbeRecorder::new();
-        handle
-            .load()
-            .search_paged_recorded("Retainville", 0, 10, &retain_probe)
-            .unwrap();
+        let retain_probe = probe("Retainville");
         assert!(
             retain_probe.deps().iter().any(|d| d.token.is_some()),
             "the absorbed row resolves the probe"
         );
         // Against a hypothetical swap dirtying the addresses shard, the
         // Retainville page (whose probe scanned it) must not be retained.
-        assert!(!after.retains_page(
+        assert!(!retains(
+            &after,
             retain_probe.touched_mask(),
             retain_probe.overflowed(),
             &retain_probe.deps(),

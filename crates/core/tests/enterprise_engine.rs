@@ -1,9 +1,16 @@
 //! End-to-end tests of the SODA engine on the enterprise warehouse, covering
 //! the behaviours the workload of Table 2 relies on.
 
-use soda_core::{FeedbackStore, Provenance, SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda_core::{EngineSnapshot, FeedbackStore, Provenance, SearchOptions, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::Warehouse;
+
+fn engine(warehouse: Warehouse, config: SodaConfig) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    EngineSnapshot::build(db, graph, config)
+}
 
 fn small_warehouse() -> Warehouse {
     // No padding and reduced data volume: these tests exercise behaviour, not
@@ -18,8 +25,11 @@ fn small_warehouse() -> Warehouse {
 #[test]
 fn q1_private_customers_family_name_uses_ontology_and_schema() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
-    let (results, trace) = e.search_traced("private customers family name").unwrap();
+    let e = engine(w, SodaConfig::default());
+    let outcome = e
+        .search_with("private customers family name", &SearchOptions::default())
+        .unwrap();
+    let (results, trace) = (outcome.page.results, outcome.trace);
     assert!(!results.is_empty());
     let classification: Vec<_> = trace
         .classification
@@ -41,7 +51,7 @@ fn q1_private_customers_family_name_uses_ontology_and_schema() {
 #[test]
 fn q2_sara_interpretations_current_vs_historised() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("Sara").unwrap();
     assert!(
         results.len() >= 2,
@@ -71,7 +81,7 @@ fn historization_annotations_recover_the_historised_saras() {
     // the metadata graph), so it stays an isolated single-table result — the
     // cause of the Q2.1/Q2.2 recall loss.
     let plain = enterprise::build_with(config);
-    let e = SodaEngine::new(&plain.database, &plain.graph, SodaConfig::default());
+    let e = engine(plain, SodaConfig::default());
     let plain_results = e.search("Sara").unwrap();
     assert!(plain_results
         .iter()
@@ -89,7 +99,7 @@ fn historization_annotations_recover_the_historised_saras() {
     // enters through the history table joins back to individual/party and
     // recovers the historised names.
     let annotated = enterprise::build_with_historization(config);
-    let e = SodaEngine::new(&annotated.database, &annotated.graph, SodaConfig::default());
+    let e = engine(annotated, SodaConfig::default());
     let results = e.search("Sara").unwrap();
     assert!(e
         .join_catalog()
@@ -117,7 +127,7 @@ fn valid_at_operator_constrains_annotated_history_tables() {
         data_scale: 0.2,
     };
     let annotated = enterprise::build_with_historization(config);
-    let e = SodaEngine::new(&annotated.database, &annotated.graph, SodaConfig::default());
+    let e = engine(annotated, SodaConfig::default());
     let results = e.search("Sara valid at date(2006-06-30)").unwrap();
     // The interpretation entering through the history table carries the
     // validity-interval predicates.
@@ -148,7 +158,7 @@ fn valid_at_operator_constrains_annotated_history_tables() {
 
     // On the paper-faithful graph the operator is ignored with a note.
     let plain = enterprise::build_with(config);
-    let e = SodaEngine::new(&plain.database, &plain.graph, SodaConfig::default());
+    let e = engine(plain, SodaConfig::default());
     let results = e.search("Sara valid at date(2006-06-30)").unwrap();
     assert!(results
         .iter()
@@ -170,7 +180,7 @@ fn use_historization_flag_disables_the_temporal_operator() {
         use_historization: false,
         ..SodaConfig::default()
     };
-    let e = SodaEngine::new(&annotated.database, &annotated.graph, soda_config);
+    let e = engine(annotated, soda_config);
     let results = e.search("Sara valid at date(2006-06-30)").unwrap();
     assert!(results
         .iter()
@@ -184,7 +194,7 @@ fn use_historization_flag_disables_the_temporal_operator() {
 #[test]
 fn q3_credit_suisse_is_ambiguous_between_organization_and_agreement() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("Credit Suisse").unwrap();
     assert!(results.len() >= 2);
     let tables: Vec<String> = results.iter().flat_map(|r| r.tables.clone()).collect();
@@ -195,7 +205,7 @@ fn q3_credit_suisse_is_ambiguous_between_organization_and_agreement() {
 #[test]
 fn disliking_an_interpretation_demotes_it_on_later_queries() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
 
     // "Credit Suisse" is ambiguous between the organization and the agreement
     // interpretation (Q3.1 vs Q3.2); both are base-data hits, so the paper's
@@ -209,7 +219,17 @@ fn disliking_an_interpretation_demotes_it_on_later_queries() {
     for _ in 0..3 {
         feedback.dislike(disliked);
     }
-    let reranked = e.search_with_feedback("Credit Suisse", &feedback).unwrap();
+    let with_feedback = |feedback| {
+        let options = SearchOptions {
+            feedback: Some(feedback),
+            ..SearchOptions::default()
+        };
+        e.search_with("Credit Suisse", &options)
+            .unwrap()
+            .page
+            .results
+    };
+    let reranked = with_feedback(&feedback);
     assert_eq!(reranked.len(), results.len(), "feedback only re-ranks");
     assert_ne!(
         reranked[0].tables, top_tables,
@@ -223,7 +243,7 @@ fn disliking_an_interpretation_demotes_it_on_later_queries() {
     // …while liking it keeps it on top.
     let mut praise = FeedbackStore::new();
     praise.like(disliked);
-    let confirmed = e.search_with_feedback("Credit Suisse", &praise).unwrap();
+    let confirmed = with_feedback(&praise);
     assert_eq!(confirmed[0].tables, top_tables);
 }
 
@@ -234,7 +254,7 @@ fn compactness_rerank_prefers_the_single_table_interpretation() {
         compactness_rerank: true,
         ..SodaConfig::default()
     };
-    let e = SodaEngine::new(&w.database, &w.graph, config);
+    let e = engine(w, config);
     // Both interpretations of "Credit Suisse" are base-data hits with the same
     // provenance score; the agreement interpretation needs a single table
     // while the organization interpretation drags in the party super-type, so
@@ -255,7 +275,7 @@ fn compactness_rerank_prefers_the_single_table_interpretation() {
 #[test]
 fn q6_date_range_predicate_on_the_ontology_resolved_period() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("trade order period > date(2011-09-01)").unwrap();
     assert!(!results.is_empty());
     let top = &results[0];
@@ -276,7 +296,7 @@ fn q6_date_range_predicate_on_the_ontology_resolved_period() {
 #[test]
 fn q7_yen_trade_orders_produce_a_multiway_join() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("YEN trade order").unwrap();
     assert!(!results.is_empty());
     // At least one interpretation filters the trade orders by currency and
@@ -303,14 +323,15 @@ fn short_join_path_bound_breaks_distant_entry_points_far_fetching_repairs_them()
         max_join_path_length: 1,
         ..SodaConfig::default()
     };
-    let e = SodaEngine::new(&w.database, &w.graph, tight);
+    let (db, graph) = w.shared_parts();
+    let e = EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), tight);
     let results = e.search("private customers family name YEN").unwrap();
     assert!(
         results.iter().any(|r| !r.join_path_complete),
         "with a 1-edge bound some interpretation must fail to connect its entry points"
     );
 
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = EngineSnapshot::build(db, graph, SodaConfig::default());
     let results = e.search("private customers family name YEN").unwrap();
     assert!(
         results.iter().any(|r| r.join_path_complete),
@@ -321,7 +342,7 @@ fn short_join_path_bound_breaks_distant_entry_points_far_fetching_repairs_them()
 #[test]
 fn q10_sum_investments_grouped_by_currency() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("sum(investments) group by (currency)").unwrap();
     assert!(!results.is_empty());
     let top = &results[0];
@@ -344,7 +365,7 @@ fn q10_sum_investments_grouped_by_currency() {
 #[test]
 fn result_pages_partition_the_ranked_list_without_gaps() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
 
     let all = e.search("Credit Suisse").unwrap();
     assert!(all.len() >= 3, "need a few interpretations to page through");
@@ -380,7 +401,7 @@ fn result_pages_partition_the_ranked_list_without_gaps() {
 #[test]
 fn unmatched_words_get_reformulation_suggestions() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
 
     // "agreemnt" is a typo for the agreement schema term; "Sara" matches the
     // base data and therefore needs no suggestion.
@@ -403,7 +424,7 @@ fn unmatched_words_get_reformulation_suggestions() {
 #[test]
 fn wealthy_customers_business_term_resolves_through_the_metadata_filter() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("wealthy customers").unwrap();
     assert!(!results.is_empty());
     assert!(
@@ -416,11 +437,15 @@ fn wealthy_customers_business_term_resolves_through_the_metadata_filter() {
 #[test]
 fn dbpedia_synonyms_rank_below_domain_ontology() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     // "clients" is an alternative name of the ontology concept; "firm" is only
     // a DBpedia synonym of the organization table.
-    let (_, trace_onto) = e.search_traced("clients").unwrap();
-    let (_, trace_dbp) = e.search_traced("firm").unwrap();
+    let trace_of = |input| {
+        e.search_with(input, &SearchOptions::default())
+            .unwrap()
+            .trace
+    };
+    let (trace_onto, trace_dbp) = (trace_of("clients"), trace_of("firm"));
     let onto = &trace_onto.classification[0].1;
     let dbp = &trace_dbp.classification[0].1;
     assert!(onto.contains(&Provenance::DomainOntology));
@@ -434,7 +459,7 @@ fn disabling_the_inverted_index_removes_base_data_interpretations() {
         use_inverted_index: false,
         ..SodaConfig::default()
     };
-    let e = SodaEngine::new(&w.database, &w.graph, config);
+    let e = engine(w, config);
     let results = e.search("Credit Suisse").unwrap();
     // "Credit Suisse" only exists in the base data, so metadata-only lookup
     // (the Keymantic situation) cannot interpret it.
@@ -444,7 +469,7 @@ fn disabling_the_inverted_index_removes_base_data_interpretations() {
 #[test]
 fn bridge_tables_between_siblings_are_in_the_join_catalog() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let bridges = e
         .join_catalog()
         .bridges_connecting("individual", "organization");
@@ -455,7 +480,7 @@ fn bridge_tables_between_siblings_are_in_the_join_catalog() {
 #[test]
 fn explicit_join_nodes_are_discovered_on_the_trading_chain() {
     let w = small_warehouse();
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let explicit: Vec<_> = e
         .join_catalog()
         .edges
@@ -473,7 +498,7 @@ fn padded_warehouse_still_answers_queries() {
         padding: true,
         data_scale: 0.1,
     });
-    let e = SodaEngine::new(&w.database, &w.graph, SodaConfig::default());
+    let e = engine(w, SodaConfig::default());
     let results = e.search("private customers family name").unwrap();
     assert!(!results.is_empty());
     let rs = e.execute(&results[0]).unwrap();

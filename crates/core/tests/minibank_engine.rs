@@ -2,18 +2,26 @@
 //! (the mini-bank of Section 2), covering the worked examples of §4.4 and the
 //! classification example of Figure 5.
 
-use soda_core::{Provenance, SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, Provenance, QueryTrace, SearchOptions, SodaConfig, SodaResult};
 use soda_relation::parse_select;
 use soda_warehouse::minibank;
 
-fn engine(warehouse: &soda_warehouse::Warehouse) -> SodaEngine<'_> {
-    SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default())
+fn engine(warehouse: soda_warehouse::Warehouse) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    EngineSnapshot::build(db, graph, SodaConfig::default())
+}
+
+fn search_and_trace(engine: &EngineSnapshot, input: &str) -> (Vec<SodaResult>, QueryTrace) {
+    let outcome = engine
+        .search_with(input, &SearchOptions::default())
+        .unwrap();
+    (outcome.page.results, outcome.trace)
 }
 
 #[test]
 fn query1_sara_guttinger_produces_an_executable_join() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e.search("Sara Guttinger").unwrap();
     assert!(!results.is_empty());
     let top = &results[0];
@@ -44,10 +52,8 @@ fn query1_sara_guttinger_produces_an_executable_join() {
 #[test]
 fn figure5_classification_of_the_zurich_query() {
     let w = minibank::build(42);
-    let e = engine(&w);
-    let (_results, trace) = e
-        .search_traced("customers Zurich financial instruments")
-        .unwrap();
+    let e = engine(w);
+    let (_results, trace) = search_and_trace(&e, "customers Zurich financial instruments");
     // "customers" is found in the domain ontology.
     let customers = trace
         .classification
@@ -79,7 +85,7 @@ fn figure5_classification_of_the_zurich_query() {
 #[test]
 fn figure6_tables_step_discovers_the_expected_tables() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e.search("customers Zurich financial instruments").unwrap();
     assert_eq!(results.len(), 3);
     // Union of discovered tables across the interpretations covers the
@@ -106,7 +112,7 @@ fn figure6_tables_step_discovers_the_expected_tables() {
 #[test]
 fn ranking_prefers_the_conceptual_interpretation_over_the_logical_one() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e.search("customers Zurich financial instruments").unwrap();
     assert_eq!(results.len(), 3);
     assert!(results[0].score >= results[1].score);
@@ -123,7 +129,7 @@ fn ranking_prefers_the_conceptual_interpretation_over_the_logical_one() {
 #[test]
 fn query2_comparison_operators_become_where_predicates() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e
         .search("salary >= 100000 and birthday = date(1981-04-23)")
         .unwrap();
@@ -140,7 +146,7 @@ fn query2_comparison_operators_become_where_predicates() {
 #[test]
 fn query3_aggregation_with_group_by_transaction_date() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e
         .search("sum (amount) group by (transaction date)")
         .unwrap();
@@ -155,7 +161,7 @@ fn query3_aggregation_with_group_by_transaction_date() {
 #[test]
 fn query4_count_transactions_grouped_by_company_name() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e
         .search("count (transactions) group by (company name)")
         .unwrap();
@@ -180,7 +186,7 @@ fn query4_count_transactions_grouped_by_company_name() {
 #[test]
 fn wealthy_customers_filter_comes_from_the_metadata() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e.search("wealthy customers").unwrap();
     assert!(!results.is_empty());
     let top = &results[0];
@@ -196,7 +202,7 @@ fn wealthy_customers_filter_comes_from_the_metadata() {
 #[test]
 fn top_n_adds_a_limit_and_ordering() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e
         .search("Top 5 sum (amount) group by (transaction date)")
         .unwrap();
@@ -211,7 +217,7 @@ fn top_n_adds_a_limit_and_ordering() {
 #[test]
 fn snippets_are_limited_to_twenty_rows() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     let results = e.search("Zurich").unwrap();
     assert!(!results.is_empty());
     let snippet = e.snippet(&results[0]).unwrap();
@@ -222,8 +228,8 @@ fn snippets_are_limited_to_twenty_rows() {
 #[test]
 fn unknown_keywords_produce_no_results_but_no_error() {
     let w = minibank::build(42);
-    let e = engine(&w);
-    let (results, trace) = e.search_traced("flux capacitor maintenance").unwrap();
+    let e = engine(w);
+    let (results, trace) = search_and_trace(&e, "flux capacitor maintenance");
     assert!(results.is_empty());
     assert_eq!(trace.unmatched.len(), 3);
     assert!(e.search("").is_err());
@@ -232,7 +238,7 @@ fn unknown_keywords_produce_no_results_but_no_error() {
 #[test]
 fn every_generated_statement_round_trips_through_the_sql_parser() {
     let w = minibank::build(42);
-    let e = engine(&w);
+    let e = engine(w);
     for query in [
         "Sara Guttinger",
         "customers Zurich financial instruments",
@@ -251,10 +257,8 @@ fn every_generated_statement_round_trips_through_the_sql_parser() {
 #[test]
 fn timings_and_complexity_are_reported() {
     let w = minibank::build(42);
-    let e = engine(&w);
-    let (_r, trace) = e
-        .search_traced("customers Zurich financial instruments")
-        .unwrap();
+    let e = engine(w);
+    let (_r, trace) = search_and_trace(&e, "customers Zurich financial instruments");
     assert!(trace.timings.total().as_nanos() > 0);
     assert_eq!(trace.solutions, 3);
     assert_eq!(trace.results, 3);

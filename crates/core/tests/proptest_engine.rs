@@ -2,9 +2,11 @@
 //! panics, generated SQL always parses and executes, and ranking respects the
 //! provenance weights.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use soda_core::{parse_query, SodaConfig, SodaEngine};
+use soda_core::{parse_query, Database, EngineSnapshot, MetaGraph, SodaConfig};
 use soda_relation::parse_select;
 use soda_warehouse::minibank;
 
@@ -34,17 +36,17 @@ proptest! {
         // Building the warehouse per case would dominate; a thread-local
         // warehouse keeps the property fast.
         thread_local! {
-            static ENGINE_DATA: (soda_warehouse::Warehouse,) = (minibank::build(42),);
+            static ENGINE_DATA: (Arc<Database>, Arc<MetaGraph>) = minibank::build(42).shared_parts();
         }
-        ENGINE_DATA.with(|(warehouse,)| {
-            let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+        ENGINE_DATA.with(|(db, graph)| {
+            let engine = EngineSnapshot::build(Arc::clone(db), Arc::clone(graph), SodaConfig::default());
             let input = words.join(" ");
             if let Ok(results) = engine.search(&input) {
                 for r in results {
                     let parsed = parse_select(&r.sql);
                     prop_assert!(parsed.is_ok(), "unparseable SQL: {}", r.sql);
                     prop_assert!(
-                        warehouse.database.run_sql(&r.sql).is_ok(),
+                        db.run_sql(&r.sql).is_ok(),
                         "inexecutable SQL: {}",
                         r.sql
                     );
@@ -68,10 +70,10 @@ proptest! {
         )
     ) {
         thread_local! {
-            static ENGINE_DATA: (soda_warehouse::Warehouse,) = (minibank::build(42),);
+            static ENGINE_DATA: (Arc<Database>, Arc<MetaGraph>) = minibank::build(42).shared_parts();
         }
-        ENGINE_DATA.with(|(warehouse,)| {
-            let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+        ENGINE_DATA.with(|(db, graph)| {
+            let engine = EngineSnapshot::build(Arc::clone(db), Arc::clone(graph), SodaConfig::default());
             if let Ok(results) = engine.search(&words.join(" ")) {
                 for pair in results.windows(2) {
                     prop_assert!(pair[0].score >= pair[1].score);

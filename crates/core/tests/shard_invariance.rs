@@ -4,9 +4,11 @@
 //! order) identical across shard counts 1, 2 and 8 — the invariant that lets
 //! the serving layer treat `shards` purely as a latency knob.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::{minibank, Warehouse};
 
@@ -28,10 +30,13 @@ const CORPUS: &[&str] = &[
     "addresses Zurich Switzerland",
 ];
 
-fn engine_with_shards(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
-    SodaEngine::new(
-        &warehouse.database,
-        &warehouse.graph,
+fn engine_with_shards(
+    (db, graph): &(Arc<Database>, Arc<MetaGraph>),
+    shards: usize,
+) -> EngineSnapshot {
+    EngineSnapshot::build(
+        Arc::clone(db),
+        Arc::clone(graph),
         SodaConfig {
             shards,
             ..SodaConfig::default()
@@ -41,10 +46,11 @@ fn engine_with_shards(warehouse: &Warehouse, shards: usize) -> SodaEngine<'_> {
 
 /// Runs the corpus on one warehouse and asserts full result equality
 /// (SQL text, scores, ranking order, interpretations) across shard counts.
-fn assert_corpus_invariant(name: &str, warehouse: &Warehouse) {
-    let baseline = engine_with_shards(warehouse, 1);
+fn assert_corpus_invariant(name: &str, warehouse: Warehouse) {
+    let parts = warehouse.shared_parts();
+    let baseline = engine_with_shards(&parts, 1);
     for &shards in &SHARD_COUNTS[1..] {
-        let sharded = engine_with_shards(warehouse, shards);
+        let sharded = engine_with_shards(&parts, shards);
         for query in CORPUS {
             let expected = baseline.search(query);
             let got = sharded.search(query);
@@ -65,7 +71,7 @@ fn assert_corpus_invariant(name: &str, warehouse: &Warehouse) {
 #[test]
 fn corpus_is_shard_invariant_on_minibank() {
     let warehouse = minibank::build(42);
-    assert_corpus_invariant("minibank", &warehouse);
+    assert_corpus_invariant("minibank", warehouse);
 }
 
 #[test]
@@ -75,7 +81,7 @@ fn corpus_is_shard_invariant_on_the_enterprise_warehouse() {
         padding: false,
         data_scale: 0.1,
     });
-    assert_corpus_invariant("enterprise", &warehouse);
+    assert_corpus_invariant("enterprise", warehouse);
 }
 
 /// The acceptance invariant of streaming ingestion: with live (uncompacted)
@@ -84,12 +90,11 @@ fn corpus_is_shard_invariant_on_the_enterprise_warehouse() {
 /// — at every shard count, and identical across shard counts.
 #[test]
 fn corpus_is_invariant_with_live_side_logs() {
-    use soda_core::{ChangeFeed, EngineSnapshot, SnapshotHandle, Value};
-    use std::sync::Arc;
+    use soda_core::{ChangeFeed, SnapshotHandle, Value};
 
-    let warehouse = minibank::build(42);
+    let (db, graph) = minibank::build(42).shared_parts();
     let individual = {
-        let table = warehouse.database.table("individuals").unwrap();
+        let table = db.table("individuals").unwrap();
         let mut row = table.rows()[0].clone();
         row[0] = Value::Int(9_999);
         row[1] = Value::from("Zebulon");
@@ -128,11 +133,11 @@ fn corpus_is_invariant_with_live_side_logs() {
             ..SodaConfig::default()
         };
         let handle = SnapshotHandle::new(Arc::new(EngineSnapshot::build(
-            Arc::new(warehouse.database.clone()),
-            Arc::new(warehouse.graph.clone()),
+            Arc::clone(&db),
+            Arc::clone(&graph),
             config.clone(),
         )));
-        handle.absorb(&feed).expect("feed absorbs");
+        handle.absorb(feed.clone()).expect("feed absorbs");
         let absorbed = handle.load();
         assert!(
             !absorbed.shards_with_side_logs().is_empty(),
@@ -168,46 +173,58 @@ fn corpus_is_invariant_with_live_side_logs() {
     }
 }
 
-/// Trace invariance: running a query with a collecting [`TraceSink`] (and a
-/// probe recorder) must produce byte-identical pages — and leave the cache
-/// fingerprint untouched — compared to the untraced `NoopSink` path, at
-/// every shard count.  Observability must never change an answer.
+/// Option invariance: a query answers byte-identically — and leaves the
+/// cache fingerprint untouched — whether or not it runs with a probe
+/// recorder, a collecting [`TraceSink`](soda_core::TraceSink) or an empty
+/// [`FeedbackStore`](soda_core::FeedbackStore), at every shard count.
+/// Observability must never change an answer, and neither must feedback
+/// nobody has given.
 #[test]
 fn tracing_never_changes_answers_or_fingerprints() {
-    use soda_core::{CollectingSink, EngineSnapshot, NoopSink, ProbeRecorder};
-    use std::sync::Arc;
+    use soda_core::{
+        CollectingSink, FeedbackStore, NoopSink, ProbeRecorder, SearchOptions, TraceSink,
+    };
 
-    let warehouse = minibank::build(42);
+    let parts = minibank::build(42).shared_parts();
+    let no_votes = FeedbackStore::new();
     for &shards in &[1usize, 4] {
-        let snapshot = EngineSnapshot::build(
-            Arc::new(warehouse.database.clone()),
-            Arc::new(warehouse.graph.clone()),
-            SodaConfig {
-                shards,
-                ..SodaConfig::default()
-            },
-        );
+        let snapshot = engine_with_shards(&parts, shards);
         let fingerprint = snapshot.cache_fingerprint();
         for query in CORPUS {
-            let plain = snapshot.search_paged_observed(query, 0, 10, None, &NoopSink);
-            let sink = CollectingSink::new();
-            let recorder = ProbeRecorder::new();
-            let traced = snapshot.search_paged_observed(query, 0, 10, Some(&recorder), &sink);
-            match (plain, traced) {
-                (Ok((a, _)), Ok((b, _))) => {
-                    assert_eq!(a, b, "'{query}' diverged under tracing at {shards} shards");
+            let plain = snapshot.search_paged(query, 0, 10);
+            for combination in 0..8 {
+                let (recorded, traced, with_feedback) = (
+                    combination & 1 != 0,
+                    combination & 2 != 0,
+                    combination & 4 != 0,
+                );
+                let recorder = ProbeRecorder::new();
+                let collecting = CollectingSink::new();
+                let sink: &dyn TraceSink = if traced { &collecting } else { &NoopSink };
+                let options = SearchOptions {
+                    feedback: with_feedback.then_some(&no_votes),
+                    recorder: recorded.then_some(&recorder),
+                    sink,
+                    ..SearchOptions::page(0, 10)
+                };
+                let what = format!(
+                    "'{query}' (recorder {recorded}, tracing {traced}, feedback \
+                     {with_feedback}) at {shards} shards"
+                );
+                match (&plain, snapshot.search_with(query, &options)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, &b.page, "{what} diverged"),
+                    (Err(_), Err(_)) => {}
+                    _ => panic!("{what}: error behaviour diverged"),
                 }
-                (Err(_), Err(_)) => {}
-                _ => panic!("'{query}' error behaviour diverged under tracing at {shards} shards"),
-            }
-            let trace = sink.finish();
-            if let Some(root) = trace.find("query") {
-                // Traced executions carry the full stage taxonomy.
-                for stage in soda_core::trace::names::STAGES {
-                    assert!(
-                        root.children.iter().any(|c| c.name == stage),
-                        "'{query}': missing {stage} span at {shards} shards"
-                    );
+                let trace = collecting.finish();
+                if let Some(root) = trace.find("query") {
+                    // Traced executions carry the full stage taxonomy.
+                    for stage in soda_core::trace::names::STAGES {
+                        assert!(
+                            root.children.iter().any(|c| c.name == stage),
+                            "'{query}': missing {stage} span at {shards} shards"
+                        );
+                    }
                 }
             }
         }
@@ -236,7 +253,7 @@ proptest! {
         )
     ) {
         thread_local! {
-            static WAREHOUSE: soda_warehouse::Warehouse = minibank::build(42);
+            static WAREHOUSE: (Arc<Database>, Arc<MetaGraph>) = minibank::build(42).shared_parts();
         }
         WAREHOUSE.with(|warehouse| {
             let input = words.join(" ");

@@ -6,7 +6,7 @@
 //! regenerated by running the engine.
 
 use soda_core::patterns::{FOREIGN_KEY_PATTERN, TABLE_PATTERN};
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, SearchOptions};
 use soda_warehouse::{RelationshipKind, Warehouse};
 
 /// Figure 1 — the conceptual schema of the mini-bank as a DOT graph.
@@ -70,9 +70,12 @@ pub fn figure3_layers(warehouse: &Warehouse) -> Vec<(&'static str, usize)> {
 
 /// Figure 4 — the five pipeline steps with their measured share of the SODA
 /// runtime for one query.
-pub fn figure4_trace(warehouse: &Warehouse, query: &str) -> Vec<(&'static str, f64)> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
-    let (_results, trace) = engine.search_traced(query).unwrap_or_default_trace();
+pub fn figure4_trace(engine: &EngineSnapshot, query: &str) -> Vec<(&'static str, f64)> {
+    // Total even on a failing query: an empty trace has all-zero shares.
+    let trace = engine
+        .search_with(query, &SearchOptions::default())
+        .map(|outcome| outcome.trace)
+        .unwrap_or_default();
     let total = trace.timings.total().as_secs_f64().max(f64::EPSILON);
     vec![
         ("lookup", trace.timings.lookup.as_secs_f64() / total),
@@ -83,25 +86,16 @@ pub fn figure4_trace(warehouse: &Warehouse, query: &str) -> Vec<(&'static str, f
     ]
 }
 
-/// Helper trait to keep [`figure4_trace`] total even on a failing query.
-trait OrDefaultTrace {
-    fn unwrap_or_default_trace(self) -> (Vec<soda_core::SodaResult>, soda_core::QueryTrace);
-}
-
-impl OrDefaultTrace for soda_core::Result<(Vec<soda_core::SodaResult>, soda_core::QueryTrace)> {
-    fn unwrap_or_default_trace(self) -> (Vec<soda_core::SodaResult>, soda_core::QueryTrace) {
-        self.unwrap_or_else(|_| (Vec::new(), soda_core::QueryTrace::default()))
-    }
-}
-
 /// Figure 5 — classification of the query "customers Zurich financial
 /// instruments": per keyword, where it was found.
-pub fn figure5_classification(warehouse: &Warehouse) -> Vec<(String, Vec<String>)> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
-    let (_r, trace) = engine
-        .search_traced("customers Zurich financial instruments")
-        .unwrap_or_default_trace();
-    trace
+pub fn figure5_classification(engine: &EngineSnapshot) -> Vec<(String, Vec<String>)> {
+    engine
+        .search_with(
+            "customers Zurich financial instruments",
+            &SearchOptions::default(),
+        )
+        .map(|outcome| outcome.trace)
+        .unwrap_or_default()
         .classification
         .iter()
         .map(|(phrase, provenances)| {
@@ -116,8 +110,7 @@ pub fn figure5_classification(warehouse: &Warehouse) -> Vec<(String, Vec<String>
 /// Figure 6 — output of the tables step for the same query: the tables of the
 /// top-ranked interpretation (union over interpretations reproduces the seven
 /// tables shown in the paper).
-pub fn figure6_tables(warehouse: &Warehouse) -> Vec<Vec<String>> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+pub fn figure6_tables(engine: &EngineSnapshot) -> Vec<Vec<String>> {
     engine
         .search("customers Zurich financial instruments")
         .unwrap_or_default()
@@ -139,8 +132,7 @@ pub fn figure8_pattern() -> &'static str {
 /// Figure 9 — joins on a direct path: for two entry-point tables of the
 /// enterprise warehouse, the join conditions actually used (on the shortest
 /// path) versus every join condition attached to those tables.
-pub fn figure9_direct_path(warehouse: &Warehouse) -> (Vec<String>, Vec<String>) {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+pub fn figure9_direct_path(engine: &EngineSnapshot) -> (Vec<String>, Vec<String>) {
     let catalog = engine.join_catalog();
     let used: Vec<String> = catalog
         .path("trade_order_td", "party")
@@ -162,14 +154,13 @@ pub fn figure9_direct_path(warehouse: &Warehouse) -> (Vec<String>, Vec<String>) 
 
 /// Figure 10 — the complex schema hierarchy around `party`: inheritance
 /// children, their historisation tables and the bridge between siblings.
-pub fn figure10_hierarchy(warehouse: &Warehouse) -> String {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+pub fn figure10_hierarchy(engine: &EngineSnapshot) -> String {
     let catalog = engine.join_catalog();
     let mut out = String::from("party\n");
     for link in &catalog.inheritance {
         if link.parent_table == "party" {
             out.push_str(&format!("  X-> {}\n", link.child_table));
-            for hist in warehouse.database.table_names() {
+            for hist in engine.database().table_names() {
                 if hist.starts_with(&format!("{}_name_hist", link.child_table)) {
                     out.push_str(&format!("       -> {hist} (bi-temporal history)\n"));
                 }
@@ -192,6 +183,7 @@ pub fn figure10_hierarchy(warehouse: &Warehouse) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soda_core::SodaConfig;
     use soda_warehouse::enterprise::{self, EnterpriseConfig};
     use soda_warehouse::minibank;
 
@@ -199,12 +191,17 @@ mod tests {
         minibank::build(42)
     }
 
-    fn enterprise_small() -> Warehouse {
-        enterprise::build_with(EnterpriseConfig {
+    fn engine(warehouse: Warehouse) -> EngineSnapshot {
+        let (db, graph) = warehouse.shared_parts();
+        EngineSnapshot::build(db, graph, SodaConfig::default())
+    }
+
+    fn enterprise_small() -> EngineSnapshot {
+        engine(enterprise::build_with(EnterpriseConfig {
             seed: 42,
             padding: false,
             data_scale: 0.1,
-        })
+        }))
     }
 
     #[test]
@@ -229,7 +226,7 @@ mod tests {
 
     #[test]
     fn figure4_shares_sum_to_one() {
-        let w = bank();
+        let w = engine(bank());
         let shares = figure4_trace(&w, "customers Zurich financial instruments");
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-6);
@@ -237,7 +234,7 @@ mod tests {
 
     #[test]
     fn figure5_reports_the_three_keywords() {
-        let w = bank();
+        let w = engine(bank());
         let classification = figure5_classification(&w);
         assert_eq!(classification.len(), 3);
         assert!(classification[0].1.contains(&"domain ontology".to_string()));
@@ -246,7 +243,7 @@ mod tests {
 
     #[test]
     fn figure6_union_covers_the_seven_tables() {
-        let w = bank();
+        let w = engine(bank());
         let per_result = figure6_tables(&w);
         let mut union: Vec<String> = per_result.into_iter().flatten().collect();
         union.sort();

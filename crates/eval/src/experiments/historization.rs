@@ -15,11 +15,11 @@
 //! result — the business question "find every party ever named Sara" is about
 //! the parties, not the name variants.
 
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::Warehouse;
 
-use soda_relation::ResultSet;
+use soda_relation::{Database, ResultSet};
 
 use crate::metrics::{normalize_column, project};
 use crate::workload::{workload, WorkloadQuery};
@@ -59,12 +59,11 @@ fn affected_queries() -> Vec<WorkloadQuery> {
 /// Distinct gold `party_id`s across the gold statements of a query, plus the
 /// normalised gold output columns (a result must contain all of them to count
 /// as answering the business question).
-fn gold_entities(warehouse: &Warehouse, query: &WorkloadQuery) -> (Vec<String>, Vec<String>) {
+fn gold_entities(database: &Database, query: &WorkloadQuery) -> (Vec<String>, Vec<String>) {
     let mut entities = Vec::new();
     let mut columns: Vec<String> = Vec::new();
     for sql in &query.gold_sql {
-        let rs = warehouse
-            .database
+        let rs = database
             .run_sql(sql)
             .unwrap_or_else(|e| panic!("gold SQL of {} failed: {e}", query.id));
         if columns.is_empty() {
@@ -99,7 +98,7 @@ fn answers_the_question(rs: &ResultSet, gold_columns: &[String]) -> bool {
 /// paper observes that precision stays perfect while historization caps
 /// recall).  Returns `(best_precision, best_recall, page_recall)`.
 fn entity_recall(
-    engine: &SodaEngine<'_>,
+    engine: &EngineSnapshot,
     query: &WorkloadQuery,
     gold: &[String],
     gold_columns: &[String],
@@ -157,16 +156,17 @@ fn entity_recall(
 /// Runs the comparison: Q2.1/Q2.2 on the paper-faithful enterprise warehouse
 /// vs. the historization-annotated variant (identical base data).
 pub fn historization_comparison(config: EnterpriseConfig) -> Vec<HistorizationRow> {
-    let plain = enterprise::build_with(config);
-    let annotated = enterprise::build_with_historization(config);
-    let plain_engine = SodaEngine::new(&plain.database, &plain.graph, SodaConfig::default());
-    let annotated_engine =
-        SodaEngine::new(&annotated.database, &annotated.graph, SodaConfig::default());
+    let engine = |warehouse: Warehouse| {
+        let (db, graph) = warehouse.shared_parts();
+        EngineSnapshot::build(db, graph, SodaConfig::default())
+    };
+    let plain_engine = engine(enterprise::build_with(config));
+    let annotated_engine = engine(enterprise::build_with_historization(config));
 
     affected_queries()
         .into_iter()
         .map(|query| {
-            let (gold, gold_columns) = gold_entities(&plain, &query);
+            let (gold, gold_columns) = gold_entities(plain_engine.database(), &query);
             let (plain_precision, plain_best, plain_page) =
                 entity_recall(&plain_engine, &query, &gold, &gold_columns);
             let (annotated_precision, annotated_best, annotated_page) =

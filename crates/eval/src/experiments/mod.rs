@@ -7,8 +7,7 @@ pub mod table5;
 
 use std::time::{Duration, Instant};
 
-use soda_core::{SodaConfig, SodaEngine};
-use soda_warehouse::Warehouse;
+use soda_core::{EngineSnapshot, SearchOptions};
 
 use crate::metrics::{evaluate, PrecisionRecall};
 use crate::workload::{workload, WorkloadQuery};
@@ -55,38 +54,30 @@ pub struct QueryEvaluation {
     pub reference: WorkloadQuery,
 }
 
-/// Runs the full workload of Table 2 against a warehouse and evaluates every
-/// produced statement against the gold standard.  This single pass produces
-/// the data behind both Table 3 (precision/recall) and Table 4 (complexity and
-/// runtime).
-pub fn run_workload(warehouse: &Warehouse, config: SodaConfig) -> Vec<QueryEvaluation> {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, config);
-    run_workload_with_engine(warehouse, &engine)
-}
-
-/// Like [`run_workload`] but reusing an already constructed engine (the
-/// benchmarks construct the engine once and measure the query phase only).
-pub fn run_workload_with_engine(
-    warehouse: &Warehouse,
-    engine: &SodaEngine<'_>,
-) -> Vec<QueryEvaluation> {
+/// Runs the full workload of Table 2 on an engine and evaluates every
+/// produced statement against the gold standard, computed over the engine's
+/// own base data.  This single pass produces the data behind both Table 3
+/// (precision/recall) and Table 4 (complexity and runtime); the benchmarks
+/// construct the engine once and measure this query phase only.
+pub fn run_workload(engine: &EngineSnapshot) -> Vec<QueryEvaluation> {
     let mut evaluations = Vec::new();
     for query in workload() {
         let gold: Vec<_> = query
             .gold_sql
             .iter()
             .map(|sql| {
-                warehouse
-                    .database
+                engine
+                    .database()
                     .run_sql(sql)
                     .unwrap_or_else(|e| panic!("gold SQL of {} failed: {e}", query.id))
             })
             .collect();
 
         let started = Instant::now();
-        let (results, trace) = engine
-            .search_traced(query.keywords)
+        let outcome = engine
+            .search_with(query.keywords, &SearchOptions::default())
             .unwrap_or_else(|e| panic!("query {} failed: {e}", query.id));
+        let (results, trace) = (outcome.page.results, outcome.trace);
         let soda_runtime = trace.timings.total();
 
         let mut per_result = Vec::new();
@@ -149,20 +140,22 @@ pub fn run_workload_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soda_core::SodaConfig;
     use soda_warehouse::enterprise::{self, EnterpriseConfig};
 
-    fn quick_warehouse() -> Warehouse {
-        enterprise::build_with(EnterpriseConfig {
+    fn quick_engine() -> EngineSnapshot {
+        let (db, graph) = enterprise::build_with(EnterpriseConfig {
             seed: 42,
             padding: false,
             data_scale: 0.15,
         })
+        .shared_parts();
+        EngineSnapshot::build(db, graph, SodaConfig::default())
     }
 
     #[test]
     fn workload_run_produces_an_evaluation_per_query() {
-        let w = quick_warehouse();
-        let evals = run_workload(&w, SodaConfig::default());
+        let evals = run_workload(&quick_engine());
         assert_eq!(evals.len(), 13);
         for e in &evals {
             assert!(e.complexity >= 1, "query {} has zero complexity", e.id);
@@ -176,8 +169,7 @@ mod tests {
 
     #[test]
     fn majority_of_queries_reach_full_precision() {
-        let w = quick_warehouse();
-        let evals = run_workload(&w, SodaConfig::default());
+        let evals = run_workload(&quick_engine());
         let full_precision = evals.iter().filter(|e| e.best.precision >= 0.99).count();
         assert!(
             full_precision >= 8,

@@ -7,9 +7,8 @@
 //! SQL statement that executes on the warehouse.
 
 use soda_baselines::{all_baselines, capability_matrix, QueryFeature, Support};
-use soda_core::{SodaConfig, SodaEngine};
+use soda_core::EngineSnapshot;
 use soda_relation::InvertedIndex;
-use soda_warehouse::Warehouse;
 
 use crate::workload::workload;
 
@@ -33,9 +32,11 @@ pub struct Table5 {
     pub systems: Vec<SystemCoverage>,
 }
 
-/// Runs every baseline plus SODA on the workload.
-pub fn table5(warehouse: &Warehouse) -> Table5 {
-    let index = InvertedIndex::build(&warehouse.database);
+/// Runs every baseline plus SODA (`engine`) on the workload, the baselines
+/// over the engine's base data.
+pub fn table5(engine: &EngineSnapshot) -> Table5 {
+    let database = engine.database();
+    let index = InvertedIndex::build(database);
     let queries = workload();
 
     let features = QueryFeature::all()
@@ -57,13 +58,13 @@ pub fn table5(warehouse: &Warehouse) -> Table5 {
     for baseline in all_baselines() {
         let mut answered = Vec::new();
         for q in &queries {
-            let Some(answer) = baseline.answer(&warehouse.database, &index, q.keywords) else {
+            let Some(answer) = baseline.answer(database, &index, q.keywords) else {
                 continue;
             };
             let executes = answer
                 .sql
                 .first()
-                .map(|sql| warehouse.database.run_sql(sql).is_ok())
+                .map(|sql| database.run_sql(sql).is_ok())
                 .unwrap_or(false);
             if executes {
                 answered.push(q.id.to_string());
@@ -82,7 +83,6 @@ pub fn table5(warehouse: &Warehouse) -> Table5 {
     }
 
     // SODA itself.
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
     let mut answered = Vec::new();
     for q in &queries {
         let produced = engine
@@ -109,16 +109,18 @@ pub fn table5(warehouse: &Warehouse) -> Table5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soda_core::SodaConfig;
     use soda_warehouse::enterprise::{self, EnterpriseConfig};
 
     #[test]
     fn soda_answers_every_workload_query_and_baselines_answer_fewer() {
-        let w = enterprise::build_with(EnterpriseConfig {
+        let (db, graph) = enterprise::build_with(EnterpriseConfig {
             seed: 42,
             padding: false,
             data_scale: 0.1,
-        });
-        let t = table5(&w);
+        })
+        .shared_parts();
+        let t = table5(&EngineSnapshot::build(db, graph, SodaConfig::default()));
         assert_eq!(t.systems.len(), 6);
         let soda = t.systems.iter().find(|s| s.system == "SODA").unwrap();
         assert_eq!(soda.answered.len(), 13, "SODA must answer all queries");

@@ -3,7 +3,9 @@
 //! physical schema, generate the metadata graph from it, and explore the
 //! legacy system through SODA — without any hand-written metadata.
 
-use soda_core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda_core::{EngineSnapshot, SodaConfig};
 use soda_explorer::{document_model, reverse_engineer, SchemaBrowser};
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 use soda_warehouse::{build_graph, DomainOntology, SynonymStore};
@@ -24,7 +26,7 @@ fn reverse_engineered_metadata_makes_the_legacy_system_searchable() {
     let db = legacy_database();
     let model = reverse_engineer(&db);
     let graph = build_graph(&model, &DomainOntology::new(), &SynonymStore::new());
-    let engine = SodaEngine::new(&db, &graph, SodaConfig::default());
+    let engine = EngineSnapshot::build(Arc::new(db), Arc::new(graph), SodaConfig::default());
 
     // A base-data keyword works exactly as on the curated warehouse: "Sara"
     // is found through the inverted index and joined to the party super-type

@@ -1,6 +1,6 @@
 //! Tenant-scoped administration: the [`TenantAdmin`] facade — the **one**
 //! spelling of every mutation (`reload`, `rebuild_shards`, `refresh_graph`,
-//! `ingest`, `compact`, `clear_cache`) — the post-swap cache passes
+//! `ingest_owned`, `compact`, `clear_cache`) — the post-swap cache passes
 //! (retention for data-only swaps, purge for everything else) and the
 //! background compaction worker.
 
@@ -142,13 +142,11 @@ impl TenantAdmin<'_> {
     /// change feed into per-shard side logs without rebuilding any index
     /// partition.  On a durable service the feed is journaled write-ahead
     /// to **this tenant's** journal.  Returns the new generation.
-    pub fn ingest(&self, feed: &ChangeFeed) -> Result<u64, ServiceError> {
-        self.ingest_owned(feed.clone())
-    }
-
-    /// [`ingest`](Self::ingest) for an **owned** feed — the zero-copy path:
-    /// the write-ahead journal append, the absorb, the counter updates and
-    /// the retention pass, all under the tenant's swap lock.
+    ///
+    /// The feed is taken by value (its rows move into the new generation
+    /// instead of being cloned out of a borrow); the write-ahead journal
+    /// append, the absorb, the counter updates and the retention pass all
+    /// run under the tenant's swap lock.
     pub fn ingest_owned(&self, feed: ChangeFeed) -> Result<u64, ServiceError> {
         let (shared, tenant) = (self.shared, &self.tenant);
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
@@ -174,10 +172,7 @@ impl TenantAdmin<'_> {
             };
             shared.tenant_event("journal_append", tenant, format!("{appended} bytes"));
         }
-        let outcome = tenant
-            .handle
-            .absorb_owned(feed)
-            .map_err(ServiceError::Engine)?;
+        let outcome = tenant.handle.absorb(feed).map_err(ServiceError::Engine)?;
         let generation = outcome.generation;
         shared.tenant_event(
             "ingest",
@@ -463,7 +458,7 @@ mod tests {
             .results
             .is_empty());
         let generation = admin(&service)
-            .ingest(&address_feed(900, "Streamville"))
+            .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
         assert_eq!(generation, 1);
         let page = service
@@ -483,7 +478,7 @@ mod tests {
 
         // A rejected feed publishes nothing and counts nothing.
         let bad = ChangeFeed::new().append_row("no_such_table", vec![]);
-        assert!(admin(&service).ingest(&bad).is_err());
+        assert!(admin(&service).ingest_owned(bad).is_err());
         let m = service.metrics();
         assert_eq!(m.generation, 1);
         assert_eq!(m.ingest.ingests, 1);
@@ -493,7 +488,7 @@ mod tests {
     fn manual_compaction_folds_logs_and_keeps_answers() {
         let service = minibank_service(ServiceConfig::default());
         admin(&service)
-            .ingest(&address_feed(900, "Streamville"))
+            .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
         let before = service
             .query(QueryRequest::new("Streamville"))
@@ -540,7 +535,7 @@ mod tests {
         assert_eq!(service.metrics().cache.len, 1);
 
         admin(&service)
-            .ingest(&address_feed(900, "Retainville"))
+            .ingest_owned(address_feed(900, "Retainville"))
             .unwrap();
         let m = service.metrics();
         assert_eq!(m.cache.retained, 1, "the Sara page must be carried over");
@@ -563,7 +558,7 @@ mod tests {
             .wait()
             .unwrap();
         admin(&service)
-            .ingest(&address_feed(901, "Retainville"))
+            .ingest_owned(address_feed(901, "Retainville"))
             .unwrap();
         let m = service.metrics();
         // The address-touching page died; the Sara page survived again.
@@ -607,7 +602,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         admin(&service)
-            .ingest(&address_feed(900, "Streamville"))
+            .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
         // The worker is nudged by the ingest; give it a moment.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -641,7 +636,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         admin(&service)
-            .ingest(&ChangeFeed::new().truncate("securities"))
+            .ingest_owned(ChangeFeed::new().truncate("securities"))
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -662,7 +657,7 @@ mod tests {
     fn events_record_the_operational_history_in_order() {
         let service = minibank_service(ServiceConfig::default());
         admin(&service)
-            .ingest(&address_feed(900, "Streamville"))
+            .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
         let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
         admin(&service).compact(&shards).expect("a log to fold");

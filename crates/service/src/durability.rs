@@ -185,7 +185,7 @@ pub(crate) fn recover_journal(
         // is counted, not fatal.  Feeds are consumed: replay moves rows
         // through the same copy-on-write path as live ingestion.
         let tables = feed.tables();
-        match handle.absorb_owned(feed) {
+        match handle.absorb(feed) {
             Ok(_) => {
                 report.replayed_feeds += 1;
                 dirty_tables.extend(tables);

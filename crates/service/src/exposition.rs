@@ -850,7 +850,7 @@ mod tests {
             .wait()
             .unwrap();
         admin(&service)
-            .ingest(&address_feed(900, "Streamville"))
+            .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
         let text = service.metrics_text();
         soda_trace::prom::validate(&text).expect("exposition must validate");

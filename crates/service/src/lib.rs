@@ -25,7 +25,7 @@
 //!   and admission control; the worker loop.
 //! * [`admin`] — [`TenantAdmin`] ([`QueryService::admin`]): `reload` /
 //!   `rebuild_shards` / `refresh_graph` swap in new snapshot generations
-//!   without draining the pool, [`TenantAdmin::ingest`] absorbs a row-level
+//!   without draining the pool, [`TenantAdmin::ingest_owned`] absorbs a row-level
 //!   [`ChangeFeed`](soda_core::ChangeFeed) into per-shard side logs, and
 //!   compaction (manual, or the background worker of a
 //!   [`CompactionConfig`]) folds grown logs back into rebuilt partitions.

@@ -85,7 +85,7 @@ pub struct StageLatencies {
 /// are the lifetime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestMetrics {
-    /// Change feeds absorbed ([`TenantAdmin::ingest`](crate::TenantAdmin::ingest)).
+    /// Change feeds absorbed ([`TenantAdmin::ingest_owned`](crate::TenantAdmin::ingest_owned)).
     pub ingests: u64,
     /// Row events those feeds carried.
     pub events: u64,

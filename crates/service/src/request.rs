@@ -151,7 +151,7 @@ pub enum ServiceError {
     /// The feed journal or page cache could not be written or recovered
     /// (rendered to text because `std::io::Error` is not `Clone`).  Surfaced
     /// by [`QueryService::recover`](crate::QueryService::recover) and by an
-    /// [`TenantAdmin::ingest`](crate::TenantAdmin::ingest) whose write-ahead
+    /// [`TenantAdmin::ingest_owned`](crate::TenantAdmin::ingest_owned) whose write-ahead
     /// append failed — such a feed is **not** absorbed, so the engine never
     /// serves rows the journal would lose in a crash.
     Durability(String),

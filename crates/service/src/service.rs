@@ -14,7 +14,7 @@
 //!    quota or the whole queue is at capacity — backpressure instead of
 //!    unbounded memory growth, and no tenant can squat the entire queue.
 //! 3. A worker pops the next job round-robin across the tenant lanes, runs
-//!    the five-step pipeline via [`EngineSnapshot::search_paged_observed`],
+//!    the five-step pipeline via [`EngineSnapshot::search_with`],
 //!    stores the page in the cache and completes the caller's [`JobHandle`]
 //!    with a [`QueryResponse`].
 //!
@@ -64,7 +64,7 @@
 //!
 //! ## Streaming ingestion
 //!
-//! [`TenantAdmin::ingest`] absorbs a row-level change feed into a new
+//! [`TenantAdmin::ingest_owned`] absorbs a row-level change feed into a new
 //! generation of that tenant's snapshot without rebuilding any index
 //! partition: the events land in per-shard side logs that every probe
 //! merges on the fly.  A background compaction worker (opt-in via
@@ -123,8 +123,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use soda_core::{
-    normalize_query, Database, EngineSnapshot, MetaGraph, ProbeDep, ResultPage, SnapshotHandle,
-    SodaConfig, StepTimings, TenantId,
+    normalize_query, Database, EngineSnapshot, MetaGraph, ProbeDep, ResultPage, SearchOptions,
+    SnapshotHandle, SodaConfig, StepTimings, TenantId,
 };
 use soda_journal::tenant_journal_dir;
 use soda_trace::{
@@ -150,7 +150,7 @@ use crate::tenants::{TenantRegistry, TenantState};
 use crate::worker::worker_loop;
 
 /// A cached result page together with what its query actually consulted —
-/// the evidence [`EngineSnapshot::retains_page`] needs to carry the page
+/// the evidence a [`RetentionGate`](soda_core::RetentionGate) needs to carry the page
 /// across a data-only snapshot swap instead of purging it.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedPage {
@@ -819,17 +819,21 @@ impl QueryService {
             });
         }
         let sink = CollectingSink::new();
-        let (page, timings) = engine
-            .search_paged_observed(&request.input, request.page, request.page_size, None, &sink)
+        let options = SearchOptions {
+            sink: &sink,
+            ..SearchOptions::page(request.page, request.page_size)
+        };
+        let found = engine
+            .search_with(&request.input, &options)
             .map_err(ServiceError::Engine)?;
         let e2e = submitted.elapsed();
         tenant.executions.fetch_add(1, Ordering::Relaxed);
         self.shared
-            .record_executed(e2e, Duration::ZERO, e2e, Some(&timings));
+            .record_executed(e2e, Duration::ZERO, e2e, Some(&found.trace.timings));
         tenant.record_response(e2e);
         self.shared.record_slo(tenant, e2e, true);
         Ok(QueryResponse {
-            page,
+            page: found.page,
             trace: Some(sink.finish()),
         })
     }

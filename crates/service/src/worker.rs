@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use soda_core::ProbeRecorder;
+use soda_core::{ProbeRecorder, SearchOptions};
 use soda_trace::{CollectingSink, NoopSink, Sampler, TraceSink};
 
 use crate::cache::CacheKey;
@@ -80,16 +80,17 @@ pub(crate) fn worker_loop(shared: &Shared) {
             Some(c) => c,
             None => &NoopSink,
         };
-        let (page, page_size) = (job.key.page, job.key.page_size);
-        let observed = job
-            .engine
-            .search_paged_observed(&job.input, page, page_size, Some(&recorder), sink)
-            .map_err(ServiceError::Engine);
-        let execution = dequeued.elapsed();
-        let (outcome, timings) = match observed {
-            Ok((page, timings)) => (Ok(page), Some(timings)),
-            Err(e) => (Err(e), None),
+        let options = SearchOptions {
+            recorder: Some(&recorder),
+            sink,
+            ..SearchOptions::page(job.key.page, job.key.page_size)
         };
+        let searched = job.engine.search_with(&job.input, &options);
+        let execution = dequeued.elapsed();
+        let timings = searched.as_ref().ok().map(|found| found.trace.timings);
+        let outcome = searched
+            .map(|found| found.page)
+            .map_err(ServiceError::Engine);
         // Normal path: the completion hand-off below owns the cleanup.
         guard.key = None;
         // A swap may have landed while this job ran: a page keyed by a

@@ -5,16 +5,17 @@
 //!
 //! Run with: `cargo run --example adjustment_engine`
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
 fn main() {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.5,
-    });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    })
+    .shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // The business user names entities and a measure; SODA supplies the joins.
     let question = "sum(investments) group by (currency)";
@@ -36,8 +37,8 @@ fn main() {
                 &format!(" WHERE trade_order_td.order_dt >= '{year}-01-01' AND trade_order_td.order_dt <= '{year}-12-31' AND ")
             )
         );
-        warehouse
-            .database
+        engine
+            .database()
             .run_sql(sql.trim())
             .expect("period query runs")
     };

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example enterprise_search`
 
-use soda::core::SodaConfig;
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::experiments::{run_workload, table1::table1, table5::table5};
 use soda::eval::report;
 use soda::eval::workload::workload;
@@ -23,12 +23,14 @@ fn main() {
     println!("{}", report::print_table2(&workload()));
 
     println!("running the workload (this executes every generated statement)...\n");
-    let evals = run_workload(&padded, SodaConfig::default());
+    let (db, graph) = padded.shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
+    let evals = run_workload(&engine);
     println!("{}", report::print_table3(&evals));
     println!("{}", report::print_table4(&evals));
 
     println!("comparing against the baseline systems...\n");
-    println!("{}", report::print_table5(&table5(&padded)));
+    println!("{}", report::print_table5(&table5(&engine)));
 
     // Show the generated SQL for a couple of interesting queries.
     for id in ["2.1", "9.0", "10.0"] {

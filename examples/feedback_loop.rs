@@ -5,16 +5,17 @@
 //!
 //! Run with: `cargo run --example feedback_loop`
 
-use soda::core::{FeedbackStore, SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, FeedbackStore, SearchOptions, SodaConfig};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
 fn main() {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.2,
-    });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    })
+    .shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // 1. The ambiguous query of Q3.1/Q3.2: "Credit Suisse" is both an
     //    organization and part of agreement names.
@@ -46,10 +47,12 @@ fn main() {
         "== after disliking the {:?} interpretation three times",
         full[0].tables
     );
-    let reranked = engine
-        .search_with_feedback("Credit Suisse", &feedback)
-        .unwrap();
-    for (i, r) in reranked.iter().take(3).enumerate() {
+    let options = SearchOptions {
+        feedback: Some(&feedback),
+        ..SearchOptions::default()
+    };
+    let reranked = engine.search_with("Credit Suisse", &options).unwrap();
+    for (i, r) in reranked.page.results.iter().take(3).enumerate() {
         println!("  {}. [{:.2}] tables {:?}", i + 1, r.score, r.tables);
     }
     println!();

@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --example legacy_reverse_engineering`
 
-use soda::core::{SodaConfig, SodaEngine};
+use std::sync::Arc;
+
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::explorer::{document_model, reverse_engineer, SchemaBrowser};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 use soda::warehouse::{build_graph, DomainOntology, SynonymStore};
@@ -14,12 +16,14 @@ use soda::warehouse::{build_graph, DomainOntology, SynonymStore};
 fn main() {
     // Pretend the enterprise warehouse is an undocumented legacy system: keep
     // only its base data, discard the curated metadata graph.
-    let legacy_db = enterprise::build_with(EnterpriseConfig {
-        seed: 42,
-        padding: false,
-        data_scale: 0.15,
-    })
-    .database;
+    let legacy_db = Arc::new(
+        enterprise::build_with(EnterpriseConfig {
+            seed: 42,
+            padding: false,
+            data_scale: 0.15,
+        })
+        .database,
+    );
 
     // 1. Reverse engineer the three schema layers from the physical catalog.
     let model = reverse_engineer(&legacy_db);
@@ -37,7 +41,11 @@ fn main() {
     println!("  …\n");
 
     // 3. Build the metadata graph from the recovered model and browse it.
-    let graph = build_graph(&model, &DomainOntology::new(), &SynonymStore::new());
+    let graph = Arc::new(build_graph(
+        &model,
+        &DomainOntology::new(),
+        &SynonymStore::new(),
+    ));
     let browser = SchemaBrowser::new(&legacy_db, &graph);
     let description = browser.describe("trade_order_td").unwrap();
     println!("== trade_order_td as recovered from the physical schema");
@@ -60,7 +68,7 @@ fn main() {
     println!();
 
     // 4. And search the legacy system through SODA.
-    let engine = SodaEngine::new(&legacy_db, &graph, SodaConfig::default());
+    let engine = EngineSnapshot::build(legacy_db, graph, SodaConfig::default());
     for query in ["Sara", "trade order amount > 40000", "Credit Suisse"] {
         println!("== SODA over the legacy system: {query}");
         match engine.search(query) {

@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --example minibank_tour`
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::experiments::figures;
 use soda::warehouse::minibank;
 
-fn show(engine: &SodaEngine<'_>, title: &str, query: &str) {
+fn show(engine: &EngineSnapshot, title: &str, query: &str) {
     println!("=== {title}");
     println!("SODA : {query}");
     match engine.search(query) {
@@ -28,8 +28,8 @@ fn show(engine: &SodaEngine<'_>, title: &str, query: &str) {
 }
 
 fn main() {
-    let warehouse = minibank::build(42);
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let (db, graph) = minibank::build(42).shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // Query 1: keyword pattern example.
     show(&engine, "Query 1 — keyword lookup", "Sara Guttinger");
@@ -62,13 +62,13 @@ fn main() {
 
     // Figure 5: classification of the running-example query.
     println!("=== Figure 5 — query classification");
-    for (phrase, provenances) in figures::figure5_classification(&warehouse) {
+    for (phrase, provenances) in figures::figure5_classification(&engine) {
         println!("  {phrase:<24} found in: {}", provenances.join(", "));
     }
 
     // Figure 6: output of the tables step.
     println!("\n=== Figure 6 — tables step output (per interpretation)");
-    for (i, tables) in figures::figure6_tables(&warehouse).iter().enumerate() {
+    for (i, tables) in figures::figure6_tables(&engine).iter().enumerate() {
         println!("  interpretation {}: {}", i + 1, tables.join(", "));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::warehouse::minibank;
 
 fn main() {
@@ -18,7 +18,11 @@ fn main() {
         warehouse.graph.edge_count()
     );
 
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    // The engine takes over the warehouse: it builds the classification
+    // index, the inverted index and the join catalog once, then answers any
+    // number of queries from any number of threads.
+    let (db, graph) = warehouse.shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // The three introductory queries of Section 2.
     for query in [

@@ -5,17 +5,18 @@
 //!
 //! Run with: `cargo run --example schema_explorer`
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SearchOptions, SodaConfig};
 use soda::eval::experiments::figures;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
 fn main() {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.1,
-    });
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    })
+    .shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     // 1. Where does a business term live?  The classification index answers
     //    directly, without generating SQL.
@@ -26,7 +27,8 @@ fn main() {
         "wealthy customers",
         "birth date",
     ] {
-        let (results, trace) = engine.search_traced(term).unwrap();
+        let outcome = engine.search_with(term, &SearchOptions::default()).unwrap();
+        let (results, trace) = (outcome.page.results, outcome.trace);
         let provenance: Vec<String> = trace
             .classification
             .iter()
@@ -64,7 +66,7 @@ fn main() {
     // 3. The complex hierarchy around `party` (Figure 10), including the
     //    bridge between inheritance siblings that causes trouble for Q5.0.
     println!("\n== Figure 10: schema hierarchy around party");
-    println!("{}", figures::figure10_hierarchy(&warehouse));
+    println!("{}", figures::figure10_hierarchy(&engine));
 
     // 4. Bridge tables in the whole schema.
     println!("== bridge tables (physical N-to-N implementations)");

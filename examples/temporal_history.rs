@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run --example temporal_history`
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::experiments::historization::historization_comparison;
 use soda::eval::report::print_historization;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
-fn show(engine: &SodaEngine<'_>, title: &str, query: &str) {
+fn show(engine: &EngineSnapshot, title: &str, query: &str) {
     println!("--- {title}: {query}");
     match engine.search(query) {
         Err(e) => println!("    error: {e}"),
@@ -39,8 +39,8 @@ fn main() {
     };
 
     println!("== paper-faithful metadata graph (historization joins unannotated)\n");
-    let plain = enterprise::build_with(config);
-    let engine = SodaEngine::new(&plain.database, &plain.graph, SodaConfig::default());
+    let (db, graph) = enterprise::build_with(config).shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
     show(&engine, "Q2.1", "Sara");
     show(
         &engine,
@@ -49,8 +49,8 @@ fn main() {
     );
 
     println!("== historization-annotated metadata graph (the paper's proposed remedy)\n");
-    let annotated = enterprise::build_with_historization(config);
-    let engine = SodaEngine::new(&annotated.database, &annotated.graph, SodaConfig::default());
+    let (db, graph) = enterprise::build_with_historization(config).shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
     show(&engine, "Q2.1", "Sara");
     show(
         &engine,

@@ -19,7 +19,11 @@
 //! * [`warehouse`] — the paper's mini-bank running example and a synthetic
 //!   enterprise warehouse mirroring the Credit Suisse schema statistics.
 //! * [`core`] — the SODA engine itself: query language, five-step pipeline,
-//!   ranking and SQL generation.
+//!   ranking and SQL generation.  One engine type
+//!   ([`EngineSnapshot`](soda_core::EngineSnapshot)) and one search
+//!   ([`search_with`](soda_core::EngineSnapshot::search_with), with
+//!   [`search`](soda_core::EngineSnapshot::search) and
+//!   [`search_paged`](soda_core::EngineSnapshot::search_paged) as shorthands).
 //! * [`baselines`] — capability-level re-implementations of DBExplorer,
 //!   DISCOVER, BANKS, SQAK and Keymantic.
 //! * [`eval`] — workload, gold standard, precision/recall metrics and the
@@ -50,8 +54,8 @@
 //! use soda::prelude::*;
 //!
 //! // Build the paper's running example (Figures 1 and 2) with seeded data.
-//! let warehouse = soda::warehouse::minibank::build(42);
-//! let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+//! let (db, graph) = soda::warehouse::minibank::build(42).shared_parts();
+//! let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 //!
 //! // "What is the address of Sara Guttinger?"
 //! let results = engine.search("Sara Guttinger").unwrap();
@@ -75,7 +79,7 @@ pub use soda_warehouse as warehouse;
 pub mod prelude {
     pub use soda_core::{
         EngineSnapshot, FeedbackStore, ResultPage, ShardStats, SnapshotHandle, SodaConfig,
-        SodaEngine, SodaResult,
+        SodaResult,
     };
     pub use soda_explorer::SchemaBrowser;
     pub use soda_ingest::{ChangeFeed, CompactionPolicy, Ingestor, RowEvent};

@@ -149,19 +149,20 @@ fn lookup_digests(shards: usize) -> String {
     let mut out = String::new();
     digest_lines("built", &handle.load(), &mut out);
     let feed = feed(&handle.load());
-    handle.absorb_owned(feed).expect("the feed applies");
+    handle.absorb(feed).expect("the feed applies");
     digest_lines("ingested", &handle.load(), &mut out);
     out
 }
 
 fn table3_ranking(shards: usize) -> String {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.2,
-    });
+    })
+    .shared_parts();
     let mut out = String::new();
-    for e in run_workload(&warehouse, config(shards)) {
+    for e in run_workload(&EngineSnapshot::build(db, graph, config(shards))) {
         writeln!(
             out,
             "{} · best P={:.4} R={:.4} · complexity {} · {} statements",

@@ -120,7 +120,7 @@ fn crash_after_ingests_recovers_byte_identical_pages() {
         let (service, _) = recover_at(live_dir.path());
         for i in 0..FEEDS {
             admin(&service)
-                .ingest(&address_feed(900 + i as i64, &format!("City{i}")))
+                .ingest_owned(address_feed(900 + i as i64, &format!("City{i}")))
                 .unwrap();
         }
         let pages: Vec<ResultPage> = queries.iter().map(|q| page_for(&service, q)).collect();
@@ -173,7 +173,7 @@ fn crash_after_ingests_recovers_byte_identical_pages() {
     );
     for i in 0..FEEDS {
         admin(&reference)
-            .ingest(&address_feed(900 + i as i64, &format!("City{i}")))
+            .ingest_owned(address_feed(900 + i as i64, &format!("City{i}")))
             .unwrap();
     }
 
@@ -202,7 +202,7 @@ fn corrupt_tail_is_dropped_and_the_prefix_replays() {
         let (service, _) = recover_at(live_dir.path());
         for i in 0..FEEDS {
             admin(&service)
-                .ingest(&address_feed(900 + i as i64, &format!("City{i}")))
+                .ingest_owned(address_feed(900 + i as i64, &format!("City{i}")))
                 .unwrap();
         }
         fs::copy(
@@ -242,7 +242,7 @@ fn graceful_drain_restores_the_warm_cache() {
     let before: Vec<ResultPage> = {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "Streamville"))
+            .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
         queries.iter().map(|q| page_for(&service, q)).collect()
         // Drop = graceful drain: the cache is serialized to pages.cache.
@@ -276,7 +276,7 @@ fn checkpoints_bound_replay_and_recover_exactly() {
         let (service, _) = recover_at(dir.path());
         for i in 0..3 {
             admin(&service)
-                .ingest(&address_feed(900 + i, &format!("City{i}")))
+                .ingest_owned(address_feed(900 + i, &format!("City{i}")))
                 .unwrap();
         }
         let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
@@ -284,7 +284,7 @@ fn checkpoints_bound_replay_and_recover_exactly() {
         assert_eq!(service.metrics().durability.checkpoints, 1);
         // One more feed lands *after* the checkpoint.
         admin(&service)
-            .ingest(&address_feed(950, "PostCheckpoint"))
+            .ingest_owned(address_feed(950, "PostCheckpoint"))
             .unwrap();
     }
 
@@ -311,10 +311,10 @@ fn recovery_is_idempotent() {
     {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "Onceville"))
+            .ingest_owned(address_feed(900, "Onceville"))
             .unwrap();
         admin(&service)
-            .ingest(&address_feed(901, "Onceville"))
+            .ingest_owned(address_feed(901, "Onceville"))
             .unwrap();
     }
     let (first_page, generation) = {
@@ -341,10 +341,10 @@ fn pre_tenancy_durability_directory_recovers_losslessly() {
     {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "Legacyville"))
+            .ingest_owned(address_feed(900, "Legacyville"))
             .unwrap();
         admin(&service)
-            .ingest(&address_feed(901, "Legacyville"))
+            .ingest_owned(address_feed(901, "Legacyville"))
             .unwrap();
     }
     // Rewrite the journal into the exact pre-tenancy layout: version-1
@@ -409,7 +409,7 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "Staleville"))
+            .ingest_owned(address_feed(900, "Staleville"))
             .unwrap();
         page_for(&service, "Staleville");
     }
@@ -431,7 +431,7 @@ fn journal_config_mismatch_is_a_hard_error() {
     {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "Mismatchville"))
+            .ingest_owned(address_feed(900, "Mismatchville"))
             .unwrap();
     }
     let (db, graph) = minibank_parts();
@@ -478,7 +478,7 @@ fn empty_and_checkpoint_only_journals_recover() {
     let generation = {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "Foldville"))
+            .ingest_owned(address_feed(900, "Foldville"))
             .unwrap();
         let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
         admin(&service).compact(&shards).expect("a log to fold");
@@ -502,14 +502,14 @@ fn recovered_services_keep_journaling() {
     {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest(&address_feed(900, "FirstLife"))
+            .ingest_owned(address_feed(900, "FirstLife"))
             .unwrap();
     }
     {
         let (service, report) = recover_at(dir.path());
         assert_eq!(report.replayed_feeds, 1);
         admin(&service)
-            .ingest(&address_feed(901, "SecondLife"))
+            .ingest_owned(address_feed(901, "SecondLife"))
             .unwrap();
         assert_eq!(service.metrics().durability.journal_appends, 1);
     }

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::workload;
 use soda::relation::ResultSet;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
@@ -49,8 +49,9 @@ fn digest_line<E: std::fmt::Display>(out: &mut String, label: &str, rs: Result<R
 
 /// `gold`: also run the workload's gold-standard SQL (written against the
 /// enterprise schema, so it only binds there).
-fn digests_of(name: &str, warehouse: &Warehouse, gold: bool, out: &mut String) {
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+fn digests_of(name: &str, warehouse: Warehouse, gold: bool, out: &mut String) {
+    let (db, graph) = warehouse.shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
     for query in workload() {
         let mut rank = 0usize;
         for page in 0.. {
@@ -69,20 +70,20 @@ fn digests_of(name: &str, warehouse: &Warehouse, gold: bool, out: &mut String) {
         }
         for (i, sql) in query.gold_sql.iter().enumerate().filter(|_| gold) {
             let label = format!("{name} · {} · gold {}", query.id, i + 1);
-            digest_line(out, &label, warehouse.database.run_sql(sql));
+            digest_line(out, &label, engine.database().run_sql(sql));
         }
     }
 }
 
 fn current_digests() -> String {
     let mut out = String::new();
-    digests_of("minibank", &minibank::build(42), false, &mut out);
+    digests_of("minibank", minibank::build(42), false, &mut out);
     let enterprise = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
         data_scale: 0.2,
     });
-    digests_of("enterprise", &enterprise, true, &mut out);
+    digests_of("enterprise", enterprise, true, &mut out);
     out
 }
 

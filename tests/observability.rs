@@ -245,7 +245,7 @@ fn golden_metrics_text() -> String {
     service
         .admin(TenantId::default())
         .expect("default tenant")
-        .ingest(&ChangeFeed::new().append_row(
+        .ingest_owned(ChangeFeed::new().append_row(
             "addresses",
             vec![
                 Value::Int(900),

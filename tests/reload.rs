@@ -362,7 +362,7 @@ fn streaming_ingest_with_background_compaction_never_drops_or_corrupts() {
         scope.spawn(move || {
             for g in 1..=GENERATIONS {
                 admin(service)
-                    .ingest(&marker_feed(g))
+                    .ingest_owned(marker_feed(g))
                     .expect("feed absorbs");
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -485,7 +485,9 @@ proptest! {
             };
             match feed {
                 Some(feed) => {
-                    admin(&service).ingest(&feed).expect("feed absorbs");
+                    admin(&service)
+                        .ingest_owned(feed.clone())
+                        .expect("feed absorbs");
                     Ingestor::new(1)
                         .apply_only(&mut reference, &feed)
                         .expect("reference replays");

@@ -29,17 +29,12 @@ fn shared_snapshot() -> Arc<EngineSnapshot> {
 }
 
 /// N threads × M queries through the service produce byte-identical result
-/// pages (SQL text included) to a fresh single-threaded borrowed engine.
+/// pages (SQL text included) to a fresh single-threaded engine.
 #[test]
 fn concurrent_service_matches_single_threaded_engine_byte_for_byte() {
-    // The reference run uses the original borrowed engine over its own copy
-    // of the warehouse, so nothing is shared with the service under test.
-    let reference_warehouse = minibank::build(42);
-    let reference_engine = SodaEngine::new(
-        &reference_warehouse.database,
-        &reference_warehouse.graph,
-        SodaConfig::default(),
-    );
+    // The reference run uses an engine over its own copy of the warehouse,
+    // so nothing is shared with the service under test.
+    let reference_engine = shared_snapshot();
     let expected: Vec<Vec<String>> = QUERIES
         .iter()
         .map(|q| {

@@ -5,6 +5,8 @@
 //! re-exported crate is touched through its `soda::` path, not through the
 //! underlying `soda_*` crate names.
 
+use std::sync::Arc;
+
 use soda::prelude::*;
 
 /// Every facade module re-export resolves and exposes its crate's API.
@@ -34,7 +36,8 @@ fn facade_reexports_resolve() {
     assert!(warehouse.database.table_count() > 0);
 
     // soda::core
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let (db, graph) = warehouse.shared_parts();
+    let engine = EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), SodaConfig::default());
     assert!(!engine.search("Zurich").unwrap().is_empty());
 
     // soda::eval
@@ -42,7 +45,7 @@ fn facade_reexports_resolve() {
 
     // soda::baselines and soda::explorer ride along on the same facade.
     assert_eq!(soda::baselines::all_baselines().len(), 5);
-    let browser = SchemaBrowser::new(&warehouse.database, &warehouse.graph);
+    let browser = SchemaBrowser::new(&db, &graph);
     assert!(!browser.tables().is_empty());
 }
 
@@ -50,8 +53,8 @@ fn facade_reexports_resolve() {
 /// get executable SQL back.
 #[test]
 fn quickstart_keyword_query_yields_sql() {
-    let warehouse = soda::warehouse::minibank::build(42);
-    let engine = SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default());
+    let (db, graph) = soda::warehouse::minibank::build(42).shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
 
     let results = engine.search("Sara Guttinger").unwrap();
     assert!(!results.is_empty());
@@ -62,8 +65,8 @@ fn quickstart_keyword_query_yields_sql() {
     // The generated SQL is not just a string — it parses and executes on the
     // same warehouse, and actually finds Sara Guttinger.
     soda::relation::parse_select(sql).expect("generated SQL must parse");
-    let result_set = warehouse
-        .database
+    let result_set = engine
+        .database()
         .run_sql(sql)
         .expect("generated SQL must execute");
     assert!(!result_set.is_empty(), "no rows for: {sql}");

@@ -287,12 +287,12 @@ fn tenants_recover_from_their_own_journals() {
         service
             .admin(TenantId::default())
             .unwrap()
-            .ingest(&feed(900, "Defaultville"))
+            .ingest_owned(feed(900, "Defaultville"))
             .unwrap();
         service
             .admin("acme")
             .unwrap()
-            .ingest(&feed(901, "Acmeville"))
+            .ingest_owned(feed(901, "Acmeville"))
             .unwrap();
         (
             page_for(&service, "default", "Defaultville"),

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use soda::core::{SodaConfig, SodaEngine};
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::relation::{ResultSet, Value};
 use soda::warehouse::minibank;
 use soda::warehouse::Warehouse;
@@ -18,8 +18,9 @@ fn warehouse() -> Warehouse {
     minibank::build(42)
 }
 
-fn engine(warehouse: &Warehouse) -> SodaEngine<'_> {
-    SodaEngine::new(&warehouse.database, &warehouse.graph, SodaConfig::default())
+fn engine(warehouse: Warehouse) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    EngineSnapshot::build(db, graph, SodaConfig::default())
 }
 
 /// Projects a result set onto the named columns (matched case-insensitively by
@@ -49,14 +50,13 @@ fn project(rs: &ResultSet, columns: &[&str]) -> BTreeSet<Vec<String>> {
 /// best-ranked SODA result covers exactly the expert's tuples on the expert's
 /// output columns.  Returns the best result's SQL for further inspection.
 fn assert_equivalent(
-    warehouse: &Warehouse,
-    engine: &SodaEngine<'_>,
+    engine: &EngineSnapshot,
     soda_input: &str,
     expert_sql: &str,
     compare_columns: &[&str],
 ) -> String {
-    let expert = warehouse
-        .database
+    let expert = engine
+        .database()
         .run_sql(expert_sql)
         .unwrap_or_else(|e| panic!("expert SQL failed: {e}\n{expert_sql}"));
     let results = engine.search(soda_input).expect("SODA search failed");
@@ -99,10 +99,8 @@ fn assert_equivalent(
 /// individuals.id AND firstName = 'Sara' AND lastName = 'Guttinger'.
 #[test]
 fn query1_keyword_pattern_sara_guttinger() {
-    let w = warehouse();
-    let e = engine(&w);
+    let e = engine(warehouse());
     let sql = assert_equivalent(
-        &w,
         &e,
         "Sara Guttinger",
         "SELECT individuals.id, individuals.firstname, individuals.lastname \
@@ -127,12 +125,11 @@ fn query1_keyword_pattern_sara_guttinger() {
 /// low enough to keep the result non-trivial.
 #[test]
 fn query2_input_pattern_salary_and_birthday() {
-    let w = warehouse();
-    let e = engine(&w);
+    let e = engine(warehouse());
 
     // Pick an existing individual so the equality on the birthday matches.
-    let probe = w
-        .database
+    let probe = e
+        .database()
         .run_sql("SELECT individuals.birthday FROM individuals WHERE individuals.salary >= 500000")
         .unwrap();
     assert!(
@@ -146,13 +143,7 @@ fn query2_input_pattern_salary_and_birthday() {
         "SELECT individuals.id, individuals.salary, individuals.birthday FROM individuals \
          WHERE individuals.salary >= 500000 AND individuals.birthday = '{birthday}'"
     );
-    assert_equivalent(
-        &w,
-        &e,
-        &soda_input,
-        &expert_sql,
-        &["id", "salary", "birthday"],
-    );
+    assert_equivalent(&e, &soda_input, &expert_sql, &["id", "salary", "birthday"]);
 }
 
 /// Query 3 (§4.4.2): "sum (amount) group by (transaction date)".
@@ -164,15 +155,14 @@ fn query2_input_pattern_salary_and_birthday() {
 /// says SODA takes off the analyst.
 #[test]
 fn query3_aggregation_sum_amount_by_transaction_date() {
-    let w = warehouse();
-    let e = engine(&w);
+    let e = engine(warehouse());
     let results = e
         .search("sum (amount) group by (transaction date)")
         .expect("aggregation query must parse");
     assert!(!results.is_empty());
 
-    let expert = w
-        .database
+    let expert = e
+        .database()
         .run_sql(
             "SELECT transactions.transactiondate, sum(fi_transactions.amount) \
              FROM transactions, fi_transactions \
@@ -229,15 +219,14 @@ fn query3_aggregation_sum_amount_by_transaction_date() {
 /// multi-table join.
 #[test]
 fn query4_count_transactions_by_company_name() {
-    let w = warehouse();
-    let e = engine(&w);
+    let e = engine(warehouse());
     let results = e
         .search("count (transactions) group by (company name)")
         .expect("aggregation query must parse");
     assert!(!results.is_empty());
 
-    let expert = w
-        .database
+    let expert = e
+        .database()
         .run_sql(
             "SELECT organizations.companyname, count(transactions.id) \
              FROM transactions, organizations \
@@ -281,8 +270,7 @@ fn query4_count_transactions_by_company_name() {
 /// must translate into the salary filter stored in the domain ontology.
 #[test]
 fn metadata_defined_filter_wealthy_customers() {
-    let w = warehouse();
-    let e = engine(&w);
+    let e = engine(warehouse());
     let results = e.search("wealthy customers").expect("search failed");
     assert!(!results.is_empty());
     let top = &results[0];
@@ -293,8 +281,8 @@ fn metadata_defined_filter_wealthy_customers() {
         top.sql
     );
     let rs = e.execute(top).unwrap();
-    let expert = w
-        .database
+    let expert = e
+        .database()
         .run_sql("SELECT individuals.id FROM individuals WHERE individuals.salary >= 500000")
         .unwrap();
     assert_eq!(project(&rs, &["id"]), project(&expert, &["id"]));
@@ -304,8 +292,7 @@ fn metadata_defined_filter_wealthy_customers() {
 /// Guttinger?" — keywords spanning base data and the addresses table.
 #[test]
 fn address_of_sara_guttinger() {
-    let w = warehouse();
-    let e = engine(&w);
+    let e = engine(warehouse());
     let results = e.search("addresses Sara Guttinger").expect("search failed");
     assert!(!results.is_empty());
     // At least one result must join through to the addresses table and return

@@ -4,18 +4,23 @@
 //! because of bi-temporal historisation, and which queries fail on the complex
 //! inheritance/bridge part of the schema.
 
-use soda::core::SodaConfig;
+use soda::core::{EngineSnapshot, SodaConfig};
 use soda::eval::experiments::run_workload;
 use soda::eval::report;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
-fn evaluations() -> Vec<soda::eval::QueryEvaluation> {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
+fn engine(data_scale: f64) -> EngineSnapshot {
+    let (db, graph) = enterprise::build_with(EnterpriseConfig {
         seed: 42,
         padding: false,
-        data_scale: 0.2,
-    });
-    run_workload(&warehouse, SodaConfig::default())
+        data_scale,
+    })
+    .shared_parts();
+    EngineSnapshot::build(db, graph, SodaConfig::default())
+}
+
+fn evaluations() -> Vec<soda::eval::QueryEvaluation> {
+    run_workload(&engine(0.2))
 }
 
 #[test]
@@ -103,12 +108,8 @@ fn table4_complexity_and_runtime_shape() {
 
 #[test]
 fn every_produced_statement_is_executable() {
-    let warehouse = enterprise::build_with(EnterpriseConfig {
-        seed: 42,
-        padding: false,
-        data_scale: 0.1,
-    });
-    let evals = run_workload(&warehouse, SodaConfig::default());
+    let engine = engine(0.1);
+    let evals = run_workload(&engine);
     for e in &evals {
         for r in &e.per_result {
             // The evaluation records rows for executable statements; a parse or
@@ -122,7 +123,7 @@ fn every_produced_statement_is_executable() {
                 r.sql
             );
             assert!(
-                warehouse.database.run_sql(&r.sql).is_ok(),
+                engine.database().run_sql(&r.sql).is_ok(),
                 "query {}: generated SQL does not execute: {}",
                 e.id,
                 r.sql
