@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the metadata-graph substrate: pattern matching,
-//! traversal and join-catalog construction at the Table 1 schema scale.
+//! join-catalog construction and join-path search at the Table 1 schema
+//! scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use soda_core::{JoinCatalog, SodaPatterns};
-use soda_metagraph::{Matcher, Traversal};
+use soda_core::{JoinCatalog, SodaConfig, SodaPatterns};
+use soda_metagraph::Matcher;
 use soda_warehouse::enterprise::{self, EnterpriseConfig};
 
 fn bench_metagraph(c: &mut Criterion) {
@@ -16,6 +17,7 @@ fn bench_metagraph(c: &mut Criterion) {
     });
     let graph = &warehouse.graph;
     let patterns = SodaPatterns::default();
+    let depth = SodaConfig::default().traversal_depth;
 
     let mut group = c.benchmark_group("micro_metagraph");
     group.sample_size(10);
@@ -30,18 +32,10 @@ fn bench_metagraph(c: &mut Criterion) {
         b.iter(|| black_box(matcher.match_all(patterns.foreign_key()).len()))
     });
 
-    group.bench_function("traversal_reachable_from_ontology", |b| {
-        let start = graph.node("onto/customers").expect("ontology node");
-        b.iter(|| {
-            let t = Traversal::new(graph).max_depth(6).block_predicate("type");
-            black_box(t.reachable(&[start]).len())
-        })
-    });
-
     group.bench_function("join_catalog_build", |b| {
         b.iter(|| {
             black_box(
-                JoinCatalog::build(graph, &patterns, &warehouse.database)
+                JoinCatalog::build(graph, &patterns, &warehouse.database, depth)
                     .edges
                     .len(),
             )
@@ -49,7 +43,7 @@ fn bench_metagraph(c: &mut Criterion) {
     });
 
     group.bench_function("join_path_5way", |b| {
-        let catalog = JoinCatalog::build(graph, &patterns, &warehouse.database);
+        let catalog = JoinCatalog::build(graph, &patterns, &warehouse.database, depth);
         b.iter(|| black_box(catalog.path("trade_order_td", "individual")))
     });
 

@@ -636,6 +636,69 @@ mod tests {
     }
 
     #[test]
+    fn data_only_swaps_share_the_compiled_join_catalog() {
+        let handle = minibank_handle(4);
+        let built = handle.load();
+        handle.absorb(address_feed(900, "Streamville")).unwrap();
+        let logged = handle.load();
+        handle.compact(&[0, 1, 2, 3]).expect("a log to fold");
+        let folded = handle.load();
+        handle.rebuild_shards(folded.database_arc(), &["addresses".to_string()]);
+        let rebuilt = handle.load();
+        for derived in [&logged, &folded, &rebuilt] {
+            assert!(std::ptr::eq(built.join_catalog(), derived.join_catalog()));
+        }
+    }
+
+    #[test]
+    fn refresh_graph_recompiles_the_entry_closures() {
+        let w = soda_warehouse::minibank::build(42);
+        let handle = SnapshotHandle::new(Arc::new(EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph.clone()),
+            SodaConfig::default(),
+        )));
+        let concept = w.graph.node("onto/private-customers").unwrap();
+        let discovered = |snapshot: &EngineSnapshot| -> Vec<String> {
+            let catalog = snapshot.join_catalog();
+            let closure = catalog.entry_closure(concept);
+            let names = closure.discovered.iter().map(|&t| catalog.table_name(t));
+            names.map(str::to_string).collect()
+        };
+        let before = handle.load();
+        assert_eq!(discovered(&before), ["individuals"]);
+        let stale = before.search("private customers").unwrap();
+        assert!(stale
+            .iter()
+            .all(|r| !r.tables.contains(&"addresses".into())));
+
+        // The concept newly classifies a second table.
+        let mut graph = w.graph;
+        let addresses = graph.node("phys/addresses").unwrap();
+        graph.add_edge(concept, "classifies", addresses);
+        handle.refresh_graph(Arc::new(graph));
+        let after = handle.load();
+        assert!(!std::ptr::eq(before.join_catalog(), after.join_catalog()));
+        assert_eq!(discovered(&after), ["individuals", "addresses"]);
+        let fresh = after.search("private customers").unwrap();
+        let joined = &fresh[0];
+        assert!(
+            joined.tables.contains(&"individuals".into())
+                && joined.tables.contains(&"addresses".into()),
+            "{:?}",
+            joined.tables
+        );
+        assert!(joined.join_path_complete);
+        assert!(
+            joined.sql.contains("addresses.party_id = individuals.id"),
+            "{}",
+            joined.sql
+        );
+        // The generation that was loaded before the refresh keeps its own.
+        assert_eq!(discovered(&before), ["individuals"]);
+    }
+
+    #[test]
     fn concurrent_readers_never_observe_a_torn_swap() {
         let handle = Arc::new(minibank_handle(2));
         let expected_old = handle.load().search("Sara Guttinger").unwrap();

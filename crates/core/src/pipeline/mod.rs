@@ -5,10 +5,11 @@
 //! 2. [`rank`] — enumerate the combinatorial product of entry points, score
 //!    each combination by the provenance of its entry points and keep the
 //!    best N.
-//! 3. [`tables`] — traverse the metadata graph from the entry points, test the
-//!    Table / Column / Inheritance-Child patterns to discover tables, then
-//!    select join conditions on direct paths between the entry points and add
-//!    bridge tables.
+//! 3. [`tables`] — look up what a traversal of the metadata graph from each
+//!    entry point discovers (the [`JoinCatalog`] compiled the Table / Column
+//!    pattern tests per node when the snapshot was built), then select join
+//!    conditions on direct paths between the entry points, add inheritance
+//!    parents and bridge tables.
 //! 4. [`filters`] — collect filter conditions from the input query, the base
 //!    data hits and the metadata-defined business terms.
 //! 5. [`sqlgen`] — combine everything into an executable SQL statement.
@@ -58,6 +59,9 @@ pub struct PipelineContext<'a> {
     pub sink: &'a dyn TraceSink,
     /// The metadata-graph patterns.
     pub patterns: &'a SodaPatterns,
-    /// The pre-computed join catalog.
+    /// The join catalog compiled from [`graph`](Self::graph),
+    /// [`patterns`](Self::patterns), the schema of [`db`](Self::db) and the
+    /// configured traversal depth — the tables step indexes it by the graph's
+    /// node ids, so it has to be the one built over this very graph.
     pub joins: &'a JoinCatalog,
 }

@@ -1,39 +1,29 @@
 //! Step 3 — Tables and joins.
 //!
-//! Starting from every entry point of a solution, the metadata graph is
-//! traversed along its layering edges (ontology → conceptual → logical →
-//! physical), testing the Table, Column and Inheritance-Child patterns at
-//! every visited node to discover the participating tables.  Join conditions
-//! are then selected from the join catalog so that they lie on a direct path
-//! between the entry-point tables (Figure 9), inheritance parents are added so
-//! the generated SQL is correct, and bridge tables connecting two entry-point
+//! The paper starts from every entry point of a solution, "recursively
+//! follows all outgoing edges" of the metadata graph along its layering
+//! (ontology → conceptual → logical → physical) and tests the Table and
+//! Column patterns at every node it reaches to discover the participating
+//! tables (§4.2.1).  That walk depends on the graph alone, so it happens when
+//! the [`JoinCatalog`] is built: here an entry point's tables and focus
+//! column are one lookup of its node's *entry closure*.
+//!
+//! What is left per solution is a union over table ids: join conditions are
+//! selected from the catalog so that they lie on a direct path between the
+//! entry-point tables (Figure 9), inheritance parents are added so the
+//! generated SQL is correct, and bridge tables connecting two entry-point
 //! tables contribute additional join conditions (§4.2.1, "Bridge Tables in
-//! Large Schemas").
+//! Large Schemas").  Names are materialised once, into the [`TablePlan`].
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 
-use soda_metagraph::{Matcher, NodeId};
+use soda_metagraph::NodeId;
 
-use crate::joins::JoinEdge;
+use crate::joins::{JoinCatalog, JoinEdge, TableId};
 use crate::pipeline::lookup::{BaseDataFilter, TermRole};
 use crate::pipeline::rank::Solution;
 use crate::pipeline::PipelineContext;
 use crate::provenance::Provenance;
-use crate::resolve::{column_name, table_name};
-
-/// Predicates the tables-step traversal is allowed to follow: the metadata
-/// layering edges of Figure 3.  Foreign keys, inheritance and join nodes are
-/// handled through the join catalog instead, and `type` edges would connect
-/// everything to everything.
-const FOLLOWED_PREDICATES: &[&str] = &[
-    "classifies",
-    "synonym_of",
-    "refined_by",
-    "implemented_by",
-    "realized_by",
-    "attribute",
-    "broader",
-];
 
 /// The anchor derived from one entry point.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -78,71 +68,151 @@ pub struct TablePlan {
     pub join_path_complete: bool,
 }
 
+/// A plan under construction: tables as ids, joins as indexes into the
+/// catalog's edges.
+struct Draft<'a> {
+    catalog: &'a JoinCatalog,
+    /// Tables the catalog has never seen, by the spelling they arrived in;
+    /// their ids continue after the catalog's.
+    unseen: Vec<&'a str>,
+    /// Participating tables, ordered by name.
+    tables: Vec<TableId>,
+    /// Join conditions, in the order they were selected.
+    joins: Vec<u32>,
+}
+
+impl<'a> Draft<'a> {
+    fn id_of(&mut self, name: &'a str) -> TableId {
+        let known = self.catalog.table_count();
+        self.catalog.table_id(name).unwrap_or_else(|| {
+            let seen = self
+                .unseen
+                .iter()
+                .position(|t| t.eq_ignore_ascii_case(name));
+            let index = seen.unwrap_or_else(|| {
+                self.unseen.push(name);
+                self.unseen.len() - 1
+            });
+            (known + index) as TableId
+        })
+    }
+
+    fn name(&self, table: TableId) -> &'a str {
+        match (table as usize).checked_sub(self.catalog.table_count()) {
+            Some(index) => self.unseen[index],
+            None => self.catalog.table_name(table),
+        }
+    }
+
+    fn owned_name(&self, table: TableId) -> String {
+        self.name(table).to_string()
+    }
+
+    fn has_table(&self, table: TableId) -> bool {
+        self.tables.contains(&table)
+    }
+
+    /// Adds a table; `false` when the plan already had it.
+    fn add_table(&mut self, table: TableId) -> bool {
+        if self.has_table(table) {
+            return false;
+        }
+        let name = self.name(table);
+        let at = self.tables.partition_point(|&t| self.name(t) < name);
+        self.tables.insert(at, table);
+        true
+    }
+
+    fn add_join(&mut self, edge: u32) {
+        if !self.joins.contains(&edge) {
+            self.joins.push(edge);
+        }
+    }
+
+    /// Adds the conditions of a join path and the tables along it.
+    fn add_path(&mut self, path: &[u32]) {
+        for &edge in path {
+            let (fk, pk) = self.catalog.edge_ends(edge);
+            self.add_table(fk);
+            self.add_table(pk);
+            self.add_join(edge);
+        }
+    }
+}
+
 /// Runs the tables step for one solution.
 pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
-    let mut plan = TablePlan {
-        join_path_complete: true,
-        ..TablePlan::default()
+    let catalog = ctx.joins;
+    debug_assert_eq!(
+        catalog.traversal_depth(),
+        ctx.config.traversal_depth,
+        "the join catalog was compiled for another traversal depth"
+    );
+    let max_path = ctx.config.max_join_path_length;
+    let mut draft = Draft {
+        catalog,
+        unseen: Vec::new(),
+        tables: Vec::new(),
+        joins: Vec::new(),
     };
+    let mut join_path_complete = true;
 
-    // --- discover anchors ----------------------------------------------------
+    // --- anchors: one closure lookup per entry point --------------------------
+    let mut anchors = Vec::with_capacity(solution.entries.len());
+    let mut anchor_tables: Vec<TableId> = Vec::with_capacity(solution.entries.len());
     for (entry, role) in solution.entries.iter().zip(&solution.roles) {
-        let mut anchor = EntryAnchor {
+        let base_table;
+        let (column, discovered) = match &entry.base_filter {
+            Some(filter) => {
+                base_table = [draft.id_of(&filter.table)];
+                let column = (draft.owned_name(base_table[0]), filter.column.clone());
+                (Some(column), &base_table[..])
+            }
+            None => {
+                let closure = catalog.entry_closure(entry.node);
+                let column = closure.column.map(|(table, column)| {
+                    let column = ctx.graph.label_text(column);
+                    (draft.owned_name(table), column.to_string())
+                });
+                (column, closure.discovered)
+            }
+        };
+        for &table in discovered {
+            draft.add_table(table);
+        }
+        anchor_tables.extend(discovered.first());
+        anchors.push(EntryAnchor {
             phrase: entry.phrase.clone(),
             role: *role,
             provenance: entry.provenance,
-            table: None,
-            column: None,
-            discovered: Vec::new(),
+            table: discovered.first().map(|&t| draft.owned_name(t)),
+            column,
+            discovered: discovered.iter().map(|&t| draft.owned_name(t)).collect(),
             base_filter: entry.base_filter.clone(),
             node: Some(entry.node),
-        };
-        if let Some(filter) = &entry.base_filter {
-            anchor.table = Some(filter.table.clone());
-            anchor.column = Some((filter.table.clone(), filter.column.clone()));
-            anchor.discovered.push(filter.table.clone());
-        } else {
-            traverse_entry(ctx, entry.node, &mut anchor);
-        }
-        for t in &anchor.discovered {
-            plan.tables.insert(t.clone());
-        }
-        plan.anchors.push(anchor);
+        });
     }
+    let anchor_pairs = || {
+        let pairs = anchor_tables.iter().enumerate();
+        pairs
+            .flat_map(|(i, &a)| anchor_tables[i + 1..].iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a != b)
+    };
 
     // --- join selection -------------------------------------------------------
-    let anchor_tables: Vec<String> = plan
-        .anchors
-        .iter()
-        .filter_map(|a| a.table.clone())
-        .collect();
-
     if ctx.config.direct_path_pruning {
-        for i in 0..anchor_tables.len() {
-            for j in (i + 1)..anchor_tables.len() {
-                let (a, b) = (&anchor_tables[i], &anchor_tables[j]);
-                if a.eq_ignore_ascii_case(b) {
-                    continue;
-                }
-                match ctx.joins.path_within(a, b, ctx.config.max_join_path_length) {
-                    Some(path) => {
-                        for edge in path {
-                            plan.tables.insert(edge.fk_table.clone());
-                            plan.tables.insert(edge.pk_table.clone());
-                            push_unique(&mut plan.joins, edge);
-                        }
-                    }
-                    None => plan.join_path_complete = false,
-                }
+        for (a, b) in anchor_pairs() {
+            match catalog.path_between(a, b, max_path) {
+                Some(path) => draft.add_path(&path),
+                None => join_path_complete = false,
             }
         }
     } else {
         // Ablation: take every join condition between any two discovered tables.
-        for table in plan.tables.clone() {
-            for edge in ctx.joins.edges_of(&table) {
-                let other = edge.other(&table).unwrap_or_default().to_string();
-                if plan.tables.iter().any(|t| t.eq_ignore_ascii_case(&other)) {
-                    push_unique(&mut plan.joins, edge.clone());
+        for &table in &draft.tables.clone() {
+            for &edge in catalog.edges_at(table) {
+                if draft.has_table(catalog.other_end(edge, table)) {
+                    draft.add_join(edge);
                 }
             }
         }
@@ -154,74 +224,58 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
     // current state, so the result carries the full entity context (and, via
     // the inheritance handling below, its super-type).  Paper-faithful graphs
     // have no annotations, so this is a no-op there.
+    let mut added_history_expansions = Vec::new();
     if ctx.config.use_historization {
-        for table in plan.tables.clone() {
-            let Some(link) = ctx.joins.historization_of(&table) else {
+        for &table in &draft.tables.clone() {
+            let Some(current) = catalog.current_of(table) else {
                 continue;
             };
-            let current = link.current_table.clone();
             // Only expand when the annotated join relationship actually exists
             // in the catalog — adding the table without a join condition would
             // turn the result into a cross product.
-            let connecting: Vec<JoinEdge> = ctx
-                .joins
-                .edges_of(&table)
-                .into_iter()
-                .filter(|edge| {
-                    edge.other(&table)
-                        .is_some_and(|o| o.eq_ignore_ascii_case(&current))
-                })
-                .cloned()
-                .collect();
-            if connecting.is_empty() {
+            let mut connecting = catalog
+                .edges_at(table)
+                .iter()
+                .filter(|&&edge| catalog.other_end(edge, table) == current)
+                .peekable();
+            if connecting.peek().is_none() {
                 continue;
             }
-            if !plan.tables.iter().any(|t| t.eq_ignore_ascii_case(&current)) {
-                plan.tables.insert(current.clone());
-                plan.added_history_expansions.push(table.clone());
+            if draft.add_table(current) {
+                added_history_expansions.push(table);
             }
-            for edge in connecting {
-                push_unique(&mut plan.joins, edge);
+            for &edge in connecting {
+                draft.add_join(edge);
             }
         }
     }
 
     // --- inheritance parents --------------------------------------------------
-    for table in plan.tables.clone() {
-        if let Some(link) = ctx.joins.parent_of(&table) {
-            if !plan
-                .tables
-                .iter()
-                .any(|t| t.eq_ignore_ascii_case(&link.parent_table))
-            {
-                plan.tables.insert(link.parent_table.clone());
-                plan.added_parents.push(link.parent_table.clone());
+    let mut added_parents = Vec::new();
+    for &table in &draft.tables.clone() {
+        if let Some((parent, join)) = catalog.parent_at(table) {
+            if draft.add_table(parent) {
+                added_parents.push(parent);
             }
-            if let Some(join) = &link.join {
-                push_unique(&mut plan.joins, join.clone());
+            if let Some(join) = join {
+                draft.add_join(join);
             }
         }
     }
 
     // --- bridge tables ----------------------------------------------------------
+    let mut used_bridges: Vec<TableId> = Vec::new();
     if ctx.config.use_bridge_tables {
-        for i in 0..anchor_tables.len() {
-            for j in (i + 1)..anchor_tables.len() {
-                let (a, b) = (&anchor_tables[i], &anchor_tables[j]);
-                if a.eq_ignore_ascii_case(b) {
-                    continue;
+        for (a, b) in anchor_pairs() {
+            for (bridge, foreign_keys) in catalog.bridges_between(a, b) {
+                draft.add_table(bridge);
+                if !used_bridges.contains(&bridge) {
+                    used_bridges.push(bridge);
                 }
-                for bridge in ctx.joins.bridges_connecting(a, b) {
-                    plan.tables.insert(bridge.table.clone());
-                    if !plan.used_bridges.contains(&bridge.table) {
-                        plan.used_bridges.push(bridge.table.clone());
-                    }
-                    for edge in &bridge.edges {
-                        if edge.pk_table.eq_ignore_ascii_case(a)
-                            || edge.pk_table.eq_ignore_ascii_case(b)
-                        {
-                            push_unique(&mut plan.joins, edge.clone());
-                        }
+                for edge in foreign_keys {
+                    let (_, target) = catalog.edge_ends(edge);
+                    if target == a || target == b {
+                        draft.add_join(edge);
                     }
                 }
             }
@@ -232,113 +286,141 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
     // Tables that ended up without any join to the rest (and are not anchors)
     // would force a cross product in the executor; connect them if possible,
     // otherwise drop them.
-    let anchor_set: HashSet<String> = anchor_tables
-        .iter()
-        .map(|t| t.to_ascii_lowercase())
-        .collect();
-    if plan.tables.len() > 1 {
-        let connected: HashSet<String> = plan
+    if draft.tables.len() > 1 {
+        let joined: Vec<(TableId, TableId)> =
+            draft.joins.iter().map(|&e| catalog.edge_ends(e)).collect();
+        let reference = anchor_tables.first().copied().unwrap_or(draft.tables[0]);
+        for &table in &draft.tables.clone() {
+            if joined.iter().any(|&(fk, pk)| fk == table || pk == table) {
+                continue;
+            }
+            let path = catalog
+                .path_between(table, reference, max_path)
+                .filter(|_| table != reference);
+            match path {
+                Some(path) => draft.add_path(&path),
+                None if !anchor_tables.contains(&table) && draft.tables.len() > 1 => {
+                    draft.tables.retain(|&t| t != table);
+                }
+                None => {}
+            }
+        }
+    }
+
+    let names = |tables: &[TableId]| tables.iter().map(|&t| draft.owned_name(t)).collect();
+    TablePlan {
+        anchors,
+        tables: draft.tables.iter().map(|&t| draft.owned_name(t)).collect(),
+        joins: draft
             .joins
             .iter()
-            .flat_map(|j| {
-                [
-                    j.fk_table.to_ascii_lowercase(),
-                    j.pk_table.to_ascii_lowercase(),
-                ]
-            })
+            .map(|&e| catalog.edges[e as usize].clone())
+            .collect(),
+        used_bridges: names(&used_bridges),
+        added_parents: names(&added_parents),
+        added_history_expansions: names(&added_history_expansions),
+        join_path_complete,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use soda_trace::{NoopSink, SpanId};
+
+    use super::*;
+    use crate::joins::tests::{capitalised, fixtures, fixtures_spelt};
+    use crate::pipeline::lookup::{self, EntryPoint};
+    use crate::pipeline::rank;
+    use crate::{parse_query, EngineSnapshot, SodaConfig};
+
+    /// The plan of every ranked solution of `question`.
+    fn plans(engine: &EngineSnapshot, question: &str) -> Vec<TablePlan> {
+        let ctx = engine.context(None, &NoopSink);
+        let found = lookup::run(&ctx, &parse_query(question).unwrap(), SpanId::NONE);
+        let solutions = rank::enumerate_and_rank(&found, &engine.config().weights, 11, 1_000);
+        solutions.iter().map(|s| run(&ctx, s)).collect()
+    }
+
+    /// Regression: the catalog used to key a bridge by its folded name and
+    /// hand that key out as the table's name, so a warehouse that spells it
+    /// `Associate_Employment` got the table twice in `FROM`.
+    #[test]
+    fn a_mixed_case_bridge_is_listed_once_as_the_database_spells_it() {
+        let (graph, db) = fixtures_spelt(capitalised);
+        let engine = EngineSnapshot::build(Arc::new(db), Arc::new(graph), SodaConfig::default());
+        let plan = plans(&engine, "individual organization")
+            .into_iter()
+            .find(|plan| !plan.used_bridges.is_empty())
+            .expect("an interpretation joins the siblings over their bridge");
+        assert_eq!(plan.used_bridges, ["Associate_Employment"]);
+        let bridge_spellings: Vec<&String> = plan
+            .tables
+            .iter()
+            .filter(|t| t.eq_ignore_ascii_case("associate_employment"))
             .collect();
-        let reference = anchor_tables
-            .first()
-            .cloned()
-            .or_else(|| plan.tables.iter().next().cloned());
-        for table in plan.tables.clone() {
-            let key = table.to_ascii_lowercase();
-            if connected.contains(&key) {
-                continue;
-            }
-            let mut linked = false;
-            if let Some(reference) = &reference {
-                if !reference.eq_ignore_ascii_case(&table) {
-                    if let Some(path) =
-                        ctx.joins
-                            .path_within(&table, reference, ctx.config.max_join_path_length)
-                    {
-                        for edge in path {
-                            plan.tables.insert(edge.fk_table.clone());
-                            plan.tables.insert(edge.pk_table.clone());
-                            push_unique(&mut plan.joins, edge);
-                        }
-                        linked = true;
-                    }
-                }
-            }
-            if !linked && !anchor_set.contains(&key) && plan.tables.len() > 1 {
-                plan.tables.remove(&table);
-            }
-        }
+        assert_eq!(bridge_spellings, ["Associate_Employment"]);
+        assert!(plan.join_path_complete);
+
+        let results = engine.search("individual organization").unwrap();
+        let bridged = results
+            .iter()
+            .find(|r| r.used_bridges == ["Associate_Employment"])
+            .expect("the bridged interpretation becomes a statement");
+        assert_eq!(bridged.sql.matches("Associate_Employment").count(), 3);
+        assert!(
+            !bridged.sql.contains("associate_employment"),
+            "{}",
+            bridged.sql
+        );
+        engine
+            .execute(bridged)
+            .expect("the statement runs against the mixed-case catalog");
     }
 
-    plan
-}
-
-fn push_unique(joins: &mut Vec<JoinEdge>, edge: JoinEdge) {
-    if !joins.iter().any(|e| e.condition() == edge.condition()) {
-        joins.push(edge);
-    }
-}
-
-/// Breadth-first traversal along the metadata layering edges, testing the
-/// Table, Column and Inheritance-Child patterns at every visited node.
-fn traverse_entry(ctx: &PipelineContext<'_>, start: NodeId, anchor: &mut EntryAnchor) {
-    let matcher = Matcher::new(ctx.graph, ctx.patterns.registry());
-    let followed: Vec<_> = FOLLOWED_PREDICATES
-        .iter()
-        .filter_map(|p| ctx.graph.find_predicate(p))
-        .collect();
-
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    let mut queue: VecDeque<(NodeId, usize)> = VecDeque::new();
-    seen.insert(start);
-    queue.push_back((start, 0));
-
-    while let Some((node, depth)) = queue.pop_front() {
-        // Column pattern (tested before the Table pattern so that an attribute
-        // entry point keeps its column focus).
-        if anchor.column.is_none() && matcher.matches(ctx.patterns.column(), node) {
-            if let Some((table, column)) = column_name(ctx.graph, node, ctx.db) {
-                if anchor.table.is_none() {
-                    anchor.table = Some(table.clone());
-                }
-                if !anchor.discovered.contains(&table) {
-                    anchor.discovered.push(table.clone());
-                }
-                anchor.column = Some((table, column));
-            }
-        }
-        // Table pattern.
-        if matcher.matches(ctx.patterns.table(), node) {
-            if let Some(table) = table_name(ctx.graph, node, ctx.db) {
-                if anchor.table.is_none() {
-                    anchor.table = Some(table.clone());
-                }
-                if !anchor.discovered.contains(&table) {
-                    anchor.discovered.push(table);
-                }
-            }
-        }
-
-        if depth >= ctx.config.traversal_depth {
-            continue;
-        }
-        for (pred, obj) in ctx.graph.outgoing(node) {
-            if !followed.contains(pred) {
-                continue;
-            }
-            if let Some(next) = obj.as_node() {
-                if seen.insert(next) {
-                    queue.push_back((next, depth + 1));
-                }
-            }
-        }
+    /// A base-data hit names its table itself; when the catalog has never
+    /// seen that table the plan keeps it, under the spelling it came in, as
+    /// an isolated table.
+    #[test]
+    fn a_base_data_hit_in_an_unseen_table_stays_in_the_plan() {
+        let (graph, db) = fixtures();
+        let node = graph.node("phys/party").unwrap();
+        let engine = EngineSnapshot::build(Arc::new(db), Arc::new(graph), SodaConfig::default());
+        let hit = |phrase: &str, table: &str| EntryPoint {
+            phrase: phrase.into(),
+            node,
+            provenance: Provenance::BaseData,
+            base_filter: Some(BaseDataFilter {
+                table: table.into(),
+                column: "name".into(),
+                value: phrase.into(),
+                exact: true,
+            }),
+        };
+        let solution = Solution {
+            entries: vec![
+                hit("zurich", "Branch_Office"),
+                hit("basel", "branch_office"),
+                EntryPoint {
+                    phrase: "party".into(),
+                    node,
+                    provenance: Provenance::PhysicalSchema,
+                    base_filter: None,
+                },
+            ],
+            roles: vec![TermRole::Keyword; 3],
+            score: 1.0,
+        };
+        let plan = run(&engine.context(None, &NoopSink), &solution);
+        assert_eq!(
+            plan.tables.iter().collect::<Vec<_>>(),
+            ["Branch_Office", "party"]
+        );
+        assert_eq!(plan.anchors[0].table.as_deref(), Some("Branch_Office"));
+        assert_eq!(plan.anchors[1].table.as_deref(), Some("Branch_Office"));
+        assert_eq!(plan.anchors[2].discovered, ["party"]);
+        assert!(plan.joins.is_empty());
+        assert!(!plan.join_path_complete);
     }
 }

@@ -6,59 +6,79 @@
 //! database catalog.
 
 use soda_metagraph::builder::preds;
-use soda_metagraph::{MetaGraph, NodeId};
-use soda_relation::Database;
+use soda_metagraph::{LabelId, MetaGraph, NodeId};
+use soda_relation::{Database, TableSchema};
 
-/// All text labels attached to `node` through `predicate`.
-pub fn texts_of(graph: &MetaGraph, node: NodeId, predicate: &str) -> Vec<String> {
-    let Some(pred) = graph.find_predicate(predicate) else {
-        return Vec::new();
-    };
+/// The text labels attached to `node` through `predicate`, in edge order.
+fn labels_of<'g>(
+    graph: &'g MetaGraph,
+    node: NodeId,
+    predicate: &str,
+) -> impl Iterator<Item = LabelId> + 'g {
+    let pred = graph.find_predicate(predicate);
     graph
         .outgoing(node)
         .iter()
-        .filter_map(|(p, o)| {
-            if *p == pred {
-                o.as_text().map(|l| graph.label_text(l).to_string())
-            } else {
-                None
-            }
-        })
-        .collect()
+        .filter(move |(p, _)| Some(*p) == pred)
+        .filter_map(|(_, o)| o.as_text())
+}
+
+/// The first of `labels` that `exists`, else the last.
+fn preferred(
+    graph: &MetaGraph,
+    labels: impl Iterator<Item = LabelId>,
+    exists: impl Fn(&str) -> bool,
+) -> Option<LabelId> {
+    let mut last = None;
+    for label in labels {
+        if exists(graph.label_text(label)) {
+            return Some(label);
+        }
+        last = Some(label);
+    }
+    last
+}
+
+/// The label naming the physical table at `node` as the catalog does.
+pub(crate) fn table_label(graph: &MetaGraph, node: NodeId, db: &Database) -> Option<LabelId> {
+    preferred(graph, labels_of(graph, node, preds::TABLENAME), |name| {
+        db.has_table(name)
+    })
+}
+
+/// The table node owning the physical column at `node`.
+pub(crate) fn owning_table(graph: &MetaGraph, node: NodeId) -> Option<NodeId> {
+    let column_edge = graph.find_predicate(preds::COLUMN)?;
+    let (_, table) = graph
+        .incoming(node)
+        .iter()
+        .find(|(p, _)| *p == column_edge)?;
+    Some(*table)
+}
+
+/// The label naming the physical column at `node` as `schema`, its table's,
+/// does.
+pub(crate) fn column_label(
+    graph: &MetaGraph,
+    node: NodeId,
+    schema: Option<&TableSchema>,
+) -> Option<LabelId> {
+    preferred(graph, labels_of(graph, node, preds::COLUMNNAME), |name| {
+        schema.is_some_and(|s| s.column_index(name).is_some())
+    })
 }
 
 /// Resolves a physical-table node to the table name used in the catalog.
 pub fn table_name(graph: &MetaGraph, node: NodeId, db: &Database) -> Option<String> {
-    let labels = texts_of(graph, node, preds::TABLENAME);
-    if labels.is_empty() {
-        return None;
-    }
-    labels
-        .iter()
-        .find(|l| db.has_table(l))
-        .or_else(|| labels.last())
-        .cloned()
+    table_label(graph, node, db).map(|l| graph.label_text(l).to_string())
 }
 
 /// Resolves a physical-column node to `(table name, column name)`.
 pub fn column_name(graph: &MetaGraph, node: NodeId, db: &Database) -> Option<(String, String)> {
-    let table_node = graph.subjects_of(node, preds::COLUMN).into_iter().next()?;
-    let table = table_name(graph, table_node, db)?;
-    let labels = texts_of(graph, node, preds::COLUMNNAME);
-    if labels.is_empty() {
-        return None;
-    }
-    let column = db
-        .table(&table)
-        .ok()
-        .and_then(|t| {
-            labels
-                .iter()
-                .find(|l| t.schema().column_index(l).is_some())
-                .cloned()
-        })
-        .or_else(|| labels.last().cloned())?;
-    Some((table, column))
+    let table = graph.label_text(table_label(graph, owning_table(graph, node)?, db)?);
+    let schema = db.table(table).ok().map(|t| t.schema());
+    let column = graph.label_text(column_label(graph, node, schema)?);
+    Some((table.to_string(), column.to_string()))
 }
 
 /// If `node` is a physical column, returns its `(table, column)`; if it is a

@@ -2,7 +2,8 @@
 //!
 //! An [`EngineSnapshot`] is constructed once per warehouse — it builds the
 //! inverted index over the base data, the classification index over the
-//! metadata labels and the join catalog — and then answers any number of
+//! metadata labels and the join catalog (the schema, compiled: join edges and
+//! what a traversal from each graph node finds) — and then answers any number of
 //! keyword queries (see [`crate::engine`] for the search itself).  It holds
 //! the base data and the metadata graph behind [`Arc`]s next to the built
 //! indexes, is `Send + Sync`, and can outlive whatever built it: a serving
@@ -154,7 +155,12 @@ impl EngineSnapshot {
         } else {
             None
         };
-        let joins = Arc::new(JoinCatalog::build(&graph, &patterns, &db));
+        let joins = Arc::new(JoinCatalog::build(
+            &graph,
+            &patterns,
+            &db,
+            config.traversal_depth,
+        ));
         let sizes = ShardSizes::of(&classification, index.as_ref());
         Self {
             db,
@@ -237,9 +243,12 @@ impl EngineSnapshot {
     /// index, join catalog, probe counters, untouched index partitions — is
     /// shared with `self`.
     ///
-    /// The join catalog reads the database only to resolve schema-level
-    /// names, so a data-only delta cannot change it — which is what makes
-    /// sharing it here sound.
+    /// The join catalog — join edges, table ids and the per-node entry
+    /// closures — is compiled from the graph, the patterns, the traversal
+    /// depth and the database's *schema* (it reads the database only to
+    /// resolve table and column names), so a data-only delta cannot change
+    /// it — which is what makes sharing it here, and in every derive below
+    /// but [`derive_refreshed_graph`](Self::derive_refreshed_graph), sound.
     pub(crate) fn derive_rebuilt_tables(
         &self,
         db: Arc<Database>,
@@ -343,14 +352,21 @@ impl EngineSnapshot {
     /// data): the classification index is rebuilt sharing every partition
     /// whose content survived the refresh
     /// ([`ClassificationIndex::rebuild_shared`]), the join catalog is
-    /// rebuilt (it is graph-derived), the inverted index and probe counters
-    /// are shared, and only the classification partitions the refresh
-    /// touched get `generation` stamped into their slot.
+    /// recompiled (its edges and entry closures are graph-derived and
+    /// indexed by the graph's node ids — a stale one would answer for nodes
+    /// of another graph), the inverted index and probe counters are shared,
+    /// and only the classification partitions the refresh touched get
+    /// `generation` stamped into their slot.
     pub(crate) fn derive_refreshed_graph(&self, graph: Arc<MetaGraph>, generation: u64) -> Self {
         let (classification, changed) = self
             .classification
             .rebuild_shared(&graph, self.config.use_dbpedia);
-        let joins = Arc::new(JoinCatalog::build(&graph, &self.patterns, &self.db));
+        let joins = Arc::new(JoinCatalog::build(
+            &graph,
+            &self.patterns,
+            &self.db,
+            self.config.traversal_depth,
+        ));
         let touched = (0..changed.len()).filter(|&shard| changed[shard]);
         Self {
             graph,

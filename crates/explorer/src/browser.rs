@@ -2,7 +2,7 @@
 //! groups): describe a table in business terms, list related entities, explain
 //! join paths and search the metadata by substring.
 
-use soda_core::{JoinCatalog, Provenance, SodaPatterns};
+use soda_core::{JoinCatalog, Provenance, SodaConfig, SodaPatterns};
 use soda_metagraph::builder::preds;
 use soda_metagraph::{MetaGraph, NodeId};
 use soda_relation::Database;
@@ -100,13 +100,14 @@ impl<'a> SchemaBrowser<'a> {
     /// Builds a browser (pre-computing the join catalog with the default SODA
     /// patterns).
     pub fn new(db: &'a Database, graph: &'a MetaGraph) -> Self {
-        let joins = JoinCatalog::build(graph, &SodaPatterns::default(), db);
-        Self { db, graph, joins }
+        Self::with_patterns(db, graph, &SodaPatterns::default())
     }
 
-    /// Builds a browser with custom metadata-graph patterns.
+    /// Builds a browser with custom metadata-graph patterns; the catalog is
+    /// the one a default-configured engine compiles.
     pub fn with_patterns(db: &'a Database, graph: &'a MetaGraph, patterns: &SodaPatterns) -> Self {
-        let joins = JoinCatalog::build(graph, patterns, db);
+        let depth = SodaConfig::default().traversal_depth;
+        let joins = JoinCatalog::build(graph, patterns, db, depth);
         Self { db, graph, joins }
     }
 

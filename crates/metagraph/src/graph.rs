@@ -198,9 +198,15 @@ impl MetaGraph {
     /// All `(subject, predicate)` pairs that carry the given text label.
     pub fn nodes_with_label(&self, text: &str) -> Vec<(NodeId, PredId)> {
         match self.find_label(text) {
-            Some(l) => self.label_index.get(&l).cloned().unwrap_or_default(),
+            Some(l) => self.label_subjects(l).to_vec(),
             None => Vec::new(),
         }
+    }
+
+    /// All `(subject, predicate)` pairs that carry the interned label, in
+    /// insertion order.
+    pub fn label_subjects(&self, label: LabelId) -> &[(NodeId, PredId)] {
+        self.label_index.get(&label).map_or(&[], Vec::as_slice)
     }
 
     /// Returns the first text label attached to `node` through `predicate`.

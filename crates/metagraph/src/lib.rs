@@ -1,7 +1,7 @@
 //! # soda-metagraph
 //!
 //! An in-memory, RDF-like metadata graph together with a SPARQL-filter-inspired
-//! pattern language, a pattern matcher and traversal primitives.
+//! pattern language and a pattern matcher.
 //!
 //! This crate is the substrate beneath the SODA pipeline (see the `soda-core`
 //! crate): the data-warehouse schema at its conceptual, logical and physical
@@ -47,7 +47,6 @@ pub mod graph;
 pub mod matcher;
 pub mod parser;
 pub mod pattern;
-pub mod traversal;
 pub mod uri;
 
 pub use builder::GraphBuilder;
@@ -55,5 +54,4 @@ pub use graph::{Edge, MetaGraph, NodeId, Object};
 pub use matcher::{Binding, Matcher, PatternRegistry};
 pub use parser::{parse_pattern, ParseError};
 pub use pattern::{Pattern, PatternItem, Term, TriplePattern};
-pub use traversal::{Direction, Traversal};
 pub use uri::{LabelId, PredId, SymbolTable};

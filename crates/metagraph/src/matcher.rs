@@ -5,11 +5,20 @@
 //! pattern is matched against the graph, with variables keeping their
 //! assignment within one match (§4.2.1).  References to other named patterns
 //! (`matches-column`) are resolved through a [`PatternRegistry`].
+//!
+//! A pattern is compiled against the graph before it is matched: variables
+//! become slots, predicates, static URIs and literal labels become ids (or
+//! "the graph has no such thing").  The search itself is a backtracking walk
+//! over those slots that allocates nothing until a complete assignment is
+//! turned into a [`Binding`]; [`Matcher::match_all`] compiles once for the
+//! whole sweep, which is what lets `soda-core` compile a schema — every
+//! pattern at every node — when it builds a snapshot.
 
 use std::collections::HashMap;
 
 use crate::graph::{MetaGraph, NodeId, Object};
-use crate::pattern::{Pattern, PatternItem, Term, TriplePattern};
+use crate::pattern::{Pattern, PatternItem, Term};
+use crate::uri::{LabelId, PredId};
 
 /// A value a pattern variable can be bound to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,13 +32,14 @@ pub enum BoundValue {
 /// One successful assignment of pattern variables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Binding {
-    vars: HashMap<String, BoundValue>,
+    /// `(variable, value)`, sorted by variable name.
+    vars: Vec<(String, BoundValue)>,
 }
 
 impl Binding {
     /// Returns the node bound to `var`, if any.
     pub fn node(&self, var: &str) -> Option<NodeId> {
-        match self.vars.get(var) {
+        match self.get(var) {
             Some(BoundValue::Node(n)) => Some(*n),
             _ => None,
         }
@@ -37,7 +47,7 @@ impl Binding {
 
     /// Returns the text bound to `var`, if any.
     pub fn text(&self, var: &str) -> Option<&str> {
-        match self.vars.get(var) {
+        match self.get(var) {
             Some(BoundValue::Text(t)) => Some(t.as_str()),
             _ => None,
         }
@@ -45,7 +55,9 @@ impl Binding {
 
     /// Returns the raw bound value of `var`.
     pub fn get(&self, var: &str) -> Option<&BoundValue> {
-        self.vars.get(var)
+        self.vars
+            .iter()
+            .find_map(|(name, value)| (name == var).then_some(value))
     }
 
     /// Number of bound variables.
@@ -56,16 +68,6 @@ impl Binding {
     /// Whether no variable is bound.
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty()
-    }
-
-    fn bind(&mut self, var: &str, value: BoundValue) -> bool {
-        match self.vars.get(var) {
-            Some(existing) => *existing == value,
-            None => {
-                self.vars.insert(var.to_string(), value);
-                true
-            }
-        }
     }
 }
 
@@ -110,6 +112,363 @@ impl PatternRegistry {
     }
 }
 
+/// What a slot holds during the search; texts stay interned.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Value {
+    Node(NodeId),
+    Text(LabelId),
+}
+
+/// A [`Term`] resolved against one pattern and one graph.  `None` inside
+/// `Node` / `Label` means the graph has no such URI / label: nothing can
+/// match it.
+#[derive(Clone, Copy)]
+enum Slot {
+    Var(usize),
+    TextVar(usize),
+    Node(Option<NodeId>),
+    Label(Option<LabelId>),
+}
+
+#[derive(Clone, Copy)]
+enum Conjunct {
+    /// `pred` is `None` when the graph never saw the predicate.
+    Triple {
+        subject: Slot,
+        pred: Option<PredId>,
+        object: Slot,
+    },
+    /// `pattern` indexes the compiled program; `None` when the registry has
+    /// no pattern of that name.
+    Reference { var: Slot, pattern: Option<usize> },
+}
+
+/// One pattern of a compiled program.
+struct Compiled<'p> {
+    /// Variable name per slot; the anchor is slot 0.
+    vars: Vec<&'p str>,
+    /// Slots in the order of their names, the order a [`Binding`] keeps.
+    by_name: Vec<usize>,
+    items: Vec<Conjunct>,
+}
+
+/// Compiles `root` (program entry 0) and every pattern it transitively
+/// references.
+fn compile<'p>(
+    graph: &MetaGraph,
+    registry: &'p PatternRegistry,
+    root: &'p Pattern,
+) -> Vec<Compiled<'p>> {
+    let mut sources: Vec<&'p Pattern> = vec![root];
+    let mut program = Vec::new();
+    while let Some(&pattern) = sources.get(program.len()) {
+        let mut vars: Vec<&'p str> = vec![pattern.anchor.as_str()];
+        let mut slot = |term: &'p Term| {
+            let mut index = |name: &'p str| {
+                vars.iter().position(|v| *v == name).unwrap_or_else(|| {
+                    vars.push(name);
+                    vars.len() - 1
+                })
+            };
+            match term {
+                Term::Var(v) => Slot::Var(index(v)),
+                Term::TextVar(v) => Slot::TextVar(index(v)),
+                Term::Uri(u) => Slot::Node(graph.node(u)),
+                Term::TextLit(t) => Slot::Label(graph.find_label(t)),
+            }
+        };
+        let items = pattern
+            .items
+            .iter()
+            .map(|item| match item {
+                PatternItem::Triple(t) => Conjunct::Triple {
+                    subject: slot(&t.subject),
+                    pred: graph.find_predicate(&t.predicate),
+                    object: slot(&t.object),
+                },
+                PatternItem::Reference { var, pattern: name } => Conjunct::Reference {
+                    var: slot(var),
+                    // A name always resolves through the registry, also when
+                    // it is the root's own (entry 0 is never a target).
+                    pattern: registry.get(name).map(|sub| {
+                        let known = sources[1..].iter().position(|s| std::ptr::eq(*s, sub));
+                        known.map_or_else(
+                            || {
+                                sources.push(sub);
+                                sources.len() - 1
+                            },
+                            |k| k + 1,
+                        )
+                    }),
+                },
+            })
+            .collect();
+        let mut by_name: Vec<usize> = (0..vars.len()).collect();
+        by_name.sort_unstable_by_key(|&i| vars[i]);
+        program.push(Compiled {
+            vars,
+            by_name,
+            items,
+        });
+    }
+    program
+}
+
+/// Where one pattern activation keeps its state on the search's stacks.
+#[derive(Clone, Copy)]
+struct Frame {
+    pattern: usize,
+    slots: usize,
+    done: usize,
+    /// `matches-` nesting depth of this activation.
+    depth: usize,
+}
+
+/// One backtracking search over a compiled program.  Nested `matches-`
+/// activations push their frame on the same two stacks, so a sweep over
+/// every node reuses one allocation.
+struct Search<'s, 'p> {
+    graph: &'s MetaGraph,
+    program: &'s [Compiled<'p>],
+    max_reference_depth: usize,
+    slots: Vec<Option<Value>>,
+    done: Vec<bool>,
+}
+
+impl Search<'_, '_> {
+    /// Activates `pattern` with its anchor at `anchor`.  With `out`, every
+    /// assignment is appended to it; without, the search stops at the first
+    /// and the result says whether there was one.
+    fn run(
+        &mut self,
+        pattern: usize,
+        anchor: NodeId,
+        depth: usize,
+        out: Option<&mut Vec<Binding>>,
+    ) -> bool {
+        let frame = Frame {
+            pattern,
+            slots: self.slots.len(),
+            done: self.done.len(),
+            depth,
+        };
+        let compiled = &self.program[pattern];
+        self.slots.resize(frame.slots + compiled.vars.len(), None);
+        self.done.resize(frame.done + compiled.items.len(), false);
+        self.slots[frame.slots] = Some(Value::Node(anchor));
+        let found = self.solve(frame, out);
+        self.slots.truncate(frame.slots);
+        self.done.truncate(frame.done);
+        found
+    }
+
+    fn value(&self, frame: Frame, slot: usize) -> Option<Value> {
+        self.slots[frame.slots + slot]
+    }
+
+    /// Binds `slot` unless it already holds `value`.  `None`: it holds
+    /// something else; `Some(fresh)`: bound, and `fresh` says the caller has
+    /// to release it.
+    fn bind(&mut self, frame: Frame, slot: usize, value: Value) -> Option<bool> {
+        match &mut self.slots[frame.slots + slot] {
+            Some(held) => (*held == value).then_some(false),
+            free => {
+                *free = Some(value);
+                Some(true)
+            }
+        }
+    }
+
+    fn release(&mut self, frame: Frame, slot: usize, fresh: bool) {
+        if fresh {
+            self.slots[frame.slots + slot] = None;
+        }
+    }
+
+    /// Extends the frame's assignment by one more conjunct, depth first, in
+    /// the order the graph stores its edges.  Returns `true` to stop the
+    /// whole search: `out` is absent and an assignment is complete.
+    fn solve(&mut self, frame: Frame, mut out: Option<&mut Vec<Binding>>) -> bool {
+        let program = self.program;
+        let compiled = &program[frame.pattern];
+
+        // The next conjunct: the first open one with a grounded end (which
+        // keeps the candidate set small), else the first open one.
+        let grounded = |slot: Slot| match slot {
+            Slot::Var(v) | Slot::TextVar(v) => self.value(frame, v).is_some(),
+            Slot::Node(_) | Slot::Label(_) => true,
+        };
+        let mut open = (0..compiled.items.len()).filter(|&i| !self.done[frame.done + i]);
+        let first = open.next();
+        let next = first
+            .into_iter()
+            .chain(open)
+            .find(|&i| match compiled.items[i] {
+                Conjunct::Triple {
+                    subject, object, ..
+                } => grounded(subject) || grounded(object),
+                Conjunct::Reference { var, .. } => grounded(var),
+            });
+        let Some(pos) = next.or(first) else {
+            let Some(results) = out else { return true };
+            let graph = self.graph;
+            let vars = compiled.by_name.iter().filter_map(|&slot| {
+                let value = match self.value(frame, slot)? {
+                    Value::Node(n) => BoundValue::Node(n),
+                    Value::Text(l) => BoundValue::Text(graph.label_text(l).to_string()),
+                };
+                Some((compiled.vars[slot].to_string(), value))
+            });
+            results.push(Binding {
+                vars: vars.collect(),
+            });
+            return false;
+        };
+
+        self.done[frame.done + pos] = true;
+        let stop = match compiled.items[pos] {
+            Conjunct::Triple {
+                subject,
+                pred: Some(pred),
+                object,
+            } => self.match_triple(frame, subject, pred, object, out),
+            Conjunct::Reference {
+                var,
+                pattern: Some(sub),
+            } if frame.depth < self.max_reference_depth => {
+                // The sub-pattern's own variables are scoped to the
+                // sub-match; only the anchor binding is shared.
+                match var {
+                    Slot::Var(v) => match self.value(frame, v) {
+                        Some(Value::Node(n)) => {
+                            self.run(sub, n, frame.depth + 1, None) && self.solve(frame, out)
+                        }
+                        Some(Value::Text(_)) => false,
+                        None => self.graph.nodes().any(|n| {
+                            if !self.run(sub, n, frame.depth + 1, None) {
+                                return false;
+                            }
+                            self.slots[frame.slots + v] = Some(Value::Node(n));
+                            let stop = self.solve(frame, out.as_deref_mut());
+                            self.slots[frame.slots + v] = None;
+                            stop
+                        }),
+                    },
+                    Slot::Node(Some(n)) => {
+                        self.run(sub, n, frame.depth + 1, None) && self.solve(frame, out)
+                    }
+                    Slot::Node(None) | Slot::TextVar(_) | Slot::Label(_) => false,
+                }
+            }
+            // An unknown predicate, an unregistered pattern or a reference
+            // chain past the depth limit: no assignment.
+            Conjunct::Triple { pred: None, .. } | Conjunct::Reference { .. } => false,
+        };
+        self.done[frame.done + pos] = false;
+        stop
+    }
+
+    /// Enumerates every extension of the assignment that satisfies the
+    /// triple and continues the search from each.
+    fn match_triple(
+        &mut self,
+        frame: Frame,
+        subject: Slot,
+        pred: PredId,
+        object: Slot,
+        mut out: Option<&mut Vec<Binding>>,
+    ) -> bool {
+        let graph = self.graph;
+        let mut from = |this: &mut Self, s: NodeId| {
+            this.match_edges(frame, s, subject, pred, object, out.as_deref_mut())
+        };
+        let subject_var = match subject {
+            Slot::Var(v) => v,
+            Slot::Node(Some(s)) => return from(self, s),
+            Slot::Node(None) | Slot::TextVar(_) | Slot::Label(_) => return false,
+        };
+        match self.value(frame, subject_var) {
+            Some(Value::Node(s)) => return from(self, s),
+            Some(Value::Text(_)) => return false,
+            None => {}
+        }
+        // The subject is open: narrow the candidates through the object,
+        // falling back to every node.
+        let mut pointing_at = |this: &mut Self, obj: NodeId| {
+            graph
+                .incoming(obj)
+                .iter()
+                .any(|&(p, s)| p == pred && from(this, s))
+        };
+        let labelled = match object {
+            Slot::Var(o) => match self.value(frame, o) {
+                Some(Value::Node(obj)) => return pointing_at(self, obj),
+                Some(Value::Text(_)) => return false,
+                None => None,
+            },
+            Slot::Node(Some(obj)) => return pointing_at(self, obj),
+            Slot::Node(None) | Slot::Label(None) => return false,
+            Slot::Label(Some(label)) => Some(label),
+            Slot::TextVar(o) => match self.value(frame, o) {
+                Some(Value::Text(label)) => Some(label),
+                Some(Value::Node(_)) => return false,
+                None => None,
+            },
+        };
+        match labelled {
+            Some(label) => graph
+                .label_subjects(label)
+                .iter()
+                .any(|&(s, p)| p == pred && from(self, s)),
+            None => graph.nodes().any(|s| from(self, s)),
+        }
+    }
+
+    /// The `pred` edges leaving `s` that agree with the assignment.
+    fn match_edges(
+        &mut self,
+        frame: Frame,
+        s: NodeId,
+        subject: Slot,
+        pred: PredId,
+        object: Slot,
+        mut out: Option<&mut Vec<Binding>>,
+    ) -> bool {
+        let subject_fresh = match subject {
+            Slot::Var(v) => match self.bind(frame, v, Value::Node(s)) {
+                Some(fresh) => Some((v, fresh)),
+                None => return false,
+            },
+            _ => None,
+        };
+        let graph = self.graph;
+        let stop = graph.outgoing(s).iter().any(|&(p, obj)| {
+            if p != pred {
+                return false;
+            }
+            let object_fresh = match (object, obj) {
+                (Slot::Var(v), Object::Node(n)) => self.bind(frame, v, Value::Node(n)),
+                (Slot::TextVar(v), Object::Text(l)) => self.bind(frame, v, Value::Text(l)),
+                (Slot::Node(u), Object::Node(n)) => (u == Some(n)).then_some(false),
+                (Slot::Label(lit), Object::Text(l)) => (lit == Some(l)).then_some(false),
+                _ => None,
+            };
+            let Some(fresh) = object_fresh else {
+                return false;
+            };
+            let stop = self.solve(frame, out.as_deref_mut());
+            if let Slot::Var(v) | Slot::TextVar(v) = object {
+                self.release(frame, v, fresh);
+            }
+            stop
+        });
+        if let Some((v, fresh)) = subject_fresh {
+            self.release(frame, v, fresh);
+        }
+        stop
+    }
+}
+
 /// Matches patterns against a [`MetaGraph`].
 pub struct Matcher<'a> {
     graph: &'a MetaGraph,
@@ -134,210 +493,59 @@ impl<'a> Matcher<'a> {
         self
     }
 
+    fn search<'s, 'p>(&self, program: &'s [Compiled<'p>]) -> Search<'s, 'p>
+    where
+        'a: 's,
+    {
+        Search {
+            graph: self.graph,
+            program,
+            max_reference_depth: self.max_reference_depth,
+            slots: Vec::new(),
+            done: Vec::new(),
+        }
+    }
+
     /// Tests `pattern` with its anchor bound to `node`; returns every distinct
     /// variable assignment that satisfies all conjuncts.
     pub fn match_at(&self, pattern: &Pattern, node: NodeId) -> Vec<Binding> {
-        let mut binding = Binding::default();
-        binding.bind(&pattern.anchor, BoundValue::Node(node));
+        let program = compile(self.graph, self.registry, pattern);
         let mut results = Vec::new();
-        self.solve(&pattern.items, binding, 0, &mut results);
+        self.search(&program).run(0, node, 0, Some(&mut results));
         results.dedup();
         results
     }
 
     /// True if the pattern matches at `node` with at least one assignment.
     pub fn matches(&self, pattern: &Pattern, node: NodeId) -> bool {
-        !self.match_at(pattern, node).is_empty()
+        let program = compile(self.graph, self.registry, pattern);
+        self.search(&program).run(0, node, 0, None)
+    }
+
+    /// Every node the pattern matches at, ascending: [`matches`](Self::matches)
+    /// over the whole graph with the pattern compiled once, and no assignment
+    /// materialised — for a sweep that only asks *where*.
+    pub fn matching_nodes(&self, pattern: &Pattern) -> Vec<NodeId> {
+        let program = compile(self.graph, self.registry, pattern);
+        let mut search = self.search(&program);
+        let nodes = self.graph.nodes();
+        nodes.filter(|&node| search.run(0, node, 0, None)).collect()
     }
 
     /// Tries every node of the graph as the anchor; returns `(node, binding)`
-    /// pairs for every match.  Used by experiments and tests; the SODA
-    /// pipeline itself only tests patterns at nodes reached by traversal.
+    /// pairs for every match.  The pattern is compiled once for the sweep;
+    /// `soda-core`'s join catalog is built from such sweeps.
     pub fn match_all(&self, pattern: &Pattern) -> Vec<(NodeId, Binding)> {
+        let program = compile(self.graph, self.registry, pattern);
+        let mut search = self.search(&program);
         let mut out = Vec::new();
+        let mut results = Vec::new();
         for node in self.graph.nodes() {
-            for b in self.match_at(pattern, node) {
-                out.push((node, b));
-            }
+            search.run(0, node, 0, Some(&mut results));
+            results.dedup();
+            out.extend(results.drain(..).map(|b| (node, b)));
         }
         out
-    }
-
-    fn solve(
-        &self,
-        remaining: &[PatternItem],
-        binding: Binding,
-        depth: usize,
-        results: &mut Vec<Binding>,
-    ) {
-        // Pick the next item to process: prefer one whose subject is already
-        // bound (or a static URI) to keep the search space small.
-        let Some(pos) = self.pick_item(remaining, &binding) else {
-            results.push(binding);
-            return;
-        };
-        let item = &remaining[pos];
-        let mut rest: Vec<PatternItem> = Vec::with_capacity(remaining.len() - 1);
-        rest.extend_from_slice(&remaining[..pos]);
-        rest.extend_from_slice(&remaining[pos + 1..]);
-
-        match item {
-            PatternItem::Triple(t) => {
-                for next in self.match_triple(t, &binding) {
-                    self.solve(&rest, next, depth, results);
-                }
-            }
-            PatternItem::Reference { var, pattern: name } => {
-                if depth >= self.max_reference_depth {
-                    return;
-                }
-                let Some(sub) = self.registry.get(name) else {
-                    return;
-                };
-                let anchors: Vec<NodeId> = match var {
-                    Term::Var(v) => match binding.node(v) {
-                        Some(n) => vec![n],
-                        None => self.graph.nodes().collect(),
-                    },
-                    Term::Uri(u) => match self.graph.node(u) {
-                        Some(n) => vec![n],
-                        None => vec![],
-                    },
-                    _ => vec![],
-                };
-                for anchor in anchors {
-                    // The sub-pattern's own variables are scoped to the
-                    // sub-match; only the anchor binding is shared.
-                    let mut sub_binding = Binding::default();
-                    sub_binding.bind(&sub.anchor, BoundValue::Node(anchor));
-                    let mut sub_results = Vec::new();
-                    self.solve(&sub.items, sub_binding, depth + 1, &mut sub_results);
-                    if !sub_results.is_empty() {
-                        let mut next = binding.clone();
-                        if let Term::Var(v) = var {
-                            if !next.bind(v, BoundValue::Node(anchor)) {
-                                continue;
-                            }
-                        }
-                        self.solve(&rest, next, depth, results);
-                    }
-                }
-            }
-        }
-    }
-
-    fn pick_item(&self, items: &[PatternItem], binding: &Binding) -> Option<usize> {
-        if items.is_empty() {
-            return None;
-        }
-        let is_grounded = |t: &Term| match t {
-            Term::Var(v) | Term::TextVar(v) => binding.get(v).is_some(),
-            Term::Uri(_) | Term::TextLit(_) => true,
-        };
-        let best = items.iter().position(|item| match item {
-            PatternItem::Triple(t) => is_grounded(&t.subject) || is_grounded(&t.object),
-            PatternItem::Reference { var, .. } => is_grounded(var),
-        });
-        Some(best.unwrap_or(0))
-    }
-
-    /// Enumerates every extension of `binding` that satisfies the triple.
-    fn match_triple(&self, t: &TriplePattern, binding: &Binding) -> Vec<Binding> {
-        let Some(pred) = self.graph.find_predicate(&t.predicate) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-
-        // Resolve candidate subjects.
-        let subjects: Vec<NodeId> = match &t.subject {
-            Term::Var(v) => match binding.node(v) {
-                Some(n) => vec![n],
-                None => self.subjects_from_object(t, binding, pred),
-            },
-            Term::Uri(u) => match self.graph.node(u) {
-                Some(n) => vec![n],
-                None => return Vec::new(),
-            },
-            Term::TextVar(_) | Term::TextLit(_) => return Vec::new(),
-        };
-
-        for s in subjects {
-            for (p, obj) in self.graph.outgoing(s) {
-                if *p != pred {
-                    continue;
-                }
-                let mut next = binding.clone();
-                let subject_ok = match &t.subject {
-                    Term::Var(v) => next.bind(v, BoundValue::Node(s)),
-                    _ => true,
-                };
-                if !subject_ok {
-                    continue;
-                }
-                let object_ok = match (&t.object, obj) {
-                    (Term::Var(v), Object::Node(n)) => next.bind(v, BoundValue::Node(*n)),
-                    (Term::Uri(u), Object::Node(n)) => self.graph.node(u) == Some(*n),
-                    (Term::TextVar(v), Object::Text(l)) => {
-                        next.bind(v, BoundValue::Text(self.graph.label_text(*l).to_string()))
-                    }
-                    (Term::TextLit(lit), Object::Text(l)) => self.graph.label_text(*l) == lit,
-                    _ => false,
-                };
-                if object_ok {
-                    out.push(next);
-                }
-            }
-        }
-        out
-    }
-
-    /// When the subject is an unbound variable, try to narrow candidates using
-    /// the object; fall back to all nodes.
-    fn subjects_from_object(
-        &self,
-        t: &TriplePattern,
-        binding: &Binding,
-        pred: crate::uri::PredId,
-    ) -> Vec<NodeId> {
-        match &t.object {
-            Term::Var(v) => {
-                if let Some(obj) = binding.node(v) {
-                    return self
-                        .graph
-                        .incoming(obj)
-                        .iter()
-                        .filter_map(|(p, s)| if *p == pred { Some(*s) } else { None })
-                        .collect();
-                }
-                self.graph.nodes().collect()
-            }
-            Term::Uri(u) => match self.graph.node(u) {
-                Some(obj) => self
-                    .graph
-                    .incoming(obj)
-                    .iter()
-                    .filter_map(|(p, s)| if *p == pred { Some(*s) } else { None })
-                    .collect(),
-                None => Vec::new(),
-            },
-            Term::TextLit(lit) => self
-                .graph
-                .nodes_with_label(lit)
-                .into_iter()
-                .filter_map(|(s, p)| if p == pred { Some(s) } else { None })
-                .collect(),
-            Term::TextVar(v) => {
-                if let Some(text) = binding.text(v).map(|s| s.to_string()) {
-                    self.graph
-                        .nodes_with_label(&text)
-                        .into_iter()
-                        .filter_map(|(s, p)| if p == pred { Some(s) } else { None })
-                        .collect()
-                } else {
-                    self.graph.nodes().collect()
-                }
-            }
-        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! `type` edge to the `physical_column` node, for example).  Interning keeps
 //! comparisons cheap (a `u32` compare) and the graph compact.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 /// Identifier of an interned predicate URI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,10 +34,23 @@ impl LabelId {
 ///
 /// Lookups are case-sensitive; callers that want case-insensitive semantics
 /// (such as the SODA classification index) normalise before interning.
+///
+/// Every string is stored once, back to back in one buffer; the lookup side
+/// is an open-addressing table of indexes into it.  A warehouse's metadata
+/// graph interns tens of thousands of URIs and stays resident for the life
+/// of the process, so a map keyed by a second copy of each string would
+/// cost more than the strings themselves.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    map: HashMap<String, u32>,
-    strings: Vec<String>,
+    /// The interned strings, concatenated in interning order.
+    text: String,
+    /// Where each string ends in `text`, by index.
+    ends: Vec<u32>,
+    /// Linear-probing table of `index + 1` (`0`: free); a power of two long
+    /// and at most half full.
+    slots: Vec<u32>,
+    /// Randomly keyed, like a `HashMap`'s: URIs and labels come from outside.
+    hasher: RandomState,
 }
 
 impl SymbolTable {
@@ -46,21 +59,51 @@ impl SymbolTable {
         Self::default()
     }
 
+    /// Where the probe sequence of `s` starts, for the current table length.
+    fn home(&self, s: &str) -> usize {
+        (self.hasher.hash_one(s) as usize) & (self.slots.len() - 1)
+    }
+
+    /// Puts `id` into the first free slot of its string's probe sequence.
+    fn place(&mut self, id: u32) {
+        let mut slot = self.home(self.resolve(id));
+        while self.slots[slot] != 0 {
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+        self.slots[slot] = id + 1;
+    }
+
     /// Interns `s`, returning its index.  Re-interning an existing string
     /// returns the original index.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
+        if let Some(id) = self.get(s) {
             return id;
         }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), id);
+        let id = self.ends.len() as u32;
+        self.text.push_str(s);
+        let end = u32::try_from(self.text.len()).expect("under 4 GiB of interned text");
+        self.ends.push(end);
+        if self.ends.len() * 2 > self.slots.len() {
+            self.slots = vec![0; (self.slots.len() * 2).max(16)];
+            (0..id).for_each(|earlier| self.place(earlier));
+        }
+        self.place(id);
         id
     }
 
     /// Returns the index of `s` if it has been interned before.
     pub fn get(&self, s: &str) -> Option<u32> {
-        self.map.get(s).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut slot = self.home(s);
+        loop {
+            let id = self.slots[slot].checked_sub(1)?;
+            if self.resolve(id) == s {
+                return Some(id);
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
     }
 
     /// Resolves an index back to its string.
@@ -68,25 +111,24 @@ impl SymbolTable {
     /// # Panics
     /// Panics if `id` was not produced by this table.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.strings[id as usize]
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start as usize..self.ends[id] as usize]
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(index, string)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.as_str()))
+        (0..self.ends.len() as u32).map(|id| (id, self.resolve(id)))
     }
 }
 
@@ -138,6 +180,26 @@ mod tests {
         let lower = t.intern("parties");
         let upper = t.intern("Parties");
         assert_ne!(lower, upper);
+    }
+
+    #[test]
+    fn thousands_of_symbols_survive_the_table_growing() {
+        let mut t = SymbolTable::new();
+        let ids: Vec<u32> = (0..5_000)
+            .map(|i| t.intern(&format!("phys/table_{i}/id")))
+            .collect();
+        assert_eq!(t.intern(""), 5_000);
+        assert_eq!(t.len(), 5_001);
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(*id as usize, i);
+            assert_eq!(t.resolve(*id), format!("phys/table_{i}/id"));
+            assert_eq!(t.get(&format!("phys/table_{i}/id")), Some(*id));
+        }
+        assert_eq!(t.get(""), Some(5_000));
+        assert_eq!(t.resolve(5_000), "");
+        assert_eq!(t.get("phys/table_5000/id"), None);
+        // A clone probes with the same keys.
+        assert_eq!(t.clone().get("phys/table_4999/id"), Some(4_999));
     }
 
     #[test]
