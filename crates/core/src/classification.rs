@@ -1,36 +1,22 @@
 //! The classification index: a lookup table from normalised keyword phrases to
-//! metadata-graph nodes, partitioned into shards.
+//! metadata-graph nodes.
 //!
 //! Step 1 of the pipeline matches the words of the input query against this
 //! index ("we first try to match all the words in the input against our
-//! classification index", §4.2.2).  The index is built once per engine from
-//! every text label of the metadata graph; labels are normalised the same way
-//! keywords are, so that `trade_order_td`, "Trade Order TD" and
+//! classification index", §4.2.2).  The index is built once per metadata
+//! graph from every text label of the graph; labels are normalised the same
+//! way keywords are, so that `trade_order_td`, "Trade Order TD" and
 //! "trade order td" all meet at the same key.
 //!
-//! ## Sharding
-//!
-//! Like the inverted index, the classification index is partitioned by a
-//! stable hash ([`soda_relation::stable_shard`]) — here of the normalised
-//! phrase, since a phrase (not a table) is the unit of lookup.  Every phrase
-//! lives in exactly one shard, so a lookup routes directly to its owning
-//! shard instead of fanning out, and the entries of each bucket keep the
-//! exact order the monolithic build produces: results are byte-identical for
-//! any shard count.  [`ClassificationIndex::build`] is the classic 1-shard
-//! case.
-//!
-//! Each shard sits behind an [`Arc`]: a metadata refresh rebuilds the index
-//! ([`rebuild_shared`](ClassificationIndex::rebuild_shared)) but shares every
-//! partition whose content did not change with the previous build, so a hot
-//! snapshot swap only replaces (and only re-ages the cache entries of) the
-//! partitions the refresh actually touched.
+//! It is one map behind an [`Arc`]: data-only snapshot derives share it with
+//! their parent, and a metadata refresh builds a fresh one (the graph is the
+//! only input, so there is nothing to rebuild piecewise).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use soda_metagraph::{MetaGraph, NodeId};
 use soda_relation::index::tokenizer::normalize_phrase;
-use soda_relation::stable_shard;
 
 use crate::provenance::Provenance;
 
@@ -43,45 +29,25 @@ pub struct ClassificationEntry {
     pub provenance: Provenance,
 }
 
-/// One partition of the classification index.
-type ClassificationShard = HashMap<String, Vec<ClassificationEntry>>;
-
-/// The classification index, partitioned by stable phrase hash.  Cloning is
-/// cheap (per-shard [`Arc`]s), which is what lets derived engine snapshots
-/// share the metadata lookup tables across generations.
-#[derive(Debug, Clone)]
+/// The classification index.  Cloning is cheap (one [`Arc`]), which is what
+/// lets derived engine snapshots share the metadata lookup table across
+/// generations.
+#[derive(Debug, Clone, Default)]
 pub struct ClassificationIndex {
-    shards: Vec<Arc<ClassificationShard>>,
-}
-
-impl Default for ClassificationIndex {
-    fn default() -> Self {
-        Self {
-            shards: vec![Arc::new(HashMap::new())],
-        }
-    }
+    phrases: Arc<HashMap<String, Vec<ClassificationEntry>>>,
 }
 
 impl ClassificationIndex {
-    /// Builds the classic monolithic index (one shard) from every text label
-    /// of the graph.  Nodes without a recognised provenance (filter nodes,
-    /// join nodes, …) are skipped, as are DBpedia nodes when
-    /// `include_dbpedia` is false.
+    /// Builds the index from every text label of the graph.  Nodes without a
+    /// recognised provenance (filter nodes, join nodes, …) are skipped, as
+    /// are DBpedia nodes when `include_dbpedia` is false.
     pub fn build(graph: &MetaGraph, include_dbpedia: bool) -> Self {
-        Self::build_sharded(graph, include_dbpedia, 1)
-    }
-
-    /// Builds the index partitioned into `shard_count` shards (clamped to at
-    /// least 1) by the stable hash of the normalised phrase.
-    pub fn build_sharded(graph: &MetaGraph, include_dbpedia: bool, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        let mut shards: Vec<ClassificationShard> = vec![HashMap::new(); shard_count];
+        let mut phrases: HashMap<String, Vec<ClassificationEntry>> = HashMap::new();
         for (label, holders) in graph.all_labels() {
             let key = normalize_phrase(label);
             if key.is_empty() {
                 continue;
             }
-            let shard = &mut shards[stable_shard(&key, shard_count)];
             for (node, _pred) in holders {
                 let Some(provenance) = Provenance::of_node(graph, *node) else {
                     continue;
@@ -89,7 +55,7 @@ impl ClassificationIndex {
                 if provenance == Provenance::DbPedia && !include_dbpedia {
                     continue;
                 }
-                let bucket = shard.entry(key.clone()).or_default();
+                let bucket = phrases.entry(key.clone()).or_default();
                 let entry = ClassificationEntry {
                     node: *node,
                     provenance,
@@ -100,64 +66,14 @@ impl ClassificationIndex {
             }
         }
         Self {
-            shards: shards.into_iter().map(Arc::new).collect(),
+            phrases: Arc::new(phrases),
         }
     }
 
-    /// Rebuilds the index from a (possibly changed) metadata graph, sharing
-    /// every partition whose content is identical to this one's with it by
-    /// [`Arc`].  Returns the new index plus a per-shard `changed` vector —
-    /// the hot-swap layer bumps exactly the changed partitions' generations.
-    ///
-    /// Equality is by content (phrase → entry list), so a graph rebuild that
-    /// reproduces the same labels and node ids shares everything, while a
-    /// refresh that renumbers nodes swaps every shard — correct either way,
-    /// just less sharing.
-    pub fn rebuild_shared(&self, graph: &MetaGraph, include_dbpedia: bool) -> (Self, Vec<bool>) {
-        let fresh = Self::build_sharded(graph, include_dbpedia, self.shards.len());
-        let mut changed = vec![false; self.shards.len()];
-        let shards = fresh
-            .shards
-            .into_iter()
-            .zip(&self.shards)
-            .enumerate()
-            .map(|(i, (new, old))| {
-                if *new == **old {
-                    Arc::clone(old)
-                } else {
-                    changed[i] = true;
-                    new
-                }
-            })
-            .collect();
-        (Self { shards }, changed)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of distinct phrases per shard, in partition order.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
-
-    /// True when partition `i` of both indexes is the same shared allocation
-    /// (used by tests and diagnostics to observe cross-generation sharing).
-    pub fn shares_shard_with(&self, other: &Self, i: usize) -> bool {
-        match (self.shards.get(i), other.shards.get(i)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
-    /// Looks up a phrase (normalised internally), routing directly to the
-    /// shard that owns it.
+    /// Looks up a phrase (normalised internally).
     pub fn lookup(&self, phrase: &str) -> &[ClassificationEntry] {
-        let key = normalize_phrase(phrase);
-        self.shards[stable_shard(&key, self.shards.len())]
-            .get(&key)
+        self.phrases
+            .get(&normalize_phrase(phrase))
             .map(|v| v.as_slice())
             .unwrap_or(&[])
     }
@@ -170,19 +86,17 @@ impl ClassificationIndex {
     /// All distinct (normalised) phrases in the index.  Used by the
     /// query-refinement suggestions to find near-misses for unmatched words.
     pub fn phrases(&self) -> impl Iterator<Item = &str> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.keys().map(String::as_str))
+        self.phrases.keys().map(String::as_str)
     }
 
     /// Number of distinct phrases.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.phrases.len()
     }
 
     /// True if the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.phrases.is_empty()
     }
 }
 
@@ -241,84 +155,5 @@ mod tests {
         let idx = ClassificationIndex::build(&g, true);
         assert!(idx.lookup("does not exist").is_empty());
         assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn rebuild_shared_reuses_unchanged_partitions() {
-        let g = graph();
-        let idx = ClassificationIndex::build_sharded(&g, true, 4);
-
-        // Same graph: every partition is shared, nothing is marked changed.
-        let (same, changed) = idx.rebuild_shared(&g, true);
-        assert_eq!(changed, vec![false; 4]);
-        for i in 0..4 {
-            assert!(same.shares_shard_with(&idx, i), "shard {i} must be shared");
-        }
-
-        // Extend the graph with one new label: only the partitions whose
-        // phrase set actually changed are replaced.
-        let mut b = GraphBuilder::new();
-        let t = b.physical_table("phys/trade_order_td", "trade order td");
-        b.text(t, "tablename", "trade_order_td");
-        b.physical_column(t, "phys/trade_order_td/amount", "amount");
-        let onto = b.ontology_concept("onto/customers", "customers");
-        b.text(onto, "name", "clients");
-        let concept = b.named_node("concept/parties", types::CONCEPTUAL_ENTITY, "parties");
-        b.dbpedia_synonym("dbpedia/client", "client", concept);
-        b.text(onto, "name", "patrons"); // the refresh: one extra synonym
-        let g2 = b.build();
-
-        let (refreshed, changed) = idx.rebuild_shared(&g2, true);
-        assert!(refreshed.contains("patrons"));
-        let fresh = ClassificationIndex::build_sharded(&g2, true, 4);
-        for phrase in ["patrons", "clients", "customers", "amount"] {
-            assert_eq!(refreshed.lookup(phrase), fresh.lookup(phrase));
-        }
-        let touched: Vec<usize> = changed
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| c.then_some(i))
-            .collect();
-        assert!(!touched.is_empty());
-        for (i, &was_changed) in changed.iter().enumerate() {
-            assert_eq!(
-                refreshed.shares_shard_with(&idx, i),
-                !was_changed,
-                "sharing must be the complement of the changed vector (shard {i})"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_build_matches_monolithic_lookups() {
-        let g = graph();
-        let mono = ClassificationIndex::build(&g, true);
-        for shards in [2usize, 3, 8] {
-            let idx = ClassificationIndex::build_sharded(&g, true, shards);
-            assert_eq!(idx.shard_count(), shards);
-            assert_eq!(idx.len(), mono.len());
-            assert_eq!(idx.shard_sizes().iter().sum::<usize>(), mono.len());
-            for phrase in [
-                "Trade Order TD",
-                "trade_order_td",
-                "customers",
-                "clients",
-                "client",
-                "amount",
-                "does not exist",
-            ] {
-                assert_eq!(
-                    mono.lookup(phrase),
-                    idx.lookup(phrase),
-                    "'{phrase}' diverged at {shards} shards"
-                );
-            }
-            // The phrase sets agree (order is hash-map arbitrary either way).
-            let mut a: Vec<&str> = mono.phrases().collect();
-            let mut b: Vec<&str> = idx.phrases().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
     }
 }

@@ -103,12 +103,12 @@ pub struct SodaConfig {
     /// fewer tables and a complete join path rank higher).  Off by default —
     /// the paper's ranking uses entry-point provenance only.
     pub compactness_rerank: bool,
-    /// Number of partitions ("shards") the lookup-layer indexes are split
-    /// into.  `1` (the default) keeps the classic monolithic classification
-    /// and inverted indexes; larger values partition both by stable hash
-    /// (inverted index by owning table, classification index by phrase).
-    /// A partition is the unit of per-shard rebuilds, streaming side logs
-    /// and cache retention, not of parallelism: the lookup step probes the
+    /// Number of partitions ("shards") the inverted index over the base
+    /// data is split into.  `1` (the default) keeps the classic monolithic
+    /// index; larger values partition it by a stable hash of the owning
+    /// table (the classification index is one map at every setting).
+    /// A partition is the unit of ingestion side logs, of their folds and
+    /// of cache retention, not of parallelism: the lookup step probes the
     /// shards inline, in order.  The merge is canonical, so generated SQL is
     /// byte-identical for every shard count.  Folded into
     /// [`fingerprint`](Self::fingerprint) like every other field.

@@ -9,25 +9,28 @@
 //! while readers keep whatever snapshot they loaded until they finish — no
 //! query is ever dropped or served from a half-swapped index.
 //!
-//! Three swap granularities, cheapest first:
+//! Three swap granularities, one path each, cheapest first:
 //!
-//! * [`rebuild_shards`](SnapshotHandle::rebuild_shards) — a *data* delta
-//!   confined to a known table set: only the inverted-index partitions
-//!   owning those tables are rebuilt; classification index, join catalog and
-//!   the untouched partitions are shared with the previous generation by
-//!   `Arc`, so the other shards keep serving the very same allocations
-//!   without a pause.
+//! * [`absorb`](SnapshotHandle::absorb) then
+//!   [`compact`](SnapshotHandle::compact) — a *data* change, as a row-level
+//!   [`ChangeFeed`] (appends, wholesale replacements, truncations): the
+//!   events land in the side logs of the partitions owning the touched
+//!   tables, and a fold later rebuilds just those partitions;
+//!   classification index, join catalog, untouched tables and untouched
+//!   partitions are shared with the previous generation by `Arc`, so the
+//!   other shards keep serving the very same allocations without a pause.
 //! * [`refresh_graph`](SnapshotHandle::refresh_graph) — a *metadata*
-//!   refresh: the classification index is rebuilt but shares every
-//!   partition whose content survived; the inverted index is shared whole.
+//!   refresh: classification index and join catalog are rebuilt against
+//!   the new graph; base data and inverted index are shared whole.
 //! * [`publish`](SnapshotHandle::publish) — a full replacement snapshot
 //!   (new warehouse build, new configuration semantics, anything).
 //!
 //! Every publication stamps a monotonically increasing **generation** into
-//! the snapshot — the whole vector for a full publish, only the rebuilt
-//! partitions' slots otherwise.  [`EngineSnapshot::cache_fingerprint`] folds
-//! that vector into the cache key space, which is how stale interpretation
-//! pages die for free on a swap.
+//! the snapshot — the whole vector for a full publish, only the touched
+//! inverted-index partitions' slots otherwise.
+//! [`EngineSnapshot::cache_fingerprint`] folds that vector into the cache
+//! key space, which is how stale interpretation pages die for free on a
+//! swap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +39,6 @@ use arc_swap::ArcSwap;
 
 use soda_ingest::ChangeFeed;
 use soda_metagraph::MetaGraph;
-use soda_relation::Database;
 
 use crate::error::Result;
 use crate::snapshot::EngineSnapshot;
@@ -58,7 +60,7 @@ pub struct AbsorbOutcome {
 /// Readers ([`load`](Self::load)) get a coherent `Arc` to whatever snapshot
 /// is current and keep it for the whole query — concurrent swaps only affect
 /// *future* loads.  Writers ([`publish`](Self::publish),
-/// [`rebuild_shards`](Self::rebuild_shards),
+/// [`absorb`](Self::absorb), [`compact`](Self::compact),
 /// [`refresh_graph`](Self::refresh_graph)) are serialized against each other
 /// by an internal lock (never held while readers load), so generation
 /// numbers are strictly increasing and derived snapshots always derive from
@@ -138,33 +140,19 @@ impl SnapshotHandle {
         generation
     }
 
-    /// Per-shard hot swap for a data delta: given a database in which only
-    /// `tables` changed, rebuilds the inverted-index partitions owning those
-    /// tables from `db` and publishes a derived snapshot that shares every
-    /// other structure with the current one.  Only the rebuilt partitions'
-    /// generation slots are bumped — the other shards keep serving their
-    /// existing postings with zero rebuild cost.  Interpretation caches
-    /// keyed by [`EngineSnapshot::cache_fingerprint`] see every page of the
-    /// superseded generation stop being addressable; the serving layer's
-    /// retention pass ([`RetentionGate`](crate::RetentionGate)) re-keys the
-    /// pages that provably never consulted a rebuilt partition instead of
-    /// recomputing them.  Returns the new generation.
-    pub fn rebuild_shards(&self, db: Arc<Database>, tables: &[String]) -> u64 {
-        let _writer = self.writer.lock().expect("snapshot writer poisoned");
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
-        let next = self.load().derive_rebuilt_tables(db, tables, generation);
-        self.current.store(Arc::new(next));
-        generation
-    }
-
-    /// Streaming ingestion: absorbs a row-level [`ChangeFeed`] into a new
+    /// The data path: absorbs a row-level [`ChangeFeed`] into a new
     /// generation **without rebuilding any frozen index partition** — the
     /// events are applied to a copy of the base data and their indexed
     /// consequences accumulate in per-shard side logs that every probe
     /// merges on the fly.  Only the shards whose logs changed get their
-    /// generation slot bumped.  On any feed error (unknown table, arity
-    /// violation) nothing is published and the current generation keeps
-    /// serving.
+    /// generation slot bumped.  On any feed error (unknown table, arity or
+    /// type violation) nothing is published and the current generation
+    /// keeps serving.  Interpretation caches keyed by
+    /// [`EngineSnapshot::cache_fingerprint`] see every page of the
+    /// superseded generation stop being addressable; the serving layer's
+    /// retention pass ([`RetentionGate`](crate::RetentionGate)) re-keys the
+    /// pages that provably never consulted a touched partition instead of
+    /// recomputing them.
     ///
     /// The feed is taken by value: appended rows move through the
     /// copy-on-write database derive instead of being cloned out of a
@@ -188,12 +176,11 @@ impl SnapshotHandle {
     }
 
     /// Folds the side logs of `shards` into freshly rebuilt partitions — the
-    /// background half of streaming ingestion, reusing the per-shard rebuild
-    /// machinery of [`rebuild_shards`](Self::rebuild_shards) against the
-    /// *current* base data (which already contains every logged row), so
-    /// answers are unchanged by construction.  Shards without a log to fold
-    /// are skipped; returns `None` (publishing nothing) when none of the
-    /// named shards has one, otherwise the new generation.
+    /// background half of the data path: each named partition is rebuilt
+    /// from the *current* base data (which already contains every logged
+    /// row), so answers are unchanged by construction.  Shards without a
+    /// log to fold are skipped; returns `None` (publishing nothing) when
+    /// none of the named shards has one, otherwise the new generation.
     pub fn compact(&self, shards: &[usize]) -> Option<u64> {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         let current = self.load();
@@ -250,11 +237,10 @@ impl SnapshotHandle {
         Ok(())
     }
 
-    /// Per-shard hot swap for a metadata refresh: rebuilds the
-    /// classification index against `graph` (sharing every partition whose
-    /// content did not change) and the graph-derived join catalog, keeping
-    /// the base data and inverted index.  Only the changed classification
-    /// partitions' generation slots are bumped.  Returns the new generation.
+    /// Hot swap for a metadata refresh: rebuilds the classification index
+    /// and the graph-derived join catalog against `graph`, keeping the base
+    /// data and the inverted index.  No partition slot is bumped; the new
+    /// generation alone moves the fingerprint.  Returns the new generation.
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
@@ -339,24 +325,25 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_shards_bumps_only_the_owning_partitions() {
+    fn a_replace_absorbed_then_folded_answers_like_a_fresh_build() {
         let w = soda_warehouse::minibank::build(42);
+        let config = SodaConfig {
+            shards: 4,
+            ..SodaConfig::default()
+        };
         let handle = SnapshotHandle::new(Arc::new(EngineSnapshot::build(
             Arc::new(w.database.clone()),
             Arc::new(w.graph.clone()),
-            SodaConfig {
-                shards: 4,
-                ..SodaConfig::default()
-            },
+            config.clone(),
         )));
         let before = handle.load();
         let fp_before = before.cache_fingerprint();
 
-        // Append one individual to a fresh copy of the database and swap in
-        // only that table's partition.
-        let mut db = w.database.clone();
-        let individuals = db.table("individuals").unwrap();
-        let mut row = individuals.rows()[0].clone();
+        // Restate `individuals` wholesale: every existing row plus one new
+        // individual.
+        let individuals = w.database.table("individuals").unwrap();
+        let mut rows = individuals.rows().to_vec();
+        let mut row = rows[0].clone();
         let name_col = individuals
             .schema()
             .columns
@@ -365,40 +352,40 @@ mod tests {
             .unwrap();
         row[0] = soda_relation::Value::Int(9_999);
         row[name_col] = soda_relation::Value::from("Zebulon");
-        db.insert("individuals", row).unwrap();
+        rows.push(row);
         let owner = soda_relation::shard_for_table("individuals", 4);
-        let gen = handle.rebuild_shards(Arc::new(db), &["individuals".to_string()]);
+        let absorbed = handle
+            .absorb(ChangeFeed::new().replace("individuals", rows))
+            .unwrap();
+        assert_eq!(absorbed.generation, 1);
+        let logged = handle.load();
+        assert_eq!(handle.compact(&[owner]), Some(2));
+        let folded = handle.load();
 
-        assert_eq!(gen, 1);
-        let after = handle.load();
-        assert_eq!(after.generation(), 1);
-        for (i, &slot) in after.shard_generations().iter().enumerate() {
-            assert_eq!(
-                slot,
-                if i == owner { 1 } else { 0 },
-                "only the owning partition may be bumped (shard {i})"
-            );
+        // Logged or folded, the derived snapshot answers exactly like a full
+        // build over the new database, sees the new row, and only the owning
+        // partition's slot moved.
+        let fresh = EngineSnapshot::build(folded.database_arc(), Arc::new(w.graph), config);
+        for (after, generation) in [(&logged, 1), (&folded, 2)] {
+            assert_eq!(after.generation(), generation);
+            for (i, &slot) in after.shard_generations().iter().enumerate() {
+                assert_eq!(
+                    slot,
+                    if i == owner { generation } else { 0 },
+                    "only the owning partition may be bumped (shard {i})"
+                );
+            }
+            assert_ne!(after.cache_fingerprint(), fp_before);
+            for query in ["Zebulon", "Sara Guttinger", "wealthy customers"] {
+                assert_eq!(
+                    after.search(query).unwrap(),
+                    fresh.search(query).unwrap(),
+                    "generation {generation} diverged from a full build on '{query}'"
+                );
+            }
+            assert!(!after.search("Zebulon").unwrap().is_empty());
         }
-        assert_ne!(after.cache_fingerprint(), fp_before);
-
-        // The derived snapshot answers exactly like a full rebuild over the
-        // new database, and sees the new row.
-        let fresh = EngineSnapshot::build(
-            after.database_arc(),
-            Arc::new(w.graph),
-            SodaConfig {
-                shards: 4,
-                ..SodaConfig::default()
-            },
-        );
-        for query in ["Zebulon", "Sara Guttinger", "wealthy customers"] {
-            assert_eq!(
-                after.search(query).unwrap(),
-                fresh.search(query).unwrap(),
-                "derived snapshot diverged from full rebuild on '{query}'"
-            );
-        }
-        assert!(!after.search("Zebulon").unwrap().is_empty());
+        assert!(folded.shards_with_side_logs().is_empty());
         // The old generation still serves its old view.
         assert!(before.search("Zebulon").unwrap().is_empty());
     }
@@ -552,9 +539,19 @@ mod tests {
     #[test]
     fn rejected_feeds_publish_nothing_and_leave_no_generation_gap() {
         let handle = minibank_handle(2);
-        let bad = ChangeFeed::new().append_row("no_such_table", vec![]);
-        assert!(handle.absorb(bad).is_err());
-        assert_eq!(handle.generation(), 0);
+        let before = handle.load();
+        let valid_then_unknown = ChangeFeed::new()
+            .replace("addresses", Vec::new())
+            .replace("no_such_dimension", Vec::new());
+        for bad in [
+            ChangeFeed::new().append_row("no_such_table", vec![]),
+            // The first event is valid on its own: it must not escape either.
+            valid_then_unknown,
+        ] {
+            assert!(handle.absorb(bad).is_err());
+            assert_eq!(handle.generation(), 0);
+            assert!(Arc::ptr_eq(&before, &handle.load()));
+        }
         // The next successful publication continues the sequence densely.
         let outcome = handle.absorb(address_feed(901, "Gapless")).unwrap();
         assert_eq!(outcome.generation, 1);
@@ -605,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_graph_shares_surviving_classification_partitions() {
+    fn refresh_graph_keeps_every_inverted_index_partition() {
         let w = soda_warehouse::minibank::build(42);
         let handle = SnapshotHandle::new(Arc::new(EngineSnapshot::build(
             Arc::new(w.database),
@@ -615,24 +612,37 @@ mod tests {
                 ..SodaConfig::default()
             },
         )));
-        // Republishing the same graph bumps the snapshot generation but not a
-        // single partition slot: every classification shard survived.
+        // Republishing the graph bumps the snapshot generation but not a
+        // single partition slot: no inverted-index partition changed, and
+        // every one of them is the same allocation as before.
         let before = handle.load();
         let gen = handle.refresh_graph(Arc::new(w.graph));
         assert_eq!(gen, 1);
         let after = handle.load();
         assert_eq!(after.generation(), 1);
         assert_eq!(after.shard_generations(), &[0, 0, 0, 0]);
-        assert!(after
-            .classification_index()
-            .shares_shard_with(before.classification_index(), 0));
+        for (old, new) in before
+            .inverted_index()
+            .unwrap()
+            .shards()
+            .iter()
+            .zip(after.inverted_index().unwrap().shards())
+        {
+            assert!(
+                Arc::ptr_eq(old, new),
+                "a refresh must not rebuild partitions"
+            );
+        }
         // Generation is folded into the fingerprint even when no partition
         // changed, so caches keyed on it can distinguish the publications.
         assert_ne!(after.cache_fingerprint(), before.cache_fingerprint());
-        assert_eq!(
-            after.search("wealthy customers").unwrap(),
-            before.search("wealthy customers").unwrap()
-        );
+        for query in ["wealthy customers", "Sara Guttinger", "customers Zurich"] {
+            assert_eq!(
+                after.search(query).unwrap(),
+                before.search(query).unwrap(),
+                "'{query}'"
+            );
+        }
     }
 
     #[test]
@@ -643,9 +653,7 @@ mod tests {
         let logged = handle.load();
         handle.compact(&[0, 1, 2, 3]).expect("a log to fold");
         let folded = handle.load();
-        handle.rebuild_shards(folded.database_arc(), &["addresses".to_string()]);
-        let rebuilt = handle.load();
-        for derived in [&logged, &folded, &rebuilt] {
+        for derived in [&logged, &folded] {
             assert!(std::ptr::eq(built.join_catalog(), derived.join_catalog()));
         }
     }

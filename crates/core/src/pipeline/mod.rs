@@ -38,8 +38,7 @@ pub struct PipelineContext<'a> {
     pub graph: &'a MetaGraph,
     /// Engine configuration.
     pub config: &'a SodaConfig,
-    /// Classification index over metadata labels (sharded by phrase hash;
-    /// lookups route directly to the owning shard).
+    /// Classification index over metadata labels.
     pub classification: &'a ClassificationIndex,
     /// Sharded inverted index over the base data (absent when disabled).
     /// The lookup step probes, inline and in shard order, the

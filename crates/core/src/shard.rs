@@ -1,8 +1,7 @@
 //! Shard bookkeeping for the partitioned lookup layer.
 //!
-//! The classification index and the inverted index are partitioned by stable
-//! hashes (see [`crate::classification`] and
-//! [`soda_relation::ShardedInvertedIndex`]); this module carries the
+//! The inverted index is partitioned by a stable hash of the owning table
+//! (see [`soda_relation::ShardedInvertedIndex`]); this module carries the
 //! cross-cutting accounting: per-shard probe counters the lookup step bumps
 //! on every base-data probe, and the [`ShardStats`] snapshot the serving
 //! layer surfaces through its metrics.
@@ -136,15 +135,16 @@ impl ProbeRecorder {
     }
 }
 
-/// Per-shard sizes and probe counts of one engine's lookup layer, exposed by
+/// Sizes and per-shard probe counts of one engine's lookup layer, exposed by
 /// [`EngineSnapshot::shard_stats`](crate::EngineSnapshot::shard_stats) and
 /// embedded in the serving layer's `ServiceMetrics`.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ShardStats {
     /// Number of lookup-layer shards (the `shards` configuration knob).
     pub shards: usize,
-    /// Distinct classification phrases per shard.
-    pub classification_phrases: Vec<usize>,
+    /// Distinct classification phrases (the classification index is not
+    /// partitioned).
+    pub classification_phrases: usize,
     /// Distinct inverted-index tokens per shard (empty when the inverted
     /// index is disabled).
     pub index_tokens: Vec<usize>,
@@ -161,10 +161,10 @@ pub struct ShardStats {
     /// them — any mask makes the shard due).
     pub log_masks: Vec<usize>,
     /// Base-data probes served per shard since the engine was built.  Probe
-    /// counters are shared across derived snapshot generations (a per-shard
-    /// rebuild does not reset the other shards' history).
+    /// counters are shared across derived snapshot generations (a fold
+    /// does not reset any shard's history).
     pub probes: Vec<u64>,
-    /// Snapshot generation that last rebuilt each lookup-layer partition
+    /// Snapshot generation that last changed each inverted-index partition
     /// (all zero for an engine that never went through a
     /// [`SnapshotHandle`](crate::SnapshotHandle) swap).
     pub generations: Vec<u64>,
@@ -205,7 +205,7 @@ mod tests {
     fn stats_total_sums_shards() {
         let stats = ShardStats {
             shards: 2,
-            classification_phrases: vec![10, 12],
+            classification_phrases: 22,
             index_tokens: vec![5, 7],
             index_postings: vec![100, 90],
             log_postings: vec![0, 8],

@@ -44,10 +44,10 @@ use crate::shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
 /// [`Arc`] and shared across threads — the `soda-service` crate builds its
 /// worker pool on exactly that.
 ///
-/// Both indexes are partitioned into `config.shards` shards by stable hashes
-/// (classification by phrase, inverted index by owning table) at
-/// construction; the lookup step probes the inverted-index shards inline and
-/// bumps the per-shard [`ShardProbes`] counters, and
+/// The inverted index is partitioned into `config.shards` shards by a stable
+/// hash of the owning table at construction (the partition is the unit of a
+/// side log, of a fold and of cache retention); the lookup step probes the
+/// shards inline and bumps the per-shard [`ShardProbes`] counters, and
 /// [`shard_stats`](Self::shard_stats) reports the per-shard sizes and probe
 /// counts the serving layer folds into its metrics.
 ///
@@ -63,9 +63,9 @@ use crate::shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
 /// per-shard generation vector, stamped by the
 /// [`SnapshotHandle`](crate::SnapshotHandle) that publishes it (both stay `0`
 /// for snapshots that never go through a handle).  A freshly published full
-/// snapshot carries its generation in every slot; a per-shard rebuild bumps
-/// only the rebuilt partitions' slots — the vector records *which*
-/// partitions each publication touched (surfaced through
+/// snapshot carries its generation in every slot; an absorb or a fold bumps
+/// only the slots of the inverted-index partitions it touched — the vector
+/// records *which* partitions each publication touched (surfaced through
 /// [`shard_stats`](Self::shard_stats)).  [`cache_fingerprint`](Self::cache_fingerprint)
 /// folds the configuration fingerprint together with the publication
 /// generation and the vector, so a superseded generation's cached pages
@@ -87,7 +87,8 @@ pub struct EngineSnapshot {
     sizes: ShardSizes,
     /// Generation stamped at publication (0 = never published via a handle).
     generation: u64,
-    /// Generation that last rebuilt each lookup-layer partition.
+    /// Generation that last changed each inverted-index partition (its
+    /// frozen postings or its side log).
     shard_generations: Vec<u64>,
     /// [`cache_fingerprint`](Self::cache_fingerprint), precomputed.  The
     /// serving layer reads the fingerprint on *every* submission (it keys
@@ -101,7 +102,6 @@ pub struct EngineSnapshot {
 /// included — the logs are immutable within one snapshot generation too).
 #[derive(Clone)]
 struct ShardSizes {
-    classification_phrases: Vec<usize>,
     index_tokens: Vec<usize>,
     index_postings: Vec<usize>,
     log_postings: Vec<usize>,
@@ -110,7 +110,7 @@ struct ShardSizes {
 }
 
 impl ShardSizes {
-    fn of(classification: &ClassificationIndex, index: Option<&ShardedInvertedIndex>) -> Self {
+    fn of(index: Option<&ShardedInvertedIndex>) -> Self {
         let (index_tokens, index_postings, log_postings, log_rows, log_masks) = match index {
             Some(index) => (
                 index.shards().iter().map(|s| s.token_count()).collect(),
@@ -122,7 +122,6 @@ impl ShardSizes {
             None => (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
         };
         Self {
-            classification_phrases: classification.shard_sizes(),
             index_tokens,
             index_postings,
             log_postings,
@@ -140,8 +139,8 @@ impl EngineSnapshot {
 
     /// Builds an engine with custom metadata-graph patterns (how SODA is
     /// ported to a warehouse with different modelling conventions): the
-    /// sharded classification index, the sharded inverted index (when
-    /// enabled) and the join catalog.
+    /// classification index, the sharded inverted index (when enabled) and
+    /// the join catalog.
     pub fn with_patterns(
         db: Arc<Database>,
         graph: Arc<MetaGraph>,
@@ -149,7 +148,7 @@ impl EngineSnapshot {
         patterns: SodaPatterns,
     ) -> Self {
         let shards = config.shards.max(1);
-        let classification = ClassificationIndex::build_sharded(&graph, config.use_dbpedia, shards);
+        let classification = ClassificationIndex::build(&graph, config.use_dbpedia);
         let index = if config.use_inverted_index {
             Some(ShardedInvertedIndex::build_sharded(&db, shards))
         } else {
@@ -161,7 +160,7 @@ impl EngineSnapshot {
             &db,
             config.traversal_depth,
         ));
-        let sizes = ShardSizes::of(&classification, index.as_ref());
+        let sizes = ShardSizes::of(index.as_ref());
         Self {
             db,
             graph,
@@ -210,7 +209,7 @@ impl EngineSnapshot {
                 *slot = generation;
             }
         }
-        self.sizes = ShardSizes::of(&self.classification, self.index.as_ref());
+        self.sizes = ShardSizes::of(self.index.as_ref());
         self.sealed()
     }
 
@@ -237,37 +236,6 @@ impl EngineSnapshot {
         .sealed()
     }
 
-    /// Derives a snapshot over `db` in which only `tables` changed: the
-    /// inverted-index partitions owning those tables are rebuilt from `db`
-    /// and stamped with `generation`; every other structure — classification
-    /// index, join catalog, probe counters, untouched index partitions — is
-    /// shared with `self`.
-    ///
-    /// The join catalog — join edges, table ids and the per-node entry
-    /// closures — is compiled from the graph, the patterns, the traversal
-    /// depth and the database's *schema* (it reads the database only to
-    /// resolve table and column names), so a data-only delta cannot change
-    /// it — which is what makes sharing it here, and in every derive below
-    /// but [`derive_refreshed_graph`](Self::derive_refreshed_graph), sound.
-    pub(crate) fn derive_rebuilt_tables(
-        &self,
-        db: Arc<Database>,
-        tables: &[String],
-        generation: u64,
-    ) -> Self {
-        let affected = self.shards_for_tables(tables);
-        let index = self
-            .index
-            .as_ref()
-            .map(|index| index.with_rebuilt_shards(&db, &affected));
-        Self {
-            db,
-            index,
-            ..self.share()
-        }
-        .derived(generation, affected)
-    }
-
     /// Derives a snapshot that has absorbed a row-level change feed: the
     /// events are applied to a copy of the base data and their indexed
     /// consequences routed into per-shard side logs — **no frozen index
@@ -282,6 +250,13 @@ impl EngineSnapshot {
     /// `self`'s — the whole chain is O(delta), not O(warehouse).  Returns
     /// the snapshot plus the ingest report (sizes plus touched shards) so
     /// callers can surface sharing metrics.
+    ///
+    /// The join catalog — join edges, table ids and the per-node entry
+    /// closures — is compiled from the graph, the patterns, the traversal
+    /// depth and the database's *schema* (it reads the database only to
+    /// resolve table and column names), so a data-only delta cannot change
+    /// it — which is what makes sharing it here, and in every derive but
+    /// [`derive_refreshed_graph`](Self::derive_refreshed_graph), sound.
     pub(crate) fn derive_absorbed(
         &self,
         feed: soda_ingest::ChangeFeed,
@@ -308,7 +283,7 @@ impl EngineSnapshot {
                         }
                     })
                     .collect();
-                let report = ingestor.absorb_feed(&mut next, &mut logs, feed)?;
+                let report = ingestor.absorb(&mut next, Some(&mut logs), feed)?;
                 debug_assert_eq!(
                     report.touched_shards, will_touch,
                     "ingestor routing must agree with shards_for_tables"
@@ -320,7 +295,7 @@ impl EngineSnapshot {
                     .collect();
                 (Some(index.with_patched_side_logs(patches)), report)
             }
-            None => (None, ingestor.apply_feed(&mut next, feed)?),
+            None => (None, ingestor.absorb(&mut next, None, feed)?),
         };
         let snapshot = Self {
             db: Arc::new(next),
@@ -349,32 +324,27 @@ impl EngineSnapshot {
     }
 
     /// Derives a snapshot over a refreshed metadata graph (unchanged base
-    /// data): the classification index is rebuilt sharing every partition
-    /// whose content survived the refresh
-    /// ([`ClassificationIndex::rebuild_shared`]), the join catalog is
+    /// data): the classification index is rebuilt and the join catalog
     /// recompiled (its edges and entry closures are graph-derived and
     /// indexed by the graph's node ids — a stale one would answer for nodes
-    /// of another graph), the inverted index and probe counters are shared,
-    /// and only the classification partitions the refresh touched get
-    /// `generation` stamped into their slot.
+    /// of another graph); the inverted index and probe counters are shared.
+    /// No partition slot is stamped — no inverted-index partition changed —
+    /// and the fingerprint moves with `generation` alone.
     pub(crate) fn derive_refreshed_graph(&self, graph: Arc<MetaGraph>, generation: u64) -> Self {
-        let (classification, changed) = self
-            .classification
-            .rebuild_shared(&graph, self.config.use_dbpedia);
+        let classification = ClassificationIndex::build(&graph, self.config.use_dbpedia);
         let joins = Arc::new(JoinCatalog::build(
             &graph,
             &self.patterns,
             &self.db,
             self.config.traversal_depth,
         ));
-        let touched = (0..changed.len()).filter(|&shard| changed[shard]);
         Self {
             graph,
             classification,
             joins,
             ..self.share()
         }
-        .derived(generation, touched)
+        .derived(generation, [])
     }
 
     /// Generation stamped at publication (0 when the snapshot never went
@@ -383,7 +353,7 @@ impl EngineSnapshot {
         self.generation
     }
 
-    /// Generation that last rebuilt each lookup-layer partition.
+    /// Generation that last changed each inverted-index partition.
     pub fn shard_generations(&self) -> &[u64] {
         &self.shard_generations
     }
@@ -488,13 +458,14 @@ impl EngineSnapshot {
         self.config.shards.max(1)
     }
 
-    /// Per-shard sizes of both indexes (precomputed per generation), the
-    /// live probe counters and this snapshot's per-shard generation vector
-    /// — cheap enough for every metrics poll.
+    /// The classification index's size, the inverted index's per-shard
+    /// sizes (precomputed per generation), the live probe counters and this
+    /// snapshot's per-shard generation vector — cheap enough for every
+    /// metrics poll.
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats {
             shards: self.shard_count(),
-            classification_phrases: self.sizes.classification_phrases.clone(),
+            classification_phrases: self.classification.len(),
             index_tokens: self.sizes.index_tokens.clone(),
             index_postings: self.sizes.index_postings.clone(),
             log_postings: self.sizes.log_postings.clone(),
@@ -703,10 +674,9 @@ mod tests {
         }
         let stats = sharded.shard_stats();
         assert_eq!(stats.shards, 4);
-        assert_eq!(stats.classification_phrases.len(), 4);
         assert_eq!(stats.index_postings.len(), 4);
         assert_eq!(
-            stats.classification_phrases.iter().sum::<usize>(),
+            stats.classification_phrases,
             sharded.classification_index().len()
         );
         assert_eq!(

@@ -5,10 +5,10 @@
 //! masked tables force per-posting filtering).  Once a log outgrows its
 //! budget, folding it — rebuilding just that partition from the current base
 //! data, which already contains the logged rows — restores the frozen fast
-//! path.  The fold itself is the existing per-shard hot swap
-//! (`soda_core::SnapshotHandle::compact` reuses the `rebuild_shards`
-//! machinery), so it bumps only the folded shards' generation slots and the
-//! fingerprint-scoped cache and coalescing logic invalidates for free.
+//! path.  The fold is a per-shard hot swap (`soda_core::SnapshotHandle::compact`
+//! over `ShardedInvertedIndex::with_rebuilt_shards`), so it bumps only the
+//! folded shards' generation slots and the fingerprint-scoped cache and
+//! coalescing logic invalidates for free.
 
 /// Size/row budget past which a shard's side log is due for compaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

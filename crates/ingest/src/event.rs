@@ -106,8 +106,7 @@ impl RowEvent {
 
 /// An ordered sequence of [`RowEvent`]s — the unit an ingestion absorbs.
 ///
-/// Builder-style construction mirrors `soda_warehouse::delta::WarehouseDelta`
-/// (whose `to_feed` adapter produces exactly this type):
+/// Built fluently, one call per change:
 ///
 /// ```
 /// use soda_ingest::ChangeFeed;
@@ -188,7 +187,7 @@ impl ChangeFeed {
     /// Consumes the feed into its events — the zero-copy ingestion path:
     /// appended rows move straight into the database instead of being
     /// cloned out of a borrowed feed
-    /// ([`Ingestor::absorb_feed`](crate::Ingestor::absorb_feed)).
+    /// ([`Ingestor::absorb`](crate::Ingestor::absorb)).
     pub fn into_events(self) -> Vec<RowEvent> {
         self.events
     }

@@ -30,24 +30,6 @@ pub struct IngestReport {
     pub touched_tables: Vec<String>,
 }
 
-/// Feed-level sizes captured *before* an owned feed is consumed — the parts
-/// of an [`IngestReport`] that describe the input rather than the outcome.
-struct FeedSummary {
-    events: usize,
-    rows: usize,
-    tables: Vec<String>,
-}
-
-impl FeedSummary {
-    fn of(feed: &ChangeFeed) -> Self {
-        Self {
-            events: feed.len(),
-            rows: feed.row_count(),
-            tables: feed.tables(),
-        }
-    }
-}
-
 /// Routes row-level events into per-shard side logs by the same stable table
 /// hash that partitions the frozen index — so every table's overlay lands in
 /// the shard whose frozen postings it extends or supersedes.
@@ -76,76 +58,37 @@ impl Ingestor {
         shard_for_table(table, self.shard_count)
     }
 
-    /// Applies every event of `feed` to `db` **and** mirrors the indexed
-    /// consequences into `logs` (one [`SideLog`] per shard, which must match
-    /// [`shard_count`](Self::shard_count)): appends index only the new tail
-    /// rows, replacements mask the frozen postings and re-index from row
-    /// zero, truncations mask.
+    /// Applies every event of `feed` to `db`, in order, and — when `logs` is
+    /// given (one [`SideLog`] per shard, which must match
+    /// [`shard_count`](Self::shard_count)) — mirrors the indexed
+    /// consequences into them: appends index only the new tail rows,
+    /// replacements mask the frozen postings and re-index from row zero,
+    /// truncations mask.  `None` is for engines whose inverted index is
+    /// disabled and for reference replays: the base data still has to move
+    /// so SQL execution sees the new rows.
+    ///
+    /// The feed is taken by value — appended and replacement rows move into
+    /// the database, no per-row clone; a caller that keeps its feed clones
+    /// it at the call.  This is the crate's only replay loop.
     ///
     /// On any error (unknown table, arity or type violation) the feed is
     /// abandoned mid-way; callers are expected to pass *copies* of their
     /// published database and logs and to discard them on `Err`, so no
     /// partial state ever escapes — exactly how
     /// `soda_core::SnapshotHandle::absorb` drives it.
-    pub fn absorb_into(
-        &self,
-        db: &mut Database,
-        logs: &mut [SideLog],
-        feed: &ChangeFeed,
-    ) -> Result<IngestReport> {
-        assert_eq!(logs.len(), self.shard_count, "one side log per index shard");
-        self.run(db, Some(logs), feed.events().iter().cloned(), feed)
-    }
-
-    /// [`absorb_into`](Self::absorb_into) for an **owned** feed: appended
-    /// and replacement rows move by value into the database — no per-row
-    /// clone.  The hot ingestion path (`soda_core::SnapshotHandle`'s owned
-    /// absorb) feeds this.
-    pub fn absorb_feed(
-        &self,
-        db: &mut Database,
-        logs: &mut [SideLog],
-        feed: ChangeFeed,
-    ) -> Result<IngestReport> {
-        assert_eq!(logs.len(), self.shard_count, "one side log per index shard");
-        let summary = FeedSummary::of(&feed);
-        self.run_events(db, Some(logs), feed.into_events(), summary)
-    }
-
-    /// Applies every event of `feed` to `db` without maintaining side logs —
-    /// the path for engines whose inverted index is disabled (the base data
-    /// still has to move so SQL execution sees the new rows).
-    pub fn apply_only(&self, db: &mut Database, feed: &ChangeFeed) -> Result<IngestReport> {
-        self.run(db, None, feed.events().iter().cloned(), feed)
-    }
-
-    /// [`apply_only`](Self::apply_only) for an owned feed — rows move by
-    /// value.
-    pub fn apply_feed(&self, db: &mut Database, feed: ChangeFeed) -> Result<IngestReport> {
-        let summary = FeedSummary::of(&feed);
-        self.run_events(db, None, feed.into_events(), summary)
-    }
-
-    fn run<I: Iterator<Item = RowEvent>>(
-        &self,
-        db: &mut Database,
-        logs: Option<&mut [SideLog]>,
-        events: I,
-        feed: &ChangeFeed,
-    ) -> Result<IngestReport> {
-        self.run_events(db, logs, events, FeedSummary::of(feed))
-    }
-
-    fn run_events<I: IntoIterator<Item = RowEvent>>(
+    pub fn absorb(
         &self,
         db: &mut Database,
         mut logs: Option<&mut [SideLog]>,
-        events: I,
-        summary: FeedSummary,
+        feed: ChangeFeed,
     ) -> Result<IngestReport> {
+        if let Some(logs) = &logs {
+            assert_eq!(logs.len(), self.shard_count, "one side log per index shard");
+        }
+        let (events, rows, tables) = (feed.len(), feed.row_count(), feed.tables());
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         let mut rows_appended = 0usize;
-        for event in events {
+        for event in feed.into_events() {
             let shard = self.shard_for(event.table());
             match event {
                 RowEvent::Append { table, row } => {
@@ -173,15 +116,14 @@ impl Ingestor {
             }
             touched.insert(shard);
         }
-        let tables_copied = summary.tables.len();
         Ok(IngestReport {
-            events: summary.events,
-            rows: summary.rows,
+            events,
+            rows,
             rows_appended,
-            tables_copied,
-            tables_shared: db.table_count().saturating_sub(tables_copied),
+            tables_copied: tables.len(),
+            tables_shared: db.table_count().saturating_sub(tables.len()),
             touched_shards: touched.into_iter().collect(),
-            touched_tables: summary.tables,
+            touched_tables: tables,
         })
     }
 }
@@ -224,7 +166,7 @@ mod tests {
             let feed = ChangeFeed::new()
                 .append_row("city", vec![Value::Int(2), Value::from("Basel")])
                 .replace("org", vec![vec![Value::Int(9), Value::from("Basler Bank")]]);
-            let report = ingestor.absorb_into(&mut next, &mut logs, &feed).unwrap();
+            let report = ingestor.absorb(&mut next, Some(&mut logs), feed).unwrap();
             assert_eq!(report.events, 2);
             assert_eq!(report.rows, 2);
             assert_eq!(
@@ -260,23 +202,40 @@ mod tests {
     #[test]
     fn errors_abandon_the_feed() {
         let ingestor = Ingestor::new(2);
-        let mut next = db();
-        let mut logs = vec![SideLog::default(); 2];
-        let feed = ChangeFeed::new()
-            .append_row("city", vec![Value::Int(2), Value::from("Basel")])
-            .append_row("no_such_table", vec![Value::Int(1)]);
-        assert!(ingestor.absorb_into(&mut next, &mut logs, &feed).is_err());
-        // Arity violations error too.
-        let feed = ChangeFeed::new().append_row("city", vec![Value::Int(2)]);
-        assert!(ingestor.apply_only(&mut db(), &feed).is_err());
+        let city = |id: Value, name: &str| vec![id, Value::from(name)];
+        let bad_feeds = [
+            // An unknown table, behind an event that is valid on its own.
+            ChangeFeed::new()
+                .append_row("city", city(Value::Int(2), "Basel"))
+                .append_row("no_such_table", vec![Value::Int(1)]),
+            ChangeFeed::new()
+                .replace("city", vec![city(Value::Int(2), "Basel")])
+                .replace("no_such_dimension", vec![city(Value::Int(3), "Chur")]),
+            ChangeFeed::new().truncate("no_such_table"),
+            // Arity: one good row, one short row — the feed as a whole fails.
+            ChangeFeed::new().append_rows(
+                "city",
+                vec![city(Value::Int(2), "Basel"), vec![Value::Int(3)]],
+            ),
+            ChangeFeed::new().replace("city", vec![vec![Value::Int(3)]]),
+            // The right arity, the wrong type.
+            ChangeFeed::new().append_row("city", city(Value::from("not an id"), "Basel")),
+            ChangeFeed::new().replace("city", vec![city(Value::from("not an id"), "Basel")]),
+        ];
+        for feed in bad_feeds {
+            let mut logs = vec![SideLog::default(); 2];
+            let logged = ingestor.absorb(&mut db(), Some(&mut logs), feed.clone());
+            assert!(logged.is_err(), "{feed:?}");
+            assert!(ingestor.absorb(&mut db(), None, feed).is_err());
+        }
     }
 
     #[test]
-    fn apply_only_moves_the_base_data_without_logs() {
+    fn absorb_without_logs_moves_only_the_base_data() {
         let ingestor = Ingestor::new(4);
         let mut next = db();
         let feed = ChangeFeed::new().truncate("org");
-        let report = ingestor.apply_only(&mut next, &feed).unwrap();
+        let report = ingestor.absorb(&mut next, None, feed).unwrap();
         assert_eq!(next.table("org").unwrap().row_count(), 0);
         assert_eq!(report.rows, 0);
         assert_eq!(report.touched_shards, vec![ingestor.shard_for("org")]);

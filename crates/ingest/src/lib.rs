@@ -1,13 +1,12 @@
 //! # soda-ingest
 //!
-//! Streaming delta ingestion for the SODA reproduction.
+//! The change feed: how base data changes under a served snapshot.
 //!
 //! The paper's warehouse (§6) changes continuously — nightly feeds append to
 //! transactional tables, dimensions get restated — while the engine's
-//! indexes are immutable by design.  The batch answer (apply a
-//! `WarehouseDelta`, rebuild the owning index partitions, hot-swap) pays a
-//! full per-shard rebuild up front on every feed.  This crate provides the
-//! *streaming* answer:
+//! indexes are immutable by design.  Every such change reaches a served
+//! snapshot the same way, as a row-level feed whose cost is that of the
+//! delta, not of the partitions it lands in:
 //!
 //! * [`RowEvent`] / [`ChangeFeed`] — a row-level change feed: appends,
 //!   wholesale replacements and truncations, per table, in order.
@@ -21,11 +20,12 @@
 //!   snapshot at every shard count.
 //! * [`CompactionPolicy`] — the threshold that decides when a grown log is
 //!   folded back into a rebuilt partition (turning reload latency into a
-//!   continuous background cost).  The folding itself reuses the hot-swap
-//!   layer: `soda_core::SnapshotHandle::{absorb, compact}` publish
-//!   log-bearing and log-folded snapshot generations, and
-//!   `soda_service::QueryService::ingest` plus its background compaction
-//!   worker drive the whole loop under live traffic.
+//!   continuous background cost).  Publishing is the hot-swap layer's:
+//!   `soda_core::SnapshotHandle::{absorb, compact}` publish log-bearing and
+//!   log-folded snapshot generations, and
+//!   `soda_service::TenantAdmin::{ingest_owned, compact}` plus the
+//!   background compaction worker drive the whole loop, journaled, under
+//!   live traffic.
 //!
 //! ```
 //! use soda_ingest::{ChangeFeed, Ingestor};
@@ -53,7 +53,7 @@
 //! );
 //! let ingestor = Ingestor::new(4);
 //! let mut logs = vec![SideLog::default(); 4];
-//! let report = ingestor.absorb_into(&mut db, &mut logs, &feed).unwrap();
+//! let report = ingestor.absorb(&mut db, Some(&mut logs), feed).unwrap();
 //! assert_eq!(report.rows, 1);
 //! assert_eq!(report.touched_shards.len(), 1);
 //! ```
@@ -61,12 +61,10 @@
 pub mod compact;
 pub mod event;
 pub mod ingestor;
-pub mod route;
 
 pub use compact::CompactionPolicy;
 pub use event::{ChangeFeed, RowEvent};
 pub use ingestor::{IngestReport, Ingestor};
-pub use route::FeedRouter;
 
 // Re-exported so the subsystem's full surface (feed → routing → overlay) is
 // importable from one crate; the type lives in `soda-relation` because the

@@ -114,9 +114,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Routes a string key to one of `shard_count` partitions by stable hash.
-/// Used for the inverted index (keyed by owning table) and for any other
-/// index that wants the same deterministic partitioning.
-pub fn stable_shard(key: &str, shard_count: usize) -> usize {
+fn stable_shard(key: &str, shard_count: usize) -> usize {
     if shard_count <= 1 {
         return 0;
     }
@@ -284,7 +282,7 @@ impl ShardedInvertedIndex {
 
     /// Assembles an index from already-built partitions, recounting the
     /// distinct tokens.  The recount hashes every shard's vocabulary —
-    /// O(distinct tokens), which a per-shard rebuild pays once per swap; the
+    /// O(distinct tokens), which a fold pays once per swap; the
     /// rebuilt partition's table scan dominates it in practice, and the
     /// count must span all shards anyway (tokens overlap across partitions).
     fn from_shards(shards: Vec<Arc<IndexShard>>) -> Self {

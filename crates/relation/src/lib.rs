@@ -53,7 +53,7 @@ pub use error::{RelationError, Result};
 pub use exec::{execute, ResultSet};
 pub use expr::{AggFunc, CompareOp, Expr};
 pub use index::inverted::{
-    merge_hits, shard_for_table, stable_shard, IndexShard, InvertedIndex, PhraseHit, PhraseProbe,
+    merge_hits, shard_for_table, IndexShard, InvertedIndex, PhraseHit, PhraseProbe,
     ShardedInvertedIndex,
 };
 pub use index::sidelog::SideLog;

@@ -1,13 +1,20 @@
 //! Tenant-scoped administration: the [`TenantAdmin`] facade — the **one**
-//! spelling of every mutation (`reload`, `rebuild_shards`, `refresh_graph`,
-//! `ingest_owned`, `compact`, `clear_cache`) — the post-swap cache passes
-//! (retention for data-only swaps, purge for everything else) and the
-//! background compaction worker.
+//! spelling of every mutation (`reload`, `refresh_graph`, `ingest_owned`,
+//! `compact`, `clear_cache`) — the post-swap cache passes (retention for
+//! data-only swaps, purge for everything else) and the background
+//! compaction worker.
+//!
+//! One path per kind of change: base data changes through
+//! [`ingest_owned`](TenantAdmin::ingest_owned) (journaled, O(delta)) and is
+//! folded by [`compact`](TenantAdmin::compact); metadata changes through
+//! [`refresh_graph`](TenantAdmin::refresh_graph); everything else — a
+//! foreign database, a new configuration — through
+//! [`reload`](TenantAdmin::reload).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use soda_core::{ChangeFeed, Database, EngineSnapshot, MetaGraph, RetentionGate, TenantId};
+use soda_core::{ChangeFeed, EngineSnapshot, MetaGraph, RetentionGate, TenantId};
 
 use crate::cache::CacheKey;
 use crate::config::CompactionConfig;
@@ -90,38 +97,9 @@ impl TenantAdmin<'_> {
         generation
     }
 
-    /// Per-shard hot swap for this tenant: given a database in which only
-    /// `tables` changed, rebuilds and atomically replaces the inverted-index
-    /// partitions owning those tables while every other shard keeps serving —
-    /// see
-    /// [`SnapshotHandle::rebuild_shards`](soda_core::SnapshotHandle::rebuild_shards).
-    /// Cached pages whose queries provably never consulted a rebuilt partition
-    /// are carried across the swap
-    /// ([`CacheStats::retained`](crate::CacheStats)); the rest of the tenant's
-    /// superseded pages are purged.  Returns the new generation.
-    pub fn rebuild_shards(&self, db: Arc<Database>, tables: &[String]) -> u64 {
-        let tenant = &self.tenant;
-        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
-        let prev = tenant.folded_live();
-        let dirty = tenant.handle.load().shards_for_tables(tables);
-        let generation = tenant.handle.rebuild_shards(db, tables);
-        self.swapped(
-            "rebuild_shards",
-            format!(
-                "generation {generation}, {} tables, shards {dirty:?}",
-                tables.len()
-            ),
-        );
-        retain_unaffected(self.shared, tenant, prev, &dirty);
-        // The caller handed a whole replacement database; checkpoint all of
-        // it (see `reload`).
-        write_checkpoint_under_swap_lock(self.shared, tenant, true);
-        generation
-    }
-
     /// Metadata hot swap for this tenant: rebuilds the classification index
-    /// and join catalog against a refreshed graph, sharing every
-    /// classification partition the refresh did not touch — see
+    /// and join catalog against a refreshed graph, keeping the base data and
+    /// the inverted index — see
     /// [`SnapshotHandle::refresh_graph`](soda_core::SnapshotHandle::refresh_graph).
     /// Returns the new generation.
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
@@ -138,8 +116,9 @@ impl TenantAdmin<'_> {
         generation
     }
 
-    /// Streaming ingestion into this tenant's snapshot: absorbs a row-level
-    /// change feed into per-shard side logs without rebuilding any index
+    /// The one way base data changes under this tenant's snapshot: absorbs
+    /// a row-level change feed (appends, wholesale replacements,
+    /// truncations) into per-shard side logs without rebuilding any index
     /// partition.  On a durable service the feed is journaled write-ahead
     /// to **this tenant's** journal.  Returns the new generation.
     ///
@@ -147,8 +126,16 @@ impl TenantAdmin<'_> {
     /// instead of being cloned out of a borrow); the write-ahead journal
     /// append, the absorb, the counter updates and the retention pass all
     /// run under the tenant's swap lock.
+    ///
+    /// A feed without events changes nothing, so it costs nothing: the live
+    /// generation is returned with nothing journaled, published or logged —
+    /// the rule [`compact`](Self::compact) follows when there is nothing to
+    /// fold.
     pub fn ingest_owned(&self, feed: ChangeFeed) -> Result<u64, ServiceError> {
         let (shared, tenant) = (self.shared, &self.tenant);
+        if feed.is_empty() {
+            return Ok(tenant.handle.generation());
+        }
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
         let before = tenant.handle.load();
         let prev = tenant.id.fold(before.cache_fingerprint());
@@ -236,12 +223,12 @@ fn purge_superseded(shared: &Shared, tenant: &TenantState, prev: u64) {
         .retain(|key| key.snapshot_fingerprint == live || key.snapshot_fingerprint != prev);
 }
 
-/// Post-swap cache pass for *data-only* swaps (shard rebuilds, ingests,
-/// compactions) of one tenant: pages keyed by the tenant's immediately
-/// superseded fingerprint `prev` whose recorded probes provably never
-/// consulted a `dirty` shard are re-keyed to the tenant's live fingerprint
-/// (staying addressable — a retention, not a recomputation); everything
-/// else keyed by `prev` is purged.  Pages under any other fingerprint —
+/// Post-swap cache pass for *data-only* swaps (ingests, compactions) of one
+/// tenant: pages keyed by the tenant's immediately superseded fingerprint
+/// `prev` whose recorded probes provably never consulted a `dirty` shard
+/// are re-keyed to the tenant's live fingerprint (staying addressable — a
+/// retention, not a recomputation); everything else keyed by `prev` is
+/// purged.  Pages under any other fingerprint —
 /// other tenants' pages and this tenant's older strays — are left exactly
 /// where they are; a stray under an older fingerprint was never
 /// retention-checked against the intervening swaps, so it must age out of
@@ -401,50 +388,6 @@ mod tests {
         let m = service.metrics();
         assert_eq!(m.pipeline_executions, 2);
         assert_eq!(m.cache.hits, 0);
-    }
-
-    #[test]
-    fn rebuild_shards_through_the_service_serves_the_new_rows() {
-        let w = soda_warehouse::minibank::build(42);
-        let service = QueryService::start(
-            Arc::new(EngineSnapshot::build(
-                Arc::new(w.database.clone()),
-                Arc::new(w.graph),
-                SodaConfig {
-                    shards: 4,
-                    ..SodaConfig::default()
-                },
-            )),
-            ServiceConfig::default(),
-        );
-        assert!(service
-            .query(QueryRequest::new("Zebulon"))
-            .wait()
-            .unwrap()
-            .page
-            .results
-            .is_empty());
-
-        let mut db = w.database;
-        let individuals = db.table("individuals").unwrap();
-        let mut row = individuals.rows()[0].clone();
-        let name_col = individuals
-            .schema()
-            .columns
-            .iter()
-            .position(|c| c.name == "firstname")
-            .unwrap();
-        row[0] = soda_core::Value::Int(9_999);
-        row[name_col] = soda_core::Value::from("Zebulon");
-        db.insert("individuals", row).unwrap();
-        let generation = admin(&service).rebuild_shards(Arc::new(db), &["individuals".to_string()]);
-        assert_eq!(generation, 1);
-        let page = service
-            .query(QueryRequest::new("Zebulon"))
-            .wait()
-            .unwrap()
-            .page;
-        assert!(!page.results.is_empty());
     }
 
     #[test]

@@ -331,11 +331,11 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
 /// Writes a checkpoint of one tenant — the live content of every dirty
 /// table plus the live generation stamps — atomically *replacing* that
 /// tenant's journal, which is what keeps replay bounded.  With
-/// `mark_all_tables` the whole live database is recorded first (reloads and
-/// shard rebuilds swap in data the journal never saw).  The caller must
-/// hold the tenant's swap lock; a no-op for a non-durable tenant.  A failed
-/// write is counted and leaves the old journal in place — still fully
-/// replayable, just not yet truncated.
+/// `mark_all_tables` the whole live database is recorded first (a reload
+/// swaps in data the journal never saw).  The caller must hold the tenant's
+/// swap lock; a no-op for a non-durable tenant.  A failed write is counted
+/// and leaves the old journal in place — still fully replayable, just not
+/// yet truncated.
 pub(crate) fn write_checkpoint_under_swap_lock(
     shared: &Shared,
     tenant: &TenantState,

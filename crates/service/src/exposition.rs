@@ -135,7 +135,7 @@ pub(crate) static FAMILIES: &[Family] = &[
         .help("Generation of the snapshot currently being served.")
         .from(Scalar(|m| Int(m.generation))),
     Metric(Counter, "soda_reloads_total")
-        .help("Snapshot swaps performed (full reloads and per-shard rebuilds).")
+        .help("Snapshot swaps performed (full reloads and graph refreshes).")
         .from(Scalar(|m| Int(m.reloads))),
     Metric(Counter, "soda_cache_hits_total")
         .help("Interpretation-cache hits.")
@@ -726,7 +726,7 @@ mod tests {
         let service = QueryService::start(Arc::new(snapshot), ServiceConfig::default());
         let m = service.metrics();
         assert_eq!(m.shards.shards, 4);
-        assert_eq!(m.shards.classification_phrases.len(), 4);
+        assert!(m.shards.classification_phrases > 0);
         assert_eq!(m.shards.index_postings.len(), 4);
         assert_eq!(m.shards.total_probes(), 0);
         // A base-data query scans the shards holding its candidate postings.

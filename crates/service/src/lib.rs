@@ -23,12 +23,14 @@
 //!   sub-configurations; the request / response / [`ServiceError`] types.
 //! * `queue`, `worker` (private) — per-tenant lanes with round-robin pop
 //!   and admission control; the worker loop.
-//! * [`admin`] — [`TenantAdmin`] ([`QueryService::admin`]): `reload` /
-//!   `rebuild_shards` / `refresh_graph` swap in new snapshot generations
-//!   without draining the pool, [`TenantAdmin::ingest_owned`] absorbs a row-level
+//! * [`admin`] — [`TenantAdmin`] ([`QueryService::admin`]), one path per
+//!   kind of change: base data changes only through
+//!   [`TenantAdmin::ingest_owned`], which absorbs a row-level
 //!   [`ChangeFeed`](soda_core::ChangeFeed) into per-shard side logs, and
 //!   compaction (manual, or the background worker of a
-//!   [`CompactionConfig`]) folds grown logs back into rebuilt partitions.
+//!   [`CompactionConfig`]) folds grown logs back into rebuilt partitions;
+//!   `refresh_graph` swaps in new metadata and `reload` anything else, all
+//!   without draining the pool.
 //! * [`durability`] — with a [`DurabilityConfig`] the service is
 //!   **crash-safe**: ingests are journaled write-ahead ([`soda_journal`]),
 //!   swaps and compactions checkpoint and truncate the journal, one

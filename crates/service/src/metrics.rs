@@ -183,13 +183,14 @@ pub struct ServiceMetrics {
     /// Size of the worker pool.
     pub workers: usize,
     /// Generation of the snapshot currently being served (bumped by every
-    /// [`reload`](crate::TenantAdmin::reload) /
-    /// [`rebuild_shards`](crate::TenantAdmin::rebuild_shards) /
-    /// [`refresh_graph`](crate::TenantAdmin::refresh_graph)).
+    /// [`reload`](crate::TenantAdmin::reload),
+    /// [`refresh_graph`](crate::TenantAdmin::refresh_graph),
+    /// [`ingest_owned`](crate::TenantAdmin::ingest_owned) and
+    /// [`compact`](crate::TenantAdmin::compact) that publishes).
     pub generation: u64,
     /// Snapshot swaps performed since the service started (full reloads and
-    /// per-shard rebuilds alike; streaming ingests and compactions count
-    /// separately, in [`ingest`](Self::ingest)).
+    /// graph refreshes; ingests and compactions count separately, in
+    /// [`ingest`](Self::ingest)).
     pub reloads: u64,
     /// Streaming-ingestion counters (feeds absorbed, rows ingested,
     /// compactions).
@@ -240,8 +241,8 @@ pub struct TenantMetrics {
     pub queue_depth: usize,
     /// Generation of the snapshot this tenant currently serves.
     pub generation: u64,
-    /// Snapshot swaps performed for this tenant (reloads, shard rebuilds,
-    /// graph refreshes).
+    /// Snapshot swaps performed for this tenant (reloads and graph
+    /// refreshes).
     pub reloads: u64,
     /// Change feeds absorbed for this tenant.
     pub ingest_feeds: u64,

@@ -45,9 +45,9 @@
 //!   own* submitters, while other tenants' warm hits (which never queue)
 //!   and cold queries proceed.
 //! * Mutations are tenant-scoped: [`QueryService::admin`] returns a
-//!   [`TenantAdmin`] facade whose `reload` / `rebuild_shards` /
-//!   `refresh_graph` / `ingest` / `ingest_owned` / `compact` /
-//!   `clear_cache` touch exactly one tenant's snapshot and cached pages.
+//!   [`TenantAdmin`] facade whose `reload` / `refresh_graph` /
+//!   `ingest_owned` / `compact` / `clear_cache` touch exactly one tenant's
+//!   snapshot and cached pages.
 //!
 //! ## Hot snapshot swapping
 //!
@@ -62,21 +62,22 @@
 //! against the new snapshot.  No queries are drained, dropped or errored by
 //! a swap.
 //!
-//! ## Streaming ingestion
+//! ## Changing base data
 //!
-//! [`TenantAdmin::ingest_owned`] absorbs a row-level change feed into a new
+//! Base data changes one way.  [`TenantAdmin::ingest_owned`] absorbs a
+//! row-level change feed (appends, replacements, truncations) into a new
 //! generation of that tenant's snapshot without rebuilding any index
 //! partition: the events land in per-shard side logs that every probe
 //! merges on the fly.  A background compaction worker (opt-in via
 //! [`ServiceConfig::compaction`]) sweeps **every** tenant — nudged by every
 //! ingest and on a poll interval — and folds a shard's log into a rebuilt
 //! partition once it crosses the policy budget.  Data-only swaps (ingest,
-//! shard rebuild, compaction) run a *generation-aware retention* pass over
-//! the tenant's cached pages instead of the wholesale purge: pages whose
-//! recorded probes provably never consulted a dirty shard are re-keyed to
-//! the new fingerprint ([`CacheStats::retained`](crate::CacheStats)),
-//! everything else of that tenant's superseded generation is purged.  Other
-//! tenants' pages are never touched.
+//! compaction) run a *generation-aware retention* pass over the tenant's
+//! cached pages instead of the wholesale purge: pages whose recorded probes
+//! provably never consulted a dirty shard are re-keyed to the new
+//! fingerprint ([`CacheStats::retained`](crate::CacheStats)), everything
+//! else of that tenant's superseded generation is purged.  Other tenants'
+//! pages are never touched.
 //!
 //! Shutdown is graceful: dropping the service stops intake (stopping the
 //! compaction worker first), lets the workers drain every queued job
@@ -667,8 +668,8 @@ impl QueryService {
     }
 
     /// The administration facade for one tenant — every mutation of what
-    /// that tenant serves (`reload`, `rebuild_shards`, `refresh_graph`,
-    /// `ingest`, `ingest_owned`, `compact`, `clear_cache`) lives on the
+    /// that tenant serves (`reload`, `refresh_graph`, `ingest_owned`,
+    /// `compact`, `clear_cache`) lives on the
     /// returned [`TenantAdmin`], scoped to exactly that tenant.
     pub fn admin(&self, tenant: impl Into<TenantId>) -> Result<TenantAdmin<'_>, ServiceError> {
         Ok(TenantAdmin {

@@ -50,14 +50,12 @@ pub(crate) struct TenantState {
     /// pin what they got; the [`TenantAdmin`](crate::TenantAdmin) paths
     /// publish replacements.
     pub(crate) handle: SnapshotHandle,
-    /// Serializes this tenant's swap paths (reload, shard rebuild, graph
-    /// refresh, ingest, compaction) so each one's pre-swap fingerprint
-    /// capture, the handle publication and the cache retention/purge form
-    /// one atomic episode.  Per-tenant on purpose: tenant A's reload never
+    /// Serializes this tenant's swap paths (reload, graph refresh, ingest,
+    /// compaction) so each one's pre-swap fingerprint capture, the handle
+    /// publication and the cache retention/purge form one atomic episode.  Per-tenant on purpose: tenant A's reload never
     /// blocks tenant B's ingest.
     pub(crate) swaps: Mutex<()>,
-    /// Snapshot swaps this tenant performed (reloads + shard rebuilds +
-    /// graph refreshes).
+    /// Snapshot swaps this tenant performed (reloads + graph refreshes).
     pub(crate) reloads: AtomicU64,
     /// Change feeds absorbed for this tenant.
     pub(crate) ingest_feeds: AtomicU64,

@@ -14,13 +14,13 @@
 //! * "gold", "YEN", "Lehman XYZ" and "Switzerland" occur in the columns the
 //!   corresponding queries must reach.
 
+use soda_ingest::ChangeFeed;
 use soda_relation::{Database, Date, Value};
 
 use crate::datagen::{
     DataGen, AGREEMENT_NAMES, CITIES, COUNTRIES, CURRENCIES, FAMILY_NAMES, GIVEN_NAMES,
     LEGAL_FORMS, ORG_NAMES, PRODUCT_NAMES, PRODUCT_TYPES, STREETS,
 };
-use crate::delta::WarehouseDelta;
 
 /// Number of private customers.
 pub const NUM_INDIVIDUALS: usize = 300;
@@ -451,18 +451,19 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
     }
 }
 
-/// An incremental batch feed onboarding `count` new private customers: one
-/// `party` row plus one `individual` row each, with party ids continuing
+/// A change feed onboarding `count` new private customers: one `party` row
+/// plus one `individual` row each (one `Append` event per row, every
+/// `individual` event before every `party` event), with party ids continuing
 /// after the warehouse's current maximum.  The engineered distributions of
 /// [`populate_scaled`] (the pinned "Sara" counts, the Swiss domicile bias)
 /// are left untouched — new names are drawn from the regular pools, never
 /// "Sara".
 ///
-/// This is the producer side of per-shard hot snapshot swapping: the
-/// returned [`WarehouseDelta`] names exactly the two touched tables, so
-/// `SnapshotHandle::rebuild_shards` only replaces their owning
-/// inverted-index partitions while every other shard keeps serving.
-pub fn onboarding_delta(db: &Database, seed: u64, count: usize) -> WarehouseDelta {
+/// This is the producer side of ingestion:
+/// `soda_core::SnapshotHandle::absorb` (or
+/// `soda_service::TenantAdmin::ingest_owned`) replays it into the side logs
+/// of the two owning shards while every other shard keeps serving.
+pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> ChangeFeed {
     let mut gen = DataGen::new(seed ^ 0x6f6e_6264); // "onbd"
     let next_id = db
         .table("party")
@@ -517,17 +518,9 @@ pub fn onboarding_delta(db: &Database, seed: u64, count: usize) -> WarehouseDelt
             Value::from(domicile),
         ]);
     }
-    WarehouseDelta::new()
-        .append("party", parties)
-        .append("individual", individuals)
-}
-
-/// The [`onboarding_delta`] batch as a row-level change feed — the producer
-/// side of *streaming* ingestion: `soda_core::SnapshotHandle::absorb` (or
-/// `soda_service::QueryService::ingest`) replays it into per-shard side
-/// logs instead of rebuilding the owning index partitions.
-pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> soda_ingest::ChangeFeed {
-    onboarding_delta(db, seed, count).to_feed()
+    ChangeFeed::new()
+        .append_rows("individual", individuals)
+        .append_rows("party", parties)
 }
 
 #[cfg(test)]
@@ -546,15 +539,21 @@ mod tests {
     }
 
     #[test]
-    fn onboarding_delta_appends_new_parties_without_touching_pinned_counts() {
+    fn onboarding_feed_appends_new_parties_without_touching_pinned_counts() {
         let db = db();
-        let delta = onboarding_delta(&db, 7, 5);
+        let feed = onboarding_feed(&db, 7, 5);
         assert_eq!(
-            delta.changed_tables(),
+            feed.tables(),
             vec!["individual".to_string(), "party".to_string()]
         );
-        assert_eq!(delta.row_count(), 10);
-        let next = delta.apply(&db).unwrap();
+        // One append per row, every `individual` before every `party`.
+        let order: Vec<&str> = feed.events().iter().map(|e| e.table()).collect();
+        assert_eq!(order, [["individual"; 5], ["party"; 5]].concat());
+        assert_eq!(feed.row_count(), 10);
+        let mut next = db.clone();
+        soda_ingest::Ingestor::new(1)
+            .absorb(&mut next, None, feed.clone())
+            .unwrap();
         assert_eq!(
             next.table("party").unwrap().row_count(),
             db.table("party").unwrap().row_count() + 5
@@ -575,8 +574,8 @@ mod tests {
             .unwrap();
         assert_eq!(saras.row_count(), CURRENT_SARA);
         // Deterministic per seed.
-        assert_eq!(delta, onboarding_delta(&db, 7, 5));
-        assert_ne!(delta, onboarding_delta(&db, 8, 5));
+        assert_eq!(feed, onboarding_feed(&db, 7, 5));
+        assert_ne!(feed, onboarding_feed(&db, 8, 5));
     }
 
     #[test]

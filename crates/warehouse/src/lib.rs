@@ -24,7 +24,6 @@
 
 pub mod datagen;
 pub mod dbpedia;
-pub mod delta;
 pub mod enterprise;
 pub mod graph_builder;
 pub mod minibank;
@@ -32,7 +31,6 @@ pub mod model;
 pub mod ontology;
 
 pub use dbpedia::{DbpediaEntry, SynonymStore, SynonymTarget};
-pub use delta::{TableDelta, WarehouseDelta};
 pub use graph_builder::{build_graph, phrase, slug};
 pub use model::{
     AnnotatedForeignKey, ConceptualEntity, HistorizationLink, InheritanceGroup, LogicalEntity,

@@ -519,3 +519,123 @@ fn recovered_services_keep_journaling() {
         assert!(!page_for(&service, city).results.is_empty());
     }
 }
+
+/// A feed without events changes nothing, so it must cost nothing: no
+/// journal frame (an fsync), no new generation, no pass over the cache.
+#[test]
+fn an_empty_feed_journals_publishes_and_retains_nothing() {
+    let dir = TempDir::new("empty-feed");
+    let (service, _) = recover_at(dir.path());
+    admin(&service)
+        .ingest_owned(address_feed(900, "Streamville"))
+        .unwrap();
+    let warm = page_for(&service, "Sara Guttinger");
+    let before = service.metrics();
+    let events_before = service.events().len();
+    assert_eq!(before.cache.len, 1);
+
+    let generation = admin(&service).ingest_owned(ChangeFeed::new()).unwrap();
+
+    assert_eq!(generation, before.generation, "the live generation");
+    let after = service.metrics();
+    assert_eq!(after.generation, before.generation);
+    assert_eq!(
+        after.durability.journal_appends,
+        before.durability.journal_appends
+    );
+    assert_eq!(
+        after.durability.journal_bytes,
+        before.durability.journal_bytes
+    );
+    assert_eq!(after.ingest.ingests, before.ingest.ingests);
+    assert_eq!(after.cache.retained, before.cache.retained);
+    assert_eq!(after.cache.len, before.cache.len);
+    assert_eq!(service.events().len(), events_before, "no event is logged");
+    assert_eq!(page_for(&service, "Sara Guttinger"), warm);
+    assert_eq!(service.metrics().cache.hits, before.cache.hits + 1);
+}
+
+/// `Replace` and `Truncate` frames are journaled and replayed like appends,
+/// and the tables they rewrote land in the next checkpoint: a crash after
+/// either leaves a service answering byte for byte like an engine built
+/// from scratch over the same rows.
+#[test]
+fn a_replaced_and_a_truncated_table_survive_a_crash_and_a_checkpoint() {
+    let queries = [
+        "Sara Guttinger",
+        "Crashbond",
+        "Afterville",
+        "customers Zurich",
+    ];
+    // What a kill -9 leaves behind: the journal as it is on disk while the
+    // service still runs (fsync=Always keeps it current), and no cache file.
+    let crash_image = |live: &TempDir, label: &str| {
+        let image = TempDir::new(label);
+        fs::copy(journal_path(live.path()), journal_path(image.path())).unwrap();
+        image
+    };
+    let fresh_pages = |service: &QueryService| -> Vec<ResultPage> {
+        let live = service.engine();
+        let fresh =
+            EngineSnapshot::build(live.database_arc(), live.graph_arc(), live.config().clone());
+        queries
+            .iter()
+            .map(|q| fresh.search_paged(q, 0, 10).expect("reference query runs"))
+            .collect()
+    };
+    let served_pages = |service: &QueryService| -> Vec<ResultPage> {
+        queries.iter().map(|q| page_for(service, q)).collect()
+    };
+
+    let live_dir = TempDir::new("rewrite-live");
+    let (before, generation, first_crash) = {
+        let (service, _) = recover_at(live_dir.path());
+        let bond = vec![
+            Value::Int(1),
+            Value::from("Crashbond 2031"),
+            Value::from("CH0000000099"),
+        ];
+        admin(&service)
+            .ingest_owned(ChangeFeed::new().replace("securities", vec![bond]))
+            .unwrap();
+        admin(&service)
+            .ingest_owned(
+                ChangeFeed::new()
+                    .truncate("addresses")
+                    .merge(address_feed(900, "Afterville")),
+            )
+            .unwrap();
+        let pages = served_pages(&service);
+        assert!(!pages[1].results.is_empty(), "the replacement row serves");
+        assert!(!pages[2].results.is_empty(), "the re-appended row serves");
+        let image = crash_image(&live_dir, "rewrite-crash-1");
+        (pages, service.generation(), image)
+    };
+
+    // First crash: both feeds replay from their frames.
+    let (recovered, report) = recover_at(first_crash.path());
+    assert!(!report.checkpoint_applied);
+    assert_eq!(report.replayed_feeds, 2);
+    assert_eq!(report.rejected_feeds, 0);
+    assert_eq!(recovered.generation(), generation);
+    let db = recovered.engine().database_arc();
+    assert_eq!(db.table("securities").unwrap().row_count(), 1);
+    assert_eq!(db.table("addresses").unwrap().row_count(), 1);
+    assert_eq!(served_pages(&recovered), before);
+    assert_eq!(before, fresh_pages(&recovered));
+
+    // The fold checkpoints the rewritten tables and truncates the journal.
+    let shards: Vec<usize> = (0..recovered.engine().shard_count()).collect();
+    admin(&recovered).compact(&shards).expect("a log to fold");
+    let folded_generation = recovered.generation();
+    let second_crash = crash_image(&first_crash, "rewrite-crash-2");
+    drop(recovered);
+
+    // Second crash: everything comes out of the checkpoint.
+    let (recovered, report) = recover_at(second_crash.path());
+    assert!(report.checkpoint_applied);
+    assert_eq!(report.replayed_feeds, 0);
+    assert_eq!(recovered.generation(), folded_generation);
+    assert_eq!(served_pages(&recovered), before);
+    assert_eq!(before, fresh_pages(&recovered));
+}

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests of hot snapshot swapping: a `QueryService`
-//! must survive full reloads and per-shard rebuilds under sustained
-//! concurrent load with **zero dropped or errored queries**, every returned
-//! page byte-identical to a single-threaded run against *some* published
-//! generation, and coalesced requesters never crossing generations.
+//! must survive full reloads, ingested table replacements and folds under
+//! sustained concurrent load with **zero dropped or errored queries**, every
+//! returned page byte-identical to a single-threaded run against *some*
+//! published generation, and coalesced requesters never crossing generations.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use soda::prelude::*;
 use soda::warehouse::minibank;
 use soda_core::SodaError;
 
-/// Distinct lookup-layer partitions so per-shard rebuilds are meaningful.
+/// Distinct inverted-index partitions so per-shard swaps are meaningful.
 const SHARDS: usize = 4;
 /// Published generations beyond the boot snapshot.
 const GENERATIONS: usize = 6;
@@ -53,6 +53,17 @@ fn generation_db(base: &Database, g: usize) -> Database {
     db
 }
 
+/// Generation `g` as a data change against *any* other generation: the
+/// wholesale replacement of the one table they differ in.
+fn generation_feed(base: &Database, g: usize) -> ChangeFeed {
+    let addresses = generation_db(base, g)
+        .table("addresses")
+        .expect("addresses exists")
+        .rows()
+        .to_vec();
+    ChangeFeed::new().replace("addresses", addresses)
+}
+
 /// The query whose answer identifies the generation that served it.
 const MARKER_QUERY: &str = "Reloadville";
 /// A query whose answer is generation-invariant (its tables never change).
@@ -79,7 +90,7 @@ fn expected_pages(base: &Database, graph: &MetaGraph) -> Vec<ResultPage> {
 }
 
 /// N client threads hammer `submit` while a writer publishes generation
-/// after generation — alternating full reloads and per-shard rebuilds.
+/// after generation — alternating full reloads and ingested replacements.
 /// Every page served must be byte-identical to the single-threaded answer
 /// of *some* published generation; nothing may error or drop.
 #[test]
@@ -116,14 +127,15 @@ fn concurrent_reloads_never_drop_or_corrupt_a_query() {
         let served = &served;
 
         // The writer: publish every generation, alternating the full-swap
-        // and the per-shard path, while the clients below keep submitting.
+        // and the feed path, while the clients below keep submitting.
         scope.spawn(move || {
             for g in 1..=GENERATIONS {
-                let db = generation_db(&w.database, g);
                 let generation = if g % 2 == 0 {
-                    admin(service).reload(snapshot_over(db, &w.graph))
+                    admin(service).reload(snapshot_over(generation_db(&w.database, g), &w.graph))
                 } else {
-                    admin(service).rebuild_shards(Arc::new(db), &["addresses".to_string()])
+                    admin(service)
+                        .ingest_owned(generation_feed(&w.database, g))
+                        .expect("feed absorbs")
                 };
                 assert_eq!(generation, g as u64);
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -174,7 +186,12 @@ fn concurrent_reloads_never_drop_or_corrupt_a_query() {
     assert_eq!(final_page, expected[GENERATIONS]);
     let m = service.metrics();
     assert_eq!(m.generation, GENERATIONS as u64);
-    assert_eq!(m.reloads, GENERATIONS as u64);
+    assert_eq!(m.reloads, (GENERATIONS / 2) as u64, "the even generations");
+    assert_eq!(
+        m.ingest.ingests,
+        (GENERATIONS - GENERATIONS / 2) as u64,
+        "the odd generations"
+    );
     assert_eq!(m.completed, served.load(Ordering::Relaxed) + 1);
     assert!(m.completed >= (GENERATIONS as u64) * 2);
     assert_eq!(m.shards.shards, SHARDS);
@@ -203,10 +220,9 @@ fn pending_cold_queries_do_not_leak_across_a_swap() {
     // Pinned to generation 0, queued behind the blocker.
     let old = service.query(QueryRequest::new(MARKER_QUERY));
     // Swap to generation 1 while that job is still queued…
-    let generation = admin(&service).rebuild_shards(
-        Arc::new(generation_db(&w.database, 1)),
-        &["addresses".to_string()],
-    );
+    let generation = admin(&service)
+        .ingest_owned(generation_feed(&w.database, 1))
+        .expect("feed absorbs");
     assert_eq!(generation, 1);
     // …then submit the identical text: it must NOT coalesce onto the old
     // pending job — different generation, different key.
@@ -266,9 +282,8 @@ fn same_generation_submissions_still_coalesce_after_swaps() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming ingestion: the reload guarantees must hold when generations are
-// published by `ingest` (side logs) and background compaction instead of
-// full reloads and per-shard rebuilds.
+// Cumulative ingestion: the reload guarantees must hold when every generation
+// is published by `ingest_owned` (side logs) and background compaction.
 // ---------------------------------------------------------------------------
 
 /// The ingestion marker feed of generation `g`: one appended address whose
@@ -306,7 +321,7 @@ fn cumulative_db(base: &Database, g: usize) -> Database {
     let mut db = base.clone();
     for i in 1..=g {
         Ingestor::new(1)
-            .apply_only(&mut db, &marker_feed(i))
+            .absorb(&mut db, None, marker_feed(i))
             .expect("marker feed applies");
     }
     db
@@ -416,7 +431,7 @@ fn streaming_ingest_with_background_compaction_never_drops_or_corrupts() {
         m.ingest.compactions >= 1,
         "the eager budget must have forced at least one fold: {m:?}"
     );
-    assert_eq!(m.reloads, 0, "no batch swap was involved");
+    assert_eq!(m.reloads, 0, "no reload was involved");
     assert!(
         m.generation >= GENERATIONS as u64 + folds_before,
         "every ingest and every counted compaction has published a generation: {m:?}"
@@ -489,7 +504,7 @@ proptest! {
                         .ingest_owned(feed.clone())
                         .expect("feed absorbs");
                     Ingestor::new(1)
-                        .apply_only(&mut reference, &feed)
+                        .absorb(&mut reference, None, feed)
                         .expect("reference replays");
                 }
                 None => {
