@@ -321,8 +321,8 @@ impl EngineSnapshot {
 
     /// Runs only Step 1 (lookup) for an input: keyword segmentation plus the
     /// classification and base-data probes, without ranking or SQL
-    /// generation — exposed for diagnostics and for the `lookup_sharding`
-    /// benchmark, which measures exactly this.
+    /// generation — exposed for diagnostics and for `tests/answers_golden.rs`,
+    /// which digests exactly this.
     pub fn lookup(&self, input: &str) -> Result<LookupResult> {
         let query = parse_query(input)?;
         Ok(lookup::run(

@@ -120,11 +120,6 @@ impl MetaGraph {
         self.predicates.get(uri).map(PredId)
     }
 
-    /// Returns the URI of a predicate.
-    pub fn predicate_uri(&self, pred: PredId) -> &str {
-        self.predicates.resolve(pred.0)
-    }
-
     /// Interns a text label.
     pub fn label(&mut self, text: &str) -> LabelId {
         LabelId(self.labels.intern(text))

@@ -33,11 +33,6 @@ impl Term {
             _ => None,
         }
     }
-
-    /// True if the term is a variable (node or text).
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_) | Term::TextVar(_))
-    }
 }
 
 impl fmt::Display for Term {

@@ -116,11 +116,6 @@ impl Encoder {
         self.buf.push(u8::from(v));
     }
 
-    /// A `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// A `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -331,12 +326,6 @@ impl<'a> Decoder<'a> {
     /// A boolean (any non-zero byte is `true`).
     pub fn get_bool(&mut self) -> CodecResult<bool> {
         Ok(self.get_u8()? != 0)
-    }
-
-    /// A little-endian `u32`.
-    pub fn get_u32(&mut self) -> CodecResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// A little-endian `u64`.

@@ -148,14 +148,6 @@ impl Value {
         }
     }
 
-    /// Date view.
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// True if the value is compatible with the given column type (NULL is
     /// compatible with every type; ints are accepted where floats are
     /// expected).

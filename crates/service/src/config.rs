@@ -37,27 +37,24 @@ pub struct ServiceConfig {
     /// [`TenantAdmin::compact`](crate::TenantAdmin::compact) calls).
     pub compaction: Option<CompactionConfig>,
     /// When set, every executed query is traced through a
-    /// [`CollectingSink`](soda_trace::CollectingSink) and a query whose
-    /// **end-to-end** latency (queue wait included) reaches the threshold
-    /// lands its full span tree in the slow-query log
-    /// ([`QueryService::slow_queries`](crate::QueryService::slow_queries)).
-    /// `None` — the default — keeps the zero-cost
+    /// [`CollectingSink`](soda_trace::CollectingSink) and every answered
+    /// query — a warm hit included — whose **end-to-end** latency (queue
+    /// wait included) reaches the threshold is kept as a `"tail_slow"`
+    /// trace in its tenant's ring
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)),
+    /// counted in `soda_slow_queries_total` and raised as a `slow_query`
+    /// event.  Without [`sampling`](Self::sampling) the ring holds
+    /// [`SamplingConfig::default`]'s `trace_log` entries and nothing is
+    /// head-sampled.  `None` — the default — keeps the zero-cost
     /// [`NoopSink`](soda_trace::NoopSink) on the worker path.
     pub slow_query_threshold: Option<Duration>,
-    /// Capacity of the slow-query log (oldest captures are evicted).
-    pub slow_query_log: usize,
-    /// Capacity of the operational-event log
-    /// ([`QueryService::events`](crate::QueryService::events): swaps, ingests,
-    /// compactions, checkpoints, recoveries, slow queries).
-    pub event_log: usize,
     /// When set, always-on adaptive trace sampling: every tenant draws
-    /// deterministic head-sampling decisions at the configured rate, tail
-    /// rules retain slow and anomalous queries regardless of the draw, and
+    /// deterministic head-sampling decisions at the configured rate, and
     /// retained span trees land in per-tenant bounded rings
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces))
     /// with their trace ids attached to the latency histograms as OpenMetrics
-    /// exemplars.  `None` — the default — keeps sampling entirely off the hot
-    /// path.
+    /// exemplars.  `None` — the default — keeps head sampling entirely off
+    /// the hot path.
     pub sampling: Option<SamplingConfig>,
     /// When set, per-tenant SLO burn-rate tracking: every completed query
     /// lands in a rolling multi-window ring, and
@@ -75,8 +72,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1024,
             compaction: None,
             slow_query_threshold: None,
-            slow_query_log: 32,
-            event_log: 256,
             sampling: None,
             slo: None,
         }
@@ -108,21 +103,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables slow-query capture past `threshold`.
+    /// Keeps, counts and reports every query at or past `threshold`.
     pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
         self.slow_query_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the slow-query log capacity.
-    pub fn slow_query_log(mut self, slow_query_log: usize) -> Self {
-        self.slow_query_log = slow_query_log;
-        self
-    }
-
-    /// Sets the operational-event log capacity.
-    pub fn event_log(mut self, event_log: usize) -> Self {
-        self.event_log = event_log;
         self
     }
 
@@ -146,35 +129,16 @@ pub struct SamplingConfig {
     /// Head-sampling probability in `[0, 1]`: the fraction of queries whose
     /// full span tree is captured regardless of latency.
     pub rate: f64,
-    /// Seed of the deterministic decision sequence.  Each tenant's sampler
-    /// is seeded with `seed ^ tenant_fingerprint`, so co-hosted tenants draw
-    /// independent — but individually reproducible — sequences.
-    pub seed: u64,
     /// Capacity of each tenant's sampled-trace ring
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
     pub trace_log: usize,
-    /// Tail rule: retain a query whose end-to-end latency exceeds this
-    /// multiple of the tenant's running mean (`None` disables the anomaly
-    /// rule; the slow rule always follows
-    /// [`ServiceConfig::slow_query_threshold`]).
-    pub anomaly_factor: Option<f64>,
-    /// Completed queries the anomaly rule waits for before trusting the
-    /// running mean.
-    pub anomaly_min_samples: u64,
-    /// Per-tenant head-rate overrides (tenant name → rate); tenants without
-    /// an override use [`rate`](Self::rate).
-    pub tenant_rates: Vec<(String, f64)>,
 }
 
 impl Default for SamplingConfig {
     fn default() -> Self {
         Self {
             rate: 0.01,
-            seed: 0x50DA,
             trace_log: 32,
-            anomaly_factor: None,
-            anomaly_min_samples: 32,
-            tenant_rates: Vec::new(),
         }
     }
 }
@@ -186,33 +150,9 @@ impl SamplingConfig {
         self
     }
 
-    /// Sets the decision-sequence seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the per-tenant sampled-trace ring capacity.
     pub fn trace_log(mut self, trace_log: usize) -> Self {
         self.trace_log = trace_log;
-        self
-    }
-
-    /// Enables the tail anomaly rule at `factor` times the running mean.
-    pub fn anomaly_factor(mut self, factor: f64) -> Self {
-        self.anomaly_factor = Some(factor);
-        self
-    }
-
-    /// Sets the anomaly rule's warm-up sample count.
-    pub fn anomaly_min_samples(mut self, samples: u64) -> Self {
-        self.anomaly_min_samples = samples;
-        self
-    }
-
-    /// Overrides the head-sampling rate for one tenant.
-    pub fn tenant_rate(mut self, tenant: impl Into<String>, rate: f64) -> Self {
-        self.tenant_rates.push((tenant.into(), rate));
         self
     }
 }

@@ -20,11 +20,9 @@ use crate::metrics::{
     DurabilityMetrics, IngestMetrics, LatencyRecorder, LatencySummary, ServiceMetrics,
     TenantMetrics,
 };
-use crate::request::{SampledTrace, ServiceError, SlowQuery};
+use crate::request::{SampledTrace, ServiceError};
 use crate::service::QueryService;
-use crate::slo::{
-    alert_state, availability_burn_rate, latency_burn_rate, AlertState, BurnAlert, SloConfig,
-};
+use crate::slo::{AlertState, BurnAlert, AVAILABILITY_TARGET, LATENCY_TARGET};
 
 /// One sample value: integers (counters, exact gauges) render without a
 /// decimal point, floats through the exposition's float formatting.
@@ -59,9 +57,9 @@ pub(crate) enum Source {
     /// One sample per evaluated burn alert, labelled `tenant`, `objective`
     /// — present only when [`ServiceConfig::slo`](crate::ServiceConfig::slo)
     /// declares objectives.
-    PerAlert(fn(&SloConfig, &BurnAlert) -> Sample),
+    PerAlert(fn(&BurnAlert) -> Sample),
     /// One unlabelled service-wide latency histogram.
-    Latency(fn(&LatencyRecorder) -> &LogHistogram),
+    Latency(fn(&Scrape) -> &LogHistogram),
     /// One histogram per pipeline stage, labelled `stage`.
     StageLatency,
     /// One end-to-end histogram per hosted tenant, labelled `tenant`.
@@ -254,28 +252,28 @@ pub(crate) static FAMILIES: &[Family] = &[
         .from(TenantJournal(|d| Int(d.replayed_feeds))),
     Metric(Gauge, "soda_slo_target")
         .help("Declared objective target fraction, per tenant and objective.")
-        .from(PerAlert(|slo, alert| match alert.objective {
-            "latency" => Float(slo.latency_target),
-            _ => Float(slo.availability_target),
+        .from(PerAlert(|alert| match alert.objective {
+            "latency" => Float(LATENCY_TARGET),
+            _ => Float(AVAILABILITY_TARGET),
         })),
     Metric(Gauge, "soda_slo_fast_burn_rate")
         .help("Error-budget burn rate over the fast window, per tenant and objective.")
-        .from(PerAlert(|_, alert| Float(alert.fast_burn))),
+        .from(PerAlert(|alert| Float(alert.fast_burn))),
     Metric(Gauge, "soda_slo_slow_burn_rate")
         .help("Error-budget burn rate over the slow window, per tenant and objective.")
-        .from(PerAlert(|_, alert| Float(alert.slow_burn))),
+        .from(PerAlert(|alert| Float(alert.slow_burn))),
     Metric(Gauge, "soda_slo_alert_state")
         .help("Multi-window burn-alert state (0 = ok, 1 = pending, 2 = firing).")
-        .from(PerAlert(|_, alert| Int(alert.state.code()))),
+        .from(PerAlert(|alert| Int(alert.state.code()))),
     Metric(Histogram, "soda_query_duration_seconds")
         .help("End-to-end query latency, submission to completion (cache hits included).")
-        .from(Latency(|r| &r.e2e)),
+        .from(Latency(|s| &s.e2e)),
     Metric(Histogram, "soda_queue_wait_seconds")
         .help("Time executed jobs waited in the queue before a worker picked them up.")
-        .from(Latency(|r| &r.queue_wait)),
+        .from(Latency(|s| &s.latency.queue_wait)),
     Metric(Histogram, "soda_execution_duration_seconds")
         .help("Pipeline execution time of executed jobs (dequeue to completion).")
-        .from(Latency(|r| &r.execution)),
+        .from(Latency(|s| &s.latency.execution)),
     Metric(Histogram, "soda_stage_duration_seconds")
         .help("Per-stage pipeline latency of executed jobs.")
         .from(StageLatency),
@@ -292,11 +290,15 @@ fn as_u64(sizes: &[usize]) -> Vec<u64> {
 /// and released — so rendering is a pure walk over `FAMILIES`.
 pub(crate) struct Scrape {
     pub(crate) metrics: ServiceMetrics,
-    /// The declared objectives and the evaluated burn alerts, if any.
-    pub(crate) slo: Option<(SloConfig, Vec<BurnAlert>)>,
+    /// The evaluated burn alerts, when objectives are declared.
+    pub(crate) slo: Option<Vec<BurnAlert>>,
+    /// Queue wait, execution and the stages of executed queries.
     pub(crate) latency: LatencyRecorder,
     /// `(tenant name, end-to-end distribution)` per hosted tenant.
     pub(crate) tenant_latency: Vec<(String, LogHistogram)>,
+    /// The service-wide end-to-end distribution: the merge of
+    /// `tenant_latency`, exemplars included.
+    pub(crate) e2e: LogHistogram,
 }
 
 impl Scrape {
@@ -333,18 +335,15 @@ impl Scrape {
                 }
             }
             PerAlert(get) => {
-                let Some((slo, alerts)) = &self.slo else {
-                    return;
-                };
-                for alert in alerts {
+                for alert in self.slo.iter().flatten() {
                     let labels = [
                         ("tenant", alert.tenant.clone()),
                         ("objective", alert.objective.to_string()),
                     ];
-                    get(slo, alert).write(w, name, &labels);
+                    get(alert).write(w, name, &labels);
                 }
             }
-            Latency(get) => w.histogram(name, &[], get(&self.latency)),
+            Latency(get) => w.histogram(name, &[], get(self)),
             StageLatency => {
                 for (hist, stage) in self.latency.stages.iter().zip(names::STAGES) {
                     w.histogram(name, &[("stage", stage.to_string())], hist);
@@ -372,16 +371,13 @@ impl QueryService {
     /// A point-in-time snapshot of the service's health, the per-tenant
     /// fairness split ([`ServiceMetrics::tenants`]) included.
     pub fn metrics(&self) -> ServiceMetrics {
-        // One lock at a time, never nested: query() takes store then
-        // latency, so holding latency while locking store here would invert
-        // the order and risk a deadlock.
-        let (completed, latency, queue_wait, execution, stages) = {
+        // One lock at a time, never nested: the worker takes store, then
+        // latency, then the tenant's histogram, each alone.
+        let (queue_wait, execution, stages) = {
             let recorder = self.shared.latency.lock().expect("latency poisoned");
             (
-                recorder.count(),
-                recorder.summary(),
-                recorder.queue_wait_summary(),
-                recorder.execution_summary(),
+                LatencySummary::of(&recorder.queue_wait),
+                LatencySummary::of(&recorder.execution),
                 recorder.stage_summaries(),
             )
         };
@@ -404,12 +400,16 @@ impl QueryService {
             let lanes = hosted.iter().map(|t| state.depth_of(t.id.fingerprint()));
             (state.total, lanes.collect::<Vec<usize>>())
         };
+        // End-to-end latency is recorded once, on the tenant; the
+        // service-wide distribution is the tenants' merge.
+        let mut e2e = LogHistogram::new();
         let tenants: Vec<TenantMetrics> = hosted
             .iter()
             .zip(lane_depths)
             .map(|(t, queue_depth)| {
                 let (completed, latency) = {
                     let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
+                    e2e.merge(&hist);
                     (hist.count(), LatencySummary::of(&hist))
                 };
                 TenantMetrics {
@@ -431,6 +431,7 @@ impl QueryService {
                 }
             })
             .collect();
+        let completed = e2e.count();
         // Facts counted per tenant are kept once, on the tenant; the
         // service-wide figure is their sum (tenants are never removed).
         let total = |field: fn(&TenantMetrics) -> u64| tenants.iter().map(field).sum::<u64>();
@@ -446,7 +447,7 @@ impl QueryService {
             uptime,
             completed,
             qps: per_second(completed),
-            latency,
+            latency: LatencySummary::of(&e2e),
             queue_wait,
             execution,
             stages,
@@ -479,15 +480,15 @@ impl QueryService {
     /// advanced by [`alerts`](Self::alerts)).
     pub(crate) fn scrape(&self) -> Scrape {
         let metrics = self.metrics();
-        let slo = self.shared.config.slo.clone();
-        let slo = slo.map(|slo| (slo, self.evaluate_slo()));
+        let slo = self.shared.config.slo.as_ref();
+        let slo = slo.map(|_| self.evaluate_slo());
         let latency = self
             .shared
             .latency
             .lock()
             .expect("latency poisoned")
             .clone();
-        let tenant_latency = self
+        let tenant_latency: Vec<(String, LogHistogram)> = self
             .shared
             .tenants
             .all()
@@ -497,11 +498,16 @@ impl QueryService {
                 (t.id.as_str().to_string(), hist.clone())
             })
             .collect();
+        let mut e2e = LogHistogram::new();
+        for (_, hist) in &tenant_latency {
+            e2e.merge(hist);
+        }
         Scrape {
             metrics,
             slo,
             latency,
             tenant_latency,
+            e2e,
         }
     }
 
@@ -523,27 +529,13 @@ impl QueryService {
 
     /// A snapshot of the operational-event log, oldest retained entry
     /// first: snapshot swaps, ingests, compactions, checkpoints, recoveries,
-    /// tenant registrations and slow-query captures, each with a sequence
-    /// number and an offset from service start.  Bounded by
-    /// [`ServiceConfig::event_log`](crate::ServiceConfig::event_log).
+    /// tenant registrations and slow queries, each with a sequence number
+    /// and an offset from service start.  The newest 256 are retained.
     pub fn events(&self) -> Vec<OpEvent> {
         self.shared
             .events
             .lock()
             .expect("event log poisoned")
-            .to_vec()
-    }
-
-    /// A snapshot of the slow-query log, oldest retained capture first.
-    /// Populated only when
-    /// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold)
-    /// is set; bounded by
-    /// [`ServiceConfig::slow_query_log`](crate::ServiceConfig::slow_query_log).
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.shared
-            .slow_log
-            .lock()
-            .expect("slow-query log poisoned")
             .to_vec()
     }
 
@@ -559,27 +551,15 @@ impl QueryService {
             .collect())
     }
 
-    /// One tenant's slow-query captures, oldest retained capture first —
-    /// the tenant-filtered view of [`slow_queries`](Self::slow_queries).
-    pub fn slow_queries_for(
-        &self,
-        tenant: impl Into<TenantId>,
-    ) -> Result<Vec<SlowQuery>, ServiceError> {
-        let id = tenant.into();
-        self.shared.tenants.resolve(&id)?;
-        Ok(self
-            .slow_queries()
-            .into_iter()
-            .filter(|s| s.tenant == id.as_str())
-            .collect())
-    }
-
-    /// One tenant's sampled traces, oldest retained first — the span trees the
-    /// adaptive sampler kept
+    /// One tenant's kept traces, oldest retained first — the span trees of
+    /// its slow queries
+    /// ([`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold))
+    /// and of the queries the head sampler drew
     /// ([`ServiceConfig::sampling`](crate::ServiceConfig::sampling)), each
-    /// with its trace id, retention reason and end-to-end latency.  Bounded by
+    /// with its trace id, retention reason, end-to-end latency and
+    /// queue-wait / execution split.  Bounded by
     /// [`SamplingConfig::trace_log`](crate::SamplingConfig::trace_log); empty
-    /// when sampling is off.
+    /// when both are off.
     pub fn sampled_traces(
         &self,
         tenant: impl Into<TenantId>,
@@ -596,8 +576,9 @@ impl QueryService {
     /// returns an empty vector).
     ///
     /// The multi-window rule: an alert **fires** only when both the fast
-    /// and the slow window burn faster than [`SloConfig::burn_threshold`];
-    /// one window alone marks it **pending**.  Returns an empty vector when
+    /// and the slow window burn faster than
+    /// [`BURN_THRESHOLD`](crate::slo::BURN_THRESHOLD); one window alone marks
+    /// it **pending**.  Returns an empty vector when
     /// no SLO is configured.
     pub fn alerts(&self) -> Vec<BurnAlert> {
         let evaluated = self.evaluate_slo();
@@ -638,9 +619,9 @@ impl QueryService {
     }
 
     /// Burn-rate evaluation shared by [`alerts`](Self::alerts) and the
-    /// `soda_slo_*` metric families: folds each tenant's fast and slow
-    /// windows and scores both objectives.  Read-only — the transition
-    /// ledger is only touched by `alerts`.
+    /// `soda_slo_*` metric families: scores both objectives of every tenant
+    /// over its fast and slow windows.  Read-only — the transition ledger
+    /// is only touched by `alerts`.
     fn evaluate_slo(&self) -> Vec<BurnAlert> {
         let Some(slo) = &self.shared.config.slo else {
             return Vec::new();
@@ -649,34 +630,9 @@ impl QueryService {
         let mut out = Vec::new();
         for tenant in self.shared.tenants.all() {
             let Some(window) = &tenant.slo else { continue };
-            let (fast, slow) = {
-                let w = window.lock().expect("slo window poisoned");
-                (
-                    w.merged(now, slo.fast_window),
-                    w.merged(now, slo.slow_window),
-                )
-            };
-            let objective = slo.objective_for(tenant.id.as_str());
-            for (objective, fast_burn, slow_burn) in [
-                (
-                    "latency",
-                    latency_burn_rate(&fast, objective, slo.latency_target),
-                    latency_burn_rate(&slow, objective, slo.latency_target),
-                ),
-                (
-                    "availability",
-                    availability_burn_rate(&fast, slo.availability_target),
-                    availability_burn_rate(&slow, slo.availability_target),
-                ),
-            ] {
-                out.push(BurnAlert {
-                    tenant: tenant.id.as_str().to_string(),
-                    objective,
-                    fast_burn,
-                    slow_burn,
-                    state: alert_state(fast_burn, slow_burn, slo.burn_threshold),
-                });
-            }
+            let name = tenant.id.as_str();
+            let window = window.lock().expect("slo window poisoned");
+            out.extend(window.burn_alerts(now, name, slo.objective_for(name)));
         }
         out
     }
@@ -835,6 +791,65 @@ mod tests {
         assert_eq!(m.stages.lookup.min, m.stages.lookup.max, "one execution");
     }
 
+    /// End-to-end latency is recorded once, on the tenant that answered:
+    /// whatever mix of hits, coalesced waiters and executions a tenant
+    /// served, the service-wide figures of a one-tenant service are that
+    /// tenant's, exactly.
+    #[test]
+    fn service_wide_latency_is_the_one_tenants_latency() {
+        let service = minibank_service(ServiceConfig::default().workers(1));
+        // The blocker occupies the single worker, so the duplicate
+        // coalesces onto `first` (or, preempted, hits its page).
+        let blocker = service.query(QueryRequest::new("wealthy customers"));
+        let first = service.query(QueryRequest::new("customers"));
+        let duplicate = service.query(QueryRequest::new("customers"));
+        for handle in [blocker, first, duplicate] {
+            handle.wait().unwrap();
+        }
+        for _ in 0..3 {
+            let hit = service.query(QueryRequest::new("customers"));
+            assert!(hit.is_ready());
+        }
+        let m = service.metrics();
+        assert_eq!(m.pipeline_executions, 2);
+        assert_eq!(m.coalesced + m.cache.hits, 4);
+        assert_eq!(m.completed, 6);
+        assert_eq!(m.completed, m.tenants[0].completed);
+        assert_eq!(m.latency, m.tenants[0].latency);
+    }
+
+    /// With two tenants the service-wide count is the sum and the
+    /// service-wide histogram is the merge, exemplars included.
+    #[test]
+    fn service_wide_latency_is_the_tenants_merge() {
+        let sampling = crate::SamplingConfig::default().rate(1.0);
+        let service = minibank_service(ServiceConfig::default().sampling(sampling));
+        service.add_tenant("acme", service.engine()).unwrap();
+        for query in ["Sara Guttinger", "customers", "Sara Guttinger"] {
+            service.query(QueryRequest::new(query)).wait().unwrap();
+        }
+        for query in ["wealthy customers", "wealthy customers"] {
+            let request = QueryRequest::new(query).tenant("acme");
+            service.query(request).wait().unwrap();
+        }
+        let m = service.metrics();
+        let of = |name: &str| m.tenants.iter().find(|t| t.tenant == name).unwrap();
+        assert_eq!((of("default").completed, of("acme").completed), (3, 2));
+        assert_eq!(m.completed, 5);
+
+        let scrape = service.scrape();
+        let mut merged = LogHistogram::new();
+        for (_, hist) in &scrape.tenant_latency {
+            merged.merge(hist);
+        }
+        let mut w = PromWriter::new();
+        w.histogram("soda_query_duration_seconds", &[], &merged);
+        let expected = w.finish();
+        assert!(expected.contains("# {trace_id=\""), "{expected}");
+        assert!(expected.contains("soda_query_duration_seconds_count 5"));
+        assert!(scrape.render().contains(&expected));
+    }
+
     #[test]
     fn metrics_text_validates_and_names_every_family() {
         let service = minibank_service(ServiceConfig {
@@ -948,15 +963,17 @@ mod tests {
     #[test]
     fn prometheus_rendering_validates() {
         let mut r = LatencyRecorder::new();
-        r.record_hit(Duration::from_millis(1));
         r.record_executed(
-            Duration::from_millis(3),
             Duration::from_millis(1),
             Duration::from_millis(2),
             Some(&soda_core::StepTimings::default()),
         );
+        let mut e2e = LogHistogram::new();
+        e2e.record(Duration::from_millis(1));
+        e2e.record(Duration::from_millis(3));
         let scrape = Scrape {
             latency: r,
+            e2e,
             ..minibank_service(ServiceConfig::default()).scrape()
         };
         let mut w = PromWriter::new();

@@ -54,9 +54,10 @@
 //!   Prometheus rendering [`QueryService::metrics_text`], walked off **one
 //!   table** of metric families; the operational-event log
 //!   ([`QueryService::events`] / [`events_for`](QueryService::events_for)),
-//!   the slow-query log ([`QueryService::slow_queries`]), always-on
-//!   adaptive trace sampling ([`ServiceConfig::sampling`] →
-//!   [`QueryService::sampled_traces`], trace ids as OpenMetrics exemplars)
+//!   the per-tenant rings of kept traces — slow queries
+//!   ([`ServiceConfig::slow_query_threshold`]) and head-sampled ones
+//!   ([`ServiceConfig::sampling`]) alike —
+//!   ([`QueryService::sampled_traces`], trace ids as OpenMetrics exemplars)
 //!   and the per-tenant SLO burn-rate engine ([`ServiceConfig::slo`] →
 //!   [`QueryService::alerts`]).  See `docs/OBSERVABILITY.md`.
 //!
@@ -97,9 +98,7 @@ pub use durability::RecoveryReport;
 pub use metrics::{
     DurabilityMetrics, IngestMetrics, LatencySummary, ServiceMetrics, StageLatencies, TenantMetrics,
 };
-pub use request::{
-    JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError, SlowQuery,
-};
+pub use request::{JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError};
 pub use service::QueryService;
 pub use slo::{AlertState, BurnAlert, SloConfig};
 pub use tenants::TenantRegistry;

@@ -2,23 +2,13 @@
 //! [`ServiceMetrics`] snapshot (QPS, latency percentiles, cache hit rate,
 //! queue depth).
 //!
-//! The recorder keeps one fixed-memory [`LogHistogram`] per distribution —
-//! end-to-end latency, queue wait, pipeline execution and each of the five
-//! pipeline stages — so memory stays constant no matter how long the service
-//! runs and the percentiles cover the **whole lifetime**, not a recent
-//! window.
-//!
-//! ## Percentile semantics (changed)
-//!
-//! Earlier versions computed `p50` / `p95` over a sliding window of the most
-//! recent 4096 samples while `min` / `mean` / `max` were lifetime-exact, so
-//! a burst could report a `p95` *below* the lifetime `p50`, and quantiles
-//! silently forgot everything older than the window.  The histogram-backed
-//! figures are lifetime aggregates with a bounded relative error (one
-//! sub-bucket, ≤ `1/32` ≈ 3.1 %) and are monotone by construction:
-//! `min ≤ p50 ≤ p95 ≤ max` always holds.  A reported quantile never
-//! under-reports the exact value (it is the upper bound of the bucket the
-//! exact value landed in, clamped to the observed extremes).
+//! Every distribution is one fixed-memory [`LogHistogram`], so memory stays
+//! constant no matter how long the service runs and the percentiles cover
+//! the **whole lifetime**, not a recent window.  End-to-end latency is
+//! recorded once, on the tenant that answered; the service-wide figure is
+//! the merge of the tenants' histograms at read time.  The recorder here
+//! keeps what only executed queries have: queue wait, pipeline execution
+//! and the five pipeline stages.
 
 use std::time::Duration;
 
@@ -174,9 +164,9 @@ pub struct ServiceMetrics {
     /// enqueuing a duplicate job.
     pub coalesced: u64,
     /// Queries whose end-to-end latency reached
-    /// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig) and
-    /// landed a full span tree in the slow-query log
-    /// ([`QueryService::slow_queries`](crate::QueryService::slow_queries)).
+    /// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig) —
+    /// each one kept as a `"tail_slow"` trace
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
     pub slow_queries: u64,
     /// Jobs currently waiting in the queue.
     pub queue_depth: usize,
@@ -255,13 +245,11 @@ pub struct TenantMetrics {
     pub durability: DurabilityMetrics,
 }
 
-/// Latency accounting shared by the workers: one log-bucketed histogram per
-/// distribution (~15 KiB each, fixed).  Not internally synchronised; the
-/// service wraps it in a `Mutex`.
+/// Latency accounting of executed queries, shared by the workers: one
+/// log-bucketed histogram per distribution (~15 KiB each, fixed).  Not
+/// internally synchronised; the service wraps it in a `Mutex`.
 #[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
-    /// Submission → completion, every answered query (hits included).
-    pub(crate) e2e: LogHistogram,
     /// Submission → dequeue, executed jobs only.
     pub(crate) queue_wait: LogHistogram,
     /// Dequeue → completion, executed jobs only.
@@ -273,30 +261,20 @@ pub(crate) struct LatencyRecorder {
 impl LatencyRecorder {
     pub(crate) fn new() -> Self {
         Self {
-            e2e: LogHistogram::new(),
             queue_wait: LogHistogram::new(),
             execution: LogHistogram::new(),
             stages: std::array::from_fn(|_| LogHistogram::new()),
         }
     }
 
-    /// Records a query answered without executing the pipeline — a cache
-    /// hit, or a waiter coalesced onto another submission's computation.
-    /// Only the end-to-end distribution sees it.
-    pub(crate) fn record_hit(&mut self, e2e: Duration) {
-        self.e2e.record(e2e);
-    }
-
-    /// Records a query a worker actually executed: the end-to-end latency,
-    /// its queue-wait / execution split and the per-stage timings.
+    /// Records a query that was actually executed: its queue-wait /
+    /// execution split and the per-stage timings.
     pub(crate) fn record_executed(
         &mut self,
-        e2e: Duration,
         queue_wait: Duration,
         execution: Duration,
         timings: Option<&StepTimings>,
     ) {
-        self.e2e.record(e2e);
         self.queue_wait.record(queue_wait);
         self.execution.record(execution);
         if let Some(t) = timings {
@@ -304,26 +282,6 @@ impl LatencyRecorder {
                 hist.record(stage);
             }
         }
-    }
-
-    /// Queries answered over the service lifetime.
-    pub(crate) fn count(&self) -> u64 {
-        self.e2e.count()
-    }
-
-    /// End-to-end latency summary.
-    pub(crate) fn summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.e2e)
-    }
-
-    /// Queue-wait summary (executed jobs only).
-    pub(crate) fn queue_wait_summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.queue_wait)
-    }
-
-    /// Execution summary (executed jobs only).
-    pub(crate) fn execution_summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.execution)
     }
 
     /// Per-stage summaries (executed jobs only).
@@ -347,22 +305,25 @@ fn stage_durations(t: &StepTimings) -> [Duration; 5] {
 mod tests {
     use super::*;
 
+    fn hist(samples: impl IntoIterator<Item = Duration>) -> LogHistogram {
+        let mut hist = LogHistogram::new();
+        for sample in samples {
+            hist.record(sample);
+        }
+        hist
+    }
+
     #[test]
-    fn empty_recorder_reports_zeros() {
+    fn empty_distributions_report_zeros() {
         let r = LatencyRecorder::new();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.summary(), LatencySummary::default());
-        assert_eq!(r.queue_wait_summary(), LatencySummary::default());
+        assert_eq!(LatencySummary::of(&hist([])), LatencySummary::default());
+        assert_eq!(LatencySummary::of(&r.queue_wait), LatencySummary::default());
         assert_eq!(r.stage_summaries(), StageLatencies::default());
     }
 
     #[test]
     fn summary_tracks_min_mean_max() {
-        let mut r = LatencyRecorder::new();
-        for ms in [10u64, 20, 30] {
-            r.record_hit(Duration::from_millis(ms));
-        }
-        let s = r.summary();
+        let s = LatencySummary::of(&hist([10u64, 20, 30].map(Duration::from_millis)));
         // The extremes and the mean are exact; the quantiles are
         // histogram-backed with a bounded over-report (≤ value/32 + 1ns).
         assert_eq!(s.min, Duration::from_millis(10));
@@ -374,23 +335,11 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotone_and_within_extremes() {
-        let mut r = LatencyRecorder::new();
-        for us in [3u64, 5000, 70, 70, 900, 12, 40_000, 7] {
-            r.record_hit(Duration::from_micros(us));
-        }
-        let s = r.summary();
+        let samples = [3u64, 5000, 70, 70, 900, 12, 40_000, 7].map(Duration::from_micros);
+        let s = LatencySummary::of(&hist(samples));
         assert!(s.min <= s.p50);
         assert!(s.p50 <= s.p95);
         assert!(s.p95 <= s.max);
-    }
-
-    #[test]
-    fn hits_do_not_touch_the_executed_distributions() {
-        let mut r = LatencyRecorder::new();
-        r.record_hit(Duration::from_millis(1));
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.queue_wait_summary(), LatencySummary::default());
-        assert_eq!(r.execution_summary(), LatencySummary::default());
     }
 
     #[test]
@@ -404,14 +353,12 @@ mod tests {
             sql: Duration::from_millis(2),
         };
         r.record_executed(
-            Duration::from_millis(15),
             Duration::from_millis(5),
             Duration::from_millis(10),
             Some(&timings),
         );
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.queue_wait_summary().max, Duration::from_millis(5));
-        assert_eq!(r.execution_summary().max, Duration::from_millis(10));
+        assert_eq!(r.queue_wait.max(), Duration::from_millis(5));
+        assert_eq!(r.execution.max(), Duration::from_millis(10));
         let stages = r.stage_summaries();
         assert_eq!(stages.lookup.max, Duration::from_millis(4));
         assert_eq!(stages.sqlgen.max, Duration::from_millis(2));

@@ -1,6 +1,6 @@
 //! What goes in and what comes out: [`QueryRequest`], [`QueryResponse`],
 //! the [`JobHandle`] claim on a pending answer, [`ServiceError`], and the
-//! captured-query records ([`SlowQuery`], [`SampledTrace`]).
+//! kept-trace record ([`SampledTrace`]).
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -97,9 +97,11 @@ impl QueryResponse {
     }
 }
 
-/// One retained trace: a query the adaptive sampler decided to keep, with the
-/// full span tree of what served it (a pipeline execution, or a synthesized
-/// `cache_hit` root for warm hits).  Retained per tenant in a bounded ring
+/// One kept trace: a query whose end-to-end latency reached
+/// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold)
+/// or that the head sampler drew, with the full span tree of what served it
+/// (a pipeline execution, or a synthesized `cache_hit` root for warm hits).
+/// Retained per tenant in a bounded ring
 /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
 #[derive(Debug, Clone)]
 pub struct SampledTrace {
@@ -110,31 +112,17 @@ pub struct SampledTrace {
     pub trace_id: String,
     /// The business user's input text, verbatim.
     pub input: String,
-    /// Why the trace was kept: `"head"`, `"tail_slow"` or `"tail_anomaly"`.
+    /// Why the trace was kept: `"tail_slow"` or `"head"`.
     pub reason: &'static str,
     /// End-to-end latency (submission to completion).
     pub total: Duration,
-    /// The span tree.
-    pub trace: QueryTrace,
-}
-
-/// One slow-query capture: a query whose end-to-end latency reached
-/// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold),
-/// with the full span tree of its execution.  Retained in a bounded log
-/// ([`QueryService::slow_queries`](crate::QueryService::slow_queries)).
-#[derive(Debug, Clone)]
-pub struct SlowQuery {
-    /// The business user's input text, verbatim.
-    pub input: String,
-    /// Name of the tenant the query was routed to.
-    pub tenant: String,
-    /// End-to-end latency (submission to completion).
-    pub total: Duration,
-    /// Time spent waiting in the queue before a worker picked the job up.
+    /// Time spent waiting in the queue before a worker picked the job up
+    /// (zero for a warm hit).
     pub queue_wait: Duration,
-    /// Pipeline execution time (dequeue to completion).
+    /// Pipeline execution time, dequeue to completion (zero for a warm
+    /// hit).
     pub execution: Duration,
-    /// The span tree of the execution.
+    /// The span tree.
     pub trace: QueryTrace,
 }
 

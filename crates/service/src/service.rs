@@ -129,8 +129,8 @@ use soda_core::{
 };
 use soda_journal::tenant_journal_dir;
 use soda_trace::{
-    names, BoundedLog, CollectingSink, HeadDecision, OpEvent, QueryTrace, SpanId, TraceSink,
-    TraceValue,
+    names, BoundedLog, CollectingSink, HeadDecision, OpEvent, QueryTrace, SampleReason, SpanId,
+    TraceSink, TraceValue,
 };
 
 use crate::admin::{compactor_loop, TenantAdmin};
@@ -143,12 +143,14 @@ use crate::durability::{
 use crate::metrics::LatencyRecorder;
 use crate::queue::{Job, QueueState, Waiter};
 use crate::request::{
-    JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError, SlowQuery,
-    WireResult,
+    JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError, WireResult,
 };
 use crate::slo::AlertState;
 use crate::tenants::{TenantRegistry, TenantState};
 use crate::worker::worker_loop;
+
+/// Capacity of the operational-event log ([`QueryService::events`]).
+const EVENT_LOG: usize = 256;
 
 /// A cached result page together with what its query actually consulted —
 /// the evidence a [`RetentionGate`](soda_core::RetentionGate) needs to carry the page
@@ -205,12 +207,12 @@ pub(crate) struct Shared {
     pub(crate) not_empty: Condvar,
     pub(crate) not_full: Condvar,
     pub(crate) store: Mutex<StoreState>,
+    /// Queue wait, execution and stage latency of executed queries; never
+    /// locked on the cache-hit path.
     pub(crate) latency: Mutex<LatencyRecorder>,
     pub(crate) started: Instant,
-    /// The captured slow queries, newest-`slow_query_log` retained.
-    pub(crate) slow_log: Mutex<BoundedLog<SlowQuery>>,
     /// Operational history: swaps, ingests, compactions, checkpoints,
-    /// recoveries and slow queries, newest-`event_log` retained.
+    /// recoveries and slow queries, newest [`EVENT_LOG`] retained.
     pub(crate) events: Mutex<BoundedLog<OpEvent>>,
     /// The durability configuration the service booted with (`None` for a
     /// non-durable service) — [`QueryService::add_tenant`] derives each new
@@ -226,7 +228,7 @@ pub(crate) struct Shared {
     /// The configuration the service booted with — queue capacity and
     /// slow-query threshold are read off it, [`QueryService::add_tenant`]
     /// builds each new tenant's sampler and SLO window from it, and the SLO
-    /// evaluation reads the objectives off it.
+    /// evaluation reads the latency objectives off it.
     pub(crate) config: ServiceConfig,
     /// Last observed state of each `(tenant, objective)` burn alert, so
     /// [`QueryService::alerts`] emits one `slo_burn` event per transition
@@ -236,22 +238,16 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Accounts a query answered without executing the pipeline — a cache
-    /// hit or a coalesced waiter: the service-wide and per-tenant latency
-    /// distributions and the tenant's SLO window.  Returns the end-to-end
-    /// latency.
+    /// hit or a coalesced waiter: the tenant's latency distribution and its
+    /// SLO window.  Returns the end-to-end latency.
     pub(crate) fn account_unexecuted(
         &self,
         tenant: &TenantState,
         submitted: Instant,
         ok: bool,
     ) -> Duration {
-        self.latency
-            .lock()
-            .expect("latency recorder poisoned")
-            .record_hit(submitted.elapsed());
         let e2e = submitted.elapsed();
-        tenant.record_response(e2e);
-        self.record_slo(tenant, e2e, ok);
+        self.record_answered(tenant, e2e, ok);
         e2e
     }
 
@@ -261,19 +257,38 @@ impl Shared {
         self.account_unexecuted(tenant, submitted, true)
     }
 
-    /// Records an executed query with its queue-wait / execution split and
-    /// the per-stage timings.
-    pub(crate) fn record_executed(
+    /// Accounts an executed query: its queue-wait / execution split and
+    /// per-stage timings, the tenant's latency distribution and its SLO
+    /// window.
+    pub(crate) fn account_executed(
         &self,
+        tenant: &TenantState,
         e2e: Duration,
-        queue_wait: Duration,
-        execution: Duration,
+        (queue_wait, execution): (Duration, Duration),
         timings: Option<&StepTimings>,
+        ok: bool,
     ) {
         self.latency
             .lock()
             .expect("latency recorder poisoned")
-            .record_executed(e2e, queue_wait, execution, timings);
+            .record_executed(queue_wait, execution, timings);
+        self.record_answered(tenant, e2e, ok);
+    }
+
+    /// Records one answered query's end-to-end latency — once, on its
+    /// tenant: the latency distribution and, when [`ServiceConfig::slo`] is
+    /// on, the rolling SLO window.
+    fn record_answered(&self, tenant: &TenantState, e2e: Duration, ok: bool) {
+        tenant
+            .e2e
+            .lock()
+            .expect("tenant latency recorder poisoned")
+            .record(e2e);
+        if let Some(slo) = &tenant.slo {
+            slo.lock()
+                .expect("slo window poisoned")
+                .record(self.started.elapsed(), e2e, ok);
+        }
     }
 
     /// Appends one operational event (stamped with its sequence number, the
@@ -308,30 +323,23 @@ impl Shared {
         self.event(kind, &tenant.id, detail);
     }
 
-    /// Records one completed query in the tenant's rolling SLO window — a
-    /// no-op when [`ServiceConfig::slo`] is off.
-    pub(crate) fn record_slo(&self, tenant: &TenantState, e2e: Duration, ok: bool) {
-        if let Some(slo) = &tenant.slo {
-            slo.lock()
-                .expect("slo window poisoned")
-                .record(self.started.elapsed(), e2e, ok);
-        }
-    }
-
-    /// The sampler's verdict on one answered query: the head draw (`head`
-    /// — made at submission for queued jobs, drawn here for cache hits) plus
-    /// the tail rules on the final latency.  `decide` also feeds the running
-    /// mean the anomaly rule compares against, so this runs for every
-    /// answered query.  A kept query lands the span tree `trace` yields in
-    /// the tenant's bounded ring and its trace id on the end-to-end latency
-    /// histograms as the exemplar of the bucket the query landed in.  Locks
-    /// are taken one at a time, never nested.
+    /// The one decision on whether an answered query's trace is kept: the
+    /// slow rule on the final end-to-end latency, then the head draw (`head`
+    /// — made at submission for queued jobs, drawn here for cache hits).  A
+    /// slow query is counted and raised as a `slow_query` event here and
+    /// nowhere else — warm hits included, the end-to-end figure decides.
+    /// A kept query lands the span tree `trace` yields, with its
+    /// `(queue wait, execution)` split, in the tenant's bounded ring and its
+    /// trace id on the tenant's latency histogram as the exemplar of the
+    /// bucket the query landed in.  Locks are taken one at a time, never
+    /// nested.
     pub(crate) fn sample(
         &self,
         tenant: &TenantState,
         head: Option<HeadDecision>,
         input: &str,
         e2e: Duration,
+        (queue_wait, execution): (Duration, Duration),
         trace: impl FnOnce() -> Option<QueryTrace>,
     ) {
         let Some(sampler) = &tenant.sampler else {
@@ -344,12 +352,15 @@ impl Shared {
         let Some(trace) = trace() else {
             return;
         };
+        if reason == SampleReason::TailSlow {
+            tenant.slow_queries.fetch_add(1, Ordering::Relaxed);
+            self.event(
+                "slow_query",
+                &tenant.id,
+                format!("{e2e:?} end-to-end: {input}"),
+            );
+        }
         let id = head.trace_id.to_string();
-        self.latency
-            .lock()
-            .expect("latency poisoned")
-            .e2e
-            .annotate_exemplar(e2e, &id);
         tenant
             .e2e
             .lock()
@@ -366,6 +377,8 @@ impl Shared {
                 input: input.to_string(),
                 reason: reason.as_str(),
                 total: e2e,
+                queue_wait,
+                execution,
                 trace,
             });
     }
@@ -473,8 +486,7 @@ impl QueryService {
             }),
             latency: Mutex::new(LatencyRecorder::new()),
             started: Instant::now(),
-            slow_log: Mutex::new(BoundedLog::new(config.slow_query_log)),
-            events: Mutex::new(BoundedLog::new(config.event_log)),
+            events: Mutex::new(BoundedLog::new(EVENT_LOG)),
             durability_config,
             add_tenants: Mutex::new(()),
             config: config.clone(),
@@ -704,9 +716,9 @@ impl QueryService {
 
         // One critical section decides the submission's fate: cache hit,
         // coalesce onto an in-flight job, or become the job that computes.
-        // Bind the outcome before touching the latency lock — holding the
-        // store guard while recording would nest locks that `metrics()`
-        // takes in another order.
+        // Bind the outcome before accounting it — holding the store guard
+        // while recording would nest locks that `metrics()` takes in
+        // another order.
         enum Probe {
             Hit(ResultPage),
             Coalesced(mpsc::Receiver<WireResult>),
@@ -733,8 +745,9 @@ impl QueryService {
                 // the *normal* serving path, not just pipeline executions.
                 // A kept hit records a synthesized `cache_hit` span tree.
                 let trace = || Some(cache_hit_trace(&request.input, e2e));
+                let unqueued = (Duration::ZERO, Duration::ZERO);
                 self.shared
-                    .sample(&tenant, None, &request.input, e2e, trace);
+                    .sample(&tenant, None, &request.input, e2e, unqueued, trace);
                 return JobHandle::ready(Ok(QueryResponse::untraced(page)));
             }
             Probe::Coalesced(rx) => return JobHandle::pending(rx),
@@ -829,10 +842,9 @@ impl QueryService {
             .map_err(ServiceError::Engine)?;
         let e2e = submitted.elapsed();
         tenant.executions.fetch_add(1, Ordering::Relaxed);
+        let timings = Some(&found.trace.timings);
         self.shared
-            .record_executed(e2e, Duration::ZERO, e2e, Some(&found.trace.timings));
-        tenant.record_response(e2e);
-        self.shared.record_slo(tenant, e2e, true);
+            .account_executed(tenant, e2e, (Duration::ZERO, e2e), timings, true);
         Ok(QueryResponse {
             page: found.page,
             trace: Some(sink.finish()),

@@ -15,10 +15,10 @@
 //! ```
 //!
 //! A burn rate of 1.0 spends the error budget exactly at the sustainable
-//! pace; an alert **fires** only when *both* windows exceed the
-//! [`SloConfig::burn_threshold`] (the fast window alone marks the alert
-//! **pending**), so a transient spike cannot page anyone but a sustained
-//! burn fires within one fast window.
+//! pace; an alert **fires** only when *both* windows exceed
+//! [`BURN_THRESHOLD`] (one window alone marks the alert **pending**), so a
+//! transient spike cannot page anyone but a sustained burn fires within one
+//! fast window.
 //!
 //! Everything here is bucket-resolution arithmetic over mergeable
 //! histograms: merging two window snapshots and computing the burn rate
@@ -32,27 +32,29 @@ use std::time::Duration;
 
 use soda_trace::LogHistogram;
 
-/// Declared service-level objectives and the burn-alert policy, attached
-/// via `ServiceConfig::slo(...)`.
+/// Fraction of requests that must meet the latency objective (the error
+/// budget is the remaining 1 %).
+pub const LATENCY_TARGET: f64 = 0.99;
+/// Fraction of requests that must succeed (availability SLO).
+pub const AVAILABILITY_TARGET: f64 = 0.999;
+/// The fast burn window (sharp-regression detector).
+pub const FAST_WINDOW: Duration = Duration::from_secs(5 * 60);
+/// The slow burn window (blip filter).
+pub const SLOW_WINDOW: Duration = Duration::from_secs(60 * 60);
+/// Slot width of the rolling window ring; the window arithmetic is
+/// slot-resolution, so this bounds both memory and precision.
+pub const RESOLUTION: Duration = Duration::from_secs(30);
+/// Burn rate both windows must exceed for an alert to fire.
+pub const BURN_THRESHOLD: f64 = 1.0;
+
+/// The declared latency objective, attached via `ServiceConfig::slo(...)`;
+/// the availability objective, both target fractions, the burn windows and
+/// the alert threshold are the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// The latency objective: requests at or below this end-to-end latency
     /// are "good events" of the latency SLO.
     pub latency_objective: Duration,
-    /// Fraction of requests that must meet the latency objective
-    /// (e.g. `0.99` — the error budget is the remaining 1%).
-    pub latency_target: f64,
-    /// Fraction of requests that must succeed (availability SLO).
-    pub availability_target: f64,
-    /// The fast burn window (sharp-regression detector).
-    pub fast_window: Duration,
-    /// The slow burn window (blip filter).
-    pub slow_window: Duration,
-    /// Slot width of the rolling window ring; the window arithmetic is
-    /// slot-resolution, so this bounds both memory and precision.
-    pub resolution: Duration,
-    /// Burn rate both windows must exceed for an alert to fire.
-    pub burn_threshold: f64,
     /// Per-tenant latency-objective overrides (tenant name → objective);
     /// tenants without an override use [`latency_objective`](Self::latency_objective).
     pub tenant_latency: Vec<(String, Duration)>,
@@ -62,12 +64,6 @@ impl Default for SloConfig {
     fn default() -> Self {
         Self {
             latency_objective: Duration::from_millis(250),
-            latency_target: 0.99,
-            availability_target: 0.999,
-            fast_window: Duration::from_secs(5 * 60),
-            slow_window: Duration::from_secs(60 * 60),
-            resolution: Duration::from_secs(30),
-            burn_threshold: 1.0,
             tenant_latency: Vec::new(),
         }
     }
@@ -77,42 +73,6 @@ impl SloConfig {
     /// Sets the default latency objective.
     pub fn latency_objective(mut self, objective: Duration) -> Self {
         self.latency_objective = objective;
-        self
-    }
-
-    /// Sets the latency target fraction.
-    pub fn latency_target(mut self, target: f64) -> Self {
-        self.latency_target = target;
-        self
-    }
-
-    /// Sets the availability target fraction.
-    pub fn availability_target(mut self, target: f64) -> Self {
-        self.availability_target = target;
-        self
-    }
-
-    /// Sets the fast burn window.
-    pub fn fast_window(mut self, window: Duration) -> Self {
-        self.fast_window = window;
-        self
-    }
-
-    /// Sets the slow burn window.
-    pub fn slow_window(mut self, window: Duration) -> Self {
-        self.slow_window = window;
-        self
-    }
-
-    /// Sets the rolling-window slot width.
-    pub fn resolution(mut self, resolution: Duration) -> Self {
-        self.resolution = resolution;
-        self
-    }
-
-    /// Sets the burn rate both windows must exceed to fire.
-    pub fn burn_threshold(mut self, threshold: f64) -> Self {
-        self.burn_threshold = threshold;
         self
     }
 
@@ -242,8 +202,9 @@ pub struct BurnAlert {
 }
 
 /// A rolling ring of [`WindowBucket`] slots wide enough to cover the slow
-/// window.  Recording is O(1) into the newest slot; reading folds the
-/// slots a window covers into one mergeable bucket.
+/// window (the service's rings span [`SLOW_WINDOW`] at [`RESOLUTION`]).
+/// Recording is O(1) into the newest slot; reading folds the slots a window
+/// covers into one mergeable bucket.
 #[derive(Debug)]
 pub struct SloWindow {
     resolution_nanos: u128,
@@ -253,10 +214,10 @@ pub struct SloWindow {
 }
 
 impl SloWindow {
-    /// A ring sized for `config`'s slow window at its resolution.
-    pub fn new(config: &SloConfig) -> Self {
-        let resolution_nanos = config.resolution.as_nanos().max(1);
-        let span = config.slow_window.as_nanos().max(resolution_nanos);
+    /// A ring sized for `slow_window` at slot width `resolution`.
+    pub fn new(slow_window: Duration, resolution: Duration) -> Self {
+        let resolution_nanos = resolution.as_nanos().max(1);
+        let span = slow_window.as_nanos().max(resolution_nanos);
         // +1: a window rarely aligns with slot boundaries, so covering it
         // takes one slot more than the exact quotient.
         let max_slots = (span.div_ceil(resolution_nanos) + 1) as usize;
@@ -299,6 +260,37 @@ impl SloWindow {
             }
         }
         out
+    }
+
+    /// Scores both objectives of `tenant` over the [`FAST_WINDOW`] and the
+    /// [`SLOW_WINDOW`] ending at `now`.
+    pub(crate) fn burn_alerts(
+        &self,
+        now: Duration,
+        tenant: &str,
+        objective: Duration,
+    ) -> [BurnAlert; 2] {
+        let fast = self.merged(now, FAST_WINDOW);
+        let slow = self.merged(now, SLOW_WINDOW);
+        [
+            (
+                "latency",
+                latency_burn_rate(&fast, objective, LATENCY_TARGET),
+                latency_burn_rate(&slow, objective, LATENCY_TARGET),
+            ),
+            (
+                "availability",
+                availability_burn_rate(&fast, AVAILABILITY_TARGET),
+                availability_burn_rate(&slow, AVAILABILITY_TARGET),
+            ),
+        ]
+        .map(|(objective, fast_burn, slow_burn)| BurnAlert {
+            tenant: tenant.to_string(),
+            objective,
+            fast_burn,
+            slow_burn,
+            state: alert_state(fast_burn, slow_burn, BURN_THRESHOLD),
+        })
     }
 }
 
@@ -349,11 +341,8 @@ mod tests {
 
     #[test]
     fn rolling_window_drops_slots_beyond_the_slow_window() {
-        let config = SloConfig::default()
-            .resolution(Duration::from_secs(1))
-            .fast_window(Duration::from_secs(2))
-            .slow_window(Duration::from_secs(4));
-        let mut window = SloWindow::new(&config);
+        let (fast_window, slow_window) = (Duration::from_secs(2), Duration::from_secs(4));
+        let mut window = SloWindow::new(slow_window, Duration::from_secs(1));
         for second in 0..60u64 {
             window.record(Duration::from_secs(second), Duration::from_millis(1), true);
         }
@@ -361,8 +350,8 @@ mod tests {
         assert!(window.slots.len() <= 6, "{} slots", window.slots.len());
         let now = Duration::from_secs(60);
         // The fast window covers the newest ~3 slots, the slow ~5.
-        let fast = window.merged(now, config.fast_window);
-        let slow = window.merged(now, config.slow_window);
+        let fast = window.merged(now, fast_window);
+        let slow = window.merged(now, slow_window);
         assert!(fast.latency.count() >= 2 && fast.latency.count() <= 3);
         assert!(slow.latency.count() >= 4 && slow.latency.count() <= 5);
         assert!(fast.latency.count() <= slow.latency.count());

@@ -31,16 +31,20 @@
 
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 use soda_core::{SnapshotHandle, TenantId};
 use soda_trace::hist::LogHistogram;
-use soda_trace::{BoundedLog, Sampler, TailRules};
+use soda_trace::{BoundedLog, Sampler};
 
-use crate::config::ServiceConfig;
+use crate::config::{SamplingConfig, ServiceConfig};
 use crate::durability::DurabilityState;
 use crate::request::{SampledTrace, ServiceError};
-use crate::slo::SloWindow;
+use crate::slo::{SloWindow, RESOLUTION, SLOW_WINDOW};
+
+/// Seed of the samplers' deterministic decision sequences.  Each tenant's
+/// sampler is seeded with `SAMPLING_SEED ^ tenant_fingerprint`, so co-hosted
+/// tenants draw independent — but individually reproducible — sequences.
+const SAMPLING_SEED: u64 = 0x50DA;
 
 /// One tenant's serving state: identity, snapshot, swap lock, fairness
 /// counters and (optionally) its write-ahead journal.
@@ -68,18 +72,18 @@ pub(crate) struct TenantState {
     /// Submissions that had to block in admission control (tenant lane at
     /// quota, or the whole queue at capacity) before enqueueing.
     pub(crate) admission_waits: AtomicU64,
-    /// End-to-end latency of this tenant's answered queries.  Its sample
-    /// count doubles as the tenant's completed-query counter.
+    /// End-to-end latency of this tenant's answered queries — the only
+    /// place a query's end-to-end latency is recorded (the service-wide
+    /// distribution is the tenants' merge).  Its sample count doubles as
+    /// the tenant's completed-query counter.
     pub(crate) e2e: Mutex<LogHistogram>,
     /// Queries of this tenant whose end-to-end latency crossed the
     /// service's slow-query threshold.
     pub(crate) slow_queries: AtomicU64,
-    /// The tenant's adaptive trace sampler (`None` when
-    /// `ServiceConfig::sampling` is off).  Seeded with the tenant
-    /// fingerprint so co-hosted tenants draw independent — but each
-    /// individually reproducible — decision sequences.
+    /// The tenant's trace sampler — present when `ServiceConfig::sampling`
+    /// or `ServiceConfig::slow_query_threshold` is set.
     pub(crate) sampler: Option<Sampler>,
-    /// Bounded ring of sampled traces, newest retained
+    /// Bounded ring of kept traces, newest retained
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
     pub(crate) sampled: Mutex<BoundedLog<SampledTrace>>,
     /// Lifetime count of traces the sampler retained for this tenant.
@@ -100,20 +104,18 @@ impl TenantState {
         durability: Option<DurabilityState>,
         config: &ServiceConfig,
     ) -> Self {
-        let sampler = config.sampling.as_ref().map(|sampling| {
-            let rate = sampling
-                .tenant_rates
-                .iter()
-                .find(|(name, _)| name == id.as_str())
-                .map(|(_, rate)| *rate)
-                .unwrap_or(sampling.rate);
-            Sampler::new(sampling.seed ^ id.fingerprint(), rate).with_tail(TailRules {
-                slow: config.slow_query_threshold,
-                anomaly_factor: sampling.anomaly_factor,
-                anomaly_min_samples: sampling.anomaly_min_samples,
-            })
+        // A slow-query threshold alone keeps traces too: in the default
+        // ring, with nothing head-sampled.
+        let sampling = config.sampling.clone().or_else(|| {
+            config
+                .slow_query_threshold
+                .map(|_| SamplingConfig::default().rate(0.0))
         });
-        let trace_log = config.sampling.as_ref().map_or(1, |s| s.trace_log);
+        let sampler = sampling.as_ref().map(|sampling| {
+            Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate)
+                .with_slow(config.slow_query_threshold)
+        });
+        let trace_log = sampling.map_or(1, |s| s.trace_log);
         Self {
             id,
             handle,
@@ -132,7 +134,7 @@ impl TenantState {
             slo: config
                 .slo
                 .as_ref()
-                .map(|slo| Mutex::new(SloWindow::new(slo))),
+                .map(|_| Mutex::new(SloWindow::new(SLOW_WINDOW, RESOLUTION))),
             durability: durability.map(Mutex::new),
         }
     }
@@ -142,14 +144,6 @@ impl TenantState {
     /// entry by.
     pub(crate) fn folded_live(&self) -> u64 {
         self.id.fold(self.handle.load().cache_fingerprint())
-    }
-
-    /// Records one answered query in the tenant's end-to-end distribution.
-    pub(crate) fn record_response(&self, e2e: Duration) {
-        self.e2e
-            .lock()
-            .expect("tenant latency recorder poisoned")
-            .record(e2e);
     }
 }
 

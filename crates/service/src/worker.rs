@@ -6,10 +6,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use soda_core::{ProbeRecorder, SearchOptions};
-use soda_trace::{CollectingSink, NoopSink, Sampler, TraceSink};
+use soda_trace::{CollectingSink, NoopSink, TraceSink};
 
 use crate::cache::CacheKey;
-use crate::request::{ServiceError, SlowQuery};
+use crate::request::ServiceError;
 use crate::service::{CachedPage, Shared};
 
 pub(crate) fn worker_loop(shared: &Shared) {
@@ -61,21 +61,14 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // tokens the phrases select — the evidence that lets a data-only
         // snapshot swap retain this page instead of purging it.
         let recorder = ProbeRecorder::new();
-        // A collecting sink runs when anything downstream might keep the
-        // span tree: a slow-query threshold (the capture decision needs the
-        // final latency, which only exists afterwards), a head-sampled
-        // draw, or tail sampling rules (which also decide on the final
-        // latency).  Otherwise the noop sink keeps the pipeline's
-        // instrumentation at a single `enabled()` check per site.
-        let tail_capture = job
-            .tenant
-            .sampler
-            .as_ref()
-            .is_some_and(Sampler::tail_enabled);
+        // A collecting sink runs when `Shared::sample` might keep the span
+        // tree: a slow-query threshold (the decision needs the final
+        // latency, which only exists afterwards) or a head-sampled draw.
+        // Otherwise the noop sink keeps the pipeline's instrumentation at a
+        // single `enabled()` check per site.
         let head_sampled = job.head.is_some_and(|h| h.sampled);
-        let collecting =
-            (shared.config.slow_query_threshold.is_some() || head_sampled || tail_capture)
-                .then(CollectingSink::new);
+        let collecting = (shared.config.slow_query_threshold.is_some() || head_sampled)
+            .then(CollectingSink::new);
         let sink: &dyn TraceSink = match &collecting {
             Some(c) => c,
             None => &NoopSink,
@@ -122,39 +115,14 @@ pub(crate) fn worker_loop(shared: &Shared) {
             store.pending.remove(&job.key).unwrap_or_default()
         };
         let e2e = job.submitted.elapsed();
-        shared.record_executed(e2e, queue_wait, execution, timings.as_ref());
-        job.tenant.record_response(e2e);
-        shared.record_slo(&job.tenant, e2e, outcome.is_ok());
-        let trace = collecting.map(CollectingSink::finish);
-        // A query over the threshold lands its full span tree in the
-        // slow-query log (the end-to-end figure decides, so a fast pipeline
-        // behind a deep queue is still captured — that *is* the slowness the
-        // caller experienced).
-        if let (Some(threshold), Some(trace)) = (shared.config.slow_query_threshold, &trace) {
-            if e2e >= threshold {
-                job.tenant.slow_queries.fetch_add(1, Ordering::Relaxed);
-                shared.event(
-                    "slow_query",
-                    &job.tenant.id,
-                    format!("{:?} end-to-end: {}", e2e, job.input),
-                );
-                shared
-                    .slow_log
-                    .lock()
-                    .expect("slow-query log poisoned")
-                    .push(SlowQuery {
-                        input: job.input.clone(),
-                        tenant: job.tenant.id.as_str().to_string(),
-                        total: e2e,
-                        queue_wait,
-                        execution,
-                        trace: trace.clone(),
-                    });
-            }
-        }
-        // The sampler's verdict; a kept query always has a collected trace
-        // (head-sampled and tail-enabled executions collect, see above).
-        shared.sample(&job.tenant, job.head, &job.input, e2e, || trace);
+        let split = (queue_wait, execution);
+        shared.account_executed(&job.tenant, e2e, split, timings.as_ref(), outcome.is_ok());
+        // The end-to-end figure decides what is slow, so a fast pipeline
+        // behind a deep queue is still kept — that *is* the slowness the
+        // caller experienced.  A kept query always has a collected trace
+        // (see `collecting` above).
+        let trace = || collecting.map(CollectingSink::finish);
+        shared.sample(&job.tenant, job.head, &job.input, e2e, split, trace);
         for waiter in waiters {
             shared.account_unexecuted(&job.tenant, waiter.submitted, outcome.is_ok());
             // A waiter may have dropped its handle; that is not an error.
@@ -168,13 +136,16 @@ pub(crate) fn worker_loop(shared: &Shared) {
 mod tests {
     use std::time::Duration;
 
+    use soda_core::TenantId;
+
     use crate::service::tests::minibank_service;
     use crate::{QueryRequest, ServiceConfig};
 
     #[test]
-    fn slow_query_threshold_captures_full_traces() {
-        // A zero threshold marks every executed query as slow —
-        // deterministic without timing games.
+    fn slow_query_threshold_alone_keeps_full_traces() {
+        // A zero threshold marks every answered query as slow —
+        // deterministic without timing games, and observable only here: a
+        // real budget is never reached by a warm hit.
         let service = minibank_service(ServiceConfig {
             slow_query_threshold: Some(Duration::ZERO),
             ..ServiceConfig::default()
@@ -183,18 +154,12 @@ mod tests {
             .query(QueryRequest::new("Sara Guttinger"))
             .wait()
             .unwrap();
-        // The cache hit is answered on the caller's thread — never captured.
-        service
-            .query(QueryRequest::new("Sara Guttinger"))
-            .wait()
-            .unwrap();
-        let m = service.metrics();
-        assert_eq!(m.slow_queries, 1);
-        let slow = service.slow_queries();
-        assert_eq!(slow.len(), 1);
-        let capture = &slow[0];
+        let kept = service.sampled_traces(TenantId::default()).unwrap();
+        assert_eq!(kept.len(), 1);
+        let capture = &kept[0];
         assert_eq!(capture.input, "Sara Guttinger");
-        assert!(capture.total >= capture.execution);
+        assert_eq!(capture.reason, "tail_slow");
+        assert!(capture.queue_wait + capture.execution <= capture.total);
         let root = capture.trace.find("query").expect("query root span");
         for stage in soda_trace::names::STAGES {
             assert!(
@@ -203,20 +168,65 @@ mod tests {
                 capture.trace.render()
             );
         }
-        assert!(service
-            .events()
-            .iter()
-            .any(|e| e.kind == "slow_query" && e.detail.contains("Sara Guttinger")));
+        let slow_events = || {
+            let events = service.events();
+            let slow =
+                |e: &&crate::OpEvent| e.kind == "slow_query" && e.detail.contains("Sara Guttinger");
+            events.iter().filter(slow).count()
+        };
+        assert_eq!(service.metrics().slow_queries, 1);
+        assert_eq!(slow_events(), 1);
+        let text = service.metrics_text();
+        assert!(text.contains("soda_slow_queries_total 1"));
+        assert!(text.contains("soda_tenant_slow_queries_total{tenant=\"default\"} 1"));
+
+        // The end-to-end figure decides for a warm hit too: over the
+        // threshold it is kept, counted and reported, once each.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        let kept = service.sampled_traces(TenantId::default()).unwrap();
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[1].reason, "tail_slow");
+        assert_eq!(kept[1].queue_wait + kept[1].execution, Duration::ZERO);
+        assert!(kept[1].trace.find("cache_hit").is_some());
+        let m = service.metrics();
+        assert_eq!(m.slow_queries, 2);
+        assert_eq!(m.tenants[0].sampled_traces, 2);
+        assert_eq!(slow_events(), 2);
     }
 
     #[test]
-    fn without_a_threshold_no_traces_are_captured() {
+    fn a_slow_query_reads_tail_slow_even_when_head_sampled() {
+        let service = minibank_service(
+            ServiceConfig::default()
+                .slow_query_threshold(Duration::ZERO)
+                .sampling(crate::SamplingConfig::default().rate(1.0)),
+        );
+        for _ in 0..2 {
+            service
+                .query(QueryRequest::new("Sara Guttinger"))
+                .wait()
+                .unwrap();
+        }
+        let kept = service.sampled_traces(TenantId::default()).unwrap();
+        assert_eq!(kept.len(), 2, "one execution, one warm hit");
+        assert!(kept.iter().all(|t| t.reason == "tail_slow"), "{kept:?}");
+        assert_eq!(service.metrics().slow_queries, 2);
+    }
+
+    #[test]
+    fn without_a_threshold_no_traces_are_kept() {
         let service = minibank_service(ServiceConfig::default());
         service
             .query(QueryRequest::new("Sara Guttinger"))
             .wait()
             .unwrap();
         assert_eq!(service.metrics().slow_queries, 0);
-        assert!(service.slow_queries().is_empty());
+        assert!(service
+            .sampled_traces(TenantId::default())
+            .unwrap()
+            .is_empty());
     }
 }

@@ -19,11 +19,11 @@
 //!   monotone by construction (p50 ≤ p95 ≤ max).
 //! * [`BoundedLog`] / [`OpEvent`] — a bounded ring for operational events
 //!   (snapshot swaps, ingests, compactions, checkpoints, recoveries) and
-//!   slow-query captures.
+//!   kept traces.
 //! * [`Sampler`] — the adaptive sampling kernel behind always-on tracing:
-//!   deterministic probabilistic head sampling plus tail rules that always
-//!   retain slow and anomalous queries, at a cost of one atomic increment
-//!   and one 64-bit mix per unsampled query.
+//!   deterministic probabilistic head sampling plus a tail rule that always
+//!   retains slow queries, at a cost of one atomic increment and one 64-bit
+//!   mix per unsampled query.
 //! * [`prom`] — a minimal Prometheus text-exposition writer plus a validator
 //!   used by golden tests to keep the exported surface well-formed,
 //!   OpenMetrics histogram exemplars included.
@@ -36,7 +36,7 @@ pub mod span;
 
 pub use hist::{Exemplar, LogHistogram};
 pub use ring::{BoundedLog, OpEvent};
-pub use sample::{HeadDecision, SampleReason, Sampler, TailRules, TraceId};
+pub use sample::{HeadDecision, SampleReason, Sampler, TraceId};
 pub use span::{CollectingSink, NoopSink, QueryTrace, Span, SpanId, TraceSink, TraceValue};
 
 /// Canonical span names emitted by the engine, so traces, metrics labels and

@@ -1,10 +1,10 @@
 //! Bounded rings for operational history: the newest `capacity` entries
 //! survive, older ones are dropped (and counted), memory stays fixed.
 //!
-//! The service keeps two of these: a [`BoundedLog<OpEvent>`] recording
-//! snapshot swaps, ingests, compactions, checkpoints and recoveries, and a
-//! `BoundedLog` of slow-query captures (full span trees of queries over the
-//! configured threshold).
+//! The service keeps one [`BoundedLog<OpEvent>`] recording snapshot swaps,
+//! ingests, compactions, checkpoints, recoveries and slow queries, and one
+//! `BoundedLog` of kept traces per tenant (the span trees of slow and
+//! head-sampled queries).
 
 use std::collections::VecDeque;
 use std::time::Duration;

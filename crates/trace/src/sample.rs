@@ -9,11 +9,10 @@
 //!    always returns the same decision and the same [`TraceId`], so test
 //!    runs and incident reproductions see identical sampling behaviour.
 //! 2. **Tail retention** ([`Sampler::decide`]) — *after* execution, should
-//!    the captured span tree be kept?  Head-sampled queries are always
-//!    kept; on top of that, [`TailRules`] force retention of queries that
-//!    were slow in absolute terms or anomalous relative to the sampler's
-//!    running mean — the traces an operator actually wants are exactly the
-//!    ones uniform sampling is most likely to miss.
+//!    the captured span tree be kept?  A query at or above the slow
+//!    threshold ([`Sampler::with_slow`]) is always kept, whatever the draw —
+//!    the traces an operator actually wants are exactly the ones uniform
+//!    sampling is most likely to miss — and so is every head-sampled one.
 //!
 //! The cost contract mirrors the rest of the crate: an unsampled query pays
 //! one atomic increment and one 64-bit mix (a handful of nanoseconds); all
@@ -43,35 +42,13 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// Tail-based "always keep" rules applied after a query finishes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TailRules {
-    /// Keep any query at or above this end-to-end latency.
-    pub slow: Option<Duration>,
-    /// Keep any query slower than `factor ×` the sampler's running mean
-    /// latency (once `anomaly_min_samples` have been observed).
-    pub anomaly_factor: Option<f64>,
-    /// Observations required before the anomaly rule can fire — a cold
-    /// mean of one sample would flag half of all traffic.
-    pub anomaly_min_samples: u64,
-}
-
-impl TailRules {
-    /// True when any tail rule is configured.
-    pub fn enabled(&self) -> bool {
-        self.slow.is_some() || self.anomaly_factor.is_some()
-    }
-}
-
 /// Why a trace was retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleReason {
     /// The head-sampling coin flip selected it before execution.
     Head,
-    /// The tail rule for absolute slowness retained it.
+    /// Its end-to-end latency reached the slow threshold.
     TailSlow,
-    /// The tail rule for relative anomaly retained it.
-    TailAnomaly,
 }
 
 impl SampleReason {
@@ -80,7 +57,6 @@ impl SampleReason {
         match self {
             SampleReason::Head => "head",
             SampleReason::TailSlow => "tail_slow",
-            SampleReason::TailAnomaly => "tail_anomaly",
         }
     }
 }
@@ -102,16 +78,14 @@ pub struct Sampler {
     /// `rate × 2^64` — a `u128` so a rate of exactly 1.0 (threshold
     /// `2^64`) strictly exceeds every `u64` draw and always samples.
     threshold: u128,
-    rate: f64,
     calls: AtomicU64,
-    tail: TailRules,
-    observed_count: AtomicU64,
-    observed_sum_nanos: AtomicU64,
+    /// Keep any query at or above this end-to-end latency.
+    slow: Option<Duration>,
 }
 
 impl Sampler {
     /// A sampler with the given seed and head-sampling rate (clamped to
-    /// `[0, 1]`) and no tail rules.
+    /// `[0, 1]`) and no slow threshold.
     pub fn new(seed: u64, rate: f64) -> Self {
         let rate = if rate.is_nan() {
             0.0
@@ -121,29 +95,17 @@ impl Sampler {
         Self {
             seed,
             threshold: (rate * 2f64.powi(64)) as u128,
-            rate,
             calls: AtomicU64::new(0),
-            tail: TailRules::default(),
-            observed_count: AtomicU64::new(0),
-            observed_sum_nanos: AtomicU64::new(0),
+            slow: None,
         }
     }
 
-    /// Attaches tail retention rules.
-    pub fn with_tail(mut self, tail: TailRules) -> Self {
-        self.tail = tail;
+    /// Sets the tail rule: every query at or above `slow` end-to-end is
+    /// kept, so the caller must record spans even for head-unsampled
+    /// queries.
+    pub fn with_slow(mut self, slow: Option<Duration>) -> Self {
+        self.slow = slow;
         self
-    }
-
-    /// The configured head-sampling rate in `[0, 1]`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// True when any tail rule can retain an unsampled query — i.e. when
-    /// the caller must record spans even for head-unsampled queries.
-    pub fn tail_enabled(&self) -> bool {
-        self.tail.enabled()
     }
 
     /// Draws the nth head-sampling decision.  Deterministic: the sequence
@@ -157,33 +119,17 @@ impl Sampler {
         }
     }
 
-    /// Post-execution retention decision: feeds the running latency mean
-    /// and returns `Some(reason)` when the trace should be kept.
-    ///
-    /// The anomaly comparison uses the mean of the observations *before*
-    /// this one, so a single call sequence is deterministic and the first
-    /// queries of a fresh sampler can never flag themselves.
+    /// Post-execution retention decision: `Some(reason)` when the trace
+    /// should be kept.  The slow rule is tested before the head draw, so a
+    /// slow query always reads [`SampleReason::TailSlow`].
     pub fn decide(&self, head_sampled: bool, latency: Duration) -> Option<SampleReason> {
-        let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let prior_sum = self.observed_sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let prior_count = self.observed_count.fetch_add(1, Ordering::Relaxed);
-        if head_sampled {
-            return Some(SampleReason::Head);
+        if self.slow.is_some_and(|slow| latency >= slow) {
+            Some(SampleReason::TailSlow)
+        } else if head_sampled {
+            Some(SampleReason::Head)
+        } else {
+            None
         }
-        if let Some(slow) = self.tail.slow {
-            if latency >= slow {
-                return Some(SampleReason::TailSlow);
-            }
-        }
-        if let Some(factor) = self.tail.anomaly_factor {
-            if prior_count >= self.tail.anomaly_min_samples.max(1) {
-                let mean = prior_sum as f64 / prior_count as f64;
-                if nanos as f64 > factor * mean {
-                    return Some(SampleReason::TailAnomaly);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -224,36 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_rule_flags_outliers_against_the_running_mean() {
-        let s = Sampler::new(1, 0.0).with_tail(TailRules {
-            slow: None,
-            anomaly_factor: Some(3.0),
-            anomaly_min_samples: 4,
-        });
-        // Establish a ~1ms mean.
-        for _ in 0..8 {
-            assert_eq!(s.decide(false, Duration::from_millis(1)), None);
+    fn a_slow_query_reads_tail_slow_whatever_the_head_draw() {
+        let s = Sampler::new(1, 1.0).with_slow(Some(Duration::from_millis(5)));
+        for head_sampled in [false, true] {
+            assert_eq!(
+                s.decide(head_sampled, Duration::from_millis(5)),
+                Some(SampleReason::TailSlow)
+            );
         }
-        // 10ms is 10× the mean: retained as an anomaly.
         assert_eq!(
-            s.decide(false, Duration::from_millis(10)),
-            Some(SampleReason::TailAnomaly)
+            s.decide(true, Duration::from_millis(4)),
+            Some(SampleReason::Head)
         );
-        // Back at the mean: not retained (the outlier nudged the mean up,
-        // but 1ms stays well under 3×).
-        assert_eq!(s.decide(false, Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn anomaly_rule_waits_for_min_samples() {
-        let s = Sampler::new(1, 0.0).with_tail(TailRules {
-            slow: None,
-            anomaly_factor: Some(2.0),
-            anomaly_min_samples: 10,
-        });
-        assert_eq!(s.decide(false, Duration::from_nanos(1)), None);
-        // Far above the 1ns "mean", but only one observation so far.
-        assert_eq!(s.decide(false, Duration::from_secs(1)), None);
+        assert_eq!(s.decide(false, Duration::from_millis(4)), None);
     }
 
     proptest! {
@@ -292,11 +221,7 @@ mod tests {
             noise in proptest::collection::vec(0u64..1_000_000, 0..64),
         ) {
             let slow = Duration::from_micros(threshold_us);
-            let s = Sampler::new(seed, 0.0).with_tail(TailRules {
-                slow: Some(slow),
-                anomaly_factor: None,
-                anomaly_min_samples: 0,
-            });
+            let s = Sampler::new(seed, 0.0).with_slow(Some(slow));
             for &n in &noise {
                 s.decide(false, Duration::from_nanos(n));
             }

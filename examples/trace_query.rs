@@ -21,9 +21,11 @@ fn main() {
             ..SodaConfig::default()
         },
     );
-    // A zero slow-query threshold captures every executed query's span tree
-    // in the slow-query log — handy for a demo; production deployments set
-    // a real budget (or leave it off for the zero-cost noop path).
+    // A zero slow-query threshold keeps every answered query's span tree in
+    // the tenant's trace ring, warm hits included (the end-to-end figure
+    // decides) — handy for a demo; production deployments set a real
+    // budget, which no hit reaches (or leave it off for the zero-cost noop
+    // path).
     let service = QueryService::start(
         Arc::new(snapshot),
         ServiceConfig {
@@ -56,16 +58,18 @@ fn main() {
             .render()
     );
 
-    // The same query through the normal path: executed once (slow-query
-    // captured), then answered from the cache.
+    // The same query through the normal path: executed once, then answered
+    // from the cache — both kept as `tail_slow`.
     for _ in 0..2 {
         service.query(QueryRequest::new(query)).wait().unwrap();
     }
-    let slow = service.slow_queries();
+    let kept = service
+        .sampled_traces(TenantId::default())
+        .expect("default tenant");
     println!(
-        "slow-query log: {} capture(s), first spans {} node(s)\n",
-        slow.len(),
-        slow.first().map(|s| s.trace.all_spans().len()).unwrap_or(0)
+        "kept traces: {} capture(s), first spans {} node(s)\n",
+        kept.len(),
+        kept.first().map(|s| s.trace.all_spans().len()).unwrap_or(0)
     );
 
     println!("== metrics_text()");

@@ -44,8 +44,9 @@
 //!   metrics.
 //! * [`trace`] — the observability kernel: a [`TraceSink`](soda_trace::TraceSink)
 //!   threaded through every pipeline stage (span trees with per-shard probe
-//!   sub-spans), fixed-memory log-bucketed latency histograms and a
-//!   Prometheus text-exposition writer/validator backing
+//!   sub-spans), fixed-memory log-bucketed latency histograms, the sampler
+//!   deciding which traces of live traffic are kept and a Prometheus
+//!   text-exposition writer/validator backing
 //!   [`QueryService::metrics_text`](soda_service::QueryService::metrics_text).
 //!
 //! ## Quickstart
@@ -88,7 +89,7 @@ pub mod prelude {
     pub use soda_service::{
         AlertState, BurnAlert, CompactionConfig, DurabilityConfig, FsyncPolicy, JobHandle,
         JobResult, QueryRequest, QueryResponse, QueryService, RecoveryReport, SampledTrace,
-        SamplingConfig, ServiceConfig, ServiceMetrics, SloConfig, SlowQuery, TenantAdmin, TenantId,
+        SamplingConfig, ServiceConfig, ServiceMetrics, SloConfig, TenantAdmin, TenantId,
         TenantMetrics,
     };
     pub use soda_trace::{CollectingSink, NoopSink, OpEvent, QueryTrace, TraceSink};

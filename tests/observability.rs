@@ -1,8 +1,8 @@
 //! Cross-crate acceptance tests of the observability surface: end-to-end
 //! query traces (span trees with per-shard probe sub-spans), the queue-wait /
-//! execution latency split, the slow-query log and the Prometheus text
-//! exposition — including the golden `# TYPE` surface that pins the metric
-//! names as a stable interface.
+//! execution latency split, the per-tenant ring of kept traces and the
+//! Prometheus text exposition — including the golden `# TYPE` surface that
+//! pins the metric names as a stable interface.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -169,8 +169,9 @@ fn queue_wait_is_split_from_execution() {
     assert!(m.stages.sqlgen.max <= m.execution.max);
 }
 
-/// A query over the slow-query threshold lands its full span tree in the
-/// bounded slow-query log, with the queue-wait / execution split attached.
+/// A query over the slow-query threshold lands its full span tree in its
+/// tenant's bounded ring of kept traces, with the queue-wait / execution
+/// split attached.
 #[test]
 fn slow_queries_land_full_traces_in_the_log() {
     let w = soda::warehouse::minibank::build(42);
@@ -182,26 +183,29 @@ fn slow_queries_land_full_traces_in_the_log() {
             ..SodaConfig::default()
         },
     );
+    // A zero threshold makes every answered query slow — a demo setting:
+    // only it can see that the end-to-end figure decides for warm hits too
+    // (there are none here).
     let service = QueryService::start(
         Arc::new(snapshot),
-        ServiceConfig {
-            slow_query_threshold: Some(Duration::ZERO),
-            slow_query_log: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default()
+            .slow_query_threshold(Duration::ZERO)
+            .sampling(SamplingConfig::default().rate(0.0).trace_log(2)),
     );
     for query in ["Sara Guttinger", "wealthy customers", "Credit Suisse"] {
         service.query(QueryRequest::new(query)).wait().unwrap();
     }
     let m = service.metrics();
     assert_eq!(m.slow_queries, 3);
-    // The log is bounded: only the newest two captures survive.
-    let slow = service.slow_queries();
+    assert_eq!(m.tenants[0].sampled_traces, 3);
+    // The ring is bounded: only the newest two captures survive.
+    let slow = service.sampled_traces(TenantId::default()).unwrap();
     assert_eq!(slow.len(), 2);
     assert_eq!(slow[0].input, "wealthy customers");
     assert_eq!(slow[1].input, "Credit Suisse");
     for capture in &slow {
-        assert!(capture.total >= capture.execution);
+        assert_eq!(capture.reason, "tail_slow");
+        assert!(capture.total >= capture.queue_wait + capture.execution);
         let root = capture.trace.find(names::QUERY).expect("query root");
         assert_eq!(root.children.len(), 5, "{}", capture.trace.render());
     }
@@ -228,6 +232,8 @@ fn golden_metrics_text() -> String {
         graph,
         SodaConfig::default(),
         ServiceConfig {
+            // A demo threshold: every answered query is slow, so the one
+            // query below is kept as `tail_slow`, not `head`.
             slow_query_threshold: Some(Duration::ZERO),
             // Sampling and an SLO are declared so the exemplar syntax and
             // the `soda_slo_*` families are part of the golden surface.
