@@ -6,5 +6,5 @@ pub mod normalize;
 pub mod parser;
 
 pub use ast::{QueryTerm, QueryValue, SodaQuery};
-pub use normalize::{normalize_parsed, normalize_query};
+pub use normalize::normalize_query;
 pub use parser::parse_query;

@@ -7,8 +7,8 @@
 //!
 //! * Keyword groups, aggregation attributes and group-by attributes are
 //!   folded through the same tokenizer the lookup step uses
-//!   ([`normalize_phrase`]): lower-cased, split on punctuation, re-joined
-//!   with single spaces.  `"Trade Order TD"`, `trade_order_td` and
+//!   (`write_phrase`, the writing form of `normalize_phrase`): lower-cased,
+//!   split on punctuation, re-joined with single spaces.  `"Trade Order TD"`, `trade_order_td` and
 //!   `"trade   order  td"` all normalize to `trade order td`.
 //! * Values are printed canonically: integral numbers lose their fraction
 //!   (`100000.0` → `100000`), dates always render as `date(YYYY-MM-DD)`.
@@ -23,79 +23,165 @@
 //! the group before them), the order of constraints (it shows in the
 //! generated `WHERE` clause), the case of comparison / `like` values (they
 //! flow verbatim into SQL literals) and the order of group-by attributes.
+//!
+//! The canonical text is written straight from the grammar walk the parser
+//! is built on (`parser::walk`) — no token list, no AST — so canonicalising an
+//! input allocates its output and nothing else.
 
-use soda_relation::index::tokenizer::normalize_phrase;
-use soda_relation::{AggFunc, CompareOp};
+use std::fmt::Write as _;
+
+use soda_relation::index::tokenizer::write_phrase;
+use soda_relation::CompareOp;
 
 use crate::error::Result;
-use crate::query::ast::{QueryTerm, QueryValue, SodaQuery};
-use crate::query::parser::parse_query;
+use crate::query::parser::{walk, Event, ValueRef};
 
-/// Parses an input query and renders its canonical form.
+/// Renders the canonical form of an input query.
 ///
-/// Returns the parse error of [`parse_query`] for inputs the engine would
-/// reject anyway — callers can surface it without running the pipeline.
+/// Returns the parse error of [`parse_query`](super::parse_query) for inputs
+/// the engine would reject anyway — callers can surface it without running
+/// the pipeline.
 pub fn normalize_query(input: &str) -> Result<String> {
-    Ok(normalize_parsed(&parse_query(input)?))
+    // Room for what canonical spellings add (`date(…)` around a bare date,
+    // the `and` of a `between`), so the output is allocated once.
+    let mut writer = CanonicalWriter {
+        out: String::with_capacity(input.len() + 16),
+        ..CanonicalWriter::default()
+    };
+    walk(input, |event| writer.event(event))?;
+    Ok(writer.finish())
 }
 
-/// Renders the canonical form of an already-parsed query.
-pub fn normalize_parsed(query: &SodaQuery) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    // The *last* `top N` term, because that is the one the lookup step
-    // applies (it overwrites on every occurrence) — hoisting any other one
-    // would collide inputs the engine answers differently.
-    let top_n = query.terms.iter().rev().find_map(|t| match t {
-        QueryTerm::TopN(n) => Some(*n),
-        _ => None,
-    });
-    if let Some(n) = top_n {
-        parts.push(format!("top {n}"));
-    }
-    let mut prev_was_keywords = false;
-    for term in &query.terms {
-        match term {
-            // Hoisted to the front above.
-            QueryTerm::TopN(_) => continue,
-            QueryTerm::Keywords(group) => {
-                let group = normalize_phrase(group);
-                if group.is_empty() {
-                    continue;
+/// Writes the canonical text from the walk's events.
+#[derive(Default)]
+struct CanonicalWriter {
+    out: String,
+    /// The *last* `top N` term, because that is the one the lookup step
+    /// applies (it overwrites on every occurrence) — hoisting any other one
+    /// would collide inputs the engine answers differently.
+    top_n: Option<usize>,
+    /// A keyword group is open and has written a token.
+    in_group: bool,
+    /// The last part written was a keyword group: the next one is
+    /// re-separated from it with a canonical `and`.
+    after_keywords: bool,
+    /// Inside a `group by` list (attributes separated by `, `) rather than
+    /// an aggregation's (all words one attribute).
+    group_by: bool,
+    /// A `group by` attribute has been finished, and whether the current
+    /// one has a word yet.
+    listed: bool,
+    in_attribute: bool,
+    /// A token has been written since the list (aggregation) or the
+    /// attribute (`group by`) began.
+    spaced: bool,
+}
+
+impl CanonicalWriter {
+    fn event(&mut self, event: Event<'_>) {
+        match event {
+            Event::Keyword(word) => {
+                let lead = if self.out.is_empty() {
+                    ""
+                } else if self.in_group || !self.after_keywords {
+                    " "
+                } else {
+                    " and "
+                };
+                if write_phrase(&mut self.out, lead, word) {
+                    self.in_group = true;
+                    self.after_keywords = true;
                 }
-                if prev_was_keywords {
-                    parts.push("and".to_string());
+            }
+            Event::Connector => self.in_group = false,
+            // Hoisted to the front by `finish`.
+            Event::TopN(n) => {
+                self.in_group = false;
+                self.top_n = Some(n);
+            }
+            Event::Comparison(op, value) => {
+                let out = self.part();
+                out.push_str(op_text(op));
+                out.push(' ');
+                write_value(out, value);
+            }
+            Event::Like(pattern) => {
+                let out = self.part();
+                out.push_str("like ");
+                out.push_str(pattern);
+            }
+            Event::Between(low, high) => {
+                let out = self.part();
+                out.push_str("between ");
+                write_value(out, low);
+                out.push_str(" and ");
+                write_value(out, high);
+            }
+            Event::ValidAt(value) => {
+                let out = self.part();
+                out.push_str("valid at ");
+                write_value(out, value);
+            }
+            Event::ListOpen(head) => {
+                let out = self.part();
+                match head {
+                    Some(func) => {
+                        out.push_str(func.as_sql());
+                        out.push_str(" (");
+                    }
+                    None => out.push_str("group by ("),
                 }
-                parts.push(group);
-                prev_was_keywords = true;
-                continue;
+                self.group_by = head.is_none();
+                self.listed = false;
+                self.in_attribute = false;
+                self.spaced = false;
             }
-            QueryTerm::Comparison { op, value } => {
-                parts.push(format!("{} {}", op_text(*op), value_text(value)));
+            Event::ListWord(word) => {
+                if self.group_by && !self.in_attribute {
+                    if self.listed {
+                        self.out.push_str(", ");
+                    }
+                    self.in_attribute = true;
+                    self.spaced = false;
+                }
+                let lead = if self.spaced { " " } else { "" };
+                self.spaced |= write_phrase(&mut self.out, lead, word);
             }
-            QueryTerm::Like(pattern) => parts.push(format!("like {pattern}")),
-            QueryTerm::Between { low, high } => {
-                parts.push(format!(
-                    "between {} and {}",
-                    value_text(low),
-                    value_text(high)
-                ));
+            Event::ListComma => {
+                self.listed |= self.in_attribute;
+                self.in_attribute = false;
             }
-            QueryTerm::Aggregation { func, attribute } => {
-                parts.push(format!(
-                    "{} ({})",
-                    func_text(*func),
-                    normalize_phrase(attribute)
-                ));
-            }
-            QueryTerm::GroupBy(attrs) => {
-                let attrs: Vec<String> = attrs.iter().map(|a| normalize_phrase(a)).collect();
-                parts.push(format!("group by ({})", attrs.join(", ")));
-            }
-            QueryTerm::ValidAt(value) => parts.push(format!("valid at {}", value_text(value))),
+            Event::ListClose => self.out.push(')'),
         }
-        prev_was_keywords = false;
     }
-    parts.join(" ")
+
+    /// Starts a part that is not a keyword group — separated from what is
+    /// already written by one blank — and returns where to write it.
+    fn part(&mut self) -> &mut String {
+        self.in_group = false;
+        self.after_keywords = false;
+        if !self.out.is_empty() {
+            self.out.push(' ');
+        }
+        &mut self.out
+    }
+
+    fn finish(mut self) -> String {
+        let Some(n) = self.top_n else {
+            return self.out;
+        };
+        // Written behind the body, then rotated in front of it: in place,
+        // and both pieces stay whole, so the text stays UTF-8.
+        let body = self.out.len();
+        write!(self.out, "top {n}").expect("writing to a String");
+        if body > 0 {
+            self.out.push(' ');
+        }
+        let head = self.out.len() - body;
+        let mut bytes = self.out.into_bytes();
+        bytes.rotate_right(head);
+        String::from_utf8(bytes).expect("two whole UTF-8 pieces, swapped")
+    }
 }
 
 fn op_text(op: CompareOp) -> &'static str {
@@ -109,28 +195,17 @@ fn op_text(op: CompareOp) -> &'static str {
     }
 }
 
-fn func_text(func: AggFunc) -> &'static str {
-    match func {
-        AggFunc::Sum => "sum",
-        AggFunc::Count => "count",
-        AggFunc::Avg => "avg",
-        AggFunc::Min => "min",
-        AggFunc::Max => "max",
-    }
-}
-
-fn value_text(value: &QueryValue) -> String {
+fn write_value(out: &mut String, value: ValueRef<'_>) {
     match value {
-        QueryValue::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
+        ValueRef::Number(n) if n.fract() == 0.0 && n.abs() < 1e15 => write!(out, "{}", n as i64),
+        ValueRef::Number(n) => write!(out, "{n}"),
+        ValueRef::Date(date) => write!(out, "date({date})"),
+        ValueRef::Text(text) => {
+            out.push_str(text);
+            Ok(())
         }
-        QueryValue::Date(d) => format!("date({:04}-{:02}-{:02})", d.year, d.month, d.day),
-        QueryValue::Text(s) => s.clone(),
     }
+    .expect("writing to a String");
 }
 
 #[cfg(test)]

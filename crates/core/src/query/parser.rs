@@ -4,158 +4,160 @@
 //! construct is a search keyword.  Connector words (`and`, `or`) merely
 //! separate keyword groups — the paper notes that "and" may be unknown and is
 //! then ignored.
+//!
+//! One grammar walk (`walk`) reads the input and reports what it finds as
+//! `Event`s borrowed from it; [`parse_query`] builds the [`SodaQuery`] from
+//! them and [`normalize_query`](super::normalize::normalize_query) writes the
+//! canonical text, so the two cannot disagree about what an input means.
+
+use std::iter::Peekable;
 
 use soda_relation::{AggFunc, CompareOp, Date};
 
 use crate::error::{Result, SodaError};
 use crate::query::ast::{QueryTerm, QueryValue, SodaQuery};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Word(String),
-    Op(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Word(&'a str),
+    Op(&'a str),
     LParen,
     RParen,
     Comma,
 }
 
-fn scan(input: &str) -> Vec<Tok> {
-    let mut toks = Vec::new();
-    let mut word = String::new();
-    let mut chars = input.chars().peekable();
-    let flush = |word: &mut String, toks: &mut Vec<Tok>| {
-        if !word.is_empty() {
-            toks.push(Tok::Word(std::mem::take(word)));
-        }
-    };
-    while let Some(c) = chars.next() {
-        match c {
-            '(' => {
-                flush(&mut word, &mut toks);
-                toks.push(Tok::LParen);
-            }
-            ')' => {
-                flush(&mut word, &mut toks);
-                toks.push(Tok::RParen);
-            }
-            ',' => {
-                flush(&mut word, &mut toks);
-                toks.push(Tok::Comma);
-            }
+/// Cuts the input into tokens that borrow from it.
+struct Scanner<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for Scanner<'a> {
+    type Item = Tok<'a>;
+
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let rest = self.rest.trim_start();
+        let (tok, len) = match rest.chars().next()? {
+            '(' => (Tok::LParen, 1),
+            ')' => (Tok::RParen, 1),
+            ',' => (Tok::Comma, 1),
             '>' | '<' | '=' | '!' => {
-                flush(&mut word, &mut toks);
-                let mut op = String::new();
-                op.push(c);
-                if let Some('=') = chars.peek() {
-                    op.push('=');
-                    chars.next();
-                }
-                toks.push(Tok::Op(op));
+                let len = if rest[1..].starts_with('=') { 2 } else { 1 };
+                (Tok::Op(&rest[..len]), len)
             }
-            c if c.is_whitespace() => flush(&mut word, &mut toks),
-            _ => word.push(c),
-        }
+            _ => {
+                let ends_word = |c: char| {
+                    c.is_whitespace() || matches!(c, '(' | ')' | ',' | '>' | '<' | '=' | '!')
+                };
+                let len = rest.find(ends_word).unwrap_or(rest.len());
+                (Tok::Word(&rest[..len]), len)
+            }
+        };
+        self.rest = &rest[len..];
+        Some(tok)
     }
-    flush(&mut word, &mut toks);
-    toks
 }
 
-struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+/// One token of look-ahead is all the grammar needs.
+type Tokens<'a> = Peekable<Scanner<'a>>;
+
+/// A value as it stands in the input.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum ValueRef<'a> {
+    Number(f64),
+    Date(Date),
+    Text(&'a str),
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
-    }
+/// What the grammar walk finds, in input order.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Event<'a> {
+    /// A search word; consecutive ones form a keyword group, which any other
+    /// event ends.
+    Keyword(&'a str),
+    /// `and` / `or`.
+    Connector,
+    TopN(usize),
+    Comparison(CompareOp, ValueRef<'a>),
+    Like(&'a str),
+    Between(ValueRef<'a>, ValueRef<'a>),
+    ValidAt(ValueRef<'a>),
+    /// An aggregation (`Some`) or a `group by` (`None`) opens its attribute
+    /// list: [`ListWord`](Event::ListWord)s, with a
+    /// [`ListComma`](Event::ListComma) between attributes, up to the
+    /// [`ListClose`](Event::ListClose).
+    ListOpen(Option<AggFunc>),
+    ListWord(&'a str),
+    ListComma,
+    ListClose,
+}
 
-    fn peek_word(&self) -> Option<&str> {
-        match self.peek() {
-            Some(Tok::Word(w)) => Some(w.as_str()),
-            _ => None,
-        }
-    }
+/// Consumes the next token when it is a word `read` accepts.
+fn next_word_as<'a, T>(
+    toks: &mut Tokens<'a>,
+    read: impl FnOnce(&'a str) -> Option<T>,
+) -> Option<T> {
+    let Some(Tok::Word(word)) = toks.peek() else {
+        return None;
+    };
+    let read = read(word)?;
+    toks.next();
+    Some(read)
+}
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
+/// Consumes the next token when it is the word `keyword` in any case.
+fn eat_word(toks: &mut Tokens<'_>, keyword: &str) -> bool {
+    next_word_as(toks, |word| {
+        word.eq_ignore_ascii_case(keyword).then_some(())
+    })
+    .is_some()
+}
 
-    fn eat_word(&mut self, w: &str) -> bool {
-        if self.peek_word().is_some_and(|x| x.eq_ignore_ascii_case(w)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Parses a value: `date(YYYY-MM-DD)`, a number, or a bare word.
-    fn value(&mut self) -> Result<QueryValue> {
-        match self.next() {
-            Some(Tok::Word(w)) => {
-                if w.eq_ignore_ascii_case("date") && self.peek() == Some(&Tok::LParen) {
-                    self.pos += 1; // (
-                    let inner = match self.next() {
-                        Some(Tok::Word(d)) => d,
-                        other => {
-                            return Err(SodaError::Query(format!(
-                                "expected date literal, found {other:?}"
-                            )))
-                        }
-                    };
-                    if self.peek() == Some(&Tok::RParen) {
-                        self.pos += 1;
+/// Parses a value: `date(YYYY-MM-DD)`, a number, or a bare word.
+fn value<'a>(toks: &mut Tokens<'a>) -> Result<ValueRef<'a>> {
+    match toks.next() {
+        Some(Tok::Word(word)) => {
+            if word.eq_ignore_ascii_case("date") && toks.next_if_eq(&Tok::LParen).is_some() {
+                let inner = match toks.next() {
+                    Some(Tok::Word(inner)) => inner,
+                    other => {
+                        return Err(SodaError::Query(format!(
+                            "expected date literal, found {other:?}"
+                        )))
                     }
-                    let d = Date::parse(&inner)
-                        .ok_or_else(|| SodaError::Query(format!("invalid date '{inner}'")))?;
-                    return Ok(QueryValue::Date(d));
-                }
-                if let Ok(n) = w.parse::<f64>() {
-                    return Ok(QueryValue::Number(n));
-                }
-                if let Some(d) = Date::parse(&w) {
-                    return Ok(QueryValue::Date(d));
-                }
-                Ok(QueryValue::Text(w))
+                };
+                toks.next_if_eq(&Tok::RParen);
+                let date = Date::parse(inner)
+                    .ok_or_else(|| SodaError::Query(format!("invalid date '{inner}'")))?;
+                return Ok(ValueRef::Date(date));
             }
-            other => Err(SodaError::Query(format!(
-                "expected a value, found {other:?}"
-            ))),
+            if let Ok(n) = word.parse::<f64>() {
+                return Ok(ValueRef::Number(n));
+            }
+            if let Some(date) = Date::parse(word) {
+                return Ok(ValueRef::Date(date));
+            }
+            Ok(ValueRef::Text(word))
         }
+        other => Err(SodaError::Query(format!(
+            "expected a value, found {other:?}"
+        ))),
     }
+}
 
-    /// Parses a parenthesised attribute list `( a, b c, d )`; attributes are
-    /// multi-word phrases separated by commas.
-    fn attribute_list(&mut self) -> Result<Vec<String>> {
-        if self.peek() != Some(&Tok::LParen) {
-            // Bare single attribute (lenient form).
-            if let Some(Tok::Word(w)) = self.next() {
-                return Ok(vec![w]);
-            }
+/// Reads a parenthesised attribute list `( a, b c, d )` — attributes are
+/// multi-word phrases separated by commas — or, leniently, one bare word.
+fn attribute_list<'a>(toks: &mut Tokens<'a>, emit: &mut impl FnMut(Event<'a>)) -> Result<()> {
+    if toks.next_if_eq(&Tok::LParen).is_none() {
+        let Some(Tok::Word(word)) = toks.next() else {
             return Err(SodaError::Query("expected an attribute list".into()));
-        }
-        self.pos += 1; // (
-        let mut attrs = Vec::new();
-        let mut current = Vec::new();
+        };
+        emit(Event::ListWord(word));
+    } else {
         loop {
-            match self.next() {
-                Some(Tok::RParen) | None => {
-                    if !current.is_empty() {
-                        attrs.push(current.join(" "));
-                    }
-                    break;
-                }
-                Some(Tok::Comma) => {
-                    if !current.is_empty() {
-                        attrs.push(std::mem::take(&mut current).join(" "));
-                    }
-                }
-                Some(Tok::Word(w)) => current.push(w),
+            match toks.next() {
+                Some(Tok::RParen) | None => break,
+                Some(Tok::Comma) => emit(Event::ListComma),
+                Some(Tok::Word(word)) => emit(Event::ListWord(word)),
                 Some(other) => {
                     return Err(SodaError::Query(format!(
                         "unexpected token {other:?} in attribute list"
@@ -163,138 +165,185 @@ impl Parser {
                 }
             }
         }
-        Ok(attrs)
+    }
+    emit(Event::ListClose);
+    Ok(())
+}
+
+/// The grammar: reads `input` once and hands `sink` every [`Event`] in input
+/// order.  Fails with the first malformed construct, or with
+/// [`SodaError::EmptyQuery`] when the input held neither a keyword nor an
+/// operator construct; what the sink has seen by then is to be discarded.
+pub(super) fn walk<'a>(input: &'a str, mut sink: impl FnMut(Event<'a>)) -> Result<()> {
+    let mut toks = Scanner { rest: input }.peekable();
+    let mut empty = true;
+    let mut emit = |event| {
+        empty &= matches!(event, Event::Connector);
+        sink(event);
+    };
+    while let Some(tok) = toks.next() {
+        let word = match tok {
+            Tok::Op(op) => {
+                let op = CompareOp::parse(op)
+                    .ok_or_else(|| SodaError::Query(format!("unknown operator {op}")))?;
+                emit(Event::Comparison(op, value(&mut toks)?));
+                continue;
+            }
+            // Stray punctuation between keywords is ignored.
+            Tok::LParen | Tok::RParen | Tok::Comma => continue,
+            Tok::Word(word) => word,
+        };
+        let is = |keyword: &str| word.eq_ignore_ascii_case(keyword);
+        if is("select") {
+            // The paper writes "select count() …"; the word itself carries
+            // no meaning in the input language.
+        } else if is("and") || is("or") {
+            emit(Event::Connector);
+        } else if is("top") {
+            match next_word_as(&mut toks, |n| n.parse().ok()) {
+                Some(n) => emit(Event::TopN(n)),
+                None => emit(Event::Keyword(word)),
+            }
+        } else if is("group") {
+            if eat_word(&mut toks, "by") {
+                emit(Event::ListOpen(None));
+                attribute_list(&mut toks, &mut emit)?;
+            } else {
+                emit(Event::Keyword(word));
+            }
+        } else if is("between") {
+            let low = value(&mut toks)?;
+            eat_word(&mut toks, "and");
+            emit(Event::Between(low, value(&mut toks)?));
+        } else if is("valid") {
+            // `valid at date(…)` — the temporal operator of the
+            // historization extension.  A bare "valid" without "at" stays
+            // an ordinary keyword.
+            if eat_word(&mut toks, "at") {
+                emit(Event::ValidAt(value(&mut toks)?));
+            } else {
+                emit(Event::Keyword(word));
+            }
+        } else if is("like") {
+            match toks.next() {
+                Some(Tok::Word(pattern)) => emit(Event::Like(pattern)),
+                other => {
+                    return Err(SodaError::Query(format!(
+                        "expected pattern after like, found {other:?}"
+                    )))
+                }
+            }
+        } else {
+            // Only an aggregation when followed by parentheses, so that a
+            // keyword like "count" in running text stays a keyword.
+            match AggFunc::parse(word) {
+                Some(func) if toks.peek() == Some(&Tok::LParen) => {
+                    emit(Event::ListOpen(Some(func)));
+                    attribute_list(&mut toks, &mut emit)?;
+                }
+                _ => emit(Event::Keyword(word)),
+            }
+        }
+    }
+    if empty {
+        return Err(SodaError::EmptyQuery);
+    }
+    Ok(())
+}
+
+impl From<ValueRef<'_>> for QueryValue {
+    fn from(value: ValueRef<'_>) -> Self {
+        match value {
+            ValueRef::Number(n) => QueryValue::Number(n),
+            ValueRef::Date(date) => QueryValue::Date(date),
+            ValueRef::Text(text) => QueryValue::Text(text.to_string()),
+        }
+    }
+}
+
+/// Collects the walk's events into the terms of a [`SodaQuery`].
+#[derive(Default)]
+struct TermBuilder<'a> {
+    terms: Vec<QueryTerm>,
+    /// The words of the open keyword group.
+    keywords: Vec<&'a str>,
+    /// The attribute list being read: who opened it, its finished
+    /// attributes and the words of the current one.
+    list_head: Option<AggFunc>,
+    attributes: Vec<String>,
+    attribute: Vec<&'a str>,
+}
+
+impl<'a> TermBuilder<'a> {
+    fn end_keywords(&mut self) {
+        if !self.keywords.is_empty() {
+            self.terms
+                .push(QueryTerm::Keywords(self.keywords.join(" ")));
+            self.keywords.clear();
+        }
+    }
+
+    fn end_attribute(&mut self) {
+        if !self.attribute.is_empty() {
+            self.attributes.push(self.attribute.join(" "));
+            self.attribute.clear();
+        }
+    }
+
+    fn event(&mut self, event: Event<'a>) {
+        if let Event::Keyword(word) = event {
+            self.keywords.push(word);
+            return;
+        }
+        self.end_keywords();
+        let term = match event {
+            Event::Keyword(_) | Event::Connector => return,
+            Event::ListOpen(head) => {
+                self.list_head = head;
+                return;
+            }
+            Event::ListWord(word) => {
+                self.attribute.push(word);
+                return;
+            }
+            Event::ListComma => {
+                self.end_attribute();
+                return;
+            }
+            Event::ListClose => {
+                self.end_attribute();
+                let attributes = std::mem::take(&mut self.attributes);
+                match self.list_head {
+                    Some(func) => QueryTerm::Aggregation {
+                        func,
+                        attribute: attributes.join(" "),
+                    },
+                    None => QueryTerm::GroupBy(attributes),
+                }
+            }
+            Event::TopN(n) => QueryTerm::TopN(n),
+            Event::Comparison(op, value) => QueryTerm::Comparison {
+                op,
+                value: value.into(),
+            },
+            Event::Like(pattern) => QueryTerm::Like(pattern.to_string()),
+            Event::Between(low, high) => QueryTerm::Between {
+                low: low.into(),
+                high: high.into(),
+            },
+            Event::ValidAt(value) => QueryTerm::ValidAt(value.into()),
+        };
+        self.terms.push(term);
     }
 }
 
 /// Parses an input query string into a [`SodaQuery`].
 pub fn parse_query(input: &str) -> Result<SodaQuery> {
-    let toks = scan(input);
-    let mut p = Parser { toks, pos: 0 };
-    let mut terms: Vec<QueryTerm> = Vec::new();
-    let mut keywords: Vec<String> = Vec::new();
-
-    let flush = |keywords: &mut Vec<String>, terms: &mut Vec<QueryTerm>| {
-        if !keywords.is_empty() {
-            terms.push(QueryTerm::Keywords(keywords.join(" ")));
-            keywords.clear();
-        }
-    };
-
-    while let Some(tok) = p.peek().cloned() {
-        match tok {
-            Tok::Op(op) => {
-                p.pos += 1;
-                flush(&mut keywords, &mut terms);
-                let cmp = CompareOp::parse(&op)
-                    .ok_or_else(|| SodaError::Query(format!("unknown operator {op}")))?;
-                let value = p.value()?;
-                terms.push(QueryTerm::Comparison { op: cmp, value });
-            }
-            Tok::Word(w) => {
-                let lower = w.to_ascii_lowercase();
-                match lower.as_str() {
-                    "select" => {
-                        // The paper writes "select count() …"; the word itself
-                        // carries no meaning in the input language.
-                        p.pos += 1;
-                    }
-                    "and" | "or" => {
-                        p.pos += 1;
-                        flush(&mut keywords, &mut terms);
-                    }
-                    "top" => {
-                        p.pos += 1;
-                        if let Some(n) = p.peek_word().and_then(|x| x.parse::<usize>().ok()) {
-                            p.pos += 1;
-                            flush(&mut keywords, &mut terms);
-                            terms.push(QueryTerm::TopN(n));
-                        } else {
-                            keywords.push(w);
-                        }
-                    }
-                    "group" => {
-                        p.pos += 1;
-                        if p.eat_word("by") {
-                            flush(&mut keywords, &mut terms);
-                            let attrs = p.attribute_list()?;
-                            terms.push(QueryTerm::GroupBy(attrs));
-                        } else {
-                            keywords.push(w);
-                        }
-                    }
-                    "between" => {
-                        p.pos += 1;
-                        flush(&mut keywords, &mut terms);
-                        let low = p.value()?;
-                        let _ = p.eat_word("and");
-                        let high = p.value()?;
-                        terms.push(QueryTerm::Between { low, high });
-                    }
-                    "valid" => {
-                        // `valid at date(…)` — the temporal operator of the
-                        // historization extension.  A bare "valid" without
-                        // "at" stays an ordinary keyword.
-                        if p.toks.get(p.pos + 1).is_some_and(
-                            |t| matches!(t, Tok::Word(w) if w.eq_ignore_ascii_case("at")),
-                        ) {
-                            p.pos += 2;
-                            flush(&mut keywords, &mut terms);
-                            let value = p.value()?;
-                            terms.push(QueryTerm::ValidAt(value));
-                        } else {
-                            p.pos += 1;
-                            keywords.push(w);
-                        }
-                    }
-                    "like" => {
-                        p.pos += 1;
-                        flush(&mut keywords, &mut terms);
-                        match p.next() {
-                            Some(Tok::Word(pat)) => terms.push(QueryTerm::Like(pat)),
-                            other => {
-                                return Err(SodaError::Query(format!(
-                                    "expected pattern after like, found {other:?}"
-                                )))
-                            }
-                        }
-                    }
-                    _ => {
-                        // Aggregation operator?
-                        if let Some(func) = AggFunc::parse(&lower) {
-                            // Only treat it as an aggregation when followed by
-                            // parentheses, so that a keyword like "count" in
-                            // running text stays a keyword.
-                            let next_is_paren = p.toks.get(p.pos + 1) == Some(&Tok::LParen);
-                            if next_is_paren {
-                                p.pos += 1;
-                                flush(&mut keywords, &mut terms);
-                                let attrs = p.attribute_list()?;
-                                terms.push(QueryTerm::Aggregation {
-                                    func,
-                                    attribute: attrs.join(" "),
-                                });
-                                continue;
-                            }
-                        }
-                        p.pos += 1;
-                        keywords.push(w);
-                    }
-                }
-            }
-            Tok::LParen | Tok::RParen | Tok::Comma => {
-                // Stray punctuation between keywords is ignored.
-                p.pos += 1;
-            }
-        }
-    }
-    flush(&mut keywords, &mut terms);
-
-    if terms.is_empty() {
-        return Err(SodaError::EmptyQuery);
-    }
+    let mut builder = TermBuilder::default();
+    walk(input, |event| builder.event(event))?;
+    builder.end_keywords();
     Ok(SodaQuery {
-        terms,
+        terms: builder.terms,
         input: input.to_string(),
     })
 }

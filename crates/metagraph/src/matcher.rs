@@ -506,6 +506,31 @@ impl<'a> Matcher<'a> {
         }
     }
 
+    /// The nodes a sweep has to try as the anchor, ascending.  A triple
+    /// `(anchor, p, <constant node>)` in the root narrows them to the
+    /// constant's incoming `p` edges — a schema sweep then visits the nodes
+    /// of one type instead of the whole graph; without one, every node.
+    fn anchor_candidates(&self, root: &Compiled<'_>) -> Vec<NodeId> {
+        let narrowing = root.items.iter().find_map(|item| match *item {
+            Conjunct::Triple {
+                subject: Slot::Var(0),
+                pred: Some(pred),
+                object: Slot::Node(Some(constant)),
+            } => Some((pred, constant)),
+            _ => None,
+        });
+        let Some((pred, constant)) = narrowing else {
+            return self.graph.nodes().collect();
+        };
+        let pointing = self.graph.incoming(constant).iter();
+        let mut candidates: Vec<NodeId> = pointing
+            .filter_map(|&(p, subject)| (p == pred).then_some(subject))
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
+    }
+
     /// Tests `pattern` with its anchor bound to `node`; returns every distinct
     /// variable assignment that satisfies all conjuncts.
     pub fn match_at(&self, pattern: &Pattern, node: NodeId) -> Vec<Binding> {
@@ -523,16 +548,17 @@ impl<'a> Matcher<'a> {
     }
 
     /// Every node the pattern matches at, ascending: [`matches`](Self::matches)
-    /// over the whole graph with the pattern compiled once, and no assignment
-    /// materialised — for a sweep that only asks *where*.
+    /// over the anchor candidates with the pattern compiled once, and no
+    /// assignment materialised — for a sweep that only asks *where*.
     pub fn matching_nodes(&self, pattern: &Pattern) -> Vec<NodeId> {
         let program = compile(self.graph, self.registry, pattern);
         let mut search = self.search(&program);
-        let nodes = self.graph.nodes();
-        nodes.filter(|&node| search.run(0, node, 0, None)).collect()
+        let mut nodes = self.anchor_candidates(&program[0]);
+        nodes.retain(|&node| search.run(0, node, 0, None));
+        nodes
     }
 
-    /// Tries every node of the graph as the anchor; returns `(node, binding)`
+    /// Tries every anchor candidate, ascending; returns `(node, binding)`
     /// pairs for every match.  The pattern is compiled once for the sweep;
     /// `soda-core`'s join catalog is built from such sweeps.
     pub fn match_all(&self, pattern: &Pattern) -> Vec<(NodeId, Binding)> {
@@ -540,7 +566,7 @@ impl<'a> Matcher<'a> {
         let mut search = self.search(&program);
         let mut out = Vec::new();
         let mut results = Vec::new();
-        for node in self.graph.nodes() {
+        for node in self.anchor_candidates(&program[0]) {
             search.run(0, node, 0, Some(&mut results));
             results.dedup();
             out.extend(results.drain(..).map(|b| (node, b)));

@@ -481,6 +481,33 @@ proptest! {
         let pattern = Pattern::new("p", items);
         assert_matches_reference(&graph, &registry, &pattern, max_reference_depth)?;
     }
+
+    /// A root with a triple from the anchor to a constant node — the shape
+    /// the sweeps pre-filter their anchors by (here the constant's incoming
+    /// edges repeat, miss the predicate, or do not exist) — sweeps to
+    /// exactly what trying every node finds, in node order.
+    #[test]
+    fn matcher_prefiltered_sweeps_agree_with_the_full_ones(
+        graph in labelled_graph_strategy(),
+        pred in prop_oneof![(0u8..4).prop_map(|p| format!("pred{p}")), Just("type".to_string())],
+        constant in prop_oneof![
+            (0usize..22).prop_map(|i| format!("node/{i}")),
+            (0u8..4).prop_map(|t| format!("kind/{t}")),
+        ],
+        at in 0usize..3,
+        mut items in proptest::collection::vec(conjunct(), 0..3),
+    ) {
+        let narrowing = PatternItem::Triple(TriplePattern {
+            subject: Term::Var("x".to_string()),
+            predicate: pred,
+            object: Term::Uri(constant),
+        });
+        items.insert(at.min(items.len()), narrowing);
+        let mut registry = PatternRegistry::new();
+        registry.register(Pattern::parse("sub", "( x pred1 y )").unwrap());
+        let pattern = Pattern::new("p", items);
+        assert_matches_reference(&graph, &registry, &pattern, 2)?;
+    }
 }
 
 /// All seven SODA patterns sweep both warehouses' graphs to the reference's

@@ -84,14 +84,9 @@ impl AggFunc {
 
     /// Parses a function name (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "count" => Some(AggFunc::Count),
-            "sum" => Some(AggFunc::Sum),
-            "avg" => Some(AggFunc::Avg),
-            "min" => Some(AggFunc::Min),
-            "max" => Some(AggFunc::Max),
-            _ => None,
-        }
+        [Self::Count, Self::Sum, Self::Avg, Self::Min, Self::Max]
+            .into_iter()
+            .find(|func| s.eq_ignore_ascii_case(func.as_sql()))
     }
 }
 

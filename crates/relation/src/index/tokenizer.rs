@@ -25,7 +25,35 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Normalises a multi-word phrase into a single lookup key (lower-case tokens
 /// joined by single spaces).
 pub fn normalize_phrase(text: &str) -> String {
-    tokenize(text).join(" ")
+    let mut out = String::new();
+    write_phrase(&mut out, "", text);
+    out
+}
+
+/// The writing form of [`normalize_phrase`]: appends the tokens of `text` to
+/// `out` — `lead` before the first, a single space before every further one
+/// — and says whether there was any.  Allocates nothing beyond what `out`
+/// grows by.
+pub fn write_phrase(out: &mut String, lead: &str, text: &str) -> bool {
+    let mut any = false;
+    let mut in_token = false;
+    for c in text.chars() {
+        if !c.is_alphanumeric() {
+            in_token = false;
+            continue;
+        }
+        if !in_token {
+            out.push_str(if any { " " } else { lead });
+            in_token = true;
+            any = true;
+        }
+        if c.is_ascii() {
+            out.push(c.to_ascii_lowercase());
+        } else {
+            out.extend(c.to_lowercase());
+        }
+    }
+    any
 }
 
 #[cfg(test)]
@@ -60,6 +88,18 @@ mod tests {
             normalize_phrase("financial_instruments"),
             "financial instruments"
         );
+    }
+
+    #[test]
+    fn write_phrase_leads_the_first_token_only() {
+        let mut out = String::from("a");
+        assert!(write_phrase(&mut out, " and ", "Trade_Order TD"));
+        assert_eq!(out, "a and trade order td");
+        assert!(!write_phrase(&mut out, " and ", "--- ***"));
+        assert_eq!(out, "a and trade order td");
+        for text in ["  Private   CUSTOMERS ", "Zürich İx", "fi-contains.sec", ""] {
+            assert_eq!(normalize_phrase(text), tokenize(text).join(" "));
+        }
     }
 
     #[test]

@@ -7,12 +7,20 @@
 //! engine-configuration fingerprint, so equivalent spellings share one slot
 //! and differently-configured engines never do.
 //!
-//! Implementation: `std` only — a `HashMap` for storage plus a `BTreeMap`
-//! keyed by a monotonically increasing recency stamp for O(log n) eviction
-//! order.  Not internally synchronised; the service wraps it in a `Mutex`.
+//! Implementation: `std` only — a `HashMap` for storage, each slot stamped
+//! with a monotonically increasing recency stamp, plus a `BTreeMap` filing
+//! every key under a stamp for O(log n) eviction order.  A hit is one store:
+//! it bumps the slot's stamp and leaves the filing stale.  Eviction repairs
+//! it — the oldest filing whose stamp is no longer its slot's is re-filed
+//! under the current one, the first one still current is the exact
+//! least-recently-used entry — so each hit costs at most one re-filing, paid
+//! by a later miss.  Not internally synchronised; the service wraps it in a
+//! `Mutex`, which is why a lookup hands out a reference: what to copy, and
+//! where, is the caller's decision.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Counters describing cache effectiveness, embedded in
 /// [`ServiceMetrics`](crate::metrics::ServiceMetrics).
@@ -62,6 +70,8 @@ struct Slot<V> {
 pub struct LruCache<K, V> {
     capacity: usize,
     map: HashMap<K, Slot<V>>,
+    /// Every resident key, filed exactly once under a stamp no newer than
+    /// its slot's.
     recency: BTreeMap<u64, K>,
     tick: u64,
     hits: u64,
@@ -71,7 +81,7 @@ pub struct LruCache<K, V> {
     retained: u64,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -94,15 +104,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 
     /// Looks up `key`, marking the entry most-recently-used on a hit and
     /// counting the outcome either way.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    pub fn get(&mut self, key: &K) -> Option<&V> {
         let stamp = self.next_stamp();
         match self.map.get_mut(key) {
             Some(slot) => {
-                self.recency.remove(&slot.stamp);
                 slot.stamp = stamp;
-                self.recency.insert(stamp, key.clone());
                 self.hits += 1;
-                Some(slot.value.clone())
+                Some(&slot.value)
             }
             None => {
                 self.misses += 1;
@@ -116,22 +124,34 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     pub fn insert(&mut self, key: K, value: V) {
         let stamp = self.next_stamp();
         if let Some(slot) = self.map.get_mut(&key) {
-            self.recency.remove(&slot.stamp);
             slot.value = value;
             slot.stamp = stamp;
-            self.recency.insert(stamp, key);
             return;
         }
         if self.map.len() >= self.capacity {
-            if let Some((&oldest, _)) = self.recency.iter().next() {
-                if let Some(victim) = self.recency.remove(&oldest) {
-                    self.map.remove(&victim);
-                    self.evictions += 1;
-                }
-            }
+            self.evict_oldest();
         }
         self.map.insert(key.clone(), Slot { value, stamp });
         self.recency.insert(stamp, key);
+    }
+
+    /// Evicts the least-recently-used entry.  Filings are never newer than
+    /// their slots' stamps, so the oldest filing that is still current is
+    /// older than every other slot; a stale one met on the way is re-filed
+    /// under its slot's stamp.
+    fn evict_oldest(&mut self) {
+        while let Some((filed, key)) = self.recency.pop_first() {
+            match self.map.get(&key) {
+                Some(slot) if slot.stamp != filed => {
+                    self.recency.insert(slot.stamp, key);
+                }
+                _ => {
+                    self.map.remove(&key);
+                    self.evictions += 1;
+                    return;
+                }
+            }
+        }
     }
 
     /// Drops every entry; the hit / miss / eviction counters survive so that
@@ -147,19 +167,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// carry the live fingerprint?" so superseded generations free their
     /// slots immediately instead of aging out of the LRU.
     pub fn retain<F: FnMut(&K) -> bool>(&mut self, mut keep: F) -> usize {
-        let mut dropped_stamps = Vec::new();
-        self.map.retain(|key, slot| {
-            let keep = keep(key);
-            if !keep {
-                dropped_stamps.push(slot.stamp);
-            }
-            keep
-        });
-        for stamp in &dropped_stamps {
-            self.recency.remove(stamp);
-        }
-        self.purged += dropped_stamps.len() as u64;
-        dropped_stamps.len()
+        let before = self.map.len();
+        self.map.retain(|key, _| keep(key));
+        self.recency.retain(|_, key| self.map.contains_key(key));
+        let dropped = before - self.map.len();
+        self.purged += dropped as u64;
+        dropped
     }
 
     /// Re-keys or drops every entry in one pass — the swap-time primitive of
@@ -206,11 +219,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// order — the restored cache evicts in the same order the drained one
     /// would have.
     pub fn iter_oldest_first(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.recency.values().filter_map(|key| {
-            self.map
-                .get_key_value(key)
-                .map(|(k, slot)| (k, &slot.value))
-        })
+        let mut entries: Vec<(&K, &Slot<V>)> = self.map.iter().collect();
+        entries.sort_unstable_by_key(|(_, slot)| slot.stamp);
+        entries.into_iter().map(|(key, slot)| (key, &slot.value))
     }
 
     /// Number of resident entries.
@@ -254,8 +265,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 /// simply no longer addressable.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Canonical query text ([`soda_core::normalize_query`]).
-    pub normalized: String,
+    /// Canonical query text ([`soda_core::normalize_query`]); shared, so the
+    /// copies of a key a miss hands around (pending entry, job, cache slot)
+    /// are pointer clones.
+    pub normalized: Arc<str>,
     /// Snapshot fingerprint (configuration ⊕ generation vector).
     pub snapshot_fingerprint: u64,
     /// Zero-based page index.
@@ -270,7 +283,7 @@ mod tests {
 
     fn key(s: &str) -> CacheKey {
         CacheKey {
-            normalized: s.to_string(),
+            normalized: s.into(),
             snapshot_fingerprint: 7,
             page: 0,
             page_size: 10,
@@ -282,7 +295,7 @@ mod tests {
         let mut cache: LruCache<CacheKey, u32> = LruCache::new(4);
         assert_eq!(cache.get(&key("a")), None);
         cache.insert(key("a"), 1);
-        assert_eq!(cache.get(&key("a")), Some(1));
+        assert_eq!(cache.get(&key("a")), Some(&1));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -296,11 +309,11 @@ mod tests {
         cache.insert(key("a"), 1);
         cache.insert(key("b"), 2);
         // Touch "a" so "b" becomes the LRU entry.
-        assert_eq!(cache.get(&key("a")), Some(1));
+        assert_eq!(cache.get(&key("a")), Some(&1));
         cache.insert(key("c"), 3);
         assert_eq!(cache.get(&key("b")), None, "b should have been evicted");
-        assert_eq!(cache.get(&key("a")), Some(1));
-        assert_eq!(cache.get(&key("c")), Some(3));
+        assert_eq!(cache.get(&key("a")), Some(&1));
+        assert_eq!(cache.get(&key("c")), Some(&3));
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -312,7 +325,7 @@ mod tests {
         cache.insert(key("a"), 10);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.get(&key("a")), Some(10));
+        assert_eq!(cache.get(&key("a")), Some(&10));
     }
 
     #[test]
@@ -342,8 +355,8 @@ mod tests {
         other.snapshot_fingerprint = 8;
         cache.insert(key("a"), 1);
         cache.insert(other.clone(), 2);
-        assert_eq!(cache.get(&key("a")), Some(1));
-        assert_eq!(cache.get(&other), Some(2));
+        assert_eq!(cache.get(&key("a")), Some(&1));
+        assert_eq!(cache.get(&other), Some(&2));
     }
 
     #[test]
@@ -354,7 +367,7 @@ mod tests {
         cache.insert(key("c"), 3);
         // Promote "a" and "c" to fingerprint 9, drop "b".
         let (retained, dropped) = cache.rekey(|k, _| {
-            (k.normalized != "b").then(|| CacheKey {
+            (&*k.normalized != "b").then(|| CacheKey {
                 snapshot_fingerprint: 9,
                 ..k.clone()
             })
@@ -367,7 +380,7 @@ mod tests {
         // The survivors answer under their new key only.
         let mut a9 = key("a");
         a9.snapshot_fingerprint = 9;
-        assert_eq!(cache.get(&a9), Some(1));
+        assert_eq!(cache.get(&a9), Some(&1));
         assert_eq!(cache.get(&key("a")), None);
         // LRU order survived: "a" was just touched, so "c" evicts first.
         cache.insert(key("d"), 4);
@@ -376,7 +389,7 @@ mod tests {
         let mut c9 = key("c");
         c9.snapshot_fingerprint = 9;
         assert_eq!(cache.get(&c9), None, "c was the LRU survivor");
-        assert_eq!(cache.get(&a9), Some(1));
+        assert_eq!(cache.get(&a9), Some(&1));
     }
 
     #[test]
@@ -407,7 +420,7 @@ mod tests {
         cache.insert(key("e"), 6);
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.get(&a9), None, "a9 was the true LRU entry");
-        assert_eq!(cache.get(&key("e")), Some(6));
+        assert_eq!(cache.get(&key("e")), Some(&6));
     }
 
     #[test]
@@ -417,7 +430,7 @@ mod tests {
         let (retained, dropped) = cache.rekey(|k, _| Some(k.clone()));
         assert_eq!((retained, dropped), (0, 0));
         assert_eq!(cache.stats().retained, 0);
-        assert_eq!(cache.get(&key("a")), Some(1));
+        assert_eq!(cache.get(&key("a")), Some(&1));
     }
 
     #[test]
@@ -435,11 +448,125 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0, "purges are not evictions");
         assert_eq!(cache.get(&stale), None);
         // The survivors still evict in LRU order afterwards.
-        assert_eq!(cache.get(&key("a")), Some(1));
+        assert_eq!(cache.get(&key("a")), Some(&1));
         cache.insert(key("c"), 4);
         cache.insert(key("d"), 5);
         cache.insert(key("e"), 6);
         assert_eq!(cache.get(&key("b")), None, "b was the LRU survivor");
-        assert_eq!(cache.get(&key("a")), Some(1));
+        assert_eq!(cache.get(&key("a")), Some(&1));
+    }
+
+    /// The naïve exact LRU the cache must be indistinguishable from: a list,
+    /// oldest first.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(u32, u32)>,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn get(&mut self, key: u32) -> Option<u32> {
+            match self.entries.iter().position(|(k, _)| *k == key) {
+                Some(at) => {
+                    let entry = self.entries.remove(at);
+                    self.entries.push(entry);
+                    self.stats.hits += 1;
+                    Some(entry.1)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        /// Returns the eviction victim, if the insert made one.
+        fn insert(&mut self, key: u32, value: u32) -> Option<u32> {
+            let mut victim = None;
+            if let Some(at) = self.entries.iter().position(|(k, _)| *k == key) {
+                self.entries.remove(at);
+            } else if self.entries.len() >= self.stats.capacity {
+                victim = Some(self.entries.remove(0).0);
+                self.stats.evictions += 1;
+            }
+            self.entries.push((key, value));
+            victim
+        }
+    }
+
+    #[test]
+    fn random_operations_match_a_naive_exact_lru() {
+        // Keys are `generation * 100 + i`.  A rekey moves a third of them up
+        // one generation (all at once, so no two converge), keeps a third
+        // and drops a third.
+        let rekeyed = |key: u32| match key % 100 % 3 {
+            0 => Some(key + 100),
+            1 => Some(key),
+            _ => None,
+        };
+        for capacity in 1..=8usize {
+            let mut cache: LruCache<u32, u32> = LruCache::new(capacity);
+            let mut model = Model::default();
+            model.stats.capacity = capacity;
+            let mut generation = 0u32;
+            let mut seed = capacity as u64;
+            let mut draw = |bound: u32| {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((seed >> 33) % u64::from(bound)) as u32
+            };
+            for step in 0..4_000u32 {
+                let key = (generation - draw(2).min(generation)) * 100 + draw(12);
+                match draw(100) {
+                    0..=54 => assert_eq!(cache.get(&key).copied(), model.get(key)),
+                    55..=94 => {
+                        let resident = |cache: &LruCache<u32, u32>| -> Vec<u32> {
+                            cache.iter_oldest_first().map(|(k, _)| *k).collect()
+                        };
+                        let before = resident(&cache);
+                        cache.insert(key, step);
+                        let victim = model.insert(key, step);
+                        let after = resident(&cache);
+                        let gone = before.into_iter().find(|k| !after.contains(k));
+                        assert_eq!(gone, victim, "eviction victim at step {step}");
+                    }
+                    95..=96 => {
+                        let dropped = cache.retain(|k| k % 2 == 0);
+                        let before = model.entries.len();
+                        model.entries.retain(|(k, _)| k % 2 == 0);
+                        assert_eq!(dropped, before - model.entries.len());
+                        model.stats.purged += dropped as u64;
+                    }
+                    97..=98 => {
+                        generation += 1;
+                        let (retained, dropped) = cache.rekey(|k, _| rekeyed(*k));
+                        let before = model.entries.len();
+                        model.entries = std::mem::take(&mut model.entries)
+                            .into_iter()
+                            .filter_map(|(k, v)| rekeyed(k).map(|k| (k, v)))
+                            .collect();
+                        assert_eq!(dropped, before - model.entries.len());
+                        model.stats.retained += retained as u64;
+                        model.stats.purged += dropped as u64;
+                        let moved = |(k, _): &&(u32, u32)| k % 100 % 3 == 0;
+                        assert_eq!(retained, model.entries.iter().filter(moved).count());
+                    }
+                    _ => {
+                        cache.clear();
+                        model.entries.clear();
+                    }
+                }
+                let order: Vec<(u32, u32)> =
+                    cache.iter_oldest_first().map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(order, model.entries, "recency order at step {step}");
+                model.stats.len = model.entries.len();
+                assert_eq!(cache.stats(), model.stats, "counters at step {step}");
+                // One filing per resident key: the index never outgrows the
+                // map, however many hits went unfiled.
+                assert_eq!(cache.recency.len(), cache.len());
+            }
+            assert!(model.stats.evictions > 0 && model.stats.retained > 0);
+        }
     }
 }

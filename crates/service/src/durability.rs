@@ -219,7 +219,7 @@ fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
     enc.put_u64(entry.touched_mask);
     enc.put_bool(entry.touched_overflow);
     enc.put_usize(entry.deps.len());
-    for dep in entry.deps.iter() {
+    for dep in &entry.deps {
         encode_probe_dep(&mut enc, dep);
     }
     enc.into_bytes()
@@ -230,7 +230,7 @@ fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
 fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
     let mut dec = Decoder::new(bytes);
     let key = CacheKey {
-        normalized: dec.get_str()?,
+        normalized: dec.get_str()?.into(),
         snapshot_fingerprint: dec.get_u64()?,
         page: dec.get_usize()?,
         page_size: dec.get_usize()?,
@@ -252,10 +252,10 @@ fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
     Ok((
         key,
         CachedPage {
-            page,
+            page: Arc::new(page),
             touched_mask,
             touched_overflow,
-            deps: Arc::new(deps),
+            deps,
         },
     ))
 }

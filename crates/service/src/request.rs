@@ -2,7 +2,7 @@
 //! the [`JobHandle`] claim on a pending answer, [`ServiceError`], and the
 //! kept-trace record ([`SampledTrace`]).
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use soda_core::{ResultPage, SodaError, TenantId};
@@ -201,10 +201,18 @@ impl From<SodaError> for ServiceError {
 /// Outcome of one served query.
 pub type JobResult = Result<QueryResponse, ServiceError>;
 
-/// What the worker channels carry: the raw page.  [`JobHandle::wait`]
-/// wraps it into the public [`QueryResponse`] shape, so the hot path never
-/// allocates a trace option per waiter.
-pub(crate) type WireResult = Result<ResultPage, ServiceError>;
+/// What the worker channels carry: the page the worker computed, shared
+/// with the cache slot and every coalesced waiter.  [`JobHandle::wait`]
+/// turns it into the public [`QueryResponse`] shape on the waiting thread.
+pub(crate) type WireResult = Result<Arc<ResultPage>, ServiceError>;
+
+/// The by-value page a [`QueryResponse`] carries, from the shared one the
+/// service holds: moved out when this was the last holder, copied otherwise.
+/// The one deep copy an answer costs — made by the thread that receives the
+/// answer, outside every lock.
+pub(crate) fn owned_page(page: Arc<ResultPage>) -> ResultPage {
+    Arc::try_unwrap(page).unwrap_or_else(|shared| ResultPage::clone(&shared))
+}
 
 /// A claim on the result of a submitted query.
 ///
@@ -247,7 +255,7 @@ impl JobHandle {
             HandleInner::Pending(rx) => rx
                 .recv()
                 .unwrap_or(Err(ServiceError::Disconnected))
-                .map(QueryResponse::untraced),
+                .map(|page| QueryResponse::untraced(owned_page(page))),
         }
     }
 }

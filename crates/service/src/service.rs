@@ -8,15 +8,20 @@
 //!    the input ([`soda_core::normalize_query`]) and probes the cache under
 //!    (normalized query, tenant-folded snapshot fingerprint, page
 //!    coordinates).  A hit is answered immediately on the caller's thread —
-//!    no queueing, no pipeline.
+//!    no queueing, no pipeline: under the store lock it stamps the slot and
+//!    clones the cached page's `Arc`; the response's own copy of the page is
+//!    made with the lock released.
 //! 2. A miss becomes a job in the tenant's queue lane.  Admission control
 //!    blocks the submitting thread while the lane is at its per-tenant
 //!    quota or the whole queue is at capacity — backpressure instead of
 //!    unbounded memory growth, and no tenant can squat the entire queue.
 //! 3. A worker pops the next job round-robin across the tenant lanes, runs
-//!    the five-step pipeline via [`EngineSnapshot::search_with`],
-//!    stores the page in the cache and completes the caller's [`JobHandle`]
-//!    with a [`QueryResponse`].
+//!    the five-step pipeline via [`EngineSnapshot::search_with`] — the
+//!    only place the input is parsed; the front door just canonicalizes it —
+//!    and shares the page it computed: one `Arc` goes into the cache, one to
+//!    the caller's [`JobHandle`] and one to each coalesced waiter.
+//!    [`JobHandle::wait`] turns it into the [`QueryResponse`]'s own page on
+//!    the waiting thread.
 //!
 //! Concurrent misses on one key are **coalesced**: the first miss enqueues
 //! the job and registers it in a pending-jobs map; every further submission
@@ -24,7 +29,10 @@
 //! pending entry instead of enqueuing a duplicate, so N concurrent identical
 //! cold queries execute the pipeline exactly once.  The cache probe, the
 //! pending check and the completion hand-off happen under one lock, which is
-//! never held across the pipeline itself.
+//! never held across the pipeline itself — nor across a page copy: inside
+//! the service a page is shared, and the one deep copy the by-value
+//! [`QueryResponse::page`] costs is made per answer, outside every lock, by
+//! the thread that receives it.
 //!
 //! ## Multi-tenant hosting
 //!
@@ -143,7 +151,8 @@ use crate::durability::{
 use crate::metrics::LatencyRecorder;
 use crate::queue::{Job, QueueState, Waiter};
 use crate::request::{
-    JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError, WireResult,
+    owned_page, JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError,
+    WireResult,
 };
 use crate::slo::AlertState;
 use crate::tenants::{TenantRegistry, TenantState};
@@ -155,17 +164,18 @@ const EVENT_LOG: usize = 256;
 /// A cached result page together with what its query actually consulted —
 /// the evidence a [`RetentionGate`](soda_core::RetentionGate) needs to carry the page
 /// across a data-only snapshot swap instead of purging it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CachedPage {
-    pub(crate) page: ResultPage,
+    /// Shared with whoever is being answered from it right now: a hit
+    /// clones the pointer under the store lock and copies the page outside.
+    pub(crate) page: Arc<ResultPage>,
     /// Bitmask of the shards the query's base-data probes scanned.
     pub(crate) touched_mask: u64,
     /// True when a shard index beyond the mask width was touched (the page
     /// is then never retained across a swap).
     pub(crate) touched_overflow: bool,
-    /// The phrases the query probed and the probe tokens they selected
-    /// (`Arc` so cache hits clone cheaply).
-    pub(crate) deps: Arc<Vec<ProbeDep>>,
+    /// The phrases the query probed and the probe tokens they selected.
+    pub(crate) deps: Vec<ProbeDep>,
 }
 
 /// The cache and the pending-jobs map live under ONE mutex so that
@@ -251,10 +261,19 @@ impl Shared {
         e2e
     }
 
-    /// Accounts a submission answered from the cache at submission time.
-    fn account_hit(&self, tenant: &TenantState, submitted: Instant) -> Duration {
+    /// Accounts a submission answered from the cache at submission time,
+    /// after making the response's own copy of the cached page — with the
+    /// store lock released, and before the clock is read, so the recorded
+    /// latency is the whole hit.
+    fn account_hit(
+        &self,
+        tenant: &TenantState,
+        page: Arc<ResultPage>,
+        submitted: Instant,
+    ) -> (ResultPage, Duration) {
+        let page = owned_page(page);
         tenant.warm_hits.fetch_add(1, Ordering::Relaxed);
-        self.account_unexecuted(tenant, submitted, true)
+        (page, self.account_unexecuted(tenant, submitted, true))
     }
 
     /// Accounts an executed query: its queue-wait / execution split and
@@ -720,14 +739,14 @@ impl QueryService {
         // while recording would nest locks that `metrics()` takes in
         // another order.
         enum Probe {
-            Hit(ResultPage),
+            Hit(Arc<ResultPage>),
             Coalesced(mpsc::Receiver<WireResult>),
             Compute,
         }
         let probe = {
             let mut store = self.shared.store.lock().expect("store poisoned");
             if let Some(entry) = store.cache.get(&key) {
-                Probe::Hit(entry.page)
+                Probe::Hit(Arc::clone(&entry.page))
             } else if let Some(waiters) = store.pending.get_mut(&key) {
                 let (tx, rx) = mpsc::channel();
                 waiters.push(Waiter { submitted, tx });
@@ -740,7 +759,7 @@ impl QueryService {
         };
         match probe {
             Probe::Hit(page) => {
-                let e2e = self.shared.account_hit(&tenant, submitted);
+                let (page, e2e) = self.shared.account_hit(&tenant, page, submitted);
                 // The sampler sees warm hits too — always-on sampling covers
                 // the *normal* serving path, not just pipeline executions.
                 // A kept hit records a synthesized `cache_hit` span tree.
@@ -794,7 +813,7 @@ impl QueryService {
         let normalized = normalize_query(&request.input).map_err(ServiceError::Engine)?;
         let engine = tenant.handle.load();
         let key = CacheKey {
-            normalized,
+            normalized: normalized.into(),
             snapshot_fingerprint: tenant.id.fold(engine.cache_fingerprint()),
             page: request.page,
             page_size: request.page_size.max(1),
@@ -824,11 +843,12 @@ impl QueryService {
             .lock()
             .expect("store poisoned")
             .cache
-            .get(key);
-        if let Some(entry) = cached {
-            let e2e = self.shared.account_hit(tenant, submitted);
+            .get(key)
+            .map(|entry| Arc::clone(&entry.page));
+        if let Some(page) = cached {
+            let (page, e2e) = self.shared.account_hit(tenant, page, submitted);
             return Ok(QueryResponse {
-                page: entry.page,
+                page,
                 trace: Some(cache_hit_trace(&request.input, e2e)),
             });
         }
@@ -1104,30 +1124,46 @@ pub(crate) mod tests {
 
     #[test]
     fn coalesced_and_computing_submissions_get_equal_pages() {
-        // Steer the duplicates onto the coalescing path: the single worker
-        // is busy with a blocker, so identical submissions normally attach
-        // to the first one's pending entry.  If this thread is preempted
-        // long enough for `first` to complete anyway, they become cache
-        // hits instead — either way, no duplicate may recompute.
-        let service = minibank_service(ServiceConfig {
-            workers: 1,
-            queue_capacity: 4,
-            cache_capacity: 4,
-            ..ServiceConfig::default()
-        });
-        let blocker = service.query(QueryRequest::new("wealthy customers"));
-        let first = service.query(QueryRequest::new("customers"));
-        let second = service.query(QueryRequest::new("customers"));
-        let third = service.query(QueryRequest::new("  CUSTOMERS  "));
-        let a = first.wait().unwrap();
-        let b = second.wait().unwrap();
-        let c = third.wait().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        blocker.wait().unwrap();
+        let service = minibank_service(ServiceConfig::default().workers(1));
+        let shared = &service.shared;
+        let (tenant, engine, key) = service.pin(&QueryRequest::new("customers")).unwrap();
+        // Register the computing submission's pending entry but hold its job
+        // back, so the duplicates below find the key in flight whatever the
+        // scheduler does.
+        let mut store = shared.store.lock().unwrap();
+        store.pending.insert(key.clone(), Vec::new());
+        drop(store);
+        let duplicates = ["customers", "  CUSTOMERS  ", "Customers"];
+        let waiters = duplicates.map(|q| service.query(QueryRequest::new(q)));
+        assert!(waiters.iter().all(|handle| !handle.is_ready()));
+        let (tx, rx) = mpsc::channel();
+        assert!(shared.admit(Job {
+            key: key.clone(),
+            input: "customers".to_string(),
+            engine,
+            head: None,
+            tenant,
+            submitted: Instant::now(),
+            tx,
+        }));
+        let computed = JobHandle::pending(rx).wait().unwrap();
+        // The worker copied nothing: the cache slot and the three answers
+        // still in their channels are one page.
+        let holders = || {
+            let store = shared.store.lock().unwrap();
+            let (_, entry) = store.cache.iter_oldest_first().next().unwrap();
+            Arc::strong_count(&entry.page)
+        };
+        assert_eq!(holders(), 1 + duplicates.len());
+        for waiter in waiters {
+            assert_eq!(waiter.wait().unwrap(), computed);
+        }
+        assert_eq!(holders(), 1, "every answer took its own copy");
         let m = service.metrics();
-        assert_eq!(m.coalesced + m.cache.hits, 2, "{m:?}");
-        assert_eq!(m.pipeline_executions, 2);
+        assert_eq!(m.pipeline_executions, 1);
+        assert_eq!(m.coalesced, duplicates.len() as u64);
+        assert_eq!(m.cache.hits, 0);
+        assert_eq!(m.completed, 1 + duplicates.len() as u64);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use soda_core::{ProbeRecorder, SearchOptions};
 use soda_trace::{CollectingSink, NoopSink, TraceSink};
 
 use crate::cache::CacheKey;
-use crate::request::ServiceError;
+use crate::request::{ServiceError, WireResult};
 use crate::service::{CachedPage, Shared};
 
 pub(crate) fn worker_loop(shared: &Shared) {
@@ -81,8 +81,11 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let searched = job.engine.search_with(&job.input, &options);
         let execution = dequeued.elapsed();
         let timings = searched.as_ref().ok().map(|found| found.trace.timings);
-        let outcome = searched
-            .map(|found| found.page)
+        // Shared from here on: the cache slot, the submitter and every
+        // coalesced waiter hold the one page this worker computed, and each
+        // answer's copy is made by the thread that waits for it.
+        let outcome: WireResult = searched
+            .map(|found| Arc::new(found.page))
             .map_err(ServiceError::Engine);
         // Normal path: the completion hand-off below owns the cleanup.
         guard.key = None;
@@ -96,23 +99,25 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // Counted before the page becomes visible, so no reader can see the
         // page of an execution the counters do not know yet.
         job.tenant.executions.fetch_add(1, Ordering::Relaxed);
+        let entry = match &outcome {
+            Ok(page) if still_live => Some(CachedPage {
+                page: Arc::clone(page),
+                touched_mask: recorder.touched_mask(),
+                touched_overflow: recorder.overflowed(),
+                deps: recorder.deps(),
+            }),
+            _ => None,
+        };
         // Publish the page and claim the coalesced waiters in one critical
         // section, so no submission can slip between the cache insert and
         // the pending-entry removal and end up waiting forever.
         let waiters = {
             let mut store = shared.store.lock().expect("store poisoned");
-            if let (Ok(page), true) = (&outcome, still_live) {
-                store.cache.insert(
-                    job.key.clone(),
-                    CachedPage {
-                        page: page.clone(),
-                        touched_mask: recorder.touched_mask(),
-                        touched_overflow: recorder.overflowed(),
-                        deps: Arc::new(recorder.deps()),
-                    },
-                );
+            let waiters = store.pending.remove(&job.key).unwrap_or_default();
+            if let Some(entry) = entry {
+                store.cache.insert(job.key, entry);
             }
-            store.pending.remove(&job.key).unwrap_or_default()
+            waiters
         };
         let e2e = job.submitted.elapsed();
         let split = (queue_wait, execution);

@@ -1,0 +1,140 @@
+//! What a warm hit may allocate — a count, so it does not wobble with the
+//! host's clock the way `tests/service.rs`'s cold/warm ratio does.
+//!
+//! The public `QueryResponse` owns its page, so every answer costs one deep
+//! copy of it; this test pins that the copy is *all* a hit costs beyond
+//! three small allocations (the canonical text, its shared form in the
+//! cache key, the boxed result inside the ready handle).  Before the
+//! canonical writer and the shared page a hit read 18–35 allocations over
+//! its copy.
+//!
+//! The binary counts with its own `#[global_allocator]` over `System`,
+//! gated by a thread-local, so the service's worker threads — and the other
+//! tests of this binary — never count.  That the *worker* copies no page for
+//! the submitter or a coalesced waiter is pinned where the shared pointer
+//! can be seen: `soda-service`'s
+//! `coalesced_and_computing_submissions_get_equal_pages`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use soda::core::{normalize_query, EngineSnapshot, SodaConfig};
+use soda::service::{QueryRequest, QueryService, ServiceConfig};
+use soda::warehouse::enterprise::{self, EnterpriseConfig};
+
+// The golden suites use the rest of it.
+#[allow(dead_code)]
+mod common;
+
+struct CountingAllocator;
+
+thread_local! {
+    /// `Some(n)` while this thread is inside [`allocations`].
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = COUNT.try_with(|count| count.set(count.get().map(|n| n + 1)));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; counting touches only a const-initialised
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns what it returned with the number of allocations
+/// (`alloc`, `alloc_zeroed` and `realloc` calls) this thread made meanwhile.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|count| count.set(Some(0)));
+    let value = f();
+    let made = COUNT.with(|count| count.take()).expect("counting was on");
+    (value, made)
+}
+
+/// The canonical text, its `Arc<str>` in the cache key, and the `Box` of a
+/// ready `JobHandle`.
+const HIT_OVERHEAD: u64 = 3;
+
+#[test]
+fn a_warm_hit_allocates_its_page_copy_and_three_more() {
+    let warehouse = enterprise::build_with(EnterpriseConfig {
+        seed: 42,
+        padding: false,
+        data_scale: 0.2,
+    });
+    let (db, graph) = warehouse.shared_parts();
+    let engine = Arc::new(EngineSnapshot::build(db, graph, SodaConfig::default()));
+    let config = ServiceConfig::default().workers(1).cache_capacity(256);
+    let service = QueryService::start(engine, config);
+    let (mut statements, mut copied) = (0, 0);
+    for question in common::questions() {
+        let cold = service
+            .query(QueryRequest::new(question.as_str()))
+            .wait()
+            .expect("every pool question parses")
+            .page;
+        let (copy, page_copy) = allocations(|| cold.clone());
+        // The request is built outside the measurement, as a client would
+        // have it in hand.
+        let request = QueryRequest::new(question.as_str());
+        let hits = service.metrics().cache.hits;
+        let (warm, hit) = allocations(|| service.query(request).wait());
+        assert_eq!(service.metrics().cache.hits, hits + 1, "`{question}`");
+        assert_eq!(warm.expect("a hit").page, copy);
+        assert!(
+            hit <= page_copy + HIT_OVERHEAD,
+            "`{question}`: a warm hit made {hit} allocations, its page copy is {page_copy}"
+        );
+        statements += copy.results.len();
+        copied += page_copy;
+    }
+    // The budget is only worth something if the pages are not empty.
+    assert!(statements > 100 && copied > 1_000, "{statements} {copied}");
+}
+
+#[test]
+fn canonicalising_allocates_its_output_and_nothing_else() {
+    let mut spellings = common::questions();
+    spellings.extend(
+        [
+            "Top 10 trading volume customer transaction date between date(2010-01-01) date(2010-12-31)",
+            "salary >= 100000.0 and birthday = 1981-04-23",
+            "SUM(amount) group by (currency, transaction_date) valid at 2011-01-01",
+            "agreement like gold% or city != Zürich",
+        ]
+        .map(String::from),
+    );
+    for input in spellings {
+        let (canonical, made) = allocations(|| normalize_query(&input));
+        assert!(canonical.is_ok(), "`{input}`");
+        assert_eq!(made, 1, "`{input}` → {canonical:?}");
+    }
+}
