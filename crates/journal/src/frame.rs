@@ -20,14 +20,10 @@
 //!
 //! ## Format versions
 //!
-//! Version `2` (current) is the layout above.  Version `1` — everything
-//! written before tenancy existed — has a **16-byte** header with no tenant
-//! field.  A scan accepts both: a version-`1` file reads with its tenant
-//! fingerprint taken as `0` (those files can only belong to the default
-//! tenant), and [`FrameFile::open_or_create`] upgrades it to the current
-//! layout via an atomic rewrite **only after** the caller-supplied
-//! fingerprints match the header — a file that is about to be rejected is
-//! never modified, and a misparse can never masquerade as a torn tail.
+//! Version `2` is the only layout read.  A file whose version byte differs
+//! — the 16-byte-header version `1` included — fails the magic check like
+//! any foreign file: it is an error for [`FrameFile::open_or_create`],
+//! "nothing here" for [`read_frame_file`], and is never modified.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -38,13 +34,6 @@ use crate::FsyncPolicy;
 
 /// Bytes before the first frame: magic + fingerprint + tenant fingerprint.
 pub const FILE_HEADER_LEN: u64 = 24;
-
-/// Header length of a legacy (version-`1`, pre-tenancy) file: magic +
-/// fingerprint only.
-const LEGACY_FILE_HEADER_LEN: u64 = 16;
-
-/// The version byte of the legacy pre-tenancy format.
-const LEGACY_VERSION: u8 = b'1';
 
 /// Bytes before each frame's payload: length + checksum.
 pub const FRAME_HEADER_LEN: u64 = 8;
@@ -69,9 +58,6 @@ pub struct FrameScan {
     /// True when the file did not exist (or was empty) and a fresh header
     /// was written.
     pub created: bool,
-    /// True when the file was in the legacy pre-tenancy format (16-byte
-    /// header, no tenant field — `tenant` reads as `0`).
-    pub legacy: bool,
 }
 
 /// An open frame file positioned for appending.
@@ -88,18 +74,17 @@ pub struct FrameFile {
 
 impl FrameFile {
     /// Opens `path` for appending, creating it (with a fresh header) when
-    /// missing or empty.  An existing file must start with `magic` (or its
-    /// legacy version-`1` spelling); its frames are scanned and the
-    /// returned [`FrameScan`] carries the valid payloads.
+    /// missing or empty.  An existing file must start with `magic`; its
+    /// frames are scanned and the returned [`FrameScan`] carries the valid
+    /// payloads.
     ///
     /// The header fingerprint (and tenant fingerprint) of an existing file
     /// is returned, not validated — the caller decides whether a mismatch
     /// is fatal (journal) or means "ignore the file" (cache).  The file is
     /// only ever **modified** when its header matches the caller-supplied
     /// `fingerprint` and `tenant` exactly: then a torn or corrupt tail is
-    /// truncated in place, and a legacy-format file is upgraded to the
-    /// current layout by an atomic rewrite.  A file the caller is about to
-    /// reject is left byte-for-byte untouched.
+    /// truncated in place.  A file the caller is about to reject is left
+    /// byte-for-byte untouched.
     pub fn open_or_create(
         path: &Path,
         magic: [u8; 8],
@@ -140,7 +125,6 @@ impl FrameFile {
                     frames: Vec::new(),
                     truncated_bytes: 0,
                     created: true,
-                    legacy: false,
                 },
             ));
         }
@@ -152,26 +136,6 @@ impl FrameFile {
         // the caller expects — a file about to be rejected (foreign config,
         // foreign tenant) is returned for inspection but never touched.
         let owned = scan.fingerprint == fingerprint && scan.tenant == tenant;
-        if scan.legacy && owned {
-            // Upgrade a pre-tenancy file to the current layout: current
-            // header + every valid frame, via write-temp → fsync → rename.
-            // A crash leaves either the complete old file or the complete
-            // new one; the torn tail (if any) is dropped by the rewrite.
-            let refs: Vec<&[u8]> = scan.frames.iter().map(Vec::as_slice).collect();
-            write_frame_file(path, magic, scan.fingerprint, scan.tenant, &refs)?;
-            let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-            let len = file.seek(SeekFrom::End(0))?;
-            let frame_file = Self {
-                file,
-                path: path.to_path_buf(),
-                magic,
-                fingerprint: scan.fingerprint,
-                tenant: scan.tenant,
-                fsync,
-                len,
-            };
-            return Ok((frame_file, scan));
-        }
         let valid_len = existing_len - scan.truncated_bytes;
         if scan.truncated_bytes > 0 && owned {
             file.set_len(valid_len)?;
@@ -285,48 +249,19 @@ pub fn read_frame_file(path: &Path, magic: [u8; 8]) -> std::io::Result<Option<Fr
     }
 }
 
-/// Scans `bytes` as a frame file: validates the magic (current or legacy
-/// version), then walks frames until the first short, oversized or
-/// checksum-failing one.  Everything from that point on counts as
-/// `truncated_bytes`.
-///
-/// Distinguishing the two versions **before** reading any frame is what
-/// keeps a pre-tenancy file safe: its 16-byte header must not be parsed as
-/// a 24-byte one, or the first frame's length/CRC words would be read as
-/// the tenant field and frame scanning would start mid-frame.
+/// Scans `bytes` as a frame file: validates the magic, then walks frames
+/// until the first short, oversized or checksum-failing one.  Everything
+/// from that point on counts as `truncated_bytes`.
 fn scan_frames(bytes: &[u8], magic: [u8; 8]) -> std::io::Result<FrameScan> {
-    let bad = || {
-        std::io::Error::new(
+    let header_len = FILE_HEADER_LEN as usize;
+    if bytes.len() < header_len || bytes[..8] != magic {
+        return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "not a soda frame file (bad magic or short header)",
-        )
-    };
-    if bytes.len() < 8 {
-        return Err(bad());
-    }
-    let legacy = if bytes[..8] == magic {
-        false
-    } else if bytes[..7] == magic[..7] && bytes[7] == LEGACY_VERSION {
-        true
-    } else {
-        return Err(bad());
-    };
-    let header_len = if legacy {
-        LEGACY_FILE_HEADER_LEN
-    } else {
-        FILE_HEADER_LEN
-    } as usize;
-    if bytes.len() < header_len {
-        return Err(bad());
+        ));
     }
     let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let tenant = if legacy {
-        // Pre-tenancy files have no tenant field; they can only have been
-        // written by (and for) the default tenant, whose fingerprint is 0.
-        0
-    } else {
-        u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"))
-    };
+    let tenant = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let mut frames = Vec::new();
     let mut pos = header_len;
     loop {
@@ -359,7 +294,6 @@ fn scan_frames(bytes: &[u8], magic: [u8; 8]) -> std::io::Result<FrameScan> {
         frames,
         truncated_bytes: (bytes.len() - pos) as u64,
         created: false,
-        legacy,
     })
 }
 
@@ -369,21 +303,6 @@ mod tests {
     use crate::testutil::TempDir;
 
     const MAGIC: [u8; 8] = *b"SODATST2";
-    const LEGACY_MAGIC: [u8; 8] = *b"SODATST1";
-
-    /// A version-1 (pre-tenancy) file: 16-byte header, no tenant field.
-    fn write_legacy_file(path: &Path, fingerprint: u64, payloads: &[&[u8]]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&LEGACY_MAGIC);
-        bytes.extend_from_slice(&fingerprint.to_le_bytes());
-        for payload in payloads {
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
-        }
-        fs::write(path, bytes).unwrap();
-    }
-
     #[test]
     fn fresh_file_appends_and_rescans() {
         let dir = TempDir::new("frame-fresh");
@@ -484,72 +403,33 @@ mod tests {
         assert_eq!(scan.frames, vec![b"checkpoint".to_vec(), b"c".to_vec()]);
     }
 
+    /// A version-1 file (16-byte header, no tenant field) is a foreign file:
+    /// rejected by the magic check and left byte-identical on disk — never
+    /// read as a torn tail, never truncated.
     #[test]
-    fn legacy_file_is_recovered_and_upgraded_in_place() {
-        let dir = TempDir::new("frame-legacy");
+    fn version_one_file_is_rejected_and_left_untouched() {
+        let dir = TempDir::new("frame-v1");
         let path = dir.path().join("frames.bin");
-        write_legacy_file(&path, 7, &[b"old-one", b"old-two"]);
-
-        let (mut file, scan) =
-            FrameFile::open_or_create(&path, MAGIC, 7, 0, FsyncPolicy::Always).unwrap();
-        assert!(scan.legacy);
-        assert_eq!(scan.fingerprint, 7);
-        assert_eq!(scan.tenant, 0, "missing tenant field reads as 0");
-        assert_eq!(scan.frames, vec![b"old-one".to_vec(), b"old-two".to_vec()]);
-        assert_eq!(scan.truncated_bytes, 0);
-
-        // The file was upgraded to the current layout and stays appendable.
-        file.append(b"new").unwrap();
-        drop(file);
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], &MAGIC);
-        let (_file, scan) =
-            FrameFile::open_or_create(&path, MAGIC, 7, 0, FsyncPolicy::Always).unwrap();
-        assert!(!scan.legacy);
-        assert_eq!(
-            scan.frames,
-            vec![b"old-one".to_vec(), b"old-two".to_vec(), b"new".to_vec()]
-        );
-    }
-
-    #[test]
-    fn legacy_upgrade_drops_only_the_torn_tail() {
-        let dir = TempDir::new("frame-legacy-torn");
-        let path = dir.path().join("frames.bin");
-        write_legacy_file(&path, 7, &[b"kept"]);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]); // torn frame header + start
+        let mut bytes = b"SODATST1".to_vec();
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        for payload in [b"old-one".as_slice(), b"old-two"] {
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
         fs::write(&path, &bytes).unwrap();
 
-        let (_file, scan) =
-            FrameFile::open_or_create(&path, MAGIC, 7, 0, FsyncPolicy::Always).unwrap();
-        assert!(scan.legacy);
-        assert_eq!(scan.frames, vec![b"kept".to_vec()]);
-        assert_eq!(scan.truncated_bytes, 6);
-        let (_file, scan) =
-            FrameFile::open_or_create(&path, MAGIC, 7, 0, FsyncPolicy::Always).unwrap();
-        assert!(!scan.legacy);
-        assert_eq!(scan.frames, vec![b"kept".to_vec()]);
-        assert_eq!(scan.truncated_bytes, 0);
+        let err = FrameFile::open_or_create(&path, MAGIC, 7, 0, FsyncPolicy::Always).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(read_frame_file(&path, MAGIC).unwrap().is_none());
+        assert_eq!(fs::read(&path).unwrap(), bytes, "rejected file modified");
     }
 
     #[test]
     fn mismatched_headers_leave_the_file_untouched() {
-        // A legacy file whose fingerprint does not match the caller's is
-        // returned for inspection but neither upgraded nor truncated …
+        // A file opened under the wrong fingerprint or the wrong tenant is
+        // returned for inspection but not truncated, torn tail included.
         let dir = TempDir::new("frame-foreign");
-        let path = dir.path().join("frames.bin");
-        write_legacy_file(&path, 7, &[b"kept"]);
-        let before = fs::read(&path).unwrap();
-        let (file, scan) =
-            FrameFile::open_or_create(&path, MAGIC, 999, 0, FsyncPolicy::Always).unwrap();
-        assert!(scan.legacy);
-        assert_eq!(scan.fingerprint, 7);
-        drop(file);
-        assert_eq!(fs::read(&path).unwrap(), before, "foreign file modified");
-
-        // … and so is a current-format file opened under the wrong tenant,
-        // torn tail included.
         let path = dir.path().join("tenant.bin");
         let (mut file, _) =
             FrameFile::open_or_create(&path, MAGIC, 1, 5, FsyncPolicy::Always).unwrap();
@@ -558,11 +438,14 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes.push(0xFF); // torn tail
         fs::write(&path, &bytes).unwrap();
-        let (file, scan) =
-            FrameFile::open_or_create(&path, MAGIC, 1, 6, FsyncPolicy::Always).unwrap();
-        assert_eq!(scan.tenant, 5);
-        assert_eq!(scan.truncated_bytes, 1);
-        drop(file);
-        assert_eq!(fs::read(&path).unwrap(), bytes, "foreign file modified");
+        for (fingerprint, tenant) in [(999, 5), (1, 6)] {
+            let (file, scan) =
+                FrameFile::open_or_create(&path, MAGIC, fingerprint, tenant, FsyncPolicy::Always)
+                    .unwrap();
+            assert_eq!((scan.fingerprint, scan.tenant), (1, 5));
+            assert_eq!(scan.truncated_bytes, 1);
+            drop(file);
+            assert_eq!(fs::read(&path).unwrap(), bytes, "foreign file modified");
+        }
     }
 }

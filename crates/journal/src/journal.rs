@@ -11,11 +11,8 @@ use soda_relation::Row;
 use crate::frame::{FrameFile, FrameScan};
 
 /// Magic prefix of a feed-journal file (`2` is the format version, bumped
-/// when the header grew a tenant-fingerprint field).  Version-`1` journals
-/// — written before tenancy existed, with a 16-byte header — are still
-/// recovered: the missing tenant field reads as `0` (the default tenant)
-/// and the file is upgraded to the current layout by an atomic rewrite at
-/// open time.
+/// when the header grew a tenant-fingerprint field; a version-`1` file is
+/// rejected like any foreign file and left untouched).
 pub const JOURNAL_MAGIC: [u8; 8] = *b"SODAJNL2";
 
 const KIND_FEED: u8 = 0x01;
@@ -432,63 +429,36 @@ mod tests {
         }
     }
 
-    /// A journal written before tenancy existed (version-1 magic, 16-byte
-    /// header with no tenant field) must recover losslessly as the default
-    /// tenant — the PR 6 durability guarantee survives the format bump.
+    /// A version-1 journal (16-byte header with no tenant field) is a
+    /// foreign file: recovery fails on the magic check, whoever asks, and
+    /// the file stays byte-identical.
     #[test]
-    fn pre_tenancy_journal_recovers_and_upgrades() {
-        let dir = TempDir::new("jnl-upgrade");
+    fn version_one_journal_is_rejected_untouched() {
+        let dir = TempDir::new("jnl-v1");
         let path = journal_path(dir.path());
-        // Write a current journal for the default tenant, then rewrite it
-        // into the exact pre-tenancy layout: version-1 magic, fingerprint,
-        // frames — no tenant field (bytes 16..24 removed).
         {
             let (mut j, _) = FeedJournal::recover(&path, 42, 0, FsyncPolicy::Always).unwrap();
             j.append_feed(&feed(1)).unwrap();
-            j.append_feed(&feed(2)).unwrap();
         }
         let current = std::fs::read(&path).unwrap();
-        let mut legacy = Vec::with_capacity(current.len() - 8);
-        legacy.extend_from_slice(b"SODAJNL1");
-        legacy.extend_from_slice(&current[8..16]);
-        legacy.extend_from_slice(&current[24..]);
-        std::fs::write(&path, &legacy).unwrap();
+        let mut v1 = b"SODAJNL1".to_vec();
+        v1.extend_from_slice(&current[8..16]);
+        v1.extend_from_slice(&current[24..]);
+        std::fs::write(&path, &v1).unwrap();
 
-        // A named tenant must NOT claim it — and must leave it untouched.
-        match FeedJournal::recover(&path, 42, 9, FsyncPolicy::Always) {
-            Err(JournalError::TenantMismatch { journal, tenant }) => {
-                assert_eq!((journal, tenant), (0, 9));
+        for tenant in [0, 9] {
+            match FeedJournal::recover(&path, 42, tenant, FsyncPolicy::Always) {
+                Err(JournalError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                }
+                other => panic!("expected the bad-magic error, got {other:?}"),
             }
-            other => panic!("expected TenantMismatch, got {other:?}"),
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                v1,
+                "rejected journal modified"
+            );
         }
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            legacy,
-            "legacy journal modified"
-        );
-        // A foreign engine config must not claim it either.
-        assert!(matches!(
-            FeedJournal::recover(&path, 77, 0, FsyncPolicy::Always),
-            Err(JournalError::ConfigMismatch { .. })
-        ));
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            legacy,
-            "legacy journal modified"
-        );
-
-        // The default tenant replays every acknowledged ingest and the file
-        // comes out in the current format.
-        let (mut j, replay) = FeedJournal::recover(&path, 42, 0, FsyncPolicy::Always).unwrap();
-        assert_eq!(
-            replay.records,
-            vec![JournalRecord::Feed(feed(1)), JournalRecord::Feed(feed(2))]
-        );
-        assert_eq!(&std::fs::read(&path).unwrap()[..8], b"SODAJNL2");
-        j.append_feed(&feed(3)).unwrap();
-        drop(j);
-        let (_j, replay) = FeedJournal::recover(&path, 42, 0, FsyncPolicy::Always).unwrap();
-        assert_eq!(replay.records.len(), 3);
     }
 
     #[test]

@@ -167,16 +167,9 @@ impl TenantAdmin<'_> {
             format!("generation {generation}, {described}"),
         );
         tenant.ingest_feeds.fetch_add(1, Ordering::Relaxed);
-        let report = &outcome.report;
-        for (counter, amount) in [
-            (&shared.ingest_events, report.events),
-            (&shared.ingest_rows, report.rows),
-            (&shared.ingest_rows_appended, report.rows_appended),
-            (&shared.ingest_tables_copied, report.tables_copied),
-            (&shared.ingest_tables_shared, report.tables_shared),
-        ] {
-            counter.fetch_add(amount as u64, Ordering::Relaxed);
-        }
+        let (events, rows) = (&shared.ingest_events, &shared.ingest_rows);
+        events.fetch_add(outcome.report.events as u64, Ordering::Relaxed);
+        rows.fetch_add(outcome.report.rows as u64, Ordering::Relaxed);
         retain_unaffected(shared, tenant, prev, &dirty);
         drop(_swap);
         shared.compactor_wake.notify_all();
@@ -273,9 +266,6 @@ fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usiz
         format!("generation {generation}, shards {foldable:?}"),
     );
     tenant.compactions.fetch_add(1, Ordering::Relaxed);
-    shared
-        .compacted_shards
-        .fetch_add(foldable.len() as u64, Ordering::Relaxed);
     // A fold changes no answers, but the fingerprint moved: carry every
     // provably unaffected page over; pages whose probes scanned a folded
     // shard are recomputed (conservative — their hits merely moved from the
@@ -446,7 +436,6 @@ mod tests {
         );
         let m = service.metrics();
         assert_eq!(m.ingest.compactions, 1);
-        assert_eq!(m.ingest.compacted_shards, 1);
         assert_eq!(m.shards.log_postings.iter().sum::<usize>(), 0);
         let after = service
             .query(QueryRequest::new("Streamville"))

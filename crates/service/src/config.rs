@@ -42,7 +42,7 @@ pub struct ServiceConfig {
     /// wait included) reaches the threshold is kept as a `"tail_slow"`
     /// trace in its tenant's ring
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)),
-    /// counted in `soda_slow_queries_total` and raised as a `slow_query`
+    /// counted in `soda_tenant_slow_queries_total` and raised as a `slow_query`
     /// event.  Without [`sampling`](Self::sampling) the ring holds
     /// [`SamplingConfig::default`]'s `trace_log` entries and nothing is
     /// head-sampled.  `None` — the default — keeps the zero-cost
@@ -51,10 +51,8 @@ pub struct ServiceConfig {
     /// When set, always-on adaptive trace sampling: every tenant draws
     /// deterministic head-sampling decisions at the configured rate, and
     /// retained span trees land in per-tenant bounded rings
-    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces))
-    /// with their trace ids attached to the latency histograms as OpenMetrics
-    /// exemplars.  `None` — the default — keeps head sampling entirely off
-    /// the hot path.
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
+    /// `None` — the default — keeps head sampling entirely off the hot path.
     pub sampling: Option<SamplingConfig>,
     /// When set, per-tenant SLO burn-rate tracking: every completed query
     /// lands in a rolling multi-window ring, and

@@ -7,7 +7,7 @@
 //! The golden tests and the family table in `docs/OBSERVABILITY.md` are
 //! checked against that table.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use soda_core::{ShardStats, TenantId};
 use soda_trace::hist::LogHistogram;
@@ -22,7 +22,7 @@ use crate::metrics::{
 };
 use crate::request::{SampledTrace, ServiceError};
 use crate::service::QueryService;
-use crate::slo::{AlertState, BurnAlert, AVAILABILITY_TARGET, LATENCY_TARGET};
+use crate::slo::{AlertState, BurnAlert};
 
 /// One sample value: integers (counters, exact gauges) render without a
 /// decimal point, floats through the exposition's float formatting.
@@ -46,20 +46,17 @@ pub(crate) enum Source {
     Scalar(fn(&ServiceMetrics) -> Sample),
     /// One sample per shard of the live snapshot, labelled `shard`.
     PerShard(fn(&ShardStats) -> Vec<u64>),
-    /// One unlabelled sample off the default tenant's journal counters —
-    /// present only on a durable service ([`QueryService::recover`]).
-    Journal(fn(&DurabilityMetrics) -> Sample),
     /// One sample per hosted tenant, labelled `tenant`.
     PerTenant(fn(&TenantMetrics) -> Sample),
     /// [`PerTenant`](Self::PerTenant) over each tenant's journal counters —
-    /// present only on a durable service.
+    /// present only on a durable service ([`QueryService::recover`]).
     TenantJournal(fn(&DurabilityMetrics) -> Sample),
     /// One sample per evaluated burn alert, labelled `tenant`, `objective`
     /// — present only when [`ServiceConfig::slo`](crate::ServiceConfig::slo)
     /// declares objectives.
     PerAlert(fn(&BurnAlert) -> Sample),
-    /// One unlabelled service-wide latency histogram.
-    Latency(fn(&Scrape) -> &LogHistogram),
+    /// One unlabelled service-wide histogram of executed queries.
+    Latency(fn(&LatencyRecorder) -> &LogHistogram),
     /// One histogram per pipeline stage, labelled `stage`.
     StageLatency,
     /// One end-to-end histogram per hosted tenant, labelled `tenant`.
@@ -100,41 +97,24 @@ impl Described {
 use MetricKind::{Counter, Gauge, Histogram};
 use Sample::{Float, Int};
 use Source::{
-    Journal, Latency, PerAlert, PerShard, PerTenant, Scalar, StageLatency, TenantJournal,
-    TenantLatency,
+    Latency, PerAlert, PerShard, PerTenant, Scalar, StageLatency, TenantJournal, TenantLatency,
 };
 
 /// Every family of [`QueryService::metrics_text`], in document order.  The
 /// names, kinds and label sets are a stable scrape interface (pinned by
 /// `tests/golden/metrics_types.txt` and `metrics_help.txt`).
+///
+/// Two rules decide what is a row.  No aggregate beside its parts: what is
+/// counted per tenant is exported per tenant only (a scraper writes
+/// `sum without (tenant)`).  No reader, no family: every row names what
+/// reads it in the "Read by" column of `docs/OBSERVABILITY.md`.
 pub(crate) static FAMILIES: &[Family] = &[
     Metric(Gauge, "soda_uptime_seconds")
         .help("Time since the service started.")
         .from(Scalar(|m| Float(m.uptime.as_secs_f64()))),
-    Metric(Counter, "soda_queries_completed_total")
-        .help("Queries answered (cache hits included).")
-        .from(Scalar(|m| Int(m.completed))),
-    Metric(Counter, "soda_pipeline_executions_total")
-        .help("Full pipeline executions (cache misses actually computed).")
-        .from(Scalar(|m| Int(m.pipeline_executions))),
     Metric(Counter, "soda_coalesced_total")
         .help("Submissions that joined an identical in-flight computation.")
         .from(Scalar(|m| Int(m.coalesced))),
-    Metric(Counter, "soda_slow_queries_total")
-        .help("Queries whose end-to-end latency reached the slow-query threshold.")
-        .from(Scalar(|m| Int(m.slow_queries))),
-    Metric(Gauge, "soda_queue_depth")
-        .help("Jobs currently waiting in the queue.")
-        .from(Scalar(|m| Int(m.queue_depth as u64))),
-    Metric(Gauge, "soda_workers")
-        .help("Size of the worker pool.")
-        .from(Scalar(|m| Int(m.workers as u64))),
-    Metric(Gauge, "soda_generation")
-        .help("Generation of the snapshot currently being served.")
-        .from(Scalar(|m| Int(m.generation))),
-    Metric(Counter, "soda_reloads_total")
-        .help("Snapshot swaps performed (full reloads and graph refreshes).")
-        .from(Scalar(|m| Int(m.reloads))),
     Metric(Counter, "soda_cache_hits_total")
         .help("Interpretation-cache hits.")
         .from(Scalar(|m| Int(m.cache.hits))),
@@ -153,30 +133,12 @@ pub(crate) static FAMILIES: &[Family] = &[
     Metric(Gauge, "soda_cache_pages")
         .help("Result pages currently cached.")
         .from(Scalar(|m| Int(m.cache.len as u64))),
-    Metric(Counter, "soda_ingest_feeds_total")
-        .help("Change feeds absorbed by streaming ingestion.")
-        .from(Scalar(|m| Int(m.ingest.ingests))),
     Metric(Counter, "soda_ingest_events_total")
         .help("Row events those feeds carried.")
         .from(Scalar(|m| Int(m.ingest.events))),
     Metric(Counter, "soda_ingest_rows_total")
         .help("Rows those events carried.")
         .from(Scalar(|m| Int(m.ingest.rows))),
-    Metric(Counter, "soda_ingest_rows_appended_total")
-        .help("Rows appended to copy-on-write table tails by ingestion.")
-        .from(Scalar(|m| Int(m.ingest.rows_appended))),
-    Metric(Counter, "soda_ingest_tables_copied_total")
-        .help("Tables the copy-on-write snapshot derives actually copied.")
-        .from(Scalar(|m| Int(m.ingest.tables_copied))),
-    Metric(Counter, "soda_ingest_tables_shared_total")
-        .help("Tables structurally shared (untouched) across those derives.")
-        .from(Scalar(|m| Int(m.ingest.tables_shared))),
-    Metric(Counter, "soda_compactions_total")
-        .help("Side-log compactions performed.")
-        .from(Scalar(|m| Int(m.ingest.compactions))),
-    Metric(Counter, "soda_compacted_shards_total")
-        .help("Side logs folded into rebuilt partitions.")
-        .from(Scalar(|m| Int(m.ingest.compacted_shards))),
     Metric(Counter, "soda_shard_probes_total")
         .help("Inverted-index probes served, per shard of the live snapshot.")
         .from(PerShard(|s| s.probes.clone())),
@@ -186,26 +148,11 @@ pub(crate) static FAMILIES: &[Family] = &[
     Metric(Gauge, "soda_shard_log_postings")
         .help("Ingestion side-log postings awaiting compaction, per shard.")
         .from(PerShard(|s| as_u64(&s.log_postings))),
-    Metric(Gauge, "soda_journal_bytes")
-        .help("Current size of the feed journal.")
-        .from(Journal(|d| Int(d.journal_bytes))),
-    Metric(Counter, "soda_journal_appends_total")
-        .help("Change feeds appended to the journal since this instance started.")
-        .from(Journal(|d| Int(d.journal_appends))),
-    Metric(Counter, "soda_checkpoints_total")
-        .help("Checkpoints written (each truncates the journal).")
-        .from(Journal(|d| Int(d.checkpoints))),
-    Metric(Counter, "soda_checkpoint_failures_total")
-        .help("Checkpoint attempts that failed (journal left replayable).")
-        .from(Journal(|d| Int(d.checkpoint_failures))),
     // The per-tenant fairness split: how an operator sees which tenant is
     // flooding, which is starving and whether admission control is biting.
     Metric(Counter, "soda_tenant_queries_completed_total")
         .help("Queries answered, per tenant.")
         .from(PerTenant(|t| Int(t.completed))),
-    Metric(Gauge, "soda_tenant_qps")
-        .help("Answered queries per second of uptime, per tenant.")
-        .from(PerTenant(|t| Float(t.qps))),
     Metric(Counter, "soda_tenant_warm_hits_total")
         .help("Submissions answered from the cache at submission time, per tenant.")
         .from(PerTenant(|t| Int(t.warm_hits))),
@@ -247,15 +194,12 @@ pub(crate) static FAMILIES: &[Family] = &[
     Metric(Counter, "soda_tenant_checkpoints_total")
         .help("Checkpoints written to the tenant's journal.")
         .from(TenantJournal(|d| Int(d.checkpoints))),
+    Metric(Counter, "soda_tenant_checkpoint_failures_total")
+        .help("Checkpoint attempts that failed (the tenant's journal left replayable).")
+        .from(TenantJournal(|d| Int(d.checkpoint_failures))),
     Metric(Counter, "soda_tenant_replayed_feeds_total")
         .help("Journaled feeds re-absorbed when the tenant was recovered.")
         .from(TenantJournal(|d| Int(d.replayed_feeds))),
-    Metric(Gauge, "soda_slo_target")
-        .help("Declared objective target fraction, per tenant and objective.")
-        .from(PerAlert(|alert| match alert.objective {
-            "latency" => Float(LATENCY_TARGET),
-            _ => Float(AVAILABILITY_TARGET),
-        })),
     Metric(Gauge, "soda_slo_fast_burn_rate")
         .help("Error-budget burn rate over the fast window, per tenant and objective.")
         .from(PerAlert(|alert| Float(alert.fast_burn))),
@@ -265,15 +209,12 @@ pub(crate) static FAMILIES: &[Family] = &[
     Metric(Gauge, "soda_slo_alert_state")
         .help("Multi-window burn-alert state (0 = ok, 1 = pending, 2 = firing).")
         .from(PerAlert(|alert| Int(alert.state.code()))),
-    Metric(Histogram, "soda_query_duration_seconds")
-        .help("End-to-end query latency, submission to completion (cache hits included).")
-        .from(Latency(|s| &s.e2e)),
     Metric(Histogram, "soda_queue_wait_seconds")
         .help("Time executed jobs waited in the queue before a worker picked them up.")
-        .from(Latency(|s| &s.latency.queue_wait)),
+        .from(Latency(|l| &l.queue_wait)),
     Metric(Histogram, "soda_execution_duration_seconds")
         .help("Pipeline execution time of executed jobs (dequeue to completion).")
-        .from(Latency(|s| &s.latency.execution)),
+        .from(Latency(|l| &l.execution)),
     Metric(Histogram, "soda_stage_duration_seconds")
         .help("Per-stage pipeline latency of executed jobs.")
         .from(StageLatency),
@@ -296,16 +237,13 @@ pub(crate) struct Scrape {
     pub(crate) latency: LatencyRecorder,
     /// `(tenant name, end-to-end distribution)` per hosted tenant.
     pub(crate) tenant_latency: Vec<(String, LogHistogram)>,
-    /// The service-wide end-to-end distribution: the merge of
-    /// `tenant_latency`, exemplars included.
-    pub(crate) e2e: LogHistogram,
 }
 
 impl Scrape {
     /// A family is exposed exactly when the data its source reads exists.
     pub(crate) fn exposes(&self, family: &Family) -> bool {
         match family.source {
-            Journal(_) | TenantJournal(_) => self.metrics.durability.enabled,
+            TenantJournal(_) => self.metrics.durability.enabled,
             PerAlert(_) => self.slo.is_some(),
             _ => true,
         }
@@ -323,7 +261,6 @@ impl Scrape {
                     w.int_value(name, &[("shard", shard.to_string())], value);
                 }
             }
-            Journal(get) => get(&self.metrics.durability).write(w, name, &[]),
             PerTenant(get) => {
                 for t in &self.metrics.tenants {
                     get(t).write(w, name, &[("tenant", t.tenant.clone())]);
@@ -343,7 +280,7 @@ impl Scrape {
                     get(alert).write(w, name, &labels);
                 }
             }
-            Latency(get) => w.histogram(name, &[], get(self)),
+            Latency(get) => w.histogram(name, &[], get(&self.latency)),
             StageLatency => {
                 for (hist, stage) in self.latency.stages.iter().zip(names::STAGES) {
                     w.histogram(name, &[("stage", stage.to_string())], hist);
@@ -382,14 +319,6 @@ impl QueryService {
             )
         };
         let uptime = self.shared.started.elapsed();
-        let uptime_secs = uptime.as_secs_f64();
-        let per_second = |count: u64| {
-            if uptime_secs > 0.0 {
-                count as f64 / uptime_secs
-            } else {
-                0.0
-            }
-        };
         let (cache, coalesced) = {
             let store = self.shared.store.lock().expect("store poisoned");
             (store.cache.stats(), store.coalesced)
@@ -415,13 +344,15 @@ impl QueryService {
                 TenantMetrics {
                     tenant: t.id.as_str().to_string(),
                     completed,
-                    qps: per_second(completed),
                     latency,
                     warm_hits: t.warm_hits.load(Ordering::Relaxed),
                     executions: t.executions.load(Ordering::Relaxed),
                     admission_waits: t.admission_waits.load(Ordering::Relaxed),
                     slow_queries: t.slow_queries.load(Ordering::Relaxed),
-                    sampled_traces: t.sampled_total.load(Ordering::Relaxed),
+                    sampled_traces: t
+                        .kept
+                        .as_ref()
+                        .map_or(0, |kept| kept.total.load(Ordering::Relaxed)),
                     queue_depth,
                     generation: t.handle.generation(),
                     reloads: t.reloads.load(Ordering::Relaxed),
@@ -442,11 +373,15 @@ impl QueryService {
         // per-tenant split is in `tenants`.
         let default = self.shared.tenants.default_tenant();
         let snapshot = default.handle.load();
-        let counter = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let uptime_secs = uptime.as_secs_f64();
         ServiceMetrics {
             uptime,
             completed,
-            qps: per_second(completed),
+            qps: if uptime_secs > 0.0 {
+                completed as f64 / uptime_secs
+            } else {
+                0.0
+            },
             latency: LatencySummary::of(&e2e),
             queue_wait,
             execution,
@@ -461,13 +396,9 @@ impl QueryService {
             reloads: total(|t| t.reloads),
             ingest: IngestMetrics {
                 ingests: total(|t| t.ingest_feeds),
-                events: counter(&self.shared.ingest_events),
-                rows: counter(&self.shared.ingest_rows),
-                rows_appended: counter(&self.shared.ingest_rows_appended),
-                tables_copied: counter(&self.shared.ingest_tables_copied),
-                tables_shared: counter(&self.shared.ingest_tables_shared),
+                events: self.shared.ingest_events.load(Ordering::Relaxed),
+                rows: self.shared.ingest_rows.load(Ordering::Relaxed),
                 compactions: total(|t| t.compactions),
-                compacted_shards: counter(&self.shared.compacted_shards),
             },
             shards: snapshot.shard_stats(),
             durability: durability_metrics(&default.durability),
@@ -498,16 +429,11 @@ impl QueryService {
                 (t.id.as_str().to_string(), hist.clone())
             })
             .collect();
-        let mut e2e = LogHistogram::new();
-        for (_, hist) in &tenant_latency {
-            e2e.merge(hist);
-        }
         Scrape {
             metrics,
             slo,
             latency,
             tenant_latency,
-            e2e,
         }
     }
 
@@ -516,8 +442,8 @@ impl QueryService {
     /// gauges of [`metrics`](Self::metrics), the per-tenant fairness
     /// families (`soda_tenant_*`, one sample per hosted tenant, labelled
     /// `tenant="<name>"`), the `soda_slo_*` burn-rate families when an SLO
-    /// is declared, and the latency **histograms** (end-to-end, queue wait,
-    /// execution, per-stage and per-tenant, all in seconds) — the
+    /// is declared, and the latency **histograms** (queue wait, execution,
+    /// per-stage, and end-to-end per tenant, all in seconds) — the
     /// full-fidelity surface a scrape-based monitoring stack ingests.
     ///
     /// The document always validates against
@@ -565,8 +491,11 @@ impl QueryService {
         tenant: impl Into<TenantId>,
     ) -> Result<Vec<SampledTrace>, ServiceError> {
         let tenant = self.shared.tenants.resolve(&tenant.into())?;
-        let sampled = tenant.sampled.lock().expect("sampled-trace ring poisoned");
-        Ok(sampled.to_vec())
+        let Some(kept) = &tenant.kept else {
+            return Ok(Vec::new());
+        };
+        let ring = kept.ring.lock().expect("sampled-trace ring poisoned");
+        Ok(ring.to_vec())
     }
 
     /// Evaluates every tenant's burn rates against the declared objectives
@@ -819,11 +748,10 @@ mod tests {
     }
 
     /// With two tenants the service-wide count is the sum and the
-    /// service-wide histogram is the merge, exemplars included.
+    /// service-wide latency is the merge of the exported histograms.
     #[test]
     fn service_wide_latency_is_the_tenants_merge() {
-        let sampling = crate::SamplingConfig::default().rate(1.0);
-        let service = minibank_service(ServiceConfig::default().sampling(sampling));
+        let service = minibank_service(ServiceConfig::default());
         service.add_tenant("acme", service.engine()).unwrap();
         for query in ["Sara Guttinger", "customers", "Sara Guttinger"] {
             service.query(QueryRequest::new(query)).wait().unwrap();
@@ -837,17 +765,11 @@ mod tests {
         assert_eq!((of("default").completed, of("acme").completed), (3, 2));
         assert_eq!(m.completed, 5);
 
-        let scrape = service.scrape();
         let mut merged = LogHistogram::new();
-        for (_, hist) in &scrape.tenant_latency {
+        for (_, hist) in &service.scrape().tenant_latency {
             merged.merge(hist);
         }
-        let mut w = PromWriter::new();
-        w.histogram("soda_query_duration_seconds", &[], &merged);
-        let expected = w.finish();
-        assert!(expected.contains("# {trace_id=\""), "{expected}");
-        assert!(expected.contains("soda_query_duration_seconds_count 5"));
-        assert!(scrape.render().contains(&expected));
+        assert_eq!(m.latency, LatencySummary::of(&merged));
     }
 
     #[test]
@@ -887,7 +809,7 @@ mod tests {
         // Every tenant family is labelled with the tenant name.
         assert!(text.contains("soda_tenant_queries_completed_total{tenant=\"default\"} 2"));
         // A non-durable service exposes no journal families.
-        assert!(!text.contains("soda_journal_bytes"));
+        assert!(!text.contains("soda_tenant_journal_bytes"));
     }
 
     fn kind_name(kind: MetricKind) -> &'static str {
@@ -914,18 +836,20 @@ mod tests {
         assert_eq!(names.len(), FAMILIES.len(), "a family is declared twice");
     }
 
-    /// One markdown row per family — `docs/OBSERVABILITY.md` carries exactly
-    /// these rows, so the documented surface cannot drift from the table.
+    /// The generated cells of a family's markdown row.  In
+    /// `docs/OBSERVABILITY.md` each row continues with one hand-written
+    /// cell, "Read by", so the documented surface cannot drift from the
+    /// table and no family is exported without naming what consumes it.
     fn markdown_row(family: &Family) -> String {
         let labels = match family.source {
-            Scalar(_) | Journal(_) | Latency(_) => "—",
+            Scalar(_) | Latency(_) => "—",
             PerShard(_) => "`shard`",
             PerTenant(_) | TenantJournal(_) | TenantLatency => "`tenant`",
             PerAlert(_) => "`tenant`, `objective`",
             StageLatency => "`stage`",
         };
         let when = match family.source {
-            Journal(_) | TenantJournal(_) => " *(durable service only)*",
+            TenantJournal(_) => " *(durable service only)*",
             PerAlert(_) => " *(SLO declared only)*",
             _ => "",
         };
@@ -937,26 +861,37 @@ mod tests {
         )
     }
 
+    /// The "Read by" cell the doc gives `row`, when the doc has the row.
+    fn read_by<'a>(doc: &'a str, row: &str) -> Option<&'a str> {
+        let rest = doc.lines().find_map(|line| line.strip_prefix(row))?;
+        Some(rest.strip_suffix('|')?.trim())
+    }
+
+    const DOC: &str = include_str!("../../../docs/OBSERVABILITY.md");
+
     #[test]
     fn every_family_is_documented() {
-        let doc = include_str!("../../../docs/OBSERVABILITY.md");
         for family in FAMILIES {
             let row = markdown_row(family);
+            let reader = read_by(DOC, &row);
             assert!(
-                doc.lines().any(|line| line == row),
+                reader.is_some(),
                 "docs/OBSERVABILITY.md lacks the row\n{row}"
             );
+            assert_ne!(reader, Some(""), "no \"Read by\" cell in the row\n{row}");
         }
     }
 
-    /// Prints the family table for `docs/OBSERVABILITY.md`: `cargo test -p
-    /// soda-service -- --ignored print_family_table --nocapture`.
+    /// Prints the family table for `docs/OBSERVABILITY.md`, carrying over
+    /// the "Read by" cells the doc already has: `cargo test -p soda-service
+    /// -- --ignored print_family_table --nocapture`.
     #[test]
     #[ignore = "prints the docs table"]
     fn print_family_table() {
-        println!("| Family | Kind | Labels | Help |\n|---|---|---|---|");
+        println!("| Family | Kind | Labels | Help | Read by |\n|---|---|---|---|---|");
         for family in FAMILIES {
-            println!("{}", markdown_row(family));
+            let row = markdown_row(family);
+            println!("{row} {} |", read_by(DOC, &row).unwrap_or(""));
         }
     }
 
@@ -968,12 +903,8 @@ mod tests {
             Duration::from_millis(2),
             Some(&soda_core::StepTimings::default()),
         );
-        let mut e2e = LogHistogram::new();
-        e2e.record(Duration::from_millis(1));
-        e2e.record(Duration::from_millis(3));
         let scrape = Scrape {
             latency: r,
-            e2e,
             ..minibank_service(ServiceConfig::default()).scrape()
         };
         let mut w = PromWriter::new();
@@ -985,7 +916,6 @@ mod tests {
         let text = w.finish();
         soda_trace::prom::validate(&text).expect("latency families must validate");
         assert!(text.contains("soda_stage_duration_seconds_count{stage=\"lookup\"} 1"));
-        assert!(text.contains("soda_query_duration_seconds_count 2"));
         assert!(text.contains("soda_queue_wait_seconds_count 1"));
     }
 }

@@ -56,9 +56,8 @@
 //!   ([`QueryService::events`] / [`events_for`](QueryService::events_for)),
 //!   the per-tenant rings of kept traces — slow queries
 //!   ([`ServiceConfig::slow_query_threshold`]) and head-sampled ones
-//!   ([`ServiceConfig::sampling`]) alike —
-//!   ([`QueryService::sampled_traces`], trace ids as OpenMetrics exemplars)
-//!   and the per-tenant SLO burn-rate engine ([`ServiceConfig::slo`] →
+//!   ([`ServiceConfig::sampling`]) alike
+//!   ([`QueryService::sampled_traces`]) — and the per-tenant SLO burn-rate engine ([`ServiceConfig::slo`] →
 //!   [`QueryService::alerts`]).  See `docs/OBSERVABILITY.md`.
 //!
 //! ```

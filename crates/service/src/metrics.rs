@@ -81,19 +81,8 @@ pub struct IngestMetrics {
     pub events: u64,
     /// Rows those events carried.
     pub rows: u64,
-    /// Rows appended to copy-on-write table tails (`Append` events; rows
-    /// carried by wholesale replacements are excluded).
-    pub rows_appended: u64,
-    /// Tables the copy-on-write derive actually copied — the feeds'
-    /// touched tables.
-    pub tables_copied: u64,
-    /// Tables structurally shared (`Arc` bump, zero row copies) across
-    /// those derives — untouched by their feeds.
-    pub tables_shared: u64,
     /// Compactions performed (manual and background alike).
     pub compactions: u64,
-    /// Side logs folded into rebuilt partitions across those compactions.
-    pub compacted_shards: u64,
 }
 
 /// Durable-restart counters, embedded in [`ServiceMetrics`].  All zero (and
@@ -210,8 +199,6 @@ pub struct TenantMetrics {
     /// Queries answered for this tenant (warm hits, coalesced waiters and
     /// executed queries alike).
     pub completed: u64,
-    /// Lifetime queries per second of service uptime.
-    pub qps: f64,
     /// End-to-end latency of this tenant's answered queries.
     pub latency: LatencySummary,
     /// Submissions answered from the cache at submission time.

@@ -107,8 +107,7 @@ impl QueryResponse {
 pub struct SampledTrace {
     /// The tenant the query belonged to.
     pub tenant: TenantId,
-    /// The sampler-assigned trace id (16 lowercase hex digits) — the same
-    /// id the latency histograms carry as an OpenMetrics exemplar.
+    /// The sampler-assigned trace id (16 lowercase hex digits).
     pub trace_id: String,
     /// The business user's input text, verbatim.
     pub input: String,

@@ -203,12 +203,6 @@ pub(crate) struct Shared {
     /// Streaming-ingestion lifetime counters, all tenants.
     pub(crate) ingest_events: AtomicU64,
     pub(crate) ingest_rows: AtomicU64,
-    /// Copy-on-write sharing counters: rows appended to mutable tails,
-    /// tables the derive copied, tables it structurally shared.
-    pub(crate) ingest_rows_appended: AtomicU64,
-    pub(crate) ingest_tables_copied: AtomicU64,
-    pub(crate) ingest_tables_shared: AtomicU64,
-    pub(crate) compacted_shards: AtomicU64,
     /// Shutdown flag + wakeup signal of the background compaction worker
     /// (present even without one; ingest nudges are then no-ops).
     pub(crate) compactor_shutdown: Mutex<bool>,
@@ -348,10 +342,7 @@ impl Shared {
     /// slow query is counted and raised as a `slow_query` event here and
     /// nowhere else — warm hits included, the end-to-end figure decides.
     /// A kept query lands the span tree `trace` yields, with its
-    /// `(queue wait, execution)` split, in the tenant's bounded ring and its
-    /// trace id on the tenant's latency histogram as the exemplar of the
-    /// bucket the query landed in.  Locks are taken one at a time, never
-    /// nested.
+    /// `(queue wait, execution)` split, in the tenant's bounded ring.
     pub(crate) fn sample(
         &self,
         tenant: &TenantState,
@@ -361,11 +352,11 @@ impl Shared {
         (queue_wait, execution): (Duration, Duration),
         trace: impl FnOnce() -> Option<QueryTrace>,
     ) {
-        let Some(sampler) = &tenant.sampler else {
+        let Some(kept) = &tenant.kept else {
             return;
         };
-        let head = head.unwrap_or_else(|| sampler.head_sample());
-        let Some(reason) = sampler.decide(head.sampled, e2e) else {
+        let head = head.unwrap_or_else(|| kept.sampler.head_sample());
+        let Some(reason) = kept.sampler.decide(head.sampled, e2e) else {
             return;
         };
         let Some(trace) = trace() else {
@@ -379,20 +370,13 @@ impl Shared {
                 format!("{e2e:?} end-to-end: {input}"),
             );
         }
-        let id = head.trace_id.to_string();
-        tenant
-            .e2e
-            .lock()
-            .expect("tenant latency recorder poisoned")
-            .annotate_exemplar(e2e, &id);
-        tenant.sampled_total.fetch_add(1, Ordering::Relaxed);
-        tenant
-            .sampled
+        kept.total.fetch_add(1, Ordering::Relaxed);
+        kept.ring
             .lock()
             .expect("sampled-trace ring poisoned")
             .push(SampledTrace {
                 tenant: tenant.id.clone(),
-                trace_id: id,
+                trace_id: head.trace_id.to_string(),
                 input: input.to_string(),
                 reason: reason.as_str(),
                 total: e2e,
@@ -489,10 +473,6 @@ impl QueryService {
             tenants: TenantRegistry::new(default),
             ingest_events: AtomicU64::new(0),
             ingest_rows: AtomicU64::new(0),
-            ingest_rows_appended: AtomicU64::new(0),
-            ingest_tables_copied: AtomicU64::new(0),
-            ingest_tables_shared: AtomicU64::new(0),
-            compacted_shards: AtomicU64::new(0),
             compactor_shutdown: Mutex::new(false),
             compactor_wake: Condvar::new(),
             queue: Mutex::new(QueueState::default()),
@@ -778,7 +758,7 @@ impl QueryService {
             key: key.clone(),
             input: request.input,
             engine,
-            head: tenant.sampler.as_ref().map(|s| s.head_sample()),
+            head: tenant.kept.as_ref().map(|k| k.sampler.head_sample()),
             tenant,
             submitted,
             tx,

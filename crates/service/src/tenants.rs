@@ -46,6 +46,19 @@ use crate::slo::{SloWindow, RESOLUTION, SLOW_WINDOW};
 /// tenants draw independent — but individually reproducible — sequences.
 const SAMPLING_SEED: u64 = 0x50DA;
 
+/// What a tenant that keeps traces carries — absent as a whole on a
+/// service with neither `ServiceConfig::sampling` nor
+/// `ServiceConfig::slow_query_threshold`.
+pub(crate) struct KeptTraces {
+    /// Decides which answered queries are kept.
+    pub(crate) sampler: Sampler,
+    /// Bounded ring of kept traces, newest retained
+    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
+    pub(crate) ring: Mutex<BoundedLog<SampledTrace>>,
+    /// Lifetime count of traces kept for this tenant.
+    pub(crate) total: AtomicU64,
+}
+
 /// One tenant's serving state: identity, snapshot, swap lock, fairness
 /// counters and (optionally) its write-ahead journal.
 pub(crate) struct TenantState {
@@ -80,14 +93,10 @@ pub(crate) struct TenantState {
     /// Queries of this tenant whose end-to-end latency crossed the
     /// service's slow-query threshold.
     pub(crate) slow_queries: AtomicU64,
-    /// The tenant's trace sampler — present when `ServiceConfig::sampling`
-    /// or `ServiceConfig::slow_query_threshold` is set.
-    pub(crate) sampler: Option<Sampler>,
-    /// Bounded ring of kept traces, newest retained
-    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
-    pub(crate) sampled: Mutex<BoundedLog<SampledTrace>>,
-    /// Lifetime count of traces the sampler retained for this tenant.
-    pub(crate) sampled_total: AtomicU64,
+    /// The tenant's sampler, kept-trace ring and kept count — present when
+    /// `ServiceConfig::sampling` or `ServiceConfig::slow_query_threshold`
+    /// is set.
+    pub(crate) kept: Option<KeptTraces>,
     /// The tenant's rolling SLO window (`None` when `ServiceConfig::slo`
     /// is off).
     pub(crate) slo: Option<Mutex<SloWindow>>,
@@ -111,11 +120,12 @@ impl TenantState {
                 .slow_query_threshold
                 .map(|_| SamplingConfig::default().rate(0.0))
         });
-        let sampler = sampling.as_ref().map(|sampling| {
-            Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate)
-                .with_slow(config.slow_query_threshold)
+        let kept = sampling.map(|sampling| KeptTraces {
+            sampler: Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate)
+                .with_slow(config.slow_query_threshold),
+            ring: Mutex::new(BoundedLog::new(sampling.trace_log)),
+            total: AtomicU64::new(0),
         });
-        let trace_log = sampling.map_or(1, |s| s.trace_log);
         Self {
             id,
             handle,
@@ -128,9 +138,7 @@ impl TenantState {
             admission_waits: AtomicU64::new(0),
             e2e: Mutex::new(LogHistogram::new()),
             slow_queries: AtomicU64::new(0),
-            sampler,
-            sampled: Mutex::new(BoundedLog::new(trace_log)),
-            sampled_total: AtomicU64::new(0),
+            kept,
             slo: config
                 .slo
                 .as_ref()

@@ -182,7 +182,6 @@ mod tests {
         assert_eq!(service.metrics().slow_queries, 1);
         assert_eq!(slow_events(), 1);
         let text = service.metrics_text();
-        assert!(text.contains("soda_slow_queries_total 1"));
         assert!(text.contains("soda_tenant_slow_queries_total{tenant=\"default\"} 1"));
 
         // The end-to-end figure decides for a warm hit too: over the

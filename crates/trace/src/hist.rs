@@ -12,7 +12,6 @@
 //! Quantiles are monotone by construction: a higher rank can only land in a
 //! later bucket, and every bucket reports its (clamped) upper bound.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// log2 of the sub-bucket count: the resolution knob.
@@ -52,19 +51,6 @@ fn bucket_upper(index: usize) -> u64 {
         .wrapping_sub(1)
 }
 
-/// A sampled observation pinned to a histogram bucket: the trace id of one
-/// real query whose latency landed there, exported in OpenMetrics exemplar
-/// syntax by the [`prom`](crate::prom) writer so a dashboard can jump from
-/// a latency bucket straight to a captured trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Exemplar {
-    /// Trace id of the sampled query (16 hex digits — see
-    /// [`TraceId`](crate::sample::TraceId)).
-    pub trace_id: String,
-    /// The observed value, in nanoseconds.
-    pub value_nanos: u64,
-}
-
 /// A mergeable latency histogram with fixed memory and bounded-error
 /// quantiles (see the module docs).  `count`, `sum`, `min` and `max` are
 /// exact; quantiles over-report by at most one sub-bucket (≤ 3.125%).
@@ -75,9 +61,6 @@ pub struct LogHistogram {
     sum_nanos: u128,
     min_nanos: u64,
     max_nanos: u64,
-    /// Sparse per-bucket exemplars (newest observation wins); a side table
-    /// that never affects counts, quantiles or merge semantics.
-    exemplars: BTreeMap<usize, Exemplar>,
 }
 
 impl std::fmt::Debug for LogHistogram {
@@ -108,7 +91,6 @@ impl LogHistogram {
             sum_nanos: 0,
             min_nanos: u64::MAX,
             max_nanos: 0,
-            exemplars: BTreeMap::new(),
         }
     }
 
@@ -136,32 +118,6 @@ impl LogHistogram {
         self.sum_nanos += other.sum_nanos;
         self.min_nanos = self.min_nanos.min(other.min_nanos);
         self.max_nanos = self.max_nanos.max(other.max_nanos);
-        for (bucket, exemplar) in &other.exemplars {
-            self.exemplars.insert(*bucket, exemplar.clone());
-        }
-    }
-
-    /// Pins `trace_id` as the exemplar of the bucket `value` falls in
-    /// (newest observation wins).  Exemplars are a side table: they never
-    /// affect counts, quantiles or [`merge`](Self::merge) equivalence.
-    pub fn annotate_exemplar(&mut self, value: Duration, trace_id: &str) {
-        let nanos = value.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.exemplars.insert(
-            bucket_index(nanos),
-            Exemplar {
-                trace_id: trace_id.to_string(),
-                value_nanos: nanos,
-            },
-        );
-    }
-
-    /// The attached exemplars as `(bucket_upper_bound_nanos, exemplar)`
-    /// pairs in increasing bound order — the shape the Prometheus writer
-    /// joins against [`cumulative_buckets`](Self::cumulative_buckets).
-    pub fn exemplars(&self) -> impl Iterator<Item = (u64, &Exemplar)> {
-        self.exemplars
-            .iter()
-            .map(|(index, exemplar)| (bucket_upper(*index), exemplar))
     }
 
     /// Samples at or below `value`'s bucket — the "good events" count an
@@ -338,45 +294,6 @@ mod tests {
             assert_eq!(a.quantile(q), both.quantile(q));
         }
         assert_eq!(a.cumulative_buckets(), both.cumulative_buckets());
-    }
-
-    #[test]
-    fn exemplars_pin_to_buckets_and_survive_merges() {
-        let mut a = LogHistogram::new();
-        a.record_nanos(1_000);
-        a.annotate_exemplar(Duration::from_nanos(1_000), "aaaa");
-        assert_eq!(a.exemplars().count(), 1);
-        let (upper, exemplar) = a.exemplars().next().unwrap();
-        assert!(upper >= 1_000);
-        assert_eq!(exemplar.trace_id, "aaaa");
-        assert_eq!(exemplar.value_nanos, 1_000);
-
-        // Newest observation of the same bucket wins.
-        a.annotate_exemplar(Duration::from_nanos(1_001), "bbbb");
-        assert_eq!(a.exemplars().count(), 1);
-        assert_eq!(a.exemplars().next().unwrap().1.trace_id, "bbbb");
-
-        // Merging carries the other histogram's exemplars across.
-        let mut b = LogHistogram::new();
-        b.record_nanos(5_000_000);
-        b.annotate_exemplar(Duration::from_nanos(5_000_000), "cccc");
-        a.merge(&b);
-        let ids: Vec<&str> = a.exemplars().map(|(_, e)| e.trace_id.as_str()).collect();
-        assert_eq!(ids, vec!["bbbb", "cccc"]);
-    }
-
-    #[test]
-    fn exemplars_do_not_perturb_merge_equivalence() {
-        let mut with = LogHistogram::new();
-        let mut without = LogHistogram::new();
-        for v in [5u64, 70, 900, 1_000_000] {
-            with.record_nanos(v);
-            without.record_nanos(v);
-        }
-        with.annotate_exemplar(Duration::from_nanos(900), "dead");
-        assert_eq!(with.cumulative_buckets(), without.cumulative_buckets());
-        assert_eq!(with.count(), without.count());
-        assert_eq!(with.quantile(0.5), without.quantile(0.5));
     }
 
     #[test]

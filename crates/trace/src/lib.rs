@@ -25,8 +25,7 @@
 //!   retains slow queries, at a cost of one atomic increment and one 64-bit
 //!   mix per unsampled query.
 //! * [`prom`] — a minimal Prometheus text-exposition writer plus a validator
-//!   used by golden tests to keep the exported surface well-formed,
-//!   OpenMetrics histogram exemplars included.
+//!   used by golden tests to keep the exported surface well-formed.
 
 pub mod hist;
 pub mod prom;
@@ -34,7 +33,7 @@ pub mod ring;
 pub mod sample;
 pub mod span;
 
-pub use hist::{Exemplar, LogHistogram};
+pub use hist::LogHistogram;
 pub use ring::{BoundedLog, OpEvent};
 pub use sample::{HeadDecision, SampleReason, Sampler, TraceId};
 pub use span::{CollectingSink, NoopSink, QueryTrace, Span, SpanId, TraceSink, TraceValue};

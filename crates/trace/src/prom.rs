@@ -7,12 +7,6 @@
 //! real exposition-format invariants: metric/label name syntax, `# TYPE`
 //! declared before samples, histogram bucket monotonicity and the mandatory
 //! `+Inf` bucket / `_sum` / `_count` triple.
-//!
-//! Histogram buckets may carry **OpenMetrics exemplars** — a sampled trace
-//! id pinned to the bucket, `… # {trace_id="<hex>"} <value>` — which the
-//! writer emits from [`LogHistogram`] exemplars and the validator parses
-//! and polices: a malformed payload or an exemplar on a non-bucket sample
-//! is rejected.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -77,36 +71,19 @@ impl PromWriter {
     /// Writes a [`LogHistogram`] as a Prometheus histogram in **seconds**:
     /// one cumulative `_bucket` line per non-empty bucket plus the mandatory
     /// `+Inf` bucket, then `_sum` and `_count`.  `labels` are attached to
-    /// every line (with `le` appended on the buckets).  Buckets holding an
-    /// exemplar get it appended in OpenMetrics syntax:
-    /// `… # {trace_id="<hex>"} <observed_seconds>`.
+    /// every line (with `le` appended on the buckets).
     pub fn histogram(&mut self, name: &str, labels: &[(&str, String)], hist: &LogHistogram) {
-        let exemplars: std::collections::BTreeMap<u64, &crate::hist::Exemplar> =
-            hist.exemplars().collect();
-        for (upper_nanos, cumulative) in hist.cumulative_buckets() {
+        let buckets = hist.cumulative_buckets().into_iter();
+        let buckets = buckets.map(|(upper, n)| (format_value(upper as f64 / 1e9), n));
+        for (le, cumulative) in buckets.chain([("+Inf".to_string(), hist.count())]) {
             self.out.push_str(name);
-            self.out.push_str("_bucket");
-            let mut with_le = labels.to_vec();
-            let le = format_value(upper_nanos as f64 / 1e9);
-            with_le.push(("le", le));
-            write_labels(&mut self.out, &with_le);
-            let _ = write!(self.out, " {cumulative}");
-            if let Some(exemplar) = exemplars.get(&upper_nanos) {
-                let _ = write!(
-                    self.out,
-                    " # {{trace_id=\"{}\"}} {}",
-                    exemplar.trace_id,
-                    format_value(exemplar.value_nanos as f64 / 1e9)
-                );
+            self.out.push_str("_bucket{");
+            write_label_pairs(&mut self.out, labels);
+            if !labels.is_empty() {
+                self.out.push(',');
             }
-            self.out.push('\n');
+            let _ = writeln!(self.out, "le=\"{le}\"}} {cumulative}");
         }
-        self.out.push_str(name);
-        self.out.push_str("_bucket");
-        let mut with_le = labels.to_vec();
-        with_le.push(("le", "+Inf".to_string()));
-        write_labels(&mut self.out, &with_le);
-        let _ = writeln!(self.out, " {}", hist.count());
         self.out.push_str(name);
         self.out.push_str("_sum");
         write_labels(&mut self.out, labels);
@@ -128,6 +105,12 @@ fn write_labels(out: &mut String, labels: &[(&str, String)]) {
         return;
     }
     out.push('{');
+    write_label_pairs(out, labels);
+    out.push('}');
+}
+
+/// The comma-separated `key="escaped value"` pairs, without the braces.
+fn write_label_pairs(out: &mut String, labels: &[(&str, String)]) {
     for (i, (key, value)) in labels.iter().enumerate() {
         debug_assert!(valid_label_name(key), "invalid label name {key}");
         if i > 0 {
@@ -145,7 +128,6 @@ fn write_labels(out: &mut String, labels: &[(&str, String)]) {
         }
         out.push('"');
     }
-    out.push('}');
 }
 
 /// Renders an f64 the exposition format accepts (Rust's `Display` never
@@ -183,8 +165,6 @@ struct Sample {
     name: String,
     labels: Vec<(String, String)>,
     value: f64,
-    /// Whether the line carried an (already syntax-checked) exemplar.
-    exemplar: bool,
     line_no: usize,
 }
 
@@ -260,23 +240,8 @@ pub fn validate(text: &str) -> Result<(), String> {
                         sample.line_no
                     ));
                 }
-                // Exemplars are legal on bucket lines only — not on the
-                // `_sum` / `_count` children.
-                if sample.exemplar && sample.name != format!("{family}_bucket") {
-                    return Err(format!(
-                        "line {}: exemplar on non-bucket histogram sample {}",
-                        sample.line_no, sample.name
-                    ));
-                }
             }
-            Some(_) => {
-                if sample.exemplar {
-                    return Err(format!(
-                        "line {}: exemplar on non-histogram family {family}",
-                        sample.line_no
-                    ));
-                }
-            }
+            Some(_) => {}
         }
     }
 
@@ -400,50 +365,15 @@ fn parse_sample(line: &str, line_no: usize) -> Result<Sample, String> {
     }
     let value = parse_float(value_text)
         .ok_or_else(|| format!("line {line_no}: unparsable value {value_text}"))?;
-    let after = rest[value_end..].trim_start();
-    let exemplar = if after.is_empty() {
-        false
-    } else if let Some(payload) = after.strip_prefix('#') {
-        parse_exemplar(payload.trim_start(), line_no)?;
-        true
-    } else {
+    if !rest[value_end..].trim_start().is_empty() {
         return Err(format!("line {line_no}: trailing tokens after value"));
-    };
+    }
     Ok(Sample {
         name: name.to_string(),
         labels,
         value,
-        exemplar,
         line_no,
     })
-}
-
-/// Syntax-checks one OpenMetrics exemplar payload — everything after the
-/// `#` of `… # {trace_id="<hex>"} <value>`: a label set that must contain
-/// `trace_id`, then exactly one parsable value.
-fn parse_exemplar(payload: &str, line_no: usize) -> Result<(), String> {
-    let body_and_rest = payload
-        .strip_prefix('{')
-        .ok_or_else(|| format!("line {line_no}: exemplar without a label set"))?;
-    let close = find_label_close(body_and_rest)
-        .ok_or_else(|| format!("line {line_no}: unterminated exemplar label set"))?;
-    let mut labels = Vec::new();
-    parse_labels(&body_and_rest[..close], line_no, &mut labels)?;
-    if !labels.iter().any(|(k, _)| k == "trace_id") {
-        return Err(format!("line {line_no}: exemplar without a trace_id label"));
-    }
-    let mut parts = body_and_rest[close + 1..].split_whitespace();
-    let value = parts
-        .next()
-        .ok_or_else(|| format!("line {line_no}: exemplar without a value"))?;
-    parse_float(value)
-        .ok_or_else(|| format!("line {line_no}: unparsable exemplar value {value}"))?;
-    if parts.next().is_some() {
-        return Err(format!(
-            "line {line_no}: trailing tokens after exemplar value"
-        ));
-    }
-    Ok(())
 }
 
 /// Index of the `}` closing a label set, honouring quoted strings and
@@ -580,6 +510,8 @@ mod tests {
         assert!(validate("# TYPE a counter\n9bad 1\n").is_err());
         // Unparsable value.
         assert!(validate("# TYPE a counter\na wat\n").is_err());
+        // Trailing tokens after the value.
+        assert!(validate("# TYPE a counter\na 1 extra\n").is_err());
         // Histogram with no buckets.
         assert!(validate("# TYPE h histogram\nh_sum 0\nh_count 0\n").is_err());
         // Histogram missing +Inf.
@@ -602,83 +534,5 @@ mod tests {
         let text = "# HELP h latency\n# TYPE h histogram\n\
                     h_bucket{le=\"0.1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 0.3\nh_count 2\n";
         validate(text).expect("well-formed histogram");
-    }
-
-    #[test]
-    fn writer_emits_exemplars_that_validate() {
-        let mut hist = LogHistogram::new();
-        hist.record(Duration::from_millis(2));
-        hist.record(Duration::from_millis(50));
-        hist.annotate_exemplar(Duration::from_millis(50), "deadbeefcafef00d");
-        let mut w = PromWriter::new();
-        w.header("soda_x_seconds", "Latency.", MetricKind::Histogram);
-        w.histogram("soda_x_seconds", &[("tenant", "acme".to_string())], &hist);
-        let text = w.finish();
-        validate(&text).expect("exemplar output must validate");
-        assert!(
-            text.contains("# {trace_id=\"deadbeefcafef00d\"} 0.05"),
-            "{text}"
-        );
-        // Only the bucket the exemplar landed in carries it.
-        assert_eq!(text.matches("trace_id=").count(), 1, "{text}");
-    }
-
-    #[test]
-    fn validator_accepts_a_correct_exemplar() {
-        let text = "# TYPE h histogram\n\
-                    h_bucket{le=\"0.1\"} 1 # {trace_id=\"abc123\"} 0.07\n\
-                    h_bucket{le=\"+Inf\"} 1\nh_sum 0.07\nh_count 1\n";
-        validate(text).expect("well-formed exemplar");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_exemplars() {
-        // No label set after the #.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # 0.07\nh_sum 0.07\nh_count 1\n"
-        )
-        .is_err());
-        // Unterminated exemplar label set.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {trace_id=\"x\" 0.07\nh_sum 0.07\nh_count 1\n"
-        )
-        .is_err());
-        // Missing trace_id label.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {span=\"x\"} 0.07\nh_sum 0.07\nh_count 1\n"
-        )
-        .is_err());
-        // Missing exemplar value.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {trace_id=\"x\"}\nh_sum 0.07\nh_count 1\n"
-        )
-        .is_err());
-        // Unparsable exemplar value.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {trace_id=\"x\"} wat\nh_sum 0.07\nh_count 1\n"
-        )
-        .is_err());
-        // Trailing tokens after the exemplar value.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {trace_id=\"x\"} 0.07 extra\nh_sum 0.07\nh_count 1\n"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn validator_rejects_exemplars_outside_histogram_buckets() {
-        // Exemplar on a counter family.
-        assert!(
-            validate("# TYPE a counter\na 1 # {trace_id=\"x\"} 0.5\n").is_err(),
-            "counters must not carry exemplars"
-        );
-        // Exemplar on a histogram's _sum child.
-        assert!(validate(
-            "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\n\
-             h_sum 0.07 # {trace_id=\"x\"} 0.07\nh_count 1\n"
-        )
-        .is_err());
-        // Plain trailing garbage is still rejected.
-        assert!(validate("# TYPE a counter\na 1 extra\n").is_err());
     }
 }

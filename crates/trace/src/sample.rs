@@ -32,7 +32,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// A 64-bit trace identifier, rendered as 16 lowercase hex digits — the
-/// value carried into histogram exemplars and the sampled-trace rings.
+/// value carried into the sampled-trace rings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u64);
 

@@ -329,49 +329,44 @@ fn recovery_is_idempotent() {
     assert_eq!(first_page, second_page, "twice must equal once");
 }
 
-/// A durability directory written **before tenancy existed** — version-1
-/// journal magic, 16-byte frame header with no tenant field — recovers
-/// losslessly: every acknowledged ingest replays, and the journal comes out
-/// upgraded to the current format.  This pins the upgrade path the header
-/// change introduced; without it a pre-tenancy journal would be misparsed
-/// and truncated.
+/// A durability directory in the version-1 layout — `SODAJNL1` magic,
+/// 16-byte frame header with no tenant field — is a foreign journal:
+/// recovery refuses it through the bad-magic error and leaves the file
+/// byte-identical (never misparsed as a torn tail, never truncated).
 #[test]
-fn pre_tenancy_durability_directory_recovers_losslessly() {
-    let dir = TempDir::new("pre-tenancy");
+fn a_version_one_durability_directory_is_rejected_untouched() {
+    let dir = TempDir::new("version-one");
     {
         let (service, _) = recover_at(dir.path());
         admin(&service)
-            .ingest_owned(address_feed(900, "Legacyville"))
-            .unwrap();
-        admin(&service)
-            .ingest_owned(address_feed(901, "Legacyville"))
+            .ingest_owned(address_feed(900, "Oldville"))
             .unwrap();
     }
-    // Rewrite the journal into the exact pre-tenancy layout: version-1
-    // magic, config fingerprint, frames — no tenant field (bytes 16..24
-    // removed).  Frame encoding is unchanged between the versions.
+    // Rewrite the journal into the version-1 layout: old magic, config
+    // fingerprint, frames — no tenant field (bytes 16..24 removed).
     let path = journal_path(dir.path());
     let current = fs::read(&path).unwrap();
     assert_eq!(&current[..8], b"SODAJNL2");
-    let mut legacy = Vec::with_capacity(current.len() - 8);
-    legacy.extend_from_slice(b"SODAJNL1");
-    legacy.extend_from_slice(&current[8..16]);
-    legacy.extend_from_slice(&current[24..]);
-    fs::write(&path, &legacy).unwrap();
+    let mut v1 = b"SODAJNL1".to_vec();
+    v1.extend_from_slice(&current[8..16]);
+    v1.extend_from_slice(&current[24..]);
+    fs::write(&path, &v1).unwrap();
 
-    let (service, report) = recover_at(dir.path());
-    assert_eq!(
-        report.replayed_feeds, 2,
-        "acknowledged ingests must survive"
-    );
-    assert_eq!(report.truncated_bytes, 0);
-    assert!(!page_for(&service, "Legacyville").results.is_empty());
-    drop(service);
-    assert_eq!(
-        &fs::read(&path).unwrap()[..8],
-        b"SODAJNL2",
-        "the journal is upgraded to the current format"
-    );
+    let (db, graph) = minibank_parts();
+    match QueryService::recover(
+        db,
+        graph,
+        SodaConfig::default(),
+        ServiceConfig::default(),
+        DurabilityConfig::new(dir.path()),
+    ) {
+        Err(ServiceError::Durability(msg)) => {
+            assert!(msg.contains("bad magic"), "the error must name it: {msg}");
+        }
+        Err(other) => panic!("expected a durability error, got {other:?}"),
+        Ok(_) => panic!("a version-1 journal must refuse to recover"),
+    }
+    assert_eq!(fs::read(&path).unwrap(), v1, "rejected journal modified");
 }
 
 /// Page-cache files that do not fit — foreign fingerprint, wrong magic, or

@@ -9,6 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -322,6 +323,126 @@ fn tenants_recover_from_their_own_journals() {
     assert!(page_for(&service, "acme", "Defaultville")
         .results
         .is_empty());
+}
+
+/// The samples of one `tenant`-labelled family of an exposition document,
+/// as `(tenant, value)` pairs.
+fn tenant_samples<'a>(text: &'a str, family: &str) -> Vec<(&'a str, u64)> {
+    let labelled = format!("{family}{{tenant=\"");
+    text.lines()
+        .filter_map(|line| line.strip_prefix(&labelled)?.split_once("\"} "))
+        .map(|(tenant, value)| (tenant, value.parse().expect("an integer sample")))
+        .collect()
+}
+
+/// The scrape surface exports what is counted per tenant per tenant only,
+/// and that lost nothing: summed over `tenant`, each labelled family equals
+/// the service-wide `ServiceMetrics` figure that used to be a family of its
+/// own, and the default tenant's sample equals what used to be exported as
+/// its unlabelled projection.
+#[test]
+fn tenant_families_sum_to_the_service_wide_figures() {
+    let dir = TempDir::new("family-sums");
+    let w = minibank::build(42);
+    let (service, _report) = QueryService::recover(
+        Arc::new(w.database),
+        Arc::new(w.graph),
+        SodaConfig::default(),
+        // A zero threshold: every answered query counts as slow.
+        ServiceConfig::default().slow_query_threshold(Duration::ZERO),
+        DurabilityConfig::new(dir.path()),
+    )
+    .expect("durable boot");
+    service
+        .add_tenant("acme", snapshot_for_seed(7))
+        .expect("acme registers");
+    for query in QUERIES {
+        page_for(&service, "default", query);
+        page_for(&service, "acme", query);
+    }
+    page_for(&service, "acme", QUERIES[0]); // one warm hit
+    let feed = |id: i64| {
+        ChangeFeed::new().append_row(
+            "addresses",
+            vec![
+                Value::Int(id),
+                Value::Int(1),
+                Value::from("Family Lane 1"),
+                Value::from("Sumville"),
+                Value::from("Switzerland"),
+            ],
+        )
+    };
+    let default = service.admin(TenantId::default()).unwrap();
+    let acme = service.admin("acme").unwrap();
+    default.ingest_owned(feed(900)).unwrap();
+    default.ingest_owned(feed(901)).unwrap();
+    acme.ingest_owned(feed(902)).unwrap();
+    let shards: Vec<usize> = (0..acme.engine().shard_count()).collect();
+    acme.compact(&shards).expect("a side log to fold");
+    let w = minibank::build(7);
+    acme.reload(EngineSnapshot::build(
+        Arc::new(w.database),
+        Arc::new(w.graph),
+        SodaConfig::default(),
+    ));
+
+    let m = service.metrics();
+    let text = service.metrics_text();
+    soda::trace::prom::validate(&text).expect("exposition must validate");
+    let sum = |family: &str| -> u64 {
+        let samples = tenant_samples(&text, family);
+        assert_eq!(
+            samples.len(),
+            m.tenants.len(),
+            "{family}: one sample a tenant"
+        );
+        samples.iter().map(|(_, value)| value).sum()
+    };
+    assert_eq!(m.completed, 2 * QUERIES.len() as u64 + 1);
+    assert_eq!(sum("soda_tenant_queries_completed_total"), m.completed);
+    assert_eq!(
+        sum("soda_tenant_query_duration_seconds_count"),
+        m.completed,
+        "the merged histogram counts every answered query"
+    );
+    assert_eq!(
+        sum("soda_tenant_pipeline_executions_total"),
+        m.pipeline_executions
+    );
+    assert_eq!(m.slow_queries, m.completed);
+    assert_eq!(sum("soda_tenant_slow_queries_total"), m.slow_queries);
+    assert_eq!(sum("soda_tenant_queue_depth"), m.queue_depth as u64);
+    assert_eq!(
+        (m.reloads, m.ingest.ingests, m.ingest.compactions),
+        (1, 3, 1)
+    );
+    assert_eq!(sum("soda_tenant_reloads_total"), m.reloads);
+    assert_eq!(sum("soda_tenant_ingest_feeds_total"), m.ingest.ingests);
+    assert_eq!(sum("soda_tenant_compactions_total"), m.ingest.compactions);
+
+    // The unlabelled generation and journal families described the default
+    // tenant: its labelled sample is that figure.
+    let of_default = |family: &str| -> u64 {
+        let samples = tenant_samples(&text, family);
+        let found = samples.iter().find(|(tenant, _)| *tenant == "default");
+        found
+            .unwrap_or_else(|| panic!("{family} lacks the default tenant"))
+            .1
+    };
+    assert_eq!(of_default("soda_tenant_generation"), m.generation);
+    let d = &m.durability;
+    assert_eq!(of_default("soda_tenant_journal_bytes"), d.journal_bytes);
+    assert_eq!((d.journal_appends, d.checkpoint_failures), (2, 0));
+    assert_eq!(
+        of_default("soda_tenant_journal_appends_total"),
+        d.journal_appends
+    );
+    assert_eq!(of_default("soda_tenant_checkpoints_total"), d.checkpoints);
+    assert_eq!(
+        of_default("soda_tenant_checkpoint_failures_total"),
+        d.checkpoint_failures
+    );
 }
 
 /// `tenants()` lists the default tenant first and new tenants in
