@@ -468,9 +468,6 @@ mod tests {
         // Copy-on-write derive: only `addresses` was copied; every other
         // table of the new database is the *same allocation* as before.
         let table_count = before.database().table_count();
-        assert_eq!(outcome.report.tables_copied, 1);
-        assert_eq!(outcome.report.tables_shared, table_count - 1);
-        assert_eq!(outcome.report.rows_appended, 1);
         assert_eq!(
             after.database().tables_shared_with(before.database()),
             table_count - 1

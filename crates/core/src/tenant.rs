@@ -8,10 +8,10 @@
 //! leakage: two cache keys collide only if both their snapshot fingerprint
 //! *and* their folded tenant fingerprint collide.
 //!
-//! The **default tenant** is special: folding it is the identity function.
-//! A single-tenant service therefore produces byte-identical cache keys —
-//! and byte-compatible persisted cache files — to every release before
-//! tenancy existed.
+//! The **default tenant** is special: folding it is the identity function,
+//! so a single-tenant service's cache keys are its snapshot fingerprints.
+//! (No file written before tenancy is readable: the frame reader accepts
+//! version `2` only.)
 
 use std::fmt;
 use std::sync::Arc;
@@ -69,11 +69,11 @@ impl TenantId {
 
     /// Folds this tenant into a snapshot-derived fingerprint.
     ///
-    /// For the default tenant this is the **identity**, so single-tenant
-    /// cache keys (and persisted cache files) stay byte-compatible with
-    /// pre-tenancy releases.  For named tenants the fold is an FNV-style
-    /// mix of the tenant fingerprint into the input, so keys from different
-    /// tenants land in disjoint fingerprint spaces.
+    /// For the default tenant this is the **identity**: a single-tenant
+    /// service's cache keys (and the fingerprint stamped into its persisted
+    /// cache file) are its snapshot fingerprints.  For named tenants the
+    /// fold is an FNV-style mix of the tenant fingerprint into the input, so
+    /// keys from different tenants land in disjoint fingerprint spaces.
     pub fn fold(&self, fingerprint: u64) -> u64 {
         let tenant = self.fingerprint();
         if tenant == 0 {

@@ -1,13 +1,16 @@
 //! Experiment drivers for every table and figure of the paper's evaluation.
 
+pub mod ablations;
 pub mod figures;
 pub mod historization;
 pub mod table1;
 pub mod table5;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soda_core::{EngineSnapshot, SearchOptions};
+use soda_core::{EngineSnapshot, SearchOptions, SodaConfig};
+use soda_warehouse::Warehouse;
 
 use crate::metrics::{evaluate, PrecisionRecall};
 use crate::workload::{workload, WorkloadQuery};
@@ -54,11 +57,16 @@ pub struct QueryEvaluation {
     pub reference: WorkloadQuery,
 }
 
+/// One engine per configuration, all over the one warehouse.
+pub fn engines_over(warehouse: Warehouse) -> impl Fn(SodaConfig) -> EngineSnapshot {
+    let (db, graph) = warehouse.shared_parts();
+    move |config| EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), config)
+}
+
 /// Runs the full workload of Table 2 on an engine and evaluates every
 /// produced statement against the gold standard, computed over the engine's
 /// own base data.  This single pass produces the data behind both Table 3
-/// (precision/recall) and Table 4 (complexity and runtime); the benchmarks
-/// construct the engine once and measure this query phase only.
+/// (precision/recall) and Table 4 (complexity and runtime).
 pub fn run_workload(engine: &EngineSnapshot) -> Vec<QueryEvaluation> {
     let mut evaluations = Vec::new();
     for query in workload() {
@@ -140,7 +148,6 @@ pub fn run_workload(engine: &EngineSnapshot) -> Vec<QueryEvaluation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soda_core::SodaConfig;
     use soda_warehouse::enterprise::{self, EnterpriseConfig};
 
     fn quick_engine() -> EngineSnapshot {

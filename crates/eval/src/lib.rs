@@ -12,6 +12,9 @@
 //!   computes precision/recall, complexity and runtimes (Tables 3 and 4),
 //! * [`experiments::table1`], [`experiments::table5`],
 //!   [`experiments::figures`] — the remaining tables and figures,
+//! * [`experiments::ablations`], [`experiments::historization`] — the design
+//!   decisions switched off one at a time, and the extensions beyond the
+//!   paper's evaluation,
 //! * [`report`] — renders everything in the paper's tabular style.
 
 pub mod experiments;

@@ -1,10 +1,14 @@
 //! Plain-text renderers that print each experiment in the paper's tabular
 //! style (measured values side by side with the paper's reported values).
 
+use soda_core::SodaConfig;
+use soda_warehouse::Warehouse;
+
 use crate::experiments::historization::HistorizationRow;
 use crate::experiments::table1::Table1Row;
 use crate::experiments::table5::Table5;
 use crate::experiments::QueryEvaluation;
+use crate::experiments::{engines_over, figures};
 use crate::workload::WorkloadQuery;
 
 fn hline(width: usize) -> String {
@@ -167,6 +171,91 @@ pub fn print_historization(rows: &[HistorizationRow]) -> String {
         ));
     }
     out
+}
+
+/// Renders the ablation summary: mean best-F1 of the workload per
+/// configuration variant.
+pub fn print_ablations(rows: &[(&str, f64)]) -> String {
+    let mut out = String::new();
+    out.push_str("Ablation quality summary (mean best-F1 over the 13 workload queries):\n");
+    for (name, f1) in rows {
+        out.push_str(&format!("  {name:<24} {f1:.3}\n"));
+    }
+    out
+}
+
+/// Renders the far-fetching extension: mean best-F1 of the workload per
+/// join-path bound.
+pub fn print_far_fetching(rows: &[(usize, f64)]) -> String {
+    let mut out = String::new();
+    out.push_str("Far-fetching quality (mean best-F1 over the 13 workload queries):\n");
+    for (bound, f1) in rows {
+        out.push_str(&format!(
+            "  max_join_path_length = {bound:<2}  mean best-F1 = {f1:.3}\n"
+        ));
+    }
+    out
+}
+
+/// Renders the re-ranking extensions: the tables of the top interpretation
+/// of "Credit Suisse" per ranking variant.
+pub fn print_ranking_variants(rows: &[(&str, Vec<String>)]) -> String {
+    let mut out = String::new();
+    out.push_str("'Credit Suisse' top interpretation per ranking variant:\n");
+    for (variant, tables) in rows {
+        out.push_str(&format!("  {variant:<20}: {tables:?}\n"));
+    }
+    out
+}
+
+/// Renders Figures 1–10: the schema figures read the mini-bank model
+/// (`bank`), the pipeline figures a default-configured engine over it, and
+/// Figures 9 and 10 one over the `enterprise` warehouse.  Figure 4 is a
+/// timing (the share of each pipeline step in one traced query) and differs
+/// from run to run.
+pub fn print_figures(bank: Warehouse, enterprise: Warehouse) -> String {
+    let schema_figures = [
+        format!(
+            "Figure 1 (conceptual schema, DOT):\n{}",
+            figures::figure1_dot(&bank)
+        ),
+        format!(
+            "Figure 2 (logical schema, DOT):\n{}",
+            figures::figure2_dot(&bank)
+        ),
+        format!(
+            "Figure 3 (metadata layers): {:?}",
+            figures::figure3_layers(&bank)
+        ),
+    ];
+    let engine = &engines_over(bank)(SodaConfig::default());
+    let enterprise = &engines_over(enterprise)(SodaConfig::default());
+    let (used, attached) = figures::figure9_direct_path(enterprise);
+    let pipeline_figures = [
+        format!(
+            "Figure 4 (pipeline step shares): {:?}",
+            figures::figure4_trace(engine, "customers Zurich financial instruments")
+        ),
+        format!(
+            "Figure 5 (classification): {:?}",
+            figures::figure5_classification(engine)
+        ),
+        format!(
+            "Figure 6 (tables step): {:?}",
+            figures::figure6_tables(engine)
+        ),
+        format!("Figure 7 (table pattern): {}", figures::figure7_pattern()),
+        format!(
+            "Figure 8 (foreign-key pattern): {}",
+            figures::figure8_pattern()
+        ),
+        format!("Figure 9 (joins on direct path): used {used:?} of attached {attached:?}"),
+        format!(
+            "Figure 10 (schema hierarchy):\n{}",
+            figures::figure10_hierarchy(enterprise)
+        ),
+    ];
+    [schema_figures.join("\n"), pipeline_figures.join("\n")].join("\n")
 }
 
 #[cfg(test)]

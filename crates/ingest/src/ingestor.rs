@@ -15,19 +15,8 @@ pub struct IngestReport {
     pub events: usize,
     /// Rows carried by those events.
     pub rows: usize,
-    /// Rows added by `Append` events (replacement rows excluded) — the
-    /// copy-on-write tail growth this absorb caused.
-    pub rows_appended: usize,
-    /// Tables the feed mutated — the only tables the copy-on-write
-    /// database derive actually copied.
-    pub tables_copied: usize,
-    /// Tables left untouched and therefore structurally shared (`Arc`
-    /// bump, no row copy) with the base database.
-    pub tables_shared: usize,
     /// Shards whose side logs changed, sorted and deduplicated.
     pub touched_shards: Vec<usize>,
-    /// Tables touched, lower-cased, sorted and deduplicated.
-    pub touched_tables: Vec<String>,
 }
 
 /// Routes row-level events into per-shard side logs by the same stable table
@@ -85,16 +74,14 @@ impl Ingestor {
         if let Some(logs) = &logs {
             assert_eq!(logs.len(), self.shard_count, "one side log per index shard");
         }
-        let (events, rows, tables) = (feed.len(), feed.row_count(), feed.tables());
+        let (events, rows) = (feed.len(), feed.row_count());
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        let mut rows_appended = 0usize;
         for event in feed.into_events() {
             let shard = self.shard_for(event.table());
             match event {
                 RowEvent::Append { table, row } => {
                     let start = db.table(&table)?.row_count();
                     db.insert(&table, row)?;
-                    rows_appended += 1;
                     if let Some(logs) = logs.as_deref_mut() {
                         logs[shard].append_rows(db.table(&table)?, start);
                     }
@@ -119,11 +106,7 @@ impl Ingestor {
         Ok(IngestReport {
             events,
             rows,
-            rows_appended,
-            tables_copied: tables.len(),
-            tables_shared: db.table_count().saturating_sub(tables.len()),
             touched_shards: touched.into_iter().collect(),
-            touched_tables: tables,
         })
     }
 }
@@ -169,10 +152,6 @@ mod tests {
             let report = ingestor.absorb(&mut next, Some(&mut logs), feed).unwrap();
             assert_eq!(report.events, 2);
             assert_eq!(report.rows, 2);
-            assert_eq!(
-                report.touched_tables,
-                vec!["city".to_string(), "org".to_string()]
-            );
             let mut owners: Vec<usize> = ["city", "org"]
                 .iter()
                 .map(|t| ingestor.shard_for(t))

@@ -320,11 +320,9 @@ pub fn journal_path(dir: &Path) -> PathBuf {
 
 /// The durability sub-directory owned by one named tenant:
 /// `<dir>/tenants/<sanitized name>/`.  The default tenant keeps the
-/// top-level directory (and thus the pre-tenancy `feed.journal` location),
-/// so single-tenant deployments recover files written before tenancy
-/// existed.  Tenant names are sanitized to a conservative filesystem-safe
-/// alphabet; distinct names that sanitize identically are disambiguated by
-/// the tenant fingerprint suffix.
+/// top-level directory.  Tenant names are sanitized to a conservative
+/// filesystem-safe alphabet; distinct names that sanitize identically are
+/// disambiguated by the tenant fingerprint suffix.
 pub fn tenant_journal_dir(dir: &Path, tenant: &str, tenant_fingerprint: u64) -> PathBuf {
     if tenant_fingerprint == 0 {
         return dir.to_path_buf();

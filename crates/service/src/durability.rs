@@ -20,10 +20,9 @@ use crate::service::{CachedPage, Shared};
 use crate::tenants::TenantState;
 
 /// Magic of the persistent page-cache file (the journal has its own,
-/// [`soda_journal::JOURNAL_MAGIC`]).  `2` is the format version — bumped
-/// with the frame-file header when it grew the tenant-fingerprint field;
-/// version-`1` cache files written before tenancy still load (the frame
-/// reader accepts both layouts).
+/// [`soda_journal::JOURNAL_MAGIC`]).  `2` is the format version, the only
+/// one the frame reader accepts: the header carries a tenant-fingerprint
+/// field, and a version-`1` file fails the magic check untouched.
 const CACHE_MAGIC: [u8; 8] = *b"SODACSH2";
 
 /// File name of the persistent page cache under the durability directory.
@@ -114,10 +113,9 @@ pub(crate) enum RecoveryBase {
 /// over the base database and its generation stamps are restored, then
 /// every feed appended after it is re-absorbed in order.  The journal
 /// header is stamped with the engine-configuration and tenant fingerprints
-/// (0 for the default tenant, which is also what pre-tenancy journals
-/// carry), so a foreign journal is refused and one tenant's history can
-/// never replay into another's snapshot.  `base` must be what the journaled
-/// history started from.
+/// (0 for the default tenant), so a foreign journal is refused and one
+/// tenant's history can never replay into another's snapshot.  `base` must
+/// be what the journaled history started from.
 pub(crate) fn recover_journal(
     dir: &Path,
     tenant: &TenantId,
@@ -299,8 +297,7 @@ pub(crate) fn load_cache_pages(
 /// [`QueryService::recover`](crate::QueryService::recover) to reload.
 /// Best-effort by design — a failed write costs warm starts, never
 /// correctness.  The file is the default tenant's (other tenants recompute
-/// their first pages), stamped with the fold-identity tenant fingerprint so
-/// pre-tenancy readers and writers agree.
+/// their first pages), stamped with the default tenant's fingerprint, 0.
 pub(crate) fn persist_cache_pages(shared: &Shared) {
     let (Some(config), Some(durability)) = (
         &shared.durability_config,

@@ -183,8 +183,7 @@ pub(crate) static FAMILIES: &[Family] = &[
     Metric(Counter, "soda_tenant_compactions_total")
         .help("Side-log compactions performed, per tenant.")
         .from(PerTenant(|t| Int(t.compactions))),
-    // Per-tenant journaling is only live on a durable service.  (Shadow
-    // tenants host no journal and report zeros.)
+    // Per-tenant journaling is only live on a durable service.
     Metric(Gauge, "soda_tenant_journal_bytes")
         .help("Current size of the tenant's feed journal in bytes.")
         .from(TenantJournal(|d| Int(d.journal_bytes))),

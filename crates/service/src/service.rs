@@ -45,8 +45,8 @@
 //!
 //! * Cache keys fold the tenant fingerprint into the snapshot fingerprint
 //!   ([`soda_core::TenantId::fold`]); the fold is the identity for the
-//!   default tenant, so single-tenant deployments keep byte-identical
-//!   fingerprints (and persisted cache files) across the upgrade.
+//!   default tenant, so a single-tenant service's cache keys are its
+//!   snapshot fingerprints.
 //! * The queue keeps one lane per tenant, scanned round-robin, with an
 //!   admission quota of `ceil(capacity / tenants)` slots per tenant — a
 //!   tenant flooding cold queries saturates its own lane and blocks *its
@@ -491,26 +491,6 @@ impl QueryService {
             config: config.clone(),
             alert_states: Mutex::new(HashMap::new()),
         });
-        // CI parity knob: SODA_TEST_TENANTS=n hosts n-1 idle "shadow"
-        // tenants over the same engine, so the whole suite exercises a
-        // genuinely multi-tenant service (lanes, quotas, registry) without
-        // any test changing.  The shadows take no traffic and are not
-        // durable, so aggregate metrics and on-disk state are unchanged.
-        if let Some(extra) = std::env::var("SODA_TEST_TENANTS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n > 1)
-        {
-            for i in 1..extra {
-                let engine = shared.tenants.default_tenant().handle.load();
-                let _ = shared.tenants.register(Arc::new(TenantState::new(
-                    TenantId::new(format!("shadow-{i}")),
-                    SnapshotHandle::new(engine),
-                    None,
-                    &shared.config,
-                )));
-            }
-        }
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -854,11 +834,6 @@ impl QueryService {
     /// Jobs currently waiting in the queue, all tenant lanes combined.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().expect("queue poisoned").total
-    }
-
-    /// Size of the worker pool.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// The engine snapshot the **default tenant** currently serves.  A
@@ -1261,8 +1236,7 @@ pub(crate) mod tests {
             "tenants must never share cache keys"
         );
         let m = service.metrics();
-        // `>=`: the SODA_TEST_TENANTS CI knob may host extra shadow tenants.
-        assert!(m.tenants.len() >= 2);
+        assert_eq!(m.tenants.len(), 2);
         let acme = m.tenants.iter().find(|t| t.tenant == "acme").unwrap();
         assert_eq!(acme.completed, 1);
         assert_eq!(acme.executions, 1);

@@ -100,8 +100,8 @@ pub(crate) struct TenantState {
     /// The tenant's rolling SLO window (`None` when `ServiceConfig::slo`
     /// is off).
     pub(crate) slo: Option<Mutex<SloWindow>>,
-    /// The tenant's crash-safety state (`None` on a non-durable service and
-    /// for shadow tenants).  Lock order matches the service-wide rule:
+    /// The tenant's crash-safety state (`None` on a non-durable service).
+    /// Lock order matches the service-wide rule:
     /// tenant swap lock → durability → store.
     pub(crate) durability: Option<Mutex<DurabilityState>>,
 }

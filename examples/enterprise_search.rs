@@ -19,6 +19,11 @@ fn main() {
         data_scale: 0.3,
     });
     println!("{}", report::print_table1(&table1(&padded)));
+    println!(
+        "metadata graph: {} nodes, {} edges\n",
+        padded.graph.node_count(),
+        padded.graph.edge_count()
+    );
 
     println!("{}", report::print_table2(&workload()));
 

@@ -50,7 +50,7 @@ fn main() {
     println!(
         "serving {CLIENTS} clients × {ROUNDS} rounds × {} queries on {} workers…\n",
         QUERIES.len(),
-        service.worker_count(),
+        service.metrics().workers,
     );
 
     std::thread::scope(|scope| {

@@ -112,8 +112,7 @@ fn hosted_tenants_match_dedicated_services_byte_for_byte() {
     }
 
     let m = shared.metrics();
-    // `>=`: the SODA_TEST_TENANTS CI knob may host extra shadow tenants.
-    assert!(m.tenants.len() >= 2);
+    assert_eq!(m.tenants.len(), 2);
     let per_tenant_completed: u64 = m.tenants.iter().map(|t| t.completed).sum();
     assert_eq!(
         per_tenant_completed, m.completed,
@@ -450,14 +449,11 @@ fn tenant_families_sum_to_the_service_wide_figures() {
 #[test]
 fn the_tenant_roster_tracks_registrations() {
     let service = QueryService::start(snapshot_for_seed(42), ServiceConfig::default());
-    // Shadow tenants from the SODA_TEST_TENANTS CI knob are filtered out:
-    // this test pins the order of *explicit* registrations.
     let roster = |service: &QueryService| -> Vec<String> {
         service
             .tenants()
             .iter()
             .map(|t| t.as_str().to_string())
-            .filter(|name| !name.starts_with("shadow-"))
             .collect()
     };
     assert_eq!(roster(&service), vec!["default"]);
@@ -473,4 +469,11 @@ fn the_tenant_roster_tracks_registrations() {
         service.query(QueryRequest::new("x").tenant("initech")).wait(),
         Err(soda_service::ServiceError::UnknownTenant(t)) if t == "initech"
     ));
+    // A tenant that has taken no traffic still scrapes, as zero samples.
+    let text = service.metrics_text();
+    soda::trace::prom::validate(&text).expect("exposition must validate");
+    assert_eq!(
+        tenant_samples(&text, "soda_tenant_queries_completed_total"),
+        vec![("default", 0), ("acme", 0), ("globex", 0)]
+    );
 }
