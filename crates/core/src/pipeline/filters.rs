@@ -209,7 +209,7 @@ fn parse_literal(text: &str) -> Value {
     if let Some(d) = Date::parse(text) {
         return Value::Date(d);
     }
-    Value::Text(text.to_string())
+    Value::from(text)
 }
 
 #[cfg(test)]

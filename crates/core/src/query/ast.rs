@@ -32,7 +32,7 @@ impl QueryValue {
                 }
             }
             QueryValue::Date(d) => soda_relation::Value::Date(*d),
-            QueryValue::Text(s) => soda_relation::Value::Text(s.clone()),
+            QueryValue::Text(s) => soda_relation::Value::from(s.as_str()),
         }
     }
 }

@@ -365,9 +365,13 @@ impl<'a> Decoder<'a> {
 
     /// A length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> CodecResult<String> {
+        self.borrow_str().map(str::to_owned)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the input.
+    fn borrow_str(&mut self) -> CodecResult<&'a str> {
         let n = self.get_len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// An optional string written by [`Encoder::put_opt_str`].
@@ -386,7 +390,7 @@ impl<'a> Decoder<'a> {
             1 => Ok(Value::Bool(self.get_bool()?)),
             2 => Ok(Value::Int(self.get_i64()?)),
             3 => Ok(Value::Float(self.get_f64()?)),
-            4 => Ok(Value::Text(self.get_str()?)),
+            4 => Ok(Value::Text(self.borrow_str()?.into())),
             5 => {
                 let year = i32::try_from(self.get_i64()?).map_err(|_| CodecError::BadLength)?;
                 let month = self.get_u8()?;

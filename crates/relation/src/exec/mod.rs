@@ -16,7 +16,8 @@
 //! 4. **Fold.**  Aggregating statements assign each tuple to its group and
 //!    update one accumulator per (group, aggregate) in the same pass.
 //! 5. **Materialise.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers;
-//!    only the projected values of rows in the [`ResultSet`] are cloned.
+//!    only the projected values of rows in the [`ResultSet`] are cloned, and
+//!    cloning a text value shares its string.
 
 pub mod eval;
 
@@ -25,7 +26,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
 
 use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema};
@@ -119,8 +120,27 @@ impl<'a> Tuples<'a> {
 
 /// Key hash → the row numbers inserted under it, in insertion order.  Callers
 /// confirm a candidate by comparing the key values themselves, so the join,
-/// GROUP BY and DISTINCT tables hold no keys.
-type HashIndex = HashMap<u64, Vec<usize>>;
+/// GROUP BY and DISTINCT tables hold no keys.  The key is already a
+/// random-keyed SipHash of the row's key values, so the map uses it as is.
+type HashIndex = HashMap<u64, Vec<usize>, BuildHasherDefault<Prehashed>>;
+
+/// A `Hasher` that passes a `u64` key through unchanged.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a HashIndex key is a u64")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
 
 fn candidates(index: &HashIndex, hash: u64) -> impl Iterator<Item = usize> + '_ {
     index.get(&hash).into_iter().flatten().copied()
@@ -413,7 +433,7 @@ fn matches<'v>(
         let null = (0..keys).any(|k| key(row, k).is_null());
         (!null).then(|| hash_values(&state, (0..keys).map(|k| key(row, k))))
     };
-    let mut table = HashIndex::new();
+    let mut table = HashIndex::default();
     for b in 0..build_len {
         if let Some(hash) = hash(&build_key, b) {
             table.entry(hash).or_default().push(b);
@@ -440,7 +460,7 @@ fn fold(
     items: &[GroupExpr],
 ) -> Vec<Row> {
     let state = RandomState::new();
-    let mut index = HashIndex::new();
+    let mut index = HashIndex::default();
     // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
     let mut firsts: Vec<usize> = Vec::new();
     let mut accs: Vec<Accumulator<'_>> = Vec::new();
@@ -489,7 +509,7 @@ fn materialise(
     let mut picked: Vec<usize> = (0..tuples.len()).collect();
     if stmt.distinct {
         let state = RandomState::new();
-        let mut seen = HashIndex::new();
+        let mut seen = HashIndex::default();
         picked.retain(|&i| {
             let hash = hash_values(&state, cells(i));
             let duplicate = candidates(&seen, hash).any(|j| cells(i).eq(cells(j)));

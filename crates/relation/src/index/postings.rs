@@ -186,7 +186,7 @@ impl ValuePostings {
                     continue;
                 };
                 cells += 1;
-                let id = match seen.get(text.as_str()) {
+                let id = match seen.get(&**text) {
                     Some(&id) => id,
                     None => {
                         let id = self.entry_for(column, text, find_existing);

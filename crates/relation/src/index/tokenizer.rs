@@ -10,7 +10,9 @@ pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     for c in text.chars() {
-        if c.is_alphanumeric() {
+        if c.is_ascii_alphanumeric() {
+            current.push(c.to_ascii_lowercase());
+        } else if c.is_alphanumeric() {
             current.extend(c.to_lowercase());
         } else if !current.is_empty() {
             tokens.push(std::mem::take(&mut current));

@@ -324,7 +324,7 @@ impl Parser {
                 if let Some(d) = Date::parse(&s) {
                     Ok(Expr::Literal(Value::Date(d)))
                 } else {
-                    Ok(Expr::Literal(Value::Text(s)))
+                    Ok(Expr::Literal(Value::from(s)))
                 }
             }
             Some(Token::Star) => Ok(Expr::Star),

@@ -9,6 +9,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Data type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -89,6 +90,9 @@ impl fmt::Display for Date {
 }
 
 /// A dynamically typed value.
+///
+/// Text is shared: cloning a cell is a reference-count bump, so rows copied
+/// into a result set or a feed share their strings with the table.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum Value {
     /// SQL NULL.
@@ -100,10 +104,12 @@ pub enum Value {
     /// Float.
     Float(f64),
     /// Text.
-    Text(String),
+    Text(Arc<str>),
     /// Date.
     Date(Date),
 }
+
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// The data type of this value, or `None` for NULL.
@@ -279,12 +285,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
+        Value::Text(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 impl From<bool> for Value {

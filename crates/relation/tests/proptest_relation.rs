@@ -20,7 +20,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
         (-1.0e6..1.0e6).prop_map(Value::Float),
-        "[a-zA-Z ]{0,12}".prop_map(Value::Text),
+        "[a-zA-Z ]{0,12}".prop_map(Value::from),
         (1980i32..2030, 1u8..13, 1u8..29).prop_map(|(y, m, d)| Value::Date(Date::new(y, m, d))),
     ]
 }
@@ -281,14 +281,14 @@ fn case() -> impl Strategy<Value = Case> {
         // join order is the FROM order); the rest are cross products.
         let joins = (
             0..n,
-            proptest::collection::vec((0usize..2, 0usize..2, any::<bool>()), n),
+            proptest::collection::vec((0usize..2, 0usize..4, any::<bool>()), n),
         )
             .prop_map(|(joined, picks)| {
                 let mut joins = Vec::new();
                 for (t, &(partner, c, second)) in picks.iter().enumerate().skip(1).take(joined) {
                     joins.push(((partner % t, c), (t, c)));
                     if second {
-                        joins.push(((t, 1 - c), ((partner + 1) % t, 1 - c)));
+                        joins.push(((t, c ^ 1), ((partner + 1) % t, c ^ 1)));
                     }
                 }
                 joins
@@ -561,7 +561,7 @@ fn text_cell() -> BoxedStrategy<Value> {
         proptest::collection::vec(word, 0..4),
         pick(&[" ", "  ", "-", ". "]),
     )
-        .prop_map(|(words, separator)| Value::Text(words.join(separator)))
+        .prop_map(|(words, separator)| Value::from(words.join(separator)))
         .boxed()
 }
 
@@ -684,7 +684,11 @@ fn text_cells(db: &Database) -> Vec<(String, String, String)> {
         for (c, column) in table.schema().columns.iter().enumerate() {
             for row in table.rows() {
                 if let Value::Text(text) = &row[c] {
-                    cells.push((table.name().to_string(), column.name.clone(), text.clone()));
+                    cells.push((
+                        table.name().to_string(),
+                        column.name.clone(),
+                        text.to_string(),
+                    ));
                 }
             }
         }

@@ -1,18 +1,18 @@
 //! Keeps freed heap inside the process.
 //!
 //! Interpreting a question and, above all, executing a statement allocate a
-//! transient working set — one `Vec` per result row, a `String` per text
-//! cell: ≈ 0.5 MB for the median top statement of the enterprise warehouse,
-//! ≈ 11 MB for its largest — and free all of it when the page or the
-//! `ResultSet` is dropped.  glibc hands the top of the heap back to the
-//! kernel as soon as more than `M_TRIM_THRESHOLD` of it is free, and that
-//! threshold is 128 KiB unless the process happens to have freed a larger
-//! `mmap`ped block before, so in a process whose resident data is small and
-//! compact every statement returns its working set to the kernel and the
-//! next one faults the same pages in again, zeroed: ≈ 105 minor faults per
-//! executed statement on the `preview_execute` benchmark, 15 % of its time.
-//! A service is long-lived and the next request needs that memory again, so
-//! it keeps it.
+//! transient working set — one `Vec` per result row, the join's tuples and
+//! hash tables (a text cell shares its string with the table): ≈ 0.4 MB for
+//! the median top statement of the enterprise warehouse, ≈ 3.3 MB for its
+//! largest — and free all of it when the page or the `ResultSet` is dropped.
+//! glibc hands the top of the heap back to the kernel as soon as more than
+//! `M_TRIM_THRESHOLD` of it is free, and that threshold is 128 KiB unless the
+//! process happens to have freed a larger `mmap`ped block before, so in a
+//! process whose resident data is small and compact every statement returns
+//! its working set to the kernel and the next one faults the same pages in
+//! again, zeroed: ≈ 105 minor faults per executed statement on the
+//! `preview_execute` benchmark, 15 % of its time.  A service is long-lived
+//! and the next request needs that memory again, so it keeps it.
 
 /// Raises the allocator's trim threshold, once per process; a no-op on an
 /// allocator that has no such parameter.

@@ -14,6 +14,9 @@
 //! * "gold", "YEN", "Lehman XYZ" and "Switzerland" occur in the columns the
 //!   corresponding queries must reach.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use soda_ingest::ChangeFeed;
 use soda_relation::{Database, Date, Value};
 
@@ -48,6 +51,26 @@ const OPEN_END: Date = Date {
     day: 31,
 };
 
+/// The texts a generator has made, so that equal cells share one allocation.
+#[derive(Default)]
+struct Texts(HashSet<Arc<str>>);
+
+impl Texts {
+    /// A text cell holding `text`, shared with every equal cell made before.
+    fn text(&mut self, text: impl AsRef<str>) -> Value {
+        let text = text.as_ref();
+        let shared = match self.0.get(text) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<str> = text.into();
+                self.0.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        Value::Text(shared)
+    }
+}
+
 /// Populates every core table.  `scale` multiplies the transactional row
 /// counts (orders, payments); dimension sizes stay fixed.
 pub fn populate(db: &mut Database, seed: u64, scale: f64) {
@@ -62,6 +85,7 @@ pub fn populate(db: &mut Database, seed: u64, scale: f64) {
 /// smaller scales are for callers that don't rely on them.
 pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale: f64) {
     let mut gen = DataGen::new(seed);
+    let mut texts = Texts::default();
     let scale = scale.max(0.01);
     let dimension_scale = dimension_scale.max(0.1);
     let orders = ((NUM_TRADE_ORDERS as f64) * scale) as usize;
@@ -82,7 +106,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
 
     // Currencies.
     for (code, name) in CURRENCIES {
-        db.insert("currency", vec![Value::from(*code), Value::from(*name)])
+        db.insert("currency", vec![texts.text(code), texts.text(name)])
             .expect("currency");
     }
 
@@ -93,7 +117,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "party",
             vec![
                 Value::Int(id),
-                Value::from("individual"),
+                texts.text("individual"),
                 Value::Date(open),
                 Value::Date(open),
                 Value::Date(OPEN_END),
@@ -134,11 +158,11 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "individual",
             vec![
                 Value::Int(id),
-                Value::from(given.as_str()),
-                Value::from(family.as_str()),
+                texts.text(&given),
+                texts.text(&family),
                 Value::Date(gen.date(1945, 1995)),
                 Value::Float(salary),
-                Value::from(domicile),
+                texts.text(domicile),
             ],
         )
         .expect("individual");
@@ -149,8 +173,8 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 "individual_name_hist",
                 vec![
                     Value::Int(id),
-                    Value::from("Sara"),
-                    Value::from(*gen.pick(FAMILY_NAMES)),
+                    texts.text("Sara"),
+                    texts.text(*gen.pick(FAMILY_NAMES)),
                     Value::Date(gen.date(1995, 2004)),
                     Value::Date(gen.date(2005, 2009)),
                 ],
@@ -168,8 +192,8 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 "individual_name_hist",
                 vec![
                     Value::Int(id),
-                    Value::from(former),
-                    Value::from(*gen.pick(FAMILY_NAMES)),
+                    texts.text(former),
+                    texts.text(*gen.pick(FAMILY_NAMES)),
                     Value::Date(gen.date(1995, 2004)),
                     Value::Date(gen.date(2005, 2009)),
                 ],
@@ -182,13 +206,13 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             vec![
                 Value::Int(id),
                 Value::Int(id),
-                Value::from(*gen.pick(STREETS)),
-                Value::from(if gen.chance(0.3) {
+                texts.text(*gen.pick(STREETS)),
+                texts.text(if gen.chance(0.3) {
                     "Zurich"
                 } else {
                     *gen.pick(CITIES)
                 }),
-                Value::from(if gen.chance(0.75) {
+                texts.text(if gen.chance(0.75) {
                     "Switzerland"
                 } else {
                     *gen.pick(COUNTRIES)
@@ -209,9 +233,9 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 vec![
                     Value::Int(10_000 + id),
                     Value::Int(id),
-                    Value::from(*gen.pick(STREETS)),
-                    Value::from(*gen.pick(CITIES)),
-                    Value::from(if gen.chance(0.6) {
+                    texts.text(*gen.pick(STREETS)),
+                    texts.text(*gen.pick(CITIES)),
+                    texts.text(if gen.chance(0.6) {
                         "Switzerland"
                     } else {
                         *gen.pick(COUNTRIES)
@@ -226,7 +250,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "party_classification",
             vec![
                 Value::Int(id),
-                Value::from(if salary >= 500_000.0 {
+                texts.text(if salary >= 500_000.0 {
                     "private banking"
                 } else {
                     "retail"
@@ -244,7 +268,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "party",
             vec![
                 Value::Int(id),
-                Value::from("organization"),
+                texts.text("organization"),
                 Value::Date(open),
                 Value::Date(open),
                 Value::Date(OPEN_END),
@@ -261,9 +285,9 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "organization",
             vec![
                 Value::Int(id),
-                Value::from(name.as_str()),
-                Value::from(*gen.pick(LEGAL_FORMS)),
-                Value::from(if gen.chance(0.6) {
+                texts.text(&name),
+                texts.text(*gen.pick(LEGAL_FORMS)),
+                texts.text(if gen.chance(0.6) {
                     "Switzerland"
                 } else {
                     *gen.pick(COUNTRIES)
@@ -276,7 +300,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 "organization_name_hist",
                 vec![
                     Value::Int(id),
-                    Value::from(format!("{name} (formerly)").as_str()),
+                    texts.text(format!("{name} (formerly)")),
                     Value::Date(gen.date(1990, 2000)),
                     Value::Date(gen.date(2001, 2008)),
                 ],
@@ -288,9 +312,9 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             vec![
                 Value::Int(1_000 + id),
                 Value::Int(id),
-                Value::from(*gen.pick(STREETS)),
-                Value::from(*gen.pick(CITIES)),
-                Value::from("Switzerland"),
+                texts.text(*gen.pick(STREETS)),
+                texts.text(*gen.pick(CITIES)),
+                texts.text("Switzerland"),
                 Value::Date(gen.date(2000, 2010)),
                 Value::Date(OPEN_END),
             ],
@@ -300,7 +324,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "party_classification",
             vec![
                 Value::Int(id),
-                Value::from("institutional"),
+                texts.text("institutional"),
                 Value::Date(gen.date(2005, 2011)),
             ],
         )
@@ -319,7 +343,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "agreement_td",
             vec![
                 Value::Int(id),
-                Value::from(name),
+                texts.text(name),
                 Value::Int(id),
                 Value::Date(gen.date(2000, 2011)),
             ],
@@ -338,8 +362,8 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 vec![
                     Value::Int(next_account),
                     Value::Int(agreement),
-                    Value::from(CURRENCIES[gen.index(CURRENCIES.len())].0),
-                    Value::from(if gen.chance(0.5) { "custody" } else { "cash" }),
+                    texts.text(CURRENCIES[gen.index(CURRENCIES.len())].0),
+                    texts.text(if gen.chance(0.5) { "custody" } else { "cash" }),
                 ],
             )
             .expect("account");
@@ -364,9 +388,9 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "investment_product_td",
             vec![
                 Value::Int(i as i64 + 1),
-                Value::from(name.as_str()),
-                Value::from(*gen.pick(PRODUCT_TYPES)),
-                Value::from(ORG_NAMES[gen.index(ORG_NAMES.len())]),
+                texts.text(&name),
+                texts.text(*gen.pick(PRODUCT_TYPES)),
+                texts.text(ORG_NAMES[gen.index(ORG_NAMES.len())]),
             ],
         )
         .expect("product");
@@ -376,9 +400,9 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             "security_td",
             vec![
                 Value::Int(i as i64 + 1),
-                Value::from(format!("{} Security {i}", ORG_NAMES[i % ORG_NAMES.len()]).as_str()),
-                Value::from(format!("CH{:010}", 2_000_000 + i).as_str()),
-                Value::from(CURRENCIES[gen.index(CURRENCIES.len())].0),
+                texts.text(format!("{} Security {i}", ORG_NAMES[i % ORG_NAMES.len()])),
+                texts.text(format!("CH{:010}", 2_000_000 + i)),
+                texts.text(CURRENCIES[gen.index(CURRENCIES.len())].0),
             ],
         )
         .expect("security");
@@ -410,8 +434,8 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 Value::Int(gen.int(1, NUM_PRODUCTS as i64)),
                 Value::Date(gen.date(2009, 2012)),
                 Value::Float(gen.amount(100.0, 250_000.0)),
-                Value::from(currency),
-                Value::from(if gen.chance(0.9) { "executed" } else { "open" }),
+                texts.text(currency),
+                texts.text(if gen.chance(0.9) { "executed" } else { "open" }),
             ],
         )
         .expect("trade order");
@@ -426,7 +450,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
                 Value::Int(id),
                 Value::Int(account),
                 Value::Float(gen.amount(10.0, 50_000.0)),
-                Value::from(CURRENCIES[gen.index(CURRENCIES.len())].0),
+                texts.text(CURRENCIES[gen.index(CURRENCIES.len())].0),
                 Value::Date(gen.date(2009, 2012)),
             ],
         )
@@ -440,7 +464,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
             vec![
                 Value::Int(gen.int(1, individuals as i64)),
                 Value::Int(gen.int(individuals as i64 + 1, (individuals + organizations) as i64)),
-                Value::from(if gen.chance(0.3) {
+                texts.text(if gen.chance(0.3) {
                     "board member"
                 } else {
                     "employee"
@@ -465,6 +489,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
 /// of the two owning shards while every other shard keeps serving.
 pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> ChangeFeed {
     let mut gen = DataGen::new(seed ^ 0x6f6e_6264); // "onbd"
+    let mut texts = Texts::default();
     let next_id = db
         .table("party")
         .ok()
@@ -486,7 +511,7 @@ pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> ChangeFeed {
         let open = gen.date(2011, 2024);
         parties.push(vec![
             Value::Int(id),
-            Value::from("individual"),
+            texts.text("individual"),
             Value::Date(open),
             Value::Date(open),
             Value::Date(OPEN_END),
@@ -511,11 +536,11 @@ pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> ChangeFeed {
         };
         individuals.push(vec![
             Value::Int(id),
-            Value::from(given),
-            Value::from(*gen.pick(FAMILY_NAMES)),
+            texts.text(given),
+            texts.text(*gen.pick(FAMILY_NAMES)),
             Value::Date(gen.date(1950, 2000)),
             Value::Float(salary),
-            Value::from(domicile),
+            texts.text(domicile),
         ]);
     }
     ChangeFeed::new()
@@ -576,6 +601,24 @@ mod tests {
         // Deterministic per seed.
         assert_eq!(feed, onboarding_feed(&db, 7, 5));
         assert_ne!(feed, onboarding_feed(&db, 8, 5));
+    }
+
+    #[test]
+    fn equal_generated_texts_share_one_allocation() {
+        let db = db();
+        let address = db.table("address").unwrap();
+        let country = address.schema().column_index("country").unwrap();
+        let swiss: Vec<Value> = address
+            .rows()
+            .iter()
+            .map(|row| row[country].clone())
+            .filter(|country| country.as_str() == Some("Switzerland"))
+            .take(2)
+            .collect();
+        let [Value::Text(a), Value::Text(b)] = &swiss[..] else {
+            panic!("two Swiss addresses expected, got {swiss:?}");
+        };
+        assert!(Arc::ptr_eq(a, b));
     }
 
     #[test]

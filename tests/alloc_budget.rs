@@ -1,5 +1,6 @@
-//! What a warm hit may allocate — a count, so it does not wobble with the
-//! host's clock the way `tests/service.rs`'s cold/warm ratio does.
+//! What a warm hit and an executed statement may allocate — a count, so it
+//! does not wobble with the host's clock the way `tests/service.rs`'s
+//! cold/warm ratio does.
 //!
 //! The public `QueryResponse` owns its page, so every answer costs one deep
 //! copy of it; this test pins that the copy is *all* a hit costs beyond
@@ -20,6 +21,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use soda::core::{normalize_query, EngineSnapshot, SodaConfig};
+use soda::relation::{execute, parse_select};
 use soda::service::{QueryRequest, QueryService, ServiceConfig};
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
@@ -137,4 +139,43 @@ fn canonicalising_allocates_its_output_and_nothing_else() {
         assert!(canonical.is_ok(), "`{input}`");
         assert_eq!(made, 1, "`{input}` → {canonical:?}");
     }
+}
+
+/// What running a statement may allocate beyond one `Vec` per result row and
+/// one candidate list per distinct join key: the scan, join and pick vectors
+/// as they grow, the output column names, the bound expressions.
+const EXECUTE_OVERHEAD: u64 = 160;
+
+/// A result row shares its text cells with the table, so executing costs
+/// O(rows) allocations and none per text cell.  `individual ⋈ party` on the
+/// test-scale warehouse (300 rows, 1 200 text cells) makes 720; when a text
+/// cell owned a `String` it made 1 920, one more per text cell.
+#[test]
+fn executing_allocates_per_row_not_per_text_cell() {
+    let db = enterprise::build_with(EnterpriseConfig {
+        seed: 42,
+        padding: false,
+        data_scale: 0.2,
+    })
+    .database;
+    let stmt =
+        parse_select("SELECT * FROM individual, party WHERE individual.party_id = party.party_id")
+            .expect("the statement parses");
+    let (result, made) = allocations(|| execute(&db, &stmt));
+    let result = result.expect("the statement runs");
+    let rows = result.row_count() as u64;
+    let text_cells = result
+        .rows()
+        .iter()
+        .flatten()
+        .filter(|v| v.as_str().is_some())
+        .count() as u64;
+    assert!(
+        rows >= 300 && text_cells >= 4 * rows,
+        "{rows} rows, {text_cells} text cells"
+    );
+    assert!(
+        made <= 2 * rows + EXECUTE_OVERHEAD,
+        "{made} allocations for {rows} rows and {text_cells} text cells"
+    );
 }
