@@ -57,9 +57,9 @@ pub struct SearchOptions<'a> {
     /// results) to fold into the Step 2 ranking: interpretation choices the
     /// user liked gain score, disliked ones lose it.
     pub feedback: Option<&'a FeedbackStore>,
-    /// Where the lookup step reports which shards the query's base-data
-    /// probes scanned and which probe token each phrase selected — the
-    /// dependency set a [`RetentionGate`](crate::RetentionGate) consumes.
+    /// Where the lookup step reports which probe token each of the query's
+    /// base-data probes selected — the dependency set the serving layer's
+    /// cache retention consumes.
     pub recorder: Option<&'a ProbeRecorder>,
     /// Where the pipeline reports its spans: the root `query` span with one
     /// child per stage, and per-shard `probe_shard` sub-spans under

@@ -26,11 +26,9 @@
 //!   (new warehouse build, new configuration semantics, anything).
 //!
 //! Every publication stamps a monotonically increasing **generation** into
-//! the snapshot — the whole vector for a full publish, only the touched
-//! inverted-index partitions' slots otherwise.
-//! [`EngineSnapshot::cache_fingerprint`] folds that vector into the cache
-//! key space, which is how stale interpretation pages die for free on a
-//! swap.
+//! the snapshot.  [`EngineSnapshot::cache_fingerprint`] folds it into the
+//! cache key space, which is how stale interpretation pages die for free on
+//! a swap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -130,9 +128,9 @@ impl SnapshotHandle {
         self.load().generation()
     }
 
-    /// Publishes a full replacement snapshot: stamps it (and every shard
-    /// slot) with the next generation and swaps it in.  In-flight readers
-    /// finish on whatever they loaded; returns the stamped generation.
+    /// Publishes a full replacement snapshot: stamps it with the next
+    /// generation and swaps it in.  In-flight readers finish on whatever
+    /// they loaded; returns the stamped generation.
     pub fn publish(&self, snapshot: EngineSnapshot) -> u64 {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
@@ -144,15 +142,13 @@ impl SnapshotHandle {
     /// generation **without rebuilding any frozen index partition** — the
     /// events are applied to a copy of the base data and their indexed
     /// consequences accumulate in per-shard side logs that every probe
-    /// merges on the fly.  Only the shards whose logs changed get their
-    /// generation slot bumped.  On any feed error (unknown table, arity or
-    /// type violation) nothing is published and the current generation
-    /// keeps serving.  Interpretation caches keyed by
+    /// merges on the fly.  On any feed error (unknown table, arity or type
+    /// violation) nothing is published and the current generation keeps
+    /// serving.  Interpretation caches keyed by
     /// [`EngineSnapshot::cache_fingerprint`] see every page of the
     /// superseded generation stop being addressable; the serving layer's
-    /// retention pass ([`RetentionGate`](crate::RetentionGate)) re-keys the
-    /// pages that provably never consulted a touched partition instead of
-    /// recomputing them.
+    /// retention pass re-keys the pages whose probes provably answer the
+    /// same instead of recomputing them.
     ///
     /// The feed is taken by value: appended rows move through the
     /// copy-on-write database derive instead of being cloned out of a
@@ -199,48 +195,22 @@ impl SnapshotHandle {
         Some(generation)
     }
 
-    /// Restores the generation stamps a durable checkpoint recorded — the
-    /// recovery counterpart of the stamping the swap paths do.  The current
-    /// snapshot is republished carrying exactly `generation` and
-    /// `shard_generations` (sharing every built structure), and the next
-    /// publication will be stamped `generation + 1`, continuing the
-    /// pre-crash sequence densely.
-    ///
-    /// Validates the checkpoint against the live engine before touching
-    /// anything: the vector must have one slot per lookup-layer shard and no
-    /// slot may exceed the snapshot generation (no swap can stamp a shard
-    /// with a generation that was never published).  A violation means the
-    /// checkpoint was written by an engine shaped differently from the one
-    /// recovering — an error, not a panic, so the caller can surface it.
-    pub fn restore_generations(&self, generation: u64, shard_generations: &[u64]) -> Result<()> {
+    /// Restores the generation a durable checkpoint recorded — the recovery
+    /// counterpart of the stamping the swap paths do.  The current snapshot
+    /// is republished carrying `generation` (sharing every built structure),
+    /// and the next publication will be stamped `generation + 1`,
+    /// continuing the pre-crash sequence densely.
+    pub fn restore_generation(&self, generation: u64) {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
-        let current = self.load();
-        if shard_generations.len() != current.shard_count() {
-            return Err(crate::SodaError::Pipeline(format!(
-                "recovery checkpoint carries {} shard generation slots, \
-                 but the engine has {} lookup-layer shards",
-                shard_generations.len(),
-                current.shard_count()
-            )));
-        }
-        if let Some(&bad) = shard_generations.iter().find(|&&slot| slot > generation) {
-            return Err(crate::SodaError::Pipeline(format!(
-                "recovery checkpoint stamps a shard with generation {bad}, \
-                 beyond its snapshot generation {generation}"
-            )));
-        }
-        self.current.store(Arc::new(
-            current.restored(generation, shard_generations.to_vec()),
-        ));
+        self.current
+            .store(Arc::new(self.load().restored(generation)));
         self.next_generation
             .store(generation + 1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Hot swap for a metadata refresh: rebuilds the classification index
     /// and the graph-derived join catalog against `graph`, keeping the base
-    /// data and the inverted index.  No partition slot is bumped; the new
-    /// generation alone moves the fingerprint.  Returns the new generation.
+    /// data and the inverted index.  Returns the new generation.
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
@@ -279,7 +249,6 @@ mod tests {
     fn publish_stamps_monotonic_generations() {
         let handle = minibank_handle(4);
         assert_eq!(handle.generation(), 0);
-        assert_eq!(handle.load().shard_generations(), &[0, 0, 0, 0]);
         let w = soda_warehouse::minibank::build(42);
         let gen = handle.publish(EngineSnapshot::build(
             Arc::new(w.database),
@@ -291,7 +260,6 @@ mod tests {
         ));
         assert_eq!(gen, 1);
         assert_eq!(handle.generation(), 1);
-        assert_eq!(handle.load().shard_generations(), &[1, 1, 1, 1]);
         assert_ne!(
             handle.load().cache_fingerprint(),
             EngineSnapshot::build(
@@ -363,18 +331,10 @@ mod tests {
         let folded = handle.load();
 
         // Logged or folded, the derived snapshot answers exactly like a full
-        // build over the new database, sees the new row, and only the owning
-        // partition's slot moved.
+        // build over the new database and sees the new row.
         let fresh = EngineSnapshot::build(folded.database_arc(), Arc::new(w.graph), config);
         for (after, generation) in [(&logged, 1), (&folded, 2)] {
             assert_eq!(after.generation(), generation);
-            for (i, &slot) in after.shard_generations().iter().enumerate() {
-                assert_eq!(
-                    slot,
-                    if i == owner { generation } else { 0 },
-                    "only the owning partition may be bumped (shard {i})"
-                );
-            }
             assert_ne!(after.cache_fingerprint(), fp_before);
             for query in ["Zebulon", "Sara Guttinger", "wealthy customers"] {
                 assert_eq!(
@@ -435,11 +395,7 @@ mod tests {
         {
             assert!(Arc::ptr_eq(old, new), "absorb must not rebuild partitions");
         }
-        // Only the owning shard's generation slot is bumped.
         let owner = soda_relation::shard_for_table("addresses", 4);
-        for (i, &slot) in after.shard_generations().iter().enumerate() {
-            assert_eq!(slot, if i == owner { 1 } else { 0 }, "shard {i}");
-        }
         assert_eq!(after.shards_with_side_logs(), vec![owner]);
         assert_ne!(after.cache_fingerprint(), before.cache_fingerprint());
 
@@ -514,8 +470,8 @@ mod tests {
         assert!(folded.shards_with_side_logs().is_empty());
         assert_eq!(folded.shard_stats().log_postings, vec![0; 4]);
         assert_eq!(folded.search("Streamville").unwrap(), expected);
-        // Only the folded shard's slot moves; untouched partitions stay
-        // shared between the logged and the folded generation.
+        // Untouched partitions stay shared between the logged and the
+        // folded generation.
         for (i, (old, new)) in logged
             .inverted_index()
             .unwrap()
@@ -526,7 +482,6 @@ mod tests {
         {
             assert_eq!(Arc::ptr_eq(old, new), i != owner, "shard {i}");
         }
-        assert_eq!(folded.shard_generations()[owner], 2);
 
         // Nothing left to fold: no generation is spent.
         assert!(handle.compact(&[0, 1, 2, 3]).is_none());
@@ -556,13 +511,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_generations_relands_the_recorded_stamps() {
+    fn restore_generation_relands_the_recorded_fingerprint() {
         let handle = minibank_handle(4);
         handle.absorb(address_feed(900, "Streamville")).unwrap();
         let live = handle.load();
         let expected_fp = live.cache_fingerprint();
         let generation = live.generation();
-        let shard_generations = live.shard_generations().to_vec();
         let answer = live.search("Streamville").unwrap();
 
         // A "rebooted" handle over an equivalent snapshot starts at
@@ -573,29 +527,15 @@ mod tests {
             live.config().clone(),
         )));
         assert_ne!(rebooted.load().cache_fingerprint(), expected_fp);
-        // …until the checkpoint stamps are restored.
-        rebooted
-            .restore_generations(generation, &shard_generations)
-            .unwrap();
+        // …until the checkpoint's generation is restored.
+        rebooted.restore_generation(generation);
         let restored = rebooted.load();
         assert_eq!(restored.generation(), generation);
-        assert_eq!(restored.shard_generations(), &shard_generations[..]);
         assert_eq!(restored.cache_fingerprint(), expected_fp);
         assert_eq!(restored.search("Streamville").unwrap(), answer);
         // The sequence continues densely after restoration.
         let next = rebooted.absorb(address_feed(901, "Afterville")).unwrap();
         assert_eq!(next.generation, generation + 1);
-    }
-
-    #[test]
-    fn restore_generations_rejects_malformed_checkpoints() {
-        let handle = minibank_handle(4);
-        // Wrong slot count: the checkpoint came from a different shard count.
-        assert!(handle.restore_generations(3, &[3, 3]).is_err());
-        // A slot beyond the snapshot generation was never published.
-        assert!(handle.restore_generations(3, &[3, 4, 0, 0]).is_err());
-        // The handle is untouched by the failed attempts.
-        assert_eq!(handle.generation(), 0);
     }
 
     #[test]
@@ -609,15 +549,14 @@ mod tests {
                 ..SodaConfig::default()
             },
         )));
-        // Republishing the graph bumps the snapshot generation but not a
-        // single partition slot: no inverted-index partition changed, and
-        // every one of them is the same allocation as before.
+        // Republishing the graph bumps the snapshot generation but rebuilds
+        // no inverted-index partition: every one of them is the same
+        // allocation as before.
         let before = handle.load();
         let gen = handle.refresh_graph(Arc::new(w.graph));
         assert_eq!(gen, 1);
         let after = handle.load();
         assert_eq!(after.generation(), 1);
-        assert_eq!(after.shard_generations(), &[0, 0, 0, 0]);
         for (old, new) in before
             .inverted_index()
             .unwrap()

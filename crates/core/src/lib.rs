@@ -69,7 +69,7 @@ pub use provenance::Provenance;
 pub use query::{normalize_query, parse_query, QueryTerm, QueryValue, SodaQuery};
 pub use result::{Interpretation, QueryTrace, ResultPage, SodaResult, StepTimings};
 pub use shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
-pub use snapshot::{EngineSnapshot, RetentionGate};
+pub use snapshot::EngineSnapshot;
 pub use suggest::TermSuggestion;
 pub use tenant::TenantId;
 

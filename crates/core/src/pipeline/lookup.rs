@@ -325,15 +325,12 @@ fn base_data_hits(
         // Candidates are the distinct column values holding the probe
         // token, split into the frozen partition's and the side log's (the
         // not-yet-compacted streaming ingests).
-        let (frozen, log) = index.shard_candidate_split(i, &probe);
+        let (frozen, log) = index.shard_candidate_split(i, &probe.token);
         if frozen + log == 0 {
             continue;
         }
         total_candidates += frozen + log;
         ctx.probes.record(i);
-        if let Some(recorder) = ctx.recorder {
-            recorder.touch(i);
-        }
         if !enabled {
             per_shard.push(index.probe_shard(i, &probe));
             continue;

@@ -47,8 +47,8 @@ pub struct PipelineContext<'a> {
     /// Per-shard probe counters, bumped by the lookup step.
     pub probes: &'a ShardProbes,
     /// Optional per-query dependency recorder: when present, the lookup
-    /// step reports which shards its base-data probes scanned and which
-    /// probe token each phrase selected — what the serving layer needs to
+    /// step reports which probe token each phrase selected — what the
+    /// serving layer needs to
     /// retain cached pages across data-only snapshot swaps.
     pub recorder: Option<&'a ProbeRecorder>,
     /// Where the pipeline reports its spans (stage timings, per-shard probe

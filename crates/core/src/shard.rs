@@ -6,7 +6,7 @@
 //! on every base-data probe, and the [`ShardStats`] snapshot the serving
 //! layer surfaces through its metrics.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Per-shard probe counters, shared by every pipeline run of one engine.
@@ -64,8 +64,8 @@ impl ShardProbes {
 /// Recorded by a [`ProbeRecorder`] and kept with cached result pages: after
 /// a data-only snapshot swap, a page provably still answers correctly when
 /// every recorded probe still selects the same token and none of the swap's
-/// dirty shards holds candidates for it (see
-/// [`RetentionGate::retains`](crate::RetentionGate::retains)).
+/// dirty shards holds candidates for it before or after the swap (the
+/// serving layer's retention pass).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct ProbeDep {
     /// The probed phrase, as handed to the inverted index.
@@ -76,17 +76,12 @@ pub struct ProbeDep {
 }
 
 /// Records what one query's lookup actually consulted in the base data: the
-/// shards its probes scanned and the (phrase, token) pair of every probe.
+/// (phrase, token) pair of every probe.
 ///
-/// Shared by reference with the pipeline run it records: shards are a
-/// relaxed bitmask (counts don't matter, membership does) and the dependency
+/// Shared by reference with the pipeline run it records; the dependency
 /// list sits behind a mutex taken once per probed phrase.
-/// Shard indexes ≥ 64 set the overflow flag instead — consumers must then
-/// treat the query as having touched everything.
 #[derive(Debug, Default)]
 pub struct ProbeRecorder {
-    mask: AtomicU64,
-    overflow: AtomicBool,
     deps: Mutex<Vec<ProbeDep>>,
 }
 
@@ -94,15 +89,6 @@ impl ProbeRecorder {
     /// A fresh recorder (nothing touched).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Marks `shard` as scanned by a probe.
-    pub fn touch(&self, shard: usize) {
-        if shard < 64 {
-            self.mask.fetch_or(1 << shard, Ordering::Relaxed);
-        } else {
-            self.overflow.store(true, Ordering::Relaxed);
-        }
     }
 
     /// Records one phrase probe and its selected token (deduplicated by
@@ -118,17 +104,6 @@ impl ProbeRecorder {
         }
     }
 
-    /// Bitmask of the shards scanned (bit i = shard i; only meaningful when
-    /// [`overflowed`](Self::overflowed) is false).
-    pub fn touched_mask(&self) -> u64 {
-        self.mask.load(Ordering::Relaxed)
-    }
-
-    /// True when a shard index beyond the mask width was touched.
-    pub fn overflowed(&self) -> bool {
-        self.overflow.load(Ordering::Relaxed)
-    }
-
     /// The recorded probe dependencies.
     pub fn deps(&self) -> Vec<ProbeDep> {
         self.deps.lock().expect("probe deps poisoned").clone()
@@ -142,12 +117,6 @@ impl ProbeRecorder {
 pub struct ShardStats {
     /// Number of lookup-layer shards (the `shards` configuration knob).
     pub shards: usize,
-    /// Distinct classification phrases (the classification index is not
-    /// partitioned).
-    pub classification_phrases: usize,
-    /// Distinct inverted-index tokens per shard (empty when the inverted
-    /// index is disabled).
-    pub index_tokens: Vec<usize>,
     /// Inverted-index postings per shard (empty when disabled).
     pub index_postings: Vec<usize>,
     /// Side-log postings per shard — the streaming-ingestion overlay a
@@ -164,10 +133,6 @@ pub struct ShardStats {
     /// counters are shared across derived snapshot generations (a fold
     /// does not reset any shard's history).
     pub probes: Vec<u64>,
-    /// Snapshot generation that last changed each inverted-index partition
-    /// (all zero for an engine that never went through a
-    /// [`SnapshotHandle`](crate::SnapshotHandle) swap).
-    pub generations: Vec<u64>,
 }
 
 impl ShardStats {
@@ -205,39 +170,24 @@ mod tests {
     fn stats_total_sums_shards() {
         let stats = ShardStats {
             shards: 2,
-            classification_phrases: 22,
-            index_tokens: vec![5, 7],
             index_postings: vec![100, 90],
             log_postings: vec![0, 8],
             log_rows: vec![0, 2],
             log_masks: vec![0, 1],
             probes: vec![3, 4],
-            generations: vec![0, 1],
         };
         assert_eq!(stats.total_probes(), 7);
     }
 
     #[test]
-    fn recorder_tracks_shards_and_deduplicates_phrases() {
+    fn recorder_deduplicates_phrases() {
         let rec = ProbeRecorder::new();
-        rec.touch(0);
-        rec.touch(3);
         rec.record_probe("zurich", Some("zurich".into()));
         rec.record_probe("zurich", Some("zurich".into()));
         rec.record_probe("nowhere", None);
-        assert_eq!(rec.touched_mask(), 0b1001);
-        assert!(!rec.overflowed());
         let deps = rec.deps();
         assert_eq!(deps.len(), 2);
         assert_eq!(deps[0].token.as_deref(), Some("zurich"));
         assert_eq!(deps[1].token, None);
-    }
-
-    #[test]
-    fn recorder_overflows_past_the_mask_width() {
-        let rec = ProbeRecorder::new();
-        rec.touch(64);
-        assert!(rec.overflowed());
-        assert_eq!(rec.touched_mask(), 0);
     }
 }

@@ -35,7 +35,7 @@ use crate::error::Result;
 use crate::joins::JoinCatalog;
 use crate::patterns::SodaPatterns;
 use crate::pipeline::PipelineContext;
-use crate::shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
+use crate::shard::{ProbeRecorder, ShardProbes, ShardStats};
 
 /// The SODA engine: an owned, immutable, thread-safe snapshot of a warehouse
 /// and every index the five-step pipeline consults.
@@ -57,20 +57,16 @@ use crate::shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};
 /// build a next-generation snapshot that shares every untouched structure
 /// with its parent instead of copying it.
 ///
-/// ## Generations
+/// ## Generation
 ///
-/// Every snapshot carries a [`generation`](Self::generation) counter and a
-/// per-shard generation vector, stamped by the
-/// [`SnapshotHandle`](crate::SnapshotHandle) that publishes it (both stay `0`
-/// for snapshots that never go through a handle).  A freshly published full
-/// snapshot carries its generation in every slot; an absorb or a fold bumps
-/// only the slots of the inverted-index partitions it touched — the vector
-/// records *which* partitions each publication touched (surfaced through
-/// [`shard_stats`](Self::shard_stats)).  [`cache_fingerprint`](Self::cache_fingerprint)
-/// folds the configuration fingerprint together with the publication
-/// generation and the vector, so a superseded generation's cached pages
-/// stop being addressable; for data-only swaps the serving layer re-keys
-/// pages that provably never consulted a dirty shard ([`RetentionGate`])
+/// Every snapshot carries a [`generation`](Self::generation), stamped by the
+/// [`SnapshotHandle`](crate::SnapshotHandle) that publishes it (`0` for
+/// snapshots that never go through a handle).  The handle serialises its
+/// writers and its numbers only ever increase, so the generation alone names
+/// a publication: [`cache_fingerprint`](Self::cache_fingerprint) folds the
+/// configuration fingerprint with it, and a superseded generation's cached
+/// pages stop being addressable.  For data-only swaps the serving layer
+/// re-keys the pages whose probes provably answer the same in both snapshots
 /// instead of recomputing them.
 pub struct EngineSnapshot {
     db: Arc<Database>,
@@ -87,14 +83,11 @@ pub struct EngineSnapshot {
     sizes: ShardSizes,
     /// Generation stamped at publication (0 = never published via a handle).
     generation: u64,
-    /// Generation that last changed each inverted-index partition (its
-    /// frozen postings or its side log).
-    shard_generations: Vec<u64>,
     /// [`cache_fingerprint`](Self::cache_fingerprint), precomputed.  The
     /// serving layer reads the fingerprint on *every* submission (it keys
-    /// the interpretation cache), and its inputs — configuration and the
-    /// generation stamps — are immutable once a snapshot is constructed, so
-    /// every constructor seals the value eagerly via [`Self::sealed`].
+    /// the interpretation cache), and its inputs — configuration and
+    /// generation — are immutable once a snapshot is constructed, so every
+    /// constructor seals the value eagerly via [`Self::stamped`].
     fingerprint: u64,
 }
 
@@ -102,7 +95,6 @@ pub struct EngineSnapshot {
 /// included — the logs are immutable within one snapshot generation too).
 #[derive(Clone)]
 struct ShardSizes {
-    index_tokens: Vec<usize>,
     index_postings: Vec<usize>,
     log_postings: Vec<usize>,
     log_rows: Vec<usize>,
@@ -111,18 +103,16 @@ struct ShardSizes {
 
 impl ShardSizes {
     fn of(index: Option<&ShardedInvertedIndex>) -> Self {
-        let (index_tokens, index_postings, log_postings, log_rows, log_masks) = match index {
+        let (index_postings, log_postings, log_rows, log_masks) = match index {
             Some(index) => (
-                index.shards().iter().map(|s| s.token_count()).collect(),
                 index.shards().iter().map(|s| s.posting_count()).collect(),
                 index.side_log_postings(),
                 index.side_log_rows(),
                 index.side_log_masks(),
             ),
-            None => (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+            None => (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
         };
         Self {
-            index_tokens,
             index_postings,
             log_postings,
             log_rows,
@@ -172,10 +162,9 @@ impl EngineSnapshot {
             probes: Arc::new(ShardProbes::new(shards)),
             sizes,
             generation: 0,
-            shard_generations: vec![0; shards],
             fingerprint: 0,
         }
-        .sealed()
+        .stamped(0)
     }
 
     /// A structurally identical snapshot sharing every built structure with
@@ -193,56 +182,49 @@ impl EngineSnapshot {
             probes: Arc::clone(&self.probes),
             sizes: self.sizes.clone(),
             generation: self.generation,
-            shard_generations: self.shard_generations.clone(),
             fingerprint: self.fingerprint,
         }
     }
 
-    /// Finishes a derived snapshot: stamps `generation` into the snapshot
-    /// and into the slots of the `touched` shards (they answer differently
-    /// now, or were rebuilt), recounts the index sizes and seals the
-    /// fingerprint.
-    fn derived(mut self, generation: u64, touched: impl IntoIterator<Item = usize>) -> Self {
-        self.generation = generation;
-        for shard in touched {
-            if let Some(slot) = self.shard_generations.get_mut(shard) {
-                *slot = generation;
-            }
-        }
+    /// Finishes a derived snapshot: stamps `generation`, recounts the index
+    /// sizes and seals the fingerprint.
+    fn derived(mut self, generation: u64) -> Self {
         self.sizes = ShardSizes::of(self.index.as_ref());
-        self.sealed()
+        self.stamped(generation)
     }
 
-    /// Stamps this snapshot as published at `generation` (every shard slot
-    /// included) — called by [`SnapshotHandle::publish`](crate::SnapshotHandle::publish).
+    /// Stamps this snapshot as published at `generation` and computes its
+    /// [`cache_fingerprint`](Self::cache_fingerprint) — the final step of
+    /// every constructor, and what
+    /// [`SnapshotHandle::publish`](crate::SnapshotHandle::publish) calls.
     pub(crate) fn stamped(mut self, generation: u64) -> Self {
         self.generation = generation;
-        self.shard_generations = vec![generation; self.shard_generations.len()];
-        self.sealed()
+        // FNV-1a over the generation, seeded by the config fingerprint.
+        let mut hash = self.config.fingerprint() ^ 0xcbf2_9ce4_8422_2325;
+        for byte in generation.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.fingerprint = hash;
+        self
     }
 
-    /// A structurally identical snapshot carrying exactly the given
-    /// generation stamps — the durable-recovery path uses this (via
-    /// [`SnapshotHandle::restore_generations`](crate::SnapshotHandle::restore_generations))
-    /// to land a rebooted engine on the same generation vector, and thus the
-    /// same [`cache_fingerprint`](Self::cache_fingerprint), a checkpoint
-    /// recorded.  Every built structure is shared with `self`.
-    pub(crate) fn restored(&self, generation: u64, shard_generations: Vec<u64>) -> Self {
-        Self {
-            generation,
-            shard_generations,
-            ..self.share()
-        }
-        .sealed()
+    /// A structurally identical snapshot stamped `generation` — the
+    /// durable-recovery path uses this (via
+    /// [`SnapshotHandle::restore_generation`](crate::SnapshotHandle::restore_generation))
+    /// to land a rebooted engine on the generation, and thus the
+    /// [`cache_fingerprint`](Self::cache_fingerprint), a checkpoint recorded.
+    /// Every built structure is shared with `self`.
+    pub(crate) fn restored(&self, generation: u64) -> Self {
+        self.share().stamped(generation)
     }
 
     /// Derives a snapshot that has absorbed a row-level change feed: the
     /// events are applied to a copy of the base data and their indexed
     /// consequences routed into per-shard side logs — **no frozen index
     /// partition is touched**, queries merge log and partition on the fly.
-    /// The shards whose logs changed get `generation` stamped into their
-    /// slot (they answer differently now), everything else is shared with
-    /// `self`.  With the inverted index disabled only the base data moves.
+    /// Everything the feed does not touch is shared with `self`.  With the
+    /// inverted index disabled only the base data moves.
     ///
     /// The feed is consumed (appended rows move by value into the
     /// copy-on-write database derive) and the derived database structurally
@@ -302,15 +284,15 @@ impl EngineSnapshot {
             index,
             ..self.share()
         }
-        .derived(generation, report.touched_shards.iter().copied());
+        .derived(generation);
         Ok((snapshot, report))
     }
 
     /// Derives a snapshot in which the partitions named by `shards` are
     /// rebuilt from the *current* base data, folding (and clearing) their
     /// side logs — a compaction.  Answers are unchanged by construction (the
-    /// database already contains every logged row); the folded shards' slots
-    /// get `generation` so fingerprint-scoped caches notice.
+    /// database already contains every logged row); the new `generation`
+    /// moves the fingerprint so fingerprint-scoped caches notice.
     pub(crate) fn derive_compacted(&self, shards: &[usize], generation: u64) -> Self {
         let index = self
             .index
@@ -320,7 +302,7 @@ impl EngineSnapshot {
             index,
             ..self.share()
         }
-        .derived(generation, shards.iter().copied())
+        .derived(generation)
     }
 
     /// Derives a snapshot over a refreshed metadata graph (unchanged base
@@ -328,8 +310,6 @@ impl EngineSnapshot {
     /// recompiled (its edges and entry closures are graph-derived and
     /// indexed by the graph's node ids — a stale one would answer for nodes
     /// of another graph); the inverted index and probe counters are shared.
-    /// No partition slot is stamped — no inverted-index partition changed —
-    /// and the fingerprint moves with `generation` alone.
     pub(crate) fn derive_refreshed_graph(&self, graph: Arc<MetaGraph>, generation: u64) -> Self {
         let classification = ClassificationIndex::build(&graph, self.config.use_dbpedia);
         let joins = Arc::new(JoinCatalog::build(
@@ -344,7 +324,7 @@ impl EngineSnapshot {
             joins,
             ..self.share()
         }
-        .derived(generation, [])
+        .derived(generation)
     }
 
     /// Generation stamped at publication (0 when the snapshot never went
@@ -353,43 +333,17 @@ impl EngineSnapshot {
         self.generation
     }
 
-    /// Generation that last changed each inverted-index partition.
-    pub fn shard_generations(&self) -> &[u64] {
-        &self.shard_generations
-    }
-
     /// A stable fingerprint of everything that determines this snapshot's
     /// answers *and* freshness: the configuration fingerprint folded with the
-    /// snapshot generation and the per-shard generation vector.  The serving
+    /// snapshot generation.  The serving
     /// layer keys its interpretation cache by this, so pages computed against
     /// a swapped-out generation can never be returned for a newer one — they
     /// stop being addressable and the service purges them.
     pub fn cache_fingerprint(&self) -> u64 {
-        // Precomputed at construction (see `sealed`): the serving layer
+        // Precomputed at construction (see `stamped`): the serving layer
         // calls this on every submission, and hashing the configuration's
         // `Debug` rendering each time dominated the warm cache-hit path.
         self.fingerprint
-    }
-
-    /// Computes and stores [`cache_fingerprint`](Self::cache_fingerprint) —
-    /// the final step of every constructor, after the generation stamps are
-    /// settled.
-    fn sealed(mut self) -> Self {
-        // FNV-1a over the generation vector, seeded by the config
-        // fingerprint: cheap, stable, and sensitive to slot order.
-        let mut hash = self.config.fingerprint() ^ 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.generation);
-        for &g in &self.shard_generations {
-            mix(g);
-        }
-        self.fingerprint = hash;
-        self
     }
 
     /// The base data.
@@ -458,21 +412,16 @@ impl EngineSnapshot {
         self.config.shards.max(1)
     }
 
-    /// The classification index's size, the inverted index's per-shard
-    /// sizes (precomputed per generation), the live probe counters and this
-    /// snapshot's per-shard generation vector — cheap enough for every
-    /// metrics poll.
+    /// The inverted index's per-shard sizes (precomputed per generation)
+    /// and the live probe counters — cheap enough for every metrics poll.
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats {
             shards: self.shard_count(),
-            classification_phrases: self.classification.len(),
-            index_tokens: self.sizes.index_tokens.clone(),
             index_postings: self.sizes.index_postings.clone(),
             log_postings: self.sizes.log_postings.clone(),
             log_rows: self.sizes.log_rows.clone(),
             log_masks: self.sizes.log_masks.clone(),
             probes: self.probes.counts(),
-            generations: self.shard_generations.clone(),
         }
     }
 
@@ -505,101 +454,11 @@ impl EngineSnapshot {
             })
             .unwrap_or_default()
     }
-
-    /// Whether one probe dependency is provably unchanged by a data-only
-    /// swap dirtying `dirty`: the index still selects the same probe token
-    /// for the phrase, and no dirty shard holds candidates for it.  The
-    /// building block of page retention; swap-time cache passes memoize it
-    /// per distinct dependency through a [`RetentionGate`].
-    pub fn probe_dep_unchanged(&self, dep: &ProbeDep, dirty: &[usize]) -> bool {
-        let Some(index) = self.inverted_index() else {
-            // Without an inverted index no query consults base rows during
-            // interpretation, so data deltas cannot change any page.
-            return true;
-        };
-        let probe = index.probe(&dep.phrase);
-        match (&probe, &dep.token) {
-            (None, None) => true,
-            (Some(probe), Some(token)) if &probe.token == token => dirty
-                .iter()
-                .all(|&shard| index.shard_candidates(shard, probe) == 0),
-            _ => false,
-        }
-    }
-}
-
-/// A memoizing retention checker for one data-only swap episode: each
-/// distinct probe dependency is checked against the new index at most once,
-/// no matter how many cached pages share it — the swap-time pass over a
-/// full cache costs `O(distinct dependencies)` probes instead of
-/// `O(entries × deps)`.
-pub struct RetentionGate<'a> {
-    snapshot: &'a EngineSnapshot,
-    dirty: &'a [usize],
-    memo: std::collections::HashMap<ProbeDep, bool>,
-}
-
-impl<'a> RetentionGate<'a> {
-    /// A gate for pages crossing the swap that dirtied `dirty` shards,
-    /// checked against the *new* snapshot.
-    pub fn new(snapshot: &'a EngineSnapshot, dirty: &'a [usize]) -> Self {
-        Self {
-            snapshot,
-            dirty,
-            memo: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Decides whether a result page computed against an *earlier* snapshot
-    /// generation provably still answers correctly against the gate's
-    /// snapshot, given that the swap between them was **data-only** (base
-    /// rows of the tables owned by the dirty shards changed; schemas,
-    /// metadata graph and configuration identical) and given what the page's
-    /// query actually consulted:
-    ///
-    /// * `touched_mask` / `touched_overflow` — the shards its probes scanned
-    ///   (from a [`ProbeRecorder`]),
-    /// * `deps` — the phrases it probed and the probe tokens they selected.
-    ///
-    /// The page survives when none of its probes scanned a dirty shard, and
-    /// for every probed phrase the *new* index still selects the same probe
-    /// token with zero candidates in every dirty shard — then the hit set is
-    /// computed from the same postings over unchanged rows (non-lookup
-    /// pipeline steps only read schema-level catalog data, which a data
-    /// delta cannot change).  Everything else is conservatively rejected.
-    /// The per-dependency probe checks are memoized across calls.
-    pub fn retains(
-        &mut self,
-        touched_mask: u64,
-        touched_overflow: bool,
-        deps: &[ProbeDep],
-    ) -> bool {
-        if self.dirty.is_empty() {
-            return true;
-        }
-        if touched_overflow || self.dirty.iter().any(|&s| s >= 64) {
-            return false;
-        }
-        if self.dirty.iter().any(|&s| touched_mask & (1 << s) != 0) {
-            return false;
-        }
-        deps.iter().all(|dep| self.dep_unchanged(dep))
-    }
-
-    fn dep_unchanged(&mut self, dep: &ProbeDep) -> bool {
-        if let Some(&ok) = self.memo.get(dep) {
-            return ok;
-        }
-        let ok = self.snapshot.probe_dep_unchanged(dep, self.dirty);
-        self.memo.insert(dep.clone(), ok);
-        ok
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SearchOptions;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -676,10 +535,6 @@ mod tests {
         assert_eq!(stats.shards, 4);
         assert_eq!(stats.index_postings.len(), 4);
         assert_eq!(
-            stats.classification_phrases,
-            sharded.classification_index().len()
-        );
-        assert_eq!(
             stats.index_postings.iter().sum::<usize>(),
             sharded.inverted_index().unwrap().posting_count()
         );
@@ -687,93 +542,6 @@ mod tests {
         // on the shards holding the matched tables.
         assert_eq!(stats.probes.len(), 4);
         assert!(stats.total_probes() > 0);
-    }
-
-    #[test]
-    fn the_retention_gate_attests_only_provably_unaffected_queries() {
-        // At 8 shards `individuals` (shard 7) and `addresses` (shard 3) land
-        // in different partitions — the split this test relies on.
-        let shards = 8;
-        assert_ne!(
-            soda_relation::shard_for_table("individuals", shards),
-            soda_relation::shard_for_table("addresses", shards),
-        );
-        let w = soda_warehouse::minibank::build(42);
-        let handle = crate::SnapshotHandle::new(Arc::new(EngineSnapshot::build(
-            Arc::new(w.database),
-            Arc::new(w.graph),
-            SodaConfig {
-                shards,
-                ..SodaConfig::default()
-            },
-        )));
-        let probe = |input: &str| {
-            let recorder = ProbeRecorder::new();
-            let options = SearchOptions {
-                recorder: Some(&recorder),
-                ..SearchOptions::page(0, 10)
-            };
-            handle.load().search_with(input, &options).unwrap();
-            recorder
-        };
-        let retains = |snapshot: &EngineSnapshot, mask, overflow, deps: &[ProbeDep], dirty| {
-            RetentionGate::new(snapshot, dirty).retains(mask, overflow, deps)
-        };
-        let recorder = probe("Sara Guttinger");
-        let deps = recorder.deps();
-        assert!(!deps.is_empty(), "the query probes the base data");
-        let mask = recorder.touched_mask();
-        assert!(!recorder.overflowed());
-
-        // Ingest into `addresses`: the Sara page provably never saw it.
-        let feed = crate::ChangeFeed::new().append_row(
-            "addresses",
-            vec![
-                soda_relation::Value::Int(900),
-                soda_relation::Value::Int(1),
-                soda_relation::Value::from("Retain Lane 1"),
-                soda_relation::Value::from("Retainville"),
-                soda_relation::Value::from("Switzerland"),
-            ],
-        );
-        handle.absorb(feed).unwrap();
-        let after = handle.load();
-        let dirty = after.shards_for_tables(&["addresses".to_string()]);
-        assert!(retains(&after, mask, false, &deps, &dirty));
-        // …and the retained answer really is unchanged.
-        assert_eq!(
-            after.search("Sara Guttinger").unwrap(),
-            handle.load().search("Sara Guttinger").unwrap()
-        );
-
-        // A swap dirtying a shard the page's probes scanned is rejected.
-        let sara_shard = after.shards_for_tables(&["individuals".to_string()]);
-        assert!(!retains(&after, mask, false, &deps, &sara_shard));
-        // Overflowed recorders and empty dirty sets take the trivial paths.
-        assert!(!retains(&after, mask, true, &deps, &dirty));
-        assert!(retains(&after, mask, true, &deps, &[]));
-
-        // A feed that gives a previously postings-free phrase candidates in
-        // a dirty shard kills pages that probed it: "Retainville" was
-        // nowhere before this absorb, so a page that probed it carried a
-        // `None` token — and now the probe resolves.
-        let nowhere = probe("Nowhereville");
-        let nowhere_deps = nowhere.deps();
-        assert!(nowhere_deps.iter().any(|d| d.token.is_none()));
-        let retain_probe = probe("Retainville");
-        assert!(
-            retain_probe.deps().iter().any(|d| d.token.is_some()),
-            "the absorbed row resolves the probe"
-        );
-        // Against a hypothetical swap dirtying the addresses shard, the
-        // Retainville page (whose probe scanned it) must not be retained.
-        assert!(!retains(
-            &after,
-            retain_probe.touched_mask(),
-            retain_probe.overflowed(),
-            &retain_probe.deps(),
-            &dirty
-        ));
     }
 
     #[test]

@@ -10,10 +10,11 @@ use soda_relation::Row;
 
 use crate::frame::{FrameFile, FrameScan};
 
-/// Magic prefix of a feed-journal file (`2` is the format version, bumped
-/// when the header grew a tenant-fingerprint field; a version-`1` file is
-/// rejected like any foreign file and left untouched).
-pub const JOURNAL_MAGIC: [u8; 8] = *b"SODAJNL2";
+/// Magic prefix of a feed-journal file.  `3` is the format version, the
+/// only one the reader accepts: version `2` checkpoints carried a per-shard
+/// generation vector and version `1` headers lacked the tenant field, so
+/// either is rejected like any foreign file and left untouched.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"SODAJNL3";
 
 const KIND_FEED: u8 = 0x01;
 const KIND_CHECKPOINT: u8 = 0x02;
@@ -39,18 +40,16 @@ impl FsyncPolicy {
 
 /// A point-in-time fold of everything the journal had recorded: the full
 /// content of every table feeds have ever touched, plus the snapshot
-/// generation stamps at the moment the checkpoint was cut.
+/// generation at the moment the checkpoint was cut.
 ///
 /// Replaying a checkpoint (apply the rows over the base warehouse, restore
-/// the generation stamps, then absorb any feeds journaled after it) lands a
+/// the generation, then absorb any feeds journaled after it) lands a
 /// rebooted engine on the same answers — and the same cache fingerprint — as
 /// the process that wrote it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Snapshot generation at the time of the checkpoint.
     pub generation: u64,
-    /// Per-shard generation stamps at the time of the checkpoint.
-    pub shard_generations: Vec<u64>,
     /// Full replacement content for every table any journaled feed ever
     /// touched: `(lower-cased table name, rows)`.
     pub tables: Vec<(String, Vec<Row>)>,
@@ -61,10 +60,6 @@ impl Checkpoint {
         let mut enc = Encoder::new();
         enc.put_u8(KIND_CHECKPOINT);
         enc.put_u64(self.generation);
-        enc.put_usize(self.shard_generations.len());
-        for &g in &self.shard_generations {
-            enc.put_u64(g);
-        }
         enc.put_usize(self.tables.len());
         for (name, rows) in &self.tables {
             enc.put_str(name);
@@ -82,14 +77,6 @@ impl Checkpoint {
         if n > dec.remaining() {
             return Err(CodecError::BadLength);
         }
-        let mut shard_generations = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_generations.push(dec.get_u64()?);
-        }
-        let n = dec.get_usize()?;
-        if n > dec.remaining() {
-            return Err(CodecError::BadLength);
-        }
         let mut tables = Vec::with_capacity(n);
         for _ in 0..n {
             let name = dec.get_str()?;
@@ -103,11 +90,7 @@ impl Checkpoint {
             }
             tables.push((name, rows));
         }
-        Ok(Self {
-            generation,
-            shard_generations,
-            tables,
-        })
+        Ok(Self { generation, tables })
     }
 
     /// Total rows carried across all tables.
@@ -427,9 +410,10 @@ mod tests {
         }
     }
 
-    /// A version-1 journal (16-byte header with no tenant field) is a
-    /// foreign file: recovery fails on the magic check, whoever asks, and
-    /// the file stays byte-identical.
+    /// A journal of an earlier format — version 1 (16-byte header with no
+    /// tenant field) or version 2 (checkpoints with a per-shard generation
+    /// vector) — is a foreign file: recovery fails on the magic check,
+    /// whoever asks, and the file stays byte-identical.
     #[test]
     fn version_one_journal_is_rejected_untouched() {
         let dir = TempDir::new("jnl-v1");
@@ -442,20 +426,24 @@ mod tests {
         let mut v1 = b"SODAJNL1".to_vec();
         v1.extend_from_slice(&current[8..16]);
         v1.extend_from_slice(&current[24..]);
-        std::fs::write(&path, &v1).unwrap();
+        let mut v2 = b"SODAJNL2".to_vec();
+        v2.extend_from_slice(&current[8..]);
 
-        for tenant in [0, 9] {
-            match FeedJournal::recover(&path, 42, tenant, FsyncPolicy::Always) {
-                Err(JournalError::Io(e)) => {
-                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        for old in [v1, v2] {
+            std::fs::write(&path, &old).unwrap();
+            for tenant in [0, 9] {
+                match FeedJournal::recover(&path, 42, tenant, FsyncPolicy::Always) {
+                    Err(JournalError::Io(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                    }
+                    other => panic!("expected the bad-magic error, got {other:?}"),
                 }
-                other => panic!("expected the bad-magic error, got {other:?}"),
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    old,
+                    "rejected journal modified"
+                );
             }
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                v1,
-                "rejected journal modified"
-            );
         }
     }
 
@@ -508,7 +496,6 @@ mod tests {
         let before = j.len_bytes();
         let checkpoint = Checkpoint {
             generation: 5,
-            shard_generations: vec![5, 3],
             tables: vec![(
                 "trades".into(),
                 vec![vec![Value::Int(1)], vec![Value::Int(2)]],

@@ -479,13 +479,13 @@ impl ShardedInvertedIndex {
         self.shards[shard].probe_phrase_with_log(probe, &self.logs[shard])
     }
 
-    /// Number of candidate entries (frozen + side log) a probe would walk in
-    /// one shard: the distinct column values holding the probe token.
-    /// Frozen candidates of masked tables are included — this gauges the
-    /// walk, not the hit count; it is zero exactly when the shard holds no
-    /// posting of the token.
-    pub fn shard_candidates(&self, shard: usize, probe: &PhraseProbe) -> usize {
-        let (frozen, log) = self.shard_candidate_split(shard, probe);
+    /// Number of candidate entries (frozen + side log) a probe of `token`
+    /// would walk in one shard: the distinct column values holding the
+    /// (normalized) token.  Frozen candidates of masked tables are included
+    /// — this gauges the walk, not the hit count; it is zero exactly when
+    /// the shard holds no posting of the token.
+    pub fn shard_candidates(&self, shard: usize, token: &str) -> usize {
+        let (frozen, log) = self.shard_candidate_split(shard, token);
         frozen + log
     }
 
@@ -494,10 +494,10 @@ impl ShardedInvertedIndex {
     /// tracing reports both per probed shard, so a trace shows whether a
     /// probe's candidates came from the frozen index or from not-yet-compacted
     /// streaming ingests.
-    pub fn shard_candidate_split(&self, shard: usize, probe: &PhraseProbe) -> (usize, usize) {
+    pub fn shard_candidate_split(&self, shard: usize, token: &str) -> (usize, usize) {
         (
-            self.shards[shard].values.candidates(&probe.token),
-            self.logs[shard].values.candidates(&probe.token),
+            self.shards[shard].values.candidates(token),
+            self.logs[shard].values.candidates(token),
         )
     }
 
@@ -680,7 +680,7 @@ mod tests {
         // Two of the three addresses are in Zurich: one candidate entry
         // carrying both rows, two row-level postings.
         let probe = idx.probe("Zurich").unwrap();
-        assert_eq!(idx.shard_candidates(0, &probe), 1);
+        assert_eq!(idx.shard_candidates(0, &probe.token), 1);
         assert_eq!(idx.lookup_phrase("Zurich")[0].row_count, 2);
         // credit, suisse, helvetia, insurance, 2 × switzerland, 2 × zurich,
         // geneva.
@@ -1011,18 +1011,18 @@ mod tests {
         let owner = shard_for_table("address", shards);
         let probe = logged.probe("Basel").unwrap();
         for shard in 0..shards {
-            let (frozen, log) = logged.shard_candidate_split(shard, &probe);
+            let (frozen, log) = logged.shard_candidate_split(shard, &probe.token);
             assert_eq!(
                 frozen + log,
-                logged.shard_candidates(shard, &probe),
+                logged.shard_candidates(shard, &probe.token),
                 "split must sum to the total in shard {shard}"
             );
         }
         // The appended row is indexed only in the owner's side log.
-        let (_, log) = logged.shard_candidate_split(owner, &probe);
+        let (_, log) = logged.shard_candidate_split(owner, &probe.token);
         assert!(log > 0, "side-log candidates must be visible in the split");
         for shard in (0..shards).filter(|&s| s != owner) {
-            assert_eq!(logged.shard_candidate_split(shard, &probe).1, 0);
+            assert_eq!(logged.shard_candidate_split(shard, &probe.token).1, 0);
         }
     }
 

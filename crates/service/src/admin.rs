@@ -11,10 +11,12 @@
 //! foreign database, a new configuration — through
 //! [`reload`](TenantAdmin::reload).
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use soda_core::{ChangeFeed, EngineSnapshot, MetaGraph, RetentionGate, TenantId};
+use soda_core::{ChangeFeed, EngineSnapshot, MetaGraph, ProbeDep, TenantId};
+use soda_relation::ShardedInvertedIndex;
 
 use crate::cache::CacheKey;
 use crate::config::CompactionConfig;
@@ -91,7 +93,7 @@ impl TenantAdmin<'_> {
         self.swapped("reload", format!("generation {generation}"));
         purge_superseded(self.shared, tenant, prev);
         // The reload replaced data the journal knows nothing about: record
-        // the *entire* live database (plus the new stamps), so the next
+        // the *entire* live database (plus the new generation), so the next
         // recovery lands on the reloaded content whatever base it is given.
         write_checkpoint_under_swap_lock(self.shared, tenant, true);
         generation
@@ -110,8 +112,8 @@ impl TenantAdmin<'_> {
         self.swapped("refresh_graph", format!("generation {generation}"));
         purge_superseded(self.shared, tenant, prev);
         // The graph itself is not journaled (recovery receives it as an
-        // argument), but the stamps moved: checkpoint so a recovery under
-        // the refreshed graph restores the post-refresh fingerprints.
+        // argument), but the generation moved: checkpoint so a recovery
+        // under the refreshed graph restores the post-refresh fingerprint.
         write_checkpoint_under_swap_lock(self.shared, tenant, true);
         generation
     }
@@ -138,7 +140,6 @@ impl TenantAdmin<'_> {
         }
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
         let before = tenant.handle.load();
-        let prev = tenant.id.fold(before.cache_fingerprint());
         let dirty = before.shards_for_tables(&feed.tables());
         let described = feed.describe();
         // Write-ahead: the feed reaches the (fsynced) journal before the
@@ -170,7 +171,7 @@ impl TenantAdmin<'_> {
         let (events, rows) = (&shared.ingest_events, &shared.ingest_rows);
         events.fetch_add(outcome.report.events as u64, Ordering::Relaxed);
         rows.fetch_add(outcome.report.rows as u64, Ordering::Relaxed);
-        retain_unaffected(shared, tenant, prev, &dirty);
+        retain_unaffected(shared, tenant, &before, &dirty);
         drop(_swap);
         shared.compactor_wake.notify_all();
         Ok(generation)
@@ -217,27 +218,31 @@ fn purge_superseded(shared: &Shared, tenant: &TenantState, prev: u64) {
 }
 
 /// Post-swap cache pass for *data-only* swaps (ingests, compactions) of one
-/// tenant: pages keyed by the tenant's immediately superseded fingerprint
-/// `prev` whose recorded probes provably never consulted a `dirty` shard
-/// are re-keyed to the tenant's live fingerprint (staying addressable — a
-/// retention, not a recomputation); everything else keyed by `prev` is
-/// purged.  Pages under any other fingerprint —
+/// tenant from `before` to the live snapshot, which differ only in the
+/// `dirty` shards: pages keyed by `before`'s fingerprint `prev` whose
+/// recorded probes provably answer the same in both snapshots
+/// ([`RetentionGate`]) are re-keyed to the tenant's live fingerprint
+/// (staying addressable — a retention, not a recomputation); everything
+/// else keyed by `prev` is purged.  Pages under any other fingerprint —
 /// other tenants' pages and this tenant's older strays — are left exactly
 /// where they are; a stray under an older fingerprint was never
 /// retention-checked against the intervening swaps, so it must age out of
 /// the LRU, never come back.
-fn retain_unaffected(shared: &Shared, tenant: &TenantState, prev: u64, dirty: &[usize]) {
-    let snapshot = tenant.handle.load();
-    let live = tenant.id.fold(snapshot.cache_fingerprint());
-    // The gate memoizes each distinct (phrase, token) probe check, so the
-    // pass — which runs under the store lock — costs one index probe per
-    // distinct dependency, not per cache entry.
-    let mut gate = RetentionGate::new(&snapshot, dirty);
+fn retain_unaffected(
+    shared: &Shared,
+    tenant: &TenantState,
+    before: &EngineSnapshot,
+    dirty: &[usize],
+) {
+    let after = tenant.handle.load();
+    let prev = tenant.id.fold(before.cache_fingerprint());
+    let live = tenant.id.fold(after.cache_fingerprint());
+    let mut gate = RetentionGate::new(before, &after, dirty);
     let mut store = shared.store.lock().expect("store poisoned");
     store.cache.rekey(|key, entry| {
         if key.snapshot_fingerprint != prev || prev == live {
             Some(key.clone())
-        } else if gate.retains(entry.touched_mask, entry.touched_overflow, &entry.deps) {
+        } else if gate.retains(&entry.deps) {
             Some(CacheKey {
                 snapshot_fingerprint: live,
                 ..key.clone()
@@ -248,11 +253,69 @@ fn retain_unaffected(shared: &Shared, tenant: &TenantState, prev: u64, dirty: &[
     });
 }
 
+/// Whether a page keyed by `before`'s fingerprint answers the same on
+/// `after`.  Such a page was computed on `before` or retained into it, so it
+/// answers like `before` does; each of its probe dependencies is unchanged
+/// when no dirty shard holds candidates for the recorded token in either
+/// snapshot and the new index still selects that token — the other shards
+/// are shared, so the probe's hits are the same.  The lookup is the only
+/// pipeline step that reads base rows; the others read schema-level catalog
+/// data, which a data-only swap cannot change.
+///
+/// The pass runs under the store lock.  Candidate counts are hash lookups,
+/// so every page checks them first; selecting a probe tokenizes the phrase
+/// and sums every token's live rows, so it runs only for pages whose tokens
+/// the dirty shards never held, once per distinct dependency.
+struct RetentionGate<'a> {
+    /// `(before, after)`, or `None` when the inverted index is disabled: no
+    /// query then consults base rows during interpretation, so a data-only
+    /// swap changes no page.
+    indexes: Option<(&'a ShardedInvertedIndex, &'a ShardedInvertedIndex)>,
+    dirty: &'a [usize],
+    memo: HashMap<ProbeDep, bool>,
+}
+
+impl<'a> RetentionGate<'a> {
+    fn new(before: &'a EngineSnapshot, after: &'a EngineSnapshot, dirty: &'a [usize]) -> Self {
+        Self {
+            indexes: before.inverted_index().zip(after.inverted_index()),
+            dirty,
+            memo: HashMap::new(),
+        }
+    }
+
+    fn retains(&mut self, deps: &[ProbeDep]) -> bool {
+        let Some((before, after)) = self.indexes else {
+            return true;
+        };
+        let dirty = self.dirty;
+        let clean = |token: &str| {
+            let candidates = |shard| {
+                before.shard_candidates(shard, token) + after.shard_candidates(shard, token)
+            };
+            dirty.iter().all(|&shard| candidates(shard) == 0)
+        };
+        let mut tokens = deps.iter().filter_map(|dep| dep.token.as_deref());
+        tokens.all(clean)
+            && deps
+                .iter()
+                .all(|dep| self.selects_recorded_token(after, dep))
+    }
+
+    fn selects_recorded_token(&mut self, after: &ShardedInvertedIndex, dep: &ProbeDep) -> bool {
+        if let Some(&ok) = self.memo.get(dep) {
+            return ok;
+        }
+        let ok = after.probe(&dep.phrase).map(|probe| probe.token) == dep.token;
+        self.memo.insert(dep.clone(), ok);
+        ok
+    }
+}
+
 /// The compaction step shared by [`TenantAdmin::compact`] and the
 /// background worker; the caller must hold the tenant's swap lock.
 fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usize]) -> Option<u64> {
     let before = tenant.handle.load();
-    let prev = tenant.id.fold(before.cache_fingerprint());
     let logged = before.shards_with_side_logs();
     let foldable: Vec<usize> = shards
         .iter()
@@ -267,12 +330,12 @@ fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usiz
     );
     tenant.compactions.fetch_add(1, Ordering::Relaxed);
     // A fold changes no answers, but the fingerprint moved: carry every
-    // provably unaffected page over; pages whose probes scanned a folded
-    // shard are recomputed (conservative — their hits merely moved from the
-    // log into the frozen partition).
-    retain_unaffected(shared, tenant, prev, &foldable);
+    // provably unaffected page over; pages whose probes had candidates in a
+    // folded shard are recomputed (conservative — their hits merely moved
+    // from the log into the frozen partition).
+    retain_unaffected(shared, tenant, &before, &foldable);
     // The fold changed no rows, so the dirty set is already right — but the
-    // stamps moved and the side logs are gone: a checkpoint here both keeps
+    // generation moved and the side logs are gone: a checkpoint here both keeps
     // recovery fingerprints current and truncates the journal (the feeds it
     // replaces are exactly the ones the fold absorbed into the partitions).
     write_checkpoint_under_swap_lock(shared, tenant, false);
@@ -323,11 +386,32 @@ pub(crate) fn compactor_loop(shared: &Shared, config: &CompactionConfig) {
 mod tests {
     use std::time::{Duration, Instant};
 
-    use soda_core::{CompactionPolicy, SodaConfig};
+    use soda_core::{CompactionPolicy, ProbeRecorder, SearchOptions, SnapshotHandle, SodaConfig};
 
     use super::*;
     use crate::service::tests::{address_feed, admin, minibank_service};
-    use crate::{QueryRequest, QueryService, ServiceConfig};
+    use crate::{QueryRequest, QueryResponse, QueryService, ServiceConfig};
+
+    /// The seeded mini-bank at `shards` lookup partitions.
+    fn minibank_snapshot(shards: usize) -> EngineSnapshot {
+        let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
+        let config = SodaConfig {
+            shards,
+            ..SodaConfig::default()
+        };
+        EngineSnapshot::build(db, graph, config)
+    }
+
+    fn sharded_service(shards: usize) -> QueryService {
+        QueryService::start(
+            Arc::new(minibank_snapshot(shards)),
+            ServiceConfig::default(),
+        )
+    }
+
+    fn ask(service: &QueryService, input: &str) -> QueryResponse {
+        service.query(QueryRequest::new(input)).wait().unwrap()
+    }
 
     #[test]
     fn clear_cache_forces_recomputation() {
@@ -448,18 +532,7 @@ mod tests {
     fn data_swaps_retain_provably_unaffected_pages() {
         // 8 shards: `individuals` (Sara) and `addresses` (the feed target)
         // live in different partitions, so the Sara page survives the swap.
-        let w = soda_warehouse::minibank::build(42);
-        let service = QueryService::start(
-            Arc::new(EngineSnapshot::build(
-                Arc::new(w.database),
-                Arc::new(w.graph),
-                SodaConfig {
-                    shards: 8,
-                    ..SodaConfig::default()
-                },
-            )),
-            ServiceConfig::default(),
-        );
+        let service = sharded_service(8);
         let sara = service
             .query(QueryRequest::new("Sara Guttinger"))
             .wait()
@@ -504,6 +577,97 @@ mod tests {
         assert_eq!(m.cache.len, 1, "the stale Retainville page was purged");
         assert!(!recomputed.results.is_empty());
         assert_eq!(service.metrics().pipeline_executions, 3);
+    }
+
+    #[test]
+    fn retention_reaches_shards_past_sixty_four() {
+        // At 80 shards `addresses` owns partition 67, apart from the
+        // tables holding Sara Guttinger's postings.
+        let shards = 80;
+        let addresses = soda_relation::shard_for_table("addresses", shards);
+        assert!(addresses >= 64);
+        for table in ["individuals", "parties"] {
+            assert_ne!(soda_relation::shard_for_table(table, shards), addresses);
+        }
+        let service = sharded_service(shards);
+        let sara = ask(&service, "Sara Guttinger");
+        admin(&service)
+            .ingest_owned(address_feed(900, "Farville"))
+            .unwrap();
+        assert_eq!(service.metrics().cache.retained, 1);
+        assert_eq!(ask(&service, "Sara Guttinger"), sara);
+        let m = service.metrics();
+        assert_eq!((m.cache.hits, m.pipeline_executions), (1, 1));
+    }
+
+    #[test]
+    fn truncating_a_pages_table_purges_the_page() {
+        let service = sharded_service(8);
+        let sara = ask(&service, "Sara Guttinger");
+        assert!(!sara.page.results.is_empty());
+        admin(&service)
+            .ingest_owned(ChangeFeed::new().truncate("individuals"))
+            .unwrap();
+        let m = service.metrics();
+        assert_eq!((m.cache.retained, m.cache.purged), (0, 1));
+        assert_ne!(ask(&service, "Sara Guttinger"), sara);
+    }
+
+    #[test]
+    fn a_swap_that_adds_or_removes_a_pages_hits_purges_it() {
+        // "Sara" is a first name in `individuals`; the feeds below make it a
+        // city in the side log of `addresses`' partition, then drop it.
+        let service = sharded_service(8);
+        let fresh = |service: &QueryService| service.engine().search_paged("Sara", 0, 10);
+        let alone = ask(&service, "Sara");
+        // The new snapshot holds "sara" candidates in the dirty partition.
+        admin(&service)
+            .ingest_owned(address_feed(900, "Sara"))
+            .unwrap();
+        let logged = ask(&service, "Sara");
+        assert_ne!(logged, alone);
+        assert_eq!(logged.page, fresh(&service).unwrap());
+        // Only the superseded snapshot held them.
+        admin(&service)
+            .ingest_owned(ChangeFeed::new().truncate("addresses"))
+            .unwrap();
+        let truncated = ask(&service, "Sara");
+        assert_ne!(truncated, logged);
+        assert_eq!(truncated.page, fresh(&service).unwrap());
+        let m = service.metrics();
+        assert_eq!((m.cache.retained, m.pipeline_executions), (0, 3));
+    }
+
+    #[test]
+    fn the_gate_compares_each_probe_across_both_snapshots() {
+        let handle = SnapshotHandle::new(Arc::new(minibank_snapshot(8)));
+        let deps = |snapshot: &EngineSnapshot, input: &str| {
+            let recorder = ProbeRecorder::new();
+            let options = SearchOptions {
+                recorder: Some(&recorder),
+                ..SearchOptions::page(0, 10)
+            };
+            snapshot.search_with(input, &options).unwrap();
+            recorder.deps()
+        };
+        let before = handle.load();
+        let sara = deps(&before, "Sara Guttinger");
+        assert!(!sara.is_empty(), "the query probes the base data");
+        let nowhere = deps(&before, "Retainville");
+        assert!(nowhere.iter().any(|dep| dep.token.is_none()));
+
+        handle.absorb(address_feed(900, "Retainville")).unwrap();
+        let after = handle.load();
+        let retains = |dirty: &[usize], deps: &[ProbeDep]| {
+            RetentionGate::new(&before, &after, dirty).retains(deps)
+        };
+        let addresses = after.shards_for_tables(&["addresses".to_string()]);
+        assert!(retains(&addresses, &sara));
+        // A phrase with no postings anywhere before the feed has some now.
+        assert!(!retains(&addresses, &nowhere));
+        // A partition holding the page's candidates is never clean.
+        let individuals = after.shards_for_tables(&["individuals".to_string()]);
+        assert!(!retains(&individuals, &sara));
     }
 
     #[test]

@@ -20,10 +20,11 @@ use crate::service::{CachedPage, Shared};
 use crate::tenants::TenantState;
 
 /// Magic of the persistent page-cache file (the journal has its own,
-/// [`soda_journal::JOURNAL_MAGIC`]).  `2` is the format version, the only
-/// one the frame reader accepts: the header carries a tenant-fingerprint
-/// field, and a version-`1` file fails the magic check untouched.
-const CACHE_MAGIC: [u8; 8] = *b"SODACSH2";
+/// [`soda_journal::JOURNAL_MAGIC`]).  `3` is the format version, the only
+/// one the frame reader accepts: an entry carries its page and its probe
+/// dependencies, and a file of an earlier version (whose entries carried a
+/// shard mask, or whose header lacked the tenant field) restores nothing.
+const CACHE_MAGIC: [u8; 8] = *b"SODACSH3";
 
 /// File name of the persistent page cache under the durability directory.
 const CACHE_FILE: &str = "pages.cache";
@@ -36,7 +37,7 @@ pub struct RecoveryReport {
     /// True when no journal existed and a fresh one was created (first boot).
     pub journal_created: bool,
     /// True when the journal began with a checkpoint whose table contents
-    /// and generation stamps were applied over the base database.
+    /// and generation were applied over the base database.
     pub checkpoint_applied: bool,
     /// Rows the applied checkpoint carried.
     pub checkpoint_rows: usize,
@@ -110,7 +111,7 @@ pub(crate) enum RecoveryBase {
 
 /// The one recovery path: opens (or creates) `tenant`'s feed journal under
 /// `dir` and replays it over `base` — the latest checkpoint's tables land
-/// over the base database and its generation stamps are restored, then
+/// over the base database and its generation is restored, then
 /// every feed appended after it is re-absorbed in order.  The journal
 /// header is stamped with the engine-configuration and tenant fingerprints
 /// (0 for the default tenant), so a foreign journal is refused and one
@@ -173,9 +174,7 @@ pub(crate) fn recover_journal(
     };
     let handle = SnapshotHandle::new(engine);
     if let Some(cp) = &checkpoint {
-        handle
-            .restore_generations(cp.generation, &cp.shard_generations)
-            .map_err(ServiceError::Engine)?;
+        handle.restore_generation(cp.generation);
     }
     for feed in feeds {
         // A replay rejection is deterministic — the feed was rejected when
@@ -204,8 +203,8 @@ pub(crate) fn recover_journal(
 }
 
 /// Serializes one warm cache entry for the page-cache file: the full key
-/// (the fingerprint included — recovery filters on it) plus the page and the
-/// retention evidence, so a restored entry behaves exactly like the original
+/// (the fingerprint included — recovery filters on it) plus the page and its
+/// probe dependencies, so a restored entry behaves exactly like the original
 /// across later data-only swaps.
 fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
     let mut enc = Encoder::new();
@@ -214,8 +213,6 @@ fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
     enc.put_usize(key.page);
     enc.put_usize(key.page_size);
     encode_page(&mut enc, &entry.page);
-    enc.put_u64(entry.touched_mask);
-    enc.put_bool(entry.touched_overflow);
     enc.put_usize(entry.deps.len());
     for dep in &entry.deps {
         encode_probe_dep(&mut enc, dep);
@@ -234,8 +231,6 @@ fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
         page_size: dec.get_usize()?,
     };
     let page = decode_page(&mut dec)?;
-    let touched_mask = dec.get_u64()?;
-    let touched_overflow = dec.get_bool()?;
     let n = dec.get_usize()?;
     if n > dec.remaining() {
         return Err(CodecError::BadLength);
@@ -251,8 +246,6 @@ fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
         key,
         CachedPage {
             page: Arc::new(page),
-            touched_mask,
-            touched_overflow,
             deps,
         },
     ))
@@ -326,7 +319,7 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
 }
 
 /// Writes a checkpoint of one tenant — the live content of every dirty
-/// table plus the live generation stamps — atomically *replacing* that
+/// table plus the live generation — atomically *replacing* that
 /// tenant's journal, which is what keeps replay bounded.  With
 /// `mark_all_tables` the whole live database is recorded first (a reload
 /// swaps in data the journal never saw).  The caller must hold the tenant's
@@ -358,7 +351,6 @@ pub(crate) fn write_checkpoint_under_swap_lock(
     }
     let checkpoint = Checkpoint {
         generation: snapshot.generation(),
-        shard_generations: snapshot.shard_generations().to_vec(),
         tables,
     };
     let outcome = d.journal.write_checkpoint(&checkpoint);

@@ -174,7 +174,7 @@ pub struct ServiceMetrics {
     /// Streaming-ingestion counters (feeds absorbed, rows ingested,
     /// compactions).
     pub ingest: IngestMetrics,
-    /// Per-shard sizes, probe counts and generations of the lookup layer —
+    /// Per-shard sizes and probe counts of the lookup layer —
     /// re-sampled from the *live* snapshot on every call, so the gauges
     /// track whatever generation is currently serving.
     pub shards: ShardStats,

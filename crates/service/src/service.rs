@@ -161,19 +161,14 @@ use crate::worker::worker_loop;
 /// Capacity of the operational-event log ([`QueryService::events`]).
 const EVENT_LOG: usize = 256;
 
-/// A cached result page together with what its query actually consulted —
-/// the evidence a [`RetentionGate`](soda_core::RetentionGate) needs to carry the page
+/// A cached result page together with what its query actually probed —
+/// the evidence the retention pass (`admin.rs`) needs to carry the page
 /// across a data-only snapshot swap instead of purging it.
 #[derive(Debug)]
 pub(crate) struct CachedPage {
     /// Shared with whoever is being answered from it right now: a hit
     /// clones the pointer under the store lock and copies the page outside.
     pub(crate) page: Arc<ResultPage>,
-    /// Bitmask of the shards the query's base-data probes scanned.
-    pub(crate) touched_mask: u64,
-    /// True when a shard index beyond the mask width was touched (the page
-    /// is then never retained across a swap).
-    pub(crate) touched_overflow: bool,
     /// The phrases the query probed and the probe tokens they selected.
     pub(crate) deps: Vec<ProbeDep>,
 }

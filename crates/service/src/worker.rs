@@ -102,8 +102,6 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let entry = match &outcome {
             Ok(page) if still_live => Some(CachedPage {
                 page: Arc::clone(page),
-                touched_mask: recorder.touched_mask(),
-                touched_overflow: recorder.overflowed(),
                 deps: recorder.deps(),
             }),
             _ => None,

@@ -329,10 +329,12 @@ fn recovery_is_idempotent() {
     assert_eq!(first_page, second_page, "twice must equal once");
 }
 
-/// A durability directory in the version-1 layout — `SODAJNL1` magic,
-/// 16-byte frame header with no tenant field — is a foreign journal:
-/// recovery refuses it through the bad-magic error and leaves the file
-/// byte-identical (never misparsed as a torn tail, never truncated).
+/// A durability directory of an earlier format is a foreign journal:
+/// version 1 (`SODAJNL1` magic, 16-byte frame header with no tenant field)
+/// and version 2 (`SODAJNL2`, whose checkpoints carried a per-shard
+/// generation vector).  Recovery refuses either through the bad-magic error
+/// and leaves the file byte-identical (never misparsed as a torn tail, never
+/// truncated).
 #[test]
 fn a_version_one_durability_directory_is_rejected_untouched() {
     let dir = TempDir::new("version-one");
@@ -342,31 +344,37 @@ fn a_version_one_durability_directory_is_rejected_untouched() {
             .ingest_owned(address_feed(900, "Oldville"))
             .unwrap();
     }
-    // Rewrite the journal into the version-1 layout: old magic, config
-    // fingerprint, frames — no tenant field (bytes 16..24 removed).
     let path = journal_path(dir.path());
     let current = fs::read(&path).unwrap();
-    assert_eq!(&current[..8], b"SODAJNL2");
+    assert_eq!(&current[..8], b"SODAJNL3");
+    // The version-1 layout: old magic, config fingerprint, frames — no
+    // tenant field (bytes 16..24 removed).
     let mut v1 = b"SODAJNL1".to_vec();
     v1.extend_from_slice(&current[8..16]);
     v1.extend_from_slice(&current[24..]);
-    fs::write(&path, &v1).unwrap();
+    // The version-2 layout differs from the current one in checkpoint
+    // records only; the magic alone must refuse it.
+    let mut v2 = b"SODAJNL2".to_vec();
+    v2.extend_from_slice(&current[8..]);
 
-    let (db, graph) = minibank_parts();
-    match QueryService::recover(
-        db,
-        graph,
-        SodaConfig::default(),
-        ServiceConfig::default(),
-        DurabilityConfig::new(dir.path()),
-    ) {
-        Err(ServiceError::Durability(msg)) => {
-            assert!(msg.contains("bad magic"), "the error must name it: {msg}");
+    for old in [v1, v2] {
+        fs::write(&path, &old).unwrap();
+        let (db, graph) = minibank_parts();
+        match QueryService::recover(
+            db,
+            graph,
+            SodaConfig::default(),
+            ServiceConfig::default(),
+            DurabilityConfig::new(dir.path()),
+        ) {
+            Err(ServiceError::Durability(msg)) => {
+                assert!(msg.contains("bad magic"), "the error must name it: {msg}");
+            }
+            Err(other) => panic!("expected a durability error, got {other:?}"),
+            Ok(_) => panic!("an old-version journal must refuse to recover"),
         }
-        Err(other) => panic!("expected a durability error, got {other:?}"),
-        Ok(_) => panic!("a version-1 journal must refuse to recover"),
+        assert_eq!(fs::read(&path).unwrap(), old, "rejected journal modified");
     }
-    assert_eq!(fs::read(&path).unwrap(), v1, "rejected journal modified");
 }
 
 /// Page-cache files that do not fit — foreign fingerprint, wrong magic, or
@@ -378,7 +386,7 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     let dir = TempDir::new("foreign-cache");
     write_frame_file(
         &dir.path().join("pages.cache"),
-        *b"SODACSH2",
+        *b"SODACSH3",
         0xDEAD_BEEF,
         TenantId::default().fingerprint(),
         &[b"not a page".as_slice()],
@@ -394,6 +402,21 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     // nothing — there is no way to know what it held).
     let dir = TempDir::new("wrong-magic-cache");
     fs::write(dir.path().join("pages.cache"), b"garbage").unwrap();
+    let (_service, report) = recover_at(dir.path());
+    assert_eq!(report.cache_pages_restored, 0);
+
+    // A cache file of the previous format version — entries that carried a
+    // shard mask — restores nothing, even under the right fingerprints.
+    let dir = TempDir::new("version-two-cache");
+    {
+        let (service, _) = recover_at(dir.path());
+        page_for(&service, "Sara Guttinger");
+    }
+    let cache = dir.path().join("pages.cache");
+    let mut v2 = fs::read(&cache).unwrap();
+    assert_eq!(&v2[..8], b"SODACSH3");
+    v2[..8].copy_from_slice(b"SODACSH2");
+    fs::write(&cache, &v2).unwrap();
     let (_service, report) = recover_at(dir.path());
     assert_eq!(report.cache_pages_restored, 0);
 

@@ -441,13 +441,13 @@ fn streaming_ingest_with_background_compaction_never_drops_or_corrupts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random interleavings of appends, replacements, compactions and
-    /// queries: after every step, every query served (fresh, coalesced,
+    /// Random interleavings of appends, replacements, truncations,
+    /// compactions and queries: after every step, every query served (fresh, coalesced,
     /// cached or swap-retained) is byte-identical to a snapshot fully
     /// rebuilt over a reference database that replayed the same events.
     #[test]
     fn interleaved_ingest_compact_query_is_byte_identical(
-        ops in proptest::collection::vec(0usize..4, 1..7)
+        ops in proptest::collection::vec(0usize..5, 1..7)
     ) {
         let w = minibank::build(42);
         let service = QueryService::start(
@@ -496,6 +496,7 @@ proptest! {
                         ]],
                     ))
                 }
+                3 => Some(ChangeFeed::new().truncate("securities")),
                 _ => None, // compact
             };
             match feed {
