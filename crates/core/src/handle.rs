@@ -30,7 +30,6 @@
 //! cache key space, which is how stale interpretation pages die for free on
 //! a swap.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use arc_swap::ArcSwap;
@@ -40,17 +39,6 @@ use soda_metagraph::MetaGraph;
 
 use crate::error::Result;
 use crate::snapshot::EngineSnapshot;
-
-/// What one [`SnapshotHandle::absorb`] published: the stamped
-/// generation plus the ingest report describing how much the copy-on-write
-/// derive actually moved (and how much it structurally shared).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AbsorbOutcome {
-    /// Generation the absorbed snapshot was stamped with.
-    pub generation: u64,
-    /// Sizes and sharing counters of the absorb.
-    pub report: soda_ingest::IngestReport,
-}
 
 /// An atomically swappable, generation-stamping cell holding the current
 /// [`EngineSnapshot`].
@@ -90,9 +78,8 @@ pub struct AbsorbOutcome {
 /// ```
 pub struct SnapshotHandle {
     current: ArcSwap<EngineSnapshot>,
-    /// The generation the *next* publication will be stamped with.
-    next_generation: AtomicU64,
-    /// Serializes writers so derive-from-current + store is atomic.
+    /// Serializes writers so derive-from-current + store is atomic; under
+    /// it the next publication's generation is the current one's plus one.
     writer: Mutex<()>,
 }
 
@@ -108,10 +95,8 @@ impl SnapshotHandle {
     /// Wraps an initial snapshot.  Its existing generation (0 for a fresh
     /// build) is kept; the first publication gets the next one.
     pub fn new(snapshot: Arc<EngineSnapshot>) -> Self {
-        let next_generation = AtomicU64::new(snapshot.generation() + 1);
         Self {
             current: ArcSwap::new(snapshot),
-            next_generation,
             writer: Mutex::new(()),
         }
     }
@@ -133,7 +118,7 @@ impl SnapshotHandle {
     /// they loaded; returns the stamped generation.
     pub fn publish(&self, snapshot: EngineSnapshot) -> u64 {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
+        let generation = self.generation() + 1;
         self.current.store(Arc::new(snapshot.stamped(generation)));
         generation
     }
@@ -152,27 +137,23 @@ impl SnapshotHandle {
     ///
     /// The feed is taken by value: appended rows move through the
     /// copy-on-write database derive instead of being cloned out of a
-    /// borrowed feed.  Returns the stamped generation together with the
-    /// [`IngestReport`](soda_ingest::IngestReport) so serving layers can
-    /// surface structural-sharing metrics.
+    /// borrowed feed.  Returns the stamped generation; a rejected feed
+    /// stores nothing, so it leaves no gap in the sequence.
     ///
     /// Side logs tax probes on their shard; fold them back into rebuilt
     /// partitions with [`compact`](Self::compact) once they outgrow a
     /// budget (`soda_ingest::CompactionPolicy` decides when).
-    pub fn absorb(&self, feed: ChangeFeed) -> Result<AbsorbOutcome> {
+    pub fn absorb(&self, feed: ChangeFeed) -> Result<u64> {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
-        // Reserve the number only after the derive succeeds, so a rejected
-        // feed leaves no gap in the generation sequence.
-        let generation = self.next_generation.load(Ordering::Relaxed);
-        let (next, report) = self.load().derive_absorbed(feed, generation)?;
-        self.current.store(Arc::new(next));
-        self.next_generation
-            .store(generation + 1, Ordering::Relaxed);
-        Ok(AbsorbOutcome { generation, report })
+        let current = self.load();
+        let generation = current.generation() + 1;
+        self.current
+            .store(Arc::new(current.derive_absorbed(feed, generation)?));
+        Ok(generation)
     }
 
     /// Folds the side logs of `shards` into freshly rebuilt partitions — the
-    /// background half of the data path: each named partition is rebuilt
+    /// second half of the data path: each named partition is rebuilt
     /// from the *current* base data (which already contains every logged
     /// row), so answers are unchanged by construction.  Shards without a
     /// log to fold are skipped; returns `None` (publishing nothing) when
@@ -189,7 +170,7 @@ impl SnapshotHandle {
         if foldable.is_empty() {
             return None;
         }
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
+        let generation = current.generation() + 1;
         let next = current.derive_compacted(&foldable, generation);
         self.current.store(Arc::new(next));
         Some(generation)
@@ -198,14 +179,12 @@ impl SnapshotHandle {
     /// Restores the generation a durable checkpoint recorded — the recovery
     /// counterpart of the stamping the swap paths do.  The current snapshot
     /// is republished carrying `generation` (sharing every built structure),
-    /// and the next publication will be stamped `generation + 1`,
-    /// continuing the pre-crash sequence densely.
+    /// so the next publication is stamped `generation + 1`, continuing the
+    /// pre-crash sequence densely.
     pub fn restore_generation(&self, generation: u64) {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         self.current
             .store(Arc::new(self.load().restored(generation)));
-        self.next_generation
-            .store(generation + 1, Ordering::Relaxed);
     }
 
     /// Hot swap for a metadata refresh: rebuilds the classification index
@@ -213,8 +192,9 @@ impl SnapshotHandle {
     /// data and the inverted index.  Returns the new generation.
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
-        let next = self.load().derive_refreshed_graph(graph, generation);
+        let current = self.load();
+        let generation = current.generation() + 1;
+        let next = current.derive_refreshed_graph(graph, generation);
         self.current.store(Arc::new(next));
         generation
     }
@@ -325,7 +305,7 @@ mod tests {
         let absorbed = handle
             .absorb(ChangeFeed::new().replace("individuals", rows))
             .unwrap();
-        assert_eq!(absorbed.generation, 1);
+        assert_eq!(absorbed, 1);
         let logged = handle.load();
         assert_eq!(handle.compact(&[owner]), Some(2));
         let folded = handle.load();
@@ -378,8 +358,7 @@ mod tests {
         let before = handle.load();
         assert!(before.search("Streamville").unwrap().is_empty());
 
-        let outcome = handle.absorb(address_feed(900, "Streamville")).unwrap();
-        assert_eq!(outcome.generation, 1);
+        assert_eq!(handle.absorb(address_feed(900, "Streamville")).unwrap(), 1);
         let after = handle.load();
         assert!(!after.search("Streamville").unwrap().is_empty());
         // The pinned old generation still serves its old view.
@@ -417,8 +396,7 @@ mod tests {
     fn absorb_shares_every_untouched_table_with_the_previous_database() {
         let handle = minibank_handle(4);
         let before = handle.load();
-        let outcome = handle.absorb(address_feed(900, "Streamville")).unwrap();
-        assert_eq!(outcome.generation, 1);
+        assert_eq!(handle.absorb(address_feed(900, "Streamville")).unwrap(), 1);
         let after = handle.load();
 
         // Copy-on-write derive: only `addresses` was copied; every other
@@ -505,8 +483,7 @@ mod tests {
             assert!(Arc::ptr_eq(&before, &handle.load()));
         }
         // The next successful publication continues the sequence densely.
-        let outcome = handle.absorb(address_feed(901, "Gapless")).unwrap();
-        assert_eq!(outcome.generation, 1);
+        assert_eq!(handle.absorb(address_feed(901, "Gapless")).unwrap(), 1);
         assert!(!handle.load().search("Gapless").unwrap().is_empty());
     }
 
@@ -535,7 +512,7 @@ mod tests {
         assert_eq!(restored.search("Streamville").unwrap(), answer);
         // The sequence continues densely after restoration.
         let next = rebooted.absorb(address_feed(901, "Afterville")).unwrap();
-        assert_eq!(next.generation, generation + 1);
+        assert_eq!(next, generation + 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use config::{RankingWeights, SodaConfig};
 pub use engine::{SearchLimit, SearchOptions, SearchOutcome};
 pub use error::{Result, SodaError};
 pub use feedback::FeedbackStore;
-pub use handle::{AbsorbOutcome, SnapshotHandle};
+pub use handle::SnapshotHandle;
 pub use joins::{BridgeTable, HistorizationLink, InheritanceLink, JoinCatalog, JoinEdge};
 pub use patterns::SodaPatterns;
 pub use pipeline::lookup::LookupResult;
@@ -76,7 +76,7 @@ pub use tenant::TenantId;
 // Re-exported so hot-swap callers (the serving layer hands new databases,
 // metadata graphs and change feeds to `SnapshotHandle`) need no direct
 // dependency on the lower crates.
-pub use soda_ingest::{ChangeFeed, CompactionPolicy, IngestReport, RowEvent};
+pub use soda_ingest::{ChangeFeed, CompactionPolicy, RowEvent};
 pub use soda_metagraph::MetaGraph;
 pub use soda_relation::{Database, Value};
 // Re-exported so callers of a traced search can name sinks and

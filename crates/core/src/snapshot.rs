@@ -229,9 +229,7 @@ impl EngineSnapshot {
     /// The feed is consumed (appended rows move by value into the
     /// copy-on-write database derive) and the derived database structurally
     /// shares every table (and side log) the feed does not touch with
-    /// `self`'s — the whole chain is O(delta), not O(warehouse).  Returns
-    /// the snapshot plus the ingest report (sizes plus touched shards) so
-    /// callers can surface sharing metrics.
+    /// `self`'s — the whole chain is O(delta), not O(warehouse).
     ///
     /// The join catalog — join edges, table ids and the per-node entry
     /// closures — is compiled from the graph, the patterns, the traversal
@@ -243,49 +241,47 @@ impl EngineSnapshot {
         &self,
         feed: soda_ingest::ChangeFeed,
         generation: u64,
-    ) -> Result<(Self, soda_ingest::IngestReport)> {
+    ) -> Result<Self> {
         let ingestor = soda_ingest::Ingestor::new(self.shard_count());
         let mut next = (*self.db).clone();
-        let (index, report) = match &self.index {
+        let index = match &self.index {
             Some(index) => {
                 // Clone only the logs the feed will touch (the others get
                 // cheap empty placeholders and are `Arc`-shared afterwards),
                 // so an ingest never copies the accumulated overlays of
-                // unrelated shards.
-                let will_touch: Vec<usize> = self.shards_for_tables(&feed.tables());
+                // unrelated shards.  The ingestor routes by the same table
+                // hash, so these are exactly the logs it writes.
+                let touched: Vec<usize> = self.shards_for_tables(&feed.tables());
                 let mut logs: Vec<soda_relation::SideLog> = index
                     .side_logs()
                     .iter()
                     .enumerate()
                     .map(|(i, log)| {
-                        if will_touch.contains(&i) {
+                        if touched.contains(&i) {
                             (**log).clone()
                         } else {
                             soda_relation::SideLog::default()
                         }
                     })
                     .collect();
-                let report = ingestor.absorb(&mut next, Some(&mut logs), feed)?;
-                debug_assert_eq!(
-                    report.touched_shards, will_touch,
-                    "ingestor routing must agree with shards_for_tables"
-                );
-                let patches: Vec<(usize, soda_relation::SideLog)> = report
-                    .touched_shards
+                ingestor.absorb(&mut next, Some(&mut logs), feed)?;
+                let patches: Vec<(usize, soda_relation::SideLog)> = touched
                     .iter()
                     .map(|&shard| (shard, std::mem::take(&mut logs[shard])))
                     .collect();
-                (Some(index.with_patched_side_logs(patches)), report)
+                Some(index.with_patched_side_logs(patches))
             }
-            None => (None, ingestor.absorb(&mut next, None, feed)?),
+            None => {
+                ingestor.absorb(&mut next, None, feed)?;
+                None
+            }
         };
-        let snapshot = Self {
+        Ok(Self {
             db: Arc::new(next),
             index,
             ..self.share()
         }
-        .derived(generation);
-        Ok((snapshot, report))
+        .derived(generation))
     }
 
     /// Derives a snapshot in which the partitions named by `shards` are

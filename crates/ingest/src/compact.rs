@@ -6,9 +6,9 @@
 //! budget, folding it — rebuilding just that partition from the current base
 //! data, which already contains the logged rows — restores the frozen fast
 //! path.  The fold is a per-shard hot swap (`soda_core::SnapshotHandle::compact`
-//! over `ShardedInvertedIndex::with_rebuilt_shards`), so it bumps only the
-//! folded shards' generation slots and the fingerprint-scoped cache and
-//! coalescing logic invalidates for free.
+//! over `ShardedInvertedIndex::with_rebuilt_shards`): it rebuilds only the
+//! folded partitions and publishes a new generation, so the
+//! fingerprint-scoped cache and coalescing logic invalidate for free.
 
 /// Size/row budget past which a shard's side log is due for compaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

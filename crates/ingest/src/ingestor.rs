@@ -1,23 +1,9 @@
 //! The ingestor: applies a change feed to a database copy while routing the
 //! indexed consequences into per-shard side logs.
 
-use std::collections::BTreeSet;
-
 use soda_relation::{shard_for_table, Database, Result, SideLog};
 
 use crate::event::{ChangeFeed, RowEvent};
-
-/// What one absorb did: sizes for metrics, touched shards for cache
-/// invalidation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IngestReport {
-    /// Events applied.
-    pub events: usize,
-    /// Rows carried by those events.
-    pub rows: usize,
-    /// Shards whose side logs changed, sorted and deduplicated.
-    pub touched_shards: Vec<usize>,
-}
 
 /// Routes row-level events into per-shard side logs by the same stable table
 /// hash that partitions the frozen index — so every table's overlay lands in
@@ -54,7 +40,8 @@ impl Ingestor {
     /// replacements mask the frozen postings and re-index from row zero,
     /// truncations mask.  `None` is for engines whose inverted index is
     /// disabled and for reference replays: the base data still has to move
-    /// so SQL execution sees the new rows.
+    /// so SQL execution sees the new rows.  The logs written are those of
+    /// the shards owning `feed.tables()`.
     ///
     /// The feed is taken by value — appended and replacement rows move into
     /// the database, no per-row clone; a caller that keeps its feed clones
@@ -70,12 +57,10 @@ impl Ingestor {
         db: &mut Database,
         mut logs: Option<&mut [SideLog]>,
         feed: ChangeFeed,
-    ) -> Result<IngestReport> {
+    ) -> Result<()> {
         if let Some(logs) = &logs {
             assert_eq!(logs.len(), self.shard_count, "one side log per index shard");
         }
-        let (events, rows) = (feed.len(), feed.row_count());
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
         for event in feed.into_events() {
             let shard = self.shard_for(event.table());
             match event {
@@ -101,13 +86,8 @@ impl Ingestor {
                     }
                 }
             }
-            touched.insert(shard);
         }
-        Ok(IngestReport {
-            events,
-            rows,
-            touched_shards: touched.into_iter().collect(),
-        })
+        Ok(())
     }
 }
 
@@ -149,21 +129,15 @@ mod tests {
             let feed = ChangeFeed::new()
                 .append_row("city", vec![Value::Int(2), Value::from("Basel")])
                 .replace("org", vec![vec![Value::Int(9), Value::from("Basler Bank")]]);
-            let report = ingestor.absorb(&mut next, Some(&mut logs), feed).unwrap();
-            assert_eq!(report.events, 2);
-            assert_eq!(report.rows, 2);
-            let mut owners: Vec<usize> = ["city", "org"]
+            ingestor.absorb(&mut next, Some(&mut logs), feed).unwrap();
+            let owners: Vec<usize> = ["city", "org"]
                 .iter()
                 .map(|t| ingestor.shard_for(t))
                 .collect();
-            owners.sort_unstable();
-            owners.dedup();
-            assert_eq!(report.touched_shards, owners);
             // Every log entry sits in the shard its table hashes to.
             for (i, log) in logs.iter().enumerate() {
-                if log.posting_count() > 0 || log.has_masks() {
-                    assert!(report.touched_shards.contains(&i));
-                }
+                let written = log.posting_count() > 0 || log.has_masks();
+                assert_eq!(written, owners.contains(&i), "shard {i} of {shards}");
             }
             // The merged view answers like a full rebuild over the new db.
             let merged = InvertedIndex::build_sharded(&base, shards).with_side_logs(logs);
@@ -214,9 +188,8 @@ mod tests {
         let ingestor = Ingestor::new(4);
         let mut next = db();
         let feed = ChangeFeed::new().truncate("org");
-        let report = ingestor.absorb(&mut next, None, feed).unwrap();
+        ingestor.absorb(&mut next, None, feed).unwrap();
         assert_eq!(next.table("org").unwrap().row_count(), 0);
-        assert_eq!(report.rows, 0);
-        assert_eq!(report.touched_shards, vec![ingestor.shard_for("org")]);
+        assert_eq!(next.table("city").unwrap().row_count(), 1);
     }
 }

@@ -20,12 +20,12 @@
 //!   snapshot at every shard count.
 //! * [`CompactionPolicy`] — the threshold that decides when a grown log is
 //!   folded back into a rebuilt partition (turning reload latency into a
-//!   continuous background cost).  Publishing is the hot-swap layer's:
+//!   small, continuous cost).  Publishing is the hot-swap layer's:
 //!   `soda_core::SnapshotHandle::{absorb, compact}` publish log-bearing and
 //!   log-folded snapshot generations, and
-//!   `soda_service::TenantAdmin::{ingest_owned, compact}` plus the
-//!   background compaction worker drive the whole loop, journaled, under
-//!   live traffic.
+//!   `soda_service::TenantAdmin::{ingest_owned, compact}` drive the whole
+//!   loop, journaled, under live traffic — an ingest that grows a log past
+//!   the service's policy folds it before it returns.
 //!
 //! ```
 //! use soda_ingest::{ChangeFeed, Ingestor};
@@ -53,9 +53,9 @@
 //! );
 //! let ingestor = Ingestor::new(4);
 //! let mut logs = vec![SideLog::default(); 4];
-//! let report = ingestor.absorb(&mut db, Some(&mut logs), feed).unwrap();
-//! assert_eq!(report.rows, 1);
-//! assert_eq!(report.touched_shards.len(), 1);
+//! ingestor.absorb(&mut db, Some(&mut logs), feed).unwrap();
+//! assert_eq!(db.table("addresses").unwrap().row_count(), 2);
+//! assert!(logs[ingestor.shard_for("addresses")].posting_count() > 0);
 //! ```
 
 pub mod compact;
@@ -64,7 +64,7 @@ pub mod ingestor;
 
 pub use compact::CompactionPolicy;
 pub use event::{ChangeFeed, RowEvent};
-pub use ingestor::{IngestReport, Ingestor};
+pub use ingestor::Ingestor;
 
 // Re-exported so the subsystem's full surface (feed → routing → overlay) is
 // importable from one crate; the type lives in `soda-relation` because the

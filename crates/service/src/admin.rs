@@ -1,12 +1,12 @@
 //! Tenant-scoped administration: the [`TenantAdmin`] facade — the **one**
 //! spelling of every mutation (`reload`, `refresh_graph`, `ingest_owned`,
-//! `compact`, `clear_cache`) — the post-swap cache passes (retention for
-//! data-only swaps, purge for everything else) and the background
-//! compaction worker.
+//! `compact`, `clear_cache`) — and the one post-swap cache pass (retention
+//! for data-only swaps, which purges everything else).
 //!
 //! One path per kind of change: base data changes through
 //! [`ingest_owned`](TenantAdmin::ingest_owned) (journaled, O(delta)) and is
-//! folded by [`compact`](TenantAdmin::compact); metadata changes through
+//! folded by [`compact`](TenantAdmin::compact) or by the ingest that grows a
+//! log past its budget; metadata changes through
 //! [`refresh_graph`](TenantAdmin::refresh_graph); everything else — a
 //! foreign database, a new configuration — through
 //! [`reload`](TenantAdmin::reload).
@@ -19,7 +19,6 @@ use soda_core::{ChangeFeed, EngineSnapshot, MetaGraph, ProbeDep, TenantId};
 use soda_relation::ShardedInvertedIndex;
 
 use crate::cache::CacheKey;
-use crate::config::CompactionConfig;
 use crate::durability::write_checkpoint_under_swap_lock;
 use crate::request::ServiceError;
 use crate::service::Shared;
@@ -88,10 +87,10 @@ impl TenantAdmin<'_> {
     pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
         let tenant = &self.tenant;
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
-        let prev = tenant.folded_live();
+        let before = tenant.handle.load();
         let generation = tenant.handle.publish(snapshot);
         self.swapped("reload", format!("generation {generation}"));
-        purge_superseded(self.shared, tenant, prev);
+        retain_unaffected(self.shared, tenant, &before, None);
         // The reload replaced data the journal knows nothing about: record
         // the *entire* live database (plus the new generation), so the next
         // recovery lands on the reloaded content whatever base it is given.
@@ -107,14 +106,14 @@ impl TenantAdmin<'_> {
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
         let tenant = &self.tenant;
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
-        let prev = tenant.folded_live();
+        let before = tenant.handle.load();
         let generation = tenant.handle.refresh_graph(graph);
         self.swapped("refresh_graph", format!("generation {generation}"));
-        purge_superseded(self.shared, tenant, prev);
-        // The graph itself is not journaled (recovery receives it as an
-        // argument), but the generation moved: checkpoint so a recovery
-        // under the refreshed graph restores the post-refresh fingerprint.
-        write_checkpoint_under_swap_lock(self.shared, tenant, true);
+        retain_unaffected(self.shared, tenant, &before, None);
+        // The graph is not journaled (recovery receives it as an argument)
+        // and no row changed, but the generation moved: checkpoint the dirty
+        // tables so a recovery restores the post-refresh fingerprint.
+        write_checkpoint_under_swap_lock(self.shared, tenant, false);
         generation
     }
 
@@ -122,12 +121,14 @@ impl TenantAdmin<'_> {
     /// a row-level change feed (appends, wholesale replacements,
     /// truncations) into per-shard side logs without rebuilding any index
     /// partition.  On a durable service the feed is journaled write-ahead
-    /// to **this tenant's** journal.  Returns the new generation.
+    /// to **this tenant's** journal.  Returns the generation the feed was
+    /// absorbed at.
     ///
     /// The feed is taken by value (its rows move into the new generation
     /// instead of being cloned out of a borrow); the write-ahead journal
-    /// append, the absorb, the counter updates and the retention pass all
-    /// run under the tenant's swap lock.
+    /// append, the absorb, the counter updates, the retention pass and the
+    /// fold of every log past the compaction budget all run under the
+    /// tenant's swap lock.
     ///
     /// A feed without events changes nothing, so it costs nothing: the live
     /// generation is returned with nothing journaled, published or logged —
@@ -142,6 +143,7 @@ impl TenantAdmin<'_> {
         let before = tenant.handle.load();
         let dirty = before.shards_for_tables(&feed.tables());
         let described = feed.describe();
+        let (events, rows) = (feed.len() as u64, feed.row_count() as u64);
         // Write-ahead: the feed reaches the (fsynced) journal before the
         // engine absorbs it, so every acknowledged ingest is replayable
         // after a crash.  If the append fails the feed is not absorbed at
@@ -160,20 +162,17 @@ impl TenantAdmin<'_> {
             };
             shared.tenant_event("journal_append", tenant, format!("{appended} bytes"));
         }
-        let outcome = tenant.handle.absorb(feed).map_err(ServiceError::Engine)?;
-        let generation = outcome.generation;
+        let generation = tenant.handle.absorb(feed).map_err(ServiceError::Engine)?;
         shared.tenant_event(
             "ingest",
             tenant,
             format!("generation {generation}, {described}"),
         );
         tenant.ingest_feeds.fetch_add(1, Ordering::Relaxed);
-        let (events, rows) = (&shared.ingest_events, &shared.ingest_rows);
-        events.fetch_add(outcome.report.events as u64, Ordering::Relaxed);
-        rows.fetch_add(outcome.report.rows as u64, Ordering::Relaxed);
-        retain_unaffected(shared, tenant, &before, &dirty);
-        drop(_swap);
-        shared.compactor_wake.notify_all();
+        shared.ingest_events.fetch_add(events, Ordering::Relaxed);
+        shared.ingest_rows.fetch_add(rows, Ordering::Relaxed);
+        retain_unaffected(shared, tenant, &before, Some(&dirty));
+        fold_due_under_swap_lock(shared, tenant);
         Ok(generation)
     }
 
@@ -202,28 +201,15 @@ impl TenantAdmin<'_> {
     }
 }
 
-/// Purges every cached page keyed by this tenant's superseded fingerprint
-/// `prev` — the conservative post-swap path for full reloads and graph
-/// refreshes, where nothing about a page is provably unchanged.  Scoped to
-/// `prev`, so other tenants' pages (and the tenant's already-live pages)
-/// are untouched.
-fn purge_superseded(shared: &Shared, tenant: &TenantState, prev: u64) {
-    let live = tenant.folded_live();
-    shared
-        .store
-        .lock()
-        .expect("store poisoned")
-        .cache
-        .retain(|key| key.snapshot_fingerprint == live || key.snapshot_fingerprint != prev);
-}
-
-/// Post-swap cache pass for *data-only* swaps (ingests, compactions) of one
-/// tenant from `before` to the live snapshot, which differ only in the
-/// `dirty` shards: pages keyed by `before`'s fingerprint `prev` whose
-/// recorded probes provably answer the same in both snapshots
-/// ([`RetentionGate`]) are re-keyed to the tenant's live fingerprint
-/// (staying addressable — a retention, not a recomputation); everything
-/// else keyed by `prev` is purged.  Pages under any other fingerprint —
+/// The one post-swap cache pass, for every swap of one tenant from `before`
+/// to the live snapshot.  For a *data-only* swap (ingest, compaction) the
+/// two differ only in the `dirty` shards: pages keyed by `before`'s
+/// fingerprint `prev` whose recorded probes provably answer the same in
+/// both snapshots ([`RetentionGate`]) are re-keyed to the tenant's live
+/// fingerprint (staying addressable — a retention, not a recomputation).
+/// Every other page keyed by `prev` is purged — all of them after a full
+/// reload or a graph refresh (`dirty` is `None`), where nothing about a
+/// page is provably unchanged.  Pages under any other fingerprint —
 /// other tenants' pages and this tenant's older strays — are left exactly
 /// where they are; a stray under an older fingerprint was never
 /// retention-checked against the intervening swaps, so it must age out of
@@ -232,17 +218,17 @@ fn retain_unaffected(
     shared: &Shared,
     tenant: &TenantState,
     before: &EngineSnapshot,
-    dirty: &[usize],
+    dirty: Option<&[usize]>,
 ) {
     let after = tenant.handle.load();
     let prev = tenant.id.fold(before.cache_fingerprint());
     let live = tenant.id.fold(after.cache_fingerprint());
-    let mut gate = RetentionGate::new(before, &after, dirty);
+    let mut gate = dirty.map(|dirty| RetentionGate::new(before, &after, dirty));
     let mut store = shared.store.lock().expect("store poisoned");
     store.cache.rekey(|key, entry| {
         if key.snapshot_fingerprint != prev || prev == live {
             Some(key.clone())
-        } else if gate.retains(&entry.deps) {
+        } else if gate.as_mut().is_some_and(|gate| gate.retains(&entry.deps)) {
             Some(CacheKey {
                 snapshot_fingerprint: live,
                 ..key.clone()
@@ -312,8 +298,8 @@ impl<'a> RetentionGate<'a> {
     }
 }
 
-/// The compaction step shared by [`TenantAdmin::compact`] and the
-/// background worker; the caller must hold the tenant's swap lock.
+/// The compaction step of [`TenantAdmin::compact`] and of every due fold;
+/// the caller must hold the tenant's swap lock.
 fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usize]) -> Option<u64> {
     let before = tenant.handle.load();
     let logged = before.shards_with_side_logs();
@@ -333,7 +319,7 @@ fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usiz
     // provably unaffected page over; pages whose probes had candidates in a
     // folded shard are recomputed (conservative — their hits merely moved
     // from the log into the frozen partition).
-    retain_unaffected(shared, tenant, &before, &foldable);
+    retain_unaffected(shared, tenant, &before, Some(&foldable));
     // The fold changed no rows, so the dirty set is already right — but the
     // generation moved and the side logs are gone: a checkpoint here both keeps
     // recovery fingerprints current and truncates the journal (the feeds it
@@ -342,50 +328,20 @@ fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usiz
     Some(generation)
 }
 
-/// The background compaction worker: wakes on every ingest nudge (and at
-/// least every `poll_interval`), sweeps **every** tenant for shards the
-/// policy says are due, and exits when the service drops.  Each tenant is
-/// folded under its own swap lock, so a long fold for one tenant never
-/// blocks another tenant's reload or ingest.
-pub(crate) fn compactor_loop(shared: &Shared, config: &CompactionConfig) {
-    let mut shutdown = shared
-        .compactor_shutdown
-        .lock()
-        .expect("compactor lock poisoned");
-    loop {
-        if *shutdown {
-            return;
-        }
-        let (state, _timeout) = shared
-            .compactor_wake
-            .wait_timeout(shutdown, config.poll_interval)
-            .expect("compactor lock poisoned");
-        shutdown = state;
-        if *shutdown {
-            return;
-        }
-        drop(shutdown);
-        for tenant in shared.tenants.all() {
-            let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
-            let stats = tenant.handle.load().shard_stats();
-            let due = config
-                .policy
-                .due(&stats.log_postings, &stats.log_rows, &stats.log_masks);
-            if !due.is_empty() {
-                compact_under_swap_lock(shared, &tenant, &due);
-            }
-        }
-        shutdown = shared
-            .compactor_shutdown
-            .lock()
-            .expect("compactor lock poisoned");
-    }
+/// Folds the tenant's side logs the compaction policy calls due, where logs
+/// grow: at the end of every ingest and once after a journal replay.  A
+/// no-op without a policy; the caller must hold the tenant's swap lock.
+pub(crate) fn fold_due_under_swap_lock(shared: &Shared, tenant: &TenantState) {
+    let Some(policy) = &shared.config.compaction else {
+        return;
+    };
+    let stats = tenant.handle.load().shard_stats();
+    let due = policy.due(&stats.log_postings, &stats.log_rows, &stats.log_masks);
+    compact_under_swap_lock(shared, tenant, &due);
 }
 
 #[cfg(test)]
 mod tests {
-    use std::time::{Duration, Instant};
-
     use soda_core::{CompactionPolicy, ProbeRecorder, SearchOptions, SnapshotHandle, SodaConfig};
 
     use super::*;
@@ -689,28 +645,17 @@ mod tests {
     }
 
     #[test]
-    fn background_compactor_fires_past_the_threshold() {
-        let service = minibank_service(ServiceConfig {
-            compaction: Some(CompactionConfig {
-                policy: CompactionPolicy::eager(),
-                poll_interval: Duration::from_millis(10),
-            }),
-            ..ServiceConfig::default()
-        });
-        admin(&service)
+    fn an_ingest_past_the_budget_returns_folded() {
+        let service =
+            minibank_service(ServiceConfig::default().compaction(CompactionPolicy::eager()));
+        let generation = admin(&service)
             .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
-        // The worker is nudged by the ingest; give it a moment.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let m = service.metrics();
-            if m.ingest.compactions >= 1 && m.shards.log_postings.iter().sum::<usize>() == 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "compaction did not fire: {m:?}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Queries keep answering correctly throughout.
+        assert_eq!(generation, 1, "the generation the feed was absorbed at");
+        let m = service.metrics();
+        assert_eq!(m.ingest.compactions, 1);
+        assert_eq!(m.generation, 2, "the fold published its own");
+        assert!(service.engine().shards_with_side_logs().is_empty());
         let page = service
             .query(QueryRequest::new("Streamville"))
             .wait()
@@ -720,32 +665,16 @@ mod tests {
     }
 
     #[test]
-    fn background_compactor_folds_mask_only_logs() {
+    fn a_mask_only_log_is_folded_by_the_ingest_that_left_it() {
         // A Truncate leaves a log with zero postings and zero rows but a
-        // mask that taxes every probe of its shard — the worker must fold
-        // it even though the size gauges never cross a threshold.
-        let service = minibank_service(ServiceConfig {
-            compaction: Some(CompactionConfig {
-                policy: CompactionPolicy::default(),
-                poll_interval: Duration::from_millis(10),
-            }),
-            ..ServiceConfig::default()
-        });
+        // mask that taxes every probe of its shard — the default policy
+        // folds it even though the size gauges never cross a threshold.
+        let service =
+            minibank_service(ServiceConfig::default().compaction(CompactionPolicy::default()));
         admin(&service)
             .ingest_owned(ChangeFeed::new().truncate("securities"))
             .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let m = service.metrics();
-            if m.ingest.compactions >= 1 && m.shards.log_masks.iter().sum::<usize>() == 0 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "mask-only compaction did not fire: {m:?}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(service.metrics().ingest.compactions, 1);
         assert!(service.engine().shards_with_side_logs().is_empty());
     }
 

@@ -255,12 +255,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
 /// The key under which a served result page is cached.
 ///
-/// `normalized` is the canonical query text; `snapshot_fingerprint` is
-/// [`soda_core::EngineSnapshot::cache_fingerprint`] — the engine
-/// configuration fingerprint folded with the snapshot's generation vector —
+/// `normalized` is the canonical query text; `snapshot_fingerprint` is the
+/// tenant-folded [`soda_core::EngineSnapshot::cache_fingerprint`] — the
+/// engine configuration fingerprint folded with the snapshot's generation —
 /// so result pages computed under different configurations *or different
 /// snapshot generations* never collide; page coordinates distinguish the
-/// pages of one result list.  Folding the generations in is what makes hot
+/// pages of one result list.  Folding the generation in is what makes hot
 /// snapshot swaps safe: a page computed against a swapped-out generation is
 /// simply no longer addressable.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -269,7 +269,7 @@ pub struct CacheKey {
     /// copies of a key a miss hands around (pending entry, job, cache slot)
     /// are pointer clones.
     pub normalized: Arc<str>,
-    /// Snapshot fingerprint (configuration ⊕ generation vector).
+    /// Snapshot fingerprint (configuration ⊕ generation, tenant-folded).
     pub snapshot_fingerprint: u64,
     /// Zero-based page index.
     pub page: usize,

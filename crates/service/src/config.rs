@@ -1,6 +1,6 @@
 //! The configuration types of the service: [`ServiceConfig`] and the
 //! opt-in sub-configurations it carries ([`SamplingConfig`],
-//! [`CompactionConfig`], [`SloConfig`]), plus the [`DurabilityConfig`]
+//! [`CompactionPolicy`], [`SloConfig`]), plus the [`DurabilityConfig`]
 //! handed to [`QueryService::recover`](crate::QueryService::recover).
 
 use std::path::PathBuf;
@@ -31,11 +31,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum result pages held by the interpretation cache.
     pub cache_capacity: usize,
-    /// When set, a background compaction worker folds ingestion side logs
-    /// into rebuilt index partitions once they cross the policy's budget
-    /// (`None` — the default — leaves compaction to explicit
-    /// [`TenantAdmin::compact`](crate::TenantAdmin::compact) calls).
-    pub compaction: Option<CompactionConfig>,
+    /// When set, the ingest (or journal replay) that grows a side log past
+    /// the policy's budget folds it into a rebuilt index partition before it
+    /// returns.  `None` — the default — leaves compaction to explicit
+    /// [`TenantAdmin::compact`](crate::TenantAdmin::compact) calls.
+    pub compaction: Option<CompactionPolicy>,
     /// When set, every executed query is traced through a
     /// [`CollectingSink`](soda_trace::CollectingSink) and every answered
     /// query — a warm hit included — whose **end-to-end** latency (queue
@@ -95,9 +95,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables the background compaction worker.
-    pub fn compaction(mut self, compaction: CompactionConfig) -> Self {
-        self.compaction = Some(compaction);
+    /// Folds side logs past `policy`'s budget where they grow.
+    pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
+        self.compaction = Some(policy);
         self
     }
 
@@ -155,26 +155,6 @@ impl SamplingConfig {
     }
 }
 
-/// Configuration of the background compaction worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactionConfig {
-    /// The side-log budget past which a shard is folded.
-    pub policy: CompactionPolicy,
-    /// How often the worker re-checks the budget on its own.  Every
-    /// ingest additionally nudges it awake, so a threshold crossing is
-    /// acted on promptly even with a long interval.
-    pub poll_interval: Duration,
-}
-
-impl Default for CompactionConfig {
-    fn default() -> Self {
-        Self {
-            policy: CompactionPolicy::default(),
-            poll_interval: Duration::from_millis(250),
-        }
-    }
-}
-
 /// Where and how the service persists its crash-safety state.
 ///
 /// The directory holds the default tenant's two files: `feed.journal` (the
@@ -221,17 +201,16 @@ mod tests {
             .workers(3)
             .queue_capacity(17)
             .cache_capacity(9)
+            .compaction(CompactionPolicy::eager())
             .slow_query_threshold(Duration::from_millis(5));
         let literal = ServiceConfig {
             workers: 3,
             queue_capacity: 17,
             cache_capacity: 9,
+            compaction: Some(CompactionPolicy::eager()),
             slow_query_threshold: Some(Duration::from_millis(5)),
             ..ServiceConfig::default()
         };
-        assert_eq!(built.workers, literal.workers);
-        assert_eq!(built.queue_capacity, literal.queue_capacity);
-        assert_eq!(built.cache_capacity, literal.cache_capacity);
-        assert_eq!(built.slow_query_threshold, literal.slow_query_threshold);
+        assert_eq!(built, literal);
     }
 }

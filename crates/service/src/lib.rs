@@ -27,8 +27,9 @@
 //!   kind of change: base data changes only through
 //!   [`TenantAdmin::ingest_owned`], which absorbs a row-level
 //!   [`ChangeFeed`](soda_core::ChangeFeed) into per-shard side logs, and
-//!   compaction (manual, or the background worker of a
-//!   [`CompactionConfig`]) folds grown logs back into rebuilt partitions;
+//!   compaction folds grown logs back into rebuilt partitions — on request,
+//!   or under [`ServiceConfig::compaction`] within the ingest (or journal
+//!   replay) that grew them past the policy's budget;
 //!   `refresh_graph` swaps in new metadata and `reload` anything else, all
 //!   without draining the pool.
 //! * [`durability`] — with a [`DurabilityConfig`] the service is
@@ -92,7 +93,7 @@ mod worker;
 
 pub use admin::TenantAdmin;
 pub use cache::{CacheKey, CacheStats, LruCache};
-pub use config::{CompactionConfig, DurabilityConfig, SamplingConfig, ServiceConfig};
+pub use config::{DurabilityConfig, SamplingConfig, ServiceConfig};
 pub use durability::RecoveryReport;
 pub use metrics::{
     DurabilityMetrics, IngestMetrics, LatencySummary, ServiceMetrics, StageLatencies, TenantMetrics,

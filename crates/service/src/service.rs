@@ -63,8 +63,8 @@
 //! the job carries that `Arc` to the worker, so a concurrent reload never
 //! changes what an in-flight query computes; new submissions load the new
 //! generation.  The cache key carries the tenant-folded
-//! [`EngineSnapshot::cache_fingerprint`] (configuration ⊕ generation
-//! vector), which also scopes the coalescing map: a pending cold query keyed
+//! [`EngineSnapshot::cache_fingerprint`] (configuration ⊕ generation),
+//! which also scopes the coalescing map: a pending cold query keyed
 //! against generation G can only ever hand its page to waiters that also
 //! pinned G — a post-swap requester computes a different key and recomputes
 //! against the new snapshot.  No queries are drained, dropped or errored by
@@ -76,20 +76,21 @@
 //! row-level change feed (appends, replacements, truncations) into a new
 //! generation of that tenant's snapshot without rebuilding any index
 //! partition: the events land in per-shard side logs that every probe
-//! merges on the fly.  A background compaction worker (opt-in via
-//! [`ServiceConfig::compaction`]) sweeps **every** tenant — nudged by every
-//! ingest and on a poll interval — and folds a shard's log into a rebuilt
-//! partition once it crosses the policy budget.  Data-only swaps (ingest,
-//! compaction) run a *generation-aware retention* pass over the tenant's
-//! cached pages instead of the wholesale purge: pages whose recorded probes
-//! provably never consulted a dirty shard are re-keyed to the new
-//! fingerprint ([`CacheStats::retained`](crate::CacheStats)), everything
-//! else of that tenant's superseded generation is purged.  Other tenants'
-//! pages are never touched.
+//! merges on the fly.  Under a [`ServiceConfig::compaction`] policy the
+//! ingest that grows a shard's log past the budget folds it into a rebuilt
+//! partition before it returns, on the caller's thread and under the same
+//! swap lock — so does a journal replay; without one, logs are folded by
+//! [`TenantAdmin::compact`].  Data-only swaps (ingest, compaction) run a
+//! *generation-aware retention* pass over the tenant's cached pages instead
+//! of the wholesale purge: pages whose recorded probes provably never
+//! consulted a dirty shard are re-keyed to the new fingerprint
+//! ([`CacheStats::retained`](crate::CacheStats)), everything else of that
+//! tenant's superseded generation is purged.  Other tenants' pages are
+//! never touched.
 //!
-//! Shutdown is graceful: dropping the service stops intake (stopping the
-//! compaction worker first), lets the workers drain every queued job
-//! (resolving their coalesced waiters), then joins them.
+//! Shutdown is graceful: dropping the service stops intake, lets the
+//! workers drain every queued job (resolving their coalesced waiters), then
+//! joins them.
 //!
 //! ## Durable restart
 //!
@@ -141,7 +142,7 @@ use soda_trace::{
     TraceSink, TraceValue,
 };
 
-use crate::admin::{compactor_loop, TenantAdmin};
+use crate::admin::{fold_due_under_swap_lock, TenantAdmin};
 use crate::cache::{CacheKey, LruCache};
 use crate::config::{DurabilityConfig, ServiceConfig};
 use crate::durability::{
@@ -187,8 +188,8 @@ pub(crate) struct StoreState {
     pub(crate) coalesced: u64,
 }
 
-/// Everything the submitting threads, the workers, the compactor and the
-/// admin facades share.  Facts counted per tenant (executions, swaps,
+/// Everything the submitting threads, the workers and the admin facades
+/// share.  Facts counted per tenant (executions, swaps,
 /// feeds, compactions, slow queries) live on each [`TenantState`] only —
 /// tenants are never removed, so `metrics()` sums them.
 pub(crate) struct Shared {
@@ -198,10 +199,6 @@ pub(crate) struct Shared {
     /// Streaming-ingestion lifetime counters, all tenants.
     pub(crate) ingest_events: AtomicU64,
     pub(crate) ingest_rows: AtomicU64,
-    /// Shutdown flag + wakeup signal of the background compaction worker
-    /// (present even without one; ingest nudges are then no-ops).
-    pub(crate) compactor_shutdown: Mutex<bool>,
-    pub(crate) compactor_wake: Condvar,
     pub(crate) queue: Mutex<QueueState>,
     pub(crate) not_empty: Condvar,
     pub(crate) not_full: Condvar,
@@ -430,7 +427,6 @@ pub(crate) fn cache_hit_trace(input: &str, e2e: Duration) -> QueryTrace {
 pub struct QueryService {
     pub(crate) shared: Arc<Shared>,
     pub(crate) workers: Vec<JoinHandle<()>>,
-    compactor: Option<JoinHandle<()>>,
 }
 
 impl QueryService {
@@ -468,8 +464,6 @@ impl QueryService {
             tenants: TenantRegistry::new(default),
             ingest_events: AtomicU64::new(0),
             ingest_rows: AtomicU64::new(0),
-            compactor_shutdown: Mutex::new(false),
-            compactor_wake: Condvar::new(),
             queue: Mutex::new(QueueState::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -495,18 +489,7 @@ impl QueryService {
                     .expect("failed to spawn service worker")
             })
             .collect();
-        let compactor = config.compaction.map(|compaction| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("soda-compactor".to_string())
-                .spawn(move || compactor_loop(&shared, &compaction))
-                .expect("failed to spawn compaction worker")
-        });
-        Self {
-            shared,
-            workers,
-            compactor,
-        }
+        Self { shared, workers }
     }
 
     /// Boots a **durable** service from the journal under
@@ -526,7 +509,8 @@ impl QueryService {
     /// rows — the recovered engine serves byte-identical pages under the
     /// same cache fingerprints as the instance that died.  Warm pages
     /// persisted by a graceful drain are reloaded into the cache when they
-    /// still match.
+    /// still match.  Under a [`ServiceConfig::compaction`] policy, the logs
+    /// the replay grew past its budget are folded before this returns.
     ///
     /// Errors are [`ServiceError::Durability`] for journal I/O, decode or
     /// checkpoint-apply failures — including a journal written under a
@@ -577,6 +561,10 @@ impl QueryService {
                 report.cache_pages_restored,
             ),
         );
+        // After the restore, so the fold's retention pass carries pages over.
+        let tenant = Arc::clone(service.shared.tenants.default_tenant());
+        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        fold_due_under_swap_lock(&service.shared, &tenant);
         Ok((service, report))
     }
 
@@ -586,7 +574,9 @@ impl QueryService {
     /// tenant's), its own queue lane and quota, and — on a durable service —
     /// its own write-ahead journal under `tenants/<name>-<fingerprint>/`,
     /// which is replayed over `engine` right here (so a re-registered
-    /// tenant resumes exactly where its journaled history left off).
+    /// tenant resumes exactly where its journaled history left off; under a
+    /// [`ServiceConfig::compaction`] policy the logs the replay grew past
+    /// its budget are folded before this returns).
     ///
     /// Rejects the default id with [`ServiceError::TenantExists`] (the
     /// default tenant always exists), any already-registered id, and an id
@@ -640,6 +630,10 @@ impl QueryService {
             &tenant.id,
             format!("tenant {}, {replayed} feeds replayed", tenant.id),
         );
+        if tenant.durability.is_some() {
+            let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+            fold_due_under_swap_lock(&self.shared, &tenant);
+        }
         Ok(())
     }
 
@@ -847,17 +841,6 @@ impl QueryService {
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        // Stop the compaction worker first so no further swap lands while
-        // the pool drains.
-        if let Some(compactor) = self.compactor.take() {
-            *self
-                .shared
-                .compactor_shutdown
-                .lock()
-                .expect("compactor lock poisoned") = true;
-            self.shared.compactor_wake.notify_all();
-            let _ = compactor.join();
-        }
         {
             let mut state = self.shared.queue.lock().expect("queue poisoned");
             state.shutdown = true;

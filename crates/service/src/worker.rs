@@ -57,8 +57,8 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // Queue wait ends here: everything from `dequeued` on is execution.
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.submitted);
-        // The recorder captures which shards the probes scan and which probe
-        // tokens the phrases select — the evidence that lets a data-only
+        // The recorder captures which phrases the query probes and which
+        // probe tokens they select — the evidence that lets a data-only
         // snapshot swap retain this page instead of purging it.
         let recorder = ProbeRecorder::new();
         // A collecting sink runs when `Shared::sample` might keep the span

@@ -12,7 +12,7 @@
 //!   one virtual call per span site.
 //! * [`CollectingSink`] / [`QueryTrace`] — the recording implementation: a
 //!   flat span log folded into a tree ([`QueryTrace`]) that renders as ASCII
-//!   ([`QueryTrace::render`]) or JSON ([`QueryTrace::to_json`]).
+//!   ([`QueryTrace::render`]).
 //! * [`LogHistogram`] — an HDR-style log-bucketed latency histogram: fixed
 //!   memory forever, mergeable, with quantiles whose relative error is
 //!   bounded by the sub-bucket resolution (≤ 1/32 ≈ 3.125%) and which are

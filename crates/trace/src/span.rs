@@ -417,75 +417,6 @@ impl QueryTrace {
         }
         out
     }
-
-    /// Serialises the tree as JSON (hand-rolled — the workspace has no JSON
-    /// dependency): `{"total_ns": .., "spans": [..]}` with each span carrying
-    /// `name`, `start_ns`, `duration_ns`, `event`, `fields` and `children`.
-    pub fn to_json(&self) -> String {
-        fn write_span(span: &Span, out: &mut String) {
-            out.push_str("{\"name\":");
-            write_json_string(&span.name, out);
-            out.push_str(&format!(
-                ",\"start_ns\":{},\"duration_ns\":{},\"event\":{}",
-                span.start.as_nanos(),
-                span.duration.as_nanos(),
-                span.event
-            ));
-            out.push_str(",\"fields\":{");
-            for (i, (key, value)) in span.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(key, out);
-                out.push(':');
-                match value {
-                    TraceValue::Str(s) => write_json_string(s, out),
-                    TraceValue::U64(v) => out.push_str(&v.to_string()),
-                    TraceValue::F64(v) if v.is_finite() => out.push_str(&v.to_string()),
-                    TraceValue::F64(_) => out.push_str("null"),
-                    TraceValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-                }
-            }
-            out.push_str("},\"children\":[");
-            for (i, child) in span.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_span(child, out);
-            }
-            out.push_str("]}");
-        }
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"total_ns\":{},\"spans\":[",
-            self.total.as_nanos()
-        ));
-        for (i, root) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_span(root, &mut out);
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Human-readable duration: picks ns/µs/ms/s by magnitude.
@@ -555,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_cover_every_span() {
+    fn render_covers_every_span() {
         let sink = CollectingSink::new();
         let root = sink.begin_span("query", SpanId::NONE);
         let probe = sink.begin_span("probe", root);
@@ -566,10 +497,7 @@ mod tests {
         let rendered = trace.render();
         assert!(rendered.contains("query"));
         assert!(rendered.contains("└─ probe"));
-        let json = trace.to_json();
-        assert!(json.contains("\"name\":\"query\""));
-        assert!(json.contains("zu\\\"rich"));
-        assert!(json.starts_with("{\"total_ns\":"));
+        assert!(rendered.contains(r#"phrase="zu\"rich""#));
     }
 
     #[test]

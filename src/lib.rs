@@ -32,7 +32,8 @@
 //!   war-story use cases of §5.3.2).
 //! * [`ingest`] — streaming delta ingestion: row-level change feeds routed
 //!   into per-shard side logs that queries merge on the fly, plus the
-//!   compaction policy that folds grown logs back into rebuilt partitions.
+//!   compaction policy under which the ingest that grows a log past its
+//!   budget folds it back into a rebuilt partition.
 //! * [`journal`] — the crash-safety layer: an append-only, checksummed feed
 //!   journal with checkpoint truncation, replayed by
 //!   [`QueryService::recover`](soda_service::QueryService::recover) into
@@ -87,10 +88,9 @@ pub mod prelude {
     pub use soda_metagraph::{MetaGraph, Pattern, PatternRegistry};
     pub use soda_relation::{Database, ResultSet, Value};
     pub use soda_service::{
-        AlertState, BurnAlert, CompactionConfig, DurabilityConfig, FsyncPolicy, JobHandle,
-        JobResult, QueryRequest, QueryResponse, QueryService, RecoveryReport, SampledTrace,
-        SamplingConfig, ServiceConfig, ServiceMetrics, SloConfig, TenantAdmin, TenantId,
-        TenantMetrics,
+        AlertState, BurnAlert, DurabilityConfig, FsyncPolicy, JobHandle, JobResult, QueryRequest,
+        QueryResponse, QueryService, RecoveryReport, SampledTrace, SamplingConfig, ServiceConfig,
+        ServiceMetrics, SloConfig, TenantAdmin, TenantId, TenantMetrics,
     };
     pub use soda_trace::{CollectingSink, NoopSink, OpEvent, QueryTrace, TraceSink};
     pub use soda_warehouse::Warehouse;

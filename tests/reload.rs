@@ -283,7 +283,7 @@ fn same_generation_submissions_still_coalesce_after_swaps() {
 
 // ---------------------------------------------------------------------------
 // Cumulative ingestion: the reload guarantees must hold when every generation
-// is published by `ingest_owned` (side logs) and background compaction.
+// is published by `ingest_owned` (side logs) and the fold that ends it.
 // ---------------------------------------------------------------------------
 
 /// The ingestion marker feed of generation `g`: one appended address whose
@@ -328,12 +328,12 @@ fn cumulative_db(base: &Database, g: usize) -> Database {
 }
 
 /// Clients hammer `submit` while a writer ingests generation after
-/// generation and a background compactor folds side logs past a tiny
-/// budget.  Every served page must be byte-identical to a full-rebuild
-/// reference of *some* ingested state; nothing may error or drop; the
-/// compactor must actually fire.
+/// generation, each ingest folding its side log past a zero budget before it
+/// returns.  Every served page must be byte-identical to a full-rebuild
+/// reference of *some* ingested state; nothing may error or drop; every
+/// ingest must have folded.
 #[test]
-fn streaming_ingest_with_background_compaction_never_drops_or_corrupts() {
+fn streaming_ingest_that_folds_inline_never_drops_or_corrupts() {
     let w = minibank::build(42);
     let expected: Vec<ResultPage> = (0..=GENERATIONS)
         .map(|g| {
@@ -357,12 +357,9 @@ fn streaming_ingest_with_background_compaction_never_drops_or_corrupts() {
             workers: 4,
             queue_capacity: 32,
             cache_capacity: 64,
-            // Tiny budget + fast poll: compaction provably interleaves with
-            // the ingests and the queries below.
-            compaction: Some(CompactionConfig {
-                policy: CompactionPolicy::eager(),
-                poll_interval: Duration::from_millis(5),
-            }),
+            // Zero budget: every ingest folds, interleaved with the queries
+            // below.
+            compaction: Some(CompactionPolicy::eager()),
             ..ServiceConfig::default()
         },
     );
@@ -419,23 +416,18 @@ fn streaming_ingest_with_background_compaction_never_drops_or_corrupts() {
         .expect("final query runs")
         .page;
     assert_eq!(final_page, expected[GENERATIONS]);
-    // The compactor is still alive and may fold between any two reads, so
-    // only race-free orderings are asserted: a fold counted by the *first*
-    // read has certainly published its generation before the second read.
-    let folds_before = service.metrics().ingest.compactions;
     let m = service.metrics();
     assert_eq!(m.ingest.ingests, GENERATIONS as u64);
     assert_eq!(m.ingest.events, 2 * GENERATIONS as u64);
     assert_eq!(m.ingest.rows, 2 * GENERATIONS as u64);
-    assert!(
-        m.ingest.compactions >= 1,
-        "the eager budget must have forced at least one fold: {m:?}"
-    );
+    assert_eq!(m.ingest.compactions, GENERATIONS as u64, "{m:?}");
     assert_eq!(m.reloads, 0, "no reload was involved");
-    assert!(
-        m.generation >= GENERATIONS as u64 + folds_before,
-        "every ingest and every counted compaction has published a generation: {m:?}"
+    assert_eq!(
+        m.generation,
+        2 * GENERATIONS as u64,
+        "every ingest and every fold published one generation: {m:?}"
     );
+    assert!(service.engine().shards_with_side_logs().is_empty());
 }
 
 proptest! {
