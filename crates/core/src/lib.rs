@@ -76,7 +76,7 @@ pub use tenant::TenantId;
 // Re-exported so hot-swap callers (the serving layer hands new databases,
 // metadata graphs and change feeds to `SnapshotHandle`) need no direct
 // dependency on the lower crates.
-pub use soda_ingest::{ChangeFeed, CompactionPolicy, RowEvent};
+pub use soda_ingest::{ChangeFeed, RowEvent};
 pub use soda_metagraph::MetaGraph;
 pub use soda_relation::{Database, Value};
 // Re-exported so callers of a traced search can name sinks and

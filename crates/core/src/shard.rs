@@ -123,12 +123,6 @@ pub struct ShardStats {
     /// compaction folds back into the frozen partition (empty when the
     /// inverted index is disabled, all zero when nothing was ingested).
     pub log_postings: Vec<usize>,
-    /// Side-log rows per shard.
-    pub log_rows: Vec<usize>,
-    /// Masked tables per shard's side log (replaced/truncated tables whose
-    /// frozen postings are filtered on every probe until a compaction folds
-    /// them — any mask makes the shard due).
-    pub log_masks: Vec<usize>,
     /// Base-data probes served per shard since the engine was built.  Probe
     /// counters are shared across derived snapshot generations (a fold
     /// does not reset any shard's history).
@@ -172,8 +166,6 @@ mod tests {
             shards: 2,
             index_postings: vec![100, 90],
             log_postings: vec![0, 8],
-            log_rows: vec![0, 2],
-            log_masks: vec![0, 1],
             probes: vec![3, 4],
         };
         assert_eq!(stats.total_probes(), 7);

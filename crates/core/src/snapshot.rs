@@ -97,26 +97,20 @@ pub struct EngineSnapshot {
 struct ShardSizes {
     index_postings: Vec<usize>,
     log_postings: Vec<usize>,
-    log_rows: Vec<usize>,
-    log_masks: Vec<usize>,
 }
 
 impl ShardSizes {
     fn of(index: Option<&ShardedInvertedIndex>) -> Self {
-        let (index_postings, log_postings, log_rows, log_masks) = match index {
+        let (index_postings, log_postings) = match index {
             Some(index) => (
                 index.shards().iter().map(|s| s.posting_count()).collect(),
                 index.side_log_postings(),
-                index.side_log_rows(),
-                index.side_log_masks(),
             ),
-            None => (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+            None => (Vec::new(), Vec::new()),
         };
         Self {
             index_postings,
             log_postings,
-            log_rows,
-            log_masks,
         }
     }
 }
@@ -242,15 +236,14 @@ impl EngineSnapshot {
         feed: soda_ingest::ChangeFeed,
         generation: u64,
     ) -> Result<Self> {
-        let ingestor = soda_ingest::Ingestor::new(self.shard_count());
         let mut next = (*self.db).clone();
         let index = match &self.index {
             Some(index) => {
                 // Clone only the logs the feed will touch (the others get
                 // cheap empty placeholders and are `Arc`-shared afterwards),
                 // so an ingest never copies the accumulated overlays of
-                // unrelated shards.  The ingestor routes by the same table
-                // hash, so these are exactly the logs it writes.
+                // unrelated shards.  `absorb` routes by the same table hash,
+                // so these are exactly the logs it writes.
                 let touched: Vec<usize> = self.shards_for_tables(&feed.tables());
                 let mut logs: Vec<soda_relation::SideLog> = index
                     .side_logs()
@@ -264,7 +257,7 @@ impl EngineSnapshot {
                         }
                     })
                     .collect();
-                ingestor.absorb(&mut next, Some(&mut logs), feed)?;
+                soda_ingest::absorb(&mut next, Some(&mut logs), feed)?;
                 let patches: Vec<(usize, soda_relation::SideLog)> = touched
                     .iter()
                     .map(|&shard| (shard, std::mem::take(&mut logs[shard])))
@@ -272,7 +265,7 @@ impl EngineSnapshot {
                 Some(index.with_patched_side_logs(patches))
             }
             None => {
-                ingestor.absorb(&mut next, None, feed)?;
+                soda_ingest::absorb(&mut next, None, feed)?;
                 None
             }
         };
@@ -415,8 +408,6 @@ impl EngineSnapshot {
             shards: self.shard_count(),
             index_postings: self.sizes.index_postings.clone(),
             log_postings: self.sizes.log_postings.clone(),
-            log_rows: self.sizes.log_rows.clone(),
-            log_masks: self.sizes.log_masks.clone(),
             probes: self.probes.counts(),
         }
     }

@@ -1,94 +1,60 @@
-//! The ingestor: applies a change feed to a database copy while routing the
-//! indexed consequences into per-shard side logs.
+//! The one replay loop: applies a change feed to a database copy while
+//! routing the indexed consequences into per-shard side logs.
 
 use soda_relation::{shard_for_table, Database, Result, SideLog};
 
 use crate::event::{ChangeFeed, RowEvent};
 
-/// Routes row-level events into per-shard side logs by the same stable table
-/// hash that partitions the frozen index — so every table's overlay lands in
-/// the shard whose frozen postings it extends or supersedes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ingestor {
-    shard_count: usize,
-}
-
-impl Ingestor {
-    /// An ingestor for a `shard_count`-way partitioned index (clamped to at
-    /// least 1).
-    pub fn new(shard_count: usize) -> Self {
-        Self {
-            shard_count: shard_count.max(1),
-        }
-    }
-
-    /// Number of shards events are routed across.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The shard that owns `table`'s postings (and therefore its side-log
-    /// entries).
-    pub fn shard_for(&self, table: &str) -> usize {
-        shard_for_table(table, self.shard_count)
-    }
-
-    /// Applies every event of `feed` to `db`, in order, and — when `logs` is
-    /// given (one [`SideLog`] per shard, which must match
-    /// [`shard_count`](Self::shard_count)) — mirrors the indexed
-    /// consequences into them: appends index only the new tail rows,
-    /// replacements mask the frozen postings and re-index from row zero,
-    /// truncations mask.  `None` is for engines whose inverted index is
-    /// disabled and for reference replays: the base data still has to move
-    /// so SQL execution sees the new rows.  The logs written are those of
-    /// the shards owning `feed.tables()`.
-    ///
-    /// The feed is taken by value — appended and replacement rows move into
-    /// the database, no per-row clone; a caller that keeps its feed clones
-    /// it at the call.  This is the crate's only replay loop.
-    ///
-    /// On any error (unknown table, arity or type violation) the feed is
-    /// abandoned mid-way; callers are expected to pass *copies* of their
-    /// published database and logs and to discard them on `Err`, so no
-    /// partial state ever escapes — exactly how
-    /// `soda_core::SnapshotHandle::absorb` drives it.
-    pub fn absorb(
-        &self,
-        db: &mut Database,
-        mut logs: Option<&mut [SideLog]>,
-        feed: ChangeFeed,
-    ) -> Result<()> {
-        if let Some(logs) = &logs {
-            assert_eq!(logs.len(), self.shard_count, "one side log per index shard");
-        }
-        for event in feed.into_events() {
-            let shard = self.shard_for(event.table());
-            match event {
-                RowEvent::Append { table, row } => {
-                    let start = db.table(&table)?.row_count();
-                    db.insert(&table, row)?;
-                    if let Some(logs) = logs.as_deref_mut() {
-                        logs[shard].append_rows(db.table(&table)?, start);
-                    }
+/// Applies every event of `feed` to `db`, in order, and — when `logs` is
+/// given (one [`SideLog`] per index shard) — mirrors the indexed
+/// consequences into them: appends index only the new tail rows,
+/// replacements mask the frozen postings and re-index from row zero,
+/// truncations mask.  Each event lands in the log of the shard that owns
+/// its table, by the same stable table hash
+/// ([`shard_for_table`]) over `logs.len()` that partitions the frozen
+/// index.  `None` is for engines whose inverted index is disabled and for
+/// reference replays: the base data still has to move so SQL execution
+/// sees the new rows.
+///
+/// The feed is taken by value — appended and replacement rows move into
+/// the database, no per-row clone; a caller that keeps its feed clones it
+/// at the call.
+///
+/// On any error (unknown table, arity or type violation) the feed is
+/// abandoned mid-way; callers are expected to pass *copies* of their
+/// published database and logs and to discard them on `Err`, so no partial
+/// state ever escapes — exactly how `soda_core::SnapshotHandle::absorb`
+/// drives it.
+pub fn absorb(db: &mut Database, mut logs: Option<&mut [SideLog]>, feed: ChangeFeed) -> Result<()> {
+    for event in feed.into_events() {
+        let log = logs
+            .as_deref_mut()
+            .map(|logs| &mut logs[shard_for_table(event.table(), logs.len())]);
+        match event {
+            RowEvent::Append { table, row } => {
+                let start = db.table(&table)?.row_count();
+                db.insert(&table, row)?;
+                if let Some(log) = log {
+                    log.append_rows(db.table(&table)?, start);
                 }
-                RowEvent::Replace { table, rows } => {
-                    let target = db.table_mut(&table)?;
-                    target.truncate();
-                    target.insert_all(rows)?;
-                    if let Some(logs) = logs.as_deref_mut() {
-                        logs[shard].replace_table(db.table(&table)?);
-                    }
+            }
+            RowEvent::Replace { table, rows } => {
+                let target = db.table_mut(&table)?;
+                target.truncate();
+                target.insert_all(rows)?;
+                if let Some(log) = log {
+                    log.replace_table(db.table(&table)?);
                 }
-                RowEvent::Truncate { table } => {
-                    db.table_mut(&table)?.truncate();
-                    if let Some(logs) = logs.as_deref_mut() {
-                        logs[shard].truncate_table(&table);
-                    }
+            }
+            RowEvent::Truncate { table } => {
+                db.table_mut(&table)?.truncate();
+                if let Some(log) = log {
+                    log.truncate_table(&table);
                 }
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -123,16 +89,15 @@ mod tests {
     fn absorb_routes_events_to_the_owning_shards() {
         let base = db();
         for shards in [1usize, 2, 4, 8] {
-            let ingestor = Ingestor::new(shards);
             let mut next = base.clone();
             let mut logs = vec![SideLog::default(); shards];
             let feed = ChangeFeed::new()
                 .append_row("city", vec![Value::Int(2), Value::from("Basel")])
                 .replace("org", vec![vec![Value::Int(9), Value::from("Basler Bank")]]);
-            ingestor.absorb(&mut next, Some(&mut logs), feed).unwrap();
+            absorb(&mut next, Some(&mut logs), feed).unwrap();
             let owners: Vec<usize> = ["city", "org"]
                 .iter()
-                .map(|t| ingestor.shard_for(t))
+                .map(|t| shard_for_table(t, shards))
                 .collect();
             // Every log entry sits in the shard its table hashes to.
             for (i, log) in logs.iter().enumerate() {
@@ -154,7 +119,6 @@ mod tests {
 
     #[test]
     fn errors_abandon_the_feed() {
-        let ingestor = Ingestor::new(2);
         let city = |id: Value, name: &str| vec![id, Value::from(name)];
         let bad_feeds = [
             // An unknown table, behind an event that is valid on its own.
@@ -177,18 +141,17 @@ mod tests {
         ];
         for feed in bad_feeds {
             let mut logs = vec![SideLog::default(); 2];
-            let logged = ingestor.absorb(&mut db(), Some(&mut logs), feed.clone());
+            let logged = absorb(&mut db(), Some(&mut logs), feed.clone());
             assert!(logged.is_err(), "{feed:?}");
-            assert!(ingestor.absorb(&mut db(), None, feed).is_err());
+            assert!(absorb(&mut db(), None, feed).is_err());
         }
     }
 
     #[test]
     fn absorb_without_logs_moves_only_the_base_data() {
-        let ingestor = Ingestor::new(4);
         let mut next = db();
         let feed = ChangeFeed::new().truncate("org");
-        ingestor.absorb(&mut next, None, feed).unwrap();
+        absorb(&mut next, None, feed).unwrap();
         assert_eq!(next.table("org").unwrap().row_count(), 0);
         assert_eq!(next.table("city").unwrap().row_count(), 1);
     }

@@ -187,7 +187,7 @@ impl ChangeFeed {
     /// Consumes the feed into its events — the zero-copy ingestion path:
     /// appended rows move straight into the database instead of being
     /// cloned out of a borrowed feed
-    /// ([`Ingestor::absorb`](crate::Ingestor::absorb)).
+    /// ([`absorb`](crate::absorb)).
     pub fn into_events(self) -> Vec<RowEvent> {
         self.events
     }

@@ -10,7 +10,7 @@
 //!
 //! * [`RowEvent`] / [`ChangeFeed`] — a row-level change feed: appends,
 //!   wholesale replacements and truncations, per table, in order.
-//! * [`Ingestor`] — routes a feed by
+//! * [`absorb`] — routes a feed by
 //!   [`shard_for_table`](soda_relation::shard_for_table) into per-shard
 //!   [`SideLog`]s (append-only posting overlays with the same canonical
 //!   posting shape as the frozen
@@ -18,18 +18,16 @@
 //!   to a copy of the base data.  Queries merge frozen shard and side log
 //!   on the fly — generated SQL stays byte-identical to a fully rebuilt
 //!   snapshot at every shard count.
-//! * [`CompactionPolicy`] — the threshold that decides when a grown log is
-//!   folded back into a rebuilt partition (turning reload latency into a
-//!   small, continuous cost).  Publishing is the hot-swap layer's:
-//!   `soda_core::SnapshotHandle::{absorb, compact}` publish log-bearing and
-//!   log-folded snapshot generations, and
-//!   `soda_service::TenantAdmin::{ingest_owned, compact}` drive the whole
-//!   loop, journaled, under live traffic — an ingest that grows a log past
-//!   the service's policy folds it before it returns.
+//!
+//! Publishing is the hot-swap layer's: `soda_core::SnapshotHandle::{absorb,
+//! compact}` publish log-bearing and log-folded snapshot generations, and
+//! `soda_service::TenantAdmin::{ingest_owned, compact}` drive the whole
+//! loop, journaled, under live traffic.  A log is folded back into a
+//! rebuilt partition only when the operator calls `compact`.
 //!
 //! ```
-//! use soda_ingest::{ChangeFeed, Ingestor};
-//! use soda_relation::{SideLog, Value};
+//! use soda_ingest::{absorb, ChangeFeed};
+//! use soda_relation::{shard_for_table, SideLog, Value};
 //!
 //! let mut db = soda_warehouse_doctest_stub::minibank();
 //! # mod soda_warehouse_doctest_stub {
@@ -51,20 +49,17 @@
 //!     "addresses",
 //!     vec![Value::Int(2), Value::from("Basel")],
 //! );
-//! let ingestor = Ingestor::new(4);
 //! let mut logs = vec![SideLog::default(); 4];
-//! ingestor.absorb(&mut db, Some(&mut logs), feed).unwrap();
+//! absorb(&mut db, Some(&mut logs), feed).unwrap();
 //! assert_eq!(db.table("addresses").unwrap().row_count(), 2);
-//! assert!(logs[ingestor.shard_for("addresses")].posting_count() > 0);
+//! assert!(logs[shard_for_table("addresses", 4)].posting_count() > 0);
 //! ```
 
-pub mod compact;
+mod absorb;
 pub mod event;
-pub mod ingestor;
 
-pub use compact::CompactionPolicy;
+pub use absorb::absorb;
 pub use event::{ChangeFeed, RowEvent};
-pub use ingestor::Ingestor;
 
 // Re-exported so the subsystem's full surface (feed → routing → overlay) is
 // importable from one crate; the type lives in `soda-relation` because the

@@ -42,7 +42,6 @@
 //! `(table, column, value)` reproduces the output of the monolithic index
 //! regardless of the shard count.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use super::postings::{fold_table_name, ValuePostings};
@@ -129,30 +128,13 @@ pub fn shard_for_table(table: &str, shard_count: usize) -> usize {
 }
 
 /// One partition of the inverted index: the value-level postings of the
-/// tables whose stable hash routes here, plus per-shard size accounting.
+/// tables whose stable hash routes here.
 #[derive(Debug, Default, Clone)]
 pub struct IndexShard {
     values: ValuePostings,
-    /// Number of indexed cells (non-unique records, in the paper's terms).
-    indexed_cells: usize,
 }
 
 impl IndexShard {
-    /// Number of distinct tokens in this shard.
-    pub fn token_count(&self) -> usize {
-        self.values.token_count()
-    }
-
-    /// Number of indexed text cells in this shard.
-    pub fn indexed_cells(&self) -> usize {
-        self.indexed_cells
-    }
-
-    /// Number of indexed text columns in this shard.
-    pub fn indexed_columns(&self) -> usize {
-        self.values.column_count()
-    }
-
     /// Number of row-level postings in this shard: one per row and distinct
     /// token of its cell, however few value entries hold them.
     pub fn posting_count(&self) -> usize {
@@ -169,15 +151,10 @@ impl IndexShard {
         let mut shard = IndexShard::default();
         for table in db.tables() {
             if shard_for_table(&table.schema().name, shard_count) == shard_idx {
-                shard.index_table(table);
+                shard.values.index_rows(table, 0);
             }
         }
         shard
-    }
-
-    /// Indexes every text cell of one table into this shard.
-    fn index_table(&mut self, table: &crate::table::Table) {
-        self.indexed_cells += self.values.index_rows(table, 0);
     }
 
     /// Probes this shard *overlaid with its side log* for a prepared phrase:
@@ -246,10 +223,6 @@ pub struct ShardedInvertedIndex {
     /// shard with its log; a rebuild of a partition folds (and clears) its
     /// log.
     logs: Vec<Arc<SideLog>>,
-    /// Number of distinct tokens across all *frozen* shards (a token whose
-    /// postings span several tables can live in several shards);
-    /// [`token_count`](Self::token_count) adds the log-only tokens on top.
-    distinct_tokens: usize,
 }
 
 impl Default for ShardedInvertedIndex {
@@ -257,7 +230,6 @@ impl Default for ShardedInvertedIndex {
         Self {
             shards: vec![Arc::new(IndexShard::default())],
             logs: vec![Arc::new(SideLog::default())],
-            distinct_tokens: 0,
         }
     }
 }
@@ -275,37 +247,15 @@ impl ShardedInvertedIndex {
         let shard_count = shard_count.max(1);
         let mut shards = vec![IndexShard::default(); shard_count];
         for table in db.tables() {
-            shards[shard_for_table(&table.schema().name, shard_count)].index_table(table);
+            shards[shard_for_table(&table.schema().name, shard_count)]
+                .values
+                .index_rows(table, 0);
         }
-        Self::from_shards(shards.into_iter().map(Arc::new).collect())
-    }
-
-    /// Assembles an index from already-built partitions, recounting the
-    /// distinct tokens.  The recount hashes every shard's vocabulary —
-    /// O(distinct tokens), which a fold pays once per swap; the
-    /// rebuilt partition's table scan dominates it in practice, and the
-    /// count must span all shards anyway (tokens overlap across partitions).
-    fn from_shards(shards: Vec<Arc<IndexShard>>) -> Self {
-        let logs = shards
-            .iter()
-            .map(|_| Arc::new(SideLog::default()))
-            .collect();
-        Self::from_parts(shards, logs)
-    }
-
-    fn from_parts(shards: Vec<Arc<IndexShard>>, logs: Vec<Arc<SideLog>>) -> Self {
-        debug_assert_eq!(shards.len(), logs.len());
-        let distinct_tokens = {
-            let mut tokens: HashSet<&str> = HashSet::new();
-            for shard in &shards {
-                tokens.extend(shard.values.tokens());
-            }
-            tokens.len()
-        };
         Self {
-            shards,
-            logs,
-            distinct_tokens,
+            shards: shards.into_iter().map(Arc::new).collect(),
+            logs: (0..shard_count)
+                .map(|_| Arc::new(SideLog::default()))
+                .collect(),
         }
     }
 
@@ -346,7 +296,7 @@ impl ShardedInvertedIndex {
                 }
             })
             .collect();
-        Self::from_parts(shards, logs)
+        Self { shards, logs }
     }
 
     /// Derives an index with the same frozen partitions but new side logs —
@@ -361,7 +311,6 @@ impl ShardedInvertedIndex {
         Self {
             shards: self.shards.clone(),
             logs: logs.into_iter().map(Arc::new).collect(),
-            distinct_tokens: self.distinct_tokens,
         }
     }
 
@@ -379,7 +328,6 @@ impl ShardedInvertedIndex {
         Self {
             shards: self.shards.clone(),
             logs,
-            distinct_tokens: self.distinct_tokens,
         }
     }
 
@@ -408,47 +356,6 @@ impl ShardedInvertedIndex {
     /// Side-log postings per shard, in partition order.
     pub fn side_log_postings(&self) -> Vec<usize> {
         self.logs.iter().map(|l| l.posting_count()).collect()
-    }
-
-    /// Side-log rows per shard, in partition order.
-    pub fn side_log_rows(&self) -> Vec<usize> {
-        self.logs.iter().map(|l| l.row_count()).collect()
-    }
-
-    /// Masked tables per shard's side log, in partition order.  A mask taxes
-    /// every probe of its shard even when the log holds no postings (frozen
-    /// candidates are filtered per entry), so compaction policies treat any
-    /// mask as worth folding.
-    pub fn side_log_masks(&self) -> Vec<usize> {
-        self.logs.iter().map(|l| l.masked_tables().len()).collect()
-    }
-
-    /// Number of distinct tokens across all shards *and* their side logs
-    /// (tokens of masked frozen entries still count — this is a size gauge,
-    /// not a semantic invariant).
-    pub fn token_count(&self) -> usize {
-        if !self.has_side_logs() {
-            return self.distinct_tokens;
-        }
-        let mut extra: HashSet<&str> = HashSet::new();
-        for log in &self.logs {
-            for token in log.tokens() {
-                if !self.shards.iter().any(|s| s.values.has_token(token)) {
-                    extra.insert(token);
-                }
-            }
-        }
-        self.distinct_tokens + extra.len()
-    }
-
-    /// Number of indexed text cells.
-    pub fn indexed_cells(&self) -> usize {
-        self.shards.iter().map(|s| s.indexed_cells()).sum()
-    }
-
-    /// Number of indexed text columns.
-    pub fn indexed_columns(&self) -> usize {
-        self.shards.iter().map(|s| s.indexed_columns()).sum()
     }
 
     /// Total number of row-level postings in the frozen partitions.
@@ -606,9 +513,7 @@ mod tests {
         let db = db();
         let idx = InvertedIndex::build(&db);
         assert_eq!(idx.shard_count(), 1);
-        assert_eq!(idx.indexed_columns(), 3); // org_name, country, city
-        assert_eq!(idx.indexed_cells(), 4 + 3); // 2 orgs x 2 cols + 3 addresses x 1 col
-        assert!(idx.token_count() > 0);
+        assert_eq!(idx.token_frequency("zurich"), 2);
         assert_eq!(idx.token_frequency("8001"), 0); // numeric column not indexed
     }
 
@@ -729,10 +634,7 @@ mod tests {
             assert_eq!(idx.shard_count(), shards);
             // Global sizes are preserved under partitioning.
             let mono = InvertedIndex::build(&db);
-            assert_eq!(idx.indexed_cells(), mono.indexed_cells());
-            assert_eq!(idx.indexed_columns(), mono.indexed_columns());
             assert_eq!(idx.posting_count(), mono.posting_count());
-            assert_eq!(idx.token_count(), mono.token_count());
             // Each table's hits come from exactly the shard its hash names.
             for phrase in ["Zurich", "Credit Suisse", "Switzerland", "Geneva"] {
                 let probe = idx.probe(phrase).unwrap();
@@ -778,8 +680,6 @@ mod tests {
             for (i, shard) in idx.shards().iter().enumerate() {
                 let rebuilt = IndexShard::build_partition(&db, i, shards);
                 assert_eq!(rebuilt.values, shard.values, "shard {i}/{shards}");
-                assert_eq!(rebuilt.indexed_cells(), shard.indexed_cells());
-                assert_eq!(rebuilt.indexed_columns(), shard.indexed_columns());
             }
         }
     }
@@ -807,7 +707,6 @@ mod tests {
             );
         }
         assert_eq!(after.posting_count(), fresh.posting_count());
-        assert_eq!(after.token_count(), fresh.token_count());
         // Untouched partitions are shared, not copied; the rebuilt one is new.
         for (i, (old, new)) in before.shards().iter().zip(after.shards()).enumerate() {
             if i == owner {
@@ -825,7 +724,7 @@ mod tests {
 
     /// Builds per-shard side logs reflecting `events` applied on top of
     /// `base`: the canonical ingestion shape (`soda-ingest` drives the same
-    /// calls through its `Ingestor`).
+    /// calls through its `absorb`).
     fn logged_index_after(
         base: &Database,
         shards: usize,
@@ -903,8 +802,8 @@ mod tests {
     }
 
     /// The catalog folds table names by ASCII case only, so `ÄRZTE` is not
-    /// `ärzte`; masks, row accounting and routing must fold the same way or
-    /// a replaced table's frozen values keep answering.
+    /// `ärzte`; masks and routing must fold the same way or a replaced
+    /// table's frozen values keep answering.
     #[test]
     fn a_replaced_table_with_a_non_ascii_upper_case_name_is_masked() {
         let mut base = Database::new();
@@ -928,7 +827,11 @@ mod tests {
                 }
             });
             assert!(replaced.side_logs()[owner].masks("ÄRZTE"));
-            assert_eq!(replaced.side_log_masks()[owner], 1, "masked once");
+            assert_eq!(
+                replaced.side_logs()[owner].masked_tables().len(),
+                1,
+                "masked once"
+            );
             let (truncated_db, truncated) = logged_index_after(&base, shards, |db, logs| {
                 db.table_mut("ÄRZTE").unwrap().truncate();
                 logs[owner].truncate_table("ÄRZTE");
@@ -991,7 +894,6 @@ mod tests {
         );
         assert_eq!(folded.side_log_postings(), vec![0; shards]);
         assert!(logged.side_log_postings()[owner] > 0);
-        assert_eq!(logged.side_log_rows()[owner], 1);
     }
 
     #[test]
@@ -1037,8 +939,8 @@ mod tests {
         for (i, (old, new)) in idx.side_logs().iter().zip(patched.side_logs()).enumerate() {
             assert_eq!(Arc::ptr_eq(old, new), i != 1, "log {i}");
         }
-        assert_eq!(patched.side_log_masks(), vec![0, 1, 0, 0]);
-        assert_eq!(idx.side_log_masks(), vec![0; shards]);
+        assert!(patched.side_logs()[1].masks("address"));
+        assert!(!idx.has_side_logs());
         // Frozen partitions are shared wholesale.
         for (old, new) in idx.shards().iter().zip(patched.shards()) {
             assert!(Arc::ptr_eq(old, new));

@@ -10,9 +10,9 @@
 //! contains it.  A probe walks the handful of entries of one token instead
 //! of every row that token occurs in, and never goes back to the table.
 //!
-//! Sizes that callers budget with (`posting_count`) stay row-level: one
-//! posting per `(row, distinct token of the cell)`, i.e. Σ `row_count` over
-//! the token lists.
+//! The size gauge (`posting_count`) stays row-level: one posting per
+//! `(row, distinct token of the cell)`, i.e. Σ `row_count` over the token
+//! lists.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -81,26 +81,6 @@ impl ValuePostings {
         self.entries.is_empty()
     }
 
-    /// Number of distinct tokens.
-    pub(super) fn token_count(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// The distinct tokens.
-    pub(super) fn tokens(&self) -> impl Iterator<Item = &str> {
-        self.tokens.keys().map(String::as_str)
-    }
-
-    /// True when some indexed value contains `token` (already normalised).
-    pub(super) fn has_token(&self, token: &str) -> bool {
-        self.tokens.contains_key(token)
-    }
-
-    /// Number of registered text columns.
-    pub(super) fn column_count(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Row-level postings: one per `(row, distinct token of its cell)`.
     pub(super) fn posting_count(&self) -> usize {
         self.postings
@@ -160,9 +140,8 @@ impl ValuePostings {
 
     /// Indexes every text cell of `table`'s rows `start_row..`: a text seen
     /// for the first time is tokenised once and becomes an entry, every
-    /// further row holding it only bumps that entry's `row_count`.  Returns
-    /// the number of text cells indexed.
-    pub(super) fn index_rows(&mut self, table: &Table, start_row: usize) -> usize {
+    /// further row holding it only bumps that entry's `row_count`.
+    pub(super) fn index_rows(&mut self, table: &Table, start_row: usize) {
         let schema = table.schema();
         let own_columns = match self.tables.get(&fold_table_name(&schema.name)) {
             Some(own) => own.clone(),
@@ -173,7 +152,6 @@ impl ValuePostings {
             .iter()
             .enumerate()
             .filter(|(_, col)| col.data_type == DataType::Text);
-        let mut cells = 0;
         for (column, (col_idx, _)) in own_columns.zip(text_columns) {
             // Only a column that already holds entries (an append to a side
             // log) can hold the entry of a text new to this call.
@@ -185,7 +163,6 @@ impl ValuePostings {
                 let Value::Text(text) = &row[col_idx] else {
                     continue;
                 };
-                cells += 1;
                 let id = match seen.get(&**text) {
                     Some(&id) => id,
                     None => {
@@ -201,7 +178,6 @@ impl ValuePostings {
                 }
             }
         }
-        cells
     }
 
     /// Registers the text columns of a table new to this structure and

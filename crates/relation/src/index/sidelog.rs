@@ -26,15 +26,12 @@
 //! the shard-invariance tests pin down).
 //!
 //! Table names are folded the way the catalog folds them (ASCII case) —
-//! in the masks, in the row accounting and in the shard routing — so a name
-//! the catalog resolves is a name the log recognises.
+//! in the masks and in the shard routing — so a name the catalog resolves
+//! is a name the log recognises.
 //!
-//! Logs are meant to stay small: a compaction layer folds a grown log into
-//! a rebuilt partition (see `soda-ingest`'s `CompactionPolicy` and
-//! `soda_core::SnapshotHandle::compact`), after which the log is empty
-//! again.
-
-use std::collections::BTreeMap;
+//! A log grows until someone folds it: `soda_core::SnapshotHandle::compact`
+//! rebuilds its partition from the current base data, after which the log
+//! is empty again.
 
 use super::postings::{fold_table_name, ValuePostings};
 use crate::table::Table;
@@ -52,8 +49,6 @@ pub struct SideLog {
     /// Folded names of tables whose *frozen* entries are superseded
     /// (replaced or truncated since the partition was built), sorted.
     masked: Vec<String>,
-    /// Live rows indexed into this log, per folded table name.
-    rows: BTreeMap<String, usize>,
 }
 
 impl SideLog {
@@ -69,14 +64,9 @@ impl SideLog {
     }
 
     /// Number of row-level postings in the log: one per logged row and
-    /// distinct token of its cell (the unit compaction budgets are in).
+    /// distinct token of its cell.
     pub fn posting_count(&self) -> usize {
         self.values.posting_count()
-    }
-
-    /// Number of live rows indexed into the log across all tables.
-    pub fn row_count(&self) -> usize {
-        self.rows.values().sum()
     }
 
     /// Folded names of the tables whose frozen entries this log supersedes.
@@ -94,17 +84,11 @@ impl SideLog {
         self.masked.iter().any(|m| m.eq_ignore_ascii_case(table))
     }
 
-    /// The distinct tokens present in the log.
-    pub fn tokens(&self) -> impl Iterator<Item = &str> {
-        self.values.tokens()
-    }
-
     /// Indexes the rows of `table` from `start_row` to the end (an append
     /// event: the rows before `start_row` are already covered, either by the
     /// frozen partition or by earlier log entries).
     pub fn append_rows(&mut self, table: &Table, start_row: usize) {
-        let indexed = self.index_range(table, start_row);
-        *self.rows.entry(fold_table_name(table.name())).or_default() += indexed;
+        self.values.index_rows(table, start_row);
     }
 
     /// Records a wholesale replacement of `table`: masks its frozen
@@ -112,8 +96,7 @@ impl SideLog {
     /// replacement rows from row 0.
     pub fn replace_table(&mut self, table: &Table) {
         self.truncate_table(table.name());
-        let indexed = self.index_range(table, 0);
-        self.rows.insert(fold_table_name(table.name()), indexed);
+        self.values.index_rows(table, 0);
     }
 
     /// Records a truncation of the table named `name`: masks its frozen
@@ -124,14 +107,6 @@ impl SideLog {
             self.masked.push(fold_table_name(name));
             self.masked.sort_unstable();
         }
-        self.rows.insert(fold_table_name(name), 0);
-    }
-
-    /// Indexes every text cell of `table`'s rows `start_row..` into the log.
-    /// Returns the number of rows indexed.
-    fn index_range(&mut self, table: &Table, start_row: usize) -> usize {
-        self.values.index_rows(table, start_row);
-        table.row_count().saturating_sub(start_row)
     }
 }
 
@@ -166,7 +141,6 @@ mod tests {
             .unwrap();
         log.append_rows(db.table("city").unwrap(), 2);
         assert!(!log.is_empty());
-        assert_eq!(log.row_count(), 1);
         assert_eq!(log.posting_count(), 2); // "basel", "stadt"
         assert_eq!(log.values.live_rows("basel", &[]), 1);
         assert_eq!(log.values.live_rows("zurich", &[]), 0);
@@ -183,7 +157,6 @@ mod tests {
                 .unwrap();
             log.append_rows(db.table("city").unwrap(), start);
         }
-        assert_eq!(log.row_count(), 3);
         assert_eq!(log.posting_count(), 6);
         assert_eq!(log.values.candidates("basel"), 1, "one entry, three rows");
         assert_eq!(log.values.live_rows("stadt", &[]), 3);
@@ -207,7 +180,6 @@ mod tests {
         assert_eq!(log.values.candidates("basel"), 0);
         assert_eq!(log.values.live_rows("chur", &[]), 1);
         assert_eq!(log.posting_count(), 1);
-        assert_eq!(log.row_count(), 1);
     }
 
     #[test]
@@ -216,7 +188,6 @@ mod tests {
         log.truncate_table("City");
         assert!(log.masks("city"));
         assert_eq!(log.posting_count(), 0);
-        assert_eq!(log.row_count(), 0);
         assert!(!log.is_empty(), "a mask alone still changes probe results");
     }
 
@@ -240,7 +211,6 @@ mod tests {
         log.replace_table(db.table("facts").unwrap());
         assert_eq!(log.values.live_rows("zurich", &[]), 1);
         assert_eq!(log.posting_count(), 2);
-        assert_eq!(log.row_count(), 3);
     }
 
     #[test]

@@ -773,7 +773,6 @@ proptest! {
                 .sum();
             let fresh = InvertedIndex::build_sharded(&live, shards);
             prop_assert_eq!(fresh.posting_count(), postings);
-            prop_assert_eq!(fresh.indexed_cells(), cells.len());
         }
     }
 }

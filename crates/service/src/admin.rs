@@ -5,8 +5,7 @@
 //!
 //! One path per kind of change: base data changes through
 //! [`ingest_owned`](TenantAdmin::ingest_owned) (journaled, O(delta)) and is
-//! folded by [`compact`](TenantAdmin::compact) or by the ingest that grows a
-//! log past its budget; metadata changes through
+//! folded by [`compact`](TenantAdmin::compact); metadata changes through
 //! [`refresh_graph`](TenantAdmin::refresh_graph); everything else — a
 //! foreign database, a new configuration — through
 //! [`reload`](TenantAdmin::reload).
@@ -126,9 +125,9 @@ impl TenantAdmin<'_> {
     ///
     /// The feed is taken by value (its rows move into the new generation
     /// instead of being cloned out of a borrow); the write-ahead journal
-    /// append, the absorb, the counter updates, the retention pass and the
-    /// fold of every log past the compaction budget all run under the
-    /// tenant's swap lock.
+    /// append, the absorb, the counter updates and the retention pass all
+    /// run under the tenant's swap lock.  The side logs the feed grows stay
+    /// until [`compact`](Self::compact) folds them.
     ///
     /// A feed without events changes nothing, so it costs nothing: the live
     /// generation is returned with nothing journaled, published or logged —
@@ -172,7 +171,6 @@ impl TenantAdmin<'_> {
         shared.ingest_events.fetch_add(events, Ordering::Relaxed);
         shared.ingest_rows.fetch_add(rows, Ordering::Relaxed);
         retain_unaffected(shared, tenant, &before, Some(&dirty));
-        fold_due_under_swap_lock(shared, tenant);
         Ok(generation)
     }
 
@@ -182,8 +180,27 @@ impl TenantAdmin<'_> {
     /// Returns the new generation, or `None` when none of the named shards had
     /// a log to fold.
     pub fn compact(&self, shards: &[usize]) -> Option<u64> {
-        let _swap = self.tenant.swaps.lock().expect("tenant swap lock poisoned");
-        compact_under_swap_lock(self.shared, &self.tenant, shards)
+        let (shared, tenant) = (self.shared, &self.tenant);
+        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let before = tenant.handle.load();
+        let (generation, folded) = tenant.handle.compact(shards)?;
+        shared.tenant_event(
+            "compaction",
+            tenant,
+            format!("generation {generation}, shards {folded:?}"),
+        );
+        tenant.compactions.fetch_add(1, Ordering::Relaxed);
+        // A fold changes no answers, but the fingerprint moved: carry every
+        // provably unaffected page over; pages whose probes had candidates in a
+        // folded shard are recomputed (conservative — their hits merely moved
+        // from the log into the frozen partition).
+        retain_unaffected(shared, tenant, &before, Some(&folded));
+        // The fold changed no rows, so the dirty set is already right — but the
+        // generation moved and the side logs are gone: a checkpoint here both keeps
+        // recovery fingerprints current and truncates the journal (the feeds it
+        // replaces are exactly the ones the fold absorbed into the partitions).
+        write_checkpoint_under_swap_lock(shared, tenant, false);
+        Some(generation)
     }
 
     /// Drops this tenant's cached result pages — every entry keyed by the
@@ -298,51 +315,9 @@ impl<'a> RetentionGate<'a> {
     }
 }
 
-/// The compaction step of [`TenantAdmin::compact`] and of every due fold;
-/// the caller must hold the tenant's swap lock.
-fn compact_under_swap_lock(shared: &Shared, tenant: &TenantState, shards: &[usize]) -> Option<u64> {
-    let before = tenant.handle.load();
-    let logged = before.shards_with_side_logs();
-    let foldable: Vec<usize> = shards
-        .iter()
-        .copied()
-        .filter(|s| logged.contains(s))
-        .collect();
-    let generation = tenant.handle.compact(&foldable)?;
-    shared.tenant_event(
-        "compaction",
-        tenant,
-        format!("generation {generation}, shards {foldable:?}"),
-    );
-    tenant.compactions.fetch_add(1, Ordering::Relaxed);
-    // A fold changes no answers, but the fingerprint moved: carry every
-    // provably unaffected page over; pages whose probes had candidates in a
-    // folded shard are recomputed (conservative — their hits merely moved
-    // from the log into the frozen partition).
-    retain_unaffected(shared, tenant, &before, Some(&foldable));
-    // The fold changed no rows, so the dirty set is already right — but the
-    // generation moved and the side logs are gone: a checkpoint here both keeps
-    // recovery fingerprints current and truncates the journal (the feeds it
-    // replaces are exactly the ones the fold absorbed into the partitions).
-    write_checkpoint_under_swap_lock(shared, tenant, false);
-    Some(generation)
-}
-
-/// Folds the tenant's side logs the compaction policy calls due, where logs
-/// grow: at the end of every ingest and once after a journal replay.  A
-/// no-op without a policy; the caller must hold the tenant's swap lock.
-pub(crate) fn fold_due_under_swap_lock(shared: &Shared, tenant: &TenantState) {
-    let Some(policy) = &shared.config.compaction else {
-        return;
-    };
-    let stats = tenant.handle.load().shard_stats();
-    let due = policy.due(&stats.log_postings, &stats.log_rows, &stats.log_masks);
-    compact_under_swap_lock(shared, tenant, &due);
-}
-
 #[cfg(test)]
 mod tests {
-    use soda_core::{CompactionPolicy, ProbeRecorder, SearchOptions, SnapshotHandle, SodaConfig};
+    use soda_core::{ProbeRecorder, SearchOptions, SnapshotHandle, SodaConfig};
 
     use super::*;
     use crate::service::tests::{address_feed, admin, minibank_service};
@@ -645,35 +620,23 @@ mod tests {
     }
 
     #[test]
-    fn an_ingest_past_the_budget_returns_folded() {
-        let service =
-            minibank_service(ServiceConfig::default().compaction(CompactionPolicy::eager()));
-        let generation = admin(&service)
-            .ingest_owned(address_feed(900, "Streamville"))
-            .unwrap();
-        assert_eq!(generation, 1, "the generation the feed was absorbed at");
-        let m = service.metrics();
-        assert_eq!(m.ingest.compactions, 1);
-        assert_eq!(m.generation, 2, "the fold published its own");
-        assert!(service.engine().shards_with_side_logs().is_empty());
-        let page = service
-            .query(QueryRequest::new("Streamville"))
-            .wait()
-            .unwrap()
-            .page;
-        assert!(!page.results.is_empty());
-    }
-
-    #[test]
-    fn a_mask_only_log_is_folded_by_the_ingest_that_left_it() {
-        // A Truncate leaves a log with zero postings and zero rows but a
-        // mask that taxes every probe of its shard — the default policy
-        // folds it even though the size gauges never cross a threshold.
-        let service =
-            minibank_service(ServiceConfig::default().compaction(CompactionPolicy::default()));
+    fn a_mask_only_log_is_listed_and_folded_by_compact() {
+        // A Truncate leaves a log with zero postings but a mask that taxes
+        // every probe of its shard: it is a log to fold all the same.
+        let service = minibank_service(ServiceConfig::default());
         admin(&service)
             .ingest_owned(ChangeFeed::new().truncate("securities"))
             .unwrap();
+        let logged = service.engine().shards_with_side_logs();
+        assert_eq!(
+            logged,
+            service.engine().shards_for_tables(&["securities".into()])
+        );
+        assert_eq!(
+            service.metrics().shards.log_postings.iter().sum::<usize>(),
+            0
+        );
+        assert_eq!(admin(&service).compact(&logged), Some(2));
         assert_eq!(service.metrics().ingest.compactions, 1);
         assert!(service.engine().shards_with_side_logs().is_empty());
     }

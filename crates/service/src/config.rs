@@ -1,12 +1,11 @@
 //! The configuration types of the service: [`ServiceConfig`] and the
 //! opt-in sub-configurations it carries ([`SamplingConfig`],
-//! [`CompactionPolicy`], [`SloConfig`]), plus the [`DurabilityConfig`]
-//! handed to [`QueryService::recover`](crate::QueryService::recover).
+//! [`SloConfig`]), plus the [`DurabilityConfig`] handed to
+//! [`QueryService::recover`](crate::QueryService::recover).
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use soda_core::CompactionPolicy;
 use soda_journal::FsyncPolicy;
 
 use crate::slo::SloConfig;
@@ -31,11 +30,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum result pages held by the interpretation cache.
     pub cache_capacity: usize,
-    /// When set, the ingest (or journal replay) that grows a side log past
-    /// the policy's budget folds it into a rebuilt index partition before it
-    /// returns.  `None` — the default — leaves compaction to explicit
-    /// [`TenantAdmin::compact`](crate::TenantAdmin::compact) calls.
-    pub compaction: Option<CompactionPolicy>,
     /// When set, every executed query is traced through a
     /// [`CollectingSink`](soda_trace::CollectingSink) and every answered
     /// query — a warm hit included — whose **end-to-end** latency (queue
@@ -68,7 +62,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 256,
             cache_capacity: 1024,
-            compaction: None,
             slow_query_threshold: None,
             sampling: None,
             slo: None,
@@ -92,12 +85,6 @@ impl ServiceConfig {
     /// Sets the interpretation-cache capacity.
     pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cache_capacity = cache_capacity;
-        self
-    }
-
-    /// Folds side logs past `policy`'s budget where they grow.
-    pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction = Some(policy);
         self
     }
 
@@ -201,13 +188,11 @@ mod tests {
             .workers(3)
             .queue_capacity(17)
             .cache_capacity(9)
-            .compaction(CompactionPolicy::eager())
             .slow_query_threshold(Duration::from_millis(5));
         let literal = ServiceConfig {
             workers: 3,
             queue_capacity: 17,
             cache_capacity: 9,
-            compaction: Some(CompactionPolicy::eager()),
             slow_query_threshold: Some(Duration::from_millis(5)),
             ..ServiceConfig::default()
         };

@@ -551,16 +551,12 @@ impl QueryService {
     /// over its fast and slow windows.  Read-only — the transition ledger
     /// is only touched by `alerts`.
     fn evaluate_slo(&self) -> Vec<BurnAlert> {
-        let Some(slo) = &self.shared.config.slo else {
-            return Vec::new();
-        };
         let now = self.shared.started.elapsed();
         let mut out = Vec::new();
         for tenant in self.shared.tenants.all() {
             let Some(window) = &tenant.slo else { continue };
-            let name = tenant.id.as_str();
             let window = window.lock().expect("slo window poisoned");
-            out.extend(window.burn_alerts(now, name, slo.objective_for(name)));
+            out.extend(window.burn_alerts(now, tenant.id.as_str()));
         }
         out
     }

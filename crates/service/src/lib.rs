@@ -27,10 +27,8 @@
 //!   kind of change: base data changes only through
 //!   [`TenantAdmin::ingest_owned`], which absorbs a row-level
 //!   [`ChangeFeed`](soda_core::ChangeFeed) into per-shard side logs, and
-//!   compaction folds grown logs back into rebuilt partitions — on request,
-//!   or under [`ServiceConfig::compaction`] within the ingest (or journal
-//!   replay) that grew them past the policy's budget;
-//!   `refresh_graph` swaps in new metadata and `reload` anything else, all
+//!   [`TenantAdmin::compact`] folds those logs back into rebuilt partitions
+//!   when the operator asks; `refresh_graph` swaps in new metadata and `reload` anything else, all
 //!   without draining the pool.
 //! * [`durability`] — with a [`DurabilityConfig`] the service is
 //!   **crash-safe**: ingests are journaled write-ahead ([`soda_journal`]),
@@ -40,8 +38,8 @@
 //!   a graceful drain persists the warm cache pages.
 //! * [`tenants`] — [`TenantRegistry`]: further warehouses registered at
 //!   runtime, each with its own snapshot handle, queue lane, admission
-//!   quota and journal, while the worker pool, the cache and the
-//!   probe-thread budget stay shared.  Cache keys fold the tenant
+//!   quota and journal, while the worker pool and the cache stay shared.
+//!   Cache keys fold the tenant
 //!   fingerprint ([`TenantId::fold`]), so tenants share one LRU without any
 //!   possibility of cross-tenant hits.
 //! * [`cache`] — [`LruCache`], mapping *canonicalized* queries

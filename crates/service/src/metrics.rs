@@ -71,8 +71,8 @@ pub struct StageLatencies {
 /// Streaming-ingestion counters, embedded in [`ServiceMetrics`].
 ///
 /// Current side-log *sizes* live in [`ServiceMetrics::shards`]
-/// (`log_postings` / `log_rows`, re-sampled from the live snapshot); these
-/// are the lifetime counters.
+/// (`log_postings`, re-sampled from the live snapshot); these are the
+/// lifetime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestMetrics {
     /// Change feeds absorbed ([`TenantAdmin::ingest_owned`](crate::TenantAdmin::ingest_owned)).
@@ -81,7 +81,7 @@ pub struct IngestMetrics {
     pub events: u64,
     /// Rows those events carried.
     pub rows: u64,
-    /// Compactions performed (manual and background alike).
+    /// Compactions performed ([`TenantAdmin::compact`](crate::TenantAdmin::compact)).
     pub compactions: u64,
 }
 

@@ -76,11 +76,9 @@
 //! row-level change feed (appends, replacements, truncations) into a new
 //! generation of that tenant's snapshot without rebuilding any index
 //! partition: the events land in per-shard side logs that every probe
-//! merges on the fly.  Under a [`ServiceConfig::compaction`] policy the
-//! ingest that grows a shard's log past the budget folds it into a rebuilt
-//! partition before it returns, on the caller's thread and under the same
-//! swap lock — so does a journal replay; without one, logs are folded by
-//! [`TenantAdmin::compact`].  Data-only swaps (ingest, compaction) run a
+//! merges on the fly.  The logs grow until [`TenantAdmin::compact`] folds
+//! them into rebuilt partitions; the service never folds on its own.
+//! Data-only swaps (ingest, compaction) run a
 //! *generation-aware retention* pass over the tenant's cached pages instead
 //! of the wholesale purge: pages whose recorded probes provably never
 //! consulted a dirty shard are re-keyed to the new fingerprint
@@ -142,7 +140,7 @@ use soda_trace::{
     TraceSink, TraceValue,
 };
 
-use crate::admin::{fold_due_under_swap_lock, TenantAdmin};
+use crate::admin::TenantAdmin;
 use crate::cache::{CacheKey, LruCache};
 use crate::config::{DurabilityConfig, ServiceConfig};
 use crate::durability::{
@@ -509,8 +507,8 @@ impl QueryService {
     /// rows — the recovered engine serves byte-identical pages under the
     /// same cache fingerprints as the instance that died.  Warm pages
     /// persisted by a graceful drain are reloaded into the cache when they
-    /// still match.  Under a [`ServiceConfig::compaction`] policy, the logs
-    /// the replay grew past its budget are folded before this returns.
+    /// still match.  The replay's side logs stay in place until
+    /// [`TenantAdmin::compact`] folds them.
     ///
     /// Errors are [`ServiceError::Durability`] for journal I/O, decode or
     /// checkpoint-apply failures — including a journal written under a
@@ -561,10 +559,6 @@ impl QueryService {
                 report.cache_pages_restored,
             ),
         );
-        // After the restore, so the fold's retention pass carries pages over.
-        let tenant = Arc::clone(service.shared.tenants.default_tenant());
-        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
-        fold_due_under_swap_lock(&service.shared, &tenant);
         Ok((service, report))
     }
 
@@ -574,9 +568,7 @@ impl QueryService {
     /// tenant's), its own queue lane and quota, and — on a durable service —
     /// its own write-ahead journal under `tenants/<name>-<fingerprint>/`,
     /// which is replayed over `engine` right here (so a re-registered
-    /// tenant resumes exactly where its journaled history left off; under a
-    /// [`ServiceConfig::compaction`] policy the logs the replay grew past
-    /// its budget are folded before this returns).
+    /// tenant resumes exactly where its journaled history left off).
     ///
     /// Rejects the default id with [`ServiceError::TenantExists`] (the
     /// default tenant always exists), any already-registered id, and an id
@@ -630,10 +622,6 @@ impl QueryService {
             &tenant.id,
             format!("tenant {}, {replayed} feeds replayed", tenant.id),
         );
-        if tenant.durability.is_some() {
-            let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
-            fold_due_under_swap_lock(&self.shared, &tenant);
-        }
         Ok(())
     }
 

@@ -3,8 +3,9 @@
 //!
 //! The model is the classic multi-window burn-rate alert: every completed
 //! request lands in a per-tenant [`SloWindow`] — a ring of coarse time
-//! slots, each holding a mergeable [`LogHistogram`] of end-to-end latency
-//! plus an error count.  At read time the engine folds the slots covering
+//! slots, each counting the requests that met and missed the tenant's
+//! latency objective and the requests that failed.  At read time the engine
+//! folds the slots covering
 //! the **fast** window (a 5-minute-equivalent, catches sharp regressions)
 //! and the **slow** window (a 1-hour-equivalent, filters blips) and
 //! divides each window's bad-event fraction by the objective's error
@@ -20,17 +21,16 @@
 //! transient spike cannot page anyone but a sustained burn fires within one
 //! fast window.
 //!
-//! Everything here is bucket-resolution arithmetic over mergeable
-//! histograms: merging two window snapshots and computing the burn rate
-//! gives exactly the figure of a single window that saw both streams —
+//! Everything here is exact counting: the objective is fixed when the
+//! tenant's window is created, so a request is judged good or bad once, as
+//! it is recorded.  Merging two window snapshots and computing the burn
+//! rate gives exactly the figure of a single window that saw both streams —
 //! property-tested below, and the reason the engine can fold per-slot
 //! snapshots at read time instead of keeping per-window state in the
 //! request path.
 
 use std::collections::VecDeque;
 use std::time::Duration;
-
-use soda_trace::LogHistogram;
 
 /// Fraction of requests that must meet the latency objective (the error
 /// budget is the remaining 1 %).
@@ -92,51 +92,55 @@ impl SloConfig {
     }
 }
 
-/// One slot (or one folded window) of SLO-relevant traffic: the latency
-/// distribution of completed requests plus the failed-request count.
-#[derive(Debug, Clone, Default)]
+/// One slot (or one folded window) of SLO-relevant traffic, counted
+/// against one latency objective.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowBucket {
-    /// End-to-end latency of successful requests.
-    pub latency: LogHistogram,
+    /// Successful requests at or below the objective (latency good events).
+    pub met: u64,
+    /// Successful requests past the objective (latency bad events).
+    pub missed: u64,
     /// Requests that failed outright (availability bad events).
     pub errors: u64,
 }
 
 impl WindowBucket {
-    /// Records one completed request.
-    pub fn record(&mut self, e2e: Duration, ok: bool) {
-        if ok {
-            self.latency.record(e2e);
-        } else {
+    /// Records one completed request against the latency `objective`.
+    pub fn record(&mut self, e2e: Duration, ok: bool, objective: Duration) {
+        if !ok {
             self.errors += 1;
+        } else if e2e <= objective {
+            self.met += 1;
+        } else {
+            self.missed += 1;
         }
     }
 
     /// Folds another bucket in; burn rates over the merge equal burn rates
     /// over a bucket that saw both streams (property-tested).
     pub fn merge(&mut self, other: &WindowBucket) {
-        self.latency.merge(&other.latency);
+        self.met += other.met;
+        self.missed += other.missed;
         self.errors += other.errors;
     }
 }
 
-/// The latency burn rate of one window: the fraction of requests missing
-/// the objective, divided by the error budget `1 − target`.  Zero when the
-/// window is empty.
-pub fn latency_burn_rate(bucket: &WindowBucket, objective: Duration, target: f64) -> f64 {
-    let total = bucket.latency.count();
+/// The latency burn rate of one window: the fraction of successful
+/// requests missing the objective, divided by the error budget
+/// `1 − target`.  Zero when the window is empty.
+pub fn latency_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
+    let total = bucket.met + bucket.missed;
     if total == 0 {
         return 0.0;
     }
-    let good = bucket.latency.count_at_or_below(objective);
-    let bad_fraction = (total - good) as f64 / total as f64;
+    let bad_fraction = bucket.missed as f64 / total as f64;
     bad_fraction / (1.0 - target).max(f64::EPSILON)
 }
 
 /// The availability burn rate of one window: the failed fraction divided
 /// by the error budget.  Zero when the window is empty.
 pub fn availability_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
-    let total = bucket.latency.count() + bucket.errors;
+    let total = bucket.met + bucket.missed + bucket.errors;
     if total == 0 {
         return 0.0;
     }
@@ -207,6 +211,8 @@ pub struct BurnAlert {
 /// covers into one mergeable bucket.
 #[derive(Debug)]
 pub struct SloWindow {
+    /// The latency objective every request is judged against as it lands.
+    objective: Duration,
     resolution_nanos: u128,
     max_slots: usize,
     /// `(epoch, bucket)` pairs, oldest first; epochs strictly increase.
@@ -214,14 +220,16 @@ pub struct SloWindow {
 }
 
 impl SloWindow {
-    /// A ring sized for `slow_window` at slot width `resolution`.
-    pub fn new(slow_window: Duration, resolution: Duration) -> Self {
+    /// A ring judging requests against the latency `objective`, sized for
+    /// `slow_window` at slot width `resolution`.
+    pub fn new(objective: Duration, slow_window: Duration, resolution: Duration) -> Self {
         let resolution_nanos = resolution.as_nanos().max(1);
         let span = slow_window.as_nanos().max(resolution_nanos);
         // +1: a window rarely aligns with slot boundaries, so covering it
         // takes one slot more than the exact quotient.
         let max_slots = (span.div_ceil(resolution_nanos) + 1) as usize;
         Self {
+            objective,
             resolution_nanos,
             max_slots,
             slots: VecDeque::new(),
@@ -232,15 +240,15 @@ impl SloWindow {
     /// start.
     pub fn record(&mut self, at: Duration, e2e: Duration, ok: bool) {
         let epoch = at.as_nanos() / self.resolution_nanos;
+        let objective = self.objective;
         match self.slots.back_mut() {
-            Some((last, bucket)) if *last == epoch => bucket.record(e2e, ok),
             // Out-of-order stragglers (an older epoch after a newer slot
             // opened) fold into the newest slot: burn windows are
             // slot-resolution anyway, and epochs must stay sorted.
-            Some((last, bucket)) if *last > epoch => bucket.record(e2e, ok),
+            Some((last, bucket)) if *last >= epoch => bucket.record(e2e, ok, objective),
             _ => {
                 let mut bucket = WindowBucket::default();
-                bucket.record(e2e, ok);
+                bucket.record(e2e, ok, objective);
                 self.slots.push_back((epoch, bucket));
                 while self.slots.len() > self.max_slots {
                     self.slots.pop_front();
@@ -264,19 +272,14 @@ impl SloWindow {
 
     /// Scores both objectives of `tenant` over the [`FAST_WINDOW`] and the
     /// [`SLOW_WINDOW`] ending at `now`.
-    pub(crate) fn burn_alerts(
-        &self,
-        now: Duration,
-        tenant: &str,
-        objective: Duration,
-    ) -> [BurnAlert; 2] {
+    pub(crate) fn burn_alerts(&self, now: Duration, tenant: &str) -> [BurnAlert; 2] {
         let fast = self.merged(now, FAST_WINDOW);
         let slow = self.merged(now, SLOW_WINDOW);
         [
             (
                 "latency",
-                latency_burn_rate(&fast, objective, LATENCY_TARGET),
-                latency_burn_rate(&slow, objective, LATENCY_TARGET),
+                latency_burn_rate(&fast, LATENCY_TARGET),
+                latency_burn_rate(&slow, LATENCY_TARGET),
             ),
             (
                 "availability",
@@ -302,24 +305,22 @@ mod tests {
     #[test]
     fn empty_windows_burn_nothing() {
         let bucket = WindowBucket::default();
-        assert_eq!(
-            latency_burn_rate(&bucket, Duration::from_millis(100), 0.99),
-            0.0
-        );
+        assert_eq!(latency_burn_rate(&bucket, 0.99), 0.0);
         assert_eq!(availability_burn_rate(&bucket, 0.999), 0.0);
     }
 
     #[test]
     fn burn_rate_is_bad_fraction_over_budget() {
+        let objective = Duration::from_millis(100);
         let mut bucket = WindowBucket::default();
         // 90 fast requests, 10 slow ones: 10% bad against a 1% budget.
         for _ in 0..90 {
-            bucket.record(Duration::from_millis(1), true);
+            bucket.record(Duration::from_millis(1), true, objective);
         }
         for _ in 0..10 {
-            bucket.record(Duration::from_secs(1), true);
+            bucket.record(Duration::from_secs(1), true, objective);
         }
-        let burn = latency_burn_rate(&bucket, Duration::from_millis(100), 0.99);
+        let burn = latency_burn_rate(&bucket, 0.99);
         assert!((burn - 10.0).abs() < 1e-6, "burn {burn}");
         // Availability: all succeeded.
         assert_eq!(availability_burn_rate(&bucket, 0.999), 0.0);
@@ -327,6 +328,18 @@ mod tests {
         bucket.errors = 10;
         let burn = availability_burn_rate(&bucket, 0.999);
         assert!((burn - (10.0 / 110.0) / 0.001).abs() < 1e-6, "burn {burn}");
+    }
+
+    #[test]
+    fn a_request_just_past_the_objective_is_a_bad_event() {
+        let objective = Duration::from_millis(250);
+        let mut bucket = WindowBucket::default();
+        bucket.record(objective, true, objective);
+        bucket.record(Duration::from_millis(251), true, objective);
+        assert_eq!((bucket.met, bucket.missed), (1, 1));
+        // One of two requests missed: 50 % bad against a 1 % budget.
+        let burn = latency_burn_rate(&bucket, 0.99);
+        assert!((burn - 50.0).abs() < 1e-6, "burn {burn}");
     }
 
     #[test]
@@ -342,7 +355,11 @@ mod tests {
     #[test]
     fn rolling_window_drops_slots_beyond_the_slow_window() {
         let (fast_window, slow_window) = (Duration::from_secs(2), Duration::from_secs(4));
-        let mut window = SloWindow::new(slow_window, Duration::from_secs(1));
+        let mut window = SloWindow::new(
+            Duration::from_millis(100),
+            slow_window,
+            Duration::from_secs(1),
+        );
         for second in 0..60u64 {
             window.record(Duration::from_secs(second), Duration::from_millis(1), true);
         }
@@ -352,9 +369,9 @@ mod tests {
         // The fast window covers the newest ~3 slots, the slow ~5.
         let fast = window.merged(now, fast_window);
         let slow = window.merged(now, slow_window);
-        assert!(fast.latency.count() >= 2 && fast.latency.count() <= 3);
-        assert!(slow.latency.count() >= 4 && slow.latency.count() <= 5);
-        assert!(fast.latency.count() <= slow.latency.count());
+        assert!(fast.met >= 2 && fast.met <= 3);
+        assert!(slow.met >= 4 && slow.met <= 5);
+        assert!(fast.met <= slow.met);
     }
 
     #[test]
@@ -379,18 +396,19 @@ mod tests {
             objective_us in 1u64..1_000_000,
             target in 0.5f64..0.9999,
         ) {
+            let objective = Duration::from_micros(objective_us);
             let mut a = WindowBucket::default();
             let mut b = WindowBucket::default();
             let mut whole = WindowBucket::default();
             for &(nanos, ok, pick_a) in &requests {
                 let e2e = Duration::from_nanos(nanos);
-                if pick_a { a.record(e2e, ok) } else { b.record(e2e, ok) };
-                whole.record(e2e, ok);
+                if pick_a { a.record(e2e, ok, objective) } else { b.record(e2e, ok, objective) };
+                whole.record(e2e, ok, objective);
             }
             a.merge(&b);
-            let objective = Duration::from_micros(objective_us);
-            let merged_latency = latency_burn_rate(&a, objective, target);
-            let whole_latency = latency_burn_rate(&whole, objective, target);
+            prop_assert_eq!(a, whole);
+            let merged_latency = latency_burn_rate(&a, target);
+            let whole_latency = latency_burn_rate(&whole, target);
             prop_assert!(
                 (merged_latency - whole_latency).abs() < 1e-9,
                 "latency burn diverged: merged {merged_latency}, whole {whole_latency}"

@@ -126,6 +126,10 @@ impl TenantState {
             ring: Mutex::new(BoundedLog::new(sampling.trace_log)),
             total: AtomicU64::new(0),
         });
+        let slo = config.slo.as_ref().map(|slo| {
+            let objective = slo.objective_for(id.as_str());
+            Mutex::new(SloWindow::new(objective, SLOW_WINDOW, RESOLUTION))
+        });
         Self {
             id,
             handle,
@@ -139,10 +143,7 @@ impl TenantState {
             e2e: Mutex::new(LogHistogram::new()),
             slow_queries: AtomicU64::new(0),
             kept,
-            slo: config
-                .slo
-                .as_ref()
-                .map(|_| Mutex::new(SloWindow::new(SLOW_WINDOW, RESOLUTION))),
+            slo,
             durability: durability.map(Mutex::new),
         }
     }

@@ -120,16 +120,6 @@ impl LogHistogram {
         self.max_nanos = self.max_nanos.max(other.max_nanos);
     }
 
-    /// Samples at or below `value`'s bucket — the "good events" count an
-    /// SLO burn rate needs.  Like every histogram read this is bucket-
-    /// resolution: a sample in the same bucket but above `value` still
-    /// counts, so the figure over-reports by at most one sub-bucket
-    /// (≤ 3.125%) and merging histograms preserves it exactly.
-    pub fn count_at_or_below(&self, value: Duration) -> u64 {
-        let nanos = value.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.counts[..=bucket_index(nanos)].iter().sum()
-    }
-
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -294,32 +284,6 @@ mod tests {
             assert_eq!(a.quantile(q), both.quantile(q));
         }
         assert_eq!(a.cumulative_buckets(), both.cumulative_buckets());
-    }
-
-    #[test]
-    fn count_at_or_below_is_cumulative_and_mergeable() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut both = LogHistogram::new();
-        for v in [10u64, 20, 5_000, 1_000_000] {
-            a.record_nanos(v);
-            both.record_nanos(v);
-        }
-        for v in [15u64, 2_000_000_000] {
-            b.record_nanos(v);
-            both.record_nanos(v);
-        }
-        assert_eq!(a.count_at_or_below(Duration::from_nanos(20)), 2);
-        assert_eq!(a.count_at_or_below(Duration::from_nanos(9)), 0);
-        assert_eq!(a.count_at_or_below(Duration::from_secs(1)), 4);
-        a.merge(&b);
-        for probe in [0u64, 10, 20, 5_000, 1_000_000, u64::MAX] {
-            assert_eq!(
-                a.count_at_or_below(Duration::from_nanos(probe)),
-                both.count_at_or_below(Duration::from_nanos(probe)),
-                "merge changed the good-event count at {probe}ns"
-            );
-        }
     }
 
     #[test]

@@ -576,9 +576,7 @@ mod tests {
         assert_eq!(order, [["individual"; 5], ["party"; 5]].concat());
         assert_eq!(feed.row_count(), 10);
         let mut next = db.clone();
-        soda_ingest::Ingestor::new(1)
-            .absorb(&mut next, None, feed.clone())
-            .unwrap();
+        soda_ingest::absorb(&mut next, None, feed.clone()).unwrap();
         assert_eq!(
             next.table("party").unwrap().row_count(),
             db.table("party").unwrap().row_count() + 5

@@ -31,9 +31,8 @@
 //! * [`explorer`] — schema browser and legacy-system reverse engineering (the
 //!   war-story use cases of §5.3.2).
 //! * [`ingest`] — streaming delta ingestion: row-level change feeds routed
-//!   into per-shard side logs that queries merge on the fly, plus the
-//!   compaction policy under which the ingest that grows a log past its
-//!   budget folds it back into a rebuilt partition.
+//!   into per-shard side logs that queries merge on the fly until an
+//!   explicit compaction folds them back into rebuilt partitions.
 //! * [`journal`] — the crash-safety layer: an append-only, checksummed feed
 //!   journal with checkpoint truncation, replayed by
 //!   [`QueryService::recover`](soda_service::QueryService::recover) into
@@ -84,7 +83,7 @@ pub mod prelude {
         SodaResult,
     };
     pub use soda_explorer::SchemaBrowser;
-    pub use soda_ingest::{ChangeFeed, CompactionPolicy, Ingestor, RowEvent};
+    pub use soda_ingest::{ChangeFeed, RowEvent};
     pub use soda_metagraph::{MetaGraph, Pattern, PatternRegistry};
     pub use soda_relation::{Database, ResultSet, Value};
     pub use soda_service::{

@@ -64,16 +64,12 @@ fn address_feed(id: i64, city: &str) -> ChangeFeed {
 }
 
 fn recover_at(dir: &Path) -> (QueryService, RecoveryReport) {
-    recover_with(dir, ServiceConfig::default())
-}
-
-fn recover_with(dir: &Path, config: ServiceConfig) -> (QueryService, RecoveryReport) {
     let (db, graph) = minibank_parts();
     QueryService::recover(
         db,
         graph,
         SodaConfig::default(),
-        config,
+        ServiceConfig::default(),
         DurabilityConfig::new(dir),
     )
     .expect("recovery must succeed")
@@ -690,25 +686,4 @@ fn a_graph_refresh_checkpoints_only_the_tables_feeds_changed() {
     assert_eq!(report.replayed_feeds, 0);
     assert_eq!(report.checkpoint_rows, addresses);
     assert_eq!(page_for(&recovered, "Refreshville"), before);
-}
-
-/// Replay is the other place a side log grows: under a compaction policy,
-/// recovery folds what the replay left past the budget before it returns.
-#[test]
-fn a_replayed_log_past_the_budget_is_folded_before_recovery_returns() {
-    let dir = TempDir::new("replay-fold");
-    let (service, _) = recover_at(dir.path());
-    admin(&service)
-        .ingest_owned(address_feed(900, "Replayville"))
-        .unwrap();
-    let before = page_for(&service, "Replayville");
-    assert!(!service.engine().shards_with_side_logs().is_empty());
-    std::mem::forget(service);
-
-    let eager = ServiceConfig::default().compaction(CompactionPolicy::eager());
-    let (recovered, report) = recover_with(dir.path(), eager);
-    assert_eq!(report.replayed_feeds, 1);
-    assert!(recovered.engine().shards_with_side_logs().is_empty());
-    assert_eq!(recovered.metrics().ingest.compactions, 1);
-    assert_eq!(page_for(&recovered, "Replayville"), before);
 }

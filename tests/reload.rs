@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use soda::ingest::absorb;
 use soda::prelude::*;
 use soda::warehouse::minibank;
 use soda_core::SodaError;
@@ -320,20 +321,18 @@ fn marker_feed(g: usize) -> ChangeFeed {
 fn cumulative_db(base: &Database, g: usize) -> Database {
     let mut db = base.clone();
     for i in 1..=g {
-        Ingestor::new(1)
-            .absorb(&mut db, None, marker_feed(i))
-            .expect("marker feed applies");
+        absorb(&mut db, None, marker_feed(i)).expect("marker feed applies");
     }
     db
 }
 
 /// Clients hammer `submit` while a writer ingests generation after
-/// generation, each ingest folding its side log past a zero budget before it
-/// returns.  Every served page must be byte-identical to a full-rebuild
-/// reference of *some* ingested state; nothing may error or drop; every
-/// ingest must have folded.
+/// generation and compacts every side log after each ingest.  Every served
+/// page must be byte-identical to a full-rebuild reference of *some*
+/// ingested state; nothing may error or drop; every ingest must have been
+/// folded.
 #[test]
-fn streaming_ingest_that_folds_inline_never_drops_or_corrupts() {
+fn streaming_ingest_compacted_after_every_feed_never_drops_or_corrupts() {
     let w = minibank::build(42);
     let expected: Vec<ResultPage> = (0..=GENERATIONS)
         .map(|g| {
@@ -357,9 +356,6 @@ fn streaming_ingest_that_folds_inline_never_drops_or_corrupts() {
             workers: 4,
             queue_capacity: 32,
             cache_capacity: 64,
-            // Zero budget: every ingest folds, interleaved with the queries
-            // below.
-            compaction: Some(CompactionPolicy::eager()),
             ..ServiceConfig::default()
         },
     );
@@ -376,6 +372,9 @@ fn streaming_ingest_that_folds_inline_never_drops_or_corrupts() {
                 admin(service)
                     .ingest_owned(marker_feed(g))
                     .expect("feed absorbs");
+                admin(service)
+                    .compact(&service.engine().shards_with_side_logs())
+                    .expect("a log to fold");
                 std::thread::sleep(Duration::from_millis(5));
             }
             writer_done.store(true, Ordering::Release);
@@ -448,7 +447,6 @@ proptest! {
                 workers: 2,
                 queue_capacity: 16,
                 cache_capacity: 32,
-                compaction: None, // compaction is an explicit op here
                 ..ServiceConfig::default()
             },
         );
@@ -496,9 +494,7 @@ proptest! {
                     admin(&service)
                         .ingest_owned(feed.clone())
                         .expect("feed absorbs");
-                    Ingestor::new(1)
-                        .absorb(&mut reference, None, feed)
-                        .expect("reference replays");
+                    absorb(&mut reference, None, feed).expect("reference replays");
                 }
                 None => {
                     let _ = admin(&service).compact(&(0..SHARDS).collect::<Vec<_>>());
