@@ -125,14 +125,12 @@ impl SodaConfig {
     /// with different configurations must never share cached result pages,
     /// because almost every field changes what the pipeline produces.
     ///
-    /// Stable within one process run (and across runs of the same build) —
-    /// it hashes the `Debug` rendering, which covers every field by
-    /// construction and keeps float fields (the ranking weights) exact.
+    /// It is stamped into every journal and page-cache header, so it must
+    /// not move with the toolchain: FNV-1a ([`soda_relation::fnv1a`]) over
+    /// the `Debug` rendering, which covers every field by construction and
+    /// keeps float fields (the ranking weights) exact.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut hasher);
-        hasher.finish()
+        soda_relation::fnv1a(0, format!("{self:?}").as_bytes())
     }
 }
 
@@ -216,6 +214,17 @@ mod tests {
             ..SodaConfig::default()
         };
         assert_ne!(a.fingerprint(), e.fingerprint());
+    }
+
+    /// The fingerprint is stamped into files on disk: a toolchain upgrade
+    /// must not move it, or recovery would refuse every journal.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let config = SodaConfig {
+            shards: 1,
+            ..SodaConfig::default()
+        };
+        assert_eq!(config.fingerprint(), 0x211f_6887_03e3_43f2);
     }
 
     #[test]

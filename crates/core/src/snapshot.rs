@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use soda_metagraph::MetaGraph;
-use soda_relation::{Database, ShardedInvertedIndex};
+use soda_relation::{fnv1a, Database, ShardedInvertedIndex};
 use soda_trace::TraceSink;
 
 use crate::classification::ClassificationIndex;
@@ -194,12 +194,7 @@ impl EngineSnapshot {
     pub(crate) fn stamped(mut self, generation: u64) -> Self {
         self.generation = generation;
         // FNV-1a over the generation, seeded by the config fingerprint.
-        let mut hash = self.config.fingerprint() ^ 0xcbf2_9ce4_8422_2325;
-        for byte in generation.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.fingerprint = hash;
+        self.fingerprint = fnv1a(self.config.fingerprint(), &generation.to_le_bytes());
         self
     }
 

@@ -10,17 +10,17 @@
 //!
 //! The **default tenant** is special: folding it is the identity function,
 //! so a single-tenant service's cache keys are its snapshot fingerprints.
-//! (No file written before tenancy is readable: the frame reader accepts
-//! version `2` only.)
+//! (No file written before tenancy is readable: the journal and page-cache
+//! readers accept their current format versions only, `SODAJNL3` and
+//! `SODACSH3`.)
 
 use std::fmt;
 use std::sync::Arc;
 
+use soda_relation::fnv1a;
+
 /// The name of the implicit default tenant.
 pub const DEFAULT_TENANT: &str = "default";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The identity of one hosted warehouse.
 ///
@@ -59,12 +59,7 @@ impl TenantId {
         if self.is_default() {
             return 0;
         }
-        let mut hash = FNV_OFFSET;
-        for byte in self.0.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        fnv1a(0, self.0.as_bytes())
     }
 
     /// Folds this tenant into a snapshot-derived fingerprint.
@@ -75,16 +70,10 @@ impl TenantId {
     /// fold is an FNV-style mix of the tenant fingerprint into the input, so
     /// keys from different tenants land in disjoint fingerprint spaces.
     pub fn fold(&self, fingerprint: u64) -> u64 {
-        let tenant = self.fingerprint();
-        if tenant == 0 {
-            return fingerprint;
+        match self.fingerprint() {
+            0 => fingerprint,
+            tenant => fnv1a(tenant, &fingerprint.to_le_bytes()),
         }
-        let mut hash = FNV_OFFSET ^ tenant;
-        for byte in fingerprint.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
     }
 }
 

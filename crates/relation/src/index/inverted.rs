@@ -100,24 +100,12 @@ impl PhraseProbe {
     }
 }
 
-/// FNV-1a over the bytes of a key: a stable hash (same value in every process
-/// and on every platform), unlike `DefaultHasher`, whose output is only
-/// guaranteed stable within one compiler release.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Routes a string key to one of `shard_count` partitions by stable hash.
 fn stable_shard(key: &str, shard_count: usize) -> usize {
     if shard_count <= 1 {
         return 0;
     }
-    (fnv1a(key.as_bytes()) % shard_count as u64) as usize
+    (crate::fnv1a(0, key.as_bytes()) % shard_count as u64) as usize
 }
 
 /// The shard that owns `table`'s postings.  Names are folded the way the

@@ -41,6 +41,7 @@ pub mod codec;
 pub mod error;
 pub mod exec;
 pub mod expr;
+pub mod hash;
 pub mod index;
 pub mod schema;
 pub mod sql;
@@ -52,6 +53,7 @@ pub use codec::{CodecError, CodecResult, Decoder, Encoder};
 pub use error::{RelationError, Result};
 pub use exec::{execute, ResultSet};
 pub use expr::{AggFunc, CompareOp, Expr};
+pub use hash::fnv1a;
 pub use index::inverted::{
     merge_hits, shard_for_table, IndexShard, InvertedIndex, PhraseHit, PhraseProbe,
     ShardedInvertedIndex,

@@ -72,8 +72,8 @@ impl TenantAdmin<'_> {
 
     /// Counts one snapshot swap and logs it as a `kind` event.
     fn swapped(&self, kind: &'static str, detail: String) {
-        self.tenant.reloads.fetch_add(1, Ordering::Relaxed);
-        self.shared.tenant_event(kind, &self.tenant, detail);
+        self.tenant.facts().reloads += 1;
+        self.shared.event(kind, &self.tenant.id, detail);
     }
 
     /// Swaps in a full replacement snapshot for this tenant **without
@@ -159,15 +159,15 @@ impl TenantAdmin<'_> {
                 d.dirty_tables.extend(feed.tables());
                 appended
             };
-            shared.tenant_event("journal_append", tenant, format!("{appended} bytes"));
+            shared.event("journal_append", &tenant.id, format!("{appended} bytes"));
         }
         let generation = tenant.handle.absorb(feed).map_err(ServiceError::Engine)?;
-        shared.tenant_event(
+        shared.event(
             "ingest",
-            tenant,
+            &tenant.id,
             format!("generation {generation}, {described}"),
         );
-        tenant.ingest_feeds.fetch_add(1, Ordering::Relaxed);
+        tenant.facts().ingest_feeds += 1;
         shared.ingest_events.fetch_add(events, Ordering::Relaxed);
         shared.ingest_rows.fetch_add(rows, Ordering::Relaxed);
         retain_unaffected(shared, tenant, &before, Some(&dirty));
@@ -184,12 +184,12 @@ impl TenantAdmin<'_> {
         let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
         let before = tenant.handle.load();
         let (generation, folded) = tenant.handle.compact(shards)?;
-        shared.tenant_event(
+        shared.event(
             "compaction",
-            tenant,
+            &tenant.id,
             format!("generation {generation}, shards {folded:?}"),
         );
-        tenant.compactions.fetch_add(1, Ordering::Relaxed);
+        tenant.facts().compactions += 1;
         // A fold changes no answers, but the fingerprint moved: carry every
         // provably unaffected page over; pages whose probes had candidates in a
         // folded shard are recomputed (conservative — their hits merely moved
@@ -209,12 +209,10 @@ impl TenantAdmin<'_> {
     /// pages and the lifetime hit/miss counters survive.
     pub fn clear_cache(&self) {
         let live = self.tenant.folded_live();
-        self.shared
-            .store
-            .lock()
-            .expect("store poisoned")
+        let mut store = self.shared.store.lock().expect("store poisoned");
+        store
             .cache
-            .retain(|key| key.snapshot_fingerprint != live);
+            .rekey(|key, _| (key.snapshot_fingerprint != live).then(|| key.clone()));
     }
 }
 

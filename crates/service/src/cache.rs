@@ -32,9 +32,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries removed to make room for newer ones.
     pub evictions: u64,
-    /// Entries proactively dropped because their snapshot generation was
-    /// swapped out (see [`LruCache::retain`]); distinct from capacity
-    /// evictions.
+    /// Entries proactively dropped — because their snapshot generation was
+    /// swapped out or their tenant's pages were cleared (see
+    /// [`LruCache::rekey`]); distinct from capacity evictions.
     pub purged: u64,
     /// Entries carried *across* a data-only snapshot swap because their
     /// queries provably never consulted a rebuilt or ingested partition
@@ -154,31 +154,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Drops every entry; the hit / miss / eviction counters survive so that
-    /// metrics keep describing the whole service lifetime.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.recency.clear();
-    }
-
-    /// Drops every entry whose key fails the predicate, returning how many
-    /// were removed (also accumulated in [`CacheStats::purged`]).  The
-    /// serving layer calls this after a snapshot swap with "does this key
-    /// carry the live fingerprint?" so superseded generations free their
-    /// slots immediately instead of aging out of the LRU.
-    pub fn retain<F: FnMut(&K) -> bool>(&mut self, mut keep: F) -> usize {
-        let before = self.map.len();
-        self.map.retain(|key, _| keep(key));
-        self.recency.retain(|_, key| self.map.contains_key(key));
-        let dropped = before - self.map.len();
-        self.purged += dropped as u64;
-        dropped
-    }
-
-    /// Re-keys or drops every entry in one pass — the swap-time primitive of
-    /// generation-aware page retention.  For each entry, `decide` returns
-    /// the key it should live under from now on (typically the old key with
-    /// the new snapshot fingerprint substituted) or `None` to drop it.
+    /// Re-keys or drops every entry in one pass — the one removal primitive:
+    /// generation-aware page retention after a swap, and a tenant's cache
+    /// clear.  For each entry, `decide` returns the key it should live under
+    /// from now on (the old key, or the old key with the new snapshot
+    /// fingerprint substituted) or `None` to drop it.  The hit / miss /
+    /// eviction counters survive, so metrics keep describing the whole
+    /// service lifetime.
     /// Recency order survives re-keying.  Returns `(retained, dropped)`;
     /// entries re-keyed to a *different* key count into
     /// [`CacheStats::retained`], dropped ones into [`CacheStats::purged`].
@@ -329,13 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_lifetime_counters() {
+    fn dropping_everything_keeps_lifetime_counters() {
         let mut cache: LruCache<CacheKey, u32> = LruCache::new(2);
         cache.insert(key("a"), 1);
         let _ = cache.get(&key("a"));
-        cache.clear();
+        assert_eq!(cache.rekey(|_, _| None), (0, 1));
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().purged, 1);
         assert_eq!(cache.get(&key("a")), None);
     }
 
@@ -434,15 +417,15 @@ mod tests {
     }
 
     #[test]
-    fn retain_purges_stale_fingerprints_and_keeps_eviction_order_sane() {
+    fn rekey_purges_stale_fingerprints_and_keeps_eviction_order_sane() {
         let mut cache: LruCache<CacheKey, u32> = LruCache::new(4);
         let mut stale = key("a");
         stale.snapshot_fingerprint = 8;
         cache.insert(key("a"), 1);
         cache.insert(key("b"), 2);
         cache.insert(stale.clone(), 3);
-        let dropped = cache.retain(|k| k.snapshot_fingerprint == 7);
-        assert_eq!(dropped, 1);
+        let outcome = cache.rekey(|k, _| (k.snapshot_fingerprint == 7).then(|| k.clone()));
+        assert_eq!(outcome, (0, 1));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().purged, 1);
         assert_eq!(cache.stats().evictions, 0, "purges are not evictions");
@@ -532,11 +515,11 @@ mod tests {
                         assert_eq!(gone, victim, "eviction victim at step {step}");
                     }
                     95..=96 => {
-                        let dropped = cache.retain(|k| k % 2 == 0);
+                        let outcome = cache.rekey(|k, _| (k % 2 == 0).then_some(*k));
                         let before = model.entries.len();
                         model.entries.retain(|(k, _)| k % 2 == 0);
-                        assert_eq!(dropped, before - model.entries.len());
-                        model.stats.purged += dropped as u64;
+                        assert_eq!(outcome, (0, before - model.entries.len()));
+                        model.stats.purged += outcome.1 as u64;
                     }
                     97..=98 => {
                         generation += 1;
@@ -553,7 +536,9 @@ mod tests {
                         assert_eq!(retained, model.entries.iter().filter(moved).count());
                     }
                     _ => {
-                        cache.clear();
+                        let outcome = cache.rekey(|_, _| None);
+                        assert_eq!(outcome, (0, model.entries.len()));
+                        model.stats.purged += model.entries.len() as u64;
                         model.entries.clear();
                     }
                 }

@@ -360,9 +360,9 @@ pub(crate) fn write_checkpoint_under_swap_lock(
     }
     drop(d);
     match outcome {
-        Ok(bytes) => shared.tenant_event(
+        Ok(bytes) => shared.event(
             "checkpoint",
-            tenant,
+            &tenant.id,
             format!(
                 "generation {}, {} tables, journal now {bytes} bytes",
                 checkpoint.generation,

@@ -13,7 +13,7 @@ use soda_core::{ShardStats, TenantId};
 use soda_trace::hist::LogHistogram;
 use soda_trace::names;
 use soda_trace::prom::{MetricKind, PromWriter};
-use soda_trace::OpEvent;
+use soda_trace::{BoundedLog, OpEvent};
 
 use crate::durability::durability_metrics;
 use crate::metrics::{
@@ -308,7 +308,7 @@ impl QueryService {
     /// fairness split ([`ServiceMetrics::tenants`]) included.
     pub fn metrics(&self) -> ServiceMetrics {
         // One lock at a time, never nested: the worker takes store, then
-        // latency, then the tenant's histogram, each alone.
+        // latency, then the tenant's facts, each alone.
         let (queue_wait, execution, stages) = {
             let recorder = self.shared.latency.lock().expect("latency poisoned");
             (
@@ -335,29 +335,26 @@ impl QueryService {
             .iter()
             .zip(lane_depths)
             .map(|(t, queue_depth)| {
-                let (completed, latency) = {
-                    let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
-                    e2e.merge(&hist);
-                    (hist.count(), LatencySummary::of(&hist))
-                };
+                let generation = t.handle.generation();
+                let durability = durability_metrics(&t.durability);
+                // One lock, so every figure of a tenant is one snapshot.
+                let facts = t.facts();
+                e2e.merge(&facts.e2e);
                 TenantMetrics {
                     tenant: t.id.as_str().to_string(),
-                    completed,
-                    latency,
-                    warm_hits: t.warm_hits.load(Ordering::Relaxed),
-                    executions: t.executions.load(Ordering::Relaxed),
-                    admission_waits: t.admission_waits.load(Ordering::Relaxed),
-                    slow_queries: t.slow_queries.load(Ordering::Relaxed),
-                    sampled_traces: t
-                        .kept
-                        .as_ref()
-                        .map_or(0, |kept| kept.total.load(Ordering::Relaxed)),
+                    completed: facts.e2e.count(),
+                    latency: LatencySummary::of(&facts.e2e),
+                    warm_hits: facts.warm_hits,
+                    executions: facts.executions,
+                    admission_waits: facts.admission_waits,
+                    slow_queries: facts.slow_queries,
+                    sampled_traces: facts.kept.as_ref().map_or(0, BoundedLog::pushed),
                     queue_depth,
-                    generation: t.handle.generation(),
-                    reloads: t.reloads.load(Ordering::Relaxed),
-                    ingest_feeds: t.ingest_feeds.load(Ordering::Relaxed),
-                    compactions: t.compactions.load(Ordering::Relaxed),
-                    durability: durability_metrics(&t.durability),
+                    generation,
+                    reloads: facts.reloads,
+                    ingest_feeds: facts.ingest_feeds,
+                    compactions: facts.compactions,
+                    durability,
                 }
             })
             .collect();
@@ -423,10 +420,7 @@ impl QueryService {
             .tenants
             .all()
             .iter()
-            .map(|t| {
-                let hist = t.e2e.lock().expect("tenant latency recorder poisoned");
-                (t.id.as_str().to_string(), hist.clone())
-            })
+            .map(|t| (t.id.as_str().to_string(), t.facts().e2e.clone()))
             .collect();
         Scrape {
             metrics,
@@ -490,11 +484,11 @@ impl QueryService {
         tenant: impl Into<TenantId>,
     ) -> Result<Vec<SampledTrace>, ServiceError> {
         let tenant = self.shared.tenants.resolve(&tenant.into())?;
-        let Some(kept) = &tenant.kept else {
-            return Ok(Vec::new());
-        };
-        let ring = kept.ring.lock().expect("sampled-trace ring poisoned");
-        Ok(ring.to_vec())
+        let facts = tenant.facts();
+        Ok(facts
+            .kept
+            .as_ref()
+            .map_or_else(Vec::new, BoundedLog::to_vec))
     }
 
     /// Evaluates every tenant's burn rates against the declared objectives
@@ -554,9 +548,9 @@ impl QueryService {
         let now = self.shared.started.elapsed();
         let mut out = Vec::new();
         for tenant in self.shared.tenants.all() {
-            let Some(window) = &tenant.slo else { continue };
-            let window = window.lock().expect("slo window poisoned");
-            out.extend(window.burn_alerts(now, tenant.id.as_str()));
+            if let Some(window) = &tenant.facts().slo {
+                out.extend(window.burn_alerts(now, tenant.id.as_str()));
+            }
         }
         out
     }
@@ -657,9 +651,9 @@ mod tests {
 
     #[test]
     fn metrics_polling_does_not_deadlock_cache_hits() {
-        // Regression test: `submit` locks cache then latency on a hit, while
-        // `metrics` reads latency and cache — with nested guards in either
-        // path this interleaving deadlocks within a few iterations.
+        // Regression test: a hit takes the store, then the tenant's facts,
+        // while `metrics` reads both — with nested guards in either path
+        // this interleaving deadlocks within a few iterations.
         let service = minibank_service(ServiceConfig::default());
         service
             .query(QueryRequest::new("Sara Guttinger"))
@@ -683,6 +677,36 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// An answer bumps its kind's counter and its tenant's completed count
+    /// under one lock, so no poll sees one without the other.
+    #[test]
+    fn a_tenants_figures_are_one_snapshot() {
+        let service = minibank_service(ServiceConfig::default());
+        let ask = |request: QueryRequest| service.query(request).wait().unwrap();
+        ask(QueryRequest::new("Sara Guttinger"));
+        std::thread::scope(|scope| {
+            let hammers = [
+                scope.spawn(|| {
+                    for _ in 0..2_000 {
+                        ask(QueryRequest::new("Sara Guttinger"));
+                    }
+                }),
+                scope.spawn(|| {
+                    for page in 0..200 {
+                        ask(QueryRequest::new("customers").page(page));
+                    }
+                }),
+            ];
+            while !hammers.iter().all(|hammer| hammer.is_finished()) {
+                for t in service.metrics().tenants {
+                    assert!(t.completed >= t.warm_hits + t.executions, "{t:?}");
+                }
+            }
+        });
+        let t = &service.metrics().tenants[0];
+        assert_eq!((t.warm_hits, t.executions), (2_000, 201));
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * [`service`] — [`QueryService`], a bounded worker pool over per-tenant
 //!   hot-swappable [`EngineSnapshot`](soda_core::EngineSnapshot)s
 //!   ([`soda_core::SnapshotHandle`]) with a single request surface: build a
-//!   [`QueryRequest`] (optionally [`.tenant(..)`](QueryRequest::tenant) /
-//!   [`.traced()`](QueryRequest::traced)), pass it to
-//!   [`query`](QueryService::query), get a [`JobHandle`] that yields a
-//!   [`QueryResponse`].  Blocking backpressure, in-flight request
-//!   coalescing, graceful drain.  Its module docs tell the life of a
+//!   [`QueryRequest`] (optionally [`.tenant(..)`](QueryRequest::tenant)),
+//!   pass it to [`query`](QueryService::query), get a [`JobHandle`] that
+//!   yields a [`QueryResponse`].  The worker pool is the one place the
+//!   pipeline runs.  Blocking backpressure, in-flight request coalescing,
+//!   graceful drain.  Its module docs tell the life of a
 //!   query, hot swapping, streaming ingestion and durable restart in full.
 //! * [`config`], [`request`] — [`ServiceConfig`] and its opt-in
 //!   sub-configurations; the request / response / [`ServiceError`] types.

@@ -203,8 +203,7 @@ pub struct TenantMetrics {
     pub latency: LatencySummary,
     /// Submissions answered from the cache at submission time.
     pub warm_hits: u64,
-    /// Full pipeline executions performed for this tenant (traced runs
-    /// included).
+    /// Full pipeline executions performed for this tenant.
     pub executions: u64,
     /// Submissions that blocked in admission control (tenant lane at quota,
     /// or the whole queue at capacity) before enqueueing.

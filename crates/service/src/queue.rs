@@ -2,7 +2,6 @@
 //! the admission control in front of it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -123,7 +122,7 @@ impl Shared {
             state = self.not_full.wait(state).expect("queue poisoned");
         }
         if waited {
-            job.tenant.admission_waits.fetch_add(1, Ordering::Relaxed);
+            job.tenant.facts().admission_waits += 1;
         }
         if state.shutdown {
             return false;

@@ -15,8 +15,7 @@ use soda_trace::QueryTrace;
 /// use soda_service::QueryRequest;
 /// let request = QueryRequest::new("wealthy customers")
 ///     .page(1)
-///     .tenant("acme")
-///     .traced();
+///     .tenant("acme");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRequest {
@@ -29,24 +28,17 @@ pub struct QueryRequest {
     /// The tenant whose snapshot answers the query (the default tenant
     /// unless [`tenant`](Self::tenant) selected another).
     pub tenant: TenantId,
-    /// When true the query is answered **traced** on the caller's thread:
-    /// it probes the cache like any submission but never queues or
-    /// coalesces, and the response carries the span tree
-    /// ([`QueryResponse::trace`]) — the folded pipeline tree on a miss, a
-    /// synthesized `cache_hit` root on a hit.
-    pub traced: bool,
 }
 
 impl QueryRequest {
     /// A request for the first page (size 10, the paper's result page),
-    /// against the default tenant, untraced.
+    /// against the default tenant.
     pub fn new(input: impl Into<String>) -> Self {
         Self {
             input: input.into(),
             page: 0,
             page_size: 10,
             tenant: TenantId::default(),
-            traced: false,
         }
     }
 
@@ -67,34 +59,15 @@ impl QueryRequest {
         self.tenant = tenant.into();
         self
     }
-
-    /// Requests a traced answer: the query is served on the caller's thread
-    /// — a warm page comes back as a cache hit with a synthesized
-    /// `cache_hit` trace, a miss runs the pipeline right there (never
-    /// queued, never coalesced, not cached) — and the response carries the
-    /// span tree.  The served page is byte-identical to the untraced answer.
-    pub fn traced(mut self) -> Self {
-        self.traced = true;
-        self
-    }
 }
 
-/// One answered query, yielded by [`JobHandle::wait`]: the served page
-/// plus, for [`traced`](QueryRequest::traced) requests, the folded span
-/// tree (the `query` root with the five stage spans and per-shard probe
-/// sub-spans underneath).
+/// One answered query, yielded by [`JobHandle::wait`].  Its span tree, when
+/// the tenant's sampler keeps it, is in
+/// [`QueryService::sampled_traces`](crate::QueryService::sampled_traces).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// The served result page.
     pub page: ResultPage,
-    /// The span tree — `Some` exactly when the request was traced.
-    pub trace: Option<QueryTrace>,
-}
-
-impl QueryResponse {
-    pub(crate) fn untraced(page: ResultPage) -> Self {
-        Self { page, trace: None }
-    }
 }
 
 /// One kept trace: a query whose end-to-end latency reached
@@ -215,8 +188,8 @@ pub(crate) fn owned_page(page: Arc<ResultPage>) -> ResultPage {
 
 /// A claim on the result of a submitted query.
 ///
-/// Cache hits, traced executions and errors are resolved at submission
-/// time; misses resolve when a worker finishes the job.
+/// Cache hits and errors are resolved at submission time; misses resolve
+/// when a worker finishes the job.
 /// [`wait`](Self::wait) blocks until then.
 #[derive(Debug)]
 pub struct JobHandle {
@@ -251,10 +224,13 @@ impl JobHandle {
     pub fn wait(self) -> JobResult {
         match self.inner {
             HandleInner::Ready(result) => *result,
-            HandleInner::Pending(rx) => rx
-                .recv()
-                .unwrap_or(Err(ServiceError::Disconnected))
-                .map(|page| QueryResponse::untraced(owned_page(page))),
+            HandleInner::Pending(rx) => {
+                rx.recv()
+                    .unwrap_or(Err(ServiceError::Disconnected))
+                    .map(|page| QueryResponse {
+                        page: owned_page(page),
+                    })
+            }
         }
     }
 }

@@ -124,20 +124,19 @@
 //! graph to the next recovery.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use soda_core::{
-    normalize_query, Database, EngineSnapshot, MetaGraph, ProbeDep, ResultPage, SearchOptions,
-    SnapshotHandle, SodaConfig, StepTimings, TenantId,
+    normalize_query, Database, EngineSnapshot, MetaGraph, ProbeDep, ResultPage, SnapshotHandle,
+    SodaConfig, StepTimings, TenantId,
 };
 use soda_journal::tenant_journal_dir;
 use soda_trace::{
-    names, BoundedLog, CollectingSink, HeadDecision, OpEvent, QueryTrace, SampleReason, SpanId,
-    TraceSink, TraceValue,
+    names, BoundedLog, CollectingSink, HeadDecision, OpEvent, QueryTrace, SampleReason, Sampler,
+    SpanId, TraceSink, TraceValue,
 };
 
 use crate::admin::TenantAdmin;
@@ -150,8 +149,7 @@ use crate::durability::{
 use crate::metrics::LatencyRecorder;
 use crate::queue::{Job, QueueState, Waiter};
 use crate::request::{
-    owned_page, JobHandle, JobResult, QueryRequest, QueryResponse, SampledTrace, ServiceError,
-    WireResult,
+    owned_page, JobHandle, QueryRequest, QueryResponse, SampledTrace, ServiceError, WireResult,
 };
 use crate::slo::AlertState;
 use crate::tenants::{TenantRegistry, TenantState};
@@ -187,9 +185,9 @@ pub(crate) struct StoreState {
 }
 
 /// Everything the submitting threads, the workers and the admin facades
-/// share.  Facts counted per tenant (executions, swaps,
-/// feeds, compactions, slow queries) live on each [`TenantState`] only —
-/// tenants are never removed, so `metrics()` sums them.
+/// share.  Facts counted per tenant (answers, executions, swaps, feeds,
+/// compactions, slow queries) live on each [`TenantState`] only — tenants
+/// are never removed, so `metrics()` sums them.
 pub(crate) struct Shared {
     /// Every hosted tenant — the default tenant (the boot snapshot) plus
     /// whatever [`QueryService::add_tenant`] registered.
@@ -230,67 +228,109 @@ pub(crate) struct Shared {
     pub(crate) alert_states: Mutex<HashMap<(String, &'static str), AlertState>>,
 }
 
+/// How an answered query was served — what [`Shared::answered`] books
+/// beside its end-to-end latency.
+pub(crate) enum Served<'a> {
+    /// From the cache at submission: kept, when the sampler draws it or it
+    /// was slow, as a synthesized `cache_hit` span tree.
+    Hit { input: &'a str },
+    /// A waiter coalesced onto another submission's execution: never kept
+    /// (the execution's own trace tells its story).
+    Coalesced,
+    /// By a pipeline execution on a worker.
+    Executed {
+        input: &'a str,
+        /// The head draw made at submission.
+        head: Option<HeadDecision>,
+        /// `(queue wait, execution)`.
+        split: (Duration, Duration),
+        timings: Option<&'a StepTimings>,
+        /// The span tree, when the worker collected one.
+        sink: Option<CollectingSink>,
+    },
+}
+
+impl Served<'_> {
+    /// The trace the tenant's sampler keeps for this answer, if any: the
+    /// slow rule on the final end-to-end latency first, then the head draw
+    /// (made at submission for an execution, drawn here for a hit).
+    fn kept(self, sampler: &Sampler, tenant: &TenantId, e2e: Duration) -> Option<SampledTrace> {
+        let (input, head, (queue_wait, execution)) = match &self {
+            Served::Hit { input } => (*input, None, (Duration::ZERO, Duration::ZERO)),
+            Served::Coalesced => return None,
+            Served::Executed {
+                input, head, split, ..
+            } => (*input, *head, *split),
+        };
+        let head = head.unwrap_or_else(|| sampler.head_sample());
+        let reason = sampler.decide(head.sampled, e2e)?;
+        let trace = match self {
+            // A kept execution always has a collected tree: the worker
+            // collects whenever a slow rule is set or the head draw hit.
+            Served::Executed { sink, .. } => sink?.finish(),
+            _ => cache_hit_trace(input, e2e),
+        };
+        Some(SampledTrace {
+            tenant: tenant.clone(),
+            trace_id: head.trace_id.to_string(),
+            input: input.to_string(),
+            reason: reason.as_str(),
+            total: e2e,
+            queue_wait,
+            execution,
+            trace,
+        })
+    }
+}
+
 impl Shared {
-    /// Accounts a query answered without executing the pipeline — a cache
-    /// hit or a coalesced waiter: the tenant's latency distribution and its
-    /// SLO window.  Returns the end-to-end latency.
-    pub(crate) fn account_unexecuted(
+    /// Books one answered query, once.  An execution's queue-wait /
+    /// execution split and stage timings go to the service-wide recorder;
+    /// everything else — the tenant's end-to-end latency, SLO window,
+    /// counters and, when the sampler keeps the query, its trace — lands
+    /// under the tenant's one `facts` lock.  A slow query is counted there
+    /// and raised as a `slow_query` event after the lock is released.
+    pub(crate) fn answered(
         &self,
         tenant: &TenantState,
-        submitted: Instant,
-        ok: bool,
-    ) -> Duration {
-        let e2e = submitted.elapsed();
-        self.record_answered(tenant, e2e, ok);
-        e2e
-    }
-
-    /// Accounts a submission answered from the cache at submission time,
-    /// after making the response's own copy of the cached page — with the
-    /// store lock released, and before the clock is read, so the recorded
-    /// latency is the whole hit.
-    fn account_hit(
-        &self,
-        tenant: &TenantState,
-        page: Arc<ResultPage>,
-        submitted: Instant,
-    ) -> (ResultPage, Duration) {
-        let page = owned_page(page);
-        tenant.warm_hits.fetch_add(1, Ordering::Relaxed);
-        (page, self.account_unexecuted(tenant, submitted, true))
-    }
-
-    /// Accounts an executed query: its queue-wait / execution split and
-    /// per-stage timings, the tenant's latency distribution and its SLO
-    /// window.
-    pub(crate) fn account_executed(
-        &self,
-        tenant: &TenantState,
+        served: Served<'_>,
         e2e: Duration,
-        (queue_wait, execution): (Duration, Duration),
-        timings: Option<&StepTimings>,
         ok: bool,
     ) {
-        self.latency
-            .lock()
-            .expect("latency recorder poisoned")
-            .record_executed(queue_wait, execution, timings);
-        self.record_answered(tenant, e2e, ok);
-    }
-
-    /// Records one answered query's end-to-end latency — once, on its
-    /// tenant: the latency distribution and, when [`ServiceConfig::slo`] is
-    /// on, the rolling SLO window.
-    fn record_answered(&self, tenant: &TenantState, e2e: Duration, ok: bool) {
-        tenant
-            .e2e
-            .lock()
-            .expect("tenant latency recorder poisoned")
-            .record(e2e);
-        if let Some(slo) = &tenant.slo {
-            slo.lock()
-                .expect("slo window poisoned")
-                .record(self.started.elapsed(), e2e, ok);
+        let (hits, executions) = match &served {
+            Served::Hit { .. } => (1, 0),
+            Served::Coalesced => (0, 0),
+            Served::Executed { split, timings, .. } => {
+                self.latency
+                    .lock()
+                    .expect("latency recorder poisoned")
+                    .record_executed(split.0, split.1, *timings);
+                (0, 1)
+            }
+        };
+        let kept = tenant
+            .sampler
+            .as_ref()
+            .and_then(|sampler| served.kept(sampler, &tenant.id, e2e));
+        let slow = kept
+            .as_ref()
+            .filter(|kept| kept.reason == SampleReason::TailSlow.as_str())
+            .map(|kept| format!("{e2e:?} end-to-end: {}", kept.input));
+        {
+            let mut facts = tenant.facts();
+            facts.e2e.record(e2e);
+            if let Some(slo) = &mut facts.slo {
+                slo.record(self.started.elapsed(), e2e, ok);
+            }
+            facts.warm_hits += hits;
+            facts.executions += executions;
+            facts.slow_queries += u64::from(slow.is_some());
+            if let (Some(ring), Some(kept)) = (&mut facts.kept, kept) {
+                ring.push(kept);
+            }
+        }
+        if let Some(detail) = slow {
+            self.event("slow_query", &tenant.id, detail);
         }
     }
 
@@ -309,79 +349,12 @@ impl Shared {
             detail,
         });
     }
-
-    /// [`event`](Self::event) for a mutation of one tenant: the detail is
-    /// suffixed with the tenant's name — except for the default tenant, so
-    /// single-tenant operational logs read exactly as before the
-    /// multi-tenant redesign.
-    pub(crate) fn tenant_event(
-        &self,
-        kind: &'static str,
-        tenant: &TenantState,
-        mut detail: String,
-    ) {
-        if !tenant.id.is_default() {
-            let _ = write!(detail, ", tenant {}", tenant.id);
-        }
-        self.event(kind, &tenant.id, detail);
-    }
-
-    /// The one decision on whether an answered query's trace is kept: the
-    /// slow rule on the final end-to-end latency, then the head draw (`head`
-    /// — made at submission for queued jobs, drawn here for cache hits).  A
-    /// slow query is counted and raised as a `slow_query` event here and
-    /// nowhere else — warm hits included, the end-to-end figure decides.
-    /// A kept query lands the span tree `trace` yields, with its
-    /// `(queue wait, execution)` split, in the tenant's bounded ring.
-    pub(crate) fn sample(
-        &self,
-        tenant: &TenantState,
-        head: Option<HeadDecision>,
-        input: &str,
-        e2e: Duration,
-        (queue_wait, execution): (Duration, Duration),
-        trace: impl FnOnce() -> Option<QueryTrace>,
-    ) {
-        let Some(kept) = &tenant.kept else {
-            return;
-        };
-        let head = head.unwrap_or_else(|| kept.sampler.head_sample());
-        let Some(reason) = kept.sampler.decide(head.sampled, e2e) else {
-            return;
-        };
-        let Some(trace) = trace() else {
-            return;
-        };
-        if reason == SampleReason::TailSlow {
-            tenant.slow_queries.fetch_add(1, Ordering::Relaxed);
-            self.event(
-                "slow_query",
-                &tenant.id,
-                format!("{e2e:?} end-to-end: {input}"),
-            );
-        }
-        kept.total.fetch_add(1, Ordering::Relaxed);
-        kept.ring
-            .lock()
-            .expect("sampled-trace ring poisoned")
-            .push(SampledTrace {
-                tenant: tenant.id.clone(),
-                trace_id: head.trace_id.to_string(),
-                input: input.to_string(),
-                reason: reason.as_str(),
-                total: e2e,
-                queue_wait,
-                execution,
-                trace,
-            });
-    }
 }
 
 /// Synthesizes the span tree of a warm cache hit: a `query` root holding a
-/// single [`names::CACHE_HIT`] event — what a sampled (or traced) request
-/// records when the page is served from the cache instead of re-running
-/// the pipeline.
-pub(crate) fn cache_hit_trace(input: &str, e2e: Duration) -> QueryTrace {
+/// single [`names::CACHE_HIT`] event — what a kept hit records, as the page
+/// was served from the cache instead of re-running the pipeline.
+fn cache_hit_trace(input: &str, e2e: Duration) -> QueryTrace {
     let sink = CollectingSink::new();
     let root = sink.begin_span(names::QUERY, SpanId::NONE);
     sink.event(
@@ -620,7 +593,7 @@ impl QueryService {
         self.shared.event(
             "add_tenant",
             &tenant.id,
-            format!("tenant {}, {replayed} feeds replayed", tenant.id),
+            format!("{replayed} feeds replayed"),
         );
         Ok(())
     }
@@ -652,29 +625,23 @@ impl QueryService {
     /// another) is resolved first; an unknown tenant resolves the handle
     /// immediately with [`ServiceError::UnknownTenant`], a malformed input
     /// with the parse error.  Every request then probes the cache and
-    /// returns a resolved handle on a hit.  On a miss, a
-    /// [`traced`](QueryRequest::traced) request runs the pipeline on the
-    /// calling thread — never queued, never coalesced — and returns a
-    /// resolved handle whose response carries the span tree; an untraced
-    /// one coalesces onto an identical in-flight job when one exists, and
-    /// otherwise enqueues the job in the tenant's lane, blocking while the
-    /// lane is at its admission quota or the queue at capacity
-    /// (backpressure).
+    /// returns a resolved handle on a hit.  A miss coalesces onto an
+    /// identical in-flight job when one exists, and otherwise enqueues the
+    /// job in the tenant's lane, blocking while the lane is at its
+    /// admission quota or the queue at capacity (backpressure).  The
+    /// worker pool is the only place the service runs the pipeline; a
+    /// served query's span tree is kept, when the tenant's sampler says
+    /// so, in [`sampled_traces`](Self::sampled_traces).
     pub fn query(&self, request: QueryRequest) -> JobHandle {
         let submitted = Instant::now();
         let (tenant, engine, key) = match self.pin(&request) {
             Ok(pinned) => pinned,
             Err(e) => return JobHandle::ready(Err(e)),
         };
-        if request.traced {
-            return JobHandle::ready(self.run_traced(&tenant, &request, &engine, &key, submitted));
-        }
-
         // One critical section decides the submission's fate: cache hit,
         // coalesce onto an in-flight job, or become the job that computes.
-        // Bind the outcome before accounting it — holding the store guard
-        // while recording would nest locks that `metrics()` takes in
-        // another order.
+        // Bind the outcome before accounting it: the tenant's facts are
+        // never locked under the store lock.
         enum Probe {
             Hit(Arc<ResultPage>),
             Coalesced(mpsc::Receiver<WireResult>),
@@ -696,15 +663,15 @@ impl QueryService {
         };
         match probe {
             Probe::Hit(page) => {
-                let (page, e2e) = self.shared.account_hit(&tenant, page, submitted);
-                // The sampler sees warm hits too — always-on sampling covers
-                // the *normal* serving path, not just pipeline executions.
-                // A kept hit records a synthesized `cache_hit` span tree.
-                let trace = || Some(cache_hit_trace(&request.input, e2e));
-                let unqueued = (Duration::ZERO, Duration::ZERO);
+                // The response's own copy is made before the clock is read,
+                // so the recorded latency is the whole hit.
+                let page = owned_page(page);
+                let served = Served::Hit {
+                    input: &request.input,
+                };
                 self.shared
-                    .sample(&tenant, None, &request.input, e2e, unqueued, trace);
-                return JobHandle::ready(Ok(QueryResponse::untraced(page)));
+                    .answered(&tenant, served, submitted.elapsed(), true);
+                return JobHandle::ready(Ok(QueryResponse { page }));
             }
             Probe::Coalesced(rx) => return JobHandle::pending(rx),
             Probe::Compute => {}
@@ -715,7 +682,7 @@ impl QueryService {
             key: key.clone(),
             input: request.input,
             engine,
-            head: tenant.kept.as_ref().map(|k| k.sampler.head_sample()),
+            head: tenant.sampler.as_ref().map(Sampler::head_sample),
             tenant,
             submitted,
             tx,
@@ -758,56 +725,6 @@ impl QueryService {
         Ok((tenant, engine, key))
     }
 
-    /// The traced answer behind [`query`](Self::query): probes the cache
-    /// like any untraced submission — a warm page is served as a cache hit
-    /// whose trace is a synthesized `cache_hit` root, exactly what the
-    /// untraced path would have answered — and a miss runs the pipeline on
-    /// the caller's thread through a [`CollectingSink`] (counted as a
-    /// pipeline execution; the page is not cached, so no probe
-    /// dependencies are recorded).  The served page is byte-identical to
-    /// the untraced answer either way — tracing never changes an answer.
-    fn run_traced(
-        &self,
-        tenant: &TenantState,
-        request: &QueryRequest,
-        engine: &EngineSnapshot,
-        key: &CacheKey,
-        submitted: Instant,
-    ) -> JobResult {
-        let cached = self
-            .shared
-            .store
-            .lock()
-            .expect("store poisoned")
-            .cache
-            .get(key)
-            .map(|entry| Arc::clone(&entry.page));
-        if let Some(page) = cached {
-            let (page, e2e) = self.shared.account_hit(tenant, page, submitted);
-            return Ok(QueryResponse {
-                page,
-                trace: Some(cache_hit_trace(&request.input, e2e)),
-            });
-        }
-        let sink = CollectingSink::new();
-        let options = SearchOptions {
-            sink: &sink,
-            ..SearchOptions::page(request.page, request.page_size)
-        };
-        let found = engine
-            .search_with(&request.input, &options)
-            .map_err(ServiceError::Engine)?;
-        let e2e = submitted.elapsed();
-        tenant.executions.fetch_add(1, Ordering::Relaxed);
-        let timings = Some(&found.trace.timings);
-        self.shared
-            .account_executed(tenant, e2e, (Duration::ZERO, e2e), timings, true);
-        Ok(QueryResponse {
-            page: found.page,
-            trace: Some(sink.finish()),
-        })
-    }
-
     /// Jobs currently waiting in the queue, all tenant lanes combined.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().expect("queue poisoned").total
@@ -847,6 +764,7 @@ impl Drop for QueryService {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::request::JobResult;
     use soda_core::{ChangeFeed, SodaConfig, SodaError};
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -1088,65 +1006,47 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn traced_queries_match_untraced_and_yield_the_span_tree() {
-        let service = minibank_service(ServiceConfig::default());
-        let expected = service
-            .query(QueryRequest::new("Sara Guttinger"))
-            .wait()
-            .unwrap();
-        // A traced request for a warm page is a cache hit like any other
-        // submission: the cached page comes back with a synthesized
-        // `cache_hit` root instead of a re-execution.
-        let traced = service
-            .query(QueryRequest::new("Sara Guttinger").traced())
-            .wait()
-            .unwrap();
-        assert_eq!(
-            traced.page, expected.page,
-            "tracing must not change answers"
+    fn sampled_queries_match_unsampled_and_keep_the_span_tree() {
+        let plain = minibank_service(ServiceConfig::default());
+        let expected = plain.query(QueryRequest::new("Sara Guttinger")).wait();
+        let service = minibank_service(
+            ServiceConfig::default().sampling(crate::SamplingConfig::default().rate(1.0)),
         );
-        let warm_trace = traced
-            .trace
-            .as_ref()
-            .expect("a traced response carries its trace");
+        let ask = || {
+            let got = service.query(QueryRequest::new("Sara Guttinger")).wait();
+            assert_eq!(got, expected, "sampling must not change answers");
+        };
+        let kept = |n: usize| {
+            let kept = service.sampled_traces(TenantId::default()).unwrap();
+            assert_eq!(kept.len(), n);
+            kept[n - 1].trace.clone()
+        };
+        // A cold query executes the pipeline and keeps the five-stage tree.
+        ask();
+        let trace = kept(1);
+        let root = trace.find("query").expect("query root span");
+        assert_eq!(root.children.len(), 5, "{}", trace.render());
+        // A warm page is a cache hit like any other submission: the cached
+        // page comes back and a synthesized `cache_hit` root is kept.
+        ask();
+        let warm_trace = kept(2);
         let warm_root = warm_trace.find("query").expect("query root span");
         assert!(
             warm_root.children.iter().any(|c| c.name == "cache_hit"),
-            "warm traced hit should record a cache_hit event:\n{}",
+            "a kept warm hit should record a cache_hit event:\n{}",
             warm_trace.render()
         );
         let m = service.metrics();
-        assert_eq!(m.pipeline_executions, 1);
-        assert_eq!(m.cache.hits, 1);
-        // A cold traced request executes the full pipeline and yields the
-        // five-stage span tree.
+        assert_eq!((m.pipeline_executions, m.cache.hits), (1, 1));
+        // Once the page is dropped, the repeat executes again.
         admin(&service).clear_cache();
-        let traced = service
-            .query(QueryRequest::new("Sara Guttinger").traced())
-            .wait()
-            .unwrap();
-        assert_eq!(
-            traced.page, expected.page,
-            "tracing must not change answers"
-        );
-        let trace = traced
-            .trace
-            .as_ref()
-            .expect("a traced response carries its trace");
+        ask();
+        let trace = kept(3);
         let root = trace.find("query").expect("query root span");
         assert_eq!(root.children.len(), 5, "{}", trace.render());
         let m = service.metrics();
         assert_eq!(m.pipeline_executions, 2);
         assert_eq!(m.completed, 3);
-    }
-
-    #[test]
-    fn traced_queries_surface_engine_errors() {
-        let service = minibank_service(ServiceConfig::default());
-        match service.query(QueryRequest::new("   ").traced()).wait() {
-            Err(ServiceError::Engine(SodaError::EmptyQuery)) => {}
-            other => panic!("expected EmptyQuery, got {other:?}"),
-        }
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   snapshot); further tenants are registered at runtime through
 //!   [`QueryService::add_tenant`](crate::QueryService::add_tenant).
 //! * `TenantState` (private) — one tenant's serving state: the swappable
-//!   snapshot,
-//!   the per-tenant swap lock (so two tenants can reload concurrently), the
-//!   fairness counters surfaced by
-//!   [`ServiceMetrics::tenants`](crate::ServiceMetrics) and, on a durable
-//!   service, the tenant's own journal.
+//!   snapshot, the per-tenant swap lock (so two tenants can reload
+//!   concurrently), on a durable service the tenant's own journal, and
+//!   under one `facts` mutex everything answering a query records: the
+//!   end-to-end histogram, the SLO window, the kept-trace ring and the
+//!   counters surfaced by [`ServiceMetrics::tenants`](crate::ServiceMetrics).
 //! * [`TenantAdmin`](crate::TenantAdmin) (in [`crate::admin`]) — the
 //!   mutation facade returned by
 //!   [`QueryService::admin`](crate::QueryService::admin): every operation
@@ -29,8 +29,7 @@
 //! tenant its own lane with a round-robin scan and an admission quota, so
 //! one tenant's cold-query storm cannot starve another tenant's traffic.
 
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use soda_core::{SnapshotHandle, TenantId};
 use soda_trace::hist::LogHistogram;
@@ -46,21 +45,8 @@ use crate::slo::{SloWindow, RESOLUTION, SLOW_WINDOW};
 /// tenants draw independent — but individually reproducible — sequences.
 const SAMPLING_SEED: u64 = 0x50DA;
 
-/// What a tenant that keeps traces carries — absent as a whole on a
-/// service with neither `ServiceConfig::sampling` nor
-/// `ServiceConfig::slow_query_threshold`.
-pub(crate) struct KeptTraces {
-    /// Decides which answered queries are kept.
-    pub(crate) sampler: Sampler,
-    /// Bounded ring of kept traces, newest retained
-    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
-    pub(crate) ring: Mutex<BoundedLog<SampledTrace>>,
-    /// Lifetime count of traces kept for this tenant.
-    pub(crate) total: AtomicU64,
-}
-
-/// One tenant's serving state: identity, snapshot, swap lock, fairness
-/// counters and (optionally) its write-ahead journal.
+/// One tenant's serving state: identity, snapshot, swap lock, journal,
+/// sampler and the facts its answers and swaps record.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
     /// The tenant's swappable current snapshot.  Submissions load it once and
@@ -69,41 +55,52 @@ pub(crate) struct TenantState {
     pub(crate) handle: SnapshotHandle,
     /// Serializes this tenant's swap paths (reload, graph refresh, ingest,
     /// compaction) so each one's pre-swap fingerprint capture, the handle
-    /// publication and the cache retention/purge form one atomic episode.  Per-tenant on purpose: tenant A's reload never
-    /// blocks tenant B's ingest.
+    /// publication and the cache retention/purge form one atomic episode.
+    /// Per-tenant on purpose: tenant A's reload never blocks tenant B's
+    /// ingest.
     pub(crate) swaps: Mutex<()>,
-    /// Snapshot swaps this tenant performed (reloads + graph refreshes).
-    pub(crate) reloads: AtomicU64,
-    /// Change feeds absorbed for this tenant.
-    pub(crate) ingest_feeds: AtomicU64,
-    /// Side-log compactions performed for this tenant.
-    pub(crate) compactions: AtomicU64,
-    /// Full pipeline executions performed for this tenant.
-    pub(crate) executions: AtomicU64,
-    /// Submissions answered from the cache at submission time.
-    pub(crate) warm_hits: AtomicU64,
-    /// Submissions that had to block in admission control (tenant lane at
-    /// quota, or the whole queue at capacity) before enqueueing.
-    pub(crate) admission_waits: AtomicU64,
-    /// End-to-end latency of this tenant's answered queries — the only
-    /// place a query's end-to-end latency is recorded (the service-wide
-    /// distribution is the tenants' merge).  Its sample count doubles as
-    /// the tenant's completed-query counter.
-    pub(crate) e2e: Mutex<LogHistogram>,
-    /// Queries of this tenant whose end-to-end latency crossed the
-    /// service's slow-query threshold.
-    pub(crate) slow_queries: AtomicU64,
-    /// The tenant's sampler, kept-trace ring and kept count — present when
-    /// `ServiceConfig::sampling` or `ServiceConfig::slow_query_threshold`
-    /// is set.
-    pub(crate) kept: Option<KeptTraces>,
-    /// The tenant's rolling SLO window (`None` when `ServiceConfig::slo`
-    /// is off).
-    pub(crate) slo: Option<Mutex<SloWindow>>,
     /// The tenant's crash-safety state (`None` on a non-durable service).
     /// Lock order matches the service-wide rule:
     /// tenant swap lock → durability → store.
     pub(crate) durability: Option<Mutex<DurabilityState>>,
+    /// Decides which answered queries keep their span tree — present when
+    /// `ServiceConfig::sampling` or `ServiceConfig::slow_query_threshold`
+    /// is set.
+    pub(crate) sampler: Option<Sampler>,
+    /// Everything recorded about the tenant's answers and swaps, under one
+    /// lock so a `metrics()` poll reads one consistent snapshot.  A leaf:
+    /// no lock is taken while it is held, and it is never taken while the
+    /// store lock is held.
+    facts: Mutex<TenantFacts>,
+}
+
+/// What a tenant's answers and swaps record — read by `metrics()`, the
+/// scrape, `sampled_traces()` and the SLO evaluation.
+pub(crate) struct TenantFacts {
+    /// End-to-end latency of every answered query — the only place it is
+    /// recorded (the service-wide distribution is the tenants' merge).  Its
+    /// sample count is the tenant's completed-query count.
+    pub(crate) e2e: LogHistogram,
+    /// The rolling SLO window (`None` when `ServiceConfig::slo` is off).
+    pub(crate) slo: Option<SloWindow>,
+    /// Kept traces, newest retained (present exactly when the sampler is);
+    /// its lifetime push count is the tenant's kept-trace count.
+    pub(crate) kept: Option<BoundedLog<SampledTrace>>,
+    /// Submissions answered from the cache at submission time.
+    pub(crate) warm_hits: u64,
+    /// Full pipeline executions.
+    pub(crate) executions: u64,
+    /// Answers whose end-to-end latency reached the slow-query threshold.
+    pub(crate) slow_queries: u64,
+    /// Submissions that blocked in admission control (tenant lane at quota,
+    /// or the whole queue at capacity) before enqueueing.
+    pub(crate) admission_waits: u64,
+    /// Snapshot swaps (reloads and graph refreshes).
+    pub(crate) reloads: u64,
+    /// Change feeds absorbed.
+    pub(crate) ingest_feeds: u64,
+    /// Side-log compactions.
+    pub(crate) compactions: u64,
 }
 
 impl TenantState {
@@ -120,32 +117,40 @@ impl TenantState {
                 .slow_query_threshold
                 .map(|_| SamplingConfig::default().rate(0.0))
         });
-        let kept = sampling.map(|sampling| KeptTraces {
-            sampler: Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate)
-                .with_slow(config.slow_query_threshold),
-            ring: Mutex::new(BoundedLog::new(sampling.trace_log)),
-            total: AtomicU64::new(0),
+        let sampler = sampling.as_ref().map(|sampling| {
+            Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate)
+                .with_slow(config.slow_query_threshold)
         });
         let slo = config.slo.as_ref().map(|slo| {
             let objective = slo.objective_for(id.as_str());
-            Mutex::new(SloWindow::new(objective, SLOW_WINDOW, RESOLUTION))
+            SloWindow::new(objective, SLOW_WINDOW, RESOLUTION)
         });
+        let facts = TenantFacts {
+            e2e: LogHistogram::new(),
+            slo,
+            kept: sampling.map(|sampling| BoundedLog::new(sampling.trace_log)),
+            warm_hits: 0,
+            executions: 0,
+            slow_queries: 0,
+            admission_waits: 0,
+            reloads: 0,
+            ingest_feeds: 0,
+            compactions: 0,
+        };
         Self {
             id,
             handle,
             swaps: Mutex::new(()),
-            reloads: AtomicU64::new(0),
-            ingest_feeds: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            executions: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            admission_waits: AtomicU64::new(0),
-            e2e: Mutex::new(LogHistogram::new()),
-            slow_queries: AtomicU64::new(0),
-            kept,
-            slo,
             durability: durability.map(Mutex::new),
+            sampler,
+            facts: Mutex::new(facts),
         }
+    }
+
+    /// The tenant's facts, locked.  Hold the guard for a few field updates
+    /// or one read, never across another lock.
+    pub(crate) fn facts(&self) -> MutexGuard<'_, TenantFacts> {
+        self.facts.lock().expect("tenant facts poisoned")
     }
 
     /// The tenant-folded fingerprint of the snapshot this tenant serves

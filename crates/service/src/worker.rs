@@ -1,7 +1,6 @@
 //! The worker loop: pop a job, run the five-step pipeline against the
 //! snapshot the job pinned, publish the page and resolve every waiter.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -10,7 +9,7 @@ use soda_trace::{CollectingSink, NoopSink, TraceSink};
 
 use crate::cache::CacheKey;
 use crate::request::{ServiceError, WireResult};
-use crate::service::{CachedPage, Shared};
+use crate::service::{CachedPage, Served, Shared};
 
 pub(crate) fn worker_loop(shared: &Shared) {
     loop {
@@ -61,7 +60,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // probe tokens they select — the evidence that lets a data-only
         // snapshot swap retain this page instead of purging it.
         let recorder = ProbeRecorder::new();
-        // A collecting sink runs when `Shared::sample` might keep the span
+        // A collecting sink runs when `Shared::answered` might keep the span
         // tree: a slow-query threshold (the decision needs the final
         // latency, which only exists afterwards) or a head-sampled draw.
         // Otherwise the noop sink keeps the pipeline's instrumentation at a
@@ -96,9 +95,6 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // concurrent swap — worst case one soon-unaddressable page slips in
         // and ages out of the LRU.
         let still_live = job.key.snapshot_fingerprint == job.tenant.folded_live();
-        // Counted before the page becomes visible, so no reader can see the
-        // page of an execution the counters do not know yet.
-        job.tenant.executions.fetch_add(1, Ordering::Relaxed);
         let entry = match &outcome {
             Ok(page) if still_live => Some(CachedPage {
                 page: Arc::clone(page),
@@ -117,17 +113,25 @@ pub(crate) fn worker_loop(shared: &Shared) {
             }
             waiters
         };
-        let e2e = job.submitted.elapsed();
-        let split = (queue_wait, execution);
-        shared.account_executed(&job.tenant, e2e, split, timings.as_ref(), outcome.is_ok());
         // The end-to-end figure decides what is slow, so a fast pipeline
         // behind a deep queue is still kept — that *is* the slowness the
-        // caller experienced.  A kept query always has a collected trace
-        // (see `collecting` above).
-        let trace = || collecting.map(CollectingSink::finish);
-        shared.sample(&job.tenant, job.head, &job.input, e2e, split, trace);
+        // caller experienced.
+        let served = Served::Executed {
+            input: &job.input,
+            head: job.head,
+            split: (queue_wait, execution),
+            timings: timings.as_ref(),
+            sink: collecting,
+        };
+        let ok = outcome.is_ok();
+        shared.answered(&job.tenant, served, job.submitted.elapsed(), ok);
         for waiter in waiters {
-            shared.account_unexecuted(&job.tenant, waiter.submitted, outcome.is_ok());
+            shared.answered(
+                &job.tenant,
+                Served::Coalesced,
+                waiter.submitted.elapsed(),
+                ok,
+            );
             // A waiter may have dropped its handle; that is not an error.
             let _ = waiter.tx.send(outcome.clone());
         }

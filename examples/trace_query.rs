@@ -1,7 +1,7 @@
-//! End-to-end query tracing: run one mini-bank query through the service's
-//! traced diagnostic path, print the rendered span tree (the five pipeline
-//! stages with per-shard probe sub-spans), then the Prometheus text
-//! exposition the service exports for scraping.
+//! End-to-end query tracing: ask one mini-bank question twice, print the
+//! span trees the service kept (the execution's five pipeline stages with
+//! per-shard probe sub-spans, then the warm hit's `cache_hit` root), then
+//! the Prometheus text exposition the service exports for scraping.
 //!
 //! Run with: `cargo run --example trace_query`
 
@@ -34,38 +34,35 @@ fn main() {
         },
     );
 
+    // Executed once, then answered from the cache — both kept as
+    // `tail_slow`: the execution with the pipeline's span tree, the hit
+    // with a synthesized `cache_hit` root.
     let query = "financial instruments customers Zurich";
-    let traced = service
-        .query(QueryRequest::new(query).traced())
-        .wait()
+    let answers: Vec<QueryResponse> = (0..2)
+        .map(|_| service.query(QueryRequest::new(query)).wait())
+        .collect::<Result<_, _>>()
         .expect("query parses");
-    println!("== traced: {query}");
+    let page = &answers[0].page;
+    println!("== {query}");
     println!(
         "   {} results, best: {}\n",
-        traced.page.total_results,
-        traced
-            .page
-            .results
+        page.total_results,
+        page.results
             .first()
             .map(|r| r.sql.as_str())
             .unwrap_or("(none)")
     );
-    println!(
-        "{}",
-        traced
-            .trace
-            .expect("traced response carries its trace")
-            .render()
-    );
-
-    // The same query through the normal path: executed once, then answered
-    // from the cache — both kept as `tail_slow`.
-    for _ in 0..2 {
-        service.query(QueryRequest::new(query)).wait().unwrap();
-    }
     let kept = service
         .sampled_traces(TenantId::default())
         .expect("default tenant");
+    for capture in &kept {
+        println!(
+            "== kept ({}, {:?} end-to-end)\n{}",
+            capture.reason,
+            capture.total,
+            capture.trace.render()
+        );
+    }
     println!(
         "kept traces: {} capture(s), first spans {} node(s)\n",
         kept.len(),

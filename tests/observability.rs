@@ -64,19 +64,27 @@ fn enterprise_service_with(shards: usize, config: ServiceConfig) -> QueryService
     QueryService::start(Arc::new(snapshot), config)
 }
 
-/// The tentpole acceptance: a traced query on the enterprise warehouse
+/// A head-sampled service at rate 1 keeps every answer's span tree.
+fn sampled_enterprise_service(shards: usize) -> QueryService {
+    let sampling = SamplingConfig::default().rate(1.0);
+    enterprise_service_with(shards, ServiceConfig::default().sampling(sampling))
+}
+
+/// The tentpole acceptance: a kept query on the enterprise warehouse
 /// yields a span tree with all five pipeline stages and at least one
 /// per-shard probe sub-span, and the stage durations account for the bulk
 /// of the end-to-end execution.
 #[test]
 fn traced_enterprise_query_yields_the_full_span_tree() {
-    let service = enterprise_service(4);
-    let traced = service
-        .query(QueryRequest::new("financial instruments customers Zurich").traced())
+    let service = sampled_enterprise_service(4);
+    let answer = service
+        .query(QueryRequest::new("financial instruments customers Zurich"))
         .wait()
-        .expect("traced query succeeds");
-    assert!(!traced.page.results.is_empty());
-    let trace = traced.trace.expect("a traced response carries its trace");
+        .expect("the query succeeds");
+    assert!(!answer.page.results.is_empty());
+    let kept = service.sampled_traces(TenantId::default()).unwrap();
+    assert_eq!(kept.len(), 1, "the execution is kept");
+    let trace = &kept[0].trace;
 
     let root = trace.find(names::QUERY).expect("query root span");
     for stage in names::STAGES {
@@ -310,23 +318,23 @@ fn regenerate() {
     fs::write(path, out).expect("writing the golden file");
 }
 
-/// Tracing is invisible to callers: a `.traced()` request answers
-/// byte-identically to the untraced one, across shard counts.
+/// Tracing is invisible to callers: a service that keeps every span tree
+/// answers byte-identically to one that keeps none, across shard counts.
 #[test]
 fn traced_and_untraced_answers_are_byte_identical() {
     for shards in [1usize, 4] {
-        let service = enterprise_service(shards);
+        let untraced = enterprise_service(shards);
+        let traced = sampled_enterprise_service(shards);
         for query in ["customers Zurich", "Credit Suisse"] {
-            let expected = service.query(QueryRequest::new(query)).wait().unwrap();
-            let traced = service
-                .query(QueryRequest::new(query).traced())
-                .wait()
-                .unwrap();
+            let expected = untraced.query(QueryRequest::new(query)).wait().unwrap();
+            let got = traced.query(QueryRequest::new(query)).wait().unwrap();
             assert_eq!(
-                traced.page, expected.page,
+                got.page, expected.page,
                 "'{query}' diverged under tracing at {shards} shards"
             );
         }
+        let kept = traced.sampled_traces(TenantId::default()).unwrap();
+        assert_eq!(kept.len(), 2, "both executions kept at {shards} shards");
     }
 }
 
@@ -337,10 +345,7 @@ fn traced_and_untraced_answers_are_byte_identical() {
 #[test]
 fn sampled_queries_answer_byte_identically_and_land_in_the_ring() {
     let plain = enterprise_service(4);
-    let sampled = enterprise_service_with(
-        4,
-        ServiceConfig::default().sampling(SamplingConfig::default().rate(1.0)),
-    );
+    let sampled = sampled_enterprise_service(4);
     for query in ["customers Zurich", "Credit Suisse"] {
         let expected = plain.query(QueryRequest::new(query)).wait().unwrap();
         let cold = sampled.query(QueryRequest::new(query)).wait().unwrap();
