@@ -220,7 +220,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.row_count(), 1);
-        assert_eq!(rs.rows()[0][1], Value::from("Guttinger"));
+        assert_eq!(rs.row(0)[1], Value::from("Guttinger"));
     }
 
     #[test]

@@ -274,7 +274,7 @@ pub(super) struct AggCall {
 }
 
 /// Running state of one [`AggCall`] over one group.  NULL inputs are skipped.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub(super) struct Accumulator<'v> {
     count: i64,
     int_sum: i64,
@@ -282,6 +282,19 @@ pub(super) struct Accumulator<'v> {
     /// Some input was not an `Int`: `sum` reports the float sum.
     non_int: bool,
     extreme: Option<Cow<'v, Value>>,
+}
+
+impl Default for Accumulator<'_> {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            int_sum: 0,
+            // The identity of float addition: a sum of `-0.0`s is `-0.0`.
+            float_sum: -0.0,
+            non_int: false,
+            extreme: None,
+        }
+    }
 }
 
 impl AggCall {

@@ -12,21 +12,28 @@
 //!    view; single-table predicates are applied here, below the joins.
 //! 3. **Join.**  Tables attach in the order join predicates connect them
 //!    (cross product only when none does).  A tuple is one `&Row` per table
-//!    joined so far; equi-joins hash the key [`Value`]s of the smaller input.
+//!    joined so far.  An equi-join chains the rows of the smaller input in a
+//!    flat table keyed by a per-execution random-keyed SipHash of their key
+//!    [`Value`]s (`head` per bucket, `next` and the hash per row); a bit
+//!    filter in front of it, set from a cheap unkeyed hash of the same
+//!    values, lets a probe row that matches nothing skip the SipHash and the
+//!    walk.  A candidate matches when every key compares equal as the
+//!    predicate `l = r` would.
 //! 4. **Fold.**  Aggregating statements assign each tuple to its group and
 //!    update one accumulator per (group, aggregate) in the same pass.
 //! 5. **Materialise.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers;
-//!    only the projected values of rows in the [`ResultSet`] are cloned, and
-//!    cloning a text value shares its string.
+//!    a statement with neither DISTINCT nor ORDER BY writes its first rows
+//!    straight out.  Only the projected values of rows in the [`ResultSet`]
+//!    are cloned, into one row-major buffer, and cloning a text value shares
+//!    its string.
 
 pub mod eval;
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Deref;
 
 use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema};
@@ -41,7 +48,10 @@ use crate::value::Value;
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ResultSet {
     columns: Vec<String>,
-    rows: Vec<Vec<Value>>,
+    /// The cells, row after row, `columns.len()` to a row.
+    cells: Vec<Value>,
+    /// Kept apart from `cells`, so that a zero-width result keeps its count.
+    rows: usize,
 }
 
 impl ResultSet {
@@ -50,27 +60,39 @@ impl ResultSet {
         &self.columns
     }
 
-    /// Output rows.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+    /// Output rows, in order.
+    pub fn rows(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &[Value]> + DoubleEndedIterator + Clone + '_ {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not less than [`row_count`](Self::row_count).
+    pub fn row(&self, i: usize) -> &[Value] {
+        assert!(i < self.rows, "row {i} of a {}-row result", self.rows);
+        let width = self.columns.len();
+        &self.cells[i * width..][..width]
     }
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows == 0
     }
 
     /// Rows rendered as tab-separated strings — the canonical form used for
     /// precision/recall comparison against the gold standard (the paper
     /// compares result *tuples*).
     pub fn tuple_strings(&self) -> Vec<String> {
-        self.rows
-            .iter()
+        self.rows()
             .map(|row| {
                 let mut out = String::new();
                 write_cells(&mut out, row, "\t");
@@ -84,7 +106,7 @@ impl ResultSet {
     pub fn snippet(&self, n: usize) -> String {
         let mut out = self.columns.join(" | ");
         out.push('\n');
-        for row in self.rows.iter().take(n) {
+        for row in self.rows().take(n) {
             write_cells(&mut out, row, " | ");
             out.push('\n');
         }
@@ -118,43 +140,150 @@ impl<'a> Tuples<'a> {
     }
 }
 
-/// Key hash → the row numbers inserted under it, in insertion order.  Callers
-/// confirm a candidate by comparing the key values themselves, so the join,
-/// GROUP BY and DISTINCT tables hold no keys.  The key is already a
-/// random-keyed SipHash of the row's key values, so the map uses it as is.
-type HashIndex = HashMap<u64, Vec<usize>, BuildHasherDefault<Prehashed>>;
+/// No entry: the end of a chain.
+const END: u32 = u32::MAX;
 
-/// A `Hasher` that passes a `u64` key through unchanged.
-#[derive(Default)]
-struct Prehashed(u64);
+/// Entries `0..capacity` chained by a per-table random-keyed SipHash of
+/// their key values: `head` holds the entry linked last into each
+/// power-of-two bucket, `next` the one linked before it, so a chain walks
+/// newest first.  Each entry keeps its hash, so a walk compares keys only
+/// on an equal 64-bit hash; callers confirm a candidate by comparing the key
+/// values themselves, so the join, GROUP BY and DISTINCT tables hold no keys.
+struct Chains {
+    state: RandomState,
+    head: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
+}
 
-impl Hasher for Prehashed {
-    fn finish(&self) -> u64 {
-        self.0
+impl Chains {
+    fn new(capacity: usize) -> Self {
+        assert!(
+            u32::try_from(capacity).is_ok_and(|c| c != END),
+            "{capacity} entries do not fit a chained table"
+        );
+        Self {
+            state: RandomState::new(),
+            head: vec![END; capacity.next_power_of_two()],
+            next: vec![END; capacity],
+            hashes: vec![0; capacity],
+        }
     }
 
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a HashIndex key is a u64")
+    fn hash(&self, values: impl Iterator<Item = impl Deref<Target = Value>>) -> u64 {
+        hash_values(self.state.build_hasher(), values)
     }
 
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.head.len() - 1)
+    }
+
+    /// Links `entry` at the head of its chain.
+    fn link(&mut self, entry: usize, hash: u64) {
+        let bucket = self.bucket(hash);
+        self.hashes[entry] = hash;
+        self.next[entry] = self.head[bucket];
+        self.head[bucket] = entry as u32;
+    }
+
+    /// The entries linked under `hash`, newest first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.head[self.bucket(hash)];
+        std::iter::from_fn(move || {
+            while at != END {
+                let entry = at as usize;
+                at = self.next[entry];
+                if self.hashes[entry] == hash {
+                    return Some(entry);
+                }
+            }
+            None
+        })
     }
 }
 
-fn candidates(index: &HashIndex, hash: u64) -> impl Iterator<Item = usize> + '_ {
-    index.get(&hash).into_iter().flatten().copied()
+/// A one-bit-per-hash filter of at least 8 bits per build row, in front of
+/// the join's [`Chains`]: a probe row whose bit is clear has no match.  It
+/// is fed the same [`Value::hash`] as the table, through [`Mix`], so a
+/// collision costs one SipHash and one walk, never a wrong or a missed match.
+struct Filter {
+    words: Vec<u64>,
+    shift: u32,
 }
 
-fn hash_values(
-    state: &RandomState,
+impl Filter {
+    fn new(rows: usize) -> Self {
+        let bits = rows.saturating_mul(8).next_power_of_two().max(64);
+        Self {
+            words: vec![0; bits / 64],
+            shift: 64 - bits.trailing_zeros(),
+        }
+    }
+
+    /// The word and the mask of the bit of `hash`: its top bits, the ones
+    /// [`Mix`]'s last multiply spreads every input bit into.
+    fn bit(&self, hash: u64) -> (usize, u64) {
+        let bit = (hash >> self.shift) as usize;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    fn insert(&mut self, hash: u64) {
+        let (word, mask) = self.bit(hash);
+        self.words[word] |= mask;
+    }
+
+    fn contains(&self, hash: u64) -> bool {
+        let (word, mask) = self.bit(hash);
+        self.words[word] & mask != 0
+    }
+}
+
+fn hash_values<H: Hasher>(
+    mut hasher: H,
     values: impl Iterator<Item = impl Deref<Target = Value>>,
 ) -> u64 {
-    let mut hasher = state.build_hasher();
     for value in values {
         value.hash(&mut hasher);
     }
     hasher.finish()
+}
+
+/// An unkeyed multiply–rotate hasher (FxHash's step): a few cycles a word,
+/// where a SipHash costs tens.  Only the [`Filter`] reads it.
+#[derive(Default)]
+struct Mix(u64);
+
+impl Mix {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Mix {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
 }
 
 /// Executes a statement against a database.
@@ -337,7 +466,7 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
             .collect();
     }
 
-    let rows = match output {
+    let (cells, rows) = match output {
         Output::Plain { projection, sort } => materialise(&tuples, &projection, &sort, stmt),
         Output::Grouped { keys, calls, items } => {
             let groups = fold(&tuples, &keys, &calls, &items);
@@ -352,7 +481,11 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
             materialise(&tuples, &projection, &sort, stmt)
         }
     };
-    Ok(ResultSet { columns, rows })
+    Ok(ResultSet {
+        columns,
+        cells,
+        rows,
+    })
 }
 
 /// What a statement computes from the joined tuples, bound.
@@ -402,15 +535,49 @@ fn join<'a>(left: &Tuples<'a>, right: &[&'a Row], keys: &[((usize, usize), usize
         let right_key = |r: usize, k: usize| &right[r][keys[k].1];
         // Hash the smaller side; both branches emit in the same order.
         if left.len() < right.len() {
-            let mut pairs = matches(keys.len(), left.len(), left_key, right.len(), right_key);
-            pairs.sort_by_key(|&(_, l)| l);
-            for (r, l) in pairs {
-                emit(l, r);
+            // Matches arrive right-major; a stable counting scatter by left
+            // tuple makes them left-major, each tuple's rights still in order.
+            let mut pairs = Vec::new();
+            let found = |r, l| pairs.push((r, l));
+            matches(
+                keys.len(),
+                left.len(),
+                left_key,
+                right.len(),
+                right_key,
+                found,
+            );
+            // `cursor[l]`: where tuple `l`'s next right goes in `rights`;
+            // once all are placed, where its run ends.
+            let mut cursor = vec![0; left.len()];
+            for &(_, l) in &pairs {
+                cursor[l] += 1;
+            }
+            let mut at = 0;
+            for slot in &mut cursor {
+                (at, *slot) = (at + *slot, at);
+            }
+            let mut rights = vec![0; pairs.len()];
+            for &(r, l) in &pairs {
+                rights[cursor[l]] = r;
+                cursor[l] += 1;
+            }
+            let mut start = 0;
+            for (l, &end) in cursor.iter().enumerate() {
+                for &r in &rights[start..end] {
+                    emit(l, r);
+                }
+                start = end;
             }
         } else {
-            for (l, r) in matches(keys.len(), right.len(), right_key, left.len(), left_key) {
-                emit(l, r);
-            }
+            matches(
+                keys.len(),
+                right.len(),
+                right_key,
+                left.len(),
+                left_key,
+                emit,
+            );
         }
     }
     Tuples {
@@ -419,35 +586,40 @@ fn join<'a>(left: &Tuples<'a>, right: &[&'a Row], keys: &[((usize, usize), usize
     }
 }
 
-/// Equi-join matches as `(probe row, build row)` pairs: probe rows in order,
-/// the build rows of each in order.  A NULL key matches nothing.
+/// Calls `found(probe row, build row)` for every equi-join match: probe rows
+/// in order, the build rows of each in order.  A NULL key matches nothing.
 fn matches<'v>(
     keys: usize,
     build_len: usize,
     build_key: impl Fn(usize, usize) -> &'v Value,
     probe_len: usize,
     probe_key: impl Fn(usize, usize) -> &'v Value,
-) -> Vec<(usize, usize)> {
-    let state = RandomState::new();
-    let hash = |key: &dyn Fn(usize, usize) -> &'v Value, row: usize| {
-        let null = (0..keys).any(|k| key(row, k).is_null());
-        (!null).then(|| hash_values(&state, (0..keys).map(|k| key(row, k))))
-    };
-    let mut table = HashIndex::default();
-    for b in 0..build_len {
-        if let Some(hash) = hash(&build_key, b) {
-            table.entry(hash).or_default().push(b);
+    mut found: impl FnMut(usize, usize),
+) {
+    let null =
+        |key: &dyn Fn(usize, usize) -> &'v Value, row| (0..keys).any(|k| key(row, k).is_null());
+    let mut table = Chains::new(build_len);
+    let mut filter = Filter::new(build_len);
+    // Linked last to first, so that every chain walks in row order.
+    for b in (0..build_len).rev() {
+        if !null(&build_key, b) {
+            let values = || (0..keys).map(|k| build_key(b, k));
+            filter.insert(hash_values(Mix::default(), values()));
+            table.link(b, table.hash(values()));
         }
     }
-    let mut pairs = Vec::new();
     for p in 0..probe_len {
-        let Some(hash) = hash(&probe_key, p) else {
+        let values = || (0..keys).map(|k| probe_key(p, k));
+        if null(&probe_key, p) || !filter.contains(hash_values(Mix::default(), values())) {
             continue;
+        }
+        let equal = |&b: &usize| {
+            (0..keys).all(|k| probe_key(p, k).sql_cmp(build_key(b, k)) == Some(Ordering::Equal))
         };
-        let equal = |b: &usize| (0..keys).all(|k| probe_key(p, k) == build_key(*b, k));
-        pairs.extend(candidates(&table, hash).filter(equal).map(|b| (p, b)));
+        for b in table.chain(table.hash(values())).filter(equal) {
+            found(p, b);
+        }
     }
-    pairs
 }
 
 /// Assigns every tuple to its group — groups in order of first appearance,
@@ -459,21 +631,24 @@ fn fold(
     calls: &[AggCall],
     items: &[GroupExpr],
 ) -> Vec<Row> {
-    let state = RandomState::new();
-    let mut index = HashIndex::default();
+    // An entry per group, at most one per tuple.
+    let mut index = Chains::new(tuples.len());
     // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
     let mut firsts: Vec<usize> = Vec::new();
     let mut accs: Vec<Accumulator<'_>> = Vec::new();
     for i in 0..tuples.len() {
         let tuple = tuples.get(i);
-        let hash = hash_values(&state, keys.iter().map(|k| k.value(tuple)));
+        let hash = index.hash(keys.iter().map(|k| k.value(tuple)));
         let same_key = |g: &usize| {
             let first = tuples.get(firsts[*g]);
             keys.iter().all(|k| k.value(tuple) == k.value(first))
         };
-        let found = candidates(&index, hash).find(same_key);
+        // `Int` and `Float` keys make equality intransitive (`Int(0)` equals
+        // both zeros, which differ), so the first equal group wins: the last
+        // of a newest-first walk.
+        let found = index.chain(hash).filter(same_key).last();
         let group = found.unwrap_or_else(|| {
-            index.entry(hash).or_default().push(firsts.len());
+            index.link(firsts.len(), hash);
             firsts.push(i);
             accs.resize(accs.len() + calls.len(), Accumulator::default());
             firsts.len() - 1
@@ -497,24 +672,32 @@ fn fold(
         .collect()
 }
 
-/// DISTINCT, ORDER BY and LIMIT over tuple indexes, then the one clone: the
-/// projected values of the rows that are left.
+/// DISTINCT, ORDER BY and LIMIT over tuple numbers, then the one clone: the
+/// projected values of the rows that are left, row after row.  Returns the
+/// cells and the number of rows.
 fn materialise(
     tuples: &Tuples<'_>,
     projection: &[BoundExpr],
     sort: &[BoundExpr],
     stmt: &SelectStatement,
-) -> Vec<Row> {
+) -> (Vec<Value>, usize) {
     let cells = |i: usize| projection.iter().map(move |e| e.value(tuples.get(i)));
+    let limit = stmt.limit.unwrap_or(usize::MAX);
+    if !stmt.distinct && sort.is_empty() {
+        let rows = tuples.len().min(limit);
+        let mut out = Vec::with_capacity(rows * projection.len());
+        out.extend((0..rows).flat_map(cells).map(Cow::into_owned));
+        return (out, rows);
+    }
     let mut picked: Vec<usize> = (0..tuples.len()).collect();
     if stmt.distinct {
-        let state = RandomState::new();
-        let mut seen = HashIndex::default();
+        // Entries are tuple numbers.
+        let mut seen = Chains::new(tuples.len());
         picked.retain(|&i| {
-            let hash = hash_values(&state, cells(i));
-            let duplicate = candidates(&seen, hash).any(|j| cells(i).eq(cells(j)));
+            let hash = seen.hash(cells(i));
+            let duplicate = seen.chain(hash).any(|j| cells(i).eq(cells(j)));
             if !duplicate {
-                seen.entry(hash).or_default().push(i);
+                seen.link(i, hash);
             }
             !duplicate
         });
@@ -533,11 +716,10 @@ fn materialise(
             by_key.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
         });
     }
-    picked.truncate(stmt.limit.unwrap_or(usize::MAX));
-    picked
-        .into_iter()
-        .map(|i| cells(i).map(Cow::into_owned).collect())
-        .collect()
+    picked.truncate(limit);
+    let mut out = Vec::with_capacity(picked.len() * projection.len());
+    out.extend(picked.iter().flat_map(|&i| cells(i)).map(Cow::into_owned));
+    (out, picked.len())
 }
 
 #[cfg(test)]
@@ -650,7 +832,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.row_count(), 1);
-        assert_eq!(rs.rows()[0][1], Value::from("Sara"));
+        assert_eq!(rs.row(0)[1], Value::from("Sara"));
     }
 
     #[test]
@@ -662,7 +844,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.row_count(), 3);
-        let total: f64 = rs.rows().iter().map(|r| r[0].as_f64().unwrap()).sum();
+        let total: f64 = rs.rows().map(|r| r[0].as_f64().unwrap()).sum();
         assert!((total - 11_700.0).abs() < 1e-9);
     }
 
@@ -679,8 +861,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.row_count(), 2);
-        assert_eq!(rs.rows()[0][0], Value::Int(3)); // IND has 3 transactions
-        assert_eq!(rs.rows()[1][0], Value::Int(1)); // ORG has 1
+        assert_eq!(rs.row(0)[0], Value::Int(3)); // IND has 3 transactions
+        assert_eq!(rs.row(1)[0], Value::Int(1)); // ORG has 1
     }
 
     #[test]
@@ -690,7 +872,7 @@ mod tests {
             .run_sql("SELECT id FROM fi_transactions WHERE transactiondate > '2011-09-01'")
             .unwrap();
         assert_eq!(rs.row_count(), 1);
-        assert_eq!(rs.rows()[0][0], Value::Int(13));
+        assert_eq!(rs.row(0)[0], Value::Int(13));
     }
 
     #[test]
@@ -722,8 +904,8 @@ mod tests {
             .run_sql("SELECT DISTINCT party_id FROM fi_transactions ORDER BY party_id LIMIT 2")
             .unwrap();
         assert_eq!(rs.row_count(), 2);
-        assert_eq!(rs.rows()[0][0], Value::Int(1));
-        assert_eq!(rs.rows()[1][0], Value::Int(2));
+        assert_eq!(rs.row(0)[0], Value::Int(1));
+        assert_eq!(rs.row(1)[0], Value::Int(2));
     }
 
     #[test]
@@ -733,7 +915,7 @@ mod tests {
             .run_sql("SELECT firstname FROM individuals WHERE lastname LIKE '%gutt%'")
             .unwrap();
         assert_eq!(rs.row_count(), 1);
-        assert_eq!(rs.rows()[0][0], Value::from("Sara"));
+        assert_eq!(rs.row(0)[0], Value::from("Sara"));
     }
 
     #[test]
@@ -745,8 +927,8 @@ mod tests {
         let desc = db
             .run_sql("SELECT amount FROM fi_transactions ORDER BY amount DESC")
             .unwrap();
-        assert_eq!(asc.rows()[0][0], Value::Float(500.0));
-        assert_eq!(desc.rows()[0][0], Value::Float(9000.0));
+        assert_eq!(asc.row(0)[0], Value::Float(500.0));
+        assert_eq!(desc.row(0)[0], Value::Float(9000.0));
     }
 
     #[test]
@@ -775,7 +957,7 @@ mod tests {
         let db = minidb();
         let rs = db.run_sql("SELECT count(*) FROM fi_transactions").unwrap();
         assert_eq!(rs.row_count(), 1);
-        assert_eq!(rs.rows()[0][0], Value::Int(4));
+        assert_eq!(rs.row(0)[0], Value::Int(4));
     }
 
     /// Two one-column-keyed tables `l(k, tag)` and `r(k, tag)` for the key
@@ -799,6 +981,10 @@ mod tests {
         db
     }
 
+    fn rows(rs: &ResultSet) -> Vec<Vec<Value>> {
+        rs.rows().map(<[Value]>::to_vec).collect()
+    }
+
     const JOIN_TAGS: &str = "SELECT l.tag, r.tag FROM l, r WHERE l.k = r.k";
 
     #[test]
@@ -810,21 +996,106 @@ mod tests {
             &[Value::Int(big + 1)],
         );
         let rs = db.run_sql(JOIN_TAGS).unwrap();
-        assert_eq!(rs.rows(), [vec![Value::Int(1), Value::Int(0)]]);
+        assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(0)]]);
     }
 
     #[test]
     fn join_keys_match_int_with_equal_float() {
         let db = keyed(&[Value::Int(5), Value::Float(5.5)], &[Value::Float(5.0)]);
         let rs = db.run_sql(JOIN_TAGS).unwrap();
-        assert_eq!(rs.rows(), [vec![Value::Int(0), Value::Int(0)]]);
+        assert_eq!(rows(&rs), [vec![Value::Int(0), Value::Int(0)]]);
+    }
+
+    #[test]
+    fn join_keys_match_int_zero_with_negative_zero_float() {
+        let zeros = [Value::Float(-0.0), Value::Float(0.0)];
+        let both = [
+            vec![Value::Int(0), Value::Int(0)],
+            vec![Value::Int(0), Value::Int(1)],
+        ];
+        // The right side hashed, then the left one.
+        let db = keyed(&[Value::Int(0), Value::Float(1.0)], &zeros);
+        assert_eq!(rows(&db.run_sql(JOIN_TAGS).unwrap()), both);
+        let db = keyed(&[Value::Int(0)], &zeros);
+        assert_eq!(rows(&db.run_sql(JOIN_TAGS).unwrap()), both);
     }
 
     #[test]
     fn null_join_keys_never_match() {
         let db = keyed(&[Value::Null, Value::Int(1)], &[Value::Null, Value::Int(1)]);
         let rs = db.run_sql(JOIN_TAGS).unwrap();
-        assert_eq!(rs.rows(), [vec![Value::Int(1), Value::Int(1)]]);
+        assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(1)]]);
+    }
+
+    /// Tables `a` (2 000 rows) and `b` (1 000) of `(k, s, tag)`: `k` a
+    /// nullable FLOAT holding `Int`s, equal and unequal `Float`s, both
+    /// zeros and NULL, `b`'s from half of `a`'s range so that many probes
+    /// miss; `s` a nullable TEXT of 40 repeated words.
+    fn large_keyed() -> Database {
+        let mut db = Database::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        for (name, rows, keys) in [("a", 2_000, 300), ("b", 1_000, 150)] {
+            db.create_table(
+                TableSchema::builder(name)
+                    .nullable_column("k", DataType::Float)
+                    .nullable_column("s", DataType::Text)
+                    .column("tag", DataType::Int)
+                    .build(),
+            )
+            .unwrap();
+            for tag in 0..rows {
+                let key = next(keys) as i64;
+                let k = match next(32) {
+                    0..=1 => Value::Null,
+                    2..=5 => Value::Float(key as f64 + 0.5),
+                    6 => Value::Float(if key % 2 == 0 { 0.0 } else { -0.0 }),
+                    7..=15 => Value::Float(key as f64),
+                    _ => Value::Int(key),
+                };
+                let s = match next(41) {
+                    40 => Value::Null,
+                    word => Value::from(format!("w{word}")),
+                };
+                db.insert(name, vec![k, s, Value::Int(tag)]).unwrap();
+            }
+        }
+        db
+    }
+
+    #[test]
+    fn large_joins_agree_with_a_nested_loop_rows_and_order() {
+        let db = large_keyed();
+        let (a, b) = (db.table("a").unwrap(), db.table("b").unwrap());
+        for keys in [&["k"][..], &["s"], &["k", "s"]] {
+            // `a, b` hashes `b`, the smaller input; `b, a` hashes the left.
+            for (left, right) in [(a, b), (b, a)] {
+                let (l, r) = (left.name(), right.name());
+                let on: Vec<String> = keys.iter().map(|k| format!("{l}.{k} = {r}.{k}")).collect();
+                let sql = format!(
+                    "SELECT {l}.tag, {r}.tag FROM {l}, {r} WHERE {}",
+                    on.join(" AND ")
+                );
+                let columns: Vec<usize> =
+                    keys.iter().map(|k| if *k == "k" { 0 } else { 1 }).collect();
+                let mut expected = Vec::new();
+                for lrow in left.rows().iter() {
+                    for rrow in right.rows().iter() {
+                        let equal = |&c: &usize| lrow[c].sql_cmp(&rrow[c]) == Some(Ordering::Equal);
+                        if columns.iter().all(equal) {
+                            expected.push(vec![lrow[2].clone(), rrow[2].clone()]);
+                        }
+                    }
+                }
+                assert!(expected.len() > 100, "{sql}: {} matches", expected.len());
+                assert_eq!(rows(&db.run_sql(&sql).unwrap()), expected, "{sql}");
+            }
+        }
     }
 
     #[test]
@@ -841,7 +1112,7 @@ mod tests {
         }
         let grouped = db.run_sql("SELECT k, count(*) FROM t GROUP BY k").unwrap();
         assert_eq!(
-            grouped.rows(),
+            rows(&grouped),
             [
                 vec![Value::Null, Value::Int(2)],
                 vec![Value::from("NULL"), Value::Int(1)]
@@ -852,7 +1123,7 @@ mod tests {
         // Int and Float keys that are equal still share a group.
         let db = keyed(&[Value::Int(5), Value::Float(5.0)], &[]);
         let rs = db.run_sql("SELECT count(*) FROM l GROUP BY k").unwrap();
-        assert_eq!(rs.rows(), [vec![Value::Int(2)]]);
+        assert_eq!(rows(&rs), [vec![Value::Int(2)]]);
     }
 
     #[test]

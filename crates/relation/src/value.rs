@@ -3,8 +3,9 @@
 //! The engine supports the types the paper's queries need: integers, floats
 //! (amounts, salaries), text, dates (trade/order/birth dates, bi-temporal
 //! validity dates) and booleans.  `Value` implements a *total* ordering and
-//! hashing (floats compare through their bit pattern after normalising NaN)
-//! so that values can be used as group-by and join keys.
+//! hashing (floats compare through their bit pattern and hash after
+//! normalising NaN and `-0.0`) so that values can be used as group-by and
+//! join keys.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -240,7 +241,14 @@ impl Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                let f = if f.is_nan() { f64::NAN } else { *f };
+                // `Int(0)` equals both zeros, so they must hash alike.
+                let f = if f.is_nan() {
+                    f64::NAN
+                } else if *f == 0.0 {
+                    0.0
+                } else {
+                    *f
+                };
                 f.to_bits().hash(state);
             }
             Value::Text(s) => {
@@ -361,6 +369,14 @@ mod tests {
         let b = Value::Float(5.0);
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn eq_and_hash_agree_for_int_zero_and_both_float_zeros() {
+        for zero in [Value::Float(0.0), Value::Float(-0.0)] {
+            assert_eq!(Value::Int(0), zero);
+            assert_eq!(hash_of(&Value::Int(0)), hash_of(&zero));
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@ use soda_relation::{
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
+        // `Int(0)` equals both float zeros, which differ from each other.
+        Just(Value::Int(0)),
+        Just(Value::Float(0.0)),
+        Just(Value::Float(-0.0)),
         any::<bool>().prop_map(Value::Bool),
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
         (-1.0e6..1.0e6).prop_map(Value::Float),
@@ -142,7 +146,7 @@ proptest! {
         let counted = db
             .run_sql(&format!("SELECT count(*) FROM person WHERE salary >= {threshold}"))
             .unwrap();
-        prop_assert_eq!(counted.rows()[0][0].clone(), Value::Int(expected as i64));
+        prop_assert_eq!(counted.row(0)[0].clone(), Value::Int(expected as i64));
     }
 
     /// A self equi-join on the primary key returns exactly the table rows.
@@ -169,7 +173,6 @@ proptest! {
             .unwrap();
         let total: i64 = grouped
             .rows()
-            .iter()
             .map(|r| r[1].as_i64().unwrap())
             .sum();
         prop_assert_eq!(total as usize, salaries.len());
@@ -222,15 +225,19 @@ fn pick<T: Clone + 'static>(options: &[T]) -> BoxedStrategy<T> {
 }
 
 /// A cell of column `c`: few distinct values, so keys repeat; NULLs; `Int`
-/// cells in the FLOAT column; the text `NULL` beside the real one.
+/// cells in the FLOAT column, zero among them beside both float zeros; the
+/// text `NULL` beside the real one.
 fn cell(c: usize) -> BoxedStrategy<Value> {
     let date = |day| Value::Date(Date::new(2011, 9, day));
     match c {
         0 => pick(&[Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)]),
         1 => pick(&[
             Value::Null,
+            Value::Int(0),
             Value::Int(1),
             Value::Int(2),
+            Value::Float(0.0),
+            Value::Float(-0.0),
             Value::Float(1.0),
             Value::Float(2.5),
             Value::Float(-3.25),
@@ -529,7 +536,7 @@ proptest! {
         let got = execute(&case.database(), &stmt).unwrap();
         // `Value`'s equality lets Int(1) equal Float(1.0); Debug does not.
         prop_assert_eq!(
-            format!("{:?}", got.rows()),
+            format!("{:?}", got.rows().collect::<Vec<_>>()),
             format!("{:?}", case.reference()),
             "{}",
             print_select(&stmt)

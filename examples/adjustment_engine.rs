@@ -55,7 +55,6 @@ fn main() {
         let now = row[1].as_f64().unwrap_or(0.0);
         let before = previous
             .rows()
-            .iter()
             .find(|r| r[0].to_string() == currency)
             .and_then(|r| r[1].as_f64())
             .unwrap_or(0.0);

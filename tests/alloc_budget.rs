@@ -141,41 +141,52 @@ fn canonicalising_allocates_its_output_and_nothing_else() {
     }
 }
 
-/// What running a statement may allocate beyond one `Vec` per result row and
-/// one candidate list per distinct join key: the scan, join and pick vectors
-/// as they grow, the output column names, the bound expressions.
+/// What running a statement may allocate, whatever its size: the scans,
+/// the join's tuples, table and filter, the result's cell buffer as they
+/// grow, the output column names, the bound expressions.
 const EXECUTE_OVERHEAD: u64 = 160;
 
-/// A result row shares its text cells with the table, so executing costs
-/// O(rows) allocations and none per text cell.  `individual ⋈ party` on the
-/// test-scale warehouse (300 rows, 1 200 text cells) makes 720; when a text
-/// cell owned a `String` it made 1 920, one more per text cell.
+/// A result's cells sit in one buffer and share their text with the table,
+/// and the join chains its build rows in flat arrays, so executing costs
+/// allocations neither per text cell nor per row nor per join key.
+/// `individual ⋈ party` on the test-scale warehouse (300 rows, 1 200 text
+/// cells) makes 116; with one `Vec` per result row and one candidate list
+/// per distinct join key it made 720, and 1 920 when a text cell owned a
+/// `String`.  Eight times the parties (2 400 rows) make 128: only the
+/// vectors that grow by doubling take a few more steps.
 #[test]
-fn executing_allocates_per_row_not_per_text_cell() {
-    let db = enterprise::build_with(EnterpriseConfig {
-        seed: 42,
-        padding: false,
-        data_scale: 0.2,
-    })
-    .database;
+fn executing_allocates_a_constant_not_per_row() {
     let stmt =
         parse_select("SELECT * FROM individual, party WHERE individual.party_id = party.party_id")
             .expect("the statement parses");
-    let (result, made) = allocations(|| execute(&db, &stmt));
-    let result = result.expect("the statement runs");
-    let rows = result.row_count() as u64;
-    let text_cells = result
-        .rows()
-        .iter()
-        .flatten()
-        .filter(|v| v.as_str().is_some())
-        .count() as u64;
+    let mut sizes = Vec::new();
+    for dimension_scale in [1.0, 8.0] {
+        let config = EnterpriseConfig {
+            seed: 42,
+            padding: false,
+            data_scale: 0.2,
+        };
+        let db = enterprise::build_with_dimensions(config, dimension_scale).database;
+        let (result, made) = allocations(|| execute(&db, &stmt));
+        let result = result.expect("the statement runs");
+        let rows = result.row_count() as u64;
+        let text_cells = result
+            .rows()
+            .flatten()
+            .filter(|v| v.as_str().is_some())
+            .count() as u64;
+        assert!(
+            rows >= 300 && text_cells >= 4 * rows,
+            "{rows} rows, {text_cells} text cells"
+        );
+        assert!(
+            made <= EXECUTE_OVERHEAD,
+            "{made} allocations for {rows} rows and {text_cells} text cells"
+        );
+        sizes.push(rows);
+    }
     assert!(
-        rows >= 300 && text_cells >= 4 * rows,
-        "{rows} rows, {text_cells} text cells"
-    );
-    assert!(
-        made <= 2 * rows + EXECUTE_OVERHEAD,
-        "{made} allocations for {rows} rows and {text_cells} text cells"
+        sizes[1] >= 8 * sizes[0],
+        "rows at the two scales: {sizes:?}"
     );
 }

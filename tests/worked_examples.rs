@@ -41,7 +41,6 @@ fn project(rs: &ResultSet, columns: &[&str]) -> BTreeSet<Vec<String>> {
         })
         .collect();
     rs.rows()
-        .iter()
         .map(|row| indexes.iter().map(|&i| format!("{}", row[i])).collect())
         .collect()
 }
@@ -136,7 +135,7 @@ fn query2_input_pattern_salary_and_birthday() {
         probe.row_count() > 0,
         "test data must contain wealthy individuals"
     );
-    let birthday = format!("{}", probe.rows()[0][0]);
+    let birthday = format!("{}", probe.row(0)[0]);
 
     let soda_input = format!("salary >= 500000 and birthday = date({birthday})");
     let expert_sql = format!(
@@ -176,7 +175,6 @@ fn query3_aggregation_sum_amount_by_transaction_date() {
     let expert_groups = expert.row_count();
     let expert_total: f64 = expert
         .rows()
-        .iter()
         .map(|row| match &row[1] {
             Value::Float(f) => *f,
             Value::Int(i) => *i as f64,
@@ -195,7 +193,6 @@ fn query3_aggregation_sum_amount_by_transaction_date() {
         }
         let total: f64 = rs
             .rows()
-            .iter()
             .flat_map(|row| row.iter())
             .filter_map(|v| match v {
                 Value::Float(f) => Some(*f),
@@ -305,7 +302,6 @@ fn address_of_sara_guttinger() {
         let rs = e.execute(result).unwrap();
         if rs
             .rows()
-            .iter()
             .any(|row| row.iter().any(|v| format!("{v}") == "Zurich"))
         {
             found_zurich = true;
