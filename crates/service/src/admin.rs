@@ -11,14 +11,13 @@
 //! [`reload`](TenantAdmin::reload).
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use soda_core::{ChangeFeed, EngineSnapshot, MetaGraph, ProbeDep, TenantId};
 use soda_relation::ShardedInvertedIndex;
 
 use crate::cache::CacheKey;
-use crate::durability::write_checkpoint_under_swap_lock;
+use crate::durability::write_checkpoint;
 use crate::request::ServiceError;
 use crate::service::Shared;
 use crate::tenants::TenantState;
@@ -85,7 +84,7 @@ impl TenantAdmin<'_> {
     /// new generation.
     pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
         let tenant = &self.tenant;
-        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let mut writer = tenant.writer();
         let before = tenant.handle.load();
         let generation = tenant.handle.publish(snapshot);
         self.swapped("reload", format!("generation {generation}"));
@@ -93,7 +92,9 @@ impl TenantAdmin<'_> {
         // The reload replaced data the journal knows nothing about: record
         // the *entire* live database (plus the new generation), so the next
         // recovery lands on the reloaded content whatever base it is given.
-        write_checkpoint_under_swap_lock(self.shared, tenant, true);
+        if let Some(journal) = writer.as_mut() {
+            write_checkpoint(self.shared, tenant, journal, true);
+        }
         generation
     }
 
@@ -104,7 +105,7 @@ impl TenantAdmin<'_> {
     /// Returns the new generation.
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
         let tenant = &self.tenant;
-        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let mut writer = tenant.writer();
         let before = tenant.handle.load();
         let generation = tenant.handle.refresh_graph(graph);
         self.swapped("refresh_graph", format!("generation {generation}"));
@@ -112,7 +113,9 @@ impl TenantAdmin<'_> {
         // The graph is not journaled (recovery receives it as an argument)
         // and no row changed, but the generation moved: checkpoint the dirty
         // tables so a recovery restores the post-refresh fingerprint.
-        write_checkpoint_under_swap_lock(self.shared, tenant, false);
+        if let Some(journal) = writer.as_mut() {
+            write_checkpoint(self.shared, tenant, journal, false);
+        }
         generation
     }
 
@@ -126,7 +129,7 @@ impl TenantAdmin<'_> {
     /// The feed is taken by value (its rows move into the new generation
     /// instead of being cloned out of a borrow); the write-ahead journal
     /// append, the absorb, the counter updates and the retention pass all
-    /// run under the tenant's swap lock.  The side logs the feed grows stay
+    /// run under the tenant's writer lock.  The side logs the feed grows stay
     /// until [`compact`](Self::compact) folds them.
     ///
     /// A feed without events changes nothing, so it costs nothing: the live
@@ -138,7 +141,7 @@ impl TenantAdmin<'_> {
         if feed.is_empty() {
             return Ok(tenant.handle.generation());
         }
-        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let mut writer = tenant.writer();
         let before = tenant.handle.load();
         let dirty = before.shards_for_tables(&feed.tables());
         let described = feed.describe();
@@ -148,17 +151,17 @@ impl TenantAdmin<'_> {
         // after a crash.  If the append fails the feed is not absorbed at
         // all; if the engine then rejects it, the journaled record is
         // deterministically re-rejected on replay — harmless either way.
-        if let Some(durability) = &tenant.durability {
-            let appended = {
-                let mut d = durability.lock().expect("durability state poisoned");
-                let appended = d
-                    .journal
-                    .append_feed(&feed)
-                    .map_err(|e| ServiceError::Durability(e.to_string()))?;
-                d.journal_appends += 1;
-                d.dirty_tables.extend(feed.tables());
-                appended
-            };
+        if let Some(d) = writer.as_mut() {
+            let appended = d
+                .journal
+                .append_feed(&feed)
+                .map_err(|e| ServiceError::Durability(e.to_string()))?;
+            d.dirty_tables.extend(feed.tables());
+            {
+                let figures = &mut tenant.facts().durability;
+                figures.journal_appends += 1;
+                figures.journal_bytes = d.journal.len_bytes();
+            }
             shared.event("journal_append", &tenant.id, format!("{appended} bytes"));
         }
         let generation = tenant.handle.absorb(feed).map_err(ServiceError::Engine)?;
@@ -167,9 +170,12 @@ impl TenantAdmin<'_> {
             &tenant.id,
             format!("generation {generation}, {described}"),
         );
-        tenant.facts().ingest_feeds += 1;
-        shared.ingest_events.fetch_add(events, Ordering::Relaxed);
-        shared.ingest_rows.fetch_add(rows, Ordering::Relaxed);
+        {
+            let mut facts = tenant.facts();
+            facts.ingest_feeds += 1;
+            facts.ingest_events += events;
+            facts.ingest_rows += rows;
+        }
         retain_unaffected(shared, tenant, &before, Some(&dirty));
         Ok(generation)
     }
@@ -181,7 +187,7 @@ impl TenantAdmin<'_> {
     /// a log to fold.
     pub fn compact(&self, shards: &[usize]) -> Option<u64> {
         let (shared, tenant) = (self.shared, &self.tenant);
-        let _swap = tenant.swaps.lock().expect("tenant swap lock poisoned");
+        let mut writer = tenant.writer();
         let before = tenant.handle.load();
         let (generation, folded) = tenant.handle.compact(shards)?;
         shared.event(
@@ -199,7 +205,9 @@ impl TenantAdmin<'_> {
         // generation moved and the side logs are gone: a checkpoint here both keeps
         // recovery fingerprints current and truncates the journal (the feeds it
         // replaces are exactly the ones the fold absorbed into the partitions).
-        write_checkpoint_under_swap_lock(shared, tenant, false);
+        if let Some(journal) = writer.as_mut() {
+            write_checkpoint(shared, tenant, journal, false);
+        }
         Some(generation)
     }
 

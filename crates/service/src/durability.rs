@@ -1,10 +1,14 @@
 //! Crash safety: the per-tenant journal state, the **one** recovery
 //! function both boot paths call, checkpoints, and the page-cache file a
 //! graceful drain leaves for the next boot.
+//!
+//! A tenant's journal is the value its writer lock guards, so every journal
+//! write runs inside one swap.  Lock order: writer → store; the tenant's
+//! facts, where the journal's figures are kept, are a leaf.
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use soda_core::codec::{decode_page, decode_probe_dep, encode_page, encode_probe_dep};
 use soda_core::{Database, EngineSnapshot, MetaGraph, SnapshotHandle, SodaConfig, TenantId};
@@ -14,7 +18,6 @@ use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
 
 use crate::cache::CacheKey;
 use crate::config::DurabilityConfig;
-use crate::metrics::DurabilityMetrics;
 use crate::request::ServiceError;
 use crate::service::{CachedPage, Shared};
 use crate::tenants::TenantState;
@@ -55,10 +58,12 @@ pub struct RecoveryReport {
     pub cache_pages_stale: u64,
 }
 
-/// The journal, the dirty-table ledger and the recovery counters of one
-/// tenant, held under one mutex on its
-/// [`TenantState`](crate::tenants::TenantState) (lock order: tenant swap
-/// lock → durability → store; `metrics()` takes it alone).
+/// What one tenant's writers need of its journal, held under the tenant's
+/// writer lock ([`TenantState::writer`](crate::tenants::TenantState::writer)):
+/// a guard of it is the proof that the caller is the tenant's one writer.
+/// Its figures ([`DurabilityMetrics`](crate::DurabilityMetrics)) live in
+/// the tenant's facts, where `metrics()` reads them without waiting on a
+/// writer.
 pub(crate) struct DurabilityState {
     pub(crate) journal: FeedJournal,
     /// Stamped into both file headers; recovery refuses a journal carrying
@@ -70,34 +75,6 @@ pub(crate) struct DurabilityState {
     /// omitted from one checkpoint would silently revert to its base
     /// content.  The set therefore only ever grows.
     pub(crate) dirty_tables: BTreeSet<String>,
-    pub(crate) journal_appends: u64,
-    pub(crate) checkpoints: u64,
-    pub(crate) checkpoint_failures: u64,
-    /// What the recovery that opened this journal found.
-    pub(crate) recovery: RecoveryReport,
-}
-
-/// Snapshots one tenant's [`DurabilityState`] into the counters surfaced by
-/// [`ServiceMetrics::durability`](crate::ServiceMetrics::durability) and
-/// [`TenantMetrics::durability`](crate::TenantMetrics::durability) — all
-/// zero (`enabled` false) for a tenant with no journal.
-pub(crate) fn durability_metrics(state: &Option<Mutex<DurabilityState>>) -> DurabilityMetrics {
-    let Some(durability) = state else {
-        return DurabilityMetrics::default();
-    };
-    let d = durability.lock().expect("durability state poisoned");
-    DurabilityMetrics {
-        enabled: true,
-        journal_bytes: d.journal.len_bytes(),
-        journal_appends: d.journal_appends,
-        checkpoints: d.checkpoints,
-        checkpoint_failures: d.checkpoint_failures,
-        replayed_feeds: d.recovery.replayed_feeds,
-        rejected_replays: d.recovery.rejected_feeds,
-        truncated_bytes: d.recovery.truncated_bytes,
-        cache_pages_restored: d.recovery.cache_pages_restored,
-        cache_pages_stale: d.recovery.cache_pages_stale,
-    }
 }
 
 /// What a journal is replayed over.
@@ -122,7 +99,7 @@ pub(crate) fn recover_journal(
     tenant: &TenantId,
     fsync: FsyncPolicy,
     base: RecoveryBase,
-) -> Result<(SnapshotHandle, DurabilityState), ServiceError> {
+) -> Result<(SnapshotHandle, DurabilityState, RecoveryReport), ServiceError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| ServiceError::Durability(format!("creating {}: {e}", dir.display())))?;
     let (db, graph, config, prebuilt) = match base {
@@ -194,12 +171,8 @@ pub(crate) fn recover_journal(
         journal,
         config_fingerprint,
         dirty_tables,
-        journal_appends: 0,
-        checkpoints: 0,
-        checkpoint_failures: 0,
-        recovery: report,
     };
-    Ok((handle, state))
+    Ok((handle, state, report))
 }
 
 /// Serializes one warm cache entry for the page-cache file: the full key
@@ -254,14 +227,14 @@ fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
 /// Reads the warm pages a graceful drain left under `config.dir`, keeping
 /// those whose fingerprint matches the *recovered* snapshot (`live`) —
 /// queries will actually look them up under that key — and counting kept
-/// and discarded pages into `state.recovery`.  Strictly best-effort: a
-/// missing, foreign, torn or stale file restores nothing and fails nothing.
+/// and discarded pages into `report`.  Strictly best-effort: a missing,
+/// foreign, torn or stale file restores nothing and fails nothing.
 pub(crate) fn load_cache_pages(
     config: &DurabilityConfig,
-    state: &mut DurabilityState,
+    state: &DurabilityState,
+    report: &mut RecoveryReport,
     live: u64,
 ) -> Vec<(CacheKey, CachedPage)> {
-    let report = &mut state.recovery;
     let mut restored = Vec::new();
     if !config.persist_cache {
         return restored;
@@ -285,27 +258,33 @@ pub(crate) fn load_cache_pages(
 }
 
 /// The graceful drain's last step, run with the workers joined (the cache
-/// is final): persists the warm pages, oldest first so re-insertion
-/// reproduces the recency order, for the next
+/// is final): persists the default tenant's live pages, oldest first so
+/// re-insertion reproduces the recency order, for the next
 /// [`QueryService::recover`](crate::QueryService::recover) to reload.
 /// Best-effort by design — a failed write costs warm starts, never
 /// correctness.  The file is the default tenant's (other tenants recompute
-/// their first pages), stamped with the default tenant's fingerprint, 0.
+/// their first pages), stamped with the default tenant's fingerprint, 0,
+/// so it holds only pages keyed by that tenant's live fingerprint: any
+/// other page could never be restored.
 pub(crate) fn persist_cache_pages(shared: &Shared) {
-    let (Some(config), Some(durability)) = (
-        &shared.durability_config,
-        &shared.tenants.default_tenant().durability,
-    ) else {
+    let Some(config) = shared
+        .durability_config
+        .as_ref()
+        .filter(|c| c.persist_cache)
+    else {
         return;
     };
-    if !config.persist_cache {
+    let tenant = shared.tenants.default_tenant();
+    let writer = tenant.writer();
+    let Some(d) = writer.as_ref() else {
         return;
-    }
-    let d = durability.lock().expect("durability state poisoned");
+    };
+    let live = tenant.folded_live();
     let store = shared.store.lock().expect("store poisoned");
     let payloads: Vec<Vec<u8>> = store
         .cache
         .iter_oldest_first()
+        .filter(|(key, _)| key.snapshot_fingerprint == live)
         .map(|(key, entry)| encode_cache_entry(key, entry))
         .collect();
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
@@ -319,24 +298,21 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
 }
 
 /// Writes a checkpoint of one tenant — the live content of every dirty
-/// table plus the live generation — atomically *replacing* that
-/// tenant's journal, which is what keeps replay bounded.  With
+/// table plus the live generation — atomically *replacing* that tenant's
+/// journal `d`, which is what keeps replay bounded.  With
 /// `mark_all_tables` the whole live database is recorded first (a reload
-/// swaps in data the journal never saw).  The caller must hold the tenant's
-/// swap lock; a no-op for a non-durable tenant.  A failed write is counted
-/// and leaves the old journal in place — still fully replayable, just not
-/// yet truncated.
-pub(crate) fn write_checkpoint_under_swap_lock(
+/// swaps in data the journal never saw).  `d` is borrowed from the
+/// tenant's writer guard, so the caller is the tenant's one writer.  A
+/// failed write is counted and leaves the old journal in place — still
+/// fully replayable, just not yet truncated.
+pub(crate) fn write_checkpoint(
     shared: &Shared,
     tenant: &TenantState,
+    d: &mut DurabilityState,
     mark_all_tables: bool,
 ) {
-    let Some(durability) = &tenant.durability else {
-        return;
-    };
     let snapshot = tenant.handle.load();
     let db = snapshot.database();
-    let mut d = durability.lock().expect("durability state poisoned");
     if mark_all_tables {
         d.dirty_tables
             .extend(db.table_names().into_iter().map(String::from));
@@ -354,11 +330,15 @@ pub(crate) fn write_checkpoint_under_swap_lock(
         tables,
     };
     let outcome = d.journal.write_checkpoint(&checkpoint);
-    match &outcome {
-        Ok(_) => d.checkpoints += 1,
-        Err(_) => d.checkpoint_failures += 1,
+    {
+        let mut facts = tenant.facts();
+        let figures = &mut facts.durability;
+        figures.journal_bytes = d.journal.len_bytes();
+        match &outcome {
+            Ok(_) => figures.checkpoints += 1,
+            Err(_) => figures.checkpoint_failures += 1,
+        }
     }
-    drop(d);
     match outcome {
         Ok(bytes) => shared.event(
             "checkpoint",

@@ -7,15 +7,12 @@
 //! The golden tests and the family table in `docs/OBSERVABILITY.md` are
 //! checked against that table.
 
-use std::sync::atomic::Ordering;
-
 use soda_core::{ShardStats, TenantId};
 use soda_trace::hist::LogHistogram;
 use soda_trace::names;
 use soda_trace::prom::{MetricKind, PromWriter};
 use soda_trace::{BoundedLog, OpEvent};
 
-use crate::durability::durability_metrics;
 use crate::metrics::{
     DurabilityMetrics, IngestMetrics, LatencyRecorder, LatencySummary, ServiceMetrics,
     TenantMetrics,
@@ -226,13 +223,14 @@ fn as_u64(sizes: &[usize]) -> Vec<u64> {
     sizes.iter().map(|&size| size as u64).collect()
 }
 
-/// Everything one scrape reads, gathered up front — each lock taken alone
-/// and released — so rendering is a pure walk over `FAMILIES`.
+/// Everything one scrape reads, gathered up front by
+/// [`QueryService::scrape`], so rendering is a pure walk over `FAMILIES`.
 pub(crate) struct Scrape {
     pub(crate) metrics: ServiceMetrics,
     /// The evaluated burn alerts, when objectives are declared.
     pub(crate) slo: Option<Vec<BurnAlert>>,
-    /// Queue wait, execution and the stages of executed queries.
+    /// Queue wait, execution and the stages of executed queries, all
+    /// tenants merged.
     pub(crate) latency: LatencyRecorder,
     /// `(tenant name, end-to-end distribution)` per hosted tenant.
     pub(crate) tenant_latency: Vec<(String, LogHistogram)>,
@@ -307,16 +305,16 @@ impl QueryService {
     /// A point-in-time snapshot of the service's health, the per-tenant
     /// fairness split ([`ServiceMetrics::tenants`]) included.
     pub fn metrics(&self) -> ServiceMetrics {
-        // One lock at a time, never nested: the worker takes store, then
-        // latency, then the tenant's facts, each alone.
-        let (queue_wait, execution, stages) = {
-            let recorder = self.shared.latency.lock().expect("latency poisoned");
-            (
-                LatencySummary::of(&recorder.queue_wait),
-                LatencySummary::of(&recorder.execution),
-                recorder.stage_summaries(),
-            )
-        };
+        self.scrape().metrics
+    }
+
+    /// Gathers everything one read reports — each lock taken alone and
+    /// released, each tenant's facts once, so every figure of a tenant is
+    /// one snapshot and no read waits on a writer.  Facts are kept once,
+    /// on the tenant; the service-wide figures are their sums and merges
+    /// (tenants are never removed).  The burn alerts are read-only here:
+    /// the transition ledger is only advanced by [`alerts`](Self::alerts).
+    pub(crate) fn scrape(&self) -> Scrape {
         let uptime = self.shared.started.elapsed();
         let (cache, coalesced) = {
             let store = self.shared.store.lock().expect("store poisoned");
@@ -328,49 +326,51 @@ impl QueryService {
             let lanes = hosted.iter().map(|t| state.depth_of(t.id.fingerprint()));
             (state.total, lanes.collect::<Vec<usize>>())
         };
-        // End-to-end latency is recorded once, on the tenant; the
-        // service-wide distribution is the tenants' merge.
         let mut e2e = LogHistogram::new();
-        let tenants: Vec<TenantMetrics> = hosted
-            .iter()
-            .zip(lane_depths)
-            .map(|(t, queue_depth)| {
-                let generation = t.handle.generation();
-                let durability = durability_metrics(&t.durability);
-                // One lock, so every figure of a tenant is one snapshot.
-                let facts = t.facts();
-                e2e.merge(&facts.e2e);
-                TenantMetrics {
-                    tenant: t.id.as_str().to_string(),
-                    completed: facts.e2e.count(),
-                    latency: LatencySummary::of(&facts.e2e),
-                    warm_hits: facts.warm_hits,
-                    executions: facts.executions,
-                    admission_waits: facts.admission_waits,
-                    slow_queries: facts.slow_queries,
-                    sampled_traces: facts.kept.as_ref().map_or(0, BoundedLog::pushed),
-                    queue_depth,
-                    generation,
-                    reloads: facts.reloads,
-                    ingest_feeds: facts.ingest_feeds,
-                    compactions: facts.compactions,
-                    durability,
-                }
-            })
-            .collect();
+        let mut latency = LatencyRecorder::new();
+        let (mut events, mut rows) = (0, 0);
+        let mut slo = self.shared.config.slo.as_ref().map(|_| Vec::new());
+        let mut tenant_latency = Vec::with_capacity(hosted.len());
+        let mut tenants = Vec::with_capacity(hosted.len());
+        for (t, queue_depth) in hosted.iter().zip(lane_depths) {
+            let name = t.id.as_str().to_string();
+            let generation = t.handle.generation();
+            let facts = t.facts();
+            e2e.merge(&facts.e2e);
+            latency.merge(&facts.latency);
+            events += facts.ingest_events;
+            rows += facts.ingest_rows;
+            if let (Some(alerts), Some(window)) = (&mut slo, &facts.slo) {
+                alerts.extend(window.burn_alerts(uptime, &name));
+            }
+            tenant_latency.push((name.clone(), facts.e2e.clone()));
+            tenants.push(TenantMetrics {
+                tenant: name,
+                completed: facts.e2e.count(),
+                latency: LatencySummary::of(&facts.e2e),
+                warm_hits: facts.warm_hits,
+                executions: facts.executions,
+                admission_waits: facts.admission_waits,
+                slow_queries: facts.slow_queries,
+                sampled_traces: facts.kept.as_ref().map_or(0, BoundedLog::pushed),
+                queue_depth,
+                generation,
+                reloads: facts.reloads,
+                ingest_feeds: facts.ingest_feeds,
+                compactions: facts.compactions,
+                durability: facts.durability,
+            });
+        }
         let completed = e2e.count();
-        // Facts counted per tenant are kept once, on the tenant; the
-        // service-wide figure is their sum (tenants are never removed).
         let total = |field: fn(&TenantMetrics) -> u64| tenants.iter().map(field).sum::<u64>();
         // Re-sampled from the live handle on every call (not captured at
         // construction), so the per-shard gauges and the generation always
         // describe the snapshot that is serving *now*, including after a
         // swap.  The top-level figures describe the default tenant; the
         // per-tenant split is in `tenants`.
-        let default = self.shared.tenants.default_tenant();
-        let snapshot = default.handle.load();
+        let snapshot = self.shared.tenants.default_tenant().handle.load();
         let uptime_secs = uptime.as_secs_f64();
-        ServiceMetrics {
+        let metrics = ServiceMetrics {
             uptime,
             completed,
             qps: if uptime_secs > 0.0 {
@@ -379,9 +379,9 @@ impl QueryService {
                 0.0
             },
             latency: LatencySummary::of(&e2e),
-            queue_wait,
-            execution,
-            stages,
+            queue_wait: LatencySummary::of(&latency.queue_wait),
+            execution: LatencySummary::of(&latency.execution),
+            stages: latency.stage_summaries(),
             cache,
             pipeline_executions: total(|t| t.executions),
             coalesced,
@@ -392,36 +392,14 @@ impl QueryService {
             reloads: total(|t| t.reloads),
             ingest: IngestMetrics {
                 ingests: total(|t| t.ingest_feeds),
-                events: self.shared.ingest_events.load(Ordering::Relaxed),
-                rows: self.shared.ingest_rows.load(Ordering::Relaxed),
+                events,
+                rows,
                 compactions: total(|t| t.compactions),
             },
             shards: snapshot.shard_stats(),
-            durability: durability_metrics(&default.durability),
+            durability: tenants[0].durability,
             tenants,
-        }
-    }
-
-    /// Gathers what one scrape renders — each lock taken alone, like
-    /// `metrics`; the burn alerts read-only (the transition ledger is only
-    /// advanced by [`alerts`](Self::alerts)).
-    pub(crate) fn scrape(&self) -> Scrape {
-        let metrics = self.metrics();
-        let slo = self.shared.config.slo.as_ref();
-        let slo = slo.map(|_| self.evaluate_slo());
-        let latency = self
-            .shared
-            .latency
-            .lock()
-            .expect("latency poisoned")
-            .clone();
-        let tenant_latency: Vec<(String, LogHistogram)> = self
-            .shared
-            .tenants
-            .all()
-            .iter()
-            .map(|t| (t.id.as_str().to_string(), t.facts().e2e.clone()))
-            .collect();
+        };
         Scrape {
             metrics,
             slo,
@@ -495,7 +473,8 @@ impl QueryService {
     /// ([`ServiceConfig::slo`](crate::ServiceConfig::slo)), emits one
     /// `slo_burn` [`OpEvent`] per alert-state *transition*, and returns the
     /// alerts that are currently pending or firing (an all-healthy fleet
-    /// returns an empty vector).
+    /// returns an empty vector).  Each tenant's alerts are scored and its
+    /// last-seen states advanced under that tenant's facts lock.
     ///
     /// The multi-window rule: an alert **fires** only when both the fast
     /// and the slow window burn faster than
@@ -503,56 +482,39 @@ impl QueryService {
     /// it **pending**.  Returns an empty vector when
     /// no SLO is configured.
     pub fn alerts(&self) -> Vec<BurnAlert> {
-        let evaluated = self.evaluate_slo();
-        let transitions: Vec<(&BurnAlert, AlertState)> = {
-            let mut states = self
-                .shared
-                .alert_states
-                .lock()
-                .expect("alert states poisoned");
-            evaluated
-                .iter()
-                .filter_map(|alert| {
-                    let prev = states
-                        .insert((alert.tenant.clone(), alert.objective), alert.state)
-                        .unwrap_or(AlertState::Ok);
-                    (prev != alert.state).then_some((alert, prev))
-                })
-                .collect()
-        };
-        for (alert, prev) in transitions {
-            self.shared.event(
-                "slo_burn",
-                &TenantId::new(&alert.tenant),
-                format!(
-                    "{} alert {} (was {}): fast burn {:.2}, slow burn {:.2}",
-                    alert.objective,
-                    alert.state.as_str(),
-                    prev.as_str(),
-                    alert.fast_burn,
-                    alert.slow_burn,
-                ),
-            );
-        }
-        evaluated
-            .into_iter()
-            .filter(|a| a.state != AlertState::Ok)
-            .collect()
-    }
-
-    /// Burn-rate evaluation shared by [`alerts`](Self::alerts) and the
-    /// `soda_slo_*` metric families: scores both objectives of every tenant
-    /// over its fast and slow windows.  Read-only — the transition ledger
-    /// is only touched by `alerts`.
-    fn evaluate_slo(&self) -> Vec<BurnAlert> {
         let now = self.shared.started.elapsed();
-        let mut out = Vec::new();
+        let mut raised = Vec::new();
         for tenant in self.shared.tenants.all() {
-            if let Some(window) = &tenant.facts().slo {
-                out.extend(window.burn_alerts(now, tenant.id.as_str()));
+            let mut transitions = Vec::new();
+            {
+                let mut facts = tenant.facts();
+                let facts = &mut *facts;
+                let Some(window) = &facts.slo else {
+                    continue;
+                };
+                let alerts = window.burn_alerts(now, tenant.id.as_str());
+                for (alert, seen) in alerts.into_iter().zip(&mut facts.alerts) {
+                    let prev = std::mem::replace(seen, alert.state);
+                    if prev != alert.state {
+                        transitions.push(format!(
+                            "{} alert {} (was {}): fast burn {:.2}, slow burn {:.2}",
+                            alert.objective,
+                            alert.state.as_str(),
+                            prev.as_str(),
+                            alert.fast_burn,
+                            alert.slow_burn,
+                        ));
+                    }
+                    if alert.state != AlertState::Ok {
+                        raised.push(alert);
+                    }
+                }
+            }
+            for detail in transitions {
+                self.shared.event("slo_burn", &tenant.id, detail);
             }
         }
-        out
+        raised
     }
 }
 

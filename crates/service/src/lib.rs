@@ -35,10 +35,12 @@
 //!   swaps and compactions checkpoint and truncate the journal, one
 //!   recovery function replays it — behind [`QueryService::recover`] and
 //!   [`QueryService::add_tenant`] alike — into byte-identical answers, and
-//!   a graceful drain persists the warm cache pages.
+//!   a graceful drain persists the default tenant's warm cache pages.
 //! * [`tenants`] — [`TenantRegistry`]: further warehouses registered at
 //!   runtime, each with its own snapshot handle, queue lane, admission
 //!   quota and journal, while the worker pool and the cache stay shared.
+//!   A tenant keeps its own state under two locks: its writer (swaps and
+//!   the journal) and its facts (every latency, counter and alert state).
 //!   Cache keys fold the tenant
 //!   fingerprint ([`TenantId::fold`]), so tenants share one LRU without any
 //!   possibility of cross-tenant hits.

@@ -4,11 +4,11 @@
 //!
 //! Every distribution is one fixed-memory [`LogHistogram`], so memory stays
 //! constant no matter how long the service runs and the percentiles cover
-//! the **whole lifetime**, not a recent window.  End-to-end latency is
-//! recorded once, on the tenant that answered; the service-wide figure is
-//! the merge of the tenants' histograms at read time.  The recorder here
-//! keeps what only executed queries have: queue wait, pipeline execution
-//! and the five pipeline stages.
+//! the **whole lifetime**, not a recent window.  Every latency is recorded
+//! once, on the tenant that answered; the service-wide figure is the merge
+//! of the tenants' histograms at read time.  The recorder here keeps what
+//! only executed queries have: queue wait, pipeline execution and the five
+//! pipeline stages.
 
 use std::time::Duration;
 
@@ -16,6 +16,7 @@ use soda_core::{ShardStats, StepTimings};
 use soda_trace::hist::LogHistogram;
 
 use crate::cache::CacheStats;
+use crate::durability::RecoveryReport;
 
 /// Aggregated latency figures, all over the service lifetime.
 ///
@@ -121,6 +122,22 @@ pub struct DurabilityMetrics {
     /// Persisted result pages discarded during recovery because their
     /// snapshot fingerprint no longer matched the recovered engine.
     pub cache_pages_stale: u64,
+}
+
+impl DurabilityMetrics {
+    /// The figures of a journal `recover` just opened at `journal_bytes`.
+    pub(crate) fn recovered(report: &RecoveryReport, journal_bytes: u64) -> Self {
+        Self {
+            enabled: true,
+            journal_bytes,
+            replayed_feeds: report.replayed_feeds,
+            rejected_replays: report.rejected_feeds,
+            truncated_bytes: report.truncated_bytes,
+            cache_pages_restored: report.cache_pages_restored,
+            cache_pages_stale: report.cache_pages_stale,
+            ..Self::default()
+        }
+    }
 }
 
 /// One snapshot of the service's health, returned by
@@ -231,9 +248,9 @@ pub struct TenantMetrics {
     pub durability: DurabilityMetrics,
 }
 
-/// Latency accounting of executed queries, shared by the workers: one
-/// log-bucketed histogram per distribution (~15 KiB each, fixed).  Not
-/// internally synchronised; the service wraps it in a `Mutex`.
+/// Latency accounting of one tenant's executed queries: one log-bucketed
+/// histogram per distribution (~15 KiB each, fixed).  Not internally
+/// synchronised; it lives in the tenant's facts.
 #[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
     /// Submission → dequeue, executed jobs only.
@@ -267,6 +284,16 @@ impl LatencyRecorder {
             for (hist, stage) in self.stages.iter_mut().zip(stage_durations(t)) {
                 hist.record(stage);
             }
+        }
+    }
+
+    /// Adds `other`'s samples — exact, as every histogram shares one
+    /// bucket layout.
+    pub(crate) fn merge(&mut self, other: &LatencyRecorder) {
+        self.queue_wait.merge(&other.queue_wait);
+        self.execution.merge(&other.execution);
+        for (hist, other) in self.stages.iter_mut().zip(&other.stages) {
+            hist.merge(other);
         }
     }
 

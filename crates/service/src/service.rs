@@ -124,7 +124,6 @@
 //! graph to the next recovery.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -146,12 +145,10 @@ use crate::durability::{
     load_cache_pages, persist_cache_pages, recover_journal, DurabilityState, RecoveryBase,
     RecoveryReport,
 };
-use crate::metrics::LatencyRecorder;
 use crate::queue::{Job, QueueState, Waiter};
 use crate::request::{
     owned_page, JobHandle, QueryRequest, QueryResponse, SampledTrace, ServiceError, WireResult,
 };
-use crate::slo::AlertState;
 use crate::tenants::{TenantRegistry, TenantState};
 use crate::worker::worker_loop;
 
@@ -185,23 +182,18 @@ pub(crate) struct StoreState {
 }
 
 /// Everything the submitting threads, the workers and the admin facades
-/// share.  Facts counted per tenant (answers, executions, swaps, feeds,
-/// compactions, slow queries) live on each [`TenantState`] only — tenants
-/// are never removed, so `metrics()` sums them.
+/// share: the queue, the cache, the event log and the registration lock.
+/// Every fact about an answer or a write (latency, counters, journal
+/// figures, alert states) lives on its [`TenantState`] only — tenants are
+/// never removed, so `metrics()` sums and merges them.
 pub(crate) struct Shared {
     /// Every hosted tenant — the default tenant (the boot snapshot) plus
     /// whatever [`QueryService::add_tenant`] registered.
     pub(crate) tenants: TenantRegistry,
-    /// Streaming-ingestion lifetime counters, all tenants.
-    pub(crate) ingest_events: AtomicU64,
-    pub(crate) ingest_rows: AtomicU64,
     pub(crate) queue: Mutex<QueueState>,
     pub(crate) not_empty: Condvar,
     pub(crate) not_full: Condvar,
     pub(crate) store: Mutex<StoreState>,
-    /// Queue wait, execution and stage latency of executed queries; never
-    /// locked on the cache-hit path.
-    pub(crate) latency: Mutex<LatencyRecorder>,
     pub(crate) started: Instant,
     /// Operational history: swaps, ingests, compactions, checkpoints,
     /// recoveries and slow queries, newest [`EVENT_LOG`] retained.
@@ -222,10 +214,6 @@ pub(crate) struct Shared {
     /// builds each new tenant's sampler and SLO window from it, and the SLO
     /// evaluation reads the latency objectives off it.
     pub(crate) config: ServiceConfig,
-    /// Last observed state of each `(tenant, objective)` burn alert, so
-    /// [`QueryService::alerts`] emits one `slo_burn` event per transition
-    /// instead of one per poll.
-    pub(crate) alert_states: Mutex<HashMap<(String, &'static str), AlertState>>,
 }
 
 /// How an answered query was served — what [`Shared::answered`] books
@@ -284,11 +272,10 @@ impl Served<'_> {
 }
 
 impl Shared {
-    /// Books one answered query, once.  An execution's queue-wait /
-    /// execution split and stage timings go to the service-wide recorder;
-    /// everything else — the tenant's end-to-end latency, SLO window,
-    /// counters and, when the sampler keeps the query, its trace — lands
-    /// under the tenant's one `facts` lock.  A slow query is counted there
+    /// Books one answered query, once, under the tenant's one `facts`
+    /// lock: its end-to-end latency, an execution's queue-wait / execution
+    /// split and stage timings, the SLO window, the counters and, when the
+    /// sampler keeps the query, its trace.  A slow query is counted there
     /// and raised as a `slow_query` event after the lock is released.
     pub(crate) fn answered(
         &self,
@@ -297,16 +284,10 @@ impl Shared {
         e2e: Duration,
         ok: bool,
     ) {
-        let (hits, executions) = match &served {
-            Served::Hit { .. } => (1, 0),
-            Served::Coalesced => (0, 0),
-            Served::Executed { split, timings, .. } => {
-                self.latency
-                    .lock()
-                    .expect("latency recorder poisoned")
-                    .record_executed(split.0, split.1, *timings);
-                (0, 1)
-            }
+        let (hits, executed) = match &served {
+            Served::Hit { .. } => (1, None),
+            Served::Coalesced => (0, None),
+            Served::Executed { split, timings, .. } => (0, Some((*split, timings.copied()))),
         };
         let kept = tenant
             .sampler
@@ -323,7 +304,12 @@ impl Shared {
                 slo.record(self.started.elapsed(), e2e, ok);
             }
             facts.warm_hits += hits;
-            facts.executions += executions;
+            if let Some(((queue_wait, execution), timings)) = executed {
+                facts.executions += 1;
+                facts
+                    .latency
+                    .record_executed(queue_wait, execution, timings.as_ref());
+            }
             facts.slow_queries += u64::from(slow.is_some());
             if let (Some(ring), Some(kept)) = (&mut facts.kept, kept) {
                 ring.push(kept);
@@ -411,7 +397,7 @@ impl QueryService {
     /// glibc the first service started raises the allocator's trim threshold
     /// (see `heap.rs`), so freed memory stays with the process.
     pub fn start(engine: Arc<EngineSnapshot>, config: ServiceConfig) -> Self {
-        Self::start_with(SnapshotHandle::new(engine), config, None)
+        Self::start_with(SnapshotHandle::new(engine), config, None, None)
     }
 
     /// The constructor shared by [`start`](Self::start) and
@@ -421,20 +407,18 @@ impl QueryService {
     fn start_with(
         handle: SnapshotHandle,
         config: ServiceConfig,
-        durability: Option<(DurabilityState, DurabilityConfig)>,
+        journal: Option<(DurabilityState, &RecoveryReport)>,
+        durability_config: Option<DurabilityConfig>,
     ) -> Self {
         crate::heap::retain_freed_heap();
-        let (state, durability_config) = durability.unzip();
         let default = Arc::new(TenantState::new(
             TenantId::default(),
             handle,
-            state,
+            journal,
             &config,
         ));
         let shared = Arc::new(Shared {
             tenants: TenantRegistry::new(default),
-            ingest_events: AtomicU64::new(0),
-            ingest_rows: AtomicU64::new(0),
             queue: Mutex::new(QueueState::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -443,13 +427,11 @@ impl QueryService {
                 pending: HashMap::new(),
                 coalesced: 0,
             }),
-            latency: Mutex::new(LatencyRecorder::new()),
             started: Instant::now(),
             events: Mutex::new(BoundedLog::new(EVENT_LOG)),
             durability_config,
             add_tenants: Mutex::new(()),
             config: config.clone(),
-            alert_states: Mutex::new(HashMap::new()),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -497,16 +479,16 @@ impl QueryService {
         service: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        let (handle, mut state) = recover_journal(
+        let (handle, state, mut report) = recover_journal(
             &durability.dir,
             &TenantId::default(),
             durability.fsync,
             RecoveryBase::Warehouse(base_db, graph, config),
         )?;
         let live = handle.load().cache_fingerprint();
-        let restored = load_cache_pages(&durability, &mut state, live);
-        let report = state.recovery.clone();
-        let service = Self::start_with(handle, service, Some((state, durability)));
+        let restored = load_cache_pages(&durability, &state, &mut report, live);
+        let journal = Some((state, &report));
+        let service = Self::start_with(handle, service, journal, Some(durability));
         {
             // The file was written oldest-first, so sequential re-insertion
             // reproduces the drained cache's recency order.
@@ -573,27 +555,26 @@ impl QueryService {
         // fingerprint collides with `0` would otherwise map onto the
         // default tenant's top-level journal.
         self.shared.tenants.validate_new(&id)?;
-        let (handle, durability) = match &self.shared.durability_config {
+        let (handle, journal, report) = match &self.shared.durability_config {
             Some(config) => {
                 let dir = tenant_journal_dir(&config.dir, id.as_str(), id.fingerprint());
-                let (handle, state) =
+                let (handle, state, report) =
                     recover_journal(&dir, &id, config.fsync, RecoveryBase::Engine(engine))?;
-                (handle, Some(state))
+                (handle, Some(state), report)
             }
-            None => (SnapshotHandle::new(engine), None),
+            None => (SnapshotHandle::new(engine), None, RecoveryReport::default()),
         };
-        let replayed = durability.as_ref().map_or(0, |d| d.recovery.replayed_feeds);
         let tenant = Arc::new(TenantState::new(
             id,
             handle,
-            durability,
+            journal.map(|state| (state, &report)),
             &self.shared.config,
         ));
         self.shared.tenants.register(Arc::clone(&tenant))?;
         self.shared.event(
             "add_tenant",
             &tenant.id,
-            format!("{replayed} feeds replayed"),
+            format!("{} feeds replayed", report.replayed_feeds),
         );
         Ok(())
     }

@@ -12,12 +12,14 @@
 //!   counters.  The default tenant always exists (it is the service's boot
 //!   snapshot); further tenants are registered at runtime through
 //!   [`QueryService::add_tenant`](crate::QueryService::add_tenant).
-//! * `TenantState` (private) — one tenant's serving state: the swappable
-//!   snapshot, the per-tenant swap lock (so two tenants can reload
-//!   concurrently), on a durable service the tenant's own journal, and
-//!   under one `facts` mutex everything answering a query records: the
-//!   end-to-end histogram, the SLO window, the kept-trace ring and the
-//!   counters surfaced by [`ServiceMetrics::tenants`](crate::ServiceMetrics).
+//! * `TenantState` (private) — one tenant's serving state under exactly
+//!   two locks.  `writer` serializes the tenant's swaps (so two tenants can
+//!   reload concurrently) and, on a durable service, *is* the tenant's
+//!   journal.  `facts` holds everything the tenant's answers and writes
+//!   record: the latency histograms, the SLO window and its alert states,
+//!   the kept-trace ring, the journal figures and the counters surfaced by
+//!   [`ServiceMetrics::tenants`](crate::ServiceMetrics).  Lock order:
+//!   writer → store; facts is a leaf.
 //! * [`TenantAdmin`](crate::TenantAdmin) (in [`crate::admin`]) — the
 //!   mutation facade returned by
 //!   [`QueryService::admin`](crate::QueryService::admin): every operation
@@ -36,17 +38,18 @@ use soda_trace::hist::LogHistogram;
 use soda_trace::{BoundedLog, Sampler};
 
 use crate::config::{SamplingConfig, ServiceConfig};
-use crate::durability::DurabilityState;
+use crate::durability::{DurabilityState, RecoveryReport};
+use crate::metrics::{DurabilityMetrics, LatencyRecorder};
 use crate::request::{SampledTrace, ServiceError};
-use crate::slo::{SloWindow, RESOLUTION, SLOW_WINDOW};
+use crate::slo::{AlertState, SloWindow, RESOLUTION, SLOW_WINDOW};
 
 /// Seed of the samplers' deterministic decision sequences.  Each tenant's
 /// sampler is seeded with `SAMPLING_SEED ^ tenant_fingerprint`, so co-hosted
 /// tenants draw independent — but individually reproducible — sequences.
 const SAMPLING_SEED: u64 = 0x50DA;
 
-/// One tenant's serving state: identity, snapshot, swap lock, journal,
-/// sampler and the facts its answers and swaps record.
+/// One tenant's serving state: identity, snapshot, sampler, and its two
+/// locks — the writer (swaps and the journal) and the facts.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
     /// The tenant's swappable current snapshot.  Submissions load it once and
@@ -54,35 +57,39 @@ pub(crate) struct TenantState {
     /// publish replacements.
     pub(crate) handle: SnapshotHandle,
     /// Serializes this tenant's swap paths (reload, graph refresh, ingest,
-    /// compaction) so each one's pre-swap fingerprint capture, the handle
-    /// publication and the cache retention/purge form one atomic episode.
-    /// Per-tenant on purpose: tenant A's reload never blocks tenant B's
-    /// ingest.
-    pub(crate) swaps: Mutex<()>,
-    /// The tenant's crash-safety state (`None` on a non-durable service).
-    /// Lock order matches the service-wide rule:
-    /// tenant swap lock → durability → store.
-    pub(crate) durability: Option<Mutex<DurabilityState>>,
+    /// compaction) so each one's pre-swap fingerprint capture, the journal
+    /// write, the handle publication and the cache retention/purge form one
+    /// atomic episode.  The guarded value is the tenant's journal (`None` on
+    /// a non-durable service), so only a writer can touch it.  Per-tenant
+    /// on purpose: tenant A's reload never blocks tenant B's ingest.  Taken
+    /// before the store lock, never after it.
+    writer: Mutex<Option<DurabilityState>>,
     /// Decides which answered queries keep their span tree — present when
     /// `ServiceConfig::sampling` or `ServiceConfig::slow_query_threshold`
     /// is set.
     pub(crate) sampler: Option<Sampler>,
-    /// Everything recorded about the tenant's answers and swaps, under one
-    /// lock so a `metrics()` poll reads one consistent snapshot.  A leaf:
-    /// no lock is taken while it is held, and it is never taken while the
-    /// store lock is held.
+    /// Everything recorded about the tenant's answers and writes, under one
+    /// lock so a `metrics()` poll reads one consistent snapshot and never
+    /// waits on a writer.  A leaf: no lock is taken while it is held.
     facts: Mutex<TenantFacts>,
 }
 
-/// What a tenant's answers and swaps record — read by `metrics()`, the
-/// scrape, `sampled_traces()` and the SLO evaluation.
+/// What a tenant's answers and writes record — read by `metrics()`, the
+/// scrape, `sampled_traces()` and `alerts()`.
 pub(crate) struct TenantFacts {
     /// End-to-end latency of every answered query — the only place it is
     /// recorded (the service-wide distribution is the tenants' merge).  Its
     /// sample count is the tenant's completed-query count.
     pub(crate) e2e: LogHistogram,
+    /// Queue wait, execution and stage latency of the tenant's executed
+    /// queries (the service-wide distributions are the tenants' merge).
+    pub(crate) latency: LatencyRecorder,
     /// The rolling SLO window (`None` when `ServiceConfig::slo` is off).
     pub(crate) slo: Option<SloWindow>,
+    /// The last state `alerts()` saw of the latency and the availability
+    /// burn alert, in that order, so it logs one `slo_burn` event per
+    /// transition instead of one per poll.
+    pub(crate) alerts: [AlertState; 2],
     /// Kept traces, newest retained (present exactly when the sampler is);
     /// its lifetime push count is the tenant's kept-trace count.
     pub(crate) kept: Option<BoundedLog<SampledTrace>>,
@@ -97,17 +104,23 @@ pub(crate) struct TenantFacts {
     pub(crate) admission_waits: u64,
     /// Snapshot swaps (reloads and graph refreshes).
     pub(crate) reloads: u64,
-    /// Change feeds absorbed.
+    /// Change feeds absorbed, the row events they carried and the rows
+    /// those events carried.
     pub(crate) ingest_feeds: u64,
+    pub(crate) ingest_events: u64,
+    pub(crate) ingest_rows: u64,
     /// Side-log compactions.
     pub(crate) compactions: u64,
+    /// The journal's figures: seeded by the recovery that opened it,
+    /// advanced by the writer after every append and checkpoint.
+    pub(crate) durability: DurabilityMetrics,
 }
 
 impl TenantState {
     pub(crate) fn new(
         id: TenantId,
         handle: SnapshotHandle,
-        durability: Option<DurabilityState>,
+        durability: Option<(DurabilityState, &RecoveryReport)>,
         config: &ServiceConfig,
     ) -> Self {
         // A slow-query threshold alone keeps traces too: in the default
@@ -125,9 +138,18 @@ impl TenantState {
             let objective = slo.objective_for(id.as_str());
             SloWindow::new(objective, SLOW_WINDOW, RESOLUTION)
         });
+        let (journal, durability) = match durability {
+            Some((state, report)) => {
+                let metrics = DurabilityMetrics::recovered(report, state.journal.len_bytes());
+                (Some(state), metrics)
+            }
+            None => (None, DurabilityMetrics::default()),
+        };
         let facts = TenantFacts {
             e2e: LogHistogram::new(),
+            latency: LatencyRecorder::new(),
             slo,
+            alerts: [AlertState::Ok; 2],
             kept: sampling.map(|sampling| BoundedLog::new(sampling.trace_log)),
             warm_hits: 0,
             executions: 0,
@@ -135,16 +157,25 @@ impl TenantState {
             admission_waits: 0,
             reloads: 0,
             ingest_feeds: 0,
+            ingest_events: 0,
+            ingest_rows: 0,
             compactions: 0,
+            durability,
         };
         Self {
             id,
             handle,
-            swaps: Mutex::new(()),
-            durability: durability.map(Mutex::new),
+            writer: Mutex::new(journal),
             sampler,
             facts: Mutex::new(facts),
         }
+    }
+
+    /// The tenant's writer lock, whose guard is its journal.  Hold it for
+    /// the whole of one swap; take the store lock under it, never the
+    /// other way round.
+    pub(crate) fn writer(&self) -> MutexGuard<'_, Option<DurabilityState>> {
+        self.writer.lock().expect("tenant writer poisoned")
     }
 
     /// The tenant's facts, locked.  Hold the guard for a few field updates

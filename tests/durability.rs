@@ -234,16 +234,29 @@ fn corrupt_tail_is_dropped_and_the_prefix_replays() {
 }
 
 /// Graceful drain → recover: the persisted warm pages answer the first
-/// repeated queries without touching the pipeline.
+/// repeated queries without touching the pipeline.  The file is the
+/// default tenant's: another hosted tenant's pages are not written to it,
+/// so none of the persisted pages is stale.
 #[test]
 fn graceful_drain_restores_the_warm_cache() {
     let dir = TempDir::new("warm-cache");
     let queries = ["Sara Guttinger", "Streamville"];
     let before: Vec<ResultPage> = {
         let (service, _) = recover_at(dir.path());
+        let w = soda::warehouse::minibank::build(7);
+        let acme = EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+        );
+        service.add_tenant("acme", Arc::new(acme)).unwrap();
         admin(&service)
             .ingest_owned(address_feed(900, "Streamville"))
             .unwrap();
+        for query in queries {
+            let request = QueryRequest::new(query).tenant("acme");
+            service.query(request).wait().unwrap();
+        }
         queries.iter().map(|q| page_for(&service, q)).collect()
         // Drop = graceful drain: the cache is serialized to pages.cache.
     };

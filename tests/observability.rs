@@ -447,6 +447,15 @@ fn a_breached_latency_objective_raises_a_burn_alert_for_that_tenant_only() {
     let default_events = service.events_for(TenantId::default()).expect("default");
     assert!(default_events.iter().all(|e| e.kind != "slo_burn"));
 
+    // A second poll sees no transition, so it logs no second event.
+    let again = service.alerts();
+    assert!(again
+        .iter()
+        .any(|a| a.tenant == "stress" && a.objective == "latency"));
+    let stress_events = service.events_for("stress").expect("stress tenant");
+    let burns = stress_events.iter().filter(|e| e.kind == "slo_burn");
+    assert_eq!(burns.count(), 1, "{stress_events:?}");
+
     // And the scrape surface tells the same story per tenant.
     let text = service.metrics_text();
     soda::trace::prom::validate(&text).expect("exposition must validate");

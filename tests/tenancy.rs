@@ -420,6 +420,26 @@ fn tenant_families_sum_to_the_service_wide_figures() {
     assert_eq!(sum("soda_tenant_ingest_feeds_total"), m.ingest.ingests);
     assert_eq!(sum("soda_tenant_compactions_total"), m.ingest.compactions);
 
+    // The unlabelled families merge what each tenant recorded: every
+    // execution lands in the queue-wait, execution and stage histograms
+    // once, and every feed's events and rows are counted once.
+    let sample = |series: &str| -> u64 {
+        let line = text.lines().find_map(|line| line.strip_prefix(series));
+        let value = line.and_then(|rest| rest.strip_prefix(' '));
+        let value = value.unwrap_or_else(|| panic!("no sample {series}"));
+        value.parse().expect("an integer sample")
+    };
+    for histogram in ["soda_execution_duration_seconds", "soda_queue_wait_seconds"] {
+        let count = sample(&format!("{histogram}_count"));
+        assert_eq!(count, m.pipeline_executions, "{histogram}");
+    }
+    for stage in soda::trace::names::STAGES {
+        let series = format!("soda_stage_duration_seconds_count{{stage=\"{stage}\"}}");
+        assert_eq!(sample(&series), m.pipeline_executions, "{stage}");
+    }
+    assert_eq!(sample("soda_ingest_events_total"), 3);
+    assert_eq!(sample("soda_ingest_rows_total"), 3);
+
     // The unlabelled generation and journal families described the default
     // tenant: its labelled sample is that figure.
     let of_default = |family: &str| -> u64 {
