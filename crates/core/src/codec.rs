@@ -41,21 +41,25 @@ fn provenance_from_tag(tag: u8) -> CodecResult<Provenance> {
     })
 }
 
-fn put_string_list(enc: &mut Encoder, items: &[String]) {
+fn put_string_list<S: AsRef<str>>(enc: &mut Encoder, items: &[S]) {
     enc.put_usize(items.len());
     for s in items {
-        enc.put_str(s);
+        enc.put_str(s.as_ref());
     }
 }
 
-fn get_string_list(dec: &mut Decoder<'_>) -> CodecResult<Vec<String>> {
+/// A list written by [`put_string_list`], each item read by `get`.
+fn get_list<'a, T>(
+    dec: &mut Decoder<'a>,
+    get: fn(&mut Decoder<'a>) -> CodecResult<T>,
+) -> CodecResult<Vec<T>> {
     let n = dec.get_usize()?;
     if n > dec.remaining() {
         return Err(CodecError::BadLength);
     }
     let mut items = Vec::with_capacity(n);
     for _ in 0..n {
-        items.push(dec.get_str()?);
+        items.push(get(dec)?);
     }
     Ok(items)
 }
@@ -70,7 +74,7 @@ pub fn encode_interpretation(enc: &mut Encoder, i: &Interpretation) {
 /// Decodes one [`Interpretation`].
 pub fn decode_interpretation(dec: &mut Decoder<'_>) -> CodecResult<Interpretation> {
     Ok(Interpretation {
-        phrase: dec.get_str()?,
+        phrase: dec.get_name()?,
         provenance: provenance_from_tag(dec.get_u8()?)?,
         entry_uri: dec.get_str()?,
     })
@@ -96,7 +100,7 @@ pub fn decode_result(dec: &mut Decoder<'_>) -> CodecResult<SodaResult> {
     let sql = dec.get_str()?;
     let statement = dec.get_statement()?;
     let score = dec.get_f64()?;
-    let tables = get_string_list(dec)?;
+    let tables = get_list(dec, Decoder::get_name)?;
     let n = dec.get_usize()?;
     if n > dec.remaining() {
         return Err(CodecError::BadLength);
@@ -112,8 +116,8 @@ pub fn decode_result(dec: &mut Decoder<'_>) -> CodecResult<SodaResult> {
         tables,
         interpretation,
         join_path_complete: dec.get_bool()?,
-        used_bridges: get_string_list(dec)?,
-        notes: get_string_list(dec)?,
+        used_bridges: get_list(dec, Decoder::get_name)?,
+        notes: get_list(dec, Decoder::get_str)?,
     })
 }
 

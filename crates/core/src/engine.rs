@@ -8,7 +8,6 @@
 //! between callers is carried by [`SearchOptions`].  [`EngineSnapshot::search`]
 //! and [`EngineSnapshot::search_paged`] are one-line conveniences over it.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use soda_relation::{print_select, ResultSet};
@@ -201,8 +200,7 @@ impl EngineSnapshot {
         }
         timings.rank = t0.elapsed();
 
-        let mut results: Vec<SodaResult> = Vec::new();
-        let mut seen_sql: HashSet<String> = HashSet::new();
+        let mut results: Vec<SodaResult> = Vec::with_capacity(needed.min(solutions.len()));
 
         for solution in &solutions {
             // Step 3 — tables and joins.
@@ -223,7 +221,9 @@ impl EngineSnapshot {
 
             let Some(statement) = statement else { continue };
             let sql = print_select(&statement);
-            if !seen_sql.insert(sql.clone()) {
+            // Two interpretations may print the same statement; the first,
+            // better-ranked one is kept.
+            if results.iter().any(|r| r.sql == sql) {
                 continue;
             }
             results.push(SodaResult {
@@ -285,6 +285,7 @@ impl EngineSnapshot {
             sink.end_span(root);
         }
 
+        // The lookup result is spent: the trace takes its phrases.
         let trace = QueryTrace {
             input: input.to_string(),
             complexity: lookup_result.complexity(),
@@ -292,12 +293,10 @@ impl EngineSnapshot {
             results: results.len(),
             classification: lookup_result
                 .matches
-                .iter()
+                .into_iter()
                 .map(|m| {
-                    (
-                        m.phrase.clone(),
-                        m.candidates.iter().map(|c| c.provenance).collect(),
-                    )
+                    let provenances = m.candidates.iter().map(|c| c.provenance).collect();
+                    (m.phrase, provenances)
                 })
                 .collect(),
             unmatched: lookup_result.unmatched,

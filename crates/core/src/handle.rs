@@ -583,7 +583,7 @@ mod tests {
             let catalog = snapshot.join_catalog();
             let closure = catalog.entry_closure(concept);
             let names = closure.discovered.iter().map(|&t| catalog.table_name(t));
-            names.map(str::to_string).collect()
+            names.map(|name| name.to_string()).collect()
         };
         let before = handle.load();
         assert_eq!(discovered(&before), ["individuals"]);

@@ -9,6 +9,10 @@
 //!   `TableId`, one display spelling per id: the database's).  The
 //!   string-taking methods resolve a name once and then run on the ids; a
 //!   table the catalog has never seen behaves as an isolated one.
+//! * **Names are shared.**  Each table spelling and each column spelling
+//!   is one `Arc<str>`, held by the catalog; plans, filters and generated
+//!   statements hold clones of it, so a statement's names cost no text of
+//!   their own, however often a page is built or copied.
 //! * **Joins.**  The Foreign-Key and Join-Relationship patterns yield the
 //!   join edges; Step 3 connects the entry points' tables through conditions
 //!   that lie "on a direct path between the entry points" (Figure 9) — one
@@ -32,8 +36,9 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 
-use soda_metagraph::{LabelId, Matcher, MetaGraph, NodeId};
+use soda_metagraph::{Matcher, MetaGraph, NodeId};
 use soda_relation::{Database, TableSchema};
 
 use crate::patterns::SodaPatterns;
@@ -56,17 +61,20 @@ const FOLLOWED_PREDICATES: &[&str] = &[
 /// Dense id of a table the catalog knows.
 pub(crate) type TableId = u32;
 
+/// Dense id of a column spelling the catalog interned.
+type ColumnId = u32;
+
 /// One join condition between two physical columns.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct JoinEdge {
     /// Referencing (foreign-key) table.
-    pub fk_table: String,
+    pub fk_table: Arc<str>,
     /// Referencing column.
-    pub fk_column: String,
+    pub fk_column: Arc<str>,
     /// Referenced (primary-key) table.
-    pub pk_table: String,
+    pub pk_table: Arc<str>,
     /// Referenced column.
-    pub pk_column: String,
+    pub pk_column: Arc<str>,
     /// Whether the edge came from an explicit join node rather than a plain
     /// `foreign_key` edge.
     pub explicit_join_node: bool,
@@ -84,6 +92,15 @@ impl JoinEdge {
         }
     }
 
+    /// True when both edges state the same join condition (what
+    /// [`condition`](Self::condition) prints), without printing it.
+    pub fn same_condition(&self, other: &JoinEdge) -> bool {
+        self.fk_table == other.fk_table
+            && self.fk_column == other.fk_column
+            && self.pk_table == other.pk_table
+            && self.pk_column == other.pk_column
+    }
+
     /// Renders the join condition as SQL text (for traces and tests).
     pub fn condition(&self) -> String {
         format!(
@@ -97,9 +114,9 @@ impl JoinEdge {
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct InheritanceLink {
     /// Super-type table.
-    pub parent_table: String,
+    pub parent_table: Arc<str>,
     /// Sub-type table.
-    pub child_table: String,
+    pub child_table: Arc<str>,
     /// The join edge connecting the two (child FK → parent PK), when the
     /// schema graph contains one.
     pub join: Option<JoinEdge>,
@@ -113,13 +130,13 @@ pub struct InheritanceLink {
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct HistorizationLink {
     /// The history table.
-    pub hist_table: String,
+    pub hist_table: Arc<str>,
     /// The table carrying the current state.
-    pub current_table: String,
+    pub current_table: Arc<str>,
     /// Validity-start column of the history table.
-    pub valid_from_column: String,
+    pub valid_from_column: Arc<str>,
     /// Validity-end column of the history table.
-    pub valid_to_column: String,
+    pub valid_to_column: Arc<str>,
 }
 
 /// A bridge table: a table with at least two foreign keys referencing at least
@@ -127,7 +144,7 @@ pub struct HistorizationLink {
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct BridgeTable {
     /// The bridge table itself.
-    pub table: String,
+    pub table: Arc<str>,
     /// Its outgoing foreign-key edges.
     pub edges: Vec<JoinEdge>,
 }
@@ -135,7 +152,7 @@ pub struct BridgeTable {
 impl BridgeTable {
     /// The set of tables this bridge connects.
     pub fn connects(&self) -> Vec<&str> {
-        let mut tables: Vec<&str> = self.edges.iter().map(|e| e.pk_table.as_str()).collect();
+        let mut tables: Vec<&str> = self.edges.iter().map(|e| &*e.pk_table).collect();
         tables.sort_unstable();
         tables.dedup();
         tables
@@ -146,7 +163,7 @@ impl BridgeTable {
 #[derive(Debug, Default, Clone)]
 struct TableFacts {
     /// The one spelling the catalog emits.
-    name: String,
+    name: Arc<str>,
     /// Incident `edges`, ascending.
     edges: Vec<u32>,
     /// The first of `inheritance` whose child this is.
@@ -162,8 +179,8 @@ struct TableFacts {
 /// What a traversal from one node finds.
 #[derive(Debug, Clone)]
 struct Closure {
-    /// Focus column: its table and the graph label spelling its name.
-    column: Option<(TableId, LabelId)>,
+    /// Focus column: its table and its interned spelling.
+    column: Option<(TableId, ColumnId)>,
     /// The tables discovered, as a range of `JoinCatalog::discovered`.
     discovered: Range<u32>,
 }
@@ -171,10 +188,23 @@ struct Closure {
 /// The entry closure of one node, borrowed from the catalog.  The primary
 /// table of the entry point is the first one discovered.
 pub(crate) struct EntryClosure<'a> {
-    /// The focus column: its table and the graph label spelling its name.
-    pub column: Option<(TableId, LabelId)>,
+    /// The focus column: its table and its name.
+    pub column: Option<(TableId, &'a Arc<str>)>,
     /// All tables discovered, in traversal order.
     pub discovered: &'a [TableId],
+}
+
+/// The buffers of [`JoinCatalog::path_between`], kept from one search to
+/// the next: one plan asks for a path per pair of its entry-point tables.
+#[derive(Debug, Default)]
+pub(crate) struct PathSearch {
+    /// Per table id, the edge it was first reached over plus one; 0: not
+    /// reached.  All zero between searches.
+    reached_over: Vec<u32>,
+    /// The breadth-first queue.
+    queue: Vec<TableId>,
+    /// The path the last search found.
+    path: Vec<u32>,
 }
 
 /// The pre-computed join catalog of a warehouse.
@@ -191,6 +221,10 @@ pub struct JoinCatalog {
     /// ASCII-folded table name → id.
     ids: HashMap<String, TableId>,
     tables: Vec<TableFacts>,
+    /// Every column spelling the catalog met, by [`ColumnId`].
+    columns: Vec<Arc<str>>,
+    /// Column spelling → id.
+    column_ids: HashMap<Arc<str>, ColumnId>,
     /// `(fk table, pk table)` per entry of `edges`.
     edge_tables: Vec<(TableId, TableId)>,
     /// `(parent table, index of the join in edges)` per entry of `inheritance`.
@@ -281,8 +315,8 @@ impl JoinCatalog {
                 .iter()
                 .position(|&ends| ends == (child, parent) || ends == (parent, child));
             let link = InheritanceLink {
-                parent_table: catalog.table_name(parent).to_string(),
-                child_table: catalog.table_name(child).to_string(),
+                parent_table: catalog.table_name(parent).clone(),
+                child_table: catalog.table_name(child).clone(),
                 join: join.map(|i| catalog.edges[i].clone()),
             };
             if !catalog.inheritance.contains(&link) {
@@ -308,11 +342,13 @@ impl JoinCatalog {
             else {
                 continue;
             };
+            let valid_from = catalog.intern_column(binding.text("f").unwrap_or("valid_from"));
+            let valid_to = catalog.intern_column(binding.text("v").unwrap_or("valid_to"));
             let link = HistorizationLink {
-                hist_table: catalog.table_name(hist).to_string(),
-                current_table: catalog.table_name(current).to_string(),
-                valid_from_column: binding.text("f").unwrap_or("valid_from").to_string(),
-                valid_to_column: binding.text("v").unwrap_or("valid_to").to_string(),
+                hist_table: catalog.table_name(hist).clone(),
+                current_table: catalog.table_name(current).clone(),
+                valid_from_column: catalog.column_name(valid_from).clone(),
+                valid_to_column: catalog.column_name(valid_to).clone(),
             };
             if !historization.iter().any(|(l, ..)| *l == link) {
                 historization.push((link, hist, current));
@@ -349,7 +385,7 @@ impl JoinCatalog {
                 }
             }
             catalog.bridges.push(BridgeTable {
-                table: catalog.table_name(table).to_string(),
+                table: catalog.table_name(table).clone(),
                 edges: edges.iter().map(|&i| catalog.edges[i].clone()).collect(),
             });
         }
@@ -367,9 +403,22 @@ impl JoinCatalog {
         let id = self.tables.len() as TableId;
         self.ids.insert(key.into_owned(), id);
         self.tables.push(TableFacts {
-            name: name.to_string(),
+            name: name.into(),
             ..TableFacts::default()
         });
+        id
+    }
+
+    /// The id of the column spelling `name`, interning it when the catalog
+    /// has not met it.
+    fn intern_column(&mut self, name: &str) -> ColumnId {
+        if let Some(&id) = self.column_ids.get(name) {
+            return id;
+        }
+        let id = self.columns.len() as ColumnId;
+        let name: Arc<str> = name.into();
+        self.columns.push(Arc::clone(&name));
+        self.column_ids.insert(name, id);
         id
     }
 
@@ -401,11 +450,15 @@ impl JoinCatalog {
             return;
         };
         let (fk, pk) = (self.intern(&fk_table), self.intern(&pk_table));
+        let (fk_column, pk_column) = (
+            self.intern_column(&fk_column),
+            self.intern_column(&pk_column),
+        );
         self.edges.push(JoinEdge {
-            fk_table: self.table_name(fk).to_string(),
-            fk_column,
-            pk_table: self.table_name(pk).to_string(),
-            pk_column,
+            fk_table: self.table_name(fk).clone(),
+            fk_column: self.column_name(fk_column).clone(),
+            pk_table: self.table_name(pk).clone(),
+            pk_column: self.column_name(pk_column).clone(),
             explicit_join_node,
         });
     }
@@ -438,7 +491,7 @@ impl JoinCatalog {
         for node in matcher.matching_nodes(patterns.table()) {
             table_at[node.index()] = self.intern_table_at(graph, db, node);
         }
-        let mut column_at: Vec<Option<(TableId, LabelId)>> = vec![None; graph.node_count()];
+        let mut column_at: Vec<Option<(TableId, ColumnId)>> = vec![None; graph.node_count()];
         // A table node resolves the same way for each of its columns.
         let mut owners: HashMap<NodeId, Option<(TableId, Option<&TableSchema>)>> = HashMap::new();
         for node in matcher.matching_nodes(patterns.column()) {
@@ -450,8 +503,10 @@ impl JoinCatalog {
                 let schema = db.table(name).ok().map(|t| t.schema());
                 Some((self.intern(name), schema))
             });
-            column_at[node.index()] =
-                owner.and_then(|(table, schema)| Some((table, column_label(graph, node, schema)?)));
+            column_at[node.index()] = owner.and_then(|(table, schema)| {
+                let label = column_label(graph, node, schema)?;
+                Some((table, self.intern_column(graph.label_text(label))))
+            });
         }
         let followed: Vec<_> = FOLLOWED_PREDICATES
             .iter()
@@ -508,7 +563,9 @@ impl JoinCatalog {
     pub(crate) fn entry_closure(&self, node: NodeId) -> EntryClosure<'_> {
         match self.closures.get(node.index()) {
             Some(closure) => EntryClosure {
-                column: closure.column,
+                column: closure
+                    .column
+                    .map(|(table, column)| (table, self.column_name(column))),
                 discovered: &self.discovered
                     [closure.discovered.start as usize..closure.discovered.end as usize],
             },
@@ -530,8 +587,26 @@ impl JoinCatalog {
     }
 
     /// The display spelling of a table.
-    pub(crate) fn table_name(&self, table: TableId) -> &str {
+    pub(crate) fn table_name(&self, table: TableId) -> &Arc<str> {
         &self.tables[table as usize].name
+    }
+
+    /// The catalog's copy of the table spelling `name`, if it spells the
+    /// table exactly so.
+    pub(crate) fn shared_table(&self, name: &str) -> Option<&Arc<str>> {
+        let spelling = self.table_name(self.table_id(name)?);
+        (**spelling == *name).then_some(spelling)
+    }
+
+    /// An interned column spelling.
+    fn column_name(&self, column: ColumnId) -> &Arc<str> {
+        &self.columns[column as usize]
+    }
+
+    /// The catalog's copy of the column spelling `name`, if it has one.
+    pub(crate) fn shared_column(&self, name: &str) -> Option<&Arc<str>> {
+        let id = *self.column_ids.get(name)?;
+        Some(self.column_name(id))
     }
 
     /// Indexes of the edges incident to `table`, ascending; none for an id
@@ -560,25 +635,36 @@ impl JoinCatalog {
     /// Shortest join path of at most `max_edges` conditions between two
     /// tables, as edge indexes, treating edges as undirected.  Neighbours
     /// are tried in ascending edge order, so among equally short paths the
-    /// one over the smallest edges wins.
-    pub(crate) fn path_between(
+    /// one over the smallest edges wins.  The path lives in `search`, whose
+    /// buffers the next search reuses.
+    pub(crate) fn path_between<'s>(
         &self,
         from: TableId,
         to: TableId,
         max_edges: usize,
-    ) -> Option<Vec<u32>> {
+        search: &'s mut PathSearch,
+    ) -> Option<&'s [u32]> {
+        search.path.clear();
         if from == to {
-            return Some(Vec::new());
+            return Some(&search.path);
         }
         if (from.max(to) as usize) >= self.tables.len() {
             return None;
         }
-        // The edge a table was first reached over, plus one; 0: not reached.
-        let mut reached_over = vec![0u32; self.tables.len()];
+        let PathSearch {
+            reached_over,
+            queue,
+            path,
+        } = search;
+        if reached_over.len() < self.tables.len() {
+            reached_over.resize(self.tables.len(), 0);
+        }
         reached_over[from as usize] = u32::MAX;
-        let mut queue = vec![from];
+        queue.clear();
+        queue.push(from);
+        let mut found = false;
         let (mut head, mut depth, mut level_end) = (0, 0, 1);
-        while head < queue.len() {
+        'search: while head < queue.len() {
             if head == level_end {
                 depth += 1;
                 level_end = queue.len();
@@ -595,20 +681,27 @@ impl JoinCatalog {
                 }
                 reached_over[next as usize] = edge + 1;
                 if next == to {
-                    let mut path = Vec::with_capacity(depth + 1);
-                    let mut cursor = to;
-                    while cursor != from {
-                        let edge = reached_over[cursor as usize] - 1;
-                        path.push(edge);
-                        cursor = self.other_end(edge, cursor);
-                    }
-                    path.reverse();
-                    return Some(path);
+                    found = true;
+                    break 'search;
                 }
                 queue.push(next);
             }
         }
-        None
+        if found {
+            let mut cursor = to;
+            while cursor != from {
+                let edge = reached_over[cursor as usize] - 1;
+                path.push(edge);
+                cursor = self.other_end(edge, cursor);
+            }
+            path.reverse();
+            reached_over[to as usize] = 0;
+        }
+        // Every other table reached was queued: zero them for the next search.
+        for &table in queue.iter() {
+            reached_over[table as usize] = 0;
+        }
+        found.then_some(&path[..])
     }
 
     /// The inheritance link whose child is `table`: the parent table and
@@ -672,7 +765,13 @@ impl JoinCatalog {
         if from.eq_ignore_ascii_case(to) {
             return Some(Vec::new());
         }
-        let path = self.path_between(self.table_id(from)?, self.table_id(to)?, max_edges)?;
+        let mut search = PathSearch::default();
+        let path = self.path_between(
+            self.table_id(from)?,
+            self.table_id(to)?,
+            max_edges,
+            &mut search,
+        )?;
         Some(
             path.iter()
                 .map(|&i| self.edges[i as usize].clone())
@@ -793,7 +892,7 @@ pub(crate) mod tests {
     }
 
     fn names<'a>(catalog: &'a JoinCatalog, tables: &[TableId]) -> Vec<&'a str> {
-        tables.iter().map(|&t| catalog.table_name(t)).collect()
+        tables.iter().map(|&t| &**catalog.table_name(t)).collect()
     }
 
     #[test]
@@ -810,8 +909,8 @@ pub(crate) mod tests {
             ["individual", "organization"]
         );
         let (table, column) = clients.column.unwrap();
-        assert_eq!(catalog.table_name(table), "individual");
-        assert_eq!(g.label_text(column), "given_name");
+        assert_eq!(&**catalog.table_name(table), "individual");
+        assert_eq!(&**column, "given_name");
         // One layer up: the same, reached over `broader`.
         let top = closure("onto/top");
         assert_eq!(top.discovered, clients.discovered);
@@ -853,7 +952,9 @@ pub(crate) mod tests {
         // Ids past the catalog's own behave the same.
         let unseen = catalog.table_count() as TableId;
         assert!(catalog.edges_at(unseen).is_empty());
-        assert!(catalog.path_between(unseen, 0, 6).is_none());
+        assert!(catalog
+            .path_between(unseen, 0, 6, &mut PathSearch::default())
+            .is_none());
         assert!(catalog.parent_at(unseen).is_none());
         assert!(catalog.bridges_between(unseen, 0).next().is_none());
     }
@@ -866,19 +967,19 @@ pub(crate) mod tests {
         // question comes in.
         let bridges = catalog.bridges_connecting("INDIVIDUAL", "organization");
         assert_eq!(bridges.len(), 1);
-        assert_eq!(bridges[0].table, "Associate_Employment");
+        assert_eq!(&*bridges[0].table, "Associate_Employment");
         assert!(bridges[0]
             .edges
             .iter()
-            .all(|e| e.fk_table == "Associate_Employment"));
+            .all(|e| &*e.fk_table == "Associate_Employment"));
         assert_eq!(
-            catalog.parent_of("individual").unwrap().parent_table,
+            &*catalog.parent_of("individual").unwrap().parent_table,
             "Party"
         );
         assert_eq!(catalog.edges_of("party").len(), 3);
         let path = catalog.path("account_td", "INDIVIDUAL").unwrap();
         assert_eq!(path.len(), 3);
-        assert_eq!(path[0].fk_table, "Account_Td");
+        assert_eq!(&*path[0].fk_table, "Account_Td");
     }
 
     #[test]
@@ -887,8 +988,8 @@ pub(crate) mod tests {
         let catalog = JoinCatalog::build(&g, &SodaPatterns::default(), &db, 6);
         assert_eq!(catalog.edges.len(), 6);
         assert!(catalog.edges.iter().any(|e| e.explicit_join_node
-            && e.fk_table == "account_td"
-            && e.pk_table == "agreement_td"));
+            && &*e.fk_table == "account_td"
+            && &*e.pk_table == "agreement_td"));
         assert_eq!(catalog.edges_of("party").len(), 3);
     }
 
@@ -898,7 +999,7 @@ pub(crate) mod tests {
         let catalog = JoinCatalog::build(&g, &SodaPatterns::default(), &db, 6);
         assert_eq!(catalog.inheritance.len(), 2);
         let link = catalog.parent_of("individual").unwrap();
-        assert_eq!(link.parent_table, "party");
+        assert_eq!(&*link.parent_table, "party");
         assert_eq!(
             link.join.as_ref().unwrap().condition(),
             "individual.party_id = party.party_id"
@@ -912,7 +1013,7 @@ pub(crate) mod tests {
         let catalog = JoinCatalog::build(&g, &SodaPatterns::default(), &db, 6);
         let bridges = catalog.bridges_connecting("individual", "organization");
         assert_eq!(bridges.len(), 1);
-        assert_eq!(bridges[0].table, "associate_employment");
+        assert_eq!(&*bridges[0].table, "associate_employment");
         assert_eq!(bridges[0].connects(), vec!["individual", "organization"]);
         assert!(catalog.bridges_connecting("party", "account_td").is_empty());
     }
@@ -951,10 +1052,10 @@ pub(crate) mod tests {
         let catalog = JoinCatalog::build(&g, &SodaPatterns::default(), &db, 6);
         assert_eq!(catalog.historization.len(), 1);
         let link = catalog.historization_of("individual_name_hist").unwrap();
-        assert_eq!(link.current_table, "individual");
-        assert_eq!(link.valid_to_column, "valid_to");
+        assert_eq!(&*link.current_table, "individual");
+        assert_eq!(&*link.valid_to_column, "valid_to");
         assert_eq!(
-            catalog.history_of("individual").unwrap().hist_table,
+            &*catalog.history_of("individual").unwrap().hist_table,
             "individual_name_hist"
         );
         assert!(catalog.history_of("individual_name_hist").is_none());
@@ -967,7 +1068,7 @@ pub(crate) mod tests {
         let path = catalog.path("account_td", "individual").unwrap();
         // account_td → agreement_td → party → individual.
         assert_eq!(path.len(), 3);
-        assert_eq!(path[0].fk_table, "account_td");
+        assert_eq!(&*path[0].fk_table, "account_td");
         assert!(catalog.path("account_td", "account_td").unwrap().is_empty());
         assert!(catalog.path("account_td", "nonexistent").is_none());
     }

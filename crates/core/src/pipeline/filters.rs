@@ -8,6 +8,8 @@
 //! * metadata-defined business terms ("wealthy customers" → the filter stored
 //!   on the ontology concept).
 
+use std::sync::Arc;
+
 use soda_metagraph::builder::preds;
 use soda_relation::{CompareOp, Date, Expr, Value};
 
@@ -33,9 +35,10 @@ pub fn run(
     // --- base-data filters ----------------------------------------------------
     for anchor in &plan.anchors {
         if let Some(base) = &anchor.base_filter {
-            let column = Expr::qualified(base.table.clone(), base.column.clone());
+            let column = Expr::qualified(Arc::clone(&base.table), Arc::clone(&base.column));
             let expr = if base.exact {
-                Expr::compare(CompareOp::Eq, column, Expr::literal(base.value.as_str()))
+                let value = Expr::Literal(Value::Text(Arc::clone(&base.value)));
+                Expr::compare(CompareOp::Eq, column, value)
             } else {
                 Expr::Like {
                     expr: Box::new(column),
@@ -67,6 +70,7 @@ pub fn run(
             let Some((table, column)) = column_name(ctx.graph, column_node, ctx.db) else {
                 continue;
             };
+            let table: Arc<str> = table.into();
             let op_text = ctx
                 .graph
                 .text_of(filter_node, preds::FILTER_OP)
@@ -88,13 +92,13 @@ pub fn run(
                         for edge in path {
                             plan.tables.insert(edge.fk_table.clone());
                             plan.tables.insert(edge.pk_table.clone());
-                            if !plan.joins.iter().any(|e| e.condition() == edge.condition()) {
+                            if !plan.joins.iter().any(|e| e.same_condition(&edge)) {
                                 plan.joins.push(edge);
                             }
                         }
                     }
                 }
-                plan.tables.insert(table.clone());
+                plan.tables.insert(Arc::clone(&table));
             }
             let column_expr = Expr::qualified(table, column);
             let expr = if op_text.eq_ignore_ascii_case("like") {
@@ -121,8 +125,8 @@ pub fn run(
                 continue;
             }
             let mut applied = false;
-            for table in plan.tables.clone() {
-                let Some(link) = ctx.joins.historization_of(&table) else {
+            for table in &plan.tables {
+                let Some(link) = ctx.joins.historization_of(table) else {
                     continue;
                 };
                 let from = Expr::qualified(link.hist_table.clone(), link.valid_from_column.clone());
@@ -153,7 +157,7 @@ pub fn run(
             .and_then(|phrase| {
                 plan.anchors
                     .iter()
-                    .find(|a| a.phrase == *phrase && a.column.is_some())
+                    .find(|a| *a.phrase == **phrase && a.column.is_some())
             })
             .and_then(|a| a.column.clone());
         let Some((table, column)) = target else {

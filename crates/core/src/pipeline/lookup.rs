@@ -22,6 +22,8 @@
 //! candidate set (and therefore the generated SQL) is byte-identical for
 //! any shard count.
 
+use std::sync::Arc;
+
 use soda_relation::index::tokenizer::tokenize;
 use soda_relation::{
     merge_hits, AggFunc, CompareOp, PhraseHit, PhraseProbe, ShardedInvertedIndex, Value,
@@ -38,21 +40,22 @@ use crate::query::{QueryTerm, SodaQuery};
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct BaseDataFilter {
     /// Table containing the hit.
-    pub table: String,
+    pub table: Arc<str>,
     /// Column containing the hit.
-    pub column: String,
+    pub column: Arc<str>,
     /// Either the exact cell value (when all matching rows share one value) or
     /// the searched phrase (then matched with `LIKE`).
-    pub value: String,
+    pub value: Arc<str>,
     /// True when `value` is an exact cell value.
     pub exact: bool,
 }
 
-/// One candidate entry point for a term.
+/// One candidate entry point for a term.  Its text is shared with the
+/// term's other candidates, so the solutions that pick it copy none.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EntryPoint {
     /// The matched phrase.
-    pub phrase: String,
+    pub phrase: Arc<str>,
     /// The metadata-graph node representing the match (for base-data hits this
     /// is the physical column node).
     #[serde(skip)]
@@ -265,11 +268,12 @@ fn segment(
         for span in (1..=max_span).rev() {
             let window = i..i + span;
             let phrase = tokens[window.clone()].join(" ");
-            let mut candidates = label_candidates(ctx, &phrase);
+            let mut shared = None;
+            let mut candidates = label_candidates(ctx, &phrase, &mut shared);
             if let Some(index) = ctx.index {
                 let probe = PhraseProbe::select(&tokens[window.clone()], &frequencies[window]);
                 let hits = base_data_hits(ctx, index, &phrase, probe, trace_span);
-                base_data_candidates(ctx, &phrase, hits, &mut candidates);
+                base_data_candidates(ctx, &phrase, &mut shared, hits, &mut candidates);
             }
             if !candidates.is_empty() {
                 matches.push(TermMatch {
@@ -354,13 +358,22 @@ fn base_data_hits(
     merged
 }
 
+/// The candidates' shared copy of `phrase`, made by the first candidate.
+fn shared_phrase(slot: &mut Option<Arc<str>>, phrase: &str) -> Arc<str> {
+    Arc::clone(slot.get_or_insert_with(|| phrase.into()))
+}
+
 /// The metadata labels matching a phrase, as candidate entry points.
-fn label_candidates(ctx: &PipelineContext<'_>, phrase: &str) -> Vec<EntryPoint> {
+fn label_candidates(
+    ctx: &PipelineContext<'_>,
+    phrase: &str,
+    shared: &mut Option<Arc<str>>,
+) -> Vec<EntryPoint> {
     ctx.classification
         .lookup(phrase)
         .iter()
         .map(|e| EntryPoint {
-            phrase: phrase.to_string(),
+            phrase: shared_phrase(shared, phrase),
             node: e.node,
             provenance: e.provenance,
             base_filter: None,
@@ -373,6 +386,7 @@ fn label_candidates(ctx: &PipelineContext<'_>, phrase: &str) -> Vec<EntryPoint> 
 fn base_data_candidates(
     ctx: &PipelineContext<'_>,
     phrase: &str,
+    shared: &mut Option<Arc<str>>,
     hits: Vec<PhraseHit>,
     out: &mut Vec<EntryPoint>,
 ) {
@@ -393,17 +407,26 @@ fn base_data_candidates(
             continue;
         };
         let exact = values.len() == 1;
+        let phrase = shared_phrase(shared, phrase);
         out.push(EntryPoint {
-            phrase: phrase.to_string(),
+            phrase: Arc::clone(&phrase),
             node,
             provenance: Provenance::BaseData,
             base_filter: Some(BaseDataFilter {
-                table,
-                column,
+                table: ctx
+                    .joins
+                    .shared_table(&table)
+                    .cloned()
+                    .unwrap_or_else(|| table.into()),
+                column: ctx
+                    .joins
+                    .shared_column(&column)
+                    .cloned()
+                    .unwrap_or_else(|| column.into()),
                 value: if exact {
-                    values.into_iter().next().expect("one value")
+                    values.into_iter().next().expect("one value").into()
                 } else {
-                    phrase.to_string()
+                    phrase
                 },
                 exact,
             }),

@@ -23,7 +23,7 @@ pub struct Solution {
 impl Solution {
     /// The entry point matching a phrase, if any.
     pub fn entry_for(&self, phrase: &str) -> Option<&EntryPoint> {
-        self.entries.iter().find(|e| e.phrase == phrase)
+        self.entries.iter().find(|e| &*e.phrase == phrase)
     }
 }
 
@@ -59,58 +59,56 @@ pub fn enumerate_and_rank_boosted(
         return Vec::new();
     }
 
-    let mut solutions: Vec<Solution> = Vec::new();
+    // Combination `k` picks, per term, digit `k` of a mixed-radix number
+    // whose last term varies fastest.  Only scores are kept while
+    // enumerating; the entry points of the best `top_n` are copied once the
+    // ranking is known.
+    let pick = |mut ordinal: usize, indices: &mut [usize]| {
+        for (index, term) in indices.iter_mut().zip(&terms).rev() {
+            *index = ordinal % term.candidates.len();
+            ordinal /= term.candidates.len();
+        }
+    };
+    let combinations = terms
+        .iter()
+        .try_fold(1usize, |n, t| n.checked_mul(t.candidates.len()))
+        .unwrap_or(usize::MAX);
     let mut indices = vec![0usize; terms.len()];
-    loop {
-        let entries: Vec<EntryPoint> = terms
-            .iter()
-            .zip(&indices)
-            .map(|(t, &i)| t.candidates[i].clone())
-            .collect();
-        let roles: Vec<TermRole> = terms.iter().map(|t| t.role).collect();
-        let score = entries
-            .iter()
-            .map(|e| weights.weight(e.provenance) + boost(e))
-            .sum::<f64>()
-            / entries.len() as f64;
-        solutions.push(Solution {
-            entries,
-            roles,
-            score,
-        });
-        if solutions.len() >= cap {
-            break;
-        }
-        // Advance the mixed-radix counter.
-        let mut pos = terms.len();
-        loop {
-            if pos == 0 {
-                break;
-            }
-            pos -= 1;
-            indices[pos] += 1;
-            if indices[pos] < terms[pos].candidates.len() {
-                break;
-            }
-            indices[pos] = 0;
-            if pos == 0 {
-                // Wrapped around completely: enumeration finished.
-                pos = usize::MAX;
-                break;
-            }
-        }
-        if pos == usize::MAX {
-            break;
-        }
-    }
+    let mut ranked: Vec<(f64, usize)> = (0..combinations.min(cap.max(1)))
+        .map(|ordinal| {
+            pick(ordinal, &mut indices);
+            let score = terms
+                .iter()
+                .zip(&indices)
+                .map(|(t, &i)| {
+                    let entry = &t.candidates[i];
+                    weights.weight(entry.provenance) + boost(entry)
+                })
+                .sum::<f64>()
+                / terms.len() as f64;
+            (score, ordinal)
+        })
+        .collect();
 
-    solutions.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    solutions.truncate(top_n);
-    solutions
+    // Stable: equal scores keep their enumeration order.
+    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+    ranked.truncate(top_n);
+    let roles: Vec<TermRole> = terms.iter().map(|t| t.role).collect();
+    ranked
+        .into_iter()
+        .map(|(score, ordinal)| {
+            pick(ordinal, &mut indices);
+            Solution {
+                entries: terms
+                    .iter()
+                    .zip(&indices)
+                    .map(|(t, &i)| t.candidates[i].clone())
+                    .collect(),
+                roles: roles.clone(),
+                score,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

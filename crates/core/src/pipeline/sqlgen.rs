@@ -5,6 +5,8 @@
 //! single executable `SELECT` statement in the style the paper uses
 //! (comma-separated FROM list, join predicates in the WHERE clause).
 
+use std::sync::Arc;
+
 use soda_relation::{
     CompareOp, DataType, Expr, OrderByItem, SelectItem, SelectStatement, TableRef,
 };
@@ -25,20 +27,17 @@ pub fn run(
         return None;
     }
 
-    let from: Vec<TableRef> = plan.tables.iter().map(TableRef::new).collect();
+    let from: Vec<TableRef> = plan.tables.iter().cloned().map(TableRef::new).collect();
 
     // WHERE clause: join conditions followed by filters.
-    let mut conjuncts: Vec<Expr> = plan
-        .joins
-        .iter()
-        .map(|j| {
-            Expr::compare(
-                CompareOp::Eq,
-                Expr::qualified(j.fk_table.clone(), j.fk_column.clone()),
-                Expr::qualified(j.pk_table.clone(), j.pk_column.clone()),
-            )
-        })
-        .collect();
+    let mut conjuncts: Vec<Expr> = Vec::with_capacity(plan.joins.len() + filters.len());
+    conjuncts.extend(plan.joins.iter().map(|j| {
+        Expr::compare(
+            CompareOp::Eq,
+            Expr::qualified(Arc::clone(&j.fk_table), Arc::clone(&j.fk_column)),
+            Expr::qualified(Arc::clone(&j.pk_table), Arc::clone(&j.pk_column)),
+        )
+    }));
     conjuncts.extend(filters.iter().cloned());
     let selection = Expr::and_all(conjuncts);
 
@@ -117,7 +116,11 @@ fn resolve_attribute(
     phrase: &str,
     role: TermRole,
 ) -> Option<Expr> {
-    let anchors: Vec<_> = plan.anchors.iter().filter(|a| a.phrase == phrase).collect();
+    let anchors: Vec<_> = plan
+        .anchors
+        .iter()
+        .filter(|a| &*a.phrase == phrase)
+        .collect();
     let preferred = anchors
         .iter()
         .find(|a| a.role == role && a.column.is_some())
@@ -125,27 +128,31 @@ fn resolve_attribute(
         .or_else(|| anchors.first());
     let anchor = preferred?;
     if let Some((table, column)) = &anchor.column {
-        return Some(Expr::qualified(table.clone(), column.clone()));
+        return Some(Expr::qualified(Arc::clone(table), Arc::clone(column)));
     }
     let table = anchor.table.as_ref()?;
-    let schema = ctx.db.table(table).ok()?.schema().clone();
+    let schema = ctx.db.table(table).ok()?.schema();
+    let is_text = |name: &str| {
+        schema
+            .column(name)
+            .is_some_and(|c| c.data_type == DataType::Text)
+    };
     let column = schema
         .primary_key
         .iter()
-        .find(|pk| {
-            schema
-                .column(pk)
-                .map(|c| c.data_type == DataType::Text)
-                .unwrap_or(false)
-        })
-        .cloned()
+        .map(String::as_str)
+        .find(|pk| is_text(pk))
         .or_else(|| {
             schema
                 .columns
                 .iter()
                 .find(|c| c.data_type == DataType::Text)
-                .map(|c| c.name.clone())
+                .map(|c| c.name.as_str())
         })
-        .or_else(|| schema.columns.first().map(|c| c.name.clone()))?;
-    Some(Expr::qualified(table.clone(), column))
+        .or_else(|| schema.columns.first().map(|c| c.name.as_str()))?;
+    let column = match ctx.joins.shared_column(column) {
+        Some(shared) => Arc::clone(shared),
+        None => column.into(),
+    };
+    Some(Expr::qualified(Arc::clone(table), column))
 }

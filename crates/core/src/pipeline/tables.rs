@@ -13,13 +13,15 @@
 //! entry-point tables (Figure 9), inheritance parents are added so the
 //! generated SQL is correct, and bridge tables connecting two entry-point
 //! tables contribute additional join conditions (§4.2.1, "Bridge Tables in
-//! Large Schemas").  Names are materialised once, into the [`TablePlan`].
+//! Large Schemas").  The plan's names are clones of the catalog's shared
+//! spellings, so naming a table or a column copies no text.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use soda_metagraph::NodeId;
 
-use crate::joins::{JoinCatalog, JoinEdge, TableId};
+use crate::joins::{JoinCatalog, JoinEdge, PathSearch, TableId};
 use crate::pipeline::lookup::{BaseDataFilter, TermRole};
 use crate::pipeline::rank::Solution;
 use crate::pipeline::PipelineContext;
@@ -29,18 +31,18 @@ use crate::provenance::Provenance;
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EntryAnchor {
     /// The matched phrase.
-    pub phrase: String,
+    pub phrase: Arc<str>,
     /// The term role (keyword, aggregation attribute, group-by attribute).
     pub role: TermRole,
     /// Where the entry point was found.
     pub provenance: Provenance,
     /// The primary table reached from this entry point.
-    pub table: Option<String>,
+    pub table: Option<Arc<str>>,
     /// The focus column reached from this entry point (for attributes,
     /// base-data hits and ontology concepts classifying a column).
-    pub column: Option<(String, String)>,
+    pub column: Option<(Arc<str>, Arc<str>)>,
     /// All tables discovered from this entry point.
-    pub discovered: Vec<String>,
+    pub discovered: Vec<Arc<str>>,
     /// Base-data filter carried over from the lookup step.
     pub base_filter: Option<BaseDataFilter>,
     /// The originating graph node.
@@ -54,16 +56,16 @@ pub struct TablePlan {
     /// Per-entry anchors.
     pub anchors: Vec<EntryAnchor>,
     /// All tables participating in the generated SQL.
-    pub tables: BTreeSet<String>,
+    pub tables: BTreeSet<Arc<str>>,
     /// Join conditions.
     pub joins: Vec<JoinEdge>,
     /// Bridge tables that contributed joins.
-    pub used_bridges: Vec<String>,
+    pub used_bridges: Vec<Arc<str>>,
     /// Inheritance parent tables that were added.
-    pub added_parents: Vec<String>,
+    pub added_parents: Vec<Arc<str>>,
     /// History tables whose current-state table was added through a
     /// historization annotation (extension; empty on paper-faithful graphs).
-    pub added_history_expansions: Vec<String>,
+    pub added_history_expansions: Vec<Arc<str>>,
     /// True when every pair of entry-point tables could be connected.
     pub join_path_complete: bool,
 }
@@ -74,7 +76,7 @@ struct Draft<'a> {
     catalog: &'a JoinCatalog,
     /// Tables the catalog has never seen, by the spelling they arrived in;
     /// their ids continue after the catalog's.
-    unseen: Vec<&'a str>,
+    unseen: Vec<Arc<str>>,
     /// Participating tables, ordered by name.
     tables: Vec<TableId>,
     /// Join conditions, in the order they were selected.
@@ -82,7 +84,7 @@ struct Draft<'a> {
 }
 
 impl<'a> Draft<'a> {
-    fn id_of(&mut self, name: &'a str) -> TableId {
+    fn id_of(&mut self, name: &Arc<str>) -> TableId {
         let known = self.catalog.table_count();
         self.catalog.table_id(name).unwrap_or_else(|| {
             let seen = self
@@ -90,22 +92,24 @@ impl<'a> Draft<'a> {
                 .iter()
                 .position(|t| t.eq_ignore_ascii_case(name));
             let index = seen.unwrap_or_else(|| {
-                self.unseen.push(name);
+                self.unseen.push(Arc::clone(name));
                 self.unseen.len() - 1
             });
             (known + index) as TableId
         })
     }
 
-    fn name(&self, table: TableId) -> &'a str {
+    /// The spelling of a table, shared with the catalog (or with the hit
+    /// that named an unseen table).
+    fn name(&self, table: TableId) -> &Arc<str> {
         match (table as usize).checked_sub(self.catalog.table_count()) {
-            Some(index) => self.unseen[index],
+            Some(index) => &self.unseen[index],
             None => self.catalog.table_name(table),
         }
     }
 
-    fn owned_name(&self, table: TableId) -> String {
-        self.name(table).to_string()
+    fn shared_name(&self, table: TableId) -> Arc<str> {
+        Arc::clone(self.name(table))
     }
 
     fn has_table(&self, table: TableId) -> bool {
@@ -152,10 +156,18 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
     let mut draft = Draft {
         catalog,
         unseen: Vec::new(),
-        tables: Vec::new(),
-        joins: Vec::new(),
+        tables: Vec::with_capacity(8),
+        joins: Vec::with_capacity(8),
     };
     let mut join_path_complete = true;
+    let mut search = PathSearch::default();
+    // The loops below add tables while they walk the ones already there, so
+    // each walks a copy, made in this one buffer.
+    let mut walked: Vec<TableId> = Vec::new();
+    let snapshot = |walked: &mut Vec<TableId>, tables: &[TableId]| {
+        walked.clear();
+        walked.extend_from_slice(tables);
+    };
 
     // --- anchors: one closure lookup per entry point --------------------------
     let mut anchors = Vec::with_capacity(solution.entries.len());
@@ -165,15 +177,14 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
         let (column, discovered) = match &entry.base_filter {
             Some(filter) => {
                 base_table = [draft.id_of(&filter.table)];
-                let column = (draft.owned_name(base_table[0]), filter.column.clone());
+                let column = (draft.shared_name(base_table[0]), filter.column.clone());
                 (Some(column), &base_table[..])
             }
             None => {
                 let closure = catalog.entry_closure(entry.node);
-                let column = closure.column.map(|(table, column)| {
-                    let column = ctx.graph.label_text(column);
-                    (draft.owned_name(table), column.to_string())
-                });
+                let column = closure
+                    .column
+                    .map(|(table, column)| (draft.shared_name(table), Arc::clone(column)));
                 (column, closure.discovered)
             }
         };
@@ -185,9 +196,9 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
             phrase: entry.phrase.clone(),
             role: *role,
             provenance: entry.provenance,
-            table: discovered.first().map(|&t| draft.owned_name(t)),
+            table: discovered.first().map(|&t| draft.shared_name(t)),
             column,
-            discovered: discovered.iter().map(|&t| draft.owned_name(t)).collect(),
+            discovered: discovered.iter().map(|&t| draft.shared_name(t)).collect(),
             base_filter: entry.base_filter.clone(),
             node: Some(entry.node),
         });
@@ -202,14 +213,15 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
     // --- join selection -------------------------------------------------------
     if ctx.config.direct_path_pruning {
         for (a, b) in anchor_pairs() {
-            match catalog.path_between(a, b, max_path) {
-                Some(path) => draft.add_path(&path),
+            match catalog.path_between(a, b, max_path, &mut search) {
+                Some(path) => draft.add_path(path),
                 None => join_path_complete = false,
             }
         }
     } else {
         // Ablation: take every join condition between any two discovered tables.
-        for &table in &draft.tables.clone() {
+        snapshot(&mut walked, &draft.tables);
+        for &table in &walked {
             for &edge in catalog.edges_at(table) {
                 if draft.has_table(catalog.other_end(edge, table)) {
                     draft.add_join(edge);
@@ -226,7 +238,8 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
     // have no annotations, so this is a no-op there.
     let mut added_history_expansions = Vec::new();
     if ctx.config.use_historization {
-        for &table in &draft.tables.clone() {
+        snapshot(&mut walked, &draft.tables);
+        for &table in &walked {
             let Some(current) = catalog.current_of(table) else {
                 continue;
             };
@@ -252,7 +265,8 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
 
     // --- inheritance parents --------------------------------------------------
     let mut added_parents = Vec::new();
-    for &table in &draft.tables.clone() {
+    snapshot(&mut walked, &draft.tables);
+    for &table in &walked {
         if let Some((parent, join)) = catalog.parent_at(table) {
             if draft.add_table(parent) {
                 added_parents.push(parent);
@@ -287,18 +301,21 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
     // would force a cross product in the executor; connect them if possible,
     // otherwise drop them.
     if draft.tables.len() > 1 {
-        let joined: Vec<(TableId, TableId)> =
-            draft.joins.iter().map(|&e| catalog.edge_ends(e)).collect();
+        // The joins chosen before the clean-up: the paths it adds do not
+        // count as joining a table it has yet to look at.
+        let joined = draft.joins.len();
         let reference = anchor_tables.first().copied().unwrap_or(draft.tables[0]);
-        for &table in &draft.tables.clone() {
-            if joined.iter().any(|&(fk, pk)| fk == table || pk == table) {
+        snapshot(&mut walked, &draft.tables);
+        for &table in &walked {
+            let mut ends = draft.joins[..joined].iter().map(|&e| catalog.edge_ends(e));
+            if ends.any(|(fk, pk)| fk == table || pk == table) {
                 continue;
             }
             let path = catalog
-                .path_between(table, reference, max_path)
+                .path_between(table, reference, max_path, &mut search)
                 .filter(|_| table != reference);
             match path {
-                Some(path) => draft.add_path(&path),
+                Some(path) => draft.add_path(path),
                 None if !anchor_tables.contains(&table) && draft.tables.len() > 1 => {
                     draft.tables.retain(|&t| t != table);
                 }
@@ -307,10 +324,10 @@ pub fn run(ctx: &PipelineContext<'_>, solution: &Solution) -> TablePlan {
         }
     }
 
-    let names = |tables: &[TableId]| tables.iter().map(|&t| draft.owned_name(t)).collect();
+    let names = |tables: &[TableId]| tables.iter().map(|&t| draft.shared_name(t)).collect();
     TablePlan {
         anchors,
-        tables: draft.tables.iter().map(|&t| draft.owned_name(t)).collect(),
+        tables: draft.tables.iter().map(|&t| draft.shared_name(t)).collect(),
         joins: draft
             .joins
             .iter()
@@ -354,11 +371,12 @@ mod tests {
             .into_iter()
             .find(|plan| !plan.used_bridges.is_empty())
             .expect("an interpretation joins the siblings over their bridge");
-        assert_eq!(plan.used_bridges, ["Associate_Employment"]);
-        let bridge_spellings: Vec<&String> = plan
+        assert_eq!(plan.used_bridges, ["Associate_Employment".into()]);
+        let bridge_spellings: Vec<&str> = plan
             .tables
             .iter()
             .filter(|t| t.eq_ignore_ascii_case("associate_employment"))
+            .map(|t| &**t)
             .collect();
         assert_eq!(bridge_spellings, ["Associate_Employment"]);
         assert!(plan.join_path_complete);
@@ -366,7 +384,7 @@ mod tests {
         let results = engine.search("individual organization").unwrap();
         let bridged = results
             .iter()
-            .find(|r| r.used_bridges == ["Associate_Employment"])
+            .find(|r| r.used_bridges == ["Associate_Employment".into()])
             .expect("the bridged interpretation becomes a statement");
         assert_eq!(bridged.sql.matches("Associate_Employment").count(), 3);
         assert!(
@@ -414,12 +432,12 @@ mod tests {
         };
         let plan = run(&engine.context(None, &NoopSink), &solution);
         assert_eq!(
-            plan.tables.iter().collect::<Vec<_>>(),
+            plan.tables.iter().map(|t| &**t).collect::<Vec<_>>(),
             ["Branch_Office", "party"]
         );
         assert_eq!(plan.anchors[0].table.as_deref(), Some("Branch_Office"));
         assert_eq!(plan.anchors[1].table.as_deref(), Some("Branch_Office"));
-        assert_eq!(plan.anchors[2].discovered, ["party"]);
+        assert_eq!(plan.anchors[2].discovered, ["party".into()]);
         assert!(plan.joins.is_empty());
         assert!(!plan.join_path_complete);
     }

@@ -2,6 +2,7 @@
 //! per-query trace with the step timings and complexity figures reported in
 //! Table 4 of the paper.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use soda_relation::SelectStatement;
@@ -13,7 +14,7 @@ use crate::provenance::Provenance;
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct Interpretation {
     /// The matched phrase.
-    pub phrase: String,
+    pub phrase: Arc<str>,
     /// Which part of the metadata the phrase was found in.
     pub provenance: Provenance,
     /// URI of the metadata-graph node chosen as the entry point (for
@@ -32,15 +33,15 @@ pub struct SodaResult {
     pub statement: SelectStatement,
     /// Ranking score of the underlying interpretation.
     pub score: f64,
-    /// Tables participating in the statement.
-    pub tables: Vec<String>,
+    /// Tables participating in the statement, shared with the join catalog.
+    pub tables: Vec<Arc<str>>,
     /// The interpretation: per matched phrase, where it was found.
     pub interpretation: Vec<Interpretation>,
     /// True when every pair of entry-point tables could be connected through
     /// join conditions.
     pub join_path_complete: bool,
     /// Bridge tables whose joins were added.
-    pub used_bridges: Vec<String>,
+    pub used_bridges: Vec<Arc<str>>,
     /// Notes from the pipeline (skipped constraints, missing columns, …).
     pub notes: Vec<String>,
 }

@@ -104,9 +104,9 @@ impl ProbeRecorder {
         }
     }
 
-    /// The recorded probe dependencies.
-    pub fn deps(&self) -> Vec<ProbeDep> {
-        self.deps.lock().expect("probe deps poisoned").clone()
+    /// The recorded probe dependencies, once the recorded run is over.
+    pub fn into_deps(self) -> Vec<ProbeDep> {
+        self.deps.into_inner().expect("probe deps poisoned")
     }
 }
 
@@ -177,7 +177,7 @@ mod tests {
         rec.record_probe("zurich", Some("zurich".into()));
         rec.record_probe("zurich", Some("zurich".into()));
         rec.record_probe("nowhere", None);
-        let deps = rec.deps();
+        let deps = rec.into_deps();
         assert_eq!(deps.len(), 2);
         assert_eq!(deps[0].token.as_deref(), Some("zurich"));
         assert_eq!(deps[1].token, None);

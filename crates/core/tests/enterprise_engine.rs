@@ -39,9 +39,9 @@ fn q1_private_customers_family_name_uses_ontology_and_schema() {
     assert!(classification.contains(&"private customers".to_string()));
     assert!(classification.contains(&"family name".to_string()));
     let top = &results[0];
-    assert!(top.tables.contains(&"individual".to_string()));
+    assert!(top.tables.contains(&"individual".into()));
     assert!(
-        top.tables.contains(&"party".to_string()),
+        top.tables.contains(&"party".into()),
         "inheritance parent added"
     );
     let rs = e.execute(top).unwrap();
@@ -85,11 +85,11 @@ fn historization_annotations_recover_the_historised_saras() {
     let plain_results = e.search("Sara").unwrap();
     assert!(plain_results
         .iter()
-        .filter(|r| r.tables.contains(&"individual_name_hist".to_string()))
-        .all(|r| !r.tables.contains(&"individual".to_string())));
+        .filter(|r| r.tables.contains(&"individual_name_hist".into()))
+        .all(|r| !r.tables.contains(&"individual".into())));
     let plain_current_best = plain_results
         .iter()
-        .filter(|r| r.tables.contains(&"individual".to_string()))
+        .filter(|r| r.tables.contains(&"individual".into()))
         .map(|r| e.execute(r).map(|rs| rs.row_count()).unwrap_or(0))
         .max()
         .unwrap_or(0);
@@ -108,8 +108,8 @@ fn historization_annotations_recover_the_historised_saras() {
     let joined_hist = results
         .iter()
         .find(|r| {
-            r.tables.contains(&"individual_name_hist".to_string())
-                && r.tables.contains(&"individual".to_string())
+            r.tables.contains(&"individual_name_hist".into())
+                && r.tables.contains(&"individual".into())
         })
         .expect("annotated graph must join the history table back to individual");
     let covered = e.execute(joined_hist).unwrap().row_count();
@@ -133,7 +133,7 @@ fn valid_at_operator_constrains_annotated_history_tables() {
     // validity-interval predicates.
     let temporal = results
         .iter()
-        .find(|r| r.tables.contains(&"individual_name_hist".to_string()))
+        .find(|r| r.tables.contains(&"individual_name_hist".into()))
         .expect("a history-table interpretation must exist on the annotated graph");
     assert!(
         temporal.sql.contains("valid_from <= '2006-06-30'")
@@ -147,7 +147,7 @@ fn valid_at_operator_constrains_annotated_history_tables() {
         .search("Sara")
         .unwrap()
         .iter()
-        .find(|r| r.tables.contains(&"individual_name_hist".to_string()))
+        .find(|r| r.tables.contains(&"individual_name_hist".into()))
         .map(|r| e.execute(r).unwrap().row_count())
         .unwrap();
     assert!(constrained <= unconstrained);
@@ -197,9 +197,9 @@ fn q3_credit_suisse_is_ambiguous_between_organization_and_agreement() {
     let e = engine(w, SodaConfig::default());
     let results = e.search("Credit Suisse").unwrap();
     assert!(results.len() >= 2);
-    let tables: Vec<String> = results.iter().flat_map(|r| r.tables.clone()).collect();
-    assert!(tables.contains(&"organization".to_string()));
-    assert!(tables.contains(&"agreement_td".to_string()));
+    let tables: Vec<std::sync::Arc<str>> = results.iter().flat_map(|r| r.tables.clone()).collect();
+    assert!(tables.contains(&"organization".into()));
+    assert!(tables.contains(&"agreement_td".into()));
 }
 
 #[test]
@@ -262,7 +262,7 @@ fn compactness_rerank_prefers_the_single_table_interpretation() {
     let results = e.search("Credit Suisse").unwrap();
     assert!(results.len() >= 2);
     assert!(
-        results[0].tables == vec!["agreement_td".to_string()],
+        results[0].tables == ["agreement_td".into()],
         "expected the single-table agreement interpretation first, got {:?}",
         results[0].tables
     );
@@ -302,7 +302,7 @@ fn q7_yen_trade_orders_produce_a_multiway_join() {
     // At least one interpretation filters the trade orders by currency and
     // returns rows.
     let good = results.iter().find(|r| {
-        r.tables.contains(&"trade_order_td".to_string())
+        r.tables.contains(&"trade_order_td".into())
             && e.execute(r).map(|rs| rs.row_count() > 0).unwrap_or(false)
     });
     assert!(
@@ -474,7 +474,7 @@ fn bridge_tables_between_siblings_are_in_the_join_catalog() {
         .join_catalog()
         .bridges_connecting("individual", "organization");
     assert_eq!(bridges.len(), 1);
-    assert_eq!(bridges[0].table, "associate_employment");
+    assert_eq!(&*bridges[0].table, "associate_employment");
 }
 
 #[test]
@@ -487,8 +487,8 @@ fn explicit_join_nodes_are_discovered_on_the_trading_chain() {
         .iter()
         .filter(|edge| edge.explicit_join_node)
         .collect();
-    assert!(explicit.iter().any(|e| e.fk_table == "trade_order_td"));
-    assert!(explicit.iter().any(|e| e.fk_table == "account_td"));
+    assert!(explicit.iter().any(|e| &*e.fk_table == "trade_order_td"));
+    assert!(explicit.iter().any(|e| &*e.fk_table == "account_td"));
 }
 
 #[test]

@@ -45,8 +45,8 @@ fn query1_sara_guttinger_produces_an_executable_join() {
         top.sql
     );
     // The individuals table participates; the inheritance parent is added.
-    assert!(top.tables.iter().any(|t| t == "individuals"));
-    assert!(top.tables.iter().any(|t| t == "parties"));
+    assert!(top.tables.iter().any(|t| &**t == "individuals"));
+    assert!(top.tables.iter().any(|t| &**t == "parties"));
 }
 
 #[test]
@@ -90,7 +90,8 @@ fn figure6_tables_step_discovers_the_expected_tables() {
     assert_eq!(results.len(), 3);
     // Union of discovered tables across the interpretations covers the
     // seven tables of Figure 6.
-    let mut tables: Vec<String> = results.iter().flat_map(|r| r.tables.clone()).collect();
+    let mut tables: Vec<std::sync::Arc<str>> =
+        results.iter().flat_map(|r| r.tables.clone()).collect();
     tables.sort();
     tables.dedup();
     for expected in [
@@ -103,7 +104,7 @@ fn figure6_tables_step_discovers_the_expected_tables() {
         "securities",
     ] {
         assert!(
-            tables.iter().any(|t| t == expected),
+            tables.iter().any(|t| &**t == expected),
             "missing table {expected} in {tables:?}"
         );
     }
@@ -120,7 +121,7 @@ fn ranking_prefers_the_conceptual_interpretation_over_the_logical_one() {
     let top_fi = results[0]
         .interpretation
         .iter()
-        .find(|i| i.phrase == "financial instruments")
+        .find(|i| &*i.phrase == "financial instruments")
         .unwrap();
     assert_eq!(top_fi.provenance, Provenance::ConceptualSchema);
     assert!(!top_fi.entry_uri.is_empty());
@@ -262,4 +263,28 @@ fn timings_and_complexity_are_reported() {
     assert!(trace.timings.total().as_nanos() > 0);
     assert_eq!(trace.solutions, 3);
     assert_eq!(trace.results, 3);
+}
+
+/// Regression: a `like` pattern went into the SQL text unescaped, so
+/// `firstname like o'brien` printed `LIKE '%o'brien%'` and the text did not
+/// parse.  Quotes in operator inputs are doubled like those of any other
+/// literal, and the printed statement parses back into the one executed.
+#[test]
+fn quotes_in_operator_inputs_print_parseable_sql() {
+    let e = engine(minibank::build(42));
+    for input in [
+        "firstname like o'brien",
+        "lastname = o'brien",
+        "city like d'or and firstname like sara",
+    ] {
+        let results = e.search(input).unwrap();
+        assert!(
+            results.iter().any(|r| r.sql.contains("''")),
+            "`{input}` reaches no statement with a quoted quote"
+        );
+        for r in &results {
+            assert_eq!(parse_select(&r.sql), Ok(r.statement.clone()), "{}", r.sql);
+            e.execute(r).expect("the statement runs");
+        }
+    }
 }

@@ -16,7 +16,9 @@
 //! not see them.  Where they show is the table plan of every ranked solution,
 //! pinned by `tests/table_plan_golden.rs`.
 
-use soda_core::{EngineSnapshot, FeedbackStore, RankingWeights, SearchOptions, SodaConfig};
+use soda_core::{
+    EngineSnapshot, FeedbackStore, RankingWeights, SearchOptions, SodaConfig, SodaResult,
+};
 
 use super::run_workload;
 
@@ -132,9 +134,10 @@ pub fn ranking_variants(
     let compact = compact_engine
         .search("Credit Suisse")
         .expect("a keyword query parses");
+    let tables = |result: &SodaResult| result.tables.iter().map(|t| t.to_string()).collect();
     vec![
-        ("provenance only", baseline[0].tables.clone()),
-        ("compactness rerank", compact[0].tables.clone()),
-        ("after 3 dislikes", reranked[0].tables.clone()),
+        ("provenance only", tables(&baseline[0])),
+        ("compactness rerank", tables(&compact[0])),
+        ("after 3 dislikes", tables(&reranked[0])),
     ]
 }

@@ -115,7 +115,7 @@ pub fn figure6_tables(engine: &EngineSnapshot) -> Vec<Vec<String>> {
         .search("customers Zurich financial instruments")
         .unwrap_or_default()
         .iter()
-        .map(|r| r.tables.clone())
+        .map(|r| r.tables.iter().map(|t| t.to_string()).collect())
         .collect()
 }
 
@@ -158,7 +158,7 @@ pub fn figure10_hierarchy(engine: &EngineSnapshot) -> String {
     let catalog = engine.join_catalog();
     let mut out = String::from("party\n");
     for link in &catalog.inheritance {
-        if link.parent_table == "party" {
+        if &*link.parent_table == "party" {
             out.push_str(&format!("  X-> {}\n", link.child_table));
             for hist in engine.database().table_names() {
                 if hist.starts_with(&format!("{}_name_hist", link.child_table)) {

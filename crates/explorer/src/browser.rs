@@ -189,13 +189,13 @@ impl<'a> SchemaBrowser<'a> {
         let inheritance_parent = self
             .joins
             .parent_of(&schema.name)
-            .map(|l| l.parent_table.clone());
+            .map(|l| l.parent_table.to_string());
         let inheritance_children: Vec<String> = self
             .joins
             .inheritance
             .iter()
             .filter(|l| l.parent_table.eq_ignore_ascii_case(&schema.name))
-            .map(|l| l.child_table.clone())
+            .map(|l| l.child_table.to_string())
             .collect();
         let bridges: Vec<String> = self
             .joins
@@ -206,7 +206,7 @@ impl<'a> SchemaBrowser<'a> {
                     .iter()
                     .any(|t| t.eq_ignore_ascii_case(&schema.name))
             })
-            .map(|b| b.table.clone())
+            .map(|b| b.table.to_string())
             .collect();
 
         Some(TableDescription {
@@ -223,11 +223,11 @@ impl<'a> SchemaBrowser<'a> {
             history_table: self
                 .joins
                 .history_of(&schema.name)
-                .map(|l| l.hist_table.clone()),
+                .map(|l| l.hist_table.to_string()),
             historizes: self
                 .joins
                 .historization_of(&schema.name)
-                .map(|l| l.current_table.clone()),
+                .map(|l| l.current_table.to_string()),
         })
     }
 
@@ -252,7 +252,7 @@ impl<'a> SchemaBrowser<'a> {
         }
         if let Some(link) = self.joins.parent_of(table) {
             push(Related {
-                table: link.parent_table.clone(),
+                table: link.parent_table.to_string(),
                 kind: RelationKind::InheritanceParent,
                 via: link
                     .join
@@ -264,7 +264,7 @@ impl<'a> SchemaBrowser<'a> {
         for link in &self.joins.inheritance {
             if link.parent_table.eq_ignore_ascii_case(table) {
                 push(Related {
-                    table: link.child_table.clone(),
+                    table: link.child_table.to_string(),
                     kind: RelationKind::InheritanceChild,
                     via: link
                         .join
@@ -282,7 +282,7 @@ impl<'a> SchemaBrowser<'a> {
                         push(Related {
                             table: other.to_string(),
                             kind: RelationKind::Bridge,
-                            via: bridge.table.clone(),
+                            via: bridge.table.to_string(),
                         });
                     }
                 }
@@ -290,14 +290,14 @@ impl<'a> SchemaBrowser<'a> {
         }
         if let Some(link) = self.joins.history_of(table) {
             push(Related {
-                table: link.hist_table.clone(),
+                table: link.hist_table.to_string(),
                 kind: RelationKind::Historization,
                 via: format!("{} .. {}", link.valid_from_column, link.valid_to_column),
             });
         }
         if let Some(link) = self.joins.historization_of(table) {
             push(Related {
-                table: link.current_table.clone(),
+                table: link.current_table.to_string(),
                 kind: RelationKind::Historization,
                 via: format!("{} .. {}", link.valid_from_column, link.valid_to_column),
             });

@@ -35,10 +35,10 @@ fn reverse_engineered_metadata_makes_the_legacy_system_searchable() {
     assert!(!results.is_empty());
     let best = results
         .iter()
-        .find(|r| r.tables.contains(&"individual".to_string()))
+        .find(|r| r.tables.contains(&"individual".into()))
         .expect("an interpretation over the individual table");
     assert!(
-        best.tables.contains(&"party".to_string()),
+        best.tables.contains(&"party".into()),
         "recovered inheritance must add the party super-type: {:?}",
         best.tables
     );
@@ -51,7 +51,7 @@ fn reverse_engineered_metadata_makes_the_legacy_system_searchable() {
     assert!(!results.is_empty());
     let top = &results[0];
     assert!(
-        top.tables.contains(&"trade_order_td".to_string()),
+        top.tables.contains(&"trade_order_td".into()),
         "{:?}",
         top.tables
     );

@@ -110,8 +110,9 @@ impl GraphBuilder {
         &self.graph
     }
 
-    /// Finishes building and returns the graph.
-    pub fn build(self) -> MetaGraph {
+    /// Finishes building and returns the graph, packed.
+    pub fn build(mut self) -> MetaGraph {
+        self.graph.pack();
         self.graph
     }
 

@@ -30,6 +30,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::expr::{AggFunc, CompareOp, Expr};
 use crate::sql::ast::{OrderByItem, SelectItem, SelectStatement, TableRef};
@@ -368,6 +369,22 @@ impl<'a> Decoder<'a> {
         self.borrow_str().map(str::to_owned)
     }
 
+    /// A length-prefixed UTF-8 string as a shared name (a table or column
+    /// of a statement, a table of a result).
+    pub fn get_name(&mut self) -> CodecResult<Arc<str>> {
+        self.borrow_str().map(Arc::from)
+    }
+
+    /// An optional string written by [`Encoder::put_opt_str`], as a shared
+    /// name.
+    pub fn get_opt_name(&mut self) -> CodecResult<Option<Arc<str>>> {
+        if self.get_bool()? {
+            Ok(Some(self.get_name()?))
+        } else {
+            Ok(None)
+        }
+    }
+
     /// A length-prefixed UTF-8 string, borrowed from the input.
     fn borrow_str(&mut self) -> CodecResult<&'a str> {
         let n = self.get_len()?;
@@ -422,8 +439,8 @@ impl<'a> Decoder<'a> {
         }
         match self.get_u8()? {
             0 => Ok(Expr::Column {
-                table: self.get_opt_str()?,
-                column: self.get_str()?,
+                table: self.get_opt_name()?,
+                column: self.get_name()?,
             }),
             1 => Ok(Expr::Literal(self.get_value()?)),
             2 => {
@@ -474,7 +491,7 @@ impl<'a> Decoder<'a> {
         let n = self.get_len()?;
         let mut from = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = self.get_str()?;
+            let name = self.get_name()?;
             let alias = self.get_opt_str()?;
             from.push(TableRef { name, alias });
         }

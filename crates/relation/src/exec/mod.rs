@@ -319,7 +319,7 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
         let located = conj
             .columns()
             .into_iter()
-            .map(|(qualifier, name)| locate(qualifier.as_deref(), name))
+            .map(|(qualifier, name)| locate(qualifier, name))
             .collect::<Result<Vec<_>>>()?;
         let mut touched: Vec<usize> = located.iter().map(|&(t, _)| t).collect();
         touched.sort_unstable();

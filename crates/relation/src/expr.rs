@@ -1,6 +1,7 @@
 //! Scalar and aggregate expressions used in SQL statements.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::value::Value;
 
@@ -94,11 +95,13 @@ impl AggFunc {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Expr {
     /// A column reference, optionally qualified with a table name or alias.
+    /// The names are shared: a generated statement holds the spellings its
+    /// join catalog interned, so copying it copies no text.
     Column {
         /// Table qualifier (`parties.id`), if present.
-        table: Option<String>,
+        table: Option<Arc<str>>,
         /// Column name.
-        column: String,
+        column: Arc<str>,
     },
     /// A literal value.
     Literal(Value),
@@ -140,7 +143,7 @@ pub enum Expr {
 
 impl Expr {
     /// Convenience constructor for an unqualified column reference.
-    pub fn column(name: impl Into<String>) -> Self {
+    pub fn column(name: impl Into<Arc<str>>) -> Self {
         Expr::Column {
             table: None,
             column: name.into(),
@@ -148,7 +151,7 @@ impl Expr {
     }
 
     /// Convenience constructor for a qualified column reference.
-    pub fn qualified(table: impl Into<String>, name: impl Into<String>) -> Self {
+    pub fn qualified(table: impl Into<Arc<str>>, name: impl Into<Arc<str>>) -> Self {
         Expr::Column {
             table: Some(table.into()),
             column: name.into(),
@@ -202,16 +205,17 @@ impl Expr {
         }
     }
 
-    /// All column references mentioned in the expression.
-    pub fn columns(&self) -> Vec<(&Option<String>, &str)> {
+    /// All column references mentioned in the expression, as
+    /// `(qualifier, column)`.
+    pub fn columns(&self) -> Vec<(Option<&str>, &str)> {
         let mut out = Vec::new();
         self.collect_columns(&mut out);
         out
     }
 
-    fn collect_columns<'a>(&'a self, out: &mut Vec<(&'a Option<String>, &'a str)>) {
+    fn collect_columns<'a>(&'a self, out: &mut Vec<(Option<&'a str>, &'a str)>) {
         match self {
-            Expr::Column { table, column } => out.push((table, column.as_str())),
+            Expr::Column { table, column } => out.push((table.as_deref(), column)),
             Expr::Compare { left, right, .. } => {
                 left.collect_columns(out);
                 right.collect_columns(out);
@@ -230,28 +234,7 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Column { table, column } => match table {
-                Some(t) => write!(f, "{t}.{column}"),
-                None => write!(f, "{column}"),
-            },
-            Expr::Literal(v) => match v {
-                Value::Text(s) => write!(f, "'{}'", s.replace('\'', "''")),
-                Value::Date(d) => write!(f, "'{d}'"),
-                other => write!(f, "{other}"),
-            },
-            Expr::Compare { op, left, right } => write!(f, "{left} {op} {right}"),
-            Expr::Like { expr, pattern } => write!(f, "{expr} LIKE '{pattern}'"),
-            Expr::And(a, b) => write!(f, "{a} AND {b}"),
-            Expr::Or(a, b) => write!(f, "({a} OR {b})"),
-            Expr::Not(e) => write!(f, "NOT ({e})"),
-            Expr::IsNull(e) => write!(f, "{e} IS NULL"),
-            Expr::Aggregate { func, arg } => match arg {
-                Some(a) => write!(f, "{}({a})", func.as_sql()),
-                None => write!(f, "{}(*)", func.as_sql()),
-            },
-            Expr::Star => f.write_str("*"),
-        }
+        crate::sql::printer::write_expr(f, self)
     }
 }
 

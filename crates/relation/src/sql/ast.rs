@@ -6,20 +6,23 @@
 //! single optional selection expression, optional grouping, ordering and a
 //! row limit.
 
+use std::sync::Arc;
+
 use crate::expr::Expr;
 
 /// A table reference in the `FROM` clause.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TableRef {
-    /// Table name in the catalog.
-    pub name: String,
+    /// Table name in the catalog, shared with the join catalog that
+    /// interned it.
+    pub name: Arc<str>,
     /// Optional alias.
     pub alias: Option<String>,
 }
 
 impl TableRef {
     /// A table reference without alias.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Self {
             name: name.into(),
             alias: None,
@@ -27,7 +30,7 @@ impl TableRef {
     }
 
     /// A table reference with an alias.
-    pub fn aliased(name: impl Into<String>, alias: impl Into<String>) -> Self {
+    pub fn aliased(name: impl Into<Arc<str>>, alias: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             alias: Some(alias.into()),
@@ -69,7 +72,7 @@ impl SelectItem {
             return a.clone();
         }
         match &self.expr {
-            Expr::Column { column, .. } => column.clone(),
+            Expr::Column { column, .. } => column.to_string(),
             other => other.to_string(),
         }
     }
@@ -129,7 +132,7 @@ impl SelectStatement {
 
     /// Names of all referenced tables.
     pub fn table_names(&self) -> Vec<&str> {
-        self.from.iter().map(|t| t.name.as_str()).collect()
+        self.from.iter().map(|t| &*t.name).collect()
     }
 }
 

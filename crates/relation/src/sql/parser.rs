@@ -199,7 +199,10 @@ impl Parser {
                 _ => None,
             }
         };
-        Ok(TableRef { name, alias })
+        Ok(TableRef {
+            name: name.into(),
+            alias,
+        })
     }
 
     fn expr(&mut self) -> Result<Expr> {
@@ -370,10 +373,7 @@ impl Parser {
                         return Ok(Expr::Star);
                     }
                     let col = self.ident()?;
-                    return Ok(Expr::Column {
-                        table: Some(name),
-                        column: col,
-                    });
+                    return Ok(Expr::qualified(name, col));
                 }
                 if name.eq_ignore_ascii_case("null") {
                     return Ok(Expr::Literal(Value::Null));
@@ -384,10 +384,7 @@ impl Parser {
                 if name.eq_ignore_ascii_case("false") {
                     return Ok(Expr::Literal(Value::Bool(false)));
                 }
-                Ok(Expr::Column {
-                    table: None,
-                    column: name,
-                })
+                Ok(Expr::column(name))
             }
             other => Err(RelationError::Parse(format!(
                 "expected operand, found {other:?}"

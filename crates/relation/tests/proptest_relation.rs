@@ -783,3 +783,116 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The printer against the parser, on text that looks like SQL
+// ---------------------------------------------------------------------------
+
+/// Text that tries to end a string early or pass for a clause keyword:
+/// quotes, `%` wildcards, ` AND ` and ` FROM ` among plain letters.
+fn tricky_text() -> BoxedStrategy<String> {
+    let fragment = pick(&[
+        "'", "''", "%", " AND ", " FROM ", "o'brien", "Zurich", " ", "x",
+    ]);
+    proptest::collection::vec(fragment, 0..6)
+        .prop_map(|parts| parts.concat())
+        .boxed()
+}
+
+/// A column of one of the statement's tables, qualified or not.
+fn printed_column() -> BoxedStrategy<Expr> {
+    (0usize..3, 0usize..3, any::<bool>())
+        .prop_map(|(t, c, qualified)| {
+            let column = format!("c{c}");
+            if qualified {
+                Expr::qualified(format!("t{t}"), column)
+            } else {
+                Expr::column(column)
+            }
+        })
+        .boxed()
+}
+
+/// A literal that prints as what it is: no dates (they print as text) and
+/// no floats (a whole float prints as an integer).
+fn printed_literal() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        tricky_text().prop_map(Expr::literal),
+        (0i64..1_000_000).prop_map(Expr::literal),
+        any::<bool>().prop_map(|b| Expr::Literal(Value::Bool(b))),
+        Just(Expr::Literal(Value::Null)),
+    ]
+    .boxed()
+}
+
+/// A comparison, a `LIKE` or an `IS NULL` test of one column.
+fn printed_test() -> BoxedStrategy<Expr> {
+    let ops = pick(&[CompareOp::Eq, CompareOp::NotEq, CompareOp::GtEq]);
+    prop_oneof![
+        (printed_column(), ops, printed_literal())
+            .prop_map(|(column, op, literal)| Expr::compare(op, column, literal)),
+        (printed_column(), tricky_text()).prop_map(|(column, pattern)| Expr::Like {
+            expr: Box::new(column),
+            pattern,
+        }),
+        printed_column().prop_map(|column| Expr::IsNull(Box::new(column))),
+    ]
+    .boxed()
+}
+
+/// One conjunct of a WHERE clause; never an `AND` itself, so that the
+/// conjunction stays the left-deep chain the parser builds.
+fn printed_condition() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        printed_test(),
+        (printed_test(), printed_test()).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
+        printed_test().prop_map(|e| Expr::Not(Box::new(e))),
+    ]
+    .boxed()
+}
+
+fn printed_statement() -> impl Strategy<Value = SelectStatement> {
+    (
+        any::<bool>(),
+        1usize..4,
+        proptest::collection::vec(printed_condition(), 0..4),
+        proptest::option::of(printed_column()),
+        proptest::option::of(1usize..100),
+    )
+        .prop_map(|(distinct, tables, conditions, grouped, limit)| {
+            let from = (0..tables)
+                .map(|t| TableRef::new(format!("t{t}")))
+                .collect();
+            let mut statement = SelectStatement::star_over(from);
+            statement.distinct = distinct;
+            statement.selection = Expr::and_all(conditions);
+            if let Some(column) = grouped {
+                let count = Expr::Aggregate {
+                    func: AggFunc::Count,
+                    arg: None,
+                };
+                statement.projection = vec![
+                    SelectItem::expr(column.clone()),
+                    SelectItem::expr(count.clone()),
+                ];
+                statement.group_by = vec![column];
+                statement.order_by = vec![OrderByItem {
+                    expr: count,
+                    descending: true,
+                }];
+            }
+            statement.limit = limit;
+            statement
+        })
+}
+
+proptest! {
+    /// A printed statement parses back into itself, whatever its text
+    /// literals and `LIKE` patterns hold: quotes are doubled, and nothing
+    /// inside a string is read as SQL.
+    #[test]
+    fn printed_statements_parse_back_into_themselves(statement in printed_statement()) {
+        let printed = print_select(&statement);
+        prop_assert_eq!(parse_select(&printed), Ok(statement), "{}", printed);
+    }
+}

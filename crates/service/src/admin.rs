@@ -585,7 +585,7 @@ mod tests {
                 ..SearchOptions::page(0, 10)
             };
             snapshot.search_with(input, &options).unwrap();
-            recorder.deps()
+            recorder.into_deps()
         };
         let before = handle.load();
         let sara = deps(&before, "Sara Guttinger");

@@ -98,7 +98,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let entry = match &outcome {
             Ok(page) if still_live => Some(CachedPage {
                 page: Arc::clone(page),
-                deps: recorder.deps(),
+                deps: recorder.into_deps(),
             }),
             _ => None,
         };

@@ -34,7 +34,7 @@ fn main() {
             .iter()
             .flat_map(|(_, p)| p.iter().map(|x| x.label().to_string()))
             .collect();
-        let tables: Vec<String> = results
+        let tables: Vec<std::sync::Arc<str>> = results
             .iter()
             .flat_map(|r| r.tables.clone())
             .collect::<std::collections::BTreeSet<_>>()

@@ -1,6 +1,6 @@
-//! What a warm hit and an executed statement may allocate — a count, so it
-//! does not wobble with the host's clock the way `tests/service.rs`'s
-//! cold/warm ratio does.
+//! What a warm hit, a cold search and an executed statement may allocate —
+//! a count, so it does not wobble with the host's clock the way
+//! `tests/service.rs`'s cold/warm ratio does.
 //!
 //! The public `QueryResponse` owns its page, so every answer costs one deep
 //! copy of it; this test pins that the copy is *all* a hit costs beyond
@@ -120,6 +120,40 @@ fn a_warm_hit_allocates_its_page_copy_and_three_more() {
     }
     // The budget is only worth something if the pages are not empty.
     assert!(statements > 100 && copied > 1_000, "{statements} {copied}");
+}
+
+/// What one cold `search_paged` (page size 10) of every question of
+/// `common::questions()` may allocate in all, on the test-scale warehouse.
+/// Names are shared with the join catalog, the SQL is printed into one
+/// buffer and only the best-ranked interpretations are ever copied: 20 341
+/// allocations.  When a name was a `String` of its own at every step, the
+/// same 114 searches made 44 094; the budget is half of that.
+const COLD_SEARCH_BUDGET: u64 = 22_047;
+
+#[test]
+fn cold_searches_stay_within_their_allocation_budget() {
+    let warehouse = enterprise::build_with(EnterpriseConfig {
+        seed: 42,
+        padding: false,
+        data_scale: 0.2,
+    });
+    let (db, graph) = warehouse.shared_parts();
+    let engine = EngineSnapshot::build(db, graph, SodaConfig::default());
+    let questions = common::questions();
+    // Whatever a first search sets up once is not a search's cost.
+    engine.search_paged(&questions[0], 0, 10).unwrap();
+    let (mut statements, mut made) = (0, 0);
+    for question in &questions {
+        let (page, count) = allocations(|| engine.search_paged(question, 0, 10));
+        statements += page.expect("every pool question parses").results.len();
+        made += count;
+    }
+    assert!(statements > 300, "{statements} statements");
+    assert!(
+        made <= COLD_SEARCH_BUDGET,
+        "{} cold searches made {made} allocations",
+        questions.len()
+    );
 }
 
 #[test]

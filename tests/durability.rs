@@ -700,3 +700,72 @@ fn a_graph_refresh_checkpoints_only_the_tables_feeds_changed() {
     assert_eq!(report.checkpoint_rows, addresses);
     assert_eq!(page_for(&recovered, "Refreshville"), before);
 }
+
+/// The questions whose pages `tests/golden/pages_cache.bin` holds: a
+/// base-data hit, a LIKE filter, a metadata-defined filter, an aggregate
+/// with grouping and a limit, and joins over several tables.
+const GOLDEN_CACHE_QUERIES: [&str; 7] = [
+    "Sara Guttinger",
+    "wealthy customers",
+    "Top 5 sum (amount) group by (transaction date)",
+    "count (transactions) group by (company name)",
+    "customers Zürich",
+    "firstname like ara",
+    "salary > 100000",
+];
+
+/// `recover_at` with one lookup shard whatever `SODA_TEST_SHARDS` says: the
+/// shard count is part of the fingerprint the golden file carries.
+fn recover_one_shard(dir: &Path) -> (QueryService, RecoveryReport) {
+    let (db, graph) = minibank_parts();
+    let config = SodaConfig {
+        shards: 1,
+        ..SodaConfig::default()
+    };
+    let durability = DurabilityConfig::new(dir);
+    QueryService::recover(db, graph, config, ServiceConfig::default(), durability)
+        .expect("recovery must succeed")
+}
+
+/// A page-cache file written by an earlier build decodes into pages that a
+/// drain writes back byte for byte: the format (`SODACSH3`) and every
+/// statement it carries survive a change to how statements are held in
+/// memory.
+#[test]
+fn a_golden_page_cache_file_restores_and_persists_byte_identical() {
+    let golden = fs::read("tests/golden/pages_cache.bin").expect("the golden file");
+    let dir = TempDir::new("golden-cache");
+    fs::write(dir.path().join("pages.cache"), &golden).unwrap();
+    {
+        let (service, report) = recover_one_shard(dir.path());
+        assert_eq!(
+            report.cache_pages_restored,
+            GOLDEN_CACHE_QUERIES.len() as u64
+        );
+        assert_eq!(report.cache_pages_stale, 0);
+        drop(service);
+    }
+    let written = fs::read(dir.path().join("pages.cache")).unwrap();
+    assert!(
+        written == golden,
+        "the drained file differs from the golden"
+    );
+}
+
+/// Rewrites `tests/golden/pages_cache.bin` from the current build.
+#[test]
+#[ignore = "rewrites tests/golden/pages_cache.bin"]
+fn regenerate_page_cache() {
+    let dir = TempDir::new("golden-cache-regenerate");
+    {
+        let (service, _) = recover_one_shard(dir.path());
+        for query in GOLDEN_CACHE_QUERIES {
+            assert!(!page_for(&service, query).results.is_empty(), "{query}");
+        }
+    }
+    fs::copy(
+        dir.path().join("pages.cache"),
+        "tests/golden/pages_cache.bin",
+    )
+    .unwrap();
+}

@@ -296,7 +296,7 @@ fn address_of_sara_guttinger() {
     // Sara's Zurich address.
     let mut found_zurich = false;
     for result in &results {
-        if !result.tables.iter().any(|t| t == "addresses") {
+        if !result.tables.iter().any(|t| &**t == "addresses") {
             continue;
         }
         let rs = e.execute(result).unwrap();
