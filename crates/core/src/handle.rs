@@ -389,6 +389,29 @@ mod tests {
             );
         }
         assert!(after.shard_stats().log_postings[owner] > 0);
+
+        // Side logs are copied on write: the owner's log is a new copy, every
+        // other log is the previous generation's allocation — and so on for
+        // a second feed into the same table.
+        let logs =
+            |snapshot: &EngineSnapshot| snapshot.inverted_index().unwrap().side_logs().to_vec();
+        let copied_logs = |old: &EngineSnapshot, new: &EngineSnapshot| -> Vec<usize> {
+            let pairs = logs(old).into_iter().zip(logs(new)).enumerate();
+            pairs
+                .filter(|(_, (o, n))| !Arc::ptr_eq(o, n))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(copied_logs(&before, &after), vec![owner]);
+        assert_eq!(handle.absorb(address_feed(901, "Streamtown")).unwrap(), 2);
+        let again = handle.load();
+        assert_eq!(copied_logs(&after, &again), vec![owner]);
+        assert!(!again.search("Streamtown").unwrap().is_empty());
+
+        // A rejected feed publishes nothing, however far it got.
+        let rejected = address_feed(902, "Nowhere").append_row("no_such_table", vec![]);
+        assert!(handle.absorb(rejected).is_err());
+        assert!(Arc::ptr_eq(&again, &handle.load()));
     }
 
     #[test]

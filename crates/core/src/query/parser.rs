@@ -170,15 +170,38 @@ fn attribute_list<'a>(toks: &mut Tokens<'a>, emit: &mut impl FnMut(Event<'a>)) -
     Ok(())
 }
 
+/// The longest input the grammar reads, in bytes.  The longest question of
+/// the benchmark's pools (seeds 1 and 2, every spelling) is 56 bytes, and
+/// the longest the test suite writes ≈ 270 (seven `group by (…)` lists).
+const MAX_QUERY_BYTES: usize = 4096;
+
+/// The most events — search words, list words, connectors and operator
+/// constructs, each counted once — the grammar hands on.  The benchmark's
+/// longest question has 7, the test suite's longest input ≈ 42.  A
+/// pipeline run grows faster than linearly in its words (1 000 took 30 ms,
+/// 100 000 overflowed a worker's stack), so the cap is what keeps one
+/// pasted document from stalling or killing the service.
+const MAX_QUERY_WORDS: usize = 256;
+
 /// The grammar: reads `input` once and hands `sink` every [`Event`] in input
-/// order.  Fails with the first malformed construct, or with
+/// order.  Fails with the first malformed construct, with
 /// [`SodaError::EmptyQuery`] when the input held neither a keyword nor an
-/// operator construct; what the sink has seen by then is to be discarded.
+/// operator construct, or with [`SodaError::Query`] when it is longer than
+/// [`MAX_QUERY_BYTES`] or holds more than [`MAX_QUERY_WORDS`]; what the sink
+/// has seen by then is to be discarded.
 pub(super) fn walk<'a>(input: &'a str, mut sink: impl FnMut(Event<'a>)) -> Result<()> {
+    if input.len() > MAX_QUERY_BYTES {
+        return Err(SodaError::Query(format!(
+            "query too long: {} bytes, at most {MAX_QUERY_BYTES}",
+            input.len()
+        )));
+    }
     let mut toks = Scanner { rest: input }.peekable();
     let mut empty = true;
+    let mut words = 0;
     let mut emit = |event| {
         empty &= matches!(event, Event::Connector);
+        words += 1;
         sink(event);
     };
     while let Some(tok) = toks.next() {
@@ -247,6 +270,11 @@ pub(super) fn walk<'a>(input: &'a str, mut sink: impl FnMut(Event<'a>)) -> Resul
     }
     if empty {
         return Err(SodaError::EmptyQuery);
+    }
+    if words > MAX_QUERY_WORDS {
+        return Err(SodaError::Query(format!(
+            "query too long: {words} words, at most {MAX_QUERY_WORDS}"
+        )));
     }
     Ok(())
 }
@@ -502,5 +530,24 @@ mod tests {
             q.keyword_groups(),
             vec!["customers", "Zurich", "financial instruments"]
         );
+    }
+
+    #[test]
+    fn inputs_past_either_cap_are_refused_at_the_boundary() {
+        let words = |n: usize| vec!["zurich"; n].join(" ");
+        let too_long = |r: Result<SodaQuery>| matches!(r, Err(SodaError::Query(e)) if e.starts_with("query too long"));
+        assert_eq!(parse_query(&words(MAX_QUERY_WORDS)).unwrap().terms.len(), 1);
+        assert!(too_long(parse_query(&words(MAX_QUERY_WORDS + 1))));
+        // Every event counts: a connector or an operator construct too.
+        let mixed = format!("{} and > 3", words(MAX_QUERY_WORDS - 2));
+        assert!(parse_query(&mixed).is_ok());
+        assert!(too_long(parse_query(&format!("{mixed} x"))));
+        let bytes = "a".repeat(MAX_QUERY_BYTES);
+        assert!(parse_query(&bytes).is_ok());
+        assert!(too_long(parse_query(&format!("{bytes}b"))));
+        // The canonical writer walks the same grammar, so it refuses alike.
+        assert!(crate::query::normalize_query(&words(MAX_QUERY_WORDS)).is_ok());
+        assert!(crate::query::normalize_query(&words(MAX_QUERY_WORDS + 1)).is_err());
+        assert!(crate::query::normalize_query(&format!("{bytes}b")).is_err());
     }
 }

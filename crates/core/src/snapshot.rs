@@ -48,8 +48,9 @@ use crate::shard::{ProbeRecorder, ShardProbes, ShardStats};
 /// hash of the owning table at construction (the partition is the unit of a
 /// side log, of a fold and of cache retention); the lookup step probes the
 /// shards inline and bumps the per-shard [`ShardProbes`] counters, and
-/// [`shard_stats`](Self::shard_stats) reports the per-shard sizes and probe
-/// counts the serving layer folds into its metrics.
+/// [`shard_stats`](Self::shard_stats) reports the per-shard sizes — stored
+/// counters, read live on every call — and probe counts the serving layer
+/// folds into its metrics.
 ///
 /// Everything expensive sits behind [`Arc`]s (the base data, the graph, the
 /// join catalog and the probe counters here, the index shards internally),
@@ -77,10 +78,6 @@ pub struct EngineSnapshot {
     index: Option<ShardedInvertedIndex>,
     joins: Arc<JoinCatalog>,
     probes: Arc<ShardProbes>,
-    /// Per-shard index sizes, computed once per generation: the indexes are
-    /// immutable afterwards, and recounting postings on every metrics poll
-    /// would be O(distinct tokens).
-    sizes: ShardSizes,
     /// Generation stamped at publication (0 = never published via a handle).
     generation: u64,
     /// [`cache_fingerprint`](Self::cache_fingerprint), precomputed.  The
@@ -89,30 +86,6 @@ pub struct EngineSnapshot {
     /// generation — are immutable once a snapshot is constructed, so every
     /// constructor seals the value eagerly via [`Self::stamped`].
     fingerprint: u64,
-}
-
-/// Immutable per-shard size vectors of the built indexes (side-log gauges
-/// included — the logs are immutable within one snapshot generation too).
-#[derive(Clone)]
-struct ShardSizes {
-    index_postings: Vec<usize>,
-    log_postings: Vec<usize>,
-}
-
-impl ShardSizes {
-    fn of(index: Option<&ShardedInvertedIndex>) -> Self {
-        let (index_postings, log_postings) = match index {
-            Some(index) => (
-                index.shards().iter().map(|s| s.posting_count()).collect(),
-                index.side_log_postings(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        Self {
-            index_postings,
-            log_postings,
-        }
-    }
 }
 
 impl EngineSnapshot {
@@ -144,7 +117,6 @@ impl EngineSnapshot {
             &db,
             config.traversal_depth,
         ));
-        let sizes = ShardSizes::of(index.as_ref());
         Self {
             db,
             graph,
@@ -154,7 +126,6 @@ impl EngineSnapshot {
             index,
             joins,
             probes: Arc::new(ShardProbes::new(shards)),
-            sizes,
             generation: 0,
             fingerprint: 0,
         }
@@ -174,17 +145,9 @@ impl EngineSnapshot {
             index: self.index.clone(),
             joins: Arc::clone(&self.joins),
             probes: Arc::clone(&self.probes),
-            sizes: self.sizes.clone(),
             generation: self.generation,
             fingerprint: self.fingerprint,
         }
-    }
-
-    /// Finishes a derived snapshot: stamps `generation`, recounts the index
-    /// sizes and seals the fingerprint.
-    fn derived(mut self, generation: u64) -> Self {
-        self.sizes = ShardSizes::of(self.index.as_ref());
-        self.stamped(generation)
     }
 
     /// Stamps this snapshot as published at `generation` and computes its
@@ -210,15 +173,18 @@ impl EngineSnapshot {
 
     /// Derives a snapshot that has absorbed a row-level change feed: the
     /// events are applied to a copy of the base data and their indexed
-    /// consequences routed into per-shard side logs — **no frozen index
-    /// partition is touched**, queries merge log and partition on the fly.
-    /// Everything the feed does not touch is shared with `self`.  With the
-    /// inverted index disabled only the base data moves.
+    /// consequences written into the side logs of a copy of the index —
+    /// **no frozen index partition is touched**, queries merge log and
+    /// partition on the fly.  With the inverted index disabled only the base
+    /// data moves.
     ///
     /// The feed is consumed (appended rows move by value into the
-    /// copy-on-write database derive) and the derived database structurally
-    /// shares every table (and side log) the feed does not touch with
-    /// `self`'s — the whole chain is O(delta), not O(warehouse).
+    /// copy-on-write database derive).  Both copies are copy-on-write: the
+    /// derived database shares every table the feed does not touch with
+    /// `self`'s, and the index copies only the side logs the feed writes
+    /// (see [`ShardedInvertedIndex::log_mut`]), sharing every other log and
+    /// every frozen partition — the whole chain is O(delta), not
+    /// O(warehouse).
     ///
     /// The join catalog — join edges, table ids and the per-node entry
     /// closures — is compiled from the graph, the patterns, the traversal
@@ -232,44 +198,14 @@ impl EngineSnapshot {
         generation: u64,
     ) -> Result<Self> {
         let mut next = (*self.db).clone();
-        let index = match &self.index {
-            Some(index) => {
-                // Clone only the logs the feed will touch (the others get
-                // cheap empty placeholders and are `Arc`-shared afterwards),
-                // so an ingest never copies the accumulated overlays of
-                // unrelated shards.  `absorb` routes by the same table hash,
-                // so these are exactly the logs it writes.
-                let touched: Vec<usize> = self.shards_for_tables(&feed.tables());
-                let mut logs: Vec<soda_relation::SideLog> = index
-                    .side_logs()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, log)| {
-                        if touched.contains(&i) {
-                            (**log).clone()
-                        } else {
-                            soda_relation::SideLog::default()
-                        }
-                    })
-                    .collect();
-                soda_ingest::absorb(&mut next, Some(&mut logs), feed)?;
-                let patches: Vec<(usize, soda_relation::SideLog)> = touched
-                    .iter()
-                    .map(|&shard| (shard, std::mem::take(&mut logs[shard])))
-                    .collect();
-                Some(index.with_patched_side_logs(patches))
-            }
-            None => {
-                soda_ingest::absorb(&mut next, None, feed)?;
-                None
-            }
-        };
+        let mut index = self.index.clone();
+        soda_ingest::absorb(&mut next, index.as_mut(), feed)?;
         Ok(Self {
             db: Arc::new(next),
             index,
             ..self.share()
         }
-        .derived(generation))
+        .stamped(generation))
     }
 
     /// Derives a snapshot in which the partitions named by `shards` are
@@ -286,7 +222,7 @@ impl EngineSnapshot {
             index,
             ..self.share()
         }
-        .derived(generation)
+        .stamped(generation)
     }
 
     /// Derives a snapshot over a refreshed metadata graph (unchanged base
@@ -308,7 +244,7 @@ impl EngineSnapshot {
             joins,
             ..self.share()
         }
-        .derived(generation)
+        .stamped(generation)
     }
 
     /// Generation stamped at publication (0 when the snapshot never went
@@ -396,13 +332,21 @@ impl EngineSnapshot {
         self.config.shards.max(1)
     }
 
-    /// The inverted index's per-shard sizes (precomputed per generation)
-    /// and the live probe counters — cheap enough for every metrics poll.
+    /// The inverted index's per-shard sizes and the live probe counters.
+    /// Every size is a stored counter, so this is one read per shard —
+    /// cheap enough for every metrics poll.
     pub fn shard_stats(&self) -> ShardStats {
+        let (index_postings, log_postings) = match &self.index {
+            Some(index) => (
+                index.shards().iter().map(|s| s.posting_count()).collect(),
+                index.side_log_postings(),
+            ),
+            None => Default::default(),
+        };
         ShardStats {
             shards: self.shard_count(),
-            index_postings: self.sizes.index_postings.clone(),
-            log_postings: self.sizes.log_postings.clone(),
+            index_postings,
+            log_postings,
             probes: self.probes.counts(),
         }
     }

@@ -1,20 +1,19 @@
 //! The one replay loop: applies a change feed to a database copy while
-//! routing the indexed consequences into per-shard side logs.
+//! recording the indexed consequences in the index's side logs.
 
-use soda_relation::{shard_for_table, Database, Result, SideLog};
+use soda_relation::{Database, Result, ShardedInvertedIndex};
 
 use crate::event::{ChangeFeed, RowEvent};
 
-/// Applies every event of `feed` to `db`, in order, and — when `logs` is
-/// given (one [`SideLog`] per index shard) — mirrors the indexed
-/// consequences into them: appends index only the new tail rows,
-/// replacements mask the frozen postings and re-index from row zero,
-/// truncations mask.  Each event lands in the log of the shard that owns
-/// its table, by the same stable table hash
-/// ([`shard_for_table`]) over `logs.len()` that partitions the frozen
-/// index.  `None` is for engines whose inverted index is disabled and for
-/// reference replays: the base data still has to move so SQL execution
-/// sees the new rows.
+/// Applies every event of `feed` to `db`, in order, and — when `index` is
+/// given — mirrors the indexed consequences into its side logs: appends
+/// index only the new tail rows, replacements mask the frozen postings and
+/// re-index from row zero, truncations mask.  Each event is written through
+/// [`ShardedInvertedIndex::log_mut`], which picks the log of the partition
+/// owning the event's table and copies it on first write, so a clone of a
+/// published index copies exactly the logs the feed writes.  `None` is for
+/// engines whose inverted index is disabled and for reference replays: the
+/// base data still has to move so SQL execution sees the new rows.
 ///
 /// The feed is taken by value — appended and replacement rows move into
 /// the database, no per-row clone; a caller that keeps its feed clones it
@@ -22,14 +21,18 @@ use crate::event::{ChangeFeed, RowEvent};
 ///
 /// On any error (unknown table, arity or type violation) the feed is
 /// abandoned mid-way; callers are expected to pass *copies* of their
-/// published database and logs and to discard them on `Err`, so no partial
-/// state ever escapes — exactly how `soda_core::SnapshotHandle::absorb`
+/// published database and index and to discard them on `Err`, so no
+/// partial state ever escapes — exactly how `soda_core::SnapshotHandle::absorb`
 /// drives it.
-pub fn absorb(db: &mut Database, mut logs: Option<&mut [SideLog]>, feed: ChangeFeed) -> Result<()> {
+pub fn absorb(
+    db: &mut Database,
+    mut index: Option<&mut ShardedInvertedIndex>,
+    feed: ChangeFeed,
+) -> Result<()> {
     for event in feed.into_events() {
-        let log = logs
+        let log = index
             .as_deref_mut()
-            .map(|logs| &mut logs[shard_for_table(event.table(), logs.len())]);
+            .map(|index| index.log_mut(event.table()));
         match event {
             RowEvent::Append { table, row } => {
                 let start = db.table(&table)?.row_count();
@@ -61,6 +64,7 @@ pub fn absorb(db: &mut Database, mut logs: Option<&mut [SideLog]>, feed: ChangeF
 mod tests {
     use super::*;
     use soda_relation::{DataType, InvertedIndex, TableSchema, Value};
+    use std::sync::Arc;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -86,26 +90,23 @@ mod tests {
     }
 
     #[test]
-    fn absorb_routes_events_to_the_owning_shards() {
+    fn absorb_copies_only_the_logs_it_writes() {
         let base = db();
         for shards in [1usize, 2, 4, 8] {
             let mut next = base.clone();
-            let mut logs = vec![SideLog::default(); shards];
+            let published = InvertedIndex::build_sharded(&base, shards);
+            let mut merged = published.clone();
             let feed = ChangeFeed::new()
                 .append_row("city", vec![Value::Int(2), Value::from("Basel")])
                 .replace("org", vec![vec![Value::Int(9), Value::from("Basler Bank")]]);
-            absorb(&mut next, Some(&mut logs), feed).unwrap();
-            let owners: Vec<usize> = ["city", "org"]
-                .iter()
-                .map(|t| shard_for_table(t, shards))
-                .collect();
-            // Every log entry sits in the shard its table hashes to.
-            for (i, log) in logs.iter().enumerate() {
-                let written = log.posting_count() > 0 || log.has_masks();
-                assert_eq!(written, owners.contains(&i), "shard {i} of {shards}");
+            absorb(&mut next, Some(&mut merged), feed).unwrap();
+            // A log the feed wrote is a copy holding its entries; every
+            // other log is still the published one.
+            for (old, new) in published.side_logs().iter().zip(merged.side_logs()) {
+                assert_eq!(Arc::ptr_eq(old, new), new.is_empty(), "at {shards} shards");
             }
+            assert!(merged.has_side_logs() && !published.has_side_logs());
             // The merged view answers like a full rebuild over the new db.
-            let merged = InvertedIndex::build_sharded(&base, shards).with_side_logs(logs);
             let rebuilt = InvertedIndex::build_sharded(&next, shards);
             for phrase in ["Basel", "Basler Bank", "Zurich", "Credit Suisse"] {
                 assert_eq!(
@@ -140,8 +141,8 @@ mod tests {
             ChangeFeed::new().replace("city", vec![city(Value::from("not an id"), "Basel")]),
         ];
         for feed in bad_feeds {
-            let mut logs = vec![SideLog::default(); 2];
-            let logged = absorb(&mut db(), Some(&mut logs), feed.clone());
+            let mut index = InvertedIndex::build_sharded(&db(), 2);
+            let logged = absorb(&mut db(), Some(&mut index), feed.clone());
             assert!(logged.is_err(), "{feed:?}");
             assert!(absorb(&mut db(), None, feed).is_err());
         }

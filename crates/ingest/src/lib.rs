@@ -10,14 +10,16 @@
 //!
 //! * [`RowEvent`] / [`ChangeFeed`] — a row-level change feed: appends,
 //!   wholesale replacements and truncations, per table, in order.
-//! * [`absorb`] — routes a feed by
-//!   [`shard_for_table`](soda_relation::shard_for_table) into per-shard
-//!   [`SideLog`]s (append-only posting overlays with the same canonical
-//!   posting shape as the frozen
-//!   [`IndexShard`](soda_relation::IndexShard)s) while applying the events
-//!   to a copy of the base data.  Queries merge frozen shard and side log
-//!   on the fly — generated SQL stays byte-identical to a fully rebuilt
-//!   snapshot at every shard count.
+//! * [`absorb`] — applies the events to a copy of the base data and
+//!   writes their indexed consequences into the side logs of a copy of the
+//!   index ([`SideLog`](soda_relation::SideLog)s: append-only posting
+//!   overlays with the same canonical posting shape as the frozen
+//!   [`IndexShard`](soda_relation::IndexShard)s).  The index decides which
+//!   partition's log an event lands in and copies that log on first write
+//!   ([`ShardedInvertedIndex::log_mut`](soda_relation::ShardedInvertedIndex::log_mut));
+//!   every log the feed does not write stays shared.  Queries merge frozen
+//!   shard and side log on the fly — generated SQL stays byte-identical to
+//!   a fully rebuilt snapshot at every shard count.
 //!
 //! Publishing is the hot-swap layer's: `soda_core::SnapshotHandle::{absorb,
 //! compact}` publish log-bearing and log-folded snapshot generations, and
@@ -27,7 +29,7 @@
 //!
 //! ```
 //! use soda_ingest::{absorb, ChangeFeed};
-//! use soda_relation::{shard_for_table, SideLog, Value};
+//! use soda_relation::{ShardedInvertedIndex, Value};
 //!
 //! let mut db = soda_warehouse_doctest_stub::minibank();
 //! # mod soda_warehouse_doctest_stub {
@@ -49,10 +51,13 @@
 //!     "addresses",
 //!     vec![Value::Int(2), Value::from("Basel")],
 //! );
-//! let mut logs = vec![SideLog::default(); 4];
-//! absorb(&mut db, Some(&mut logs), feed).unwrap();
+//! let published = ShardedInvertedIndex::build_sharded(&db, 4);
+//! let mut index = published.clone();
+//! absorb(&mut db, Some(&mut index), feed).unwrap();
 //! assert_eq!(db.table("addresses").unwrap().row_count(), 2);
-//! assert!(logs[shard_for_table("addresses", 4)].posting_count() > 0);
+//! // The new row is served from a side log; the published index is untouched.
+//! assert_eq!(index.lookup_phrase("Basel").len(), 1);
+//! assert!(published.lookup_phrase("Basel").is_empty());
 //! ```
 
 mod absorb;
@@ -60,8 +65,3 @@ pub mod event;
 
 pub use absorb::absorb;
 pub use event::{ChangeFeed, RowEvent};
-
-// Re-exported so the subsystem's full surface (feed → routing → overlay) is
-// importable from one crate; the type lives in `soda-relation` because the
-// probe path merges it with the frozen shards there.
-pub use soda_relation::SideLog;

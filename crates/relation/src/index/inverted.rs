@@ -131,9 +131,11 @@ impl IndexShard {
 
     /// Builds the single partition `shard_idx` of a `shard_count`-way sharded
     /// index: only the tables whose stable hash routes to that partition are
-    /// scanned.  `build_sharded` produces exactly this shard at position
-    /// `shard_idx`, so a hot-swap layer can rebuild one partition from a new
-    /// [`Database`] and splice it in while the other shards keep serving.
+    /// scanned.  The one partition builder:
+    /// [`build_sharded`](ShardedInvertedIndex::build_sharded) calls it for
+    /// every shard and
+    /// [`with_rebuilt_shards`](ShardedInvertedIndex::with_rebuilt_shards)
+    /// for the ones a fold rebuilds, while the other shards keep serving.
     pub fn build_partition(db: &Database, shard_idx: usize, shard_count: usize) -> Self {
         let shard_count = shard_count.max(1);
         let mut shard = IndexShard::default();
@@ -206,10 +208,9 @@ pub fn merge_hits(mut per_shard: Vec<Vec<PhraseHit>>) -> Vec<PhraseHit> {
 pub struct ShardedInvertedIndex {
     shards: Vec<Arc<IndexShard>>,
     /// Per-shard side logs, parallel to `shards` (all empty until a
-    /// streaming ingestion derives a logged index via
-    /// [`with_side_logs`](Self::with_side_logs)).  Every probe merges a
-    /// shard with its log; a rebuild of a partition folds (and clears) its
-    /// log.
+    /// streaming ingestion writes them through [`log_mut`](Self::log_mut)).
+    /// Every probe merges a shard with its log; a rebuild of a partition
+    /// folds (and clears) its log.
     logs: Vec<Arc<SideLog>>,
 }
 
@@ -230,20 +231,15 @@ impl ShardedInvertedIndex {
     }
 
     /// Builds the index partitioned into `shard_count` shards (clamped to at
-    /// least 1) by the stable table hash.
+    /// least 1) by the stable table hash, one
+    /// [`build_partition`](IndexShard::build_partition) per shard.
     pub fn build_sharded(db: &Database, shard_count: usize) -> Self {
         let shard_count = shard_count.max(1);
-        let mut shards = vec![IndexShard::default(); shard_count];
-        for table in db.tables() {
-            shards[shard_for_table(&table.schema().name, shard_count)]
-                .values
-                .index_rows(table, 0);
-        }
         Self {
-            shards: shards.into_iter().map(Arc::new).collect(),
-            logs: (0..shard_count)
-                .map(|_| Arc::new(SideLog::default()))
+            shards: (0..shard_count)
+                .map(|i| Arc::new(IndexShard::build_partition(db, i, shard_count)))
                 .collect(),
+            logs: (0..shard_count).map(|_| Arc::default()).collect(),
         }
     }
 
@@ -259,64 +255,25 @@ impl ShardedInvertedIndex {
     /// their entries (and side-log entries) describe the values of those
     /// tables.  Out-of-range entries in `affected` are ignored.
     pub fn with_rebuilt_shards(&self, db: &Database, affected: &[usize]) -> Self {
-        let shard_count = self.shards.len();
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                if affected.contains(&i) {
-                    Arc::new(IndexShard::build_partition(db, i, shard_count))
-                } else {
-                    Arc::clone(shard)
-                }
-            })
-            .collect();
-        let logs = self
-            .logs
-            .iter()
-            .enumerate()
-            .map(|(i, log)| {
-                if affected.contains(&i) {
-                    Arc::new(SideLog::default())
-                } else {
-                    Arc::clone(log)
-                }
-            })
-            .collect();
-        Self { shards, logs }
+        let mut next = self.clone();
+        let shard_count = next.shards.len();
+        for i in (0..shard_count).filter(|i| affected.contains(i)) {
+            next.shards[i] = Arc::new(IndexShard::build_partition(db, i, shard_count));
+            next.logs[i] = Arc::default();
+        }
+        next
     }
 
-    /// Derives an index with the same frozen partitions but new side logs —
-    /// the publication step of streaming ingestion.  `logs.len()` must equal
-    /// the shard count.
-    pub fn with_side_logs(&self, logs: Vec<SideLog>) -> Self {
-        assert_eq!(
-            logs.len(),
-            self.shards.len(),
-            "one side log per index partition"
-        );
-        Self {
-            shards: self.shards.clone(),
-            logs: logs.into_iter().map(Arc::new).collect(),
-        }
-    }
-
-    /// Like [`with_side_logs`](Self::with_side_logs), but replaces only the
-    /// logs named by `patches` and `Arc`-shares every other shard's log with
-    /// `self` — so an ingest touching one shard never copies the accumulated
-    /// logs of the others.  Out-of-range patch indexes are ignored.
-    pub fn with_patched_side_logs(&self, patches: Vec<(usize, SideLog)>) -> Self {
-        let mut logs: Vec<Arc<SideLog>> = self.logs.iter().map(Arc::clone).collect();
-        for (shard, log) in patches {
-            if let Some(slot) = logs.get_mut(shard) {
-                *slot = Arc::new(log);
-            }
-        }
-        Self {
-            shards: self.shards.clone(),
-            logs,
-        }
+    /// The side log of the partition owning `table`, for writing — the one
+    /// write path into a side log, which is how streaming ingestion
+    /// (`soda_ingest::absorb`) records a feed.  The log is copied on write
+    /// ([`Arc::make_mut`]): when it is shared with another index (the
+    /// published generation this one was cloned from) the first write
+    /// copies it, later writes reuse the copy, and every log the caller
+    /// never names stays shared.
+    pub fn log_mut(&mut self, table: &str) -> &mut SideLog {
+        let shard = shard_for_table(table, self.logs.len());
+        Arc::make_mut(&mut self.logs[shard])
     }
 
     /// Number of shards.
@@ -420,18 +377,6 @@ impl ShardedInvertedIndex {
                 .map(|shard| self.probe_shard(shard, &probe))
                 .collect(),
         )
-    }
-
-    /// Distinct `(table, column)` pairs containing the phrase.
-    pub fn columns_containing(&self, phrase: &str) -> Vec<(String, String)> {
-        let mut cols: Vec<(String, String)> = self
-            .lookup_phrase(phrase)
-            .into_iter()
-            .map(|h| (h.table, h.column))
-            .collect();
-        cols.sort();
-        cols.dedup();
-        cols
     }
 }
 
@@ -541,17 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_containing_deduplicates() {
-        let db = db();
-        let idx = InvertedIndex::build(&db);
-        let cols = idx.columns_containing("Switzerland");
-        assert_eq!(
-            cols,
-            vec![("organization".to_string(), "country".to_string())]
-        );
-    }
-
-    #[test]
     fn posting_count_tracks_tokens_per_cell_once() {
         let mut db = Database::new();
         db.create_table(
@@ -653,10 +587,6 @@ mod tests {
                     "token '{phrase}' diverged at {shards} shards"
                 );
             }
-            assert_eq!(
-                mono.columns_containing("Switzerland"),
-                idx.columns_containing("Switzerland")
-            );
         }
     }
 
@@ -710,26 +640,25 @@ mod tests {
         }
     }
 
-    /// Builds per-shard side logs reflecting `events` applied on top of
-    /// `base`: the canonical ingestion shape (`soda-ingest` drives the same
-    /// calls through its `absorb`).
+    /// An index built over `base` whose side logs reflect the events
+    /// `apply` makes on a copy of it: the canonical ingestion shape
+    /// (`soda-ingest` drives the same calls through its `absorb`).
     fn logged_index_after(
         base: &Database,
         shards: usize,
-        apply: impl Fn(&mut Database, &mut Vec<SideLog>),
+        apply: impl Fn(&mut Database, &mut InvertedIndex),
     ) -> (Database, InvertedIndex) {
-        let idx = InvertedIndex::build_sharded(base, shards);
+        let mut idx = InvertedIndex::build_sharded(base, shards);
         let mut db = base.clone();
-        let mut logs = vec![SideLog::default(); shards];
-        apply(&mut db, &mut logs);
-        (db, idx.with_side_logs(logs))
+        apply(&mut db, &mut idx);
+        (db, idx)
     }
 
     #[test]
     fn side_log_merged_index_matches_a_full_rebuild() {
         let base = db();
         for shards in [1usize, 2, 4, 8] {
-            let (new_db, logged) = logged_index_after(&base, shards, |db, logs| {
+            let (new_db, logged) = logged_index_after(&base, shards, |db, idx| {
                 // Append a new address row…
                 let start = db.table("address").unwrap().row_count();
                 db.insert(
@@ -737,7 +666,7 @@ mod tests {
                     vec![Value::Int(13), Value::from("Basel"), Value::Int(4001)],
                 )
                 .unwrap();
-                logs[shard_for_table("address", shards)]
+                idx.log_mut("address")
                     .append_rows(db.table("address").unwrap(), start);
                 // …and replace the organization table wholesale.
                 db.table_mut("organization").unwrap().truncate();
@@ -750,7 +679,7 @@ mod tests {
                     ],
                 )
                 .unwrap();
-                logs[shard_for_table("organization", shards)]
+                idx.log_mut("organization")
                     .replace_table(db.table("organization").unwrap());
             });
             let rebuilt = InvertedIndex::build_sharded(&new_db, shards);
@@ -806,12 +735,13 @@ mod tests {
             .unwrap();
         for shards in [1usize, 4] {
             let owner = shard_for_table("ÄRZTE", shards);
-            let (replaced_db, replaced) = logged_index_after(&base, shards, |db, logs| {
+            let (replaced_db, replaced) = logged_index_after(&base, shards, |db, idx| {
                 for id in [2, 3] {
                     db.table_mut("ÄRZTE").unwrap().truncate();
                     db.insert("ÄRZTE", vec![Value::Int(id), Value::from("Basel")])
                         .unwrap();
-                    logs[owner].replace_table(db.table("ÄRZTE").unwrap());
+                    idx.log_mut("ÄRZTE")
+                        .replace_table(db.table("ÄRZTE").unwrap());
                 }
             });
             assert!(replaced.side_logs()[owner].masks("ÄRZTE"));
@@ -820,9 +750,9 @@ mod tests {
                 1,
                 "masked once"
             );
-            let (truncated_db, truncated) = logged_index_after(&base, shards, |db, logs| {
+            let (truncated_db, truncated) = logged_index_after(&base, shards, |db, idx| {
                 db.table_mut("ÄRZTE").unwrap().truncate();
-                logs[owner].truncate_table("ÄRZTE");
+                idx.log_mut("ÄRZTE").truncate_table("ÄRZTE");
             });
             for (db, logged) in [(replaced_db, replaced), (truncated_db, truncated)] {
                 let rebuilt = InvertedIndex::build_sharded(&db, shards);
@@ -860,14 +790,14 @@ mod tests {
     fn rebuilding_a_shard_folds_its_side_log() {
         let base = db();
         let shards = 4;
-        let (new_db, logged) = logged_index_after(&base, shards, |db, logs| {
+        let (new_db, logged) = logged_index_after(&base, shards, |db, idx| {
             let start = db.table("address").unwrap().row_count();
             db.insert(
                 "address",
                 vec![Value::Int(13), Value::from("Basel"), Value::Int(4001)],
             )
             .unwrap();
-            logs[shard_for_table("address", shards)]
+            idx.log_mut("address")
                 .append_rows(db.table("address").unwrap(), start);
         });
         let owner = shard_for_table("address", shards);
@@ -888,14 +818,14 @@ mod tests {
     fn shard_candidate_split_partitions_the_candidate_count() {
         let base = db();
         let shards = 4;
-        let (_, logged) = logged_index_after(&base, shards, |db, logs| {
+        let (_, logged) = logged_index_after(&base, shards, |db, idx| {
             let start = db.table("address").unwrap().row_count();
             db.insert(
                 "address",
                 vec![Value::Int(13), Value::from("Basel"), Value::Int(4001)],
             )
             .unwrap();
-            logs[shard_for_table("address", shards)]
+            idx.log_mut("address")
                 .append_rows(db.table("address").unwrap(), start);
         });
         let owner = shard_for_table("address", shards);
@@ -917,20 +847,24 @@ mod tests {
     }
 
     #[test]
-    fn patched_side_logs_share_untouched_overlays() {
+    fn log_mut_copies_only_the_owners_log_on_write() {
         let base = db();
         let shards = 4;
         let idx = InvertedIndex::build_sharded(&base, shards);
-        let mut log = SideLog::default();
-        log.truncate_table("address");
-        let patched = idx.with_patched_side_logs(vec![(1, log), (99, SideLog::default())]);
-        for (i, (old, new)) in idx.side_logs().iter().zip(patched.side_logs()).enumerate() {
-            assert_eq!(Arc::ptr_eq(old, new), i != 1, "log {i}");
+        let owner = shard_for_table("address", shards);
+        let mut next = idx.clone();
+        next.log_mut("Address").truncate_table("address");
+        for (i, (old, new)) in idx.side_logs().iter().zip(next.side_logs()).enumerate() {
+            assert_eq!(Arc::ptr_eq(old, new), i != owner, "log {i}");
         }
-        assert!(patched.side_logs()[1].masks("address"));
-        assert!(!idx.has_side_logs());
+        assert!(next.side_logs()[owner].masks("address"));
+        assert!(!idx.has_side_logs(), "the parent's logs are never written");
+        // A second write reuses the copy the first one made.
+        let copied = Arc::as_ptr(&next.side_logs()[owner]);
+        next.log_mut("address").truncate_table("address");
+        assert_eq!(Arc::as_ptr(&next.side_logs()[owner]), copied);
         // Frozen partitions are shared wholesale.
-        for (old, new) in idx.shards().iter().zip(patched.shards()) {
+        for (old, new) in idx.shards().iter().zip(next.shards()) {
             assert!(Arc::ptr_eq(old, new));
         }
     }

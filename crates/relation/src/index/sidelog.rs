@@ -38,10 +38,10 @@ use crate::table::Table;
 
 /// A value-level posting overlay over one frozen index partition.
 ///
-/// Not internally synchronised: the ingestion layer builds the next
-/// generation's logs on the writer thread and publishes them immutably
-/// behind `Arc`s (see
-/// [`ShardedInvertedIndex::with_side_logs`](super::inverted::ShardedInvertedIndex::with_side_logs)).
+/// Not internally synchronised: the ingestion layer writes the next
+/// generation's logs on the writer thread, copy-on-write through
+/// [`ShardedInvertedIndex::log_mut`](super::inverted::ShardedInvertedIndex::log_mut),
+/// and publishes them immutably behind `Arc`s.
 #[derive(Debug, Default, Clone)]
 pub struct SideLog {
     /// Entries of the ingested rows.

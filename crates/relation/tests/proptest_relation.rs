@@ -9,9 +9,9 @@ use proptest::prelude::*;
 
 use soda_relation::exec::eval::like_match;
 use soda_relation::{
-    execute, parse_select, print_select, shard_for_table, tokenize, AggFunc, CompareOp, DataType,
-    Database, Date, Expr, InvertedIndex, OrderByItem, PhraseHit, Row, SelectItem, SelectStatement,
-    SideLog, TableRef, TableSchema, Value,
+    execute, parse_select, print_select, tokenize, AggFunc, CompareOp, DataType, Database, Date,
+    Expr, InvertedIndex, OrderByItem, PhraseHit, Row, SelectItem, SelectStatement, TableRef,
+    TableSchema, Value,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -652,9 +652,9 @@ impl IndexCase {
         db
     }
 
-    /// Applies the feed to `db` and mirrors it into `logs`, each event into
-    /// the log of the shard owning its table — what `soda-ingest` does.
-    fn ingest(&self, db: &mut Database, logs: &mut [SideLog]) {
+    /// Applies the feed to `db` and mirrors it into the side logs of
+    /// `index`, each event through `log_mut` — what `soda-ingest` does.
+    fn ingest(&self, db: &mut Database, index: &mut InvertedIndex) {
         for event in &self.feed {
             match event {
                 FeedEvent::Append(t, rows) => {
@@ -664,7 +664,8 @@ impl IndexCase {
                         .unwrap()
                         .insert_all(self.fit(*t, rows))
                         .unwrap();
-                    logs[shard_for_table(name, logs.len())]
+                    index
+                        .log_mut(name)
                         .append_rows(db.table(name).unwrap(), start);
                 }
                 FeedEvent::Replace(t, rows) => {
@@ -672,12 +673,12 @@ impl IndexCase {
                     let table = db.table_mut(name).unwrap();
                     table.truncate();
                     table.insert_all(self.fit(*t, rows)).unwrap();
-                    logs[shard_for_table(name, logs.len())].replace_table(db.table(name).unwrap());
+                    index.log_mut(name).replace_table(db.table(name).unwrap());
                 }
                 FeedEvent::Truncate(t) => {
                     let name = INDEX_TABLES[*t];
                     db.table_mut(name).unwrap().truncate();
-                    logs[shard_for_table(name, logs.len())].truncate_table(name);
+                    index.log_mut(name).truncate_table(name);
                 }
             }
         }
@@ -750,10 +751,9 @@ proptest! {
         let base = case.base();
         for shards in [1usize, 2, 8] {
             let mut live = base.clone();
-            let mut logs = vec![SideLog::default(); shards];
-            case.ingest(&mut live, &mut logs);
+            let mut logged = InvertedIndex::build_sharded(&base, shards);
+            case.ingest(&mut live, &mut logged);
             let cells = text_cells(&live);
-            let logged = InvertedIndex::build_sharded(&base, shards).with_side_logs(logs);
             // Every other partition folded, the rest still logged; at one
             // shard that is the index built from scratch.
             let folded: Vec<usize> = (0..shards).step_by(2).collect();

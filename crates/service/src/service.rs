@@ -848,6 +848,21 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_hostile_length_query_is_refused_and_the_service_keeps_answering() {
+        let service = minibank_service(ServiceConfig::default());
+        let handle = service.query(QueryRequest::new("customers Zurich ".repeat(100_000)));
+        assert!(handle.is_ready());
+        match handle.wait() {
+            Err(ServiceError::Engine(SodaError::Query(e))) => {
+                assert!(e.starts_with("query too long"), "{e}")
+            }
+            other => panic!("expected a length error, got {other:?}"),
+        }
+        let next = service.query(QueryRequest::new("Sara Guttinger")).wait();
+        assert!(!next.unwrap().page.results.is_empty());
+    }
+
+    #[test]
     fn batch_preserves_request_order() {
         let service = minibank_service(ServiceConfig {
             workers: 4,
