@@ -2,14 +2,14 @@
 //! the admission control in front of it.
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 use soda_core::EngineSnapshot;
 use soda_trace::HeadDecision;
 
 use crate::cache::CacheKey;
-use crate::request::WireResult;
+use crate::request::Completion;
 use crate::service::Shared;
 use crate::tenants::TenantState;
 
@@ -29,7 +29,8 @@ pub(crate) struct Job {
     /// to collect a span tree *before* the pipeline runs.
     pub(crate) head: Option<HeadDecision>,
     pub(crate) submitted: Instant,
-    pub(crate) tx: mpsc::Sender<WireResult>,
+    /// The key's completion, shared with its pending entry and every handle.
+    pub(crate) done: Completion,
 }
 
 /// The bounded job queue: one lane per tenant, scanned round-robin by the
@@ -44,6 +45,7 @@ pub(crate) struct QueueState {
     /// Queued jobs across all lanes (the figure the global capacity check
     /// and [`QueryService::queue_depth`] report).
     pub(crate) total: usize,
+    /// Set when the service drops: the workers exit once the queue is empty.
     pub(crate) shutdown: bool,
 }
 
@@ -95,28 +97,20 @@ fn admission_quota(capacity: usize, tenants: usize) -> usize {
     capacity.div_ceil(tenants.max(1)).max(1)
 }
 
-/// One submission waiting on another submission's in-flight computation.
-pub(crate) struct Waiter {
-    pub(crate) submitted: Instant,
-    pub(crate) tx: mpsc::Sender<WireResult>,
-}
-
 impl Shared {
     /// Admission control, then the enqueue: blocks while the whole queue is
     /// at capacity OR the job's tenant lane is at its fair share of it — the
     /// quota keeps one tenant's cold-query storm from squatting every slot.
     /// The quota is recomputed on every predicate evaluation (the tenant
     /// count is one cheap RwLock read), so a submitter that sleeps through
-    /// an `add_tenant` wakes up to the tightened share.  Returns false — the
-    /// job dropped, never to run — when the service is shutting down.
-    pub(crate) fn admit(&self, job: Job) -> bool {
+    /// an `add_tenant` wakes up to the tightened share.
+    pub(crate) fn admit(&self, job: Job) {
         let lane = job.tenant.id.fingerprint();
         let capacity = self.config.queue_capacity.max(1);
         let mut state = self.queue.lock().expect("queue poisoned");
         let mut waited = false;
-        while (state.total >= capacity
-            || state.depth_of(lane) >= admission_quota(capacity, self.tenants.len()))
-            && !state.shutdown
+        while state.total >= capacity
+            || state.depth_of(lane) >= admission_quota(capacity, self.tenants.len())
         {
             waited = true;
             state = self.not_full.wait(state).expect("queue poisoned");
@@ -124,13 +118,9 @@ impl Shared {
         if waited {
             job.tenant.facts().admission_waits += 1;
         }
-        if state.shutdown {
-            return false;
-        }
         state.push(lane, job);
         drop(state);
         self.not_empty.notify_one();
-        true
     }
 }
 

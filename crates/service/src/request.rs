@@ -2,7 +2,7 @@
 //! the [`JobHandle`] claim on a pending answer, [`ServiceError`], and the
 //! kept-trace record ([`SampledTrace`]).
 
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use soda_core::{ResultPage, SodaError, TenantId};
@@ -103,10 +103,8 @@ pub struct SampledTrace {
 pub enum ServiceError {
     /// The engine rejected or failed the query.
     Engine(SodaError),
-    /// The service is shutting down and no longer accepts work.
-    ShuttingDown,
-    /// The worker completing this job disappeared (only possible if a worker
-    /// panicked mid-query).
+    /// The job never completed: a worker panicked mid-query (this job's, or
+    /// every worker did before this job ran).
     Disconnected,
     /// The feed journal or page cache could not be written or recovered
     /// (rendered to text because `std::io::Error` is not `Clone`).  Surfaced
@@ -139,7 +137,6 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
-            ServiceError::ShuttingDown => write!(f, "the query service is shutting down"),
             ServiceError::Disconnected => write!(f, "the worker serving this job disappeared"),
             ServiceError::Durability(msg) => write!(f, "durability error: {msg}"),
             ServiceError::UnknownTenant(tenant) => write!(f, "unknown tenant `{tenant}`"),
@@ -173,18 +170,14 @@ impl From<SodaError> for ServiceError {
 /// Outcome of one served query.
 pub type JobResult = Result<QueryResponse, ServiceError>;
 
-/// What the worker channels carry: the page the worker computed, shared
-/// with the cache slot and every coalesced waiter.  [`JobHandle::wait`]
-/// turns it into the public [`QueryResponse`] shape on the waiting thread.
+/// What a completion holds: the page the worker computed, shared with the
+/// cache slot.  [`JobHandle::wait`] turns it into the public
+/// [`QueryResponse`] shape on the waiting thread.
 pub(crate) type WireResult = Result<Arc<ResultPage>, ServiceError>;
 
-/// The by-value page a [`QueryResponse`] carries, from the shared one the
-/// service holds: moved out when this was the last holder, copied otherwise.
-/// The one deep copy an answer costs — made by the thread that receives the
-/// answer, outside every lock.
-pub(crate) fn owned_page(page: Arc<ResultPage>) -> ResultPage {
-    Arc::try_unwrap(page).unwrap_or_else(|shared| ResultPage::clone(&shared))
-}
+/// One in-flight key's completion: set once by the worker that runs the key's
+/// job, and waited on by its submitter and every coalesced submission alike.
+pub(crate) type Completion = Arc<OnceLock<WireResult>>;
 
 /// A claim on the result of a submitted query.
 ///
@@ -199,7 +192,7 @@ pub struct JobHandle {
 #[derive(Debug)]
 enum HandleInner {
     Ready(Box<JobResult>),
-    Pending(mpsc::Receiver<WireResult>),
+    Pending(Completion),
 }
 
 impl JobHandle {
@@ -209,13 +202,15 @@ impl JobHandle {
         }
     }
 
-    pub(crate) fn pending(rx: mpsc::Receiver<WireResult>) -> Self {
+    pub(crate) fn pending(done: Completion) -> Self {
         Self {
-            inner: HandleInner::Pending(rx),
+            inner: HandleInner::Pending(done),
         }
     }
 
-    /// True when the result is already available (`wait` will not block).
+    /// True when the query was resolved at submission (a hit or an error):
+    /// `wait` will not block.  A miss reads false even once its worker has
+    /// finished.
     pub fn is_ready(&self) -> bool {
         matches!(self.inner, HandleInner::Ready(_))
     }
@@ -224,13 +219,12 @@ impl JobHandle {
     pub fn wait(self) -> JobResult {
         match self.inner {
             HandleInner::Ready(result) => *result,
-            HandleInner::Pending(rx) => {
-                rx.recv()
-                    .unwrap_or(Err(ServiceError::Disconnected))
-                    .map(|page| QueryResponse {
-                        page: owned_page(page),
-                    })
-            }
+            HandleInner::Pending(done) => match done.wait() {
+                Ok(page) => Ok(QueryResponse {
+                    page: ResultPage::clone(page),
+                }),
+                Err(e) => Err(e.clone()),
+            },
         }
     }
 }

@@ -18,21 +18,21 @@
 //! 3. A worker pops the next job round-robin across the tenant lanes, runs
 //!    the five-step pipeline via [`EngineSnapshot::search_with`] — the
 //!    only place the input is parsed; the front door just canonicalizes it —
-//!    and shares the page it computed: one `Arc` goes into the cache, one to
-//!    the caller's [`JobHandle`] and one to each coalesced waiter.
-//!    [`JobHandle::wait`] turns it into the [`QueryResponse`]'s own page on
-//!    the waiting thread.
+//!    and shares the page it computed: one `Arc` goes into the cache and one
+//!    into the key's completion, which it sets once.  The caller's
+//!    [`JobHandle`] waits on that completion, and [`JobHandle::wait`] copies
+//!    the [`QueryResponse`]'s own page on the waiting thread.
 //!
 //! Concurrent misses on one key are **coalesced**: the first miss enqueues
-//! the job and registers it in a pending-jobs map; every further submission
-//! of the same key while that job is in flight just attaches a waiter to the
-//! pending entry instead of enqueuing a duplicate, so N concurrent identical
-//! cold queries execute the pipeline exactly once.  The cache probe, the
-//! pending check and the completion hand-off happen under one lock, which is
-//! never held across the pipeline itself — nor across a page copy: inside
-//! the service a page is shared, and the one deep copy the by-value
-//! [`QueryResponse::page`] costs is made per answer, outside every lock, by
-//! the thread that receives it.
+//! the job and registers the key's completion in a pending-jobs map; every
+//! further submission of the same key while that job is in flight takes a
+//! handle on the same completion instead of enqueuing a duplicate, so N
+//! concurrent identical cold queries execute the pipeline exactly once.  The
+//! cache probe, the pending check and the page's publication happen under
+//! one lock, which is never held across the pipeline itself — nor across a
+//! page copy: inside the service a page is shared, and the one deep copy the
+//! by-value [`QueryResponse::page`] costs is made per answer, outside every
+//! lock, by the thread that receives it.
 //!
 //! ## Multi-tenant hosting
 //!
@@ -65,7 +65,7 @@
 //! generation.  The cache key carries the tenant-folded
 //! [`EngineSnapshot::cache_fingerprint`] (configuration ⊕ generation),
 //! which also scopes the coalescing map: a pending cold query keyed
-//! against generation G can only ever hand its page to waiters that also
+//! against generation G can only ever hand its page to submissions that also
 //! pinned G — a post-swap requester computes a different key and recomputes
 //! against the new snapshot.  No queries are drained, dropped or errored by
 //! a swap.
@@ -86,9 +86,9 @@
 //! tenant's superseded generation is purged.  Other tenants' pages are
 //! never touched.
 //!
-//! Shutdown is graceful: dropping the service stops intake, lets the
-//! workers drain every queued job (resolving their coalesced waiters), then
-//! joins them.
+//! Shutdown is graceful: dropping the service lets the workers drain every
+//! queued job (completing each key's handles, coalesced ones included),
+//! then joins them.  A handle outlives the service and still answers.
 //!
 //! ## Durable restart
 //!
@@ -124,7 +124,7 @@
 //! graph to the next recovery.
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,9 +145,9 @@ use crate::durability::{
     load_cache_pages, persist_cache_pages, recover_journal, DurabilityState, RecoveryBase,
     RecoveryReport,
 };
-use crate::queue::{Job, QueueState, Waiter};
+use crate::queue::{Job, QueueState};
 use crate::request::{
-    owned_page, JobHandle, QueryRequest, QueryResponse, SampledTrace, ServiceError, WireResult,
+    Completion, JobHandle, QueryRequest, QueryResponse, SampledTrace, ServiceError,
 };
 use crate::tenants::{TenantRegistry, TenantState};
 use crate::worker::worker_loop;
@@ -167,16 +167,23 @@ pub(crate) struct CachedPage {
     pub(crate) deps: Vec<ProbeDep>,
 }
 
+/// A key with a job in flight (queued or executing).
+#[derive(Default)]
+pub(crate) struct InFlight {
+    /// What the submitter and every coalesced handle wait on.
+    pub(crate) done: Completion,
+    /// When each coalesced submission arrived, for its end-to-end latency.
+    pub(crate) coalesced: Vec<Instant>,
+}
+
 /// The cache and the pending-jobs map live under ONE mutex so that
 /// probe-then-register is atomic: between a cache miss and the pending
 /// registration no completion can slip through unobserved.
 pub(crate) struct StoreState {
     pub(crate) cache: LruCache<CacheKey, CachedPage>,
-    /// Keys with a job in flight (queued or executing), each with the
-    /// waiters coalesced onto it.  An entry is created by the submission
-    /// that enqueues the job and removed by the worker at completion (or by
-    /// the submitter itself when shutdown aborts the enqueue).
-    pub(crate) pending: HashMap<CacheKey, Vec<Waiter>>,
+    /// Keys with a job in flight.  An entry is created by the submission
+    /// that enqueues the job and removed by the worker that runs it.
+    pub(crate) pending: HashMap<CacheKey, InFlight>,
     /// Submissions that attached to an in-flight job instead of enqueuing.
     pub(crate) coalesced: u64,
 }
@@ -222,7 +229,7 @@ pub(crate) enum Served<'a> {
     /// From the cache at submission: kept, when the sampler draws it or it
     /// was slow, as a synthesized `cache_hit` span tree.
     Hit { input: &'a str },
-    /// A waiter coalesced onto another submission's execution: never kept
+    /// A submission coalesced onto another one's execution: never kept
     /// (the execution's own trace tells its story).
     Coalesced,
     /// By a pipeline execution on a worker.
@@ -621,66 +628,43 @@ impl QueryService {
         };
         // One critical section decides the submission's fate: cache hit,
         // coalesce onto an in-flight job, or become the job that computes.
-        // Bind the outcome before accounting it: the tenant's facts are
-        // never locked under the store lock.
-        enum Probe {
-            Hit(Arc<ResultPage>),
-            Coalesced(mpsc::Receiver<WireResult>),
-            Compute,
+        // A hit or a new job releases the store lock before it copies or
+        // accounts: the tenant's facts are never locked under it.
+        let mut store = self.shared.store.lock().expect("store poisoned");
+        if let Some(entry) = store.cache.get(&key) {
+            let page = Arc::clone(&entry.page);
+            drop(store);
+            // The response's own copy is made before the clock is read, so
+            // the recorded latency is the whole hit.
+            let page = ResultPage::clone(&page);
+            let served = Served::Hit {
+                input: &request.input,
+            };
+            self.shared
+                .answered(&tenant, served, submitted.elapsed(), true);
+            return JobHandle::ready(Ok(QueryResponse { page }));
         }
-        let probe = {
-            let mut store = self.shared.store.lock().expect("store poisoned");
-            if let Some(entry) = store.cache.get(&key) {
-                Probe::Hit(Arc::clone(&entry.page))
-            } else if let Some(waiters) = store.pending.get_mut(&key) {
-                let (tx, rx) = mpsc::channel();
-                waiters.push(Waiter { submitted, tx });
-                store.coalesced += 1;
-                Probe::Coalesced(rx)
-            } else {
-                store.pending.insert(key.clone(), Vec::new());
-                Probe::Compute
-            }
-        };
-        match probe {
-            Probe::Hit(page) => {
-                // The response's own copy is made before the clock is read,
-                // so the recorded latency is the whole hit.
-                let page = owned_page(page);
-                let served = Served::Hit {
-                    input: &request.input,
-                };
-                self.shared
-                    .answered(&tenant, served, submitted.elapsed(), true);
-                return JobHandle::ready(Ok(QueryResponse { page }));
-            }
-            Probe::Coalesced(rx) => return JobHandle::pending(rx),
-            Probe::Compute => {}
+        if let Some(in_flight) = store.pending.get_mut(&key) {
+            in_flight.coalesced.push(submitted);
+            let done = Arc::clone(&in_flight.done);
+            store.coalesced += 1;
+            return JobHandle::pending(done);
         }
+        let in_flight = InFlight::default();
+        let done = Arc::clone(&in_flight.done);
+        store.pending.insert(key.clone(), in_flight);
+        drop(store);
 
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            key: key.clone(),
+        self.shared.admit(Job {
+            key,
             input: request.input,
             engine,
             head: tenant.sampler.as_ref().map(Sampler::head_sample),
             tenant,
             submitted,
-            tx,
-        };
-        if !self.shared.admit(job) {
-            // The job will never run: withdraw the pending entry and resolve
-            // any waiters that coalesced onto it in the meantime.
-            let waiters = {
-                let mut store = self.shared.store.lock().expect("store poisoned");
-                store.pending.remove(&key).unwrap_or_default()
-            };
-            for waiter in waiters {
-                let _ = waiter.tx.send(Err(ServiceError::ShuttingDown));
-            }
-            return JobHandle::ready(Err(ServiceError::ShuttingDown));
-        }
-        JobHandle::pending(rx)
+            done: Arc::clone(&done),
+        });
+        JobHandle::pending(done)
     }
 
     /// The one front half of every submission: resolves the tenant,
@@ -731,12 +715,19 @@ impl Drop for QueryService {
             let mut state = self.shared.queue.lock().expect("queue poisoned");
             state.shutdown = true;
         }
-        // Wake every waiter: workers drain the remaining jobs and exit;
-        // blocked submitters observe the shutdown flag and bail out.
+        // Wake the workers: they drain every queued job, completing each
+        // key's handles, and exit.  No submitter can be blocked in
+        // admission: `drop` holds `&mut self`, so no `query` is running.
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
+        }
+        // A job is left queued only when every worker died of a panic: its
+        // handles resolve as a panicked job's do.
+        if let Ok(mut queue) = self.shared.queue.lock() {
+            while let Some(job) = queue.pop_round_robin() {
+                let _ = job.done.set(Err(ServiceError::Disconnected));
+            }
         }
         persist_cache_pages(&self.shared);
     }
@@ -965,40 +956,85 @@ pub(crate) mod tests {
         // Register the computing submission's pending entry but hold its job
         // back, so the duplicates below find the key in flight whatever the
         // scheduler does.
+        let in_flight = InFlight::default();
+        let done = Arc::clone(&in_flight.done);
         let mut store = shared.store.lock().unwrap();
-        store.pending.insert(key.clone(), Vec::new());
+        store.pending.insert(key.clone(), in_flight);
         drop(store);
         let duplicates = ["customers", "  CUSTOMERS  ", "Customers"];
         let waiters = duplicates.map(|q| service.query(QueryRequest::new(q)));
         assert!(waiters.iter().all(|handle| !handle.is_ready()));
-        let (tx, rx) = mpsc::channel();
-        assert!(shared.admit(Job {
-            key: key.clone(),
+        shared.admit(Job {
+            key,
             input: "customers".to_string(),
             engine,
             head: None,
             tenant,
             submitted: Instant::now(),
-            tx,
-        }));
-        let computed = JobHandle::pending(rx).wait().unwrap();
-        // The worker copied nothing: the cache slot and the three answers
-        // still in their channels are one page.
+            done: Arc::clone(&done),
+        });
+        let computed = JobHandle::pending(done).wait().unwrap();
+        // The worker copied nothing: the cache slot and the completion the
+        // three waiters still hold are one page.
         let holders = || {
             let store = shared.store.lock().unwrap();
             let (_, entry) = store.cache.iter_oldest_first().next().unwrap();
             Arc::strong_count(&entry.page)
         };
-        assert_eq!(holders(), 1 + duplicates.len());
+        assert_eq!(holders(), 2);
         for waiter in waiters {
             assert_eq!(waiter.wait().unwrap(), computed);
         }
-        assert_eq!(holders(), 1, "every answer took its own copy");
         let m = service.metrics();
         assert_eq!(m.pipeline_executions, 1);
         assert_eq!(m.coalesced, duplicates.len() as u64);
         assert_eq!(m.cache.hits, 0);
         assert_eq!(m.completed, 1 + duplicates.len() as u64);
+        // Once the single worker has answered the next query, it has dropped
+        // the job before, and with it the last hold on the completion.
+        service
+            .query(QueryRequest::new("Sara Guttinger"))
+            .wait()
+            .unwrap();
+        assert_eq!(holders(), 1, "every answer took its own copy");
+    }
+
+    #[test]
+    fn dropping_the_service_answers_every_outstanding_handle() {
+        let service = minibank_service(ServiceConfig::default().workers(1));
+        let engine = service.engine();
+        let queries = ["Sara Guttinger", "wealthy customers", "customers Zurich"];
+        let spellings = ["sara guttinger", "  SARA   Guttinger "];
+        let mut handles: Vec<(&str, JobHandle)> = queries
+            .iter()
+            .map(|q| (*q, service.query(QueryRequest::new(*q))))
+            .chain(spellings.map(|q| (queries[0], service.query(QueryRequest::new(q)))))
+            .collect();
+        drop(handles.remove(1));
+        drop(service);
+        for (query, handle) in handles {
+            let want = engine.search_paged(query, 0, 10).unwrap();
+            assert_eq!(handle.wait().unwrap().page, want, "{query}");
+        }
+    }
+
+    #[test]
+    fn a_job_outliving_every_worker_resolves_disconnected() {
+        let mut service = minibank_service(ServiceConfig::default().workers(1));
+        // Retire the only worker, as a panic would, leaving the service up.
+        service.shared.queue.lock().unwrap().shutdown = true;
+        service.shared.not_empty.notify_all();
+        for worker in service.workers.drain(..) {
+            worker.join().unwrap();
+        }
+        service.shared.queue.lock().unwrap().shutdown = false;
+        let handle = service.query(QueryRequest::new("Sara Guttinger"));
+        let coalesced = service.query(QueryRequest::new("sara guttinger"));
+        assert_eq!(service.queue_depth(), 1);
+        drop(service);
+        for handle in [handle, coalesced] {
+            assert_eq!(handle.wait(), Err(ServiceError::Disconnected));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The worker loop: pop a job, run the five-step pipeline against the
-//! snapshot the job pinned, publish the page and resolve every waiter.
+//! snapshot the job pinned, publish the page and complete the key's handles.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -7,7 +7,7 @@ use std::time::Instant;
 use soda_core::{ProbeRecorder, SearchOptions};
 use soda_trace::{CollectingSink, NoopSink, TraceSink};
 
-use crate::cache::CacheKey;
+use crate::queue::Job;
 use crate::request::{ServiceError, WireResult};
 use crate::service::{CachedPage, Served, Shared};
 
@@ -32,27 +32,22 @@ pub(crate) fn worker_loop(shared: &Shared) {
         shared.not_full.notify_all();
 
         // If the pipeline panics, the pending entry must not leak: this
-        // guard removes it and drops the coalesced waiters' senders, so
-        // their `wait()` resolves with `Disconnected` (exactly what a worker
-        // panic produced before coalescing existed) and future submissions
-        // of the key recompute instead of attaching to a dead job.
+        // guard removes it and completes the key with `Disconnected`, so
+        // every handle's `wait()` resolves and future submissions of the key
+        // recompute instead of attaching to a dead job.
         struct PendingGuard<'a> {
             shared: &'a Shared,
-            key: Option<CacheKey>,
+            job: &'a Job,
         }
         impl Drop for PendingGuard<'_> {
             fn drop(&mut self) {
-                if let Some(key) = self.key.take() {
-                    if let Ok(mut store) = self.shared.store.lock() {
-                        store.pending.remove(&key);
-                    }
+                if let Ok(mut store) = self.shared.store.lock() {
+                    store.pending.remove(&self.job.key);
                 }
+                let _ = self.job.done.set(Err(ServiceError::Disconnected));
             }
         }
-        let mut guard = PendingGuard {
-            shared,
-            key: Some(job.key.clone()),
-        };
+        let guard = PendingGuard { shared, job: &job };
         // Queue wait ends here: everything from `dequeued` on is execution.
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.submitted);
@@ -80,14 +75,14 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let searched = job.engine.search_with(&job.input, &options);
         let execution = dequeued.elapsed();
         let timings = searched.as_ref().ok().map(|found| found.trace.timings);
-        // Shared from here on: the cache slot, the submitter and every
-        // coalesced waiter hold the one page this worker computed, and each
-        // answer's copy is made by the thread that waits for it.
+        // Shared from here on: the cache slot and the key's completion hold
+        // the one page this worker computed, and each answer's copy is made
+        // by the thread that waits for it.
         let outcome: WireResult = searched
             .map(|found| Arc::new(found.page))
             .map_err(ServiceError::Engine);
-        // Normal path: the completion hand-off below owns the cleanup.
-        guard.key = None;
+        // Normal path: the completion below owns the cleanup.
+        std::mem::forget(guard);
         // A swap may have landed while this job ran: a page keyed by a
         // superseded fingerprint can never be hit again (submissions compute
         // keys from the live snapshot), so inserting it would only evict a
@@ -102,16 +97,16 @@ pub(crate) fn worker_loop(shared: &Shared) {
             }),
             _ => None,
         };
-        // Publish the page and claim the coalesced waiters in one critical
-        // section, so no submission can slip between the cache insert and
-        // the pending-entry removal and end up waiting forever.
-        let waiters = {
+        // Publish the page and retire the pending entry in one critical
+        // section, so a later submission of the key either hits the page or
+        // starts a new job — never attaches to a finished one.
+        let in_flight = {
             let mut store = shared.store.lock().expect("store poisoned");
-            let waiters = store.pending.remove(&job.key).unwrap_or_default();
+            let in_flight = store.pending.remove(&job.key);
             if let Some(entry) = entry {
                 store.cache.insert(job.key, entry);
             }
-            waiters
+            in_flight
         };
         // The end-to-end figure decides what is slow, so a fast pipeline
         // behind a deep queue is still kept — that *is* the slowness the
@@ -125,17 +120,12 @@ pub(crate) fn worker_loop(shared: &Shared) {
         };
         let ok = outcome.is_ok();
         shared.answered(&job.tenant, served, job.submitted.elapsed(), ok);
-        for waiter in waiters {
-            shared.answered(
-                &job.tenant,
-                Served::Coalesced,
-                waiter.submitted.elapsed(),
-                ok,
-            );
-            // A waiter may have dropped its handle; that is not an error.
-            let _ = waiter.tx.send(outcome.clone());
+        for submitted in in_flight.into_iter().flat_map(|f| f.coalesced) {
+            shared.answered(&job.tenant, Served::Coalesced, submitted.elapsed(), ok);
         }
-        let _ = job.tx.send(outcome);
+        // Every answer is booked before any handle wakes, so a caller that
+        // reads the metrics right after `wait()` sees its own query.
+        let _ = job.done.set(outcome);
     }
 }
 
