@@ -43,7 +43,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod feedback;
-pub mod handle;
 pub mod joins;
 pub mod patterns;
 pub mod pipeline;
@@ -61,7 +60,6 @@ pub use config::{RankingWeights, SodaConfig};
 pub use engine::{SearchLimit, SearchOptions, SearchOutcome};
 pub use error::{Result, SodaError};
 pub use feedback::FeedbackStore;
-pub use handle::SnapshotHandle;
 pub use joins::{BridgeTable, HistorizationLink, InheritanceLink, JoinCatalog, JoinEdge};
 pub use patterns::SodaPatterns;
 pub use pipeline::lookup::LookupResult;
@@ -74,8 +72,8 @@ pub use suggest::TermSuggestion;
 pub use tenant::TenantId;
 
 // Re-exported so hot-swap callers (the serving layer hands new databases,
-// metadata graphs and change feeds to `SnapshotHandle`) need no direct
-// dependency on the lower crates.
+// metadata graphs and change feeds to `EngineSnapshot`'s successors) need
+// no direct dependency on the lower crates.
 pub use soda_ingest::{ChangeFeed, RowEvent};
 pub use soda_metagraph::MetaGraph;
 pub use soda_relation::{Database, Value};

@@ -54,19 +54,21 @@ use crate::shard::{ProbeRecorder, ShardProbes, ShardStats};
 ///
 /// Everything expensive sits behind [`Arc`]s (the base data, the graph, the
 /// join catalog and the probe counters here, the index shards internally),
-/// so the hot-swap derive paths of [`SnapshotHandle`](crate::SnapshotHandle)
-/// build a next-generation snapshot that shares every untouched structure
-/// with its parent instead of copying it.
+/// so a snapshot derives its own successor — [`absorbed`](Self::absorbed),
+/// [`compacted`](Self::compacted), [`refreshed`](Self::refreshed) — sharing
+/// every untouched structure with it instead of copying it.
 ///
 /// ## Generation
 ///
-/// Every snapshot carries a [`generation`](Self::generation), stamped by the
-/// [`SnapshotHandle`](crate::SnapshotHandle) that publishes it (`0` for
-/// snapshots that never go through a handle).  The handle serialises its
-/// writers and its numbers only ever increase, so the generation alone names
-/// a publication: [`cache_fingerprint`](Self::cache_fingerprint) folds the
-/// configuration fingerprint with it, and a superseded generation's cached
-/// pages stop being addressable.  For data-only swaps the serving layer
+/// Every snapshot carries a [`generation`](Self::generation): `0` for a
+/// fresh build, and one more than its predecessor's for every successor,
+/// which stamps itself ([`succeeding`](Self::succeeding) stamps a full
+/// reload the same way).  Whoever publishes snapshots serialises its
+/// writers, so each successor derives from the live one and the numbers only
+/// ever increase: the generation alone names a publication.
+/// [`cache_fingerprint`](Self::cache_fingerprint) folds the configuration
+/// fingerprint with it, and a superseded generation's cached pages stop
+/// being addressable.  For data-only swaps the serving layer
 /// re-keys the pages whose probes provably answer the same in both snapshots
 /// instead of recomputing them.
 pub struct EngineSnapshot {
@@ -78,7 +80,7 @@ pub struct EngineSnapshot {
     index: Option<ShardedInvertedIndex>,
     joins: Arc<JoinCatalog>,
     probes: Arc<ShardProbes>,
-    /// Generation stamped at publication (0 = never published via a handle).
+    /// Generation stamped at publication (0 = a fresh build).
     generation: u64,
     /// [`cache_fingerprint`](Self::cache_fingerprint), precomputed.  The
     /// serving layer reads the fingerprint on *every* submission (it keys
@@ -134,7 +136,7 @@ impl EngineSnapshot {
 
     /// A structurally identical snapshot sharing every built structure with
     /// `self` — the indexes clone by `Arc` internally, so this is cheap.
-    /// What every derive below starts from.
+    /// What every successor below starts from.
     fn share(&self) -> Self {
         Self {
             db: Arc::clone(&self.db),
@@ -152,31 +154,50 @@ impl EngineSnapshot {
 
     /// Stamps this snapshot as published at `generation` and computes its
     /// [`cache_fingerprint`](Self::cache_fingerprint) — the final step of
-    /// every constructor, and what
-    /// [`SnapshotHandle::publish`](crate::SnapshotHandle::publish) calls.
-    pub(crate) fn stamped(mut self, generation: u64) -> Self {
+    /// every constructor.
+    fn stamped(mut self, generation: u64) -> Self {
         self.generation = generation;
         // FNV-1a over the generation, seeded by the config fingerprint.
         self.fingerprint = fnv1a(self.config.fingerprint(), &generation.to_le_bytes());
         self
     }
 
-    /// A structurally identical snapshot stamped `generation` — the
-    /// durable-recovery path uses this (via
-    /// [`SnapshotHandle::restore_generation`](crate::SnapshotHandle::restore_generation))
-    /// to land a rebooted engine on the generation, and thus the
-    /// [`cache_fingerprint`](Self::cache_fingerprint), a checkpoint recorded.
-    /// Every built structure is shared with `self`.
-    pub(crate) fn restored(&self, generation: u64) -> Self {
+    /// A structurally identical snapshot stamped `generation` — what
+    /// durable recovery lands a rebooted engine on, so it serves under the
+    /// generation, and thus the [`cache_fingerprint`](Self::cache_fingerprint),
+    /// a checkpoint recorded.  Every built structure is shared with `self`.
+    pub fn restored(&self, generation: u64) -> Self {
         self.share().stamped(generation)
     }
 
-    /// Derives a snapshot that has absorbed a row-level change feed: the
+    /// `self`, stamped as the successor of `previous` — a full reload (new
+    /// warehouse build, new configuration, anything) published in
+    /// `previous`'s place.
+    ///
+    /// ```
+    /// use soda_core::{EngineSnapshot, SodaConfig};
+    ///
+    /// let build = |seed| {
+    ///     let (db, graph) = soda_warehouse::minibank::build(seed).shared_parts();
+    ///     EngineSnapshot::build(db, graph, SodaConfig::default())
+    /// };
+    /// let live = build(42);
+    /// assert_eq!(live.generation(), 0);
+    /// let next = build(43).succeeding(&live);
+    /// assert_eq!(next.generation(), 1);
+    /// assert_ne!(next.cache_fingerprint(), live.cache_fingerprint());
+    /// ```
+    pub fn succeeding(self, previous: &EngineSnapshot) -> Self {
+        self.stamped(previous.generation + 1)
+    }
+
+    /// The successor that has absorbed a row-level change feed: the
     /// events are applied to a copy of the base data and their indexed
     /// consequences written into the side logs of a copy of the index —
     /// **no frozen index partition is touched**, queries merge log and
     /// partition on the fly.  With the inverted index disabled only the base
-    /// data moves.
+    /// data moves.  On any feed error (unknown table, arity or type
+    /// violation) there is no successor, however far the feed got.
     ///
     /// The feed is consumed (appended rows move by value into the
     /// copy-on-write database derive).  Both copies are copy-on-write: the
@@ -184,19 +205,17 @@ impl EngineSnapshot {
     /// `self`'s, and the index copies only the side logs the feed writes
     /// (see [`ShardedInvertedIndex::log_mut`]), sharing every other log and
     /// every frozen partition — the whole chain is O(delta), not
-    /// O(warehouse).
+    /// O(warehouse).  Side logs tax probes on their shard until
+    /// [`compacted`](Self::compacted) folds them; nothing folds them on its
+    /// own.
     ///
     /// The join catalog — join edges, table ids and the per-node entry
     /// closures — is compiled from the graph, the patterns, the traversal
     /// depth and the database's *schema* (it reads the database only to
     /// resolve table and column names), so a data-only delta cannot change
-    /// it — which is what makes sharing it here, and in every derive but
-    /// [`derive_refreshed_graph`](Self::derive_refreshed_graph), sound.
-    pub(crate) fn derive_absorbed(
-        &self,
-        feed: soda_ingest::ChangeFeed,
-        generation: u64,
-    ) -> Result<Self> {
+    /// it — which is what makes sharing it here, and in every successor but
+    /// [`refreshed`](Self::refreshed), sound.
+    pub fn absorbed(&self, feed: soda_ingest::ChangeFeed) -> Result<Self> {
         let mut next = (*self.db).clone();
         let mut index = self.index.clone();
         soda_ingest::absorb(&mut next, index.as_mut(), feed)?;
@@ -205,32 +224,43 @@ impl EngineSnapshot {
             index,
             ..self.share()
         }
-        .stamped(generation))
+        .stamped(self.generation + 1))
     }
 
-    /// Derives a snapshot in which the partitions named by `shards` are
-    /// rebuilt from the *current* base data, folding (and clearing) their
-    /// side logs — a compaction.  Answers are unchanged by construction (the
-    /// database already contains every logged row); the new `generation`
-    /// moves the fingerprint so fingerprint-scoped caches notice.
-    pub(crate) fn derive_compacted(&self, shards: &[usize], generation: u64) -> Self {
+    /// The successor in which the side logs of `shards` are folded into
+    /// partitions rebuilt from the *current* base data — a compaction.
+    /// Answers are unchanged by construction (the database already contains
+    /// every logged row); the new generation moves the fingerprint so
+    /// fingerprint-scoped caches notice.  Shards without a log to fold are
+    /// skipped; `None` when none of the named shards has one, otherwise the
+    /// successor and the shards it folded.
+    pub fn compacted(&self, shards: &[usize]) -> Option<(Self, Vec<usize>)> {
+        let logged = self.shards_with_side_logs();
+        let folded: Vec<usize> = shards
+            .iter()
+            .copied()
+            .filter(|s| logged.contains(s))
+            .collect();
+        if folded.is_empty() {
+            return None;
+        }
         let index = self
             .index
             .as_ref()
-            .map(|index| index.with_rebuilt_shards(&self.db, shards));
-        Self {
+            .map(|index| index.with_rebuilt_shards(&self.db, &folded));
+        let next = Self {
             index,
             ..self.share()
-        }
-        .stamped(generation)
+        };
+        Some((next.stamped(self.generation + 1), folded))
     }
 
-    /// Derives a snapshot over a refreshed metadata graph (unchanged base
+    /// The successor over a refreshed metadata graph (unchanged base
     /// data): the classification index is rebuilt and the join catalog
     /// recompiled (its edges and entry closures are graph-derived and
     /// indexed by the graph's node ids — a stale one would answer for nodes
     /// of another graph); the inverted index and probe counters are shared.
-    pub(crate) fn derive_refreshed_graph(&self, graph: Arc<MetaGraph>, generation: u64) -> Self {
+    pub fn refreshed(&self, graph: Arc<MetaGraph>) -> Self {
         let classification = ClassificationIndex::build(&graph, self.config.use_dbpedia);
         let joins = Arc::new(JoinCatalog::build(
             &graph,
@@ -244,11 +274,11 @@ impl EngineSnapshot {
             joins,
             ..self.share()
         }
-        .stamped(generation)
+        .stamped(self.generation + 1)
     }
 
-    /// Generation stamped at publication (0 when the snapshot never went
-    /// through a [`SnapshotHandle`](crate::SnapshotHandle)).
+    /// Generation stamped at publication: 0 for a fresh build, one more
+    /// than its predecessor's for every successor.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -289,6 +319,11 @@ impl EngineSnapshot {
     /// The engine configuration.
     pub fn config(&self) -> &SodaConfig {
         &self.config
+    }
+
+    /// The metadata-graph patterns this engine was built with.
+    pub fn patterns(&self) -> &SodaPatterns {
+        &self.patterns
     }
 
     /// The join catalog (exposed for experiments and figures).
@@ -384,6 +419,8 @@ impl EngineSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use soda_ingest::ChangeFeed;
+
     use super::*;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -489,5 +526,358 @@ mod tests {
                 });
             }
         });
+    }
+
+    fn minibank(shards: usize) -> EngineSnapshot {
+        let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
+        let config = SodaConfig {
+            shards,
+            ..SodaConfig::default()
+        };
+        EngineSnapshot::build(db, graph, config)
+    }
+
+    fn address_feed(id: i64, city: &str) -> ChangeFeed {
+        ChangeFeed::new().append_row(
+            "addresses",
+            vec![
+                soda_relation::Value::Int(id),
+                soda_relation::Value::Int(1),
+                soda_relation::Value::from("Stream Lane 1"),
+                soda_relation::Value::from(city),
+                soda_relation::Value::from("Switzerland"),
+            ],
+        )
+    }
+
+    #[test]
+    fn succeeding_stamps_the_next_generation() {
+        let live = minibank(4);
+        assert_eq!(live.generation(), 0);
+        let next = minibank(4).succeeding(&live);
+        assert_eq!(next.generation(), 1);
+        assert_ne!(
+            next.cache_fingerprint(),
+            live.cache_fingerprint(),
+            "a successor's generation must change the cache fingerprint"
+        );
+        assert_eq!(minibank(4).succeeding(&next).generation(), 2);
+    }
+
+    #[test]
+    fn a_predecessor_keeps_its_answers_after_a_reload() {
+        let held = minibank(1);
+        let expected = held.search("Sara Guttinger").unwrap();
+        let (db, graph) = soda_warehouse::minibank::build(7).shared_parts();
+        let next = EngineSnapshot::build(db, graph, SodaConfig::default()).succeeding(&held);
+        // The held snapshot still answers exactly as before its successor.
+        assert_eq!(held.search("Sara Guttinger").unwrap(), expected);
+        assert_eq!(held.generation(), 0);
+        assert_eq!(next.generation(), 1);
+    }
+
+    #[test]
+    fn a_replace_absorbed_then_folded_answers_like_a_fresh_build() {
+        let w = soda_warehouse::minibank::build(42);
+        let before = minibank(4);
+        let fp_before = before.cache_fingerprint();
+
+        // Restate `individuals` wholesale: every existing row plus one new
+        // individual.
+        let individuals = w.database.table("individuals").unwrap();
+        let mut rows = individuals.rows().to_vec();
+        let mut row = rows[0].clone();
+        let name_col = individuals
+            .schema()
+            .columns
+            .iter()
+            .position(|c| c.name == "firstname")
+            .unwrap();
+        row[0] = soda_relation::Value::Int(9_999);
+        row[name_col] = soda_relation::Value::from("Zebulon");
+        rows.push(row);
+        let owner = soda_relation::shard_for_table("individuals", 4);
+        let logged = before
+            .absorbed(ChangeFeed::new().replace("individuals", rows))
+            .unwrap();
+        assert_eq!(logged.generation(), 1);
+        let (folded, shards) = logged.compacted(&[owner]).expect("a log to fold");
+        assert_eq!(shards, vec![owner]);
+
+        // Logged or folded, the successor answers exactly like a full build
+        // over the new database and sees the new row.
+        let config = before.config().clone();
+        let fresh = EngineSnapshot::build(folded.database_arc(), Arc::new(w.graph), config);
+        for (after, generation) in [(&logged, 1), (&folded, 2)] {
+            assert_eq!(after.generation(), generation);
+            assert_ne!(after.cache_fingerprint(), fp_before);
+            for query in ["Zebulon", "Sara Guttinger", "wealthy customers"] {
+                assert_eq!(
+                    after.search(query).unwrap(),
+                    fresh.search(query).unwrap(),
+                    "generation {generation} diverged from a full build on '{query}'"
+                );
+            }
+            assert!(!after.search("Zebulon").unwrap().is_empty());
+        }
+        assert!(folded.shards_with_side_logs().is_empty());
+        // The old generation still serves its old view.
+        assert!(before.search("Zebulon").unwrap().is_empty());
+    }
+
+    #[test]
+    fn absorbed_serves_new_rows_without_touching_frozen_partitions() {
+        let before = minibank(4);
+        assert!(before.search("Streamville").unwrap().is_empty());
+
+        let after = before.absorbed(address_feed(900, "Streamville")).unwrap();
+        assert_eq!(after.generation(), 1);
+        assert!(!after.search("Streamville").unwrap().is_empty());
+        // The predecessor still serves its old view.
+        assert!(before.search("Streamville").unwrap().is_empty());
+
+        // No frozen partition was rebuilt: every shard Arc is shared.
+        for (old, new) in before
+            .inverted_index()
+            .unwrap()
+            .shards()
+            .iter()
+            .zip(after.inverted_index().unwrap().shards())
+        {
+            assert!(Arc::ptr_eq(old, new), "absorb must not rebuild partitions");
+        }
+        let owner = soda_relation::shard_for_table("addresses", 4);
+        assert_eq!(after.shards_with_side_logs(), vec![owner]);
+        assert_ne!(after.cache_fingerprint(), before.cache_fingerprint());
+
+        // Byte-identical to a full rebuild over the absorbed database.
+        let config = after.config().clone();
+        let fresh = EngineSnapshot::build(after.database_arc(), after.graph_arc(), config);
+        for query in ["Streamville", "Sara Guttinger", "wealthy customers"] {
+            assert_eq!(
+                after.search(query).unwrap(),
+                fresh.search(query).unwrap(),
+                "'{query}' diverged from full rebuild"
+            );
+        }
+        assert!(after.shard_stats().log_postings[owner] > 0);
+
+        // Side logs are copied on write: the owner's log is a new copy, every
+        // other log is the previous generation's allocation — and so on for
+        // a second feed into the same table.
+        let logs =
+            |snapshot: &EngineSnapshot| snapshot.inverted_index().unwrap().side_logs().to_vec();
+        let copied_logs = |old: &EngineSnapshot, new: &EngineSnapshot| -> Vec<usize> {
+            let pairs = logs(old).into_iter().zip(logs(new)).enumerate();
+            pairs
+                .filter(|(_, (o, n))| !Arc::ptr_eq(o, n))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(copied_logs(&before, &after), vec![owner]);
+        let again = after.absorbed(address_feed(901, "Streamtown")).unwrap();
+        assert_eq!(again.generation(), 2);
+        assert_eq!(copied_logs(&after, &again), vec![owner]);
+        assert!(!again.search("Streamtown").unwrap().is_empty());
+    }
+
+    #[test]
+    fn absorbed_shares_every_untouched_table_with_the_previous_database() {
+        let before = minibank(4);
+        let after = before.absorbed(address_feed(900, "Streamville")).unwrap();
+
+        // Copy-on-write derive: only `addresses` was copied; every other
+        // table of the new database is the *same allocation* as before.
+        let table_count = before.database().table_count();
+        assert_eq!(
+            after.database().tables_shared_with(before.database()),
+            table_count - 1
+        );
+        assert!(!Arc::ptr_eq(
+            before.database().table_arc("addresses").unwrap(),
+            after.database().table_arc("addresses").unwrap()
+        ));
+        for name in before.database().table_names() {
+            if name != "addresses" {
+                assert!(
+                    Arc::ptr_eq(
+                        before.database().table_arc(name).unwrap(),
+                        after.database().table_arc(name).unwrap()
+                    ),
+                    "table '{name}' must be structurally shared across absorb"
+                );
+            }
+        }
+        // The shared-table database still answers like a full rebuild.
+        let fresh = EngineSnapshot::build(
+            after.database_arc(),
+            after.graph_arc(),
+            after.config().clone(),
+        );
+        assert_eq!(
+            after.search("Streamville").unwrap(),
+            fresh.search("Streamville").unwrap()
+        );
+    }
+
+    #[test]
+    fn compacted_folds_side_logs_without_changing_answers() {
+        let logged = minibank(4)
+            .absorbed(address_feed(900, "Streamville"))
+            .unwrap();
+        let owner = soda_relation::shard_for_table("addresses", 4);
+        let expected = logged.search("Streamville").unwrap();
+        assert!(!expected.is_empty());
+
+        let (folded, shards) = logged.compacted(&[0, 1, 2, 3]).expect("a log to fold");
+        assert_eq!((folded.generation(), shards), (2, vec![owner]));
+        assert!(folded.shards_with_side_logs().is_empty());
+        assert_eq!(folded.shard_stats().log_postings, vec![0; 4]);
+        assert_eq!(folded.search("Streamville").unwrap(), expected);
+        // Untouched partitions stay shared between the logged and the
+        // folded generation.
+        for (i, (old, new)) in logged
+            .inverted_index()
+            .unwrap()
+            .shards()
+            .iter()
+            .zip(folded.inverted_index().unwrap().shards())
+            .enumerate()
+        {
+            assert_eq!(Arc::ptr_eq(old, new), i != owner, "shard {i}");
+        }
+
+        // Nothing left to fold: no successor, so no generation is spent.
+        assert!(folded.compacted(&[0, 1, 2, 3]).is_none());
+    }
+
+    #[test]
+    fn a_rejected_feed_has_no_successor_and_leaves_no_generation_gap() {
+        let before = minibank(2);
+        let valid_then_unknown = ChangeFeed::new()
+            .replace("addresses", Vec::new())
+            .replace("no_such_dimension", Vec::new());
+        for bad in [
+            ChangeFeed::new().append_row("no_such_table", vec![]),
+            // The first event is valid on its own: it must not escape either.
+            valid_then_unknown,
+        ] {
+            assert!(before.absorbed(bad).is_err());
+        }
+        // The next accepted feed is the predecessor's direct successor.
+        let next = before.absorbed(address_feed(901, "Gapless")).unwrap();
+        assert_eq!(next.generation(), 1);
+        assert!(!next.search("Gapless").unwrap().is_empty());
+    }
+
+    #[test]
+    fn restored_relands_the_recorded_fingerprint() {
+        let live = minibank(4)
+            .absorbed(address_feed(900, "Streamville"))
+            .unwrap();
+        let expected_fp = live.cache_fingerprint();
+        let answer = live.search("Streamville").unwrap();
+
+        // A "rebooted" build over an equivalent snapshot starts at
+        // generation 0 with a different fingerprint…
+        let rebooted =
+            EngineSnapshot::build(live.database_arc(), live.graph_arc(), live.config().clone());
+        assert_ne!(rebooted.cache_fingerprint(), expected_fp);
+        // …until the checkpoint's generation is restored.
+        let restored = rebooted.restored(live.generation());
+        assert_eq!(restored.generation(), live.generation());
+        assert_eq!(restored.cache_fingerprint(), expected_fp);
+        assert_eq!(restored.search("Streamville").unwrap(), answer);
+        // The sequence continues densely after restoration.
+        let next = restored.absorbed(address_feed(901, "Afterville")).unwrap();
+        assert_eq!(next.generation(), live.generation() + 1);
+    }
+
+    #[test]
+    fn refreshed_keeps_every_inverted_index_partition() {
+        let before = minibank(4);
+        // A refresh bumps the snapshot generation but rebuilds no
+        // inverted-index partition: every one of them is the same allocation
+        // as before.
+        let after = before.refreshed(before.graph_arc());
+        assert_eq!(after.generation(), 1);
+        for (old, new) in before
+            .inverted_index()
+            .unwrap()
+            .shards()
+            .iter()
+            .zip(after.inverted_index().unwrap().shards())
+        {
+            assert!(
+                Arc::ptr_eq(old, new),
+                "a refresh must not rebuild partitions"
+            );
+        }
+        // Generation is folded into the fingerprint even when no partition
+        // changed, so caches keyed on it can distinguish the publications.
+        assert_ne!(after.cache_fingerprint(), before.cache_fingerprint());
+        for query in ["wealthy customers", "Sara Guttinger", "customers Zurich"] {
+            assert_eq!(
+                after.search(query).unwrap(),
+                before.search(query).unwrap(),
+                "'{query}'"
+            );
+        }
+    }
+
+    #[test]
+    fn data_only_swaps_share_the_compiled_join_catalog() {
+        let built = minibank(4);
+        let logged = built.absorbed(address_feed(900, "Streamville")).unwrap();
+        let (folded, _) = logged.compacted(&[0, 1, 2, 3]).expect("a log to fold");
+        for derived in [&logged, &folded] {
+            assert!(std::ptr::eq(built.join_catalog(), derived.join_catalog()));
+        }
+    }
+
+    #[test]
+    fn refreshed_recompiles_the_entry_closures() {
+        let w = soda_warehouse::minibank::build(42);
+        let before = EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph.clone()),
+            SodaConfig::default(),
+        );
+        let concept = w.graph.node("onto/private-customers").unwrap();
+        let discovered = |snapshot: &EngineSnapshot| -> Vec<String> {
+            let catalog = snapshot.join_catalog();
+            let closure = catalog.entry_closure(concept);
+            let names = closure.discovered.iter().map(|&t| catalog.table_name(t));
+            names.map(|name| name.to_string()).collect()
+        };
+        assert_eq!(discovered(&before), ["individuals"]);
+        let stale = before.search("private customers").unwrap();
+        assert!(stale
+            .iter()
+            .all(|r| !r.tables.contains(&"addresses".into())));
+
+        // The concept newly classifies a second table.
+        let mut graph = w.graph;
+        let addresses = graph.node("phys/addresses").unwrap();
+        graph.add_edge(concept, "classifies", addresses);
+        let after = before.refreshed(Arc::new(graph));
+        assert!(!std::ptr::eq(before.join_catalog(), after.join_catalog()));
+        assert_eq!(discovered(&after), ["individuals", "addresses"]);
+        let fresh = after.search("private customers").unwrap();
+        let joined = &fresh[0];
+        assert!(
+            joined.tables.contains(&"individuals".into())
+                && joined.tables.contains(&"addresses".into()),
+            "{:?}",
+            joined.tables
+        );
+        assert!(joined.join_path_complete);
+        assert!(
+            joined.sql.contains("addresses.party_id = individuals.id"),
+            "{}",
+            joined.sql
+        );
+        // The predecessor keeps its own.
+        assert_eq!(discovered(&before), ["individuals"]);
     }
 }

@@ -90,7 +90,7 @@ fn corpus_is_shard_invariant_on_the_enterprise_warehouse() {
 /// — at every shard count, and identical across shard counts.
 #[test]
 fn corpus_is_invariant_with_live_side_logs() {
-    use soda_core::{ChangeFeed, SnapshotHandle, Value};
+    use soda_core::{ChangeFeed, Value};
 
     let (db, graph) = minibank::build(42).shared_parts();
     let individual = {
@@ -132,13 +132,9 @@ fn corpus_is_invariant_with_live_side_logs() {
             shards,
             ..SodaConfig::default()
         };
-        let handle = SnapshotHandle::new(Arc::new(EngineSnapshot::build(
-            Arc::clone(&db),
-            Arc::clone(&graph),
-            config.clone(),
-        )));
-        handle.absorb(feed.clone()).expect("feed absorbs");
-        let absorbed = handle.load();
+        let absorbed = EngineSnapshot::build(Arc::clone(&db), Arc::clone(&graph), config.clone())
+            .absorbed(feed.clone())
+            .expect("feed absorbs");
         assert!(
             !absorbed.shards_with_side_logs().is_empty(),
             "the probes below must exercise live side logs"

@@ -22,8 +22,8 @@ use crate::event::{ChangeFeed, RowEvent};
 /// On any error (unknown table, arity or type violation) the feed is
 /// abandoned mid-way; callers are expected to pass *copies* of their
 /// published database and index and to discard them on `Err`, so no
-/// partial state ever escapes — exactly how `soda_core::SnapshotHandle::absorb`
-/// drives it.
+/// partial state ever escapes — exactly how
+/// `soda_core::EngineSnapshot::absorbed` drives it.
 pub fn absorb(
     db: &mut Database,
     mut index: Option<&mut ShardedInvertedIndex>,

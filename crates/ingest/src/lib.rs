@@ -21,10 +21,10 @@
 //!   shard and side log on the fly — generated SQL stays byte-identical to
 //!   a fully rebuilt snapshot at every shard count.
 //!
-//! Publishing is the hot-swap layer's: `soda_core::SnapshotHandle::{absorb,
-//! compact}` publish log-bearing and log-folded snapshot generations, and
-//! `soda_service::TenantAdmin::{ingest_owned, compact}` drive the whole
-//! loop, journaled, under live traffic.  A log is folded back into a
+//! Publishing is the hot-swap layer's: `soda_core::EngineSnapshot::{absorbed,
+//! compacted}` derive log-bearing and log-folded successor generations, and
+//! `soda_service::TenantAdmin::{ingest_owned, compact}` publish them,
+//! journaled, under live traffic.  A log is folded back into a
 //! rebuilt partition only when the operator calls `compact`.
 //!
 //! ```

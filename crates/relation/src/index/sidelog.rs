@@ -29,7 +29,7 @@
 //! in the masks and in the shard routing — so a name the catalog resolves
 //! is a name the log recognises.
 //!
-//! A log grows until someone folds it: `soda_core::SnapshotHandle::compact`
+//! A log grows until someone folds it: `soda_core::EngineSnapshot::compacted`
 //! rebuilds its partition from the current base data, after which the log
 //! is empty again.
 

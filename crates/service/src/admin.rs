@@ -59,14 +59,14 @@ impl TenantAdmin<'_> {
 
     /// Generation of the snapshot this tenant currently serves.
     pub fn generation(&self) -> u64 {
-        self.tenant.handle.generation()
+        self.tenant.snapshot().generation()
     }
 
     /// The engine snapshot this tenant currently serves.  A subsequent
     /// [`reload`](Self::reload) does not invalidate the returned `Arc`; it
     /// just stops being what new submissions see.
     pub fn engine(&self) -> Arc<EngineSnapshot> {
-        self.tenant.handle.load()
+        self.tenant.snapshot()
     }
 
     /// Counts one snapshot swap and logs it as a `kind` event.
@@ -80,19 +80,21 @@ impl TenantAdmin<'_> {
     /// the generation they pinned at submission, new submissions see the new
     /// one.  The tenant's cached pages of superseded generations are purged
     /// (they would be unaddressable anyway — the fingerprint in their key no
-    /// longer matches); other tenants' pages are untouched.  Returns the
-    /// new generation.
+    /// longer matches); other tenants' pages are untouched.  The snapshot
+    /// is published as the live one's successor
+    /// ([`EngineSnapshot::succeeding`]); returns the new generation.
     pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
         let tenant = &self.tenant;
         let mut writer = tenant.writer();
-        let before = tenant.handle.load();
-        let generation = tenant.handle.publish(snapshot);
+        let before = tenant.snapshot();
+        let after = writer.publish(snapshot.succeeding(&before));
+        let generation = after.generation();
         self.swapped("reload", format!("generation {generation}"));
-        retain_unaffected(self.shared, tenant, &before, None);
+        retain_unaffected(self.shared, tenant, &before, &after, None);
         // The reload replaced data the journal knows nothing about: record
         // the *entire* live database (plus the new generation), so the next
         // recovery lands on the reloaded content whatever base it is given.
-        if let Some(journal) = writer.as_mut() {
+        if let Some(journal) = writer.journal.as_mut() {
             write_checkpoint(self.shared, tenant, journal, true);
         }
         generation
@@ -100,20 +102,20 @@ impl TenantAdmin<'_> {
 
     /// Metadata hot swap for this tenant: rebuilds the classification index
     /// and join catalog against a refreshed graph, keeping the base data and
-    /// the inverted index — see
-    /// [`SnapshotHandle::refresh_graph`](soda_core::SnapshotHandle::refresh_graph).
-    /// Returns the new generation.
+    /// the inverted index — see [`EngineSnapshot::refreshed`].  Returns the
+    /// new generation.
     pub fn refresh_graph(&self, graph: Arc<MetaGraph>) -> u64 {
         let tenant = &self.tenant;
         let mut writer = tenant.writer();
-        let before = tenant.handle.load();
-        let generation = tenant.handle.refresh_graph(graph);
+        let before = tenant.snapshot();
+        let after = writer.publish(before.refreshed(graph));
+        let generation = after.generation();
         self.swapped("refresh_graph", format!("generation {generation}"));
-        retain_unaffected(self.shared, tenant, &before, None);
+        retain_unaffected(self.shared, tenant, &before, &after, None);
         // The graph is not journaled (recovery receives it as an argument)
         // and no row changed, but the generation moved: checkpoint the dirty
         // tables so a recovery restores the post-refresh fingerprint.
-        if let Some(journal) = writer.as_mut() {
+        if let Some(journal) = writer.journal.as_mut() {
             write_checkpoint(self.shared, tenant, journal, false);
         }
         generation
@@ -122,9 +124,10 @@ impl TenantAdmin<'_> {
     /// The one way base data changes under this tenant's snapshot: absorbs
     /// a row-level change feed (appends, wholesale replacements,
     /// truncations) into per-shard side logs without rebuilding any index
-    /// partition.  On a durable service the feed is journaled write-ahead
-    /// to **this tenant's** journal.  Returns the generation the feed was
-    /// absorbed at.
+    /// partition ([`EngineSnapshot::absorbed`]).  On a durable service the
+    /// feed is journaled write-ahead to **this tenant's** journal.  Returns
+    /// the generation the feed was absorbed at; a feed the engine rejects
+    /// publishes nothing.
     ///
     /// The feed is taken by value (its rows move into the new generation
     /// instead of being cloned out of a borrow); the write-ahead journal
@@ -139,10 +142,10 @@ impl TenantAdmin<'_> {
     pub fn ingest_owned(&self, feed: ChangeFeed) -> Result<u64, ServiceError> {
         let (shared, tenant) = (self.shared, &self.tenant);
         if feed.is_empty() {
-            return Ok(tenant.handle.generation());
+            return Ok(tenant.snapshot().generation());
         }
         let mut writer = tenant.writer();
-        let before = tenant.handle.load();
+        let before = tenant.snapshot();
         let dirty = before.shards_for_tables(&feed.tables());
         let described = feed.describe();
         let (events, rows) = (feed.len() as u64, feed.row_count() as u64);
@@ -151,7 +154,7 @@ impl TenantAdmin<'_> {
         // after a crash.  If the append fails the feed is not absorbed at
         // all; if the engine then rejects it, the journaled record is
         // deterministically re-rejected on replay — harmless either way.
-        if let Some(d) = writer.as_mut() {
+        if let Some(d) = writer.journal.as_mut() {
             let appended = d
                 .journal
                 .append_feed(&feed)
@@ -164,7 +167,8 @@ impl TenantAdmin<'_> {
             }
             shared.event("journal_append", &tenant.id, format!("{appended} bytes"));
         }
-        let generation = tenant.handle.absorb(feed).map_err(ServiceError::Engine)?;
+        let after = writer.publish(before.absorbed(feed).map_err(ServiceError::Engine)?);
+        let generation = after.generation();
         shared.event(
             "ingest",
             &tenant.id,
@@ -176,20 +180,21 @@ impl TenantAdmin<'_> {
             facts.ingest_events += events;
             facts.ingest_rows += rows;
         }
-        retain_unaffected(shared, tenant, &before, Some(&dirty));
+        retain_unaffected(shared, tenant, &before, &after, Some(&dirty));
         Ok(generation)
     }
 
     /// Folds this tenant's ingestion side logs of `shards` into rebuilt
     /// partitions (answers unchanged by construction; see
-    /// [`SnapshotHandle::compact`](soda_core::SnapshotHandle::compact)).
-    /// Returns the new generation, or `None` when none of the named shards had
-    /// a log to fold.
+    /// [`EngineSnapshot::compacted`]).  Returns the new generation, or `None`
+    /// when none of the named shards had a log to fold.
     pub fn compact(&self, shards: &[usize]) -> Option<u64> {
         let (shared, tenant) = (self.shared, &self.tenant);
         let mut writer = tenant.writer();
-        let before = tenant.handle.load();
-        let (generation, folded) = tenant.handle.compact(shards)?;
+        let before = tenant.snapshot();
+        let (next, folded) = before.compacted(shards)?;
+        let after = writer.publish(next);
+        let generation = after.generation();
         shared.event(
             "compaction",
             &tenant.id,
@@ -200,12 +205,12 @@ impl TenantAdmin<'_> {
         // provably unaffected page over; pages whose probes had candidates in a
         // folded shard are recomputed (conservative — their hits merely moved
         // from the log into the frozen partition).
-        retain_unaffected(shared, tenant, &before, Some(&folded));
+        retain_unaffected(shared, tenant, &before, &after, Some(&folded));
         // The fold changed no rows, so the dirty set is already right — but the
         // generation moved and the side logs are gone: a checkpoint here both keeps
         // recovery fingerprints current and truncates the journal (the feeds it
         // replaces are exactly the ones the fold absorbed into the partitions).
-        if let Some(journal) = writer.as_mut() {
+        if let Some(journal) = writer.journal.as_mut() {
             write_checkpoint(shared, tenant, journal, false);
         }
         Some(generation)
@@ -225,7 +230,7 @@ impl TenantAdmin<'_> {
 }
 
 /// The one post-swap cache pass, for every swap of one tenant from `before`
-/// to the live snapshot.  For a *data-only* swap (ingest, compaction) the
+/// to `after`, the snapshot just published.  For a *data-only* swap (ingest, compaction) the
 /// two differ only in the `dirty` shards: pages keyed by `before`'s
 /// fingerprint `prev` whose recorded probes provably answer the same in
 /// both snapshots ([`RetentionGate`]) are re-keyed to the tenant's live
@@ -241,12 +246,12 @@ fn retain_unaffected(
     shared: &Shared,
     tenant: &TenantState,
     before: &EngineSnapshot,
+    after: &EngineSnapshot,
     dirty: Option<&[usize]>,
 ) {
-    let after = tenant.handle.load();
     let prev = tenant.id.fold(before.cache_fingerprint());
     let live = tenant.id.fold(after.cache_fingerprint());
-    let mut gate = dirty.map(|dirty| RetentionGate::new(before, &after, dirty));
+    let mut gate = dirty.map(|dirty| RetentionGate::new(before, after, dirty));
     let mut store = shared.store.lock().expect("store poisoned");
     store.cache.rekey(|key, entry| {
         if key.snapshot_fingerprint != prev || prev == live {
@@ -323,7 +328,7 @@ impl<'a> RetentionGate<'a> {
 
 #[cfg(test)]
 mod tests {
-    use soda_core::{ProbeRecorder, SearchOptions, SnapshotHandle, SodaConfig};
+    use soda_core::{ProbeRecorder, SearchOptions, SodaConfig};
 
     use super::*;
     use crate::service::tests::{address_feed, admin, minibank_service};
@@ -577,7 +582,7 @@ mod tests {
 
     #[test]
     fn the_gate_compares_each_probe_across_both_snapshots() {
-        let handle = SnapshotHandle::new(Arc::new(minibank_snapshot(8)));
+        let before = minibank_snapshot(8);
         let deps = |snapshot: &EngineSnapshot, input: &str| {
             let recorder = ProbeRecorder::new();
             let options = SearchOptions {
@@ -587,14 +592,12 @@ mod tests {
             snapshot.search_with(input, &options).unwrap();
             recorder.into_deps()
         };
-        let before = handle.load();
         let sara = deps(&before, "Sara Guttinger");
         assert!(!sara.is_empty(), "the query probes the base data");
         let nowhere = deps(&before, "Retainville");
         assert!(nowhere.iter().any(|dep| dep.token.is_none()));
 
-        handle.absorb(address_feed(900, "Retainville")).unwrap();
-        let after = handle.load();
+        let after = before.absorbed(address_feed(900, "Retainville")).unwrap();
         let retains = |dirty: &[usize], deps: &[ProbeDep]| {
             RetentionGate::new(&before, &after, dirty).retains(deps)
         };
@@ -605,6 +608,42 @@ mod tests {
         // A partition holding the page's candidates is never clean.
         let individuals = after.shards_for_tables(&["individuals".to_string()]);
         assert!(!retains(&individuals, &sara));
+    }
+
+    #[test]
+    fn concurrent_writers_on_one_tenant_get_dense_generations() {
+        let service = sharded_service(4);
+        let addresses = |service: &QueryService| {
+            let engine = service.engine();
+            engine.database().table("addresses").unwrap().row_count()
+        };
+        let rows_before = addresses(&service);
+        let generations: Vec<u64> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|writer| {
+                    let admin = admin(&service);
+                    scope.spawn(move || {
+                        let mut published = Vec::new();
+                        for i in 0..8 {
+                            let feed = address_feed(1_000 + 100 * writer + i, "Denseville");
+                            published.push(admin.ingest_owned(feed).unwrap());
+                            if i % 3 == 2 {
+                                published.extend(admin.compact(&[0, 1, 2, 3]));
+                            }
+                        }
+                        published
+                    })
+                })
+                .collect();
+            let joined = writers.into_iter().map(|w| w.join().unwrap());
+            joined.flatten().collect()
+        });
+        let mut sorted = generations;
+        sorted.sort_unstable();
+        let n = sorted.len() as u64;
+        assert_eq!(sorted, (1..=n).collect::<Vec<u64>>());
+        assert_eq!(service.generation(), n);
+        assert_eq!(addresses(&service), rows_before + 16);
     }
 
     #[test]

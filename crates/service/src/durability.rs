@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use soda_core::codec::{decode_page, decode_probe_dep, encode_page, encode_probe_dep};
-use soda_core::{Database, EngineSnapshot, MetaGraph, SnapshotHandle, SodaConfig, TenantId};
+use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig, TenantId};
 use soda_journal::frame::{read_frame_file, write_frame_file};
 use soda_journal::{journal_path, Checkpoint, FeedJournal, FsyncPolicy};
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
@@ -82,14 +82,15 @@ pub(crate) enum RecoveryBase {
     /// A warehouse no engine was built over yet (the default tenant's boot).
     Warehouse(Arc<Database>, Arc<MetaGraph>, SodaConfig),
     /// A prebuilt engine (`add_tenant`), served as is when the journal
-    /// holds no checkpoint.
+    /// holds no checkpoint, and rebuilt with its patterns when it does.
     Engine(Arc<EngineSnapshot>),
 }
 
 /// The one recovery path: opens (or creates) `tenant`'s feed journal under
-/// `dir` and replays it over `base` — the latest checkpoint's tables land
-/// over the base database and its generation is restored, then
-/// every feed appended after it is re-absorbed in order.  The journal
+/// `dir` and folds it over `base` into the snapshot to serve — the latest
+/// checkpoint's tables land over the base database and its generation is
+/// [`restored`](EngineSnapshot::restored), then every feed appended after
+/// it is [`absorbed`](EngineSnapshot::absorbed) in order.  The journal
 /// header is stamped with the engine-configuration and tenant fingerprints
 /// (0 for the default tenant), so a foreign journal is refused and one
 /// tenant's history can never replay into another's snapshot.  `base` must
@@ -99,7 +100,7 @@ pub(crate) fn recover_journal(
     tenant: &TenantId,
     fsync: FsyncPolicy,
     base: RecoveryBase,
-) -> Result<(SnapshotHandle, DurabilityState, RecoveryReport), ServiceError> {
+) -> Result<(Arc<EngineSnapshot>, DurabilityState, RecoveryReport), ServiceError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| ServiceError::Durability(format!("creating {}: {e}", dir.display())))?;
     let (db, graph, config, prebuilt) = match base {
@@ -130,10 +131,10 @@ pub(crate) fn recover_journal(
     // did not record keeps its base content (which is why checkpoints
     // re-record every table ever touched).
     let mut dirty_tables = BTreeSet::new();
-    let engine = match (&checkpoint, prebuilt) {
+    let mut engine = match (&checkpoint, prebuilt) {
         (None, Some(engine)) => engine,
         (None, None) => Arc::new(EngineSnapshot::build(db, graph, config)),
-        (Some(cp), _) => {
+        (Some(cp), prebuilt) => {
             let mut db = (*db).clone();
             for (name, rows) in &cp.tables {
                 let failed = |e: soda_relation::RelationError| {
@@ -146,21 +147,20 @@ pub(crate) fn recover_journal(
                 dirty_tables.insert(name.clone());
             }
             report.checkpoint_applied = true;
-            Arc::new(EngineSnapshot::build(Arc::new(db), graph, config))
+            let patterns = prebuilt.map(|e| e.patterns().clone()).unwrap_or_default();
+            let built = EngineSnapshot::with_patterns(Arc::new(db), graph, config, patterns);
+            Arc::new(built.restored(cp.generation))
         }
     };
-    let handle = SnapshotHandle::new(engine);
-    if let Some(cp) = &checkpoint {
-        handle.restore_generation(cp.generation);
-    }
     for feed in feeds {
         // A replay rejection is deterministic — the feed was rejected when
         // first ingested too (it reached the journal write-ahead) — so it
         // is counted, not fatal.  Feeds are consumed: replay moves rows
         // through the same copy-on-write path as live ingestion.
         let tables = feed.tables();
-        match handle.absorb(feed) {
-            Ok(_) => {
+        match engine.absorbed(feed) {
+            Ok(next) => {
+                engine = Arc::new(next);
                 report.replayed_feeds += 1;
                 dirty_tables.extend(tables);
             }
@@ -172,7 +172,7 @@ pub(crate) fn recover_journal(
         config_fingerprint,
         dirty_tables,
     };
-    Ok((handle, state, report))
+    Ok((engine, state, report))
 }
 
 /// Serializes one warm cache entry for the page-cache file: the full key
@@ -276,7 +276,7 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
     };
     let tenant = shared.tenants.default_tenant();
     let writer = tenant.writer();
-    let Some(d) = writer.as_ref() else {
+    let Some(d) = writer.journal.as_ref() else {
         return;
     };
     let live = tenant.folded_live();
@@ -311,7 +311,7 @@ pub(crate) fn write_checkpoint(
     d: &mut DurabilityState,
     mark_all_tables: bool,
 ) {
-    let snapshot = tenant.handle.load();
+    let snapshot = tenant.snapshot();
     let db = snapshot.database();
     if mark_all_tables {
         d.dirty_tables

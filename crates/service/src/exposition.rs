@@ -334,7 +334,7 @@ impl QueryService {
         let mut tenants = Vec::with_capacity(hosted.len());
         for (t, queue_depth) in hosted.iter().zip(lane_depths) {
             let name = t.id.as_str().to_string();
-            let generation = t.handle.generation();
+            let generation = t.snapshot().generation();
             let facts = t.facts();
             e2e.merge(&facts.e2e);
             latency.merge(&facts.latency);
@@ -363,12 +363,12 @@ impl QueryService {
         }
         let completed = e2e.count();
         let total = |field: fn(&TenantMetrics) -> u64| tenants.iter().map(field).sum::<u64>();
-        // Re-sampled from the live handle on every call (not captured at
+        // Re-sampled from the live snapshot on every call (not captured at
         // construction), so the per-shard gauges and the generation always
         // describe the snapshot that is serving *now*, including after a
         // swap.  The top-level figures describe the default tenant; the
         // per-tenant split is in `tenants`.
-        let snapshot = self.shared.tenants.default_tenant().handle.load();
+        let snapshot = self.shared.tenants.default_tenant().snapshot();
         let uptime_secs = uptime.as_secs_f64();
         let metrics = ServiceMetrics {
             uptime,

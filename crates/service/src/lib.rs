@@ -11,8 +11,8 @@
 //! one metrics table — in these modules, all `std`-only:
 //!
 //! * [`service`] — [`QueryService`], a bounded worker pool over per-tenant
-//!   hot-swappable [`EngineSnapshot`](soda_core::EngineSnapshot)s
-//!   ([`soda_core::SnapshotHandle`]) with a single request surface: build a
+//!   hot-swappable [`EngineSnapshot`](soda_core::EngineSnapshot)s (each
+//!   tenant publishes its own) with a single request surface: build a
 //!   [`QueryRequest`] (optionally [`.tenant(..)`](QueryRequest::tenant)),
 //!   pass it to [`query`](QueryService::query), get a [`JobHandle`] that
 //!   yields a [`QueryResponse`].  The worker pool is the one place the
@@ -37,10 +37,11 @@
 //!   [`QueryService::add_tenant`] alike — into byte-identical answers, and
 //!   a graceful drain persists the default tenant's warm cache pages.
 //! * [`tenants`] — [`TenantRegistry`]: further warehouses registered at
-//!   runtime, each with its own snapshot handle, queue lane, admission
+//!   runtime, each with its own live snapshot, queue lane, admission
 //!   quota and journal, while the worker pool and the cache stay shared.
-//!   A tenant keeps its own state under two locks: its writer (swaps and
-//!   the journal) and its facts (every latency, counter and alert state).
+//!   A tenant keeps its own state under three locks: its writer (swaps and
+//!   the journal; the only publisher), its live snapshot and its facts
+//!   (every latency, counter and alert state).
 //!   Cache keys fold the tenant
 //!   fingerprint ([`TenantId::fold`]), so tenants share one LRU without any
 //!   possibility of cross-tenant hits.

@@ -38,7 +38,7 @@
 //!
 //! One service hosts many tenants: the boot snapshot is the **default**
 //! tenant, and [`QueryService::add_tenant`] registers further warehouses at
-//! runtime (each wrapped in its own [`SnapshotHandle`], tracked by the
+//! runtime (each with its own live snapshot, tracked by the
 //! [`TenantRegistry`]).  All tenants share
 //! the worker pool, the queue and the cache — isolation comes from keys and
 //! quotas, not duplication:
@@ -129,8 +129,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use soda_core::{
-    normalize_query, Database, EngineSnapshot, MetaGraph, ProbeDep, ResultPage, SnapshotHandle,
-    SodaConfig, StepTimings, TenantId,
+    normalize_query, Database, EngineSnapshot, MetaGraph, ProbeDep, ResultPage, SodaConfig,
+    StepTimings, TenantId,
 };
 use soda_journal::tenant_journal_dir;
 use soda_trace::{
@@ -395,24 +395,23 @@ pub struct QueryService {
 
 impl QueryService {
     /// Starts the worker pool over a shared engine snapshot, which becomes
-    /// the **default tenant**'s warehouse (wrapped in a [`SnapshotHandle`]
-    /// internally, so it can be reloaded later without restarting the
-    /// pool).  Further tenants join through
+    /// the **default tenant**'s live snapshot (so it can be reloaded later
+    /// without restarting the pool).  Further tenants join through
     /// [`add_tenant`](Self::add_tenant).
     ///
     /// Process-wide side effect, here and in [`recover`](Self::recover): on
     /// glibc the first service started raises the allocator's trim threshold
     /// (see `heap.rs`), so freed memory stays with the process.
     pub fn start(engine: Arc<EngineSnapshot>, config: ServiceConfig) -> Self {
-        Self::start_with(SnapshotHandle::new(engine), config, None, None)
+        Self::start_with(engine, config, None, None)
     }
 
     /// The constructor shared by [`start`](Self::start) and
-    /// [`recover`](Self::recover): wraps an already-prepared handle (recovery
-    /// restores generation stamps and replays feeds before any worker
-    /// exists) and spawns the pool.
+    /// [`recover`](Self::recover): serves an already-prepared snapshot
+    /// (recovery restores generation stamps and replays feeds before any
+    /// worker exists) and spawns the pool.
     fn start_with(
-        handle: SnapshotHandle,
+        engine: Arc<EngineSnapshot>,
         config: ServiceConfig,
         journal: Option<(DurabilityState, &RecoveryReport)>,
         durability_config: Option<DurabilityConfig>,
@@ -420,7 +419,7 @@ impl QueryService {
         crate::heap::retain_freed_heap();
         let default = Arc::new(TenantState::new(
             TenantId::default(),
-            handle,
+            engine,
             journal,
             &config,
         ));
@@ -486,16 +485,16 @@ impl QueryService {
         service: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        let (handle, state, mut report) = recover_journal(
+        let (engine, state, mut report) = recover_journal(
             &durability.dir,
             &TenantId::default(),
             durability.fsync,
             RecoveryBase::Warehouse(base_db, graph, config),
         )?;
-        let live = handle.load().cache_fingerprint();
+        let live = engine.cache_fingerprint();
         let restored = load_cache_pages(&durability, &state, &mut report, live);
         let journal = Some((state, &report));
-        let service = Self::start_with(handle, service, journal, Some(durability));
+        let service = Self::start_with(engine, service, journal, Some(durability));
         {
             // The file was written oldest-first, so sequential re-insertion
             // reproduces the drained cache's recency order.
@@ -526,11 +525,12 @@ impl QueryService {
 
     /// Registers a new tenant: `engine` becomes what queries routed via
     /// [`QueryRequest::tenant`] are answered from.  The tenant gets its own
-    /// [`SnapshotHandle`] (so its reloads and ingests never block another
-    /// tenant's), its own queue lane and quota, and — on a durable service —
-    /// its own write-ahead journal under `tenants/<name>-<fingerprint>/`,
-    /// which is replayed over `engine` right here (so a re-registered
-    /// tenant resumes exactly where its journaled history left off).
+    /// live snapshot and writer lock (so its reloads and ingests never
+    /// block another tenant's), its own queue lane and quota, and — on a
+    /// durable service — its own write-ahead journal under
+    /// `tenants/<name>-<fingerprint>/`, which is replayed over `engine`
+    /// right here (so a re-registered tenant resumes exactly where its
+    /// journaled history left off).
     ///
     /// Rejects the default id with [`ServiceError::TenantExists`] (the
     /// default tenant always exists), any already-registered id, and an id
@@ -562,18 +562,18 @@ impl QueryService {
         // fingerprint collides with `0` would otherwise map onto the
         // default tenant's top-level journal.
         self.shared.tenants.validate_new(&id)?;
-        let (handle, journal, report) = match &self.shared.durability_config {
+        let (engine, journal, report) = match &self.shared.durability_config {
             Some(config) => {
                 let dir = tenant_journal_dir(&config.dir, id.as_str(), id.fingerprint());
-                let (handle, state, report) =
+                let (engine, state, report) =
                     recover_journal(&dir, &id, config.fsync, RecoveryBase::Engine(engine))?;
-                (handle, Some(state), report)
+                (engine, Some(state), report)
             }
-            None => (SnapshotHandle::new(engine), None, RecoveryReport::default()),
+            None => (engine, None, RecoveryReport::default()),
         };
         let tenant = Arc::new(TenantState::new(
             id,
-            handle,
+            engine,
             journal.map(|state| (state, &report)),
             &self.shared.config,
         ));
@@ -680,7 +680,7 @@ impl QueryService {
     ) -> Result<(Arc<TenantState>, Arc<EngineSnapshot>, CacheKey), ServiceError> {
         let tenant = self.shared.tenants.resolve(&request.tenant)?;
         let normalized = normalize_query(&request.input).map_err(ServiceError::Engine)?;
-        let engine = tenant.handle.load();
+        let engine = tenant.snapshot();
         let key = CacheKey {
             normalized: normalized.into(),
             snapshot_fingerprint: tenant.id.fold(engine.cache_fingerprint()),
@@ -700,12 +700,12 @@ impl QueryService {
     /// stops being what new submissions see.  Other tenants' snapshots are
     /// reached through [`admin`](Self::admin).
     pub fn engine(&self) -> Arc<EngineSnapshot> {
-        self.shared.tenants.default_tenant().handle.load()
+        self.shared.tenants.default_tenant().snapshot()
     }
 
     /// Generation of the snapshot the default tenant currently serves.
     pub fn generation(&self) -> u64 {
-        self.shared.tenants.default_tenant().handle.generation()
+        self.shared.tenants.default_tenant().snapshot().generation()
     }
 }
 

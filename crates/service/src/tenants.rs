@@ -7,19 +7,21 @@
 //! own write-ahead feed journal.  The pieces here keep those tenants
 //! isolated without duplicating the machinery:
 //!
-//! * [`TenantRegistry`] — maps a [`TenantId`] to its live
-//!   [`SnapshotHandle`] plus the per-tenant
-//!   counters.  The default tenant always exists (it is the service's boot
-//!   snapshot); further tenants are registered at runtime through
+//! * [`TenantRegistry`] — maps a [`TenantId`] to its serving state: the
+//!   live snapshot plus the per-tenant counters.  The default tenant always
+//!   exists (it is the service's boot snapshot); further tenants are
+//!   registered at runtime through
 //!   [`QueryService::add_tenant`](crate::QueryService::add_tenant).
 //! * `TenantState` (private) — one tenant's serving state under exactly
-//!   two locks.  `writer` serializes the tenant's swaps (so two tenants can
+//!   three locks.  `writer` serializes the tenant's swaps (so two tenants can
 //!   reload concurrently) and, on a durable service, *is* the tenant's
-//!   journal.  `facts` holds everything the tenant's answers and writes
+//!   journal; its guard, `Writer`, is the only thing that publishes.
+//!   `live` is the published snapshot, held for one refcount bump or one
+//!   store.  `facts` holds everything the tenant's answers and writes
 //!   record: the latency histograms, the SLO window and its alert states,
 //!   the kept-trace ring, the journal figures and the counters surfaced by
 //!   [`ServiceMetrics::tenants`](crate::ServiceMetrics).  Lock order:
-//!   writer → store; facts is a leaf.
+//!   writer → store; `live` and `facts` are leaves.
 //! * [`TenantAdmin`](crate::TenantAdmin) (in [`crate::admin`]) — the
 //!   mutation facade returned by
 //!   [`QueryService::admin`](crate::QueryService::admin): every operation
@@ -33,7 +35,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use soda_core::{SnapshotHandle, TenantId};
+use soda_core::{EngineSnapshot, TenantId};
 use soda_trace::hist::LogHistogram;
 use soda_trace::{BoundedLog, Sampler};
 
@@ -48,22 +50,23 @@ use crate::slo::{AlertState, SloWindow, RESOLUTION, SLOW_WINDOW};
 /// tenants draw independent — but individually reproducible — sequences.
 const SAMPLING_SEED: u64 = 0x50DA;
 
-/// One tenant's serving state: identity, snapshot, sampler, and its two
-/// locks — the writer (swaps and the journal) and the facts.
+/// One tenant's serving state: identity, snapshot, sampler, and its three
+/// locks — the writer (swaps and the journal), the live snapshot and the
+/// facts.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
-    /// The tenant's swappable current snapshot.  Submissions load it once and
-    /// pin what they got; the [`TenantAdmin`](crate::TenantAdmin) paths
-    /// publish replacements.
-    pub(crate) handle: SnapshotHandle,
     /// Serializes this tenant's swap paths (reload, graph refresh, ingest,
-    /// compaction) so each one's pre-swap fingerprint capture, the journal
-    /// write, the handle publication and the cache retention/purge form one
-    /// atomic episode.  The guarded value is the tenant's journal (`None` on
-    /// a non-durable service), so only a writer can touch it.  Per-tenant
-    /// on purpose: tenant A's reload never blocks tenant B's ingest.  Taken
-    /// before the store lock, never after it.
+    /// compaction) so each one's pre-swap snapshot, the journal write, the
+    /// publication and the cache retention/purge form one atomic episode.
+    /// The guarded value is the tenant's journal (`None` on a non-durable
+    /// service), so only a writer can touch it.  Per-tenant on purpose:
+    /// tenant A's reload never blocks tenant B's ingest.  Taken before the
+    /// store lock, never after it.
     writer: Mutex<Option<DurabilityState>>,
+    /// The snapshot the tenant serves.  Submissions load it once and pin
+    /// what they got; only [`Writer::publish`] replaces it.  A leaf, held
+    /// for one refcount bump or one store.
+    live: Mutex<Arc<EngineSnapshot>>,
     /// Decides which answered queries keep their span tree — present when
     /// `ServiceConfig::sampling` or `ServiceConfig::slow_query_threshold`
     /// is set.
@@ -119,7 +122,7 @@ pub(crate) struct TenantFacts {
 impl TenantState {
     pub(crate) fn new(
         id: TenantId,
-        handle: SnapshotHandle,
+        live: Arc<EngineSnapshot>,
         durability: Option<(DurabilityState, &RecoveryReport)>,
         config: &ServiceConfig,
     ) -> Self {
@@ -164,18 +167,29 @@ impl TenantState {
         };
         Self {
             id,
-            handle,
             writer: Mutex::new(journal),
+            live: Mutex::new(live),
             sampler,
             facts: Mutex::new(facts),
         }
     }
 
-    /// The tenant's writer lock, whose guard is its journal.  Hold it for
-    /// the whole of one swap; take the store lock under it, never the
-    /// other way round.
-    pub(crate) fn writer(&self) -> MutexGuard<'_, Option<DurabilityState>> {
-        self.writer.lock().expect("tenant writer poisoned")
+    /// The tenant's writer lock, whose guard is its journal and its one
+    /// way to publish.  Hold it for the whole of one swap; take the store
+    /// lock under it, never the other way round.
+    pub(crate) fn writer(&self) -> Writer<'_> {
+        Writer {
+            live: &self.live,
+            journal: self.writer.lock().expect("tenant writer poisoned"),
+        }
+    }
+
+    /// The snapshot this tenant serves now.  The `Arc` stays coherent for
+    /// as long as the caller holds it, whatever is published meanwhile —
+    /// what a query pins for its whole pipeline run.  Under the writer
+    /// lock it is the snapshot the next publication succeeds.
+    pub(crate) fn snapshot(&self) -> Arc<EngineSnapshot> {
+        Arc::clone(&self.live.lock().expect("tenant snapshot poisoned"))
     }
 
     /// The tenant's facts, locked.  Hold the guard for a few field updates
@@ -188,7 +202,28 @@ impl TenantState {
     /// *now* — what a submission arriving this instant would key its cache
     /// entry by.
     pub(crate) fn folded_live(&self) -> u64 {
-        self.id.fold(self.handle.load().cache_fingerprint())
+        self.id.fold(self.snapshot().cache_fingerprint())
+    }
+}
+
+/// A guard of one tenant's writer lock: the proof that its holder is the
+/// tenant's one writer, and the only way to replace the live snapshot.
+pub(crate) struct Writer<'a> {
+    live: &'a Mutex<Arc<EngineSnapshot>>,
+    /// The tenant's journal (`None` on a non-durable service).
+    pub(crate) journal: MutexGuard<'a, Option<DurabilityState>>,
+}
+
+impl Writer<'_> {
+    /// Publishes `next` — a successor of the live snapshot, which stamped
+    /// its own generation — and returns it.  In-flight readers finish on
+    /// whatever they pinned; new submissions see `next`.
+    pub(crate) fn publish(&self, next: EngineSnapshot) -> Arc<EngineSnapshot> {
+        let next = Arc::new(next);
+        let mut live = self.live.lock().expect("tenant snapshot poisoned");
+        debug_assert_eq!(next.generation(), live.generation() + 1);
+        *live = Arc::clone(&next);
+        next
     }
 }
 

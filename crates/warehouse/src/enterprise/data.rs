@@ -484,7 +484,7 @@ pub fn populate_scaled(db: &mut Database, seed: u64, scale: f64, dimension_scale
 /// "Sara".
 ///
 /// This is the producer side of ingestion:
-/// `soda_core::SnapshotHandle::absorb` (or
+/// `soda_core::EngineSnapshot::absorbed` (or
 /// `soda_service::TenantAdmin::ingest_owned`) replays it into the side logs
 /// of the two owning shards while every other shard keeps serving.
 pub fn onboarding_feed(db: &Database, seed: u64, count: usize) -> ChangeFeed {

@@ -79,8 +79,7 @@ pub use soda_warehouse as warehouse;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use soda_core::{
-        EngineSnapshot, FeedbackStore, ResultPage, ShardStats, SnapshotHandle, SodaConfig,
-        SodaResult,
+        EngineSnapshot, FeedbackStore, ResultPage, ShardStats, SodaConfig, SodaResult,
     };
     pub use soda_explorer::SchemaBrowser;
     pub use soda_ingest::{ChangeFeed, RowEvent};

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use soda::core::{ChangeFeed, EngineSnapshot, SnapshotHandle, SodaConfig};
+use soda::core::{ChangeFeed, EngineSnapshot, SodaConfig};
 use soda::eval::experiments::run_workload;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
@@ -81,16 +81,15 @@ fn lookup_digests(shards: usize) -> String {
         padding: true,
         data_scale: 1.0,
     });
-    let handle = SnapshotHandle::new(Arc::new(EngineSnapshot::build(
+    let built = EngineSnapshot::build(
         Arc::new(warehouse.database),
         Arc::new(warehouse.graph),
         config(shards),
-    )));
+    );
     let mut out = String::new();
-    digest_lines("built", &handle.load(), &mut out);
-    let feed = feed(&handle.load());
-    handle.absorb(feed).expect("the feed applies");
-    digest_lines("ingested", &handle.load(), &mut out);
+    digest_lines("built", &built, &mut out);
+    let ingested = built.absorbed(feed(&built)).expect("the feed applies");
+    digest_lines("ingested", &ingested, &mut out);
     out
 }
 

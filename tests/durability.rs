@@ -701,6 +701,46 @@ fn a_graph_refresh_checkpoints_only_the_tables_feeds_changed() {
     assert_eq!(page_for(&recovered, "Refreshville"), before);
 }
 
+/// A tenant's engine may bring its own metadata-graph patterns (how SODA is
+/// ported to another warehouse's modelling conventions).  Recovering it from
+/// a checkpoint rebuilds it with those patterns, not the defaults, so it
+/// answers as it did before the restart.
+#[test]
+fn a_recovered_tenant_keeps_its_patterns() {
+    let dir = TempDir::new("patterns");
+    let engine = || {
+        // An Inheritance-Child pattern no node matches: no inheritance
+        // parent is ever joined to its child.
+        let never = "( y inheritance_child x ) & ( y type no_such_node ) & \
+                     ( y inheritance_parent p ) & ( y inheritance_child c1 ) & \
+                     ( y inheritance_child c2 )";
+        let mut patterns = soda::core::SodaPatterns::default();
+        patterns.register(Pattern::parse("inheritance_child", never).unwrap());
+        let (db, graph) = minibank_parts();
+        let config = SodaConfig::default();
+        Arc::new(EngineSnapshot::with_patterns(db, graph, config, patterns))
+    };
+    let ask = |service: &QueryService| {
+        let request = QueryRequest::new("private customers Zurich").tenant("acme");
+        service.query(request).wait().unwrap().page
+    };
+    let before = {
+        let (service, _) = recover_at(dir.path());
+        service.add_tenant("acme", engine()).unwrap();
+        let acme = service.admin("acme").unwrap();
+        // A graph refresh writes a checkpoint, which recovery rebuilds from.
+        acme.refresh_graph(acme.engine().graph_arc());
+        ask(&service)
+    };
+    let top = &before.results[0].sql;
+    assert!(top.contains("FROM addresses, individuals WHERE"), "{top}");
+
+    let (recovered, _) = recover_at(dir.path());
+    recovered.add_tenant("acme", engine()).unwrap();
+    assert_eq!(recovered.admin("acme").unwrap().generation(), 1);
+    assert_eq!(ask(&recovered), before);
+}
+
 /// The questions whose pages `tests/golden/pages_cache.bin` holds: a
 /// base-data hit, a LIKE filter, a metadata-defined filter, an aggregate
 /// with grouping and a limit, and joins over several tables.
