@@ -53,7 +53,8 @@ use crate::shard::{ProbeRecorder, ShardProbes, ShardStats};
 /// folds into its metrics.
 ///
 /// Everything expensive sits behind [`Arc`]s (the base data, the graph, the
-/// join catalog and the probe counters here, the index shards internally),
+/// patterns, the join catalog and the probe counters here, the index shards
+/// and the classification phrases internally),
 /// so a snapshot derives its own successor — [`absorbed`](Self::absorbed),
 /// [`compacted`](Self::compacted), [`refreshed`](Self::refreshed) — sharing
 /// every untouched structure with it instead of copying it.
@@ -75,7 +76,7 @@ pub struct EngineSnapshot {
     db: Arc<Database>,
     graph: Arc<MetaGraph>,
     config: SodaConfig,
-    patterns: SodaPatterns,
+    patterns: Arc<SodaPatterns>,
     classification: ClassificationIndex,
     index: Option<ShardedInvertedIndex>,
     joins: Arc<JoinCatalog>,
@@ -123,7 +124,7 @@ impl EngineSnapshot {
             db,
             graph,
             config,
-            patterns,
+            patterns: Arc::new(patterns),
             classification,
             index,
             joins,
@@ -142,7 +143,7 @@ impl EngineSnapshot {
             db: Arc::clone(&self.db),
             graph: Arc::clone(&self.graph),
             config: self.config.clone(),
-            patterns: self.patterns.clone(),
+            patterns: Arc::clone(&self.patterns),
             classification: self.classification.clone(),
             index: self.index.clone(),
             joins: Arc::clone(&self.joins),
@@ -227,10 +228,11 @@ impl EngineSnapshot {
         .stamped(self.generation + 1))
     }
 
-    /// The successor in which the side logs of `shards` are folded into
-    /// partitions rebuilt from the *current* base data — a compaction.
-    /// Answers are unchanged by construction (the database already contains
-    /// every logged row); the new generation moves the fingerprint so
+    /// The successor in which the side logs of `shards` are merged into
+    /// copies of their partitions — a compaction
+    /// ([`ShardedInvertedIndex::with_folded_logs`]; no table is read).
+    /// Answers are unchanged by construction (a partition plus its log
+    /// already count every live row); the new generation moves the fingerprint so
     /// fingerprint-scoped caches notice.  Shards without a log to fold are
     /// skipped; `None` when none of the named shards has one, otherwise the
     /// successor and the shards it folded.
@@ -247,7 +249,7 @@ impl EngineSnapshot {
         let index = self
             .index
             .as_ref()
-            .map(|index| index.with_rebuilt_shards(&self.db, &folded));
+            .map(|index| index.with_folded_logs(&folded));
         let next = Self {
             index,
             ..self.share()

@@ -24,8 +24,8 @@
 //! Publishing is the hot-swap layer's: `soda_core::EngineSnapshot::{absorbed,
 //! compacted}` derive log-bearing and log-folded successor generations, and
 //! `soda_service::TenantAdmin::{ingest_owned, compact}` publish them,
-//! journaled, under live traffic.  A log is folded back into a
-//! rebuilt partition only when the operator calls `compact`.
+//! journaled, under live traffic.  A log is merged into a copy of its
+//! partition only when the operator calls `compact`.
 //!
 //! ```
 //! use soda_ingest::{absorb, ChangeFeed};

@@ -26,7 +26,7 @@
 //! "nothing here" for [`read_frame_file`], and is never modified.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
@@ -202,7 +202,9 @@ impl FrameFile {
 }
 
 /// Writes a complete frame file atomically: header + `payloads` go to a
-/// temporary sibling, are fsynced, and are renamed over `path`.
+/// temporary sibling, are fsynced, and are renamed over `path`.  Headers
+/// and small payloads are gathered in a write buffer; a payload larger than
+/// the buffer goes to the file as it is, never copied.
 pub fn write_frame_file(
     path: &Path,
     magic: [u8; 8],
@@ -214,18 +216,18 @@ pub fn write_frame_file(
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     {
-        let mut file = File::create(&tmp)?;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&magic);
-        buf.extend_from_slice(&fingerprint.to_le_bytes());
-        buf.extend_from_slice(&tenant.to_le_bytes());
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        file.write_all(&magic)?;
+        file.write_all(&fingerprint.to_le_bytes())?;
+        file.write_all(&tenant.to_le_bytes())?;
         for payload in payloads {
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(payload).to_le_bytes());
-            buf.extend_from_slice(payload);
+            file.write_all(&(payload.len() as u32).to_le_bytes())?;
+            file.write_all(&crc32(payload).to_le_bytes())?;
+            file.write_all(payload)?;
         }
-        file.write_all(&buf)?;
-        file.sync_all()?;
+        file.into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?
+            .sync_all()?;
     }
     fs::rename(&tmp, path)?;
     Ok(())

@@ -55,22 +55,30 @@ pub struct Checkpoint {
     pub tables: Vec<(String, Vec<Row>)>,
 }
 
-impl Checkpoint {
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u8(KIND_CHECKPOINT);
-        enc.put_u64(self.generation);
-        enc.put_usize(self.tables.len());
-        for (name, rows) in &self.tables {
-            enc.put_str(name);
-            enc.put_usize(rows.len());
-            for row in rows {
-                enc.put_row(row);
-            }
+/// Encodes a checkpoint record straight from borrowed rows: `generation`
+/// and, for each of `tables`, its lower-cased name and every row.  The
+/// inverse of [`Checkpoint::decode_from`].
+fn encode_checkpoint<'a, R>(generation: u64, tables: &[(&str, R)]) -> Vec<u8>
+where
+    R: IntoIterator<Item = &'a Row> + Copy,
+    R::IntoIter: ExactSizeIterator,
+{
+    let mut enc = Encoder::new();
+    enc.put_u8(KIND_CHECKPOINT);
+    enc.put_u64(generation);
+    enc.put_usize(tables.len());
+    for &(name, rows) in tables {
+        let rows = rows.into_iter();
+        enc.put_str(name);
+        enc.put_usize(rows.len());
+        for row in rows {
+            enc.put_row(row);
         }
-        enc.into_bytes()
     }
+    enc.into_bytes()
+}
 
+impl Checkpoint {
     fn decode_from(dec: &mut Decoder<'_>) -> CodecResult<Self> {
         let generation = dec.get_u64()?;
         let n = dec.get_usize()?;
@@ -275,12 +283,23 @@ impl FeedJournal {
         Ok(self.file.append(&enc.into_bytes())?)
     }
 
-    /// Atomically replaces the journal's entire content with `checkpoint` —
-    /// the checkpoint truncation step.  A crash during the rewrite leaves
-    /// either the old journal or the new one, never a mix.  Returns the
-    /// journal's new size in bytes.
-    pub fn write_checkpoint(&mut self, checkpoint: &Checkpoint) -> JournalResult<u64> {
-        let payload = checkpoint.encode();
+    /// Atomically replaces the journal's entire content with one
+    /// [`Checkpoint`] record — the checkpoint truncation step — of
+    /// `generation` and `tables`, each `(lower-cased name, rows)`.  The rows
+    /// are borrowed (a table's [`Rows`](soda_relation::Rows) view, or a
+    /// slice) and encoded where they are.  A crash during the rewrite
+    /// leaves either the old journal or the new one, never a mix.  Returns
+    /// the journal's new size in bytes.
+    pub fn write_checkpoint<'a, R>(
+        &mut self,
+        generation: u64,
+        tables: &[(&str, R)],
+    ) -> JournalResult<u64>
+    where
+        R: IntoIterator<Item = &'a Row> + Copy,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let payload = encode_checkpoint(generation, tables);
         self.file.rewrite(&[&payload])?;
         Ok(self.file.len_bytes())
     }
@@ -501,7 +520,12 @@ mod tests {
                 vec![vec![Value::Int(1)], vec![Value::Int(2)]],
             )],
         };
-        j.write_checkpoint(&checkpoint).unwrap();
+        let tables: Vec<(&str, &[Row])> = checkpoint
+            .tables
+            .iter()
+            .map(|(name, rows)| (name.as_str(), rows.as_slice()))
+            .collect();
+        j.write_checkpoint(checkpoint.generation, &tables).unwrap();
         // Checkpointing dropped the two feed records.
         assert!(j.len_bytes() < before + 64);
         j.append_feed(&feed(3)).unwrap();

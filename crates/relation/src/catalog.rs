@@ -8,6 +8,7 @@
 //! cost of deriving a next-generation database from a published one is
 //! proportional to the delta, not the warehouse.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -17,11 +18,23 @@ use crate::schema::TableSchema;
 use crate::sql::parser::parse_select;
 use crate::table::{Row, Table};
 
+/// The one fold table names are compared under, wherever they are: ASCII
+/// case, the way the catalog keys its tables.  Borrows a name that is
+/// already folded.
+pub fn fold_table_name(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 /// An in-memory database: the catalog plus all table contents, structurally
-/// shared between clones until a table is mutated.
+/// shared between clones until a table is mutated.  Both the folded names
+/// and the tables are shared, so a clone copies no name and no row.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: BTreeMap<String, Arc<Table>>,
+    tables: BTreeMap<Arc<str>, Arc<Table>>,
 }
 
 impl Database {
@@ -32,7 +45,7 @@ impl Database {
 
     /// Creates a table from a schema.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
-        let key = schema.name.to_ascii_lowercase();
+        let key: Arc<str> = fold_table_name(&schema.name).into();
         if self.tables.contains_key(&key) {
             return Err(RelationError::DuplicateTable(schema.name));
         }
@@ -43,7 +56,7 @@ impl Database {
     /// Returns a table by name (case-insensitive).
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
-            .get(&name.to_ascii_lowercase())
+            .get(&*fold_table_name(name))
             .map(Arc::as_ref)
             .ok_or_else(|| RelationError::UnknownTable(name.to_string()))
     }
@@ -52,7 +65,7 @@ impl Database {
     /// compare (`Arc::ptr_eq`) to prove an ingest left a table untouched.
     pub fn table_arc(&self, name: &str) -> Result<&Arc<Table>> {
         self.tables
-            .get(&name.to_ascii_lowercase())
+            .get(&*fold_table_name(name))
             .ok_or_else(|| RelationError::UnknownTable(name.to_string()))
     }
 
@@ -62,14 +75,14 @@ impl Database {
     /// are duplicated.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
-            .get_mut(&name.to_ascii_lowercase())
+            .get_mut(&*fold_table_name(name))
             .map(Arc::make_mut)
             .ok_or_else(|| RelationError::UnknownTable(name.to_string()))
     }
 
     /// True if the table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(&*fold_table_name(name))
     }
 
     /// Inserts a row into a table.

@@ -21,8 +21,8 @@
 //!
 //! * The probe token is the phrase's globally rarest token by **live row
 //!   count** ([`token_frequency`](ShardedInvertedIndex::token_frequency)),
-//!   first minimum winning — so a side-log-merged index, a rebuilt one and
-//!   any shard count choose the same token.
+//!   first minimum winning — so a side-log-merged index, a folded one, a
+//!   fresh build and any shard count choose the same token.
 //! * A candidate matches when its normalised text *contains* the normalised
 //!   phrase as a substring.  Intersecting the posting lists of all the
 //!   phrase's tokens would be a different test: "dit suisse" finds "Credit
@@ -33,21 +33,22 @@
 //!
 //! The postings are partitioned into [`IndexShard`]s by a *stable* hash of
 //! the owning table ([`shard_for_table`]), so every table's postings live in
-//! exactly one shard.  The partition is the unit of rebuild
-//! ([`with_rebuilt_shards`](ShardedInvertedIndex::with_rebuilt_shards)), of
-//! the streaming side logs and of cache retention; it is not a unit of
-//! parallelism — a probe is a handful of entries per shard, and callers walk
-//! the shards in order.  Per-shard results merge deterministically
-//! ([`merge_hits`]): shards own disjoint table sets, so a sort by
+//! exactly one shard.  The partition is the unit of the streaming side
+//! logs, of their fold
+//! ([`with_folded_logs`](ShardedInvertedIndex::with_folded_logs), which
+//! merges a log into a copy of its partition) and of cache retention; it is
+//! not a unit of parallelism — a probe is a handful of entries per shard,
+//! and callers walk the shards in order.  Per-shard results merge
+//! deterministically ([`merge_hits`]): shards own disjoint table sets, so a sort by
 //! `(table, column, value)` reproduces the output of the monolithic index
 //! regardless of the shard count.
 
 use std::sync::Arc;
 
-use super::postings::{fold_table_name, ValuePostings};
+use super::postings::ValuePostings;
 use super::sidelog::SideLog;
 use super::tokenizer::tokenize;
-use crate::catalog::Database;
+use crate::catalog::{fold_table_name, Database};
 
 /// The classic (monolithic) inverted index is the 1-shard case of the
 /// sharded structure.
@@ -133,9 +134,8 @@ impl IndexShard {
     /// index: only the tables whose stable hash routes to that partition are
     /// scanned.  The one partition builder:
     /// [`build_sharded`](ShardedInvertedIndex::build_sharded) calls it for
-    /// every shard and
-    /// [`with_rebuilt_shards`](ShardedInvertedIndex::with_rebuilt_shards)
-    /// for the ones a fold rebuilds, while the other shards keep serving.
+    /// every shard; a fold merges a side log into a built partition
+    /// ([`folded`](Self::folded)) instead of building it again.
     pub fn build_partition(db: &Database, shard_idx: usize, shard_count: usize) -> Self {
         let shard_count = shard_count.max(1);
         let mut shard = IndexShard::default();
@@ -145,6 +145,17 @@ impl IndexShard {
             }
         }
         shard
+    }
+
+    /// A copy of this partition with `log` folded in: the masked tables'
+    /// entries dropped, every logged value's rows added to its entry (or
+    /// appended as a new one).  Counts what
+    /// [`build_partition`](Self::build_partition) would over the live
+    /// database, without reading it.
+    pub fn folded(&self, log: &SideLog) -> Self {
+        let mut values = self.values.clone();
+        values.fold(&log.values, log.masked_tables());
+        Self { values }
     }
 
     /// Probes this shard *overlaid with its side log* for a prepared phrase:
@@ -200,8 +211,8 @@ pub fn merge_hits(mut per_shard: Vec<Vec<PhraseHit>>) -> Vec<PhraseHit> {
 
 /// Inverted index over text columns of a [`Database`], partitioned by table.
 ///
-/// Each partition sits behind an [`Arc`], so a derived index that rebuilds
-/// only some partitions (see [`with_rebuilt_shards`](Self::with_rebuilt_shards))
+/// Each partition sits behind an [`Arc`], so a derived index that folds
+/// only some partitions' logs (see [`with_folded_logs`](Self::with_folded_logs))
 /// shares the untouched ones with its parent instead of copying their
 /// postings — the structural basis of per-shard hot snapshot swapping.
 #[derive(Debug, Clone)]
@@ -209,8 +220,8 @@ pub struct ShardedInvertedIndex {
     shards: Vec<Arc<IndexShard>>,
     /// Per-shard side logs, parallel to `shards` (all empty until a
     /// streaming ingestion writes them through [`log_mut`](Self::log_mut)).
-    /// Every probe merges a shard with its log; a rebuild of a partition
-    /// folds (and clears) its log.
+    /// Every probe merges a shard with its log; a fold merges the log into
+    /// a copy of its partition and clears it.
     logs: Vec<Arc<SideLog>>,
 }
 
@@ -243,22 +254,19 @@ impl ShardedInvertedIndex {
         }
     }
 
-    /// Derives an index over `db` in which only the partitions named by
-    /// `affected` are rebuilt (from `db`, scanning just the tables they own);
-    /// every other partition is shared with `self` by [`Arc`].  A rebuilt
-    /// partition's side log is folded by construction (the rebuild scans
-    /// `db`, which already contains the logged rows), so its log comes back
-    /// empty; unaffected partitions keep their logs.
-    ///
-    /// Sound only when the tables owned by the *unaffected* partitions are
-    /// unchanged between the database this index was built from and `db` —
-    /// their entries (and side-log entries) describe the values of those
-    /// tables.  Out-of-range entries in `affected` are ignored.
-    pub fn with_rebuilt_shards(&self, db: &Database, affected: &[usize]) -> Self {
+    /// Derives an index in which the side logs of the partitions named by
+    /// `shards` are folded into copies of those partitions: each copy drops
+    /// the masked tables' entries and merges the logged entries in
+    /// ([`IndexShard::folded`]), and its log comes back empty.  Every other
+    /// partition and log is shared with `self` by [`Arc`].  No table is
+    /// read, so a fold costs the partitions it copies and the logs it
+    /// merges, not the rows they describe; it answers like a rebuild over
+    /// the live database, because live rows are the unmasked frozen ones
+    /// plus the logged ones.  Out-of-range entries in `shards` are ignored.
+    pub fn with_folded_logs(&self, shards: &[usize]) -> Self {
         let mut next = self.clone();
-        let shard_count = next.shards.len();
-        for i in (0..shard_count).filter(|i| affected.contains(i)) {
-            next.shards[i] = Arc::new(IndexShard::build_partition(db, i, shard_count));
+        for i in (0..next.shards.len()).filter(|i| shards.contains(i)) {
+            next.shards[i] = Arc::new(next.shards[i].folded(&next.logs[i]));
             next.logs[i] = Arc::default();
         }
         next
@@ -602,44 +610,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn with_rebuilt_shards_shares_untouched_partitions_and_tracks_changes() {
-        let mut db = db();
-        let shards = 4;
-        let before = InvertedIndex::build_sharded(&db, shards);
-        // Mutate one table, then rebuild only its owning partition.
-        let owner = shard_for_table("address", shards);
-        db.insert(
-            "address",
-            vec![Value::Int(13), Value::from("Basel"), Value::Int(4001)],
-        )
-        .unwrap();
-        let after = before.with_rebuilt_shards(&db, &[owner]);
-        // The derived index answers exactly like a fresh full build.
-        let fresh = InvertedIndex::build_sharded(&db, shards);
-        for phrase in ["Basel", "Zurich", "Credit Suisse", "Switzerland"] {
-            assert_eq!(
-                after.lookup_phrase(phrase),
-                fresh.lookup_phrase(phrase),
-                "phrase '{phrase}'"
-            );
-        }
-        assert_eq!(after.posting_count(), fresh.posting_count());
-        // Untouched partitions are shared, not copied; the rebuilt one is new.
-        for (i, (old, new)) in before.shards().iter().zip(after.shards()).enumerate() {
-            if i == owner {
-                assert!(!Arc::ptr_eq(old, new), "owner shard must be rebuilt");
-            } else {
-                assert!(Arc::ptr_eq(old, new), "shard {i} must be shared");
-            }
-        }
-        // Out-of-range indexes are ignored.
-        let noop = after.with_rebuilt_shards(&db, &[99]);
-        for (old, new) in after.shards().iter().zip(noop.shards()) {
-            assert!(Arc::ptr_eq(old, new));
-        }
-    }
-
     /// An index built over `base` whose side logs reflect the events
     /// `apply` makes on a copy of it: the canonical ingestion shape
     /// (`soda-ingest` drives the same calls through its `absorb`).
@@ -652,6 +622,83 @@ mod tests {
         let mut db = base.clone();
         apply(&mut db, &mut idx);
         (db, idx)
+    }
+
+    #[test]
+    fn with_folded_logs_shares_partitions() {
+        let base = db();
+        let shards = 4;
+        // Log a new value and one more row of a known one, and a replaced
+        // table; then fold the partitions owning them.
+        let (db, logged) = logged_index_after(&base, shards, |db, idx| {
+            let start = db.table("address").unwrap().row_count();
+            for (id, city) in [(13, "Zurich Oerlikon"), (14, "Geneva")] {
+                let row = vec![Value::Int(id), Value::from(city), Value::Int(8050)];
+                db.insert("address", row).unwrap();
+            }
+            idx.log_mut("address")
+                .append_rows(db.table("address").unwrap(), start);
+            db.table_mut("organization").unwrap().truncate();
+            let row = vec![
+                Value::Int(7),
+                Value::from("Credit Suisse"),
+                Value::from("Basel"),
+            ];
+            db.insert("organization", row).unwrap();
+            idx.log_mut("organization")
+                .replace_table(db.table("organization").unwrap());
+        });
+        let owners = [
+            shard_for_table("address", shards),
+            shard_for_table("organization", shards),
+        ];
+        let after = logged.with_folded_logs(&owners);
+        // The folded index answers and counts exactly like a fresh build.
+        let fresh = InvertedIndex::build_sharded(&db, shards);
+        for phrase in [
+            "Zurich",
+            "Oerlikon",
+            "Geneva",
+            "Credit Suisse",
+            "Helvetia",
+            "Basel",
+        ] {
+            assert_eq!(
+                after.lookup_phrase(phrase),
+                fresh.lookup_phrase(phrase),
+                "phrase '{phrase}'"
+            );
+            for token in tokenize(phrase) {
+                for shard in owners {
+                    assert_eq!(
+                        after.shard_candidates(shard, &token),
+                        fresh.shard_candidates(shard, &token),
+                        "candidates of '{token}' in shard {shard}"
+                    );
+                }
+            }
+        }
+        assert_eq!(after.posting_count(), fresh.posting_count());
+        // "Zurich Oerlikon" is a new entry; the second "Geneva" joins its.
+        assert_eq!(after.shard_candidates(owners[0], "zurich"), 2);
+        assert_eq!(after.shard_candidates(owners[0], "geneva"), 1);
+        assert_eq!(after.lookup_phrase("Geneva")[0].row_count, 2);
+        // Untouched partitions and logs are shared, not copied; a folded
+        // partition is new and its log is empty.
+        let pairs = logged.shards().iter().zip(after.shards());
+        for (i, (old, new)) in pairs.enumerate() {
+            assert_eq!(Arc::ptr_eq(old, new), !owners.contains(&i), "shard {i}");
+        }
+        let pairs = logged.side_logs().iter().zip(after.side_logs());
+        for (i, (old, new)) in pairs.enumerate() {
+            assert_eq!(Arc::ptr_eq(old, new), !owners.contains(&i), "log {i}");
+        }
+        assert!(!after.has_side_logs());
+        // Out-of-range indexes are ignored.
+        let noop = after.with_folded_logs(&[99]);
+        for (old, new) in after.shards().iter().zip(noop.shards()) {
+            assert!(Arc::ptr_eq(old, new));
+        }
     }
 
     #[test]
@@ -787,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuilding_a_shard_folds_its_side_log() {
+    fn fold_empties_log() {
         let base = db();
         let shards = 4;
         let (new_db, logged) = logged_index_after(&base, shards, |db, idx| {
@@ -802,7 +849,7 @@ mod tests {
         });
         let owner = shard_for_table("address", shards);
         assert!(!logged.side_logs()[owner].is_empty());
-        let folded = logged.with_rebuilt_shards(&new_db, &[owner]);
+        let folded = logged.with_folded_logs(&[owner]);
         assert!(folded.side_logs()[owner].is_empty(), "log must be folded");
         assert!(!folded.has_side_logs());
         assert_eq!(
@@ -812,6 +859,8 @@ mod tests {
         );
         assert_eq!(folded.side_log_postings(), vec![0; shards]);
         assert!(logged.side_log_postings()[owner] > 0);
+        let fresh = InvertedIndex::build_sharded(&new_db, shards);
+        assert_eq!(folded.posting_count(), fresh.posting_count());
     }
 
     #[test]

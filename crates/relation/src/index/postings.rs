@@ -18,16 +18,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use super::inverted::PhraseProbe;
-use super::tokenizer::tokenize;
+use super::tokenizer::normalize_phrase;
+use crate::catalog::fold_table_name;
 use crate::table::Table;
 use crate::value::{DataType, Value};
-
-/// The one fold table names are compared under everywhere in the index: the
-/// catalog's ([`Database`](crate::catalog::Database) keys its tables by the
-/// ASCII-lower-cased name).
-pub(super) fn fold_table_name(name: &str) -> String {
-    name.to_ascii_lowercase()
-}
 
 /// One indexed text column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +41,8 @@ struct ValueEntry {
     column: u32,
     /// The exact cell text (the SQL filter literal of a hit).
     text: String,
-    /// `tokenize(text).join(" ")` — what a multi-token needle is matched
-    /// against.
+    /// The text's tokens joined by single spaces (`normalize_phrase`) —
+    /// what a multi-token needle is matched against.
     normalized: String,
     /// Distinct tokens of the text: the row-level postings one row adds.
     distinct_tokens: usize,
@@ -143,7 +137,7 @@ impl ValuePostings {
     /// further row holding it only bumps that entry's `row_count`.
     pub(super) fn index_rows(&mut self, table: &Table, start_row: usize) {
         let schema = table.schema();
-        let own_columns = match self.tables.get(&fold_table_name(&schema.name)) {
+        let own_columns = match self.tables.get(&*fold_table_name(&schema.name)) {
             Some(own) => own.clone(),
             None => self.register_table(table),
         };
@@ -199,7 +193,7 @@ impl ValuePostings {
         let id = |len: usize| u32::try_from(len).expect("fewer than 2^32 indexed columns");
         let own = id(first)..id(self.columns.len());
         self.tables
-            .insert(fold_table_name(&schema.name), own.clone());
+            .insert(fold_table_name(&schema.name).into_owned(), own.clone());
         own
     }
 
@@ -207,48 +201,127 @@ impl ValuePostings {
     /// `find_existing` turns one up.  `None` for a text without tokens: no
     /// probe can reach it.
     fn entry_for(&mut self, column: u32, text: &str, find_existing: bool) -> Option<u32> {
-        let words = tokenize(text);
-        let first = words.first()?;
-        if find_existing {
-            let existing = self.tokens.get(first).and_then(|ids| {
-                ids.iter().copied().find(|&id| {
-                    let entry = &self.entries[id as usize];
-                    entry.column == column && entry.text == text
-                })
-            });
-            if existing.is_some() {
-                return existing;
+        let normalized = normalize_phrase(text);
+        if normalized.is_empty() {
+            return None;
+        }
+        let existing = find_existing
+            .then(|| self.find_entry(column, text, &normalized))
+            .flatten();
+        Some(existing.unwrap_or_else(|| {
+            self.push_entry(ValueEntry {
+                column,
+                text: text.to_string(),
+                normalized,
+                distinct_tokens: 0,
+                row_count: 0,
+            })
+        }))
+    }
+
+    /// Folds a side log's postings into these: the entries of the `masked`
+    /// tables are dropped, then every logged `(column, text)` adds its rows
+    /// to the entry already holding that text, or becomes a new entry.
+    /// Reads no table — the log's entries already carry their texts,
+    /// normalised forms and row counts — so the result counts what a
+    /// rebuild over the live database would, at the cost of the log.
+    pub(super) fn fold(&mut self, log: &ValuePostings, masked: &[String]) {
+        for table in masked {
+            self.remove_table(table);
+        }
+        // The log's column ids, mapped to ours: a table holds the same text
+        // columns in the same (schema) order on both sides.
+        let mut logged_tables: Vec<(&String, &Range<u32>)> = log.tables.iter().collect();
+        logged_tables.sort_unstable_by_key(|(_, own)| own.start);
+        let mut column_ids = vec![0; log.columns.len()];
+        for (folded, logged) in logged_tables {
+            let own = match self.tables.get(folded) {
+                Some(own) => own.start,
+                None => {
+                    let first = self.columns.len() as u32;
+                    self.columns.extend(
+                        log.columns[logged.start as usize..logged.end as usize]
+                            .iter()
+                            .map(|key| ColumnKey {
+                                entries: 0,
+                                ..key.clone()
+                            }),
+                    );
+                    let own = first..self.columns.len() as u32;
+                    self.tables.insert(folded.clone(), own);
+                    first
+                }
+            };
+            for (offset, id) in (logged.start..logged.end).enumerate() {
+                column_ids[id as usize] = own + offset as u32;
             }
         }
+        for logged in &log.entries {
+            let column = column_ids[logged.column as usize];
+            let id = self
+                .find_entry(column, &logged.text, &logged.normalized)
+                .unwrap_or_else(|| {
+                    self.push_entry(ValueEntry {
+                        column,
+                        row_count: 0,
+                        ..logged.clone()
+                    })
+                });
+            self.entries[id as usize].row_count += logged.row_count;
+            self.postings += logged.distinct_tokens * logged.row_count;
+        }
+    }
+
+    /// The id of the entry holding `text`, whose normalised form is
+    /// `normalized`, in `column`: searched among the entries of the token
+    /// of `normalized` that the fewest entries hold.  `None` when there is
+    /// none.
+    fn find_entry(&self, column: u32, text: &str, normalized: &str) -> Option<u32> {
+        let mut shortest: Option<&Vec<u32>> = None;
+        for token in normalized.split(' ') {
+            let ids = self.tokens.get(token)?;
+            if shortest.is_none_or(|s| ids.len() < s.len()) {
+                shortest = Some(ids);
+            }
+        }
+        shortest?.iter().copied().find(|&id| {
+            let entry = &self.entries[id as usize];
+            entry.column == column && entry.text == text
+        })
+    }
+
+    /// Appends `entry` (its rows yet to be counted) and lists it under each
+    /// distinct token of its normalised text, which it counts.
+    fn push_entry(&mut self, mut entry: ValueEntry) -> u32 {
         let id = u32::try_from(self.entries.len()).expect("fewer than 2^32 distinct values");
         let mut distinct_tokens = 0;
-        for (i, word) in words.iter().enumerate() {
-            if words[..i].contains(word) {
+        for (at, word) in entry.normalized.split(' ').enumerate() {
+            if entry
+                .normalized
+                .split(' ')
+                .take(at)
+                .any(|earlier| earlier == word)
+            {
                 continue;
             }
             distinct_tokens += 1;
             match self.tokens.get_mut(word) {
                 Some(ids) => ids.push(id),
                 None => {
-                    self.tokens.insert(word.clone(), vec![id]);
+                    self.tokens.insert(word.to_string(), vec![id]);
                 }
             }
         }
-        self.entries.push(ValueEntry {
-            column,
-            text: text.to_string(),
-            normalized: words.join(" "),
-            distinct_tokens,
-            row_count: 0,
-        });
-        self.columns[column as usize].entries += 1;
-        Some(id)
+        entry.distinct_tokens = distinct_tokens;
+        self.columns[entry.column as usize].entries += 1;
+        self.entries.push(entry);
+        id
     }
 
     /// Drops every entry of the table named `name` (any ASCII case); its
     /// columns stay registered, empty.
     pub(super) fn remove_table(&mut self, name: &str) {
-        let Some(own) = self.tables.get(&fold_table_name(name)).cloned() else {
+        let Some(own) = self.tables.get(&*fold_table_name(name)).cloned() else {
             return;
         };
         let emptied = &mut self.columns[own.start as usize..own.end as usize];

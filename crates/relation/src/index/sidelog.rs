@@ -1,8 +1,8 @@
 //! Per-shard side logs: value-level posting overlays for streaming ingestion.
 //!
 //! A frozen [`IndexShard`](super::inverted::IndexShard) is immutable by
-//! design — freshness normally comes from rebuilding the partition.  A
-//! [`SideLog`] is the cheap alternative for row-level change feeds: it
+//! design — a partition is built once, from the base data.  A
+//! [`SideLog`] is how row-level change feeds reach it instead: it
 //! indexes *only* the rows an ingestion event touched, in the same
 //! value-level shape as the frozen shard (one entry per distinct
 //! `(column, cell text)` with a row count), and the probe path merges both
@@ -30,10 +30,14 @@
 //! is a name the log recognises.
 //!
 //! A log grows until someone folds it: `soda_core::EngineSnapshot::compacted`
-//! rebuilds its partition from the current base data, after which the log
-//! is empty again.
+//! merges it into a copy of its partition
+//! ([`IndexShard::folded`](super::inverted::IndexShard::folded): masked
+//! tables' entries dropped, logged rows added to their values' entries),
+//! after which the log is empty again.  The merge reads the log, never the
+//! tables.
 
-use super::postings::{fold_table_name, ValuePostings};
+use super::postings::ValuePostings;
+use crate::catalog::fold_table_name;
 use crate::table::Table;
 
 /// A value-level posting overlay over one frozen index partition.
@@ -104,7 +108,7 @@ impl SideLog {
     pub fn truncate_table(&mut self, name: &str) {
         self.values.remove_table(name);
         if !self.masks(name) {
-            self.masked.push(fold_table_name(name));
+            self.masked.push(fold_table_name(name).into_owned());
             self.masked.sort_unstable();
         }
     }

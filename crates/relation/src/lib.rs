@@ -48,7 +48,7 @@ pub mod sql;
 pub mod table;
 pub mod value;
 
-pub use catalog::Database;
+pub use catalog::{fold_table_name, Database};
 pub use codec::{CodecError, CodecResult, Decoder, Encoder};
 pub use error::{RelationError, Result};
 pub use exec::{execute, ResultSet};

@@ -1,14 +1,17 @@
 //! In-memory table storage (row-oriented, copy-on-write).
 //!
 //! Rows live in two places: a list of immutable, `Arc`-shared **segments**
-//! (frozen, in insertion order) and a small mutable **tail** that new
-//! inserts land in.  The tail is sealed into a fresh segment once it
-//! reaches [`Table::SEGMENT_ROWS`], so cloning a table — which the
+//! of exactly [`Table::SEGMENT_ROWS`] rows (frozen, in insertion order) and
+//! a **tail** of fewer rows than that, held as `Arc`-shared **chunks**.
+//! New inserts land in the last chunk while no clone shares it, and start a
+//! new chunk when one does; the tail is sealed into a fresh segment once it
+//! reaches [`Table::SEGMENT_ROWS`].  So cloning a table — which the
 //! copy-on-write [`Database`](crate::Database) does for every table an
-//! ingest mutates — bumps one `Arc` per frozen segment and deep-copies at
-//! most one segment's worth of tail rows, regardless of how large the
-//! table has grown.  Reads go through the segment-aware [`Rows`] view,
-//! which iterates frozen and tail rows in insertion order.
+//! ingest mutates — bumps one `Arc` for the schema and one per segment and
+//! chunk, copying no row and no name, and the first insert after the clone
+//! writes only its own chunk.
+//! Reads go through the segment-aware [`Rows`] view, which iterates frozen
+//! and tail rows in insertion order.
 
 use std::ops::Index;
 use std::sync::Arc;
@@ -21,33 +24,38 @@ use crate::value::Value;
 pub type Row = Vec<Value>;
 
 /// An in-memory table: a schema plus rows stored as immutable shared
-/// segments and a small mutable tail.
+/// segments and a tail of shared chunks.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Table {
-    schema: TableSchema,
+    /// Shared between clones: a derived table copies no name.
+    schema: Arc<TableSchema>,
     /// Frozen row segments, oldest first; shared structurally between
     /// clones (`Arc` bump, no row copy).
     segments: Vec<Arc<[Row]>>,
     /// Rows held by the frozen segments (cached sum).
     frozen: usize,
-    /// Mutable tail new inserts land in; sealed into a segment at
-    /// [`Self::SEGMENT_ROWS`].
-    tail: Vec<Row>,
+    /// The tail, oldest chunk first; shared between clones like the
+    /// segments.  Only the last chunk is ever written, and only while no
+    /// clone holds it; sealed into a segment at [`Self::SEGMENT_ROWS`].
+    tail: Vec<Arc<Vec<Row>>>,
+    /// Rows held by the tail chunks (cached sum).
+    tail_len: usize,
 }
 
 impl Table {
-    /// Rows per frozen segment — the most a clone of a mutated table ever
-    /// deep-copies.  Small enough that copy-on-write stays O(delta), large
-    /// enough that segment hopping is invisible to scans.
+    /// Rows per frozen segment.  Large enough that segment hopping is
+    /// invisible to scans and that sealing — the one place tail rows are
+    /// copied — happens once per this many inserts.
     pub const SEGMENT_ROWS: usize = 1024;
 
     /// Creates an empty table with the given schema.
     pub fn new(schema: TableSchema) -> Self {
         Self {
-            schema,
+            schema: Arc::new(schema),
             segments: Vec::new(),
             frozen: 0,
             tail: Vec::new(),
+            tail_len: 0,
         }
     }
 
@@ -63,7 +71,7 @@ impl Table {
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.frozen + self.tail.len()
+        self.frozen + self.tail_len
     }
 
     /// All rows, in insertion order, as a segment-aware view: iterable,
@@ -81,10 +89,9 @@ impl Table {
         self.segments.len()
     }
 
-    /// Rows currently in the mutable tail — what a clone of this table
-    /// would deep-copy.
+    /// Rows currently in the tail, not yet sealed into a segment.
     pub fn tail_rows(&self) -> usize {
-        self.tail.len()
+        self.tail_len
     }
 
     /// True when `self` and `other` share every frozen segment allocation
@@ -123,8 +130,12 @@ impl Table {
                 )));
             }
         }
-        self.tail.push(row);
-        if self.tail.len() >= Self::SEGMENT_ROWS {
+        match self.tail.last_mut().and_then(Arc::get_mut) {
+            Some(chunk) => chunk.push(row),
+            None => self.tail.push(Arc::new(vec![row])),
+        }
+        self.tail_len += 1;
+        if self.tail_len >= Self::SEGMENT_ROWS {
             self.seal_tail();
         }
         Ok(())
@@ -147,16 +158,26 @@ impl Table {
         self.segments.clear();
         self.frozen = 0;
         self.tail.clear();
+        self.tail_len = 0;
     }
 
     /// Freezes the current tail into an immutable shared segment.  Only
     /// ever called at exactly [`Self::SEGMENT_ROWS`] tail rows, so every
     /// frozen segment has that fixed length — the invariant that makes
     /// [`Rows::get`] a constant-time div/mod instead of a segment walk.
+    /// A chunk no clone holds gives up its rows; a shared one is copied.
     fn seal_tail(&mut self) {
-        debug_assert_eq!(self.tail.len(), Self::SEGMENT_ROWS);
-        let segment: Arc<[Row]> = std::mem::take(&mut self.tail).into();
+        debug_assert_eq!(self.tail_len, Self::SEGMENT_ROWS);
+        let mut rows = Vec::with_capacity(Self::SEGMENT_ROWS);
+        for chunk in std::mem::take(&mut self.tail) {
+            match Arc::try_unwrap(chunk) {
+                Ok(owned) => rows.extend(owned),
+                Err(shared) => rows.extend_from_slice(&shared),
+            }
+        }
+        let segment: Arc<[Row]> = rows.into();
         self.frozen += segment.len();
+        self.tail_len = 0;
         self.segments.push(segment);
     }
 
@@ -179,13 +200,13 @@ impl Table {
 /// [`len`](Self::len), `rows[i]` indexing, equality and
 /// [`to_vec`](Self::to_vec) all work unchanged at the call sites.
 /// Positioned iteration ([`iter_from`](Self::iter_from), or
-/// `iter().skip(n)` — the iterator's `nth` hops whole segments) is
-/// O(segments + rows read), which keeps side-log appends proportional to
-/// the new rows, not the table.
+/// `iter().skip(n)` — the iterator's `nth` hops whole segments and
+/// chunks) is O(segments + chunks + rows read), which keeps side-log
+/// appends proportional to the new rows, not the table.
 #[derive(Clone, Copy)]
 pub struct Rows<'a> {
     segments: &'a [Arc<[Row]>],
-    tail: &'a [Row],
+    tail: &'a [Arc<Vec<Row>>],
     len: usize,
 }
 
@@ -201,17 +222,23 @@ impl<'a> Rows<'a> {
         self.len == 0
     }
 
-    /// The row at `index`, if any.  Constant time: every frozen segment
-    /// holds exactly [`Table::SEGMENT_ROWS`] rows (sealed at the boundary,
-    /// never resized), so the owning segment is a div/mod away — the probe
-    /// path resolves candidate postings to cell values through here.
+    /// The row at `index`, if any.  Every frozen segment holds exactly
+    /// [`Table::SEGMENT_ROWS`] rows (sealed at the boundary, never
+    /// resized), so a frozen row is a div/mod away; a tail row is found by
+    /// walking the tail's chunks.
     pub fn get(&self, index: usize) -> Option<&'a Row> {
         let frozen = self.segments.len() * Table::SEGMENT_ROWS;
         if index < frozen {
-            Some(&self.segments[index / Table::SEGMENT_ROWS][index % Table::SEGMENT_ROWS])
-        } else {
-            self.tail.get(index - frozen)
+            return Some(&self.segments[index / Table::SEGMENT_ROWS][index % Table::SEGMENT_ROWS]);
         }
+        let mut index = index - frozen;
+        for chunk in self.tail {
+            match chunk.get(index) {
+                Some(row) => return Some(row),
+                None => index -= chunk.len(),
+            }
+        }
+        None
     }
 
     /// Iterates every row in insertion order.
@@ -219,7 +246,7 @@ impl<'a> Rows<'a> {
         RowsIter {
             front: [].iter(),
             segments: self.segments.iter(),
-            tail: Some(self.tail),
+            chunks: self.tail.iter(),
             remaining: self.len,
         }
     }
@@ -235,8 +262,8 @@ impl<'a> Rows<'a> {
     }
 
     /// Deep-copies the view into an owned row vector, for call sites that
-    /// genuinely need contiguous owned rows — outside tests only the
-    /// service's checkpoint writer; the SQL executor borrows the view.
+    /// genuinely need contiguous owned rows; the SQL executor and the
+    /// checkpoint writer borrow the view.
     pub fn to_vec(&self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.len);
         rows.extend(self.iter().cloned());
@@ -304,8 +331,8 @@ pub struct RowsIter<'a> {
     front: std::slice::Iter<'a, Row>,
     /// Frozen segments not yet started.
     segments: std::slice::Iter<'a, Arc<[Row]>>,
-    /// The mutable tail, consumed after the last frozen segment.
-    tail: Option<&'a [Row]>,
+    /// Tail chunks not yet started, drained after the last segment.
+    chunks: std::slice::Iter<'a, Arc<Vec<Row>>>,
     remaining: usize,
 }
 
@@ -315,8 +342,8 @@ impl<'a> RowsIter<'a> {
         if let Some(segment) = self.segments.next() {
             self.front = segment.iter();
             true
-        } else if let Some(tail) = self.tail.take() {
-            self.front = tail.iter();
+        } else if let Some(chunk) = self.chunks.next() {
+            self.front = chunk.iter();
             true
         } else {
             false
@@ -491,20 +518,60 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_frozen_segments_and_copies_only_the_tail() {
+    fn clone_shares_tail() {
         let mut t = wide();
         t.insert_all((0..Table::SEGMENT_ROWS + 3).map(wide_row))
             .unwrap();
-        let copy = t.clone();
+        let mut copy = t.clone();
         assert!(copy.shares_segments_with(&t));
+        assert!(Arc::ptr_eq(&copy.tail[0], &t.tail[0]), "the tail is shared");
         assert_eq!(copy.rows(), t.rows());
-        // Mutating the copy's tail leaves the original untouched…
-        let mut copy = copy;
+        // An insert into the copy starts a chunk of its own and leaves the
+        // shared one — and the original — untouched; the next one joins it.
         copy.insert(wide_row(9_999)).unwrap();
+        copy.insert(wide_row(10_000)).unwrap();
         assert_eq!(t.row_count(), Table::SEGMENT_ROWS + 3);
-        assert_eq!(copy.row_count(), Table::SEGMENT_ROWS + 4);
-        // …and the frozen segment is still the same allocation.
+        assert_eq!(t.tail[0].len(), 3);
+        assert_eq!(copy.row_count(), Table::SEGMENT_ROWS + 5);
+        assert_eq!(copy.tail.len(), 2);
+        assert!(Arc::ptr_eq(&copy.tail[0], &t.tail[0]));
         assert!(copy.shares_segments_with(&t));
+        assert_eq!(copy.rows()[Table::SEGMENT_ROWS + 3], wide_row(9_999));
+        assert_eq!(copy.rows().get(Table::SEGMENT_ROWS + 5), None);
+        // Sealing copies the shared chunk's rows and keeps the order.
+        let more = Table::SEGMENT_ROWS - 5;
+        copy.insert_all((0..more).map(|i| wide_row(20_000 + i)))
+            .unwrap();
+        assert_eq!((copy.segment_count(), copy.tail_rows()), (2, 0));
+        assert_eq!(
+            copy.rows()[Table::SEGMENT_ROWS + 2],
+            wide_row(Table::SEGMENT_ROWS + 2)
+        );
+        assert_eq!(copy.rows()[Table::SEGMENT_ROWS + 4], wide_row(10_000));
+        assert_eq!(
+            t.rows(),
+            (0..Table::SEGMENT_ROWS + 3)
+                .map(wide_row)
+                .collect::<Vec<_>>()
+        );
+        // Clones taken between inserts each keep reading their own rows,
+        // by iterator and by index, across many shared chunks.
+        let mut t = wide();
+        let mut clones = Vec::new();
+        for i in 0..Table::SEGMENT_ROWS + 40 {
+            if i % 7 == 0 {
+                clones.push(t.clone());
+            }
+            t.insert(wide_row(i)).unwrap();
+        }
+        let want: Vec<Row> = (0..Table::SEGMENT_ROWS + 40).map(wide_row).collect();
+        assert_eq!(t.rows(), want);
+        for (n, clone) in clones.iter().enumerate() {
+            assert_eq!(clone.rows(), want[..n * 7], "clone {n}");
+            for (i, row) in want[..n * 7].iter().enumerate() {
+                assert_eq!(&clone.rows()[i], row);
+            }
+        }
     }
 
     #[test]

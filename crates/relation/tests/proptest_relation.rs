@@ -744,8 +744,9 @@ fn reference_lookup(cells: &[(String, String, String)], phrase: &str) -> Vec<Phr
 
 proptest! {
     /// At 1, 2 and 8 shards, merged with its side logs and after some or all
-    /// partitions were rebuilt, the index answers like a scan of the live
-    /// database.
+    /// logs were folded into their partitions, the index answers like a
+    /// scan of the live database, and a folded partition counts what one
+    /// built from scratch does.
     #[test]
     fn index_agrees_with_a_scan_of_every_cell(case in index_case()) {
         let base = case.base();
@@ -754,19 +755,36 @@ proptest! {
             let mut logged = InvertedIndex::build_sharded(&base, shards);
             case.ingest(&mut live, &mut logged);
             let cells = text_cells(&live);
-            // Every other partition folded, the rest still logged; at one
-            // shard that is the index built from scratch.
+            let fresh = InvertedIndex::build_sharded(&live, shards);
+            // Every other log folded, the rest still logged; at one shard
+            // that is every log.
             let folded: Vec<usize> = (0..shards).step_by(2).collect();
-            let rebuilt = logged.with_rebuilt_shards(&live, &folded);
+            let merged = logged.with_folded_logs(&folded);
             for phrase in &case.phrases {
                 let want = reference_lookup(&cells, phrase);
                 prop_assert_eq!(&logged.lookup_phrase(phrase), &want, "logged, {} shards, {:?}", shards, phrase);
-                prop_assert_eq!(&rebuilt.lookup_phrase(phrase), &want, "rebuilt, {} shards, {:?}", shards, phrase);
+                prop_assert_eq!(&merged.lookup_phrase(phrase), &want, "folded, {} shards, {:?}", shards, phrase);
                 for token in tokenize(phrase) {
                     let want = reference_frequency(&cells, &token);
                     prop_assert_eq!(logged.token_frequency(&token), want, "logged, {} shards, {:?}", shards, &token);
-                    prop_assert_eq!(rebuilt.token_frequency(&token), want, "rebuilt, {} shards, {:?}", shards, &token);
+                    prop_assert_eq!(merged.token_frequency(&token), want, "folded, {} shards, {:?}", shards, &token);
+                    // The retention gate reads these of a folded partition.
+                    for &shard in &folded {
+                        prop_assert_eq!(
+                            merged.shard_candidates(shard, &token),
+                            fresh.shard_candidates(shard, &token),
+                            "candidates, shard {} of {}, {:?}", shard, shards, &token
+                        );
+                    }
                 }
+            }
+            for &shard in &folded {
+                prop_assert!(merged.side_logs()[shard].is_empty());
+                prop_assert_eq!(
+                    merged.shards()[shard].posting_count(),
+                    fresh.shards()[shard].posting_count(),
+                    "postings, shard {} of {}", shard, shards
+                );
             }
             // Sizes stay row-level: a posting per row and distinct token.
             let postings: usize = cells
@@ -778,7 +796,6 @@ proptest! {
                     tokens.len()
                 })
                 .sum();
-            let fresh = InvertedIndex::build_sharded(&live, shards);
             prop_assert_eq!(fresh.posting_count(), postings);
         }
     }

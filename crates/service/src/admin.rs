@@ -184,8 +184,8 @@ impl TenantAdmin<'_> {
         Ok(generation)
     }
 
-    /// Folds this tenant's ingestion side logs of `shards` into rebuilt
-    /// partitions (answers unchanged by construction; see
+    /// Folds this tenant's ingestion side logs of `shards` into copies of
+    /// their partitions (answers unchanged by construction; see
     /// [`EngineSnapshot::compacted`]).  Returns the new generation, or `None`
     /// when none of the named shards had a log to fold.
     pub fn compact(&self, shards: &[usize]) -> Option<u64> {

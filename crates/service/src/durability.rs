@@ -13,8 +13,9 @@ use std::sync::Arc;
 use soda_core::codec::{decode_page, decode_probe_dep, encode_page, encode_probe_dep};
 use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig, TenantId};
 use soda_journal::frame::{read_frame_file, write_frame_file};
-use soda_journal::{journal_path, Checkpoint, FeedJournal, FsyncPolicy};
+use soda_journal::{journal_path, FeedJournal, FsyncPolicy};
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
+use soda_relation::fold_table_name;
 
 use crate::cache::CacheKey;
 use crate::config::DurabilityConfig;
@@ -144,7 +145,7 @@ pub(crate) fn recover_journal(
                 table.truncate();
                 table.insert_all(rows.iter().cloned()).map_err(failed)?;
                 report.checkpoint_rows += rows.len();
-                dirty_tables.insert(name.clone());
+                dirty_tables.insert(fold_table_name(name).into_owned());
             }
             report.checkpoint_applied = true;
             let patterns = prebuilt.map(|e| e.patterns().clone()).unwrap_or_default();
@@ -314,22 +315,22 @@ pub(crate) fn write_checkpoint(
     let snapshot = tenant.snapshot();
     let db = snapshot.database();
     if mark_all_tables {
+        // Folded the way the catalog folds them — and a feed's tables come
+        // folded — so a table is recorded once however its schema spells it.
+        let names = db.table_names().into_iter();
         d.dirty_tables
-            .extend(db.table_names().into_iter().map(String::from));
+            .extend(names.map(|name| fold_table_name(name).into_owned()));
     }
     let mut tables = Vec::with_capacity(d.dirty_tables.len());
     for name in &d.dirty_tables {
         // A name the live database no longer knows (possible after a reload
         // that dropped a table) simply has nothing to record.
         if let Ok(table) = db.table(name) {
-            tables.push((name.clone(), table.rows().to_vec()));
+            tables.push((name.as_str(), table.rows()));
         }
     }
-    let checkpoint = Checkpoint {
-        generation: snapshot.generation(),
-        tables,
-    };
-    let outcome = d.journal.write_checkpoint(&checkpoint);
+    let generation = snapshot.generation();
+    let outcome = d.journal.write_checkpoint(generation, &tables);
     {
         let mut facts = tenant.facts();
         let figures = &mut facts.durability;
@@ -344,9 +345,8 @@ pub(crate) fn write_checkpoint(
             "checkpoint",
             &tenant.id,
             format!(
-                "generation {}, {} tables, journal now {bytes} bytes",
-                checkpoint.generation,
-                checkpoint.tables.len(),
+                "generation {generation}, {} tables, journal now {bytes} bytes",
+                tables.len(),
             ),
         ),
         Err(e) => shared.event("checkpoint_failure", &tenant.id, e.to_string()),

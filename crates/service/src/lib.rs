@@ -27,8 +27,8 @@
 //!   kind of change: base data changes only through
 //!   [`TenantAdmin::ingest_owned`], which absorbs a row-level
 //!   [`ChangeFeed`](soda_core::ChangeFeed) into per-shard side logs, and
-//!   [`TenantAdmin::compact`] folds those logs back into rebuilt partitions
-//!   when the operator asks; `refresh_graph` swaps in new metadata and `reload` anything else, all
+//!   [`TenantAdmin::compact`] merges those logs into copies of their
+//!   partitions when the operator asks; `refresh_graph` swaps in new metadata and `reload` anything else, all
 //!   without draining the pool.
 //! * [`durability`] — with a [`DurabilityConfig`] the service is
 //!   **crash-safe**: ingests are journaled write-ahead ([`soda_journal`]),

@@ -76,8 +76,8 @@
 //! row-level change feed (appends, replacements, truncations) into a new
 //! generation of that tenant's snapshot without rebuilding any index
 //! partition: the events land in per-shard side logs that every probe
-//! merges on the fly.  The logs grow until [`TenantAdmin::compact`] folds
-//! them into rebuilt partitions; the service never folds on its own.
+//! merges on the fly.  The logs grow until [`TenantAdmin::compact`] merges
+//! them into copies of their partitions; the service never folds on its own.
 //! Data-only swaps (ingest, compaction) run a
 //! *generation-aware retention* pass over the tenant's cached pages instead
 //! of the wholesale purge: pages whose recorded probes provably never

@@ -32,7 +32,7 @@
 //!   war-story use cases of §5.3.2).
 //! * [`ingest`] — streaming delta ingestion: row-level change feeds routed
 //!   into per-shard side logs that queries merge on the fly until an
-//!   explicit compaction folds them back into rebuilt partitions.
+//!   explicit compaction merges them into copies of their partitions.
 //! * [`journal`] — the crash-safety layer: an append-only, checksummed feed
 //!   journal with checkpoint truncation, replayed by
 //!   [`QueryService::recover`](soda_service::QueryService::recover) into

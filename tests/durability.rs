@@ -11,8 +11,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use soda::journal::frame::write_frame_file;
-use soda::journal::journal_path;
+use soda::journal::{crc32, journal_path};
 use soda::prelude::*;
 use soda_service::ServiceError;
 
@@ -699,6 +700,96 @@ fn a_graph_refresh_checkpoints_only_the_tables_feeds_changed() {
     assert_eq!(report.replayed_feeds, 0);
     assert_eq!(report.checkpoint_rows, addresses);
     assert_eq!(page_for(&recovered, "Refreshville"), before);
+}
+
+/// CRC-32 one byte at a time, straight from the polynomial: what every
+/// frame of a journal or cache file written so far was checked with.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+proptest! {
+    /// The sliced checksum equals the byte-at-a-time one on every length
+    /// up to 4 KiB and from every start offset 0–7, so frames written
+    /// before it still verify and the words it folds need no alignment.
+    #[test]
+    fn crc32_matches_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4_096),
+    ) {
+        for start in 0..8.min(bytes.len() + 1) {
+            let tail = &bytes[start..];
+            prop_assert_eq!(crc32(tail), reference_crc32(tail), "{} bytes from {}", tail.len(), start);
+        }
+    }
+}
+
+/// A reload records every table under the name the catalog folds it to,
+/// and a feed names its tables folded too, so a table whose schema spells
+/// its name in capitals is recorded — and replayed — once.
+#[test]
+fn a_checkpoint_records_each_table_once() {
+    let dir = TempDir::new("each-table-once");
+    let (db, graph) = minibank_parts();
+    let mut db = (*db).clone();
+    let schema = soda::relation::TableSchema::builder("Branch_Office")
+        .column("id", soda::relation::DataType::Int)
+        .column("city", soda::relation::DataType::Text)
+        .build();
+    db.create_table(schema).unwrap();
+    let base = Arc::new(db.clone());
+    db.insert("Branch_Office", vec![Value::Int(1), Value::from("Zurich")])
+        .unwrap();
+    let recover = || {
+        let config = SodaConfig::default();
+        let durability = DurabilityConfig::new(dir.path());
+        let (base, graph) = (Arc::clone(&base), Arc::clone(&graph));
+        QueryService::recover(base, graph, config, ServiceConfig::default(), durability)
+            .expect("recovery must succeed")
+    };
+    let (service, _) = recover();
+    let (tables, rows) = (db.table_count(), db.total_rows() + 1);
+    let config = SodaConfig::default();
+    admin(&service).reload(EngineSnapshot::build(
+        Arc::new(db),
+        Arc::clone(&graph),
+        config,
+    ));
+    let feed =
+        ChangeFeed::new().append_row("Branch_Office", vec![Value::Int(2), Value::from("Basel")]);
+    admin(&service).ingest_owned(feed).unwrap();
+    let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
+    admin(&service)
+        .compact(&shards)
+        .expect("the feed left a log to fold");
+    let checkpoint = service
+        .events()
+        .into_iter()
+        .rev()
+        .find(|event| event.kind == "checkpoint")
+        .expect("the compaction checkpointed");
+    assert!(
+        checkpoint.detail.contains(&format!(", {tables} tables,")),
+        "{tables} tables: {}",
+        checkpoint.detail
+    );
+    let before = page_for(&service, "Basel");
+    std::mem::forget(service);
+
+    let (recovered, report) = recover();
+    assert!(report.checkpoint_applied);
+    assert_eq!(report.checkpoint_rows, rows, "every table's rows, once");
+    assert_eq!(page_for(&recovered, "Basel"), before);
 }
 
 /// A tenant's engine may bring its own metadata-graph patterns (how SODA is
