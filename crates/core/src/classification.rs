@@ -18,7 +18,7 @@ use std::sync::Arc;
 use soda_metagraph::{MetaGraph, NodeId};
 use soda_relation::index::tokenizer::normalize_phrase;
 
-use crate::provenance::Provenance;
+use crate::provenance::{Provenance, ProvenanceLookup};
 
 /// One classification entry: a node that carries the phrase as a label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,24 +42,26 @@ impl ClassificationIndex {
     /// recognised provenance (filter nodes, join nodes, …) are skipped, as
     /// are DBpedia nodes when `include_dbpedia` is false.
     pub fn build(graph: &MetaGraph, include_dbpedia: bool) -> Self {
+        let provenance = ProvenanceLookup::new(graph);
         let mut phrases: HashMap<String, Vec<ClassificationEntry>> = HashMap::new();
         for (label, holders) in graph.all_labels() {
             let key = normalize_phrase(label);
             if key.is_empty() {
                 continue;
             }
-            for (node, _pred) in holders {
-                let Some(provenance) = Provenance::of_node(graph, *node) else {
-                    continue;
-                };
-                if provenance == Provenance::DbPedia && !include_dbpedia {
-                    continue;
-                }
-                let bucket = phrases.entry(key.clone()).or_default();
-                let entry = ClassificationEntry {
-                    node: *node,
-                    provenance,
-                };
+            let mut entries = holders
+                .iter()
+                .filter_map(|&(node, _pred)| {
+                    let provenance = provenance.of(node)?;
+                    (include_dbpedia || provenance != Provenance::DbPedia)
+                        .then_some(ClassificationEntry { node, provenance })
+                })
+                .peekable();
+            if entries.peek().is_none() {
+                continue;
+            }
+            let bucket = phrases.entry(key).or_default();
+            for entry in entries {
                 if !bucket.contains(&entry) {
                     bucket.push(entry);
                 }

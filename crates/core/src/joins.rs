@@ -33,13 +33,12 @@
 //! database's *schema* and the traversal depth only: snapshots derived by a
 //! data-only change share it, a graph refresh builds a new one.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
 use soda_metagraph::{Matcher, MetaGraph, NodeId};
-use soda_relation::{Database, TableSchema};
+use soda_relation::{fold_table_name, Database, TableSchema};
 
 use crate::patterns::SodaPatterns;
 use crate::resolve::{column_label, column_name, owning_table, table_label};
@@ -241,15 +240,6 @@ pub struct JoinCatalog {
     traversal_depth: usize,
 }
 
-/// `name` ASCII-folded, borrowed when it already is.
-fn folded(name: &str) -> Cow<'_, str> {
-    if name.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(name.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(name)
-    }
-}
-
 impl JoinCatalog {
     /// Builds the catalog by matching the patterns over the whole metadata
     /// graph; entry closures follow the layering edges `traversal_depth`
@@ -396,7 +386,7 @@ impl JoinCatalog {
     /// The id of `name`, interning it (with `name` as its display spelling)
     /// when the catalog has not met it.
     fn intern(&mut self, name: &str) -> TableId {
-        let key = folded(name);
+        let key = fold_table_name(name);
         if let Some(&id) = self.ids.get(key.as_ref()) {
             return id;
         }
@@ -583,7 +573,7 @@ impl JoinCatalog {
 
     /// The id of the table called `name`, ignoring ASCII case.
     pub(crate) fn table_id(&self, name: &str) -> Option<TableId> {
-        self.ids.get(folded(name).as_ref()).copied()
+        self.ids.get(fold_table_name(name).as_ref()).copied()
     }
 
     /// The display spelling of a table.

@@ -63,7 +63,7 @@ pub use feedback::FeedbackStore;
 pub use joins::{BridgeTable, HistorizationLink, InheritanceLink, JoinCatalog, JoinEdge};
 pub use patterns::SodaPatterns;
 pub use pipeline::lookup::LookupResult;
-pub use provenance::Provenance;
+pub use provenance::{Provenance, ProvenanceLookup};
 pub use query::{normalize_query, parse_query, QueryTerm, QueryValue, SodaQuery};
 pub use result::{Interpretation, QueryTrace, ResultPage, SodaResult, StepTimings};
 pub use shard::{ProbeDep, ProbeRecorder, ShardProbes, ShardStats};

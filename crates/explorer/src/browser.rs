@@ -2,7 +2,7 @@
 //! groups): describe a table in business terms, list related entities, explain
 //! join paths and search the metadata by substring.
 
-use soda_core::{JoinCatalog, Provenance, SodaConfig, SodaPatterns};
+use soda_core::{JoinCatalog, ProvenanceLookup, SodaConfig, SodaPatterns};
 use soda_metagraph::builder::preds;
 use soda_metagraph::{MetaGraph, NodeId};
 use soda_relation::Database;
@@ -332,13 +332,14 @@ impl<'a> SchemaBrowser<'a> {
         if needle.trim().is_empty() {
             return Vec::new();
         }
+        let provenances = ProvenanceLookup::new(self.graph);
         let mut hits = Vec::new();
         for (label, holders) in self.graph.all_labels() {
             if !label.to_lowercase().contains(&needle) {
                 continue;
             }
             for (node, _) in holders {
-                let Some(provenance) = Provenance::of_node(self.graph, *node) else {
+                let Some(provenance) = provenances.of(*node) else {
                     continue;
                 };
                 let hit = MetadataHit {

@@ -120,11 +120,7 @@ impl GraphBuilder {
     pub fn typed_node(&mut self, uri: &str, type_uri: &str) -> NodeId {
         let node = self.graph.add_node(uri);
         let type_node = self.graph.add_node(type_uri);
-        if !self
-            .graph
-            .objects_of(node, preds::TYPE)
-            .contains(&type_node)
-        {
+        if !self.graph.has_edge(node, preds::TYPE, type_node) {
             self.graph.add_edge(node, preds::TYPE, type_node);
         }
         node

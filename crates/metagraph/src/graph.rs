@@ -170,13 +170,12 @@ impl MetaGraph {
     /// Adds a node with the given URI, or returns the existing node when the
     /// URI was added before.
     pub fn add_node(&mut self, uri: &str) -> NodeId {
-        if let Some(id) = self.node_uris.get(uri) {
-            return NodeId(id);
+        let (id, new) = self.node_uris.insert(uri);
+        if new {
+            debug_assert_eq!(id as usize, self.outgoing.len());
+            self.outgoing.growing().push(Vec::new());
+            self.incoming.growing().push(Vec::new());
         }
-        let id = self.node_uris.intern(uri);
-        debug_assert_eq!(id as usize, self.outgoing.len());
-        self.outgoing.growing().push(Vec::new());
-        self.incoming.growing().push(Vec::new());
         NodeId(id)
     }
 
@@ -329,15 +328,22 @@ impl MetaGraph {
             .collect()
     }
 
+    /// True if `subject --predicate--> object` is an edge of the graph; reads
+    /// the subject's outgoing edges in place.
+    pub fn has_edge(&self, subject: NodeId, predicate: &str, object: NodeId) -> bool {
+        self.find_predicate(predicate).is_some_and(|pred| {
+            self.outgoing(subject)
+                .contains(&(pred, Object::Node(object)))
+        })
+    }
+
     /// True if `node` has a `type` edge to a node whose URI equals `type_uri`.
     ///
     /// This is such a common test in SODA's graph patterns that it deserves a
     /// shortcut.
     pub fn has_type(&self, node: NodeId, type_uri: &str) -> bool {
-        let Some(type_node) = self.node(type_uri) else {
-            return false;
-        };
-        self.objects_of(node, "type").contains(&type_node)
+        self.node(type_uri)
+            .is_some_and(|type_node| self.has_edge(node, "type", type_node))
     }
 
     /// Iterates over every text label in the graph together with the nodes it

@@ -76,34 +76,50 @@ impl SymbolTable {
     /// Interns `s`, returning its index.  Re-interning an existing string
     /// returns the original index.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.get(s) {
-            return id;
-        }
+        self.insert(s).0
+    }
+
+    /// Interns `s`, returning its index and whether it is new.  One probe
+    /// finds either `s` or the free slot it goes into.
+    pub fn insert(&mut self, s: &str) -> (u32, bool) {
+        let free = match self.probe(s) {
+            Some(Ok(id)) => return (id, false),
+            Some(Err(slot)) => Some(slot),
+            None => None,
+        };
         let id = self.ends.len() as u32;
         self.text.push_str(s);
         let end = u32::try_from(self.text.len()).expect("under 4 GiB of interned text");
         self.ends.push(end);
-        if self.ends.len() * 2 > self.slots.len() {
-            self.slots = vec![0; (self.slots.len() * 2).max(16)];
-            (0..id).for_each(|earlier| self.place(earlier));
+        match free {
+            Some(slot) if self.ends.len() * 2 <= self.slots.len() => self.slots[slot] = id + 1,
+            _ => {
+                self.slots = vec![0; (self.slots.len() * 2).max(16)];
+                (0..=id).for_each(|each| self.place(each));
+            }
         }
-        self.place(id);
-        id
+        (id, true)
     }
 
     /// Returns the index of `s` if it has been interned before.
     pub fn get(&self, s: &str) -> Option<u32> {
+        self.probe(s)?.ok()
+    }
+
+    /// Where the probe sequence of `s` ends: `Ok` with its index, or `Err`
+    /// with the free slot it would go into; `None` before the first string.
+    fn probe(&self, s: &str) -> Option<Result<u32, usize>> {
         if self.slots.is_empty() {
             return None;
         }
         let mut slot = self.home(s);
-        loop {
-            let id = self.slots[slot].checked_sub(1)?;
+        while let Some(id) = self.slots[slot].checked_sub(1) {
             if self.resolve(id) == s {
-                return Some(id);
+                return Some(Ok(id));
             }
             slot = (slot + 1) & (self.slots.len() - 1);
         }
+        Some(Err(slot))
     }
 
     /// Resolves an index back to its string.
@@ -155,6 +171,15 @@ mod tests {
         let b = t.intern("tablename");
         assert_eq!(a, b);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn insert_says_whether_the_string_is_new() {
+        let mut t = SymbolTable::new();
+        assert_eq!(t.insert("type"), (0, true));
+        assert_eq!(t.insert("name"), (1, true));
+        assert_eq!(t.insert("type"), (0, false));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use soda_metagraph::{
-    Binding, Matcher, MetaGraph, Pattern, PatternItem, PatternRegistry, Term, TriplePattern,
+    Binding, GraphBuilder, Matcher, MetaGraph, Object, Pattern, PatternItem, PatternRegistry, Term,
+    TriplePattern,
 };
 
 /// The matcher as it was before it compiled patterns into slots: `solve`,
@@ -507,6 +508,71 @@ proptest! {
         registry.register(Pattern::parse("sub", "( x pred1 y )").unwrap());
         let pattern = Pattern::new("p", items);
         assert_matches_reference(&graph, &registry, &pattern, 2)?;
+    }
+}
+
+/// `graph` rebuilt edge by edge through a [`GraphBuilder`]: the same node
+/// ids, edges and labels, in the same order.
+fn through_builder(graph: &MetaGraph) -> GraphBuilder {
+    let mut b = GraphBuilder::new();
+    for node in graph.nodes() {
+        b.node(graph.uri(node));
+    }
+    for node in graph.nodes() {
+        for &(pred, object) in graph.outgoing(node) {
+            let pred = predicate_uri(graph, pred);
+            match object {
+                Object::Node(to) => b.edge(node, pred, to),
+                Object::Text(label) => b.text(node, pred, graph.label_text(label)),
+            }
+        }
+    }
+    b
+}
+
+/// The URI of `pred` among those [`labelled_graph_strategy`] uses.
+fn predicate_uri(graph: &MetaGraph, pred: soda_metagraph::PredId) -> &'static str {
+    ["pred0", "pred1", "pred2", "pred3", "text0", "text1", "type"]
+        .into_iter()
+        .find(|uri| graph.find_predicate(uri) == Some(pred))
+        .expect("a predicate of the strategy")
+}
+
+proptest! {
+    /// `has_type` reads a node's `type` edges in place and says what
+    /// collecting them does, for every node and every type URI — the
+    /// strategy's, any node's own, and one no graph has.  `typed_node` twice
+    /// adds exactly one type edge, or none where the node already had it.
+    #[test]
+    fn has_type_and_typed_node_agree_with_the_type_objects(
+        graph in labelled_graph_strategy(),
+        subject in 0usize..22,
+        kind in 0u8..4,
+    ) {
+        let mut uris: Vec<String> = (0..4).map(|t| format!("kind/{t}")).collect();
+        uris.extend(graph.nodes().map(|n| graph.uri(n).to_string()));
+        for node in graph.nodes() {
+            let types = graph.objects_of(node, "type");
+            for uri in &uris {
+                let want = graph.node(uri).is_some_and(|t| types.contains(&t));
+                prop_assert_eq!(graph.has_type(node, uri), want, "{} {}", graph.uri(node), uri);
+            }
+        }
+
+        let (subject, kind) = (format!("node/{subject}"), format!("kind/{kind}"));
+        let type_edges = |g: &MetaGraph| match (g.node(&subject), g.node(&kind)) {
+            (Some(n), Some(k)) => g.objects_of(n, "type").iter().filter(|&&t| t == k).count(),
+            _ => 0,
+        };
+        let before = type_edges(&graph);
+        let mut b = through_builder(&graph);
+        let first = b.typed_node(&subject, &kind);
+        let second = b.typed_node(&subject, &kind);
+        prop_assert_eq!(first, second);
+        let typed = b.build();
+        prop_assert_eq!(type_edges(&typed), before.max(1));
+        prop_assert_eq!(typed.edge_count(), graph.edge_count() + usize::from(before == 0));
+        prop_assert!(typed.has_type(first, &kind));
     }
 }
 

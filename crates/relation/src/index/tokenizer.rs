@@ -37,6 +37,12 @@ pub fn normalize_phrase(text: &str) -> String {
 /// — and says whether there was any.  Allocates nothing beyond what `out`
 /// grows by.
 pub fn write_phrase(out: &mut String, lead: &str, text: &str) -> bool {
+    write_tokens(out, lead, " ", text)
+}
+
+/// [`write_phrase`] with `sep` between two tokens instead of a space: `"_"`
+/// writes a URI slug, `""` the tokens run together.
+pub fn write_tokens(out: &mut String, lead: &str, sep: &str, text: &str) -> bool {
     let mut any = false;
     let mut in_token = false;
     for c in text.chars() {
@@ -45,7 +51,7 @@ pub fn write_phrase(out: &mut String, lead: &str, text: &str) -> bool {
             continue;
         }
         if !in_token {
-            out.push_str(if any { " " } else { lead });
+            out.push_str(if any { sep } else { lead });
             in_token = true;
             any = true;
         }
@@ -101,6 +107,11 @@ mod tests {
         assert_eq!(out, "a and trade order td");
         for text in ["  Private   CUSTOMERS ", "Zürich İx", "fi-contains.sec", ""] {
             assert_eq!(normalize_phrase(text), tokenize(text).join(" "));
+            for sep in ["_", ""] {
+                let mut out = String::new();
+                write_tokens(&mut out, "", sep, text);
+                assert_eq!(out, tokenize(text).join(sep));
+            }
         }
     }
 

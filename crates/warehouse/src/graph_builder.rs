@@ -25,9 +25,14 @@
 //! ("financial instruments") against schema identifiers
 //! (`financial_instruments`).
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+
 use soda_metagraph::builder::{preds, types};
 use soda_metagraph::{GraphBuilder, MetaGraph, NodeId};
-use soda_relation::tokenize;
+use soda_relation::fold_table_name;
+use soda_relation::index::tokenizer::{normalize_phrase, write_phrase, write_tokens};
 
 use crate::dbpedia::{SynonymStore, SynonymTarget};
 use crate::model::{RelationshipKind, SchemaModel};
@@ -35,49 +40,127 @@ use crate::ontology::{ClassifyTarget, DomainOntology};
 
 /// Converts an arbitrary name into a URI slug.
 pub fn slug(name: &str) -> String {
-    tokenize(name).join("_")
+    joined(name, "_")
 }
 
 /// Converts an arbitrary name into the normalised phrase used as a lookup
 /// label ("Financial_Instruments" → "financial instruments").
 pub fn phrase(name: &str) -> String {
-    tokenize(name).join(" ")
+    normalize_phrase(name)
 }
 
-/// Loose identifier comparison used to link business attribute names to
-/// physical column names: case, separators and word boundaries are ignored, so
-/// "transaction date" matches `transactiondate` and "given name" matches
-/// `given_name`.
-pub fn loose_eq(a: &str, b: &str) -> bool {
-    let squash = |s: &str| tokenize(s).concat();
-    squash(a) == squash(b)
+/// The key business attribute names are linked to physical column names
+/// (and conceptual to logical attributes) by: case, separators and word
+/// boundaries are ignored, so "transaction date" meets `transactiondate`
+/// and "given name" meets `given_name`.
+fn squash(name: &str) -> String {
+    joined(name, "")
+}
+
+/// The tokens of `name`, `sep` between two of them.
+fn joined(name: &str, sep: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    write_tokens(&mut out, "", sep, name);
+    out
+}
+
+/// One reusable buffer that the build writes each URI or label into before
+/// it is interned, instead of a `String` of its own.
+#[derive(Default)]
+struct TextBuf(String);
+
+impl TextBuf {
+    fn format(&mut self, args: fmt::Arguments<'_>) -> &str {
+        self.0.clear();
+        self.0.write_fmt(args).expect("writing to a String");
+        &self.0
+    }
+
+    /// [`phrase`]`(name)`.
+    fn phrase(&mut self, name: &str) -> &str {
+        self.0.clear();
+        write_phrase(&mut self.0, "", name);
+        &self.0
+    }
+
+    /// `prefix` followed by [`slug`]`(name)`.
+    fn slug(&mut self, prefix: &str, name: &str) -> &str {
+        self.0.clear();
+        self.0.push_str(prefix);
+        write_tokens(&mut self.0, "", "_", name);
+        &self.0
+    }
+
+    /// `<layer>/<entity-slug>/<attr-slug>`.
+    fn attribute(&mut self, layer: &str, entity_slug: &str, attr: &str) -> &str {
+        self.0.clear();
+        write!(self.0, "{layer}/{entity_slug}/").expect("writing to a String");
+        write_tokens(&mut self.0, "", "_", attr);
+        &self.0
+    }
+
+    /// `name.to_lowercase()`.
+    fn lower(&mut self, name: &str) -> &str {
+        self.0.clear();
+        if name.is_ascii() {
+            self.0.push_str(name);
+            self.0.make_ascii_lowercase();
+        } else {
+            self.0.push_str(&name.to_lowercase());
+        }
+        &self.0
+    }
+}
+
+/// A physical table's node and its columns' nodes, each with its
+/// [`squash`] key, in schema order.
+struct PhysicalTable {
+    node: NodeId,
+    columns: Vec<(String, NodeId)>,
 }
 
 /// Builds the metadata graph for a warehouse.
+///
+/// Every table, column and attribute name is tokenised once, and tables
+/// and entities are found by hash probes — physical tables by their folded
+/// name ([`fold_table_name`], as the catalog folds them), logical entities
+/// by their ASCII-folded name — so linking an attribute compares its key
+/// with the precomputed keys of its own entity's tables' columns only.
 pub fn build_graph(
     model: &SchemaModel,
     ontology: &DomainOntology,
     synonyms: &SynonymStore,
 ) -> MetaGraph {
     let mut b = GraphBuilder::new();
+    let (mut uri, mut label) = (TextBuf::default(), TextBuf::default());
 
     // --- Physical layer -----------------------------------------------------
+    let mut tables: HashMap<Cow<str>, PhysicalTable> = HashMap::with_capacity(model.physical.len());
     for table in &model.physical {
-        let t = b.physical_table(&format!("phys/{}", table.name), &phrase(&table.name));
+        let t = b.physical_table(
+            uri.format(format_args!("phys/{}", table.name)),
+            label.phrase(&table.name),
+        );
         // Keep the exact physical identifier available as a secondary label so
         // that users typing `trade_order_td` still find the table.
-        b.text(t, preds::TABLENAME, &table.name.to_lowercase());
+        b.text(t, preds::TABLENAME, label.lower(&table.name));
         if let Some(comment) = &table.comment {
-            b.text(t, preds::NAME, &phrase(comment));
+            b.text(t, preds::NAME, label.phrase(comment));
         }
+        let mut columns = Vec::with_capacity(table.columns.len());
         for col in &table.columns {
             let c = b.physical_column(
                 t,
-                &format!("phys/{}/{}", table.name, col.name),
-                &phrase(&col.name),
+                uri.format(format_args!("phys/{}/{}", table.name, col.name)),
+                label.phrase(&col.name),
             );
-            b.text(c, preds::COLUMNNAME, &col.name.to_lowercase());
+            b.text(c, preds::COLUMNNAME, label.lower(&col.name));
+            columns.push((squash(&col.name), c));
         }
+        // The first of two tables whose names fold alike wins.
+        tables
+            .entry(fold_table_name(&table.name))
+            .or_insert(PhysicalTable { node: t, columns });
     }
 
     // Foreign keys (only the annotated ones are visible to SODA).
@@ -85,21 +168,24 @@ pub fn build_graph(
         if !fk.annotated {
             continue;
         }
-        let Some(fk_col) = b.graph().node(&format!("phys/{}/{}", fk.table, fk.column)) else {
+        let Some(fk_col) = b
+            .graph()
+            .node(uri.format(format_args!("phys/{}/{}", fk.table, fk.column)))
+        else {
             continue;
         };
         let Some(pk_col) = b
             .graph()
-            .node(&format!("phys/{}/{}", fk.ref_table, fk.ref_column))
+            .node(uri.format(format_args!("phys/{}/{}", fk.ref_table, fk.ref_column)))
         else {
             continue;
         };
         if fk.explicit_join_node {
             b.join_relationship(
-                &format!(
+                uri.format(format_args!(
                     "join/{}.{}--{}.{}",
                     fk.table, fk.column, fk.ref_table, fk.ref_column
-                ),
+                )),
                 fk_col,
                 pk_col,
             );
@@ -111,14 +197,20 @@ pub fn build_graph(
     // Bi-temporal historization annotations (only present in models built with
     // the annotated variants — see `crate::model::HistorizationLink`).
     for link in &model.historization {
-        let Some(hist) = b.graph().node(&format!("phys/{}", link.hist_table)) else {
+        let Some(hist) = b
+            .graph()
+            .node(uri.format(format_args!("phys/{}", link.hist_table)))
+        else {
             continue;
         };
-        let Some(current) = b.graph().node(&format!("phys/{}", link.current_table)) else {
+        let Some(current) = b
+            .graph()
+            .node(uri.format(format_args!("phys/{}", link.current_table)))
+        else {
             continue;
         };
         b.historization(
-            &format!("hist/{}", link.hist_table),
+            uri.format(format_args!("hist/{}", link.hist_table)),
             hist,
             current,
             &link.valid_from_column,
@@ -128,153 +220,151 @@ pub fn build_graph(
 
     // Inheritance groups.
     for group in &model.inheritance {
-        let Some(parent) = b.graph().node(&format!("phys/{}", group.parent_table)) else {
+        let Some(parent) = b
+            .graph()
+            .node(uri.format(format_args!("phys/{}", group.parent_table)))
+        else {
             continue;
         };
         let children: Vec<NodeId> = group
             .child_tables
             .iter()
-            .filter_map(|c| b.graph().node(&format!("phys/{c}")))
+            .filter_map(|c| b.graph().node(uri.format(format_args!("phys/{c}"))))
             .collect();
         if children.len() >= 2 {
-            b.inheritance(&format!("inh/{}", group.parent_table), parent, &children);
+            b.inheritance(
+                uri.format(format_args!("inh/{}", group.parent_table)),
+                parent,
+                &children,
+            );
         }
     }
 
     // --- Logical layer -------------------------------------------------------
+    // Each entity's attribute nodes with their squash keys, by folded name;
+    // the first of two entities whose names fold alike wins.
+    let mut logical: HashMap<Cow<str>, Vec<(String, NodeId)>> =
+        HashMap::with_capacity(model.logical.len());
     for entity in &model.logical {
+        let entity_slug = slug(&entity.name);
         let e = b.named_node(
-            &format!("logical/{}", slug(&entity.name)),
+            uri.format(format_args!("logical/{entity_slug}")),
             types::LOGICAL_ENTITY,
-            &phrase(&entity.name),
+            label.phrase(&entity.name),
         );
+        let implementing: Vec<&PhysicalTable> = entity
+            .implemented_by
+            .iter()
+            .filter_map(|table| tables.get(&*fold_table_name(table)))
+            .collect();
+        let mut attributes = Vec::with_capacity(entity.attributes.len());
         for attr in &entity.attributes {
             let a = b.named_node(
-                &format!("logical/{}/{}", slug(&entity.name), slug(attr)),
+                uri.attribute("logical", &entity_slug, attr),
                 types::LOGICAL_ATTRIBUTE,
-                &phrase(attr),
+                label.phrase(attr),
             );
             b.edge(e, preds::ATTRIBUTE, a);
             // Attributes are linked down to the physical column of an
             // implementing table whose identifier loosely matches the
             // business name ("transaction date" → `transactiondate`).
-            for table in &entity.implemented_by {
-                let Some(schema) = model.physical_table(table) else {
-                    continue;
-                };
-                for col in &schema.columns {
-                    if loose_eq(attr, &col.name) {
-                        if let Some(col_node) = b
-                            .graph()
-                            .node(&format!("phys/{}/{}", schema.name, col.name))
-                        {
-                            b.edge(a, preds::REALIZED_BY, col_node);
-                        }
+            let key = squash(attr);
+            for table in &implementing {
+                for (column, c) in &table.columns {
+                    if *column == key {
+                        b.edge(a, preds::REALIZED_BY, *c);
                     }
                 }
             }
+            attributes.push((key, a));
         }
-        for table in &entity.implemented_by {
-            if let Some(t) = b.graph().node(&format!("phys/{table}")) {
-                b.edge(e, preds::IMPLEMENTED_BY, t);
-            }
+        for table in &implementing {
+            b.edge(e, preds::IMPLEMENTED_BY, table.node);
         }
+        logical
+            .entry(fold_table_name(&entity.name))
+            .or_insert(attributes);
     }
     for rel in &model.logical_relationships {
-        let from = b.node(&format!("logical/{}", slug(&rel.from)));
-        let to = b.node(&format!("logical/{}", slug(&rel.to)));
-        let pred = match rel.kind {
-            RelationshipKind::ManyToOne => "related_n1",
-            RelationshipKind::ManyToMany => "related_nn",
-            RelationshipKind::Inheritance => "specializes",
-        };
-        b.edge(from, pred, to);
+        let from = b.node(uri.slug("logical/", &rel.from));
+        let to = b.node(uri.slug("logical/", &rel.to));
+        b.edge(from, relationship_predicate(rel.kind), to);
     }
 
     // --- Conceptual layer ----------------------------------------------------
     for entity in &model.conceptual {
+        let entity_slug = slug(&entity.name);
         let e = b.named_node(
-            &format!("concept/{}", slug(&entity.name)),
+            uri.format(format_args!("concept/{entity_slug}")),
             types::CONCEPTUAL_ENTITY,
-            &phrase(&entity.name),
+            label.phrase(&entity.name),
         );
+        let refining: Vec<&[(String, NodeId)]> = entity
+            .refined_by
+            .iter()
+            .filter_map(|name| logical.get(&*fold_table_name(name)).map(Vec::as_slice))
+            .collect();
         for attr in &entity.attributes {
             let a = b.named_node(
-                &format!("concept/{}/{}", slug(&entity.name), slug(attr)),
+                uri.attribute("concept", &entity_slug, attr),
                 types::CONCEPTUAL_ATTRIBUTE,
-                &phrase(attr),
+                label.phrase(attr),
             );
             b.edge(e, preds::ATTRIBUTE, a);
             // Conceptual attributes are realised by loosely-matching logical
             // attributes of the refining entities, giving the lookup a path
             // from the business phrasing all the way down to a physical column.
-            for logical_name in &entity.refined_by {
-                let Some(logical) = model
-                    .logical
-                    .iter()
-                    .find(|l| l.name.eq_ignore_ascii_case(logical_name))
-                else {
-                    continue;
-                };
-                for l_attr in &logical.attributes {
-                    if loose_eq(attr, l_attr) {
-                        if let Some(l_node) = b.graph().node(&format!(
-                            "logical/{}/{}",
-                            slug(&logical.name),
-                            slug(l_attr)
-                        )) {
-                            b.edge(a, preds::REALIZED_BY, l_node);
-                        }
+            let key = squash(attr);
+            for attributes in &refining {
+                for (l_key, l) in attributes.iter() {
+                    if *l_key == key {
+                        b.edge(a, preds::REALIZED_BY, *l);
                     }
                 }
             }
         }
         for logical in &entity.refined_by {
-            if let Some(l) = b.graph().node(&format!("logical/{}", slug(logical))) {
+            if let Some(l) = b.graph().node(uri.slug("logical/", logical)) {
                 b.edge(e, preds::REFINED_BY, l);
             }
         }
     }
     for rel in &model.conceptual_relationships {
-        let from = b.node(&format!("concept/{}", slug(&rel.from)));
-        let to = b.node(&format!("concept/{}", slug(&rel.to)));
-        let pred = match rel.kind {
-            RelationshipKind::ManyToOne => "related_n1",
-            RelationshipKind::ManyToMany => "related_nn",
-            RelationshipKind::Inheritance => "specializes",
-        };
-        b.edge(from, pred, to);
+        let from = b.node(uri.slug("concept/", &rel.from));
+        let to = b.node(uri.slug("concept/", &rel.to));
+        b.edge(from, relationship_predicate(rel.kind), to);
     }
 
     // --- Domain ontology -----------------------------------------------------
     for concept in &ontology.concepts {
-        let c = b.ontology_concept(&format!("onto/{}", concept.slug), &phrase(&concept.name));
+        let c = b.ontology_concept(
+            uri.format(format_args!("onto/{}", concept.slug)),
+            label.phrase(&concept.name),
+        );
         for alt in &concept.alt_names {
-            b.text(c, preds::NAME, &phrase(alt));
+            b.text(c, preds::NAME, label.phrase(alt));
         }
         for target in &concept.classifies {
-            let target_node = match target {
-                ClassifyTarget::Conceptual(name) => {
-                    b.graph().node(&format!("concept/{}", slug(name)))
-                }
-                ClassifyTarget::Logical(name) => b.graph().node(&format!("logical/{}", slug(name))),
-                ClassifyTarget::Table(name) => b.graph().node(&format!("phys/{name}")),
+            let target_uri = match target {
+                ClassifyTarget::Conceptual(name) => uri.slug("concept/", name),
+                ClassifyTarget::Logical(name) => uri.slug("logical/", name),
+                ClassifyTarget::Table(name) => uri.format(format_args!("phys/{name}")),
                 ClassifyTarget::Column { table, column } => {
-                    b.graph().node(&format!("phys/{table}/{column}"))
+                    uri.format(format_args!("phys/{table}/{column}"))
                 }
-                ClassifyTarget::Concept(s) => b.graph().node(&format!("onto/{s}")),
+                ClassifyTarget::Concept(s) => uri.format(format_args!("onto/{s}")),
             };
-            if let Some(t) = target_node {
+            if let Some(t) = b.graph().node(target_uri) {
                 b.edge(c, preds::CLASSIFIES, t);
             }
         }
         if let Some(filter) = &concept.filter {
             if let Some(col) = b
                 .graph()
-                .node(&format!("phys/{}/{}", filter.table, filter.column))
+                .node(uri.format(format_args!("phys/{}/{}", filter.table, filter.column)))
             {
                 b.metadata_filter(
-                    &format!("filter/{}", concept.slug),
+                    uri.format(format_args!("filter/{}", concept.slug)),
                     c,
                     col,
                     &filter.op,
@@ -286,22 +376,29 @@ pub fn build_graph(
 
     // --- DBpedia -------------------------------------------------------------
     for (i, entry) in synonyms.entries.iter().enumerate() {
-        let target = match &entry.target {
-            SynonymTarget::Concept(s) => b.graph().node(&format!("onto/{s}")),
-            SynonymTarget::Conceptual(name) => b.graph().node(&format!("concept/{}", slug(name))),
-            SynonymTarget::Logical(name) => b.graph().node(&format!("logical/{}", slug(name))),
-            SynonymTarget::Table(name) => b.graph().node(&format!("phys/{name}")),
+        let target_uri = match &entry.target {
+            SynonymTarget::Concept(s) => uri.format(format_args!("onto/{s}")),
+            SynonymTarget::Conceptual(name) => uri.slug("concept/", name),
+            SynonymTarget::Logical(name) => uri.slug("logical/", name),
+            SynonymTarget::Table(name) => uri.format(format_args!("phys/{name}")),
         };
-        if let Some(t) = target {
-            b.dbpedia_synonym(
-                &format!("dbpedia/{}_{}", slug(&entry.term), i),
-                &phrase(&entry.term),
-                t,
-            );
+        if let Some(t) = b.graph().node(target_uri) {
+            uri.slug("dbpedia/", &entry.term);
+            write!(uri.0, "_{i}").expect("writing to a String");
+            b.dbpedia_synonym(&uri.0, label.phrase(&entry.term), t);
         }
     }
 
     b.build()
+}
+
+/// The predicate of a conceptual or logical relationship edge.
+fn relationship_predicate(kind: RelationshipKind) -> &'static str {
+    match kind {
+        RelationshipKind::ManyToOne => "related_n1",
+        RelationshipKind::ManyToMany => "related_nn",
+        RelationshipKind::Inheritance => "specializes",
+    }
 }
 
 #[cfg(test)]
@@ -480,6 +577,23 @@ mod tests {
         assert!(g.objects_of(attr, preds::REALIZED_BY).contains(&col));
     }
 
+    /// `implemented_by` may spell a table in another case: the entity is
+    /// implemented by it and its attributes are realised by its columns
+    /// alike, both found under the folded name.
+    #[test]
+    fn an_implementing_table_is_found_whatever_its_case() {
+        let mut model = tiny_model();
+        model.logical[0].implemented_by = vec!["Individual".into()];
+        let g = build_graph(&model, &tiny_ontology(), &tiny_synonyms());
+        let logical = g.node("logical/individuals").unwrap();
+        let physical = g.node("phys/individual").unwrap();
+        assert_eq!(g.objects_of(logical, preds::IMPLEMENTED_BY), vec![physical]);
+        let attr = g.node("logical/individuals/salary").unwrap();
+        let col = g.node("phys/individual/salary").unwrap();
+        assert_eq!(g.objects_of(attr, preds::REALIZED_BY), vec![col]);
+        assert!(g.node("phys/Individual").is_none());
+    }
+
     #[test]
     fn ontology_concepts_classify_and_define_filters() {
         let g = build_graph(&tiny_model(), &tiny_ontology(), &tiny_synonyms());
@@ -512,5 +626,8 @@ mod tests {
         assert_eq!(slug("Financial Instruments"), "financial_instruments");
         assert_eq!(phrase("trade_order_td"), "trade order td");
         assert_eq!(phrase("  Given   Name "), "given name");
+        assert_eq!(squash("transaction date"), squash("TransactionDate"));
+        assert_eq!(squash("given name"), squash("given_name"));
+        assert_ne!(squash("given name"), squash("family_name"));
     }
 }

@@ -20,10 +20,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use soda::core::{normalize_query, EngineSnapshot, SodaConfig};
+use soda::core::{normalize_query, ClassificationIndex, EngineSnapshot, SodaConfig};
 use soda::ingest::RowEvent;
 use soda::relation::{execute, parse_select, Table};
 use soda::service::{QueryRequest, QueryService, ServiceConfig};
+use soda::warehouse::build_graph;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
 
 // The golden suites use the rest of it.
@@ -271,5 +272,35 @@ fn absorb_allocs_ignore_tail() {
     assert!(
         made[1] <= made[0] + ABSORB_TAIL_SLACK,
         "allocations over an empty and a 1 000-row tail: {made:?}"
+    );
+}
+
+/// What building the enterprise warehouse's metadata graph (Table 1's
+/// padded schema) and its classification index may allocate in all.  With
+/// each name tokenised once, tables and entities found by hash probes and
+/// each URI written into one reused buffer, the two make 30 235 and 6 352.  When every
+/// attribute re-tokenised each column of its implementing tables and each
+/// label holder collected its type edges per type asked, they made 369 609
+/// and 87 094; the budget is half of their sum.
+const METADATA_BUILD_BUDGET: u64 = 228_351;
+
+#[test]
+fn the_metadata_build_allocates_within_its_budget() {
+    let warehouse = enterprise::build_with(EnterpriseConfig {
+        seed: 42,
+        padding: true,
+        data_scale: 0.1,
+    });
+    let (ontology, synonyms) = (
+        enterprise::ontology::ontology(),
+        enterprise::ontology::synonyms(),
+    );
+    let (graph, graph_made) = allocations(|| build_graph(&warehouse.model, &ontology, &synonyms));
+    let (index, index_made) = allocations(|| ClassificationIndex::build(&graph, true));
+    assert_eq!(graph.node_count(), warehouse.graph.node_count());
+    assert!(index.len() > 1_000, "{} phrases", index.len());
+    assert!(
+        graph_made + index_made <= METADATA_BUILD_BUDGET,
+        "build_graph made {graph_made} allocations, the classification index {index_made}"
     );
 }
