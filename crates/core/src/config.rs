@@ -115,7 +115,7 @@ pub struct SodaConfig {
     pub shards: usize,
     /// Ranking weights.
     pub weights: RankingWeights,
-    /// Number of snippet rows materialised when executing a result.
+    /// Number of rows the snippet of an executed result shows.
     pub snippet_rows: usize,
 }
 

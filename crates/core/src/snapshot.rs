@@ -683,6 +683,37 @@ mod tests {
         assert!(!again.search("Streamtown").unwrap().is_empty());
     }
 
+    /// A result holds its tables and row numbers, not cells, so it must
+    /// outlive the snapshot it ran on: a feed into a table whose tail is
+    /// unsealed writes a chunk of its own (the tail is written only while no
+    /// clone holds it), and the earlier result still reads its own rows.
+    #[test]
+    fn a_result_outlives_its_snapshot() {
+        let before = minibank(1);
+        let addresses = before.database().table("addresses").unwrap();
+        assert!(addresses.tail_rows() > 0, "the tail is unsealed");
+        let stmt = soda_relation::parse_select(
+            "SELECT addresses.city, individuals.lastname FROM addresses, individuals \
+             WHERE addresses.party_id = individuals.id",
+        )
+        .unwrap();
+        let held = soda_relation::execute(before.database(), &stmt).unwrap();
+        let expected = held.tuple_strings();
+
+        let after = before.absorbed(address_feed(900, "Streamville")).unwrap();
+        drop(before);
+        assert_eq!(held.tuple_strings(), expected);
+        let fresh = soda_relation::execute(after.database(), &stmt).unwrap();
+        let mut seen = fresh.tuple_strings();
+        assert!(seen
+            .pop()
+            .is_some_and(|row| row.starts_with("Streamville\t")));
+        assert_eq!(
+            seen, expected,
+            "the new snapshot sees the old rows, then the new one"
+        );
+    }
+
     #[test]
     fn absorbed_shares_every_untouched_table_with_the_previous_database() {
         let before = minibank(4);

@@ -95,7 +95,7 @@ fn corpus_is_invariant_with_live_side_logs() {
     let (db, graph) = minibank::build(42).shared_parts();
     let individual = {
         let table = db.table("individuals").unwrap();
-        let mut row = table.rows()[0].clone();
+        let mut row = table.rows()[0].to_vec();
         row[0] = Value::Int(9_999);
         row[1] = Value::from("Zebulon");
         row

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use soda_ingest::ChangeFeed;
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_relation::Row;
+use soda_relation::{Row, Value};
 
 use crate::frame::{FrameFile, FrameScan};
 
@@ -58,9 +58,10 @@ pub struct Checkpoint {
 /// Encodes a checkpoint record straight from borrowed rows: `generation`
 /// and, for each of `tables`, its lower-cased name and every row.  The
 /// inverse of [`Checkpoint::decode_from`].
-fn encode_checkpoint<'a, R>(generation: u64, tables: &[(&str, R)]) -> Vec<u8>
+fn encode_checkpoint<R>(generation: u64, tables: &[(&str, R)]) -> Vec<u8>
 where
-    R: IntoIterator<Item = &'a Row> + Copy,
+    R: IntoIterator + Copy,
+    R::Item: AsRef<[Value]>,
     R::IntoIter: ExactSizeIterator,
 {
     let mut enc = Encoder::new();
@@ -72,7 +73,7 @@ where
         enc.put_str(name);
         enc.put_usize(rows.len());
         for row in rows {
-            enc.put_row(row);
+            enc.put_row(row.as_ref());
         }
     }
     enc.into_bytes()
@@ -290,13 +291,14 @@ impl FeedJournal {
     /// slice) and encoded where they are.  A crash during the rewrite
     /// leaves either the old journal or the new one, never a mix.  Returns
     /// the journal's new size in bytes.
-    pub fn write_checkpoint<'a, R>(
+    pub fn write_checkpoint<R>(
         &mut self,
         generation: u64,
         tables: &[(&str, R)],
     ) -> JournalResult<u64>
     where
-        R: IntoIterator<Item = &'a Row> + Copy,
+        R: IntoIterator + Copy,
+        R::Item: AsRef<[Value]>,
         R::IntoIter: ExactSizeIterator,
     {
         let payload = encode_checkpoint(generation, tables);

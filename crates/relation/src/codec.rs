@@ -184,8 +184,8 @@ impl Encoder {
         }
     }
 
-    /// A [`Row`] (length-prefixed vector of values).
-    pub fn put_row(&mut self, row: &Row) {
+    /// A row (length-prefixed vector of values).
+    pub fn put_row(&mut self, row: &[Value]) {
         self.put_usize(row.len());
         for v in row {
             self.put_value(v);

@@ -6,7 +6,6 @@ use std::borrow::Cow;
 
 use crate::error::{RelationError, Result};
 use crate::expr::{AggFunc, CompareOp, Expr};
-use crate::table::Row;
 use crate::value::{DataType, Date, Value};
 
 /// The columns a statement can name, by qualifier: one entry per column of
@@ -127,6 +126,19 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     LikePattern::new(pattern).matches(text)
 }
 
+/// One joined tuple: a row per slot.  Bound expressions read a tuple only
+/// through this, so that the scan's one-row probe and the join's tuples of
+/// scan positions evaluate alike.
+pub(super) trait Tuple<'v> {
+    fn row(&self, slot: usize) -> &'v [Value];
+}
+
+impl<'r: 'v, 'v> Tuple<'v> for [&'r [Value]] {
+    fn row(&self, slot: usize) -> &'v [Value] {
+        self[slot]
+    }
+}
+
 /// Resolves a column reference to `(tuple slot, column index, declared type)`.
 pub(super) type Resolve<'r> =
     &'r dyn Fn(Option<&str>, &str) -> Result<(usize, usize, Option<DataType>)>;
@@ -215,16 +227,16 @@ impl BoundExpr {
 
     /// The expression's value over one tuple (one borrowed row per slot).
     /// Columns and literals are borrowed; predicates yield `Bool` or `Null`.
-    pub(super) fn value<'v>(&'v self, tuple: &[&'v Row]) -> Cow<'v, Value> {
+    pub(super) fn value<'v, T: Tuple<'v> + ?Sized>(&'v self, tuple: &T) -> Cow<'v, Value> {
         match self {
-            Self::Column { slot, col } => Cow::Borrowed(&tuple[*slot][*col]),
+            Self::Column { slot, col } => Cow::Borrowed(&tuple.row(*slot)[*col]),
             Self::Literal(v) => Cow::Borrowed(v),
             _ => Cow::Owned(self.test(tuple).map_or(Value::Null, Value::Bool)),
         }
     }
 
     /// The expression as a predicate (`None` means SQL unknown).
-    pub(super) fn test(&self, tuple: &[&Row]) -> Option<bool> {
+    pub(super) fn test<'v, T: Tuple<'v> + ?Sized>(&'v self, tuple: &T) -> Option<bool> {
         match self {
             Self::Column { .. } | Self::Literal(_) => match *self.value(tuple) {
                 Value::Bool(b) => Some(b),
@@ -298,7 +310,11 @@ impl Default for Accumulator<'_> {
 }
 
 impl AggCall {
-    pub(super) fn update<'v>(&'v self, acc: &mut Accumulator<'v>, tuple: &[&'v Row]) {
+    pub(super) fn update<'v, T: Tuple<'v> + ?Sized>(
+        &'v self,
+        acc: &mut Accumulator<'v>,
+        tuple: &T,
+    ) {
         let value = match &self.arg {
             Some(arg) => arg.value(tuple),
             None => Cow::Owned(Value::Int(1)),
@@ -391,7 +407,11 @@ impl GroupExpr {
 
     /// The value for one group, given its first row (`None` for the single
     /// empty group of an aggregate over no rows) and its finished aggregates.
-    pub(super) fn eval(&self, first: Option<&[&Row]>, aggregates: &[Value]) -> Value {
+    pub(super) fn eval<'v, T: Tuple<'v> + ?Sized>(
+        &'v self,
+        first: Option<&T>,
+        aggregates: &[Value],
+    ) -> Value {
         match self {
             Self::Aggregate(i) => aggregates[*i].clone(),
             Self::Compare { op, left, right } => compare(
@@ -437,7 +457,7 @@ mod tests {
     /// Binds and evaluates in one go (the executor binds once per statement).
     fn eval_scalar(expr: &Expr, schema: &RowSchema, row: &[Value]) -> Result<Value> {
         let bound = BoundExpr::bind(expr, &resolver(schema))?;
-        Ok(bound.value(&[&row.to_vec()]).into_owned())
+        Ok(bound.value(&[row][..]).into_owned())
     }
 
     /// Binds, folds `group` into one accumulator per aggregate and evaluates.
@@ -447,11 +467,11 @@ mod tests {
         let mut accs = vec![Accumulator::default(); calls.len()];
         for row in group {
             for (call, acc) in calls.iter().zip(&mut accs) {
-                call.update(acc, &[row]);
+                call.update(acc, &[row.as_slice()][..]);
             }
         }
         let finished: Vec<Value> = calls.iter().zip(accs).map(|(c, a)| c.finish(a)).collect();
-        let first = group.first().map(|row| [row]);
+        let first = group.first().map(|row| [row.as_slice()]);
         Ok(bound.eval(first.as_ref().map(|t| t.as_slice()), &finished))
     }
 

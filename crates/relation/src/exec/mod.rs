@@ -1,57 +1,67 @@
-//! Query execution: bind → scan → join → fold → materialise.
+//! Query execution: bind → scan → join → fold → pick.
 //!
 //! The executor exists so that the SQL produced by SODA (and the
 //! gold-standard SQL) can be *run* — compared tuple by tuple, and shown as a
-//! snippet under every statement.  It borrows the tables it reads:
+//! snippet under every statement.  It borrows the tables it reads, and its
+//! result holds them:
 //!
 //! 1. **Bind.**  Every conjunct, projection item, group key, aggregate
 //!    argument and sort key is compiled once into a `BoundExpr` (columns
 //!    become `(slot, index)` pairs), so unknown or ambiguous names and
 //!    misplaced aggregates are reported before a row is read.
 //! 2. **Scan.**  Each FROM table is read through its [`Rows`](crate::Rows)
-//!    view; single-table predicates are applied here, below the joins.
+//!    view; single-table predicates are applied here, below the joins, and
+//!    the scan records each passing row and its row number.
 //! 3. **Join.**  Tables attach in the order join predicates connect them
-//!    (cross product only when none does).  A tuple is one `&Row` per table
-//!    joined so far.  An equi-join chains the rows of the smaller input in a
-//!    flat table keyed by a per-execution random-keyed SipHash of their key
-//!    [`Value`]s (`head` per bucket, `next` and the hash per row); a bit
+//!    (cross product only when none does).  A tuple is one scan position per
+//!    table joined so far.  An equi-join chains the rows of the smaller input
+//!    in a flat table keyed by a per-execution random-keyed SipHash of their
+//!    key [`Value`]s (`head` per bucket, `next` and the hash per row); a bit
 //!    filter in front of it, set from a cheap unkeyed hash of the same
 //!    values, lets a probe row that matches nothing skip the SipHash and the
 //!    walk.  A candidate matches when every key compares equal as the
 //!    predicate `l = r` would.
 //! 4. **Fold.**  Aggregating statements assign each tuple to its group and
 //!    update one accumulator per (group, aggregate) in the same pass.
-//! 5. **Materialise.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers;
-//!    a statement with neither DISTINCT nor ORDER BY writes its first rows
-//!    straight out.  Only the projected values of rows in the [`ResultSet`]
-//!    are cloned, into one row-major buffer, and cloning a text value shares
-//!    its string.
+//! 5. **Pick.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers.  The
+//!    [`ResultSet`] keeps a shared handle of each FROM table and, per output
+//!    row, the row number of each of its tuple's rows; it copies no cell, and
+//!    reads one only when a caller reads its row.  What the statement
+//!    computes — groups, aggregates, a projection that is not a column — is
+//!    computed once into one more table of the result.
 
 pub mod eval;
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Deref, Index};
+use std::sync::Arc;
 
-use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema};
+use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema, Tuple};
 use crate::catalog::Database;
 use crate::error::{RelationError, Result};
 use crate::expr::{CompareOp, Expr};
 use crate::sql::ast::SelectStatement;
-use crate::table::Row;
+use crate::table::{Row, Table};
 use crate::value::Value;
 
-/// The result of executing a `SELECT` statement.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+/// The result of executing a `SELECT` statement: the tables its rows come
+/// from and, per row, a row number in each.  Results are equal when their
+/// columns and cells are.
+#[derive(Clone)]
 pub struct ResultSet {
     columns: Vec<String>,
-    /// The cells, row after row, `columns.len()` to a row.
-    cells: Vec<Value>,
-    /// Kept apart from `cells`, so that a zero-width result keeps its count.
-    rows: usize,
+    /// One table per tuple slot: the FROM tables in join order, then the
+    /// rows the statement computed, if it computed any; or, for a grouping
+    /// statement, its groups alone.
+    tables: Vec<Arc<Table>>,
+    /// Per output column: the slot it reads and the column there.
+    projection: Vec<(usize, usize)>,
+    /// Row numbers, `tables.len()` to a row: a row of the result is the row
+    /// of that number in each slot's table.
+    numbers: Vec<u32>,
 }
 
 impl ResultSet {
@@ -63,8 +73,8 @@ impl ResultSet {
     /// Output rows, in order.
     pub fn rows(
         &self,
-    ) -> impl ExactSizeIterator<Item = &[Value]> + DoubleEndedIterator + Clone + '_ {
-        (0..self.rows).map(|i| self.row(i))
+    ) -> impl ExactSizeIterator<Item = ResultRow<'_>> + DoubleEndedIterator + Clone + '_ {
+        (0..self.row_count()).map(|i| self.row(i))
     }
 
     /// Row `i`.
@@ -72,20 +82,24 @@ impl ResultSet {
     /// # Panics
     ///
     /// When `i` is not less than [`row_count`](Self::row_count).
-    pub fn row(&self, i: usize) -> &[Value] {
-        assert!(i < self.rows, "row {i} of a {}-row result", self.rows);
-        let width = self.columns.len();
-        &self.cells[i * width..][..width]
+    pub fn row(&self, i: usize) -> ResultRow<'_> {
+        let rows = self.row_count();
+        assert!(i < rows, "row {i} of a {rows}-row result");
+        let width = self.tables.len();
+        ResultRow {
+            set: self,
+            numbers: &self.numbers[i * width..][..width],
+        }
     }
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows
+        self.numbers.len() / self.tables.len()
     }
 
     /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.numbers.is_empty()
     }
 
     /// Rows rendered as tab-separated strings — the canonical form used for
@@ -114,7 +128,122 @@ impl ResultSet {
     }
 }
 
-fn write_cells(out: &mut String, row: &[Value], separator: &str) {
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.columns == other.columns
+            && self.row_count() == other.row_count()
+            && self.rows().eq(other.rows())
+    }
+}
+
+impl std::fmt::Debug for ResultSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResultSet")
+            .field("columns", &self.columns)
+            .field("rows", &self.rows().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// One row of a [`ResultSet`]: its cells are read from the tables the result
+/// holds, by index (`row[i]`) or in order ([`iter`](Self::iter)).
+#[derive(Clone, Copy)]
+pub struct ResultRow<'r> {
+    set: &'r ResultSet,
+    /// The row's number in each slot's table.
+    numbers: &'r [u32],
+}
+
+impl<'r> ResultRow<'r> {
+    /// Number of cells: the result's column count.
+    pub fn len(&self) -> usize {
+        self.set.projection.len()
+    }
+
+    /// True when the result has no columns.
+    pub fn is_empty(&self) -> bool {
+        self.set.projection.is_empty()
+    }
+
+    /// Cell `i`, if the result has that many columns.
+    pub fn get(&self, i: usize) -> Option<&'r Value> {
+        let &(slot, col) = self.set.projection.get(i)?;
+        let row = self.set.tables[slot]
+            .rows()
+            .get(self.numbers[slot] as usize);
+        Some(&row.expect("a result row number is a row of its table")[col])
+    }
+
+    fn cell(&self, i: usize) -> &'r Value {
+        self.get(i)
+            .unwrap_or_else(|| panic!("column {i} of a {}-column row", self.len()))
+    }
+
+    /// The cells in column order.
+    pub fn iter(&self) -> Cells<'r> {
+        Cells {
+            row: *self,
+            columns: 0..self.len(),
+        }
+    }
+
+    /// The cells, cloned (a text cell shares its string).
+    pub fn to_vec(&self) -> Vec<Value> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl<'r> Index<usize> for ResultRow<'r> {
+    type Output = Value;
+
+    fn index(&self, i: usize) -> &Value {
+        self.cell(i)
+    }
+}
+
+impl<'r> IntoIterator for ResultRow<'r> {
+    type Item = &'r Value;
+    type IntoIter = Cells<'r>;
+
+    fn into_iter(self) -> Cells<'r> {
+        self.iter()
+    }
+}
+
+/// Iterator over the cells of a [`ResultRow`], in column order.
+#[derive(Clone)]
+pub struct Cells<'r> {
+    row: ResultRow<'r>,
+    columns: std::ops::Range<usize>,
+}
+
+impl<'r> Iterator for Cells<'r> {
+    type Item = &'r Value;
+
+    fn next(&mut self) -> Option<&'r Value> {
+        self.columns.next().map(|i| self.row.cell(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.columns.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Cells<'_> {}
+
+impl PartialEq for ResultRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for ResultRow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+fn write_cells(out: &mut String, row: ResultRow<'_>, separator: &str) {
     for (i, value) in row.iter().enumerate() {
         if i > 0 {
             out.push_str(separator);
@@ -123,32 +252,118 @@ fn write_cells(out: &mut String, row: &[Value], separator: &str) {
     }
 }
 
-/// Intermediate join result: `stride` borrowed rows per tuple, one per table
-/// joined so far, stored back to back.
-struct Tuples<'a> {
-    refs: Vec<&'a Row>,
+/// One FROM table's rows that pass its own predicates, and their row
+/// numbers in the table.
+struct Scan<'a> {
+    rows: Vec<&'a [Value]>,
+    /// `None` when the table has no predicate of its own: then a row's
+    /// position in the scan is its row number.
+    numbers: Option<Vec<u32>>,
+}
+
+impl Scan<'_> {
+    fn number(&self, position: u32) -> u32 {
+        self.numbers
+            .as_ref()
+            .map_or(position, |numbers| numbers[position as usize])
+    }
+}
+
+/// Intermediate join result: `stride` scan positions per tuple, one per
+/// table joined so far (slot order), stored back to back.
+struct Tuples {
+    positions: Vec<u32>,
     stride: usize,
 }
 
-impl<'a> Tuples<'a> {
+impl Tuples {
     fn len(&self) -> usize {
-        self.refs.len() / self.stride
+        self.positions.len() / self.stride
     }
 
-    fn get(&self, i: usize) -> &[&'a Row] {
-        &self.refs[i * self.stride..(i + 1) * self.stride]
+    fn get(&self, i: usize) -> &[u32] {
+        &self.positions[i * self.stride..(i + 1) * self.stride]
     }
+
+    /// Tuple `i` as rows, for bound expressions.
+    fn at<'t, 'a>(&'t self, scans: &'t [Scan<'a>], i: usize) -> At<'t, 'a> {
+        At {
+            scans,
+            positions: self.get(i),
+        }
+    }
+
+    /// The result's row numbers: those of the tuples `picked` — or of the
+    /// first `limit` tuples when `None` — in place of their scan positions,
+    /// each followed by its tuple number when the statement `computed` a row
+    /// per tuple.  Written over the positions when it can be.
+    fn into_numbers(
+        mut self,
+        scans: &[Scan<'_>],
+        picked: Option<Vec<usize>>,
+        limit: usize,
+        computed: bool,
+    ) -> Vec<u32> {
+        let number = |slot: usize, position: u32| scans[slot].number(position);
+        let mut numbers = match picked {
+            None if !computed => {
+                self.positions.truncate(self.len().min(limit) * self.stride);
+                for tuple in self.positions.chunks_exact_mut(self.stride) {
+                    for (slot, position) in tuple.iter_mut().enumerate() {
+                        *position = number(slot, *position);
+                    }
+                }
+                self.positions
+            }
+            picked => {
+                let picked = picked.unwrap_or_else(|| (0..self.len().min(limit)).collect());
+                let width = self.stride + usize::from(computed);
+                let mut numbers = Vec::with_capacity(picked.len() * width);
+                for i in picked {
+                    let tuple = self.get(i);
+                    numbers.extend(tuple.iter().enumerate().map(|(s, &p)| number(s, p)));
+                    if computed {
+                        numbers.push(row_number(i));
+                    }
+                }
+                numbers
+            }
+        };
+        numbers.shrink_to_fit();
+        numbers
+    }
+}
+
+/// One joined tuple, read through the scans its positions point into.
+struct At<'t, 'a> {
+    scans: &'t [Scan<'a>],
+    positions: &'t [u32],
+}
+
+impl<'a: 'v, 'v> Tuple<'v> for At<'_, 'a> {
+    fn row(&self, slot: usize) -> &'v [Value] {
+        self.scans[slot].rows[self.positions[slot] as usize]
+    }
+}
+
+/// A scan position, tuple number or row number in the 32 bits the join's
+/// tuples and the result store.
+fn row_number(i: usize) -> u32 {
+    u32::try_from(i).expect("a row or tuple number fits 32 bits")
 }
 
 /// No entry: the end of a chain.
 const END: u32 = u32::MAX;
 
-/// Entries `0..capacity` chained by a per-table random-keyed SipHash of
-/// their key values: `head` holds the entry linked last into each
-/// power-of-two bucket, `next` the one linked before it, so a chain walks
-/// newest first.  Each entry keeps its hash, so a walk compares keys only
-/// on an equal 64-bit hash; callers confirm a candidate by comparing the key
-/// values themselves, so the join, GROUP BY and DISTINCT tables hold no keys.
+/// Entries chained by a per-table random-keyed SipHash of their key values:
+/// `head` holds the entry linked last into each power-of-two bucket, `next`
+/// the one linked before it, so a chain walks newest first.  Each entry
+/// keeps its hash, so a walk compares keys only on an equal 64-bit hash;
+/// callers confirm a candidate by comparing the key values themselves, so
+/// the join, GROUP BY and DISTINCT tables hold no keys.  The join links a
+/// known number of rows ([`link`](Self::link)); GROUP BY and DISTINCT
+/// [`push`](Self::push) one entry per group or distinct row, and the table
+/// grows with them, not with its input.
 struct Chains {
     state: RandomState,
     head: Vec<u32>,
@@ -178,12 +393,33 @@ impl Chains {
         hash as usize & (self.head.len() - 1)
     }
 
-    /// Links `entry` at the head of its chain.
+    /// Links `entry`, one of `0..capacity`, at the head of its chain.
     fn link(&mut self, entry: usize, hash: u64) {
         let bucket = self.bucket(hash);
         self.hashes[entry] = hash;
         self.next[entry] = self.head[bucket];
         self.head[bucket] = entry as u32;
+    }
+
+    /// Links the next entry of a table built by `push` alone, doubling the
+    /// buckets when the entries outnumber them, and returns its number.
+    fn push(&mut self, hash: u64) -> usize {
+        let entry = self.hashes.len();
+        assert!(entry < END as usize, "{entry} entries fill a chained table");
+        self.hashes.push(hash);
+        self.next.push(END);
+        if entry >= self.head.len() {
+            // Relinked oldest first, so every chain still walks newest first.
+            self.head = vec![END; 2 * self.head.len()];
+            for (entry, &hash) in self.hashes.iter().enumerate() {
+                let bucket = hash as usize & (self.head.len() - 1);
+                self.next[entry] = self.head[bucket];
+                self.head[bucket] = entry as u32;
+            }
+        } else {
+            self.link(entry, hash);
+        }
+        entry
     }
 
     /// The entries linked under `hash`, newest first.
@@ -298,7 +534,7 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
     let mut offsets = Vec::with_capacity(n);
     let mut schema = RowSchema::new();
     for tref in &stmt.from {
-        let table = db.table(&tref.name)?;
+        let table = db.table_arc(&tref.name)?;
         offsets.push(schema.len());
         for col in &table.schema().columns {
             schema.push(tref.effective_name(), &col.name);
@@ -411,34 +647,50 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
         Output::Plain { projection, sort }
     };
 
-    // Scan: each table's rows that pass its own predicates.  A bare LIMIT
-    // over one table stops the scan as soon as it is satisfied.
+    // Scan, in slot order: each table's rows that pass its own predicates,
+    // and their row numbers.  A bare LIMIT over one table stops the scan as
+    // soon as it is satisfied.
     let bare = n == 1 && !stmt.is_aggregate() && !stmt.distinct && stmt.order_by.is_empty();
-    let scan_limit = stmt.limit.filter(|_| bare);
+    let scan_limit = stmt.limit.filter(|_| bare).unwrap_or(usize::MAX);
     // Predicates are bound to tuple slots, so a scanned row is tested in its
     // table's slot of an otherwise empty tuple.
-    static NO_ROW: Row = Vec::new();
-    let mut probe: Vec<&Row> = vec![&NO_ROW; n];
-    let mut scanned: Vec<Vec<&Row>> = tables
+    let mut probe: Vec<&[Value]> = vec![&[]; n];
+    let scans: Vec<Scan<'_>> = order
         .iter()
-        .zip(&pushdowns)
         .enumerate()
-        .map(|(t, (table, preds))| {
-            table
-                .rows()
+        .map(|(slot, &t)| {
+            let rows = tables[t].rows();
+            assert!(
+                u32::try_from(rows.len()).is_ok(),
+                "{} rows do not fit 32-bit row numbers",
+                rows.len()
+            );
+            let preds = &pushdowns[t];
+            if preds.is_empty() {
+                return Scan {
+                    rows: rows.iter().take(scan_limit).collect(),
+                    numbers: None,
+                };
+            }
+            let (rows, numbers) = rows
                 .iter()
-                .filter(|row| {
-                    probe[slot_of[t]] = row;
-                    preds.iter().all(|p| p.test(&probe) == Some(true))
+                .zip(0..)
+                .filter(|(row, _)| {
+                    probe[slot] = row;
+                    preds.iter().all(|p| p.test(&probe[..]) == Some(true))
                 })
-                .take(scan_limit.unwrap_or(usize::MAX))
-                .collect()
+                .take(scan_limit)
+                .unzip();
+            Scan {
+                rows,
+                numbers: Some(numbers),
+            }
         })
         .collect();
 
     // Join in slot order.
     let mut tuples = Tuples {
-        refs: std::mem::take(&mut scanned[0]),
+        positions: (0..scans[0].rows.len()).map(row_number).collect(),
         stride: 1,
     };
     for (slot, &t) in order.iter().enumerate().skip(1) {
@@ -455,36 +707,87 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
                 }
             })
             .collect();
-        tuples = join(&tuples, &scanned[t], &keys);
+        tuples = join(&tuples, &scans, &keys);
     }
     if !residual.is_empty() {
-        tuples.refs = (0..tuples.len())
-            .map(|i| tuples.get(i))
-            .filter(|tuple| residual.iter().all(|p| p.test(tuple) == Some(true)))
-            .flatten()
+        tuples.positions = (0..tuples.len())
+            .filter(|&i| {
+                let tuple = tuples.at(&scans, i);
+                residual.iter().all(|p| p.test(&tuple) == Some(true))
+            })
+            .flat_map(|i| tuples.get(i))
             .copied()
             .collect();
     }
 
-    let (cells, rows) = match output {
-        Output::Plain { projection, sort } => materialise(&tuples, &projection, &sort, stmt),
-        Output::Grouped { keys, calls, items } => {
-            let groups = fold(&tuples, &keys, &calls, &items);
-            // The groups form a one-slot table of [projection…, sort keys…].
-            let column = |col| BoundExpr::Column { slot: 0, col };
-            let projection: Vec<_> = (0..columns.len()).map(column).collect();
-            let sort: Vec<_> = (columns.len()..items.len()).map(column).collect();
-            let tuples = Tuples {
-                refs: groups.iter().collect(),
-                stride: 1,
+    let limit = stmt.limit.unwrap_or(usize::MAX);
+    let (tables, projection, numbers) = match output {
+        Output::Plain { projection, sort } => {
+            // A column reads its slot; any other item is computed once per
+            // tuple, into a table of its own in the slot after the last.
+            let mut computed = Vec::new();
+            let projection: Vec<(usize, usize)> = projection
+                .iter()
+                .map(|item| match *item {
+                    BoundExpr::Column { slot, col } => (slot, col),
+                    ref expr => {
+                        computed.push(expr);
+                        (n, computed.len() - 1)
+                    }
+                })
+                .collect();
+            let width = computed.len();
+            let computed: Option<Vec<Row>> = (width > 0).then(|| {
+                (0..tuples.len())
+                    .map(|i| {
+                        let tuple = tuples.at(&scans, i);
+                        computed
+                            .iter()
+                            .map(|e| e.value(&tuple).into_owned())
+                            .collect()
+                    })
+                    .collect()
+            });
+            let row = |i: usize, slot: usize| match &computed {
+                Some(rows) if slot == n => &rows[i][..],
+                _ => tuples.at(&scans, i).row(slot),
             };
-            materialise(&tuples, &projection, &sort, stmt)
+            let picked = pick(
+                tuples.len(),
+                |i| {
+                    projection
+                        .iter()
+                        .map(move |&(slot, col)| &row(i, slot)[col])
+                },
+                |k, i| sort[k].value(&tuples.at(&scans, i)),
+                stmt,
+            );
+            let computed = computed.map(|rows| Arc::new(Table::computed(width, rows)));
+            let numbers = tuples.into_numbers(&scans, picked, limit, computed.is_some());
+            let tables = order.iter().map(|&t| Arc::clone(tables[t]));
+            (tables.chain(computed).collect(), projection, numbers)
+        }
+        Output::Grouped { keys, calls, items } => {
+            // The groups form a one-slot table of [projection…, sort keys…].
+            let groups = fold(&tuples, &scans, &keys, &calls, &items);
+            let width = columns.len();
+            let picked = pick(
+                groups.len(),
+                |g| groups[g][..width].iter(),
+                |k, g| &groups[g][width + k],
+                stmt,
+            );
+            let picked = picked.unwrap_or_else(|| (0..groups.len().min(limit)).collect());
+            let numbers = picked.into_iter().map(row_number).collect();
+            let table = Arc::new(Table::computed(items.len(), groups));
+            (vec![table], (0..width).map(|c| (0, c)).collect(), numbers)
         }
     };
     Ok(ResultSet {
         columns,
-        cells,
-        rows,
+        tables,
+        projection,
+        numbers,
     })
 }
 
@@ -512,33 +815,34 @@ fn bind_all<'e>(
         .collect()
 }
 
-/// Attaches `right` to every tuple of `left`.  Each of `keys` pairs a
-/// `(slot, column)` of the tuples with a column of `right`; with no keys the
-/// join is a cross product.  Output is tuple-major, then `right` order.
-fn join<'a>(left: &Tuples<'a>, right: &[&'a Row], keys: &[((usize, usize), usize)]) -> Tuples<'a> {
-    let mut refs = Vec::new();
-    let mut emit = |l: usize, r: usize| {
-        refs.extend_from_slice(left.get(l));
-        refs.push(right[r]);
+/// Attaches the next slot's scan to every tuple of `left`.  Each of `keys`
+/// pairs a `(slot, column)` of the tuples with a column of that scan; with no
+/// keys the join is a cross product.  Output is tuple-major, then scan order.
+fn join(left: &Tuples, scans: &[Scan<'_>], keys: &[((usize, usize), usize)]) -> Tuples {
+    let right = &scans[left.stride].rows;
+    let mut positions = Vec::new();
+    let emit = |positions: &mut Vec<u32>, l: usize, r: usize| {
+        positions.extend_from_slice(left.get(l));
+        positions.push(row_number(r));
     };
     if keys.is_empty() {
         for l in 0..left.len() {
             for r in 0..right.len() {
-                emit(l, r);
+                emit(&mut positions, l, r);
             }
         }
     } else {
         let left_key = |l: usize, k: usize| {
             let ((slot, col), _) = keys[k];
-            &left.get(l)[slot][col]
+            &scans[slot].rows[left.get(l)[slot] as usize][col]
         };
         let right_key = |r: usize, k: usize| &right[r][keys[k].1];
         // Hash the smaller side; both branches emit in the same order.
         if left.len() < right.len() {
             // Matches arrive right-major; a stable counting scatter by left
             // tuple makes them left-major, each tuple's rights still in order.
-            let mut pairs = Vec::new();
-            let found = |r, l| pairs.push((r, l));
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            let found = |r, l| pairs.push((row_number(r), row_number(l)));
             matches(
                 keys.len(),
                 left.len(),
@@ -551,7 +855,7 @@ fn join<'a>(left: &Tuples<'a>, right: &[&'a Row], keys: &[((usize, usize), usize
             // once all are placed, where its run ends.
             let mut cursor = vec![0; left.len()];
             for &(_, l) in &pairs {
-                cursor[l] += 1;
+                cursor[l as usize] += 1;
             }
             let mut at = 0;
             for slot in &mut cursor {
@@ -559,29 +863,32 @@ fn join<'a>(left: &Tuples<'a>, right: &[&'a Row], keys: &[((usize, usize), usize
             }
             let mut rights = vec![0; pairs.len()];
             for &(r, l) in &pairs {
-                rights[cursor[l]] = r;
-                cursor[l] += 1;
+                rights[cursor[l as usize]] = r;
+                cursor[l as usize] += 1;
             }
+            drop(pairs);
+            positions.reserve_exact(rights.len() * (left.stride + 1));
             let mut start = 0;
             for (l, &end) in cursor.iter().enumerate() {
                 for &r in &rights[start..end] {
-                    emit(l, r);
+                    emit(&mut positions, l, r as usize);
                 }
                 start = end;
             }
         } else {
+            let found = |l, r| emit(&mut positions, l, r);
             matches(
                 keys.len(),
                 right.len(),
                 right_key,
                 left.len(),
                 left_key,
-                emit,
+                found,
             );
         }
     }
     Tuples {
-        refs,
+        positions,
         stride: left.stride + 1,
     }
 }
@@ -626,35 +933,36 @@ fn matches<'v>(
 /// one group for the whole input when there are no `keys` — updating the
 /// group's accumulators as it goes.  Returns the `items` of each group.
 fn fold(
-    tuples: &Tuples<'_>,
+    tuples: &Tuples,
+    scans: &[Scan<'_>],
     keys: &[BoundExpr],
     calls: &[AggCall],
     items: &[GroupExpr],
 ) -> Vec<Row> {
-    // An entry per group, at most one per tuple.
-    let mut index = Chains::new(tuples.len());
+    // An entry per group.
+    let mut index = Chains::new(0);
     // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
     let mut firsts: Vec<usize> = Vec::new();
     let mut accs: Vec<Accumulator<'_>> = Vec::new();
     for i in 0..tuples.len() {
-        let tuple = tuples.get(i);
-        let hash = index.hash(keys.iter().map(|k| k.value(tuple)));
+        let tuple = tuples.at(scans, i);
+        let hash = index.hash(keys.iter().map(|k| k.value(&tuple)));
         let same_key = |g: &usize| {
-            let first = tuples.get(firsts[*g]);
-            keys.iter().all(|k| k.value(tuple) == k.value(first))
+            let first = tuples.at(scans, firsts[*g]);
+            keys.iter().all(|k| k.value(&tuple) == k.value(&first))
         };
         // `Int` and `Float` keys make equality intransitive (`Int(0)` equals
         // both zeros, which differ), so the first equal group wins: the last
         // of a newest-first walk.
         let found = index.chain(hash).filter(same_key).last();
         let group = found.unwrap_or_else(|| {
-            index.link(firsts.len(), hash);
+            index.push(hash);
             firsts.push(i);
             accs.resize(accs.len() + calls.len(), Accumulator::default());
             firsts.len() - 1
         });
         for (call, acc) in calls.iter().zip(&mut accs[group * calls.len()..]) {
-            call.update(acc, tuple);
+            call.update(acc, &tuple);
         }
     }
     // An aggregate over no rows still reports one (empty) group.
@@ -666,47 +974,50 @@ fn fold(
                 .iter()
                 .map(|call| call.finish(accs.next().unwrap_or_default()))
                 .collect();
-            let first = firsts.get(g).map(|&i| tuples.get(i));
-            items.iter().map(|e| e.eval(first, &finished)).collect()
+            let first = firsts.get(g).map(|&i| tuples.at(scans, i));
+            items
+                .iter()
+                .map(|e| e.eval(first.as_ref(), &finished))
+                .collect()
         })
         .collect()
 }
 
-/// DISTINCT, ORDER BY and LIMIT over tuple numbers, then the one clone: the
-/// projected values of the rows that are left, row after row.  Returns the
-/// cells and the number of rows.
-fn materialise(
-    tuples: &Tuples<'_>,
-    projection: &[BoundExpr],
-    sort: &[BoundExpr],
+/// DISTINCT, ORDER BY and LIMIT over tuple numbers: the tuples of `0..len`
+/// the result keeps, in order, or `None` when those are the first LIMIT of
+/// them as they stand.  `cells(i)` are tuple `i`'s output values and
+/// `key(k, i)` its `k`th sort key.
+fn pick<'v, C, K>(
+    len: usize,
+    cells: impl Fn(usize) -> C,
+    key: impl Fn(usize, usize) -> K,
     stmt: &SelectStatement,
-) -> (Vec<Value>, usize) {
-    let cells = |i: usize| projection.iter().map(move |e| e.value(tuples.get(i)));
-    let limit = stmt.limit.unwrap_or(usize::MAX);
-    if !stmt.distinct && sort.is_empty() {
-        let rows = tuples.len().min(limit);
-        let mut out = Vec::with_capacity(rows * projection.len());
-        out.extend((0..rows).flat_map(cells).map(Cow::into_owned));
-        return (out, rows);
+) -> Option<Vec<usize>>
+where
+    C: Iterator<Item = &'v Value>,
+    K: Deref<Target = Value>,
+{
+    if !stmt.distinct && stmt.order_by.is_empty() {
+        return None;
     }
-    let mut picked: Vec<usize> = (0..tuples.len()).collect();
+    let mut picked: Vec<usize> = Vec::new();
     if stmt.distinct {
-        // Entries are tuple numbers.
-        let mut seen = Chains::new(tuples.len());
-        picked.retain(|&i| {
+        // Entry `j` is the tuple `picked[j]`.
+        let mut seen = Chains::new(0);
+        for i in 0..len {
             let hash = seen.hash(cells(i));
-            let duplicate = seen.chain(hash).any(|j| cells(i).eq(cells(j)));
-            if !duplicate {
-                seen.link(i, hash);
+            if !seen.chain(hash).any(|j| cells(i).eq(cells(picked[j]))) {
+                seen.push(hash);
+                picked.push(i);
             }
-            !duplicate
-        });
+        }
+    } else {
+        picked.extend(0..len);
     }
-    if !sort.is_empty() {
+    if !stmt.order_by.is_empty() {
         picked.sort_by(|&a, &b| {
-            let (a, b) = (tuples.get(a), tuples.get(b));
-            let mut by_key = sort.iter().zip(&stmt.order_by).map(|(key, ob)| {
-                let ord = key.value(a).total_cmp(&key.value(b));
+            let mut by_key = stmt.order_by.iter().enumerate().map(|(k, ob)| {
+                let ord = key(k, a).total_cmp(&key(k, b));
                 if ob.descending {
                     ord.reverse()
                 } else {
@@ -716,10 +1027,8 @@ fn materialise(
             by_key.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
         });
     }
-    picked.truncate(limit);
-    let mut out = Vec::with_capacity(picked.len() * projection.len());
-    out.extend(picked.iter().flat_map(|&i| cells(i)).map(Cow::into_owned));
-    (out, picked.len())
+    picked.truncate(stmt.limit.unwrap_or(usize::MAX));
+    Some(picked)
 }
 
 #[cfg(test)]
@@ -982,7 +1291,7 @@ mod tests {
     }
 
     fn rows(rs: &ResultSet) -> Vec<Vec<Value>> {
-        rs.rows().map(<[Value]>::to_vec).collect()
+        rs.rows().map(|row| row.to_vec()).collect()
     }
 
     const JOIN_TAGS: &str = "SELECT l.tag, r.tag FROM l, r WHERE l.k = r.k";
@@ -1152,6 +1461,75 @@ mod tests {
                 "{sql}"
             );
         }
+    }
+
+    /// `t(k, tag)`: `tag` counts `0..rows`, `k` is `tag % 3`.
+    fn counted(rows: i64) -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::builder("t")
+                .column("k", DataType::Int)
+                .column("tag", DataType::Int)
+                .build(),
+        )
+        .unwrap();
+        db.insert_all(
+            "t",
+            (0..rows).map(|i| vec![Value::Int(i % 3), Value::Int(i)]),
+        )
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn computed_projections_and_groups_read_like_columns() {
+        // `sql` with its projection item `at` replaced by `k = 1`, which the
+        // parser does not read.
+        let with_k_is_1 = |sql: &str, at: usize| {
+            let mut stmt = crate::sql::parser::parse_select(sql).unwrap();
+            let k_is_1 = Expr::compare(CompareOp::Eq, Expr::column("k"), Expr::literal(1));
+            stmt.projection[at] = crate::sql::ast::SelectItem::expr(k_is_1);
+            stmt
+        };
+        // 1 500 tuples: the computed table holds a sealed segment and a tail.
+        let db = counted(1_500);
+        let stmt = with_k_is_1(
+            "SELECT tag, k FROM t WHERE tag >= 2 ORDER BY tag DESC LIMIT 1200",
+            1,
+        );
+        let rs = execute(&db, &stmt).unwrap();
+        assert_eq!(rs.row_count(), 1_200);
+        for (i, row) in rs.rows().enumerate() {
+            let tag = 1_499 - i as i64;
+            assert_eq!(row.to_vec(), [Value::Int(tag), Value::Bool(tag % 3 == 1)]);
+        }
+        let distinct = execute(&db, &with_k_is_1("SELECT DISTINCT k, k FROM t", 0)).unwrap();
+        assert_eq!(
+            rows(&distinct),
+            [
+                vec![Value::Bool(false), Value::Int(0)],
+                vec![Value::Bool(true), Value::Int(1)],
+                vec![Value::Bool(false), Value::Int(2)],
+            ]
+        );
+        let grouped = db
+            .run_sql("SELECT tag, count(*) FROM t GROUP BY tag ORDER BY tag DESC")
+            .unwrap();
+        assert_eq!(grouped.row_count(), 1_500);
+        assert_eq!(grouped.row(0).to_vec(), [Value::Int(1_499), Value::Int(1)]);
+        assert_eq!(grouped.row(1_499).to_vec(), [Value::Int(0), Value::Int(1)]);
+    }
+
+    #[test]
+    fn a_result_keeps_its_rows_when_its_database_changes() {
+        let mut db = counted(3);
+        let held = db.run_sql("SELECT tag FROM t").unwrap();
+        db.insert("t", vec![Value::Int(0), Value::Int(3)]).unwrap();
+        assert_eq!(held.tuple_strings(), ["0", "1", "2"]);
+        let fresh = db.run_sql("SELECT tag FROM t").unwrap();
+        assert_eq!(fresh.tuple_strings(), ["0", "1", "2", "3"]);
+        assert_ne!(held, fresh);
+        assert_eq!(held, db.run_sql("SELECT tag FROM t WHERE tag < 3").unwrap());
     }
 
     #[test]

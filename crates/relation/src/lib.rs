@@ -51,7 +51,7 @@ pub mod value;
 pub use catalog::{fold_table_name, Database};
 pub use codec::{CodecError, CodecResult, Decoder, Encoder};
 pub use error::{RelationError, Result};
-pub use exec::{execute, ResultSet};
+pub use exec::{execute, ResultRow, ResultSet};
 pub use expr::{AggFunc, CompareOp, Expr};
 pub use hash::fnv1a;
 pub use index::inverted::{

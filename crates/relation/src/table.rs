@@ -3,15 +3,17 @@
 //! Rows live in two places: a list of immutable, `Arc`-shared **segments**
 //! of exactly [`Table::SEGMENT_ROWS`] rows (frozen, in insertion order) and
 //! a **tail** of fewer rows than that, held as `Arc`-shared **chunks**.
-//! New inserts land in the last chunk while no clone shares it, and start a
-//! new chunk when one does; the tail is sealed into a fresh segment once it
-//! reaches [`Table::SEGMENT_ROWS`].  So cloning a table — which the
-//! copy-on-write [`Database`](crate::Database) does for every table an
-//! ingest mutates — bumps one `Arc` for the schema and one per segment and
-//! chunk, copying no row and no name, and the first insert after the clone
-//! writes only its own chunk.
-//! Reads go through the segment-aware [`Rows`] view, which iterates frozen
-//! and tail rows in insertion order.
+//! Segments and chunks store their rows' cells back to back, the table's
+//! width to a row, so a stored row costs its cells and no allocation of
+//! its own.  New inserts land in the last chunk while no clone shares it,
+//! and start a new chunk when one does; the tail is sealed into a fresh
+//! segment once it reaches [`Table::SEGMENT_ROWS`].  So cloning a table —
+//! which the copy-on-write [`Database`](crate::Database) does for every
+//! table an ingest mutates — bumps one `Arc` for the schema and one per
+//! segment and chunk, copying no row and no name, and the first insert
+//! after the clone writes only its own chunk.
+//! Reads go through the segment-aware [`Rows`] view, which yields each row
+//! as a `&[Value]`, frozen and tail rows in insertion order.
 
 use std::ops::Index;
 use std::sync::Arc;
@@ -20,7 +22,8 @@ use crate::error::{RelationError, Result};
 use crate::schema::TableSchema;
 use crate::value::Value;
 
-/// A row of values; the order matches the table schema.
+/// An owned row of values, as inserts take it; the order matches the table
+/// schema.  A stored row is read as a `&[Value]`.
 pub type Row = Vec<Value>;
 
 /// An in-memory table: a schema plus rows stored as immutable shared
@@ -29,15 +32,18 @@ pub type Row = Vec<Value>;
 pub struct Table {
     /// Shared between clones: a derived table copies no name.
     schema: Arc<TableSchema>,
-    /// Frozen row segments, oldest first; shared structurally between
-    /// clones (`Arc` bump, no row copy).
-    segments: Vec<Arc<[Row]>>,
+    /// Cells per row: the schema's arity, or a computed table's width.
+    width: usize,
+    /// Frozen segments of `SEGMENT_ROWS * width` cells, oldest first;
+    /// shared structurally between clones (`Arc` bump, no row copy).
+    segments: Vec<Arc<[Value]>>,
     /// Rows held by the frozen segments (cached sum).
     frozen: usize,
-    /// The tail, oldest chunk first; shared between clones like the
-    /// segments.  Only the last chunk is ever written, and only while no
-    /// clone holds it; sealed into a segment at [`Self::SEGMENT_ROWS`].
-    tail: Vec<Arc<Vec<Row>>>,
+    /// The tail's cells, oldest chunk first, whole rows to a chunk; shared
+    /// between clones like the segments.  Only the last chunk is ever
+    /// written, and only while no clone holds it; sealed into a segment at
+    /// [`Self::SEGMENT_ROWS`] rows.
+    tail: Vec<Arc<Vec<Value>>>,
     /// Rows held by the tail chunks (cached sum).
     tail_len: usize,
 }
@@ -51,12 +57,26 @@ impl Table {
     /// Creates an empty table with the given schema.
     pub fn new(schema: TableSchema) -> Self {
         Self {
+            width: schema.arity(),
             schema: Arc::new(schema),
             segments: Vec::new(),
             frozen: 0,
             tail: Vec::new(),
             tail_len: 0,
         }
+    }
+
+    /// A table of `width`-cell rows an execution computed (groups,
+    /// aggregates, any projection that is not a column), frozen as they
+    /// are: no schema, no validation, read only through [`Rows`].
+    pub(crate) fn computed(width: usize, rows: Vec<Row>) -> Self {
+        let mut table = Self::new(TableSchema::builder("").build());
+        table.width = width;
+        for row in rows {
+            debug_assert_eq!(row.len(), width);
+            table.push(row);
+        }
+        table
     }
 
     /// Table schema.
@@ -75,12 +95,13 @@ impl Table {
     }
 
     /// All rows, in insertion order, as a segment-aware view: iterable,
-    /// indexable and comparable like the row slice it replaced.
+    /// indexable and comparable like a slice of rows.
     pub fn rows(&self) -> Rows<'_> {
         Rows {
             segments: &self.segments,
             tail: &self.tail,
             len: self.row_count(),
+            width: self.width,
         }
     }
 
@@ -130,15 +151,22 @@ impl Table {
                 )));
             }
         }
+        self.push(row);
+        Ok(())
+    }
+
+    /// Appends a row of `width` cells to the tail — into the last chunk
+    /// while no clone holds it, else as a chunk of its own — and seals the
+    /// tail when it is full.
+    fn push(&mut self, row: Row) {
         match self.tail.last_mut().and_then(Arc::get_mut) {
-            Some(chunk) => chunk.push(row),
-            None => self.tail.push(Arc::new(vec![row])),
+            Some(chunk) => chunk.extend(row),
+            None => self.tail.push(Arc::new(row)),
         }
         self.tail_len += 1;
         if self.tail_len >= Self::SEGMENT_ROWS {
             self.seal_tail();
         }
-        Ok(())
     }
 
     /// Inserts many rows (stops at the first invalid row).
@@ -165,20 +193,19 @@ impl Table {
     /// ever called at exactly [`Self::SEGMENT_ROWS`] tail rows, so every
     /// frozen segment has that fixed length — the invariant that makes
     /// [`Rows::get`] a constant-time div/mod instead of a segment walk.
-    /// A chunk no clone holds gives up its rows; a shared one is copied.
+    /// A chunk no clone holds gives up its cells; a shared one is copied.
     fn seal_tail(&mut self) {
         debug_assert_eq!(self.tail_len, Self::SEGMENT_ROWS);
-        let mut rows = Vec::with_capacity(Self::SEGMENT_ROWS);
+        let mut cells = Vec::with_capacity(Self::SEGMENT_ROWS * self.width);
         for chunk in std::mem::take(&mut self.tail) {
             match Arc::try_unwrap(chunk) {
-                Ok(owned) => rows.extend(owned),
-                Err(shared) => rows.extend_from_slice(&shared),
+                Ok(owned) => cells.extend(owned),
+                Err(shared) => cells.extend_from_slice(&shared),
             }
         }
-        let segment: Arc<[Row]> = rows.into();
-        self.frozen += segment.len();
+        self.frozen += Self::SEGMENT_ROWS;
         self.tail_len = 0;
-        self.segments.push(segment);
+        self.segments.push(cells.into());
     }
 
     /// Value of `column` in row `row_index`.
@@ -196,18 +223,18 @@ impl Table {
 
 /// A borrowed, segment-aware view over a table's rows in insertion order.
 ///
-/// Behaves like the `&[Row]` it replaced: [`iter`](Self::iter),
-/// [`len`](Self::len), `rows[i]` indexing, equality and
-/// [`to_vec`](Self::to_vec) all work unchanged at the call sites.
-/// Positioned iteration ([`iter_from`](Self::iter_from), or
-/// `iter().skip(n)` — the iterator's `nth` hops whole segments and
-/// chunks) is O(segments + chunks + rows read), which keeps side-log
-/// appends proportional to the new rows, not the table.
+/// Behaves like a slice of rows: [`iter`](Self::iter), [`len`](Self::len),
+/// `rows[i]` indexing (a `[Value]`), equality and [`to_vec`](Self::to_vec).
+/// Positioned iteration ([`iter_from`](Self::iter_from), or `iter().skip(n)`
+/// — the iterator's `nth` hops whole segments and chunks) is O(segments +
+/// chunks + rows read), which keeps side-log appends proportional to the
+/// new rows, not the table.
 #[derive(Clone, Copy)]
 pub struct Rows<'a> {
-    segments: &'a [Arc<[Row]>],
-    tail: &'a [Arc<Vec<Row>>],
+    segments: &'a [Arc<[Value]>],
+    tail: &'a [Arc<Vec<Value>>],
     len: usize,
+    width: usize,
 }
 
 impl<'a> Rows<'a> {
@@ -226,16 +253,24 @@ impl<'a> Rows<'a> {
     /// [`Table::SEGMENT_ROWS`] rows (sealed at the boundary, never
     /// resized), so a frozen row is a div/mod away; a tail row is found by
     /// walking the tail's chunks.
-    pub fn get(&self, index: usize) -> Option<&'a Row> {
+    pub fn get(&self, index: usize) -> Option<&'a [Value]> {
+        if index >= self.len {
+            return None;
+        }
+        let width = self.width;
         let frozen = self.segments.len() * Table::SEGMENT_ROWS;
         if index < frozen {
-            return Some(&self.segments[index / Table::SEGMENT_ROWS][index % Table::SEGMENT_ROWS]);
+            let at = index % Table::SEGMENT_ROWS * width;
+            return Some(&self.segments[index / Table::SEGMENT_ROWS][at..at + width]);
         }
-        let mut index = index - frozen;
+        if width == 0 {
+            return Some(&[]);
+        }
+        let mut at = (index - frozen) * width;
         for chunk in self.tail {
-            match chunk.get(index) {
+            match chunk.get(at..at + width) {
                 Some(row) => return Some(row),
-                None => index -= chunk.len(),
+                None => at -= chunk.len(),
             }
         }
         None
@@ -244,10 +279,11 @@ impl<'a> Rows<'a> {
     /// Iterates every row in insertion order.
     pub fn iter(&self) -> RowsIter<'a> {
         RowsIter {
-            front: [].iter(),
+            front: [].chunks_exact(self.width.max(1)),
             segments: self.segments.iter(),
             chunks: self.tail.iter(),
             remaining: self.len,
+            width: self.width,
         }
     }
 
@@ -261,27 +297,27 @@ impl<'a> Rows<'a> {
         iter
     }
 
-    /// Deep-copies the view into an owned row vector, for call sites that
-    /// genuinely need contiguous owned rows; the SQL executor and the
-    /// checkpoint writer borrow the view.
+    /// Deep-copies the view into owned rows, for call sites that genuinely
+    /// need them; the SQL executor and the checkpoint writer borrow the
+    /// view.
     pub fn to_vec(&self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.len);
-        rows.extend(self.iter().cloned());
+        rows.extend(self.iter().map(<[Value]>::to_vec));
         rows
     }
 }
 
 impl Index<usize> for Rows<'_> {
-    type Output = Row;
+    type Output = [Value];
 
-    fn index(&self, index: usize) -> &Row {
+    fn index(&self, index: usize) -> &[Value] {
         self.get(index)
             .unwrap_or_else(|| panic!("row index {index} out of bounds (len {})", self.len))
     }
 }
 
 impl<'a> IntoIterator for Rows<'a> {
-    type Item = &'a Row;
+    type Item = &'a [Value];
     type IntoIter = RowsIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
@@ -290,7 +326,7 @@ impl<'a> IntoIterator for Rows<'a> {
 }
 
 impl<'a> IntoIterator for &Rows<'a> {
-    type Item = &'a Row;
+    type Item = &'a [Value];
     type IntoIter = RowsIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
@@ -308,7 +344,7 @@ impl Eq for Rows<'_> {}
 
 impl PartialEq<[Row]> for Rows<'_> {
     fn eq(&self, other: &[Row]) -> bool {
-        self.len == other.len() && self.iter().eq(other.iter())
+        self.len == other.len() && self.iter().eq(other.iter().map(Vec::as_slice))
     }
 }
 
@@ -327,34 +363,40 @@ impl std::fmt::Debug for Rows<'_> {
 /// Iterator over a [`Rows`] view: insertion order, exact-sized, with a
 /// segment-hopping `nth` so `skip(n)` never touches the skipped rows.
 pub struct RowsIter<'a> {
-    /// The chunk currently being drained.
-    front: std::slice::Iter<'a, Row>,
+    /// The rows of the segment or chunk currently being drained.
+    front: std::slice::ChunksExact<'a, Value>,
     /// Frozen segments not yet started.
-    segments: std::slice::Iter<'a, Arc<[Row]>>,
+    segments: std::slice::Iter<'a, Arc<[Value]>>,
     /// Tail chunks not yet started, drained after the last segment.
-    chunks: std::slice::Iter<'a, Arc<Vec<Row>>>,
+    chunks: std::slice::Iter<'a, Arc<Vec<Value>>>,
     remaining: usize,
+    /// Cells per row; a zero-width row has no cells to walk.
+    width: usize,
 }
 
 impl<'a> RowsIter<'a> {
-    /// Moves `front` to the next chunk; false when exhausted.
+    /// Moves `front` to the next segment or chunk; false when exhausted.
     fn advance_chunk(&mut self) -> bool {
-        if let Some(segment) = self.segments.next() {
-            self.front = segment.iter();
-            true
+        let cells: &'a [Value] = if let Some(segment) = self.segments.next() {
+            segment
         } else if let Some(chunk) = self.chunks.next() {
-            self.front = chunk.iter();
-            true
+            chunk
         } else {
-            false
-        }
+            return false;
+        };
+        self.front = cells.chunks_exact(self.width);
+        true
     }
 }
 
 impl<'a> Iterator for RowsIter<'a> {
-    type Item = &'a Row;
+    type Item = &'a [Value];
 
-    fn next(&mut self) -> Option<&'a Row> {
+    fn next(&mut self) -> Option<&'a [Value]> {
+        if self.width == 0 {
+            self.remaining = self.remaining.checked_sub(1)?;
+            return Some(&[]);
+        }
         loop {
             if let Some(row) = self.front.next() {
                 self.remaining -= 1;
@@ -366,7 +408,11 @@ impl<'a> Iterator for RowsIter<'a> {
         }
     }
 
-    fn nth(&mut self, mut n: usize) -> Option<&'a Row> {
+    fn nth(&mut self, mut n: usize) -> Option<&'a [Value]> {
+        if self.width == 0 {
+            self.remaining = self.remaining.saturating_sub(n);
+            return self.next();
+        }
         loop {
             let chunk = self.front.len();
             if n < chunk {
@@ -375,7 +421,7 @@ impl<'a> Iterator for RowsIter<'a> {
             }
             n -= chunk;
             self.remaining -= chunk;
-            self.front = [].iter();
+            self.front = [].chunks_exact(self.width);
             if !self.advance_chunk() {
                 return None;
             }
@@ -531,7 +577,7 @@ mod tests {
         copy.insert(wide_row(9_999)).unwrap();
         copy.insert(wide_row(10_000)).unwrap();
         assert_eq!(t.row_count(), Table::SEGMENT_ROWS + 3);
-        assert_eq!(t.tail[0].len(), 3);
+        assert_eq!(t.tail[0].len(), 3 * 2, "three two-cell rows");
         assert_eq!(copy.row_count(), Table::SEGMENT_ROWS + 5);
         assert_eq!(copy.tail.len(), 2);
         assert!(Arc::ptr_eq(&copy.tail[0], &t.tail[0]));
@@ -610,7 +656,7 @@ mod tests {
             assert_eq!(got, expected, "iter_from({start})");
         }
         // `skip` positions through `nth`, which hops segments the same way.
-        let via_skip: Vec<&Row> = t.rows().iter().skip(2_500).collect();
+        let via_skip: Vec<&[Value]> = t.rows().iter().skip(2_500).collect();
         assert_eq!(via_skip.len(), n - 2_500);
         assert_eq!(via_skip[0][0], Value::Int(2_500));
     }

@@ -1,13 +1,13 @@
 //! Keeps freed heap inside the process.
 //!
 //! Interpreting a question and, above all, executing a statement allocate a
-//! transient working set — the scans, the join's tuples and hash tables,
-//! the result's one cell buffer (a text cell shares its string with the
-//! table): ≈ 0.4 MB for the median top statement of the enterprise
-//! warehouse, ≈ 3.3 MB for its largest — and free all of it when the page or
-//! the `ResultSet` is dropped.  glibc gives that memory back to the kernel
-//! two ways, and the next statement then faults the same pages in again,
-//! zeroed:
+//! transient working set — the scans, the join's tuples of scan positions
+//! and its hash tables (a result keeps only its row numbers, 4 bytes per
+//! row and table): at its peak ≈ 62 KB for the median top statement of the
+//! enterprise warehouse, ≈ 0.66 MB for its largest (a GROUP BY over a
+//! 20 000-tuple join) — and free all of it when the page or the `ResultSet`
+//! is dropped.  glibc gives that memory back to the kernel two ways, and
+//! the next statement then faults the same pages in again, zeroed:
 //!
 //! - It trims the top of the heap as soon as more than `M_TRIM_THRESHOLD`
 //!   of it is free: 128 KiB unless the process happens to have freed a
@@ -19,8 +19,8 @@
 //!   `mmap` and unmaps it on free.  That threshold starts at 128 KiB and
 //!   normally rises to the size of each such block freed, but setting
 //!   either parameter turns that adjustment off, so after the trim
-//!   threshold is set it stays at 128 KiB for good — and a join's tuples or
-//!   a result's cells are such blocks on every execution.
+//!   threshold is set it stays at 128 KiB for good — and a large join's
+//!   tuples or a scan of a large table are such blocks.
 //!
 //! A service is long-lived and the next request needs that memory again, so
 //! it sets both.

@@ -1,6 +1,6 @@
 //! What a warm hit, a cold search and an executed statement may allocate —
-//! a count, so it does not wobble with the host's clock the way
-//! `tests/service.rs`'s cold/warm ratio does.
+//! a count (and, for a result, the bytes it keeps), so it does not wobble
+//! with the host's clock the way `tests/service.rs`'s cold/warm ratio does.
 //!
 //! The public `QueryResponse` owns its page, so every answer costs one deep
 //! copy of it; this test pins that the copy is *all* a hit costs beyond
@@ -34,38 +34,49 @@ mod common;
 struct CountingAllocator;
 
 thread_local! {
-    /// `Some(n)` while this thread is inside [`allocations`].
+    /// `Some(n)` while this thread is inside [`measured`].
     static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes this thread allocated and has not freed since [`measured`]
+    /// began; meaningful only while it runs.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Books one allocation call (unless `calls` is 0: a free) that changes
+/// this thread's live bytes by `bytes`, while counting is on.
+fn count(calls: u64, bytes: i64) {
     // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = COUNT.try_with(|count| count.set(count.get().map(|n| n + 1)));
+    let _ = COUNT.try_with(|count| {
+        if let Some(n) = count.get() {
+            count.set(Some(n + calls));
+            let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+        }
+    });
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; counting touches only a const-initialised
-// thread-local `Cell` and never allocates.
+// the `GlobalAlloc` contract; counting touches only const-initialised
+// thread-local `Cell`s and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,11 +86,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Runs `f` and returns what it returned with the number of allocations
-/// (`alloc`, `alloc_zeroed` and `realloc` calls) this thread made meanwhile.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// (`alloc`, `alloc_zeroed` and `realloc` calls) this thread made meanwhile
+/// and the bytes of them still allocated when `f` returned — what its
+/// return value holds, if `f` frees everything else.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
+    LIVE.with(|live| live.set(0));
     COUNT.with(|count| count.set(Some(0)));
     let value = f();
     let made = COUNT.with(|count| count.take()).expect("counting was on");
+    (value, made, LIVE.with(Cell::get))
+}
+
+/// [`measured`]'s allocation count alone.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (value, made, _) = measured(f);
     (value, made)
 }
 
@@ -178,18 +198,18 @@ fn canonicalising_allocates_its_output_and_nothing_else() {
 }
 
 /// What running a statement may allocate, whatever its size: the scans,
-/// the join's tuples, table and filter, the result's cell buffer as they
-/// grow, the output column names, the bound expressions.
-const EXECUTE_OVERHEAD: u64 = 160;
+/// the join's tuples, table and filter as they grow, the result's row
+/// numbers, the output column names, the bound expressions.
+const EXECUTE_OVERHEAD: u64 = 120;
 
-/// A result's cells sit in one buffer and share their text with the table,
-/// and the join chains its build rows in flat arrays, so executing costs
-/// allocations neither per text cell nor per row nor per join key.
-/// `individual ⋈ party` on the test-scale warehouse (300 rows, 1 200 text
-/// cells) makes 116; with one `Vec` per result row and one candidate list
-/// per distinct join key it made 720, and 1 920 when a text cell owned a
-/// `String`.  Eight times the parties (2 400 rows) make 128: only the
-/// vectors that grow by doubling take a few more steps.
+/// A result holds row numbers, not cells, and the join chains its build
+/// rows in flat arrays, so executing costs allocations neither per text
+/// cell nor per row nor per join key.  `individual ⋈ party` on the
+/// test-scale warehouse (300 rows, 1 200 text cells) makes 94; when the
+/// result copied its cells into one buffer it made 114, with one `Vec` per
+/// result row and one candidate list per distinct join key 720, and 1 920
+/// when a text cell owned a `String`.  Eight times the parties (2 400 rows)
+/// make 97: only the vectors that grow by doubling take a few more steps.
 #[test]
 fn executing_allocates_a_constant_not_per_row() {
     let stmt =
@@ -225,6 +245,39 @@ fn executing_allocates_a_constant_not_per_row() {
         sizes[1] >= 8 * sizes[0],
         "rows at the two scales: {sizes:?}"
     );
+}
+
+/// What a result may keep beyond its row numbers: its column names, and
+/// the vectors that hold them, its tables and its projection.
+const RESULT_OVERHEAD_BYTES: i64 = 2_048;
+
+/// A result is its row numbers, not its cells: what `execute` leaves
+/// allocated when it returns is at most 8 bytes per row and FROM slot (a
+/// 32-bit row number and as much again of slack) plus a constant.
+/// `individual ⋈ party` (two slots, eleven columns) keeps 3 236 bytes at
+/// 300 rows and 20 036 at 2 400; when a result copied its cells it kept 24
+/// bytes a cell, 79 844 at 300 rows.
+#[test]
+fn a_result_holds_row_numbers_not_cells() {
+    let stmt =
+        parse_select("SELECT * FROM individual, party WHERE individual.party_id = party.party_id")
+            .expect("the statement parses");
+    for dimension_scale in [1.0, 8.0] {
+        let config = EnterpriseConfig {
+            seed: 42,
+            padding: false,
+            data_scale: 0.2,
+        };
+        let db = enterprise::build_with_dimensions(config, dimension_scale).database;
+        let (result, _, retained) = measured(|| execute(&db, &stmt));
+        let result = result.expect("the statement runs");
+        let (rows, slots) = (result.row_count() as i64, stmt.from.len() as i64);
+        assert!(rows >= 300, "{rows} rows");
+        assert!(
+            retained <= 8 * rows * slots + RESULT_OVERHEAD_BYTES,
+            "a {rows}-row result over {slots} tables keeps {retained} bytes"
+        );
+    }
 }
 
 /// What a 16-customer feed may allocate beyond the same feed over a table

@@ -49,7 +49,7 @@ fn feed(snapshot: &EngineSnapshot) -> ChangeFeed {
         .rows()
         .iter()
         .step_by(2)
-        .cloned()
+        .map(<[_]>::to_vec)
         .collect();
     enterprise::data::onboarding_feed(db, 7, 16).replace("organization", kept)
 }

@@ -469,7 +469,7 @@ proptest! {
                     ))
                 }
                 1 => {
-                    let mut row = reference.table("individuals").unwrap().rows()[0].clone();
+                    let mut row = reference.table("individuals").unwrap().rows()[0].to_vec();
                     row[0] = Value::Int(20_000 + i as i64);
                     row[1] = Value::from(format!("Streamer{i}"));
                     queries.push(format!("Streamer{i}"));
