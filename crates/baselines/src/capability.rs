@@ -9,7 +9,7 @@ use crate::all_baselines;
 use crate::feature::{QueryFeature, Support};
 
 /// Declared capabilities of one system.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemCapability {
     /// System name.
     pub system: String,

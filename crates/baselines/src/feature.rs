@@ -1,7 +1,7 @@
 //! Query-type features used by the qualitative comparison of Table 5.
 
 /// The query types of Table 5 (also the "Comment" flags of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryFeature {
     /// The query needs keywords looked up in the base data (B).
     BaseData,
@@ -56,7 +56,7 @@ impl QueryFeature {
 }
 
 /// Degree of support, matching the paper's "X", "(X)", "NO" and "(NO)" cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Support {
     /// Fully supported ("X").
     Yes,

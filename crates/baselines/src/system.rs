@@ -10,7 +10,7 @@ use soda_relation::{Database, InvertedIndex};
 use crate::feature::{QueryFeature, Support};
 
 /// The SQL statements a baseline produced for a query.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BaselineAnswer {
     /// Candidate SQL statements, best first.
     pub sql: Vec<String>,
@@ -32,7 +32,7 @@ pub trait BaselineSystem {
 }
 
 /// One join step between two tables, taken from declared foreign keys.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaJoin {
     /// Referencing table.
     pub fk_table: String,
@@ -145,7 +145,7 @@ impl SchemaJoinGraph {
 }
 
 /// A keyword matched in the base data.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataHit {
     /// Table of the matching column.
     pub table: String,

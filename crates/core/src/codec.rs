@@ -3,11 +3,14 @@
 //! graceful drain and reads back on recovery.
 //!
 //! Built on the primitive [`Encoder`] / [`Decoder`] pair from
-//! [`soda_relation::codec`]; statements are encoded structurally (not
-//! re-parsed from SQL text) and floats bit-exactly, so a reloaded page is
-//! byte-identical to the page that was persisted.
+//! [`soda_relation::codec`].  A result's statement is stored once, as the
+//! SQL it prints, and parsed back on decode; floats are stored bit-exactly.
+//! A reloaded page equals the persisted one whenever every statement on it
+//! parses back into itself, which is what the serving layer checks before
+//! it persists a page.
 
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
+use soda_relation::parse_select;
 
 use crate::provenance::Provenance;
 use crate::result::{Interpretation, ResultPage, SodaResult};
@@ -48,7 +51,8 @@ fn put_string_list<S: AsRef<str>>(enc: &mut Encoder, items: &[S]) {
     }
 }
 
-/// A list written by [`put_string_list`], each item read by `get`.
+/// A length-prefixed list (a [`put_string_list`], the interpretations of a
+/// result, the results of a page), each item read by `get`.
 fn get_list<'a, T>(
     dec: &mut Decoder<'a>,
     get: fn(&mut Decoder<'a>) -> CodecResult<T>,
@@ -80,10 +84,10 @@ pub fn decode_interpretation(dec: &mut Decoder<'_>) -> CodecResult<Interpretatio
     })
 }
 
-/// Appends one [`SodaResult`] to `enc`.
+/// Appends one [`SodaResult`] to `enc`; its statement is written as its
+/// SQL text only.
 pub fn encode_result(enc: &mut Encoder, r: &SodaResult) {
     enc.put_str(&r.sql);
-    enc.put_statement(&r.statement);
     enc.put_f64(r.score);
     put_string_list(enc, &r.tables);
     enc.put_usize(r.interpretation.len());
@@ -95,20 +99,14 @@ pub fn encode_result(enc: &mut Encoder, r: &SodaResult) {
     put_string_list(enc, &r.notes);
 }
 
-/// Decodes one [`SodaResult`].
+/// Decodes one [`SodaResult`], parsing its statement back from its SQL;
+/// SQL that does not parse is [`CodecError::BadSql`].
 pub fn decode_result(dec: &mut Decoder<'_>) -> CodecResult<SodaResult> {
     let sql = dec.get_str()?;
-    let statement = dec.get_statement()?;
+    let statement = parse_select(&sql).map_err(|e| CodecError::BadSql(e.to_string()))?;
     let score = dec.get_f64()?;
     let tables = get_list(dec, Decoder::get_name)?;
-    let n = dec.get_usize()?;
-    if n > dec.remaining() {
-        return Err(CodecError::BadLength);
-    }
-    let mut interpretation = Vec::with_capacity(n);
-    for _ in 0..n {
-        interpretation.push(decode_interpretation(dec)?);
-    }
+    let interpretation = get_list(dec, decode_interpretation)?;
     Ok(SodaResult {
         sql,
         statement,
@@ -135,16 +133,8 @@ pub fn encode_page(enc: &mut Encoder, page: &ResultPage) {
 
 /// Decodes one [`ResultPage`].
 pub fn decode_page(dec: &mut Decoder<'_>) -> CodecResult<ResultPage> {
-    let n = dec.get_usize()?;
-    if n > dec.remaining() {
-        return Err(CodecError::BadLength);
-    }
-    let mut results = Vec::with_capacity(n);
-    for _ in 0..n {
-        results.push(decode_result(dec)?);
-    }
     Ok(ResultPage {
-        results,
+        results: get_list(dec, decode_result)?,
         page: dec.get_usize()?,
         page_size: dec.get_usize()?,
         total_results: dec.get_usize()?,
@@ -190,6 +180,23 @@ mod tests {
             assert!(dec.is_empty());
             assert_eq!(back, page, "page for '{query}' must round-trip exactly");
         }
+    }
+
+    #[test]
+    fn sql_that_does_not_parse_is_bad_sql() {
+        let w = soda_warehouse::minibank::build(42);
+        let snapshot = EngineSnapshot::build(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+        );
+        let mut result = snapshot.search("Sara Guttinger").unwrap().remove(0);
+        result.sql = "SELECT FROM WHERE".into();
+        let mut enc = Encoder::new();
+        encode_result(&mut enc, &result);
+        let bytes = enc.into_bytes();
+        let decoded = decode_result(&mut Decoder::new(&bytes));
+        assert!(matches!(decoded, Err(CodecError::BadSql(_))), "{decoded:?}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::provenance::Provenance;
 /// The paper ranks domain-ontology hits above DBpedia hits because the
 /// ontology was built by domain experts; the other weights interpolate along
 /// the metadata layering of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankingWeights {
     /// Weight of a domain-ontology hit.
     pub domain_ontology: f64,
@@ -69,7 +69,7 @@ impl RankingWeights {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SodaConfig {
     /// How many ranked solutions continue past Step 2 (the paper's "top N").
     pub top_n: usize,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use crate::result::SodaResult;
 
 /// Accumulated like/dislike votes on interpretation choices.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackStore {
     /// Net votes per (lower-cased phrase, entry-point URI): likes minus
     /// dislikes.

@@ -64,7 +64,7 @@ pub(crate) type TableId = u32;
 type ColumnId = u32;
 
 /// One join condition between two physical columns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinEdge {
     /// Referencing (foreign-key) table.
     pub fk_table: Arc<str>,
@@ -110,7 +110,7 @@ impl JoinEdge {
 }
 
 /// An inheritance link between a parent table and one child table.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InheritanceLink {
     /// Super-type table.
     pub parent_table: Arc<str>,
@@ -126,7 +126,7 @@ pub struct InheritanceLink {
 /// `current_table`, with validity bounded by the named columns of the history
 /// table.  Paper-faithful metadata graphs carry no such annotations; the
 /// annotated warehouse variants do (§5.2.1, §7).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistorizationLink {
     /// The history table.
     pub hist_table: Arc<str>,
@@ -140,7 +140,7 @@ pub struct HistorizationLink {
 
 /// A bridge table: a table with at least two foreign keys referencing at least
 /// two distinct other tables.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BridgeTable {
     /// The bridge table itself.
     pub table: Arc<str>,

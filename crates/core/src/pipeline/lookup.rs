@@ -37,7 +37,7 @@ use crate::provenance::Provenance;
 use crate::query::{QueryTerm, SodaQuery};
 
 /// A filter induced by a base-data hit ("Zurich" found in `address.city`).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseDataFilter {
     /// Table containing the hit.
     pub table: Arc<str>,
@@ -52,13 +52,12 @@ pub struct BaseDataFilter {
 
 /// One candidate entry point for a term.  Its text is shared with the
 /// term's other candidates, so the solutions that pick it copy none.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntryPoint {
     /// The matched phrase.
     pub phrase: Arc<str>,
     /// The metadata-graph node representing the match (for base-data hits this
     /// is the physical column node).
-    #[serde(skip)]
     pub node: NodeId,
     /// Where the match was found.
     pub provenance: Provenance,
@@ -67,7 +66,7 @@ pub struct EntryPoint {
 }
 
 /// What role a matched term plays in the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TermRole {
     /// An ordinary search keyword.
     Keyword,
@@ -78,7 +77,7 @@ pub enum TermRole {
 }
 
 /// A matched term with all its candidate entry points.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TermMatch {
     /// The matched phrase.
     pub phrase: String,
@@ -90,7 +89,7 @@ pub struct TermMatch {
 
 /// A constraint from the input query (comparison / range / like), attached to
 /// the keyword phrase preceding it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// The phrase the constraint applies to (`None` when nothing preceded it).
     pub target_phrase: Option<String>,
@@ -99,7 +98,7 @@ pub struct Constraint {
 }
 
 /// The kind of input constraint.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConstraintKind {
     /// A comparison against a literal value.
     Compare {
@@ -123,7 +122,7 @@ pub enum ConstraintKind {
 }
 
 /// An aggregation requested by the query.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Aggregation {
     /// Aggregate function.
     pub func: AggFunc,
@@ -132,7 +131,7 @@ pub struct Aggregation {
 }
 
 /// The outcome of the lookup step.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LookupResult {
     /// Matched terms with their candidate entry points.
     pub matches: Vec<TermMatch>,

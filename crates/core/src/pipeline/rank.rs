@@ -10,7 +10,7 @@ use crate::config::RankingWeights;
 use crate::pipeline::lookup::{EntryPoint, LookupResult, TermMatch, TermRole};
 
 /// One interpretation of the query: exactly one entry point per matched term.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Chosen entry point per term (same order as the lookup matches).
     pub entries: Vec<EntryPoint>,

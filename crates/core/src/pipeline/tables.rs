@@ -28,7 +28,7 @@ use crate::pipeline::PipelineContext;
 use crate::provenance::Provenance;
 
 /// The anchor derived from one entry point.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntryAnchor {
     /// The matched phrase.
     pub phrase: Arc<str>,
@@ -46,12 +46,11 @@ pub struct EntryAnchor {
     /// Base-data filter carried over from the lookup step.
     pub base_filter: Option<BaseDataFilter>,
     /// The originating graph node.
-    #[serde(skip)]
     pub node: Option<NodeId>,
 }
 
 /// The outcome of the tables step for one solution.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TablePlan {
     /// Per-entry anchors.
     pub anchors: Vec<EntryAnchor>,

@@ -7,7 +7,7 @@ use soda_metagraph::builder::{preds, types};
 use soda_metagraph::{MetaGraph, NodeId, Object, PredId};
 
 /// Where a keyword match was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// The domain ontology (highest ranked: built by domain experts).
     DomainOntology,

@@ -10,7 +10,7 @@
 use soda_relation::{AggFunc, CompareOp, Date};
 
 /// A literal value in the input query.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryValue {
     /// A number (`100000`).
     Number(f64),
@@ -38,7 +38,7 @@ impl QueryValue {
 }
 
 /// One term of the parsed query, in input order.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryTerm {
     /// A group of search keywords (still unsegmented — the lookup step applies
     /// longest-word-combination matching).
@@ -78,7 +78,7 @@ pub enum QueryTerm {
 }
 
 /// A parsed SODA query.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SodaQuery {
     /// Terms in input order.
     pub terms: Vec<QueryTerm>,

@@ -112,7 +112,11 @@ fn eat_word(toks: &mut Tokens<'_>, keyword: &str) -> bool {
     .is_some()
 }
 
-/// Parses a value: `date(YYYY-MM-DD)`, a number, or a bare word.
+/// 2^63, the magnitude no integer value reaches.
+const I64_BOUND: f64 = 9_223_372_036_854_775_808.0;
+
+/// Parses a value: `date(YYYY-MM-DD)`, a number, or a bare word.  A number
+/// of magnitude 2^63 or more is refused.
 fn value<'a>(toks: &mut Tokens<'a>) -> Result<ValueRef<'a>> {
     match toks.next() {
         Some(Tok::Word(word)) => {
@@ -131,7 +135,18 @@ fn value<'a>(toks: &mut Tokens<'a>) -> Result<ValueRef<'a>> {
                 return Ok(ValueRef::Date(date));
             }
             if let Ok(n) = word.parse::<f64>() {
-                return Ok(ValueRef::Number(n));
+                // Below 2^63 a number prints as an SQL integer or decimal
+                // literal.  `nan` and `inf` stay words (SQL has no literal
+                // for them); a number written with digits is refused from
+                // 2^63 on, where no integer holds it.
+                if n.abs() < I64_BOUND {
+                    return Ok(ValueRef::Number(n));
+                }
+                if word.bytes().any(|b| b.is_ascii_digit()) {
+                    return Err(SodaError::Query(format!(
+                        "number {word} is out of range: an integer holds less than 2^63"
+                    )));
+                }
             }
             if let Some(date) = Date::parse(word) {
                 return Ok(ValueRef::Date(date));
@@ -514,6 +529,38 @@ mod tests {
                 value: QueryValue::Text("Zurich".into())
             }
         );
+    }
+
+    /// A value is a number only when SQL can write it: `nan` and `inf`
+    /// are words, and an integer of magnitude 2^63 or more is refused.
+    #[test]
+    fn values_are_numbers_sql_can_write() {
+        for (input, value) in [
+            ("salary > nan", QueryValue::Text("nan".into())),
+            ("salary > inf", QueryValue::Text("inf".into())),
+            ("salary > -inf", QueryValue::Text("-inf".into())),
+            ("salary > 1e18", QueryValue::Number(1e18)),
+            ("salary > -0.5", QueryValue::Number(-0.5)),
+        ] {
+            let q = parse_query(input).unwrap();
+            let want = QueryTerm::Comparison {
+                op: CompareOp::Gt,
+                value,
+            };
+            assert_eq!(q.terms[1], want, "{input}");
+        }
+        for input in [
+            "salary > 1e30",
+            "salary > -9223372036854775808",
+            "a = 1e999",
+        ] {
+            let err = parse_query(input).unwrap_err().to_string();
+            let number = input.rsplit(' ').next().unwrap();
+            assert!(
+                err.contains(number) && err.contains("out of range"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::provenance::Provenance;
 
 /// One interpretation choice: which metadata node a matched phrase was
 /// resolved against.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Interpretation {
     /// The matched phrase.
     pub phrase: Arc<str>,
@@ -25,7 +25,7 @@ pub struct Interpretation {
 }
 
 /// One scored, executable SQL statement produced for an input query.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SodaResult {
     /// The SQL text (printable, parseable by `soda_relation::parse_select`).
     pub sql: String,
@@ -48,7 +48,7 @@ pub struct SodaResult {
 
 /// One page of ranked results (the paper's "result page": the user can ask
 /// for the next set of candidate queries).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultPage {
     /// The results on this page, best first.
     pub results: Vec<SodaResult>,
@@ -64,7 +64,7 @@ pub struct ResultPage {
 }
 
 /// Wall-clock timings of the pipeline steps (the "SODA runtime" of Table 4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTimings {
     /// Step 1 — lookup.
     pub lookup: Duration,
@@ -86,7 +86,7 @@ impl StepTimings {
 }
 
 /// Trace of one query through the pipeline.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryTrace {
     /// The input text.
     pub input: String,

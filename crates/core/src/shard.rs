@@ -66,7 +66,7 @@ impl ShardProbes {
 /// every recorded probe still selects the same token and none of the swap's
 /// dirty shards holds candidates for it before or after the swap (the
 /// serving layer's retention pass).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProbeDep {
     /// The probed phrase, as handed to the inverted index.
     pub phrase: String,
@@ -113,7 +113,7 @@ impl ProbeRecorder {
 /// Sizes and per-shard probe counts of one engine's lookup layer, exposed by
 /// [`EngineSnapshot::shard_stats`](crate::EngineSnapshot::shard_stats) and
 /// embedded in the serving layer's `ServiceMetrics`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of lookup-layer shards (the `shards` configuration knob).
     pub shards: usize,

@@ -11,7 +11,7 @@
 use crate::classification::ClassificationIndex;
 
 /// Suggested reformulations for one unmatched input term.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TermSuggestion {
     /// The unmatched input word.
     pub term: String,

@@ -236,10 +236,27 @@ fn unknown_keywords_produce_no_results_but_no_error() {
     assert!(e.search("").is_err());
 }
 
+/// Each input is refused or yields statements whose SQL parses back into
+/// them; returns how many statements it yielded.
+fn statements_round_trip(e: &EngineSnapshot, query: &str) -> usize {
+    let Ok(results) = e.search(query) else {
+        return 0;
+    };
+    for result in &results {
+        let reparsed = parse_select(&result.sql).expect("generated SQL must parse");
+        assert_eq!(reparsed, result.statement, "round trip failed for {query}");
+    }
+    results.len()
+}
+
+/// The SQL a result shows is the statement it runs: the page cache stores
+/// only the text and parses it back.  Values SQL has no literal for (`nan`,
+/// `inf`) are words, an integer past 2^63 is refused, and a text literal
+/// keeps its non-ASCII letters.
 #[test]
 fn every_generated_statement_round_trips_through_the_sql_parser() {
-    let w = minibank::build(42);
-    let e = engine(w);
+    let e = engine(minibank::build(42));
+    let mut statements = 0;
     for query in [
         "Sara Guttinger",
         "customers Zurich financial instruments",
@@ -247,12 +264,41 @@ fn every_generated_statement_round_trips_through_the_sql_parser() {
         "sum (amount) group by (transaction date)",
         "private customers",
         "trading volume",
+        "salary > nan",
+        "salary > inf",
+        "salary > -inf",
+        "salary > 1e30",
+        "salary > 1e-30",
+        "salary > -0.5",
+        "firstname = nan",
+        "city = Zürich",
     ] {
-        for result in e.search(query).unwrap() {
-            let reparsed = parse_select(&result.sql).expect("generated SQL must parse");
-            assert_eq!(reparsed, result.statement, "round trip failed for {query}");
-        }
+        statements += statements_round_trip(&e, query);
     }
+    assert!(statements > 0);
+    assert!(e.search("salary > 1e30").is_err());
+
+    // Table 2's keywords on the enterprise warehouse.
+    let (db, graph) = soda_warehouse::enterprise::build(42).shared_parts();
+    let e = EngineSnapshot::build(db, graph, SodaConfig::default());
+    let mut statements = 0;
+    for query in [
+        "private customers family name",
+        "Sara",
+        "Sara given name",
+        "Sara birth date",
+        "Credit Suisse",
+        "gold agreement",
+        "customers names",
+        "trade order period > date(2011-09-01)",
+        "YEN trade order",
+        "trade order investment product Lehman XYZ",
+        "select count() private customers Switzerland",
+        "sum(investments) group by (currency)",
+    ] {
+        statements += statements_round_trip(&e, query);
+    }
+    assert!(statements > 0);
 }
 
 #[test]

@@ -25,7 +25,7 @@ use crate::metrics::{normalize_column, project};
 use crate::workload::{workload, WorkloadQuery};
 
 /// Entity-recall comparison for one historisation-affected query.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistorizationRow {
     /// Query id ("2.1", "2.2").
     pub id: String,

@@ -16,7 +16,7 @@ use crate::metrics::{evaluate, PrecisionRecall};
 use crate::workload::{workload, WorkloadQuery};
 
 /// Evaluation of a single SQL statement produced by SODA.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultEvaluation {
     /// The generated SQL.
     pub sql: String,
@@ -31,7 +31,7 @@ pub struct ResultEvaluation {
 }
 
 /// Evaluation of one workload query (a row of Tables 3 and 4).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryEvaluation {
     /// Query id ("1.0", …).
     pub id: String,

@@ -3,7 +3,7 @@
 use soda_warehouse::Warehouse;
 
 /// One row of Table 1: a metric, our measured value and the paper's value.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// Metric name as printed in the paper.
     pub metric: &'static str,

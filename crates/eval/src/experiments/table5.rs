@@ -13,7 +13,7 @@ use soda_relation::InvertedIndex;
 use crate::workload::workload;
 
 /// Empirical outcome of one system on the workload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemCoverage {
     /// System name.
     pub system: String,
@@ -24,7 +24,7 @@ pub struct SystemCoverage {
 }
 
 /// The data behind Table 5.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5 {
     /// Feature rows in paper order, with the workload queries requiring them.
     pub features: Vec<(QueryFeature, Vec<String>)>,

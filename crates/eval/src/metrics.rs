@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use soda_relation::ResultSet;
 
 /// Precision and recall of one SODA result against the gold standard.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionRecall {
     /// Fraction of returned tuples that are gold tuples.
     pub precision: f64,

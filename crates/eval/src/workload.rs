@@ -5,7 +5,7 @@
 use soda_baselines::QueryFeature;
 
 /// One workload query (a row of Table 2).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadQuery {
     /// Query id as printed in the paper ("1.0", "2.1", …).
     pub id: &'static str,

@@ -8,7 +8,7 @@ use soda_metagraph::{MetaGraph, NodeId};
 use soda_relation::Database;
 
 /// One column of a described table.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnInfo {
     /// Physical column name.
     pub name: String,
@@ -22,7 +22,7 @@ pub struct ColumnInfo {
 
 /// A business-level description of one physical table, assembled from every
 /// metadata layer that mentions it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDescription {
     /// Physical table name.
     pub table: String,
@@ -51,7 +51,7 @@ pub struct TableDescription {
 }
 
 /// How two tables are related.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelationKind {
     /// Direct foreign-key (or explicit join-node) relationship.
     ForeignKey,
@@ -67,7 +67,7 @@ pub enum RelationKind {
 
 /// One related table, with the relationship kind and the join condition or
 /// intermediate table that realises it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Related {
     /// The related table.
     pub table: String,
@@ -78,7 +78,7 @@ pub struct Related {
 }
 
 /// A metadata label matching a search term.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetadataHit {
     /// The matching label text.
     pub label: String,

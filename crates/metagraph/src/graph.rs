@@ -369,7 +369,7 @@ impl MetaGraph {
 }
 
 /// A summary of the graph size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphSize {
     /// Number of nodes.
     pub nodes: usize,

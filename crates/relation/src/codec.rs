@@ -1,13 +1,13 @@
-//! Compact binary encoding of relational values, rows and SQL statements.
+//! Compact binary encoding of relational values and rows.
 //!
 //! The durability layer (`soda-journal`, and the serving layer's persistent
-//! result-page cache) needs to write [`Value`]s, [`Row`]s and generated
-//! [`SelectStatement`]s to disk and read them back **structurally
-//! identical** — re-parsing printed SQL would round-trip the text but not
-//! necessarily the AST, and floats must survive bit-exactly for recovered
-//! pages to compare equal to never-persisted ones.  This module provides
-//! that: a tiny, dependency-free, little-endian tag-length-value codec with
-//! an explicit [`Encoder`] / [`Decoder`] pair and per-type helpers.
+//! result-page cache) writes [`Value`]s and [`Row`]s to disk and reads them
+//! back; floats survive bit-exactly, so recovered rows and pages compare
+//! equal to never-persisted ones.  A statement is not encoded here: the page
+//! cache stores its SQL text, and the SQL parser turns that back into the
+//! statement ([`CodecError::BadSql`] when it cannot).  This module is a
+//! tiny, dependency-free, little-endian tag-length-value codec with an
+//! explicit [`Encoder`] / [`Decoder`] pair and per-type helpers.
 //!
 //! The format is not self-describing and carries no versioning of its own;
 //! the files built on top of it (journal, cache) prefix a magic + version
@@ -32,16 +32,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::expr::{AggFunc, CompareOp, Expr};
-use crate::sql::ast::{OrderByItem, SelectItem, SelectStatement, TableRef};
 use crate::table::Row;
 use crate::value::{Date, Value};
-
-/// Maximum nesting depth accepted when decoding recursive expressions —
-/// generated statements stay far below this; the cap keeps a corrupted (but
-/// CRC-valid) frame from recursing the decoder off the stack, even on the
-/// 2 MiB stacks test threads get.
-pub const MAX_EXPR_DEPTH: usize = 200;
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +51,9 @@ pub enum CodecError {
     BadLength,
     /// A string was not valid UTF-8.
     BadUtf8,
-    /// Expression nesting exceeded [`MAX_EXPR_DEPTH`].
-    TooDeep,
+    /// Stored SQL text did not parse back into a statement; the message
+    /// is the parser's.
+    BadSql(String),
 }
 
 impl fmt::Display for CodecError {
@@ -70,7 +63,7 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "invalid tag {tag:#04x} for {what}"),
             CodecError::BadLength => write!(f, "length prefix exceeds remaining input"),
             CodecError::BadUtf8 => write!(f, "string is not valid UTF-8"),
-            CodecError::TooDeep => write!(f, "expression nesting exceeds the decoder limit"),
+            CodecError::BadSql(msg) => write!(f, "stored SQL does not parse: {msg}"),
         }
     }
 }
@@ -95,16 +88,6 @@ impl Encoder {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// One raw byte.
@@ -189,100 +172,6 @@ impl Encoder {
         self.put_usize(row.len());
         for v in row {
             self.put_value(v);
-        }
-    }
-
-    /// An [`Expr`], encoded structurally (recursive).
-    pub fn put_expr(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Column { table, column } => {
-                self.put_u8(0);
-                self.put_opt_str(table.as_deref());
-                self.put_str(column);
-            }
-            Expr::Literal(v) => {
-                self.put_u8(1);
-                self.put_value(v);
-            }
-            Expr::Compare { op, left, right } => {
-                self.put_u8(2);
-                self.put_u8(compare_op_tag(*op));
-                self.put_expr(left);
-                self.put_expr(right);
-            }
-            Expr::Like { expr, pattern } => {
-                self.put_u8(3);
-                self.put_expr(expr);
-                self.put_str(pattern);
-            }
-            Expr::And(a, b) => {
-                self.put_u8(4);
-                self.put_expr(a);
-                self.put_expr(b);
-            }
-            Expr::Or(a, b) => {
-                self.put_u8(5);
-                self.put_expr(a);
-                self.put_expr(b);
-            }
-            Expr::Not(e) => {
-                self.put_u8(6);
-                self.put_expr(e);
-            }
-            Expr::IsNull(e) => {
-                self.put_u8(7);
-                self.put_expr(e);
-            }
-            Expr::Aggregate { func, arg } => {
-                self.put_u8(8);
-                self.put_u8(agg_func_tag(*func));
-                match arg {
-                    Some(a) => {
-                        self.put_bool(true);
-                        self.put_expr(a);
-                    }
-                    None => self.put_bool(false),
-                }
-            }
-            Expr::Star => self.put_u8(9),
-        }
-    }
-
-    /// A full [`SelectStatement`].
-    pub fn put_statement(&mut self, stmt: &SelectStatement) {
-        self.put_bool(stmt.distinct);
-        self.put_usize(stmt.projection.len());
-        for item in &stmt.projection {
-            self.put_expr(&item.expr);
-            self.put_opt_str(item.alias.as_deref());
-        }
-        self.put_usize(stmt.from.len());
-        for t in &stmt.from {
-            self.put_str(&t.name);
-            self.put_opt_str(t.alias.as_deref());
-        }
-        match &stmt.selection {
-            Some(e) => {
-                self.put_bool(true);
-                self.put_expr(e);
-            }
-            None => self.put_bool(false),
-        }
-        self.put_usize(stmt.group_by.len());
-        for e in &stmt.group_by {
-            self.put_expr(e);
-        }
-        self.put_usize(stmt.order_by.len());
-        for o in &stmt.order_by {
-            self.put_expr(&o.expr);
-            self.put_bool(o.descending);
-        }
-        match stmt.limit {
-            Some(n) => {
-                self.put_bool(true);
-                self.put_usize(n);
-            }
-            None => self.put_bool(false),
         }
     }
 }
@@ -375,16 +264,6 @@ impl<'a> Decoder<'a> {
         self.borrow_str().map(Arc::from)
     }
 
-    /// An optional string written by [`Encoder::put_opt_str`], as a shared
-    /// name.
-    pub fn get_opt_name(&mut self) -> CodecResult<Option<Arc<str>>> {
-        if self.get_bool()? {
-            Ok(Some(self.get_name()?))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// A length-prefixed UTF-8 string, borrowed from the input.
     fn borrow_str(&mut self) -> CodecResult<&'a str> {
         let n = self.get_len()?;
@@ -427,167 +306,11 @@ impl<'a> Decoder<'a> {
         }
         Ok(row)
     }
-
-    /// An [`Expr`].
-    pub fn get_expr(&mut self) -> CodecResult<Expr> {
-        self.get_expr_at(0)
-    }
-
-    fn get_expr_at(&mut self, depth: usize) -> CodecResult<Expr> {
-        if depth > MAX_EXPR_DEPTH {
-            return Err(CodecError::TooDeep);
-        }
-        match self.get_u8()? {
-            0 => Ok(Expr::Column {
-                table: self.get_opt_name()?,
-                column: self.get_name()?,
-            }),
-            1 => Ok(Expr::Literal(self.get_value()?)),
-            2 => {
-                let op = compare_op_from_tag(self.get_u8()?)?;
-                let left = Box::new(self.get_expr_at(depth + 1)?);
-                let right = Box::new(self.get_expr_at(depth + 1)?);
-                Ok(Expr::Compare { op, left, right })
-            }
-            3 => {
-                let expr = Box::new(self.get_expr_at(depth + 1)?);
-                let pattern = self.get_str()?;
-                Ok(Expr::Like { expr, pattern })
-            }
-            4 => Ok(Expr::And(
-                Box::new(self.get_expr_at(depth + 1)?),
-                Box::new(self.get_expr_at(depth + 1)?),
-            )),
-            5 => Ok(Expr::Or(
-                Box::new(self.get_expr_at(depth + 1)?),
-                Box::new(self.get_expr_at(depth + 1)?),
-            )),
-            6 => Ok(Expr::Not(Box::new(self.get_expr_at(depth + 1)?))),
-            7 => Ok(Expr::IsNull(Box::new(self.get_expr_at(depth + 1)?))),
-            8 => {
-                let func = agg_func_from_tag(self.get_u8()?)?;
-                let arg = if self.get_bool()? {
-                    Some(Box::new(self.get_expr_at(depth + 1)?))
-                } else {
-                    None
-                };
-                Ok(Expr::Aggregate { func, arg })
-            }
-            9 => Ok(Expr::Star),
-            tag => Err(CodecError::BadTag { what: "Expr", tag }),
-        }
-    }
-
-    /// A [`SelectStatement`].
-    pub fn get_statement(&mut self) -> CodecResult<SelectStatement> {
-        let distinct = self.get_bool()?;
-        let n = self.get_len()?;
-        let mut projection = Vec::with_capacity(n);
-        for _ in 0..n {
-            let expr = self.get_expr()?;
-            let alias = self.get_opt_str()?;
-            projection.push(SelectItem { expr, alias });
-        }
-        let n = self.get_len()?;
-        let mut from = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.get_name()?;
-            let alias = self.get_opt_str()?;
-            from.push(TableRef { name, alias });
-        }
-        let selection = if self.get_bool()? {
-            Some(self.get_expr()?)
-        } else {
-            None
-        };
-        let n = self.get_len()?;
-        let mut group_by = Vec::with_capacity(n);
-        for _ in 0..n {
-            group_by.push(self.get_expr()?);
-        }
-        let n = self.get_len()?;
-        let mut order_by = Vec::with_capacity(n);
-        for _ in 0..n {
-            let expr = self.get_expr()?;
-            let descending = self.get_bool()?;
-            order_by.push(OrderByItem { expr, descending });
-        }
-        let limit = if self.get_bool()? {
-            Some(self.get_usize()?)
-        } else {
-            None
-        };
-        Ok(SelectStatement {
-            distinct,
-            projection,
-            from,
-            selection,
-            group_by,
-            order_by,
-            limit,
-        })
-    }
-}
-
-fn compare_op_tag(op: CompareOp) -> u8 {
-    match op {
-        CompareOp::Eq => 0,
-        CompareOp::NotEq => 1,
-        CompareOp::Lt => 2,
-        CompareOp::LtEq => 3,
-        CompareOp::Gt => 4,
-        CompareOp::GtEq => 5,
-    }
-}
-
-fn compare_op_from_tag(tag: u8) -> CodecResult<CompareOp> {
-    Ok(match tag {
-        0 => CompareOp::Eq,
-        1 => CompareOp::NotEq,
-        2 => CompareOp::Lt,
-        3 => CompareOp::LtEq,
-        4 => CompareOp::Gt,
-        5 => CompareOp::GtEq,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "CompareOp",
-                tag,
-            })
-        }
-    })
-}
-
-fn agg_func_tag(func: AggFunc) -> u8 {
-    match func {
-        AggFunc::Count => 0,
-        AggFunc::Sum => 1,
-        AggFunc::Avg => 2,
-        AggFunc::Min => 3,
-        AggFunc::Max => 4,
-    }
-}
-
-fn agg_func_from_tag(tag: u8) -> CodecResult<AggFunc> {
-    Ok(match tag {
-        0 => AggFunc::Count,
-        1 => AggFunc::Sum,
-        2 => AggFunc::Avg,
-        3 => AggFunc::Min,
-        4 => AggFunc::Max,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "AggFunc",
-                tag,
-            })
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::parser::parse_select;
-    use crate::sql::printer::print_select;
 
     fn round_trip_value(v: Value) {
         let mut enc = Encoder::new();
@@ -631,61 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn statements_round_trip_structurally() {
-        let sql = "SELECT DISTINCT parties.id, count(*) FROM parties, individuals \
-                   WHERE parties.id = individuals.id AND individuals.firstname LIKE 'Sara%' \
-                   GROUP BY parties.id ORDER BY parties.id DESC LIMIT 10";
-        let stmt = parse_select(sql).unwrap();
-        let mut enc = Encoder::new();
-        enc.put_statement(&stmt);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = dec.get_statement().unwrap();
-        assert!(dec.is_empty());
-        assert_eq!(back, stmt);
-        assert_eq!(print_select(&back), print_select(&stmt));
-    }
-
-    #[test]
-    fn every_expr_variant_round_trips() {
-        let exprs = vec![
-            Expr::Star,
-            Expr::column("a"),
-            Expr::qualified("t", "a"),
-            Expr::Literal(Value::Float(2.25)),
-            Expr::compare(CompareOp::GtEq, Expr::column("a"), Expr::literal(1)),
-            Expr::Like {
-                expr: Box::new(Expr::column("name")),
-                pattern: "Sara%".into(),
-            },
-            Expr::And(
-                Box::new(Expr::column("a")),
-                Box::new(Expr::Not(Box::new(Expr::column("b")))),
-            ),
-            Expr::Or(
-                Box::new(Expr::IsNull(Box::new(Expr::column("a")))),
-                Box::new(Expr::column("b")),
-            ),
-            Expr::Aggregate {
-                func: AggFunc::Sum,
-                arg: Some(Box::new(Expr::column("amount"))),
-            },
-            Expr::Aggregate {
-                func: AggFunc::Count,
-                arg: None,
-            },
-        ];
-        for expr in exprs {
-            let mut enc = Encoder::new();
-            enc.put_expr(&expr);
-            let bytes = enc.into_bytes();
-            let mut dec = Decoder::new(&bytes);
-            assert_eq!(dec.get_expr().unwrap(), expr, "{expr}");
-            assert!(dec.is_empty());
-        }
-    }
-
-    #[test]
     fn truncated_input_reports_eof_not_panic() {
         let mut enc = Encoder::new();
         enc.put_value(&Value::from("a longer text value"));
@@ -713,15 +381,5 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert!(dec.get_str().is_err());
-    }
-
-    #[test]
-    fn deep_expression_nesting_is_capped() {
-        // NOT(NOT(NOT(...))) beyond the depth cap decodes to TooDeep instead
-        // of blowing the stack.
-        let mut bytes = vec![6u8; MAX_EXPR_DEPTH + 10];
-        bytes.push(9); // innermost Star
-        let mut dec = Decoder::new(&bytes);
-        assert_eq!(dec.get_expr(), Err(CodecError::TooDeep));
     }
 }

@@ -7,7 +7,7 @@ use crate::value::Value;
 
 /// Comparison operators supported by the engine (and by SODA's input
 /// language: `>`, `>=`, `=`, `<=`, `<`, `like`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `=`
     Eq,
@@ -57,7 +57,7 @@ impl fmt::Display for CompareOp {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `count(*)` or `count(col)`
     Count,
@@ -92,7 +92,7 @@ impl AggFunc {
 }
 
 /// A scalar (or aggregate) expression.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A column reference, optionally qualified with a table name or alias.
     /// The names are shared: a generated statement holds the spellings its

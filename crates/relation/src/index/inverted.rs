@@ -56,7 +56,7 @@ pub type InvertedIndex = ShardedInvertedIndex;
 
 /// Result of a phrase lookup: a column that contains the phrase, the matched
 /// cell value and how many rows matched.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhraseHit {
     /// Table name.
     pub table: String,

@@ -7,7 +7,7 @@
 use crate::value::DataType;
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (physical name, e.g. `birth_dt`).
     pub name: String,
@@ -19,7 +19,7 @@ pub struct ColumnDef {
 
 /// A foreign-key relationship from one column of this table to a column of a
 /// referenced table.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKeyDef {
     /// Referencing column in this table.
     pub column: String,
@@ -30,7 +30,7 @@ pub struct ForeignKeyDef {
 }
 
 /// Schema of a table.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Physical table name.
     pub name: String,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use crate::expr::Expr;
 
 /// A table reference in the `FROM` clause.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableRef {
     /// Table name in the catalog, shared with the join catalog that
     /// interned it.
@@ -44,7 +44,7 @@ impl TableRef {
 }
 
 /// One item of the projection list.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectItem {
     /// The projected expression.
     pub expr: Expr,
@@ -79,7 +79,7 @@ impl SelectItem {
 }
 
 /// An `ORDER BY` entry.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderByItem {
     /// Expression to order by.
     pub expr: Expr,
@@ -88,7 +88,7 @@ pub struct OrderByItem {
 }
 
 /// A `SELECT` statement.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectStatement {
     /// `DISTINCT` flag.
     pub distinct: bool,

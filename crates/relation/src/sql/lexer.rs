@@ -1,16 +1,20 @@
-//! A small SQL lexer.
+//! A small SQL lexer.  Tokens borrow from the input: a name, a number or
+//! an operator is a slice of it, and a string literal is one too unless it
+//! holds a doubled quote.
+
+use std::borrow::Cow;
 
 use crate::error::{RelationError, Result};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Keyword or identifier (uppercased check happens in the parser).
-    Ident(String),
+    Ident(&'a str),
     /// Numeric literal.
-    Number(String),
+    Number(&'a str),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
-    StringLit(String),
+    StringLit(Cow<'a, str>),
     /// `,`
     Comma,
     /// `(`
@@ -22,19 +26,44 @@ pub enum Token {
     /// `*`
     Star,
     /// Comparison operator: `=`, `<`, `<=`, `>`, `>=`, `<>`, `!=`.
-    Op(String),
+    Op(&'a str),
 }
 
-impl Token {
+impl Token<'_> {
     /// True if this token is the given keyword (case-insensitive).
     pub fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
+/// Reads the string literal whose text starts at `start` (just past its
+/// opening quote): its text, `''` unescaped, and the offset past its
+/// closing quote.
+fn string_literal(input: &str, start: usize) -> Result<(Cow<'_, str>, usize)> {
+    let mut end = start;
+    loop {
+        let Some(quote) = input[end..].find('\'') else {
+            return Err(RelationError::Parse("unterminated string literal".into()));
+        };
+        end += quote;
+        if !input[end + 1..].starts_with('\'') {
+            break;
+        }
+        end += 2;
+    }
+    let raw = &input[start..end];
+    let text = if raw.contains("''") {
+        Cow::Owned(raw.replace("''", "'"))
+    } else {
+        Cow::Borrowed(raw)
+    };
+    Ok((text, end + 1))
+}
+
 /// Tokenises a SQL string.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
-    let mut tokens = Vec::new();
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>> {
+    // Generated SQL spends five bytes or more per token: no regrowth.
+    let mut tokens = Vec::with_capacity(input.len() / 4);
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -63,48 +92,27 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
             }
             ';' => i += 1,
             '\'' => {
-                let mut s = String::new();
-                i += 1;
-                let mut closed = false;
-                while i < bytes.len() {
-                    let c2 = bytes[i] as char;
-                    if c2 == '\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] as char == '\'' {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        closed = true;
-                        i += 1;
-                        break;
-                    }
-                    s.push(c2);
-                    i += 1;
-                }
-                if !closed {
-                    return Err(RelationError::Parse("unterminated string literal".into()));
-                }
-                tokens.push(Token::StringLit(s));
+                let (text, end) = string_literal(input, i + 1)?;
+                tokens.push(Token::StringLit(text));
+                i = end;
             }
             '=' => {
-                tokens.push(Token::Op("=".into()));
+                tokens.push(Token::Op("="));
                 i += 1;
             }
             '<' | '>' | '!' => {
-                let mut op = String::new();
-                op.push(c);
-                if i + 1 < bytes.len() {
-                    let next = bytes[i + 1] as char;
-                    if next == '=' || (c == '<' && next == '>') {
-                        op.push(next);
+                let start = i;
+                if let Some(&next) = bytes.get(i + 1) {
+                    if next == b'=' || (c == '<' && next == b'>') {
                         i += 1;
                     }
                 }
+                i += 1;
+                let op = &input[start..i];
                 if op == "!" {
                     return Err(RelationError::Parse("unexpected '!'".into()));
                 }
                 tokens.push(Token::Op(op));
-                i += 1;
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -123,7 +131,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                     }
                     i += 1;
                 }
-                tokens.push(Token::Number(input[start..i].to_string()));
+                tokens.push(Token::Number(&input[start..i]));
             }
             '-' if i + 1 < bytes.len() && (bytes[i + 1] as char).is_ascii_digit() => {
                 let start = i;
@@ -133,7 +141,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 {
                     i += 1;
                 }
-                tokens.push(Token::Number(input[start..i].to_string()));
+                tokens.push(Token::Number(&input[start..i]));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -142,7 +150,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 {
                     i += 1;
                 }
-                tokens.push(Token::Ident(input[start..i].to_string()));
+                tokens.push(Token::Ident(&input[start..i]));
             }
             other => {
                 return Err(RelationError::Parse(format!(
@@ -164,8 +172,8 @@ mod tests {
         assert_eq!(toks.len(), 8);
         assert!(toks[0].is_keyword("select"));
         assert_eq!(toks[1], Token::Star);
-        assert_eq!(toks[6], Token::Op("=".into()));
-        assert_eq!(toks[7], Token::Number("1".into()));
+        assert_eq!(toks[6], Token::Op("="));
+        assert_eq!(toks[7], Token::Number("1"));
     }
 
     #[test]
@@ -180,7 +188,7 @@ mod tests {
         let ops: Vec<_> = toks
             .iter()
             .filter_map(|t| match t {
-                Token::Op(o) => Some(o.clone()),
+                Token::Op(o) => Some(*o),
                 _ => None,
             })
             .collect();
@@ -190,15 +198,15 @@ mod tests {
     #[test]
     fn lexes_qualified_names_and_floats() {
         let toks = lex("parties.id = 3.5").unwrap();
-        assert_eq!(toks[0], Token::Ident("parties".into()));
+        assert_eq!(toks[0], Token::Ident("parties"));
         assert_eq!(toks[1], Token::Dot);
-        assert_eq!(toks[4], Token::Number("3.5".into()));
+        assert_eq!(toks[4], Token::Number("3.5"));
     }
 
     #[test]
     fn negative_numbers_after_operator() {
         let toks = lex("salary >= -100").unwrap();
-        assert_eq!(toks[2], Token::Number("-100".into()));
+        assert_eq!(toks[2], Token::Number("-100"));
     }
 
     #[test]

@@ -1,21 +1,35 @@
 //! Recursive-descent parser for the SQL subset.
 
+use std::sync::Arc;
+
 use crate::error::{RelationError, Result};
 use crate::expr::{AggFunc, CompareOp, Expr};
 use crate::sql::ast::{OrderByItem, SelectItem, SelectStatement, TableRef};
 use crate::sql::lexer::{lex, Token};
 use crate::value::{Date, Value};
 
-/// Reserved words that cannot be used as bare table aliases.
+/// Reserved words that cannot be used as bare aliases.
 const RESERVED: &[&str] = &[
     "select", "from", "where", "group", "order", "by", "limit", "and", "or", "not", "like", "is",
     "null", "as", "asc", "desc", "distinct", "between", "in", "inner", "join", "on",
 ];
 
-/// Parses a single `SELECT` statement.
+/// The deepest nesting of parentheses, `NOT`s and aggregate calls a
+/// statement may have.  Generated statements stay far below it; the cap
+/// keeps hostile text (a caller's SQL, a page-cache file) from recursing
+/// the parser off the stack, even on the 2 MiB stacks test threads get.
+pub const MAX_NESTING: usize = 200;
+
+/// Parses a single `SELECT` statement.  Nesting deeper than
+/// [`MAX_NESTING`] is a [`RelationError::Parse`].
 pub fn parse_select(sql: &str) -> Result<SelectStatement> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        names: Vec::new(),
+    };
     let stmt = p.select()?;
     if !p.at_end() {
         return Err(RelationError::Parse(format!(
@@ -26,13 +40,47 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Whether `word` may stand as a bare alias.
+fn is_alias(word: &str) -> bool {
+    !RESERVED.iter().any(|kw| word.eq_ignore_ascii_case(kw))
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
+    pos: usize,
+    /// How many parentheses, `NOT`s and aggregate calls enclose the
+    /// current position.
+    depth: usize,
+    /// The table and column names read so far: a statement names few, and
+    /// each is allocated once however often it recurs.
+    names: Vec<Arc<str>>,
+}
+
+impl<'a> Parser<'a> {
+    /// `name` as a shared name: one allocation wherever it recurs.
+    fn name(&mut self, name: &str) -> Arc<str> {
+        if let Some(seen) = self.names.iter().find(|seen| ***seen == *name) {
+            return Arc::clone(seen);
+        }
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        name
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(RelationError::Parse(format!(
+                "nesting deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
@@ -40,7 +88,7 @@ impl Parser {
         self.pos >= self.tokens.len()
     }
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -68,7 +116,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, tok: &Token) -> bool {
+    fn eat(&mut self, tok: &Token<'a>) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -77,7 +125,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: &Token) -> Result<()> {
+    fn expect(&mut self, tok: &Token<'a>) -> Result<()> {
         if self.eat(tok) {
             Ok(())
         } else {
@@ -88,7 +136,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> Result<&'a str> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(RelationError::Parse(format!(
@@ -165,42 +213,34 @@ impl Parser {
         })
     }
 
+    /// An `AS name` or a bare non-reserved name after an item or a table.
+    fn alias(&mut self) -> Result<Option<&'a str>> {
+        if self.eat_keyword("as") {
+            return self.ident().map(Some);
+        }
+        match self.peek() {
+            Some(&Token::Ident(name)) if is_alias(name) => {
+                self.pos += 1;
+                Ok(Some(name))
+            }
+            _ => Ok(None),
+        }
+    }
+
     fn select_item(&mut self) -> Result<SelectItem> {
         if self.eat(&Token::Star) {
             return Ok(SelectItem::expr(Expr::Star));
         }
         let expr = self.operand()?;
-        let alias = if self.eat_keyword("as") {
-            Some(self.ident()?)
-        } else {
-            match self.peek() {
-                Some(Token::Ident(s)) if !RESERVED.contains(&s.to_ascii_lowercase().as_str()) => {
-                    let a = s.clone();
-                    self.pos += 1;
-                    Some(a)
-                }
-                _ => None,
-            }
-        };
+        let alias = self.alias()?.map(str::to_owned);
         Ok(SelectItem { expr, alias })
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
         let name = self.ident()?;
-        let alias = if self.eat_keyword("as") {
-            Some(self.ident()?)
-        } else {
-            match self.peek() {
-                Some(Token::Ident(s)) if !RESERVED.contains(&s.to_ascii_lowercase().as_str()) => {
-                    let a = s.clone();
-                    self.pos += 1;
-                    Some(a)
-                }
-                _ => None,
-            }
-        };
+        let alias = self.alias()?.map(str::to_owned);
         Ok(TableRef {
-            name: name.into(),
+            name: self.name(name),
             alias,
         })
     }
@@ -225,7 +265,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_keyword("not") {
-            return Ok(Expr::Not(Box::new(self.not_expr()?)));
+            return Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)));
         }
         self.predicate()
     }
@@ -238,7 +278,7 @@ impl Parser {
             // one cleanly.
             let checkpoint = self.pos;
             self.pos += 1;
-            if let Ok(inner) = self.expr() {
+            if let Ok(inner) = self.nested(Self::expr) {
                 if self.eat(&Token::RParen) {
                     // If the next token is a comparison operator, the group was
                     // actually an operand; fall through by rewinding.
@@ -256,7 +296,7 @@ impl Parser {
         match self.peek().cloned() {
             Some(Token::Op(op)) => {
                 self.pos += 1;
-                let op = CompareOp::parse(&op)
+                let op = CompareOp::parse(op)
                     .ok_or_else(|| RelationError::Parse(format!("unknown operator {op}")))?;
                 let right = self.operand()?;
                 Ok(Expr::Compare {
@@ -270,7 +310,7 @@ impl Parser {
                 match self.next() {
                     Some(Token::StringLit(p)) => Ok(Expr::Like {
                         expr: Box::new(left),
-                        pattern: p,
+                        pattern: p.into_owned(),
                     }),
                     other => Err(RelationError::Parse(format!(
                         "expected string pattern after LIKE, found {other:?}"
@@ -327,12 +367,12 @@ impl Parser {
                 if let Some(d) = Date::parse(&s) {
                     Ok(Expr::Literal(Value::Date(d)))
                 } else {
-                    Ok(Expr::Literal(Value::from(s)))
+                    Ok(Expr::Literal(Value::from(&*s)))
                 }
             }
             Some(Token::Star) => Ok(Expr::Star),
             Some(Token::LParen) => {
-                let inner = self.operand()?;
+                let inner = self.nested(Self::operand)?;
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
@@ -349,14 +389,14 @@ impl Parser {
                 }
                 // Aggregate function call.
                 if self.peek() == Some(&Token::LParen) {
-                    if let Some(func) = AggFunc::parse(&name) {
+                    if let Some(func) = AggFunc::parse(name) {
                         self.pos += 1;
                         // Both `count(*)` and a bare `count()` mean "no
                         // argument"; the star just needs consuming.
                         let arg = if self.eat(&Token::Star) || self.peek() == Some(&Token::RParen) {
                             None
                         } else {
-                            Some(Box::new(self.operand()?))
+                            Some(Box::new(self.nested(Self::operand)?))
                         };
                         self.expect(&Token::RParen)?;
                         return Ok(Expr::Aggregate { func, arg });
@@ -373,7 +413,7 @@ impl Parser {
                         return Ok(Expr::Star);
                     }
                     let col = self.ident()?;
-                    return Ok(Expr::qualified(name, col));
+                    return Ok(Expr::qualified(self.name(name), self.name(col)));
                 }
                 if name.eq_ignore_ascii_case("null") {
                     return Ok(Expr::Literal(Value::Null));
@@ -384,7 +424,7 @@ impl Parser {
                 if name.eq_ignore_ascii_case("false") {
                     return Ok(Expr::Literal(Value::Bool(false)));
                 }
-                Ok(Expr::column(name))
+                Ok(Expr::column(self.name(name)))
             }
             other => Err(RelationError::Parse(format!(
                 "expected operand, found {other:?}"
@@ -515,5 +555,47 @@ mod tests {
     fn null_and_boolean_literals() {
         let stmt = parse_select("SELECT * FROM t WHERE a = NULL OR b = TRUE").unwrap();
         assert!(stmt.selection.is_some());
+    }
+
+    /// `levels` parentheses around `a = 1`, `levels` `NOT`s before it, and
+    /// `levels` nested `sum(` calls.
+    fn nested_statements(levels: usize) -> [String; 3] {
+        [
+            format!(
+                "SELECT * FROM t WHERE {}a = 1{}",
+                "(".repeat(levels),
+                ")".repeat(levels)
+            ),
+            format!("SELECT * FROM t WHERE {}a = 1", "NOT ".repeat(levels)),
+            format!(
+                "SELECT {}a{} FROM t",
+                "sum(".repeat(levels),
+                ")".repeat(levels)
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_parses_up_to_the_cap() {
+        for sql in nested_statements(MAX_NESTING) {
+            assert!(parse_select(&sql).is_ok(), "{}", &sql[..40]);
+        }
+        for sql in nested_statements(MAX_NESTING + 1) {
+            assert!(
+                matches!(parse_select(&sql), Err(RelationError::Parse(m)) if m.contains("nesting")),
+                "{}",
+                &sql[..40]
+            );
+        }
+    }
+
+    /// Hostile text — a caller's SQL, a page-cache file — cannot recurse
+    /// the parser off a test thread's stack: 100 000 levels of nesting are
+    /// an error, not an abort.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for sql in nested_statements(100_000) {
+            assert!(parse_select(&sql).is_err(), "{}", &sql[..40]);
+        }
     }
 }

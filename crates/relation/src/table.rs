@@ -28,7 +28,7 @@ pub type Row = Vec<Value>;
 
 /// An in-memory table: a schema plus rows stored as immutable shared
 /// segments and a tail of shared chunks.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Shared between clones: a derived table copies no name.
     schema: Arc<TableSchema>,

@@ -13,7 +13,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Data type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -41,9 +41,7 @@ impl fmt::Display for DataType {
 }
 
 /// A calendar date (year, month, day) with no time-zone concerns.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     /// Year, e.g. 2011.
     pub year: i32,
@@ -94,7 +92,7 @@ impl fmt::Display for Date {
 ///
 /// Text is shared: cloning a cell is a reference-count bump, so rows copied
 /// into a result set or a feed share their strings with the table.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -809,7 +809,7 @@ proptest! {
 /// quotes, `%` wildcards, ` AND ` and ` FROM ` among plain letters.
 fn tricky_text() -> BoxedStrategy<String> {
     let fragment = pick(&[
-        "'", "''", "%", " AND ", " FROM ", "o'brien", "Zurich", " ", "x",
+        "'", "''", "%", " AND ", " FROM ", "o'brien", "Zürich", " ", "x",
     ]);
     proptest::collection::vec(fragment, 0..6)
         .prop_map(|parts| parts.concat())
@@ -905,8 +905,8 @@ fn printed_statement() -> impl Strategy<Value = SelectStatement> {
 
 proptest! {
     /// A printed statement parses back into itself, whatever its text
-    /// literals and `LIKE` patterns hold: quotes are doubled, and nothing
-    /// inside a string is read as SQL.
+    /// literals and `LIKE` patterns hold: quotes are doubled, non-ASCII
+    /// letters survive, and nothing inside a string is read as SQL.
     #[test]
     fn printed_statements_parse_back_into_themselves(statement in printed_statement()) {
         let printed = print_select(&statement);

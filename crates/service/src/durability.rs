@@ -11,11 +11,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use soda_core::codec::{decode_page, decode_probe_dep, encode_page, encode_probe_dep};
-use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig, TenantId};
+use soda_core::{Database, EngineSnapshot, MetaGraph, ResultPage, SodaConfig, TenantId};
 use soda_journal::frame::{read_frame_file, write_frame_file};
 use soda_journal::{journal_path, FeedJournal, FsyncPolicy};
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_relation::fold_table_name;
+use soda_relation::{fold_table_name, parse_select};
 
 use crate::cache::CacheKey;
 use crate::config::DurabilityConfig;
@@ -24,11 +24,13 @@ use crate::service::{CachedPage, Shared};
 use crate::tenants::TenantState;
 
 /// Magic of the persistent page-cache file (the journal has its own,
-/// [`soda_journal::JOURNAL_MAGIC`]).  `3` is the format version, the only
-/// one the frame reader accepts: an entry carries its page and its probe
-/// dependencies, and a file of an earlier version (whose entries carried a
-/// shard mask, or whose header lacked the tenant field) restores nothing.
-const CACHE_MAGIC: [u8; 8] = *b"SODACSH3";
+/// [`soda_journal::JOURNAL_MAGIC`]).  `4` is the format version, the only
+/// one the frame reader accepts: an entry carries its page, each statement
+/// stored as its SQL text, and its probe dependencies.  A file of an
+/// earlier version (whose statements were also encoded as trees, whose
+/// entries carried a shard mask, or whose header lacked the tenant field)
+/// restores nothing.
+const CACHE_MAGIC: [u8; 8] = *b"SODACSH4";
 
 /// File name of the persistent page cache under the durability directory.
 const CACHE_FILE: &str = "pages.cache";
@@ -194,8 +196,19 @@ fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
     enc.into_bytes()
 }
 
+/// Whether `page` comes back from the page-cache file as itself: the file
+/// holds each statement as its SQL, and a statement whose SQL parses into
+/// another one (a date-shaped *text* literal prints like a date) would be
+/// restored changed.  Such a page is left out and recomputed after restart.
+fn restores_as_itself(page: &ResultPage) -> bool {
+    page.results
+        .iter()
+        .all(|r| parse_select(&r.sql).is_ok_and(|s| s == r.statement))
+}
+
 /// Inverse of [`encode_cache_entry`]; trailing bytes are an error so a
-/// miscounted frame cannot half-decode.
+/// miscounted frame cannot half-decode, and a statement whose SQL does not
+/// parse is [`CodecError::BadSql`].
 fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
     let mut dec = Decoder::new(bytes);
     let key = CacheKey {
@@ -259,7 +272,8 @@ pub(crate) fn load_cache_pages(
 }
 
 /// The graceful drain's last step, run with the workers joined (the cache
-/// is final): persists the default tenant's live pages, oldest first so
+/// is final): persists the default tenant's live pages that
+/// [restore as themselves](restores_as_itself), oldest first so
 /// re-insertion reproduces the recency order, for the next
 /// [`QueryService::recover`](crate::QueryService::recover) to reload.
 /// Best-effort by design — a failed write costs warm starts, never
@@ -285,7 +299,7 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
     let payloads: Vec<Vec<u8>> = store
         .cache
         .iter_oldest_first()
-        .filter(|(key, _)| key.snapshot_fingerprint == live)
+        .filter(|(key, entry)| key.snapshot_fingerprint == live && restores_as_itself(&entry.page))
         .map(|(key, entry)| encode_cache_entry(key, entry))
         .collect();
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
@@ -350,5 +364,81 @@ pub(crate) fn write_checkpoint(
             ),
         ),
         Err(e) => shared.event("checkpoint_failure", &tenant.id, e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use soda_relation::{print_select, CompareOp, Expr, Value};
+
+    use super::*;
+    use crate::{DurabilityConfig, QueryRequest, QueryService, ServiceConfig};
+
+    fn recover_at(dir: &Path) -> (QueryService, RecoveryReport) {
+        let (db, graph) = soda_warehouse::minibank::build(42).shared_parts();
+        let durability = DurabilityConfig::new(dir);
+        QueryService::recover(
+            db,
+            graph,
+            SodaConfig::default(),
+            ServiceConfig::default(),
+            durability,
+        )
+        .expect("recovery must succeed")
+    }
+
+    fn cached_keys(service: &QueryService) -> Vec<CacheKey> {
+        let store = service.shared.store.lock().unwrap();
+        store
+            .cache
+            .iter_oldest_first()
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    /// A text literal shaped like a date prints as `'2020-01-01'`, which
+    /// parses back as a date: the page holding it is left out of the file,
+    /// and every other page is restored.
+    #[test]
+    fn a_page_whose_sql_parses_into_another_statement_is_not_restored() {
+        let dir = std::env::temp_dir().join(format!("soda-durability-sql-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (service, _) = recover_at(&dir);
+        for query in ["Sara Guttinger", "wealthy customers", "salary > 100000"] {
+            service.query(QueryRequest::new(query)).wait().unwrap();
+        }
+        let keys = cached_keys(&service);
+        assert_eq!(keys.len(), 3);
+        {
+            let mut store = service.shared.store.lock().unwrap();
+            let entry = store.cache.get(&keys[1]).unwrap();
+            let deps = entry.deps.clone();
+            let mut page = ResultPage::clone(&entry.page);
+            let top = &mut page.results[0];
+            let text = Expr::compare(
+                CompareOp::Eq,
+                Expr::qualified("individuals", "firstname"),
+                Expr::Literal(Value::from("2020-01-01")),
+            );
+            top.statement.selection = Some(match top.statement.selection.take() {
+                Some(filter) => Expr::And(Box::new(filter), Box::new(text)),
+                None => text,
+            });
+            top.sql = print_select(&top.statement);
+            assert!(parse_select(&top.sql).is_ok_and(|s| s != top.statement));
+            let page = Arc::new(page);
+            store
+                .cache
+                .insert(keys[1].clone(), CachedPage { page, deps });
+        }
+        drop(service);
+
+        let (service, report) = recover_at(&dir);
+        assert_eq!(report.cache_pages_restored, 2);
+        assert_eq!(report.cache_pages_stale, 0);
+        let restored = cached_keys(&service);
+        assert_eq!(restored, [keys[0].clone(), keys[2].clone()]);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,7 @@
 //! DBpedia hits lower than domain-ontology hits.
 
 /// What a DBpedia term points at.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynonymTarget {
     /// An ontology concept by slug.
     Concept(String),
@@ -20,7 +20,7 @@ pub enum SynonymTarget {
 }
 
 /// A single extracted DBpedia entry.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbpediaEntry {
     /// The synonym term ("client").
     pub term: String,
@@ -29,7 +29,7 @@ pub struct DbpediaEntry {
 }
 
 /// The curated DBpedia extract.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SynonymStore {
     /// All entries.
     pub entries: Vec<DbpediaEntry>,

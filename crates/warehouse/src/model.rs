@@ -12,7 +12,7 @@ use soda_metagraph::MetaGraph;
 use soda_relation::{Database, TableSchema};
 
 /// Kind of a relationship at the conceptual or logical level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelationshipKind {
     /// N-to-1 relationship.
     ManyToOne,
@@ -23,7 +23,7 @@ pub enum RelationshipKind {
 }
 
 /// An entity of the conceptual (business) layer.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConceptualEntity {
     /// Business name, e.g. "Financial Instruments".
     pub name: String,
@@ -34,7 +34,7 @@ pub struct ConceptualEntity {
 }
 
 /// An entity of the logical layer.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogicalEntity {
     /// Logical name, e.g. "Financial Instrument Transactions".
     pub name: String,
@@ -45,7 +45,7 @@ pub struct LogicalEntity {
 }
 
 /// A named relationship between two entities of the same layer.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relationship {
     /// Source entity name.
     pub from: String,
@@ -62,7 +62,7 @@ pub struct Relationship {
 /// graph (the cause of the low recall of Q2.1/Q2.2).  Unannotated keys are
 /// skipped by the graph builder, so SODA cannot discover them, while the
 /// gold-standard SQL still uses them.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnnotatedForeignKey {
     /// Referencing table.
     pub table: String,
@@ -89,7 +89,7 @@ pub struct AnnotatedForeignKey {
 /// produces a metadata graph with explicit historization nodes, which the SODA
 /// engine can then exploit (temporal `valid at` predicates, history-aware join
 /// discovery).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistorizationLink {
     /// The history table.
     pub hist_table: String,
@@ -102,7 +102,7 @@ pub struct HistorizationLink {
 }
 
 /// A mutually exclusive inheritance group at the physical level.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InheritanceGroup {
     /// Parent (super-type) table.
     pub parent_table: String,
@@ -182,7 +182,7 @@ impl SchemaModel {
 }
 
 /// The schema-graph complexity counts reported in Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemaStats {
     /// Number of conceptual entities.
     pub conceptual_entities: usize,

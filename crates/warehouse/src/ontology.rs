@@ -7,7 +7,7 @@
 
 /// What an ontology concept classifies (i.e. where a `classifies` edge points
 /// in the metadata graph).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClassifyTarget {
     /// A conceptual entity by name.
     Conceptual(String),
@@ -27,7 +27,7 @@ pub enum ClassifyTarget {
 }
 
 /// A metadata-defined filter attached to a concept ("wealthy customers").
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConceptFilter {
     /// Table the filter constrains.
     pub table: String,
@@ -40,7 +40,7 @@ pub struct ConceptFilter {
 }
 
 /// One concept of the domain ontology.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OntologyConcept {
     /// Stable slug used to build the node URI.
     pub slug: String,
@@ -94,7 +94,7 @@ impl OntologyConcept {
 
 /// A domain ontology: a flat list of concepts (the paper's ontologies are
 /// shallow classification schemes).
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DomainOntology {
     /// The concepts.
     pub concepts: Vec<OntologyConcept>,

@@ -400,7 +400,7 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     let dir = TempDir::new("foreign-cache");
     write_frame_file(
         &dir.path().join("pages.cache"),
-        *b"SODACSH3",
+        *b"SODACSH4",
         0xDEAD_BEEF,
         TenantId::default().fingerprint(),
         &[b"not a page".as_slice()],
@@ -419,18 +419,19 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     let (_service, report) = recover_at(dir.path());
     assert_eq!(report.cache_pages_restored, 0);
 
-    // A cache file of the previous format version — entries that carried a
-    // shard mask — restores nothing, even under the right fingerprints.
-    let dir = TempDir::new("version-two-cache");
+    // A cache file of the previous format version — statements encoded as
+    // trees beside their SQL — restores nothing, even under the right
+    // fingerprints.
+    let dir = TempDir::new("version-three-cache");
     {
         let (service, _) = recover_at(dir.path());
         page_for(&service, "Sara Guttinger");
     }
     let cache = dir.path().join("pages.cache");
-    let mut v2 = fs::read(&cache).unwrap();
-    assert_eq!(&v2[..8], b"SODACSH3");
-    v2[..8].copy_from_slice(b"SODACSH2");
-    fs::write(&cache, &v2).unwrap();
+    let mut v3 = fs::read(&cache).unwrap();
+    assert_eq!(&v3[..8], b"SODACSH4");
+    v3[..8].copy_from_slice(b"SODACSH3");
+    fs::write(&cache, &v3).unwrap();
     let (_service, report) = recover_at(dir.path());
     assert_eq!(report.cache_pages_restored, 0);
 
@@ -858,10 +859,10 @@ fn recover_one_shard(dir: &Path) -> (QueryService, RecoveryReport) {
         .expect("recovery must succeed")
 }
 
-/// A page-cache file written by an earlier build decodes into pages that a
-/// drain writes back byte for byte: the format (`SODACSH3`) and every
-/// statement it carries survive a change to how statements are held in
-/// memory.
+/// A page-cache file written by an earlier build restores pages equal to
+/// freshly computed ones, which a drain writes back byte for byte: the
+/// format (`SODACSH4`) stores each statement as its SQL text, so it does
+/// not depend on how a statement is held in memory.
 #[test]
 fn a_golden_page_cache_file_restores_and_persists_byte_identical() {
     let golden = fs::read("tests/golden/pages_cache.bin").expect("the golden file");
@@ -874,6 +875,17 @@ fn a_golden_page_cache_file_restores_and_persists_byte_identical() {
             GOLDEN_CACHE_QUERIES.len() as u64
         );
         assert_eq!(report.cache_pages_stale, 0);
+        // Asked in the order the file holds them, so the drain below writes
+        // the same recency order back.
+        for query in GOLDEN_CACHE_QUERIES {
+            let fresh = service.engine().search_paged(query, 0, 10).unwrap();
+            assert_eq!(page_for(&service, query), fresh, "{query}");
+        }
+        assert_eq!(
+            service.metrics().pipeline_executions,
+            0,
+            "every page was a restored one"
+        );
         drop(service);
     }
     let written = fs::read(dir.path().join("pages.cache")).unwrap();
