@@ -38,7 +38,6 @@
 //! ```
 
 pub mod classification;
-pub mod codec;
 pub mod config;
 pub mod engine;
 pub mod error;

@@ -12,7 +12,7 @@
 //! so a single-tenant service's cache keys are its snapshot fingerprints.
 //! (No file written before tenancy is readable: the journal and page-cache
 //! readers accept their current format versions only, `SODAJNL3` and
-//! `SODACSH4`.)
+//! `SODACSH5` — the keys of the warm pages, recomputed on recover.)
 
 use std::fmt;
 use std::sync::Arc;

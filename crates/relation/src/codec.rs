@@ -1,13 +1,11 @@
 //! Compact binary encoding of relational values and rows.
 //!
-//! The durability layer (`soda-journal`, and the serving layer's persistent
-//! result-page cache) writes [`Value`]s and [`Row`]s to disk and reads them
-//! back; floats survive bit-exactly, so recovered rows and pages compare
-//! equal to never-persisted ones.  A statement is not encoded here: the page
-//! cache stores its SQL text, and the SQL parser turns that back into the
-//! statement ([`CodecError::BadSql`] when it cannot).  This module is a
-//! tiny, dependency-free, little-endian tag-length-value codec with an
-//! explicit [`Encoder`] / [`Decoder`] pair and per-type helpers.
+//! The durability layer (`soda-journal`'s feed journal and checkpoints)
+//! writes [`Value`]s and [`Row`]s to disk and reads them back; floats
+//! survive bit-exactly, so recovered rows compare equal to never-persisted
+//! ones.  This module is a tiny, dependency-free, little-endian
+//! tag-length-value codec with an explicit [`Encoder`] / [`Decoder`] pair
+//! and per-type helpers.
 //!
 //! The format is not self-describing and carries no versioning of its own;
 //! the files built on top of it (journal, cache) prefix a magic + version
@@ -30,7 +28,6 @@
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::table::Row;
 use crate::value::{Date, Value};
@@ -51,9 +48,6 @@ pub enum CodecError {
     BadLength,
     /// A string was not valid UTF-8.
     BadUtf8,
-    /// Stored SQL text did not parse back into a statement; the message
-    /// is the parser's.
-    BadSql(String),
 }
 
 impl fmt::Display for CodecError {
@@ -63,7 +57,6 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "invalid tag {tag:#04x} for {what}"),
             CodecError::BadLength => write!(f, "length prefix exceeds remaining input"),
             CodecError::BadUtf8 => write!(f, "string is not valid UTF-8"),
-            CodecError::BadSql(msg) => write!(f, "stored SQL does not parse: {msg}"),
         }
     }
 }
@@ -125,17 +118,6 @@ impl Encoder {
     pub fn put_str(&mut self, v: &str) {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// An optional string: presence byte, then the string.
-    pub fn put_opt_str(&mut self, v: Option<&str>) {
-        match v {
-            Some(s) => {
-                self.put_bool(true);
-                self.put_str(s);
-            }
-            None => self.put_bool(false),
-        }
     }
 
     /// A [`Value`].
@@ -258,25 +240,10 @@ impl<'a> Decoder<'a> {
         self.borrow_str().map(str::to_owned)
     }
 
-    /// A length-prefixed UTF-8 string as a shared name (a table or column
-    /// of a statement, a table of a result).
-    pub fn get_name(&mut self) -> CodecResult<Arc<str>> {
-        self.borrow_str().map(Arc::from)
-    }
-
     /// A length-prefixed UTF-8 string, borrowed from the input.
     fn borrow_str(&mut self) -> CodecResult<&'a str> {
         let n = self.get_len()?;
         std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadUtf8)
-    }
-
-    /// An optional string written by [`Encoder::put_opt_str`].
-    pub fn get_opt_str(&mut self) -> CodecResult<Option<String>> {
-        if self.get_bool()? {
-            Ok(Some(self.get_str()?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// A [`Value`].

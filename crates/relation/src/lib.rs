@@ -16,9 +16,9 @@
 //!   (`count`, `sum`, `avg`, `min`, `max`),
 //! * an executor with predicate push-down and hash joins,
 //! * an inverted index over text columns (the paper's base-data index),
-//! * a compact binary [`codec`] for values, rows and statements — the
-//!   byte-exact encoding the durability layer (`soda-journal`, the service's
-//!   persistent page cache) writes to disk.
+//! * a compact binary [`codec`] for values and rows — the byte-exact
+//!   encoding the durability layer (`soda-journal`, the service's
+//!   page-cache keys) writes to disk.
 //!
 //! ```
 //! use soda_relation::{Database, TableSchema, DataType, Value};

@@ -161,8 +161,9 @@ pub struct DurabilityConfig {
     /// acknowledged ingests survive power loss; [`FsyncPolicy::Never`]
     /// trades that for append latency.
     pub fsync: FsyncPolicy,
-    /// Whether a graceful drain serializes the warm cache pages to disk
-    /// (and recovery reloads them).  Default true.
+    /// Whether a graceful drain writes the keys of the warm cache pages to
+    /// disk (`SODACSH5`) and recovery recomputes their pages.  Off, recovery
+    /// reads no page-cache file and runs no search.  Default true.
     pub persist_cache: bool,
 }
 

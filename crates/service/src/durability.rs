@@ -1,6 +1,7 @@
 //! Crash safety: the per-tenant journal state, the **one** recovery
 //! function both boot paths call, checkpoints, and the page-cache file a
-//! graceful drain leaves for the next boot.
+//! graceful drain leaves for the next boot: the keys of its warm pages,
+//! which recovery recomputes.
 //!
 //! A tenant's journal is the value its writer lock guards, so every journal
 //! write runs inside one swap.  Lock order: writer → store; the tenant's
@@ -10,27 +11,28 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use soda_core::codec::{decode_page, decode_probe_dep, encode_page, encode_probe_dep};
-use soda_core::{Database, EngineSnapshot, MetaGraph, ResultPage, SodaConfig, TenantId};
+use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig, TenantId};
 use soda_journal::frame::{read_frame_file, write_frame_file};
 use soda_journal::{journal_path, FeedJournal, FsyncPolicy};
 use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_relation::{fold_table_name, parse_select};
+use soda_relation::fold_table_name;
+use soda_trace::NoopSink;
 
 use crate::cache::CacheKey;
 use crate::config::DurabilityConfig;
 use crate::request::ServiceError;
 use crate::service::{CachedPage, Shared};
 use crate::tenants::TenantState;
+use crate::worker::search_key;
 
 /// Magic of the persistent page-cache file (the journal has its own,
-/// [`soda_journal::JOURNAL_MAGIC`]).  `4` is the format version, the only
-/// one the frame reader accepts: an entry carries its page, each statement
-/// stored as its SQL text, and its probe dependencies.  A file of an
-/// earlier version (whose statements were also encoded as trees, whose
-/// entries carried a shard mask, or whose header lacked the tenant field)
-/// restores nothing.
-const CACHE_MAGIC: [u8; 8] = *b"SODACSH4";
+/// [`soda_journal::JOURNAL_MAGIC`]).  `5` is the format version, the only
+/// one the frame reader accepts: an entry is a cache key alone, whose page
+/// recovery recomputes.  A file of an earlier version (whose entries
+/// carried their pages, with statements as SQL text or as trees, and their
+/// probe dependencies, or a shard mask, or whose header lacked the tenant
+/// field) restores nothing.
+const CACHE_MAGIC: [u8; 8] = *b"SODACSH5";
 
 /// File name of the persistent page cache under the durability directory.
 const CACHE_FILE: &str = "pages.cache";
@@ -54,10 +56,10 @@ pub struct RecoveryReport {
     pub rejected_feeds: u64,
     /// Bytes of torn or corrupt journal tail truncated before replay.
     pub truncated_bytes: u64,
-    /// Persisted pages restored into the warm cache.
+    /// Persisted keys whose pages were recomputed into the warm cache.
     pub cache_pages_restored: u64,
-    /// Persisted pages discarded as stale (fingerprint mismatch or
-    /// undecodable entry).
+    /// Persisted keys discarded as stale (fingerprint mismatch or
+    /// undecodable key).
     pub cache_pages_stale: u64,
 }
 
@@ -178,38 +180,21 @@ pub(crate) fn recover_journal(
     Ok((engine, state, report))
 }
 
-/// Serializes one warm cache entry for the page-cache file: the full key
-/// (the fingerprint included — recovery filters on it) plus the page and its
-/// probe dependencies, so a restored entry behaves exactly like the original
-/// across later data-only swaps.
-fn encode_cache_entry(key: &CacheKey, entry: &CachedPage) -> Vec<u8> {
+/// Serializes one warm cache entry's key for the page-cache file — the
+/// fingerprint included, which recovery filters on.  The page is not
+/// stored: recovery recomputes it from the key.
+fn encode_cache_key(key: &CacheKey) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_str(&key.normalized);
     enc.put_u64(key.snapshot_fingerprint);
     enc.put_usize(key.page);
     enc.put_usize(key.page_size);
-    encode_page(&mut enc, &entry.page);
-    enc.put_usize(entry.deps.len());
-    for dep in &entry.deps {
-        encode_probe_dep(&mut enc, dep);
-    }
     enc.into_bytes()
 }
 
-/// Whether `page` comes back from the page-cache file as itself: the file
-/// holds each statement as its SQL, and a statement whose SQL parses into
-/// another one (a date-shaped *text* literal prints like a date) would be
-/// restored changed.  Such a page is left out and recomputed after restart.
-fn restores_as_itself(page: &ResultPage) -> bool {
-    page.results
-        .iter()
-        .all(|r| parse_select(&r.sql).is_ok_and(|s| s == r.statement))
-}
-
-/// Inverse of [`encode_cache_entry`]; trailing bytes are an error so a
-/// miscounted frame cannot half-decode, and a statement whose SQL does not
-/// parse is [`CodecError::BadSql`].
-fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
+/// Inverse of [`encode_cache_key`]; trailing bytes are an error so a
+/// miscounted frame cannot half-decode.
+fn decode_cache_key(bytes: &[u8]) -> CodecResult<CacheKey> {
     let mut dec = Decoder::new(bytes);
     let key = CacheKey {
         normalized: dec.get_str()?.into(),
@@ -217,54 +202,47 @@ fn decode_cache_entry(bytes: &[u8]) -> CodecResult<(CacheKey, CachedPage)> {
         page: dec.get_usize()?,
         page_size: dec.get_usize()?,
     };
-    let page = decode_page(&mut dec)?;
-    let n = dec.get_usize()?;
-    if n > dec.remaining() {
-        return Err(CodecError::BadLength);
-    }
-    let mut deps = Vec::with_capacity(n);
-    for _ in 0..n {
-        deps.push(decode_probe_dep(&mut dec)?);
-    }
     if !dec.is_empty() {
         return Err(CodecError::BadLength);
     }
-    Ok((
-        key,
-        CachedPage {
-            page: Arc::new(page),
-            deps,
-        },
-    ))
+    Ok(key)
 }
 
-/// Reads the warm pages a graceful drain left under `config.dir`, keeping
-/// those whose fingerprint matches the *recovered* snapshot (`live`) —
-/// queries will actually look them up under that key — and counting kept
-/// and discarded pages into `report`.  Strictly best-effort: a missing,
-/// foreign, torn or stale file restores nothing and fails nothing.
+/// Reads the keys a graceful drain left under `config.dir`, keeps those
+/// whose fingerprint matches the *recovered* snapshot `engine` — queries
+/// will actually look them up under that key — and recomputes each one's
+/// page on the calling thread with the search a worker runs on a miss
+/// (the normalized text answers like every input that normalizes to it).
+/// Kept and discarded keys are counted into `report`.  Strictly
+/// best-effort: a missing, foreign, torn or stale file restores nothing and
+/// fails nothing, and with `persist_cache` off nothing is read.
 pub(crate) fn load_cache_pages(
     config: &DurabilityConfig,
     state: &DurabilityState,
     report: &mut RecoveryReport,
-    live: u64,
+    engine: &EngineSnapshot,
 ) -> Vec<(CacheKey, CachedPage)> {
-    let mut restored = Vec::new();
     if !config.persist_cache {
-        return restored;
+        return Vec::new();
     }
-    if let Ok(Some(scan)) = read_frame_file(&config.dir.join(CACHE_FILE), CACHE_MAGIC) {
-        if scan.fingerprint == state.config_fingerprint {
-            for payload in &scan.frames {
-                match decode_cache_entry(payload) {
-                    Ok((key, entry)) if key.snapshot_fingerprint == live => {
-                        restored.push((key, entry));
-                    }
-                    _ => report.cache_pages_stale += 1,
-                }
-            }
-        } else {
-            report.cache_pages_stale += scan.frames.len() as u64;
+    let Ok(Some(scan)) = read_frame_file(&config.dir.join(CACHE_FILE), CACHE_MAGIC) else {
+        return Vec::new();
+    };
+    // A foreign configuration's file matches no key.
+    let live = (scan.fingerprint == state.config_fingerprint).then(|| engine.cache_fingerprint());
+    let mut restored = Vec::new();
+    for payload in &scan.frames {
+        let key = decode_cache_key(payload).ok();
+        let entry = key
+            .filter(|key| Some(key.snapshot_fingerprint) == live)
+            .and_then(|key| {
+                let (searched, deps) = search_key(engine, &key.normalized, &key, &NoopSink);
+                let page = Arc::new(searched.ok()?.page);
+                Some((key, CachedPage { page, deps }))
+            });
+        match entry {
+            Some(entry) => restored.push(entry),
+            None => report.cache_pages_stale += 1,
         }
     }
     report.cache_pages_restored = restored.len() as u64;
@@ -272,15 +250,14 @@ pub(crate) fn load_cache_pages(
 }
 
 /// The graceful drain's last step, run with the workers joined (the cache
-/// is final): persists the default tenant's live pages that
-/// [restore as themselves](restores_as_itself), oldest first so
-/// re-insertion reproduces the recency order, for the next
-/// [`QueryService::recover`](crate::QueryService::recover) to reload.
+/// is final): persists the keys of the default tenant's live pages, oldest
+/// first so re-insertion reproduces the recency order, for the next
+/// [`QueryService::recover`](crate::QueryService::recover) to recompute.
 /// Best-effort by design — a failed write costs warm starts, never
 /// correctness.  The file is the default tenant's (other tenants recompute
 /// their first pages), stamped with the default tenant's fingerprint, 0,
-/// so it holds only pages keyed by that tenant's live fingerprint: any
-/// other page could never be restored.
+/// so it holds only keys carrying that tenant's live fingerprint: any
+/// other key could never be restored.
 pub(crate) fn persist_cache_pages(shared: &Shared) {
     let Some(config) = shared
         .durability_config
@@ -299,8 +276,8 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
     let payloads: Vec<Vec<u8>> = store
         .cache
         .iter_oldest_first()
-        .filter(|(key, entry)| key.snapshot_fingerprint == live && restores_as_itself(&entry.page))
-        .map(|(key, entry)| encode_cache_entry(key, entry))
+        .filter(|(key, _)| key.snapshot_fingerprint == live)
+        .map(|(key, _)| encode_cache_key(key))
         .collect();
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
     let _ = write_frame_file(
@@ -369,6 +346,7 @@ pub(crate) fn write_checkpoint(
 
 #[cfg(test)]
 mod tests {
+    use soda_core::ResultPage;
     use soda_relation::{print_select, CompareOp, Expr, Value};
 
     use super::*;
@@ -396,20 +374,21 @@ mod tests {
             .collect()
     }
 
-    /// A text literal shaped like a date prints as `'2020-01-01'`, which
-    /// parses back as a date: the page holding it is left out of the file,
-    /// and every other page is restored.
+    /// A restored page is recomputed from its key, not read back: a page
+    /// tampered with in the cache — a date-shaped *text* literal, whose SQL
+    /// would parse back as a date — comes back as the fresh page.
     #[test]
-    fn a_page_whose_sql_parses_into_another_statement_is_not_restored() {
-        let dir = std::env::temp_dir().join(format!("soda-durability-sql-{}", std::process::id()));
+    fn a_restored_page_is_recomputed_not_read_back() {
+        let dir = std::env::temp_dir().join(format!("soda-durability-key-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (service, _) = recover_at(&dir);
-        for query in ["Sara Guttinger", "wealthy customers", "salary > 100000"] {
+        let queries = ["Sara Guttinger", "wealthy customers", "salary > 100000"];
+        for query in queries {
             service.query(QueryRequest::new(query)).wait().unwrap();
         }
         let keys = cached_keys(&service);
         assert_eq!(keys.len(), 3);
-        {
+        let tampered = {
             let mut store = service.shared.store.lock().unwrap();
             let entry = store.cache.get(&keys[1]).unwrap();
             let deps = entry.deps.clone();
@@ -425,19 +404,28 @@ mod tests {
                 None => text,
             });
             top.sql = print_select(&top.statement);
-            assert!(parse_select(&top.sql).is_ok_and(|s| s != top.statement));
             let page = Arc::new(page);
-            store
-                .cache
-                .insert(keys[1].clone(), CachedPage { page, deps });
-        }
+            let entry = CachedPage {
+                page: Arc::clone(&page),
+                deps,
+            };
+            store.cache.insert(keys[1].clone(), entry);
+            page
+        };
+        let drained = cached_keys(&service);
         drop(service);
 
         let (service, report) = recover_at(&dir);
-        assert_eq!(report.cache_pages_restored, 2);
+        assert_eq!(report.cache_pages_restored, 3);
         assert_eq!(report.cache_pages_stale, 0);
-        let restored = cached_keys(&service);
-        assert_eq!(restored, [keys[0].clone(), keys[2].clone()]);
+        assert_eq!(cached_keys(&service), drained);
+        let restored = {
+            let mut store = service.shared.store.lock().unwrap();
+            Arc::clone(&store.cache.get(&keys[1]).unwrap().page)
+        };
+        let fresh = service.engine().search_paged(queries[1], 0, 10).unwrap();
+        assert_eq!(*restored, fresh);
+        assert_ne!(restored, tampered);
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -117,10 +117,10 @@ pub struct DurabilityMetrics {
     pub rejected_replays: u64,
     /// Bytes of torn or corrupt journal tail discarded during recovery.
     pub truncated_bytes: u64,
-    /// Persisted result pages restored into the cache during recovery.
+    /// Persisted keys whose pages recovery recomputed into the cache.
     pub cache_pages_restored: u64,
-    /// Persisted result pages discarded during recovery because their
-    /// snapshot fingerprint no longer matched the recovered engine.
+    /// Persisted keys recovery discarded: undecodable, or their snapshot
+    /// fingerprint no longer matched the recovered engine.
     pub cache_pages_stale: u64,
 }
 

@@ -110,11 +110,12 @@
 //! never replay into another's snapshot; [`QueryService::add_tenant`]
 //! replays it against the snapshot the caller hands in.
 //!
-//! On a *graceful* drain (dropping the service) the warm entries of the
-//! interpretation cache are additionally serialized to a page-cache file,
-//! which `recover` reloads — so the first repeated queries after a restart are
-//! answered at warm-hit latency instead of re-running the pipeline.  The cache
-//! file is best-effort: a stale, torn or foreign file is ignored (counted in
+//! On a *graceful* drain (dropping the service) the keys of the
+//! interpretation cache's warm entries are additionally written to a
+//! page-cache file (`SODACSH5`), whose pages `recover` recomputes before the
+//! service serves — so the first repeated queries after a restart are
+//! answered at warm-hit latency.  The cache file is best-effort: a stale,
+//! torn, foreign or older-format file is ignored (counted in
 //! [`DurabilityMetrics::cache_pages_stale`](crate::DurabilityMetrics::cache_pages_stale)),
 //! never an error.
 //!
@@ -466,9 +467,9 @@ impl QueryService {
     /// restored, every feed appended after it is re-absorbed in order, and —
     /// because absorbed state answers identically to a rebuild over the same
     /// rows — the recovered engine serves byte-identical pages under the
-    /// same cache fingerprints as the instance that died.  Warm pages
-    /// persisted by a graceful drain are reloaded into the cache when they
-    /// still match.  The replay's side logs stay in place until
+    /// same cache fingerprints as the instance that died.  The keys a
+    /// graceful drain persisted are recomputed into the cache, on this
+    /// thread, when their fingerprint still matches.  The replay's side logs stay in place until
     /// [`TenantAdmin::compact`] folds them.
     ///
     /// Errors are [`ServiceError::Durability`] for journal I/O, decode or
@@ -491,8 +492,7 @@ impl QueryService {
             durability.fsync,
             RecoveryBase::Warehouse(base_db, graph, config),
         )?;
-        let live = engine.cache_fingerprint();
-        let restored = load_cache_pages(&durability, &state, &mut report, live);
+        let restored = load_cache_pages(&durability, &state, &mut report, &engine);
         let journal = Some((state, &report));
         let service = Self::start_with(engine, service, journal, Some(durability));
         {

@@ -4,9 +4,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use soda_core::{ProbeRecorder, SearchOptions};
+use soda_core::{EngineSnapshot, ProbeDep, ProbeRecorder, SearchOptions, SearchOutcome};
 use soda_trace::{CollectingSink, NoopSink, TraceSink};
 
+use crate::cache::CacheKey;
 use crate::queue::Job;
 use crate::request::{ServiceError, WireResult};
 use crate::service::{CachedPage, Served, Shared};
@@ -51,10 +52,6 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // Queue wait ends here: everything from `dequeued` on is execution.
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.submitted);
-        // The recorder captures which phrases the query probes and which
-        // probe tokens they select — the evidence that lets a data-only
-        // snapshot swap retain this page instead of purging it.
-        let recorder = ProbeRecorder::new();
         // A collecting sink runs when `Shared::answered` might keep the span
         // tree: a slow-query threshold (the decision needs the final
         // latency, which only exists afterwards) or a head-sampled draw.
@@ -67,12 +64,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
             Some(c) => c,
             None => &NoopSink,
         };
-        let options = SearchOptions {
-            recorder: Some(&recorder),
-            sink,
-            ..SearchOptions::page(job.key.page, job.key.page_size)
-        };
-        let searched = job.engine.search_with(&job.input, &options);
+        let (searched, deps) = search_key(&job.engine, &job.input, &job.key, sink);
         let execution = dequeued.elapsed();
         let timings = searched.as_ref().ok().map(|found| found.trace.timings);
         // Shared from here on: the cache slot and the key's completion hold
@@ -93,7 +85,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let entry = match &outcome {
             Ok(page) if still_live => Some(CachedPage {
                 page: Arc::clone(page),
-                deps: recorder.into_deps(),
+                deps,
             }),
             _ => None,
         };
@@ -127,6 +119,27 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // reads the metrics right after `wait()` sees its own query.
         let _ = job.done.set(outcome);
     }
+}
+
+/// The one search behind a cache entry — a worker's on a miss and
+/// recovery's for each persisted key: runs the pipeline for `input` at
+/// `key`'s page coordinates.  The deps it returns are which phrases the
+/// query probed and which probe tokens they selected — the evidence that
+/// lets a data-only snapshot swap retain the page instead of purging it.
+pub(crate) fn search_key(
+    engine: &EngineSnapshot,
+    input: &str,
+    key: &CacheKey,
+    sink: &dyn TraceSink,
+) -> (soda_core::Result<SearchOutcome>, Vec<ProbeDep>) {
+    let recorder = ProbeRecorder::new();
+    let options = SearchOptions {
+        recorder: Some(&recorder),
+        sink,
+        ..SearchOptions::page(key.page, key.page_size)
+    };
+    let searched = engine.search_with(input, &options);
+    (searched, recorder.into_deps())
 }
 
 #[cfg(test)]

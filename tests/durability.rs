@@ -2,7 +2,8 @@
 //! crashed `QueryService` must recover from its write-ahead feed journal
 //! into **byte-identical answers** — torn tails truncated, corrupt frames
 //! dropped, checkpoints applied — and a gracefully drained one must answer
-//! its first repeated queries from the persisted warm cache.
+//! its first repeated queries from the warm cache it recomputes from the
+//! persisted keys.
 
 use std::fs;
 use std::fs::OpenOptions;
@@ -234,10 +235,10 @@ fn corrupt_tail_is_dropped_and_the_prefix_replays() {
     );
 }
 
-/// Graceful drain → recover: the persisted warm pages answer the first
-/// repeated queries without touching the pipeline.  The file is the
-/// default tenant's: another hosted tenant's pages are not written to it,
-/// so none of the persisted pages is stale.
+/// Graceful drain → recover: the pages recomputed from the persisted keys
+/// answer the first repeated queries without a worker running the
+/// pipeline.  The file is the default tenant's: another hosted tenant's
+/// keys are not written to it, so none of the persisted keys is stale.
 #[test]
 fn graceful_drain_restores_the_warm_cache() {
     let dir = TempDir::new("warm-cache");
@@ -259,7 +260,7 @@ fn graceful_drain_restores_the_warm_cache() {
             service.query(request).wait().unwrap();
         }
         queries.iter().map(|q| page_for(&service, q)).collect()
-        // Drop = graceful drain: the cache is serialized to pages.cache.
+        // Drop = graceful drain: the cache's keys go to pages.cache.
     };
     assert!(dir.path().join("pages.cache").exists());
 
@@ -400,7 +401,7 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     let dir = TempDir::new("foreign-cache");
     write_frame_file(
         &dir.path().join("pages.cache"),
-        *b"SODACSH4",
+        *b"SODACSH5",
         0xDEAD_BEEF,
         TenantId::default().fingerprint(),
         &[b"not a page".as_slice()],
@@ -419,24 +420,24 @@ fn stale_or_foreign_cache_files_are_ignored_not_fatal() {
     let (_service, report) = recover_at(dir.path());
     assert_eq!(report.cache_pages_restored, 0);
 
-    // A cache file of the previous format version — statements encoded as
-    // trees beside their SQL — restores nothing, even under the right
+    // A cache file of the previous format version — whole pages, each
+    // statement stored as its SQL — restores nothing, even under the right
     // fingerprints.
-    let dir = TempDir::new("version-three-cache");
+    let dir = TempDir::new("version-four-cache");
     {
         let (service, _) = recover_at(dir.path());
         page_for(&service, "Sara Guttinger");
     }
     let cache = dir.path().join("pages.cache");
-    let mut v3 = fs::read(&cache).unwrap();
-    assert_eq!(&v3[..8], b"SODACSH4");
-    v3[..8].copy_from_slice(b"SODACSH3");
-    fs::write(&cache, &v3).unwrap();
+    let mut v4 = fs::read(&cache).unwrap();
+    assert_eq!(&v4[..8], b"SODACSH5");
+    v4[..8].copy_from_slice(b"SODACSH4");
+    fs::write(&cache, &v4).unwrap();
     let (_service, report) = recover_at(dir.path());
     assert_eq!(report.cache_pages_restored, 0);
 
     // A genuinely stale file: persisted after an ingest, but the journal is
-    // deleted, so recovery rebuilds generation 0 and the persisted pages'
+    // deleted, so recovery rebuilds generation 0 and the persisted keys'
     // fingerprints no longer match.
     let dir = TempDir::new("stale-cache");
     {
@@ -846,12 +847,13 @@ const GOLDEN_CACHE_QUERIES: [&str; 7] = [
     "salary > 100000",
 ];
 
-/// `recover_at` with one lookup shard whatever `SODA_TEST_SHARDS` says: the
-/// shard count is part of the fingerprint the golden file carries.
-fn recover_one_shard(dir: &Path) -> (QueryService, RecoveryReport) {
+/// `recover_at` with `shards` lookup partitions whatever
+/// `SODA_TEST_SHARDS` says: the shard count is part of the fingerprint a
+/// persisted key carries, and decides which feeds a page's probes see.
+fn recover_sharded(dir: &Path, shards: usize) -> (QueryService, RecoveryReport) {
     let (db, graph) = minibank_parts();
     let config = SodaConfig {
-        shards: 1,
+        shards,
         ..SodaConfig::default()
     };
     let durability = DurabilityConfig::new(dir);
@@ -860,16 +862,17 @@ fn recover_one_shard(dir: &Path) -> (QueryService, RecoveryReport) {
 }
 
 /// A page-cache file written by an earlier build restores pages equal to
-/// freshly computed ones, which a drain writes back byte for byte: the
-/// format (`SODACSH4`) stores each statement as its SQL text, so it does
-/// not depend on how a statement is held in memory.
+/// freshly computed ones without a worker running the pipeline, and a
+/// drain writes it back byte for byte: the format (`SODACSH5`) holds each
+/// page's key alone, so it does not depend on how a page is held in
+/// memory.  The same keys under the previous magic restore nothing.
 #[test]
 fn a_golden_page_cache_file_restores_and_persists_byte_identical() {
     let golden = fs::read("tests/golden/pages_cache.bin").expect("the golden file");
     let dir = TempDir::new("golden-cache");
     fs::write(dir.path().join("pages.cache"), &golden).unwrap();
     {
-        let (service, report) = recover_one_shard(dir.path());
+        let (service, report) = recover_sharded(dir.path(), 1);
         assert_eq!(
             report.cache_pages_restored,
             GOLDEN_CACHE_QUERIES.len() as u64
@@ -893,6 +896,12 @@ fn a_golden_page_cache_file_restores_and_persists_byte_identical() {
         written == golden,
         "the drained file differs from the golden"
     );
+
+    let mut v4 = golden;
+    v4[..8].copy_from_slice(b"SODACSH4");
+    fs::write(dir.path().join("pages.cache"), &v4).unwrap();
+    let (_service, report) = recover_sharded(dir.path(), 1);
+    assert_eq!(report.cache_pages_restored, 0);
 }
 
 /// Rewrites `tests/golden/pages_cache.bin` from the current build.
@@ -901,7 +910,7 @@ fn a_golden_page_cache_file_restores_and_persists_byte_identical() {
 fn regenerate_page_cache() {
     let dir = TempDir::new("golden-cache-regenerate");
     {
-        let (service, _) = recover_one_shard(dir.path());
+        let (service, _) = recover_sharded(dir.path(), 1);
         for query in GOLDEN_CACHE_QUERIES {
             assert!(!page_for(&service, query).results.is_empty(), "{query}");
         }
@@ -911,4 +920,74 @@ fn regenerate_page_cache() {
         "tests/golden/pages_cache.bin",
     )
     .unwrap();
+}
+
+/// A restored key keeps its page coordinates: page 1 at size 3 comes back
+/// as page 1 at size 3, answered as a warm hit.
+#[test]
+fn a_restored_key_keeps_its_paging() {
+    let dir = TempDir::new("paged-cache");
+    let query = "name amount";
+    let paged = || QueryRequest::new(query).page(1).page_size(3);
+    {
+        let (service, _) = recover_at(dir.path());
+        service.query(paged()).wait().unwrap();
+    }
+    let (service, report) = recover_at(dir.path());
+    assert_eq!(report.cache_pages_restored, 1);
+    let page = service.query(paged()).wait().unwrap().page;
+    assert_eq!((page.page, page.page_size), (1, 3));
+    assert_eq!(page.results.len(), 3, "page 1 of {query} is a full one");
+    assert_eq!(page, service.engine().search_paged(query, 1, 3).unwrap());
+    let m = service.metrics();
+    assert_eq!((m.cache.hits, m.pipeline_executions), (1, 0));
+}
+
+/// A restored page carries the probe evidence a data-only swap's
+/// retention pass reads: a feed that touches none of its tokens retains
+/// it, one that adds hits for them purges it — exactly as on a service
+/// that never restarted.
+#[test]
+fn a_restored_page_keeps_its_retention_evidence() {
+    // 8 shards: `addresses` (the feeds' target) is apart from the tables
+    // holding the pages' postings, so a feed of another city is provably
+    // harmless.
+    let shards = 8;
+    let queries = ["Sara Guttinger", "Sara"];
+    let restarted_dir = TempDir::new("retention-restarted");
+    {
+        let (service, _) = recover_sharded(restarted_dir.path(), shards);
+        for query in queries {
+            page_for(&service, query);
+        }
+    }
+    let (restarted, report) = recover_sharded(restarted_dir.path(), shards);
+    assert_eq!(report.cache_pages_restored, queries.len() as u64);
+    let steady_dir = TempDir::new("retention-steady");
+    let (steady, _) = recover_sharded(steady_dir.path(), shards);
+    for query in queries {
+        page_for(&steady, query);
+    }
+
+    let moves = |service: &QueryService, feed: ChangeFeed| {
+        let before = service.metrics().cache;
+        admin(service).ingest_owned(feed).unwrap();
+        let after = service.metrics().cache;
+        (
+            after.retained - before.retained,
+            after.purged - before.purged,
+        )
+    };
+    // Another city: both pages are retained, none purged.
+    let untouched = || address_feed(900, "Retainville");
+    assert_eq!(moves(&restarted, untouched()), (2, 0));
+    assert_eq!(moves(&steady, untouched()), (2, 0));
+    // "Sara" as a city: the page that probed it is purged.
+    let touched = || address_feed(901, "Sara");
+    let moved = moves(&steady, touched());
+    assert!(moved.1 > 0, "a feed adding a page's hits purges it");
+    assert_eq!(moves(&restarted, touched()), moved);
+    for query in queries {
+        assert_eq!(page_for(&restarted, query), page_for(&steady, query));
+    }
 }
