@@ -287,10 +287,8 @@ impl EngineSnapshot {
 
         // The lookup result is spent: the trace takes its phrases.
         let trace = QueryTrace {
-            input: input.to_string(),
             complexity: lookup_result.complexity(),
             solutions: solutions.len(),
-            results: results.len(),
             classification: lookup_result
                 .matches
                 .into_iter()

@@ -85,18 +85,16 @@ impl StepTimings {
     }
 }
 
-/// Trace of one query through the pipeline.
+/// Trace of one query through the pipeline.  The input is the caller's,
+/// and the number of statements produced is the page's
+/// [`total_results`](ResultPage::total_results).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryTrace {
-    /// The input text.
-    pub input: String,
     /// Query complexity: size of the combinatorial product of entry points
     /// (Table 4, column "Complexity").
     pub complexity: usize,
     /// Number of solutions that survived ranking.
     pub solutions: usize,
-    /// Number of SQL statements produced.
-    pub results: usize,
     /// Matched phrases and how many candidates each has (Figure 5).
     pub classification: Vec<(String, Vec<Provenance>)>,
     /// Words that could not be matched.
@@ -125,7 +123,7 @@ mod tests {
     fn default_trace_is_empty() {
         let t = QueryTrace::default();
         assert_eq!(t.complexity, 0);
-        assert_eq!(t.results, 0);
+        assert_eq!(t.solutions, 0);
         assert!(t.classification.is_empty());
     }
 }

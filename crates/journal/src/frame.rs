@@ -12,7 +12,8 @@
 //!
 //! The magic identifies the file kind (journal vs. cache) and, through its
 //! final byte (an ASCII digit), the format version; the fingerprint binds
-//! the file to one engine configuration; the tenant fingerprint binds it to
+//! the file to one engine configuration (a [`FrameFile::rewrite`] restamps
+//! it with the one its caller serves); the tenant fingerprint binds it to
 //! one hosted tenant (`0` for the default tenant and for service-wide files
 //! such as the page cache).  Every frame is individually checksummed, so a
 //! reader can detect both a torn tail (the process died mid-append) and bit
@@ -66,7 +67,6 @@ pub struct FrameFile {
     file: File,
     path: PathBuf,
     magic: [u8; 8],
-    fingerprint: u64,
     tenant: u64,
     fsync: FsyncPolicy,
     len: u64,
@@ -112,7 +112,6 @@ impl FrameFile {
                 file,
                 path: path.to_path_buf(),
                 magic,
-                fingerprint,
                 tenant,
                 fsync,
                 len: FILE_HEADER_LEN,
@@ -148,7 +147,6 @@ impl FrameFile {
             file,
             path: path.to_path_buf(),
             magic,
-            fingerprint: scan.fingerprint,
             tenant: scan.tenant,
             fsync,
             len: valid_len,
@@ -171,19 +169,13 @@ impl FrameFile {
         Ok(frame.len() as u64)
     }
 
-    /// Atomically replaces the whole file with a fresh header followed by
-    /// `payloads`, via write-temp → fsync → rename, then reopens the handle
-    /// on the new file.  This is how a checkpoint truncates the journal: a
-    /// crash at any point leaves either the complete old file or the
-    /// complete new one.
-    pub fn rewrite(&mut self, payloads: &[&[u8]]) -> std::io::Result<()> {
-        write_frame_file(
-            &self.path,
-            self.magic,
-            self.fingerprint,
-            self.tenant,
-            payloads,
-        )?;
+    /// Atomically replaces the whole file with a fresh header stamped with
+    /// `fingerprint`, followed by `payloads`, via write-temp → fsync →
+    /// rename, then reopens the handle on the new file.  This is how a
+    /// checkpoint truncates the journal: a crash at any point leaves either
+    /// the complete old file or the complete new one.
+    pub fn rewrite(&mut self, fingerprint: u64, payloads: &[&[u8]]) -> std::io::Result<()> {
+        write_frame_file(&self.path, self.magic, fingerprint, self.tenant, payloads)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         self.len = file.seek(SeekFrom::End(0))?;
         self.file = file;
@@ -397,11 +389,12 @@ mod tests {
             FrameFile::open_or_create(&path, MAGIC, 9, 0, FsyncPolicy::Never).unwrap();
         file.append(b"a").unwrap();
         file.append(b"b").unwrap();
-        file.rewrite(&[b"checkpoint"]).unwrap();
+        file.rewrite(10, &[b"checkpoint"]).unwrap();
         file.append(b"c").unwrap();
         drop(file);
         let scan = read_frame_file(&path, MAGIC).unwrap().unwrap();
-        assert_eq!(scan.fingerprint, 9);
+        // The rewrite restamps the header; the tenant stays.
+        assert_eq!((scan.fingerprint, scan.tenant), (10, 0));
         assert_eq!(scan.frames, vec![b"checkpoint".to_vec(), b"c".to_vec()]);
     }
 

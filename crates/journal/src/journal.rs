@@ -226,7 +226,7 @@ pub type JournalResult<T> = std::result::Result<T, JournalError>;
 /// journal written under a different one.  [`append_feed`] logs a
 /// [`ChangeFeed`] *before* the service absorbs it (write-ahead);
 /// [`write_checkpoint`] atomically replaces the whole log with a single
-/// checkpoint record, bounding replay time.
+/// checkpoint record, bounding replay time, under the fingerprint it names.
 ///
 /// [`append_feed`]: FeedJournal::append_feed
 /// [`write_checkpoint`]: FeedJournal::write_checkpoint
@@ -286,13 +286,15 @@ impl FeedJournal {
 
     /// Atomically replaces the journal's entire content with one
     /// [`Checkpoint`] record — the checkpoint truncation step — of
-    /// `generation` and `tables`, each `(lower-cased name, rows)`.  The rows
-    /// are borrowed (a table's [`Rows`](soda_relation::Rows) view, or a
-    /// slice) and encoded where they are.  A crash during the rewrite
-    /// leaves either the old journal or the new one, never a mix.  Returns
-    /// the journal's new size in bytes.
+    /// `generation` and `tables`, each `(lower-cased name, rows)`, stamped
+    /// with `config_fingerprint`, which the next [`recover`](Self::recover)
+    /// must be given.  The rows are borrowed (a table's
+    /// [`Rows`](soda_relation::Rows) view, or a slice) and encoded where
+    /// they are.  A crash during the rewrite leaves either the old journal
+    /// or the new one, never a mix.  Returns the journal's new size in bytes.
     pub fn write_checkpoint<R>(
         &mut self,
+        config_fingerprint: u64,
         generation: u64,
         tables: &[(&str, R)],
     ) -> JournalResult<u64>
@@ -302,7 +304,7 @@ impl FeedJournal {
         R::IntoIter: ExactSizeIterator,
     {
         let payload = encode_checkpoint(generation, tables);
-        self.file.rewrite(&[&payload])?;
+        self.file.rewrite(config_fingerprint, &[&payload])?;
         Ok(self.file.len_bytes())
     }
 
@@ -527,7 +529,8 @@ mod tests {
             .iter()
             .map(|(name, rows)| (name.as_str(), rows.as_slice()))
             .collect();
-        j.write_checkpoint(checkpoint.generation, &tables).unwrap();
+        j.write_checkpoint(42, checkpoint.generation, &tables)
+            .unwrap();
         // Checkpointing dropped the two feed records.
         assert!(j.len_bytes() < before + 64);
         j.append_feed(&feed(3)).unwrap();
@@ -537,6 +540,34 @@ mod tests {
         let (recovered, feeds) = replay.into_plan();
         assert_eq!(recovered.unwrap(), checkpoint);
         assert_eq!(feeds, vec![feed(3)]);
+    }
+
+    /// A checkpoint stamps the fingerprint it is given: the journal then
+    /// belongs to that configuration, and the one it was opened under is
+    /// refused.
+    #[test]
+    fn a_checkpoint_stamps_the_fingerprint_it_is_given() {
+        let dir = TempDir::new("jnl-restamp");
+        let path = journal_path(dir.path());
+        let rows = [vec![Value::Int(1)]];
+        {
+            let (mut j, _) = FeedJournal::recover(&path, 1, 7, FsyncPolicy::Always).unwrap();
+            j.append_feed(&feed(1)).unwrap();
+            j.write_checkpoint(2, 3, &[("trades", &rows[..])]).unwrap();
+            j.append_feed(&feed(2)).unwrap();
+        }
+        match FeedJournal::recover(&path, 1, 7, FsyncPolicy::Always) {
+            Err(JournalError::ConfigMismatch { journal, engine }) => {
+                assert_eq!((journal, engine), (2, 1));
+            }
+            other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
+        let (_j, replay) = FeedJournal::recover(&path, 2, 7, FsyncPolicy::Always).unwrap();
+        let (checkpoint, feeds) = replay.into_plan();
+        let checkpoint = checkpoint.expect("the checkpoint replays");
+        assert_eq!(checkpoint.generation, 3);
+        assert_eq!(checkpoint.tables, vec![("trades".into(), rows.to_vec())]);
+        assert_eq!(feeds, vec![feed(2)]);
     }
 
     #[test]

@@ -82,7 +82,9 @@ impl TenantAdmin<'_> {
     /// (they would be unaddressable anyway — the fingerprint in their key no
     /// longer matches); other tenants' pages are untouched.  The snapshot
     /// is published as the live one's successor
-    /// ([`EngineSnapshot::succeeding`]); returns the new generation.
+    /// ([`EngineSnapshot::succeeding`]); returns the new generation.  A
+    /// durable reload checkpoints under the new configuration, so the next
+    /// recovery must be given it (unless the checkpoint failed).
     pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
         let tenant = &self.tenant;
         let mut writer = tenant.writer();

@@ -30,23 +30,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum result pages held by the interpretation cache.
     pub cache_capacity: usize,
-    /// When set, every executed query is traced through a
-    /// [`CollectingSink`](soda_trace::CollectingSink) and every answered
-    /// query — a warm hit included — whose **end-to-end** latency (queue
-    /// wait included) reaches the threshold is kept as a `"tail_slow"`
-    /// trace in its tenant's ring
-    /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)),
-    /// counted in `soda_tenant_slow_queries_total` and raised as a `slow_query`
-    /// event.  Without [`sampling`](Self::sampling) the ring holds
-    /// [`SamplingConfig::default`]'s `trace_log` entries and nothing is
-    /// head-sampled.  `None` — the default — keeps the zero-cost
-    /// [`NoopSink`](soda_trace::NoopSink) on the worker path.
-    pub slow_query_threshold: Option<Duration>,
-    /// When set, always-on adaptive trace sampling: every tenant draws
-    /// deterministic head-sampling decisions at the configured rate, and
-    /// retained span trees land in per-tenant bounded rings
+    /// When set, every tenant keeps the span trees its sampler draws or
+    /// finds [`slow`](SamplingConfig::slow) in a bounded ring of its own
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
-    /// `None` — the default — keeps head sampling entirely off the hot path.
+    /// `None` — the default — keeps sampling entirely off the hot path.
     pub sampling: Option<SamplingConfig>,
     /// When set, per-tenant SLO burn-rate tracking: every completed query
     /// lands in a rolling multi-window ring, and
@@ -62,7 +49,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 256,
             cache_capacity: 1024,
-            slow_query_threshold: None,
             sampling: None,
             slo: None,
         }
@@ -88,13 +74,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Keeps, counts and reports every query at or past `threshold`.
-    pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_query_threshold = Some(threshold);
-        self
-    }
-
-    /// Enables always-on adaptive trace sampling.
+    /// Enables trace sampling: head draws and, when set, the slow rule.
     pub fn sampling(mut self, sampling: SamplingConfig) -> Self {
         self.sampling = Some(sampling);
         self
@@ -107,8 +87,8 @@ impl ServiceConfig {
     }
 }
 
-/// Configuration of always-on adaptive trace sampling
-/// ([`ServiceConfig::sampling`]).
+/// Configuration of trace sampling ([`ServiceConfig::sampling`]): which
+/// answered queries keep their span tree, and how many are kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingConfig {
     /// Head-sampling probability in `[0, 1]`: the fraction of queries whose
@@ -117,6 +97,12 @@ pub struct SamplingConfig {
     /// Capacity of each tenant's sampled-trace ring
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
     pub trace_log: usize,
+    /// When set, every answered query, warm hits included, whose
+    /// **end-to-end** latency reaches the threshold is kept as a
+    /// `"tail_slow"` trace, counted and raised as a `slow_query` event; every
+    /// execution then collects its span tree.  Set [`rate`](Self::rate) to
+    /// 0 to keep slow queries alone.  `None` by default.
+    pub slow: Option<Duration>,
 }
 
 impl Default for SamplingConfig {
@@ -124,6 +110,7 @@ impl Default for SamplingConfig {
         Self {
             rate: 0.01,
             trace_log: 32,
+            slow: None,
         }
     }
 }
@@ -140,17 +127,23 @@ impl SamplingConfig {
         self.trace_log = trace_log;
         self
     }
+
+    /// Keeps, counts and reports every query at or past `threshold`.
+    pub fn slow(mut self, threshold: Duration) -> Self {
+        self.slow = Some(threshold);
+        self
+    }
 }
 
 /// Where and how the service persists its crash-safety state.
 ///
 /// The directory holds the default tenant's two files: `feed.journal` (the
 /// write-ahead feed journal, [`soda_journal::journal_path`]) and `pages.cache`
-/// (the warm result pages serialized on a graceful drain), plus one
+/// (the keys of the warm result pages, written on a graceful drain), plus one
 /// `tenants/<name>-<fingerprint>/` journal directory per tenant registered
 /// through [`QueryService::add_tenant`](crate::QueryService::add_tenant).
-/// Pass the same directory to
-/// [`QueryService::recover`](crate::QueryService::recover) on every boot.
+/// Pass the same directory, and the configuration the service last served,
+/// to [`QueryService::recover`](crate::QueryService::recover) on every boot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Directory holding the journal and the page-cache file (created if
@@ -189,12 +182,15 @@ mod tests {
             .workers(3)
             .queue_capacity(17)
             .cache_capacity(9)
-            .slow_query_threshold(Duration::from_millis(5));
+            .sampling(SamplingConfig::default().slow(Duration::from_millis(5)));
         let literal = ServiceConfig {
             workers: 3,
             queue_capacity: 17,
             cache_capacity: 9,
-            slow_query_threshold: Some(Duration::from_millis(5)),
+            sampling: Some(SamplingConfig {
+                slow: Some(Duration::from_millis(5)),
+                ..SamplingConfig::default()
+            }),
             ..ServiceConfig::default()
         };
         assert_eq!(built, literal);

@@ -38,9 +38,9 @@ const CACHE_MAGIC: [u8; 8] = *b"SODACSH5";
 const CACHE_FILE: &str = "pages.cache";
 
 /// What [`QueryService::recover`](crate::QueryService::recover) found and
-/// rebuilt, for operator logging. The same figures stay observable afterwards
-/// via [`ServiceMetrics::durability`](crate::ServiceMetrics).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// rebuilt, for operator logging.  The same report stays observable
+/// afterwards as [`DurabilityMetrics::recovery`](crate::DurabilityMetrics::recovery).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// True when no journal existed and a fresh one was created (first boot).
     pub journal_created: bool,
@@ -71,9 +71,6 @@ pub struct RecoveryReport {
 /// writer.
 pub(crate) struct DurabilityState {
     pub(crate) journal: FeedJournal,
-    /// Stamped into both file headers; recovery refuses a journal carrying
-    /// a different one.
-    pub(crate) config_fingerprint: u64,
     /// Every table a journaled feed (or an applied checkpoint) has touched
     /// since the base database.  A checkpoint must re-record **all** of them
     /// — recovery applies it over the unchanged base database, so a table
@@ -96,10 +93,11 @@ pub(crate) enum RecoveryBase {
 /// checkpoint's tables land over the base database and its generation is
 /// [`restored`](EngineSnapshot::restored), then every feed appended after
 /// it is [`absorbed`](EngineSnapshot::absorbed) in order.  The journal
-/// header is stamped with the engine-configuration and tenant fingerprints
-/// (0 for the default tenant), so a foreign journal is refused and one
-/// tenant's history can never replay into another's snapshot.  `base` must
-/// be what the journaled history started from.
+/// header carries the fingerprint of the configuration its last checkpoint
+/// served (of `base`'s, for a journal without one) and the tenant
+/// fingerprint (0 for the default tenant), so a foreign journal is refused
+/// and one tenant's history can never replay into another's snapshot.
+/// `base` must be what the journaled history started from.
 pub(crate) fn recover_journal(
     dir: &Path,
     tenant: &TenantId,
@@ -117,10 +115,9 @@ pub(crate) fn recover_journal(
             Some(engine),
         ),
     };
-    let config_fingerprint = config.fingerprint();
     let (journal, replay) = FeedJournal::recover(
         &journal_path(dir),
-        config_fingerprint,
+        config.fingerprint(),
         tenant.fingerprint(),
         fsync,
     )
@@ -174,7 +171,6 @@ pub(crate) fn recover_journal(
     }
     let state = DurabilityState {
         journal,
-        config_fingerprint,
         dirty_tables,
     };
     Ok((engine, state, report))
@@ -210,7 +206,8 @@ fn decode_cache_key(bytes: &[u8]) -> CodecResult<CacheKey> {
 
 /// Reads the keys a graceful drain left under `config.dir`, keeps those
 /// whose fingerprint matches the *recovered* snapshot `engine` — queries
-/// will actually look them up under that key — and recomputes each one's
+/// will actually look them up under that key; a file stamped with another
+/// configuration than `engine`'s matches none — and recomputes each one's
 /// page on the calling thread with the search a worker runs on a miss
 /// (the normalized text answers like every input that normalizes to it).
 /// Kept and discarded keys are counted into `report`.  Strictly
@@ -218,7 +215,6 @@ fn decode_cache_key(bytes: &[u8]) -> CodecResult<CacheKey> {
 /// fails nothing, and with `persist_cache` off nothing is read.
 pub(crate) fn load_cache_pages(
     config: &DurabilityConfig,
-    state: &DurabilityState,
     report: &mut RecoveryReport,
     engine: &EngineSnapshot,
 ) -> Vec<(CacheKey, CachedPage)> {
@@ -228,8 +224,8 @@ pub(crate) fn load_cache_pages(
     let Ok(Some(scan)) = read_frame_file(&config.dir.join(CACHE_FILE), CACHE_MAGIC) else {
         return Vec::new();
     };
-    // A foreign configuration's file matches no key.
-    let live = (scan.fingerprint == state.config_fingerprint).then(|| engine.cache_fingerprint());
+    let live =
+        (scan.fingerprint == engine.config().fingerprint()).then(|| engine.cache_fingerprint());
     let mut restored = Vec::new();
     for payload in &scan.frames {
         let key = decode_cache_key(payload).ok();
@@ -255,9 +251,9 @@ pub(crate) fn load_cache_pages(
 /// [`QueryService::recover`](crate::QueryService::recover) to recompute.
 /// Best-effort by design — a failed write costs warm starts, never
 /// correctness.  The file is the default tenant's (other tenants recompute
-/// their first pages), stamped with the default tenant's fingerprint, 0,
-/// so it holds only keys carrying that tenant's live fingerprint: any
-/// other key could never be restored.
+/// their first pages), stamped with the live snapshot's configuration and
+/// the default tenant's fingerprint, 0, so it holds only keys carrying
+/// that tenant's live fingerprint: any other key could never be restored.
 pub(crate) fn persist_cache_pages(shared: &Shared) {
     let Some(config) = shared
         .durability_config
@@ -267,11 +263,8 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
         return;
     };
     let tenant = shared.tenants.default_tenant();
-    let writer = tenant.writer();
-    let Some(d) = writer.journal.as_ref() else {
-        return;
-    };
-    let live = tenant.folded_live();
+    let snapshot = tenant.snapshot();
+    let live = tenant.id.fold(snapshot.cache_fingerprint());
     let store = shared.store.lock().expect("store poisoned");
     let payloads: Vec<Vec<u8>> = store
         .cache
@@ -283,15 +276,16 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
     let _ = write_frame_file(
         &config.dir.join(CACHE_FILE),
         CACHE_MAGIC,
-        d.config_fingerprint,
+        snapshot.config().fingerprint(),
         TenantId::default().fingerprint(),
         &refs,
     );
 }
 
 /// Writes a checkpoint of one tenant — the live content of every dirty
-/// table plus the live generation — atomically *replacing* that tenant's
-/// journal `d`, which is what keeps replay bounded.  With
+/// table plus the live generation, under the live configuration's
+/// fingerprint — atomically *replacing* that tenant's journal `d`, which is
+/// what keeps replay bounded.  With
 /// `mark_all_tables` the whole live database is recorded first (a reload
 /// swaps in data the journal never saw).  `d` is borrowed from the
 /// tenant's writer guard, so the caller is the tenant's one writer.  A
@@ -321,7 +315,8 @@ pub(crate) fn write_checkpoint(
         }
     }
     let generation = snapshot.generation();
-    let outcome = d.journal.write_checkpoint(generation, &tables);
+    let fingerprint = snapshot.config().fingerprint();
+    let outcome = d.journal.write_checkpoint(fingerprint, generation, &tables);
     {
         let mut facts = tenant.facts();
         let figures = &mut facts.durability;

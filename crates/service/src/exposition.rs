@@ -195,7 +195,7 @@ pub(crate) static FAMILIES: &[Family] = &[
         .from(TenantJournal(|d| Int(d.checkpoint_failures))),
     Metric(Counter, "soda_tenant_replayed_feeds_total")
         .help("Journaled feeds re-absorbed when the tenant was recovered.")
-        .from(TenantJournal(|d| Int(d.replayed_feeds))),
+        .from(TenantJournal(|d| Int(d.recovery.replayed_feeds))),
     Metric(Gauge, "soda_slo_fast_burn_rate")
         .help("Error-budget burn rate over the fast window, per tenant and objective.")
         .from(PerAlert(|alert| Float(alert.fast_burn))),
@@ -349,7 +349,7 @@ impl QueryService {
                 completed: facts.e2e.count(),
                 latency: LatencySummary::of(&facts.e2e),
                 warm_hits: facts.warm_hits,
-                executions: facts.executions,
+                executions: facts.latency.execution.count(),
                 admission_waits: facts.admission_waits,
                 slow_queries: facts.slow_queries,
                 sampled_traces: facts.kept.as_ref().map_or(0, BoundedLog::pushed),
@@ -449,14 +449,13 @@ impl QueryService {
     }
 
     /// One tenant's kept traces, oldest retained first — the span trees of
-    /// its slow queries
-    /// ([`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold))
-    /// and of the queries the head sampler drew
-    /// ([`ServiceConfig::sampling`](crate::ServiceConfig::sampling)), each
-    /// with its trace id, retention reason, end-to-end latency and
-    /// queue-wait / execution split.  Bounded by
+    /// the queries its sampler
+    /// ([`ServiceConfig::sampling`](crate::ServiceConfig::sampling)) kept:
+    /// the slow ones ([`SamplingConfig::slow`](crate::SamplingConfig::slow))
+    /// and the head-sampled ones, each with its trace id, retention reason,
+    /// end-to-end latency and queue-wait / execution split.  Bounded by
     /// [`SamplingConfig::trace_log`](crate::SamplingConfig::trace_log); empty
-    /// when both are off.
+    /// when sampling is off.
     pub fn sampled_traces(
         &self,
         tenant: impl Into<TenantId>,
@@ -527,7 +526,7 @@ mod tests {
 
     use super::*;
     use crate::service::tests::{address_feed, admin, minibank_service};
-    use crate::{QueryRequest, ServiceConfig};
+    use crate::{QueryRequest, SamplingConfig, ServiceConfig};
 
     #[test]
     fn metrics_cover_latency_cache_and_queue() {
@@ -754,10 +753,8 @@ mod tests {
 
     #[test]
     fn metrics_text_validates_and_names_every_family() {
-        let service = minibank_service(ServiceConfig {
-            slow_query_threshold: Some(Duration::ZERO),
-            ..ServiceConfig::default()
-        });
+        let sampling = SamplingConfig::default().rate(0.0).slow(Duration::ZERO);
+        let service = minibank_service(ServiceConfig::default().sampling(sampling));
         service
             .query(QueryRequest::new("Sara Guttinger"))
             .wait()

@@ -35,7 +35,8 @@
 //!   swaps and compactions checkpoint and truncate the journal, one
 //!   recovery function replays it — behind [`QueryService::recover`] and
 //!   [`QueryService::add_tenant`] alike — into byte-identical answers, and
-//!   a graceful drain persists the default tenant's warm cache pages.
+//!   a graceful drain persists the keys of the default tenant's warm pages;
+//!   both files carry the configuration the service last served.
 //! * [`tenants`] — [`TenantRegistry`]: further warehouses registered at
 //!   runtime, each with its own live snapshot, queue lane, admission
 //!   quota and journal, while the worker pool and the cache stay shared.
@@ -56,10 +57,9 @@
 //!   Prometheus rendering [`QueryService::metrics_text`], walked off **one
 //!   table** of metric families; the operational-event log
 //!   ([`QueryService::events`] / [`events_for`](QueryService::events_for)),
-//!   the per-tenant rings of kept traces — slow queries
-//!   ([`ServiceConfig::slow_query_threshold`]) and head-sampled ones
-//!   ([`ServiceConfig::sampling`]) alike
-//!   ([`QueryService::sampled_traces`]) — and the per-tenant SLO burn-rate engine ([`ServiceConfig::slo`] →
+//!   the per-tenant rings of kept traces — slow queries and head-sampled
+//!   ones alike, as the tenant's sampler ([`ServiceConfig::sampling`])
+//!   decides ([`QueryService::sampled_traces`]) — and the per-tenant SLO burn-rate engine ([`ServiceConfig::slo`] →
 //!   [`QueryService::alerts`]).  See `docs/OBSERVABILITY.md`.
 //!
 //! ```

@@ -90,9 +90,9 @@ pub struct IngestMetrics {
 /// `enabled` false) for a service started without a
 /// [`DurabilityConfig`](crate::DurabilityConfig).
 ///
-/// The replay / truncation / cache-restore figures describe the recovery
-/// that *created* this service instance
-/// ([`QueryService::recover`](crate::QueryService::recover)) and stay
+/// [`recovery`](Self::recovery) is the report of the recovery that
+/// *created* this service instance
+/// ([`QueryService::recover`](crate::QueryService::recover)) and stays
 /// constant afterwards; the journal gauges and checkpoint counters advance
 /// as the service runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,32 +109,17 @@ pub struct DurabilityMetrics {
     /// Checkpoint attempts that failed and left the journal untouched (the
     /// journal remains replayable; the truncation is merely postponed).
     pub checkpoint_failures: u64,
-    /// Journaled feeds re-absorbed during recovery.
-    pub replayed_feeds: u64,
-    /// Journaled feeds the engine rejected again during recovery (a feed
-    /// that was rejected when first ingested is journaled ahead of the
-    /// rejection and deterministically re-rejected on replay).
-    pub rejected_replays: u64,
-    /// Bytes of torn or corrupt journal tail discarded during recovery.
-    pub truncated_bytes: u64,
-    /// Persisted keys whose pages recovery recomputed into the cache.
-    pub cache_pages_restored: u64,
-    /// Persisted keys recovery discarded: undecodable, or their snapshot
-    /// fingerprint no longer matched the recovered engine.
-    pub cache_pages_stale: u64,
+    /// What the recovery that opened the journal found and rebuilt.
+    pub recovery: RecoveryReport,
 }
 
 impl DurabilityMetrics {
     /// The figures of a journal `recover` just opened at `journal_bytes`.
-    pub(crate) fn recovered(report: &RecoveryReport, journal_bytes: u64) -> Self {
+    pub(crate) fn recovered(recovery: RecoveryReport, journal_bytes: u64) -> Self {
         Self {
             enabled: true,
             journal_bytes,
-            replayed_feeds: report.replayed_feeds,
-            rejected_replays: report.rejected_feeds,
-            truncated_bytes: report.truncated_bytes,
-            cache_pages_restored: report.cache_pages_restored,
-            cache_pages_stale: report.cache_pages_stale,
+            recovery,
             ..Self::default()
         }
     }
@@ -170,7 +155,7 @@ pub struct ServiceMetrics {
     /// enqueuing a duplicate job.
     pub coalesced: u64,
     /// Queries whose end-to-end latency reached
-    /// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig) —
+    /// [`SamplingConfig::slow`](crate::SamplingConfig::slow) —
     /// each one kept as a `"tail_slow"` trace
     /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).
     pub slow_queries: u64,

@@ -71,8 +71,8 @@ pub struct QueryResponse {
 }
 
 /// One kept trace: a query whose end-to-end latency reached
-/// [`ServiceConfig::slow_query_threshold`](crate::ServiceConfig::slow_query_threshold)
-/// or that the head sampler drew, with the full span tree of what served it
+/// [`SamplingConfig::slow`](crate::SamplingConfig::slow) or that the head
+/// sampler drew, with the full span tree of what served it
 /// (a pipeline execution, or a synthesized `cache_hit` root for warm hits).
 /// Retained per tenant in a bounded ring
 /// ([`QueryService::sampled_traces`](crate::QueryService::sampled_traces)).

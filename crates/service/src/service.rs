@@ -102,7 +102,8 @@
 //! the recorded generation stamps, so the recovered engine serves
 //! **byte-identical pages under the same cache fingerprints** as the instance
 //! that died.  A torn tail (crash mid-append) is truncated; a journal written
-//! under a different engine configuration is a hard error.
+//! under a different engine configuration is a hard error — a checkpoint
+//! stamps the configuration of the snapshot it records.
 //!
 //! Tenants registered on a durable service get their **own** journal under
 //! `tenants/<name>-<fingerprint>/` ([`soda_journal::tenant_journal_dir`]),
@@ -116,7 +117,7 @@
 //! service serves — so the first repeated queries after a restart are
 //! answered at warm-hit latency.  The cache file is best-effort: a stale,
 //! torn, foreign or older-format file is ignored (counted in
-//! [`DurabilityMetrics::cache_pages_stale`](crate::DurabilityMetrics::cache_pages_stale)),
+//! [`RecoveryReport::cache_pages_stale`](crate::RecoveryReport::cache_pages_stale)),
 //! never an error.
 //!
 //! One caveat: the metadata **graph is not journaled** — `recover` (and
@@ -217,10 +218,10 @@ pub(crate) struct Shared {
     /// both hold a write handle to the same journal file.  Never taken on
     /// the query path.
     add_tenants: Mutex<()>,
-    /// The configuration the service booted with — queue capacity and
-    /// slow-query threshold are read off it, [`QueryService::add_tenant`]
-    /// builds each new tenant's sampler and SLO window from it, and the SLO
-    /// evaluation reads the latency objectives off it.
+    /// The configuration the service booted with — queue capacity is read
+    /// off it, [`QueryService::add_tenant`] builds each new tenant's sampler
+    /// and SLO window from it, and the SLO evaluation reads the latency
+    /// objectives off it.
     pub(crate) config: ServiceConfig,
 }
 
@@ -262,7 +263,7 @@ impl Served<'_> {
         let reason = sampler.decide(head.sampled, e2e)?;
         let trace = match self {
             // A kept execution always has a collected tree: the worker
-            // collects whenever a slow rule is set or the head draw hit.
+            // collects whenever the sampler says it may be kept.
             Served::Executed { sink, .. } => sink?.finish(),
             _ => cache_hit_trace(input, e2e),
         };
@@ -313,7 +314,6 @@ impl Shared {
             }
             facts.warm_hits += hits;
             if let Some(((queue_wait, execution), timings)) = executed {
-                facts.executions += 1;
                 facts
                     .latency
                     .record_executed(queue_wait, execution, timings.as_ref());
@@ -414,7 +414,7 @@ impl QueryService {
     fn start_with(
         engine: Arc<EngineSnapshot>,
         config: ServiceConfig,
-        journal: Option<(DurabilityState, &RecoveryReport)>,
+        journal: Option<(DurabilityState, RecoveryReport)>,
         durability_config: Option<DurabilityConfig>,
     ) -> Self {
         crate::heap::retain_freed_heap();
@@ -461,7 +461,8 @@ impl QueryService {
     ///
     /// `base_db` and `graph` must be the warehouse and metadata graph the
     /// journaled history started from (the graph is *not* journaled; after a
-    /// [`TenantAdmin::refresh_graph`] pass the refreshed one).
+    /// [`TenantAdmin::refresh_graph`] pass the refreshed one), and `config`
+    /// the one it last served: a durable reload journals its configuration.
     /// Recovery then replays the journal: the latest checkpoint's table
     /// contents are applied over `base_db` and its generation stamps are
     /// restored, every feed appended after it is re-absorbed in order, and —
@@ -492,8 +493,8 @@ impl QueryService {
             durability.fsync,
             RecoveryBase::Warehouse(base_db, graph, config),
         )?;
-        let restored = load_cache_pages(&durability, &state, &mut report, &engine);
-        let journal = Some((state, &report));
+        let restored = load_cache_pages(&durability, &mut report, &engine);
+        let journal = Some((state, report));
         let service = Self::start_with(engine, service, journal, Some(durability));
         {
             // The file was written oldest-first, so sequential re-insertion
@@ -574,7 +575,7 @@ impl QueryService {
         let tenant = Arc::new(TenantState::new(
             id,
             engine,
-            journal.map(|state| (state, &report)),
+            journal.map(|state| (state, report)),
             &self.shared.config,
         ));
         self.shared.tenants.register(Arc::clone(&tenant))?;

@@ -39,7 +39,7 @@ use soda_core::{EngineSnapshot, TenantId};
 use soda_trace::hist::LogHistogram;
 use soda_trace::{BoundedLog, Sampler};
 
-use crate::config::{SamplingConfig, ServiceConfig};
+use crate::config::ServiceConfig;
 use crate::durability::{DurabilityState, RecoveryReport};
 use crate::metrics::{DurabilityMetrics, LatencyRecorder};
 use crate::request::{SampledTrace, ServiceError};
@@ -67,9 +67,9 @@ pub(crate) struct TenantState {
     /// what they got; only [`Writer::publish`] replaces it.  A leaf, held
     /// for one refcount bump or one store.
     live: Mutex<Arc<EngineSnapshot>>,
-    /// Decides which answered queries keep their span tree — present when
-    /// `ServiceConfig::sampling` or `ServiceConfig::slow_query_threshold`
-    /// is set.
+    /// Decides which answered queries keep their span tree, and so which
+    /// executions collect one — present when `ServiceConfig::sampling` is
+    /// set.
     pub(crate) sampler: Option<Sampler>,
     /// Everything recorded about the tenant's answers and writes, under one
     /// lock so a `metrics()` poll reads one consistent snapshot and never
@@ -86,6 +86,7 @@ pub(crate) struct TenantFacts {
     pub(crate) e2e: LogHistogram,
     /// Queue wait, execution and stage latency of the tenant's executed
     /// queries (the service-wide distributions are the tenants' merge).
+    /// Its execution count is the tenant's pipeline-execution count.
     pub(crate) latency: LatencyRecorder,
     /// The rolling SLO window (`None` when `ServiceConfig::slo` is off).
     pub(crate) slo: Option<SloWindow>,
@@ -98,8 +99,6 @@ pub(crate) struct TenantFacts {
     pub(crate) kept: Option<BoundedLog<SampledTrace>>,
     /// Submissions answered from the cache at submission time.
     pub(crate) warm_hits: u64,
-    /// Full pipeline executions.
-    pub(crate) executions: u64,
     /// Answers whose end-to-end latency reached the slow-query threshold.
     pub(crate) slow_queries: u64,
     /// Submissions that blocked in admission control (tenant lane at quota,
@@ -123,19 +122,12 @@ impl TenantState {
     pub(crate) fn new(
         id: TenantId,
         live: Arc<EngineSnapshot>,
-        durability: Option<(DurabilityState, &RecoveryReport)>,
+        durability: Option<(DurabilityState, RecoveryReport)>,
         config: &ServiceConfig,
     ) -> Self {
-        // A slow-query threshold alone keeps traces too: in the default
-        // ring, with nothing head-sampled.
-        let sampling = config.sampling.clone().or_else(|| {
-            config
-                .slow_query_threshold
-                .map(|_| SamplingConfig::default().rate(0.0))
-        });
-        let sampler = sampling.as_ref().map(|sampling| {
-            Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate)
-                .with_slow(config.slow_query_threshold)
+        let sampling = config.sampling.as_ref();
+        let sampler = sampling.map(|sampling| {
+            Sampler::new(SAMPLING_SEED ^ id.fingerprint(), sampling.rate).with_slow(sampling.slow)
         });
         let slo = config.slo.as_ref().map(|slo| {
             let objective = slo.objective_for(id.as_str());
@@ -155,7 +147,6 @@ impl TenantState {
             alerts: [AlertState::Ok; 2],
             kept: sampling.map(|sampling| BoundedLog::new(sampling.trace_log)),
             warm_hits: 0,
-            executions: 0,
             slow_queries: 0,
             admission_waits: 0,
             reloads: 0,

@@ -53,12 +53,13 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.submitted);
         // A collecting sink runs when `Shared::answered` might keep the span
-        // tree: a slow-query threshold (the decision needs the final
-        // latency, which only exists afterwards) or a head-sampled draw.
-        // Otherwise the noop sink keeps the pipeline's instrumentation at a
-        // single `enabled()` check per site.
+        // tree, which the tenant's sampler decides.  Otherwise the noop sink
+        // keeps the pipeline's instrumentation at a single `enabled()` check
+        // per site.
         let head_sampled = job.head.is_some_and(|h| h.sampled);
-        let collecting = (shared.config.slow_query_threshold.is_some() || head_sampled)
+        let sampler = job.tenant.sampler.as_ref();
+        let collecting = sampler
+            .is_some_and(|s| s.collects(head_sampled))
             .then(CollectingSink::new);
         let sink: &dyn TraceSink = match &collecting {
             Some(c) => c,
@@ -149,17 +150,15 @@ mod tests {
     use soda_core::TenantId;
 
     use crate::service::tests::minibank_service;
-    use crate::{QueryRequest, ServiceConfig};
+    use crate::{QueryRequest, SamplingConfig, ServiceConfig};
 
     #[test]
-    fn slow_query_threshold_alone_keeps_full_traces() {
+    fn a_slow_rule_alone_keeps_full_traces() {
         // A zero threshold marks every answered query as slow —
         // deterministic without timing games, and observable only here: a
         // real budget is never reached by a warm hit.
-        let service = minibank_service(ServiceConfig {
-            slow_query_threshold: Some(Duration::ZERO),
-            ..ServiceConfig::default()
-        });
+        let sampling = SamplingConfig::default().rate(0.0).slow(Duration::ZERO);
+        let service = minibank_service(ServiceConfig::default().sampling(sampling));
         service
             .query(QueryRequest::new("Sara Guttinger"))
             .wait()
@@ -210,8 +209,7 @@ mod tests {
     fn a_slow_query_reads_tail_slow_even_when_head_sampled() {
         let service = minibank_service(
             ServiceConfig::default()
-                .slow_query_threshold(Duration::ZERO)
-                .sampling(crate::SamplingConfig::default().rate(1.0)),
+                .sampling(SamplingConfig::default().rate(1.0).slow(Duration::ZERO)),
         );
         for _ in 0..2 {
             service

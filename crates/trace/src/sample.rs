@@ -119,6 +119,12 @@ impl Sampler {
         }
     }
 
+    /// Whether a query with this head draw must record its span tree, as
+    /// [`decide`](Self::decide) may keep it.
+    pub fn collects(&self, head_sampled: bool) -> bool {
+        head_sampled || self.slow.is_some()
+    }
+
     /// Post-execution retention decision: `Some(reason)` when the trace
     /// should be kept.  The slow rule is tested before the head draw, so a
     /// slow query always reads [`SampleReason::TailSlow`].
@@ -183,6 +189,15 @@ mod tests {
             Some(SampleReason::Head)
         );
         assert_eq!(s.decide(false, Duration::from_millis(4)), None);
+    }
+
+    #[test]
+    fn a_span_tree_is_collected_when_it_may_be_kept() {
+        let plain = Sampler::new(1, 0.5);
+        assert!(plain.collects(true));
+        assert!(!plain.collects(false));
+        let slow = Sampler::new(1, 0.0).with_slow(Some(Duration::from_millis(5)));
+        assert!(slow.collects(false));
     }
 
     proptest! {

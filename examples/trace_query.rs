@@ -21,17 +21,15 @@ fn main() {
             ..SodaConfig::default()
         },
     );
-    // A zero slow-query threshold keeps every answered query's span tree in
-    // the tenant's trace ring, warm hits included (the end-to-end figure
-    // decides) — handy for a demo; production deployments set a real
-    // budget, which no hit reaches (or leave it off for the zero-cost noop
-    // path).
+    // A zero slow-query threshold, with no head sampling, keeps every
+    // answered query's span tree in the tenant's trace ring, warm hits
+    // included (the end-to-end figure decides) — handy for a demo;
+    // production deployments set a real budget, which no hit reaches (or
+    // leave sampling off for the zero-cost noop path).
+    let sampling = SamplingConfig::default().rate(0.0).slow(Duration::ZERO);
     let service = QueryService::start(
         Arc::new(snapshot),
-        ServiceConfig {
-            slow_query_threshold: Some(Duration::ZERO),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default().sampling(sampling),
     );
 
     // Executed once, then answered from the cache — both kept as

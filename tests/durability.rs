@@ -65,16 +65,17 @@ fn address_feed(id: i64, city: &str) -> ChangeFeed {
     )
 }
 
-fn recover_at(dir: &Path) -> (QueryService, RecoveryReport) {
+fn recover_under(
+    dir: &Path,
+    config: SodaConfig,
+) -> Result<(QueryService, RecoveryReport), ServiceError> {
     let (db, graph) = minibank_parts();
-    QueryService::recover(
-        db,
-        graph,
-        SodaConfig::default(),
-        ServiceConfig::default(),
-        DurabilityConfig::new(dir),
-    )
-    .expect("recovery must succeed")
+    let durability = DurabilityConfig::new(dir);
+    QueryService::recover(db, graph, config, ServiceConfig::default(), durability)
+}
+
+fn recover_at(dir: &Path) -> (QueryService, RecoveryReport) {
+    recover_under(dir, SodaConfig::default()).expect("recovery must succeed")
 }
 
 fn page_for(service: &QueryService, query: &str) -> ResultPage {
@@ -189,8 +190,8 @@ fn crash_after_ingests_recovers_byte_identical_pages() {
         );
     }
     let m = recovered.metrics();
-    assert_eq!(m.durability.replayed_feeds, FEEDS as u64);
-    assert_eq!(m.durability.truncated_bytes, torn);
+    assert_eq!(m.durability.recovery.replayed_feeds, FEEDS as u64);
+    assert_eq!(m.durability.recovery.truncated_bytes, torn);
 }
 
 /// A flipped byte fails the frame checksum: the corrupt record and
@@ -279,7 +280,10 @@ fn graceful_drain_restores_the_warm_cache() {
         "every repeat must be a warm hit"
     );
     assert_eq!(m.pipeline_executions, 0, "no pipeline ran after recovery");
-    assert_eq!(m.durability.cache_pages_restored, queries.len() as u64);
+    assert_eq!(
+        m.durability.recovery.cache_pages_restored,
+        queries.len() as u64
+    );
 }
 
 /// Compaction writes a checkpoint that truncates the journal; recovery then
@@ -491,6 +495,84 @@ fn journal_config_mismatch_is_a_hard_error() {
         }
         other => panic!("expected a durability error, got {other:?}"),
     }
+}
+
+/// The two configurations of the reload scenarios: `A` boots the service,
+/// and `B`, which differs in `top_n`, is what a reload swaps in.  Both set
+/// `shards`, so `SODA_TEST_SHARDS` cannot make them equal.
+fn config_a_and_b() -> (SodaConfig, SodaConfig) {
+    let a = SodaConfig {
+        shards: 2,
+        ..SodaConfig::default()
+    };
+    let b = SodaConfig {
+        top_n: 7,
+        ..a.clone()
+    };
+    assert_ne!(a.fingerprint(), b.fingerprint());
+    (a, b)
+}
+
+/// Boots under `A`, reloads under `B`, ingests one feed and asks
+/// `queries`; returns the service with its pages.
+fn reloaded_and_fed(dir: &Path, queries: &[&str]) -> (QueryService, Vec<ResultPage>) {
+    let (a, b) = config_a_and_b();
+    let (service, _) = recover_under(dir, a).expect("first boot");
+    let (db, graph) = minibank_parts();
+    admin(&service).reload(EngineSnapshot::build(db, graph, b));
+    admin(&service)
+        .ingest_owned(address_feed(900, "Reloadville"))
+        .unwrap();
+    let pages = queries.iter().map(|q| page_for(&service, q)).collect();
+    (service, pages)
+}
+
+/// A durable reload writes its configuration into the journal: after a
+/// reload under another configuration, an ingest and a crash, `recover`
+/// under the configuration the service last served replays the journal
+/// into the pages it served.
+#[test]
+fn a_reload_under_another_config_recovers_under_that_config() {
+    let dir = TempDir::new("reload-crash");
+    let queries = ["Sara Guttinger", "Reloadville", "wealthy customers"];
+    let (service, before) = reloaded_and_fed(dir.path(), &queries);
+    assert!(!before[1].results.is_empty(), "the ingested row must serve");
+    let generation = service.generation();
+    // A crash: no drain, no page-cache file.
+    std::mem::forget(service);
+
+    let (_, b) = config_a_and_b();
+    let (recovered, report) = recover_under(dir.path(), b).expect("recovery under B");
+    assert!(report.checkpoint_applied);
+    assert_eq!(report.replayed_feeds, 1);
+    assert_eq!(report.cache_pages_restored, 0, "a crash persists no cache");
+    assert_eq!(recovered.generation(), generation);
+    for (query, before) in queries.iter().zip(&before) {
+        assert_eq!(&page_for(&recovered, query), before, "{query}");
+    }
+}
+
+/// The graceful variant: the drained page-cache file carries the live
+/// configuration too, so recovery under it restores every warm key and no
+/// pipeline runs while they are served.
+#[test]
+fn a_reload_under_another_config_restores_the_warm_cache() {
+    let dir = TempDir::new("reload-drain");
+    let queries = ["Sara Guttinger", "Reloadville", "wealthy customers"];
+    let (service, before) = reloaded_and_fed(dir.path(), &queries);
+    // Drop = graceful drain.
+    drop(service);
+
+    let (_, b) = config_a_and_b();
+    let (recovered, report) = recover_under(dir.path(), b).expect("recovery under B");
+    assert_eq!(report.cache_pages_restored, queries.len() as u64);
+    assert_eq!(report.cache_pages_stale, 0);
+    for (query, before) in queries.iter().zip(&before) {
+        assert_eq!(&page_for(&recovered, query), before, "{query}");
+    }
+    let m = recovered.metrics();
+    assert_eq!(m.cache.hits, queries.len() as u64);
+    assert_eq!(m.pipeline_executions, 0, "no pipeline ran after recovery");
 }
 
 /// A header-only journal (boot, no ingests, drop) and a checkpoint-only
@@ -851,14 +933,11 @@ const GOLDEN_CACHE_QUERIES: [&str; 7] = [
 /// `SODA_TEST_SHARDS` says: the shard count is part of the fingerprint a
 /// persisted key carries, and decides which feeds a page's probes see.
 fn recover_sharded(dir: &Path, shards: usize) -> (QueryService, RecoveryReport) {
-    let (db, graph) = minibank_parts();
     let config = SodaConfig {
         shards,
         ..SodaConfig::default()
     };
-    let durability = DurabilityConfig::new(dir);
-    QueryService::recover(db, graph, config, ServiceConfig::default(), durability)
-        .expect("recovery must succeed")
+    recover_under(dir, config).expect("recovery must succeed")
 }
 
 /// A page-cache file written by an earlier build restores pages equal to

@@ -196,9 +196,12 @@ fn slow_queries_land_full_traces_in_the_log() {
     // (there are none here).
     let service = QueryService::start(
         Arc::new(snapshot),
-        ServiceConfig::default()
-            .slow_query_threshold(Duration::ZERO)
-            .sampling(SamplingConfig::default().rate(0.0).trace_log(2)),
+        ServiceConfig::default().sampling(
+            SamplingConfig::default()
+                .rate(0.0)
+                .trace_log(2)
+                .slow(Duration::ZERO),
+        ),
     );
     for query in ["Sara Guttinger", "wealthy customers", "Credit Suisse"] {
         service.query(QueryRequest::new(query)).wait().unwrap();
@@ -242,10 +245,9 @@ fn golden_metrics_text() -> String {
         ServiceConfig {
             // A demo threshold: every answered query is slow, so the one
             // query below is kept as `tail_slow`, not `head`.
-            slow_query_threshold: Some(Duration::ZERO),
+            sampling: Some(SamplingConfig::default().rate(1.0).slow(Duration::ZERO)),
             // An SLO is declared so the `soda_slo_*` families are part of
             // the golden surface.
-            sampling: Some(SamplingConfig::default().rate(1.0)),
             slo: Some(SloConfig::default()),
             ..ServiceConfig::default()
         },

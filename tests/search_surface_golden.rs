@@ -99,7 +99,7 @@ fn surface_lines(name: &str, warehouse: Warehouse, shards: usize, out: &mut Stri
                      unmatched {:?}",
                     trace.complexity,
                     trace.solutions,
-                    trace.results,
+                    outcome.page.total_results,
                     trace.classification,
                     trace.unmatched
                 )

@@ -324,6 +324,71 @@ fn tenants_recover_from_their_own_journals() {
         .is_empty());
 }
 
+/// A named tenant's durable reload writes its configuration into the
+/// tenant's journal: after a reload under another configuration, an ingest
+/// and a crash, re-registering the tenant with an engine built under that
+/// configuration replays the journal into the pages it served.
+#[test]
+fn a_tenant_reloaded_under_another_config_recovers_under_it() {
+    let dir = TempDir::new("tenant-reload");
+    let reloaded = SodaConfig {
+        top_n: 7,
+        ..SodaConfig::default()
+    };
+    let build = |config: &SodaConfig| {
+        let w = minibank::build(7);
+        EngineSnapshot::build(Arc::new(w.database), Arc::new(w.graph), config.clone())
+    };
+    let boot = |dir: &Path| {
+        let w = minibank::build(42);
+        QueryService::recover(
+            Arc::new(w.database),
+            Arc::new(w.graph),
+            SodaConfig::default(),
+            ServiceConfig::default(),
+            DurabilityConfig::new(dir),
+        )
+        .expect("durable boot")
+        .0
+    };
+    let queries: Vec<&str> = QUERIES.iter().copied().chain(["Reloadville"]).collect();
+    let before: Vec<ResultPage> = {
+        let service = boot(dir.path());
+        service
+            .add_tenant("acme", snapshot_for_seed(7))
+            .expect("acme registers");
+        let acme = service.admin("acme").unwrap();
+        acme.reload(build(&reloaded));
+        let feed = ChangeFeed::new().append_row(
+            "addresses",
+            vec![
+                Value::Int(900),
+                Value::Int(1),
+                Value::from("Tenant Lane 1"),
+                Value::from("Reloadville"),
+                Value::from("Switzerland"),
+            ],
+        );
+        acme.ingest_owned(feed).unwrap();
+        let pages = queries
+            .iter()
+            .map(|q| page_for(&service, "acme", q))
+            .collect();
+        // A crash: nothing is drained.
+        std::mem::forget(service);
+        pages
+    };
+    assert!(!before[QUERIES.len()].results.is_empty());
+
+    let service = boot(dir.path());
+    service
+        .add_tenant("acme", Arc::new(build(&reloaded)))
+        .expect("acme recovers under the configuration it last served");
+    for (query, before) in queries.iter().zip(&before) {
+        assert_eq!(&page_for(&service, "acme", query), before, "{query}");
+    }
+}
+
 /// The samples of one `tenant`-labelled family of an exposition document,
 /// as `(tenant, value)` pairs.
 fn tenant_samples<'a>(text: &'a str, family: &str) -> Vec<(&'a str, u64)> {
@@ -348,7 +413,7 @@ fn tenant_families_sum_to_the_service_wide_figures() {
         Arc::new(w.graph),
         SodaConfig::default(),
         // A zero threshold: every answered query counts as slow.
-        ServiceConfig::default().slow_query_threshold(Duration::ZERO),
+        ServiceConfig::default().sampling(SamplingConfig::default().rate(0.0).slow(Duration::ZERO)),
         DurabilityConfig::new(dir.path()),
     )
     .expect("durable boot");
