@@ -9,18 +9,20 @@
 //!    argument and sort key is compiled once into a `BoundExpr` (columns
 //!    become `(slot, index)` pairs), so unknown or ambiguous names and
 //!    misplaced aggregates are reported before a row is read.
-//! 2. **Scan.**  Each FROM table is read through its [`Rows`](crate::Rows)
-//!    view; single-table predicates are applied here, below the joins, and
-//!    the scan records each passing row and its row number.
+//! 2. **Scan.**  The first table in join order is read through its
+//!    [`Rows`](crate::Rows) view with its own predicates applied, below the
+//!    joins, recording the number of each row that passes.  A `column =
+//!    literal` among them reads its candidate rows from the column's
+//!    [`KeyIndex`] instead, when the literal hashes like the column's type.
 //! 3. **Join.**  Tables attach in the order join predicates connect them
-//!    (cross product only when none does).  A tuple is one scan position per
-//!    table joined so far.  An equi-join chains the rows of the smaller input
-//!    in a flat table keyed by a per-execution random-keyed SipHash of their
-//!    key [`Value`]s (`head` per bucket, `next` and the hash per row); a bit
-//!    filter in front of it, set from a cheap unkeyed hash of the same
-//!    values, lets a probe row that matches nothing skip the SipHash and the
-//!    walk.  A candidate matches when every key compares equal as the
-//!    predicate `l = r` would.
+//!    (cross product only when none does).  A tuple is one row number per
+//!    table joined so far.  An equi-join looks each tuple's key up in the
+//!    attached table's [`KeyIndex`] on the first key column whose two types
+//!    hash alike — the table's cached one when the table has no predicate
+//!    of its own, so it is never scanned; else one built for this execution
+//!    over the rows that pass them — and keeps the candidates whose every
+//!    key compares equal as the predicate `l = r` would.  Output is
+//!    tuple-major, then in row order.
 //! 4. **Fold.**  Aggregating statements assign each tuple to its group and
 //!    update one accumulator per (group, aggregate) in the same pass.
 //! 5. **Pick.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers.  The
@@ -43,9 +45,10 @@ use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema, Tuple};
 use crate::catalog::Database;
 use crate::error::{RelationError, Result};
 use crate::expr::{CompareOp, Expr};
+use crate::schema::TableSchema;
 use crate::sql::ast::SelectStatement;
-use crate::table::{Row, Table};
-use crate::value::Value;
+use crate::table::{KeyIndex, Row, RowReader, Table};
+use crate::value::{DataType, Value};
 
 /// The result of executing a `SELECT` statement: the tables its rows come
 /// from and, per row, a row number in each.  Results are equal when their
@@ -106,10 +109,11 @@ impl ResultSet {
     /// precision/recall comparison against the gold standard (the paper
     /// compares result *tuples*).
     pub fn tuple_strings(&self) -> Vec<String> {
+        let mut slots = Vec::with_capacity(self.tables.len());
         self.rows()
             .map(|row| {
                 let mut out = String::new();
-                write_cells(&mut out, row, "\t");
+                write_cells(&mut out, row, &mut slots, "\t");
                 out
             })
             .collect()
@@ -120,8 +124,9 @@ impl ResultSet {
     pub fn snippet(&self, n: usize) -> String {
         let mut out = self.columns.join(" | ");
         out.push('\n');
+        let mut slots = Vec::with_capacity(self.tables.len());
         for row in self.rows().take(n) {
-            write_cells(&mut out, row, " | ");
+            write_cells(&mut out, row, &mut slots, " | ");
             out.push('\n');
         }
         out
@@ -168,10 +173,15 @@ impl<'r> ResultRow<'r> {
     /// Cell `i`, if the result has that many columns.
     pub fn get(&self, i: usize) -> Option<&'r Value> {
         let &(slot, col) = self.set.projection.get(i)?;
+        Some(&self.slot_row(slot)[col])
+    }
+
+    /// The row of slot `slot`'s table this row reads.
+    fn slot_row(&self, slot: usize) -> &'r [Value] {
         let row = self.set.tables[slot]
             .rows()
             .get(self.numbers[slot] as usize);
-        Some(&row.expect("a result row number is a row of its table")[col])
+        row.expect("a result row number is a row of its table")
     }
 
     fn cell(&self, i: usize) -> &'r Value {
@@ -243,85 +253,68 @@ impl std::fmt::Debug for ResultRow<'_> {
     }
 }
 
-fn write_cells(out: &mut String, row: ResultRow<'_>, separator: &str) {
-    for (i, value) in row.iter().enumerate() {
+/// Writes `row`'s cells, reading each slot's table row once into `slots`.
+fn write_cells<'r>(
+    out: &mut String,
+    row: ResultRow<'r>,
+    slots: &mut Vec<&'r [Value]>,
+    separator: &str,
+) {
+    slots.clear();
+    slots.extend((0..row.numbers.len()).map(|slot| row.slot_row(slot)));
+    for (i, &(slot, col)) in row.set.projection.iter().enumerate() {
         if i > 0 {
             out.push_str(separator);
         }
-        write!(out, "{value}").expect("writing to a String cannot fail");
+        write!(out, "{}", slots[slot][col]).expect("writing to a String cannot fail");
     }
 }
 
-/// One FROM table's rows that pass its own predicates, and their row
-/// numbers in the table.
-struct Scan<'a> {
-    rows: Vec<&'a [Value]>,
-    /// `None` when the table has no predicate of its own: then a row's
-    /// position in the scan is its row number.
-    numbers: Option<Vec<u32>>,
-}
-
-impl Scan<'_> {
-    fn number(&self, position: u32) -> u32 {
-        self.numbers
-            .as_ref()
-            .map_or(position, |numbers| numbers[position as usize])
-    }
-}
-
-/// Intermediate join result: `stride` scan positions per tuple, one per
-/// table joined so far (slot order), stored back to back.
+/// Intermediate join result: `stride` row numbers per tuple, one per table
+/// joined so far (slot order), stored back to back.
 struct Tuples {
-    positions: Vec<u32>,
+    numbers: Vec<u32>,
     stride: usize,
 }
 
 impl Tuples {
     fn len(&self) -> usize {
-        self.positions.len() / self.stride
+        self.numbers.len() / self.stride
     }
 
     fn get(&self, i: usize) -> &[u32] {
-        &self.positions[i * self.stride..(i + 1) * self.stride]
+        &self.numbers[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Tuple `i` as rows, for bound expressions.
-    fn at<'t, 'a>(&'t self, scans: &'t [Scan<'a>], i: usize) -> At<'t, 'a> {
+    fn at<'t, 'a>(&'t self, readers: &'t [RowReader<'a>], i: usize) -> At<'t, 'a> {
         At {
-            scans,
-            positions: self.get(i),
+            readers,
+            numbers: self.get(i),
         }
     }
 
     /// The result's row numbers: those of the tuples `picked` — or of the
-    /// first `limit` tuples when `None` — in place of their scan positions,
-    /// each followed by its tuple number when the statement `computed` a row
-    /// per tuple.  Written over the positions when it can be.
+    /// first `limit` tuples when `None` — each followed by its tuple number
+    /// when the statement `computed` a row per tuple.  The tuples' own
+    /// numbers when they can be.
     fn into_numbers(
         mut self,
-        scans: &[Scan<'_>],
         picked: Option<Vec<usize>>,
         limit: usize,
         computed: bool,
     ) -> Vec<u32> {
-        let number = |slot: usize, position: u32| scans[slot].number(position);
         let mut numbers = match picked {
             None if !computed => {
-                self.positions.truncate(self.len().min(limit) * self.stride);
-                for tuple in self.positions.chunks_exact_mut(self.stride) {
-                    for (slot, position) in tuple.iter_mut().enumerate() {
-                        *position = number(slot, *position);
-                    }
-                }
-                self.positions
+                self.numbers.truncate(self.len().min(limit) * self.stride);
+                self.numbers
             }
             picked => {
                 let picked = picked.unwrap_or_else(|| (0..self.len().min(limit)).collect());
                 let width = self.stride + usize::from(computed);
                 let mut numbers = Vec::with_capacity(picked.len() * width);
                 for i in picked {
-                    let tuple = self.get(i);
-                    numbers.extend(tuple.iter().enumerate().map(|(s, &p)| number(s, p)));
+                    numbers.extend_from_slice(self.get(i));
                     if computed {
                         numbers.push(row_number(i));
                     }
@@ -334,20 +327,20 @@ impl Tuples {
     }
 }
 
-/// One joined tuple, read through the scans its positions point into.
+/// One joined tuple, read through its tables' readers.
 struct At<'t, 'a> {
-    scans: &'t [Scan<'a>],
-    positions: &'t [u32],
+    readers: &'t [RowReader<'a>],
+    numbers: &'t [u32],
 }
 
 impl<'a: 'v, 'v> Tuple<'v> for At<'_, 'a> {
     fn row(&self, slot: usize) -> &'v [Value] {
-        self.scans[slot].rows[self.positions[slot] as usize]
+        self.readers[slot].row(self.numbers[slot])
     }
 }
 
-/// A scan position, tuple number or row number in the 32 bits the join's
-/// tuples and the result store.
+/// A row or tuple number in the 32 bits the join's tuples and the result
+/// store.
 fn row_number(i: usize) -> u32 {
     u32::try_from(i).expect("a row or tuple number fits 32 bits")
 }
@@ -360,8 +353,7 @@ const END: u32 = u32::MAX;
 /// the one linked before it, so a chain walks newest first.  Each entry
 /// keeps its hash, so a walk compares keys only on an equal 64-bit hash;
 /// callers confirm a candidate by comparing the key values themselves, so
-/// the join, GROUP BY and DISTINCT tables hold no keys.  The join links a
-/// known number of rows ([`link`](Self::link)); GROUP BY and DISTINCT
+/// the GROUP BY and DISTINCT tables hold no keys.  They
 /// [`push`](Self::push) one entry per group or distinct row, and the table
 /// grows with them, not with its input.
 struct Chains {
@@ -372,54 +364,50 @@ struct Chains {
 }
 
 impl Chains {
-    fn new(capacity: usize) -> Self {
-        assert!(
-            u32::try_from(capacity).is_ok_and(|c| c != END),
-            "{capacity} entries do not fit a chained table"
-        );
+    fn new() -> Self {
         Self {
             state: RandomState::new(),
-            head: vec![END; capacity.next_power_of_two()],
-            next: vec![END; capacity],
-            hashes: vec![0; capacity],
+            head: vec![END],
+            next: Vec::new(),
+            hashes: Vec::new(),
         }
     }
 
     fn hash(&self, values: impl Iterator<Item = impl Deref<Target = Value>>) -> u64 {
-        hash_values(self.state.build_hasher(), values)
+        let mut hasher = self.state.build_hasher();
+        for value in values {
+            value.hash(&mut hasher);
+        }
+        hasher.finish()
+    }
+
+    /// Links the next entry at the head of its chain, doubling the buckets
+    /// when the entries outnumber them, and returns its number.
+    fn push(&mut self, hash: u64) -> usize {
+        let entry = self.hashes.len();
+        assert!(entry < END as usize, "{entry} entries fill a chained table");
+        self.hashes.push(hash);
+        self.next.push(END);
+        if entry < self.head.len() {
+            self.link(entry);
+        } else {
+            // Relinked oldest first, so every chain still walks newest first.
+            self.head = vec![END; 2 * self.head.len()];
+            for entry in 0..=entry {
+                self.link(entry);
+            }
+        }
+        entry
     }
 
     fn bucket(&self, hash: u64) -> usize {
         hash as usize & (self.head.len() - 1)
     }
 
-    /// Links `entry`, one of `0..capacity`, at the head of its chain.
-    fn link(&mut self, entry: usize, hash: u64) {
-        let bucket = self.bucket(hash);
-        self.hashes[entry] = hash;
+    fn link(&mut self, entry: usize) {
+        let bucket = self.bucket(self.hashes[entry]);
         self.next[entry] = self.head[bucket];
         self.head[bucket] = entry as u32;
-    }
-
-    /// Links the next entry of a table built by `push` alone, doubling the
-    /// buckets when the entries outnumber them, and returns its number.
-    fn push(&mut self, hash: u64) -> usize {
-        let entry = self.hashes.len();
-        assert!(entry < END as usize, "{entry} entries fill a chained table");
-        self.hashes.push(hash);
-        self.next.push(END);
-        if entry >= self.head.len() {
-            // Relinked oldest first, so every chain still walks newest first.
-            self.head = vec![END; 2 * self.head.len()];
-            for (entry, &hash) in self.hashes.iter().enumerate() {
-                let bucket = hash as usize & (self.head.len() - 1);
-                self.next[entry] = self.head[bucket];
-                self.head[bucket] = entry as u32;
-            }
-        } else {
-            self.link(entry, hash);
-        }
-        entry
     }
 
     /// The entries linked under `hash`, newest first.
@@ -435,90 +423,6 @@ impl Chains {
             }
             None
         })
-    }
-}
-
-/// A one-bit-per-hash filter of at least 8 bits per build row, in front of
-/// the join's [`Chains`]: a probe row whose bit is clear has no match.  It
-/// is fed the same [`Value::hash`] as the table, through [`Mix`], so a
-/// collision costs one SipHash and one walk, never a wrong or a missed match.
-struct Filter {
-    words: Vec<u64>,
-    shift: u32,
-}
-
-impl Filter {
-    fn new(rows: usize) -> Self {
-        let bits = rows.saturating_mul(8).next_power_of_two().max(64);
-        Self {
-            words: vec![0; bits / 64],
-            shift: 64 - bits.trailing_zeros(),
-        }
-    }
-
-    /// The word and the mask of the bit of `hash`: its top bits, the ones
-    /// [`Mix`]'s last multiply spreads every input bit into.
-    fn bit(&self, hash: u64) -> (usize, u64) {
-        let bit = (hash >> self.shift) as usize;
-        (bit / 64, 1 << (bit % 64))
-    }
-
-    fn insert(&mut self, hash: u64) {
-        let (word, mask) = self.bit(hash);
-        self.words[word] |= mask;
-    }
-
-    fn contains(&self, hash: u64) -> bool {
-        let (word, mask) = self.bit(hash);
-        self.words[word] & mask != 0
-    }
-}
-
-fn hash_values<H: Hasher>(
-    mut hasher: H,
-    values: impl Iterator<Item = impl Deref<Target = Value>>,
-) -> u64 {
-    for value in values {
-        value.hash(&mut hasher);
-    }
-    hasher.finish()
-}
-
-/// An unkeyed multiply–rotate hasher (FxHash's step): a few cycles a word,
-/// where a SipHash costs tens.  Only the [`Filter`] reads it.
-#[derive(Default)]
-struct Mix(u64);
-
-impl Mix {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for Mix {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut word = [0; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.add(word);
     }
 }
 
@@ -647,52 +551,42 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
         Output::Plain { projection, sort }
     };
 
-    // Scan, in slot order: each table's rows that pass its own predicates,
-    // and their row numbers.  A bare LIMIT over one table stops the scan as
-    // soon as it is satisfied.
+    // Scan the first table, then attach the others in slot order.  A tuple
+    // is the row number of each table joined so far.  A bare LIMIT over one
+    // table stops the scan as soon as it is satisfied.
     let bare = n == 1 && !stmt.is_aggregate() && !stmt.distinct && stmt.order_by.is_empty();
     let scan_limit = stmt.limit.filter(|_| bare).unwrap_or(usize::MAX);
+    let slot_tables: Vec<&Table> = order.iter().map(|&t| &**tables[t]).collect();
+    let readers: Vec<RowReader<'_>> = slot_tables
+        .iter()
+        .map(|table| {
+            let rows = table.row_count();
+            assert!(
+                u32::try_from(rows).is_ok(),
+                "{rows} rows do not fit 32-bit row numbers"
+            );
+            table.reader()
+        })
+        .collect();
     // Predicates are bound to tuple slots, so a scanned row is tested in its
     // table's slot of an otherwise empty tuple.
     let mut probe: Vec<&[Value]> = vec![&[]; n];
-    let scans: Vec<Scan<'_>> = order
-        .iter()
-        .enumerate()
-        .map(|(slot, &t)| {
-            let rows = tables[t].rows();
-            assert!(
-                u32::try_from(rows.len()).is_ok(),
-                "{} rows do not fit 32-bit row numbers",
-                rows.len()
-            );
-            let preds = &pushdowns[t];
-            if preds.is_empty() {
-                return Scan {
-                    rows: rows.iter().take(scan_limit).collect(),
-                    numbers: None,
-                };
-            }
-            let (rows, numbers) = rows
-                .iter()
-                .zip(0..)
-                .filter(|(row, _)| {
-                    probe[slot] = row;
-                    preds.iter().all(|p| p.test(&probe[..]) == Some(true))
-                })
-                .take(scan_limit)
-                .unzip();
-            Scan {
-                rows,
-                numbers: Some(numbers),
-            }
-        })
-        .collect();
-
-    // Join in slot order.
+    let mut scan = |slot: usize, limit: usize| {
+        let preds = &pushdowns[order[slot]];
+        passing(
+            slot_tables[slot],
+            &readers[slot],
+            slot,
+            preds,
+            &mut probe,
+            limit,
+        )
+    };
     let mut tuples = Tuples {
-        positions: (0..scans[0].rows.len()).map(row_number).collect(),
+        numbers: scan(0, scan_limit),
         stride: 1,
     };
+    let declared = |slot: usize, col: usize| slot_tables[slot].schema().columns[col].data_type;
     for (slot, &t) in order.iter().enumerate().skip(1) {
         // (tuple slot, column) on the joined side = column of table `t`.
         let keys: Vec<((usize, usize), usize)> = equi_joins
@@ -707,12 +601,21 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
                 }
             })
             .collect();
-        tuples = join(&tuples, &scans, &keys);
+        // The key looked up: the first whose two columns hash alike.
+        let indexed = keys
+            .iter()
+            .position(|&((s, c), col)| hash_alike(declared(s, c), declared(slot, col)));
+        let lookup = match indexed {
+            Some(k) if pushdowns[t].is_empty() => Lookup::Cached(k),
+            Some(k) => Lookup::Built(k, scan(slot, usize::MAX)),
+            None => Lookup::Scan(scan(slot, usize::MAX)),
+        };
+        tuples = join(&tuples, &readers, slot_tables[slot], &keys, lookup);
     }
     if !residual.is_empty() {
-        tuples.positions = (0..tuples.len())
+        tuples.numbers = (0..tuples.len())
             .filter(|&i| {
-                let tuple = tuples.at(&scans, i);
+                let tuple = tuples.at(&readers, i);
                 residual.iter().all(|p| p.test(&tuple) == Some(true))
             })
             .flat_map(|i| tuples.get(i))
@@ -740,7 +643,7 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
             let computed: Option<Vec<Row>> = (width > 0).then(|| {
                 (0..tuples.len())
                     .map(|i| {
-                        let tuple = tuples.at(&scans, i);
+                        let tuple = tuples.at(&readers, i);
                         computed
                             .iter()
                             .map(|e| e.value(&tuple).into_owned())
@@ -750,7 +653,7 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
             });
             let row = |i: usize, slot: usize| match &computed {
                 Some(rows) if slot == n => &rows[i][..],
-                _ => tuples.at(&scans, i).row(slot),
+                _ => tuples.at(&readers, i).row(slot),
             };
             let picked = pick(
                 tuples.len(),
@@ -759,17 +662,17 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
                         .iter()
                         .map(move |&(slot, col)| &row(i, slot)[col])
                 },
-                |k, i| sort[k].value(&tuples.at(&scans, i)),
+                |k, i| sort[k].value(&tuples.at(&readers, i)),
                 stmt,
             );
             let computed = computed.map(|rows| Arc::new(Table::computed(width, rows)));
-            let numbers = tuples.into_numbers(&scans, picked, limit, computed.is_some());
+            let numbers = tuples.into_numbers(picked, limit, computed.is_some());
             let tables = order.iter().map(|&t| Arc::clone(tables[t]));
             (tables.chain(computed).collect(), projection, numbers)
         }
         Output::Grouped { keys, calls, items } => {
             // The groups form a one-slot table of [projection…, sort keys…].
-            let groups = fold(&tuples, &scans, &keys, &calls, &items);
+            let groups = fold(&tuples, &readers, &keys, &calls, &items);
             let width = columns.len();
             let picked = pick(
                 groups.len(),
@@ -815,117 +718,143 @@ fn bind_all<'e>(
         .collect()
 }
 
-/// Attaches the next slot's scan to every tuple of `left`.  Each of `keys`
-/// pairs a `(slot, column)` of the tuples with a column of that scan; with no
-/// keys the join is a cross product.  Output is tuple-major, then scan order.
-fn join(left: &Tuples, scans: &[Scan<'_>], keys: &[((usize, usize), usize)]) -> Tuples {
-    let right = &scans[left.stride].rows;
-    let mut positions = Vec::new();
-    let emit = |positions: &mut Vec<u32>, l: usize, r: usize| {
-        positions.extend_from_slice(left.get(l));
-        positions.push(row_number(r));
+/// Whether values of the two types that compare equal also hash alike, so
+/// that a [`KeyIndex`] finds one from the other.
+fn hash_alike(a: DataType, b: DataType) -> bool {
+    use DataType::{Float, Int};
+    a == b || matches!((a, b), (Int | Float, Int | Float))
+}
+
+/// `column = literal` on a column of tuple slot `slot` whose type the
+/// literal hashes like: the column and the literal.
+fn literal_key<'e>(
+    pred: &'e BoundExpr,
+    slot: usize,
+    schema: &TableSchema,
+) -> Option<(usize, &'e Value)> {
+    let BoundExpr::Compare {
+        op: CompareOp::Eq,
+        left,
+        right,
+    } = pred
+    else {
+        return None;
     };
-    if keys.is_empty() {
-        for l in 0..left.len() {
-            for r in 0..right.len() {
-                emit(&mut positions, l, r);
-            }
+    let (col, key) = match (&**left, &**right) {
+        (BoundExpr::Column { slot: s, col }, BoundExpr::Literal(key))
+        | (BoundExpr::Literal(key), BoundExpr::Column { slot: s, col })
+            if *s == slot =>
+        {
+            (*col, key)
         }
-    } else {
-        let left_key = |l: usize, k: usize| {
-            let ((slot, col), _) = keys[k];
-            &scans[slot].rows[left.get(l)[slot] as usize][col]
-        };
-        let right_key = |r: usize, k: usize| &right[r][keys[k].1];
-        // Hash the smaller side; both branches emit in the same order.
-        if left.len() < right.len() {
-            // Matches arrive right-major; a stable counting scatter by left
-            // tuple makes them left-major, each tuple's rights still in order.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let found = |r, l| pairs.push((row_number(r), row_number(l)));
-            matches(
-                keys.len(),
-                left.len(),
-                left_key,
-                right.len(),
-                right_key,
-                found,
-            );
-            // `cursor[l]`: where tuple `l`'s next right goes in `rights`;
-            // once all are placed, where its run ends.
-            let mut cursor = vec![0; left.len()];
-            for &(_, l) in &pairs {
-                cursor[l as usize] += 1;
-            }
-            let mut at = 0;
-            for slot in &mut cursor {
-                (at, *slot) = (at + *slot, at);
-            }
-            let mut rights = vec![0; pairs.len()];
-            for &(r, l) in &pairs {
-                rights[cursor[l as usize]] = r;
-                cursor[l as usize] += 1;
-            }
-            drop(pairs);
-            positions.reserve_exact(rights.len() * (left.stride + 1));
-            let mut start = 0;
-            for (l, &end) in cursor.iter().enumerate() {
-                for &r in &rights[start..end] {
-                    emit(&mut positions, l, r as usize);
-                }
-                start = end;
-            }
-        } else {
-            let found = |l, r| emit(&mut positions, l, r);
-            matches(
-                keys.len(),
-                right.len(),
-                right_key,
-                left.len(),
-                left_key,
-                found,
-            );
-        }
+        _ => return None,
+    };
+    let declared = schema.columns[col].data_type;
+    let alike = key.data_type().is_some_and(|t| hash_alike(t, declared));
+    alike.then_some((col, key))
+}
+
+/// The numbers of `table`'s rows that pass `preds`, its predicates in tuple
+/// slot `slot`, ascending, at most `limit` of them.  A `column = literal`
+/// among them reads its candidates from the column's [`KeyIndex`], and
+/// every predicate is tested on those; otherwise the table is scanned.
+fn passing<'a>(
+    table: &'a Table,
+    reader: &RowReader<'a>,
+    slot: usize,
+    preds: &[BoundExpr],
+    probe: &mut [&'a [Value]],
+    limit: usize,
+) -> Vec<u32> {
+    if preds.is_empty() {
+        return (0..table.row_count().min(limit)).map(row_number).collect();
     }
-    Tuples {
-        positions,
-        stride: left.stride + 1,
+    let mut passes = |row: &'a [Value]| {
+        probe[slot] = row;
+        preds.iter().all(|p| p.test(&probe[..]) == Some(true))
+    };
+    match preds
+        .iter()
+        .find_map(|p| literal_key(p, slot, table.schema()))
+    {
+        Some((col, key)) => table
+            .key_index(col)
+            .candidates(key)
+            .iter()
+            .copied()
+            .filter(|&r| passes(reader.row(r)))
+            .take(limit)
+            .collect(),
+        None => table
+            .rows()
+            .iter()
+            .zip(0..)
+            .filter(|&(row, _)| passes(row))
+            .map(|(_, r)| r)
+            .take(limit)
+            .collect(),
     }
 }
 
-/// Calls `found(probe row, build row)` for every equi-join match: probe rows
-/// in order, the build rows of each in order.  A NULL key matches nothing.
-fn matches<'v>(
-    keys: usize,
-    build_len: usize,
-    build_key: impl Fn(usize, usize) -> &'v Value,
-    probe_len: usize,
-    probe_key: impl Fn(usize, usize) -> &'v Value,
-    mut found: impl FnMut(usize, usize),
-) {
-    let null =
-        |key: &dyn Fn(usize, usize) -> &'v Value, row| (0..keys).any(|k| key(row, k).is_null());
-    let mut table = Chains::new(build_len);
-    let mut filter = Filter::new(build_len);
-    // Linked last to first, so that every chain walks in row order.
-    for b in (0..build_len).rev() {
-        if !null(&build_key, b) {
-            let values = || (0..keys).map(|k| build_key(b, k));
-            filter.insert(hash_values(Mix::default(), values()));
-            table.link(b, table.hash(values()));
+/// Where a join finds the attached table's candidate rows for a tuple.
+enum Lookup {
+    /// Key `k`'s column's cached [`KeyIndex`]: the table has no predicate
+    /// of its own, and is not scanned.
+    Cached(usize),
+    /// A [`KeyIndex`] over key `k`'s cells of these rows, the ones that pass
+    /// the table's predicates.
+    Built(usize, Vec<u32>),
+    /// These rows, each of them: no key can be looked up.
+    Scan(Vec<u32>),
+}
+
+/// Attaches `table`, in the next tuple slot, to every tuple of `left`: the
+/// candidate rows `lookup` gives whose cells equal the tuple's under every
+/// key.  Each of `keys` pairs a `(slot, column)` of the tuples with a column
+/// of `table`; with no keys the join is a cross product.  Output is
+/// tuple-major, then in row order.
+fn join<'a>(
+    left: &Tuples,
+    readers: &[RowReader<'a>],
+    table: &'a Table,
+    keys: &[((usize, usize), usize)],
+    lookup: Lookup,
+) -> Tuples {
+    let reader = &readers[left.stride];
+    let left_cell = |tuple: &[u32], k: usize| {
+        let ((slot, col), _) = keys[k];
+        &readers[slot].row(tuple[slot])[col]
+    };
+    let built;
+    let (index, rows) = match lookup {
+        Lookup::Cached(k) => (Some((table.key_index(keys[k].1), k)), Vec::new()),
+        Lookup::Built(k, rows) => {
+            let col = keys[k].1;
+            built = KeyIndex::build(rows.iter().map(|&r| (r, &reader.row(r)[col])));
+            (Some((&built, k)), Vec::new())
+        }
+        Lookup::Scan(rows) => (None, rows),
+    };
+    let mut numbers = Vec::new();
+    for l in 0..left.len() {
+        let tuple = left.get(l);
+        let candidates = match index {
+            Some((index, k)) => index.candidates(left_cell(tuple, k)),
+            None => &rows[..],
+        };
+        for &r in candidates {
+            let row = reader.row(r);
+            let equal =
+                |k: usize| left_cell(tuple, k).sql_cmp(&row[keys[k].1]) == Some(Ordering::Equal);
+            if (0..keys.len()).all(equal) {
+                numbers.extend_from_slice(tuple);
+                numbers.push(r);
+            }
         }
     }
-    for p in 0..probe_len {
-        let values = || (0..keys).map(|k| probe_key(p, k));
-        if null(&probe_key, p) || !filter.contains(hash_values(Mix::default(), values())) {
-            continue;
-        }
-        let equal = |&b: &usize| {
-            (0..keys).all(|k| probe_key(p, k).sql_cmp(build_key(b, k)) == Some(Ordering::Equal))
-        };
-        for b in table.chain(table.hash(values())).filter(equal) {
-            found(p, b);
-        }
+    Tuples {
+        numbers,
+        stride: left.stride + 1,
     }
 }
 
@@ -934,21 +863,21 @@ fn matches<'v>(
 /// group's accumulators as it goes.  Returns the `items` of each group.
 fn fold(
     tuples: &Tuples,
-    scans: &[Scan<'_>],
+    readers: &[RowReader<'_>],
     keys: &[BoundExpr],
     calls: &[AggCall],
     items: &[GroupExpr],
 ) -> Vec<Row> {
     // An entry per group.
-    let mut index = Chains::new(0);
+    let mut index = Chains::new();
     // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
     let mut firsts: Vec<usize> = Vec::new();
     let mut accs: Vec<Accumulator<'_>> = Vec::new();
     for i in 0..tuples.len() {
-        let tuple = tuples.at(scans, i);
+        let tuple = tuples.at(readers, i);
         let hash = index.hash(keys.iter().map(|k| k.value(&tuple)));
         let same_key = |g: &usize| {
-            let first = tuples.at(scans, firsts[*g]);
+            let first = tuples.at(readers, firsts[*g]);
             keys.iter().all(|k| k.value(&tuple) == k.value(&first))
         };
         // `Int` and `Float` keys make equality intransitive (`Int(0)` equals
@@ -974,7 +903,7 @@ fn fold(
                 .iter()
                 .map(|call| call.finish(accs.next().unwrap_or_default()))
                 .collect();
-            let first = firsts.get(g).map(|&i| tuples.at(scans, i));
+            let first = firsts.get(g).map(|&i| tuples.at(readers, i));
             items
                 .iter()
                 .map(|e| e.eval(first.as_ref(), &finished))
@@ -1003,7 +932,7 @@ where
     let mut picked: Vec<usize> = Vec::new();
     if stmt.distinct {
         // Entry `j` is the tuple `picked[j]`.
-        let mut seen = Chains::new(0);
+        let mut seen = Chains::new();
         for i in 0..len {
             let hash = seen.hash(cells(i));
             if !seen.chain(hash).any(|j| cells(i).eq(cells(picked[j]))) {
@@ -1322,7 +1251,7 @@ mod tests {
             vec![Value::Int(0), Value::Int(0)],
             vec![Value::Int(0), Value::Int(1)],
         ];
-        // The right side hashed, then the left one.
+        // Two left rows, then one: each finds both zeros in the index.
         let db = keyed(&[Value::Int(0), Value::Float(1.0)], &zeros);
         assert_eq!(rows(&db.run_sql(JOIN_TAGS).unwrap()), both);
         let db = keyed(&[Value::Int(0)], &zeros);
@@ -1334,6 +1263,35 @@ mod tests {
         let db = keyed(&[Value::Null, Value::Int(1)], &[Value::Null, Value::Int(1)]);
         let rs = db.run_sql(JOIN_TAGS).unwrap();
         assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(1)]]);
+    }
+
+    /// A TEXT key joined to a DATE key hashes unlike it, so no index can
+    /// find its equals: every pair is compared, and a text that reads as
+    /// the date matches it, as the predicate `s = d` does.
+    #[test]
+    fn text_and_date_join_keys_compare_every_pair() {
+        let mut db = Database::new();
+        for (name, data_type) in [("s", DataType::Text), ("d", DataType::Date)] {
+            db.create_table(
+                TableSchema::builder(name)
+                    .column("k", data_type)
+                    .column("tag", DataType::Int)
+                    .build(),
+            )
+            .unwrap();
+        }
+        for (tag, text) in ["2011-09-02", "x", "2011-09-01"].into_iter().enumerate() {
+            db.insert("s", vec![Value::from(text), Value::Int(tag as i64)])
+                .unwrap();
+        }
+        for (tag, day) in [1, 2, 2].into_iter().enumerate() {
+            let date = Value::Date(Date::new(2011, 9, day));
+            db.insert("d", vec![date, Value::Int(tag as i64)]).unwrap();
+        }
+        let rs = db
+            .run_sql("SELECT s.tag, d.tag FROM s, d WHERE s.k = d.k")
+            .unwrap();
+        assert_eq!(rs.tuple_strings(), ["0\t1", "0\t2", "2\t0"]);
     }
 
     /// Tables `a` (2 000 rows) and `b` (1 000) of `(k, s, tag)`: `k` a
@@ -1382,7 +1340,7 @@ mod tests {
         let db = large_keyed();
         let (a, b) = (db.table("a").unwrap(), db.table("b").unwrap());
         for keys in [&["k"][..], &["s"], &["k", "s"]] {
-            // `a, b` hashes `b`, the smaller input; `b, a` hashes the left.
+            // `a, b` looks `a`'s keys up in `b`'s index; `b, a` the other way.
             for (left, right) in [(a, b), (b, a)] {
                 let (l, r) = (left.name(), right.name());
                 let on: Vec<String> = keys.iter().map(|k| format!("{l}.{k} = {r}.{k}")).collect();
@@ -1479,6 +1437,110 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// `t` of [`counted`] past a segment, its tail in chunks that earlier
+    /// clones hold, and `u(k, name)` of three rows: the key indexes `t`'s
+    /// joins and key filters read span the frozen segment and every chunk.
+    #[test]
+    fn key_indexes_span_frozen_segments_and_tail_chunks() {
+        let mut db = counted(1_000);
+        let mut held = Vec::new();
+        for tag in 1_000..1_500 {
+            if tag % 100 == 0 {
+                held.push(db.clone());
+            }
+            db.insert("t", vec![Value::Int(tag % 3), Value::Int(tag)])
+                .unwrap();
+        }
+        let t = db.table("t").unwrap();
+        assert_eq!((t.segment_count(), t.tail_rows()), (1, 476));
+        db.create_table(
+            TableSchema::builder("u")
+                .column("k", DataType::Int)
+                .column("name", DataType::Text)
+                .build(),
+        )
+        .unwrap();
+        for (k, name) in [
+            (1_499, "last"),
+            (5, "frozen"),
+            (1_024, "tail"),
+            (1_023, "seam"),
+        ] {
+            db.insert("u", vec![Value::Int(k), Value::from(name)])
+                .unwrap();
+        }
+        let tags = |db: &Database, sql: &str| db.run_sql(sql).unwrap().tuple_strings();
+        let join = "SELECT u.name, t.k FROM u, t WHERE u.k = t.tag";
+        for _ in 0..2 {
+            assert_eq!(
+                tags(&db, join),
+                ["last\t2", "frozen\t2", "tail\t1", "seam\t0"],
+                "{join}"
+            );
+            let twos: Vec<String> = (0..1_500)
+                .filter(|tag| tag % 3 == 2)
+                .map(|tag| tag.to_string())
+                .collect();
+            assert_eq!(tags(&db, "SELECT tag FROM t WHERE k = 2"), twos);
+            assert_eq!(
+                tags(&db, "SELECT tag FROM t WHERE k = 1 LIMIT 3"),
+                ["1", "4", "7"]
+            );
+            let twos_joined = tags(
+                &db,
+                "SELECT t.tag FROM u, t WHERE u.name = 'last' AND t.k = 2",
+            );
+            assert_eq!(twos_joined, twos);
+        }
+        // A write drops the index; the held clones keep reading their rows.
+        db.insert("t", vec![Value::Int(2), Value::Int(1_500)])
+            .unwrap();
+        let twos = tags(&db, "SELECT tag FROM t WHERE k = 2");
+        assert_eq!((twos.len(), &twos[500]), (501, &"1500".to_string()));
+        for (n, clone) in held.iter().enumerate() {
+            let rows = clone.run_sql("SELECT tag FROM t WHERE k = 0").unwrap();
+            assert_eq!(rows.row_count(), (1_000 + 100 * n).div_ceil(3), "clone {n}");
+        }
+    }
+
+    /// A `column = literal` whose literal hashes unlike the column's type
+    /// scans the table: a TEXT against a date, which equals a text that
+    /// reads as it, and an INT against a text, which equals nothing.
+    #[test]
+    fn a_literal_of_another_type_is_tested_by_a_scan() {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::builder("s")
+                .column("txt", DataType::Text)
+                .column("n", DataType::Int)
+                .build(),
+        )
+        .unwrap();
+        for n in 0..200 {
+            let txt = if n % 10 == 0 {
+                "2011-09-02".to_string()
+            } else {
+                format!("w{n}")
+            };
+            db.insert("s", vec![Value::from(txt), Value::Int(n)])
+                .unwrap();
+        }
+        let mut stmt = crate::sql::parser::parse_select("SELECT n FROM s").unwrap();
+        let date = Value::Date(Date::new(2011, 9, 2));
+        stmt.selection = Some(Expr::compare(
+            CompareOp::Eq,
+            Expr::column("txt"),
+            Expr::Literal(date),
+        ));
+        for _ in 0..2 {
+            assert_eq!(execute(&db, &stmt).unwrap().row_count(), 20);
+            let none = db.run_sql("SELECT n FROM s WHERE n = '10'").unwrap();
+            assert!(none.is_empty());
+            let one = db.run_sql("SELECT txt FROM s WHERE n = 10").unwrap();
+            assert_eq!(one.tuple_strings(), ["2011-09-02"]);
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   queries: `SELECT [DISTINCT] … FROM t1, t2, … WHERE … GROUP BY … ORDER BY
 //!   … LIMIT n` with comparison predicates, `LIKE`, `AND`/`OR`, aggregates
 //!   (`count`, `sum`, `avg`, `min`, `max`),
-//! * an executor with predicate push-down and hash joins,
+//! * an executor with predicate push-down whose equi-joins and `column =
+//!   literal` filters read each table's lazily built per-column
+//!   [`KeyIndex`] (at most 8 bytes per indexed cell),
 //! * an inverted index over text columns (the paper's base-data index),
 //! * a compact binary [`codec`] for values and rows — the byte-exact
 //!   encoding the durability layer (`soda-journal`, the service's
@@ -64,5 +66,5 @@ pub use schema::{ColumnDef, ForeignKeyDef, TableSchema};
 pub use sql::ast::{OrderByItem, SelectItem, SelectStatement, TableRef};
 pub use sql::parser::parse_select;
 pub use sql::printer::print_select;
-pub use table::{Row, Rows, RowsIter, Table};
+pub use table::{KeyIndex, Row, Rows, RowsIter, Table};
 pub use value::{DataType, Date, Value};

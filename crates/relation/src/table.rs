@@ -14,9 +14,15 @@
 //! after the clone writes only its own chunk.
 //! Reads go through the segment-aware [`Rows`] view, which yields each row
 //! as a `&[Value]`, frozen and tail rows in insertion order.
+//!
+//! A table also keeps, per column, a [`KeyIndex`] of the rows holding each
+//! key, built by the first statement that looks a key up in that column
+//! and dropped by the next write.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::ops::Index;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{RelationError, Result};
 use crate::schema::TableSchema;
@@ -28,7 +34,7 @@ pub type Row = Vec<Value>;
 
 /// An in-memory table: a schema plus rows stored as immutable shared
 /// segments and a tail of shared chunks.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Table {
     /// Shared between clones: a derived table copies no name.
     schema: Arc<TableSchema>,
@@ -46,6 +52,10 @@ pub struct Table {
     tail: Vec<Arc<Vec<Value>>>,
     /// Rows held by the tail chunks (cached sum).
     tail_len: usize,
+    /// One lazily built [`KeyIndex`] per column, for these rows: allocated
+    /// by the first [`key_index`](Self::key_index) call, shared with the
+    /// clones taken after it, dropped by every write.
+    keys: OnceLock<Arc<[OnceLock<KeyIndex>]>>,
 }
 
 impl Table {
@@ -63,6 +73,7 @@ impl Table {
             frozen: 0,
             tail: Vec::new(),
             tail_len: 0,
+            keys: OnceLock::new(),
         }
     }
 
@@ -159,6 +170,7 @@ impl Table {
     /// while no clone holds it, else as a chunk of its own — and seals the
     /// tail when it is full.
     fn push(&mut self, row: Row) {
+        self.keys.take();
         match self.tail.last_mut().and_then(Arc::get_mut) {
             Some(chunk) => chunk.extend(row),
             None => self.tail.push(Arc::new(row)),
@@ -183,6 +195,7 @@ impl Table {
     /// layer to implement full-table replacement — the old segments are
     /// only released, never copied (clones holding them keep serving).
     pub fn truncate(&mut self) {
+        self.keys.take();
         self.segments.clear();
         self.frozen = 0;
         self.tail.clear();
@@ -196,6 +209,7 @@ impl Table {
     /// A chunk no clone holds gives up its cells; a shared one is copied.
     fn seal_tail(&mut self) {
         debug_assert_eq!(self.tail_len, Self::SEGMENT_ROWS);
+        self.keys.take();
         let mut cells = Vec::with_capacity(Self::SEGMENT_ROWS * self.width);
         for chunk in std::mem::take(&mut self.tail) {
             match Arc::try_unwrap(chunk) {
@@ -218,6 +232,167 @@ impl Table {
     pub fn column_values<'a>(&'a self, column: &str) -> Option<impl Iterator<Item = &'a Value>> {
         let col = self.schema.column_index(column)?;
         Some(self.rows().iter().map(move |r| &r[col]))
+    }
+
+    /// The [`KeyIndex`] of column `col`, built on first use — concurrent
+    /// first callers wait for one build — and kept until the table is
+    /// next written.
+    ///
+    /// # Panics
+    ///
+    /// When `col` is not a column of the table.
+    pub fn key_index(&self, col: usize) -> &KeyIndex {
+        let columns = self
+            .keys
+            .get_or_init(|| (0..self.width).map(|_| OnceLock::new()).collect());
+        columns[col].get_or_init(|| {
+            let cells = self.rows().iter().zip(0..).map(|(row, n)| (n, &row[col]));
+            KeyIndex::build(cells)
+        })
+    }
+
+    /// The rows by number, for one execution: O(1) a row, the tail's chunk
+    /// boundaries resolved here once.
+    pub(crate) fn reader(&self) -> RowReader<'_> {
+        let mut starts = Vec::new();
+        if self.tail.len() > 1 && self.width > 0 {
+            starts.reserve_exact(self.tail.len());
+            let mut at = 0;
+            for chunk in &self.tail {
+                starts.push(at);
+                at += chunk.len() / self.width;
+            }
+        }
+        RowReader {
+            segments: &self.segments,
+            tail: &self.tail,
+            starts,
+            frozen: self.frozen,
+            width: self.width,
+        }
+    }
+}
+
+/// Everything but the key indexes, which are a cache of the rows.
+impl std::fmt::Debug for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("width", &self.width)
+            .field("segments", &self.segments)
+            .field("frozen", &self.frozen)
+            .field("tail", &self.tail)
+            .field("tail_len", &self.tail_len)
+            .finish()
+    }
+}
+
+/// The rows of one column's cells, grouped by key: the numbers of the rows
+/// whose cell is not NULL, stably grouped by a hash bucket of the cell —
+/// ascending within a bucket — and where each bucket ends.  At most one
+/// bucket per row, so it takes at most 8 bytes per indexed cell; it stores
+/// no key and no hash.  Each index hashes with its own random SipHash key,
+/// so no input chooses its collisions.
+///
+/// A lookup's candidates are the rows sharing the key's bucket: the
+/// executor confirms each, comparing the cells themselves.  A key finds
+/// its equals only among values that hash alike — those of one
+/// [`DataType`](crate::DataType), or `Int` and `Float` (`Value`'s hash
+/// treats `Int(5)`, `Float(5.0)` and both zeros alike).
+pub struct KeyIndex {
+    state: RandomState,
+    /// Per bucket, where its rows end in `rows`; a power-of-two number of
+    /// buckets, none when no cell is indexed.
+    ends: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Indexes `(row number, cell)` pairs given in ascending row order: a
+    /// count, one hash of each non-NULL cell, then a counting scatter.
+    pub(crate) fn build<'v>(cells: impl Iterator<Item = (u32, &'v Value)> + Clone) -> Self {
+        let keyed = || cells.clone().filter(|(_, cell)| !cell.is_null());
+        let len = keyed().count();
+        let state = RandomState::new();
+        if len == 0 {
+            return Self {
+                state,
+                ends: Vec::new(),
+                rows: Vec::new(),
+            };
+        }
+        // The largest power of two not above `len`.
+        let buckets = 1 << len.ilog2();
+        let bucket = |cell: &Value| state.hash_one(cell) as usize & (buckets - 1);
+        // `ends[b]` counts bucket `b`'s rows, then marks where they start,
+        // then, once they are placed, where they end.
+        let mut ends = vec![0; buckets];
+        let mut homes = Vec::with_capacity(len);
+        for (_, cell) in keyed() {
+            let home = bucket(cell);
+            ends[home] += 1;
+            homes.push(home as u32);
+        }
+        let mut at = 0;
+        for end in &mut ends {
+            (at, *end) = (at + *end, at);
+        }
+        let mut rows = vec![0; len];
+        for ((row, _), home) in keyed().zip(homes) {
+            let end = &mut ends[home as usize];
+            rows[*end as usize] = row;
+            *end += 1;
+        }
+        Self { state, ends, rows }
+    }
+
+    /// The rows whose cell may equal `key`, ascending: none for NULL.
+    pub(crate) fn candidates(&self, key: &Value) -> &[u32] {
+        if key.is_null() || self.ends.is_empty() {
+            return &[];
+        }
+        let bucket = self.state.hash_one(key) as usize & (self.ends.len() - 1);
+        let start = bucket.checked_sub(1).map_or(0, |b| self.ends[b]);
+        &self.rows[start as usize..self.ends[bucket] as usize]
+    }
+
+    /// Number of indexed cells: the column's non-NULL ones.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when every cell of the column is NULL.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
+/// A table's rows by number: a frozen row is a div/mod away, a tail row a
+/// search of the chunk starts [`Table::reader`] resolved.
+pub(crate) struct RowReader<'a> {
+    segments: &'a [Arc<[Value]>],
+    tail: &'a [Arc<Vec<Value>>],
+    /// The first tail row of each chunk, when there is more than one.
+    starts: Vec<usize>,
+    frozen: usize,
+    width: usize,
+}
+
+impl<'a> RowReader<'a> {
+    /// Row `n`, which must be one of the table's.
+    pub(crate) fn row(&self, n: u32) -> &'a [Value] {
+        let (n, width) = (n as usize, self.width);
+        if n < self.frozen {
+            let at = n % Table::SEGMENT_ROWS * width;
+            return &self.segments[n / Table::SEGMENT_ROWS][at..at + width];
+        }
+        let n = n - self.frozen;
+        let chunk = self
+            .starts
+            .partition_point(|&start| start <= n)
+            .saturating_sub(1);
+        let at = (n - self.starts.get(chunk).copied().unwrap_or(0)) * width;
+        &self.tail[chunk][at..at + width]
     }
 }
 
@@ -362,6 +537,7 @@ impl std::fmt::Debug for Rows<'_> {
 
 /// Iterator over a [`Rows`] view: insertion order, exact-sized, with a
 /// segment-hopping `nth` so `skip(n)` never touches the skipped rows.
+#[derive(Clone)]
 pub struct RowsIter<'a> {
     /// The rows of the segment or chunk currently being drained.
     front: std::slice::ChunksExact<'a, Value>,

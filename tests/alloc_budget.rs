@@ -197,24 +197,29 @@ fn canonicalising_allocates_its_output_and_nothing_else() {
     }
 }
 
-/// What running a statement may allocate, whatever its size: the scans,
-/// the join's tuples, table and filter as they grow, the result's row
+/// What running a statement may allocate, whatever its size: the first
+/// table's row numbers, the join's tuples as they grow, the result's row
 /// numbers, the output column names, the bound expressions.
 const EXECUTE_OVERHEAD: u64 = 120;
 
-/// A result holds row numbers, not cells, and the join chains its build
-/// rows in flat arrays, so executing costs allocations neither per text
-/// cell nor per row nor per join key.  `individual ⋈ party` on the
-/// test-scale warehouse (300 rows, 1 200 text cells) makes 94; when the
-/// result copied its cells into one buffer it made 114, with one `Vec` per
-/// result row and one candidate list per distinct join key 720, and 1 920
-/// when a text cell owned a `String`.  Eight times the parties (2 400 rows)
-/// make 97: only the vectors that grow by doubling take a few more steps.
+/// The statement the execution tests run: the attached `party` has no
+/// predicate of its own, so the join reads its cached key index.
+const INDIVIDUAL_PARTY: &str =
+    "SELECT * FROM individual, party WHERE individual.party_id = party.party_id";
+
+/// A result holds row numbers, not cells, and the join looks each tuple's
+/// key up in the attached table's key index, so executing costs
+/// allocations neither per text cell nor per row nor per join key.  Once
+/// the first execution has built the index, `individual ⋈ party` on the
+/// test-scale warehouse (300 rows, 1 200 text cells) makes 88; when the
+/// join chained its smaller side per execution it made 94, when the result
+/// copied its cells into one buffer 114, with one `Vec` per result row and
+/// one candidate list per distinct join key 720, and 1 920 when a text cell
+/// owned a `String`.  Eight times the parties (2 400 rows) make 91: only
+/// the vectors that grow by doubling take a few more steps.
 #[test]
 fn executing_allocates_a_constant_not_per_row() {
-    let stmt =
-        parse_select("SELECT * FROM individual, party WHERE individual.party_id = party.party_id")
-            .expect("the statement parses");
+    let stmt = parse_select(INDIVIDUAL_PARTY).expect("the statement parses");
     let mut sizes = Vec::new();
     for dimension_scale in [1.0, 8.0] {
         let config = EnterpriseConfig {
@@ -223,6 +228,7 @@ fn executing_allocates_a_constant_not_per_row() {
             data_scale: 0.2,
         };
         let db = enterprise::build_with_dimensions(config, dimension_scale).database;
+        execute(&db, &stmt).expect("the statement runs");
         let (result, made) = allocations(|| execute(&db, &stmt));
         let result = result.expect("the statement runs");
         let rows = result.row_count() as u64;
@@ -251,17 +257,16 @@ fn executing_allocates_a_constant_not_per_row() {
 /// the vectors that hold them, its tables and its projection.
 const RESULT_OVERHEAD_BYTES: i64 = 2_048;
 
-/// A result is its row numbers, not its cells: what `execute` leaves
-/// allocated when it returns is at most 8 bytes per row and FROM slot (a
-/// 32-bit row number and as much again of slack) plus a constant.
+/// A result is its row numbers, not its cells: what an execution leaves
+/// allocated when it returns — once the first one has built the key index
+/// it reads, which the table keeps — is at most 8 bytes per row and FROM
+/// slot (a 32-bit row number and as much again of slack) plus a constant.
 /// `individual ⋈ party` (two slots, eleven columns) keeps 3 236 bytes at
 /// 300 rows and 20 036 at 2 400; when a result copied its cells it kept 24
 /// bytes a cell, 79 844 at 300 rows.
 #[test]
 fn a_result_holds_row_numbers_not_cells() {
-    let stmt =
-        parse_select("SELECT * FROM individual, party WHERE individual.party_id = party.party_id")
-            .expect("the statement parses");
+    let stmt = parse_select(INDIVIDUAL_PARTY).expect("the statement parses");
     for dimension_scale in [1.0, 8.0] {
         let config = EnterpriseConfig {
             seed: 42,
@@ -269,6 +274,7 @@ fn a_result_holds_row_numbers_not_cells() {
             data_scale: 0.2,
         };
         let db = enterprise::build_with_dimensions(config, dimension_scale).database;
+        execute(&db, &stmt).expect("the statement runs");
         let (result, _, retained) = measured(|| execute(&db, &stmt));
         let result = result.expect("the statement runs");
         let (rows, slots) = (result.row_count() as i64, stmt.from.len() as i64);
@@ -278,6 +284,88 @@ fn a_result_holds_row_numbers_not_cells() {
             "a {rows}-row result over {slots} tables keeps {retained} bytes"
         );
     }
+}
+
+/// A key index is one column's non-NULL row numbers and an end per hash
+/// bucket, at most one bucket per row: building one makes three
+/// allocations (the rows, the bucket ends and, freed again, each row's
+/// bucket) whatever the table's size, and keeps at most 8 bytes per
+/// indexed cell: 2 544 bytes for `party`'s 380 rows, 4 a row and 4 for
+/// each of 256 buckets.  The first index a table builds also allocates the
+/// table's one slot per column (376 bytes for `party`'s five).
+#[test]
+fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
+    let mut indexed = Vec::new();
+    for dimension_scale in [1.0, 8.0] {
+        let config = EnterpriseConfig {
+            seed: 42,
+            padding: false,
+            data_scale: 0.2,
+        };
+        let db = enterprise::build_with_dimensions(config, dimension_scale).database;
+        for name in ["party", "individual", "trade_order_td"] {
+            let table = db.table(name).unwrap();
+            for col in 0..table.schema().arity() {
+                let (cells, made, kept) = measured(|| table.key_index(col).len());
+                let slots = if col == 0 {
+                    (1, KEY_SLOTS_BYTES)
+                } else {
+                    (0, 0)
+                };
+                assert!(
+                    made <= 3 + slots.0,
+                    "{name} column {col}: {made} allocations"
+                );
+                assert!(
+                    kept <= 8 * cells as i64 + slots.1,
+                    "{name} column {col}: {kept} bytes for {cells} cells"
+                );
+                // Built once: a second call allocates nothing.
+                assert_eq!(allocations(|| table.key_index(col).len()), (cells, 0));
+            }
+            indexed.push(table.key_index(0).len());
+        }
+    }
+    assert!(
+        indexed[3] >= 8 * indexed[0] && indexed[2] >= 500,
+        "{indexed:?}"
+    );
+}
+
+/// What a table's slots for its key indexes may take: one per column.
+const KEY_SLOTS_BYTES: i64 = 2_048;
+
+/// Concurrent first executions build each key index once and read the
+/// same one: two threads running a join whose indexes nobody has built
+/// yet, on one shared database, get equal results, equal to a later run's.
+#[test]
+fn two_first_executions_on_one_shared_database_agree() {
+    let config = EnterpriseConfig {
+        seed: 42,
+        padding: false,
+        data_scale: 0.2,
+    };
+    let db = Arc::new(enterprise::build_with(config).database);
+    let stmt = parse_select(
+        "SELECT * FROM account_td, trade_order_td, agreement_td \
+         WHERE account_td.account_id = trade_order_td.account_id \
+         AND account_td.agreement_id = agreement_td.agreement_id",
+    )
+    .expect("the statement parses");
+    let start = std::sync::Barrier::new(2);
+    let [first, second] = std::thread::scope(|scope| {
+        [(); 2]
+            .map(|()| {
+                scope.spawn(|| {
+                    start.wait();
+                    execute(&db, &stmt).expect("the statement runs")
+                })
+            })
+            .map(|thread| thread.join().expect("the thread runs"))
+    });
+    assert!(first.row_count() >= 500, "{} rows", first.row_count());
+    assert_eq!(first, second);
+    assert_eq!(first, execute(&db, &stmt).unwrap());
 }
 
 /// What a 16-customer feed may allocate beyond the same feed over a table
