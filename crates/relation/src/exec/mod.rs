@@ -13,7 +13,13 @@
 //!    [`Rows`](crate::Rows) view with its own predicates applied, below the
 //!    joins, recording the number of each row that passes.  A `column =
 //!    literal` among them reads its candidate rows from the column's
-//!    [`KeyIndex`] instead, when the literal hashes like the column's type.
+//!    [`KeyIndex`] instead, when the literal hashes like the column's type;
+//!    failing that, a `column <, <=, >, >= literal` (the literal on either
+//!    side) on an INT, DATE or TEXT column and a literal of exactly that
+//!    type reads its rows from the column's
+//!    [`OrderIndex`](crate::OrderIndex) — two binary searches, the range
+//!    marked in a row bitmap and read back ascending — and only the other
+//!    predicates are tested on them.
 //! 3. **Join.**  Tables attach in the order join predicates connect them
 //!    (cross product only when none does).  A tuple is one row number per
 //!    table joined so far.  An equi-join looks each tuple's key up in the
@@ -21,10 +27,15 @@
 //!    hash alike — the table's cached one when the table has no predicate
 //!    of its own, so it is never scanned; else one built for this execution
 //!    over the rows that pass them — and keeps the candidates whose every
-//!    key compares equal as the predicate `l = r` would.  Output is
-//!    tuple-major, then in row order.
+//!    key compares equal as the predicate `l = r` would.  An index over
+//!    dense integers finds a key by its value, so a key that misses reads
+//!    no row.  Output is tuple-major, then in row order.
 //! 4. **Fold.**  Aggregating statements assign each tuple to its group and
-//!    update one accumulator per (group, aggregate) in the same pass.
+//!    update one accumulator per (group, aggregate) in the same pass.  A
+//!    tuple whose group keys are identical to the previous tuple's joins its
+//!    group unhashed, so a statement hashes once per run of equal keys —
+//!    the join's output keeps each first-table row's tuples together — and
+//!    an aggregate without GROUP BY hashes nothing.
 //! 5. **Pick.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers.  The
 //!    [`ResultSet`] keeps a shared handle of each FROM table and, per output
 //!    row, the row number of each of its tuple's rows; it copies no cell, and
@@ -34,6 +45,7 @@
 
 pub mod eval;
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::fmt::Write as _;
@@ -725,6 +737,31 @@ fn hash_alike(a: DataType, b: DataType) -> bool {
     a == b || matches!((a, b), (Int | Float, Int | Float))
 }
 
+/// `column op literal` or `literal op column` on a column of tuple slot
+/// `slot`: the column, the operator as it reads with the column on its
+/// left, and the literal.
+fn column_vs_literal(pred: &BoundExpr, slot: usize) -> Option<(usize, CompareOp, &Value)> {
+    let BoundExpr::Compare { op, left, right } = pred else {
+        return None;
+    };
+    match (&**left, &**right) {
+        (BoundExpr::Column { slot: s, col }, BoundExpr::Literal(literal)) if *s == slot => {
+            Some((*col, *op, literal))
+        }
+        (BoundExpr::Literal(literal), BoundExpr::Column { slot: s, col }) if *s == slot => {
+            let mirrored = match *op {
+                CompareOp::Lt => CompareOp::Gt,
+                CompareOp::LtEq => CompareOp::GtEq,
+                CompareOp::Gt => CompareOp::Lt,
+                CompareOp::GtEq => CompareOp::LtEq,
+                op @ (CompareOp::Eq | CompareOp::NotEq) => op,
+            };
+            Some((*col, mirrored, literal))
+        }
+        _ => None,
+    }
+}
+
 /// `column = literal` on a column of tuple slot `slot` whose type the
 /// literal hashes like: the column and the literal.
 fn literal_key<'e>(
@@ -732,32 +769,32 @@ fn literal_key<'e>(
     slot: usize,
     schema: &TableSchema,
 ) -> Option<(usize, &'e Value)> {
-    let BoundExpr::Compare {
-        op: CompareOp::Eq,
-        left,
-        right,
-    } = pred
-    else {
-        return None;
-    };
-    let (col, key) = match (&**left, &**right) {
-        (BoundExpr::Column { slot: s, col }, BoundExpr::Literal(key))
-        | (BoundExpr::Literal(key), BoundExpr::Column { slot: s, col })
-            if *s == slot =>
-        {
-            (*col, key)
-        }
-        _ => return None,
-    };
+    let (col, op, key) = column_vs_literal(pred, slot)?;
     let declared = schema.columns[col].data_type;
     let alike = key.data_type().is_some_and(|t| hash_alike(t, declared));
-    alike.then_some((col, key))
+    (op == CompareOp::Eq && alike).then_some((col, key))
+}
+
+/// `column <, <=, >, >= literal`, the literal on either side, on a column
+/// of tuple slot `slot` and a literal of exactly the column's type: the
+/// column, the operator with the column on its left, and the literal.
+fn literal_range<'e>(
+    pred: &'e BoundExpr,
+    slot: usize,
+    schema: &TableSchema,
+) -> Option<(usize, CompareOp, &'e Value)> {
+    let (col, op, literal) = column_vs_literal(pred, slot)?;
+    let range = !matches!(op, CompareOp::Eq | CompareOp::NotEq);
+    let typed = literal.data_type() == Some(schema.columns[col].data_type);
+    (range && typed).then_some((col, op, literal))
 }
 
 /// The numbers of `table`'s rows that pass `preds`, its predicates in tuple
 /// slot `slot`, ascending, at most `limit` of them.  A `column = literal`
 /// among them reads its candidates from the column's [`KeyIndex`], and
-/// every predicate is tested on those; otherwise the table is scanned.
+/// every predicate is tested on those; else a range filter reads its rows
+/// from the column's [`OrderIndex`](crate::OrderIndex), and only the other
+/// predicates are tested on them; otherwise the table is scanned.
 fn passing<'a>(
     table: &'a Table,
     reader: &RowReader<'a>,
@@ -769,31 +806,67 @@ fn passing<'a>(
     if preds.is_empty() {
         return (0..table.row_count().min(limit)).map(row_number).collect();
     }
-    let mut passes = |row: &'a [Value]| {
+    // Every predicate but the `answered` one holds on `row`.
+    let mut passes = |row: &'a [Value], answered: usize| {
         probe[slot] = row;
-        preds.iter().all(|p| p.test(&probe[..]) == Some(true))
+        preds
+            .iter()
+            .enumerate()
+            .all(|(i, p)| i == answered || p.test(&probe[..]) == Some(true))
     };
-    match preds
-        .iter()
-        .find_map(|p| literal_key(p, slot, table.schema()))
-    {
-        Some((col, key)) => table
+    let schema = table.schema();
+    if let Some((col, key)) = preds.iter().find_map(|p| literal_key(p, slot, schema)) {
+        return table
             .key_index(col)
             .candidates(key)
             .iter()
             .copied()
-            .filter(|&r| passes(reader.row(r)))
+            .filter(|&r| passes(reader.row(r), usize::MAX))
             .take(limit)
-            .collect(),
-        None => table
-            .rows()
-            .iter()
-            .zip(0..)
-            .filter(|&(row, _)| passes(row))
-            .map(|(_, r)| r)
-            .take(limit)
-            .collect(),
+            .collect();
     }
+    // The first range filter on a column with an order index (INT, DATE,
+    // TEXT), and the rows it passes.
+    let range = preds.iter().enumerate().find_map(|(i, p)| {
+        let (col, op, literal) = literal_range(p, slot, schema)?;
+        let order = |r: u32| {
+            let cell = &reader.row(r)[col];
+            cell.sql_cmp(literal)
+                .expect("an indexed cell compares with a literal of its type")
+        };
+        Some((i, table.order_index(col)?.range(op, order)?))
+    });
+    if let Some((answered, rows)) = range {
+        return ascending(rows, table.row_count())
+            .filter(|&r| preds.len() == 1 || passes(reader.row(r), answered))
+            .take(limit)
+            .collect();
+    }
+    table
+        .rows()
+        .iter()
+        .zip(0..)
+        .filter(|&(row, _)| passes(row, usize::MAX))
+        .map(|(_, r)| r)
+        .take(limit)
+        .collect()
+}
+
+/// `rows`, distinct row numbers below `len`, in ascending order: marked in
+/// a bitmap of `len` bits and read back word by word.
+fn ascending(rows: &[u32], len: usize) -> impl Iterator<Item = u32> {
+    let words = if rows.is_empty() { 0 } else { len.div_ceil(64) };
+    let mut marked = vec![0u64; words];
+    for &r in rows {
+        marked[r as usize / 64] |= 1 << (r % 64);
+    }
+    marked.into_iter().zip(0u32..).flat_map(|(mut word, w)| {
+        std::iter::from_fn(move || {
+            let bit = (word != 0).then(|| word.trailing_zeros())?;
+            word &= word - 1;
+            Some(w * 64 + bit)
+        })
+    })
 }
 
 /// Where a join finds the attached table's candidate rows for a tuple.
@@ -873,23 +946,41 @@ fn fold(
     // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
     let mut firsts: Vec<usize> = Vec::new();
     let mut accs: Vec<Accumulator<'_>> = Vec::new();
+    // This tuple's keys, and the last hashed tuple's and its group.
+    let mut keyed: Vec<Cow<'_, Value>> = Vec::with_capacity(keys.len());
+    let mut last: Vec<Cow<'_, Value>> = Vec::with_capacity(keys.len());
+    let mut last_group = None;
+    // Keys identical to the last ones find the same first equal group.
+    let identical = |(a, b): (&Cow<'_, Value>, &Cow<'_, Value>)| {
+        std::mem::discriminant(&**a) == std::mem::discriminant(&**b) && a == b
+    };
     for i in 0..tuples.len() {
         let tuple = tuples.at(readers, i);
-        let hash = index.hash(keys.iter().map(|k| k.value(&tuple)));
-        let same_key = |g: &usize| {
-            let first = tuples.at(readers, firsts[*g]);
-            keys.iter().all(|k| k.value(&tuple) == k.value(&first))
-        };
-        // `Int` and `Float` keys make equality intransitive (`Int(0)` equals
-        // both zeros, which differ), so the first equal group wins: the last
-        // of a newest-first walk.
-        let found = index.chain(hash).filter(same_key).last();
-        let group = found.unwrap_or_else(|| {
-            index.push(hash);
-            firsts.push(i);
-            accs.resize(accs.len() + calls.len(), Accumulator::default());
-            firsts.len() - 1
+        keyed.clear();
+        keyed.extend(keys.iter().map(|k| k.value(&tuple)));
+        let run = last_group.filter(|_| keyed.iter().zip(&last).all(identical));
+        let group = run.unwrap_or_else(|| {
+            let hash = index.hash(keyed.iter().map(|key| &**key));
+            let same_key = |g: &usize| {
+                let first = tuples.at(readers, firsts[*g]);
+                keys.iter()
+                    .zip(&keyed)
+                    .all(|(k, key)| *k.value(&first) == **key)
+            };
+            // `Int` and `Float` keys make equality intransitive (`Int(0)`
+            // equals both zeros, which differ), so the first equal group
+            // wins: the last of a newest-first walk.
+            let found = index.chain(hash).filter(same_key).last();
+            let group = found.unwrap_or_else(|| {
+                index.push(hash);
+                firsts.push(i);
+                accs.resize(accs.len() + calls.len(), Accumulator::default());
+                firsts.len() - 1
+            });
+            std::mem::swap(&mut keyed, &mut last);
+            group
         });
+        last_group = Some(group);
         for (call, acc) in calls.iter().zip(&mut accs[group * calls.len()..]) {
             call.update(acc, &tuple);
         }
@@ -1225,6 +1316,12 @@ mod tests {
 
     const JOIN_TAGS: &str = "SELECT l.tag, r.tag FROM l, r WHERE l.k = r.k";
 
+    /// Whether `r.k`'s key index, which [`JOIN_TAGS`] reads, finds a key's
+    /// rows by its value.
+    fn r_keys_by_value(db: &Database) -> bool {
+        db.table("r").unwrap().key_index(0).by_value()
+    }
+
     #[test]
     fn join_keys_compare_integers_exactly() {
         // 2^53 and 2^53 + 1 are the same f64; they are not the same id.
@@ -1235,6 +1332,22 @@ mod tests {
         );
         let rs = db.run_sql(JOIN_TAGS).unwrap();
         assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(0)]]);
+        assert!(!r_keys_by_value(&db));
+        // Dense keys up to 2^53 are indexed by value; 2^53 + 1 is past the
+        // last bucket.
+        let db = keyed(
+            &[Value::Int(big + 1), Value::Int(big), Value::Int(big - 1)],
+            &[Value::Int(big - 1), Value::Int(big)],
+        );
+        let rs = db.run_sql(JOIN_TAGS).unwrap();
+        assert_eq!(
+            rows(&rs),
+            [
+                vec![Value::Int(1), Value::Int(1)],
+                vec![Value::Int(2), Value::Int(0)]
+            ]
+        );
+        assert!(r_keys_by_value(&db));
     }
 
     #[test]
@@ -1242,6 +1355,27 @@ mod tests {
         let db = keyed(&[Value::Int(5), Value::Float(5.5)], &[Value::Float(5.0)]);
         let rs = db.run_sql(JOIN_TAGS).unwrap();
         assert_eq!(rows(&rs), [vec![Value::Int(0), Value::Int(0)]]);
+        // Indexed by value: a whole `Float` finds the equal `Int`, and
+        // `-0.0` finds zero where there is one.
+        let big = 1i64 << 53;
+        let db = keyed(
+            &[
+                Value::Int(big + 1),
+                Value::Float(-0.0),
+                Value::Float(big as f64),
+            ],
+            &[Value::Int(big - 1), Value::Int(big)],
+        );
+        let rs = db.run_sql(JOIN_TAGS).unwrap();
+        assert_eq!(rows(&rs), [vec![Value::Int(2), Value::Int(1)]]);
+        assert!(r_keys_by_value(&db));
+        let db = keyed(
+            &[Value::Float(-0.5), Value::Float(-0.0)],
+            &[Value::Int(-1), Value::Int(0)],
+        );
+        let rs = db.run_sql(JOIN_TAGS).unwrap();
+        assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(1)]]);
+        assert!(r_keys_by_value(&db));
     }
 
     #[test]
@@ -1391,6 +1525,24 @@ mod tests {
         let db = keyed(&[Value::Int(5), Value::Float(5.0)], &[]);
         let rs = db.run_sql("SELECT count(*) FROM l GROUP BY k").unwrap();
         assert_eq!(rows(&rs), [vec![Value::Int(2)]]);
+        // `Int(0)` joins the `0.0` group; the `-0.0` right after it equals
+        // that `Int(0)` but not `0.0`, so it opens a group of its own.
+        let keys = [
+            Value::Float(0.0),
+            Value::Float(1.0),
+            Value::Int(0),
+            Value::Float(-0.0),
+        ];
+        let db = keyed(&keys, &[]);
+        let rs = db.run_sql("SELECT k, count(*) FROM l GROUP BY k").unwrap();
+        assert_eq!(
+            rows(&rs),
+            [
+                vec![Value::Float(0.0), Value::Int(2)],
+                vec![Value::Float(1.0), Value::Int(1)],
+                vec![Value::Float(-0.0), Value::Int(1)]
+            ]
+        );
     }
 
     #[test]
@@ -1421,27 +1573,31 @@ mod tests {
         }
     }
 
-    /// `t(k, tag)`: `tag` counts `0..rows`, `k` is `tag % 3`.
+    /// `t(k, tag, name)`: `tag` counts `0..rows`, `k` is `tag % 3`, `name`
+    /// is `w` and `tag % 7`.
     fn counted(rows: i64) -> Database {
         let mut db = Database::new();
         db.create_table(
             TableSchema::builder("t")
                 .column("k", DataType::Int)
                 .column("tag", DataType::Int)
+                .column("name", DataType::Text)
                 .build(),
         )
         .unwrap();
-        db.insert_all(
-            "t",
-            (0..rows).map(|i| vec![Value::Int(i % 3), Value::Int(i)]),
-        )
-        .unwrap();
+        db.insert_all("t", (0..rows).map(counted_row)).unwrap();
         db
     }
 
+    fn counted_row(tag: i64) -> Row {
+        let name = format!("w{}", tag % 7);
+        vec![Value::Int(tag % 3), Value::Int(tag), Value::from(name)]
+    }
+
     /// `t` of [`counted`] past a segment, its tail in chunks that earlier
-    /// clones hold, and `u(k, name)` of three rows: the key indexes `t`'s
-    /// joins and key filters read span the frozen segment and every chunk.
+    /// clones hold, and `u(k, name)` of three rows: the key and order
+    /// indexes `t`'s joins, key filters and range filters read span the
+    /// frozen segment and every chunk.
     #[test]
     fn key_indexes_span_frozen_segments_and_tail_chunks() {
         let mut db = counted(1_000);
@@ -1450,8 +1606,7 @@ mod tests {
             if tag % 100 == 0 {
                 held.push(db.clone());
             }
-            db.insert("t", vec![Value::Int(tag % 3), Value::Int(tag)])
-                .unwrap();
+            db.insert("t", counted_row(tag)).unwrap();
         }
         let t = db.table("t").unwrap();
         assert_eq!((t.segment_count(), t.tail_rows()), (1, 476));
@@ -1473,6 +1628,31 @@ mod tests {
         }
         let tags = |db: &Database, sql: &str| db.run_sql(sql).unwrap().tuple_strings();
         let join = "SELECT u.name, t.k FROM u, t WHERE u.k = t.tag";
+        // The range filters, and the tags they pass among `0..rows`.
+        let ranges = |rows: i64| {
+            let upto = |passes: &dyn Fn(i64) -> bool, limit: usize| -> Vec<String> {
+                let passing = (0..rows).filter(|&tag| passes(tag));
+                passing.take(limit).map(|tag| tag.to_string()).collect()
+            };
+            [
+                (
+                    "SELECT tag FROM t WHERE t.tag > 1023",
+                    upto(&|tag| tag > 1_023, usize::MAX),
+                ),
+                (
+                    "SELECT tag FROM t WHERE 1023 >= t.tag",
+                    upto(&|tag| tag <= 1_023, usize::MAX),
+                ),
+                (
+                    "SELECT tag FROM t WHERE t.tag >= 1020 AND k <> 0 LIMIT 4",
+                    upto(&|tag| tag >= 1_020 && tag % 3 != 0, 4),
+                ),
+                (
+                    "SELECT tag FROM t WHERE t.name < 'w2'",
+                    upto(&|tag| tag % 7 < 2, usize::MAX),
+                ),
+            ]
+        };
         for _ in 0..2 {
             assert_eq!(
                 tags(&db, join),
@@ -1493,15 +1673,27 @@ mod tests {
                 "SELECT t.tag FROM u, t WHERE u.name = 'last' AND t.k = 2",
             );
             assert_eq!(twos_joined, twos);
+            for (sql, want) in ranges(1_500) {
+                assert_eq!(tags(&db, sql), want, "{sql}");
+            }
         }
-        // A write drops the index; the held clones keep reading their rows.
-        db.insert("t", vec![Value::Int(2), Value::Int(1_500)])
-            .unwrap();
+        // A write drops the indexes; the held clones keep reading their rows.
+        let mut row = counted_row(1_500);
+        row[0] = Value::Int(2);
+        db.insert("t", row).unwrap();
         let twos = tags(&db, "SELECT tag FROM t WHERE k = 2");
         assert_eq!((twos.len(), &twos[500]), (501, &"1500".to_string()));
+        for (sql, want) in ranges(1_501) {
+            assert_eq!(tags(&db, sql), want, "after a write: {sql}");
+        }
         for (n, clone) in held.iter().enumerate() {
             let rows = clone.run_sql("SELECT tag FROM t WHERE k = 0").unwrap();
             assert_eq!(rows.row_count(), (1_000 + 100 * n).div_ceil(3), "clone {n}");
+            let tail = clone
+                .run_sql("SELECT tag FROM t WHERE t.tag > 1023")
+                .unwrap();
+            let past_the_seam = (1_000 + 100 * n).saturating_sub(1_024);
+            assert_eq!(tail.row_count(), past_the_seam, "clone {n}");
         }
     }
 
@@ -1586,7 +1778,7 @@ mod tests {
     fn a_result_keeps_its_rows_when_its_database_changes() {
         let mut db = counted(3);
         let held = db.run_sql("SELECT tag FROM t").unwrap();
-        db.insert("t", vec![Value::Int(0), Value::Int(3)]).unwrap();
+        db.insert("t", counted_row(3)).unwrap();
         assert_eq!(held.tuple_strings(), ["0", "1", "2"]);
         let fresh = db.run_sql("SELECT tag FROM t").unwrap();
         assert_eq!(fresh.tuple_strings(), ["0", "1", "2", "3"]);

@@ -16,7 +16,10 @@
 //!   (`count`, `sum`, `avg`, `min`, `max`),
 //! * an executor with predicate push-down whose equi-joins and `column =
 //!   literal` filters read each table's lazily built per-column
-//!   [`KeyIndex`] (at most 8 bytes per indexed cell),
+//!   [`KeyIndex`] (dense integer keys by value, others by hash; at most 8
+//!   bytes per indexed cell), whose range filters read the column's
+//!   [`OrderIndex`] (4 bytes per indexed cell), and whose GROUP BY hashes
+//!   once per run of equal keys,
 //! * an inverted index over text columns (the paper's base-data index),
 //! * a compact binary [`codec`] for values and rows — the byte-exact
 //!   encoding the durability layer (`soda-journal`, the service's
@@ -66,5 +69,5 @@ pub use schema::{ColumnDef, ForeignKeyDef, TableSchema};
 pub use sql::ast::{OrderByItem, SelectItem, SelectStatement, TableRef};
 pub use sql::parser::parse_select;
 pub use sql::printer::print_select;
-pub use table::{KeyIndex, Row, Rows, RowsIter, Table};
+pub use table::{KeyIndex, OrderIndex, Row, Rows, RowsIter, Table};
 pub use value::{DataType, Date, Value};

@@ -16,17 +16,19 @@
 //! as a `&[Value]`, frozen and tail rows in insertion order.
 //!
 //! A table also keeps, per column, a [`KeyIndex`] of the rows holding each
-//! key, built by the first statement that looks a key up in that column
-//! and dropped by the next write.
+//! key and an [`OrderIndex`] of its rows sorted by value, each built by the
+//! first statement that reads it and all dropped by the next write.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::ops::Index;
 use std::sync::{Arc, OnceLock};
 
 use crate::error::{RelationError, Result};
+use crate::expr::CompareOp;
 use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// An owned row of values, as inserts take it; the order matches the table
 /// schema.  A stored row is read as a `&[Value]`.
@@ -52,10 +54,18 @@ pub struct Table {
     tail: Vec<Arc<Vec<Value>>>,
     /// Rows held by the tail chunks (cached sum).
     tail_len: usize,
-    /// One lazily built [`KeyIndex`] per column, for these rows: allocated
-    /// by the first [`key_index`](Self::key_index) call, shared with the
-    /// clones taken after it, dropped by every write.
-    keys: OnceLock<Arc<[OnceLock<KeyIndex>]>>,
+    /// Each column's lazily built indexes, for these rows: allocated by the
+    /// first [`key_index`](Self::key_index) or
+    /// [`order_index`](Self::order_index) call, shared with the clones
+    /// taken after it, dropped by every write.
+    indexes: OnceLock<Arc<[ColumnIndexes]>>,
+}
+
+/// One column's indexes, each built on first use.
+#[derive(Default)]
+struct ColumnIndexes {
+    keys: OnceLock<KeyIndex>,
+    order: OnceLock<OrderIndex>,
 }
 
 impl Table {
@@ -73,7 +83,7 @@ impl Table {
             frozen: 0,
             tail: Vec::new(),
             tail_len: 0,
-            keys: OnceLock::new(),
+            indexes: OnceLock::new(),
         }
     }
 
@@ -170,7 +180,7 @@ impl Table {
     /// while no clone holds it, else as a chunk of its own — and seals the
     /// tail when it is full.
     fn push(&mut self, row: Row) {
-        self.keys.take();
+        self.indexes.take();
         match self.tail.last_mut().and_then(Arc::get_mut) {
             Some(chunk) => chunk.extend(row),
             None => self.tail.push(Arc::new(row)),
@@ -195,7 +205,7 @@ impl Table {
     /// layer to implement full-table replacement — the old segments are
     /// only released, never copied (clones holding them keep serving).
     pub fn truncate(&mut self) {
-        self.keys.take();
+        self.indexes.take();
         self.segments.clear();
         self.frozen = 0;
         self.tail.clear();
@@ -209,7 +219,7 @@ impl Table {
     /// A chunk no clone holds gives up its cells; a shared one is copied.
     fn seal_tail(&mut self) {
         debug_assert_eq!(self.tail_len, Self::SEGMENT_ROWS);
-        self.keys.take();
+        self.indexes.take();
         let mut cells = Vec::with_capacity(Self::SEGMENT_ROWS * self.width);
         for chunk in std::mem::take(&mut self.tail) {
             match Arc::try_unwrap(chunk) {
@@ -242,13 +252,44 @@ impl Table {
     ///
     /// When `col` is not a column of the table.
     pub fn key_index(&self, col: usize) -> &KeyIndex {
-        let columns = self
-            .keys
-            .get_or_init(|| (0..self.width).map(|_| OnceLock::new()).collect());
-        columns[col].get_or_init(|| {
+        self.column_indexes(col).keys.get_or_init(|| {
             let cells = self.rows().iter().zip(0..).map(|(row, n)| (n, &row[col]));
             KeyIndex::build(cells)
         })
+    }
+
+    /// The [`OrderIndex`] of column `col`, built on first use and kept until
+    /// the table is next written, like [`key_index`](Self::key_index); `None`
+    /// when the column is not INT, DATE or TEXT.
+    ///
+    /// # Panics
+    ///
+    /// When `col` is not a column of the table.
+    pub fn order_index(&self, col: usize) -> Option<&OrderIndex> {
+        let data_type = self.schema.columns[col].data_type;
+        if !matches!(data_type, DataType::Int | DataType::Date | DataType::Text) {
+            return None;
+        }
+        let order = self.column_indexes(col).order.get_or_init(|| {
+            let cells = self.rows().iter().zip(0..).map(|(row, n)| (n, &row[col]));
+            match data_type {
+                DataType::Int => OrderIndex::build(self.row_count(), cells, Value::as_i64),
+                DataType::Date => OrderIndex::build(self.row_count(), cells, |cell| match cell {
+                    Value::Date(date) => Some(*date),
+                    _ => None,
+                }),
+                _ => OrderIndex::build(self.row_count(), cells, Value::as_str),
+            }
+        });
+        Some(order)
+    }
+
+    /// Column `col`'s slot, allocating every column's on the first call.
+    fn column_indexes(&self, col: usize) -> &ColumnIndexes {
+        let columns = self
+            .indexes
+            .get_or_init(|| (0..self.width).map(|_| ColumnIndexes::default()).collect());
+        &columns[col]
     }
 
     /// The rows by number, for one execution: O(1) a row, the tail's chunk
@@ -273,7 +314,7 @@ impl Table {
     }
 }
 
-/// Everything but the key indexes, which are a cache of the rows.
+/// Everything but the column indexes, which are a cache of the rows.
 impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Table")
@@ -288,48 +329,103 @@ impl std::fmt::Debug for Table {
 }
 
 /// The rows of one column's cells, grouped by key: the numbers of the rows
-/// whose cell is not NULL, stably grouped by a hash bucket of the cell —
-/// ascending within a bucket — and where each bucket ends.  At most one
-/// bucket per row, so it takes at most 8 bytes per indexed cell; it stores
-/// no key and no hash.  Each index hashes with its own random SipHash key,
-/// so no input chooses its collisions.
+/// whose cell is not NULL, stably grouped by a bucket of the cell —
+/// ascending within a bucket — and where each bucket ends.  It stores no
+/// key and no hash, and takes at most 8 bytes per indexed cell.
+///
+/// A column whose every indexed cell is an `Int` within ±2^53, spanning
+/// fewer values than it has cells, is indexed **by value**: a key's bucket is
+/// the key minus the smallest, so its candidates are exactly its equals, a
+/// whole-number `Float` finds the equal `Int`s, and any other key finds
+/// nothing without a row being read.  Every other column is **hashed**: at
+/// most one bucket per row, chosen by the index's own random SipHash key so
+/// that no input chooses its collisions.
 ///
 /// A lookup's candidates are the rows sharing the key's bucket: the
 /// executor confirms each, comparing the cells themselves.  A key finds
 /// its equals only among values that hash alike — those of one
-/// [`DataType`](crate::DataType), or `Int` and `Float` (`Value`'s hash
-/// treats `Int(5)`, `Float(5.0)` and both zeros alike).
+/// [`DataType`], or `Int` and `Float` (`Value`'s hash treats `Int(5)`,
+/// `Float(5.0)` and both zeros alike).
 pub struct KeyIndex {
-    state: RandomState,
-    /// Per bucket, where its rows end in `rows`; a power-of-two number of
-    /// buckets, none when no cell is indexed.
+    buckets: Buckets,
+    /// Per bucket, where its rows end in `rows`; none when no cell is
+    /// indexed.
     ends: Vec<u32>,
     rows: Vec<u32>,
 }
 
+/// How a [`KeyIndex`] finds a key's bucket.
+enum Buckets {
+    /// A power-of-two number of buckets, by hash.
+    Hashed(RandomState),
+    /// One bucket per integer from `min` on.
+    ByValue { min: i64 },
+}
+
+impl Buckets {
+    /// The bucket of `key` among `count`, if it can have one.
+    fn home(&self, key: &Value, count: usize) -> Option<usize> {
+        match *self {
+            Self::Hashed(_) if key.is_null() || count == 0 => None,
+            Self::Hashed(ref state) => Some(state.hash_one(key) as usize & (count - 1)),
+            Self::ByValue { min } => {
+                let key = match *key {
+                    Value::Int(i) => i,
+                    // Saturates far outside every bucket.
+                    Value::Float(f) if f.fract() == 0.0 => f as i64,
+                    _ => return None,
+                };
+                let bucket = usize::try_from(key.checked_sub(min)?).ok()?;
+                (bucket < count).then_some(bucket)
+            }
+        }
+    }
+}
+
+/// The largest magnitude an `Int` may have for the column to be indexed by
+/// value: every integer up to it converts to `f64` exactly, so a whole
+/// `Float` equals exactly one of them.
+const EXACT_IN_F64: u64 = 1 << 53;
+
 impl KeyIndex {
     /// Indexes `(row number, cell)` pairs given in ascending row order: a
-    /// count, one hash of each non-NULL cell, then a counting scatter.
+    /// count, one bucket of each non-NULL cell, then a counting scatter.
     pub(crate) fn build<'v>(cells: impl Iterator<Item = (u32, &'v Value)> + Clone) -> Self {
         let keyed = || cells.clone().filter(|(_, cell)| !cell.is_null());
-        let len = keyed().count();
-        let state = RandomState::new();
+        // The cells' count and, while every one is an exact `Int`, range.
+        let mut len: usize = 0;
+        let mut span = Some((i64::MAX, i64::MIN));
+        for (_, cell) in keyed() {
+            len += 1;
+            span = match (span, cell) {
+                (Some((lo, hi)), &Value::Int(i)) if i.unsigned_abs() <= EXACT_IN_F64 => {
+                    Some((lo.min(i), hi.max(i)))
+                }
+                _ => None,
+            };
+        }
         if len == 0 {
             return Self {
-                state,
+                buckets: Buckets::Hashed(RandomState::new()),
                 ends: Vec::new(),
                 rows: Vec::new(),
             };
         }
-        // The largest power of two not above `len`.
-        let buckets = 1 << len.ilog2();
-        let bucket = |cell: &Value| state.hash_one(cell) as usize & (buckets - 1);
+        let (buckets, count) = match span {
+            Some((lo, hi)) if hi.abs_diff(lo) < len as u64 => {
+                (Buckets::ByValue { min: lo }, hi.abs_diff(lo) as usize + 1)
+            }
+            // The largest power of two not above `len`.
+            _ => (Buckets::Hashed(RandomState::new()), 1 << len.ilog2()),
+        };
         // `ends[b]` counts bucket `b`'s rows, then marks where they start,
         // then, once they are placed, where they end.
-        let mut ends = vec![0; buckets];
+        let mut ends = vec![0; count];
         let mut homes = Vec::with_capacity(len);
         for (_, cell) in keyed() {
-            let home = bucket(cell);
+            let home = buckets
+                .home(cell, count)
+                .expect("an indexed cell has a bucket");
             ends[home] += 1;
             homes.push(home as u32);
         }
@@ -343,17 +439,81 @@ impl KeyIndex {
             rows[*end as usize] = row;
             *end += 1;
         }
-        Self { state, ends, rows }
+        Self {
+            buckets,
+            ends,
+            rows,
+        }
     }
 
     /// The rows whose cell may equal `key`, ascending: none for NULL.
     pub(crate) fn candidates(&self, key: &Value) -> &[u32] {
-        if key.is_null() || self.ends.is_empty() {
+        let Some(bucket) = self.buckets.home(key, self.ends.len()) else {
             return &[];
-        }
-        let bucket = self.state.hash_one(key) as usize & (self.ends.len() - 1);
+        };
         let start = bucket.checked_sub(1).map_or(0, |b| self.ends[b]);
         &self.rows[start as usize..self.ends[bucket] as usize]
+    }
+
+    /// Number of indexed cells: the column's non-NULL ones.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when every cell of the column is NULL.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// True when the index finds a key's rows by its value, not its hash.
+    pub fn by_value(&self) -> bool {
+        matches!(self.buckets, Buckets::ByValue { .. })
+    }
+}
+
+/// The numbers of the rows of one INT, DATE or TEXT column whose cell is
+/// not NULL, sorted by the cell — ascending row order among equal cells —
+/// at 4 bytes per indexed cell: a range filter on the column is the rows
+/// between two binary searches.
+pub struct OrderIndex {
+    rows: Vec<u32>,
+}
+
+impl OrderIndex {
+    /// Sorts the `(row number, cell)` pairs of a `rows`-row column whose
+    /// cells `key` reads (`None` for NULL) on the keys themselves, so the
+    /// sort compares no `Value`.
+    fn build<'v, K: Ord>(
+        rows: usize,
+        cells: impl Iterator<Item = (u32, &'v Value)>,
+        key: impl Fn(&'v Value) -> Option<K>,
+    ) -> Self {
+        let mut keyed = Vec::with_capacity(rows);
+        for (row, cell) in cells {
+            match key(cell) {
+                Some(key) => keyed.push((key, row)),
+                None => debug_assert!(cell.is_null(), "{cell:?} is not of its column's type"),
+            }
+        }
+        keyed.sort_unstable();
+        let mut rows = Vec::with_capacity(keyed.len());
+        rows.extend(keyed.into_iter().map(|(_, row)| row));
+        Self { rows }
+    }
+
+    /// The rows whose cell is `op` a literal, where `order(row)` is how the
+    /// row's cell compares with it: `op` is `<`, `<=`, `>` or `>=` (`None`
+    /// for another operator).
+    pub(crate) fn range(&self, op: CompareOp, order: impl Fn(u32) -> Ordering) -> Option<&[u32]> {
+        let below = || self.rows.partition_point(|&r| order(r).is_lt());
+        let at_most = || self.rows.partition_point(|&r| order(r).is_le());
+        Some(match op {
+            CompareOp::Lt => &self.rows[..below()],
+            CompareOp::LtEq => &self.rows[..at_most()],
+            CompareOp::Gt => &self.rows[at_most()..],
+            CompareOp::GtEq => &self.rows[below()..],
+            CompareOp::Eq | CompareOp::NotEq => return None,
+        })
     }
 
     /// Number of indexed cells: the column's non-NULL ones.

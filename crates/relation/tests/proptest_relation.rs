@@ -195,7 +195,8 @@ const COLUMNS: [(&str, DataType); 4] = [
 
 #[derive(Debug, Clone)]
 enum Filter {
-    Compare(CompareOp, Value),
+    /// `column op literal`, or `literal op column` when the flag is set.
+    Compare(CompareOp, Value, bool),
     /// `LIKE` with a wildcard before and/or after the needle.
     Like(bool, &'static str, bool),
 }
@@ -229,22 +230,32 @@ fn pick<T: Clone + 'static>(options: &[T]) -> BoxedStrategy<T> {
 
 /// A cell of column `c`: few distinct values, so keys repeat; NULLs; `Int`
 /// cells in the FLOAT column, zero among them beside both float zeros; the
-/// text `NULL` beside the real one, and a text that reads as a date.
+/// text `NULL` beside the real one, and a text that reads as a date.  Now
+/// and then a number at ±2^53 or 2^53 + 1, which `f64` cannot tell from
+/// 2^53, so that integer columns are key-indexed by value and by hash.
 fn cell(c: usize) -> BoxedStrategy<Value> {
     let date = |day| Value::Date(Date::new(2011, 9, day));
+    let big = 1i64 << 53;
+    let bigs = [Value::Int(big), Value::Int(big + 1), Value::Int(-big)];
     match c {
-        0 => pick(&[Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)]),
-        1 => pick(&[
-            Value::Null,
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(2),
-            Value::Float(0.0),
-            Value::Float(-0.0),
-            Value::Float(1.0),
-            Value::Float(2.5),
-            Value::Float(-3.25),
-        ]),
+        0 => now_and_then(
+            pick(&[Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)]),
+            pick(&bigs),
+        ),
+        1 => now_and_then(
+            pick(&[
+                Value::Null,
+                Value::Int(0),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(1.0),
+                Value::Float(2.5),
+                Value::Float(-3.25),
+            ]),
+            pick(&bigs),
+        ),
         2 => pick(&[
             Value::Null,
             Value::from("NULL"),
@@ -255,6 +266,13 @@ fn cell(c: usize) -> BoxedStrategy<Value> {
         ]),
         _ => pick(&[Value::Null, date(1), date(2), date(3)]),
     }
+}
+
+/// `rare` one time in seven, `common` otherwise.
+fn now_and_then(common: BoxedStrategy<Value>, rare: BoxedStrategy<Value>) -> BoxedStrategy<Value> {
+    (0..7, common, rare)
+        .prop_map(|(draw, common, rare)| if draw == 0 { rare } else { common })
+        .boxed()
 }
 
 fn filter(c: usize) -> BoxedStrategy<Filter> {
@@ -276,7 +294,8 @@ fn filter(c: usize) -> BoxedStrategy<Filter> {
         3 => pick(&[Value::from("2011-09-02"), Value::from("not a date")]),
         c => cell(c),
     };
-    let compare = (op, literal).prop_map(|(op, v)| Filter::Compare(op, v));
+    let compare = (op, literal, any::<bool>())
+        .prop_map(|(op, v, literal_first)| Filter::Compare(op, v, literal_first));
     if c != 2 {
         return compare.boxed();
     }
@@ -291,6 +310,12 @@ fn row() -> impl Strategy<Value = Row> {
 
 fn table() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(row(), 0..6)
+}
+
+/// A table of more rows than a bitmap word holds, drawn for at most one
+/// table of a case, so a cross product stays small.
+fn long_table() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec(row(), 16..80)
 }
 
 fn case() -> impl Strategy<Value = Case> {
@@ -339,8 +364,18 @@ fn case() -> impl Strategy<Value = Case> {
                 }
                 (_, arg) => Shape::Grouped(key, func, Some(arg.unwrap_or((0, 2)))),
             });
-        (
+        let tables = (
             proptest::collection::vec(table(), n),
+            (0..4, 0..n, long_table()),
+        )
+            .prop_map(|(mut tables, (draw, t, rows))| {
+                if draw == 0 {
+                    tables[t] = rows;
+                }
+                tables
+            });
+        (
+            tables,
             joins,
             filters,
             prop_oneof![plain, grouped],
@@ -400,7 +435,12 @@ impl Case {
             .iter()
             .map(|&(a, b)| Expr::compare(CompareOp::Eq, column(a), column(b)));
         let filters = self.filters.iter().map(|(col, f)| match f {
-            Filter::Compare(op, v) => Expr::compare(*op, column(*col), Expr::Literal(v.clone())),
+            Filter::Compare(op, v, false) => {
+                Expr::compare(*op, column(*col), Expr::Literal(v.clone()))
+            }
+            Filter::Compare(op, v, true) => {
+                Expr::compare(*op, Expr::Literal(v.clone()), column(*col))
+            }
             Filter::Like(before, needle, after) => Expr::Like {
                 expr: Box::new(column(*col)),
                 pattern: [
@@ -454,8 +494,13 @@ impl Case {
                 cell(tuple, a).sql_cmp(&cell(tuple, b)) == Some(Ordering::Equal)
             };
             let passes = |(col, filter): &(ColRef, Filter)| match (cell(tuple, *col), filter) {
-                (value, Filter::Compare(op, literal)) => {
-                    value.sql_cmp(literal).is_some_and(|ord| match op {
+                (value, Filter::Compare(op, literal, literal_first)) => {
+                    let (left, right) = if *literal_first {
+                        (literal, &value)
+                    } else {
+                        (&value, literal)
+                    };
+                    left.sql_cmp(right).is_some_and(|ord| match op {
                         CompareOp::Eq => ord.is_eq(),
                         CompareOp::NotEq => ord.is_ne(),
                         CompareOp::Lt => ord.is_lt(),

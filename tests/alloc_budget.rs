@@ -286,16 +286,19 @@ fn a_result_holds_row_numbers_not_cells() {
     }
 }
 
-/// A key index is one column's non-NULL row numbers and an end per hash
+/// A key index is one column's non-NULL row numbers and an end per
 /// bucket, at most one bucket per row: building one makes three
 /// allocations (the rows, the bucket ends and, freed again, each row's
 /// bucket) whatever the table's size, and keeps at most 8 bytes per
-/// indexed cell: 2 544 bytes for `party`'s 380 rows, 4 a row and 4 for
-/// each of 256 buckets.  The first index a table builds also allocates the
-/// table's one slot per column (376 bytes for `party`'s five).
+/// indexed cell: 2 544 bytes for a text column of `party`'s 380 rows, 4 a
+/// row and 4 for each of 256 hash buckets; 3 040 for its `party_id`, dense
+/// integers indexed by value, a bucket per id.  The first index a table
+/// builds also allocates the table's one slot per column (576 bytes for
+/// `party`'s five).
 #[test]
 fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
     let mut indexed = Vec::new();
+    let (mut by_value, mut hashed) = (0, 0);
     for dimension_scale in [1.0, 8.0] {
         let config = EnterpriseConfig {
             seed: 42,
@@ -322,6 +325,11 @@ fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
                 );
                 // Built once: a second call allocates nothing.
                 assert_eq!(allocations(|| table.key_index(col).len()), (cells, 0));
+                if table.key_index(col).by_value() {
+                    by_value += 1;
+                } else {
+                    hashed += 1;
+                }
             }
             indexed.push(table.key_index(0).len());
         }
@@ -330,9 +338,57 @@ fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
         indexed[3] >= 8 * indexed[0] && indexed[2] >= 500,
         "{indexed:?}"
     );
+    assert!(
+        by_value >= 6 && hashed >= 6,
+        "{by_value} by value, {hashed} hashed"
+    );
 }
 
-/// What a table's slots for its key indexes may take: one per column.
+/// An order index is one INT, DATE or TEXT column's non-NULL row numbers,
+/// sorted by value: building one makes two allocations (the `(key, row)`
+/// pairs it sorts, freed again, and the rows) whatever the table's size,
+/// and keeps 4 bytes per indexed cell.  A FLOAT column has none.
+#[test]
+fn an_order_index_costs_a_constant_allocation_count_and_at_most_4_bytes_a_row() {
+    let mut indexed = Vec::new();
+    for dimension_scale in [1.0, 8.0] {
+        let config = EnterpriseConfig {
+            seed: 42,
+            padding: false,
+            data_scale: 0.2,
+        };
+        let db = enterprise::build_with_dimensions(config, dimension_scale).database;
+        for name in ["party", "individual", "trade_order_td"] {
+            let table = db.table(name).unwrap();
+            let mut slots = (1, KEY_SLOTS_BYTES);
+            for col in 0..table.schema().arity() {
+                let (cells, made, kept) = measured(|| table.order_index(col).map(|o| o.len()));
+                let Some(cells) = cells else {
+                    assert_eq!(made, 0, "{name} column {col} has no order index");
+                    continue;
+                };
+                assert!(
+                    made <= 2 + slots.0,
+                    "{name} column {col}: {made} allocations"
+                );
+                assert!(
+                    kept <= 4 * cells as i64 + slots.1,
+                    "{name} column {col}: {kept} bytes for {cells} cells"
+                );
+                slots = (0, 0);
+                // Built once: a second call allocates nothing.
+                let again = allocations(|| table.order_index(col).map(|o| o.len()));
+                assert_eq!(again, (Some(cells), 0));
+                indexed.push(cells);
+            }
+        }
+    }
+    // Per scale, `party`'s columns come first: eight times the rows.
+    let half = indexed.len() / 2;
+    assert!(half >= 12 && indexed[half] >= 8 * indexed[0], "{indexed:?}");
+}
+
+/// What a table's slots for its column indexes may take: one per column.
 const KEY_SLOTS_BYTES: i64 = 2_048;
 
 /// Concurrent first executions build each key index once and read the
