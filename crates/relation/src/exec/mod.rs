@@ -11,32 +11,31 @@
 //!    misplaced aggregates are reported before a row is read.
 //! 2. **Scan.**  The first table in join order is read through its
 //!    [`Rows`](crate::Rows) view with its own predicates applied, below the
-//!    joins, recording the number of each row that passes.  A `column =
-//!    literal` among them reads its candidate rows from the column's
-//!    [`KeyIndex`] instead, when the literal hashes like the column's type;
-//!    failing that, a `column <, <=, >, >= literal` (the literal on either
-//!    side) on an INT, DATE or TEXT column and a literal of exactly that
-//!    type reads its rows from the column's
-//!    [`OrderIndex`](crate::OrderIndex) — two binary searches, the range
-//!    marked in a row bitmap and read back ascending — and only the other
-//!    predicates are tested on them.
+//!    joins, recording the number of each row that passes.  A `column op
+//!    literal` among them — `=`, `<`, `<=`, `>` or `>=`, the literal on
+//!    either side and of a type that shares the column's order — reads its
+//!    rows from the column's [`ColumnIndex`] instead, as a range of codes
+//!    (an `=` before a range; a range's rows marked in a row bitmap and
+//!    read back ascending), and only the other predicates are tested on
+//!    them.
 //! 3. **Join.**  Tables attach in the order join predicates connect them
 //!    (cross product only when none does).  A tuple is one row number per
-//!    table joined so far.  An equi-join looks each tuple's key up in the
-//!    attached table's [`KeyIndex`] on the first key column whose two types
-//!    hash alike — the table's cached one when the table has no predicate
-//!    of its own, so it is never scanned; else one built for this execution
-//!    over the rows that pass them — and keeps the candidates whose every
-//!    key compares equal as the predicate `l = r` would.  An index over
-//!    dense integers finds a key by its value, so a key that misses reads
-//!    no row.  Output is tuple-major, then in row order.
-//! 4. **Fold.**  Aggregating statements assign each tuple to its group and
-//!    update one accumulator per (group, aggregate) in the same pass.  A
-//!    tuple whose group keys are identical to the previous tuple's joins its
-//!    group unhashed, so a statement hashes once per run of equal keys —
-//!    the join's output keeps each first-table row's tuples together — and
-//!    an aggregate without GROUP BY hashes nothing.
-//! 5. **Pick.**  DISTINCT, ORDER BY and LIMIT work on tuple numbers.  The
+//!    table joined so far.  An equi-join reads the attached table's
+//!    [`ColumnIndex`] on the first key column whose two types share an
+//!    order: a column coded by value finds a key with no search, and one
+//!    coded by rank is searched once per distinct driving key, which the
+//!    driving column's own codes tell apart.  It keeps the rows that pass
+//!    the table's own predicates and whose other keys compare equal as the
+//!    predicate `l = r` would.  Keys of types with no shared order (TEXT
+//!    and DATE) compare every pair.  Output is tuple-major, then in row
+//!    order.
+//! 4. **Fold.**  Aggregating statements number each tuple's group by its
+//!    keys' codes, in order of first appearance — a key that is not a
+//!    column is first computed into a table of its own — then update one
+//!    accumulator per (group, aggregate).  No key's value is hashed or
+//!    compared.
+//! 5. **Pick.**  DISTINCT keeps the first tuple of each group of its output
+//!    columns' codes; ORDER BY and LIMIT work on tuple numbers.  The
 //!    [`ResultSet`] keeps a shared handle of each FROM table and, per output
 //!    row, the row number of each of its tuple's rows; it copies no cell, and
 //!    reads one only when a caller reads its row.  What the statement
@@ -45,11 +44,9 @@
 
 pub mod eval;
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::{Deref, Index};
 use std::sync::Arc;
 
@@ -57,9 +54,8 @@ use self::eval::{Accumulator, AggCall, BoundExpr, GroupExpr, RowSchema, Tuple};
 use crate::catalog::Database;
 use crate::error::{RelationError, Result};
 use crate::expr::{CompareOp, Expr};
-use crate::schema::TableSchema;
 use crate::sql::ast::SelectStatement;
-use crate::table::{KeyIndex, Row, RowReader, Table};
+use crate::table::{ColumnIndex, Row, RowReader, Table};
 use crate::value::{DataType, Value};
 
 /// The result of executing a `SELECT` statement: the tables its rows come
@@ -357,87 +353,6 @@ fn row_number(i: usize) -> u32 {
     u32::try_from(i).expect("a row or tuple number fits 32 bits")
 }
 
-/// No entry: the end of a chain.
-const END: u32 = u32::MAX;
-
-/// Entries chained by a per-table random-keyed SipHash of their key values:
-/// `head` holds the entry linked last into each power-of-two bucket, `next`
-/// the one linked before it, so a chain walks newest first.  Each entry
-/// keeps its hash, so a walk compares keys only on an equal 64-bit hash;
-/// callers confirm a candidate by comparing the key values themselves, so
-/// the GROUP BY and DISTINCT tables hold no keys.  They
-/// [`push`](Self::push) one entry per group or distinct row, and the table
-/// grows with them, not with its input.
-struct Chains {
-    state: RandomState,
-    head: Vec<u32>,
-    next: Vec<u32>,
-    hashes: Vec<u64>,
-}
-
-impl Chains {
-    fn new() -> Self {
-        Self {
-            state: RandomState::new(),
-            head: vec![END],
-            next: Vec::new(),
-            hashes: Vec::new(),
-        }
-    }
-
-    fn hash(&self, values: impl Iterator<Item = impl Deref<Target = Value>>) -> u64 {
-        let mut hasher = self.state.build_hasher();
-        for value in values {
-            value.hash(&mut hasher);
-        }
-        hasher.finish()
-    }
-
-    /// Links the next entry at the head of its chain, doubling the buckets
-    /// when the entries outnumber them, and returns its number.
-    fn push(&mut self, hash: u64) -> usize {
-        let entry = self.hashes.len();
-        assert!(entry < END as usize, "{entry} entries fill a chained table");
-        self.hashes.push(hash);
-        self.next.push(END);
-        if entry < self.head.len() {
-            self.link(entry);
-        } else {
-            // Relinked oldest first, so every chain still walks newest first.
-            self.head = vec![END; 2 * self.head.len()];
-            for entry in 0..=entry {
-                self.link(entry);
-            }
-        }
-        entry
-    }
-
-    fn bucket(&self, hash: u64) -> usize {
-        hash as usize & (self.head.len() - 1)
-    }
-
-    fn link(&mut self, entry: usize) {
-        let bucket = self.bucket(self.hashes[entry]);
-        self.next[entry] = self.head[bucket];
-        self.head[bucket] = entry as u32;
-    }
-
-    /// The entries linked under `hash`, newest first.
-    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        let mut at = self.head[self.bucket(hash)];
-        std::iter::from_fn(move || {
-            while at != END {
-                let entry = at as usize;
-                at = self.next[entry];
-                if self.hashes[entry] == hash {
-                    return Some(entry);
-                }
-            }
-            None
-        })
-    }
-}
-
 /// Executes a statement against a database.
 pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
     if stmt.from.is_empty() {
@@ -613,16 +528,19 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
                 }
             })
             .collect();
-        // The key looked up: the first whose two columns hash alike.
+        // The key looked up: the first whose two columns share an order.
         let indexed = keys
             .iter()
-            .position(|&((s, c), col)| hash_alike(declared(s, c), declared(slot, col)));
+            .position(|&((s, c), col)| share_an_order(declared(s, c), declared(slot, col)));
         let lookup = match indexed {
-            Some(k) if pushdowns[t].is_empty() => Lookup::Cached(k),
-            Some(k) => Lookup::Built(k, scan(slot, usize::MAX)),
+            Some(k) if pushdowns[t].is_empty() => Lookup::Index(k, None),
+            Some(k) => {
+                let passing = scan(slot, usize::MAX);
+                Lookup::Index(k, Some(marked(&passing, slot_tables[slot].row_count())))
+            }
             None => Lookup::Scan(scan(slot, usize::MAX)),
         };
-        tuples = join(&tuples, &readers, slot_tables[slot], &keys, lookup);
+        tuples = join(&tuples, &readers, &slot_tables, &keys, lookup);
     }
     if !residual.is_empty() {
         tuples.numbers = (0..tuples.len())
@@ -651,50 +569,50 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultSet> {
                     }
                 })
                 .collect();
-            let width = computed.len();
-            let computed: Option<Vec<Row>> = (width > 0).then(|| {
-                (0..tuples.len())
-                    .map(|i| {
-                        let tuple = tuples.at(&readers, i);
-                        computed
-                            .iter()
-                            .map(|e| e.value(&tuple).into_owned())
-                            .collect()
-                    })
-                    .collect()
-            });
-            let row = |i: usize, slot: usize| match &computed {
-                Some(rows) if slot == n => &rows[i][..],
-                _ => tuples.at(&readers, i).row(slot),
+            let computed = compute(&tuples, &readers, &computed).map(Arc::new);
+            let slot_table = |slot: usize| match &computed {
+                Some(table) if slot == n => &**table,
+                _ => slot_tables[slot],
+            };
+            let distinct: Vec<&ColumnIndex> = match stmt.distinct {
+                true => projection
+                    .iter()
+                    .map(|&(slot, col)| slot_table(slot).column_index(col))
+                    .collect(),
+                false => Vec::new(),
             };
             let picked = pick(
                 tuples.len(),
-                |i| {
-                    projection
-                        .iter()
-                        .map(move |&(slot, col)| &row(i, slot)[col])
+                &distinct,
+                |i, c| match projection[c].0 {
+                    slot if slot == n => row_number(i),
+                    slot => tuples.get(i)[slot],
                 },
                 |k, i| sort[k].value(&tuples.at(&readers, i)),
                 stmt,
             );
-            let computed = computed.map(|rows| Arc::new(Table::computed(width, rows)));
             let numbers = tuples.into_numbers(picked, limit, computed.is_some());
             let tables = order.iter().map(|&t| Arc::clone(tables[t]));
             (tables.chain(computed).collect(), projection, numbers)
         }
         Output::Grouped { keys, calls, items } => {
             // The groups form a one-slot table of [projection…, sort keys…].
-            let groups = fold(&tuples, &readers, &keys, &calls, &items);
+            let groups = fold(&tuples, &readers, &slot_tables, &keys, &calls, &items);
+            let table = Arc::new(Table::computed(items.len(), groups));
             let width = columns.len();
+            let distinct: Vec<&ColumnIndex> = match stmt.distinct {
+                true => (0..width).map(|c| table.column_index(c)).collect(),
+                false => Vec::new(),
+            };
             let picked = pick(
-                groups.len(),
-                |g| groups[g][..width].iter(),
-                |k, g| &groups[g][width + k],
+                table.row_count(),
+                &distinct,
+                |g, _| row_number(g),
+                |k, g| &table.rows().get(g).expect("a group's row")[width + k],
                 stmt,
             );
-            let picked = picked.unwrap_or_else(|| (0..groups.len().min(limit)).collect());
+            let picked = picked.unwrap_or_else(|| (0..table.row_count().min(limit)).collect());
             let numbers = picked.into_iter().map(row_number).collect();
-            let table = Arc::new(Table::computed(items.len(), groups));
             (vec![table], (0..width).map(|c| (0, c)).collect(), numbers)
         }
     };
@@ -730,9 +648,10 @@ fn bind_all<'e>(
         .collect()
 }
 
-/// Whether values of the two types that compare equal also hash alike, so
-/// that a [`KeyIndex`] finds one from the other.
-fn hash_alike(a: DataType, b: DataType) -> bool {
+/// Whether [`Value::sql_cmp`] orders values of the two types as
+/// [`Value::total_cmp`] does, so that a [`ColumnIndex`] of one finds the
+/// other: one type, or `Int` and `Float`.
+fn share_an_order(a: DataType, b: DataType) -> bool {
     use DataType::{Float, Int};
     a == b || matches!((a, b), (Int | Float, Int | Float))
 }
@@ -762,39 +681,12 @@ fn column_vs_literal(pred: &BoundExpr, slot: usize) -> Option<(usize, CompareOp,
     }
 }
 
-/// `column = literal` on a column of tuple slot `slot` whose type the
-/// literal hashes like: the column and the literal.
-fn literal_key<'e>(
-    pred: &'e BoundExpr,
-    slot: usize,
-    schema: &TableSchema,
-) -> Option<(usize, &'e Value)> {
-    let (col, op, key) = column_vs_literal(pred, slot)?;
-    let declared = schema.columns[col].data_type;
-    let alike = key.data_type().is_some_and(|t| hash_alike(t, declared));
-    (op == CompareOp::Eq && alike).then_some((col, key))
-}
-
-/// `column <, <=, >, >= literal`, the literal on either side, on a column
-/// of tuple slot `slot` and a literal of exactly the column's type: the
-/// column, the operator with the column on its left, and the literal.
-fn literal_range<'e>(
-    pred: &'e BoundExpr,
-    slot: usize,
-    schema: &TableSchema,
-) -> Option<(usize, CompareOp, &'e Value)> {
-    let (col, op, literal) = column_vs_literal(pred, slot)?;
-    let range = !matches!(op, CompareOp::Eq | CompareOp::NotEq);
-    let typed = literal.data_type() == Some(schema.columns[col].data_type);
-    (range && typed).then_some((col, op, literal))
-}
-
 /// The numbers of `table`'s rows that pass `preds`, its predicates in tuple
-/// slot `slot`, ascending, at most `limit` of them.  A `column = literal`
-/// among them reads its candidates from the column's [`KeyIndex`], and
-/// every predicate is tested on those; else a range filter reads its rows
-/// from the column's [`OrderIndex`](crate::OrderIndex), and only the other
-/// predicates are tested on them; otherwise the table is scanned.
+/// slot `slot`, ascending, at most `limit` of them.  The first `column =
+/// literal` among them, else the first range filter, whose literal shares
+/// the column's order, reads its rows from the column's [`ColumnIndex`],
+/// and only the other predicates are tested on them; otherwise the table is
+/// scanned.
 fn passing<'a>(
     table: &'a Table,
     reader: &RowReader<'a>,
@@ -815,32 +707,33 @@ fn passing<'a>(
             .all(|(i, p)| i == answered || p.test(&probe[..]) == Some(true))
     };
     let schema = table.schema();
-    if let Some((col, key)) = preds.iter().find_map(|p| literal_key(p, slot, schema)) {
-        return table
-            .key_index(col)
-            .candidates(key)
-            .iter()
-            .copied()
-            .filter(|&r| passes(reader.row(r), usize::MAX))
-            .take(limit)
-            .collect();
-    }
-    // The first range filter on a column with an order index (INT, DATE,
-    // TEXT), and the rows it passes.
-    let range = preds.iter().enumerate().find_map(|(i, p)| {
-        let (col, op, literal) = literal_range(p, slot, schema)?;
-        let order = |r: u32| {
-            let cell = &reader.row(r)[col];
-            cell.sql_cmp(literal)
-                .expect("an indexed cell compares with a literal of its type")
-        };
-        Some((i, table.order_index(col)?.range(op, order)?))
+    let indexed = preds
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| {
+            let (col, op, literal) = column_vs_literal(p, slot)?;
+            let declared = schema.columns[col].data_type;
+            let ordered = literal
+                .data_type()
+                .is_some_and(|t| share_an_order(t, declared));
+            (ordered && op != CompareOp::NotEq).then_some((i, col, op, literal))
+        })
+        .min_by_key(|&(_, _, op, _)| op != CompareOp::Eq);
+    let found = indexed.and_then(|(answered, col, op, literal)| {
+        let index = table.column_index(col);
+        Some((answered, index, index.find(reader, col, op, literal)?))
     });
-    if let Some((answered, rows)) = range {
-        return ascending(rows, table.row_count())
-            .filter(|&r| preds.len() == 1 || passes(reader.row(r), answered))
-            .take(limit)
-            .collect();
+    if let Some((answered, index, codes)) = found {
+        let rows = index.rows(codes.clone());
+        let mut keep = |&r: &u32| preds.len() == 1 || passes(reader.row(r), answered);
+        // One value's rows ascend; more values' are sorted by value.
+        return match codes.len() {
+            0 | 1 => rows.iter().copied().filter(&mut keep).take(limit).collect(),
+            _ => ascending(rows, table.row_count())
+                .filter(&mut keep)
+                .take(limit)
+                .collect(),
+        };
     }
     table
         .rows()
@@ -852,44 +745,48 @@ fn passing<'a>(
         .collect()
 }
 
-/// `rows`, distinct row numbers below `len`, in ascending order: marked in
-/// a bitmap of `len` bits and read back word by word.
-fn ascending(rows: &[u32], len: usize) -> impl Iterator<Item = u32> {
-    let words = if rows.is_empty() { 0 } else { len.div_ceil(64) };
-    let mut marked = vec![0u64; words];
+/// `rows`, distinct row numbers below `len`, as a bitmap of `len` bits.
+fn marked(rows: &[u32], len: usize) -> Vec<u64> {
+    let mut marked = vec![0u64; len.div_ceil(64)];
     for &r in rows {
         marked[r as usize / 64] |= 1 << (r % 64);
     }
-    marked.into_iter().zip(0u32..).flat_map(|(mut word, w)| {
-        std::iter::from_fn(move || {
-            let bit = (word != 0).then(|| word.trailing_zeros())?;
-            word &= word - 1;
-            Some(w * 64 + bit)
+    marked
+}
+
+/// `rows`, distinct row numbers below `len`, in ascending order: marked in
+/// a bitmap of `len` bits and read back word by word.
+fn ascending(rows: &[u32], len: usize) -> impl Iterator<Item = u32> {
+    marked(rows, len)
+        .into_iter()
+        .zip(0u32..)
+        .flat_map(|(mut word, w)| {
+            std::iter::from_fn(move || {
+                let bit = (word != 0).then(|| word.trailing_zeros())?;
+                word &= word - 1;
+                Some(w * 64 + bit)
+            })
         })
-    })
 }
 
 /// Where a join finds the attached table's candidate rows for a tuple.
 enum Lookup {
-    /// Key `k`'s column's cached [`KeyIndex`]: the table has no predicate
-    /// of its own, and is not scanned.
-    Cached(usize),
-    /// A [`KeyIndex`] over key `k`'s cells of these rows, the ones that pass
-    /// the table's predicates.
-    Built(usize, Vec<u32>),
-    /// These rows, each of them: no key can be looked up.
+    /// In the [`ColumnIndex`] of key `k`'s column, keeping the rows a bitmap
+    /// marks when the table has predicates of its own.
+    Index(usize, Option<Vec<u64>>),
+    /// Each of these rows: no key's two columns share an order.
     Scan(Vec<u32>),
 }
 
-/// Attaches `table`, in the next tuple slot, to every tuple of `left`: the
+/// Attaches the table of the next tuple slot to every tuple of `left`: the
 /// candidate rows `lookup` gives whose cells equal the tuple's under every
 /// key.  Each of `keys` pairs a `(slot, column)` of the tuples with a column
-/// of `table`; with no keys the join is a cross product.  Output is
-/// tuple-major, then in row order.
+/// of the attached table; with no keys the join is a cross product.  Output
+/// is tuple-major, then in row order.
 fn join<'a>(
     left: &Tuples,
     readers: &[RowReader<'a>],
-    table: &'a Table,
+    tables: &[&'a Table],
     keys: &[((usize, usize), usize)],
     lookup: Lookup,
 ) -> Tuples {
@@ -898,30 +795,54 @@ fn join<'a>(
         let ((slot, col), _) = keys[k];
         &readers[slot].row(tuple[slot])[col]
     };
-    let built;
-    let (index, rows) = match lookup {
-        Lookup::Cached(k) => (Some((table.key_index(keys[k].1), k)), Vec::new()),
-        Lookup::Built(k, rows) => {
-            let col = keys[k].1;
-            built = KeyIndex::build(rows.iter().map(|&r| (r, &reader.row(r)[col])));
-            (Some((&built, k)), Vec::new())
-        }
-        Lookup::Scan(rows) => (None, rows),
-    };
     let mut numbers = Vec::new();
-    for l in 0..left.len() {
-        let tuple = left.get(l);
-        let candidates = match index {
-            Some((index, k)) => index.candidates(left_cell(tuple, k)),
-            None => &rows[..],
+    // Appends `tuple` and row `r` when every key but `found` is equal.
+    let mut attach = |tuple: &[u32], r: u32, found: usize| {
+        let row = reader.row(r);
+        let equal = |k: usize| {
+            k == found || left_cell(tuple, k).sql_cmp(&row[keys[k].1]) == Some(Ordering::Equal)
         };
-        for &r in candidates {
-            let row = reader.row(r);
-            let equal =
-                |k: usize| left_cell(tuple, k).sql_cmp(&row[keys[k].1]) == Some(Ordering::Equal);
-            if (0..keys.len()).all(equal) {
-                numbers.extend_from_slice(tuple);
-                numbers.push(r);
+        if (0..keys.len()).all(equal) {
+            numbers.extend_from_slice(tuple);
+            numbers.push(r);
+        }
+    };
+    match lookup {
+        Lookup::Index(k, passing) => {
+            let ((slot, col), attached) = keys[k];
+            let index = tables[left.stride].column_index(attached);
+            // An index coded by value finds a key with no search; one coded
+            // by rank searches each distinct driving key once, told apart
+            // by the driving column's codes.
+            let driving = (!index.by_value()).then(|| tables[slot].column_index(col));
+            let mut found = vec![None; driving.map_or(0, |d| d.null_code() as usize + 1)];
+            for l in 0..left.len() {
+                let tuple = left.get(l);
+                let find = || {
+                    let codes = index.find(reader, attached, CompareOp::Eq, left_cell(tuple, k));
+                    index.rows(codes.unwrap_or(0..0))
+                };
+                let rows = match driving {
+                    Some(driving) => {
+                        *found[driving.code(tuple[slot]) as usize].get_or_insert_with(find)
+                    }
+                    None => find(),
+                };
+                for &r in rows {
+                    let passes = passing
+                        .as_ref()
+                        .is_none_or(|bits| bits[r as usize / 64] & 1 << (r % 64) != 0);
+                    if passes {
+                        attach(tuple, r, k);
+                    }
+                }
+            }
+        }
+        Lookup::Scan(rows) => {
+            for l in 0..left.len() {
+                for &r in &rows {
+                    attach(left.get(l), r, usize::MAX);
+                }
             }
         }
     }
@@ -931,68 +852,105 @@ fn join<'a>(
     }
 }
 
+/// The values of `exprs` over every tuple, as a table of their own; none
+/// when there are no `exprs`.
+fn compute(tuples: &Tuples, readers: &[RowReader<'_>], exprs: &[&BoundExpr]) -> Option<Table> {
+    let rows = (0..tuples.len()).map(|i| {
+        let tuple = tuples.at(readers, i);
+        exprs.iter().map(|e| e.value(&tuple).into_owned()).collect()
+    });
+    (!exprs.is_empty()).then(|| Table::computed(exprs.len(), rows.collect()))
+}
+
+/// Numbers `len` candidates by their cells under `keys`, in order of first
+/// appearance: each candidate's group, and each group's first candidate.
+/// Key `k` is a column's index, and `row(i, k)` candidate `i`'s row there;
+/// equal cells share a code, so no cell is read.  With no keys, every
+/// candidate is in one group.
+fn group(
+    len: usize,
+    keys: &[&ColumnIndex],
+    row: impl Fn(usize, usize) -> u32,
+) -> (Vec<u32>, Vec<usize>) {
+    let mut groups = vec![0u32; len];
+    let mut firsts = vec![0; len.min(1)];
+    for (k, index) in keys.iter().enumerate() {
+        // A group per code of the first key; after it, per (group, code).
+        let codes = if k == 0 {
+            index.null_code() as usize + 1
+        } else {
+            0
+        };
+        let mut by_code = vec![u32::MAX; codes];
+        let mut by_pair = BTreeMap::new();
+        firsts.clear();
+        for (i, group) in groups.iter_mut().enumerate() {
+            let code = index.code(row(i, k));
+            let known = match k {
+                0 => &mut by_code[code as usize],
+                _ => by_pair.entry((*group, code)).or_insert(u32::MAX),
+            };
+            if *known == u32::MAX {
+                *known = row_number(firsts.len());
+                firsts.push(i);
+            }
+            *group = *known;
+        }
+    }
+    (groups, firsts)
+}
+
 /// Assigns every tuple to its group — groups in order of first appearance,
-/// one group for the whole input when there are no `keys` — updating the
-/// group's accumulators as it goes.  Returns the `items` of each group.
+/// one group for the whole input when there are no `keys` — and updates
+/// the group's accumulators.  Returns the `items` of each group.
 fn fold(
     tuples: &Tuples,
     readers: &[RowReader<'_>],
+    tables: &[&Table],
     keys: &[BoundExpr],
     calls: &[AggCall],
     items: &[GroupExpr],
 ) -> Vec<Row> {
-    // An entry per group.
-    let mut index = Chains::new();
-    // Per group: its first tuple, and `calls.len()` accumulators in `accs`.
-    let mut firsts: Vec<usize> = Vec::new();
-    let mut accs: Vec<Accumulator<'_>> = Vec::new();
-    // This tuple's keys, and the last hashed tuple's and its group.
-    let mut keyed: Vec<Cow<'_, Value>> = Vec::with_capacity(keys.len());
-    let mut last: Vec<Cow<'_, Value>> = Vec::with_capacity(keys.len());
-    let mut last_group = None;
-    // Keys identical to the last ones find the same first equal group.
-    let identical = |(a, b): (&Cow<'_, Value>, &Cow<'_, Value>)| {
-        std::mem::discriminant(&**a) == std::mem::discriminant(&**b) && a == b
-    };
-    for i in 0..tuples.len() {
+    // A key that is not a column is computed into a column of its own.
+    let computed: Vec<&BoundExpr> = keys
+        .iter()
+        .filter(|key| !matches!(key, BoundExpr::Column { .. }))
+        .collect();
+    let computed = compute(tuples, readers, &computed);
+    // Per key: its column's index and, for a FROM table's, its slot.
+    let mut at = 0;
+    let columns: Vec<(&ColumnIndex, Option<usize>)> = keys
+        .iter()
+        .map(|key| match *key {
+            BoundExpr::Column { slot, col } => (tables[slot].column_index(col), Some(slot)),
+            _ => {
+                at += 1;
+                let table = computed.as_ref().expect("a computed key has a table");
+                (table.column_index(at - 1), None)
+            }
+        })
+        .collect();
+    let indexes: Vec<&ColumnIndex> = columns.iter().map(|&(index, _)| index).collect();
+    let (group_of, firsts) = group(tuples.len(), &indexes, |i, k| match columns[k].1 {
+        Some(slot) => tuples.get(i)[slot],
+        None => row_number(i),
+    });
+    // An aggregate over no rows still reports one (empty) group.
+    let groups = if keys.is_empty() { 1 } else { firsts.len() };
+    let mut accs = vec![Accumulator::default(); groups * calls.len()];
+    for (i, &group) in group_of.iter().enumerate() {
         let tuple = tuples.at(readers, i);
-        keyed.clear();
-        keyed.extend(keys.iter().map(|k| k.value(&tuple)));
-        let run = last_group.filter(|_| keyed.iter().zip(&last).all(identical));
-        let group = run.unwrap_or_else(|| {
-            let hash = index.hash(keyed.iter().map(|key| &**key));
-            let same_key = |g: &usize| {
-                let first = tuples.at(readers, firsts[*g]);
-                keys.iter()
-                    .zip(&keyed)
-                    .all(|(k, key)| *k.value(&first) == **key)
-            };
-            // `Int` and `Float` keys make equality intransitive (`Int(0)`
-            // equals both zeros, which differ), so the first equal group
-            // wins: the last of a newest-first walk.
-            let found = index.chain(hash).filter(same_key).last();
-            let group = found.unwrap_or_else(|| {
-                index.push(hash);
-                firsts.push(i);
-                accs.resize(accs.len() + calls.len(), Accumulator::default());
-                firsts.len() - 1
-            });
-            std::mem::swap(&mut keyed, &mut last);
-            group
-        });
-        last_group = Some(group);
-        for (call, acc) in calls.iter().zip(&mut accs[group * calls.len()..]) {
+        let accs = &mut accs[group as usize * calls.len()..];
+        for (call, acc) in calls.iter().zip(accs) {
             call.update(acc, &tuple);
         }
     }
-    // An aggregate over no rows still reports one (empty) group.
-    let groups = if keys.is_empty() { 1 } else { firsts.len() };
     let mut accs = accs.into_iter();
     (0..groups)
         .map(|g| {
             let finished: Vec<Value> = calls
                 .iter()
-                .map(|call| call.finish(accs.next().unwrap_or_default()))
+                .map(|call| call.finish(accs.next().expect("an accumulator per call")))
                 .collect();
             let first = firsts.get(g).map(|&i| tuples.at(readers, i));
             items
@@ -1005,35 +963,26 @@ fn fold(
 
 /// DISTINCT, ORDER BY and LIMIT over tuple numbers: the tuples of `0..len`
 /// the result keeps, in order, or `None` when those are the first LIMIT of
-/// them as they stand.  `cells(i)` are tuple `i`'s output values and
-/// `key(k, i)` its `k`th sort key.
-fn pick<'v, C, K>(
+/// them as they stand.  DISTINCT groups the tuples by `distinct`, the
+/// indexes of the output columns, where `row(i, c)` is tuple `i`'s row for
+/// column `c`; `key(k, i)` is tuple `i`'s `k`th sort key.
+fn pick<K>(
     len: usize,
-    cells: impl Fn(usize) -> C,
+    distinct: &[&ColumnIndex],
+    row: impl Fn(usize, usize) -> u32,
     key: impl Fn(usize, usize) -> K,
     stmt: &SelectStatement,
 ) -> Option<Vec<usize>>
 where
-    C: Iterator<Item = &'v Value>,
     K: Deref<Target = Value>,
 {
     if !stmt.distinct && stmt.order_by.is_empty() {
         return None;
     }
-    let mut picked: Vec<usize> = Vec::new();
-    if stmt.distinct {
-        // Entry `j` is the tuple `picked[j]`.
-        let mut seen = Chains::new();
-        for i in 0..len {
-            let hash = seen.hash(cells(i));
-            if !seen.chain(hash).any(|j| cells(i).eq(cells(picked[j]))) {
-                seen.push(hash);
-                picked.push(i);
-            }
-        }
-    } else {
-        picked.extend(0..len);
-    }
+    let mut picked: Vec<usize> = match stmt.distinct {
+        true => group(len, distinct, row).1,
+        false => (0..len).collect(),
+    };
     if !stmt.order_by.is_empty() {
         picked.sort_by(|&a, &b| {
             let mut by_key = stmt.order_by.iter().enumerate().map(|(k, ob)| {
@@ -1316,10 +1265,10 @@ mod tests {
 
     const JOIN_TAGS: &str = "SELECT l.tag, r.tag FROM l, r WHERE l.k = r.k";
 
-    /// Whether `r.k`'s key index, which [`JOIN_TAGS`] reads, finds a key's
-    /// rows by its value.
+    /// Whether `r.k`'s column index, which [`JOIN_TAGS`] reads, codes a key
+    /// by its value.
     fn r_keys_by_value(db: &Database) -> bool {
-        db.table("r").unwrap().key_index(0).by_value()
+        db.table("r").unwrap().column_index(0).by_value()
     }
 
     #[test]
@@ -1328,13 +1277,13 @@ mod tests {
         let big = 1i64 << 53;
         let db = keyed(
             &[Value::Int(big), Value::Int(big + 1)],
-            &[Value::Int(big + 1)],
+            &[Value::Int(big + 1), Value::Int(-big)],
         );
         let rs = db.run_sql(JOIN_TAGS).unwrap();
         assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(0)]]);
         assert!(!r_keys_by_value(&db));
-        // Dense keys up to 2^53 are indexed by value; 2^53 + 1 is past the
-        // last bucket.
+        // Dense keys are coded by value, whatever their magnitude; 2^53 + 1
+        // is past the last code.
         let db = keyed(
             &[Value::Int(big + 1), Value::Int(big), Value::Int(big - 1)],
             &[Value::Int(big - 1), Value::Int(big)],
@@ -1399,9 +1348,9 @@ mod tests {
         assert_eq!(rows(&rs), [vec![Value::Int(1), Value::Int(1)]]);
     }
 
-    /// A TEXT key joined to a DATE key hashes unlike it, so no index can
-    /// find its equals: every pair is compared, and a text that reads as
-    /// the date matches it, as the predicate `s = d` does.
+    /// A TEXT key joined to a DATE key shares no order with it, so no index
+    /// can find its equals: every pair is compared, and a text that reads
+    /// as the date matches it, as the predicate `s = d` does.
     #[test]
     fn text_and_date_join_keys_compare_every_pair() {
         let mut db = Database::new();
@@ -1525,8 +1474,8 @@ mod tests {
         let db = keyed(&[Value::Int(5), Value::Float(5.0)], &[]);
         let rs = db.run_sql("SELECT count(*) FROM l GROUP BY k").unwrap();
         assert_eq!(rows(&rs), [vec![Value::Int(2)]]);
-        // `Int(0)` joins the `0.0` group; the `-0.0` right after it equals
-        // that `Int(0)` but not `0.0`, so it opens a group of its own.
+        // There is one zero: `0.0`, `Int(0)` and `-0.0` form one group, which
+        // shows its first key.
         let keys = [
             Value::Float(0.0),
             Value::Float(1.0),
@@ -1538,11 +1487,45 @@ mod tests {
         assert_eq!(
             rows(&rs),
             [
-                vec![Value::Float(0.0), Value::Int(2)],
-                vec![Value::Float(1.0), Value::Int(1)],
-                vec![Value::Float(-0.0), Value::Int(1)]
+                vec![Value::Float(0.0), Value::Int(3)],
+                vec![Value::Float(1.0), Value::Int(1)]
             ]
         );
+    }
+
+    /// A FLOAT column where `Int` and `Float` meet at 2^53 and at zero:
+    /// each value compares exactly, so sorting cannot panic, and the same
+    /// statement answers the same on every fresh database.
+    #[test]
+    fn keys_at_two_to_the_53_and_zero_sort_group_and_deduplicate_alike() {
+        let big = 1i64 << 53;
+        let keys = [
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Int(big),
+            Value::Float(-0.0),
+            Value::Int(0),
+        ];
+        let answers = |db: &Database| {
+            [
+                "SELECT tag FROM l ORDER BY k",
+                "SELECT tag FROM l ORDER BY k DESC",
+                "SELECT min(tag), count(*) FROM l GROUP BY k ORDER BY k",
+                "SELECT DISTINCT k FROM l",
+            ]
+            .map(|sql| db.run_sql(sql).unwrap().tuple_strings())
+        };
+        let want = [
+            &["3", "4", "1", "2", "0"][..],
+            &["0", "1", "2", "3", "4"],
+            &["3\t2", "1\t2", "0\t1"],
+            &["9007199254740993", "9007199254740992", "-0"],
+        ];
+        for _ in 0..3 {
+            let db = keyed(&keys, &[]);
+            assert_eq!(answers(&db), want);
+            assert_eq!(answers(&db), want, "with the index built");
+        }
     }
 
     #[test]
@@ -1595,11 +1578,11 @@ mod tests {
     }
 
     /// `t` of [`counted`] past a segment, its tail in chunks that earlier
-    /// clones hold, and `u(k, name)` of three rows: the key and order
-    /// indexes `t`'s joins, key filters and range filters read span the
-    /// frozen segment and every chunk.
+    /// clones hold, and `u(k, name)` of three rows: the column indexes
+    /// `t`'s joins, key filters and range filters read span the frozen
+    /// segment and every chunk.
     #[test]
-    fn key_indexes_span_frozen_segments_and_tail_chunks() {
+    fn column_indexes_span_frozen_segments_and_tail_chunks() {
         let mut db = counted(1_000);
         let mut held = Vec::new();
         for tag in 1_000..1_500 {
@@ -1697,8 +1680,8 @@ mod tests {
         }
     }
 
-    /// A `column = literal` whose literal hashes unlike the column's type
-    /// scans the table: a TEXT against a date, which equals a text that
+    /// A `column = literal` whose literal shares no order with the column's
+    /// type scans the table: a TEXT against a date, which equals a text that
     /// reads as it, and an INT against a text, which equals nothing.
     #[test]
     fn a_literal_of_another_type_is_tested_by_a_scan() {
@@ -1772,6 +1755,16 @@ mod tests {
         assert_eq!(grouped.row_count(), 1_500);
         assert_eq!(grouped.row(0).to_vec(), [Value::Int(1_499), Value::Int(1)]);
         assert_eq!(grouped.row(1_499).to_vec(), [Value::Int(0), Value::Int(1)]);
+        // A computed group key is grouped by its own column's codes.
+        let mut by_k_is_1 = with_k_is_1("SELECT k, count(*) FROM t GROUP BY k", 0);
+        by_k_is_1.group_by = vec![by_k_is_1.projection[0].expr.clone()];
+        assert_eq!(
+            rows(&execute(&db, &by_k_is_1).unwrap()),
+            [
+                vec![Value::Bool(false), Value::Int(1_000)],
+                vec![Value::Bool(true), Value::Int(500)],
+            ]
+        );
     }
 
     #[test]

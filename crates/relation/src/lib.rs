@@ -14,12 +14,11 @@
 //!   queries: `SELECT [DISTINCT] … FROM t1, t2, … WHERE … GROUP BY … ORDER BY
 //!   … LIMIT n` with comparison predicates, `LIKE`, `AND`/`OR`, aggregates
 //!   (`count`, `sum`, `avg`, `min`, `max`),
-//! * an executor with predicate push-down whose equi-joins and `column =
-//!   literal` filters read each table's lazily built per-column
-//!   [`KeyIndex`] (dense integer keys by value, others by hash; at most 8
-//!   bytes per indexed cell), whose range filters read the column's
-//!   [`OrderIndex`] (4 bytes per indexed cell), and whose GROUP BY hashes
-//!   once per run of equal keys,
+//! * an executor with predicate push-down that reads one lazily built
+//!   [`ColumnIndex`] per column (its rows sorted by value and a code per
+//!   distinct value, dense integers coded by value; at most 12 bytes per
+//!   cell) four ways: equality and range filters, equi-join lookups, and
+//!   GROUP BY and DISTINCT by code,
 //! * an inverted index over text columns (the paper's base-data index),
 //! * a compact binary [`codec`] for values and rows — the byte-exact
 //!   encoding the durability layer (`soda-journal`, the service's
@@ -69,5 +68,5 @@ pub use schema::{ColumnDef, ForeignKeyDef, TableSchema};
 pub use sql::ast::{OrderByItem, SelectItem, SelectStatement, TableRef};
 pub use sql::parser::parse_select;
 pub use sql::printer::print_select;
-pub use table::{KeyIndex, OrderIndex, Row, Rows, RowsIter, Table};
+pub use table::{ColumnIndex, Row, Rows, RowsIter, Table};
 pub use value::{DataType, Date, Value};

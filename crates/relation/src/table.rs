@@ -15,14 +15,11 @@
 //! Reads go through the segment-aware [`Rows`] view, which yields each row
 //! as a `&[Value]`, frozen and tail rows in insertion order.
 //!
-//! A table also keeps, per column, a [`KeyIndex`] of the rows holding each
-//! key and an [`OrderIndex`] of its rows sorted by value, each built by the
-//! first statement that reads it and all dropped by the next write.
+//! A table also keeps, per column, a [`ColumnIndex`]: its rows sorted by
+//! value and a code per distinct value, built by the first statement that
+//! reads it and dropped, with every other column's, by the next write.
 
-use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
-use std::ops::Index;
+use std::ops::{Index, Range};
 use std::sync::{Arc, OnceLock};
 
 use crate::error::{RelationError, Result};
@@ -54,18 +51,10 @@ pub struct Table {
     tail: Vec<Arc<Vec<Value>>>,
     /// Rows held by the tail chunks (cached sum).
     tail_len: usize,
-    /// Each column's lazily built indexes, for these rows: allocated by the
-    /// first [`key_index`](Self::key_index) or
-    /// [`order_index`](Self::order_index) call, shared with the clones
-    /// taken after it, dropped by every write.
-    indexes: OnceLock<Arc<[ColumnIndexes]>>,
-}
-
-/// One column's indexes, each built on first use.
-#[derive(Default)]
-struct ColumnIndexes {
-    keys: OnceLock<KeyIndex>,
-    order: OnceLock<OrderIndex>,
+    /// Each column's lazily built index, for these rows: the slots are
+    /// allocated by the first [`column_index`](Self::column_index) call, shared with the
+    /// clones taken after it, and dropped by every write.
+    indexes: OnceLock<Arc<[OnceLock<ColumnIndex>]>>,
 }
 
 impl Table {
@@ -244,52 +233,18 @@ impl Table {
         Some(self.rows().iter().map(move |r| &r[col]))
     }
 
-    /// The [`KeyIndex`] of column `col`, built on first use — concurrent
-    /// first callers wait for one build — and kept until the table is
-    /// next written.
+    /// The [`ColumnIndex`] of column `col`, built on first use — concurrent
+    /// first callers wait for one build — and kept until the table is next
+    /// written.
     ///
     /// # Panics
     ///
     /// When `col` is not a column of the table.
-    pub fn key_index(&self, col: usize) -> &KeyIndex {
-        self.column_indexes(col).keys.get_or_init(|| {
-            let cells = self.rows().iter().zip(0..).map(|(row, n)| (n, &row[col]));
-            KeyIndex::build(cells)
-        })
-    }
-
-    /// The [`OrderIndex`] of column `col`, built on first use and kept until
-    /// the table is next written, like [`key_index`](Self::key_index); `None`
-    /// when the column is not INT, DATE or TEXT.
-    ///
-    /// # Panics
-    ///
-    /// When `col` is not a column of the table.
-    pub fn order_index(&self, col: usize) -> Option<&OrderIndex> {
-        let data_type = self.schema.columns[col].data_type;
-        if !matches!(data_type, DataType::Int | DataType::Date | DataType::Text) {
-            return None;
-        }
-        let order = self.column_indexes(col).order.get_or_init(|| {
-            let cells = self.rows().iter().zip(0..).map(|(row, n)| (n, &row[col]));
-            match data_type {
-                DataType::Int => OrderIndex::build(self.row_count(), cells, Value::as_i64),
-                DataType::Date => OrderIndex::build(self.row_count(), cells, |cell| match cell {
-                    Value::Date(date) => Some(*date),
-                    _ => None,
-                }),
-                _ => OrderIndex::build(self.row_count(), cells, Value::as_str),
-            }
-        });
-        Some(order)
-    }
-
-    /// Column `col`'s slot, allocating every column's on the first call.
-    fn column_indexes(&self, col: usize) -> &ColumnIndexes {
+    pub fn column_index(&self, col: usize) -> &ColumnIndex {
         let columns = self
             .indexes
-            .get_or_init(|| (0..self.width).map(|_| ColumnIndexes::default()).collect());
-        &columns[col]
+            .get_or_init(|| (0..self.width).map(|_| OnceLock::new()).collect());
+        columns[col].get_or_init(|| ColumnIndex::build(self.rows().iter().map(|row| &row[col])))
     }
 
     /// The rows by number, for one execution: O(1) a row, the tail's chunk
@@ -328,202 +283,235 @@ impl std::fmt::Debug for Table {
     }
 }
 
-/// The rows of one column's cells, grouped by key: the numbers of the rows
-/// whose cell is not NULL, stably grouped by a bucket of the cell —
-/// ascending within a bucket — and where each bucket ends.  It stores no
-/// key and no hash, and takes at most 8 bytes per indexed cell.
+/// One column's rows sorted by value, and each row's **code**: the rank of
+/// its cell among the column's distinct values, in [`Value::total_cmp`]'s
+/// order, so that rows hold equal cells exactly when they hold one code.
+/// A code stands for a set of rows — those holding its value, in row order —
+/// and a range of codes for the rows between two values.  So the executor
+/// reads one index four ways: an equality or range filter is a range of
+/// codes, an equi-join finds a driving key's code, and GROUP BY and
+/// DISTINCT number their groups by code.
 ///
-/// A column whose every indexed cell is an `Int` within ±2^53, spanning
-/// fewer values than it has cells, is indexed **by value**: a key's bucket is
-/// the key minus the smallest, so its candidates are exactly its equals, a
-/// whole-number `Float` finds the equal `Int`s, and any other key finds
-/// nothing without a row being read.  Every other column is **hashed**: at
-/// most one bucket per row, chosen by the index's own random SipHash key so
-/// that no input chooses its collisions.
+/// A column whose every non-NULL cell is an `Int`, spanning fewer values
+/// than it has such cells, is coded **by value**: a code is the value minus
+/// the smallest, so a key's code takes no search, and a value the column
+/// lacks has a code with no rows.  NULL's code is one past the last value's.
 ///
-/// A lookup's candidates are the rows sharing the key's bucket: the
-/// executor confirms each, comparing the cells themselves.  A key finds
-/// its equals only among values that hash alike — those of one
-/// [`DataType`], or `Int` and `Float` (`Value`'s hash treats `Int(5)`,
-/// `Float(5.0)` and both zeros alike).
-pub struct KeyIndex {
-    buckets: Buckets,
-    /// Per bucket, where its rows end in `rows`; none when no cell is
-    /// indexed.
-    ends: Vec<u32>,
+/// Built by one sort (a counting scatter by value), it takes at most
+/// 12 bytes per cell: 4 per non-NULL row, 4 per row's code and 4 per value.
+pub struct ColumnIndex {
+    /// The rows whose cell is not NULL, by cell, then row number.
     rows: Vec<u32>,
+    /// Per code, where its rows end in `rows`.
+    ends: Vec<u32>,
+    /// Per row, its cell's code: `ends.len()` for NULL.
+    codes: Vec<u32>,
+    /// The value of code 0 when the column is coded by value.
+    min: Option<i64>,
 }
 
-/// How a [`KeyIndex`] finds a key's bucket.
-enum Buckets {
-    /// A power-of-two number of buckets, by hash.
-    Hashed(RandomState),
-    /// One bucket per integer from `min` on.
-    ByValue { min: i64 },
-}
-
-impl Buckets {
-    /// The bucket of `key` among `count`, if it can have one.
-    fn home(&self, key: &Value, count: usize) -> Option<usize> {
-        match *self {
-            Self::Hashed(_) if key.is_null() || count == 0 => None,
-            Self::Hashed(ref state) => Some(state.hash_one(key) as usize & (count - 1)),
-            Self::ByValue { min } => {
-                let key = match *key {
-                    Value::Int(i) => i,
-                    // Saturates far outside every bucket.
-                    Value::Float(f) if f.fract() == 0.0 => f as i64,
-                    _ => return None,
-                };
-                let bucket = usize::try_from(key.checked_sub(min)?).ok()?;
-                (bucket < count).then_some(bucket)
-            }
-        }
-    }
-}
-
-/// The largest magnitude an `Int` may have for the column to be indexed by
-/// value: every integer up to it converts to `f64` exactly, so a whole
-/// `Float` equals exactly one of them.
-const EXACT_IN_F64: u64 = 1 << 53;
-
-impl KeyIndex {
-    /// Indexes `(row number, cell)` pairs given in ascending row order: a
-    /// count, one bucket of each non-NULL cell, then a counting scatter.
-    pub(crate) fn build<'v>(cells: impl Iterator<Item = (u32, &'v Value)> + Clone) -> Self {
-        let keyed = || cells.clone().filter(|(_, cell)| !cell.is_null());
-        // The cells' count and, while every one is an exact `Int`, range.
+impl ColumnIndex {
+    /// Indexes a column's cells, given in row order.
+    fn build<'v>(cells: impl ExactSizeIterator<Item = &'v Value> + Clone) -> Self {
+        // The non-NULL cells' count, their one type if they have one, and
+        // while each is an `Int`, their range.
         let mut len: usize = 0;
+        let (mut kind, mut mixed) = (None, false);
         let mut span = Some((i64::MAX, i64::MIN));
-        for (_, cell) in keyed() {
+        for cell in cells.clone() {
+            let Some(data_type) = cell.data_type() else {
+                continue;
+            };
             len += 1;
-            span = match (span, cell) {
-                (Some((lo, hi)), &Value::Int(i)) if i.unsigned_abs() <= EXACT_IN_F64 => {
-                    Some((lo.min(i), hi.max(i)))
-                }
+            mixed |= kind.replace(data_type).is_some_and(|k| k != data_type);
+            span = match (cell, span) {
+                (&Value::Int(i), Some((lo, hi))) => Some((lo.min(i), hi.max(i))),
                 _ => None,
             };
         }
-        if len == 0 {
-            return Self {
-                buckets: Buckets::Hashed(RandomState::new()),
-                ends: Vec::new(),
-                rows: Vec::new(),
-            };
-        }
-        let (buckets, count) = match span {
-            Some((lo, hi)) if hi.abs_diff(lo) < len as u64 => {
-                (Buckets::ByValue { min: lo }, hi.abs_diff(lo) as usize + 1)
+        // A sort of one type compares the cells' own keys, not `Value`s.
+        match (span, kind.filter(|_| !mixed)) {
+            (Some((lo, hi)), _) if hi.abs_diff(lo) < len as u64 => {
+                Self::build_by_value(cells, lo, hi.abs_diff(lo) as u32 + 1, len)
             }
-            // The largest power of two not above `len`.
-            _ => (Buckets::Hashed(RandomState::new()), 1 << len.ilog2()),
-        };
-        // `ends[b]` counts bucket `b`'s rows, then marks where they start,
+            (_, Some(DataType::Int)) => Self::build_by_rank(cells, len, Value::as_i64),
+            (_, Some(DataType::Text)) => Self::build_by_rank(cells, len, Value::as_str),
+            (_, Some(DataType::Date)) => Self::build_by_rank(cells, len, |cell| match cell {
+                Value::Date(date) => Some(*date),
+                _ => None,
+            }),
+            _ => Self::build_by_rank(cells, len, |cell| (!cell.is_null()).then_some(cell)),
+        }
+    }
+
+    /// Codes `len` non-NULL `Int` cells, of `values` values from `min` on,
+    /// as their value minus `min`, and places each code's rows by counting
+    /// them first.
+    fn build_by_value<'v>(
+        cells: impl ExactSizeIterator<Item = &'v Value>,
+        min: i64,
+        values: u32,
+        len: usize,
+    ) -> Self {
+        let mut codes = Vec::with_capacity(cells.len());
+        codes.extend(cells.map(|cell| match *cell {
+            Value::Int(i) => i.abs_diff(min) as u32,
+            _ => values,
+        }));
+        // `ends[c]` counts code `c`'s rows, then marks where they start,
         // then, once they are placed, where they end.
-        let mut ends = vec![0; count];
-        let mut homes = Vec::with_capacity(len);
-        for (_, cell) in keyed() {
-            let home = buckets
-                .home(cell, count)
-                .expect("an indexed cell has a bucket");
-            ends[home] += 1;
-            homes.push(home as u32);
+        let mut ends = vec![0; values as usize];
+        for &code in &codes {
+            if let Some(count) = ends.get_mut(code as usize) {
+                *count += 1;
+            }
         }
         let mut at = 0;
         for end in &mut ends {
             (at, *end) = (at + *end, at);
         }
         let mut rows = vec![0; len];
-        for ((row, _), home) in keyed().zip(homes) {
-            let end = &mut ends[home as usize];
-            rows[*end as usize] = row;
-            *end += 1;
-        }
-        Self {
-            buckets,
-            ends,
-            rows,
-        }
-    }
-
-    /// The rows whose cell may equal `key`, ascending: none for NULL.
-    pub(crate) fn candidates(&self, key: &Value) -> &[u32] {
-        let Some(bucket) = self.buckets.home(key, self.ends.len()) else {
-            return &[];
-        };
-        let start = bucket.checked_sub(1).map_or(0, |b| self.ends[b]);
-        &self.rows[start as usize..self.ends[bucket] as usize]
-    }
-
-    /// Number of indexed cells: the column's non-NULL ones.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when every cell of the column is NULL.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// True when the index finds a key's rows by its value, not its hash.
-    pub fn by_value(&self) -> bool {
-        matches!(self.buckets, Buckets::ByValue { .. })
-    }
-}
-
-/// The numbers of the rows of one INT, DATE or TEXT column whose cell is
-/// not NULL, sorted by the cell — ascending row order among equal cells —
-/// at 4 bytes per indexed cell: a range filter on the column is the rows
-/// between two binary searches.
-pub struct OrderIndex {
-    rows: Vec<u32>,
-}
-
-impl OrderIndex {
-    /// Sorts the `(row number, cell)` pairs of a `rows`-row column whose
-    /// cells `key` reads (`None` for NULL) on the keys themselves, so the
-    /// sort compares no `Value`.
-    fn build<'v, K: Ord>(
-        rows: usize,
-        cells: impl Iterator<Item = (u32, &'v Value)>,
-        key: impl Fn(&'v Value) -> Option<K>,
-    ) -> Self {
-        let mut keyed = Vec::with_capacity(rows);
-        for (row, cell) in cells {
-            match key(cell) {
-                Some(key) => keyed.push((key, row)),
-                None => debug_assert!(cell.is_null(), "{cell:?} is not of its column's type"),
+        for (row, &code) in (0..).zip(&codes) {
+            if let Some(end) = ends.get_mut(code as usize) {
+                rows[*end as usize] = row;
+                *end += 1;
             }
         }
-        keyed.sort_unstable();
-        let mut rows = Vec::with_capacity(keyed.len());
-        rows.extend(keyed.into_iter().map(|(_, row)| row));
-        Self { rows }
+        Self {
+            rows,
+            ends,
+            codes,
+            min: Some(min),
+        }
     }
 
-    /// The rows whose cell is `op` a literal, where `order(row)` is how the
-    /// row's cell compares with it: `op` is `<`, `<=`, `>` or `>=` (`None`
-    /// for another operator).
-    pub(crate) fn range(&self, op: CompareOp, order: impl Fn(u32) -> Ordering) -> Option<&[u32]> {
-        let below = || self.rows.partition_point(|&r| order(r).is_lt());
-        let at_most = || self.rows.partition_point(|&r| order(r).is_le());
+    /// Sorts the `len` non-NULL cells by value, then row — on the key `key`
+    /// reads of each, which orders them as [`Value::total_cmp`] does — and
+    /// codes each run of equal values.
+    fn build_by_rank<'v, K: Ord>(
+        cells: impl ExactSizeIterator<Item = &'v Value>,
+        len: usize,
+        key: impl Fn(&'v Value) -> Option<K>,
+    ) -> Self {
+        let rows_in = cells.len();
+        let mut sorted = Vec::with_capacity(len);
+        sorted.extend(
+            cells
+                .zip(0..)
+                .filter_map(|(cell, row)| Some((key(cell)?, row))),
+        );
+        sorted.sort_unstable();
+        let new_value = |i: usize| i == 0 || sorted[i - 1].0 != sorted[i].0;
+        let values = (0..len).filter(|&i| new_value(i)).count();
+        let mut ends = Vec::with_capacity(values);
+        let mut codes = vec![values as u32; rows_in];
+        let mut rows = Vec::with_capacity(len);
+        for (i, &(_, row)) in sorted.iter().enumerate() {
+            if i > 0 && new_value(i) {
+                ends.push(i as u32);
+            }
+            codes[row as usize] = ends.len() as u32;
+            rows.push(row);
+        }
+        if len > 0 {
+            ends.push(len as u32);
+        }
+        Self {
+            rows,
+            ends,
+            codes,
+            min: None,
+        }
+    }
+
+    /// Row `row`'s code.
+    pub(crate) fn code(&self, row: u32) -> u32 {
+        self.codes[row as usize]
+    }
+
+    /// NULL's code: one past the last value's, so a column has this many
+    /// codes and one more.
+    pub(crate) fn null_code(&self) -> u32 {
+        self.ends.len() as u32
+    }
+
+    /// The rows holding the values of `codes`, by value, then row number.
+    pub(crate) fn rows(&self, codes: Range<u32>) -> &[u32] {
+        let start = |code: u32| code.checked_sub(1).map_or(0, |c| self.ends[c as usize]);
+        &self.rows[start(codes.start) as usize..start(codes.end) as usize]
+    }
+
+    /// The codes of the values that are `op` a `literal`, as
+    /// [`Value::sql_cmp`] orders them, the column on the left; `reader`'s
+    /// column `col` is the indexed one.  None for `<>`, or for a literal of
+    /// another type than a column coded by value; no code for a NULL or NaN
+    /// literal, and never NaN's.  The caller checks that the literal shares
+    /// the column's order: one type, or `Int` and `Float`.
+    pub(crate) fn find(
+        &self,
+        reader: &RowReader<'_>,
+        col: usize,
+        op: CompareOp,
+        literal: &Value,
+    ) -> Option<Range<u32>> {
+        if literal.is_null() || literal.is_nan() {
+            return Some(0..0);
+        }
+        let values = self.null_code();
+        let value = |end: u32| &reader.row(self.rows[end as usize - 1])[col];
+        // The codes below the literal, and those at most the literal.
+        let (below, at_most) = match self.min {
+            Some(min) => {
+                let (below, at_most) = match *literal {
+                    Value::Int(i) => (i128::from(i), i128::from(i) + 1),
+                    Value::Float(f) => {
+                        let f = f.clamp(-1e30, 1e30);
+                        (f.ceil() as i128, f.floor() as i128 + 1)
+                    }
+                    _ => return None,
+                };
+                let code = |bound: i128| (bound - i128::from(min)).clamp(0, values.into()) as u32;
+                (code(below), code(at_most))
+            }
+            None => {
+                let below = self
+                    .ends
+                    .partition_point(|&end| value(end).total_cmp(literal).is_lt());
+                let equal = self
+                    .ends
+                    .get(below)
+                    .is_some_and(|&end| value(end) == literal);
+                (below as u32, (below + usize::from(equal)) as u32)
+            }
+        };
+        // A NaN is the greatest value, and no comparison's answer.
+        let last = || match self.ends.last() {
+            Some(&end) if value(end).is_nan() => values - 1,
+            _ => values,
+        };
         Some(match op {
-            CompareOp::Lt => &self.rows[..below()],
-            CompareOp::LtEq => &self.rows[..at_most()],
-            CompareOp::Gt => &self.rows[at_most()..],
-            CompareOp::GtEq => &self.rows[below()..],
-            CompareOp::Eq | CompareOp::NotEq => return None,
+            CompareOp::Eq => below..at_most,
+            CompareOp::Lt => 0..below,
+            CompareOp::LtEq => 0..at_most,
+            CompareOp::Gt => at_most..last(),
+            CompareOp::GtEq => below..last(),
+            CompareOp::NotEq => return None,
         })
     }
 
-    /// Number of indexed cells: the column's non-NULL ones.
+    /// Number of indexed cells: every row's, NULL or not.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.codes.len()
     }
 
-    /// True when every cell of the column is NULL.
+    /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.codes.is_empty()
+    }
+
+    /// True when a code is its value's offset from the smallest.
+    pub fn by_value(&self) -> bool {
+        self.min.is_some()
     }
 }
 

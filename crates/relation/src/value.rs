@@ -2,10 +2,13 @@
 //!
 //! The engine supports the types the paper's queries need: integers, floats
 //! (amounts, salaries), text, dates (trade/order/birth dates, bi-temporal
-//! validity dates) and booleans.  `Value` implements a *total* ordering and
-//! hashing (floats compare through their bit pattern and hash after
-//! normalising NaN and `-0.0`) so that values can be used as group-by and
-//! join keys.
+//! validity dates) and booleans.  `Value` has one equality and one order,
+//! [`Value::total_cmp`]: NULL first, then booleans, numbers, dates and
+//! texts.  Numbers compare by their exact value whether `Int` or `Float` —
+//! no integer is rounded to a float — so `-0.0` equals `0.0` and `Int(0)`,
+//! every NaN equals every other and sorts after `+inf`.  `==`, `Hash` and
+//! the order agree, so values can be group-by, DISTINCT and join keys and
+//! the codes of a column index (`crate::ColumnIndex`).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -164,66 +167,96 @@ impl Value {
         }
     }
 
-    /// SQL-ish comparison used by the executor: NULL compares as unknown
-    /// (returns `None`), numeric types compare numerically, text and dates
-    /// compare naturally, and mismatched types do not compare.
+    /// True for a NaN `Float`, the one number no comparison orders.
+    pub fn is_nan(&self) -> bool {
+        matches!(self, Value::Float(f) if f.is_nan())
+    }
+
+    /// SQL comparison, used by the executor's predicates: [`total_cmp`]
+    /// within one type rank — numbers compare numerically, text and dates
+    /// naturally — except that NULL and NaN compare as unknown (`None`), as
+    /// do mismatched types, but for a text in date format against a date.
+    ///
+    /// [`total_cmp`]: Self::total_cmp
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
-            (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
-            (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             // A date compared with a text literal in date format works, which
             // keeps hand-written gold SQL concise.
             (Value::Date(a), Value::Text(b)) => Date::parse(b).map(|d| a.cmp(&d)),
             (Value::Text(a), Value::Date(b)) => Date::parse(a).map(|d| d.cmp(b)),
+            (a, b) if rank(a) == rank(b) && !a.is_nan() && !b.is_nan() => Some(a.total_cmp(b)),
             _ => None,
         }
     }
 
-    /// Total ordering used for sorting output rows (NULLs sort first, then by
-    /// type, then by value).
+    /// The one total order of values: NULL, then booleans, numbers, dates
+    /// and texts (the type rank), each in its natural order.  `Int` and
+    /// `Float` share a rank and compare exactly; NaN is the greatest number.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) => 2,
-                Value::Float(_) => 2,
-                Value::Date(_) => 3,
-                Value::Text(_) => 4,
-            }
-        }
-        if let Some(ord) = self.sql_cmp(other) {
-            return ord;
-        }
-        match rank(self).cmp(&rank(other)) {
-            Ordering::Equal => format!("{self}").cmp(&format!("{other}")),
-            other_ord => other_ord,
+        match (self, other) {
+            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => a
+                .partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            (Value::Int(a), Value::Float(b)) => int_cmp_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_cmp_float(*b, *a).reverse(),
+            (Value::Date(a), Value::Date(b)) => a.cmp(b),
+            (Value::Text(a), Value::Text(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 }
 
+/// A value's type rank in [`Value::total_cmp`].
+fn rank(v: &Value) -> u8 {
+    match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::Int(_) | Value::Float(_) => 2,
+        Value::Date(_) => 3,
+        Value::Text(_) => 4,
+    }
+}
+
+/// `i` against `f` exactly: `f`'s integer part against `i`, then its
+/// fraction against nothing.  A NaN is greater than every integer.
+fn int_cmp_float(i: i64, f: f64) -> Ordering {
+    // 2^63: every `f64` below it in magnitude truncates into an `i64`.
+    const BOUND: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= BOUND {
+        return Ordering::Less;
+    }
+    if f < -BOUND {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64))
+        .then_with(|| whole.partial_cmp(&f).expect("neither is NaN"))
+}
+
+/// Equal exactly when [`Value::total_cmp`] says so.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => *b == *a as f64,
-            (Value::Text(a), Value::Text(b)) => a == b,
-            (Value::Date(a), Value::Date(b)) => a == b,
-            _ => false,
-        }
+        self.total_cmp(other).is_eq()
     }
 }
 
 impl Eq for Value {}
+
+/// [`Value::total_cmp`].
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -239,7 +272,9 @@ impl Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                // `Int(0)` equals both zeros, so they must hash alike.
+                // Equal numbers hash alike: an `Int` hashes as the float it
+                // rounds to, which a `Float` equal to it is; every zero and
+                // every NaN hash as one.
                 let f = if f.is_nan() {
                     f64::NAN
                 } else if *f == 0.0 {
@@ -370,10 +405,50 @@ mod tests {
     }
 
     #[test]
-    fn eq_and_hash_agree_for_int_zero_and_both_float_zeros() {
-        for zero in [Value::Float(0.0), Value::Float(-0.0)] {
-            assert_eq!(Value::Int(0), zero);
-            assert_eq!(hash_of(&Value::Int(0)), hash_of(&zero));
+    fn there_is_one_zero_and_one_nan() {
+        let zeros = [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)];
+        for a in &zeros {
+            for b in &zeros {
+                assert_eq!(a, b);
+                assert_eq!(hash_of(a), hash_of(b));
+            }
+        }
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan, Value::Float(-f64::NAN));
+        assert_eq!(
+            nan.total_cmp(&Value::Float(f64::INFINITY)),
+            Ordering::Greater
+        );
+        assert_eq!(nan.total_cmp(&Value::Int(i64::MAX)), Ordering::Greater);
+        assert_eq!(nan.sql_cmp(&nan), None);
+        assert_eq!(Value::Int(1).sql_cmp(&nan), None);
+    }
+
+    #[test]
+    fn integers_compare_with_floats_exactly() {
+        let big = 1i64 << 53;
+        let two_53 = Value::Float(big as f64);
+        assert_eq!(Value::Int(big), two_53);
+        assert_ne!(Value::Int(big + 1), two_53);
+        assert_eq!(Value::Int(big + 1).total_cmp(&two_53), Ordering::Greater);
+        assert_eq!(Value::Int(big - 1).total_cmp(&two_53), Ordering::Less);
+        assert_eq!(
+            Value::Int(big + 1).sql_cmp(&two_53),
+            Some(Ordering::Greater)
+        );
+        let cases = [
+            (i64::MAX, 9_223_372_036_854_775_808.0, Ordering::Less),
+            (i64::MIN, -9_223_372_036_854_775_808.0, Ordering::Equal),
+            (i64::MIN, f64::NEG_INFINITY, Ordering::Greater),
+            (i64::MAX, f64::INFINITY, Ordering::Less),
+            (-3, -2.5, Ordering::Less),
+            (-2, -2.5, Ordering::Greater),
+            (2, 2.5, Ordering::Less),
+            (3, 2.5, Ordering::Greater),
+        ];
+        for (i, f, ord) in cases {
+            assert_eq!(Value::Int(i).total_cmp(&Value::Float(f)), ord, "{i} vs {f}");
+            assert_eq!(Value::Float(f).total_cmp(&Value::Int(i)), ord.reverse());
         }
     }
 

@@ -14,13 +14,33 @@ use soda_relation::{
     TableSchema, Value,
 };
 
+/// Any value, drawn often from where `Int` and `Float` meet: both zeros,
+/// ±2^53 and its neighbours (where `f64` stops telling integers apart), the
+/// `i64` extremes, NaN and the infinities.
 fn value_strategy() -> impl Strategy<Value = Value> {
+    let big = 1i64 << 53;
     prop_oneof![
         Just(Value::Null),
-        // `Int(0)` equals both float zeros, which differ from each other.
-        Just(Value::Int(0)),
-        Just(Value::Float(0.0)),
-        Just(Value::Float(-0.0)),
+        pick(&[
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(big),
+            Value::Int(big - 1),
+            Value::Int(big + 1),
+            Value::Int(-big),
+            Value::Int(-big - 1),
+            Value::Float(big as f64),
+            Value::Float(-(big as f64)),
+            Value::Float((big + 2) as f64),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(i64::MIN as f64),
+            Value::Float(i64::MAX as f64),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+        ]),
         any::<bool>().prop_map(Value::Bool),
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
         (-1.0e6..1.0e6).prop_map(Value::Float),
@@ -30,31 +50,53 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 }
 
 proptest! {
-    /// The total order used for sorting is reflexive-consistent, antisymmetric
-    /// in outcome and agrees with equality.
+    /// `total_cmp` is a total order: reflexive, antisymmetric and
+    /// transitive, and `a == b` exactly when it says `Equal`.
     #[test]
-    fn total_cmp_is_consistent(a in value_strategy(), b in value_strategy()) {
-        use std::cmp::Ordering;
-        let ab = a.total_cmp(&b);
-        let ba = b.total_cmp(&a);
-        prop_assert_eq!(ab.reverse(), ba);
+    fn total_cmp_is_consistent(
+        a in value_strategy(),
+        b in value_strategy(),
+        c in value_strategy(),
+    ) {
         prop_assert_eq!(a.total_cmp(&a), Ordering::Equal);
-        if a == b {
-            prop_assert_eq!(ab, Ordering::Equal);
+        for (x, y) in [(&a, &b), (&b, &c), (&a, &c)] {
+            let xy = x.total_cmp(y);
+            prop_assert_eq!(xy.reverse(), y.total_cmp(x), "{:?} {:?}", x, y);
+            prop_assert_eq!(x == y, xy.is_eq(), "{:?} {:?}", x, y);
         }
+        // Sorted, each of the three is at most the next.
+        let mut sorted = [&a, &b, &c];
+        sorted.sort_by(|x, y| x.total_cmp(y));
+        let [x, y, z] = sorted;
+        prop_assert!(x.total_cmp(y).is_le() && y.total_cmp(z).is_le());
+        prop_assert!(x.total_cmp(z).is_le(), "{:?} {:?} {:?}", x, y, z);
     }
 
-    /// Equal values hash identically (required for hash joins and grouping).
+    /// `==` is transitive and equal values hash identically, as grouping,
+    /// DISTINCT and a column index's codes need.
     #[test]
-    fn eq_implies_same_hash(a in value_strategy(), b in value_strategy()) {
+    fn eq_implies_same_hash(
+        a in value_strategy(),
+        b in value_strategy(),
+        c in value_strategy(),
+    ) {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
+        let hash = |v: &Value| {
+            let mut hasher = DefaultHasher::new();
+            v.hash(&mut hasher);
+            hasher.finish()
+        };
+        for (x, y) in [(&a, &b), (&b, &c), (&a, &c)] {
+            if x == y {
+                prop_assert_eq!(hash(x), hash(y), "{:?} {:?}", x, y);
+            }
+        }
+        if a == b && b == c {
+            prop_assert_eq!(&a, &c);
+        }
         if a == b {
-            let mut ha = DefaultHasher::new();
-            let mut hb = DefaultHasher::new();
-            a.hash(&mut ha);
-            b.hash(&mut hb);
-            prop_assert_eq!(ha.finish(), hb.finish());
+            prop_assert_eq!(a.total_cmp(&c), b.total_cmp(&c));
         }
     }
 
@@ -229,14 +271,22 @@ fn pick<T: Clone + 'static>(options: &[T]) -> BoxedStrategy<T> {
 }
 
 /// A cell of column `c`: few distinct values, so keys repeat; NULLs; `Int`
-/// cells in the FLOAT column, zero among them beside both float zeros; the
-/// text `NULL` beside the real one, and a text that reads as a date.  Now
-/// and then a number at ±2^53 or 2^53 + 1, which `f64` cannot tell from
-/// 2^53, so that integer columns are key-indexed by value and by hash.
+/// cells in the FLOAT column, zero among them beside both float zeros, and
+/// a NaN; the text `NULL` beside the real one, and a text that reads as a
+/// date.  Now and then a number at ±2^53 or 2^53 + 1, which `f64` cannot
+/// tell from 2^53 — as `Int`s and, in the FLOAT column, as `Float`s — so
+/// that integer columns are coded by value and by rank.
 fn cell(c: usize) -> BoxedStrategy<Value> {
     let date = |day| Value::Date(Date::new(2011, 9, day));
     let big = 1i64 << 53;
     let bigs = [Value::Int(big), Value::Int(big + 1), Value::Int(-big)];
+    let float_bigs = [
+        Value::Int(big),
+        Value::Int(big + 1),
+        Value::Int(-big),
+        Value::Float(big as f64),
+        Value::Float(-(big as f64)),
+    ];
     match c {
         0 => now_and_then(
             pick(&[Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)]),
@@ -253,8 +303,9 @@ fn cell(c: usize) -> BoxedStrategy<Value> {
                 Value::Float(1.0),
                 Value::Float(2.5),
                 Value::Float(-3.25),
+                Value::Float(f64::NAN),
             ]),
-            pick(&bigs),
+            pick(&float_bigs),
         ),
         2 => pick(&[
             Value::Null,
@@ -633,6 +684,45 @@ proptest! {
         );
         // The results held across the insert keep their rows.
         prop_assert_eq!(&printed(&first), &expected, "held: {}", sql);
+    }
+}
+
+/// `rows` in an order `seed` draws.
+fn shuffle(rows: &mut [Row], mut seed: u64) {
+    for i in (1..rows.len()).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        rows.swap(i, (seed >> 33) as usize % (i + 1));
+    }
+}
+
+/// A result's rows in one order: its multiset of rows.
+fn multiset(got: &soda_relation::ResultSet) -> Vec<Row> {
+    let mut rows: Vec<Row> = got.rows().map(|row| row.to_vec()).collect();
+    rows.sort();
+    rows
+}
+
+proptest! {
+    /// Permuting a table's rows permutes the result's rows and changes
+    /// nothing else: the same multiset of rows, GROUP BY and DISTINCT
+    /// included (a group or a distinct row may show another of its equal
+    /// values).  LIMIT keeps a prefix, so the statement has none; float
+    /// addition rounds in input order, so a sum or average counts instead.
+    #[test]
+    fn permuting_a_table_permutes_the_result(case in case(), t in 0usize..4, seed in any::<u64>()) {
+        let mut case = case;
+        case.limit = None;
+        if let Shape::Grouped(_, func @ (AggFunc::Sum | AggFunc::Avg), _) = &mut case.shape {
+            *func = AggFunc::Count;
+        }
+        let stmt = case.statement();
+        let before = multiset(&execute(&case.database(), &stmt).unwrap());
+        let t = t % case.tables.len();
+        shuffle(&mut case.tables[t], seed);
+        let after = multiset(&execute(&case.database(), &stmt).unwrap());
+        prop_assert_eq!(before, after, "t{} shuffled: {}", t, print_select(&stmt));
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use soda::core::{normalize_query, ClassificationIndex, EngineSnapshot, SodaConfig};
 use soda::ingest::RowEvent;
-use soda::relation::{execute, parse_select, Table};
+use soda::relation::{execute, parse_select, DataType, Database, Table, TableSchema, Value};
 use soda::service::{QueryRequest, QueryService, ServiceConfig};
 use soda::warehouse::build_graph;
 use soda::warehouse::enterprise::{self, EnterpriseConfig};
@@ -203,12 +203,12 @@ fn canonicalising_allocates_its_output_and_nothing_else() {
 const EXECUTE_OVERHEAD: u64 = 120;
 
 /// The statement the execution tests run: the attached `party` has no
-/// predicate of its own, so the join reads its cached key index.
+/// predicate of its own, so the join reads its cached column index.
 const INDIVIDUAL_PARTY: &str =
     "SELECT * FROM individual, party WHERE individual.party_id = party.party_id";
 
 /// A result holds row numbers, not cells, and the join looks each tuple's
-/// key up in the attached table's key index, so executing costs
+/// key up in the attached table's column index, so executing costs
 /// allocations neither per text cell nor per row nor per join key.  Once
 /// the first execution has built the index, `individual ⋈ party` on the
 /// test-scale warehouse (300 rows, 1 200 text cells) makes 88; when the
@@ -258,7 +258,7 @@ fn executing_allocates_a_constant_not_per_row() {
 const RESULT_OVERHEAD_BYTES: i64 = 2_048;
 
 /// A result is its row numbers, not its cells: what an execution leaves
-/// allocated when it returns — once the first one has built the key index
+/// allocated when it returns — once the first one has built the column index
 /// it reads, which the table keeps — is at most 8 bytes per row and FROM
 /// slot (a 32-bit row number and as much again of slack) plus a constant.
 /// `individual ⋈ party` (two slots, eleven columns) keeps 3 236 bytes at
@@ -286,19 +286,19 @@ fn a_result_holds_row_numbers_not_cells() {
     }
 }
 
-/// A key index is one column's non-NULL row numbers and an end per
-/// bucket, at most one bucket per row: building one makes three
-/// allocations (the rows, the bucket ends and, freed again, each row's
-/// bucket) whatever the table's size, and keeps at most 8 bytes per
-/// indexed cell: 2 544 bytes for a text column of `party`'s 380 rows, 4 a
-/// row and 4 for each of 256 hash buckets; 3 040 for its `party_id`, dense
-/// integers indexed by value, a bucket per id.  The first index a table
-/// builds also allocates the table's one slot per column (576 bytes for
-/// `party`'s five).
+/// A column index is the column's non-NULL row numbers sorted by value, an
+/// end per distinct value and a code per row: building one makes at most
+/// four allocations (the `(cell, row)` pairs it sorts, freed again, the
+/// rows, the ends and the codes; three for dense integers coded by value,
+/// which are counted into place, not sorted) whatever the table's size,
+/// and keeps at most 12 bytes per cell.  The first index a table builds
+/// also allocates the table's one slot per column.  This one test covers
+/// what two did while a table kept a key index (≤ 8 bytes a cell, three
+/// allocations) and an order index (≤ 4 bytes, two) per column.
 #[test]
-fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
+fn a_column_index_costs_a_constant_allocation_count_and_at_most_12_bytes_a_row() {
     let mut indexed = Vec::new();
-    let (mut by_value, mut hashed) = (0, 0);
+    let (mut by_value, mut by_rank) = (0, 0);
     for dimension_scale in [1.0, 8.0] {
         let config = EnterpriseConfig {
             seed: 42,
@@ -309,29 +309,29 @@ fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
         for name in ["party", "individual", "trade_order_td"] {
             let table = db.table(name).unwrap();
             for col in 0..table.schema().arity() {
-                let (cells, made, kept) = measured(|| table.key_index(col).len());
+                let (cells, made, kept) = measured(|| table.column_index(col).len());
                 let slots = if col == 0 {
                     (1, KEY_SLOTS_BYTES)
                 } else {
                     (0, 0)
                 };
                 assert!(
-                    made <= 3 + slots.0,
+                    made <= 4 + slots.0,
                     "{name} column {col}: {made} allocations"
                 );
                 assert!(
-                    kept <= 8 * cells as i64 + slots.1,
+                    kept <= 12 * cells as i64 + slots.1,
                     "{name} column {col}: {kept} bytes for {cells} cells"
                 );
                 // Built once: a second call allocates nothing.
-                assert_eq!(allocations(|| table.key_index(col).len()), (cells, 0));
-                if table.key_index(col).by_value() {
+                assert_eq!(allocations(|| table.column_index(col).len()), (cells, 0));
+                if table.column_index(col).by_value() {
                     by_value += 1;
                 } else {
-                    hashed += 1;
+                    by_rank += 1;
                 }
             }
-            indexed.push(table.key_index(0).len());
+            indexed.push(table.column_index(0).len());
         }
     }
     assert!(
@@ -339,59 +339,50 @@ fn a_key_index_costs_a_constant_allocation_count_and_at_most_8_bytes_a_row() {
         "{indexed:?}"
     );
     assert!(
-        by_value >= 6 && hashed >= 6,
-        "{by_value} by value, {hashed} hashed"
+        by_value >= 6 && by_rank >= 6,
+        "{by_value} by value, {by_rank} by rank"
     );
 }
 
-/// An order index is one INT, DATE or TEXT column's non-NULL row numbers,
-/// sorted by value: building one makes two allocations (the `(key, row)`
-/// pairs it sorts, freed again, and the rows) whatever the table's size,
-/// and keeps 4 bytes per indexed cell.  A FLOAT column has none.
+/// What a GROUP BY may allocate beyond a few per group: the tuples, each
+/// tuple's group, the groups' accumulators and the result.
+const GROUPING_OVERHEAD: u64 = 40;
+
+/// A GROUP BY numbers its groups by the key column's codes, so grouping
+/// allocates per group, not per tuple: 2 000 and 20 000 rows of eight
+/// currencies, keyed in turn (no run of equal keys), make the same count.
 #[test]
-fn an_order_index_costs_a_constant_allocation_count_and_at_most_4_bytes_a_row() {
-    let mut indexed = Vec::new();
-    for dimension_scale in [1.0, 8.0] {
-        let config = EnterpriseConfig {
-            seed: 42,
-            padding: false,
-            data_scale: 0.2,
-        };
-        let db = enterprise::build_with_dimensions(config, dimension_scale).database;
-        for name in ["party", "individual", "trade_order_td"] {
-            let table = db.table(name).unwrap();
-            let mut slots = (1, KEY_SLOTS_BYTES);
-            for col in 0..table.schema().arity() {
-                let (cells, made, kept) = measured(|| table.order_index(col).map(|o| o.len()));
-                let Some(cells) = cells else {
-                    assert_eq!(made, 0, "{name} column {col} has no order index");
-                    continue;
-                };
-                assert!(
-                    made <= 2 + slots.0,
-                    "{name} column {col}: {made} allocations"
-                );
-                assert!(
-                    kept <= 4 * cells as i64 + slots.1,
-                    "{name} column {col}: {kept} bytes for {cells} cells"
-                );
-                slots = (0, 0);
-                // Built once: a second call allocates nothing.
-                let again = allocations(|| table.order_index(col).map(|o| o.len()));
-                assert_eq!(again, (Some(cells), 0));
-                indexed.push(cells);
-            }
-        }
+fn grouping_allocates_per_group_not_per_tuple() {
+    const CURRENCIES: [&str; 8] = ["CHF", "EUR", "GBP", "JPY", "SGD", "USD", "YEN", "AUD"];
+    let stmt = parse_select("SELECT currency, count(*), sum(amount) FROM t GROUP BY currency")
+        .expect("the statement parses");
+    let mut made = Vec::new();
+    for rows in [2_000, 20_000] {
+        let mut db = Database::new();
+        let schema = TableSchema::builder("t")
+            .column("currency", DataType::Text)
+            .column("amount", DataType::Int);
+        db.create_table(schema.build()).unwrap();
+        let row = |i: usize| vec![Value::from(CURRENCIES[i % 8]), Value::Int(i as i64)];
+        db.insert_all("t", (0..rows).map(row)).unwrap();
+        // The first run builds the column index, which the table keeps.
+        execute(&db, &stmt).expect("the statement runs");
+        let (result, count) = allocations(|| execute(&db, &stmt));
+        let result = result.expect("the statement runs");
+        assert_eq!(result.row_count(), 8);
+        assert!(
+            count <= GROUPING_OVERHEAD + 3 * 8,
+            "{rows} rows in 8 groups: {count} allocations"
+        );
+        made.push(count);
     }
-    // Per scale, `party`'s columns come first: eight times the rows.
-    let half = indexed.len() / 2;
-    assert!(half >= 12 && indexed[half] >= 8 * indexed[0], "{indexed:?}");
+    assert_eq!(made[0], made[1], "allocations at 2 000 and 20 000 rows");
 }
 
 /// What a table's slots for its column indexes may take: one per column.
 const KEY_SLOTS_BYTES: i64 = 2_048;
 
-/// Concurrent first executions build each key index once and read the
+/// Concurrent first executions build each column index once and read the
 /// same one: two threads running a join whose indexes nobody has built
 /// yet, on one shared database, get equal results, equal to a later run's.
 #[test]
