@@ -16,7 +16,7 @@ use crate::system::{
 
 /// The BANKS-like system.
 #[derive(Debug, Default, Clone)]
-pub struct Banks;
+pub(crate) struct Banks;
 
 impl BaselineSystem for Banks {
     fn name(&self) -> &'static str {

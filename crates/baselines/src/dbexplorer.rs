@@ -14,7 +14,7 @@ use crate::system::{
 
 /// The DBExplorer-like system.
 #[derive(Debug, Default, Clone)]
-pub struct DbExplorer;
+pub(crate) struct DbExplorer;
 
 impl BaselineSystem for DbExplorer {
     fn name(&self) -> &'static str {

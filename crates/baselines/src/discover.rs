@@ -15,7 +15,7 @@ use crate::system::{
 
 /// The DISCOVER-like system.
 #[derive(Debug, Default, Clone)]
-pub struct Discover;
+pub(crate) struct Discover;
 
 impl BaselineSystem for Discover {
     fn name(&self) -> &'static str {

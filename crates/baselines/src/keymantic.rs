@@ -15,7 +15,7 @@ use crate::system::{BaselineAnswer, BaselineSystem, SchemaJoinGraph};
 
 /// The Keymantic-like system.
 #[derive(Debug, Clone)]
-pub struct Keymantic {
+pub(crate) struct Keymantic {
     /// Small built-in synonym list (term → schema word), standing in for the
     /// external dictionaries Keymantic can consult.
     synonyms: Vec<(&'static str, &'static str)>,

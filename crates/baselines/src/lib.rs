@@ -13,18 +13,20 @@
 //! ([`capability::capability_matrix`]) and empirically by running the
 //! baselines on the workload (see `soda-eval`).
 
-pub mod banks;
-pub mod capability;
-pub mod dbexplorer;
-pub mod discover;
-pub mod feature;
-pub mod keymantic;
-pub mod sqak;
-pub mod system;
+#![warn(unreachable_pub)]
+
+mod banks;
+mod capability;
+mod dbexplorer;
+mod discover;
+mod feature;
+mod keymantic;
+mod sqak;
+mod system;
 
 pub use capability::{capability_matrix, SystemCapability};
 pub use feature::{QueryFeature, Support};
-pub use system::{BaselineAnswer, BaselineSystem, SchemaJoinGraph};
+pub use system::{BaselineAnswer, BaselineSystem};
 
 /// Constructs every baseline system.
 pub fn all_baselines() -> Vec<Box<dyn BaselineSystem>> {

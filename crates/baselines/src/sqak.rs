@@ -13,7 +13,7 @@ use crate::system::{BaselineAnswer, BaselineSystem, SchemaJoinGraph};
 
 /// The SQAK-like system.
 #[derive(Debug, Default, Clone)]
-pub struct Sqak;
+pub(crate) struct Sqak;
 
 impl Sqak {
     /// Finds the `(table, column)` whose identifier best matches the phrase.

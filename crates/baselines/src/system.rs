@@ -33,7 +33,7 @@ pub trait BaselineSystem {
 
 /// One join step between two tables, taken from declared foreign keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchemaJoin {
+pub(crate) struct SchemaJoin {
     /// Referencing table.
     pub fk_table: String,
     /// Referencing column.
@@ -46,7 +46,7 @@ pub struct SchemaJoin {
 
 impl SchemaJoin {
     /// SQL condition text.
-    pub fn condition(&self) -> String {
+    pub(crate) fn condition(&self) -> String {
         format!(
             "{}.{} = {}.{}",
             self.fk_table, self.fk_column, self.pk_table, self.pk_column
@@ -56,14 +56,14 @@ impl SchemaJoin {
 
 /// Key/foreign-key join graph over the physical schema.
 #[derive(Debug, Default, Clone)]
-pub struct SchemaJoinGraph {
+pub(crate) struct SchemaJoinGraph {
     joins: Vec<SchemaJoin>,
     adjacency: HashMap<String, Vec<usize>>,
 }
 
 impl SchemaJoinGraph {
     /// Builds the graph from the foreign keys declared in the catalog.
-    pub fn build(db: &Database) -> Self {
+    pub(crate) fn build(db: &Database) -> Self {
         let mut graph = SchemaJoinGraph::default();
         for table in db.tables() {
             for fk in &table.schema().foreign_keys {
@@ -90,18 +90,8 @@ impl SchemaJoinGraph {
         graph
     }
 
-    /// Number of join edges.
-    pub fn len(&self) -> usize {
-        self.joins.len()
-    }
-
-    /// True when the schema declares no foreign keys.
-    pub fn is_empty(&self) -> bool {
-        self.joins.is_empty()
-    }
-
     /// Shortest join path between two tables (undirected BFS over tables).
-    pub fn path(&self, from: &str, to: &str) -> Option<Vec<SchemaJoin>> {
+    pub(crate) fn path(&self, from: &str, to: &str) -> Option<Vec<SchemaJoin>> {
         let from = from.to_ascii_lowercase();
         let to = to.to_ascii_lowercase();
         if from == to {
@@ -146,7 +136,7 @@ impl SchemaJoinGraph {
 
 /// A keyword matched in the base data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataHit {
+pub(crate) struct DataHit {
     /// Table of the matching column.
     pub table: String,
     /// Matching column.
@@ -160,7 +150,7 @@ pub struct DataHit {
 /// Longest-span matching of the query words against the base data, shared by
 /// the inverted-index-based systems.  Returns per matched span the list of
 /// candidate hits, plus the words that matched nothing.
-pub fn base_data_terms(
+pub(crate) fn base_data_terms(
     index: &InvertedIndex,
     query: &str,
     max_span: usize,
@@ -209,7 +199,7 @@ pub fn base_data_terms(
 
 /// Builds a `SELECT *` statement over the hit tables, connecting them through
 /// the schema join graph and filtering each hit column.
-pub fn candidate_network_sql(graph: &SchemaJoinGraph, hits: &[DataHit]) -> Option<String> {
+pub(crate) fn candidate_network_sql(graph: &SchemaJoinGraph, hits: &[DataHit]) -> Option<String> {
     if hits.is_empty() {
         return None;
     }
@@ -307,7 +297,7 @@ mod tests {
     fn schema_join_graph_paths() {
         let db = db();
         let g = SchemaJoinGraph::build(&db);
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.joins.len(), 2);
         let path = g.path("addresses", "parties").unwrap();
         assert_eq!(path.len(), 2);
         assert!(g.path("addresses", "missing").is_none());

@@ -50,15 +50,6 @@ impl FeedbackStore {
         }
     }
 
-    /// Overrides the per-vote weight and the adjustment cap.
-    pub fn with_weights(vote_weight: f64, max_adjustment: f64) -> Self {
-        Self {
-            votes: HashMap::new(),
-            vote_weight,
-            max_adjustment: max_adjustment.abs(),
-        }
-    }
-
     /// Records that the user liked a result: every phrase → entry-point choice
     /// of its interpretation receives a positive vote.
     pub fn like(&mut self, result: &SodaResult) {
@@ -84,7 +75,7 @@ impl FeedbackStore {
     }
 
     /// Net votes recorded for a phrase / entry-point pair.
-    pub fn net_votes(&self, phrase: &str, entry_uri: &str) -> i64 {
+    pub(crate) fn net_votes(&self, phrase: &str, entry_uri: &str) -> i64 {
         self.votes
             .get(&(phrase.to_lowercase(), entry_uri.to_string()))
             .copied()
@@ -171,7 +162,11 @@ mod tests {
 
     #[test]
     fn custom_weights_change_the_adjustment_scale() {
-        let mut store = FeedbackStore::with_weights(0.5, 2.0);
+        let mut store = FeedbackStore {
+            vote_weight: 0.5,
+            max_adjustment: 2.0,
+            ..FeedbackStore::new()
+        };
         store.vote("sara", "phys/individual/given_name", 3);
         assert!((store.adjustment("sara", "phys/individual/given_name") - 1.5).abs() < 1e-9);
         assert_eq!(

@@ -93,7 +93,7 @@ impl JoinEdge {
 
     /// True when both edges state the same join condition (what
     /// [`condition`](Self::condition) prints), without printing it.
-    pub fn same_condition(&self, other: &JoinEdge) -> bool {
+    pub(crate) fn same_condition(&self, other: &JoinEdge) -> bool {
         self.fk_table == other.fk_table
             && self.fk_column == other.fk_column
             && self.pk_table == other.pk_table
@@ -751,7 +751,12 @@ impl JoinCatalog {
     /// §5.3.1: a small bound keeps results precise but may miss joins between
     /// entities that are far apart in the schema graph; a large bound
     /// ("far-fetching") finds them at the cost of more, longer join chains.
-    pub fn path_within(&self, from: &str, to: &str, max_edges: usize) -> Option<Vec<JoinEdge>> {
+    pub(crate) fn path_within(
+        &self,
+        from: &str,
+        to: &str,
+        max_edges: usize,
+    ) -> Option<Vec<JoinEdge>> {
         if from.eq_ignore_ascii_case(to) {
             return Some(Vec::new());
         }

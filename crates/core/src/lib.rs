@@ -37,22 +37,24 @@
 //! assert!(results[0].sql.starts_with("SELECT"));
 //! ```
 
-pub mod classification;
-pub mod config;
-pub mod engine;
-pub mod error;
-pub mod feedback;
-pub mod joins;
-pub mod patterns;
+#![warn(unreachable_pub)]
+
+mod classification;
+mod config;
+mod engine;
+mod error;
+mod feedback;
+mod joins;
+mod patterns;
 pub mod pipeline;
-pub mod provenance;
-pub mod query;
-pub mod resolve;
-pub mod result;
-pub mod shard;
-pub mod snapshot;
-pub mod suggest;
-pub mod tenant;
+mod provenance;
+mod query;
+mod resolve;
+mod result;
+mod shard;
+mod snapshot;
+mod suggest;
+mod tenant;
 
 pub use classification::ClassificationIndex;
 pub use config::{RankingWeights, SodaConfig};
@@ -60,7 +62,7 @@ pub use engine::{SearchLimit, SearchOptions, SearchOutcome};
 pub use error::{Result, SodaError};
 pub use feedback::FeedbackStore;
 pub use joins::{BridgeTable, HistorizationLink, InheritanceLink, JoinCatalog, JoinEdge};
-pub use patterns::SodaPatterns;
+pub use patterns::{SodaPatterns, FOREIGN_KEY_PATTERN, TABLE_PATTERN};
 pub use pipeline::lookup::LookupResult;
 pub use provenance::{Provenance, ProvenanceLookup};
 pub use query::{normalize_query, parse_query, QueryTerm, QueryValue, SodaQuery};

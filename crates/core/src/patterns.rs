@@ -4,7 +4,7 @@
 //! pattern, the Column pattern, the Foreign-Key pattern (which references the
 //! Column pattern), the Credit-Suisse-style Join-Relationship pattern with an
 //! explicit join node, and the Inheritance-Child pattern.  They are parsed
-//! with [`soda_metagraph::parser`] and stored in a [`PatternRegistry`], so a
+//! with [`Pattern::parse`] and stored in a [`PatternRegistry`], so a
 //! deployment can swap in different patterns without touching the algorithm —
 //! exactly the portability argument of §4.1.
 
@@ -20,7 +20,7 @@ pub struct SodaPatterns {
 pub const TABLE_PATTERN: &str = "( x tablename t:y ) & ( x type physical_table )";
 
 /// Pattern text for the Column pattern.
-pub const COLUMN_PATTERN: &str =
+pub(crate) const COLUMN_PATTERN: &str =
     "( x columnname t:y ) & ( x type physical_column ) & ( z column x )";
 
 /// Pattern text for the Foreign-Key pattern (Figure 8).
@@ -28,17 +28,17 @@ pub const FOREIGN_KEY_PATTERN: &str =
     "( x foreign_key y ) & ( x matches-column ) & ( y matches-column )";
 
 /// Pattern text for the Join-Relationship pattern (explicit join node).
-pub const JOIN_RELATIONSHIP_PATTERN: &str = "( x type join_node ) & \
+pub(crate) const JOIN_RELATIONSHIP_PATTERN: &str = "( x type join_node ) & \
      ( x join_foreign_key f ) & ( x join_primary_key p ) & \
      ( f matches-column ) & ( p matches-column )";
 
 /// Pattern text for the Inheritance-Child pattern.
-pub const INHERITANCE_CHILD_PATTERN: &str = "( y inheritance_child x ) & \
+pub(crate) const INHERITANCE_CHILD_PATTERN: &str = "( y inheritance_child x ) & \
      ( y type inheritance_node ) & ( y inheritance_parent p ) & \
      ( y inheritance_child c1 ) & ( y inheritance_child c2 )";
 
 /// Pattern text for the metadata-filter pattern ("wealthy customers").
-pub const METADATA_FILTER_PATTERN: &str = "( x defined_filter f ) & \
+pub(crate) const METADATA_FILTER_PATTERN: &str = "( x defined_filter f ) & \
      ( f type metadata_filter ) & ( f filter_column c1 ) & \
      ( f filter_op t:o ) & ( f filter_value t:v )";
 
@@ -47,7 +47,7 @@ pub const METADATA_FILTER_PATTERN: &str = "( x defined_filter f ) & \
 /// named validity columns.  The paper leaves these relationships unannotated
 /// (the cause of the Q2.1/Q2.2 recall loss) and proposes the annotation as
 /// future work (§5.2.1, §7).
-pub const HISTORIZATION_PATTERN: &str = "( h type historization_node ) & \
+pub(crate) const HISTORIZATION_PATTERN: &str = "( h type historization_node ) & \
      ( h hist_table x ) & ( h current_table c ) & \
      ( h valid_from_column t:f ) & ( h valid_to_column t:v )";
 
@@ -132,7 +132,8 @@ impl SodaPatterns {
             .expect("metadata filter pattern registered")
     }
 
-    /// The Historization pattern (extension — see [`HISTORIZATION_PATTERN`]).
+    /// The Historization pattern (extension: a bi-temporal history table
+    /// declared by an annotation node).
     pub fn historization(&self) -> &Pattern {
         self.registry
             .get("historization")

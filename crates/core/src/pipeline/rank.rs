@@ -43,7 +43,7 @@ pub fn enumerate_and_rank(
 /// of the provenance weight.  The boost is how relevance feedback
 /// ([`crate::FeedbackStore`]) is folded into Step 2 without changing the
 /// algorithm: liked interpretation choices gain score, disliked ones lose it.
-pub fn enumerate_and_rank_boosted(
+pub(crate) fn enumerate_and_rank_boosted(
     lookup: &LookupResult,
     weights: &RankingWeights,
     top_n: usize,

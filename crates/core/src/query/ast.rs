@@ -22,7 +22,7 @@ pub enum QueryValue {
 
 impl QueryValue {
     /// Converts to a relational [`soda_relation::Value`].
-    pub fn to_value(&self) -> soda_relation::Value {
+    pub(crate) fn to_value(&self) -> soda_relation::Value {
         match self {
             QueryValue::Number(n) => {
                 if n.fract() == 0.0 {
@@ -87,17 +87,6 @@ pub struct SodaQuery {
 }
 
 impl SodaQuery {
-    /// All keyword groups, in order.
-    pub fn keyword_groups(&self) -> Vec<&str> {
-        self.terms
-            .iter()
-            .filter_map(|t| match t {
-                QueryTerm::Keywords(k) => Some(k.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// All aggregations.
     pub fn aggregations(&self) -> Vec<(AggFunc, &str)> {
         self.terms
@@ -129,14 +118,6 @@ impl SodaQuery {
         })
     }
 
-    /// The `valid at` date, if any.
-    pub fn valid_at(&self) -> Option<&QueryValue> {
-        self.terms.iter().find_map(|t| match t {
-            QueryTerm::ValidAt(v) => Some(v),
-            _ => None,
-        })
-    }
-
     /// True if the query asks for any aggregation or grouping.
     pub fn is_aggregate(&self) -> bool {
         !self.aggregations().is_empty() || !self.group_by().is_empty()
@@ -146,6 +127,27 @@ impl SodaQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SodaQuery {
+        /// All keyword groups, in order.
+        pub(crate) fn keyword_groups(&self) -> Vec<&str> {
+            self.terms
+                .iter()
+                .filter_map(|t| match t {
+                    QueryTerm::Keywords(k) => Some(k.as_str()),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        /// The `valid at` date, if any.
+        pub(crate) fn valid_at(&self) -> Option<&QueryValue> {
+            self.terms.iter().find_map(|t| match t {
+                QueryTerm::ValidAt(v) => Some(v),
+                _ => None,
+            })
+        }
+    }
 
     #[test]
     fn accessors_extract_the_right_terms() {

@@ -68,30 +68,16 @@ pub(crate) fn column_label(
     })
 }
 
-/// Resolves a physical-table node to the table name used in the catalog.
-pub fn table_name(graph: &MetaGraph, node: NodeId, db: &Database) -> Option<String> {
-    table_label(graph, node, db).map(|l| graph.label_text(l).to_string())
-}
-
 /// Resolves a physical-column node to `(table name, column name)`.
-pub fn column_name(graph: &MetaGraph, node: NodeId, db: &Database) -> Option<(String, String)> {
+pub(crate) fn column_name(
+    graph: &MetaGraph,
+    node: NodeId,
+    db: &Database,
+) -> Option<(String, String)> {
     let table = graph.label_text(table_label(graph, owning_table(graph, node)?, db)?);
     let schema = db.table(table).ok().map(|t| t.schema());
     let column = graph.label_text(column_label(graph, node, schema)?);
     Some((table.to_string(), column.to_string()))
-}
-
-/// If `node` is a physical column, returns its `(table, column)`; if it is a
-/// physical table, returns `None` for the column part.
-pub fn node_target(
-    graph: &MetaGraph,
-    node: NodeId,
-    db: &Database,
-) -> Option<(String, Option<String>)> {
-    if let Some((t, c)) = column_name(graph, node, db) {
-        return Some((t, Some(c)));
-    }
-    table_name(graph, node, db).map(|t| (t, None))
 }
 
 #[cfg(test)]
@@ -99,6 +85,24 @@ mod tests {
     use super::*;
     use soda_metagraph::GraphBuilder;
     use soda_relation::{DataType, TableSchema};
+
+    /// Resolves a physical-table node to the table name used in the catalog.
+    fn table_name(graph: &MetaGraph, node: NodeId, db: &Database) -> Option<String> {
+        table_label(graph, node, db).map(|l| graph.label_text(l).to_string())
+    }
+
+    /// If `node` is a physical column, returns its `(table, column)`; if it is a
+    /// physical table, returns `None` for the column part.
+    fn node_target(
+        graph: &MetaGraph,
+        node: NodeId,
+        db: &Database,
+    ) -> Option<(String, Option<String>)> {
+        if let Some((t, c)) = column_name(graph, node, db) {
+            return Some((t, Some(c)));
+        }
+        table_name(graph, node, db).map(|t| (t, None))
+    }
 
     fn fixtures() -> (MetaGraph, Database) {
         let mut db = Database::new();

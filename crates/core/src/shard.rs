@@ -94,7 +94,7 @@ impl ProbeRecorder {
     /// Records one phrase probe and its selected token (deduplicated by
     /// phrase — the same phrase always selects the same token within one
     /// snapshot).
-    pub fn record_probe(&self, phrase: &str, token: Option<String>) {
+    pub(crate) fn record_probe(&self, phrase: &str, token: Option<String>) {
         let mut deps = self.deps.lock().expect("probe deps poisoned");
         if !deps.iter().any(|d| d.phrase == phrase) {
             deps.push(ProbeDep {

@@ -20,7 +20,7 @@ pub struct TermSuggestion {
 }
 
 /// Levenshtein edit distance between two strings (over characters).
-pub fn edit_distance(a: &str, b: &str) -> usize {
+pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -84,7 +84,7 @@ fn affinity(term: &str, phrase: &str) -> Option<f64> {
 }
 
 /// Proposes up to `limit` reformulations for one unmatched term.
-pub fn suggest_for_term(
+pub(crate) fn suggest_for_term(
     classification: &ClassificationIndex,
     term: &str,
     limit: usize,

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use soda_relation::fnv1a;
 
 /// The name of the implicit default tenant.
-pub const DEFAULT_TENANT: &str = "default";
+pub(crate) const DEFAULT_TENANT: &str = "default";
 
 /// The identity of one hosted warehouse.
 ///

@@ -5,12 +5,11 @@
 //! 6 and 9 show the behaviour of pipeline steps on concrete queries and are
 //! regenerated by running the engine.
 
-use soda_core::patterns::{FOREIGN_KEY_PATTERN, TABLE_PATTERN};
-use soda_core::{EngineSnapshot, SearchOptions};
+use soda_core::{EngineSnapshot, SearchOptions, FOREIGN_KEY_PATTERN, TABLE_PATTERN};
 use soda_warehouse::{RelationshipKind, Warehouse};
 
 /// Figure 1 — the conceptual schema of the mini-bank as a DOT graph.
-pub fn figure1_dot(warehouse: &Warehouse) -> String {
+pub(crate) fn figure1_dot(warehouse: &Warehouse) -> String {
     let mut out = String::from("digraph conceptual {\n  rankdir=LR;\n");
     for e in &warehouse.model.conceptual {
         out.push_str(&format!("  \"{}\" [shape=box];\n", e.name));
@@ -28,7 +27,7 @@ pub fn figure1_dot(warehouse: &Warehouse) -> String {
 }
 
 /// Figure 2 — the logical schema of the mini-bank as a DOT graph.
-pub fn figure2_dot(warehouse: &Warehouse) -> String {
+pub(crate) fn figure2_dot(warehouse: &Warehouse) -> String {
     let mut out = String::from("digraph logical {\n  rankdir=LR;\n");
     for e in &warehouse.model.logical {
         out.push_str(&format!("  \"{}\" [shape=box];\n", e.name));
@@ -46,7 +45,7 @@ pub fn figure2_dot(warehouse: &Warehouse) -> String {
 }
 
 /// Figure 3 — the layering of the metadata graph: node counts per layer.
-pub fn figure3_layers(warehouse: &Warehouse) -> Vec<(&'static str, usize)> {
+pub(crate) fn figure3_layers(warehouse: &Warehouse) -> Vec<(&'static str, usize)> {
     let graph = &warehouse.graph;
     let count_type = |ty: &str| graph.nodes().filter(|n| graph.has_type(*n, ty)).count();
     vec![
@@ -70,7 +69,7 @@ pub fn figure3_layers(warehouse: &Warehouse) -> Vec<(&'static str, usize)> {
 
 /// Figure 4 — the five pipeline steps with their measured share of the SODA
 /// runtime for one query.
-pub fn figure4_trace(engine: &EngineSnapshot, query: &str) -> Vec<(&'static str, f64)> {
+pub(crate) fn figure4_trace(engine: &EngineSnapshot, query: &str) -> Vec<(&'static str, f64)> {
     // Total even on a failing query: an empty trace has all-zero shares.
     let trace = engine
         .search_with(query, &SearchOptions::default())
@@ -120,19 +119,19 @@ pub fn figure6_tables(engine: &EngineSnapshot) -> Vec<Vec<String>> {
 }
 
 /// Figure 7 — the Table pattern, exactly as written in the paper.
-pub fn figure7_pattern() -> &'static str {
+pub(crate) fn figure7_pattern() -> &'static str {
     TABLE_PATTERN
 }
 
 /// Figure 8 — the Foreign-Key pattern, exactly as written in the paper.
-pub fn figure8_pattern() -> &'static str {
+pub(crate) fn figure8_pattern() -> &'static str {
     FOREIGN_KEY_PATTERN
 }
 
 /// Figure 9 — joins on a direct path: for two entry-point tables of the
 /// enterprise warehouse, the join conditions actually used (on the shortest
 /// path) versus every join condition attached to those tables.
-pub fn figure9_direct_path(engine: &EngineSnapshot) -> (Vec<String>, Vec<String>) {
+pub(crate) fn figure9_direct_path(engine: &EngineSnapshot) -> (Vec<String>, Vec<String>) {
     let catalog = engine.join_catalog();
     let used: Vec<String> = catalog
         .path("trade_order_td", "party")

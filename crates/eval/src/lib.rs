@@ -17,12 +17,13 @@
 //!   paper's evaluation,
 //! * [`report`] — renders everything in the paper's tabular style.
 
+#![warn(unreachable_pub)]
+
 pub mod experiments;
-pub mod gold;
-pub mod metrics;
+mod metrics;
 pub mod report;
 pub mod workload;
 
 pub use experiments::{run_workload, QueryEvaluation};
-pub use metrics::{evaluate, normalize_column, PrecisionRecall};
+pub use metrics::{evaluate, PrecisionRecall};
 pub use workload::{workload, WorkloadQuery};

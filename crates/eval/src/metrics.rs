@@ -35,7 +35,7 @@ impl PrecisionRecall {
     }
 
     /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
+    pub(crate) fn f1(&self) -> f64 {
         if self.precision + self.recall == 0.0 {
             0.0
         } else {
@@ -47,7 +47,7 @@ impl PrecisionRecall {
 /// Normalises a result column name: lower-cased, with every `table.` qualifier
 /// removed (also inside aggregate expressions, so
 /// `sum(trade_order_td.amount)` and `sum(amount)` compare equal).
-pub fn normalize_column(name: &str) -> String {
+pub(crate) fn normalize_column(name: &str) -> String {
     let lower = name.to_lowercase();
     let mut out = String::with_capacity(lower.len());
     let mut word = String::new();
@@ -69,7 +69,7 @@ pub fn normalize_column(name: &str) -> String {
 
 /// Projects a result set onto the given (normalised) column names, returning
 /// the set of distinct value tuples; `None` when a requested column is absent.
-pub fn project(rs: &ResultSet, columns: &[String]) -> Option<HashSet<Vec<String>>> {
+pub(crate) fn project(rs: &ResultSet, columns: &[String]) -> Option<HashSet<Vec<String>>> {
     let normalized: Vec<String> = rs.columns().iter().map(|c| normalize_column(c)).collect();
     let mut indices = Vec::with_capacity(columns.len());
     for wanted in columns {
@@ -85,7 +85,7 @@ pub fn project(rs: &ResultSet, columns: &[String]) -> Option<HashSet<Vec<String>
 
 /// The gold tuple set: the union of the gold statements' results, compared by
 /// value position (all gold statements must share the arity of the first).
-pub fn gold_tuples(gold: &[ResultSet]) -> (Vec<String>, HashSet<Vec<String>>) {
+pub(crate) fn gold_tuples(gold: &[ResultSet]) -> (Vec<String>, HashSet<Vec<String>>) {
     let columns: Vec<String> = gold
         .first()
         .map(|g| g.columns().iter().map(|c| normalize_column(c)).collect())
@@ -126,7 +126,10 @@ pub fn evaluate(soda: &ResultSet, gold: &[ResultSet]) -> PrecisionRecall {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{workload, WorkloadQuery};
     use soda_relation::{DataType, Database, TableSchema, Value};
+    use soda_warehouse::enterprise::{self, EnterpriseConfig};
+    use soda_warehouse::Warehouse;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -243,5 +246,39 @@ mod tests {
             .run_sql("SELECT * FROM individual WHERE given_name = 'Nobody'")
             .unwrap();
         assert_eq!(evaluate(&soda, &[gold]), PrecisionRecall::zero());
+    }
+
+    /// Number of distinct gold tuples for a query.
+    fn gold_size(warehouse: &Warehouse, query: &WorkloadQuery) -> usize {
+        let results: Vec<ResultSet> = query
+            .gold_sql
+            .iter()
+            .map(|sql| {
+                warehouse
+                    .database
+                    .run_sql(sql)
+                    .unwrap_or_else(|e| panic!("gold SQL of {} failed: {e}\n{sql}", query.id))
+            })
+            .collect();
+        gold_tuples(&results).1.len()
+    }
+
+    #[test]
+    fn gold_sizes_reflect_the_engineered_distributions() {
+        let w = enterprise::build_with(EnterpriseConfig {
+            seed: 42,
+            padding: false,
+            data_scale: 0.1,
+        });
+        let queries = workload();
+        let q21 = queries.iter().find(|q| q.id == "2.1").unwrap();
+        // 4 current Saras plus 16 historised ones.
+        assert_eq!(gold_size(&w, q21), 20);
+        let q23 = queries.iter().find(|q| q.id == "2.3").unwrap();
+        assert_eq!(gold_size(&w, q23), 4);
+        let q50 = queries.iter().find(|q| q.id == "5.0").unwrap();
+        assert_eq!(gold_size(&w, q50), 380);
+        let q90 = queries.iter().find(|q| q.id == "9.0").unwrap();
+        assert_eq!(gold_size(&w, q90), 1);
     }
 }

@@ -23,9 +23,11 @@
 //! [`soda_warehouse::SchemaModel`] that can be fed back into
 //! [`soda_warehouse::build_graph`] to make a legacy system searchable.
 
-pub mod browser;
-pub mod document;
-pub mod reverse;
+#![warn(unreachable_pub)]
+
+mod browser;
+mod document;
+mod reverse;
 
 pub use browser::{MetadataHit, Related, RelationKind, SchemaBrowser, TableDescription};
 pub use document::document_model;

@@ -1,7 +1,6 @@
 //! Row-level change events and the ordered feed that carries them.
 
-use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_relation::Row;
+use soda_relation::{CodecError, CodecResult, Decoder, Encoder, Row};
 
 /// One row-level change to one table.
 ///

@@ -60,8 +60,10 @@
 //! assert!(published.lookup_phrase("Basel").is_empty());
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod absorb;
-pub mod event;
+mod event;
 
 pub use absorb::absorb;
 pub use event::{ChangeFeed, RowEvent};

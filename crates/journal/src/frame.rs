@@ -34,10 +34,10 @@ use crate::crc32::crc32;
 use crate::FsyncPolicy;
 
 /// Bytes before the first frame: magic + fingerprint + tenant fingerprint.
-pub const FILE_HEADER_LEN: u64 = 24;
+pub(crate) const FILE_HEADER_LEN: u64 = 24;
 
 /// Bytes before each frame's payload: length + checksum.
-pub const FRAME_HEADER_LEN: u64 = 8;
+pub(crate) const FRAME_HEADER_LEN: u64 = 8;
 
 /// A frame payload may not exceed this (1 GiB) — a sanity bound so a corrupt
 /// length prefix that happens to pass the short-read check cannot trigger an

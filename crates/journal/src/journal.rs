@@ -5,8 +5,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use soda_ingest::ChangeFeed;
-use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_relation::{Row, Value};
+use soda_relation::{CodecError, CodecResult, Decoder, Encoder, Row, Value};
 
 use crate::frame::{FrameFile, FrameScan};
 
@@ -217,7 +216,7 @@ impl From<CodecError> for JournalError {
 }
 
 /// Result alias for journal operations.
-pub type JournalResult<T> = std::result::Result<T, JournalError>;
+pub(crate) type JournalResult<T> = std::result::Result<T, JournalError>;
 
 /// The crash-safe feed journal.
 ///

@@ -23,7 +23,8 @@
 //!   `soda-service` for its persistent page-cache file.
 //!
 //! Everything is `std`-only and byte-exact: feeds round-trip through the
-//! compact binary codec in [`soda_relation::codec`], floats included, so a
+//! compact binary codec of [`soda_relation::Encoder`] and
+//! [`soda_relation::Decoder`], floats included, so a
 //! recovered engine answers queries byte-identically to one that never
 //! crashed.
 //!
@@ -51,7 +52,9 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-pub mod crc32;
+#![warn(unreachable_pub)]
+
+mod crc32;
 pub mod frame;
 mod journal;
 #[cfg(test)]
@@ -60,5 +63,5 @@ mod testutil;
 pub use crc32::crc32;
 pub use journal::{
     journal_path, tenant_journal_dir, Checkpoint, FeedJournal, FsyncPolicy, JournalError,
-    JournalRecord, JournalResult, Replay, JOURNAL_MAGIC,
+    JournalRecord, Replay, JOURNAL_MAGIC,
 };

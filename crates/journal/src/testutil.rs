@@ -8,13 +8,13 @@ static COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A unique directory under the system temp dir, removed on drop.
 #[derive(Debug)]
-pub struct TempDir {
+pub(crate) struct TempDir {
     path: PathBuf,
 }
 
 impl TempDir {
     /// Creates `soda-journal-<label>-<pid>-<n>` under the system temp dir.
-    pub fn new(label: &str) -> Self {
+    pub(crate) fn new(label: &str) -> Self {
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let path =
             std::env::temp_dir().join(format!("soda-journal-{label}-{}-{n}", std::process::id()));
@@ -23,7 +23,7 @@ impl TempDir {
     }
 
     /// The directory's path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }

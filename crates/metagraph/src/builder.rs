@@ -22,7 +22,7 @@ pub mod types {
     /// Conceptual attribute node type.
     pub const CONCEPTUAL_ATTRIBUTE: &str = "conceptual_attribute";
     /// Explicit join node type (the Credit Suisse join-relationship pattern).
-    pub const JOIN_NODE: &str = "join_node";
+    pub(crate) const JOIN_NODE: &str = "join_node";
     /// Explicit inheritance node type.
     pub const INHERITANCE_NODE: &str = "inheritance_node";
     /// Domain-ontology concept node type.
@@ -30,7 +30,7 @@ pub mod types {
     /// DBpedia synonym node type.
     pub const DBPEDIA_TERM: &str = "dbpedia_term";
     /// Metadata-defined filter node type (e.g. "wealthy customer").
-    pub const METADATA_FILTER: &str = "metadata_filter";
+    pub(crate) const METADATA_FILTER: &str = "metadata_filter";
     /// Bi-temporal historization annotation node type (links a history table
     /// to the table carrying the current state).
     pub const HISTORIZATION_NODE: &str = "historization_node";
@@ -51,9 +51,9 @@ pub mod preds {
     /// Direct foreign-key edge between two columns.
     pub const FOREIGN_KEY: &str = "foreign_key";
     /// Join node → foreign-key column edge.
-    pub const JOIN_FOREIGN_KEY: &str = "join_foreign_key";
+    pub(crate) const JOIN_FOREIGN_KEY: &str = "join_foreign_key";
     /// Join node → primary-key column edge.
-    pub const JOIN_PRIMARY_KEY: &str = "join_primary_key";
+    pub(crate) const JOIN_PRIMARY_KEY: &str = "join_primary_key";
     /// Inheritance node → parent table edge.
     pub const INHERITANCE_PARENT: &str = "inheritance_parent";
     /// Inheritance node → child table edge.
@@ -68,10 +68,8 @@ pub mod preds {
     pub const ATTRIBUTE: &str = "attribute";
     /// Ontology concept → classified entity (any layer).
     pub const CLASSIFIES: &str = "classifies";
-    /// Ontology concept → parent concept.
-    pub const BROADER: &str = "broader";
     /// DBpedia term → schema/ontology node it is a synonym of.
-    pub const SYNONYM_OF: &str = "synonym_of";
+    pub(crate) const SYNONYM_OF: &str = "synonym_of";
     /// Ontology concept → metadata filter node.
     pub const DEFINED_FILTER: &str = "defined_filter";
     /// Metadata filter → column it constrains.
@@ -80,15 +78,12 @@ pub mod preds {
     pub const FILTER_OP: &str = "filter_op";
     /// Metadata filter → literal value text.
     pub const FILTER_VALUE: &str = "filter_value";
-    /// Base-data column node → physical column (connects inverted-index hits
-    /// into the metadata graph).
-    pub const INDEXED_BY: &str = "indexed_by";
     /// Historization node → history table.
     pub const HIST_TABLE: &str = "hist_table";
     /// Historization node → table carrying the current state.
     pub const CURRENT_TABLE: &str = "current_table";
     /// Historization node → name of the validity-start column (text).
-    pub const VALID_FROM_COLUMN: &str = "valid_from_column";
+    pub(crate) const VALID_FROM_COLUMN: &str = "valid_from_column";
     /// Historization node → name of the validity-end column (text).
     pub const VALID_TO_COLUMN: &str = "valid_to_column";
 }

@@ -205,7 +205,7 @@ impl MetaGraph {
     }
 
     /// Looks up a text label without creating it.
-    pub fn find_label(&self, text: &str) -> Option<LabelId> {
+    pub(crate) fn find_label(&self, text: &str) -> Option<LabelId> {
         self.labels.get(text).map(LabelId)
     }
 
@@ -290,7 +290,7 @@ impl MetaGraph {
 
     /// All `(subject, predicate)` pairs that carry the interned label, in
     /// insertion order.
-    pub fn label_subjects(&self, label: LabelId) -> &[(NodeId, PredId)] {
+    pub(crate) fn label_subjects(&self, label: LabelId) -> &[(NodeId, PredId)] {
         self.label_index.get(label.0 as usize)
     }
 
@@ -330,7 +330,7 @@ impl MetaGraph {
 
     /// True if `subject --predicate--> object` is an edge of the graph; reads
     /// the subject's outgoing edges in place.
-    pub fn has_edge(&self, subject: NodeId, predicate: &str, object: NodeId) -> bool {
+    pub(crate) fn has_edge(&self, subject: NodeId, predicate: &str, object: NodeId) -> bool {
         self.find_predicate(predicate).is_some_and(|pred| {
             self.outgoing(subject)
                 .contains(&(pred, Object::Node(object)))

@@ -8,8 +8,8 @@
 //! levels, the domain ontologies, the DBpedia synonyms and the links to the
 //! base data are all represented as one [`MetaGraph`].  SODA's *metadata graph
 //! patterns* (table pattern, column pattern, foreign-key pattern, inheritance
-//! pattern, bridge-table pattern, …) are expressed in the [`pattern`] module's
-//! language and evaluated by the [`matcher`].
+//! pattern, bridge-table pattern, …) are [`Pattern`]s in the paper's
+//! language ([`parse_pattern`]) and evaluated by the [`Matcher`].
 //!
 //! ## Data model
 //!
@@ -42,16 +42,18 @@
 //! assert_eq!(matches[0].text("y"), Some("parties"));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod builder;
-pub mod graph;
-pub mod matcher;
-pub mod parser;
-pub mod pattern;
-pub mod uri;
+mod graph;
+mod matcher;
+mod parser;
+mod pattern;
+mod uri;
 
 pub use builder::GraphBuilder;
 pub use graph::{Edge, MetaGraph, NodeId, Object};
-pub use matcher::{Binding, Matcher, PatternRegistry};
+pub use matcher::{Binding, BoundValue, Matcher, PatternRegistry};
 pub use parser::{parse_pattern, ParseError};
 pub use pattern::{Pattern, PatternItem, Term, TriplePattern};
-pub use uri::{LabelId, PredId, SymbolTable};
+pub use uri::{LabelId, PredId};

@@ -27,7 +27,7 @@ pub enum Term {
 
 impl Term {
     /// Returns the variable name if this term is a node or text variable.
-    pub fn var_name(&self) -> Option<&str> {
+    pub(crate) fn var_name(&self) -> Option<&str> {
         match self {
             Term::Var(v) | Term::TextVar(v) => Some(v),
             _ => None,
@@ -111,15 +111,10 @@ impl Pattern {
         }
     }
 
-    /// Parses a pattern from the paper's textual syntax; see [`crate::parser`].
+    /// Parses a pattern from the paper's textual syntax; see
+    /// [`parse_pattern`](crate::parse_pattern).
     pub fn parse(name: &str, text: &str) -> Result<Self, crate::parser::ParseError> {
         crate::parser::parse_pattern(name, text)
-    }
-
-    /// Overrides the anchor variable.
-    pub fn with_anchor(mut self, anchor: impl Into<String>) -> Self {
-        self.anchor = anchor.into();
-        self
     }
 
     /// All distinct variable names mentioned by the pattern, anchor first.
@@ -236,12 +231,5 @@ mod tests {
         );
         assert_eq!(Term::TextVar("y".into()).to_string(), "t:y");
         assert_eq!(Term::TextLit("Zurich".into()).to_string(), "t:\"Zurich\"");
-    }
-
-    #[test]
-    fn anchor_can_be_overridden() {
-        let p = table_pattern().with_anchor("z");
-        assert_eq!(p.anchor, "z");
-        assert_eq!(p.variables()[0], "z");
     }
 }

@@ -41,7 +41,7 @@ impl LabelId {
 /// of the process, so a map keyed by a second copy of each string would
 /// cost more than the strings themselves.
 #[derive(Debug, Default, Clone)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     /// The interned strings, concatenated in interning order.
     text: String,
     /// Where each string ends in `text`, by index.
@@ -54,11 +54,6 @@ pub struct SymbolTable {
 }
 
 impl SymbolTable {
-    /// Creates an empty symbol table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Where the probe sequence of `s` starts, for the current table length.
     fn home(&self, s: &str) -> usize {
         (self.hasher.hash_one(s) as usize) & (self.slots.len() - 1)
@@ -75,13 +70,13 @@ impl SymbolTable {
 
     /// Interns `s`, returning its index.  Re-interning an existing string
     /// returns the original index.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
         self.insert(s).0
     }
 
     /// Interns `s`, returning its index and whether it is new.  One probe
     /// finds either `s` or the free slot it goes into.
-    pub fn insert(&mut self, s: &str) -> (u32, bool) {
+    pub(crate) fn insert(&mut self, s: &str) -> (u32, bool) {
         let free = match self.probe(s) {
             Some(Ok(id)) => return (id, false),
             Some(Err(slot)) => Some(slot),
@@ -102,7 +97,7 @@ impl SymbolTable {
     }
 
     /// Returns the index of `s` if it has been interned before.
-    pub fn get(&self, s: &str) -> Option<u32> {
+    pub(crate) fn get(&self, s: &str) -> Option<u32> {
         self.probe(s)?.ok()
     }
 
@@ -126,25 +121,15 @@ impl SymbolTable {
     ///
     /// # Panics
     /// Panics if `id` was not produced by this table.
-    pub fn resolve(&self, id: u32) -> &str {
+    pub(crate) fn resolve(&self, id: u32) -> &str {
         let id = id as usize;
         let start = if id == 0 { 0 } else { self.ends[id - 1] };
         &self.text[start as usize..self.ends[id] as usize]
     }
 
     /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ends.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Iterates over `(index, string)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        (0..self.ends.len() as u32).map(|id| (id, self.resolve(id)))
     }
 }
 
@@ -166,7 +151,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let a = t.intern("tablename");
         let b = t.intern("tablename");
         assert_eq!(a, b);
@@ -175,7 +160,7 @@ mod tests {
 
     #[test]
     fn insert_says_whether_the_string_is_new() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         assert_eq!(t.insert("type"), (0, true));
         assert_eq!(t.insert("name"), (1, true));
         assert_eq!(t.insert("type"), (0, false));
@@ -184,7 +169,7 @@ mod tests {
 
     #[test]
     fn intern_distinct_strings() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let a = t.intern("type");
         let b = t.intern("columnname");
         assert_ne!(a, b);
@@ -194,14 +179,14 @@ mod tests {
 
     #[test]
     fn get_without_intern_returns_none() {
-        let t = SymbolTable::new();
+        let t = SymbolTable::default();
         assert_eq!(t.get("missing"), None);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn case_sensitivity_is_preserved() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let lower = t.intern("parties");
         let upper = t.intern("Parties");
         assert_ne!(lower, upper);
@@ -209,7 +194,7 @@ mod tests {
 
     #[test]
     fn thousands_of_symbols_survive_the_table_growing() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let ids: Vec<u32> = (0..5_000)
             .map(|i| t.intern(&format!("phys/table_{i}/id")))
             .collect();
@@ -225,15 +210,5 @@ mod tests {
         assert_eq!(t.get("phys/table_5000/id"), None);
         // A clone probes with the same keys.
         assert_eq!(t.clone().get("phys/table_4999/id"), Some(4_999));
-    }
-
-    #[test]
-    fn iteration_order_matches_interning_order() {
-        let mut t = SymbolTable::new();
-        t.intern("a");
-        t.intern("b");
-        t.intern("c");
-        let all: Vec<_> = t.iter().map(|(_, s)| s.to_string()).collect();
-        assert_eq!(all, vec!["a", "b", "c"]);
     }
 }

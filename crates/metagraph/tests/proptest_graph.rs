@@ -16,7 +16,7 @@ use soda_metagraph::{
 mod reference {
     use std::collections::HashMap;
 
-    use soda_metagraph::matcher::BoundValue;
+    use soda_metagraph::BoundValue;
     use soda_metagraph::{
         MetaGraph, NodeId, Object, Pattern, PatternItem, PatternRegistry, PredId, Term,
         TriplePattern,

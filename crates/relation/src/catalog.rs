@@ -114,11 +114,6 @@ impl Database {
         self.tables.len()
     }
 
-    /// Total number of columns across all tables.
-    pub fn column_count(&self) -> usize {
-        self.tables.values().map(|t| t.schema().arity()).sum()
-    }
-
     /// Total number of rows across all tables.
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(|t| t.row_count()).sum()
@@ -212,7 +207,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(db.total_rows(), 3);
-        assert_eq!(db.column_count(), 5);
+        let columns: usize = db.tables.values().map(|t| t.schema().arity()).sum();
+        assert_eq!(columns, 5);
         assert_eq!(db.table_names(), vec!["individuals", "parties"]);
     }
 

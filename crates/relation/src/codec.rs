@@ -13,8 +13,7 @@
 //! that were written by the same build lineage and passed a CRC.
 //!
 //! ```
-//! use soda_relation::codec::{Decoder, Encoder};
-//! use soda_relation::Value;
+//! use soda_relation::{Decoder, Encoder, Value};
 //!
 //! let mut enc = Encoder::new();
 //! enc.put_value(&Value::from("Zurich"));
@@ -89,7 +88,7 @@ impl Encoder {
     }
 
     /// A boolean as one byte.
-    pub fn put_bool(&mut self, v: bool) {
+    pub(crate) fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
@@ -99,13 +98,13 @@ impl Encoder {
     }
 
     /// An `i64`, little-endian two's complement.
-    pub fn put_i64(&mut self, v: i64) {
+    pub(crate) fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// An `f64` through its bit pattern — bit-exact round trips, NaN
     /// payloads included.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
@@ -196,7 +195,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// A boolean (any non-zero byte is `true`).
-    pub fn get_bool(&mut self) -> CodecResult<bool> {
+    pub(crate) fn get_bool(&mut self) -> CodecResult<bool> {
         Ok(self.get_u8()? != 0)
     }
 
@@ -209,12 +208,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// A little-endian `i64`.
-    pub fn get_i64(&mut self) -> CodecResult<i64> {
+    pub(crate) fn get_i64(&mut self) -> CodecResult<i64> {
         Ok(self.get_u64()? as i64)
     }
 
     /// An `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> CodecResult<f64> {
+    pub(crate) fn get_f64(&mut self) -> CodecResult<f64> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 

@@ -11,39 +11,34 @@ use crate::value::{DataType, Date, Value};
 /// The columns a statement can name, by qualifier: one entry per column of
 /// each FROM table.  Consulted while binding, never per row.
 #[derive(Debug, Clone, Default)]
-pub struct RowSchema {
+pub(crate) struct RowSchema {
     cols: Vec<(String, String)>,
 }
 
 impl RowSchema {
     /// Creates an empty schema.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a column belonging to `qualifier`.
-    pub fn push(&mut self, qualifier: &str, column: &str) {
+    pub(crate) fn push(&mut self, qualifier: &str, column: &str) {
         self.cols
             .push((qualifier.to_ascii_lowercase(), column.to_ascii_lowercase()));
     }
 
     /// Number of columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cols.len()
     }
 
-    /// Whether the schema has no columns.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
     /// All `(qualifier, column)` pairs.
-    pub fn columns(&self) -> &[(String, String)] {
+    pub(crate) fn columns(&self) -> &[(String, String)] {
         &self.cols
     }
 
     /// Resolves a column reference to its index.
-    pub fn resolve(&self, table: Option<&str>, column: &str) -> Result<usize> {
+    pub(crate) fn resolve(&self, table: Option<&str>, column: &str) -> Result<usize> {
         let column = column.to_ascii_lowercase();
         match table {
             Some(t) => {
@@ -66,16 +61,6 @@ impl RowSchema {
                 }
             }
         }
-    }
-
-    /// Indexes of all columns belonging to `qualifier`.
-    pub fn columns_of(&self, qualifier: &str) -> Vec<usize> {
-        let q = qualifier.to_ascii_lowercase();
-        self.cols
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (qq, _))| if *qq == q { Some(i) } else { None })
-            .collect()
     }
 }
 
@@ -488,7 +473,10 @@ mod tests {
             s.resolve(None, "missing"),
             Err(RelationError::UnknownColumn(_))
         ));
-        assert_eq!(s.columns_of("individuals"), vec![0, 1, 2]);
+        let individuals: Vec<usize> = (0..s.cols.len())
+            .filter(|&i| s.cols[i].0 == "individuals")
+            .collect();
+        assert_eq!(individuals, vec![0, 1, 2]);
     }
 
     #[test]

@@ -1592,7 +1592,10 @@ mod tests {
             db.insert("t", counted_row(tag)).unwrap();
         }
         let t = db.table("t").unwrap();
-        assert_eq!((t.segment_count(), t.tail_rows()), (1, 476));
+        assert_eq!(
+            (t.row_count() - t.tail_rows(), t.tail_rows()),
+            (Table::SEGMENT_ROWS, 476)
+        );
         db.create_table(
             TableSchema::builder("u")
                 .column("k", DataType::Int)

@@ -192,7 +192,7 @@ impl Expr {
     }
 
     /// True if the expression (recursively) contains an aggregate call.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Aggregate { .. } => true,
             Expr::Compare { left, right, .. } => {

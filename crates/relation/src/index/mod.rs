@@ -1,7 +1,7 @@
 //! Base-data indexing: tokenizer, inverted index over text columns and the
 //! per-shard side logs streaming ingestion overlays on top of it.
 
-pub mod inverted;
+pub(crate) mod inverted;
 mod postings;
-pub mod sidelog;
+pub(crate) mod sidelog;
 pub mod tokenizer;

@@ -74,13 +74,8 @@ impl SideLog {
     }
 
     /// Folded names of the tables whose frozen entries this log supersedes.
-    pub fn masked_tables(&self) -> &[String] {
+    pub(crate) fn masked_tables(&self) -> &[String] {
         &self.masked
-    }
-
-    /// True when any table is masked.
-    pub fn has_masks(&self) -> bool {
-        !self.masked.is_empty()
     }
 
     /// True when `table`'s frozen entries are superseded by this log.
@@ -148,7 +143,7 @@ mod tests {
         assert_eq!(log.posting_count(), 2); // "basel", "stadt"
         assert_eq!(log.values.live_rows("basel", &[]), 1);
         assert_eq!(log.values.live_rows("zurich", &[]), 0);
-        assert!(!log.has_masks());
+        assert!(log.masked_tables().is_empty());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   cell) four ways: equality and range filters, equi-join lookups, and
 //!   GROUP BY and DISTINCT by code,
 //! * an inverted index over text columns (the paper's base-data index),
-//! * a compact binary [`codec`] for values and rows — the byte-exact
-//!   encoding the durability layer (`soda-journal`, the service's
-//!   page-cache keys) writes to disk.
+//! * a compact binary codec ([`Encoder`], [`Decoder`]) for values and
+//!   rows — the byte-exact encoding the durability layer (`soda-journal`,
+//!   the service's page-cache keys) writes to disk.
 //!
 //! ```
 //! use soda_relation::{Database, TableSchema, DataType, Value};
@@ -40,17 +40,19 @@
 //! assert_eq!(result.row_count(), 1);
 //! ```
 
-pub mod catalog;
-pub mod codec;
-pub mod error;
+#![warn(unreachable_pub)]
+
+mod catalog;
+mod codec;
+mod error;
 pub mod exec;
-pub mod expr;
-pub mod hash;
+mod expr;
+mod hash;
 pub mod index;
-pub mod schema;
-pub mod sql;
-pub mod table;
-pub mod value;
+mod schema;
+mod sql;
+mod table;
+mod value;
 
 pub use catalog::{fold_table_name, Database};
 pub use codec::{CodecError, CodecResult, Decoder, Encoder};

@@ -75,11 +75,6 @@ impl TableSchema {
         self.columns.len()
     }
 
-    /// All column names in order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// True if `name` is part of the primary key.
     pub fn is_primary_key(&self, name: &str) -> bool {
         self.primary_key
@@ -254,7 +249,10 @@ mod tests {
     fn column_names_in_declaration_order() {
         let s = schema();
         assert_eq!(
-            s.column_names(),
+            s.columns
+                .iter()
+                .map(|c| c.name.as_str())
+                .collect::<Vec<_>>(),
             vec![
                 "party_id",
                 "given_name",

@@ -29,16 +29,8 @@ impl TableRef {
         }
     }
 
-    /// A table reference with an alias.
-    pub fn aliased(name: impl Into<Arc<str>>, alias: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            alias: Some(alias.into()),
-        }
-    }
-
     /// The name used to qualify columns of this reference (alias if present).
-    pub fn effective_name(&self) -> &str {
+    pub(crate) fn effective_name(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.name)
     }
 }
@@ -58,16 +50,8 @@ impl SelectItem {
         Self { expr, alias: None }
     }
 
-    /// Projection item with alias.
-    pub fn aliased(expr: Expr, alias: impl Into<String>) -> Self {
-        Self {
-            expr,
-            alias: Some(alias.into()),
-        }
-    }
-
     /// The output column name of this item.
-    pub fn output_name(&self) -> String {
+    pub(crate) fn output_name(&self) -> String {
         if let Some(a) = &self.alias {
             return a.clone();
         }
@@ -144,7 +128,14 @@ mod tests {
     #[test]
     fn table_ref_effective_name() {
         assert_eq!(TableRef::new("parties").effective_name(), "parties");
-        assert_eq!(TableRef::aliased("parties", "p").effective_name(), "p");
+        assert_eq!(
+            TableRef {
+                alias: Some("p".into()),
+                ..TableRef::new("parties")
+            }
+            .effective_name(),
+            "p"
+        );
     }
 
     #[test]
@@ -154,7 +145,11 @@ mod tests {
             "amount"
         );
         assert_eq!(
-            SelectItem::aliased(Expr::column("x"), "total").output_name(),
+            SelectItem {
+                alias: Some("total".into()),
+                ..SelectItem::expr(Expr::column("x"))
+            }
+            .output_name(),
             "total"
         );
         let agg = SelectItem::expr(Expr::Aggregate {

@@ -8,7 +8,7 @@ use crate::error::{RelationError, Result};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token<'a> {
+pub(crate) enum Token<'a> {
     /// Keyword or identifier (uppercased check happens in the parser).
     Ident(&'a str),
     /// Numeric literal.
@@ -31,7 +31,7 @@ pub enum Token<'a> {
 
 impl Token<'_> {
     /// True if this token is the given keyword (case-insensitive).
-    pub fn is_keyword(&self, kw: &str) -> bool {
+    pub(crate) fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
@@ -61,7 +61,7 @@ fn string_literal(input: &str, start: usize) -> Result<(Cow<'_, str>, usize)> {
 }
 
 /// Tokenises a SQL string.
-pub fn lex(input: &str) -> Result<Vec<Token<'_>>> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token<'_>>> {
     // Generated SQL spends five bytes or more per token: no regrowth.
     let mut tokens = Vec::with_capacity(input.len() / 4);
     let bytes = input.as_bytes();

@@ -1,6 +1,6 @@
 //! SQL subset: abstract syntax tree, lexer, parser and printer.
 
-pub mod ast;
-pub mod lexer;
-pub mod parser;
-pub mod printer;
+pub(crate) mod ast;
+pub(crate) mod lexer;
+pub(crate) mod parser;
+pub(crate) mod printer;

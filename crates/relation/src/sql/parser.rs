@@ -18,10 +18,10 @@ const RESERVED: &[&str] = &[
 /// statement may have.  Generated statements stay far below it; the cap
 /// keeps hostile text (a caller's SQL, a page-cache file) from recursing
 /// the parser off the stack, even on the 2 MiB stacks test threads get.
-pub const MAX_NESTING: usize = 200;
+pub(crate) const MAX_NESTING: usize = 200;
 
 /// Parses a single `SELECT` statement.  Nesting deeper than
-/// [`MAX_NESTING`] is a [`RelationError::Parse`].
+/// `MAX_NESTING` (200) is a [`RelationError::Parse`].
 pub fn parse_select(sql: &str) -> Result<SelectStatement> {
     let tokens = lex(sql)?;
     let mut p = Parser {

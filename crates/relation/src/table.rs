@@ -115,26 +115,9 @@ impl Table {
         }
     }
 
-    /// Number of frozen (structurally shared) segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Rows currently in the tail, not yet sealed into a segment.
     pub fn tail_rows(&self) -> usize {
         self.tail_len
-    }
-
-    /// True when `self` and `other` share every frozen segment allocation
-    /// — the structural-sharing invariant copy-on-write clones preserve
-    /// for untouched tables.
-    pub fn shares_segments_with(&self, other: &Table) -> bool {
-        self.segments.len() == other.segments.len()
-            && self
-                .segments
-                .iter()
-                .zip(&other.segments)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// Inserts one row, validating arity, types and NULLability.
@@ -225,12 +208,6 @@ impl Table {
     pub fn value(&self, row_index: usize, column: &str) -> Option<&Value> {
         let col = self.schema.column_index(column)?;
         self.rows().get(row_index).map(|r| &r[col])
-    }
-
-    /// Iterates over all values of a column.
-    pub fn column_values<'a>(&'a self, column: &str) -> Option<impl Iterator<Item = &'a Value>> {
-        let col = self.schema.column_index(column)?;
-        Some(self.rows().iter().map(move |r| &r[col]))
     }
 
     /// The [`ColumnIndex`] of column `col`, built on first use — concurrent
@@ -764,6 +741,26 @@ mod tests {
     use super::*;
     use crate::value::{DataType, Date};
 
+    impl Table {
+        /// True when `self` and `other` share every frozen segment allocation
+        /// — the structural-sharing invariant copy-on-write clones preserve
+        /// for untouched tables.
+        fn shares_segments_with(&self, other: &Table) -> bool {
+            self.segments.len() == other.segments.len()
+                && self
+                    .segments
+                    .iter()
+                    .zip(&other.segments)
+                    .all(|(a, b)| Arc::ptr_eq(a, b))
+        }
+
+        /// Iterates over all values of a column.
+        fn column_values<'a>(&'a self, column: &str) -> Option<impl Iterator<Item = &'a Value>> {
+            let col = self.schema.column_index(column)?;
+            Some(self.rows().iter().map(move |r| &r[col]))
+        }
+    }
+
     fn table() -> Table {
         Table::new(
             TableSchema::builder("individual")
@@ -874,7 +871,7 @@ mod tests {
         let n = Table::SEGMENT_ROWS * 2 + 7;
         t.insert_all((0..n).map(wide_row)).unwrap();
         assert_eq!(t.row_count(), n);
-        assert_eq!(t.segment_count(), 2);
+        assert_eq!(t.segments.len(), 2);
         assert_eq!(t.tail_rows(), 7);
         // Order is stable across the seams, by iterator and by index.
         for (i, r) in t.rows().iter().enumerate() {
@@ -912,7 +909,7 @@ mod tests {
         let more = Table::SEGMENT_ROWS - 5;
         copy.insert_all((0..more).map(|i| wide_row(20_000 + i)))
             .unwrap();
-        assert_eq!((copy.segment_count(), copy.tail_rows()), (2, 0));
+        assert_eq!((copy.segments.len(), copy.tail_rows()), (2, 0));
         assert_eq!(
             copy.rows()[Table::SEGMENT_ROWS + 2],
             wide_row(Table::SEGMENT_ROWS + 2)
@@ -952,7 +949,7 @@ mod tests {
         let kept = t.clone();
         t.truncate();
         assert_eq!(t.row_count(), 0);
-        assert_eq!(t.segment_count(), 0);
+        assert_eq!(t.segments.len(), 0);
         assert!(t.rows().is_empty());
         // The clone keeps serving the pre-truncate rows.
         assert_eq!(kept.row_count(), Table::SEGMENT_ROWS + 1);

@@ -159,7 +159,7 @@ impl Value {
     /// True if the value is compatible with the given column type (NULL is
     /// compatible with every type; ints are accepted where floats are
     /// expected).
-    pub fn conforms_to(&self, ty: DataType) -> bool {
+    pub(crate) fn conforms_to(&self, ty: DataType) -> bool {
         match (self, ty) {
             (Value::Null, _) => true,
             (Value::Int(_), DataType::Float) => true,

@@ -84,7 +84,8 @@ impl TenantAdmin<'_> {
     /// is published as the live one's successor
     /// ([`EngineSnapshot::succeeding`]); returns the new generation.  A
     /// durable reload checkpoints under the new configuration, so the next
-    /// recovery must be given it (unless the checkpoint failed).
+    /// recovery must be given it (unless the checkpoint failed and no
+    /// ingest has written it since).
     pub fn reload(&self, snapshot: EngineSnapshot) -> u64 {
         let tenant = &self.tenant;
         let mut writer = tenant.writer();
@@ -137,6 +138,10 @@ impl TenantAdmin<'_> {
     /// run under the tenant's writer lock.  The side logs the feed grows stay
     /// until [`compact`](Self::compact) folds them.
     ///
+    /// A swap whose checkpoint failed leaves the journal owing one: the
+    /// next durable ingest writes it before appending, and is refused with
+    /// [`ServiceError::Durability`] (nothing absorbed) while it still fails.
+    ///
     /// A feed without events changes nothing, so it costs nothing: the live
     /// generation is returned with nothing journaled, published or logged —
     /// the rule [`compact`](Self::compact) follows when there is nothing to
@@ -155,8 +160,18 @@ impl TenantAdmin<'_> {
         // engine absorbs it, so every acknowledged ingest is replayable
         // after a crash.  If the append fails the feed is not absorbed at
         // all; if the engine then rejects it, the journaled record is
-        // deterministically re-rejected on replay — harmless either way.
+        // deterministically re-rejected on replay — harmless either way.  A
+        // checkpoint a swap still owes goes first: behind the pre-swap
+        // history, the feed would replay over the wrong snapshot.
         if let Some(d) = writer.journal.as_mut() {
+            if d.checkpoint_owed {
+                write_checkpoint(shared, tenant, d, false);
+                if d.checkpoint_owed {
+                    return Err(ServiceError::Durability(
+                        "the journal owes a checkpoint that failed again; feed not absorbed".into(),
+                    ));
+                }
+            }
             let appended = d
                 .journal
                 .append_feed(&feed)

@@ -200,7 +200,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// that re-inserting them sequentially on reload reproduces the recency
     /// order — the restored cache evicts in the same order the drained one
     /// would have.
-    pub fn iter_oldest_first(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn iter_oldest_first(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut entries: Vec<(&K, &Slot<V>)> = self.map.iter().collect();
         entries.sort_unstable_by_key(|(_, slot)| slot.stamp);
         entries.into_iter().map(|(key, slot)| (key, &slot.value))
@@ -246,7 +246,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 /// snapshot swaps safe: a page computed against a swapped-out generation is
 /// simply no longer addressable.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Canonical query text ([`soda_core::normalize_query`]); shared, so the
     /// copies of a key a miss hands around (pending entry, job, cache slot)
     /// are pointer clones.

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use soda_core::{Database, EngineSnapshot, MetaGraph, SodaConfig, TenantId};
 use soda_journal::frame::{read_frame_file, write_frame_file};
 use soda_journal::{journal_path, FeedJournal, FsyncPolicy};
-use soda_relation::codec::{CodecError, CodecResult, Decoder, Encoder};
-use soda_relation::fold_table_name;
+use soda_relation::{fold_table_name, CodecError, CodecResult, Decoder, Encoder};
 use soda_trace::NoopSink;
 
 use crate::cache::CacheKey;
@@ -77,6 +76,11 @@ pub(crate) struct DurabilityState {
     /// omitted from one checkpoint would silently revert to its base
     /// content.  The set therefore only ever grows.
     pub(crate) dirty_tables: BTreeSet<String>,
+    /// Set while the last checkpoint failed: the journal still holds the
+    /// history before the swap that asked for it, and a feed appended
+    /// behind that history would replay over the wrong snapshot.  The
+    /// next ingest writes the checkpoint first, or is refused.
+    pub(crate) checkpoint_owed: bool,
 }
 
 /// What a journal is replayed over.
@@ -172,6 +176,7 @@ pub(crate) fn recover_journal(
     let state = DurabilityState {
         journal,
         dirty_tables,
+        checkpoint_owed: false,
     };
     Ok((engine, state, report))
 }
@@ -289,8 +294,8 @@ pub(crate) fn persist_cache_pages(shared: &Shared) {
 /// `mark_all_tables` the whole live database is recorded first (a reload
 /// swaps in data the journal never saw).  `d` is borrowed from the
 /// tenant's writer guard, so the caller is the tenant's one writer.  A
-/// failed write is counted and leaves the old journal in place — still
-/// fully replayable, just not yet truncated.
+/// failed write is counted, leaves the old journal in place and marks the
+/// checkpoint owed ([`DurabilityState::checkpoint_owed`]).
 pub(crate) fn write_checkpoint(
     shared: &Shared,
     tenant: &TenantState,
@@ -317,6 +322,7 @@ pub(crate) fn write_checkpoint(
     let generation = snapshot.generation();
     let fingerprint = snapshot.config().fingerprint();
     let outcome = d.journal.write_checkpoint(fingerprint, generation, &tables);
+    d.checkpoint_owed = outcome.is_err();
     {
         let mut facts = tenant.facts();
         let figures = &mut facts.durability;

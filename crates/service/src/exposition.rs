@@ -8,10 +8,9 @@
 //! checked against that table.
 
 use soda_core::{ShardStats, TenantId};
-use soda_trace::hist::LogHistogram;
 use soda_trace::names;
 use soda_trace::prom::{MetricKind, PromWriter};
-use soda_trace::{BoundedLog, OpEvent};
+use soda_trace::{BoundedLog, LogHistogram, OpEvent};
 
 use crate::metrics::{
     DurabilityMetrics, IngestMetrics, LatencyRecorder, LatencySummary, ServiceMetrics,
@@ -476,10 +475,9 @@ impl QueryService {
     /// last-seen states advanced under that tenant's facts lock.
     ///
     /// The multi-window rule: an alert **fires** only when both the fast
-    /// and the slow window burn faster than
-    /// [`BURN_THRESHOLD`](crate::slo::BURN_THRESHOLD); one window alone marks
-    /// it **pending**.  Returns an empty vector when
-    /// no SLO is configured.
+    /// and the slow window burn faster than the burn threshold
+    /// (`slo::BURN_THRESHOLD`); one window alone marks it **pending**.
+    /// Returns an empty vector when no SLO is configured.
     pub fn alerts(&self) -> Vec<BurnAlert> {
         let now = self.shared.started.elapsed();
         let mut raised = Vec::new();

@@ -8,9 +8,9 @@
 //!
 //! The rule of the crate is **one way to do each thing** — one submission
 //! path, one mutation = one [`TenantAdmin`] method, one recovery function,
-//! one metrics table — in these modules, all `std`-only:
+//! one metrics table — in these private modules, all `std`-only:
 //!
-//! * [`service`] — [`QueryService`], a bounded worker pool over per-tenant
+//! * `service` — [`QueryService`], a bounded worker pool over per-tenant
 //!   hot-swappable [`EngineSnapshot`](soda_core::EngineSnapshot)s (each
 //!   tenant publishes its own) with a single request surface: build a
 //!   [`QueryRequest`] (optionally [`.tenant(..)`](QueryRequest::tenant)),
@@ -19,25 +19,25 @@
 //!   pipeline runs.  Blocking backpressure, in-flight request coalescing,
 //!   graceful drain.  Its module docs tell the life of a
 //!   query, hot swapping, streaming ingestion and durable restart in full.
-//! * [`config`], [`request`] — [`ServiceConfig`] and its opt-in
+//! * `config`, `request` — [`ServiceConfig`] and its opt-in
 //!   sub-configurations; the request / response / [`ServiceError`] types.
-//! * `queue`, `worker` (private) — per-tenant lanes with round-robin pop
+//! * `queue`, `worker` — per-tenant lanes with round-robin pop
 //!   and admission control; the worker loop.
-//! * [`admin`] — [`TenantAdmin`] ([`QueryService::admin`]), one path per
+//! * `admin` — [`TenantAdmin`] ([`QueryService::admin`]), one path per
 //!   kind of change: base data changes only through
 //!   [`TenantAdmin::ingest_owned`], which absorbs a row-level
 //!   [`ChangeFeed`](soda_core::ChangeFeed) into per-shard side logs, and
 //!   [`TenantAdmin::compact`] merges those logs into copies of their
 //!   partitions when the operator asks; `refresh_graph` swaps in new metadata and `reload` anything else, all
 //!   without draining the pool.
-//! * [`durability`] — with a [`DurabilityConfig`] the service is
+//! * `durability` — with a [`DurabilityConfig`] the service is
 //!   **crash-safe**: ingests are journaled write-ahead ([`soda_journal`]),
 //!   swaps and compactions checkpoint and truncate the journal, one
 //!   recovery function replays it — behind [`QueryService::recover`] and
 //!   [`QueryService::add_tenant`] alike — into byte-identical answers, and
 //!   a graceful drain persists the keys of the default tenant's warm pages;
 //!   both files carry the configuration the service last served.
-//! * [`tenants`] — [`TenantRegistry`]: further warehouses registered at
+//! * `tenants` — [`TenantRegistry`]: further warehouses registered at
 //!   runtime, each with its own live snapshot, queue lane, admission
 //!   quota and journal, while the worker pool and the cache stay shared.
 //!   A tenant keeps its own state under three locks: its writer (swaps and
@@ -46,11 +46,11 @@
 //!   Cache keys fold the tenant
 //!   fingerprint ([`TenantId::fold`]), so tenants share one LRU without any
 //!   possibility of cross-tenant hits.
-//! * [`cache`] — [`LruCache`], mapping *canonicalized* queries
+//! * `cache` — [`LruCache`], mapping *canonicalized* queries
 //!   ([`soda_core::normalize_query`]) plus the tenant-folded snapshot
 //!   fingerprint ([`soda_core::EngineSnapshot::cache_fingerprint`]) to
 //!   served pages, with hit / miss / eviction / purge accounting.
-//! * [`metrics`], [`exposition`], [`slo`] — the [`ServiceMetrics`] health
+//! * `metrics`, `exposition`, `slo` — the [`ServiceMetrics`] health
 //!   snapshot (QPS, histogram-backed latency with the **queue-wait /
 //!   execution split** and per-stage figures, cache, queue, per-shard
 //!   [`soda_core::ShardStats`], the per-tenant [`TenantMetrics`]) and its
@@ -78,22 +78,24 @@
 //! assert!(response.page.results.iter().all(|r| r.sql.starts_with("SELECT")));
 //! ```
 
-pub mod admin;
-pub mod cache;
-pub mod config;
-pub mod durability;
-pub mod exposition;
+#![warn(unreachable_pub)]
+
+mod admin;
+mod cache;
+mod config;
+mod durability;
+mod exposition;
 mod heap;
-pub mod metrics;
+mod metrics;
 mod queue;
-pub mod request;
-pub mod service;
-pub mod slo;
-pub mod tenants;
+mod request;
+mod service;
+mod slo;
+mod tenants;
 mod worker;
 
 pub use admin::TenantAdmin;
-pub use cache::{CacheKey, CacheStats, LruCache};
+pub use cache::{CacheStats, LruCache};
 pub use config::{DurabilityConfig, SamplingConfig, ServiceConfig};
 pub use durability::RecoveryReport;
 pub use metrics::{

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use soda_core::{ShardStats, StepTimings};
-use soda_trace::hist::LogHistogram;
+use soda_trace::LogHistogram;
 
 use crate::cache::CacheStats;
 use crate::durability::RecoveryReport;
@@ -107,7 +107,8 @@ pub struct DurabilityMetrics {
     /// Checkpoints written (each one truncates the journal).
     pub checkpoints: u64,
     /// Checkpoint attempts that failed and left the journal untouched (the
-    /// journal remains replayable; the truncation is merely postponed).
+    /// journal remains replayable; the next durable ingest retries the
+    /// checkpoint before it appends).
     pub checkpoint_failures: u64,
     /// What the recovery that opened the journal found and rebuilt.
     pub recovery: RecoveryReport,

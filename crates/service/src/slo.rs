@@ -34,18 +34,18 @@ use std::time::Duration;
 
 /// Fraction of requests that must meet the latency objective (the error
 /// budget is the remaining 1 %).
-pub const LATENCY_TARGET: f64 = 0.99;
+pub(crate) const LATENCY_TARGET: f64 = 0.99;
 /// Fraction of requests that must succeed (availability SLO).
-pub const AVAILABILITY_TARGET: f64 = 0.999;
+pub(crate) const AVAILABILITY_TARGET: f64 = 0.999;
 /// The fast burn window (sharp-regression detector).
-pub const FAST_WINDOW: Duration = Duration::from_secs(5 * 60);
+pub(crate) const FAST_WINDOW: Duration = Duration::from_secs(5 * 60);
 /// The slow burn window (blip filter).
-pub const SLOW_WINDOW: Duration = Duration::from_secs(60 * 60);
+pub(crate) const SLOW_WINDOW: Duration = Duration::from_secs(60 * 60);
 /// Slot width of the rolling window ring; the window arithmetic is
 /// slot-resolution, so this bounds both memory and precision.
-pub const RESOLUTION: Duration = Duration::from_secs(30);
+pub(crate) const RESOLUTION: Duration = Duration::from_secs(30);
 /// Burn rate both windows must exceed for an alert to fire.
-pub const BURN_THRESHOLD: f64 = 1.0;
+pub(crate) const BURN_THRESHOLD: f64 = 1.0;
 
 /// The declared latency objective, attached via `ServiceConfig::slo(...)`;
 /// the availability objective, both target fractions, the burn windows and
@@ -83,7 +83,7 @@ impl SloConfig {
     }
 
     /// The latency objective in force for `tenant`.
-    pub fn objective_for(&self, tenant: &str) -> Duration {
+    pub(crate) fn objective_for(&self, tenant: &str) -> Duration {
         self.tenant_latency
             .iter()
             .find(|(name, _)| name == tenant)
@@ -95,7 +95,7 @@ impl SloConfig {
 /// One slot (or one folded window) of SLO-relevant traffic, counted
 /// against one latency objective.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowBucket {
+pub(crate) struct WindowBucket {
     /// Successful requests at or below the objective (latency good events).
     pub met: u64,
     /// Successful requests past the objective (latency bad events).
@@ -106,7 +106,7 @@ pub struct WindowBucket {
 
 impl WindowBucket {
     /// Records one completed request against the latency `objective`.
-    pub fn record(&mut self, e2e: Duration, ok: bool, objective: Duration) {
+    pub(crate) fn record(&mut self, e2e: Duration, ok: bool, objective: Duration) {
         if !ok {
             self.errors += 1;
         } else if e2e <= objective {
@@ -118,7 +118,7 @@ impl WindowBucket {
 
     /// Folds another bucket in; burn rates over the merge equal burn rates
     /// over a bucket that saw both streams (property-tested).
-    pub fn merge(&mut self, other: &WindowBucket) {
+    pub(crate) fn merge(&mut self, other: &WindowBucket) {
         self.met += other.met;
         self.missed += other.missed;
         self.errors += other.errors;
@@ -128,7 +128,7 @@ impl WindowBucket {
 /// The latency burn rate of one window: the fraction of successful
 /// requests missing the objective, divided by the error budget
 /// `1 − target`.  Zero when the window is empty.
-pub fn latency_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
+pub(crate) fn latency_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
     let total = bucket.met + bucket.missed;
     if total == 0 {
         return 0.0;
@@ -139,7 +139,7 @@ pub fn latency_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
 
 /// The availability burn rate of one window: the failed fraction divided
 /// by the error budget.  Zero when the window is empty.
-pub fn availability_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
+pub(crate) fn availability_burn_rate(bucket: &WindowBucket, target: f64) -> f64 {
     let total = bucket.met + bucket.missed + bucket.errors;
     if total == 0 {
         return 0.0;
@@ -182,7 +182,7 @@ impl AlertState {
 
 /// The multi-window alert rule: firing iff **both** windows exceed the
 /// threshold, pending iff exactly one does.
-pub fn alert_state(fast_burn: f64, slow_burn: f64, threshold: f64) -> AlertState {
+pub(crate) fn alert_state(fast_burn: f64, slow_burn: f64, threshold: f64) -> AlertState {
     match (fast_burn > threshold, slow_burn > threshold) {
         (true, true) => AlertState::Firing,
         (false, false) => AlertState::Ok,
@@ -210,7 +210,7 @@ pub struct BurnAlert {
 /// Recording is O(1) into the newest slot; reading folds the slots a window
 /// covers into one mergeable bucket.
 #[derive(Debug)]
-pub struct SloWindow {
+pub(crate) struct SloWindow {
     /// The latency objective every request is judged against as it lands.
     objective: Duration,
     resolution_nanos: u128,
@@ -222,7 +222,7 @@ pub struct SloWindow {
 impl SloWindow {
     /// A ring judging requests against the latency `objective`, sized for
     /// `slow_window` at slot width `resolution`.
-    pub fn new(objective: Duration, slow_window: Duration, resolution: Duration) -> Self {
+    pub(crate) fn new(objective: Duration, slow_window: Duration, resolution: Duration) -> Self {
         let resolution_nanos = resolution.as_nanos().max(1);
         let span = slow_window.as_nanos().max(resolution_nanos);
         // +1: a window rarely aligns with slot boundaries, so covering it
@@ -238,7 +238,7 @@ impl SloWindow {
 
     /// Records one completed request observed at offset `at` from service
     /// start.
-    pub fn record(&mut self, at: Duration, e2e: Duration, ok: bool) {
+    pub(crate) fn record(&mut self, at: Duration, e2e: Duration, ok: bool) {
         let epoch = at.as_nanos() / self.resolution_nanos;
         let objective = self.objective;
         match self.slots.back_mut() {
@@ -259,7 +259,7 @@ impl SloWindow {
 
     /// Folds every slot the trailing `window` (ending at `now`) covers
     /// into one bucket.
-    pub fn merged(&self, now: Duration, window: Duration) -> WindowBucket {
+    pub(crate) fn merged(&self, now: Duration, window: Duration) -> WindowBucket {
         let start = now.saturating_sub(window).as_nanos() / self.resolution_nanos;
         let mut out = WindowBucket::default();
         for (epoch, bucket) in &self.slots {

@@ -36,8 +36,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use soda_core::{EngineSnapshot, TenantId};
-use soda_trace::hist::LogHistogram;
-use soda_trace::{BoundedLog, Sampler};
+use soda_trace::{BoundedLog, LogHistogram, Sampler};
 
 use crate::config::ServiceConfig;
 use crate::durability::{DurabilityState, RecoveryReport};

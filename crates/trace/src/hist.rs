@@ -18,13 +18,13 @@ use std::time::Duration;
 const SUB_BITS: u32 = 5;
 
 /// Linear sub-buckets per octave; also the size of the exact range `[0, 32)`.
-pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
+pub(crate) const SUB_BUCKETS: usize = 1 << SUB_BITS;
 
 /// Octaves above the exact range (value MSB in `SUB_BITS..=63`).
 const OCTAVES: usize = 64 - SUB_BITS as usize;
 
 /// Total bucket count: the exact range plus `OCTAVES × SUB_BUCKETS`.
-pub const BUCKETS: usize = SUB_BUCKETS + OCTAVES * SUB_BUCKETS;
+pub(crate) const BUCKETS: usize = SUB_BUCKETS + OCTAVES * SUB_BUCKETS;
 
 /// Bucket index for a nanosecond value; total over all of `u64`.
 fn bucket_index(nanos: u64) -> usize {
@@ -177,7 +177,7 @@ impl LogHistogram {
     /// `(upper_bound_nanos, cumulative_count)` pair per *non-empty* bucket,
     /// in increasing bound order.  The `+Inf` bucket (the total count) is the
     /// exporter's job.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cumulative = 0u64;
         for (index, &n) in self.counts.iter().enumerate() {

@@ -27,11 +27,13 @@
 //! * [`prom`] — a minimal Prometheus text-exposition writer plus a validator
 //!   used by golden tests to keep the exported surface well-formed.
 
-pub mod hist;
+#![warn(unreachable_pub)]
+
+mod hist;
 pub mod prom;
-pub mod ring;
-pub mod sample;
-pub mod span;
+mod ring;
+mod sample;
+mod span;
 
 pub use hist::LogHistogram;
 pub use ring::{BoundedLog, OpEvent};

@@ -420,7 +420,7 @@ impl QueryTrace {
 }
 
 /// Human-readable duration: picks ns/µs/ms/s by magnitude.
-pub fn format_duration(d: Duration) -> String {
+pub(crate) fn format_duration(d: Duration) -> String {
     let nanos = d.as_nanos();
     if nanos < 1_000 {
         format!("{nanos}ns")

@@ -94,7 +94,7 @@ pub const ORG_NAMES: &[&str] = &[
 ];
 
 /// Pool of legal forms.
-pub const LEGAL_FORMS: &[&str] = &["AG", "GmbH", "SA", "Cooperative", "Foundation"];
+pub(crate) const LEGAL_FORMS: &[&str] = &["AG", "GmbH", "SA", "Cooperative", "Foundation"];
 
 /// Pool of currencies; "YEN" is deliberately present (Q7.0).
 pub const CURRENCIES: &[(&str, &str)] = &[
@@ -129,7 +129,7 @@ pub const PRODUCT_NAMES: &[&str] = &[
 ];
 
 /// Pool of product types.
-pub const PRODUCT_TYPES: &[&str] = &["share", "fund", "hedge fund", "certificate", "bond"];
+pub(crate) const PRODUCT_TYPES: &[&str] = &["share", "fund", "hedge fund", "certificate", "bond"];
 
 /// Pool of agreement-name templates; "Gold" appears deliberately (Q4.0) and
 /// "Credit Suisse" appears in one agreement name (Q3.2 ambiguity).
@@ -147,7 +147,7 @@ pub const AGREEMENT_NAMES: &[&str] = &[
 ];
 
 /// Pool of street names.
-pub const STREETS: &[&str] = &[
+pub(crate) const STREETS: &[&str] = &[
     "Bahnhofstrasse",
     "Paradeplatz",
     "Limmatquai",
@@ -162,41 +162,41 @@ pub const STREETS: &[&str] = &[
 
 /// A deterministic random generator wrapper used by the warehouse builders.
 #[derive(Debug)]
-pub struct DataGen {
+pub(crate) struct DataGen {
     rng: StdRng,
 }
 
 impl DataGen {
     /// Creates a generator from a seed (the same seed always generates the
     /// same warehouse contents).
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
     /// Picks a reference to one element of a slice.
-    pub fn pick<'a, T>(&mut self, pool: &'a [T]) -> &'a T {
+    pub(crate) fn pick<'a, T>(&mut self, pool: &'a [T]) -> &'a T {
         &pool[self.rng.gen_range(0..pool.len())]
     }
 
     /// Picks an index in `0..n`.
-    pub fn index(&mut self, n: usize) -> usize {
+    pub(crate) fn index(&mut self, n: usize) -> usize {
         self.rng.gen_range(0..n)
     }
 
     /// Random integer in an inclusive range.
-    pub fn int(&mut self, low: i64, high: i64) -> i64 {
+    pub(crate) fn int(&mut self, low: i64, high: i64) -> i64 {
         self.rng.gen_range(low..=high)
     }
 
     /// Random float in a half-open range, rounded to two decimals.
-    pub fn amount(&mut self, low: f64, high: f64) -> f64 {
+    pub(crate) fn amount(&mut self, low: f64, high: f64) -> f64 {
         (self.rng.gen_range(low..high) * 100.0).round() / 100.0
     }
 
     /// Random date between two years (inclusive).
-    pub fn date(&mut self, year_low: i32, year_high: i32) -> soda_relation::Date {
+    pub(crate) fn date(&mut self, year_low: i32, year_high: i32) -> soda_relation::Date {
         soda_relation::Date::new(
             self.rng.gen_range(year_low..=year_high),
             self.rng.gen_range(1..=12) as u8,
@@ -205,7 +205,7 @@ impl DataGen {
     }
 
     /// Bernoulli draw.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.rng.gen_bool(p.clamp(0.0, 1.0))
     }
 }

@@ -26,19 +26,19 @@ use crate::datagen::{
 };
 
 /// Number of private customers.
-pub const NUM_INDIVIDUALS: usize = 300;
+pub(crate) const NUM_INDIVIDUALS: usize = 300;
 /// Number of corporate customers.
-pub const NUM_ORGANIZATIONS: usize = 80;
+pub(crate) const NUM_ORGANIZATIONS: usize = 80;
 /// Number of investment products.
-pub const NUM_PRODUCTS: usize = 30;
+pub(crate) const NUM_PRODUCTS: usize = 30;
 /// Number of securities.
-pub const NUM_SECURITIES: usize = 60;
+pub(crate) const NUM_SECURITIES: usize = 60;
 /// Number of trade orders (scaled by the data-scale factor).
-pub const NUM_TRADE_ORDERS: usize = 2_500;
+pub(crate) const NUM_TRADE_ORDERS: usize = 2_500;
 /// Number of money transactions (scaled by the data-scale factor).
-pub const NUM_MONEY_TXNS: usize = 800;
+pub(crate) const NUM_MONEY_TXNS: usize = 800;
 /// Number of employment bridge rows.
-pub const NUM_EMPLOYMENTS: usize = 120;
+pub(crate) const NUM_EMPLOYMENTS: usize = 120;
 /// Parties currently named "Sara" (party ids `1..=CURRENT_SARA`).
 pub const CURRENT_SARA: usize = 4;
 /// Parties with a *historic* "Sara" record (party ids

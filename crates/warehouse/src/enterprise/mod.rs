@@ -9,8 +9,8 @@
 
 pub mod data;
 pub mod ontology;
-pub mod padding;
-pub mod schema;
+mod padding;
+mod schema;
 
 use soda_relation::Database;
 

@@ -16,7 +16,7 @@ use crate::model::{
 
 /// Targets taken verbatim from Table 1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PaddingTargets {
+pub(super) struct PaddingTargets {
     /// Total conceptual entities.
     pub conceptual_entities: usize,
     /// Total conceptual attributes.
@@ -64,7 +64,7 @@ fn distribute(total: usize, n: usize) -> Vec<usize> {
 /// Extends `model` in place until its [`SchemaStats`](crate::model::SchemaStats)
 /// match `targets` exactly.  Panics if the core model already exceeds a
 /// target (that would be a programming error in the core schema).
-pub fn pad_model(model: &mut SchemaModel, targets: PaddingTargets) {
+pub(super) fn pad_model(model: &mut SchemaModel, targets: PaddingTargets) {
     let stats = model.stats();
     assert!(
         stats.physical_tables <= targets.physical_tables,
@@ -221,7 +221,7 @@ pub fn pad_model(model: &mut SchemaModel, targets: PaddingTargets) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enterprise::schema::core_model;
+    use crate::enterprise::schema::core_model_annotated;
 
     #[test]
     fn distribute_is_exact_and_even() {
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn padding_hits_the_table1_targets_exactly() {
-        let mut model = core_model();
+        let mut model = core_model_annotated(false);
         pad_model(&mut model, PaddingTargets::default());
         let s = model.stats();
         assert_eq!(s.conceptual_entities, 226);
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn padding_adds_inheritance_and_explicit_joins() {
-        let mut model = core_model();
+        let mut model = core_model_annotated(false);
         let inh_before = model.inheritance.len();
         pad_model(&mut model, PaddingTargets::default());
         assert!(model.inheritance.len() > inh_before);
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn padding_tables_have_valid_schemas() {
-        let mut model = core_model();
+        let mut model = core_model_annotated(false);
         pad_model(&mut model, PaddingTargets::default());
         for t in &model.physical {
             assert!(t.arity() >= 1, "table {} has no columns", t.name);

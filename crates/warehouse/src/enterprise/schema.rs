@@ -17,7 +17,7 @@ use crate::model::{
 };
 
 /// The core physical tables (all of them populated by the data generator).
-pub fn core_physical_schema() -> Vec<TableSchema> {
+pub(super) fn core_physical_schema() -> Vec<TableSchema> {
     vec![
         TableSchema::builder("party")
             .column("party_id", DataType::Int)
@@ -162,7 +162,7 @@ pub fn core_physical_schema() -> Vec<TableSchema> {
 }
 
 /// Logical entities of the core schema.
-pub fn core_logical_entities() -> Vec<LogicalEntity> {
+pub(super) fn core_logical_entities() -> Vec<LogicalEntity> {
     vec![
         LogicalEntity {
             name: "Party".into(),
@@ -267,7 +267,7 @@ pub fn core_logical_entities() -> Vec<LogicalEntity> {
 }
 
 /// Conceptual entities of the core schema.
-pub fn core_conceptual_entities() -> Vec<ConceptualEntity> {
+pub(super) fn core_conceptual_entities() -> Vec<ConceptualEntity> {
     vec![
         ConceptualEntity {
             name: "Parties".into(),
@@ -331,7 +331,7 @@ pub fn core_conceptual_entities() -> Vec<ConceptualEntity> {
 }
 
 /// Relationship lists for both upper layers.
-pub fn core_relationships() -> (Vec<Relationship>, Vec<Relationship>) {
+pub(super) fn core_relationships() -> (Vec<Relationship>, Vec<Relationship>) {
     let conceptual = vec![
         Relationship {
             from: "Parties".into(),
@@ -459,21 +459,16 @@ pub fn core_relationships() -> (Vec<Relationship>, Vec<Relationship>) {
     (conceptual, logical)
 }
 
-/// Assembles the core schema model (no padding), including the deliberate
-/// historisation gap: the `*_name_hist` join keys exist physically but are
-/// *not* annotated in the metadata graph.
-pub fn core_model() -> SchemaModel {
-    core_model_annotated(false)
-}
-
-/// Like [`core_model`] but optionally annotating the bi-temporal
-/// historization relationships in the metadata graph — the remedy the paper
-/// proposes in §5.2.1 ("the schema graph needs to be annotated with join
+/// Assembles the core schema model (no padding).  By default it keeps the
+/// deliberate historisation gap: the `*_name_hist` join keys exist physically
+/// but are *not* annotated in the metadata graph.  `annotate_historization`
+/// annotates the bi-temporal historization relationships — the remedy the
+/// paper proposes in §5.2.1 ("the schema graph needs to be annotated with join
 /// relationships that reflect bi-temporal historization") and lists as future
-/// work in §7.  With `annotate_historization = true` the `*_name_hist` join
-/// keys become visible to SODA as explicit join nodes, and historization nodes
-/// describe which table each history table historizes.
-pub fn core_model_annotated(annotate_historization: bool) -> SchemaModel {
+/// work in §7: the `*_name_hist` join keys become visible to SODA as explicit
+/// join nodes, and historization nodes describe which table each history table
+/// historizes.
+pub(super) fn core_model_annotated(annotate_historization: bool) -> SchemaModel {
     let (conceptual_relationships, logical_relationships) = core_relationships();
     let historization = if annotate_historization {
         vec![
@@ -558,7 +553,7 @@ mod tests {
 
     #[test]
     fn historisation_joins_are_unannotated() {
-        let model = core_model();
+        let model = core_model_annotated(false);
         let hist_fks: Vec<_> = model
             .foreign_keys
             .iter()
@@ -576,7 +571,7 @@ mod tests {
 
     #[test]
     fn explicit_join_nodes_are_used_on_the_trading_chain() {
-        let model = core_model();
+        let model = core_model_annotated(false);
         let explicit: Vec<_> = model
             .foreign_keys
             .iter()
@@ -587,7 +582,7 @@ mod tests {
 
     #[test]
     fn bridge_between_inheritance_siblings_exists() {
-        let model = core_model();
+        let model = core_model_annotated(false);
         let bridge = model.physical_table("associate_employment").unwrap();
         assert_eq!(bridge.foreign_keys.len(), 2);
         assert_eq!(bridge.foreign_keys[0].ref_table, "individual");
@@ -596,7 +591,7 @@ mod tests {
 
     #[test]
     fn every_logical_entity_points_at_an_existing_physical_table() {
-        let model = core_model();
+        let model = core_model_annotated(false);
         for e in &model.logical {
             for t in &e.implemented_by {
                 assert!(model.physical_table(t).is_some(), "missing table {t}");
@@ -606,7 +601,7 @@ mod tests {
 
     #[test]
     fn every_conceptual_refinement_points_at_an_existing_logical_entity() {
-        let model = core_model();
+        let model = core_model_annotated(false);
         for c in &model.conceptual {
             for l in &c.refined_by {
                 assert!(

@@ -17,18 +17,20 @@
 //!   history whose join keys are *not* annotated in the metadata graph, and
 //!   padding subject areas that carry no data but full metadata.
 //!
-//! Both warehouses come with a domain ontology ([`ontology`]), a curated
-//! DBpedia synonym extract ([`dbpedia`]) and a [`graph_builder`] that turns
-//! the three-layer [`model::SchemaModel`] into the metadata graph SODA's
-//! patterns match against.
+//! Both warehouses come with a domain ontology ([`DomainOntology`]), a
+//! curated DBpedia synonym extract ([`SynonymStore`]) and [`build_graph`],
+//! which turns the three-layer [`SchemaModel`] into the metadata graph
+//! SODA's patterns match against.
+
+#![warn(unreachable_pub)]
 
 pub mod datagen;
-pub mod dbpedia;
+mod dbpedia;
 pub mod enterprise;
-pub mod graph_builder;
+mod graph_builder;
 pub mod minibank;
-pub mod model;
-pub mod ontology;
+mod model;
+mod ontology;
 
 pub use dbpedia::{DbpediaEntry, SynonymStore, SynonymTarget};
 pub use graph_builder::{build_graph, phrase, slug};

@@ -23,18 +23,18 @@ use crate::model::{
 use crate::ontology::{ClassifyTarget, ConceptFilter, DomainOntology, OntologyConcept};
 
 /// Number of individual customers generated.
-pub const NUM_INDIVIDUALS: usize = 60;
+pub(crate) const NUM_INDIVIDUALS: usize = 60;
 /// Number of corporate customers generated.
-pub const NUM_ORGANIZATIONS: usize = 20;
+pub(crate) const NUM_ORGANIZATIONS: usize = 20;
 /// Number of financial instruments generated.
-pub const NUM_INSTRUMENTS: usize = 25;
+pub(crate) const NUM_INSTRUMENTS: usize = 25;
 /// Number of securities generated.
-pub const NUM_SECURITIES: usize = 40;
+pub(crate) const NUM_SECURITIES: usize = 40;
 /// Number of transactions generated (financial-instrument plus money).
-pub const NUM_TRANSACTIONS: usize = 300;
+pub(crate) const NUM_TRANSACTIONS: usize = 300;
 
 /// The physical schema of the mini-bank (Figure 2, lowered to tables).
-pub fn physical_schema() -> Vec<TableSchema> {
+pub(crate) fn physical_schema() -> Vec<TableSchema> {
     vec![
         TableSchema::builder("parties")
             .column("id", DataType::Int)

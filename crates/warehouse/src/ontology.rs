@@ -79,13 +79,13 @@ impl OntologyConcept {
     }
 
     /// Attaches a metadata-defined filter.
-    pub fn with_filter(mut self, filter: ConceptFilter) -> Self {
+    pub(crate) fn with_filter(mut self, filter: ConceptFilter) -> Self {
         self.filter = Some(filter);
         self
     }
 
     /// All names (primary plus alternatives).
-    pub fn all_names(&self) -> Vec<&str> {
+    pub(crate) fn all_names(&self) -> Vec<&str> {
         let mut v = vec![self.name.as_str()];
         v.extend(self.alt_names.iter().map(|s| s.as_str()));
         v

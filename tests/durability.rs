@@ -52,17 +52,18 @@ fn minibank_parts() -> (Arc<Database>, Arc<MetaGraph>) {
     (Arc::new(w.database), Arc::new(w.graph))
 }
 
+fn address_row(id: i64, city: &str) -> Vec<Value> {
+    vec![
+        Value::Int(id),
+        Value::Int(1),
+        Value::from("Journal Lane 1"),
+        Value::from(city),
+        Value::from("Switzerland"),
+    ]
+}
+
 fn address_feed(id: i64, city: &str) -> ChangeFeed {
-    ChangeFeed::new().append_row(
-        "addresses",
-        vec![
-            Value::Int(id),
-            Value::Int(1),
-            Value::from("Journal Lane 1"),
-            Value::from(city),
-            Value::from("Switzerland"),
-        ],
-    )
+    ChangeFeed::new().append_row("addresses", address_row(id, city))
 }
 
 fn recover_under(
@@ -754,6 +755,108 @@ fn a_replaced_and_a_truncated_table_survive_a_crash_and_a_checkpoint() {
     assert_eq!(recovered.generation(), folded_generation);
     assert_eq!(served_pages(&recovered), before);
     assert_eq!(before, fresh_pages(&recovered));
+}
+
+/// Blocks every checkpoint under `dir`: a journal checkpoint is written to
+/// a temporary file beside the journal, and a directory stands in its way.
+fn block_checkpoints(dir: &Path) -> PathBuf {
+    let blocker = dir.join("feed.journal.tmp");
+    fs::create_dir(&blocker).unwrap();
+    blocker
+}
+
+/// Copies the running service's journal into `crash_dir` (fsync=Always
+/// keeps it current), drops the service and recovers the copy under the
+/// default configuration: the state a kill -9 leaves behind.
+fn crash_and_recover(service: QueryService, live_dir: &Path, crash_dir: &Path) -> QueryService {
+    fs::copy(journal_path(live_dir), journal_path(crash_dir)).unwrap();
+    drop(service);
+    recover_at(crash_dir).0
+}
+
+/// A reload whose checkpoint fails leaves the journal owing one: the next
+/// ingest is refused while the checkpoint still fails, and writes it before
+/// appending once it can, so recovery never replays a feed over the
+/// pre-reload history.
+#[test]
+fn a_failed_reload_checkpoint_is_written_before_the_next_append() {
+    let (live_dir, crash_dir) = (TempDir::new("owed-live"), TempDir::new("owed-crash"));
+    let queries = ["Cityzero", "Reloadville", "Cityone"];
+    let (service, _) = recover_at(live_dir.path());
+    admin(&service)
+        .ingest_owned(address_feed(900, "Cityzero"))
+        .unwrap();
+    let blocker = block_checkpoints(live_dir.path());
+    let (db, graph) = minibank_parts();
+    let mut reloaded = (*db).clone();
+    reloaded
+        .insert("addresses", address_row(901, "Reloadville"))
+        .unwrap();
+    let config = SodaConfig::default();
+    let generation =
+        admin(&service).reload(EngineSnapshot::build(Arc::new(reloaded), graph, config));
+    assert_eq!(service.metrics().durability.checkpoint_failures, 1);
+
+    let refused = admin(&service).ingest_owned(address_feed(902, "Cityone"));
+    assert!(
+        matches!(refused, Err(ServiceError::Durability(_))),
+        "{refused:?}"
+    );
+    assert_eq!(
+        service.generation(),
+        generation,
+        "a refused feed publishes nothing"
+    );
+    assert!(page_for(&service, "Cityone").results.is_empty());
+    assert_eq!(service.metrics().durability.checkpoint_failures, 2);
+
+    fs::remove_dir(&blocker).unwrap();
+    admin(&service)
+        .ingest_owned(address_feed(902, "Cityone"))
+        .unwrap();
+    let served: Vec<ResultPage> = queries.iter().map(|q| page_for(&service, q)).collect();
+    let found: Vec<bool> = served.iter().map(|p| !p.results.is_empty()).collect();
+    assert_eq!(found, [false, true, true], "the reload dropped Cityzero");
+    let generation = service.generation();
+
+    let recovered = crash_and_recover(service, live_dir.path(), crash_dir.path());
+    assert_eq!(recovered.generation(), generation);
+    for (query, served) in queries.iter().zip(&served) {
+        assert_eq!(&page_for(&recovered, query), served, "{query}");
+    }
+}
+
+/// A compaction whose checkpoint fails owes it too: once the checkpoint can
+/// be written, the next ingest writes it first, and recovery reproduces the
+/// served generation, compaction included, and pages.
+#[test]
+fn a_failed_compaction_checkpoint_is_written_before_the_next_append() {
+    let (live_dir, crash_dir) = (
+        TempDir::new("owed-fold-live"),
+        TempDir::new("owed-fold-crash"),
+    );
+    let queries = ["Cityzero", "Cityone", "Sara Guttinger"];
+    let (service, _) = recover_at(live_dir.path());
+    admin(&service)
+        .ingest_owned(address_feed(900, "Cityzero"))
+        .unwrap();
+    let blocker = block_checkpoints(live_dir.path());
+    let shards: Vec<usize> = (0..service.engine().shard_count()).collect();
+    admin(&service).compact(&shards).expect("a log to fold");
+    assert_eq!(service.metrics().durability.checkpoint_failures, 1);
+
+    fs::remove_dir(&blocker).unwrap();
+    admin(&service)
+        .ingest_owned(address_feed(901, "Cityone"))
+        .unwrap();
+    let served: Vec<ResultPage> = queries.iter().map(|q| page_for(&service, q)).collect();
+    let generation = service.generation();
+
+    let recovered = crash_and_recover(service, live_dir.path(), crash_dir.path());
+    assert_eq!(recovered.generation(), generation);
+    for (query, served) in queries.iter().zip(&served) {
+        assert_eq!(&page_for(&recovered, query), served, "{query}");
+    }
 }
 
 /// A graph refresh changes no rows, so its checkpoint re-records only the
